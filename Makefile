@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint-hooks lint-metrics trace-check alloc-gates chaos cluster-diff opt-diff obs-diff adapt-diff check bench bench-cluster bench-dispatch bench-engine bench-datapath bench-policy bench-profile fuzz clean
+.PHONY: build test vet race lint-hooks lint-metrics trace-check alloc-gates chaos cluster-diff opt-diff obs-diff adapt-diff check bench bench-cluster bench-dispatch bench-engine bench-datapath bench-obs bench-policy bench-profile fuzz clean
 
 build:
 	$(GO) build ./...
@@ -28,7 +28,7 @@ lint-hooks:
 	fi
 
 # The trace recorder is single-owner by design, but the metrics registry it
-# feeds (counters, SnapshotDelta, histogram registration) is shared with
+# feeds (counters, cursor deltas, histogram registration) is shared with
 # protocol goroutines. Run both observability packages under the race
 # detector.
 trace-check:
@@ -37,11 +37,12 @@ trace-check:
 # Zero-alloc gates (see DESIGN.md): the event-engine steady state, compiled
 # eBPF dispatch, hook dispatch (single and vectorized, traced and
 # untraced), the span recorder's Record path — including disabled/nil
-# recorders, i.e. the tracing-off hot path — and the batched datapath
-# (NIC burst drain with pooled packets, stack burst delivery end to end)
-# must all stay at 0 allocs/op.
+# recorders, i.e. the tracing-off hot path — the batched datapath (NIC
+# burst drain with pooled packets, stack burst delivery end to end), and
+# the telemetry tick (histogram reads, sampler tick, a controller tick on
+# which no rule acts) must all stay at 0 allocs/op.
 alloc-gates:
-	$(GO) test -run 'TestZeroAlloc|TestCompiledRunZeroAllocs' -v ./internal/sim/ ./internal/trace/ ./internal/hook/ ./internal/ebpf/ ./internal/nic/ ./internal/netstack/ | grep -E '^(=== RUN|--- (PASS|FAIL)|FAIL|ok)'
+	$(GO) test -run 'TestZeroAlloc|TestCompiledRunZeroAllocs' -v ./internal/sim/ ./internal/trace/ ./internal/hook/ ./internal/ebpf/ ./internal/nic/ ./internal/netstack/ ./internal/obs/ ./internal/adapt/ ./internal/metrics/ | grep -E '^(=== RUN|--- (PASS|FAIL)|FAIL|ok)'
 
 # Chaos gate (see DESIGN.md "Fault injection and quarantine"): the
 # fault-plan suite plus the syrupd quarantine/revoke tests — including the
@@ -140,6 +141,15 @@ bench-engine:
 # target shows the wall-clock and allocation margin batching buys.
 bench-datapath:
 	$(GO) test ./internal/experiments/ -run '^$$' -bench BenchmarkDatapathBurst -benchmem -benchtime 2x
+
+# Telemetry tick (see DESIGN.md "Telemetry plane", cost model): a window
+# advance and a whole sampler tick at the ledger probe's shape — 16
+# records per tick over a 4-octave span — busy and idle. Both must stay at
+# 0 allocs/op (gated in `make alloc-gates`); the idle tick touches no
+# bucket. Reference numbers live in EXPERIMENTS.md.
+bench-obs:
+	$(GO) test ./internal/metrics/ -run '^$$' -bench BenchmarkHistogramWindowAdvance -benchmem
+	$(GO) test ./internal/obs/ -run '^$$' -bench BenchmarkSamplerSample -benchmem
 
 # Optimizer wall-clock margin (see DESIGN.md "Optimizer"): the dispatch
 # benchmark shapes at -O0 vs -O1. The map-heavy shape must hold >=1.2x

@@ -149,7 +149,7 @@ func (c *Controller) step(rs *ruleState, now sim.Time) {
 	// vetoes quiet, and a no-data tick freezes whichever streak the blind
 	// detector feeds — absence of evidence is neither firing nor quiet
 	// (the rollout no-data rule).
-	clearDetail := v.detail
+	clearEvidence := v
 	if rs.clearDet == nil {
 		if v.noData {
 			return
@@ -158,7 +158,7 @@ func (c *Controller) step(rs *ruleState, now sim.Time) {
 			rs.quiet++
 		}
 	} else if q := rs.clearDet.eval(now); !q.noData {
-		clearDetail = q.detail
+		clearEvidence = q
 		if q.firing || rs.firing {
 			rs.quiet = 0
 		} else {
@@ -172,7 +172,7 @@ func (c *Controller) step(rs *ruleState, now sim.Time) {
 		// A failed actuation leaves the rule disengaged; the cooldown
 		// paces the retry.
 		if !v.noData && rs.streak >= rs.spec.Sustain && !coolingDown && !rs.escalated {
-			if c.apply(rs, rs.spec.OnFire, "fire", v.detail, now) == nil {
+			if c.apply(rs, rs.spec.OnFire, "fire", v, now) == nil {
 				rs.engaged = true
 			}
 		}
@@ -180,7 +180,7 @@ func (c *Controller) step(rs *ruleState, now sim.Time) {
 		// Converged and healthy again: revert (if declared) and reset
 		// the escalation evidence. A failed revert keeps the rule
 		// engaged and retries after the cooldown.
-		if rs.spec.OnClear != nil && c.apply(rs, *rs.spec.OnClear, "clear", clearDetail, now) != nil {
+		if rs.spec.OnClear != nil && c.apply(rs, *rs.spec.OnClear, "clear", clearEvidence, now) != nil {
 			return
 		}
 		rs.engaged = false
@@ -193,14 +193,15 @@ func (c *Controller) step(rs *ruleState, now sim.Time) {
 		rs.unconverged++
 		rs.lastAction, rs.acted = now, true
 		if rs.spec.EscalateAfter > 0 && rs.spec.Escalate != nil && rs.unconverged >= rs.spec.EscalateAfter {
-			c.apply(rs, *rs.spec.Escalate, "escalate", v.detail, now)
+			c.apply(rs, *rs.spec.Escalate, "escalate", v, now)
 			rs.escalated = true
 		}
 	}
 }
 
-// apply runs one action through the actuator and records the decision.
-func (c *Controller) apply(rs *ruleState, a ActionSpec, event, detail string, now sim.Time) error {
+// apply runs one action through the actuator and records the decision,
+// rendering the detector evidence v only now that something reads it.
+func (c *Controller) apply(rs *ruleState, a ActionSpec, event string, v verdict, now sim.Time) error {
 	var err error
 	switch a.Kind {
 	case "swap":
@@ -212,7 +213,7 @@ func (c *Controller) apply(rs *ruleState, a ActionSpec, event, detail string, no
 	default:
 		err = fmt.Errorf("adapt: unknown action kind %q", a.Kind)
 	}
-	d := Decision{AtNS: int64(now), Rule: rs.spec.Name, Event: event, Action: a.String(), Detail: detail}
+	d := Decision{AtNS: int64(now), Rule: rs.spec.Name, Event: event, Action: a.String(), Detail: v.detail()}
 	if err != nil {
 		d.Err = err.Error()
 	}

@@ -354,3 +354,89 @@ func TestControllerClearDetectorValidation(t *testing.T) {
 		t.Fatal("controller accepted an invalid clear detector")
 	}
 }
+
+// TestVerdictDetail pins the evidence strings decisions record: they are
+// rendered lazily from the verdict's numbers, and must read exactly as
+// when every eval formatted them eagerly.
+func TestVerdictDetail(t *testing.T) {
+	st := obs.NewStore(16)
+	st.Series("p99").Append(100, 500)
+	st.Series("p50").Append(100, 40)
+	st.Series("q0").Append(100, 90)
+	st.Series("q1").Append(100, 10)
+	act := &fakeAct{faults: 5}
+	for _, tc := range []struct {
+		spec DetectorSpec
+		want []string // detail of successive evals
+	}{
+		{DetectorSpec{Kind: "slo_burn", SLO: &obs.SLO{Name: "s", Series: "p99", Target: 100, Budget: 0.5, Short: 50, Long: 100}},
+			[]string{"short=2.00x long=2.00x n=1"}},
+		{DetectorSpec{Kind: "dispersion", Series: "p99", Denom: "p50", Ratio: 5},
+			[]string{"p99/p50=12.50 thr=5.00"}},
+		{DetectorSpec{Kind: "dispersion", Series: "p99", Denom: "nope", Ratio: 5},
+			[]string{"series missing"}},
+		{DetectorSpec{Kind: "imbalance", Group: []string{"q0", "q1"}, Ratio: 1.5},
+			[]string{"max=90.0 mean=50.0 thr=1.50x"}},
+		{DetectorSpec{Kind: "imbalance", Group: []string{"q0", "q9"}, Ratio: 1.5},
+			[]string{"series missing: q9"}},
+		{DetectorSpec{Kind: "fault_spike", App: 1, Hook: "xdp-drv", Count: 3},
+			[]string{"baseline", "faults+0 thr=3"}},
+	} {
+		d, err := compileDetector(tc.spec, st, act)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range tc.want {
+			if got := d.eval(100).detail(); got != want {
+				t.Errorf("%s eval %d: detail = %q, want %q", tc.spec.Kind, i, got, want)
+			}
+		}
+	}
+}
+
+// TestZeroAllocTick gates the controller's steady state: a decision tick
+// on which no rule acts — every detector kind evaluated, healthy or
+// firing below its debounce — stays off the allocator. Only a recorded
+// decision pays for formatting its evidence.
+func TestZeroAllocTick(t *testing.T) {
+	eng := sim.New(1)
+	st := obs.NewStore(256)
+	act := &fakeAct{}
+	swap := ActionSpec{Kind: "swap", App: 1, Hook: "socket-select", Policy: "shed"}
+	slo := &obs.SLO{Name: "ls_p99", Series: "p99", Target: 100, Budget: 0.1, Short: 300, Long: 1000}
+	cfg := Config{Period: 100, Rules: []Rule{
+		{Name: "burn", Detect: DetectorSpec{Kind: "slo_burn", SLO: slo}, OnFire: swap,
+			ClearDetect: &DetectorSpec{Kind: "slo_burn", SLO: slo}},
+		// Fires on every tick, but never for the million ticks its
+		// debounce asks for.
+		{Name: "disp", Detect: DetectorSpec{Kind: "dispersion", Series: "p99", Denom: "p50", Ratio: 1.5}, OnFire: swap, Sustain: 1 << 20},
+		{Name: "imb", Detect: DetectorSpec{Kind: "imbalance", Group: []string{"p99", "p50"}, Ratio: 3}, OnFire: swap},
+		{Name: "gone", Detect: DetectorSpec{Kind: "imbalance", Group: []string{"p99", "nope"}, Ratio: 3}, OnFire: swap},
+		{Name: "faults", Detect: DetectorSpec{Kind: "fault_spike", App: 1, Hook: "xdp-drv", Count: 10}, OnFire: swap},
+	}}
+	c, err := New(eng, st, act, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p99, p50 := st.Series("p99"), st.Series("p50")
+	now := sim.Time(0)
+	step := func() {
+		now += 100
+		p99.Append(now-50, 50)
+		p50.Append(now-50, 25)
+		eng.RunUntil(now)
+	}
+	for i := 0; i < 20; i++ {
+		step() // fill the burn windows, prime the fault baseline
+	}
+	ticks := c.Status().Ticks
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Fatalf("idle controller tick allocates %.1f/run, want 0", allocs)
+	}
+	if got := c.Status(); got.Ticks < ticks+200 || got.Decisions != 0 || len(act.calls) != 0 {
+		t.Fatalf("status = %+v calls = %v, want >=200 more ticks and no decision", got, act.calls)
+	}
+	if rs := c.Rules(); !rs[1].Firing {
+		t.Fatalf("dispersion rule = %+v, want firing (under its debounce)", rs[1])
+	}
+}

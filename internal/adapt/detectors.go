@@ -11,14 +11,34 @@ import (
 // evidence this tick (missing series, empty window, unprimed baseline);
 // the controller freezes the rule's streaks rather than reading absence
 // as health — the same explicit-no-data discipline obs.SLO follows.
+//
+// The evidence string is rendered only when a decision records it
+// (verdict.detail): eval itself stays off the allocator, so a tick on
+// which no rule acts costs no formatting. A verdict carries either a
+// fixed reason (why, by nil) or what its detector (by) needs to format
+// one: the numbers x, y, n.
 type verdict struct {
 	firing bool
 	noData bool
-	detail string
+	why    string
+	x, y   float64
+	n      uint64
+	by     detector
+}
+
+// detail renders the detector evidence for a Decision.
+func (v verdict) detail() string {
+	if v.by == nil {
+		return v.why
+	}
+	return v.by.render(v)
 }
 
 type detector interface {
 	eval(now sim.Time) verdict
+	// render formats the evidence of a verdict this detector returned
+	// with by set.
+	render(v verdict) string
 }
 
 // compileDetector validates a spec and binds it to the controller's
@@ -61,11 +81,11 @@ type sloBurn struct {
 
 func (d *sloBurn) eval(now sim.Time) verdict {
 	r := d.o.EvaluateStore(d.st, now)
-	return verdict{
-		firing: r.Burning,
-		noData: r.NoData,
-		detail: fmt.Sprintf("short=%.2fx long=%.2fx n=%d", r.ShortBurn, r.LongBurn, r.Samples),
-	}
+	return verdict{firing: r.Burning, noData: r.NoData, x: r.ShortBurn, y: r.LongBurn, n: uint64(r.Samples), by: d}
+}
+
+func (d *sloBurn) render(v verdict) string {
+	return fmt.Sprintf("short=%.2fx long=%.2fx n=%d", v.x, v.y, v.n)
 }
 
 // dispersion fires when the latest Series/Denom ratio reaches the
@@ -81,18 +101,19 @@ type dispersion struct {
 func (d *dispersion) eval(now sim.Time) verdict {
 	num, den := d.st.Get(d.num), d.st.Get(d.den)
 	if num == nil || den == nil {
-		return verdict{noData: true, detail: "series missing"}
+		return verdict{noData: true, why: "series missing"}
 	}
 	_, nv, ok1 := num.Last()
 	_, dv, ok2 := den.Last()
 	if !ok1 || !ok2 || dv <= 0 {
-		return verdict{noData: true, detail: "no samples"}
+		return verdict{noData: true, why: "no samples"}
 	}
 	r := nv / dv
-	return verdict{
-		firing: r >= d.ratio,
-		detail: fmt.Sprintf("%s/%s=%.2f thr=%.2f", d.num, d.den, r, d.ratio),
-	}
+	return verdict{firing: r >= d.ratio, x: r, by: d}
+}
+
+func (d *dispersion) render(v verdict) string {
+	return fmt.Sprintf("%s/%s=%.2f thr=%.2f", d.num, d.den, v.x, d.ratio)
 }
 
 // imbalance fires when the max of the group's latest gauge values
@@ -106,14 +127,14 @@ type imbalance struct {
 
 func (d *imbalance) eval(now sim.Time) verdict {
 	max, sum := 0.0, 0.0
-	for _, name := range d.group {
+	for i, name := range d.group {
 		s := d.st.Get(name)
 		if s == nil {
-			return verdict{noData: true, detail: "series missing: " + name}
+			return verdict{noData: true, why: "series missing: ", n: uint64(i), by: d}
 		}
 		_, v, ok := s.Last()
 		if !ok {
-			return verdict{noData: true, detail: "no samples: " + name}
+			return verdict{noData: true, why: "no samples: ", n: uint64(i), by: d}
 		}
 		if v > max {
 			max = v
@@ -122,12 +143,16 @@ func (d *imbalance) eval(now sim.Time) verdict {
 	}
 	mean := sum / float64(len(d.group))
 	if mean <= 0 {
-		return verdict{noData: true, detail: "idle group"}
+		return verdict{noData: true, why: "idle group"}
 	}
-	return verdict{
-		firing: max >= d.ratio*mean,
-		detail: fmt.Sprintf("max=%.1f mean=%.1f thr=%.2fx", max, mean, d.ratio),
+	return verdict{firing: max >= d.ratio*mean, x: max, y: mean, by: d}
+}
+
+func (d *imbalance) render(v verdict) string {
+	if v.noData {
+		return v.why + d.group[v.n] // the member that had no evidence
 	}
+	return fmt.Sprintf("max=%.1f mean=%.1f thr=%.2fx", v.x, v.y, d.ratio)
 }
 
 // faultSpike differentiates the hook-fault counter of one deployment per
@@ -148,15 +173,16 @@ func (d *faultSpike) eval(now sim.Time) verdict {
 	if !d.primed {
 		d.primed = true
 		d.last = cur
-		return verdict{noData: true, detail: "baseline"}
+		return verdict{noData: true, why: "baseline"}
 	}
 	var delta uint64
 	if cur >= d.last {
 		delta = cur - d.last
 	} // else: the link was replaced and its stats restarted — window resets
 	d.last = cur
-	return verdict{
-		firing: delta >= d.count,
-		detail: fmt.Sprintf("faults+%d thr=%d", delta, d.count),
-	}
+	return verdict{firing: delta >= d.count, n: delta, by: d}
+}
+
+func (d *faultSpike) render(v verdict) string {
+	return fmt.Sprintf("faults+%d thr=%d", v.n, d.count)
 }

@@ -4,8 +4,8 @@ package metrics
 // consumer that wants interval rates (the obs sampler, a syrupd stats
 // client, the adapt controller) owns its own Cursor, so concurrent
 // consumers each see the full increase between their own calls instead
-// of stealing increments from one another the way the shared
-// CountersDelta baseline does.
+// of stealing increments from one another the way a baseline shared
+// through the counter itself would.
 //
 // A Cursor is not safe for concurrent use — it models one consumer.
 type Cursor struct {

@@ -2,8 +2,8 @@ package metrics
 
 import "testing"
 
-// TestCursorTwoConsumers is the regression test for the destructive
-// process-global CountersDelta baseline: two consumers polling deltas
+// TestCursorTwoConsumers is the regression test for a destructive
+// process-global delta baseline: two consumers polling deltas
 // concurrently-in-time (interleaved calls) must each observe the full
 // increase between their own polls, not partition it.
 func TestCursorTwoConsumers(t *testing.T) {
@@ -18,8 +18,8 @@ func TestCursorTwoConsumers(t *testing.T) {
 	if got := sampler.Delta()["cursor_test_interleaved"]; got != 7 {
 		t.Fatalf("sampler first delta = %d, want 7", got)
 	}
-	// The old CountersDelta would return 0 here: the sampler's call just
-	// advanced the one shared baseline.
+	// A shared baseline would return 0 here: the sampler's call just
+	// advanced it.
 	if got := stats.Delta()["cursor_test_interleaved"]; got != 7 {
 		t.Fatalf("stats consumer saw %d, want the full 7 (baseline stolen?)", got)
 	}
@@ -48,20 +48,6 @@ func TestCursorDeltaOf(t *testing.T) {
 	}
 	if got := cu.DeltaOf(c); got != 0 {
 		t.Fatalf("repeated DeltaOf = %d, want 0", got)
-	}
-}
-
-// TestCountersDeltaShim documents the deprecated shim's legacy behavior:
-// one shared baseline, destructive across consumers.
-func TestCountersDeltaShim(t *testing.T) {
-	c := NewCounter("cursor_test_shim")
-	CountersDelta()
-	c.Add(9)
-	if got := CountersDelta()["cursor_test_shim"]; got != 9 {
-		t.Fatalf("shim delta = %d, want 9", got)
-	}
-	if got := CountersDelta()["cursor_test_shim"]; got != 0 {
-		t.Fatalf("shim second delta = %d, want 0 (shared baseline)", got)
 	}
 }
 

@@ -23,6 +23,11 @@ type Histogram struct {
 	sum    float64
 	min    int64
 	max    int64
+	// resets counts Reset calls. Readers that keep a baseline across
+	// reads (HistogramWindow, the obs sampler) rebase when it moves: the
+	// count alone cannot tell a reset from quiet once enough new samples
+	// follow the reset.
+	resets uint64
 }
 
 const (
@@ -100,38 +105,86 @@ func (h *Histogram) Max() int64 {
 	return h.max
 }
 
-// Percentile returns the value at quantile p in [0,100]: the lower bound of
-// the bucket containing the sample of that rank, clamped to the observed
-// [min, max] so Percentile(100) == Max().
-func (h *Histogram) Percentile(p float64) int64 {
-	if h.count == 0 {
-		return 0
-	}
-	if p >= 100 {
-		return h.max
-	}
+// Resets reports how many times Reset has been called. Together with
+// Count it identifies the histogram's contents: while neither moves, every
+// derived statistic is unchanged.
+func (h *Histogram) Resets() uint64 { return h.resets }
+
+// span returns the occupied bucket range [lo, hi] of a non-empty
+// histogram: min and max are exact, so every non-zero bucket lies between
+// theirs. It is derived at read time — Record pays nothing for it — and
+// lets readers walk the few hundred buckets in use instead of all 3776.
+func (h *Histogram) span() (lo, hi int) { return bucketIndex(h.min), bucketIndex(h.max) }
+
+// rankOf returns the 1-based rank of quantile p (percent) among n samples.
+func rankOf(p float64, n uint64) uint64 {
 	if p < 0 {
 		p = 0
 	}
-	rank := uint64(math.Ceil(p / 100 * float64(h.count)))
+	rank := uint64(math.Ceil(p / 100 * float64(n)))
 	if rank == 0 {
 		rank = 1
 	}
-	var seen uint64
-	for i, c := range h.counts {
-		seen += c
-		if seen >= rank {
-			v := bucketLow(i)
-			if v > h.max {
-				v = h.max
-			}
-			if v < h.min {
-				v = h.min
-			}
-			return v
-		}
+	return rank
+}
+
+// resolve is the one rank-resolving bucket walk behind Percentile,
+// Percentiles, Summarize and HistogramWindow.Advance. It walks buckets
+// lo..hi once, stopping at the last quantile, and stores in out[k] the
+// lower bound of the bucket holding the sample of rank rankOf(ps[k], n);
+// ps must be ascending. A non-nil prev is a baseline: the walk then reads
+// the interval counts[i]-prev[i] instead of counts[i].
+func resolve(counts, prev []uint64, lo, hi int, n uint64, ps []float64, out []int64) {
+	counts = counts[lo : hi+1]
+	if prev != nil {
+		prev = prev[lo:][:len(counts)]
 	}
-	return h.max
+	var seen uint64
+	i := 0
+	for k, p := range ps {
+		// The rank is computed out here so the bucket loop makes no call.
+		rank := rankOf(p, n)
+		for seen < rank && i < len(counts) {
+			c := counts[i]
+			if prev != nil {
+				c -= prev[i]
+			}
+			seen += c
+			i++
+		}
+		out[k] = bucketLow(lo + i - 1)
+	}
+}
+
+// Percentiles resolves the quantiles ps (ascending, each in [0,100]) into
+// out[:len(ps)] in one walk over the occupied buckets. Each value is the
+// lower bound of the bucket containing the sample of that rank, clamped to
+// the observed [min, max] so quantile 100 is Max(); an empty histogram
+// yields zeros.
+func (h *Histogram) Percentiles(ps []float64, out []int64) {
+	m := len(ps)
+	if h.count == 0 {
+		clear(out[:m])
+		return
+	}
+	for m > 0 && ps[m-1] >= 100 {
+		m--
+		out[m] = h.max
+	}
+	lo, hi := h.span()
+	resolve(h.counts, nil, lo, hi, h.count, ps[:m], out)
+	// Only the first occupied bucket can start below min, and none in the
+	// span starts above max.
+	for k := 0; k < m && out[k] < h.min; k++ {
+		out[k] = h.min
+	}
+}
+
+// Percentile returns the value at quantile p in [0,100]; see Percentiles.
+func (h *Histogram) Percentile(p float64) int64 {
+	var out [1]int64
+	h.Percentiles([]float64{p}, out[:])
+	return out[0]
 }
 
 // Merge adds all samples of other into h.
@@ -160,14 +213,15 @@ func (h *Histogram) Reset() {
 	h.sum = 0
 	h.min = math.MaxInt64
 	h.max = 0
+	h.resets++
 }
 
 // String summarizes the distribution in microseconds.
 func (h *Histogram) String() string {
+	s := h.Summarize()
 	return fmt.Sprintf("n=%d mean=%.1fus p50=%.1fus p99=%.1fus p999=%.1fus max=%.1fus",
-		h.count, h.Mean()/1e3, float64(h.Percentile(50))/1e3,
-		float64(h.Percentile(99))/1e3, float64(h.Percentile(99.9))/1e3,
-		float64(h.Max())/1e3)
+		s.Count, s.Mean/1e3, float64(s.P50)/1e3, float64(s.P99)/1e3, float64(s.P999)/1e3,
+		float64(s.Max)/1e3)
 }
 
 // Summary is a compact snapshot used by experiment result tables.
@@ -181,15 +235,17 @@ type Summary struct {
 	Max   int64
 }
 
-// Summarize extracts a Summary from the histogram.
+// Summarize extracts a Summary from the histogram in one bucket walk.
 func (h *Histogram) Summarize() Summary {
+	var q [4]int64
+	h.Percentiles([]float64{50, 90, 99, 99.9}, q[:])
 	return Summary{
 		Count: h.count,
 		Mean:  h.Mean(),
-		P50:   h.Percentile(50),
-		P90:   h.Percentile(90),
-		P99:   h.Percentile(99),
-		P999:  h.Percentile(99.9),
+		P50:   q[0],
+		P90:   q[1],
+		P99:   q[2],
+		P999:  q[3],
 		Max:   h.Max(),
 	}
 }

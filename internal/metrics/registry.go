@@ -13,10 +13,6 @@ import (
 type Counter struct {
 	name string
 	v    atomic.Uint64
-	// prev is the value at the last SnapshotDelta, so repeated stats
-	// calls can report interval rates without resetting the counter
-	// itself (the cumulative value stays monotone for other readers).
-	prev atomic.Uint64
 }
 
 // Add increments the counter by d.
@@ -30,17 +26,6 @@ func (c *Counter) Load() uint64 { return c.v.Load() }
 
 // Name returns the registered name.
 func (c *Counter) Name() string { return c.name }
-
-// SnapshotDelta returns the increase since the previous SnapshotDelta
-// (or since creation, on the first call) and marks the current value as
-// the new baseline. The counter itself is not reset. Safe for
-// concurrent use with Add/Inc; concurrent SnapshotDelta callers
-// partition the increase between them (each increment is reported by
-// exactly one caller).
-func (c *Counter) SnapshotDelta() uint64 {
-	cur := c.v.Load()
-	return cur - c.prev.Swap(cur)
-}
 
 var (
 	registryMu sync.Mutex
@@ -101,25 +86,6 @@ func CountersSorted() []CounterValue {
 	}
 	registryMu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// CountersDelta snapshots every registered counter's increase since its
-// previous delta snapshot (see Counter.SnapshotDelta), for interval
-// rates across repeated stats calls.
-//
-// Deprecated: the baseline is process-global — two consumers calling
-// this partition the increments between them, each seeing only part of
-// the traffic. New consumers use NewCursor, which gives each its own
-// baseline; this shim remains for operational one-shot use (a single
-// shutdown summary) and is kept bug-for-bug compatible.
-func CountersDelta() map[string]uint64 {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	out := make(map[string]uint64, len(registry))
-	for name, c := range registry {
-		out[name] = c.SnapshotDelta()
-	}
 	return out
 }
 

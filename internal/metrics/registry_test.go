@@ -6,33 +6,13 @@ import (
 	"testing"
 )
 
-func TestSnapshotDelta(t *testing.T) {
-	c := NewCounter("t_delta_basic")
-	c.Add(10)
-	if d := c.SnapshotDelta(); d != 10 {
-		t.Fatalf("first delta = %d, want 10", d)
-	}
-	if d := c.SnapshotDelta(); d != 0 {
-		t.Fatalf("idle delta = %d, want 0", d)
-	}
-	c.Add(3)
-	c.Inc()
-	if d := c.SnapshotDelta(); d != 4 {
-		t.Fatalf("second delta = %d, want 4", d)
-	}
-	// The cumulative value is untouched by delta snapshots.
-	if c.Load() != 14 {
-		t.Fatalf("Load = %d, want 14", c.Load())
-	}
-}
-
-// TestSnapshotDeltaConcurrent covers the concurrent case the satellite
-// asks for: increments racing with delta snapshots must never be lost
-// or double-counted — the deltas plus the final residue always sum to
-// the total number of increments. Run under `make trace-check` with
-// -race.
-func TestSnapshotDeltaConcurrent(t *testing.T) {
+// TestCursorDeltaConcurrent: increments racing with one consumer's delta
+// reads must never be lost or double-counted — the deltas plus the final
+// residue always sum to the total number of increments. Run under
+// `make trace-check` with -race.
+func TestCursorDeltaConcurrent(t *testing.T) {
 	c := NewCounter("t_delta_race")
+	cu := NewCursor()
 	const writers = 4
 	const perWriter = 10000
 
@@ -59,7 +39,7 @@ func TestSnapshotDeltaConcurrent(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				collected += c.SnapshotDelta()
+				collected += cu.DeltaOf(c)
 			}
 		}
 	}()
@@ -68,7 +48,7 @@ func TestSnapshotDeltaConcurrent(t *testing.T) {
 	close(stop)
 	<-done
 
-	residue := c.SnapshotDelta()
+	residue := cu.DeltaOf(c)
 	if got := collected + residue; got != writers*perWriter {
 		t.Fatalf("deltas sum to %d, want %d", got, writers*perWriter)
 	}
@@ -100,17 +80,6 @@ func TestCountersSortedDeterministic(t *testing.T) {
 		if s[i].Name != s2[i].Name {
 			t.Fatalf("order changed between calls at %d: %s vs %s", i, s[i].Name, s2[i].Name)
 		}
-	}
-}
-
-func TestCountersDelta(t *testing.T) {
-	c := NewCounter("t_counters_delta")
-	c.Add(5)
-	if d := CountersDelta()["t_counters_delta"]; d != 5 {
-		t.Fatalf("registry delta = %d, want 5", d)
-	}
-	if d := CountersDelta()["t_counters_delta"]; d != 0 {
-		t.Fatalf("repeat registry delta = %d, want 0", d)
 	}
 }
 

@@ -1,7 +1,5 @@
 package metrics
 
-import "math"
-
 // WindowStats summarizes only the samples recorded between two Advance
 // calls of a HistogramWindow.
 type WindowStats struct {
@@ -16,69 +14,46 @@ type WindowStats struct {
 // converge and never come back down after a burst; interval percentiles
 // react immediately and decay the moment the burst ends, which is what
 // burn-rate SLOs and the adapt controller need. Advance is allocation-free
-// (the window keeps its own bucket baseline and scratch).
+// and costs one walk over the histogram's occupied buckets; an interval
+// without samples touches no bucket at all.
 type HistogramWindow struct {
-	h    *Histogram
-	prev []uint64
-	diff []uint64
-	// prevCount detects a Reset (or a fresh generation under the same
-	// registration): a shrinking cumulative count rebases the baseline
-	// instead of underflowing the bucket diffs.
+	h *Histogram
+	// prev holds the bucket counts as of the previous Advance. Buckets
+	// outside every span walked so far are zero in both prev and h.
+	prev      []uint64
 	prevCount uint64
+	// resets is h.resets as of the previous Advance: when it moves, the
+	// histogram was Reset under us and the baseline restarts from zero
+	// instead of underflowing the bucket diffs.
+	resets uint64
 }
 
 // NewHistogramWindow tracks h; the first Advance covers everything
 // recorded so far.
 func NewHistogramWindow(h *Histogram) *HistogramWindow {
-	return &HistogramWindow{
-		h:    h,
-		prev: make([]uint64, bucketCount),
-		diff: make([]uint64, bucketCount),
-	}
+	return &HistogramWindow{h: h, prev: make([]uint64, bucketCount), resets: h.resets}
 }
 
 // Advance closes the current interval: it returns the stats of samples
 // recorded since the previous Advance and makes the histogram's current
 // contents the next baseline. An empty interval returns zero stats.
+// Percentiles are bucket lower bounds with no min/max clamp (the
+// interval's extremes are not tracked), within the 1/64 relative error
+// bound.
 func (w *HistogramWindow) Advance() WindowStats {
-	if w.h.count < w.prevCount {
-		// The histogram was Reset under us; restart from zero.
-		for i := range w.prev {
-			w.prev[i] = 0
-		}
+	h := w.h
+	if h.resets != w.resets {
+		clear(w.prev)
+		w.prevCount, w.resets = 0, h.resets
 	}
-	w.prevCount = w.h.count
-	var n uint64
-	for i, c := range w.h.counts {
-		d := c - w.prev[i]
-		w.diff[i] = d
-		n += d
-		w.prev[i] = c
-	}
+	n := h.count - w.prevCount
 	if n == 0 {
 		return WindowStats{}
 	}
-	return WindowStats{
-		Count: n,
-		P50:   diffPercentile(w.diff, n, 50),
-		P99:   diffPercentile(w.diff, n, 99),
-	}
-}
-
-// diffPercentile is Histogram.Percentile over a raw bucket-count slice
-// (no min/max clamp: the interval's extremes are not tracked, so the
-// bucket lower bound stands, within the 1/64 relative error bound).
-func diffPercentile(counts []uint64, n uint64, p float64) int64 {
-	rank := uint64(math.Ceil(p / 100 * float64(n)))
-	if rank == 0 {
-		rank = 1
-	}
-	var seen uint64
-	for i, c := range counts {
-		seen += c
-		if seen >= rank {
-			return bucketLow(i)
-		}
-	}
-	return bucketLow(len(counts) - 1)
+	w.prevCount = h.count
+	lo, hi := h.span()
+	var q [2]int64
+	resolve(h.counts, w.prev, lo, hi, n, []float64{50, 99}, q[:])
+	copy(w.prev[lo:hi+1], h.counts[lo:hi+1])
+	return WindowStats{Count: n, P50: q[0], P99: q[1]}
 }

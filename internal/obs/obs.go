@@ -10,6 +10,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -66,20 +67,6 @@ func (s *Series) Last() (t int64, v float64, ok bool) {
 		i -= len(s.t)
 	}
 	return s.t[i], s.v[i], true
-}
-
-// Visit calls fn for every held point with t >= from, oldest first,
-// without copying the ring.
-func (s *Series) Visit(from int64, fn func(t int64, v float64)) {
-	for i := 0; i < s.n; i++ {
-		j := s.start + i
-		if j >= len(s.t) {
-			j -= len(s.t)
-		}
-		if s.t[j] >= from {
-			fn(s.t[j], s.v[j])
-		}
-	}
 }
 
 // Snapshot copies the ring out in chronological order.
@@ -155,50 +142,6 @@ func (st *Store) Snapshot() []SeriesJSON {
 	return out
 }
 
-// Sub is a read cursor over a store: each Poll of a series delivers only
-// the points appended since that series' previous Poll. Subscribers are
-// independent of one another and of snapshot readers — polling consumes
-// nothing from the ring. The adapt controller holds one Sub per rule set
-// so its detectors see each sample exactly once regardless of how the
-// decision period relates to the sampling period.
-type Sub struct {
-	st   *Store
-	seen map[*Series]int64 // newest timestamp already delivered
-}
-
-// Subscribe returns a cursor whose first Poll of any series delivers
-// every point the ring still holds.
-func (st *Store) Subscribe() *Sub {
-	return &Sub{st: st, seen: make(map[*Series]int64)}
-}
-
-// Poll invokes fn for each point of the named series appended since the
-// last Poll of that series (oldest first), advances the cursor, and
-// reports how many points were delivered. A series that does not exist
-// yet delivers nothing. Points that fell off the ring before being
-// polled are gone — the ring is a sliding window, not a queue.
-func (sub *Sub) Poll(name string, fn func(t int64, v float64)) int {
-	s := sub.st.Get(name)
-	if s == nil {
-		return 0
-	}
-	from, ok := sub.seen[s]
-	if ok {
-		from++ // strictly newer than the last delivered point
-	}
-	n := 0
-	last := from
-	s.Visit(from, func(t int64, v float64) {
-		fn(t, v)
-		n++
-		last = t
-	})
-	if n > 0 {
-		sub.seen[s] = last
-	}
-	return n
-}
-
 // percentileSeries reports whether a merged fleet view of name should
 // take the max across hosts instead of the sum: percentiles are not
 // additive, and the max is the conservative fleet number.
@@ -213,53 +156,87 @@ func percentileSeries(name string) bool {
 
 // MergeSeries merges per-host snapshots into one fleet-wide set: series
 // sharing a name are combined pointwise by timestamp — summed for
-// additive series (rates, depths, counts), max for percentile series.
-// Hosts share the sampler period, so timestamps align exactly.
+// additive series (rates, depths, counts), max for percentile series —
+// in host order, so the floating-point sums are reproducible. Hosts share
+// the sampler period, so timestamps normally align exactly; a timestamp
+// only some hosts have merges the hosts that have it.
 func MergeSeries(hosts ...[]SeriesJSON) []SeriesJSON {
-	type acc struct {
-		byT  map[int64]float64
-		pctl bool
-	}
-	merged := map[string]*acc{}
+	byName := map[string][]SeriesJSON{}
 	var names []string
 	for _, snap := range hosts {
 		for _, s := range snap {
-			a := merged[s.Name]
-			if a == nil {
-				a = &acc{byT: map[int64]float64{}, pctl: percentileSeries(s.Name)}
-				merged[s.Name] = a
+			if _, ok := byName[s.Name]; !ok {
 				names = append(names, s.Name)
 			}
-			for i, t := range s.T {
-				v := s.V[i]
-				if old, ok := a.byT[t]; ok {
-					if a.pctl {
-						if v > old {
-							a.byT[t] = v
-						}
-					} else {
-						a.byT[t] = old + v
-					}
-				} else {
-					a.byT[t] = v
-				}
-			}
+			byName[s.Name] = append(byName[s.Name], s)
 		}
 	}
 	sort.Strings(names)
 	out := make([]SeriesJSON, 0, len(names))
 	for _, name := range names {
-		a := merged[name]
-		ts := make([]int64, 0, len(a.byT))
-		for t := range a.byT {
-			ts = append(ts, t)
+		out = append(out, mergeByTime(name, byName[name]))
+	}
+	return out
+}
+
+// mergeByTime is a k-way merge over the inputs' timestamp slices, which
+// snapshots deliver sorted: each round emits the smallest timestamp any
+// input still holds and folds in, input by input, every point carrying it.
+func mergeByTime(name string, in []SeriesJSON) SeriesJSON {
+	longest := 0
+	for i, s := range in {
+		if !slices.IsSorted(s.T) {
+			in[i] = sortedByTime(s)
 		}
-		sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-		s := SeriesJSON{Name: name, T: ts, V: make([]float64, len(ts))}
-		for i, t := range ts {
-			s.V[i] = a.byT[t]
+		if len(s.T) > longest {
+			longest = len(s.T)
 		}
-		out = append(out, s)
+	}
+	pctl := percentileSeries(name)
+	out := SeriesJSON{Name: name, T: make([]int64, 0, longest), V: make([]float64, 0, longest)}
+	pos := make([]int, len(in))
+	for {
+		var t int64
+		live := false
+		for i, s := range in {
+			if pos[i] < len(s.T) && (!live || s.T[pos[i]] < t) {
+				t, live = s.T[pos[i]], true
+			}
+		}
+		if !live {
+			return out
+		}
+		var acc float64
+		first := true
+		for i, s := range in {
+			for ; pos[i] < len(s.T) && s.T[pos[i]] == t; pos[i]++ {
+				switch v := s.V[pos[i]]; {
+				case first:
+					acc, first = v, false
+				case !pctl:
+					acc += v
+				case v > acc:
+					acc = v
+				}
+			}
+		}
+		out.T = append(out.T, t)
+		out.V = append(out.V, acc)
+	}
+}
+
+// sortedByTime returns a copy of s in timestamp order, points sharing a
+// timestamp keeping their relative order. Store snapshots are already
+// sorted; a hand-edited or hostile recording fed to syrup-top may not be.
+func sortedByTime(s SeriesJSON) SeriesJSON {
+	idx := make([]int, len(s.T))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return s.T[idx[a]] < s.T[idx[b]] })
+	out := SeriesJSON{Name: s.Name, T: make([]int64, len(idx)), V: make([]float64, len(idx))}
+	for i, j := range idx {
+		out.T[i], out.V[i] = s.T[j], s.V[j]
 	}
 	return out
 }

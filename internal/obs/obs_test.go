@@ -1,7 +1,11 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
+	"math/rand/v2"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -78,25 +82,119 @@ func TestSamplerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSampleZeroAlloc: a warmed sampler tick is allocation-free (gauges,
-// rates, and histograms only; counter folding allocates by design and is
-// opt-in for the standalone daemon).
-func TestSampleZeroAlloc(t *testing.T) {
+// tickLoad records one tick's traffic the way the ledger's obs.sample
+// probe does: 16 samples spread over four octaves (10µs..160µs).
+func tickLoad(h *metrics.Histogram, r *rand.Rand) {
+	for i := 0; i < 16; i++ {
+		h.Record(10_000 + r.Int64N(150_000))
+	}
+}
+
+// probeSampler registers what a fleet host does (harness.go): gauges, a
+// rate, and per class a cumulative plus a windowed latency histogram.
+func probeSampler(hists ...*metrics.Histogram) *Sampler {
 	sa := NewSampler(Config{Period: 10, Capacity: 1 << 12})
 	var x float64
-	h := metrics.NewHistogram()
-	h.Record(500)
 	sa.Gauge("g", func() float64 { return x })
 	sa.Rate("r", func() float64 { return x })
-	sa.Histogram("h", h)
+	for i, h := range hists {
+		name := "latency_" + string(rune('a'+i))
+		sa.Histogram(name, h)
+		sa.WindowHistogram(name, h)
+	}
+	return sa
+}
+
+// TestZeroAllocSample: a warmed sampler tick is allocation-free, busy or
+// idle (gauges, rates, cumulative and windowed histograms; counter
+// folding allocates by design and is opt-in for the standalone daemon).
+func TestZeroAllocSample(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	h := metrics.NewHistogram()
+	sa := probeSampler(h)
 	at := sim.Time(0)
 	sa.Sample(at)
 	allocs := testing.AllocsPerRun(100, func() {
+		tickLoad(h, r)
 		at += 10
 		sa.Sample(at)
+		at += 10
+		sa.Sample(at) // idle tick: cached percentiles, empty window
 	})
 	if allocs != 0 {
 		t.Fatalf("Sample allocates %.1f/run, want 0", allocs)
+	}
+}
+
+// TestSamplerHistogramMatchesSummarize: the sampler's single-pass,
+// count-gated histogram read records exactly what a fresh Summarize would
+// on every tick — busy, idle, and across a Reset that refills the
+// histogram to the very count it held before.
+func TestSamplerHistogramMatchesSummarize(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 4))
+	h := metrics.NewHistogram()
+	sa := probeSampler(h)
+	at := sim.Time(0)
+	check := func(what string) {
+		t.Helper()
+		at += 10
+		sa.Sample(at)
+		sum := h.Summarize()
+		for name, want := range map[string]float64{
+			"latency_a_count":   float64(sum.Count),
+			"latency_a_p50_us":  float64(sum.P50) / 1e3,
+			"latency_a_p99_us":  float64(sum.P99) / 1e3,
+			"latency_a_p999_us": float64(sum.P999) / 1e3,
+		} {
+			if ts, got, _ := sa.Store().Get(name).Last(); ts != int64(at) || got != want {
+				t.Fatalf("%s: %s = %v @%d, want %v @%d", what, name, got, ts, want, at)
+			}
+		}
+	}
+	check("empty")
+	for i := 0; i < 50; i++ {
+		tickLoad(h, r)
+		check("busy")
+		if i%3 == 0 {
+			check("idle")
+		}
+	}
+	n := h.Count()
+	h.Reset()
+	for i := uint64(0); i < n; i++ {
+		h.Record(700)
+	}
+	check("reset and refilled to the same count")
+}
+
+// BenchmarkSamplerSample mirrors the ledger's obs.sample probe: a fleet
+// host's registrations over two warm class histograms, 16 records per
+// tick over a 4-octave span. The idle shape is a tick without traffic.
+func BenchmarkSamplerSample(b *testing.B) {
+	for _, idle := range []bool{false, true} {
+		name := "busy"
+		if idle {
+			name = "idle"
+		}
+		b.Run(name, func(b *testing.B) {
+			r := rand.New(rand.NewPCG(1, 2))
+			hs := []*metrics.Histogram{metrics.NewHistogram(), metrics.NewHistogram()}
+			for i := 0; i < 1<<12; i++ {
+				tickLoad(hs[i%2], r)
+			}
+			sa := probeSampler(hs...)
+			at := sim.Time(0)
+			sa.Sample(at)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !idle {
+					tickLoad(hs[i%2], r)
+				}
+				at += 10
+				sa.Sample(at)
+			}
+		})
 	}
 }
 
@@ -121,6 +219,110 @@ func TestMergeSeries(t *testing.T) {
 	p99 := byName["latency_p99_us"]
 	if !reflect.DeepEqual(p99.V, []float64{90, 80}) {
 		t.Fatalf("percentile merge should take max: %v", p99.V)
+	}
+}
+
+// mergeSeriesByMap is the map-and-resort merge MergeSeries shipped before
+// it became a k-way merge; the randomized test holds the new code to its
+// exact output.
+func mergeSeriesByMap(hosts ...[]SeriesJSON) []SeriesJSON {
+	type acc struct {
+		byT  map[int64]float64
+		pctl bool
+	}
+	merged := map[string]*acc{}
+	var names []string
+	for _, snap := range hosts {
+		for _, s := range snap {
+			a := merged[s.Name]
+			if a == nil {
+				a = &acc{byT: map[int64]float64{}, pctl: percentileSeries(s.Name)}
+				merged[s.Name] = a
+				names = append(names, s.Name)
+			}
+			for i, t := range s.T {
+				v := s.V[i]
+				if old, ok := a.byT[t]; ok {
+					if a.pctl {
+						if v > old {
+							a.byT[t] = v
+						}
+					} else {
+						a.byT[t] = old + v
+					}
+				} else {
+					a.byT[t] = v
+				}
+			}
+		}
+	}
+	sort.Strings(names)
+	out := make([]SeriesJSON, 0, len(names))
+	for _, name := range names {
+		a := merged[name]
+		ts := make([]int64, 0, len(a.byT))
+		for t := range a.byT {
+			ts = append(ts, t)
+		}
+		sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+		s := SeriesJSON{Name: name, T: ts, V: make([]float64, len(ts))}
+		for i, t := range ts {
+			s.V[i] = a.byT[t]
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// TestMergeSeriesMatchesMapMerge: byte-identical JSON against the map
+// merge over randomized fleets — aligned clocks, hosts that started late
+// or dropped ticks, misaligned periods, empty and missing series,
+// repeated timestamps, and (rarely) an unsorted recording. Values are
+// awkward fractions so any change in summation order shows.
+func TestMergeSeriesMatchesMapMerge(t *testing.T) {
+	names := []string{"rps", "drop_rate", "latency_LS_p99_us", "latency_LS_win_p50_us", "nic_inflight"}
+	for seed := uint64(1); seed <= 200; seed++ {
+		r := rand.New(rand.NewPCG(seed, 0xfeed))
+		hosts := make([][]SeriesJSON, 1+r.IntN(5))
+		for hi := range hosts {
+			period, phase := int64(100), int64(0)
+			if r.IntN(4) == 0 {
+				period, phase = 100+int64(r.IntN(3))*50, int64(r.IntN(100))
+			}
+			for _, name := range names {
+				if r.IntN(8) == 0 {
+					continue // this host lacks the series
+				}
+				s := SeriesJSON{Name: name, T: []int64{}, V: []float64{}}
+				for k, n := int64(r.IntN(3)), int64(r.IntN(30)); k < n; k++ {
+					if r.IntN(10) == 0 {
+						continue // dropped tick
+					}
+					for rep := 1 + r.IntN(12)/11; rep > 0; rep-- {
+						s.T = append(s.T, phase+k*period)
+						s.V = append(s.V, r.Float64()*1e3/3)
+					}
+				}
+				if r.IntN(20) == 0 {
+					r.Shuffle(len(s.T), func(i, j int) {
+						s.T[i], s.T[j] = s.T[j], s.T[i]
+						s.V[i], s.V[j] = s.V[j], s.V[i]
+					})
+				}
+				hosts[hi] = append(hosts[hi], s)
+			}
+		}
+		want, err := json.Marshal(mergeSeriesByMap(hosts...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(MergeSeries(hosts...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: k-way merge differs from the map merge\n got %s\nwant %s", seed, got, want)
+		}
 	}
 }
 

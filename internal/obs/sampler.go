@@ -39,6 +39,11 @@ type rateReg struct {
 type histReg struct {
 	h                     *metrics.Histogram
 	count, p50, p99, p999 *Series
+	// The histogram's identity (Count, Resets) and percentiles (ns) as of
+	// the last tick that read them; a tick on which the identity has not
+	// moved re-appends q without touching a bucket.
+	seenCount, seenResets uint64
+	q                     [3]int64
 }
 
 type winReg struct {
@@ -146,11 +151,14 @@ func (sa *Sampler) Sample(at sim.Time) {
 	}
 	for i := range sa.hists {
 		h := &sa.hists[i]
-		sum := h.h.Summarize()
-		h.count.Append(at, float64(sum.Count))
-		h.p50.Append(at, float64(sum.P50)/1e3)
-		h.p99.Append(at, float64(sum.P99)/1e3)
-		h.p999.Append(at, float64(sum.P999)/1e3)
+		if n, r := h.h.Count(), h.h.Resets(); n != h.seenCount || r != h.seenResets {
+			h.seenCount, h.seenResets = n, r
+			h.h.Percentiles([]float64{50, 99, 99.9}, h.q[:])
+		}
+		h.count.Append(at, float64(h.seenCount))
+		h.p50.Append(at, float64(h.q[0])/1e3)
+		h.p99.Append(at, float64(h.q[1])/1e3)
+		h.p999.Append(at, float64(h.q[2])/1e3)
 	}
 	for i := range sa.wins {
 		w := &sa.wins[i]

@@ -85,43 +85,6 @@ func TestEvaluateStore(t *testing.T) {
 	}
 }
 
-func TestStoreSubscribe(t *testing.T) {
-	st := NewStore(4)
-	s := st.Series("rps")
-	sub := st.Subscribe()
-
-	collect := func() (ts []int64) {
-		sub.Poll("rps", func(t int64, v float64) { ts = append(ts, t) })
-		return
-	}
-	if got := collect(); got != nil {
-		t.Fatalf("empty series delivered %v", got)
-	}
-	s.Append(10, 1)
-	s.Append(20, 2)
-	if got := collect(); len(got) != 2 || got[0] != 10 || got[1] != 20 {
-		t.Fatalf("first poll = %v, want [10 20]", got)
-	}
-	if got := collect(); got != nil {
-		t.Fatalf("second poll re-delivered %v", got)
-	}
-	s.Append(30, 3)
-	if got := collect(); len(got) != 1 || got[0] != 30 {
-		t.Fatalf("incremental poll = %v, want [30]", got)
-	}
-	// Two subscribers are independent.
-	sub2 := st.Subscribe()
-	n := 0
-	sub2.Poll("rps", func(int64, float64) { n++ })
-	if n != 3 {
-		t.Fatalf("fresh subscriber saw %d points, want all 3", n)
-	}
-	// Unknown series: nothing, no panic.
-	if got := sub.Poll("nope", func(int64, float64) {}); got != 0 {
-		t.Fatalf("unknown series delivered %d points", got)
-	}
-}
-
 // TestSamplerWindowHistogram: interval percentiles react within one tick
 // and decay right after, unlike the cumulative series.
 func TestSamplerWindowHistogram(t *testing.T) {

@@ -114,8 +114,7 @@ type Server struct {
 
 	// cursor is this server's private counter baseline for the stats op's
 	// Delta mode. Each server owns one, so a fleet scraper taking deltas
-	// from several hosts never clobbers another consumer's baseline (the
-	// old process-global CountersDelta bug).
+	// from several hosts never clobbers another consumer's baseline.
 	cursor *metrics.Cursor
 
 	ln net.Listener

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint-hooks lint-metrics trace-check alloc-gates chaos cluster-diff opt-diff obs-diff adapt-diff check bench bench-cluster bench-dispatch bench-engine bench-datapath bench-obs bench-policy bench-profile fuzz clean
+.PHONY: build test vet race lint-hooks lint-metrics lint-env trace-check alloc-gates chaos cluster-diff opt-diff obs-diff adapt-diff check bench bench-cluster bench-dispatch bench-engine bench-datapath bench-obs bench-profile fuzz clean
 
 build:
 	$(GO) build ./...
@@ -75,14 +75,22 @@ lint-metrics:
 		exit 1; \
 	fi
 
-# Optimizer gate (see DESIGN.md "Optimizer"): the three-way differential
-# (interpreter vs -O0 threaded code vs -O1 optimized) over random programs
-# and the fuzz seed corpus, the text round-trip suite syrup-policy disasm
-# depends on, and the figure-slice digests at -O0 vs -O1, which must be
-# bit-identical per seed.
+# Policies take one path (verify, optimize, re-verify, compile) and no
+# environment variable may fork it — or anything else: outside benchmark/,
+# which pins its own build cache, the tree reads and writes no environment.
+lint-env:
+	@if grep -rn 'os\.\(Getenv\|LookupEnv\|Setenv\)' --include='*.go' . | grep -v '^\./benchmark/'; then \
+		echo 'lint-env: no environment-variable switches outside benchmark/'; \
+		exit 1; \
+	fi
+
+# Optimizer gate (see DESIGN.md "Policy execution pipeline"): the
+# differential against the reference interpreter (semantics on the verified
+# original, accounting on the executed stream) over random programs, the
+# fuzz seed corpus and every shipped policy, the per-pass optimizer tests,
+# and the text round-trip suite syrup-policy disasm depends on.
 opt-diff:
-	$(GO) test -run 'TestDifferential|FuzzJITMatchesInterp|TestTextRoundTrip|TestOpt' ./internal/ebpf/
-	$(GO) test -run 'TestOptDifferential' ./internal/experiments/
+	$(GO) test -run 'TestDifferential|FuzzJITMatchesInterp|TestShippedPolicies|TestTextRoundTrip|TestOpt' ./internal/ebpf/
 
 # Telemetry gate (see DESIGN.md "Telemetry plane"): the sampler rides the
 # engine's passive hook — figure-slice digests (fig2/6/8/9 + the fleet
@@ -110,7 +118,7 @@ adapt-diff:
 # observability, alloc gates, chaos suite, cluster determinism gate,
 # optimizer differential gate, telemetry gate, adaptive-control gate,
 # then the full suite.
-check: build vet lint-hooks lint-metrics race trace-check alloc-gates chaos cluster-diff opt-diff obs-diff adapt-diff test
+check: build vet lint-hooks lint-metrics lint-env race trace-check alloc-gates chaos cluster-diff opt-diff obs-diff adapt-diff test
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -122,8 +130,9 @@ bench:
 bench-cluster:
 	$(GO) run ./cmd/syrup-bench -hosts 32
 
-# Interpreter-vs-compiled dispatch margin (see DESIGN.md "JIT & run-state
-# pooling"): the map-heavy shape must hold >=2x and 0 allocs/op compiled.
+# Reference-interpreter vs compiled dispatch margin (see DESIGN.md "Policy
+# execution pipeline"): the map-heavy shape must hold >=2x and 0 allocs/op
+# compiled.
 bench-dispatch:
 	$(GO) test ./internal/ebpf/ -run '^$$' -bench BenchmarkDispatch -benchmem
 
@@ -151,18 +160,9 @@ bench-obs:
 	$(GO) test ./internal/metrics/ -run '^$$' -bench BenchmarkHistogramWindowAdvance -benchmem
 	$(GO) test ./internal/obs/ -run '^$$' -bench BenchmarkSamplerSample -benchmem
 
-# Optimizer wall-clock margin (see DESIGN.md "Optimizer"): the dispatch
-# benchmark shapes at -O0 vs -O1. The map-heavy shape must hold >=1.2x
-# compiled-over-compiled; reference numbers live in EXPERIMENTS.md.
-bench-policy:
-	@echo '--- -O0 (SYRUP_EBPF_NOOPT=1)'
-	SYRUP_EBPF_NOOPT=1 $(GO) test ./internal/ebpf/ -run '^$$' -bench BenchmarkDispatch -benchmem
-	@echo '--- -O1 (default)'
-	$(GO) test ./internal/ebpf/ -run '^$$' -bench BenchmarkDispatch -benchmem
-
 # Profiling overhead margin (see EXPERIMENTS.md "Profiling overhead"): the
 # dispatch shapes with per-instruction profiling off vs on. Profiling is
-# opt-in per deployment and SYRUP_EBPF_NOPROFILE vetoes it process-wide.
+# opt-in per deployment.
 bench-profile:
 	$(GO) test ./internal/ebpf/ -run '^$$' -bench BenchmarkDispatchProfile -benchmem
 

@@ -48,7 +48,6 @@ import (
 	"strings"
 	"time"
 
-	"syrup/internal/ebpf"
 	"syrup/internal/experiments"
 	"syrup/internal/faults"
 	"syrup/internal/par"
@@ -74,8 +73,6 @@ func main() {
 	flows := flag.Int("flows", 0, "cluster flow-pool size for -hosts (default 1048576)")
 	lsFrac := flag.Float64("ls-frac", 0, "latency-sensitive load share for -hosts app=rocksdb (default 0.5)")
 	clusterApp := flag.String("app", "rocksdb", "cluster scenario app for -hosts (rocksdb|mica)")
-	o0 := flag.Bool("O0", false, "load policies with the optimizing middle-end off (sets "+ebpf.EnvNoOpt+"; results are bit-identical to -O1, only policy dispatch wall-clock changes)")
-	o1 := flag.Bool("O1", false, "load policies through the optimizing middle-end (the default; overrides an inherited "+ebpf.EnvNoOpt+")")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: syrup-bench [flags] fig2|fig6|fig7|fig8|fig9a|fig9b|table2|table3|ablation-late|ablation-rfs|all\n")
 		fmt.Fprintf(os.Stderr, "       syrup-bench [-fast] -breakdown|-trace file [-load RPS] [-scan-pct P] [-policy NAME] [-seed N]\n")
@@ -85,15 +82,6 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *o0 && *o1 {
-		fmt.Fprintln(os.Stderr, "syrup-bench: -O0 and -O1 are mutually exclusive")
-		os.Exit(2)
-	}
-	if *o0 {
-		os.Setenv(ebpf.EnvNoOpt, "1")
-	} else if *o1 {
-		os.Setenv(ebpf.EnvNoOpt, "")
-	}
 	traced := *breakdown || *traceOut != ""
 	single := traced || *faultsPlan != "" || *hosts > 0 || *adaptDemo
 	if (flag.NArg() != 1 && !single) || (flag.NArg() != 0 && single) {

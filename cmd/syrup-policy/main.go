@@ -4,20 +4,22 @@
 //
 // Usage:
 //
-//	syrup-policy build   [-D NAME=VALUE ...] [-O0] [-o out.bin] <file.syr | builtin:NAME>
-//	syrup-policy disasm  [-D NAME=VALUE ...] [-O0] <file.syr | builtin:NAME>
+//	syrup-policy build   [-D NAME=VALUE ...] [-o out.bin] <file.syr | builtin:NAME>
+//	syrup-policy disasm  [-D NAME=VALUE ...] <file.syr | builtin:NAME>
 //	syrup-policy doctor  [-D NAME=VALUE ...] [-profile N] <file.syr | builtin:NAME>
+//	syrup-policy list
 //	syrup-policy scaffold [name]
 //
 // build compiles and verifies, printing a summary (and with -o the
-// optimized bytecode in the classic 8-byte wire format). disasm prints
+// assembled bytecode in the classic 8-byte wire format). disasm prints
 // the executed stream rendered back to assemblable .syr source — the
 // output re-assembles to bit-identical bytecode (gated by the round-trip
 // tests). doctor runs the optimizing middle-end and prints the per-pass
 // instruction deltas plus the verifier fact justifying each elision; with
 // -profile N it additionally executes N deterministic synthetic packets
 // under per-instruction profiling and prints the hotness-annotated
-// disassembly. scaffold prints a commented starter policy to build from.
+// disassembly. list prints the built-in policies. scaffold prints a
+// commented starter policy to build from.
 package main
 
 import (
@@ -55,11 +57,11 @@ commands:
   build     assemble, verify, and optimize; print a summary (-o writes bytecode)
   disasm    print the executed stream as re-assemblable .syr source
   doctor    print per-pass optimizer deltas and the fact behind each elision
+  list      list the built-in policies
   scaffold  print a starter policy template
 
 flags (build/disasm/doctor):
   -D NAME=VALUE   deploy-time define (repeatable)
-  -O0             load with the optimizing middle-end off (build/disasm)
   -o file         write the loaded bytecode in wire format (build)
   -profile N      run N synthetic packets and print hotness-annotated disasm (doctor)`)
 	os.Exit(2)
@@ -87,7 +89,7 @@ func source(arg string) (name, src string) {
 }
 
 // load runs the full deploy-time pipeline on one source.
-func load(name, src string, defines map[string]int64, noOpt, profile bool) (*ebpf.AsmFile, *ebpf.Program) {
+func load(name, src string, defines map[string]int64, profile bool) (*ebpf.AsmFile, *ebpf.Program) {
 	f, err := ebpf.Assemble(src, defines)
 	if err != nil {
 		fatal(fmt.Errorf("assemble: %w", err))
@@ -96,7 +98,7 @@ func load(name, src string, defines map[string]int64, noOpt, profile bool) (*ebp
 	if err != nil {
 		fatal(err)
 	}
-	prog, err := ebpf.Load(name, insns, ebpf.LoadOptions{MapTable: table, NoOpt: noOpt, Profile: profile})
+	prog, err := ebpf.Load(name, insns, ebpf.LoadOptions{MapTable: table, Profile: profile})
 	if err != nil {
 		fatal(err)
 	}
@@ -112,7 +114,6 @@ func main() {
 	fs := flag.NewFlagSet("syrup-policy "+cmd, flag.ExitOnError)
 	defines := defineFlags{}
 	fs.Var(defines, "D", "deploy-time define NAME=VALUE (repeatable)")
-	noOpt := fs.Bool("O0", false, "load with the optimizing middle-end off")
 	out := fs.String("o", "", "write the loaded bytecode in wire format to `file` (build)")
 	profile := fs.Int("profile", 0, "doctor: run `n` deterministic synthetic packets with per-instruction profiling and print the hotness-annotated disassembly (0 = off)")
 
@@ -125,16 +126,18 @@ func main() {
 		name, src := source(fs.Arg(0))
 		switch cmd {
 		case "build":
-			runBuild(name, src, defines, *noOpt, *out)
+			runBuild(name, src, defines, *out)
 		case "disasm":
-			runDisasm(name, src, defines, *noOpt)
+			runDisasm(name, src, defines)
 		case "doctor":
-			runDoctor(name, src, defines)
+			runDoctor(os.Stdout, name, src, defines)
 			if *profile > 0 {
 				fmt.Println()
 				runProfile(os.Stdout, name, src, defines, *profile)
 			}
 		}
+	case "list":
+		runList()
 	case "scaffold":
 		fs.Parse(args)
 		name := "my_policy"
@@ -147,14 +150,10 @@ func main() {
 	}
 }
 
-func runBuild(name, src string, defines map[string]int64, noOpt bool, out string) {
-	f, prog := load(name, src, defines, noOpt, false)
-	level := "-O1"
-	if !prog.Optimized() {
-		level = "-O0"
-	}
-	fmt.Printf("%s: %d source lines, %d -> %d instructions (%s), %d map(s) — verified\n",
-		name, f.SourceLines, prog.OrigLen(), prog.Len(), level, len(f.Maps))
+func runBuild(name, src string, defines map[string]int64, out string) {
+	f, prog := load(name, src, defines, false)
+	fmt.Printf("%s: %d source lines, %d -> %d instructions, %d map(s) — verified\n",
+		name, f.SourceLines, prog.OrigLen(), prog.Len(), len(f.Maps))
 	for _, spec := range f.Maps {
 		fmt.Printf("  map %-16s %-10s key=%d value=%d entries=%d\n",
 			spec.Name, spec.Type, spec.KeySize, spec.ValueSize, spec.MaxEntries)
@@ -173,21 +172,34 @@ func runBuild(name, src string, defines map[string]int64, noOpt bool, out string
 	}
 }
 
-func runDisasm(name, src string, defines map[string]int64, noOpt bool) {
-	_, prog := load(name, src, defines, noOpt, false)
+func runDisasm(name, src string, defines map[string]int64) {
+	_, prog := load(name, src, defines, false)
 	fmt.Print(prog.TextSource())
 }
 
-func runDoctor(name, src string, defines map[string]int64) {
-	_, prog := load(name, src, defines, false, false)
+func runDoctor(w io.Writer, name, src string, defines map[string]int64) {
+	_, prog := load(name, src, defines, false)
 	rep := prog.OptReport()
 	if rep == nil {
-		fmt.Printf("%s: optimizer did not run (disabled or rejected); program runs the verified original\n", name)
+		fmt.Fprintf(w, "%s: optimizer bailed out or its output failed re-verification; program runs the verified original\n", name)
 		return
 	}
-	fmt.Printf("%s:\n%s", name, rep)
+	fmt.Fprintf(w, "%s:\n%s", name, rep)
 	if !prog.Optimized() {
-		fmt.Println("(no pass changed the stream; the verified original is executed)")
+		fmt.Fprintln(w, "(no pass changed the stream; the verified original is executed)")
+	}
+}
+
+// runList prints every built-in policy with its size, flagging any that no
+// longer assembles.
+func runList() {
+	for _, n := range policy.Names() {
+		f, err := ebpf.Assemble(policy.MustSource(n), nil)
+		if err != nil {
+			fmt.Printf("%-14s BROKEN: %v\n", n, err)
+			continue
+		}
+		fmt.Printf("%-14s %3d LoC %4d insns  ok\n", n, f.SourceLines, len(f.Insns))
 	}
 }
 
@@ -196,11 +208,7 @@ func runDoctor(name, src string, defines map[string]int64) {
 // flows, queues, and users — the same header layout the scaffold
 // documents), and prints the hotness-annotated disassembly.
 func runProfile(w io.Writer, name, src string, defines map[string]int64, runs int) {
-	_, prog := load(name, src, defines, false, true)
-	if !prog.Profiling() {
-		fmt.Fprintf(w, "%s: profiling vetoed (%s is set)\n", name, ebpf.EnvNoProfile)
-		return
-	}
+	_, prog := load(name, src, defines, true)
 	types := []uint64{policy.ReqGET, policy.ReqSCAN, policy.ReqPUT}
 	faults := 0
 	for i := 0; i < runs; i++ {

@@ -141,31 +141,3 @@ func TestRegisterAppErrorsViaFacade(t *testing.T) {
 		t.Fatal("unknown builtin deployed")
 	}
 }
-
-func TestPolicyNoOptViaFacade(t *testing.T) {
-	deploy := func(cfg syrup.HostConfig) *syrup.Deployment {
-		host := syrup.NewHost(cfg)
-		app, err := host.RegisterApp(1, 1000, 9000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		app.NewUDPSocket(9000, "w")
-		dep, err := app.DeployBuiltin("user_weight", syrup.HookSocketSelect, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dep
-	}
-	if dep := deploy(syrup.HostConfig{}); !dep.Program.Optimized() {
-		t.Fatal("default host deployed user_weight unoptimized")
-	}
-	dep := deploy(syrup.HostConfig{PolicyNoOpt: true})
-	if dep.Program.Optimized() {
-		t.Fatal("PolicyNoOpt host still optimized the policy")
-	}
-	// The escape hatch pins the executed stream to the verified original.
-	if dep.Program.Len() != dep.Program.OrigLen() {
-		t.Fatalf("unoptimized program rewrote the stream: %d != %d",
-			dep.Program.Len(), dep.Program.OrigLen())
-	}
-}

@@ -15,31 +15,20 @@ package ebpf
 type BatchRun struct {
 	p  *Program
 	rs *runState
-	// compiled counts threaded-code entries to flush into the dispatch
-	// counters at End (interpreter entries are charged per-run, matching
-	// runInterp, since NoJIT programs are off the hot path).
+	// compiled counts entries to flush into the dispatch counters at End.
 	compiled uint64
 }
 
 // BeginBatch starts a burst of runs of p. The returned value borrows one
-// pooled runState for the whole burst when p is compiled; NoJIT programs
-// fall back to per-run interpretation, exactly as Run would.
+// pooled runState for the whole burst.
 func (p *Program) BeginBatch() BatchRun {
-	b := BatchRun{p: p}
-	if p.code != nil {
-		b.rs = runStatePool.Get().(*runState)
-	}
-	return b
+	return BatchRun{p: p, rs: runStatePool.Get().(*runState)}
 }
 
 // Run executes one invocation of the burst against ctx, equivalent in
 // every observable way (verdict, stats, accounting, errors) to
 // Program.Run(ctx, env).
 func (b *BatchRun) Run(ctx *Ctx, env *Env) (uint32, ExecStats, error) {
-	if b.rs == nil {
-		ret, st, err := b.p.runInterp(ctx, env)
-		return uint32(ret), st, err
-	}
 	b.compiled++
 	ret, err := b.p.execCompiled(b.rs, ctx, env)
 	return uint32(ret), b.rs.stats, err

@@ -9,10 +9,10 @@ import (
 // identical world through one BatchRun, comparing every observable:
 // return values, error strings, exec stats, map side effects, and the
 // dispatch counters left behind. Reports whether the program loaded.
-func runBatchDifferential(t *testing.T, insns []Instruction, nojit bool) bool {
+func runBatchDifferential(t *testing.T, insns []Instruction) bool {
 	t.Helper()
-	single := buildDiffWorld(insns, nojit, false)
-	batched := buildDiffWorld(insns, nojit, false)
+	single := buildDiffWorld(insns, false)
+	batched := buildDiffWorld(insns, false)
 	if errString(single.loadErr) != errString(batched.loadErr) {
 		t.Fatalf("load divergence: %v vs %v", single.loadErr, batched.loadErr)
 	}
@@ -60,7 +60,7 @@ func runBatchDifferential(t *testing.T, insns []Instruction, nojit bool) bool {
 }
 
 // TestBatchRunEquivalence fuzzes random programs through both dispatch
-// styles, JIT and interpreter.
+// styles.
 func TestBatchRunEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xbadc0de, 0xfeedface))
 	const trials = 1500
@@ -72,8 +72,7 @@ func TestBatchRunEquivalence(t *testing.T) {
 			insns = append(insns, randDiffInsn(rng, 3, 4, 5)...)
 		}
 		insns = append(insns, MovImm(R0, 0), Exit())
-		nojit := trial%4 == 3 // mostly JIT (the hot path), some interpreter
-		if runBatchDifferential(t, insns, nojit) {
+		if runBatchDifferential(t, insns) {
 			accepted++
 		}
 	}

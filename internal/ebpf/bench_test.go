@@ -68,13 +68,11 @@ pass:
 }
 
 // dispatchPrograms builds the three benchmark shapes — short filter,
-// map-heavy policy, tail-call chain — with fresh maps, loaded either
-// compiled (default) or interpreted (NoJIT).
-func dispatchPrograms(b *testing.B, nojit bool) map[string]*Program {
+// map-heavy policy, tail-call chain — with fresh maps.
+func dispatchPrograms(b *testing.B) map[string]*Program {
 	b.Helper()
-	opts := func(t *MapTable) LoadOptions { return LoadOptions{MapTable: t, NoJIT: nojit} }
 	load := func(name string, insns []Instruction, t *MapTable) *Program {
-		p, err := Load(name, insns, opts(t))
+		p, err := Load(name, insns, LoadOptions{MapTable: t})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -136,32 +134,34 @@ func dispatchPrograms(b *testing.B, nojit bool) map[string]*Program {
 	}
 }
 
-// BenchmarkDispatch compares interpreter vs. threaded-code dispatch on the
-// three canonical policy shapes. Run with -benchmem: the compiled variants
-// must report 0 allocs/op in steady state.
+// BenchmarkDispatch compares the reference interpreter (RunInterp) vs.
+// threaded-code dispatch (Run) on the three canonical policy shapes. Run
+// with -benchmem: the compiled variants must report 0 allocs/op in steady
+// state.
 func BenchmarkDispatch(b *testing.B) {
 	env := &Env{
 		Prandom: func() uint32 { return 4 },
 		Ktime:   func() uint64 { return 0 },
 	}
 	for _, kind := range []string{"short_filter", "map_policy", "tailcall_chain"} {
-		for _, mode := range []struct {
-			name  string
-			nojit bool
-		}{{"interp", true}, {"jit", false}} {
-			b.Run(kind+"/"+mode.name, func(b *testing.B) {
-				p := dispatchPrograms(b, mode.nojit)[kind]
+		for _, mode := range []string{"interp", "jit"} {
+			b.Run(kind+"/"+mode, func(b *testing.B) {
+				p := dispatchPrograms(b)[kind]
+				run := p.Run
+				if mode == "interp" {
+					run = p.RunInterp
+				}
 				ctx := &Ctx{Packet: make([]byte, 64), Hash: 0x1234}
 				// Warm the pool and dynamic-region capacity.
 				for i := 0; i < 8; i++ {
-					if _, _, err := p.Run(ctx, env); err != nil {
+					if _, _, err := run(ctx, env); err != nil {
 						b.Fatal(err)
 					}
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := p.Run(ctx, env); err != nil {
+					if _, _, err := run(ctx, env); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -34,9 +34,6 @@ func selfTailProg(t *testing.T) *Program {
 
 func TestTailCallBudgetDifferential(t *testing.T) {
 	p := selfTailProg(t)
-	if !p.Compiled() {
-		t.Fatal("program did not compile")
-	}
 
 	_, stC, errC := p.Run(&Ctx{}, nil) // compiled path
 	_, stI, errI := p.RunInterp(&Ctx{}, nil)

@@ -136,27 +136,20 @@ func defaultPrandom() uint32 {
 // either a verifier gap or a NoVerify program misbehaving; hooks treat them
 // as PASS after logging.
 func (p *Program) Run(ctx *Ctx, env *Env) (uint32, ExecStats, error) {
-	ret, st, err := p.run(ctx, env)
+	ret, st, err := p.runCompiled(ctx, env)
 	return uint32(ret), st, err
 }
 
 // RunRet64 is Run but returns the full 64-bit R0; used by tests.
 func (p *Program) RunRet64(ctx *Ctx, env *Env) (uint64, ExecStats, error) {
-	return p.run(ctx, env)
+	return p.runCompiled(ctx, env)
 }
 
-// RunInterp forces a run through the interpreter even when a compiled form
-// exists. Differential tests use it as the oracle against runCompiled.
+// RunInterp runs the program through the reference interpreter instead of
+// its compiled code. Differential tests use it as the oracle against Run.
 func (p *Program) RunInterp(ctx *Ctx, env *Env) (uint32, ExecStats, error) {
 	ret, st, err := p.runInterp(ctx, env)
 	return uint32(ret), st, err
-}
-
-func (p *Program) run(ctx *Ctx, env *Env) (uint64, ExecStats, error) {
-	if p.code != nil {
-		return p.runCompiled(ctx, env)
-	}
-	return p.runInterp(ctx, env)
 }
 
 func (p *Program) runInterp(ctx *Ctx, env *Env) (uint64, ExecStats, error) {
@@ -178,8 +171,7 @@ func (p *Program) runInterp(ctx *Ctx, env *Env) (uint64, ExecStats, error) {
 }
 
 // interpExec interprets starting at the first instruction of start with an
-// already-initialized runState. The compiled dispatcher also lands here
-// when a tail call targets a program loaded with NoJIT.
+// already-initialized runState.
 func interpExec(start *Program, rs *runState) (uint64, error) {
 	prog := start
 	pc := 0

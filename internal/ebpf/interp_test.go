@@ -359,15 +359,19 @@ func TestInterpTailCallLimit(t *testing.T) {
 }
 
 func TestInterpStatsAccounting(t *testing.T) {
-	// NoOpt: the optimizer would legitimately fold this to `r0 = 1; exit`,
-	// and this test pins the raw accounting semantics.
-	p, err := Load("test", []Instruction{
-		MovImm(R0, 0),
+	// The add's operand is runtime state, so the optimizer has nothing to
+	// fold; the disassembly pins that the stream ran verbatim.
+	insns := []Instruction{
+		Ldx(4, R0, R1, CtxOffHash),
 		ALUImm(ALUAdd, R0, 1),
 		Exit(),
-	}, LoadOptions{NoOpt: true})
+	}
+	p, err := Load("test", insns, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, want := p.Disassemble(), DisassembleProgram(insns); got != want {
+		t.Fatalf("optimizer rewrote the pinned stream:\n%s\nwant:\n%s", got, want)
 	}
 	_, stats, err := p.Run(&Ctx{}, nil)
 	if err != nil {

@@ -6,12 +6,18 @@ package ebpf
 // and jump targets are resolved once at load time, so the per-packet run
 // path does no opcode decoding at all. Semantics are bit-identical to the
 // interpreter (same ExecStats accounting, same instret/runs charging
-// across tail calls, same error strings) — the interpreter stays around as
-// the NoJIT fallback and as the differential-testing oracle.
+// across tail calls, same error strings) — the interpreter stays around
+// only as the differential-testing oracle (RunInterp).
+//
+// There is one closure tier. Where the verifier's fact table pins a load,
+// store or map-lookup operand (p.facts is nil only for NoVerify loads),
+// the closure is specialized to a direct slice access; where it does not,
+// the generic form resolves the region at run time. The table always
+// describes the stream being compiled: the original verify's when the
+// optimizer leaves the program alone, the re-verifier's when it rewrites.
 
 import (
 	"fmt"
-	"os"
 	"sync"
 
 	"syrup/internal/metrics"
@@ -36,17 +42,10 @@ const (
 // syrupd's stats op. Every compiled run performs exactly one pool get, so
 // pool hits = ebpf_compiled_runs - ebpf_runstate_pool_news.
 var (
-	ctrCompiledRuns      = metrics.NewCounter("ebpf_compiled_runs")
-	ctrInterpRuns        = metrics.NewCounter("ebpf_interp_runs")
-	ctrTailInterpFallbck = metrics.NewCounter("ebpf_jit_tailcall_interp_fallbacks")
-	ctrPoolNews          = metrics.NewCounter("ebpf_runstate_pool_news")
+	ctrCompiledRuns = metrics.NewCounter("ebpf_compiled_runs")
+	ctrInterpRuns   = metrics.NewCounter("ebpf_interp_runs")
+	ctrPoolNews     = metrics.NewCounter("ebpf_runstate_pool_news")
 )
-
-// EnvNoJIT disables compilation process-wide when set non-empty, forcing
-// every Load onto the interpreter (escape hatch for debugging).
-const EnvNoJIT = "SYRUP_EBPF_NOJIT"
-
-func jitDisabledByEnv() bool { return os.Getenv(EnvNoJIT) != "" }
 
 // runStatePool recycles run state across compiled invocations. A pooled
 // state is returned as-is and reset lazily on the next get: the 512-byte
@@ -65,7 +64,7 @@ func putRunState(rs *runState) { runStatePool.Put(rs) }
 
 // runCompiled is the fast dispatch path: a pooled runState driven through
 // the pre-decoded closure stream. Steady state performs zero heap
-// allocations (errors and interpreter fallback are cold paths).
+// allocations (errors are the cold path).
 func (p *Program) runCompiled(ctx *Ctx, env *Env) (uint64, ExecStats, error) {
 	p.compiledRuns.Add(1)
 	ctrCompiledRuns.Inc()
@@ -86,8 +85,7 @@ func (p *Program) execCompiled(rs *runState, ctx *Ctx, env *Env) (uint64, error)
 	}
 	if pp := p.prof; pp != nil {
 		// bpf_stats_enabled-style wall timing, charged to the entry
-		// program across tail calls (the deferred add also covers the
-		// interpreter-fallback continuation below).
+		// program across tail calls.
 		t0 := profNow()
 		defer func() { pp.nanos.Add(profSince(t0)) }()
 	}
@@ -130,14 +128,6 @@ func (p *Program) execCompiled(rs *runState, ctx *Ctx, env *Env) (uint64, error)
 			charged = 0
 			target := rs.tail
 			rs.tail = nil
-			if target.code == nil {
-				// Tail call into a NoJIT program: continue in the
-				// interpreter with the same runState, stats, and registers.
-				ctrTailInterpFallbck.Inc()
-				target.interpRuns.Add(1)
-				ctrInterpRuns.Inc()
-				return interpExec(target, rs)
-			}
 			prog = target
 			code = target.code
 			pc = 0
@@ -164,23 +154,16 @@ func (p *Program) execCompiled(rs *runState, ctx *Ctx, env *Env) (uint64, error)
 // Every slot compiles — including the high half of an LDDW pair, which the
 // interpreter also treats as an executable (degenerate LDDW) instruction
 // when jumped into by an unverified program. A peephole pass then fuses
-// the hottest adjacent pairs (`mov reg; alu imm` address math and
-// `ldx; alu imm` load-modify) into single superinstruction closures,
-// halving dispatches on those sequences; a pair never fuses when its
-// second slot is a jump target, and stats stay exact via rs.extra. The
-// fused-over slot keeps its standalone closure — sequential flow skips it,
-// and nothing else can reach it.
+// adjacent instructions into single superinstruction closures
+// (jit_fuse.go); a sequence never fuses when a later slot of it is a jump
+// target, and stats stay exact via rs.extra. The fused-over slots keep
+// their standalone closures — sequential flow skips them, and nothing else
+// can reach them. NoVerify programs compile unfused: their jumps may land
+// anywhere. Profiling, when asked for, decorates the finished code.
 func compile(p *Program) []opFunc {
 	code := make([]opFunc, len(p.insns))
 	for i := range p.insns {
 		code[i] = p.compileInsn(i)
-	}
-	if p.prof != nil {
-		// Profiled loads skip fusion (a fused closure executes several
-		// instructions, breaking per-slot attribution) and count every
-		// dispatch instead.
-		profWrapAll(p.prof, code)
-		return code
 	}
 	if !p.noVerify {
 		targets := jumpTargets(p.insns)
@@ -188,20 +171,13 @@ func compile(p *Program) []opFunc {
 			if targets[i+1] {
 				continue
 			}
-			// Optimized programs get the widened, fact-era shapes first
-			// (jit_opt.go), falling back to the base matcher; -O0 programs
-			// keep the PR-1 matcher byte-for-byte.
-			var f opFunc
-			if p.opt {
-				f = p.compileFusedWide(i, targets)
-			}
-			if f == nil {
-				f = p.compileFused(i, targets)
-			}
-			if f != nil {
+			if f := p.compileFused(i, targets); f != nil {
 				code[i] = f
 			}
 		}
+	}
+	if p.prof != nil {
+		profWrapAll(p.prof, code)
 	}
 	return code
 }
@@ -224,168 +200,6 @@ func jumpTargets(insns []Instruction) []bool {
 		}
 	}
 	return t
-}
-
-// compileFused recognizes a fusable sequence starting at insn i and
-// returns a single closure executing all of it, or nil. The shapes are the
-// dominant ones in real policies: the map-key prologue
-// (`*(u32*)(r10-4) = 0; r1 = map(...)`), stack address math
-// (`r2 = r10; r2 += -4`), and counter updates
-// (`r6 = *(u64*)(r0+0); r6 += 1`).
-func (p *Program) compileFused(i int, targets []bool) opFunc {
-	a, b := p.insns[i], p.insns[i+1]
-
-	// st imm ; lddw  →  store, then materialize the 3-slot constant. Load
-	// guarantees every verified LDDW low half has its high half, so i+2 is
-	// in range; both LDDW slots must be jump-free.
-	if a.Class() == ClassST && b.IsLDDW() && i+2 < len(p.insns) && !targets[i+2] {
-		size := a.LoadSize()
-		sdst := a.Dst
-		soff := int64(a.Off)
-		sval := uint64(int64(a.Imm))
-		var v uint64
-		if b.Src == PseudoMapFD {
-			v = ptrVal(regionMapHandle, uint64(b.Imm))
-		} else {
-			v = Imm64(b, p.insns[i+2])
-		}
-		ldst := b.Dst
-		next := i + 3
-		return func(rs *runState) int {
-			m, _, err := rs.mem(rs.regs[sdst]+uint64(soff), size)
-			if err != nil {
-				rs.err = fmt.Errorf("ebpf: %s: insn %d: %w", p.name, i, err)
-				return opErr
-			}
-			storeSized(m, size, sval)
-			rs.extra++
-			rs.regs[ldst] = v
-			return next
-		}
-	}
-
-	if b.Class() != ClassALU64 || b.Op&SrcX != 0 {
-		return nil
-	}
-	op := b.Op & 0xf0
-	k := uint64(int64(b.Imm))
-	dst := b.Dst
-	next := i + 2
-
-	// mov64 dst, src ; alu64 dst, imm  →  dst = src OP imm
-	if a.Class() == ClassALU64 && a.Op == ClassALU64|ALUMov|SrcX && a.Dst == dst {
-		src := a.Src
-		switch op {
-		case ALUAdd:
-			return func(rs *runState) int {
-				rs.extra++
-				rs.regs[dst] = rs.regs[src] + k
-				return next
-			}
-		case ALUSub:
-			return func(rs *runState) int {
-				rs.extra++
-				rs.regs[dst] = rs.regs[src] - k
-				return next
-			}
-		case ALUAnd:
-			return func(rs *runState) int {
-				rs.extra++
-				rs.regs[dst] = rs.regs[src] & k
-				return next
-			}
-		case ALUOr:
-			return func(rs *runState) int {
-				rs.extra++
-				rs.regs[dst] = rs.regs[src] | k
-				return next
-			}
-		case ALUXor:
-			return func(rs *runState) int {
-				rs.extra++
-				rs.regs[dst] = rs.regs[src] ^ k
-				return next
-			}
-		case ALUMod:
-			if k == 0 { // mirrors execALU: mod-by-zero keeps dst
-				return func(rs *runState) int {
-					rs.extra++
-					rs.regs[dst] = rs.regs[src]
-					return next
-				}
-			}
-			return func(rs *runState) int {
-				rs.extra++
-				rs.regs[dst] = rs.regs[src] % k
-				return next
-			}
-		case ALULsh:
-			sh := k & 63
-			return func(rs *runState) int {
-				rs.extra++
-				rs.regs[dst] = rs.regs[src] << sh
-				return next
-			}
-		case ALURsh:
-			sh := k & 63
-			return func(rs *runState) int {
-				rs.extra++
-				rs.regs[dst] = rs.regs[src] >> sh
-				return next
-			}
-		}
-		return nil
-	}
-
-	// ldx dst, [src+off] ; alu64 dst, imm  →  load then fold in place.
-	// Restricted to add/and (counter bumps and masks); the load half can
-	// fault, in which case rs.extra is not bumped — matching the
-	// interpreter, which never reaches the second instruction.
-	if a.Class() == ClassLDX && (op == ALUAdd || op == ALUAnd) {
-		src := a.Src
-		off := int64(a.Off)
-		size := a.LoadSize()
-		if a.Dst != dst {
-			return nil
-		}
-		isAdd := op == ALUAdd
-		return func(rs *runState) int {
-			base := rs.regs[src]
-			var v uint64
-			if ptrRegion(base) == regionCtx {
-				switch int64(ptrOff(base)) + off {
-				case CtxOffData:
-					v = ptrVal(regionPacket, 0)
-				case CtxOffDataEnd:
-					v = ptrVal(regionPacket, uint64(len(rs.ctx.Packet)))
-				case CtxOffHash:
-					v = uint64(rs.ctx.Hash)
-				case CtxOffPort:
-					v = uint64(rs.ctx.Port)
-				case CtxOffQueue:
-					v = uint64(rs.ctx.Queue)
-				default:
-					rs.err = fmt.Errorf("ebpf: %s: insn %d: bad ctx load at %d", p.name, i, int64(ptrOff(base))+off)
-					return opErr
-				}
-			} else {
-				b, _, err := rs.mem(base+uint64(off), size)
-				if err != nil {
-					rs.err = fmt.Errorf("ebpf: %s: insn %d: %w", p.name, i, err)
-					return opErr
-				}
-				v = loadSized(b, size)
-			}
-			rs.extra++
-			if isAdd {
-				rs.regs[dst] = v + k
-			} else {
-				rs.regs[dst] = v & k
-			}
-			return next
-		}
-	}
-	return nil
 }
 
 func (p *Program) compileInsn(i int) opFunc {
@@ -596,6 +410,44 @@ func compileALU(ins Instruction, is64 bool, next int) opFunc {
 	}
 }
 
+// regFact returns what the verifier proved about reg on entry to slot i,
+// or no fact (FactNone) for a NoVerify load or an unreachable slot.
+func (p *Program) regFact(i int, reg uint8) RegFact {
+	if p.facts == nil {
+		return RegFact{MapIdx: -1}
+	}
+	return p.facts.Reg(i, reg)
+}
+
+// loadValue performs one load with the interpreter's exact semantics and
+// error strings, parking the wrapped error on rs.err on failure. It is the
+// generic load body: every compiled load the facts do not pin lands here.
+func (p *Program) loadValue(rs *runState, base uint64, off int64, size int, i int) (uint64, bool) {
+	if ptrRegion(base) == regionCtx {
+		switch int64(ptrOff(base)) + off {
+		case CtxOffData:
+			return ptrVal(regionPacket, 0), true
+		case CtxOffDataEnd:
+			return ptrVal(regionPacket, uint64(len(rs.ctx.Packet))), true
+		case CtxOffHash:
+			return uint64(rs.ctx.Hash), true
+		case CtxOffPort:
+			return uint64(rs.ctx.Port), true
+		case CtxOffQueue:
+			return uint64(rs.ctx.Queue), true
+		default:
+			rs.err = fmt.Errorf("ebpf: %s: insn %d: bad ctx load at %d", p.name, i, int64(ptrOff(base))+off)
+			return 0, false
+		}
+	}
+	b, _, err := rs.mem(base+uint64(off), size)
+	if err != nil {
+		rs.err = fmt.Errorf("ebpf: %s: insn %d: %w", p.name, i, err)
+		return 0, false
+	}
+	return loadSized(b, size), true
+}
+
 func (p *Program) compileLoad(i int, ins Instruction) opFunc {
 	if f := p.specLoad(i, ins); f != nil {
 		return f
@@ -605,39 +457,83 @@ func (p *Program) compileLoad(i int, ins Instruction) opFunc {
 	size := ins.LoadSize()
 	next := i + 1
 	return func(rs *runState) int {
-		base := rs.regs[src]
-		if ptrRegion(base) == regionCtx {
-			switch int64(ptrOff(base)) + off {
-			case CtxOffData:
-				rs.regs[dst] = ptrVal(regionPacket, 0)
-			case CtxOffDataEnd:
-				rs.regs[dst] = ptrVal(regionPacket, uint64(len(rs.ctx.Packet)))
-			case CtxOffHash:
-				rs.regs[dst] = uint64(rs.ctx.Hash)
-			case CtxOffPort:
-				rs.regs[dst] = uint64(rs.ctx.Port)
-			case CtxOffQueue:
-				rs.regs[dst] = uint64(rs.ctx.Queue)
-			default:
-				rs.err = fmt.Errorf("ebpf: %s: insn %d: bad ctx load at %d", p.name, i, int64(ptrOff(base))+off)
-				return opErr
-			}
-			return next
-		}
-		b, _, err := rs.mem(base+uint64(off), size)
-		if err != nil {
-			rs.err = fmt.Errorf("ebpf: %s: insn %d: %w", p.name, i, err)
+		v, ok := p.loadValue(rs, rs.regs[src], off, size, i)
+		if !ok {
 			return opErr
 		}
-		rs.regs[dst] = loadSized(b, size)
+		rs.regs[dst] = v
 		return next
 	}
 }
 
-func (p *Program) compileStore(i int, ins Instruction) opFunc {
-	if f := p.specStore(i, ins); f != nil {
-		return f
+// specLoad emits a specialized closure for a load whose base register the
+// verifier pinned at this slot — replacing rs.mem's runtime region
+// dispatch with a direct slice access (stack, ctx field) or a single
+// precomputed bounds compare (packet) — or nil when no fact applies.
+func (p *Program) specLoad(i int, ins Instruction) opFunc {
+	dst := ins.Dst
+	size := ins.LoadSize()
+	next := i + 1
+	base := p.regFact(i, ins.Src)
+	if !base.OffKnown {
+		return nil
 	}
+	switch base.Type {
+	case FactCtx:
+		// The verifier admitted this load, so the offset is one of the
+		// context fields; resolve the switch at compile time.
+		switch base.Off + int64(ins.Off) {
+		case CtxOffData:
+			return func(rs *runState) int {
+				rs.regs[dst] = ptrVal(regionPacket, 0)
+				return next
+			}
+		case CtxOffDataEnd:
+			return func(rs *runState) int {
+				rs.regs[dst] = ptrVal(regionPacket, uint64(len(rs.ctx.Packet)))
+				return next
+			}
+		case CtxOffHash:
+			return func(rs *runState) int {
+				rs.regs[dst] = uint64(rs.ctx.Hash)
+				return next
+			}
+		case CtxOffPort:
+			return func(rs *runState) int {
+				rs.regs[dst] = uint64(rs.ctx.Port)
+				return next
+			}
+		case CtxOffQueue:
+			return func(rs *runState) int {
+				rs.regs[dst] = uint64(rs.ctx.Queue)
+				return next
+			}
+		}
+	case FactStack:
+		if lo, ok := stackWindow(base, ins.Off, size); ok {
+			return func(rs *runState) int {
+				rs.regs[dst] = loadSized(rs.stack[lo:lo+size], size)
+				return next
+			}
+		}
+	case FactPacket:
+		// Packet length is runtime state, so the bounds compare stays — but
+		// as one precomputed comparison instead of rs.mem's region walk.
+		po := base.Off + int64(ins.Off)
+		return func(rs *runState) int {
+			if po < 0 || int(po)+size > len(rs.ctx.Packet) {
+				rs.err = fmt.Errorf("ebpf: %s: insn %d: %w", p.name, i,
+					fmt.Errorf("packet access out of range: off %d size %d len %d", po, size, len(rs.ctx.Packet)))
+				return opErr
+			}
+			rs.regs[dst] = loadSized(rs.ctx.Packet[po:int(po)+size], size)
+			return next
+		}
+	}
+	return nil
+}
+
+func (p *Program) compileStore(i int, ins Instruction) opFunc {
 	dst, src := ins.Dst, ins.Src
 	off := int64(ins.Off)
 	size := ins.LoadSize()
@@ -663,6 +559,19 @@ func (p *Program) compileStore(i int, ins Instruction) opFunc {
 			return next
 		}
 	}
+	if lo, ok := stackWindow(p.regFact(i, dst), ins.Off, size); ok {
+		// Verifier-pinned stack base: store straight into the window.
+		if isSTX {
+			return func(rs *runState) int {
+				storeSized(rs.stack[lo:lo+size], size, rs.regs[src])
+				return next
+			}
+		}
+		return func(rs *runState) int {
+			storeSized(rs.stack[lo:lo+size], size, k)
+			return next
+		}
+	}
 	return func(rs *runState) int {
 		b, _, err := rs.mem(rs.regs[dst]+uint64(off), size)
 		if err != nil {
@@ -676,6 +585,49 @@ func (p *Program) compileStore(i int, ins Instruction) opFunc {
 		storeSized(b, size, v)
 		return next
 	}
+}
+
+func clobberCall(rs *runState, ret uint64) {
+	rs.regs[R0] = ret
+	for r := R1; r <= R5; r++ {
+		rs.regs[r] = 0
+	}
+}
+
+// compileCallCore returns the helper-invocation core for the call at slot
+// i: a specialized map-lookup closure when facts pin the handle to a known
+// map and the key to a known stack window (the dominant shape on every
+// policy's hot path), else a thin wrapper over the interpreter's rs.call.
+// Effect order matches rs.call exactly: Helpers accounting, fault hook,
+// lookup, region bookkeeping, R0-R5 clobber.
+func (p *Program) compileCallCore(i int) func(rs *runState) (*Program, error) {
+	ins := p.insns[i]
+	if h := p.regFact(i, R1); ins.Imm == HelperMapLookup &&
+		h.Type == FactMapHandle && h.MapIdx >= 0 && int(h.MapIdx) < len(p.maps) {
+		m := p.maps[h.MapIdx]
+		ks := int(m.spec.KeySize)
+		if lo, ok := stackWindow(p.regFact(i, R2), 0, ks); ok {
+			return func(rs *runState) (*Program, error) {
+				rs.stats.Helpers++
+				if rs.env.FaultLookupMiss != nil && rs.env.FaultLookupMiss() {
+					clobberCall(rs, 0)
+					return nil, nil
+				}
+				ref := m.lookupRef(rs.stack[lo:lo+ks], rs.env.CPUID)
+				if ref == nil {
+					clobberCall(rs, 0)
+					return nil, nil
+				}
+				if len(rs.regions) >= (1<<16)-regionDynBase {
+					return nil, fmt.Errorf("too many map value regions")
+				}
+				rs.regions = append(rs.regions, dynRegion{data: ref, m: m})
+				clobberCall(rs, ptrVal(regionDynBase+uint64(len(rs.regions)-1), 0))
+				return nil, nil
+			}
+		}
+	}
+	return func(rs *runState) (*Program, error) { return rs.call(p, ins) }
 }
 
 // jmpOps loads the operand pair for a conditional jump; full 64-bit, as

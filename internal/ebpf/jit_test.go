@@ -9,15 +9,18 @@ import (
 	"syrup/internal/metrics"
 )
 
-// Differential harness: run the same instruction stream through three
-// identically initialized "worlds" — the interpreter on the raw verified
-// stream, the threaded-code compiler at -O0 (NoOpt), and the optimizing
-// pipeline at -O1 (the default) — and require identical observable
-// behavior: load outcome, verdicts, error strings, packet mutations, map
-// contents, and helper/tail-call accounting. Full ExecStats and
-// instret/runs charging are compared where the executed stream is the
-// same (interpreter vs -O0); -O1 may legitimately retire fewer
-// instructions, which is the entire point of the optimizer.
+// Differential harness around one oracle, the reference interpreter. The
+// same instruction stream is loaded into three identically initialized
+// "worlds" and driven through every packet:
+//
+//   - Leg A, semantics: the interpreter over the verified pre-optimization
+//     stream (Program.Reference) vs Run on the loaded program. Verdicts,
+//     error strings, packet mutations, map contents and helper/tail-call
+//     accounting must agree; the optimizer may legitimately retire fewer
+//     instructions, which is the entire point of it.
+//   - Leg B, accounting: RunInterp vs Run on the same loaded program —
+//     the optimized, fused, fact-specialized stream. Full ExecStats and
+//     instret/runs/faults charging must agree.
 
 type diffWorld struct {
 	table   *MapTable
@@ -31,8 +34,9 @@ type diffWorld struct {
 
 // buildDiffWorld registers an array map (fd 3), a hash map (fd 4), and a
 // prog array (fd 5, slot 1 populated) so generated programs can exercise
-// lookups, updates, and tail calls.
-func buildDiffWorld(insns []Instruction, nojit, noopt bool) *diffWorld {
+// lookups, updates, and tail calls. With reference set, the world's
+// programs are swapped for their pre-optimization interpreter twins.
+func buildDiffWorld(insns []Instruction, reference bool) *diffWorld {
 	w := &diffWorld{
 		arr:     MustNewMap(MapSpec{Name: "dfarr", Type: MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 8}),
 		hash:    MustNewMap(MapSpec{Name: "dfhash", Type: MapHash, KeySize: 4, ValueSize: 8, MaxEntries: 16}),
@@ -50,11 +54,17 @@ func buildDiffWorld(insns []Instruction, nojit, noopt bool) *diffWorld {
 	w.table.Register(w.arr)     // fd 3
 	w.table.Register(w.hash)    // fd 4
 	w.table.Register(w.progArr) // fd 5
-	w.leaf = MustLoad("dleaf", []Instruction{MovImm(R0, 77), Exit()}, LoadOptions{NoJIT: nojit, NoOpt: noopt})
+	w.leaf = MustLoad("dleaf", []Instruction{MovImm(R0, 77), Exit()}, LoadOptions{})
+	w.prog, w.loadErr = Load("dprog", insns, LoadOptions{MapTable: w.table, Budget: 50_000})
+	if reference {
+		w.leaf = w.leaf.Reference()
+		if w.loadErr == nil {
+			w.prog = w.prog.Reference()
+		}
+	}
 	if err := w.progArr.UpdateProg(1, w.leaf); err != nil {
 		panic(err)
 	}
-	w.prog, w.loadErr = Load("dprog", insns, LoadOptions{MapTable: w.table, Budget: 50_000, NoJIT: nojit, NoOpt: noopt})
 	return w
 }
 
@@ -90,92 +100,77 @@ var diffPackets = [][]byte{
 	make([]byte, 200),
 }
 
+func diffCtx(pi int, pkt []byte) *Ctx {
+	return &Ctx{Packet: append([]byte(nil), pkt...), Hash: uint32(pi) * 0x9e37, Port: 9000 + uint32(pi), Queue: uint32(pi)}
+}
+
 // runDifferential drives all three worlds through every packet and fails
 // on the first divergence. It reports whether the program loaded.
 func runDifferential(t *testing.T, insns []Instruction) bool {
 	t.Helper()
-	interp := buildDiffWorld(insns, true, true) // raw stream, interpreter
-	jit := buildDiffWorld(insns, false, true)   // raw stream, threaded code (-O0)
-	opt := buildDiffWorld(insns, false, false)  // optimized stream, threaded code (-O1)
-
-	if errString(jit.loadErr) != errString(interp.loadErr) || errString(opt.loadErr) != errString(interp.loadErr) {
-		t.Fatalf("load divergence:\n jit:    %v\n opt:    %v\n interp: %v\n%s",
-			jit.loadErr, opt.loadErr, interp.loadErr, DisassembleProgram(insns))
-	}
+	ref := buildDiffWorld(insns, true)     // verified original, interpreter
+	jit := buildDiffWorld(insns, false)    // loaded program, Run
+	oracle := buildDiffWorld(insns, false) // loaded program, RunInterp
 	if jit.loadErr != nil {
 		return false
 	}
-	if !jit.prog.Compiled() || !opt.prog.Compiled() {
-		t.Fatalf("default load did not compile")
-	}
-	if interp.prog.Compiled() {
-		t.Fatalf("NoJIT load compiled anyway")
-	}
-	if jit.prog.Optimized() {
-		t.Fatalf("NoOpt load optimized anyway")
-	}
+	dis := jit.prog.Disassemble()
 
-	envJ, envI, envO := diffEnv(), diffEnv(), diffEnv()
+	envR, envJ, envO := diffEnv(), diffEnv(), diffEnv()
 	for pi, pkt := range diffPackets {
-		pktJ := append([]byte(nil), pkt...)
-		pktI := append([]byte(nil), pkt...)
-		pktO := append([]byte(nil), pkt...)
-		ctxJ := &Ctx{Packet: pktJ, Hash: uint32(pi) * 0x9e37, Port: 9000 + uint32(pi), Queue: uint32(pi)}
-		ctxI := &Ctx{Packet: pktI, Hash: uint32(pi) * 0x9e37, Port: 9000 + uint32(pi), Queue: uint32(pi)}
-		ctxO := &Ctx{Packet: pktO, Hash: uint32(pi) * 0x9e37, Port: 9000 + uint32(pi), Queue: uint32(pi)}
+		ctxR, ctxJ, ctxO := diffCtx(pi, pkt), diffCtx(pi, pkt), diffCtx(pi, pkt)
 
+		retR, stR, errR := ref.prog.runInterp(ctxR, envR)
 		retJ, stJ, errJ := jit.prog.RunRet64(ctxJ, envJ)
-		retI, stI, errI := interp.prog.RunRet64(ctxI, envI)
-		retO, stO, errO := opt.prog.RunRet64(ctxO, envO)
+		retO, stO, errO := oracle.prog.runInterp(ctxO, envO)
 
-		if errString(errJ) != errString(errI) || errString(errO) != errString(errI) {
-			t.Fatalf("pkt %d error divergence:\n jit:    %v\n opt:    %v\n interp: %v\n%s", pi, errJ, errO, errI, opt.prog.Disassemble())
+		if errString(errJ) != errString(errR) || errString(errJ) != errString(errO) {
+			t.Fatalf("pkt %d error divergence:\n run:       %v\n interp:    %v\n reference: %v\n%s", pi, errJ, errO, errR, dis)
 		}
-		if errJ == nil && (retJ != retI || retO != retI) {
-			t.Fatalf("pkt %d R0 divergence: jit %#x opt %#x interp %#x\n%s", pi, retJ, retO, retI, opt.prog.Disassemble())
+		if errJ == nil && (retJ != retR || retJ != retO) {
+			t.Fatalf("pkt %d R0 divergence: run %#x interp %#x reference %#x\n%s", pi, retJ, retO, retR, dis)
 		}
-		if stJ != stI {
-			t.Fatalf("pkt %d stats divergence: jit %+v interp %+v\n%s", pi, stJ, stI, jit.prog.Disassemble())
+		// Leg A: helper calls and tail calls are never added, removed, or
+		// reordered by the optimizer.
+		if stJ.Helpers != stR.Helpers || stJ.TailCalls != stR.TailCalls {
+			t.Fatalf("pkt %d helper/tailcall divergence: run %+v reference %+v\n%s", pi, stJ, stR, dis)
 		}
-		// The optimizer may retire fewer instructions, but helper calls and
-		// tail calls are never added, removed, or reordered.
-		if stO.Helpers != stI.Helpers || stO.TailCalls != stI.TailCalls {
-			t.Fatalf("pkt %d helper/tailcall divergence: opt %+v interp %+v\n%s", pi, stO, stI, opt.prog.Disassemble())
+		// Leg B: same stream, so every counter agrees.
+		if stJ != stO {
+			t.Fatalf("pkt %d stats divergence: run %+v interp %+v\n%s", pi, stJ, stO, dis)
 		}
-		if !bytes.Equal(pktJ, pktI) || !bytes.Equal(pktO, pktI) {
-			t.Fatalf("pkt %d packet mutation divergence\n jit:    %x\n opt:    %x\n interp: %x\n%s", pi, pktJ, pktO, pktI, opt.prog.Disassemble())
+		if !bytes.Equal(ctxJ.Packet, ctxR.Packet) || !bytes.Equal(ctxJ.Packet, ctxO.Packet) {
+			t.Fatalf("pkt %d packet mutation divergence\n run:       %x\n interp:    %x\n reference: %x\n%s", pi, ctxJ.Packet, ctxO.Packet, ctxR.Packet, dis)
 		}
 	}
 
 	// Map contents must have evolved identically in all three worlds.
-	for k := uint32(0); k < 8; k++ {
-		vj, okj := jit.arr.LookupUint64(k)
-		vi, oki := interp.arr.LookupUint64(k)
-		vo, oko := opt.arr.LookupUint64(k)
-		if vj != vi || okj != oki || vo != vi || oko != oki {
-			t.Fatalf("array key %d divergence: jit (%d,%v) opt (%d,%v) interp (%d,%v)\n%s", k, vj, okj, vo, oko, vi, oki, opt.prog.Disassemble())
-		}
-	}
-	for k := uint32(0); k < 16; k++ {
-		vj, okj := jit.hash.LookupUint64(k)
-		vi, oki := interp.hash.LookupUint64(k)
-		vo, oko := opt.hash.LookupUint64(k)
-		if vj != vi || okj != oki || vo != vi || oko != oki {
-			t.Fatalf("hash key %d divergence: jit (%d,%v) opt (%d,%v) interp (%d,%v)\n%s", k, vj, okj, vo, oko, vi, oki, opt.prog.Disassemble())
+	for _, other := range []*diffWorld{ref, oracle} {
+		for k := uint32(0); k < 16; k++ {
+			vj, okj := jit.arr.LookupUint64(k)
+			vo, oko := other.arr.LookupUint64(k)
+			if vj != vo || okj != oko {
+				t.Fatalf("array key %d divergence: run (%d,%v) other (%d,%v)\n%s", k, vj, okj, vo, oko, dis)
+			}
+			vj, okj = jit.hash.LookupUint64(k)
+			vo, oko = other.hash.LookupUint64(k)
+			if vj != vo || okj != oko {
+				t.Fatalf("hash key %d divergence: run (%d,%v) other (%d,%v)\n%s", k, vj, okj, vo, oko, dis)
+			}
 		}
 	}
 
-	// Table 2 charging (instret/runs) must be dispatch-independent when the
-	// executed stream is the same; runs and faults always agree.
-	if jit.prog.Stats() != interp.prog.Stats() {
-		t.Fatalf("program charging divergence: jit %+v interp %+v\n%s", jit.prog.Stats(), interp.prog.Stats(), jit.prog.Disassemble())
+	// Table 2 charging (instret/runs/faults) is dispatch-independent on the
+	// same stream; against the reference stream, runs and faults agree.
+	if jit.prog.Stats() != oracle.prog.Stats() {
+		t.Fatalf("program charging divergence: run %+v interp %+v\n%s", jit.prog.Stats(), oracle.prog.Stats(), dis)
 	}
-	if jit.leaf.Stats() != interp.leaf.Stats() {
-		t.Fatalf("leaf charging divergence: jit %+v interp %+v", jit.leaf.Stats(), interp.leaf.Stats())
+	if jit.leaf.Stats() != oracle.leaf.Stats() || jit.leaf.Stats() != ref.leaf.Stats() {
+		t.Fatalf("leaf charging divergence: run %+v interp %+v reference %+v", jit.leaf.Stats(), oracle.leaf.Stats(), ref.leaf.Stats())
 	}
-	sO, sI := opt.prog.Stats(), interp.prog.Stats()
-	if sO.Runs != sI.Runs || sO.Faults != sI.Faults {
-		t.Fatalf("opt run/fault charging divergence: opt %+v interp %+v\n%s", sO, sI, opt.prog.Disassemble())
+	sJ, sR := jit.prog.Stats(), ref.prog.Stats()
+	if sJ.Runs != sR.Runs || sJ.Faults != sR.Faults {
+		t.Fatalf("run/fault charging divergence: run %+v reference %+v\n%s", sJ, sR, dis)
 	}
 	return true
 }
@@ -291,50 +286,6 @@ func TestJITTailCallChain(t *testing.T) {
 	}
 }
 
-// TestJITTailCallIntoNoJIT covers the mixed-mode fallback: a compiled
-// program tail-calling a NoJIT target finishes in the interpreter with the
-// same runState.
-func TestJITTailCallIntoNoJIT(t *testing.T) {
-	progArr := MustNewMap(MapSpec{Name: "mixed", Type: MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 4})
-	table := NewMapTable()
-	fd := table.Register(progArr)
-
-	leaf := MustLoad("njleaf", []Instruction{
-		Ldx(4, R0, R1, CtxOffPort), // reads ctx through the carried-over R1
-		Exit(),
-	}, LoadOptions{NoJIT: true})
-	root := MustLoad("jroot", append(LoadMapFD(R2, fd),
-		MovImm(R3, 1),
-		Call(HelperTailCall),
-		MovImm(R0, 0),
-		Exit(),
-	), LoadOptions{MapTable: table})
-	if err := progArr.UpdateProg(1, leaf); err != nil {
-		t.Fatal(err)
-	}
-	if !root.Compiled() || leaf.Compiled() {
-		t.Fatalf("compilation state wrong: root %v leaf %v", root.Compiled(), leaf.Compiled())
-	}
-
-	ret, st, err := root.Run(&Ctx{Port: 7777}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ret != 7777 {
-		t.Fatalf("verdict %d, want 7777", ret)
-	}
-	// root executes LDDW + MovImm + Call (3), leaf executes Ldx + Exit (2).
-	if st.TailCalls != 1 || st.Insns != 5 {
-		t.Fatalf("stats %+v, want 1 tail call, 5 insns", st)
-	}
-	if d := root.Dispatch(); d.CompiledRuns != 1 {
-		t.Fatalf("root dispatch %+v, want 1 compiled run", d)
-	}
-	if d := leaf.Dispatch(); d.InterpRuns != 1 {
-		t.Fatalf("leaf dispatch %+v, want 1 interp run", d)
-	}
-}
-
 // TestJITErrorStringsMatchInterp pins the error-context contract: the
 // compiled path must produce byte-identical error strings, pc and insn
 // numbers included.
@@ -385,21 +336,6 @@ func TestJITErrorStringsMatchInterp(t *testing.T) {
 				t.Fatalf("stats divergence: jit %+v interp %+v", stJ, stI)
 			}
 		})
-	}
-}
-
-// TestNoJITToggles covers both escape hatches.
-func TestNoJITToggles(t *testing.T) {
-	insns := []Instruction{MovImm(R0, 0), Exit()}
-	if p := MustLoad("tog", insns, LoadOptions{}); !p.Compiled() {
-		t.Fatal("default load should compile")
-	}
-	if p := MustLoad("tog", insns, LoadOptions{NoJIT: true}); p.Compiled() {
-		t.Fatal("NoJIT load must not compile")
-	}
-	t.Setenv(EnvNoJIT, "1")
-	if p := MustLoad("tog", insns, LoadOptions{}); p.Compiled() {
-		t.Fatalf("%s must disable compilation", EnvNoJIT)
 	}
 }
 
@@ -501,10 +437,10 @@ func TestConcurrentNilEnvRuns(t *testing.T) {
 }
 
 // TestDispatchCountersExported checks the metrics-registry surfacing the
-// syrupd stats op relies on.
+// syrupd stats op relies on: Run counts as compiled, RunInterp (the
+// oracle) as interpreted.
 func TestDispatchCountersExported(t *testing.T) {
 	p := MustLoad("ctr", []Instruction{MovImm(R0, 0), Exit()}, LoadOptions{})
-	pi := MustLoad("ctr_nojit", []Instruction{MovImm(R0, 0), Exit()}, LoadOptions{NoJIT: true})
 
 	before := metrics.Counters()
 	ctx := &Ctx{}
@@ -513,16 +449,13 @@ func TestDispatchCountersExported(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := pi.Run(ctx, nil); err != nil {
+	if _, _, err := p.RunInterp(ctx, nil); err != nil {
 		t.Fatal(err)
 	}
 	after := metrics.Counters()
 
-	if d := p.Dispatch(); d.CompiledRuns != 3 || d.InterpRuns != 0 {
-		t.Fatalf("compiled program dispatch %+v", d)
-	}
-	if d := pi.Dispatch(); d.CompiledRuns != 0 || d.InterpRuns != 1 {
-		t.Fatalf("NoJIT program dispatch %+v", d)
+	if d := p.Dispatch(); d.CompiledRuns != 3 || d.InterpRuns != 1 {
+		t.Fatalf("dispatch %+v, want 3 compiled / 1 interp", d)
 	}
 	if got := after["ebpf_compiled_runs"] - before["ebpf_compiled_runs"]; got < 3 {
 		t.Fatalf("ebpf_compiled_runs advanced by %d, want >= 3", got)
@@ -532,8 +465,5 @@ func TestDispatchCountersExported(t *testing.T) {
 	}
 	if _, ok := after["ebpf_runstate_pool_news"]; !ok {
 		t.Fatal("ebpf_runstate_pool_news not registered")
-	}
-	if _, ok := after["ebpf_jit_tailcall_interp_fallbacks"]; !ok {
-		t.Fatal("ebpf_jit_tailcall_interp_fallbacks not registered")
 	}
 }

@@ -2,7 +2,6 @@ package ebpf
 
 import (
 	"fmt"
-	"os"
 	"strings"
 
 	"syrup/internal/metrics"
@@ -15,7 +14,8 @@ import (
 // JIT consume unchanged. Every transformation is justified by a fact the
 // verifier proved on all paths; following MOAT's check-don't-trust lesson
 // the optimized stream is re-verified before use (program.go) and covered
-// by the three-way differential fuzz.
+// by the differential fuzz against the interpreter on the verified
+// original.
 //
 // Soundness ground rules shared by all passes:
 //   - Helper calls are never removed, duplicated or reordered relative to
@@ -28,17 +28,6 @@ import (
 //     condition under which the dead side is unreachable in any run.
 //   - Facts at pc P hold on entry to P on every path; passes only use the
 //     entry fact of the instruction they are rewriting.
-
-// EnvNoOpt disables the optimizer when set to a non-empty value other
-// than "0", mirroring EnvNoJIT: programs load and run from the verified
-// original bytecode, so a suspect optimization can be bisected in the
-// field without rebuilding.
-const EnvNoOpt = "SYRUP_EBPF_NOOPT"
-
-func optDisabledByEnv() bool {
-	v := os.Getenv(EnvNoOpt)
-	return v != "" && v != "0"
-}
 
 var (
 	ctrOptPrograms        = metrics.NewCounter("ebpf_opt_programs")
@@ -785,7 +774,7 @@ func passDSE(pr *irProg, facts *Facts, rep *PassReport) {
 // ---------------------------------------------------------------------------
 // schedule: fusion-aware reordering. Two rewrites, both semantics-
 // preserving at the instruction level, that put more adjacent pairs into
-// the shapes the JIT's superinstruction matcher (compileFused) handles:
+// the shapes the JIT's superinstruction table (jit_fuse.go) handles:
 //
 //  1. rename:  `rX op= imm ; mov64 rY, rX`  with rX dead after
 //          ->  `mov64 rY, rX ; rY op= imm`
@@ -793,15 +782,6 @@ func passDSE(pr *irProg, facts *Facts, rep *PassReport) {
 //  2. swap:    `A ; X ; B` -> `X ; A ; B` when (A,B) is a fusable shape,
 //     X is a pure register op independent of A, and the swap does not
 //     itself create or destroy an earlier fusion opportunity.
-
-// fusableALUImm reports ops the JIT's mov+alu superinstruction handles.
-func fusableALUImm(op uint8) bool {
-	switch op {
-	case ALUAdd, ALUSub, ALUAnd, ALUOr, ALUXor, ALUMod, ALULsh, ALURsh:
-		return true
-	}
-	return false
-}
 
 // pureRegInsn: no memory access, no control flow, no helper call.
 func pureRegInsn(ins Instruction) bool {

@@ -2,7 +2,6 @@ package ebpf
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -11,19 +10,12 @@ import (
 // Per-program profiling, modeled on the kernel's bpf_stats_enabled
 // run-time/run-count accounting plus bpftool-prog-profile-style
 // per-instruction counters. Profiling is opt-in at load time
-// (LoadOptions.Profile) because the counters cost a branch and an atomic
-// add per executed instruction; an unprofiled load carries a single nil
-// field and zero runtime cost. Profiled programs compile without
-// superinstruction fusion so every executed slot is attributed exactly
-// (a fused closure would charge several instructions to one counter);
-// the measured cost of both effects is reported in EXPERIMENTS.md.
-
-// EnvNoProfile disables profiling process-wide when set non-empty, even
-// for loads that request it — the same escape-hatch shape as
-// SYRUP_EBPF_NOJIT and SYRUP_EBPF_NOOPT.
-const EnvNoProfile = "SYRUP_EBPF_NOPROFILE"
-
-func profDisabledByEnv() bool { return os.Getenv(EnvNoProfile) != "" }
+// (LoadOptions.Profile) because the counters cost an atomic add per
+// executed instruction; an unprofiled load carries a single nil field and
+// zero runtime cost. Profiling is a decorator over the compiled code
+// (profWrapAll), not a compile mode: a profiled program runs the same
+// fused, fact-specialized closures as an unprofiled one. The measured
+// cost is reported in EXPERIMENTS.md.
 
 // profData holds a profiled program's counters: one hit counter per
 // instruction slot (atomic: programs run concurrently across hosts'
@@ -125,17 +117,21 @@ func (p *Program) AnnotatedDisasm() string {
 	return b.String()
 }
 
-// profWrapAll wraps every compiled slot with its hit counter. Applied
-// after fusion would be skipped (compile disables fusion for profiled
-// programs), so attribution is exactly one slot per dispatch, matching
-// the interpreter.
+// profWrapAll wraps every compiled slot with the hit accounting. A fused
+// closure at slot i executes slots i..i+n and reports n through rs.extra
+// (bumped only once a later half actually runs — see jit_fuse.go), so the
+// wrapper credits slot i plus one slot per extra it observed: exactly the
+// slots the interpreter would have counted, including when the first half
+// of a fused sequence faults.
 func profWrapAll(prof *profData, code []opFunc) {
-	for i := range code {
-		slot := &prof.hits[i]
-		inner := code[i]
+	for i, inner := range code {
 		code[i] = func(rs *runState) int {
-			slot.Add(1)
-			return inner(rs)
+			before := rs.extra
+			pc := inner(rs)
+			for s := i; s <= i+rs.extra-before; s++ {
+				prof.hits[s].Add(1)
+			}
+			return pc
 		}
 	}
 }

@@ -6,34 +6,44 @@ import (
 	"testing"
 )
 
-// profTestInsns: a branchy program whose slots have different hit counts
-// depending on R1-relative packet bytes is overkill here — instead branch
-// on an immediate so counts are exact: slots 0-1 always run, slot 2
-// (taken branch) skips slot 3, slots 4-5 always run.
+// profTestInsns branches on a runtime value so the optimizer has nothing to
+// fold and the stream runs verbatim (pinned by profRun): with Hash == 5
+// slots 0-2 always run, the taken branch skips slot 3, slots 4-5 always
+// run. Slots 1-2 and 4-5 are fused pairs.
 func profTestInsns() []Instruction {
 	return []Instruction{
-		MovImm(R0, 1),           // 0: always
-		MovImm(R2, 5),           // 1: always
-		JmpImm(JmpEq, R2, 5, 1), // 2: always taken
-		MovImm(R0, 99),          // 3: never
-		MovImm(R3, 7),           // 4: always
-		Exit(),                  // 5: always
+		MovImm(R0, 1),              // 0: always
+		Ldx(4, R2, R1, CtxOffHash), // 1: always
+		JmpImm(JmpEq, R2, 5, 1),    // 2: always taken
+		MovImm(R0, 99),             // 3: never
+		ALUImm(ALUAdd, R0, 7),      // 4: always
+		Exit(),                     // 5: always
 	}
 }
 
-func profRun(t *testing.T, nojit bool) *Program {
+var profTestCtx = &Ctx{Hash: 5}
+
+// pinStream fails unless the optimizer left insns verbatim, so slot
+// numbers in the test mean what the source says.
+func pinStream(t *testing.T, p *Program, insns []Instruction) {
 	t.Helper()
-	// NoOpt keeps the stream verbatim so slot numbers are stable; with the
-	// optimizer on, hits attribute to the optimized stream it ran.
-	p, err := Load("ptest", profTestInsns(), LoadOptions{Profile: true, NoJIT: nojit, NoOpt: true})
+	if got, want := p.Disassemble(), DisassembleProgram(insns); got != want {
+		t.Fatalf("optimizer rewrote the pinned stream:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+func profRun(t *testing.T, run func(*Program, *Ctx, *Env) (uint32, ExecStats, error)) *Program {
+	t.Helper()
+	p, err := Load("ptest", profTestInsns(), LoadOptions{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinStream(t, p, profTestInsns())
 	if !p.Profiling() {
 		t.Fatal("Profiling() = false on a Profile load")
 	}
 	for i := 0; i < 10; i++ {
-		if _, _, err := p.Run(nil, nil); err != nil {
+		if _, _, err := run(p, profTestCtx, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -41,11 +51,11 @@ func profRun(t *testing.T, nojit bool) *Program {
 }
 
 // TestProfileHitsInterpVsJIT: per-slot hit counts are exact and identical
-// between the interpreter and the (fusion-disabled) compiled form.
+// between the interpreter and the compiled (fused) form.
 func TestProfileHitsInterpVsJIT(t *testing.T) {
 	want := []uint64{10, 10, 10, 0, 10, 10}
-	interp := profRun(t, true).Profile()
-	jit := profRun(t, false).Profile()
+	interp := profRun(t, (*Program).RunInterp).Profile()
+	jit := profRun(t, (*Program).Run).Profile()
 	if !reflect.DeepEqual(interp.Hits, want) {
 		t.Fatalf("interp hits = %v, want %v", interp.Hits, want)
 	}
@@ -65,13 +75,171 @@ func TestProfileHitsInterpVsJIT(t *testing.T) {
 	}
 }
 
+// fusedShapeInsns is a verifiable policy that keeps every fused shape
+// adjacent through the optimizer: mov+alu, ldx+jcc, st+lddw, call+jcc, the
+// read-modify-write triple, ldx+alu, st+mov and alu+exit. fd 3 is an
+// 8-byte-value array map, fd 4 a prog array.
+func fusedShapeInsns() []Instruction {
+	insns := []Instruction{
+		MovReg(R9, R1),
+		Ldx(8, R6, R1, CtxOffData),
+		Ldx(8, R7, R1, CtxOffDataEnd),
+		MovReg(R2, R6), // mov ; alu
+		ALUImm(ALUAdd, R2, 16),
+		JmpReg(JmpGt, R2, R7, 19), // -> tail
+		Ldx(8, R8, R6, 8),         // ldx ; jcc
+		JmpImm(JmpEq, R8, 99, 17), // -> tail
+		StImm(4, R10, -4, 0),      // st ; lddw
+	}
+	insns = append(insns, LoadMapFD(R1, 3)...)
+	insns = append(insns,
+		MovReg(R2, R10), // mov ; alu
+		ALUImm(ALUAdd, R2, -4),
+		Call(HelperMapLookup),    // call ; jcc
+		JmpImm(JmpEq, R0, 0, 10), // -> tail
+		Ldx(8, R3, R0, 0),        // ldx ; alu ; stx
+		ALUImm(ALUAdd, R3, 1),
+		Stx(8, R0, R3, 0),
+		Ldx(4, R4, R9, CtxOffHash), // ldx ; alu
+		ALUImm(ALUAnd, R4, 3),
+		StImm(1, R6, 0, 7), // st ; mov
+		MovReg(R0, R3),
+		ALUReg(ALUAdd, R0, R4),
+		ALUImm(ALUAdd, R0, 1), // alu ; exit
+		Exit(),
+	)
+	// tail: hand the packet to prog-array slot 0 (r1 must be the ctx).
+	insns = append(insns, MovReg(R1, R9))
+	insns = append(insns, LoadMapFD(R2, 4)...)
+	insns = append(insns,
+		MovImm(R3, 0),
+		Call(HelperTailCall),
+		MovImm(R0, 0), // alu ; exit
+		Exit(),
+	)
+	return insns
+}
+
+// fusedShapeWorld loads the every-shape program and its tail-call leaf,
+// both profiled, over fresh maps.
+func fusedShapeWorld(t *testing.T) (entry, leaf *Program) {
+	t.Helper()
+	arr := MustNewMap(MapSpec{Name: "fsarr", Type: MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 1})
+	progArr := MustNewMap(MapSpec{Name: "fsprogs", Type: MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 1})
+	table := NewMapTable()
+	table.Register(arr)     // fd 3
+	table.Register(progArr) // fd 4
+	leaf = MustLoad("fsleaf", profTestInsns(), LoadOptions{Profile: true})
+	if err := progArr.UpdateProg(0, leaf); err != nil {
+		t.Fatal(err)
+	}
+	entry, err := Load("fsentry", fusedShapeInsns(), LoadOptions{MapTable: table, Profile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return entry, leaf
+}
+
+// TestProfileExactUnderFusion: profiling decorates the fused code, so a
+// program containing every fused shape must still report the
+// interpreter's per-slot hits — across the map path, the early-out path
+// and a tail call — and the hits must sum to the instructions charged.
+func TestProfileExactUnderFusion(t *testing.T) {
+	entryJ, leafJ := fusedShapeWorld(t)
+	entryI, leafI := fusedShapeWorld(t)
+
+	// Every row of the fusion table, and the triple, must actually be in
+	// the stream the compiler saw — otherwise this test proves nothing.
+	targets := jumpTargets(entryJ.insns)
+	seen := make([]bool, len(fusions))
+	rmw := false
+	for i := 0; i+1 < len(entryJ.insns); i++ {
+		if targets[i+1] {
+			continue
+		}
+		rmw = rmw || entryJ.fuseRMW(i, targets) != nil
+		for fi, f := range fusions {
+			seen[fi] = seen[fi] || f.match(entryJ.insns[i], entryJ.insns[i+1])
+		}
+	}
+	for fi, ok := range seen {
+		if !ok {
+			t.Fatalf("fusion shape %d missing from the loaded stream:\n%s", fi, entryJ.Disassemble())
+		}
+	}
+	if !rmw {
+		t.Fatalf("read-modify-write triple missing from the loaded stream:\n%s", entryJ.Disassemble())
+	}
+
+	long := make([]byte, 32)
+	magic := make([]byte, 32)
+	magic[8] = 99 // takes the ldx;jcc branch to the tail call
+	for _, pkt := range [][]byte{long, magic, make([]byte, 4), long, nil} {
+		ctxJ := &Ctx{Packet: append([]byte(nil), pkt...), Hash: 5}
+		ctxI := &Ctx{Packet: append([]byte(nil), pkt...), Hash: 5}
+		rJ, stJ, errJ := entryJ.Run(ctxJ, nil)
+		rI, stI, errI := entryI.RunInterp(ctxI, nil)
+		if rJ != rI || stJ != stI || errString(errJ) != errString(errI) {
+			t.Fatalf("run diverged: (%d %+v %v) vs interp (%d %+v %v)", rJ, stJ, errJ, rI, stI, errI)
+		}
+	}
+	for _, pair := range [][2]*Program{{entryJ, entryI}, {leafJ, leafI}} {
+		pj, pi := pair[0].Profile(), pair[1].Profile()
+		if !reflect.DeepEqual(pj.Hits, pi.Hits) {
+			t.Fatalf("%s hits diverged:\n run:    %v\n interp: %v\n%s", pj.Name, pj.Hits, pi.Hits, pair[0].Disassemble())
+		}
+		var sum uint64
+		for _, h := range pj.Hits {
+			sum += h
+		}
+		if sum != pair[0].Stats().InsnsExecuted || sum == 0 {
+			t.Fatalf("%s: hits sum to %d, InsnsExecuted = %d", pj.Name, sum, pair[0].Stats().InsnsExecuted)
+		}
+	}
+}
+
+// TestProfileFusedFirstHalfFault: when the load half of a fused ldx;jcc
+// faults, only the load's slot is credited — the interpreter never reaches
+// the branch. A verified program cannot fault there, so the program is
+// compiled by hand: fused like a verified one, but never verified.
+func TestProfileFusedFirstHalfFault(t *testing.T) {
+	insns := []Instruction{
+		Ldx(8, R6, R1, CtxOffData),
+		Ldx(8, R8, R6, 8), // ldx ; jcc — faults on a short packet
+		JmpImm(JmpEq, R8, 99, 1),
+		MovImm(R0, 1),
+		MovImm(R0, 2),
+		Exit(),
+	}
+	build := func() *Program {
+		p := &Program{name: "pfault", insns: insns, prof: newProfData(len(insns))}
+		p.code = compile(p)
+		return p
+	}
+	pj, pi := build(), build()
+	for _, pkt := range [][]byte{make([]byte, 4), make([]byte, 16)} {
+		_, stJ, errJ := pj.Run(&Ctx{Packet: pkt}, nil)
+		_, stI, errI := pi.RunInterp(&Ctx{Packet: pkt}, nil)
+		if stJ != stI || errString(errJ) != errString(errI) {
+			t.Fatalf("run diverged: (%+v %v) vs interp (%+v %v)", stJ, errJ, stI, errI)
+		}
+	}
+	want := []uint64{2, 2, 1, 1, 1, 1} // the short packet stops at slot 1
+	if hj, hi := pj.Profile().Hits, pi.Profile().Hits; !reflect.DeepEqual(hj, want) || !reflect.DeepEqual(hi, want) {
+		t.Fatalf("hits: run %v, interp %v, want %v", hj, hi, want)
+	}
+	if pj.Stats().Faults != 1 {
+		t.Fatalf("faults = %d, want 1", pj.Stats().Faults)
+	}
+}
+
 // TestProfileDoesNotChangeResults: a profiled load returns the same
 // verdict and ExecStats as an unprofiled one.
 func TestProfileDoesNotChangeResults(t *testing.T) {
 	plain := MustLoad("pplain", profTestInsns(), LoadOptions{})
 	prof := MustLoad("pprof", profTestInsns(), LoadOptions{Profile: true})
-	r1, st1, err1 := plain.Run(nil, nil)
-	r2, st2, err2 := prof.Run(nil, nil)
+	r1, st1, err1 := plain.Run(profTestCtx, nil)
+	r2, st2, err2 := prof.Run(profTestCtx, nil)
 	if r1 != r2 || st1 != st2 || (err1 == nil) != (err2 == nil) {
 		t.Fatalf("profiled run diverged: (%d %+v %v) vs (%d %+v %v)", r1, st1, err1, r2, st2, err2)
 	}
@@ -85,25 +253,11 @@ func TestProfileOffByDefault(t *testing.T) {
 	}
 }
 
-// TestProfileEnvKillSwitch: SYRUP_EBPF_NOPROFILE vetoes Profile loads
-// process-wide, mirroring NoJIT/NoOpt.
-func TestProfileEnvKillSwitch(t *testing.T) {
-	t.Setenv(EnvNoProfile, "1")
-	p := MustLoad("pkill", profTestInsns(), LoadOptions{Profile: true})
-	if p.Profiling() || p.Profile() != nil {
-		t.Fatal("env kill switch did not disable profiling")
-	}
-	// And the fused fast path is back.
-	if _, _, err := p.Run(nil, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestAnnotatedDisasm: the doctor -profile rendering carries hits,
 // percentages, and the disassembly text, one line per instruction (LDDW
 // pairs render once).
 func TestAnnotatedDisasm(t *testing.T) {
-	p := profRun(t, false)
+	p := profRun(t, (*Program).Run)
 	out := p.AnnotatedDisasm()
 	if !strings.Contains(out, "10 runs") {
 		t.Fatalf("missing run summary:\n%s", out)
@@ -137,9 +291,14 @@ func TestProfileTailCallAttribution(t *testing.T) {
 		MovImm(R0, 7), // only on failed tail call
 		Exit(),
 	)
-	entry, err := Load("pfentry", entryInsns, LoadOptions{MapTable: table, Profile: true, NoOpt: true})
+	entry, err := Load("pfentry", entryInsns, LoadOptions{MapTable: table, Profile: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Map references resolve to indices at load; only the slot layout is
+	// pinned.
+	if entry.Len() != len(entryInsns) || entry.Optimized() {
+		t.Fatalf("optimizer rewrote the pinned stream:\n%s", entry.Disassemble())
 	}
 	ret, _, err := entry.Run(nil, nil)
 	if err != nil || ret != 42 {
@@ -173,7 +332,7 @@ func BenchmarkDispatchProfile(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := p.Run(nil, nil); err != nil {
+				if _, _, err := p.Run(profTestCtx, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -26,9 +26,8 @@ type Program struct {
 	// loading, those instructions' Imm fields index this slice.
 	maps []*Map
 
-	// code is the threaded-code form: one pre-decoded op closure per
-	// instruction slot. nil when loaded with NoJIT (or the env toggle),
-	// in which case Run interprets insns directly.
+	// code is the threaded-code form Run executes: one pre-decoded op
+	// closure per instruction slot. Every loaded program has one.
 	code []opFunc
 	// noVerify records that verification was skipped, so the compiled
 	// dispatch path knows it must scrub the pooled run state (a verified
@@ -39,9 +38,9 @@ type Program struct {
 	// actually executed). Refreshed by the post-optimization re-verify, so
 	// it always describes the current stream; nil for NoVerify loads.
 	facts *Facts
-	// opt marks that insns is the optimizer's output; origInsns then holds
-	// the verified pre-optimization stream and optRep the pass report.
-	opt       bool
+	// origInsns is the verified pre-optimization stream, set only when the
+	// optimizer rewrote insns; optRep is the pass report of an optimizer
+	// run that neither bailed out nor was rejected by the re-verifier.
 	origInsns []Instruction
 	optRep    *OptReport
 
@@ -74,24 +73,15 @@ type LoadOptions struct {
 	// NoVerify skips verification. Only syrupd's own trusted dispatcher
 	// may use it; user policies must always be verified.
 	NoVerify bool
-	// NoJIT skips threaded-code compilation; Run then uses the
-	// interpreter. The SYRUP_EBPF_NOJIT environment variable forces this
-	// process-wide.
-	NoJIT bool
-	// NoOpt skips the optimizing middle-end (opt.go); the program runs the
-	// verified bytecode verbatim. The SYRUP_EBPF_NOOPT environment variable
-	// forces this process-wide — the field-bisection escape hatch, exactly
-	// like NoJIT for the compiler.
-	NoOpt bool
 	// Profile enables bpf_stats_enabled-style accounting for this load:
 	// run count, cumulative wall ns, and per-instruction hit counters
-	// (profile.go). Profiled programs compile without superinstruction
-	// fusion so hits attribute exactly one slot per dispatch. The
-	// SYRUP_EBPF_NOPROFILE environment variable vetoes this process-wide.
+	// (profile.go), as a decorator over the same compiled code.
 	Profile bool
 }
 
-// Load resolves map references and verifies the program.
+// Load is the one pipeline every program takes: resolve map references,
+// verify, optimize, re-verify, compile (plus the profile decorator when
+// asked). NoVerify programs skip straight to compilation.
 func Load(name string, insns []Instruction, opts LoadOptions) (*Program, error) {
 	if len(insns) == 0 {
 		return nil, fmt.Errorf("ebpf: %s: empty program", name)
@@ -136,16 +126,12 @@ func Load(name string, insns []Instruction, opts LoadOptions) (*Program, error) 
 			return nil, fmt.Errorf("ebpf: %s: verifier: %w", name, err)
 		}
 		p.facts = facts
-		if !opts.NoOpt && !optDisabledByEnv() {
-			p.optimize(budget)
-		}
+		p.optimize(budget)
 	}
-	if opts.Profile && !profDisabledByEnv() {
+	if opts.Profile {
 		p.prof = newProfData(len(p.insns))
 	}
-	if !opts.NoJIT && !jitDisabledByEnv() {
-		p.code = compile(p)
-	}
+	p.code = compile(p)
 	return p, nil
 }
 
@@ -153,7 +139,9 @@ func Load(name string, insns []Instruction, opts LoadOptions) (*Program, error) 
 // stream and, following MOAT's check-don't-trust rule, re-verifies the
 // result before adopting it. Any failure — a pass bailing out, or the
 // re-verifier rejecting the rewritten stream — leaves the program on the
-// verified original, so the optimizer can never make a load fail.
+// verified original with its original fact table, so the optimizer can
+// never make a load fail and the compiler always has facts for the stream
+// it is handed.
 func (p *Program) optimize(budget int) {
 	optimized, rep, err := Optimize(p.insns, p.facts)
 	if err != nil {
@@ -165,9 +153,7 @@ func (p *Program) optimize(budget int) {
 	}
 	if !changed {
 		// Nothing rewritten: the stream (and its fact table) stand as
-		// verified. Opt mode still turns on the fact-driven JIT
-		// specializations and widened fusion at compile below.
-		p.opt = true
+		// verified.
 		p.optRep = rep
 		ctrOptPrograms.Inc()
 		return
@@ -182,7 +168,6 @@ func (p *Program) optimize(budget int) {
 	p.insns = optimized
 	p.facts = cfacts
 	p.optRep = rep
-	p.opt = true
 	ctrOptPrograms.Inc()
 	if d := rep.Removed(); d > 0 {
 		ctrOptInsnsRemoved.Add(uint64(d))
@@ -222,17 +207,14 @@ func (p *Program) Stats() Stats {
 	return Stats{Runs: p.runs.Load(), InsnsExecuted: p.instret.Load(), Faults: p.faults.Load()}
 }
 
-// Compiled reports whether the program has a threaded-code form.
-func (p *Program) Compiled() bool { return p.code != nil }
-
 // DispatchStats reports how invocations of this program were dispatched.
 type DispatchStats struct {
 	// CompiledRuns counts top-level entries through the threaded-code
 	// path. Tail-call hops between compiled programs stay off the hot
 	// path and are visible via Stats().Runs instead.
 	CompiledRuns uint64
-	// InterpRuns counts entries through the interpreter (NoJIT loads,
-	// RunInterp, and tail-call fallbacks from compiled programs).
+	// InterpRuns counts entries through the reference interpreter
+	// (RunInterp, the differential oracle).
 	InterpRuns uint64
 }
 
@@ -255,28 +237,27 @@ func (p *Program) MeanInsnsPerRun() float64 {
 func (p *Program) Disassemble() string { return DisassembleProgram(p.insns) }
 
 // Optimized reports whether the middle-end rewrote this program.
-func (p *Program) Optimized() bool { return p.opt }
+func (p *Program) Optimized() bool { return p.origInsns != nil }
 
-// OptReport returns the optimizer's pass report, or nil when the program
-// was not optimized.
+// OptReport returns the optimizer's pass report, or nil when a pass bailed
+// out or the re-verifier rejected the rewritten stream.
 func (p *Program) OptReport() *OptReport { return p.optRep }
 
-// OrigLen reports the pre-optimization instruction count (equal to Len()
-// when the optimizer did not run or did not change the program).
-func (p *Program) OrigLen() int {
+// verified returns the stream the verifier first admitted: the
+// pre-optimization one when the optimizer rewrote the program, else insns.
+func (p *Program) verified() []Instruction {
 	if p.origInsns != nil {
-		return len(p.origInsns)
+		return p.origInsns
 	}
-	return len(p.insns)
+	return p.insns
 }
 
+// OrigLen reports the pre-optimization instruction count (equal to Len()
+// when the optimizer did not change the program).
+func (p *Program) OrigLen() int { return len(p.verified()) }
+
 // DisassembleOrig renders the pre-optimization stream.
-func (p *Program) DisassembleOrig() string {
-	if p.origInsns != nil {
-		return DisassembleProgram(p.origInsns)
-	}
-	return DisassembleProgram(p.insns)
-}
+func (p *Program) DisassembleOrig() string { return DisassembleProgram(p.verified()) }
 
 // Facts returns the verifier's per-PC fact table for the executed stream
 // (nil for NoVerify loads). The table always matches the current insns:

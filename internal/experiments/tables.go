@@ -22,8 +22,8 @@ type Table2Row struct {
 	UnoptInstructions int
 	// MeanExecInsns is the average instructions executed per decision.
 	MeanExecInsns float64
-	// WallNanos is the measured wall-clock cost per decision of our
-	// interpreter (decision only).
+	// WallNanos is the measured wall-clock cost per decision of the
+	// compiled policy (Program.Run; decision only).
 	WallNanos float64
 	// ModelCycles is the decision+enforcement cost the simulation charges
 	// (Table 2's "Cycles" column: the paper measures ≈1.6k cycles, mostly
@@ -136,13 +136,14 @@ func FormatTable2(rows []Table2Row) string {
 	var b strings.Builder
 	b.WriteString("== table2: Overhead of different Syrup policies (paper Table 2) ==\n\n")
 	fmt.Fprintf(&b, "%-14s %6s %14s %10s %16s %18s %14s\n",
-		"Policy", "LoC", "Insns -O0", "-O1", "ExecInsns/run", "Interp ns/run", "ModelCycles")
+		"Policy", "LoC", "Insns verified", "executed", "ExecInsns/run", "ns/run", "ModelCycles")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-14s %6d %14d %10d %16.1f %18.1f %14.0f\n",
 			r.Policy, r.LoC, r.UnoptInstructions, r.Instructions, r.MeanExecInsns, r.WallNanos, r.ModelCycles)
 	}
 	b.WriteString("\nnotes:\n  - paper: RR 6 LoC/56 insns, SCAN Avoid 21/311, SITA 16/81, Token 45/106; cycles 1563-1709 dominated by enforcement\n")
-	b.WriteString("  - Insns -O0 is the verified stream, -O1 the executed stream after the fact-driven middle-end (see `syrup-policy doctor`)\n")
+	b.WriteString("  - Insns verified is the stream the verifier admitted, executed the stream after the fact-driven middle-end (see `syrup-policy doctor`)\n")
+	b.WriteString("  - ns/run is the wall-clock cost of one compiled Program.Run on this machine (decision only)\n")
 	b.WriteString("  - ModelCycles is the fixed decision+enforcement charge the simulation applies per hook invocation (0.7us at 2.3GHz)\n")
 	return b.String()
 }

@@ -3,7 +3,6 @@ package hook
 import (
 	"testing"
 
-	"syrup/internal/ebpf"
 	"syrup/internal/sim"
 	"syrup/internal/trace"
 )
@@ -79,26 +78,6 @@ func TestRunBatchEquivalentSteering(t *testing.T) {
 	if steers != len(got) {
 		t.Fatalf("expected all steers, got %d/%d", steers, len(got))
 	}
-}
-
-// TestRunBatchEquivalentInterp: the same differential through the
-// interpreter (NoJIT), which falls back to per-run interpretation.
-func TestRunBatchEquivalentInterp(t *testing.T) {
-	insns := []ebpf.Instruction{
-		ebpf.Ldx(4, ebpf.R0, ebpf.R1, ebpf.CtxOffHash),
-		ebpf.ALUImm(ebpf.ALUMod, ebpf.R0, 3),
-		ebpf.Exit(),
-	}
-	prog, err := ebpf.Load("interp_mod", insns, ebpf.LoadOptions{NoJIT: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, got, one, batch := runBoth(t, 17, func(pt *Point) {
-		if _, err := pt.Attach(prog); err != nil {
-			t.Fatal(err)
-		}
-	})
-	assertEquivalent(t, ref, got, one, batch)
 }
 
 // TestRunBatchEquivalentFaulting: runtime faults must fall open per input

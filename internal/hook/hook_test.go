@@ -405,8 +405,8 @@ func TestFaultInjectorFailsOpen(t *testing.T) {
 }
 
 // selfTailProg builds a verified program that tail-calls itself until the
-// budget faults; jit selects compiled vs interpreter dispatch.
-func selfTailProg(t *testing.T, name string, jit bool) *ebpf.Program {
+// budget faults.
+func selfTailProg(t *testing.T, name string) *ebpf.Program {
 	t.Helper()
 	pa := ebpf.MustNewMap(ebpf.MapSpec{Name: name + "_pa", Type: ebpf.MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 1})
 	tb := ebpf.NewMapTable()
@@ -419,7 +419,7 @@ func selfTailProg(t *testing.T, name string, jit bool) *ebpf.Program {
 		ebpf.MovImm(ebpf.R0, -1),
 		ebpf.Exit(),
 	)
-	p, err := ebpf.Load(name, insns, ebpf.LoadOptions{MapTable: tb, NoJIT: !jit})
+	p, err := ebpf.Load(name, insns, ebpf.LoadOptions{MapTable: tb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,33 +431,22 @@ func selfTailProg(t *testing.T, name string, jit bool) *ebpf.Program {
 
 // TestTailCallBudgetOneHookFault is the fall-open audit for the tail-call
 // path: a chain exhausting MaxTailCalls must count exactly one hook fault
-// and fall open, identically under the compiled dispatcher and the
-// interpreter.
+// and fall open.
 func TestTailCallBudgetOneHookFault(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		jit  bool
-	}{{"jit", true}, {"interp", false}} {
-		t.Run(tc.name, func(t *testing.T) {
-			prog := selfTailProg(t, "runaway_"+tc.name, tc.jit)
-			if prog.Compiled() != tc.jit {
-				t.Fatalf("compiled = %v, want %v", prog.Compiled(), tc.jit)
-			}
-			pt := NewPoint(XDPDrv, "t_tailfault_"+tc.name, nil)
-			if _, err := pt.Attach(prog); err != nil {
-				t.Fatal(err)
-			}
-			v := pt.Run(Input{Packet: []byte{1}})
-			if v.Action != Pass || !v.Faulted {
-				t.Fatalf("verdict = %+v, want faulted fall-open", v)
-			}
-			st := pt.Stats()
-			if st.Runs != 1 || st.Faults != 1 {
-				t.Fatalf("point stats = %+v, want exactly one run, one fault", st)
-			}
-			if f := prog.Stats().Faults; f != 1 {
-				t.Fatalf("program faults = %d, want 1", f)
-			}
-		})
+	prog := selfTailProg(t, "runaway")
+	pt := NewPoint(XDPDrv, "t_tailfault", nil)
+	if _, err := pt.Attach(prog); err != nil {
+		t.Fatal(err)
+	}
+	v := pt.Run(Input{Packet: []byte{1}})
+	if v.Action != Pass || !v.Faulted {
+		t.Fatalf("verdict = %+v, want faulted fall-open", v)
+	}
+	st := pt.Stats()
+	if st.Runs != 1 || st.Faults != 1 {
+		t.Fatalf("point stats = %+v, want exactly one run, one fault", st)
+	}
+	if f := prog.Stats().Faults; f != 1 {
+		t.Fatalf("program faults = %d, want 1", f)
 	}
 }

@@ -27,9 +27,8 @@ func (d *Daemon) Now() sim.Time { return d.eng.Now() }
 
 // SetPolicyProfile makes future DeployPolicy calls load with
 // bpf_stats_enabled-style profiling (run count/ns plus per-instruction
-// hit counters; see ebpf.LoadOptions.Profile). Mirrors SetPolicyNoOpt:
-// already-deployed programs are unaffected, redeploy to profile them, and
-// SYRUP_EBPF_NOPROFILE vetoes process-wide.
+// hit counters; see ebpf.LoadOptions.Profile). Already-deployed programs
+// are unaffected; redeploy to profile them.
 func (d *Daemon) SetPolicyProfile(v bool) { d.policyProfile = v }
 
 // QuarantinedCount reports how many (app, hook) deployments the watchdog

@@ -113,11 +113,6 @@ type HostConfig struct {
 	// Quarantine, when non-nil, arms syrupd's fault watchdog with the
 	// given thresholds (zero fields take defaults).
 	Quarantine *syrupd.QuarantineConfig
-	// PolicyNoOpt deploys this host's policies at -O0, skipping the
-	// optimizing middle-end (the per-host form of the SYRUP_EBPF_NOOPT
-	// escape hatch, mirroring NoJIT). Results are bit-identical either
-	// way; use it to bisect a suspect optimization in the field.
-	PolicyNoOpt bool
 	// Telemetry, when set, builds the host's time-series sampler
 	// (internal/obs) and attaches it to the engine's passive sampling
 	// hook: datapath gauges (softirq backlog, ring occupancy, NIC
@@ -127,8 +122,7 @@ type HostConfig struct {
 	// (gated by make obs-diff). Off by default.
 	Telemetry *obs.Config
 	// PolicyProfile deploys this host's policies with per-instruction
-	// profiling (the per-host form of ebpf.LoadOptions.Profile;
-	// SYRUP_EBPF_NOPROFILE vetoes process-wide).
+	// profiling (the per-host form of ebpf.LoadOptions.Profile).
 	PolicyProfile bool
 }
 
@@ -273,9 +267,6 @@ func TryNewHost(cfg HostConfig) (*Host, error) {
 	}
 	if cfg.Quarantine != nil {
 		h.Daemon.EnableQuarantine(*cfg.Quarantine)
-	}
-	if cfg.PolicyNoOpt {
-		h.Daemon.SetPolicyNoOpt(true)
 	}
 	if cfg.PolicyProfile {
 		h.Daemon.SetPolicyProfile(true)

@@ -13,10 +13,12 @@ test:
 
 # The eBPF package carries the JIT/interpreter equivalence tests and the
 # concurrency-sensitive run-state pool; the hook package's metrics counters
-# are the only shared state on the run path. Exercise both under the race
-# detector.
+# are the only shared state on the run path; the RocksDB store is documented
+# safe for concurrent use (readers beside one writer); the ghOSt agent is
+# single-owner, and its suite staying clean shows nothing it calls shares
+# state behind its back. Exercise all four under the race detector.
 race:
-	$(GO) test -race ./internal/ebpf/... ./internal/hook/...
+	$(GO) test -race ./internal/ebpf/... ./internal/hook/... ./internal/apps/rocksdb/ ./internal/ghost/
 
 # Layer packages must execute policies only through hook.Point.Run (fail-open
 # semantics + per-point accounting); a direct (*ebpf.Program).Run call would
@@ -38,11 +40,13 @@ trace-check:
 # eBPF dispatch, hook dispatch (single and vectorized, traced and
 # untraced), the span recorder's Record path — including disabled/nil
 # recorders, i.e. the tracing-off hot path — the batched datapath (NIC
-# burst drain with pooled packets, stack burst delivery end to end), and
-# the telemetry tick (histogram reads, sampler tick, a controller tick on
-# which no rule acts) must all stay at 0 allocs/op.
+# burst drain with pooled packets, stack burst delivery end to end), the
+# telemetry tick (histogram reads, sampler tick, a controller tick on
+# which no rule acts), the ghOSt agent loop (message batch → Schedule →
+# commit, also under sustained overload), Map.LookupUint64 and Store.Get
+# must all stay at 0 allocs/op; a Store.Scan allocates its result only.
 alloc-gates:
-	$(GO) test -run 'TestZeroAlloc|TestCompiledRunZeroAllocs' -v ./internal/sim/ ./internal/trace/ ./internal/hook/ ./internal/ebpf/ ./internal/nic/ ./internal/netstack/ ./internal/obs/ ./internal/adapt/ ./internal/metrics/ | grep -E '^(=== RUN|--- (PASS|FAIL)|FAIL|ok)'
+	$(GO) test -run 'TestZeroAlloc|TestCompiledRunZeroAllocs' -v ./internal/sim/ ./internal/trace/ ./internal/hook/ ./internal/ebpf/ ./internal/nic/ ./internal/netstack/ ./internal/obs/ ./internal/adapt/ ./internal/metrics/ ./internal/ghost/ ./internal/apps/rocksdb/ | grep -E '^(=== RUN|--- (PASS|FAIL)|FAIL|ok)'
 
 # Chaos gate (see DESIGN.md "Fault injection and quarantine"): the
 # fault-plan suite plus the syrupd quarantine/revoke tests — including the

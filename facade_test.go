@@ -43,7 +43,7 @@ func TestDeployThreadPolicyViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agent, err := app.DeployThreadPolicy(policy.FIFO{}, 2, []int{0, 1}, ghost.Config{})
+	agent, err := app.DeployThreadPolicy(&policy.FIFO{}, 2, []int{0, 1}, ghost.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,8 +53,8 @@ func TestServerServesGets(t *testing.T) {
 		}
 	}
 	// Real storage engine touched.
-	if srv.Store().Gets != 10 {
-		t.Fatalf("store gets = %d", srv.Store().Gets)
+	if srv.Store().Gets.Load() != 10 {
+		t.Fatalf("store gets = %d", srv.Store().Gets.Load())
 	}
 }
 

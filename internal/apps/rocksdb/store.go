@@ -12,8 +12,10 @@ package rocksdb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // memtableFlushSize is the number of entries after which the memtable is
@@ -26,22 +28,51 @@ const maxRuns = 8
 // Store is a miniature LSM tree: one mutable memtable plus a stack of
 // immutable sorted runs, newest first. It is safe for concurrent use.
 type Store struct {
-	mu       sync.RWMutex
-	memtable map[string]string
-	runs     []run // runs[0] is newest
+	mu sync.RWMutex
+	// mem is the memtable: a run under construction, kept sorted by
+	// binary-search insert, so reads, scans and flushes treat it like any
+	// other run. Array-backed on purpose: ascending loads append, a flush
+	// hands the arrays over, and no per-entry node is ever allocated.
+	mem  run
+	runs []run // runs[0] is newest
 
-	// Stats.
-	Gets, Puts, Scans, Flushes, Compactions uint64
+	// Stats. Readers hold only the read lock, so theirs are atomic.
+	Gets, Scans                atomic.Uint64
+	Puts, Flushes, Compactions uint64
 }
 
+// run is a sorted, duplicate-free key/value array pair. Its first and last
+// keys are its fence: a key outside them is not in the run.
 type run struct {
 	keys   []string
 	values []string
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store {
-	return &Store{memtable: make(map[string]string)}
+func NewStore() *Store { return &Store{} }
+
+// find returns where key is, or would be inserted, and whether it is
+// there. Keys outside the fence — ascending loads like Preload, and most
+// runs a Get walks past — cost two comparisons and no search.
+func (r *run) find(key string) (int, bool) {
+	n := len(r.keys)
+	if n == 0 || key > r.keys[n-1] {
+		return n, false
+	}
+	if key < r.keys[0] {
+		return 0, false
+	}
+	i := sort.SearchStrings(r.keys, key)
+	return i, r.keys[i] == key
+}
+
+// put overwrites key in place or inserts it in order.
+func (r *run) put(key, value string) {
+	if i, ok := r.find(key); ok {
+		r.values[i] = value
+	} else {
+		r.keys, r.values = slices.Insert(r.keys, i, key), slices.Insert(r.values, i, value)
+	}
 }
 
 // Put inserts or overwrites a key.
@@ -49,22 +80,22 @@ func (s *Store) Put(key, value string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.Puts++
-	s.memtable[key] = value
-	if len(s.memtable) >= memtableFlushSize {
+	s.mem.put(key, value)
+	if len(s.mem.keys) >= memtableFlushSize {
 		s.flushLocked()
 	}
 }
 
 // Get returns the newest value for key.
 func (s *Store) Get(key string) (string, bool) {
+	s.Gets.Add(1)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.Gets++
-	if v, ok := s.memtable[key]; ok {
-		return v, true
+	if i, ok := s.mem.find(key); ok {
+		return s.mem.values[i], true
 	}
 	for _, r := range s.runs {
-		if i := sort.SearchStrings(r.keys, key); i < len(r.keys) && r.keys[i] == key {
+		if i, ok := r.find(key); ok {
 			return r.values[i], true
 		}
 	}
@@ -74,37 +105,22 @@ func (s *Store) Get(key string) (string, bool) {
 // Scan returns up to limit key/value pairs with key >= start, in key
 // order, merging the memtable and all runs (newest version wins).
 func (s *Store) Scan(start string, limit int) []KV {
+	s.Scans.Add(1)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.Scans++
-	iters := make([]*iterator, 0, len(s.runs)+1)
-	iters = append(iters, newMemIterator(s.memtable, start))
-	for _, r := range s.runs {
-		iters = append(iters, newRunIterator(r, start))
+	var buf [maxRuns + 1]iterator
+	m := s.mergeFrom(buf[:0], start)
+	n := min(limit, m.remaining())
+	if n <= 0 {
+		return nil
 	}
-	var out []KV
-	for len(out) < limit {
-		// Find the smallest current key; ties resolve to the newest
-		// iterator (lowest index), and older duplicates advance past it.
-		best := -1
-		for i, it := range iters {
-			if !it.valid() {
-				continue
-			}
-			if best == -1 || it.key() < iters[best].key() {
-				best = i
-			}
-		}
-		if best == -1 {
+	out := make([]KV, 0, n)
+	for len(out) < n {
+		k, v, ok := m.next()
+		if !ok {
 			break
 		}
-		k := iters[best].key()
-		out = append(out, KV{Key: k, Value: iters[best].value()})
-		for _, it := range iters {
-			for it.valid() && it.key() == k {
-				it.next()
-			}
-		}
+		out = append(out, KV{Key: k, Value: v})
 	}
 	return out
 }
@@ -114,21 +130,17 @@ type KV struct {
 	Key, Value string
 }
 
-// Len reports the total number of live entries (approximate: counts
-// shadowed versions once).
+// Len reports the number of live entries (shadowed versions count once).
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	seen := make(map[string]bool, len(s.memtable))
-	for k := range s.memtable {
-		seen[k] = true
+	var buf [maxRuns + 1]iterator
+	m := s.mergeFrom(buf[:0], "")
+	n := 0
+	for _, _, ok := m.next(); ok; _, _, ok = m.next() {
+		n++
 	}
-	for _, r := range s.runs {
-		for _, k := range r.keys {
-			seen[k] = true
-		}
-	}
-	return len(seen)
+	return n
 }
 
 // Flush seals the memtable into a run (exported for tests).
@@ -138,80 +150,86 @@ func (s *Store) Flush() {
 	s.flushLocked()
 }
 
+// flushLocked seals the memtable: its arrays become the newest run as is.
 func (s *Store) flushLocked() {
-	if len(s.memtable) == 0 {
+	if len(s.mem.keys) == 0 {
 		return
 	}
 	s.Flushes++
-	keys := make([]string, 0, len(s.memtable))
-	for k := range s.memtable {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	values := make([]string, len(keys))
-	for i, k := range keys {
-		values[i] = s.memtable[k]
-	}
-	s.runs = append([]run{{keys: keys, values: values}}, s.runs...)
-	s.memtable = make(map[string]string)
+	s.runs = append([]run{s.mem}, s.runs...)
+	s.mem = run{}
 	if len(s.runs) > maxRuns {
 		s.compactLocked()
 	}
 }
 
-// compactLocked merges all runs into one, dropping shadowed versions.
+// compactLocked merges all runs (the memtable was just sealed, so it is
+// empty) into one, dropping shadowed versions.
 func (s *Store) compactLocked() {
 	s.Compactions++
-	merged := make(map[string]string)
-	for i := len(s.runs) - 1; i >= 0; i-- { // oldest first; newer overwrite
-		r := s.runs[i]
-		for j, k := range r.keys {
-			merged[k] = r.values[j]
-		}
+	var buf [maxRuns + 1]iterator
+	m := s.mergeFrom(buf[:0], "")
+	n := m.remaining()
+	out := run{keys: make([]string, 0, n), values: make([]string, 0, n)}
+	for k, v, ok := m.next(); ok; k, v, ok = m.next() {
+		out.keys, out.values = append(out.keys, k), append(out.values, v)
 	}
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	values := make([]string, len(keys))
-	for i, k := range keys {
-		values[i] = merged[k]
-	}
-	s.runs = []run{{keys: keys, values: values}}
+	s.runs = []run{out}
 }
 
-// iterator walks one source in key order starting at a lower bound.
+// iterator walks one run in key order.
 type iterator struct {
-	keys   []string
-	values []string
-	pos    int
+	run
+	pos int
 }
 
-func newRunIterator(r run, start string) *iterator {
-	pos := sort.SearchStrings(r.keys, start)
-	return &iterator{keys: r.keys, values: r.values, pos: pos}
-}
+// merger is a newest-first stack of iterators read as one ordered stream.
+type merger []iterator
 
-func newMemIterator(m map[string]string, start string) *iterator {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		if k >= start {
-			keys = append(keys, k)
+// mergeFrom seeks the memtable and every run to start (O(log n) each) and
+// stacks the ones with anything at or past it, newest first, onto buf.
+func (s *Store) mergeFrom(buf []iterator, start string) merger {
+	m := merger(buf)
+	if pos := sort.SearchStrings(s.mem.keys, start); pos < len(s.mem.keys) {
+		m = append(m, iterator{run: s.mem, pos: pos})
+	}
+	for _, r := range s.runs {
+		if pos := sort.SearchStrings(r.keys, start); pos < len(r.keys) {
+			m = append(m, iterator{run: r, pos: pos})
 		}
 	}
-	sort.Strings(keys)
-	values := make([]string, len(keys))
-	for i, k := range keys {
-		values[i] = m[k]
-	}
-	return &iterator{keys: keys, values: values}
+	return m
 }
 
-func (it *iterator) valid() bool   { return it.pos < len(it.keys) }
-func (it *iterator) key() string   { return it.keys[it.pos] }
-func (it *iterator) value() string { return it.values[it.pos] }
-func (it *iterator) next()         { it.pos++ }
+// remaining bounds how many entries next can still yield.
+func (m merger) remaining() int {
+	n := 0
+	for i := range m {
+		n += len(m[i].keys) - m[i].pos
+	}
+	return n
+}
+
+// next yields the smallest current key; ties resolve to the newest
+// iterator (lowest index), and older versions of the key are stepped over.
+func (m merger) next() (key, value string, ok bool) {
+	best := -1
+	for i := range m {
+		if it := &m[i]; it.pos < len(it.keys) && (best < 0 || it.keys[it.pos] < key) {
+			best, key = i, it.keys[it.pos]
+		}
+	}
+	if best < 0 {
+		return "", "", false
+	}
+	value = m[best].values[m[best].pos]
+	for i := range m {
+		if it := &m[i]; it.pos < len(it.keys) && it.keys[it.pos] == key {
+			it.pos++
+		}
+	}
+	return key, value, true
+}
 
 // Preload fills the store with n sequential keys ("key-%08d") so GETs and
 // SCANs have data to touch.

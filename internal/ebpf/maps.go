@@ -271,11 +271,16 @@ func (m *Map) Delete(key []byte) error {
 func (m *Map) LookupUint64(key uint32) (uint64, bool) {
 	var kb [4]byte
 	binary.LittleEndian.PutUint32(kb[:], key)
-	v, ok := m.Lookup(kb[:])
-	if !ok || len(v) < 8 {
+	// Read the 8 bytes in place under the read lock: Lookup's defensive
+	// copy would allocate on every call, and thread policies call this per
+	// runnable thread per decision.
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	ref := m.lookupRefLocked(kb[:])
+	if len(ref) < 8 {
 		return 0, false
 	}
-	return binary.LittleEndian.Uint64(v), true
+	return binary.LittleEndian.Uint64(ref), true
 }
 
 // UpdateUint64 stores a 64-bit value under a 32-bit key.

@@ -102,6 +102,36 @@ func TestMapAddUint64(t *testing.T) {
 	}
 }
 
+// TestZeroAllocLookupUint64: the accessor reads in place on every map
+// kind (thread policies call it per runnable thread per decision), and
+// still refuses what Lookup refuses.
+func TestZeroAllocLookupUint64(t *testing.T) {
+	for _, typ := range []MapType{MapArray, MapPerCPUArray, MapHash} {
+		m := MustNewMap(MapSpec{Name: "m", Type: typ, KeySize: 4, ValueSize: 8, MaxEntries: 4})
+		m.UpdateUint64(2, 77)
+		var v uint64
+		var ok, miss bool
+		if n := testing.AllocsPerRun(100, func() {
+			v, ok = m.LookupUint64(2)
+			_, miss = m.LookupUint64(9)
+		}); n != 0 {
+			t.Errorf("%v: LookupUint64 allocates %.1f times per hit+miss", typ, n)
+		}
+		if v != 77 || !ok || miss {
+			t.Errorf("%v: LookupUint64 = %d,%v; absent key found = %v", typ, v, ok, miss)
+		}
+	}
+	for _, spec := range []MapSpec{
+		{Name: "narrow", Type: MapArray, KeySize: 4, ValueSize: 4, MaxEntries: 1},
+		{Name: "widekey", Type: MapHash, KeySize: 8, ValueSize: 8, MaxEntries: 1},
+		{Name: "progs", Type: MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 1},
+	} {
+		if _, ok := MustNewMap(spec).LookupUint64(0); ok {
+			t.Errorf("%s: LookupUint64 succeeded", spec.Name)
+		}
+	}
+}
+
 func TestMapConcurrentAdds(t *testing.T) {
 	m := MustNewMap(MapSpec{Name: "a", Type: MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 1})
 	var wg sync.WaitGroup

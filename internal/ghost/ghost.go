@@ -14,6 +14,7 @@ package ghost
 
 import (
 	"fmt"
+	"slices"
 
 	"syrup/internal/faults"
 	"syrup/internal/hook"
@@ -58,7 +59,6 @@ func (t MsgType) String() string {
 type Message struct {
 	Type   MsgType
 	Thread *kernel.Thread
-	At     sim.Time
 }
 
 // CPUView is what the policy sees about one enclave core.
@@ -76,10 +76,14 @@ type Placement struct {
 }
 
 // Policy is the user-defined thread→core matching function. Schedule is
-// invoked after each message batch with the current runnable set and the
-// enclave's worker cores; it returns the placements to commit. Returning a
-// thread that is not runnable or a core outside the enclave is a policy
-// bug and panics (the real agent's txn would fail).
+// invoked after each message batch with the current runnable set (in
+// thread-ID order) and the enclave's worker cores; it returns the
+// placements to commit. Returning a thread that is not runnable or a core
+// outside the enclave is a policy bug and panics (the real agent's txn
+// would fail). runnable and cpus are agent-owned scratch, valid only for
+// the duration of the call: a policy may reorder them but must not retain
+// them. The agent consumes the result before it calls again, so a policy
+// may return a slice it reuses.
 type Policy interface {
 	Schedule(now sim.Time, runnable []*kernel.Thread, cpus []CPUView) []Placement
 }
@@ -132,8 +136,11 @@ type Agent struct {
 	queue    []Message
 	inflight []Message // batch being charged on the agent core (double buffer)
 	busy     bool
-	threads  map[*kernel.Thread]bool
-	runnable map[*kernel.Thread]bool
+	// runnable stays in thread-ID order, the deterministic order policies
+	// see; Schedule is handed a copy of it and the per-core view (scratch).
+	runnable   []*kernel.Thread
+	runScratch []*kernel.Thread
+	cpuScratch []CPUView
 
 	// stopped quiesces the agent (revocation): messages keep queueing but
 	// no batch is drained and no policy runs until Resume. The enclave's
@@ -146,19 +153,10 @@ type Agent struct {
 
 	// Stored closure-free callbacks for the agent's event hot paths. The
 	// single-outstanding-batch invariant (busy) makes one inflight buffer
-	// sufficient; commits carry an absolute index into commitQ because
-	// commits from consecutive batches interleave in time, so a FIFO pop
-	// would pair delays with the wrong placements.
-	batchCB   sim.Callback
-	kickCB    sim.Callback
-	commitCB  sim.Callback
-	commitQ   []Placement
-	commitOut int // in-flight commit events against commitQ
-	// commitAt mirrors commitQ index-for-index with each placement's
-	// commit-issue time, so commit spans measure the syscall+IPI round
-	// trip. Appended unconditionally (tracer or not) to keep the
-	// absolute indices the commit events carry aligned.
-	commitAt []sim.Time
+	// sufficient; a commit event carries its whole placement (packCommit),
+	// so however commits interleave in time, no queue has to pair them up.
+	batchCB  sim.Callback
+	commitCB sim.Callback
 
 	// tracer, when enabled, receives StageGhost spans for message-batch
 	// processing and placement commits; batchStart marks the current
@@ -185,9 +183,8 @@ func NewAgent(m *kernel.Machine, app uint32, policy Policy, agentCPU kernel.CPUI
 	a := &Agent{
 		m: m, eng: m.Eng, app: app, cfg: cfg,
 		agentCPU: agentCPU, workers: workers,
-		threads:  make(map[*kernel.Thread]bool),
-		runnable: make(map[*kernel.Thread]bool),
-		pt:       hook.NewPoint(hook.ThreadSched, fmt.Sprintf("thread_sched:app%d", app), nil),
+		cpuScratch: make([]CPUView, len(workers)),
+		pt:         hook.NewPoint(hook.ThreadSched, fmt.Sprintf("thread_sched:app%d", app), nil),
 	}
 	if policy != nil {
 		if _, err := a.pt.AttachUser(policy, fmt.Sprintf("app%d-policy", app)); err != nil {
@@ -199,7 +196,8 @@ func NewAgent(m *kernel.Machine, app uint32, policy Policy, agentCPU kernel.CPUI
 		m.CPU(w).Reserve(fmt.Sprintf("ghost-enclave-app%d", app))
 	}
 	a.batchCB = func(any, uint64) {
-		if a.tracer.Enabled() {
+		// A kick is an empty batch: no span, no messages, just the policy.
+		if len(a.inflight) > 0 && a.tracer.Enabled() {
 			a.tracer.Record(trace.Span{
 				Start: a.batchStart, End: a.eng.Now(), Stage: trace.StageGhost,
 				CPU: int32(a.agentCPU), Executor: uint32(len(a.inflight)),
@@ -212,9 +210,9 @@ func NewAgent(m *kernel.Machine, app uint32, policy Policy, agentCPU kernel.CPUI
 			case MsgThreadCreated:
 				// Created threads start blocked; nothing to do yet.
 			case MsgThreadWakeup, MsgThreadYield, MsgThreadPreempted:
-				a.runnable[msg.Thread] = true
+				a.setRunnable(msg.Thread, true)
 			case MsgThreadBlocked, MsgThreadDead:
-				delete(a.runnable, msg.Thread)
+				a.setRunnable(msg.Thread, false)
 			}
 		}
 		a.inflight = a.inflight[:0]
@@ -222,26 +220,17 @@ func NewAgent(m *kernel.Machine, app uint32, policy Policy, agentCPU kernel.CPUI
 		a.busy = false
 		a.maybeRun()
 	}
-	a.kickCB = func(any, uint64) {
-		a.invokePolicy()
-		a.busy = false
-		a.maybeRun()
-	}
-	a.commitCB = func(_ any, u uint64) {
-		pl := a.commitQ[u]
-		a.commitQ[u] = Placement{}
+	a.commitCB = func(arg any, u uint64) {
+		pl := Placement{Thread: arg.(*kernel.Thread), CPU: kernel.CPUID(uint32(u) >> 1), Preempt: u&1 != 0}
 		if a.tracer.Enabled() {
+			// The span is the syscall+IPI round trip: a decision's nth
+			// commit (u>>32, see packCommit) was issued nth commit costs ago.
 			a.tracer.Record(trace.Span{
-				Req: uint64(pl.Thread.ID), Start: a.commitAt[u], End: a.eng.Now(),
+				Req: uint64(pl.Thread.ID), Start: a.eng.Now() - sim.Time(u>>32)*a.cfg.CommitCost, End: a.eng.Now(),
 				Stage: trace.StageGhost, Verdict: trace.VerdictSteer,
 				Executor: uint32(pl.CPU), CPU: int32(a.agentCPU),
 				Hook: a.pt.Name(), Policy: "commit",
 			})
-		}
-		a.commitOut--
-		if a.commitOut == 0 {
-			a.commitQ = a.commitQ[:0]
-			a.commitAt = a.commitAt[:0]
 		}
 		// An injected commit fault drops the transaction after its cost was
 		// paid: the IPI round trip happened but the placement never landed.
@@ -250,7 +239,7 @@ func NewAgent(m *kernel.Machine, app uint32, policy Policy, agentCPU kernel.CPUI
 		if a.faults.Fire(faults.SiteGhostCommit) {
 			a.CommitDrops++
 			if pl.Thread.State() == kernel.ThreadRunnable {
-				a.runnable[pl.Thread] = true
+				a.setRunnable(pl.Thread, true)
 				a.kickPolicy()
 			}
 			return
@@ -299,14 +288,13 @@ func (a *Agent) Register(t *kernel.Thread) error {
 		return fmt.Errorf("ghost: agent for app %d cannot schedule thread %q of app %d", a.app, t.Name, t.App)
 	}
 	a.m.SetClass(t, a)
-	a.threads[t] = true
-	a.enqueue(Message{Type: MsgThreadCreated, Thread: t, At: a.eng.Now()})
+	a.enqueue(Message{Type: MsgThreadCreated, Thread: t})
 	return nil
 }
 
 // Ready implements kernel.SchedClass (kernel side → message).
 func (a *Agent) Ready(t *kernel.Thread) {
-	a.enqueue(Message{Type: MsgThreadWakeup, Thread: t, At: a.eng.Now()})
+	a.enqueue(Message{Type: MsgThreadWakeup, Thread: t})
 }
 
 // Descheduled implements kernel.SchedClass.
@@ -315,12 +303,12 @@ func (a *Agent) Descheduled(t *kernel.Thread, cpu *kernel.CPU) {
 	if t.State() == kernel.ThreadDead {
 		typ = MsgThreadDead
 	}
-	a.enqueue(Message{Type: typ, Thread: t, At: a.eng.Now()})
+	a.enqueue(Message{Type: typ, Thread: t})
 }
 
 // Yielded implements kernel.SchedClass.
 func (a *Agent) Yielded(t *kernel.Thread, cpu *kernel.CPU) {
-	a.enqueue(Message{Type: MsgThreadYield, Thread: t, At: a.eng.Now()})
+	a.enqueue(Message{Type: MsgThreadYield, Thread: t})
 }
 
 func (a *Agent) enqueue(msg Message) {
@@ -361,43 +349,48 @@ func (a *Agent) invokePolicy() {
 		// policy attaches; the enclave idles, as when a ghOSt agent dies.
 		return
 	}
-	runnable := make([]*kernel.Thread, 0, len(a.runnable))
-	// Stable order: by thread ID, for determinism.
-	for t := range a.runnable {
-		runnable = append(runnable, t)
-	}
-	sortThreads(runnable)
-	cpus := make([]CPUView, len(a.workers))
+	a.runScratch = append(a.runScratch[:0], a.runnable...)
 	for i, id := range a.workers {
-		cpus[i] = CPUView{ID: id, Curr: a.m.CPU(id).Curr()}
+		a.cpuScratch[i] = CPUView{ID: id, Curr: a.m.CPU(id).Curr()}
 	}
 	a.pt.UserRun()
-	placements := policy.Schedule(a.eng.Now(), runnable, cpus)
-	var commitDelay sim.Time
-	for _, pl := range placements {
-		if !a.runnable[pl.Thread] {
-			panic(fmt.Sprintf("ghost: policy placed non-runnable thread %q", pl.Thread.Name))
-		}
-		if !a.inEnclave(pl.CPU) {
+	placements := policy.Schedule(a.eng.Now(), a.runScratch, a.cpuScratch)
+	for i, pl := range placements {
+		if !slices.Contains(a.workers, pl.CPU) {
 			panic(fmt.Sprintf("ghost: policy placed thread on cpu %d outside the enclave", pl.CPU))
 		}
-		delete(a.runnable, pl.Thread) // leaves the runnable set while placed
-		commitDelay += a.cfg.CommitCost
+		if !a.setRunnable(pl.Thread, false) { // leaves the runnable set while placed
+			panic(fmt.Sprintf("ghost: policy placed non-runnable thread %q", pl.Thread.Name))
+		}
 		a.Commits++
-		a.commitQ = append(a.commitQ, pl)
-		a.commitAt = append(a.commitAt, a.eng.Now())
-		a.commitOut++
-		a.eng.CallAfter(commitDelay, a.commitCB, nil, uint64(len(a.commitQ)-1))
+		a.eng.CallAfter(sim.Time(i+1)*a.cfg.CommitCost, a.commitCB, pl.Thread, packCommit(pl, i+1))
 	}
 }
 
-func (a *Agent) inEnclave(c kernel.CPUID) bool {
-	for _, w := range a.workers {
-		if w == c {
-			return true
-		}
+// packCommit folds a placement's core, its preempt flag and its 1-based
+// position among its decision's commits into a commit event's integer
+// argument; the thread rides as the event's pointer argument.
+func packCommit(pl Placement, nth int) uint64 {
+	u := uint64(nth)<<32 | uint64(uint32(pl.CPU))<<1
+	if pl.Preempt {
+		u |= 1
 	}
-	return false
+	return u
+}
+
+// setRunnable adds t to or removes it from the ID-ordered runnable set and
+// reports whether the set changed.
+func (a *Agent) setRunnable(t *kernel.Thread, on bool) bool {
+	i, present := slices.BinarySearchFunc(a.runnable, t.ID, func(r *kernel.Thread, id int) int { return r.ID - id })
+	if present == on {
+		return false
+	}
+	if on {
+		a.runnable = slices.Insert(a.runnable, i, t)
+	} else {
+		a.runnable = slices.Delete(a.runnable, i, i+1)
+	}
+	return true
 }
 
 // commit lands one placement on its core: preempt the incumbent if
@@ -416,13 +409,13 @@ func (a *Agent) commit(pl Placement) {
 		if !pl.Preempt {
 			// Core got occupied while committing; put the thread back and
 			// let the next policy invocation retry.
-			a.runnable[pl.Thread] = true
+			a.setRunnable(pl.Thread, true)
 			a.kickPolicy()
 			return
 		}
 		a.Preempts++
 		cpu.PreemptCurrent()
-		a.enqueue(Message{Type: MsgThreadPreempted, Thread: curr, At: a.eng.Now()})
+		a.enqueue(Message{Type: MsgThreadPreempted, Thread: curr})
 	}
 	cpu.StartThread(pl.Thread, 0)
 }
@@ -433,7 +426,7 @@ func (a *Agent) kickPolicy() {
 		return
 	}
 	a.busy = true
-	a.eng.CallAfter(a.cfg.PerMessageCost, a.kickCB, nil, 0)
+	a.eng.CallAfter(a.cfg.PerMessageCost, a.batchCB, nil, 0)
 }
 
 // Hook exposes the agent's Thread Scheduler hook point; syrupd replaces
@@ -442,16 +435,3 @@ func (a *Agent) Hook() *hook.Point { return a.pt }
 
 // Runnable reports the current runnable-set size (tests/stats).
 func (a *Agent) Runnable() int { return len(a.runnable) }
-
-// Workers returns the enclave's worker cores.
-func (a *Agent) Workers() []kernel.CPUID { return a.workers }
-
-func sortThreads(ts []*kernel.Thread) {
-	// Insertion sort: batches are small and this avoids importing sort
-	// just for a three-line comparator.
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j].ID < ts[j-1].ID; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
-}

@@ -230,6 +230,33 @@ func TestAgentBlockingThreadsReschedule(t *testing.T) {
 	}
 }
 
+// The runnable slice a policy is handed is scratch: reordering it in place
+// (a policy sorting by its own priority) must not disturb the agent's set.
+func TestPolicyMayReorderScratch(t *testing.T) {
+	reversing := PolicyFunc(func(now sim.Time, runnable []*kernel.Thread, cpus []CPUView) []Placement {
+		for i, j := 0, len(runnable)-1; i < j; i, j = i+1, j-1 {
+			runnable[i], runnable[j] = runnable[j], runnable[i]
+		}
+		return fifoPolicy().Schedule(now, runnable, cpus)
+	})
+	eng, m, a := setup(t, 3, reversing)
+	done := 0
+	for i := 0; i < 12; i++ {
+		th := m.NewThread("w", 7, m.AffinityAll(), func(th *kernel.Thread) {
+			th.Exec(50*sim.Microsecond, func() {
+				done++
+				th.Exit()
+			})
+		})
+		a.Register(th)
+		th.Wake()
+	}
+	eng.Run()
+	if done != 12 || a.Runnable() != 0 {
+		t.Fatalf("%d/12 threads completed, %d still runnable", done, a.Runnable())
+	}
+}
+
 func TestPolicyPanicsOnBadPlacement(t *testing.T) {
 	bad := PolicyFunc(func(now sim.Time, runnable []*kernel.Thread, cpus []CPUView) []Placement {
 		return []Placement{{Thread: runnable[0], CPU: 99}}

@@ -188,11 +188,27 @@ type GetPriority struct {
 	// TypeOf reports the request type a thread is about to process (or 0
 	// when idle). Applications back this with a Map lookup.
 	TypeOf func(t *kernel.Thread) uint64
+
+	// Scratch reused across decisions, so a decision allocates nothing (the
+	// agent consumes the returned placements before it asks again).
+	gets, others []*kernel.Thread
+	out          []ghost.Placement
+}
+
+// idleCore returns the index of the first idle core whose bit in used (taken
+// this decision; an enclave has at most 64 cores) is clear, or -1.
+func idleCore(cpus []ghost.CPUView, used uint64) int {
+	for i, c := range cpus {
+		if used&(1<<uint(i)) == 0 && c.Curr == nil {
+			return i
+		}
+	}
+	return -1
 }
 
 // Schedule implements ghost.Policy.
 func (p *GetPriority) Schedule(now sim.Time, runnable []*kernel.Thread, cpus []ghost.CPUView) []ghost.Placement {
-	var gets, others []*kernel.Thread
+	gets, others, out := p.gets[:0], p.others[:0], p.out[:0]
 	for _, t := range runnable {
 		if p.TypeOf(t) == ReqGET {
 			gets = append(gets, t)
@@ -200,66 +216,52 @@ func (p *GetPriority) Schedule(now sim.Time, runnable []*kernel.Thread, cpus []g
 			others = append(others, t)
 		}
 	}
-	var out []ghost.Placement
-	used := make(map[kernel.CPUID]bool, len(cpus))
-
 	// GET threads take idle cores first, then preempt SCAN-running cores.
+	var used uint64
 	for _, t := range gets {
-		placed := false
-		for _, c := range cpus {
-			if used[c.ID] || c.Curr != nil {
-				continue
-			}
-			out = append(out, ghost.Placement{Thread: t, CPU: c.ID})
-			used[c.ID] = true
-			placed = true
-			break
-		}
-		if placed {
+		if i := idleCore(cpus, used); i >= 0 {
+			out = append(out, ghost.Placement{Thread: t, CPU: cpus[i].ID})
+			used |= 1 << uint(i)
 			continue
 		}
-		for _, c := range cpus {
-			if used[c.ID] || c.Curr == nil {
-				continue
-			}
-			if p.TypeOf(c.Curr) != ReqGET {
+		for i, c := range cpus {
+			if used&(1<<uint(i)) == 0 && c.Curr != nil && p.TypeOf(c.Curr) != ReqGET {
 				out = append(out, ghost.Placement{Thread: t, CPU: c.ID, Preempt: true})
-				used[c.ID] = true
+				used |= 1 << uint(i)
 				break
 			}
 		}
 	}
 	// Everyone else fills remaining idle cores FIFO.
 	for _, t := range others {
-		for _, c := range cpus {
-			if used[c.ID] || c.Curr != nil {
-				continue
-			}
-			out = append(out, ghost.Placement{Thread: t, CPU: c.ID})
-			used[c.ID] = true
+		i := idleCore(cpus, used)
+		if i < 0 {
 			break
 		}
+		out = append(out, ghost.Placement{Thread: t, CPU: cpus[i].ID})
+		used |= 1 << uint(i)
 	}
+	p.gets, p.others, p.out = gets, others, out
 	return out
 }
 
 // FIFO is a baseline ghOSt policy: runnable threads fill idle cores in
 // wake order, never preempting.
-type FIFO struct{}
+type FIFO struct {
+	out []ghost.Placement // reused across decisions, like GetPriority's
+}
 
 // Schedule implements ghost.Policy.
-func (FIFO) Schedule(now sim.Time, runnable []*kernel.Thread, cpus []ghost.CPUView) []ghost.Placement {
-	var out []ghost.Placement
-	i := 0
+func (p *FIFO) Schedule(now sim.Time, runnable []*kernel.Thread, cpus []ghost.CPUView) []ghost.Placement {
+	out := p.out[:0]
 	for _, c := range cpus {
-		if c.Curr != nil {
-			continue
-		}
-		if i >= len(runnable) {
+		if len(out) == len(runnable) {
 			break
 		}
-		out = append(out, ghost.Placement{Thread: runnable[i], CPU: c.ID})
-		i++
+		if c.Curr == nil {
+			out = append(out, ghost.Placement{Thread: runnable[len(out)], CPU: c.ID})
+		}
 	}
+	p.out = out
 	return out
 }

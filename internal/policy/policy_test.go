@@ -283,7 +283,7 @@ func TestFIFOPolicy(t *testing.T) {
 	a := m.NewThread("a", 1, 0, func(th *kernel.Thread) { th.Exit() })
 	b := m.NewThread("b", 1, 0, func(th *kernel.Thread) { th.Exit() })
 	c := m.NewThread("c", 1, 0, func(th *kernel.Thread) { th.Exit() })
-	out := FIFO{}.Schedule(0, []*kernel.Thread{a, b, c}, []ghost.CPUView{{ID: 0}, {ID: 1}})
+	out := (&FIFO{}).Schedule(0, []*kernel.Thread{a, b, c}, []ghost.CPUView{{ID: 0}, {ID: 1}})
 	if len(out) != 2 || out[0].Thread != a || out[1].Thread != b {
 		t.Fatalf("fifo placements = %+v", out)
 	}

@@ -259,7 +259,7 @@ func TestCreateMapErrors(t *testing.T) {
 func TestDeployThreadPolicy(t *testing.T) {
 	h := newHost(t, 1, 4)
 	h.d.RegisterApp(1, 1000, 9000)
-	agent, err := h.d.DeployThreadPolicy(1, policy.FIFO{}, 3, []kernel.CPUID{1, 2}, ghost.Config{})
+	agent, err := h.d.DeployThreadPolicy(1, &policy.FIFO{}, 3, []kernel.CPUID{1, 2}, ghost.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,11 +278,11 @@ func TestDeployThreadPolicy(t *testing.T) {
 		t.Fatalf("ghost ran %d/4 threads", done)
 	}
 	// Second thread policy for the same app fails.
-	if _, err := h.d.DeployThreadPolicy(1, policy.FIFO{}, 0, nil, ghost.Config{}); err == nil {
+	if _, err := h.d.DeployThreadPolicy(1, &policy.FIFO{}, 0, nil, ghost.Config{}); err == nil {
 		t.Fatal("double thread policy accepted")
 	}
 	// Unknown app.
-	if _, err := h.d.DeployThreadPolicy(9, policy.FIFO{}, 0, nil, ghost.Config{}); err == nil {
+	if _, err := h.d.DeployThreadPolicy(9, &policy.FIFO{}, 0, nil, ghost.Config{}); err == nil {
 		t.Fatal("unknown app accepted")
 	}
 }

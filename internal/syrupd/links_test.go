@@ -187,7 +187,7 @@ func TestRevokeAppFallsBackEverywhere(t *testing.T) {
 func TestRevokeThreadPolicy(t *testing.T) {
 	h := newHost(t, 1, 4)
 	h.d.RegisterApp(1, 1000, 9000)
-	agent, err := h.d.DeployThreadPolicy(1, policy.FIFO{}, 3, []kernel.CPUID{1, 2}, ghost.Config{})
+	agent, err := h.d.DeployThreadPolicy(1, &policy.FIFO{}, 3, []kernel.CPUID{1, 2}, ghost.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestRevokeThreadPolicy(t *testing.T) {
 		t.Fatal("thread policy survived revoke")
 	}
 	// Redeploy reuses the enclave.
-	agent2, err := h.d.DeployThreadPolicy(1, policy.FIFO{}, 3, []kernel.CPUID{1, 2}, ghost.Config{})
+	agent2, err := h.d.DeployThreadPolicy(1, &policy.FIFO{}, 3, []kernel.CPUID{1, 2}, ghost.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,9 +51,6 @@ func main() {
 	}
 	var telemetry *obs.Config
 	if *obsPeriodUS > 0 {
-		// Counter folding: this process runs exactly one host, so the
-		// process-global registry is all ours; the sampler's private
-		// cursor keeps its deltas independent of the stats op's.
 		telemetry = &obs.Config{Period: sim.Time(*obsPeriodUS) * sim.Microsecond, Counters: true}
 	}
 	host, app := syrup.MustHostApp(syrup.HostConfig{
@@ -62,10 +59,9 @@ func main() {
 	}, 1, 1000, 9000)
 
 	// Rolling metrics for the stats op. Registering the latency histogram
-	// lets the stats op derive request_latency_{count,p50_us,p99_us,
-	// p999_us} without bespoke StatsFunc keys.
+	// on the host's sampler traces its percentiles and lets the stats and
+	// metrics ops derive request_latency_{count,p50_us,p99_us,p999_us}.
 	lat := metrics.NewHistogram()
-	metrics.RegisterHistogram("request_latency", lat)
 	var completed, offered uint64
 	sent := map[uint64]sim.Time{}
 	if host.Obs != nil {
@@ -172,9 +168,11 @@ func main() {
 		select {
 		case <-sigc:
 			log.Printf("syrupd: shutting down at virtual %v", host.Now())
-			for _, c := range metrics.CountersSorted() {
+			server.Lock()
+			for _, c := range host.Daemon.Counters() {
 				log.Printf("syrupd: counter %s=%d", c.Name, c.Value)
 			}
+			server.Unlock()
 			return
 		case <-ticker.C:
 			server.Lock()

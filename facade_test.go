@@ -1,16 +1,20 @@
 package syrup_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"syrup"
 	"syrup/internal/ebpf"
 	"syrup/internal/ghost"
 	"syrup/internal/kernel"
+	"syrup/internal/obs"
 	"syrup/internal/policy"
 	"syrup/internal/sim"
+	"syrup/internal/syrupd"
 )
 
 func TestDeployPolicyFile(t *testing.T) {
@@ -139,5 +143,74 @@ func TestRegisterAppErrorsViaFacade(t *testing.T) {
 	}
 	if _, err := app.DeployBuiltin("nope", syrup.HookSocketSelect, nil); err == nil {
 		t.Fatal("unknown builtin deployed")
+	}
+}
+
+// TestCountersPerHost: two hosts in one process with the same app, port
+// and policy, traffic into one only. Every counter surface of the idle
+// host — the stats op, the metrics op, Daemon.Counters — reports its own
+// zeros, not the busy host's runs, and each host's listing agrees with its
+// own links.
+func TestCountersPerHost(t *testing.T) {
+	const runsKey, faultsKey = "ebpf_hook_runs_socket_select_9000", "ebpf_hook_faults_socket_select_9000"
+	build := func(id int) (*syrup.Host, *syrupd.Server) {
+		host := syrup.NewHost(syrup.HostConfig{HostID: id, Telemetry: &obs.Config{Counters: true}})
+		app, err := host.RegisterApp(1, 1000, 9000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		app.NewUDPSocket(9000, "w")
+		if _, err := app.DeployPolicy("r0 = 0\nexit\n", syrup.HookSocketSelect, nil); err != nil {
+			t.Fatal(err)
+		}
+		return host, syrupd.NewServer(host.Daemon)
+	}
+	busy, busySrv := build(0)
+	idle, idleSrv := build(1)
+	for i := 0; i < 100; i++ {
+		busy.NIC.Receive(testPacket(uint64(i), 9000))
+	}
+	busy.RunFor(2 * sim.Millisecond)
+	idle.RunFor(2 * sim.Millisecond)
+
+	for name, tc := range map[string]struct {
+		host *syrup.Host
+		srv  *syrupd.Server
+		runs uint64
+	}{"busy": {busy, busySrv, 100}, "idle": {idle, idleSrv, 0}} {
+		stats := tc.srv.Handle(&syrupd.Request{Op: "stats"}).Stats
+		text := tc.srv.Handle(&syrupd.Request{Op: "metrics"}).Text
+		counters := map[string]uint64{}
+		for _, c := range tc.host.Daemon.Counters() {
+			counters[c.Name] = c.Value
+			if strings.HasPrefix(c.Name, "ebpf_hook_runs_") && c.Name != runsKey && c.Value != 0 {
+				t.Errorf("%s: %s = %d on a point that saw no policy run", name, c.Name, c.Value)
+			}
+			if v, ok := stats[c.Name]; !ok || v != float64(c.Value) {
+				t.Errorf("%s: stats[%s] = %v (present %v), Counters says %d", name, c.Name, v, ok, c.Value)
+			}
+			if line := fmt.Sprintf("syrup_%s %d ", c.Name, c.Value); !strings.Contains(text, line) {
+				t.Errorf("%s: metrics op lacks %q", name, line)
+			}
+		}
+		if counters[runsKey] != tc.runs {
+			t.Errorf("%s: %s = %d, want %d", name, runsKey, counters[runsKey], tc.runs)
+		}
+		links := tc.host.Daemon.Links()
+		if len(links) != 1 || links[0].Runs != counters[runsKey] || links[0].Faults != counters[faultsKey] {
+			t.Errorf("%s: links %+v disagree with counters runs=%d faults=%d", name, links, counters[runsKey], counters[faultsKey])
+		}
+		// The sampler folded this host's deltas, nobody else's.
+		var folded float64
+		for _, s := range tc.host.Obs.Store().Snapshot() {
+			if s.Name == runsKey+"_delta" {
+				for _, v := range s.V {
+					folded += v
+				}
+			}
+		}
+		if folded != float64(tc.runs) {
+			t.Errorf("%s: sampled %s_delta sums to %v, want %d", name, runsKey, folded, tc.runs)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"syrup/internal/adapt"
+	"syrup/internal/metrics"
 	"syrup/internal/obs"
 	"syrup/internal/sim"
 	"syrup/internal/syrupd"
@@ -24,6 +25,9 @@ type HostSnapshot struct {
 	NowNS    int64                `json:"now_ns"`
 	Series   []obs.SeriesJSON     `json:"series"`
 	Profiles []syrupd.ProfileInfo `json:"profiles,omitempty"`
+	// Counters is the member's own counter listing (Daemon.Counters):
+	// per-host hook runs and faults, optimizer outcomes, quarantines.
+	Counters []metrics.CounterValue `json:"counters,omitempty"`
 	// Decisions is the host controller's decision history when adaptive
 	// control is enabled (syrup-top renders them as annotations).
 	Decisions []adapt.Decision `json:"decisions,omitempty"`
@@ -46,18 +50,20 @@ type FleetSnapshot struct {
 
 // scrapeMember pulls one member's telemetry through its control-protocol
 // handler (the in-process equivalent of dialing its syrupd socket). ok is
-// false when the member has telemetry disabled.
-func scrapeMember(m *Member, profiles bool) (HostSnapshot, bool) {
+// false when the member has telemetry disabled. full adds what only the
+// fleet view shows: policy profiles and the member's counters.
+func scrapeMember(m *Member, full bool) (HostSnapshot, bool) {
 	srv := syrupd.NewServer(m.Host.Daemon)
 	resp := srv.Handle(&syrupd.Request{Op: "timeseries"})
 	if !resp.OK {
 		return HostSnapshot{}, false
 	}
 	hs := HostSnapshot{Host: m.Name, Index: m.Index, NowNS: resp.NowNS, Series: resp.Series}
-	if profiles {
+	if full {
 		if pr := srv.Handle(&syrupd.Request{Op: "profile"}); pr.OK {
 			hs.Profiles = pr.Profiles
 		}
+		hs.Counters = m.Host.Daemon.Counters()
 	}
 	// Hosts without adaptive control answer with an error; that just
 	// leaves Decisions empty.

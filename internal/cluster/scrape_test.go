@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"syrup"
 	"syrup/internal/obs"
 	"syrup/internal/sim"
+	"syrup/internal/workload"
 )
 
 // newObsCluster builds a telemetry-enabled test cluster and registers a
@@ -166,5 +168,77 @@ func TestRolloutSLOGate(t *testing.T) {
 	}
 	if len(rep.SLOResults) != 1 || rep.SLOResults[0].Burning || rep.SLOResults[0].Samples == 0 {
 		t.Fatalf("SLO results = %+v, want one clean evaluation with samples", rep.SLOResults)
+	}
+}
+
+// TestScrapeCountersPerHost is the fleet attribution gate: each member's
+// HostSnapshot carries that member's own counters. A 2000-flow pool is
+// steered through the Maglev table, every flow sends one datagram to its
+// owner, and the hosts run at -workers 1 and 4: per-host counters are
+// identical across worker counts, differ across hosts (Maglev shares are
+// unequal), match each host's own links, and sum to the pool size.
+func TestScrapeCountersPerHost(t *testing.T) {
+	const flows, runsKey = 2000, "ebpf_hook_runs_socket_select_9000"
+	run := func(workers int) *FleetSnapshot {
+		c := newObsCluster(t, 4)
+		share := c.Split(workload.Config{Rate: 1, Flows: flows})
+		c.RunAll(workers, func(m *Member) {
+			if _, err := m.Host.Daemon.DeployPolicy(testApp, syrup.HookSocketSelect, "r0 = 1\nexit\n", nil); err != nil {
+				t.Error(err)
+				return
+			}
+			for i, f := range share[m.Index].FlowSet {
+				p := probePacket(m, uint64(i), testPort)
+				p.SrcIP, p.SrcPort = f.IP, f.Port
+				m.Host.NIC.Receive(p)
+			}
+			m.Host.RunFor(5 * sim.Millisecond)
+		})
+		snap, err := c.Scrape()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var total uint64
+		distinct := map[uint64]bool{}
+		for i, hs := range snap.Hosts {
+			runs := uint64(0)
+			for _, cv := range hs.Counters {
+				if cv.Name == runsKey {
+					runs = cv.Value
+				}
+			}
+			links := c.Members[i].Host.Daemon.Links()
+			if runs != uint64(len(share[i].FlowSet)) || len(links) != 1 || links[0].Runs != runs {
+				t.Fatalf("workers=%d %s: %s = %d, links %+v, want %d (its flow share)",
+					workers, hs.Host, runsKey, runs, links, len(share[i].FlowSet))
+			}
+			total += runs
+			distinct[runs] = true
+		}
+		if total != flows || len(distinct) < 2 {
+			t.Fatalf("workers=%d: per-host runs sum to %d over %d distinct values, want %d over >= 2", workers, total, len(distinct), flows)
+		}
+		return snap
+	}
+	one, four := run(1), run(4)
+	for i := range one.Hosts {
+		if !slices.Equal(one.Hosts[i].Counters, four.Hosts[i].Counters) {
+			t.Fatalf("%s: counters differ across worker counts:\n%v\n%v", one.Hosts[i].Host, one.Hosts[i].Counters, four.Hosts[i].Counters)
+		}
+	}
+
+	// The counters round-trip through the recorded-file format.
+	blob, err := json.Marshal(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back FleetSnapshot
+	if err := json.Unmarshal(blob, &back); err != nil {
+		t.Fatal(err)
+	}
+	for i := range one.Hosts {
+		if !slices.Equal(back.Hosts[i].Counters, one.Hosts[i].Counters) {
+			t.Fatalf("%s: counters did not round-trip: %v", one.Hosts[i].Host, back.Hosts[i].Counters)
+		}
 	}
 }

@@ -4,9 +4,7 @@ package ebpf
 // invocations of one program shares a single pooled runState — one pool
 // get/put per burst instead of one per run — while every per-run effect
 // (register/stack reset, stats, instret and fault charging, tail-call
-// handling) stays bit-identical to calling Run once per input. Dispatch
-// counters are accumulated locally and flushed at End, so the totals a
-// batch leaves behind equal those of N individual runs.
+// handling) stays bit-identical to calling Run once per input.
 
 // BatchRun executes a burst of invocations of one program. Obtain one with
 // BeginBatch, call Run once per input, then End to release the pooled
@@ -15,8 +13,6 @@ package ebpf
 type BatchRun struct {
 	p  *Program
 	rs *runState
-	// compiled counts entries to flush into the dispatch counters at End.
-	compiled uint64
 }
 
 // BeginBatch starts a burst of runs of p. The returned value borrows one
@@ -29,21 +25,15 @@ func (p *Program) BeginBatch() BatchRun {
 // every observable way (verdict, stats, accounting, errors) to
 // Program.Run(ctx, env).
 func (b *BatchRun) Run(ctx *Ctx, env *Env) (uint32, ExecStats, error) {
-	b.compiled++
 	ret, err := b.p.execCompiled(b.rs, ctx, env)
 	return uint32(ret), b.rs.stats, err
 }
 
-// End returns the pooled state and flushes the burst's dispatch counters.
-// Idempotent; the BatchRun must not be used afterwards.
+// End returns the pooled state. Idempotent; the BatchRun must not be used
+// afterwards.
 func (b *BatchRun) End() {
 	if b.rs != nil {
 		putRunState(b.rs)
 		b.rs = nil
-	}
-	if b.compiled > 0 {
-		b.p.compiledRuns.Add(b.compiled)
-		ctrCompiledRuns.Add(b.compiled)
-		b.compiled = 0
 	}
 }

@@ -46,8 +46,8 @@ func runBatchDifferential(t *testing.T, insns []Instruction) bool {
 	}
 	br.End()
 
-	if ds, db := single.prog.Dispatch(), batched.prog.Dispatch(); ds != db {
-		t.Fatalf("dispatch counter divergence: Run %+v, BatchRun %+v", ds, db)
+	if ss, sb := single.prog.Stats(), batched.prog.Stats(); ss != sb {
+		t.Fatalf("program accounting divergence: Run %+v, BatchRun %+v", ss, sb)
 	}
 	for k := uint32(0); k < 8; k++ {
 		vs, oks := single.arr.LookupUint64(k)
@@ -82,7 +82,8 @@ func TestBatchRunEquivalence(t *testing.T) {
 	t.Logf("batch differential: %d/%d programs accepted and compared", accepted, trials)
 }
 
-// TestBatchRunEndIdempotent: End twice is safe and flushes once.
+// TestBatchRunEndIdempotent: End twice is safe and returns the pooled
+// state once.
 func TestBatchRunEndIdempotent(t *testing.T) {
 	p := MustLoad("b_end", []Instruction{MovImm(R0, 5), Exit()}, LoadOptions{})
 	br := p.BeginBatch()
@@ -91,8 +92,8 @@ func TestBatchRunEndIdempotent(t *testing.T) {
 	}
 	br.End()
 	br.End()
-	if d := p.Dispatch(); d.CompiledRuns != 1 {
-		t.Fatalf("CompiledRuns = %d, want 1", d.CompiledRuns)
+	if st := p.Stats(); st.Runs != 1 {
+		t.Fatalf("Runs = %d, want 1", st.Runs)
 	}
 }
 

@@ -3,7 +3,6 @@ package ebpf
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 )
 
 // Context layout offsets, the program-visible view of a packet hook
@@ -46,10 +45,6 @@ type Env struct {
 	// a runtime fault, not a fall-through.
 	FaultTailCall func() bool
 }
-
-// defaultEnv backs nil-Env runs on the compiled path; it is never written
-// after init, so sharing it across concurrent runs is safe.
-var defaultEnv Env
 
 // errTailCallBudget aborts a program chain that exhausted MaxTailCalls.
 // Both execution paths wrap it identically ("ebpf: <prog>: insn <i>: ..."),
@@ -108,24 +103,29 @@ type runState struct {
 	// superinstructions bump it so ExecStats.Insns and instret charging
 	// stay identical to the interpreter's one-insn-at-a-time accounting.
 	extra int
+	// noEnv stands in for a nil Env on the compiled path; it is never
+	// written.
+	noEnv Env
 }
 
-// defaultPRNGState seeds the fallback xorshift32 PRNG. It is atomic
-// because two concurrent Run calls with a nil Env.Prandom would otherwise
-// race on it; the CAS loop preserves the exact single-threaded sequence.
-var defaultPRNGState atomic.Uint32
-
-func init() { defaultPRNGState.Store(0x9e3779b9) }
-
-func defaultPrandom() uint32 {
-	// xorshift32; deterministic across runs, good enough as a fallback.
+// fallbackPrandom draws from the program's own xorshift32 stream, used
+// when a run's Env supplies no Prandom. The stream belongs to the program
+// whose call instruction draws, so it depends on nothing but that
+// program's earlier fallback draws. xorshift32 never reaches zero from a
+// nonzero state, so the zero value means "no draw yet" and takes the fixed
+// seed. The state is atomic because a Program is safe for concurrent Run
+// calls; the CAS loop preserves the exact single-threaded sequence.
+func (p *Program) fallbackPrandom() uint32 {
 	for {
-		old := defaultPRNGState.Load()
+		old := p.prng.Load()
 		x := old
+		if x == 0 {
+			x = 0x9e3779b9
+		}
 		x ^= x << 13
 		x ^= x >> 17
 		x ^= x << 5
-		if defaultPRNGState.CompareAndSwap(old, x) {
+		if p.prng.CompareAndSwap(old, x) {
 			return x
 		}
 	}
@@ -153,8 +153,6 @@ func (p *Program) RunInterp(ctx *Ctx, env *Env) (uint32, ExecStats, error) {
 }
 
 func (p *Program) runInterp(ctx *Ctx, env *Env) (uint64, ExecStats, error) {
-	p.interpRuns.Add(1)
-	ctrInterpRuns.Inc()
 	if pp := p.prof; pp != nil {
 		// Wall timing charged to the entry program, as in execCompiled.
 		t0 := profNow()
@@ -567,7 +565,7 @@ func (rs *runState) call(p *Program, ins Instruction) (*Program, error) {
 		if rs.env.Prandom != nil {
 			r = rs.env.Prandom()
 		} else {
-			r = defaultPrandom()
+			r = p.fallbackPrandom()
 		}
 		clobber(uint64(r))
 		return nil, nil

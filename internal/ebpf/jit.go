@@ -19,8 +19,6 @@ package ebpf
 import (
 	"fmt"
 	"sync"
-
-	"syrup/internal/metrics"
 )
 
 // opFunc executes one pre-decoded instruction and returns the next pc, or
@@ -38,15 +36,6 @@ const (
 	opErr  = -1<<30 + 2 // runtime error; rs.err holds it
 )
 
-// Package-wide dispatch counters, surfaced through internal/metrics and
-// syrupd's stats op. Every compiled run performs exactly one pool get, so
-// pool hits = ebpf_compiled_runs - ebpf_runstate_pool_news.
-var (
-	ctrCompiledRuns = metrics.NewCounter("ebpf_compiled_runs")
-	ctrInterpRuns   = metrics.NewCounter("ebpf_interp_runs")
-	ctrPoolNews     = metrics.NewCounter("ebpf_runstate_pool_news")
-)
-
 // runStatePool recycles run state across compiled invocations. A pooled
 // state is returned as-is and reset lazily on the next get: the 512-byte
 // stack and the registers stay dirty because the verifier rejects any read
@@ -55,10 +44,7 @@ var (
 // are overwritten or truncated at reuse — they point at caller-owned
 // contexts and long-lived map storage, so holding them across the gap
 // pins nothing meaningful.
-var runStatePool = sync.Pool{New: func() any {
-	ctrPoolNews.Inc()
-	return new(runState)
-}}
+var runStatePool = sync.Pool{New: func() any { return new(runState) }}
 
 func putRunState(rs *runState) { runStatePool.Put(rs) }
 
@@ -66,8 +52,6 @@ func putRunState(rs *runState) { runStatePool.Put(rs) }
 // the pre-decoded closure stream. Steady state performs zero heap
 // allocations (errors are the cold path).
 func (p *Program) runCompiled(ctx *Ctx, env *Env) (uint64, ExecStats, error) {
-	p.compiledRuns.Add(1)
-	ctrCompiledRuns.Inc()
 	rs := runStatePool.Get().(*runState)
 	ret, err := p.execCompiled(rs, ctx, env)
 	st := rs.stats
@@ -81,7 +65,7 @@ func (p *Program) runCompiled(ctx *Ctx, env *Env) (uint64, ExecStats, error) {
 // instret/fault charging — happens here and is identical to runCompiled.
 func (p *Program) execCompiled(rs *runState, ctx *Ctx, env *Env) (uint64, error) {
 	if env == nil {
-		env = &defaultEnv
+		env = &rs.noEnv
 	}
 	if pp := p.prof; pp != nil {
 		// bpf_stats_enabled-style wall timing, charged to the entry

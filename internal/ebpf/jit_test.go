@@ -3,10 +3,9 @@ package ebpf
 import (
 	"bytes"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
-
-	"syrup/internal/metrics"
 )
 
 // Differential harness around one oracle, the reference interpreter. The
@@ -407,8 +406,8 @@ func TestCompiledRunZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestConcurrentNilEnvRuns exercises the defaultPrandom race fix and the
-// runState pool under the race detector.
+// TestConcurrentNilEnvRuns exercises the per-program fallback PRNG and
+// the runState pool under the race detector.
 func TestConcurrentNilEnvRuns(t *testing.T) {
 	p := MustLoad("conc", []Instruction{
 		Call(HelperPrandomU32),
@@ -436,13 +435,12 @@ func TestConcurrentNilEnvRuns(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDispatchCountersExported checks the metrics-registry surfacing the
-// syrupd stats op relies on: Run counts as compiled, RunInterp (the
-// oracle) as interpreted.
+// TestDispatchCountersExported: a program's run accounting is its own.
+// Three compiled runs and one oracle run of a fresh program read exactly
+// 4 runs / 8 instructions / 0 faults, whatever else the process ran.
 func TestDispatchCountersExported(t *testing.T) {
+	MustLoad("noise", []Instruction{MovImm(R0, 0), Exit()}, LoadOptions{}).Run(&Ctx{}, nil)
 	p := MustLoad("ctr", []Instruction{MovImm(R0, 0), Exit()}, LoadOptions{})
-
-	before := metrics.Counters()
 	ctx := &Ctx{}
 	for i := 0; i < 3; i++ {
 		if _, _, err := p.Run(ctx, nil); err != nil {
@@ -452,18 +450,48 @@ func TestDispatchCountersExported(t *testing.T) {
 	if _, _, err := p.RunInterp(ctx, nil); err != nil {
 		t.Fatal(err)
 	}
-	after := metrics.Counters()
+	if got, want := p.Stats(), (Stats{Runs: 4, InsnsExecuted: 8}); got != want {
+		t.Fatalf("stats %+v, want %+v", got, want)
+	}
+}
 
-	if d := p.Dispatch(); d.CompiledRuns != 3 || d.InterpRuns != 1 {
-		t.Fatalf("dispatch %+v, want 3 compiled / 1 interp", d)
+// TestFallbackPrandomPerProgram: a nil-Env program's get_prandom_u32
+// stream is the program's own — the fixed-seed xorshift32 sequence from
+// its first draw, however many draws other programs made in between — and
+// the compiled path and the oracle draw from the same stream.
+func TestFallbackPrandomPerProgram(t *testing.T) {
+	load := func(name string) *Program {
+		return MustLoad(name, []Instruction{Call(HelperPrandomU32), Exit()}, LoadOptions{})
 	}
-	if got := after["ebpf_compiled_runs"] - before["ebpf_compiled_runs"]; got < 3 {
-		t.Fatalf("ebpf_compiled_runs advanced by %d, want >= 3", got)
+	want := make([]uint32, 4)
+	x := uint32(0x9e3779b9)
+	for i := range want {
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		want[i] = x
 	}
-	if got := after["ebpf_interp_runs"] - before["ebpf_interp_runs"]; got < 1 {
-		t.Fatalf("ebpf_interp_runs advanced by %d, want >= 1", got)
+	a, b := load("prng_a"), load("prng_b")
+	var got []uint32
+	for i := range want {
+		for n := 0; n <= i; n++ { // interleave a growing number of foreign draws
+			b.Run(&Ctx{}, nil)
+		}
+		run := a.Run
+		if i%2 == 1 {
+			run = a.RunInterp
+		}
+		r, _, err := run(&Ctx{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, r)
 	}
-	if _, ok := after["ebpf_runstate_pool_news"]; !ok {
-		t.Fatal("ebpf_runstate_pool_news not registered")
+	if !slices.Equal(got, want) {
+		t.Fatalf("program a drew %#x, want its own stream %#x", got, want)
+	}
+	// An Env without a Prandom falls back the same way as a nil Env.
+	if r, _, _ := load("prng_c").Run(&Ctx{}, &Env{}); r != want[0] {
+		t.Fatalf("first draw under an empty Env = %#x, want %#x", r, want[0])
 	}
 }

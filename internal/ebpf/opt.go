@@ -3,8 +3,6 @@ package ebpf
 import (
 	"fmt"
 	"strings"
-
-	"syrup/internal/metrics"
 )
 
 // opt.go: the optimizing middle-end between verify and compile. Verified
@@ -28,12 +26,6 @@ import (
 //     condition under which the dead side is unreachable in any run.
 //   - Facts at pc P hold on entry to P on every path; passes only use the
 //     entry fact of the instruction they are rewriting.
-
-var (
-	ctrOptPrograms        = metrics.NewCounter("ebpf_opt_programs")
-	ctrOptInsnsRemoved    = metrics.NewCounter("ebpf_opt_insns_removed")
-	ctrOptReverifyRejects = metrics.NewCounter("ebpf_opt_reverify_rejects")
-)
 
 // Elision records one optimizer decision for `syrup-policy doctor`: the
 // original pc, the instruction text, and the verifier fact that justified

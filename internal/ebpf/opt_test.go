@@ -1,10 +1,6 @@
 package ebpf
 
-import (
-	"testing"
-
-	"syrup/internal/metrics"
-)
+import "testing"
 
 // The optimizer's own tests: each pass on a minimal program, asserting that
 // it fires and the exact stream it leaves, then the contract around it —
@@ -279,8 +275,8 @@ func TestOptBailoutKeepsVerifiedOriginal(t *testing.T) {
 		t.Fatal("optimizer accepted a stream that falls off its end")
 	}
 	p := MustLoad("obail", insns, LoadOptions{})
-	if p.Optimized() || p.OptReport() != nil {
-		t.Fatal("bailed-out load reports an optimizer run")
+	if p.Optimized() || p.OptReport() != nil || p.OptRejected() {
+		t.Fatal("bailed-out load reports an optimizer run or a reject")
 	}
 	if got, want := p.Disassemble(), DisassembleProgram(insns); got != want || p.OrigLen() != len(insns) {
 		t.Fatalf("stream moved off the verified original:\n%s", got)
@@ -307,10 +303,9 @@ func TestOptReverifyRejectKeepsVerifiedOriginal(t *testing.T) {
 	}
 	facts := mustVerify(t, insns)
 	p := &Program{name: "oreject", insns: insns, facts: facts}
-	before := metrics.Counters()["ebpf_opt_reverify_rejects"]
 	p.optimize(1)
-	if got := metrics.Counters()["ebpf_opt_reverify_rejects"] - before; got != 1 {
-		t.Fatalf("ebpf_opt_reverify_rejects advanced by %d, want 1", got)
+	if !p.OptRejected() {
+		t.Fatal("re-verify reject not reported on the program")
 	}
 	if p.Optimized() || p.OptReport() != nil || p.Facts() != facts || p.OrigLen() != len(insns) || p.Len() != len(insns) {
 		t.Fatalf("rejected rewrite leaked into the program:\n%s", p.Disassemble())

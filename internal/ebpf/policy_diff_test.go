@@ -41,7 +41,7 @@ func policyWorld(t *testing.T, name string) (*ebpf.Program, map[string]*ebpf.Map
 }
 
 // policyEnv gives each world its own helper state, so PRNG draws and the
-// clock stay in lockstep without touching the process-wide default PRNG.
+// clock stay in lockstep across the worlds.
 func policyEnv() *ebpf.Env {
 	rng := rand.New(rand.NewPCG(7, 11))
 	now := uint64(0)

@@ -40,9 +40,11 @@ type Program struct {
 	facts *Facts
 	// origInsns is the verified pre-optimization stream, set only when the
 	// optimizer rewrote insns; optRep is the pass report of an optimizer
-	// run that neither bailed out nor was rejected by the re-verifier.
-	origInsns []Instruction
-	optRep    *OptReport
+	// run that neither bailed out nor was rejected by the re-verifier;
+	// optRejected marks the latter.
+	origInsns   []Instruction
+	optRep      *OptReport
+	optRejected bool
 
 	// Accounting for Table 2.
 	runs    atomic.Uint64
@@ -53,9 +55,9 @@ type Program struct {
 	// syrupd's quarantine watchdog reads for dispatcher slots.
 	faults atomic.Uint64
 
-	// Dispatch accounting: how invocations reached this program.
-	compiledRuns atomic.Uint64
-	interpRuns   atomic.Uint64
+	// prng is the state of the fallback get_prandom_u32 stream
+	// (fallbackPrandom); zero until the first draw.
+	prng atomic.Uint32
 
 	// prof holds the opt-in per-instruction profile (profile.go); nil —
 	// the common case — means no profiling overhead beyond one nil check
@@ -155,23 +157,18 @@ func (p *Program) optimize(budget int) {
 		// Nothing rewritten: the stream (and its fact table) stand as
 		// verified.
 		p.optRep = rep
-		ctrOptPrograms.Inc()
 		return
 	}
 	cand := &Program{name: p.name, insns: optimized, maps: p.maps}
 	cfacts, err := verify(cand, budget)
 	if err != nil {
-		ctrOptReverifyRejects.Inc()
+		p.optRejected = true
 		return
 	}
 	p.origInsns = p.insns
 	p.insns = optimized
 	p.facts = cfacts
 	p.optRep = rep
-	ctrOptPrograms.Inc()
-	if d := rep.Removed(); d > 0 {
-		ctrOptInsnsRemoved.Add(uint64(d))
-	}
 }
 
 // MustLoad is Load that panics on error, for static trusted programs.
@@ -207,22 +204,6 @@ func (p *Program) Stats() Stats {
 	return Stats{Runs: p.runs.Load(), InsnsExecuted: p.instret.Load(), Faults: p.faults.Load()}
 }
 
-// DispatchStats reports how invocations of this program were dispatched.
-type DispatchStats struct {
-	// CompiledRuns counts top-level entries through the threaded-code
-	// path. Tail-call hops between compiled programs stay off the hot
-	// path and are visible via Stats().Runs instead.
-	CompiledRuns uint64
-	// InterpRuns counts entries through the reference interpreter
-	// (RunInterp, the differential oracle).
-	InterpRuns uint64
-}
-
-// Dispatch returns this program's dispatch accounting.
-func (p *Program) Dispatch() DispatchStats {
-	return DispatchStats{CompiledRuns: p.compiledRuns.Load(), InterpRuns: p.interpRuns.Load()}
-}
-
 // MeanInsnsPerRun reports average executed instructions per invocation.
 func (p *Program) MeanInsnsPerRun() float64 {
 	r := p.runs.Load()
@@ -242,6 +223,13 @@ func (p *Program) Optimized() bool { return p.origInsns != nil }
 // OptReport returns the optimizer's pass report, or nil when a pass bailed
 // out or the re-verifier rejected the rewritten stream.
 func (p *Program) OptReport() *OptReport { return p.optRep }
+
+// OptRejected reports whether the re-verifier rejected the optimizer's
+// rewrite, leaving the program on its verified original. With Optimized
+// and OptReport it completes the load outcome: rewritten (Optimized),
+// left unchanged (a report, not Optimized), rejected, or — no report and
+// not rejected — a pass bailed out (or the load skipped verification).
+func (p *Program) OptRejected() bool { return p.optRejected }
 
 // verified returns the stream the verifier first admitted: the
 // pre-optimization one when the optimizer rewrote the program, else insns.

@@ -52,9 +52,7 @@ func DefaultChaosPlan() *faults.Plan {
 type ChaosRun struct {
 	Plan         *faults.Plan
 	Clean, Chaos *workload.Result
-	// CleanHost/ChaosHost expose per-layer stats for the report (kept
-	// per-host, not process-global: experiment sweeps share the metrics
-	// registry across hosts).
+	// CleanHost/ChaosHost expose per-layer stats for the report.
 	CleanHost, ChaosHost *syrup.Host
 }
 
@@ -108,12 +106,7 @@ func RunChaos(cfg ChaosConfig) *ChaosRun {
 
 // Quarantines reports how many quarantine events the chaotic run's
 // watchdog fired.
-func (cr *ChaosRun) Quarantines() uint64 {
-	if w := cr.ChaosHost.Daemon.Watchdog(); w != nil {
-		return w.Quarantines
-	}
-	return 0
-}
+func (cr *ChaosRun) Quarantines() uint64 { return cr.ChaosHost.Daemon.Quarantines() }
 
 // Format renders the degradation table: client-observed goodput and
 // latency side by side, the per-layer drop and fault counters that

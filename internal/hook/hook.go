@@ -6,9 +6,10 @@
 // reuseport group's socket-select, the storage device's submit path, the
 // ghOSt agent's thread hook). It owns the installed program, a reusable
 // scratch Ctx so the per-packet path stays allocation-free, the layer's
-// default Env, and per-point run/fault/verdict counters that feed the
-// process-wide metrics registry (ebpf_hook_runs_<point>,
-// ebpf_hook_faults_<point>, and the aggregate ebpf_hook_faults).
+// default Env, and per-point run/fault/verdict counters. The counters are
+// plain fields read through Stats; the host that owns the point publishes
+// them (syrupd.Daemon.Counters) as ebpf_hook_runs_<point> and
+// ebpf_hook_faults_<point>.
 //
 // Attach returns a Link — an owned, detachable, atomically-replaceable
 // attachment object modeled on the kernel's bpf_link. Link.Replace swaps
@@ -20,8 +21,8 @@
 // out of every layer at once.
 //
 // Like the rest of the simulated host, a Point is driven from the
-// single-threaded event loop and is not safe for concurrent use; the
-// metrics it feeds are atomic and may be read from any goroutine.
+// single-threaded event loop and is not safe for concurrent use, reads of
+// its Stats included (syrupd's server reads them under its big lock).
 package hook
 
 import (
@@ -30,7 +31,6 @@ import (
 	"strings"
 
 	"syrup/internal/ebpf"
-	"syrup/internal/metrics"
 	"syrup/internal/sim"
 	"syrup/internal/trace"
 )
@@ -98,9 +98,14 @@ type Stats struct {
 	Steers uint64 // executor-index verdicts
 }
 
-// aggregate faults across every hook point, the single "are verifier
-// escapes happening anywhere" gauge.
-var faultsTotal = metrics.NewCounter("ebpf_hook_faults")
+// add folds a run's (or a burst's) accounting into s.
+func (s *Stats) add(d Stats) {
+	s.Runs += d.Runs
+	s.Faults += d.Faults
+	s.Passes += d.Passes
+	s.Drops += d.Drops
+	s.Steers += d.Steers
+}
 
 // errInjected marks a fault-injected run on the shared error path.
 var errInjected = errors.New("hook: injected fault")
@@ -123,9 +128,9 @@ type Point struct {
 	ctx ebpf.Ctx
 
 	stats Stats
-
-	runsCtr   *metrics.Counter
-	faultsCtr *metrics.Counter
+	// runsKey and faultsKey are the names stats.Runs and stats.Faults are
+	// published under (StatsKeys).
+	runsKey, faultsKey string
 
 	// tracer, when set and enabled, receives one instant span per Run
 	// with the verdict that came out of the installed policy; now
@@ -154,8 +159,8 @@ func NewPoint(kind Kind, name string, env *ebpf.Env) *Point {
 		kind:      kind,
 		name:      name,
 		env:       env,
-		runsCtr:   metrics.NewCounter("ebpf_hook_runs_" + metric),
-		faultsCtr: metrics.NewCounter("ebpf_hook_faults_" + metric),
+		runsKey:   "ebpf_hook_runs_" + metric,
+		faultsKey: "ebpf_hook_faults_" + metric,
 	}
 }
 
@@ -181,8 +186,8 @@ func (p *Point) SetTracer(r *trace.Recorder, now func() sim.Time) {
 
 // SetFaultInjector arms (or, with nil, disarms) fault injection at this
 // point. fire is consulted once per Run with a program installed; when
-// it returns true the run is accounted as a fault — point, link, and
-// metrics counters all bump, a fault span is recorded — and the verdict
+// it returns true the run is accounted as a fault — point and link
+// counters both bump, a fault span is recorded — and the verdict
 // falls open to Pass without executing the program, exactly the
 // treatment a runtime program error gets.
 func (p *Point) SetFaultInjector(fire func() bool) {
@@ -211,6 +216,11 @@ func (p *Point) Link() *Link { return p.link }
 // Stats returns cumulative accounting across all attachments ever
 // installed at this point.
 func (p *Point) Stats() Stats { return p.stats }
+
+// StatsKeys returns the stats-key names this point's Runs and Faults are
+// published under: ebpf_hook_runs_<point> and ebpf_hook_faults_<point>,
+// with the instance name reduced to the metric alphabet.
+func (p *Point) StatsKeys() (runs, faults string) { return p.runsKey, p.faultsKey }
 
 // Attach installs prog and returns its Link. Attaching to an occupied
 // point fails — the owner must Replace (live upgrade) or Detach first, so
@@ -248,11 +258,7 @@ func (p *Point) UserPayload() any { return p.payload }
 
 // UserRun accounts one invocation of a userspace attachment.
 func (p *Point) UserRun() {
-	p.stats.Runs++
-	p.runsCtr.Inc()
-	if p.link != nil {
-		p.link.stats.Runs++
-	}
+	p.account(p.link, Stats{Runs: 1})
 }
 
 // Set is the legacy imperative surface (SetProgram/SetXDP/SetPolicy):
@@ -283,89 +289,32 @@ func (p *Point) Set(prog *ebpf.Program) {
 
 // Run executes the installed program against one input and classifies the
 // result. An empty slot is a Pass (the layer default); a runtime fault is
-// a Pass with Faulted set and both fault counters bumped.
+// a Pass with Faulted set and the point's and link's fault counts bumped.
 func (p *Point) Run(in Input) Verdict {
-	if p.prog == nil {
+	prog := p.prog
+	if prog == nil {
 		if p.payload != nil {
 			panic(fmt.Sprintf("hook: %s: Run on a userspace attachment", p.name))
 		}
 		return Verdict{Action: Pass}
 	}
-	var (
-		raw uint32
-		err error
-	)
-	if p.inject != nil && p.inject() {
-		// Injected hook fault: the program never runs; the accounting
-		// below treats it exactly like a runtime error (fall open).
-		err = errInjected
-	} else {
-		env := in.Env
-		if env == nil {
-			env = p.env
-		}
-		p.ctx = ebpf.Ctx{Packet: in.Packet, Hash: in.Hash, Port: in.Port, Queue: in.Queue}
-		raw, _, err = p.prog.Run(&p.ctx, env)
-	}
-
-	p.stats.Runs++
-	p.runsCtr.Inc()
-	link := p.link
-	if link != nil {
-		link.stats.Runs++
-	}
-	var v Verdict
-	switch {
-	case err != nil:
-		p.stats.Faults++
-		p.faultsCtr.Inc()
-		faultsTotal.Inc()
-		if link != nil {
-			link.stats.Faults++
-		}
-		v = Verdict{Action: Pass, Faulted: true}
-	case raw == ebpf.VerdictDrop:
-		p.stats.Drops++
-		if link != nil {
-			link.stats.Drops++
-		}
-		v = Verdict{Action: Drop}
-	case raw == ebpf.VerdictPass:
-		p.stats.Passes++
-		if link != nil {
-			link.stats.Passes++
-		}
-		v = Verdict{Action: Pass}
-	default:
-		p.stats.Steers++
-		if link != nil {
-			link.stats.Steers++
-		}
-		v = Verdict{Action: Steer, Index: raw}
-	}
-	if p.tracer.Enabled() {
-		tv, exec := v.Trace()
-		now := p.now()
-		p.tracer.Record(trace.Span{
-			Req: in.Req, Start: now, End: now, Stage: trace.StageHook,
-			Verdict: tv, Executor: exec, CPU: int32(in.Queue),
-			Port: uint16(in.Port), Hook: p.name, Policy: p.prog.Name(),
-			Err: v.Faulted, Instant: true,
-		})
-	}
+	var d Stats
+	br := prog.BeginBatch()
+	v := p.runOne(&br, prog, &in, &d)
+	br.End()
+	p.account(p.link, d)
 	return v
 }
 
 // RunBatch executes the installed program against a burst of inputs and
 // returns one Verdict per input, in order — the vectorized form of Run,
 // the XDP bulk-processing analogue. The burst amortizes what Run pays per
-// packet: the attach check and program snapshot happen once, the JIT run
-// state is pooled once for the whole burst (ebpf.BatchRun), and the atomic
-// metrics counters are bumped once with the burst totals. Everything
-// observable is equivalent to calling Run once per input in the same
-// order: per-input fault-seam draws, per-input trace spans, identical
-// counter totals, and a fresh per-input verdict — a burst whose packets
-// diverge (drop/steer/fault mixed) simply yields per-packet verdicts, so
+// packet: the attach check and program snapshot happen once, the run
+// state is pooled once for the whole burst (ebpf.BatchRun), and the
+// point's and link's counters take the burst totals in one flush.
+// Everything observable is equivalent to calling Run once per input in
+// the same order — both go through runOne — so a burst whose packets
+// diverge (drop/steer/fault mixed) simply yields per-packet verdicts;
 // there is no shared-verdict fast path to fall back from.
 //
 // The attachment is snapshotted at entry: a burst is atomic with respect
@@ -386,74 +335,73 @@ func (p *Point) RunBatch(ins []Input) []Verdict {
 		return out
 	}
 	link := p.link
+	var d Stats
 	br := prog.BeginBatch()
-	var runs, faults, passes, drops, steers uint64
 	for i := range ins {
-		in := &ins[i]
-		var (
-			raw uint32
-			err error
-		)
-		if p.inject != nil && p.inject() {
-			err = errInjected
-		} else {
-			env := in.Env
-			if env == nil {
-				env = p.env
-			}
-			p.ctx = ebpf.Ctx{Packet: in.Packet, Hash: in.Hash, Port: in.Port, Queue: in.Queue}
-			raw, _, err = br.Run(&p.ctx, env)
-		}
-		runs++
-		var v Verdict
-		switch {
-		case err != nil:
-			faults++
-			v = Verdict{Action: Pass, Faulted: true}
-		case raw == ebpf.VerdictDrop:
-			drops++
-			v = Verdict{Action: Drop}
-		case raw == ebpf.VerdictPass:
-			passes++
-			v = Verdict{Action: Pass}
-		default:
-			steers++
-			v = Verdict{Action: Steer, Index: raw}
-		}
-		if p.tracer.Enabled() {
-			tv, exec := v.Trace()
-			now := p.now()
-			p.tracer.Record(trace.Span{
-				Req: in.Req, Start: now, End: now, Stage: trace.StageHook,
-				Verdict: tv, Executor: exec, CPU: int32(in.Queue),
-				Port: uint16(in.Port), Hook: p.name, Policy: prog.Name(),
-				Err: v.Faulted, Instant: true,
-			})
-		}
-		out = append(out, v)
+		out = append(out, p.runOne(&br, prog, &ins[i], &d))
 	}
 	br.End()
-	// Flush the burst's accounting in one shot; totals are exactly what n
-	// individual Runs would have left behind.
-	p.stats.Runs += runs
-	p.stats.Faults += faults
-	p.stats.Passes += passes
-	p.stats.Drops += drops
-	p.stats.Steers += steers
-	p.runsCtr.Add(runs)
-	if faults > 0 {
-		p.faultsCtr.Add(faults)
-		faultsTotal.Add(faults)
-	}
-	if link != nil {
-		link.stats.Runs += runs
-		link.stats.Faults += faults
-		link.stats.Passes += passes
-		link.stats.Drops += drops
-		link.stats.Steers += steers
-	}
+	p.account(link, d)
 	p.batch = out
 	return out
+}
+
+// runOne is one policy invocation, shared by Run and RunBatch so the two
+// cannot drift: consult the fault seam, run prog on the burst's pooled
+// state, classify the result (a runtime error fails open as a counted
+// fault), charge it to d, and emit the verdict's trace span.
+func (p *Point) runOne(br *ebpf.BatchRun, prog *ebpf.Program, in *Input, d *Stats) Verdict {
+	var (
+		raw uint32
+		err error
+	)
+	if p.inject != nil && p.inject() {
+		// Injected hook fault: the program never runs; the classification
+		// below treats it exactly like a runtime error.
+		err = errInjected
+	} else {
+		env := in.Env
+		if env == nil {
+			env = p.env
+		}
+		p.ctx = ebpf.Ctx{Packet: in.Packet, Hash: in.Hash, Port: in.Port, Queue: in.Queue}
+		raw, _, err = br.Run(&p.ctx, env)
+	}
+	d.Runs++
+	var v Verdict
+	switch {
+	case err != nil:
+		d.Faults++
+		v = Verdict{Action: Pass, Faulted: true}
+	case raw == ebpf.VerdictDrop:
+		d.Drops++
+		v = Verdict{Action: Drop}
+	case raw == ebpf.VerdictPass:
+		d.Passes++
+		v = Verdict{Action: Pass}
+	default:
+		d.Steers++
+		v = Verdict{Action: Steer, Index: raw}
+	}
+	if p.tracer.Enabled() {
+		tv, exec := v.Trace()
+		now := p.now()
+		p.tracer.Record(trace.Span{
+			Req: in.Req, Start: now, End: now, Stage: trace.StageHook,
+			Verdict: tv, Executor: exec, CPU: int32(in.Queue),
+			Port: uint16(in.Port), Hook: p.name, Policy: prog.Name(),
+			Err: v.Faulted, Instant: true,
+		})
+	}
+	return v
+}
+
+// account charges d to the point and to the attachment that ran.
+func (p *Point) account(link *Link, d Stats) {
+	p.stats.add(d)
+	if link != nil {
+		link.stats.add(d)
+	}
 }
 
 // Link is an owned attachment of one program (or userspace policy) to one

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"syrup/internal/ebpf"
-	"syrup/internal/metrics"
 	"syrup/internal/sim"
 	"syrup/internal/trace"
 )
@@ -118,8 +117,13 @@ func TestReplaceSwapsLive(t *testing.T) {
 }
 
 func TestFaultCountsAndFailsOpen(t *testing.T) {
-	pt := NewPoint(XDPOffload, "t_fault", nil)
-	before := metrics.Counters()["ebpf_hook_faults"]
+	// A second point faulting in the same process must not show up in
+	// this one's accounting.
+	noise := NewPoint(XDPOffload, "t:fault", nil)
+	noise.Set(faultyProg(t))
+	noise.Run(Input{Packet: []byte{1}})
+
+	pt := NewPoint(XDPOffload, "t:fault", nil)
 	l, err := pt.Attach(faultyProg(t))
 	if err != nil {
 		t.Fatal(err)
@@ -134,12 +138,8 @@ func TestFaultCountsAndFailsOpen(t *testing.T) {
 	if st := l.Stats(); st.Faults != 1 {
 		t.Fatalf("link stats = %+v", st)
 	}
-	after := metrics.Counters()
-	if after["ebpf_hook_faults"] != before+1 {
-		t.Fatalf("aggregate fault metric %d -> %d", before, after["ebpf_hook_faults"])
-	}
-	if after["ebpf_hook_faults_t_fault"] != 1 {
-		t.Fatalf("per-point fault metric = %d", after["ebpf_hook_faults_t_fault"])
+	if runs, faults := pt.StatsKeys(); runs != "ebpf_hook_runs_t_fault" || faults != "ebpf_hook_faults_t_fault" {
+		t.Fatalf("stats keys = %q, %q", runs, faults)
 	}
 }
 

@@ -88,3 +88,27 @@ func (r *RunStats) Merge(other *RunStats) {
 		r.WindowNanos = other.WindowNanos
 	}
 }
+
+// CounterValue is one named counter reading. Counters live as plain
+// fields on whatever owns them (a hook point, a link, a daemon); a host
+// publishes them by enumerating its owners into a name-sorted slice of
+// these (syrupd.Daemon.Counters), so every reading is per host.
+type CounterValue struct {
+	Name  string `json:"name"`
+	Value uint64 `json:"value"`
+}
+
+// DeltaSince rewrites cur in place to each counter's increase over
+// base[name] and advances base to the new readings; a name base has not
+// seen counts from zero. base is one consumer's private baseline (a
+// sampler, a stats client), so consumers never steal each other's
+// increments. Not safe for concurrent use.
+func DeltaSince(base map[string]uint64, cur []CounterValue) []CounterValue {
+	for i := range cur {
+		c := &cur[i]
+		now := c.Value
+		c.Value = now - base[c.Name]
+		base[c.Name] = now
+	}
+	return cur
+}

@@ -2,52 +2,54 @@ package metrics
 
 import "testing"
 
-// TestCursorTwoConsumers is the regression test for a destructive
-// process-global delta baseline: two consumers polling deltas
-// concurrently-in-time (interleaved calls) must each observe the full
-// increase between their own polls, not partition it.
+// TestCursorTwoConsumers is the regression test for a shared delta
+// baseline: two consumers taking deltas of the same counter at
+// interleaved times must each observe the full increase between their own
+// reads, not partition it — each passes DeltaSince its own baseline.
 func TestCursorTwoConsumers(t *testing.T) {
-	c := NewCounter("cursor_test_interleaved")
-	sampler := NewCursor()
-	stats := NewCursor()
-	// Drain anything earlier tests left in the shared registry.
-	sampler.Delta()
-	stats.Delta()
+	var c uint64
+	read := func() []CounterValue { return []CounterValue{{Name: "c", Value: c}} }
+	sampler, stats := map[string]uint64{}, map[string]uint64{}
 
-	c.Add(7)
-	if got := sampler.Delta()["cursor_test_interleaved"]; got != 7 {
+	c += 7
+	if got := DeltaSince(sampler, read())[0].Value; got != 7 {
 		t.Fatalf("sampler first delta = %d, want 7", got)
 	}
 	// A shared baseline would return 0 here: the sampler's call just
 	// advanced it.
-	if got := stats.Delta()["cursor_test_interleaved"]; got != 7 {
+	if got := DeltaSince(stats, read())[0].Value; got != 7 {
 		t.Fatalf("stats consumer saw %d, want the full 7 (baseline stolen?)", got)
 	}
 
-	c.Add(3)
-	if got := stats.Delta()["cursor_test_interleaved"]; got != 3 {
+	c += 3
+	if got := DeltaSince(stats, read())[0].Value; got != 3 {
 		t.Fatalf("stats second delta = %d, want 3", got)
 	}
-	c.Add(2)
-	// Sampler missed the +3 poll round; it must see the cumulative +5.
-	if got := sampler.Delta()["cursor_test_interleaved"]; got != 5 {
+	c += 2
+	// Sampler missed the +3 round; it must see the cumulative +5.
+	if got := DeltaSince(sampler, read())[0].Value; got != 5 {
 		t.Fatalf("sampler second delta = %d, want 5", got)
-	}
-	if got := c.Load(); got != 12 {
-		t.Fatalf("cursor reads must not mutate the counter: Load = %d, want 12", got)
 	}
 }
 
+// TestCursorDeltaOf: a reading advances the baseline of the counters it
+// names and no other; a counter the baseline has not seen counts from
+// zero; an unchanged counter reads 0.
 func TestCursorDeltaOf(t *testing.T) {
-	c := NewCounter("cursor_test_single")
-	cu := NewCursor()
-	cu.DeltaOf(c)
-	c.Add(4)
-	if got := cu.DeltaOf(c); got != 4 {
-		t.Fatalf("DeltaOf = %d, want 4", got)
+	base := map[string]uint64{}
+	got := DeltaSince(base, []CounterValue{{"a", 4}, {"b", 10}})
+	if got[0] != (CounterValue{"a", 4}) || got[1] != (CounterValue{"b", 10}) {
+		t.Fatalf("first reading = %v, want the full values", got)
 	}
-	if got := cu.DeltaOf(c); got != 0 {
-		t.Fatalf("repeated DeltaOf = %d, want 0", got)
+	if d := DeltaSince(base, []CounterValue{{"a", 9}})[0].Value; d != 5 {
+		t.Fatalf("a delta = %d, want 5", d)
+	}
+	if d := DeltaSince(base, []CounterValue{{"a", 9}})[0].Value; d != 0 {
+		t.Fatalf("repeated a delta = %d, want 0", d)
+	}
+	// b's baseline did not move while only a was read.
+	if d := DeltaSince(base, []CounterValue{{"b", 11}})[0].Value; d != 1 {
+		t.Fatalf("b delta = %d, want 1", d)
 	}
 }
 

@@ -2,6 +2,7 @@ package netstack
 
 import (
 	"fmt"
+	"slices"
 
 	"syrup/internal/ebpf"
 	"syrup/internal/faults"
@@ -342,6 +343,29 @@ func (s *Stack) TCPGroup(port uint16, app uint32) *TCPGroup {
 
 // LookupTCPGroup returns the TCP group for port, or nil.
 func (s *Stack) LookupTCPGroup(port uint16) *TCPGroup { return s.tcpGroups[port] }
+
+// HookPoints appends every hook point the stack owns to dst in a fixed
+// order: XDP, CPU Redirect, then each UDP and then each TCP reuseport
+// group's Socket Select by ascending port.
+func (s *Stack) HookPoints(dst []*hook.Point) []*hook.Point {
+	dst = append(dst, s.xdp, s.cpuRedirect)
+	for _, port := range sortedPorts(s.groups) {
+		dst = append(dst, s.groups[port].point)
+	}
+	for _, port := range sortedPorts(s.tcpGroups) {
+		dst = append(dst, s.tcpGroups[port].point)
+	}
+	return dst
+}
+
+func sortedPorts[G any](groups map[uint16]G) []uint16 {
+	ports := make([]uint16, 0, len(groups))
+	for port := range groups {
+		ports = append(ports, port)
+	}
+	slices.Sort(ports)
+	return ports
+}
 
 // NewUDPSocket creates a socket bound to port and adds it to the port's
 // reuseport group, returning the socket and its executor index.

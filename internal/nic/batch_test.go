@@ -169,10 +169,16 @@ func TestPacketPoolRecycle(t *testing.T) {
 	r.Free()
 }
 
+// raceDetector is set by race_test.go in -race builds.
+var raceDetector bool
+
 // TestZeroAllocBurstDrain gates the NIC's burst hot path: with pooled
 // packets and the ring warm, receiving and draining a burst allocates
 // nothing.
 func TestZeroAllocBurstDrain(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops items under the race detector; the packet pool cannot stay warm")
+	}
 	eng := sim.New(1)
 	var dev *NIC
 	dev = New(eng, Config{Queues: 1, RingSize: 256, Budget: 8}, nil)

@@ -2,27 +2,33 @@ package obs
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"syrup/internal/metrics"
 	"syrup/internal/sim"
 )
 
-// PromText renders the current telemetry as Prometheus text exposition
-// (version 0.0.4): every registered counter as a counter metric, every
-// registered histogram's summary as gauges, and the latest point of every
+// PromText renders one host's telemetry as Prometheus text exposition
+// (version 0.0.4): every counter in counters (in the order given — a
+// host's Counters() is name-sorted) as a counter metric, every histogram
+// in hists by ascending name as a summary, and the latest point of every
 // series in st (which may be nil). Timestamps are the sim clock in
 // milliseconds — scrapers normalize deltas into true rates with them.
 // Metric names are prefixed syrup_ and already snake_case (lint-metrics).
-func PromText(st *Store, now sim.Time) string {
+func PromText(counters []metrics.CounterValue, hists map[string]*metrics.Histogram, st *Store, now sim.Time) string {
 	var b strings.Builder
 	ms := int64(now) / 1e6
-	for _, cv := range metrics.CountersSorted() {
+	for _, cv := range counters {
 		fmt.Fprintf(&b, "# TYPE syrup_%s counter\n", cv.Name)
 		fmt.Fprintf(&b, "syrup_%s %d %d\n", cv.Name, cv.Value, ms)
 	}
-	hists := metrics.Histograms()
-	for _, name := range metrics.HistogramNames() {
+	names := make([]string, 0, len(hists))
+	for name := range hists {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
 		sum := hists[name].Summarize()
 		fmt.Fprintf(&b, "# TYPE syrup_%s summary\n", name)
 		fmt.Fprintf(&b, "syrup_%s_count %d %d\n", name, sum.Count, ms)

@@ -6,7 +6,6 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"syrup/internal/metrics"
@@ -44,20 +43,25 @@ func TestStoreSnapshotSorted(t *testing.T) {
 }
 
 // TestSamplerEndToEnd drives a sampler from a real engine: gauge, rate,
-// and histogram series all land on period boundaries.
+// histogram and counter-delta series all land on period boundaries.
 func TestSamplerEndToEnd(t *testing.T) {
 	eng := sim.New(7)
 	sa := NewSampler(Config{Period: 10, Capacity: 64})
 	var depth float64
 	var done float64
+	var runs uint64
 	h := metrics.NewHistogram()
 	sa.Gauge("queue_depth", func() float64 { return depth })
 	sa.Rate("rps", func() float64 { return done })
 	sa.Histogram("latency", h)
+	sa.Counters(func() []metrics.CounterValue { return []metrics.CounterValue{{Name: "runs", Value: runs}} })
 	sa.Attach(eng)
+	if got := sa.Histograms(); len(got) != 1 || got["latency"] != h {
+		t.Fatalf("Histograms() = %v, want the one registered", got)
+	}
 
-	eng.At(5, func() { depth = 3; done = 100; h.Record(2000) })
-	eng.At(15, func() { depth = 1; done = 250 })
+	eng.At(5, func() { depth = 3; done = 100; runs = 4; h.Record(2000) })
+	eng.At(15, func() { depth = 1; done = 250; runs = 9 })
 	eng.RunUntil(30)
 
 	snap := sa.Store().Snapshot()
@@ -79,6 +83,10 @@ func TestSamplerEndToEnd(t *testing.T) {
 	}
 	if got := byName["latency_p99_us"].V[0]; got != 2 { // 2000 ns = 2 µs
 		t.Fatalf("latency_p99_us = %v", got)
+	}
+	// Counter folding: per-tick increments of exactly this source.
+	if got := byName["runs_delta"].V; !reflect.DeepEqual(got, []float64{4, 5, 0}) {
+		t.Fatalf("runs_delta = %v", got)
 	}
 }
 
@@ -379,22 +387,34 @@ func TestSLORatioDenom(t *testing.T) {
 	}
 }
 
+// TestPromText: the exposition is exactly what it is handed — the
+// counters in their given order, the histograms by name, the store's
+// latest points — and nothing ambient.
 func TestPromText(t *testing.T) {
 	st := NewStore(8)
 	st.Series("queue_depth").Append(2*sim.Millisecond, 5)
 	h := metrics.NewHistogram()
 	h.Record(1000)
-	metrics.RegisterHistogram("expo_test_latency", h)
-	defer metrics.RegisterHistogram("expo_test_latency", nil)
-	text := PromText(st, 3*sim.Millisecond)
-	for _, line := range []string{
-		"# TYPE syrup_queue_depth gauge",
-		"syrup_queue_depth 5 2",
-		"syrup_expo_test_latency_count 1 3",
-		`syrup_expo_test_latency{quantile="0.99"}`,
-	} {
-		if !strings.Contains(text, line) {
-			t.Fatalf("exposition missing %q:\n%s", line, text)
-		}
+	text := PromText(
+		[]metrics.CounterValue{{Name: "a_runs", Value: 7}, {Name: "b_faults", Value: 0}},
+		map[string]*metrics.Histogram{"latency": h},
+		st, 3*sim.Millisecond)
+	want := `# TYPE syrup_a_runs counter
+syrup_a_runs 7 3
+# TYPE syrup_b_faults counter
+syrup_b_faults 0 3
+# TYPE syrup_latency summary
+syrup_latency_count 1 3
+syrup_latency{quantile="0.5"} 1 3
+syrup_latency{quantile="0.99"} 1 3
+syrup_latency{quantile="0.999"} 1 3
+# TYPE syrup_queue_depth gauge
+syrup_queue_depth 5 2
+`
+	if text != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", text, want)
+	}
+	if got := PromText(nil, nil, nil, 0); got != "" {
+		t.Fatalf("empty host exposes %q", got)
 	}
 }

@@ -14,14 +14,10 @@ type Config struct {
 	Period sim.Time
 	// Capacity is the per-series ring size in points (default 4096).
 	Capacity int
-	// Counters folds per-tick counter deltas into the store as
-	// <name>_delta series. The sampler owns a private metrics.Cursor, so
-	// enabling this no longer steals increments from other delta
-	// consumers (syrupd's stats op, the adapt controller). The registry
-	// itself is still process-global, so in multi-host runs (cluster
-	// scenarios, figure sweeps) each sampler would record the sum over
-	// all hosts — per-host telemetry uses gauges and histograms instead,
-	// and this stays reserved for single-host processes (cmd/syrupd).
+	// Counters folds the host's per-tick counter deltas into the store as
+	// <name>_delta series: a host built with it set hands its daemon's
+	// Counters to Sampler.Counters. Off by default — every counter is one
+	// more series ring per host.
 	Counters bool
 }
 
@@ -37,6 +33,7 @@ type rateReg struct {
 }
 
 type histReg struct {
+	name                  string
 	h                     *metrics.Histogram
 	count, p50, p99, p999 *Series
 	// The histogram's identity (Count, Resets) and percentiles (ns) as of
@@ -58,13 +55,14 @@ type winReg struct {
 type Sampler struct {
 	store  *Store
 	period sim.Time
-	// cursor is the sampler's private counter-delta baseline (nil when
-	// Config.Counters is off); see metrics.Cursor.
-	cursor *metrics.Cursor
-	gauges []gaugeReg
-	rates  []rateReg
-	hists  []histReg
-	wins   []winReg
+	// counters is the registered counter source (nil when none is) and
+	// baseline its readings as of the previous tick.
+	counters func() []metrics.CounterValue
+	baseline map[string]uint64
+	gauges   []gaugeReg
+	rates    []rateReg
+	hists    []histReg
+	wins     []winReg
 }
 
 // NewSampler builds a sampler and its backing store from cfg.
@@ -73,14 +71,10 @@ func NewSampler(cfg Config) *Sampler {
 	if period <= 0 {
 		period = DefaultPeriod
 	}
-	sa := &Sampler{
+	return &Sampler{
 		store:  NewStore(cfg.Capacity),
 		period: period,
 	}
-	if cfg.Counters {
-		sa.cursor = metrics.NewCursor()
-	}
-	return sa
 }
 
 // Store returns the backing time-series store.
@@ -108,12 +102,35 @@ func (sa *Sampler) Rate(name string, fn func() float64) {
 // op folds in.
 func (sa *Sampler) Histogram(name string, h *metrics.Histogram) {
 	sa.hists = append(sa.hists, histReg{
+		name:  name,
 		h:     h,
 		count: sa.store.Series(name + "_count"),
 		p50:   sa.store.Series(name + "_p50_us"),
 		p99:   sa.store.Series(name + "_p99_us"),
 		p999:  sa.store.Series(name + "_p999_us"),
 	})
+}
+
+// Histograms returns the live histograms registered through Histogram, by
+// name — the set the syrupd stats and metrics ops summarize. A nil sampler
+// has none.
+func (sa *Sampler) Histograms() map[string]*metrics.Histogram {
+	if sa == nil {
+		return nil
+	}
+	out := make(map[string]*metrics.Histogram, len(sa.hists))
+	for _, h := range sa.hists {
+		out[h.name] = h.h
+	}
+	return out
+}
+
+// Counters registers the source of cumulative counter readings (a host's
+// syrupd.Daemon.Counters); every tick records each counter's increase
+// since the previous tick as <name>_delta. The baseline is the sampler's
+// own, so other delta consumers of the same counters are unaffected.
+func (sa *Sampler) Counters(read func() []metrics.CounterValue) {
+	sa.counters, sa.baseline = read, make(map[string]uint64)
 }
 
 // WindowHistogram registers a live histogram sampled as interval
@@ -167,9 +184,9 @@ func (sa *Sampler) Sample(at sim.Time) {
 		w.p50.Append(at, float64(s.P50)/1e3)
 		w.p99.Append(at, float64(s.P99)/1e3)
 	}
-	if sa.cursor != nil {
-		for name, delta := range sa.cursor.Delta() {
-			sa.store.Series(name+"_delta").Append(at, float64(delta))
+	if sa.counters != nil {
+		for _, c := range metrics.DeltaSince(sa.baseline, sa.counters()) {
+			sa.store.Series(c.Name+"_delta").Append(at, float64(c.Value))
 		}
 	}
 }

@@ -71,10 +71,10 @@ func (a daemonActuator) Faults(app uint32, hk string) uint64 {
 // the given rule table. The host must run the telemetry sampler (SetObs)
 // first — the controller's detectors read the sampled series.
 func (d *Daemon) EnableAdapt(cfg adapt.Config) (*adapt.Controller, error) {
-	if d.obs == nil {
+	if d.sampler == nil {
 		return nil, fmt.Errorf("syrupd: adaptive control needs telemetry (SetObs first)")
 	}
-	c, err := adapt.New(d.eng, d.obs, daemonActuator{d: d}, cfg)
+	c, err := adapt.New(d.eng, d.sampler.Store(), daemonActuator{d: d}, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -62,8 +62,9 @@ func TestAdaptServerOps(t *testing.T) {
 		t.Fatal("adapt_enable without telemetry accepted")
 	}
 
-	st := obs.NewStore(256)
-	h.d.SetObs(st)
+	sa := obs.NewSampler(obs.Config{Capacity: 256})
+	h.d.SetObs(sa)
+	st := sa.Store()
 	bad := burnCfg()
 	bad.Rules[0].Detect.Kind = "no_such_kind"
 	if resp := srv.Handle(&Request{Op: "adapt_enable", AdaptConfig: &bad}); resp.OK {

@@ -40,7 +40,7 @@ func (d *Daemon) dispatcher(hk Hook) (*dispatcher, error) {
 		Name: fmt.Sprintf("syrupd-%s-progs", hk), Type: ebpf.MapProgArray,
 		KeySize: 4, ValueSize: 4, MaxEntries: dispatcherSlots,
 	})
-	root, err := buildRootDispatcher(string(hk), portMap, progArray)
+	root, err := d.buildRootDispatcher(string(hk), portMap, progArray)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +82,7 @@ func (d *Daemon) dispatcher(hk Hook) (*dispatcher, error) {
 
 // buildRootDispatcher generates and verifies the root program. It is
 // ordinary verified bytecode — the daemon enjoys no special VM privileges.
-func buildRootDispatcher(name string, portMap, progArray *ebpf.Map) (*ebpf.Program, error) {
+func (d *Daemon) buildRootDispatcher(name string, portMap, progArray *ebpf.Map) (*ebpf.Program, error) {
 	table := ebpf.NewMapTable()
 	portFD := table.Register(portMap)
 	progFD := table.Register(progArray)
@@ -109,7 +109,7 @@ func buildRootDispatcher(name string, portMap, progArray *ebpf.Map) (*ebpf.Progr
 		ebpf.MovImm(ebpf.R0, -1), // PASS
 		ebpf.Exit(),
 	)
-	return ebpf.Load("syrupd-dispatch-"+name, insns, ebpf.LoadOptions{MapTable: table})
+	return d.load("syrupd-dispatch-"+name, insns, ebpf.LoadOptions{MapTable: table})
 }
 
 // install binds an app's program into the dispatcher for all its ports.

@@ -2,7 +2,6 @@ package syrupd
 
 import (
 	"fmt"
-	"sort"
 
 	"syrup/internal/ebpf"
 	"syrup/internal/hook"
@@ -141,14 +140,8 @@ type LinkInfo struct {
 // Links enumerates every live deployment across all apps, ordered by app
 // id then deployment order (deterministic for tests and tooling).
 func (d *Daemon) Links() []LinkInfo {
-	ids := make([]uint32, 0, len(d.apps))
-	for id := range d.apps {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	var out []LinkInfo
-	for _, id := range ids {
-		app := d.apps[id]
+	for _, app := range d.appsByID() {
 		for _, al := range app.links {
 			out = append(out, LinkInfo{
 				App: al.App, Hook: string(al.Hook), Target: al.Target,

@@ -12,16 +12,10 @@ package syrupd
 
 import (
 	"fmt"
-	"sort"
 
-	"syrup/internal/metrics"
 	"syrup/internal/sim"
 	"syrup/internal/trace"
 )
-
-// quarantinesTotal counts quarantine events process-wide (the stats op
-// surfaces it as "syrupd_quarantines").
-var quarantinesTotal = metrics.NewCounter("syrupd_quarantines")
 
 // QuarantineConfig tunes the watchdog.
 type QuarantineConfig struct {
@@ -48,9 +42,6 @@ type watchdog struct {
 	ticker *sim.Ticker
 	// last holds each deployment's fault counter at the previous scan.
 	last map[*AppLink]uint64
-	// Quarantines counts events on this daemon (the process-wide counter
-	// aggregates across hosts in experiment sweeps).
-	Quarantines uint64
 }
 
 // EnableQuarantine arms (or re-arms with a new config) the fault
@@ -72,13 +63,7 @@ func (d *Daemon) Watchdog() *watchdog { return d.watchdog }
 // scan walks every deployment in deterministic order and quarantines any
 // whose fault counter grew by at least Threshold since the last scan.
 func (w *watchdog) scan() {
-	ids := make([]uint32, 0, len(w.d.apps))
-	for id := range w.d.apps {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		app := w.d.apps[id]
+	for _, app := range w.d.appsByID() {
 		for _, al := range app.links {
 			f := al.Faults()
 			last := w.last[al]
@@ -92,17 +77,10 @@ func (w *watchdog) scan() {
 				continue
 			}
 			if f-last >= w.cfg.Threshold {
-				w.quarantine(app, al, f-last)
+				w.d.quarantineHook(app, al.Hook, al.Target, al.Label(), f-last)
 			}
 		}
 	}
-}
-
-// quarantine detaches every one of the app's deployments at the
-// offending hook and bars redeploys there.
-func (w *watchdog) quarantine(app *App, al *AppLink, faultsInWindow uint64) {
-	w.d.quarantineHook(app, al.Hook, al.Target, al.Label(), faultsInWindow)
-	w.Quarantines++
 }
 
 // quarantineHook is the shared quarantine path: detach every deployment at
@@ -116,7 +94,7 @@ func (d *Daemon) quarantineHook(app *App, hk Hook, target, label string, faultsI
 		}
 	}
 	app.quarantined[hk] = true
-	quarantinesTotal.Inc()
+	d.quarantines++
 	if d.tracer.Enabled() {
 		// Error-tagged instant span: the operator's trace shows exactly
 		// when and where the policy was pulled (Executor carries the
@@ -154,6 +132,11 @@ func (d *Daemon) Quarantine(appID uint32, hk Hook) error {
 	d.quarantineHook(app, hk, target, label, 0)
 	return nil
 }
+
+// Quarantines reports how many quarantine events — watchdog trips and
+// forced escalations alike — this daemon has carried out (the stats op's
+// syrupd_quarantines).
+func (d *Daemon) Quarantines() uint64 { return d.quarantines }
 
 // Quarantined reports whether the app is quarantined at hk.
 func (d *Daemon) Quarantined(appID uint32, hk Hook) bool {

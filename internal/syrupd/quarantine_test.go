@@ -44,7 +44,7 @@ func TestQuarantineDetachesFaultingPolicy(t *testing.T) {
 	if h.stack.LookupGroup(9000).Hook().Attached() {
 		t.Fatal("hook still attached after quarantine")
 	}
-	if q := h.d.Watchdog().Quarantines; q != 1 {
+	if q := h.d.Quarantines(); q != 1 {
 		t.Fatalf("quarantine events = %d, want 1", q)
 	}
 	// Degraded, not dead: every packet was delivered — faulted runs fall
@@ -227,7 +227,7 @@ func TestServerQuarantineOpsUnderLoad(t *testing.T) {
 
 	// The first window sees ≥5 injected faults, so at least one
 	// quarantine must have fired regardless of op interleaving.
-	if h.d.Watchdog().Quarantines == 0 {
+	if h.d.Quarantines() == 0 {
 		t.Fatal("no quarantine under load")
 	}
 	if h.stack.Stats.Processed == 0 {

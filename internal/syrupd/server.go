@@ -112,16 +112,16 @@ type Server struct {
 	// op (virtual time, throughput, latency percentiles, ...).
 	StatsFunc func() map[string]float64
 
-	// cursor is this server's private counter baseline for the stats op's
-	// Delta mode. Each server owns one, so a fleet scraper taking deltas
-	// from several hosts never clobbers another consumer's baseline.
-	cursor *metrics.Cursor
+	// baseline holds the counter readings of the previous stats op in
+	// Delta mode (nil until the first one). Each server owns its own, so
+	// a second consumer of the same host never steals these deltas.
+	baseline map[string]uint64
 
 	ln net.Listener
 }
 
 // NewServer wraps a daemon.
-func NewServer(d *Daemon) *Server { return &Server{d: d, cursor: metrics.NewCursor()} }
+func NewServer(d *Daemon) *Server { return &Server{d: d} }
 
 // Lock acquires the server's big lock; the embedding simulation loop must
 // hold it while running engine events so protocol handling never races the
@@ -259,24 +259,24 @@ func (s *Server) Handle(req *Request) Response {
 		if s.StatsFunc != nil {
 			resp.Stats = s.StatsFunc()
 		}
-		// Fold in the process-wide counter registry (eBPF dispatch
-		// counters and friends) without clobbering host-supplied keys.
-		// Delta mode reports each counter's increment since this server's
-		// previous delta snapshot instead of its cumulative total; the
-		// baseline is per-server, so concurrent consumers (a sampler, a
-		// fleet scraper, the controller) never steal each other's deltas.
-		counters := metrics.Counters()
+		// Fold in this host's counters without clobbering host-supplied
+		// keys. Delta mode reports each counter's increment since this
+		// server's previous delta snapshot instead of its cumulative
+		// total. The counters are plain fields of their owners; the big
+		// lock held here is what makes reading them safe.
+		counters := s.d.Counters()
 		if req.Delta {
-			counters = s.cursor.Delta()
-		}
-		for name, v := range counters {
-			if _, taken := resp.Stats[name]; !taken {
-				resp.Stats[name] = float64(v)
+			if s.baseline == nil {
+				s.baseline = make(map[string]uint64, len(counters))
 			}
+			counters = metrics.DeltaSince(s.baseline, counters)
 		}
-		// Fold in registered histograms as <name>_{count,p50_us,p99_us,
+		for _, c := range counters {
+			putStat(resp.Stats, c.Name, float64(c.Value))
+		}
+		// Fold in the host's histograms as <name>_{count,p50_us,p99_us,
 		// p999_us} (see DESIGN.md, "Stats key namespace").
-		for name, h := range metrics.Histograms() {
+		for name, h := range s.d.sampler.Histograms() {
 			sum := h.Summarize()
 			putStat(resp.Stats, name+"_count", float64(sum.Count))
 			putStat(resp.Stats, name+"_p50_us", float64(sum.P50)/1e3)
@@ -285,10 +285,11 @@ func (s *Server) Handle(req *Request) Response {
 		}
 		return resp
 	case "metrics":
-		// Prometheus text exposition: counters, registered histograms,
+		// Prometheus text exposition: the host's counters and histograms,
 		// and the latest point of every telemetry series (when the host
 		// runs a sampler).
-		return Response{OK: true, Text: obs.PromText(s.d.Obs(), s.d.Now()), NowNS: int64(s.d.Now())}
+		text := obs.PromText(s.d.Counters(), s.d.sampler.Histograms(), s.d.Obs(), s.d.Now())
+		return Response{OK: true, Text: text, NowNS: int64(s.d.Now())}
 	case "timeseries":
 		st := s.d.Obs()
 		if st == nil {
@@ -369,8 +370,8 @@ func (s *Server) Handle(req *Request) Response {
 
 func errResp(err error) Response { return Response{Error: err.Error()} }
 
-// putStat sets a derived stats key unless the host's StatsFunc already
-// claimed it.
+// putStat sets a stats key unless the host's StatsFunc already claimed
+// it.
 func putStat(m map[string]float64, key string, v float64) {
 	if _, taken := m[key]; !taken {
 		m[key] = v

@@ -2,10 +2,16 @@ package syrupd
 
 import (
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"syrup/internal/ghost"
+	"syrup/internal/kernel"
 	"syrup/internal/metrics"
+	"syrup/internal/obs"
+	"syrup/internal/policy"
+	"syrup/internal/storage"
 	"syrup/internal/trace"
 )
 
@@ -122,10 +128,22 @@ func TestServerLinksAndRevokeOps(t *testing.T) {
 		t.Fatalf("filtered links: %+v", resp)
 	}
 
-	// Per-hook run counters surface in the stats op via the metrics fold.
+	// The stats op reports this host's own hook counters: exactly the
+	// three socket-select runs, the three root-dispatcher passes at XDP,
+	// and nothing for the idle points.
 	stats := srv.Handle(&Request{Op: "stats"}).Stats
-	if stats["ebpf_hook_runs_socket_select_9000"] < 3 {
-		t.Fatalf("per-hook run counter missing from stats: %v", stats)
+	for key, want := range map[string]float64{
+		"ebpf_hook_runs_socket_select_9000": 3,
+		"ebpf_hook_runs_socket_select_9001": 0,
+		"ebpf_hook_runs_xdp":                3,
+		"ebpf_hook_runs_cpu_redirect":       0,
+		"ebpf_hook_runs_xdp_offload":        0,
+		"ebpf_hook_faults":                  0,
+		"ebpf_opt_programs":                 3, // two policies + the XDP root
+	} {
+		if got, ok := stats[key]; !ok || got != want {
+			t.Fatalf("stats[%s] = %v (present %v), want %v", key, got, ok, want)
+		}
 	}
 
 	if resp := srv.Handle(&Request{Op: "revoke_app", App: 1}); !resp.OK {
@@ -219,12 +237,17 @@ func TestServerStatsHistogramsAndDelta(t *testing.T) {
 	h := newHost(t, 1, 0)
 	srv := NewServer(h.d)
 
+	// Without a sampler the host has no histograms to fold in.
+	if stats := srv.Handle(&Request{Op: "stats"}).Stats; len(stats) != len(h.d.Counters()) {
+		t.Fatalf("sampler-less stats carry more than the counters: %v", stats)
+	}
 	hist := metrics.NewHistogram()
 	for i := 0; i < 100; i++ {
 		hist.Record(50_000) // 50 µs
 	}
-	metrics.RegisterHistogram("srvtest_lat", hist)
-	t.Cleanup(func() { metrics.RegisterHistogram("srvtest_lat", nil) })
+	sa := obs.NewSampler(obs.Config{})
+	sa.Histogram("srvtest_lat", hist)
+	h.d.SetObs(sa)
 
 	stats := srv.Handle(&Request{Op: "stats"}).Stats
 	if stats["srvtest_lat_count"] != 100 {
@@ -245,22 +268,163 @@ func TestServerStatsHistogramsAndDelta(t *testing.T) {
 	}
 	srv.StatsFunc = nil
 
-	// Delta mode: increments since the previous delta snapshot.
-	c := metrics.NewCounter("srvtest_delta_ctr")
-	srv.Handle(&Request{Op: "stats", Delta: true}) // baseline snapshot
-	c.Add(7)
-	stats = srv.Handle(&Request{Op: "stats", Delta: true}).Stats
-	if stats["srvtest_delta_ctr"] != 7 {
-		t.Fatalf("delta = %v, want 7", stats["srvtest_delta_ctr"])
+	// The metrics op exports the same histogram and counters.
+	text := srv.Handle(&Request{Op: "metrics"}).Text
+	for _, line := range []string{"syrup_srvtest_lat_count 100 0", "syrup_ebpf_hook_runs_xdp 0 0"} {
+		if !strings.Contains(text, line) {
+			t.Fatalf("exposition missing %q:\n%s", line, text)
+		}
 	}
-	stats = srv.Handle(&Request{Op: "stats", Delta: true}).Stats
-	if stats["srvtest_delta_ctr"] != 0 {
-		t.Fatalf("second delta = %v, want 0", stats["srvtest_delta_ctr"])
+
+	// Delta mode: increments since this server's previous delta snapshot.
+	const key = "ebpf_hook_runs_socket_select_9000"
+	h.d.RegisterApp(1, 1000, 9000)
+	h.stack.NewUDPSocket(9000, 1, "w")
+	if _, err := h.d.DeployPolicy(1, HookSocketSelect, "r0 = 0\nexit\n", nil); err != nil {
+		t.Fatal(err)
+	}
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			h.dev.Receive(pkt(uint64(i), 1, 9000, nil))
+		}
+		h.eng.Run()
+	}
+	send(2)
+	other := NewServer(h.d) // a second consumer with its own baseline
+	if got := srv.Handle(&Request{Op: "stats", Delta: true}).Stats[key]; got != 2 {
+		t.Fatalf("first delta = %v, want 2 (everything since start)", got)
+	}
+	send(7)
+	if got := srv.Handle(&Request{Op: "stats", Delta: true}).Stats[key]; got != 7 {
+		t.Fatalf("delta = %v, want 7", got)
+	}
+	if got := srv.Handle(&Request{Op: "stats", Delta: true}).Stats[key]; got != 0 {
+		t.Fatalf("second delta = %v, want 0", got)
+	}
+	if got := other.Handle(&Request{Op: "stats", Delta: true}).Stats[key]; got != 9 {
+		t.Fatalf("other server's delta = %v, want 9 (baseline stolen?)", got)
 	}
 	// Cumulative view is untouched by delta snapshots.
-	stats = srv.Handle(&Request{Op: "stats"}).Stats
-	if stats["srvtest_delta_ctr"] != 7 {
-		t.Fatalf("cumulative = %v, want 7", stats["srvtest_delta_ctr"])
+	if got := srv.Handle(&Request{Op: "stats"}).Stats[key]; got != 9 {
+		t.Fatalf("cumulative = %v, want 9", got)
+	}
+}
+
+// TestCountersDeterministic: Daemon.Counters is the one enumeration
+// of a host's counters — exactly the points the host owns plus the
+// daemon's own, name-sorted, stable across calls, and value-for-value what
+// the stats op and the links op report.
+func TestCountersDeterministic(t *testing.T) {
+	h := newHost(t, 1, 2)
+	h.d.AttachStorage(storage.NewDevice(h.eng, storage.Config{}))
+	h.d.RegisterApp(1, 1000, 9000, 80)
+	h.d.RegisterApp(2, 1001, 9001)
+	h.stack.NewUDPSocket(9001, 2, "w") // bound before 9000: the listing sorts
+	h.stack.NewUDPSocket(9000, 1, "w")
+	h.stack.TCPGroup(80, 1)
+	if _, err := h.d.DeployPolicy(1, HookSocketSelect, "r0 = 0\nexit\n", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.d.DeployThreadPolicy(2, &policy.FIFO{}, 0, []kernel.CPUID{1}, ghost.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		h.dev.Receive(pkt(uint64(i), 1, 9000, nil))
+	}
+	h.eng.Run()
+
+	got := h.d.Counters()
+	var names []string
+	for _, c := range got {
+		names = append(names, c.Name)
+	}
+	want := []string{
+		"ebpf_hook_faults",
+		"ebpf_hook_faults_cpu_redirect", "ebpf_hook_faults_socket_select_80_tcp",
+		"ebpf_hook_faults_socket_select_9000", "ebpf_hook_faults_socket_select_9001",
+		"ebpf_hook_faults_storage", "ebpf_hook_faults_thread_sched_app2",
+		"ebpf_hook_faults_xdp", "ebpf_hook_faults_xdp_offload",
+		"ebpf_hook_runs_cpu_redirect", "ebpf_hook_runs_socket_select_80_tcp",
+		"ebpf_hook_runs_socket_select_9000", "ebpf_hook_runs_socket_select_9001",
+		"ebpf_hook_runs_storage", "ebpf_hook_runs_thread_sched_app2",
+		"ebpf_hook_runs_xdp", "ebpf_hook_runs_xdp_offload",
+		"ebpf_opt_insns_removed", "ebpf_opt_programs", "ebpf_opt_reverify_rejects",
+		"syrupd_quarantines",
+	}
+	if !slices.Equal(names, want) || !slices.IsSorted(names) {
+		t.Fatalf("counter names = %v\nwant %v", names, want)
+	}
+	if again := h.d.Counters(); !slices.Equal(again, got) {
+		t.Fatalf("listing changed between calls:\n%v\n%v", got, again)
+	}
+	stats := NewServer(h.d).Handle(&Request{Op: "stats"}).Stats
+	for _, c := range got {
+		if v, ok := stats[c.Name]; !ok || v != float64(c.Value) {
+			t.Fatalf("stats[%s] = %v (present %v), Counters says %d", c.Name, v, ok, c.Value)
+		}
+	}
+	// Each direct link agrees with its point's counter: 5 runs on the UDP
+	// group that saw the traffic, 0 on the idle TCP group.
+	linkRuns := map[string]uint64{}
+	for _, l := range h.d.Links() {
+		linkRuns[l.Target] = l.Runs
+	}
+	if linkRuns["socket_select:9000"] != 5 || stats["ebpf_hook_runs_socket_select_9000"] != 5 ||
+		linkRuns["socket_select:80/tcp"] != 0 || stats["ebpf_hook_runs_socket_select_80_tcp"] != 0 {
+		t.Fatalf("links %v disagree with counters %v", linkRuns, stats)
+	}
+}
+
+// TestStatsDeltaConcurrent: delta reads racing the simulation must never
+// lose or double-count an increment — the deltas one consumer collects
+// plus its final residue sum to exactly the runs the host made. The
+// counters are plain fields, so this is the big lock's job; `make chaos`
+// runs it under -race.
+func TestStatsDeltaConcurrent(t *testing.T) {
+	const key = "ebpf_hook_runs_socket_select_9000"
+	h := newHost(t, 1, 0)
+	h.d.RegisterApp(1, 1000, 9000)
+	h.stack.NewUDPSocket(9000, 1, "w")
+	if _, err := h.d.DeployPolicy(1, HookSocketSelect, "r0 = 0\nexit\n", nil); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(h.d)
+
+	// Snapshot loop racing the simulation; collected is only touched here
+	// and read after the goroutine exits.
+	var collected float64
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				collected += srv.Handle(&Request{Op: "stats", Delta: true}).Stats[key]
+			}
+		}
+	}()
+
+	const steps, perStep = 200, 5
+	for step := 0; step < steps; step++ {
+		srv.Lock()
+		for i := 0; i < perStep; i++ {
+			h.dev.Receive(pkt(uint64(step*perStep+i), 1, 9000, nil))
+		}
+		h.eng.Run()
+		srv.Unlock()
+	}
+	close(stop)
+	<-done
+
+	residue := srv.Handle(&Request{Op: "stats", Delta: true}).Stats[key]
+	if got := collected + residue; got != steps*perStep {
+		t.Fatalf("deltas sum to %v, want %d", got, steps*perStep)
+	}
+	if got := srv.Handle(&Request{Op: "links"}).Links[0].Runs; got != steps*perStep {
+		t.Fatalf("link runs = %d, want %d", got, steps*perStep)
 	}
 }
 

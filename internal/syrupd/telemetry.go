@@ -1,25 +1,78 @@
 package syrupd
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"syrup/internal/ebpf"
+	"syrup/internal/hook"
+	"syrup/internal/metrics"
 	"syrup/internal/obs"
 	"syrup/internal/sim"
 )
 
-// The daemon's half of the telemetry plane: it owns the host's time-series
-// store reference (the sampler itself attaches to the engine at host
-// construction), turns on per-instruction policy profiling for future
-// deploys, and renders per-deployment profiles for the profile op.
+// The daemon's half of the telemetry plane: it holds the host's sampler
+// (which itself attaches to the engine at host construction), enumerates
+// the host's counters from the objects that own them, turns on
+// per-instruction policy profiling for future deploys, and renders
+// per-deployment profiles for the profile op.
 
-// SetObs hands the daemon the host's telemetry store, backing the
-// timeseries and metrics ops. nil detaches (the ops then report that
-// telemetry is disabled).
-func (d *Daemon) SetObs(st *obs.Store) { d.obs = st }
+// SetObs hands the daemon the host's telemetry sampler: its store backs
+// the timeseries and metrics ops and the adapt controller, its registered
+// histograms the stats and metrics ops. nil detaches (the ops then report
+// that telemetry is disabled).
+func (d *Daemon) SetObs(sa *obs.Sampler) { d.sampler = sa }
 
 // Obs returns the host's telemetry store, or nil.
-func (d *Daemon) Obs() *obs.Store { return d.obs }
+func (d *Daemon) Obs() *obs.Store {
+	if d.sampler == nil {
+		return nil
+	}
+	return d.sampler.Store()
+}
+
+// Counters is the one enumeration of this host's counters: every hook
+// point the host owns — NIC offload, XDP, CPU redirect, each UDP and TCP
+// reuseport group by ascending port, the storage submit hook, each app's
+// ghOSt agent — as ebpf_hook_runs_<point> / ebpf_hook_faults_<point>, the
+// ebpf_hook_faults total across them, the load-time ebpf_opt_* outcomes
+// and syrupd_quarantines, sorted by name. The values are the owners' own
+// plain fields, so the listing is per host by construction; like Links it
+// must be read from the event loop's goroutine (the server's big lock).
+func (d *Daemon) Counters() []metrics.CounterValue {
+	var points []*hook.Point
+	if d.dev != nil {
+		points = append(points, d.dev.Offload())
+	}
+	points = d.stack.HookPoints(points)
+	if d.store != nil {
+		points = append(points, d.store.SubmitHook())
+	}
+	for _, app := range d.appsByID() {
+		if app.agent != nil {
+			points = append(points, app.agent.Hook())
+		}
+	}
+
+	out := make([]metrics.CounterValue, 0, 2*len(points)+5)
+	var faults uint64
+	for _, pt := range points {
+		st := pt.Stats()
+		runsKey, faultsKey := pt.StatsKeys()
+		out = append(out,
+			metrics.CounterValue{Name: runsKey, Value: st.Runs},
+			metrics.CounterValue{Name: faultsKey, Value: st.Faults})
+		faults += st.Faults
+	}
+	out = append(out,
+		metrics.CounterValue{Name: "ebpf_hook_faults", Value: faults},
+		metrics.CounterValue{Name: "ebpf_opt_programs", Value: d.optPrograms},
+		metrics.CounterValue{Name: "ebpf_opt_insns_removed", Value: d.optInsnsRemoved},
+		metrics.CounterValue{Name: "ebpf_opt_reverify_rejects", Value: d.optReverifyRejects},
+		metrics.CounterValue{Name: "syrupd_quarantines", Value: d.quarantines})
+	slices.SortFunc(out, func(a, b metrics.CounterValue) int { return strings.Compare(a.Name, b.Name) })
+	return out
+}
 
 // Now reports the host's sim clock — the timestamp stats/metrics replies
 // carry so repeated delta snapshots normalize into true rates.
@@ -74,14 +127,9 @@ type ProfileInfo struct {
 // deployment order (deterministic, like Links). Deployments loaded
 // without profiling are skipped.
 func (d *Daemon) Profiles(annotate bool) []ProfileInfo {
-	ids := make([]uint32, 0, len(d.apps))
-	for id := range d.apps {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	var out []ProfileInfo
-	for _, id := range ids {
-		for _, al := range d.apps[id].links {
+	for _, app := range d.appsByID() {
+		for _, al := range app.links {
 			var prog *ebpf.Program
 			switch {
 			case al.prog != nil:

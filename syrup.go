@@ -214,7 +214,8 @@ type Host struct {
 	// Obs is the telemetry sampler wired at construction (nil unless
 	// HostConfig.Telemetry was set). Register additional gauges, rates,
 	// and histograms on it before the run starts; its store backs the
-	// syrupd timeseries/metrics ops.
+	// syrupd timeseries/metrics ops, and its histograms are the ones the
+	// stats and metrics ops summarize.
 	Obs *obs.Sampler
 }
 
@@ -278,9 +279,12 @@ func TryNewHost(cfg HostConfig) (*Host, error) {
 		sa.Gauge("nic_ring_occupancy", func() float64 { return float64(dev.RingOccupancy()) })
 		sa.Gauge("ghost_runnable", func() float64 { return float64(h.Daemon.GhostRunnable()) })
 		sa.Gauge("quarantined_links", func() float64 { return float64(h.Daemon.QuarantinedCount()) })
+		if cfg.Telemetry.Counters {
+			sa.Counters(h.Daemon.Counters)
+		}
 		sa.Attach(eng)
 		h.Obs = sa
-		h.Daemon.SetObs(sa.Store())
+		h.Daemon.SetObs(sa)
 	}
 	return h, nil
 }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint-hooks lint-metrics lint-env lint-globals alloc-gates chaos cluster-diff opt-diff obs-diff adapt-diff check bench bench-cluster bench-dispatch bench-engine bench-datapath bench-obs bench-profile fuzz clean
+.PHONY: build test vet race lint-hooks lint-metrics lint-env lint-globals alloc-gates chaos cluster-diff opt-diff obs-diff adapt-diff check bench bench-cluster bench-dispatch bench-engine bench-obs bench-profile fuzz clean
 
 build:
 	$(GO) build ./...
@@ -35,8 +35,8 @@ lint-hooks:
 # Zero-alloc gates (see DESIGN.md): the event-engine steady state, compiled
 # eBPF dispatch, hook dispatch (single and vectorized, traced and
 # untraced), the span recorder's Record path — including disabled/nil
-# recorders, i.e. the tracing-off hot path — the batched datapath (NIC
-# burst drain with pooled packets, stack burst delivery end to end), the
+# recorders, i.e. the tracing-off hot path — the receive path (NIC receive
+# with pooled packets → socket enqueue, offload and XDP attached), the
 # telemetry tick (histogram reads, sampler tick, a controller tick on
 # which no rule acts), the ghOSt agent loop (message batch → Schedule →
 # commit, also under sustained overload), Map.LookupUint64 and Store.Get
@@ -166,13 +166,6 @@ bench-dispatch:
 # TestZeroAllocSteadyState / TestZeroAllocTicker in internal/sim.
 bench-engine:
 	$(GO) test ./internal/sim/ -run '^$$' -bench BenchmarkEngine -benchmem
-
-# Batched-datapath wall-clock (see DESIGN.md "Batched datapath"): one MICA
-# kernel-steering point at drain budgets 1/8/64. Results are bit-identical
-# across budgets (gated by TestBatchDifferential* in `make test`); this
-# target shows the wall-clock and allocation margin batching buys.
-bench-datapath:
-	$(GO) test ./internal/experiments/ -run '^$$' -bench BenchmarkDatapathBurst -benchmem -benchtime 2x
 
 # Telemetry tick (see DESIGN.md "Telemetry plane", cost model): a window
 # advance and a whole sampler tick at the ledger probe's shape — 16

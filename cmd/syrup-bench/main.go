@@ -66,7 +66,6 @@ func main() {
 	scanPct := flag.Float64("scan-pct", 0, "percent SCAN requests for -breakdown/-trace/-faults")
 	polName := flag.String("policy", "round_robin", "socket policy for -breakdown/-trace/-faults (vanilla|round_robin|scan_avoid|sita)")
 	seed := flag.Uint64("seed", 1, "simulation seed for -breakdown/-trace/-faults")
-	batch := flag.Int("batch", 0, "NAPI-style datapath drain budget (0/1 = per-packet; results are bit-identical across batch sizes, only wall-clock changes)")
 	hosts := flag.Int("hosts", 0, "run the fleet-scale cluster scenario on N hosts behind the Maglev L4 LB")
 	adaptDemo := flag.Bool("adapt", false, "run the closed-loop adaptive scheduling demo (controller vs every static policy)")
 	workers := flag.Int("workers", 0, "simulation worker-pool size for sweeps and cluster runs (0 = one per CPU; results are bit-identical at any width)")
@@ -105,7 +104,6 @@ func main() {
 	if *fast {
 		windows = experiments.FastWindows
 	}
-	experiments.SetBatch(*batch)
 	experiments.SetWorkers(*workers)
 
 	if *cpuprofile != "" {

@@ -8,13 +8,17 @@ import (
 	"testing"
 
 	"syrup"
+	"syrup/internal/apps/mica"
 	"syrup/internal/ebpf"
+	"syrup/internal/experiments"
 	"syrup/internal/ghost"
 	"syrup/internal/kernel"
+	"syrup/internal/nic"
 	"syrup/internal/obs"
 	"syrup/internal/policy"
 	"syrup/internal/sim"
 	"syrup/internal/syrupd"
+	"syrup/internal/workload"
 )
 
 func TestDeployPolicyFile(t *testing.T) {
@@ -212,5 +216,67 @@ func TestCountersPerHost(t *testing.T) {
 		if folded != float64(tc.runs) {
 			t.Errorf("%s: sampled %s_delta sums to %v, want %d", name, runsKey, folded, tc.runs)
 		}
+	}
+}
+
+// TestBatchFieldsInert proves the three names kept only for benchmark/ —
+// HostConfig.Batch, nic.Config.Budget, (*nic.NIC).SetBatchDeliver — change
+// nothing: a MICA host steering at the NIC and again at XDP produces the
+// same digest, layer stats and event count whether or not the two fields
+// are set, and a bare NIC never calls the installed batch callback.
+func TestBatchFieldsInert(t *testing.T) {
+	const threads = 4
+	run := func(cfg syrup.HostConfig) (string, *syrup.Host) {
+		cfg.Seed, cfg.NumCPUs, cfg.NICQueues = 7, threads, threads
+		host, app := syrup.MustHostApp(cfg, 2, 1001, 9100)
+		gen := workload.New(host.Eng, host.NIC, workload.Config{
+			Rate:    800_000,
+			DstPort: 9100,
+			Classes: []workload.Class{
+				{Name: "GET", Weight: 0.5, Type: policy.ReqGET},
+				{Name: "PUT", Weight: 0.5, Type: policy.ReqPUT},
+			},
+			KeySpace: 1 << 16,
+			Warmup:   2 * syrup.Millisecond,
+			Measure:  10 * syrup.Millisecond,
+			Drain:    5 * syrup.Millisecond,
+		})
+		srv := mica.NewServer(host.Eng, host.Machine, host.Stack, mica.Config{
+			Port: 9100, App: 2, NumThreads: threads, Mode: mica.ModeSyrupHW,
+			OnComplete: gen.Complete,
+		})
+		defines := map[string]int64{"NUM_EXECUTORS": threads}
+		if _, err := app.DeployBuiltin(policy.NameMicaHash, syrup.HookXDPOffload, defines); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := app.DeployPolicy("r0 = 0\nexit\n", syrup.HookXDPSkb, nil); err != nil {
+			t.Fatal(err)
+		}
+		srv.Start()
+		return experiments.StatsDigest(gen.RunToCompletion()), host
+	}
+	digest, host := run(syrup.HostConfig{Batch: 0})
+	digest64, host64 := run(syrup.HostConfig{Batch: 64, NIC: nic.Config{Budget: 64}})
+	if host.NIC.Stats.OffloadRuns == 0 || host.Stack.Stats.XSKDelivered == 0 {
+		t.Fatalf("run did not exercise offload and XDP: NIC %+v, stack %+v", host.NIC.Stats, host.Stack.Stats)
+	}
+	if digest64 != digest {
+		t.Errorf("digest diverged:\n--- unset\n%s--- set\n%s", digest, digest64)
+	}
+	if host64.NIC.Stats != host.NIC.Stats || host64.Stack.Stats != host.Stack.Stats || host64.Eng.Fired() != host.Eng.Fired() {
+		t.Errorf("layer stats diverged: NIC %+v vs %+v, stack %+v vs %+v, fired %d vs %d",
+			host.NIC.Stats, host64.NIC.Stats, host.Stack.Stats, host64.Stack.Stats, host.Eng.Fired(), host64.Eng.Fired())
+	}
+
+	eng := sim.New(1)
+	delivered := 0
+	dev := nic.New(eng, nic.Config{Queues: 2, Budget: 64}, func(int, *nic.Packet) { delivered++ })
+	dev.SetBatchDeliver(func(int, []*nic.Packet) { t.Error("batch callback invoked") })
+	for i := 0; i < 100; i++ {
+		dev.Receive(testPacket(uint64(i), 9000))
+	}
+	eng.Run()
+	if delivered != 100 {
+		t.Fatalf("DeliverFunc saw %d of 100 packets", delivered)
 	}
 }

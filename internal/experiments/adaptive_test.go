@@ -127,7 +127,7 @@ func TestAdaptDifferentialOff(t *testing.T) {
 				t.Fatalf("idle controller made %d decisions", n)
 			}
 		}
-		return statsDigest(res), ticks
+		return StatsDigest(res), ticks
 	}
 	ref, _ := point(false)
 	got, ticks := point(true)
@@ -149,7 +149,7 @@ func TestAdaptiveDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(d1, d2) {
 		t.Fatalf("decision histories diverged:\n%v\n%v", d1, d2)
 	}
-	if g1, g2 := statsDigest(r1), statsDigest(r2); g1 != g2 {
+	if g1, g2 := StatsDigest(r1), StatsDigest(r2); g1 != g2 {
 		t.Fatalf("stats diverged across identical adaptive runs:\n%s\n%s", g1, g2)
 	}
 }

@@ -115,9 +115,9 @@ type ClusterRun struct {
 func RunCluster(cfg ClusterConfig) (*ClusterRun, error) {
 	cfg = cfg.withDefaults()
 
-	hostCfg := syrup.HostConfig{NumCPUs: 6, NICQueues: 6, Batch: batchSize, Telemetry: telemetryConfig()}
+	hostCfg := syrup.HostConfig{NumCPUs: 6, NICQueues: 6, Telemetry: telemetryConfig()}
 	if cfg.App == "mica" {
-		hostCfg = syrup.HostConfig{NumCPUs: micaN, NICQueues: micaN, Batch: batchSize, Telemetry: telemetryConfig()}
+		hostCfg = syrup.HostConfig{NumCPUs: micaN, NICQueues: micaN, Telemetry: telemetryConfig()}
 	}
 	cl, err := cluster.New(cluster.Config{Hosts: cfg.Hosts, Seed: cfg.Seed, Host: hostCfg})
 	if err != nil {

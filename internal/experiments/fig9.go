@@ -54,7 +54,6 @@ func runMicaPoint(pt micaPoint) *workload.Result {
 		Seed:      pt.Seed,
 		NumCPUs:   micaN,
 		NICQueues: micaN,
-		Batch:     batchSize,
 		Telemetry: telemetryConfig(),
 	}, micaApp, micaUID, micaPort)
 	classes := []workload.Class{

@@ -40,14 +40,6 @@ var FastWindows = Windows{
 	Drain:   150 * sim.Millisecond,
 }
 
-// batchSize is the NAPI-style drain budget every experiment host is built
-// with (0/1 = legacy per-packet path). Results are bit-identical across
-// batch sizes; only wall-clock changes. Set via SetBatch before running.
-var batchSize int
-
-// SetBatch sets the datapath drain budget for subsequently built hosts.
-func SetBatch(n int) { batchSize = n }
-
 // obsPeriod, when positive, attaches a telemetry sampler to every
 // subsequently built experiment host: datapath gauges plus workload
 // rps/drop_rate/latency series sampled each period. The sampler rides the
@@ -208,7 +200,6 @@ func runRocksPointFull(pt rocksPoint) (*workload.Result, *rocksdb.Server, *syrup
 		Seed:       pt.Seed,
 		NumCPUs:    pt.NumCPUs,
 		NICQueues:  pt.NumCPUs, // one RX queue per core, IRQs on buddies (§5.1.1)
-		Batch:      batchSize,
 		Trace:      pt.Tracer,
 		Faults:     pt.Faults,
 		Quarantine: pt.Quarantine,

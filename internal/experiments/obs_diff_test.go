@@ -13,8 +13,16 @@ import (
 // the sampler attached must produce bit-identical simulation results to
 // one without, because the sampler rides the engine's clock advances —
 // it schedules no events, consumes no sequence numbers, and draws no
-// randomness (see DESIGN.md "Telemetry plane"). These gates run the same
-// slices as the batch and optimizer differentials with telemetry toggled.
+// randomness (see DESIGN.md "Telemetry plane"). These gates run one slice
+// of each figure pipeline with telemetry toggled.
+
+// diffWindows keeps the differential slices quick; bit-identity must hold
+// for any window lengths, so short ones lose no coverage.
+var diffWindows = Windows{
+	Warmup:  20 * 1e6,
+	Measure: 80 * 1e6,
+	Drain:   60 * 1e6,
+}
 
 // withObs runs fn with telemetry off (the reference) and then with the
 // sampler attached at two periods, asserting every digest matches.
@@ -43,7 +51,7 @@ func TestObsDifferentialFig2Slice(t *testing.T) {
 				Classes: []workload.Class{{Name: "GET", Weight: 1, Type: policy.ReqGET}},
 				Policy:  pol, Windows: diffWindows,
 			})
-			return statsDigest(r)
+			return StatsDigest(r)
 		})
 	}
 
@@ -88,7 +96,7 @@ func TestObsDifferentialFig6Slice(t *testing.T) {
 				PinToCores: true, Flows: 50,
 				Classes: fig6Mix, Policy: pol, Windows: diffWindows,
 			})
-			return statsDigest(r)
+			return StatsDigest(r)
 		})
 	}
 }
@@ -102,7 +110,7 @@ func TestObsDifferentialFig8Slice(t *testing.T) {
 			PinToCores: false, Classes: fig8Mix,
 			Policy: PolicyScanAvoid, ThreadSched: true, Windows: diffWindows,
 		})
-		return statsDigest(r)
+		return StatsDigest(r)
 	})
 }
 
@@ -114,7 +122,7 @@ func TestObsDifferentialFig9Slice(t *testing.T) {
 				Seed: 53, Load: 800_000, Mode: mode, GetFrac: 0.5,
 				Windows: diffWindows,
 			})
-			return statsDigest(r)
+			return StatsDigest(r)
 		})
 	}
 }

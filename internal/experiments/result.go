@@ -127,7 +127,7 @@ func parallelDo(n int, fn func(i int)) {
 // StatsDigest renders every client-observable statistic of a run — exact
 // counters, drop causes, and the full latency distribution shape — so two
 // digests match only if the runs were statistically indistinguishable.
-// The batch and worker-count differential gates diff these.
+// The telemetry and worker-count differential gates diff these.
 func StatsDigest(r *workload.Result) string {
 	var b strings.Builder
 	writeStats := func(name string, st *metrics.RunStats) {

@@ -30,19 +30,9 @@ type Config struct {
 	SocketQueueCap int
 	// BacklogCap bounds each softirq core's backlog (netdev_max_backlog).
 	BacklogCap int
-	// Batch is the per-core softirq burst budget: how many completed
-	// packets one drain event moves through the XDP/protocol stages at
-	// once. 0 or 1 keeps the legacy one-event-per-packet pipeline; >1
-	// enables the burst FIFO with vectorized hook dispatch (see DESIGN.md
-	// "Batched datapath"). Per-packet simulated timestamps are preserved
-	// at any batch size.
-	Batch int
 }
 
 func (c *Config) fill() {
-	if c.Batch == 0 {
-		c.Batch = 1
-	}
 	if c.SKBAllocCost == 0 {
 		c.SKBAllocCost = 300 * sim.Nanosecond
 	}
@@ -129,23 +119,10 @@ type Stack struct {
 	xsks map[uint16][][]*Socket
 
 	// ingressCB / protoCB are the stored closure-free callbacks for the two
-	// per-packet pipeline events (arg = *nic.Packet, u = queue / core), so
-	// Deliver and protocolStage schedule without allocating.
+	// pipeline events (arg = *nic.Packet, u = queue / core), so Deliver and
+	// protocolStage schedule without allocating.
 	ingressCB sim.Callback
 	protoCB   sim.Callback
-
-	// Burst path (cfg.Batch > 1): per-core FIFOs of packets whose softirq
-	// stage is in flight, the stored drain callback, and reusable dispatch
-	// scratch. Each admission arms its own drain event at its completion
-	// instant — the exact points where the per-packet pipeline allocates
-	// its events, so same-instant FIFO ordering against unrelated event
-	// streams (policy agents, worker wakeups) is preserved. A drain event
-	// pops every due entry, so coinciding completions still move as one
-	// burst and the later events find nothing.
-	pending [][]pendEntry
-	drainCB sim.Callback
-	burst   []*nic.Packet
-	xdpIns  []hook.Input
 
 	// tracer, when enabled, receives StageSoftirq and StageProto spans
 	// per packet; it also fans out to every hook point the stack owns.
@@ -192,37 +169,15 @@ func New(eng *sim.Engine, cfg Config, queues int) *Stack {
 		s.afterIngress(queue, arg.(*nic.Packet))
 	}
 	s.protoCB = func(arg any, u uint64) { s.protocolDeliver(int(u), arg.(*nic.Packet)) }
-	if cfg.Batch > 1 {
-		s.pending = make([][]pendEntry, queues)
-		s.drainCB = func(_ any, u uint64) { s.drainCore(int(u)) }
-	}
 	return s
-}
-
-// pendEntry is one packet whose pre-stack softirq stage completes at done;
-// done values are monotone per core (busyUntil only grows), so the FIFO
-// drains in order.
-type pendEntry struct {
-	pkt  *nic.Packet
-	done sim.Time
 }
 
 // Wire connects a NIC to this stack and returns it; convenience for hosts.
 func Wire(eng *sim.Engine, nicCfg nic.Config, stackCfg Config) (*nic.NIC, *Stack) {
 	s := New(eng, stackCfg, max(nicCfg.Queues, 1))
 	dev := nic.New(eng, nicCfg, s.Deliver)
-	if s.cfg.Batch > 1 {
-		dev.SetBatchDeliver(s.DeliverBatch)
-	}
 	s.dev = dev
 	return dev, s
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // SetTracer wires the request tracer through the receive path: the
@@ -418,11 +373,6 @@ func (s *Stack) softirqCost(xdpAttached bool) sim.Time {
 // Deliver is the NIC→host handoff (nic.DeliverFunc). The packet is
 // processed serially on its queue's softirq core.
 func (s *Stack) Deliver(queue int, pkt *nic.Packet) {
-	if s.cfg.Batch > 1 {
-		s.burst = append(s.burst[:0], pkt)
-		s.DeliverBatch(queue, s.burst)
-		return
-	}
 	pkt.SoftirqAt = s.eng.Now()
 	core := &s.cores[queue]
 	// An injected SKB allocation failure drops exactly where a full
@@ -449,94 +399,6 @@ func (s *Stack) Deliver(queue int, pkt *nic.Packet) {
 	s.eng.CallAt(done, s.ingressCB, pkt, uint64(queue))
 }
 
-// DeliverBatch is the burst NIC→host handoff (nic.BatchDeliverFunc): one
-// drained burst enters the softirq pipeline in one call. Admission, fault
-// draws, cost charging, and busyUntil advancement happen per packet in
-// burst order — the per-packet path's exact arithmetic, so every packet's
-// completion instant is unchanged — but the XDP attachment is snapshotted
-// ONCE for the whole burst. Re-reading Attached() per packet would let a
-// revoke or quarantine land mid-burst and split the burst across two cost
-// models, double-charging the policy stage relative to the per-packet
-// path; a burst is atomic with respect to attachment, like a NAPI poll
-// under its RCU read lock.
-func (s *Stack) DeliverBatch(queue int, pkts []*nic.Packet) {
-	core := &s.cores[queue]
-	cost := s.softirqCost(s.xdp.Attached())
-	now := s.eng.Now()
-	for _, pkt := range pkts {
-		pkt.SoftirqAt = now
-		if core.backlog >= s.cfg.BacklogCap || s.faults.Fire(faults.SiteSKBAlloc) {
-			s.Stats.BacklogDrops++
-			s.traceSpan(pkt, trace.StageSoftirq, pkt.SoftirqAt, queue, trace.VerdictDrop, 0)
-			if s.dev != nil {
-				s.dev.Consumed(queue)
-			}
-			pkt.Free()
-			continue
-		}
-		core.backlog++
-		start := core.busyUntil
-		if start < now {
-			start = now
-		}
-		done := start + cost
-		core.busyUntil = done
-		s.pending[queue] = append(s.pending[queue], pendEntry{pkt: pkt, done: done})
-		// Arm a drain event per admission, at the same point the
-		// per-packet pipeline would schedule its ingress event: event
-		// sequence numbers — and therefore same-instant FIFO ordering
-		// against unrelated streams — match the legacy path exactly.
-		s.eng.CallAt(done, s.drainCB, nil, uint64(queue))
-	}
-}
-
-// drainCore is the burst softirq completion event: move up to Batch
-// packets whose stage cost has elapsed through XDP dispatch and into
-// protocol processing. Because per-core completion instants are strictly
-// increasing, a drain usually carries one packet — exactly the per-packet
-// timing — and carries more only when completions genuinely coincide, in
-// which case the coinciding packets' own events fire after this one and
-// find their work already done.
-func (s *Stack) drainCore(queue int) {
-	now := s.eng.Now()
-	pend := s.pending[queue]
-	b := s.burst[:0]
-	i := 0
-	for ; i < len(pend) && len(b) < s.cfg.Batch && pend[i].done <= now; i++ {
-		b = append(b, pend[i].pkt)
-		pend[i].pkt = nil
-	}
-	if i == 0 {
-		// A coinciding earlier drain already carried this event's packet
-		// (or the budget pushed it to a re-armed follow-up).
-		return
-	}
-	rest := copy(pend, pend[i:])
-	for j := rest; j < len(pend); j++ {
-		pend[j].pkt = nil
-	}
-	s.pending[queue] = pend[:rest]
-	if rest > 0 && pend[0].done <= now {
-		// Budget exhausted with due packets left: their own events have
-		// already fired (they coincided with this one), so re-arm.
-		s.eng.CallAt(now, s.drainCB, nil, uint64(queue))
-	}
-	s.burst = b
-	core := &s.cores[queue]
-	for range b {
-		// Ring and backlog accounting decrement per packet actually
-		// consumed, never by burst length up front — admission drops
-		// already consumed their slot in DeliverBatch.
-		core.backlog--
-		if s.dev != nil {
-			s.dev.Consumed(queue)
-		}
-	}
-	if len(b) > 0 {
-		s.afterIngressBatch(queue, b)
-	}
-}
-
 // afterIngress runs once the softirq core has executed the pre-stack stage
 // (XDP hook or plain SKB allocation).
 func (s *Stack) afterIngress(queue int, pkt *nic.Packet) {
@@ -548,37 +410,6 @@ func (s *Stack) afterIngress(queue int, pkt *nic.Packet) {
 		}
 	}
 	s.postXDP(queue, pkt)
-}
-
-// afterIngressBatch moves a whole drained burst through the XDP stage with
-// one vectorized hook dispatch, then runs each survivor's post-XDP stages
-// in burst order. The attachment snapshot taken here covers the entire
-// burst (see DeliverBatch); per-packet verdicts, stats, spans, and wakeups
-// are identical to running afterIngress once per packet at this instant.
-func (s *Stack) afterIngressBatch(queue int, pkts []*nic.Packet) {
-	if len(pkts) == 1 {
-		s.afterIngress(queue, pkts[0])
-		return
-	}
-	if s.xdpMode == XDPNone || !s.xdp.Attached() {
-		for _, pkt := range pkts {
-			s.Stats.Processed++
-			s.postXDP(queue, pkt)
-		}
-		return
-	}
-	ins := s.xdpIns[:0]
-	for _, pkt := range pkts {
-		ins = append(ins, hook.Input{Packet: pkt.Bytes(), Hash: pkt.RSSHash(), Port: uint32(pkt.DstPort), Queue: uint32(queue), Req: pkt.ID, Env: s.envs[queue]})
-	}
-	s.xdpIns = ins
-	verdicts := s.xdp.RunBatch(ins)
-	for i, pkt := range pkts {
-		s.Stats.Processed++
-		if s.handleXDPVerdict(queue, pkt, verdicts[i]) {
-			s.postXDP(queue, pkt)
-		}
-	}
 }
 
 // handleXDPVerdict applies one XDP verdict; it reports whether the packet

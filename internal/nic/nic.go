@@ -42,10 +42,10 @@ type Packet struct {
 	SentAt sim.Time
 	// ArrivedAt is stamped by the NIC on reception.
 	ArrivedAt sim.Time
-	// SoftirqAt, ProtoAt, and EnqueuedAt are trace stamps marking the
-	// start of softirq work, the start of protocol processing, and the
-	// socket enqueue; layers fill them only when tracing so per-stage
-	// spans have exact boundaries (zero when tracing is off).
+	// SoftirqAt, ProtoAt, and EnqueuedAt mark the start of softirq work,
+	// the start of protocol processing, and the socket enqueue. The stack
+	// writes them on every packet, tracing or not; they give per-stage
+	// spans exact boundaries.
 	SoftirqAt  sim.Time
 	ProtoAt    sim.Time
 	EnqueuedAt sim.Time
@@ -169,20 +169,13 @@ type Config struct {
 	// HostMapRTT is the host↔NIC round trip for map operations on
 	// offloaded maps (Table 3 measures ≈25 µs on the Netronome).
 	HostMapRTT sim.Time
-	// Budget is the NAPI-style drain budget: the number of ring-resident
-	// packets one softirq delivery event hands to the host. 0 or 1 keeps
-	// the legacy one-event-per-packet path; >1 enables burst drains (see
-	// DESIGN.md "Batched datapath"). Per-packet simulated timestamps are
-	// preserved at any budget.
+	// Deprecated: Budget has no effect; kept only until a benchmark-archetype PR stops setting it.
 	Budget int
 }
 
 func (c *Config) fill() {
 	if c.Queues == 0 {
 		c.Queues = 1
-	}
-	if c.Budget == 0 {
-		c.Budget = 1
 	}
 	if c.RingSize == 0 {
 		c.RingSize = 1024
@@ -196,16 +189,9 @@ func (c *Config) fill() {
 }
 
 // DeliverFunc receives packets the NIC has placed on a queue; the host
-// (softirq) side consumes them. Returning false signals backpressure: the
-// packet stays accounted against the ring until the host drains it.
+// (softirq) side consumes them. A packet stays accounted against its ring
+// until the host calls Consumed for it.
 type DeliverFunc func(queue int, pkt *Packet)
-
-// BatchDeliverFunc receives a whole burst drained from one queue's ring in
-// one softirq event (Budget > 1). The slice is the NIC's scratch buffer:
-// the callee must take what it needs before returning. All packets of a
-// burst share one due instant — per-packet delivery times are identical to
-// the per-packet path.
-type BatchDeliverFunc func(queue int, pkts []*Packet)
 
 // Stats counts NIC-level events.
 type Stats struct {
@@ -235,19 +221,9 @@ type NIC struct {
 	inflight []int
 
 	deliver DeliverFunc
-	// deliverCB is the stored closure-free callback for the per-packet
-	// delivery event (arg = *Packet, u = queue), so Receive schedules
-	// without allocating.
+	// deliverCB is the stored closure-free callback for the delivery event
+	// (arg = *Packet, u = queue), so Receive schedules without allocating.
 	deliverCB sim.Callback
-
-	// Burst-drain state (Budget > 1): per-queue rings of accepted packets
-	// awaiting their softirq delivery instant (each packet arms its own
-	// drain event at Receive), a stored drain callback, and the handoff
-	// scratch.
-	batchDeliver BatchDeliverFunc
-	rings        [][]ringEntry
-	drainCB      sim.Callback
-	burst        []*Packet
 
 	// tracer, when enabled, receives one StageNIC span per packet
 	// (arrival to ring handoff, including offload-engine latency).
@@ -266,10 +242,6 @@ func New(eng *sim.Engine, cfg Config, deliver DeliverFunc) *NIC {
 	cfg.fill()
 	n := &NIC{eng: eng, cfg: cfg, deliver: deliver, inflight: make([]int, cfg.Queues)}
 	n.deliverCB = func(arg any, u uint64) { n.deliver(int(u), arg.(*Packet)) }
-	if cfg.Budget > 1 {
-		n.rings = make([][]ringEntry, cfg.Queues)
-		n.drainCB = func(_ any, u uint64) { n.drain(int(u)) }
-	}
 	n.rssTable = make([]int, 128)
 	for i := range n.rssTable {
 		n.rssTable[i] = i % cfg.Queues
@@ -290,17 +262,6 @@ func (n *NIC) InflightTotal() int {
 	total := 0
 	for _, v := range n.inflight {
 		total += v
-	}
-	return total
-}
-
-// RingOccupancy sums the packets accepted into the burst-drain rings and
-// awaiting their softirq delivery instant (always 0 when Budget <= 1) — a
-// live gauge for the telemetry sampler.
-func (n *NIC) RingOccupancy() int {
-	total := 0
-	for _, r := range n.rings {
-		total += len(r)
 	}
 	return total
 }
@@ -388,83 +349,14 @@ func (n *NIC) Receive(pkt *Packet) {
 	n.inflight[queue]++
 	pkt.Queue = queue
 	n.traceNIC(pkt, pkt.ArrivedAt+extra, queue, trace.VerdictNone)
-	if n.cfg.Budget > 1 {
-		// Burst path: the packet parks on the queue's ring until its due
-		// instant, and its own drain event is armed right here — the same
-		// point the per-packet path allocates its delivery event, so event
-		// sequence numbers (and therefore same-instant FIFO ordering
-		// against unrelated streams) match the legacy path. A drain pops
-		// every due entry up to the budget, so coinciding due instants
-		// still move as one burst and the later events find nothing.
-		n.rings[queue] = append(n.rings[queue], ringEntry{pkt: pkt, due: n.eng.Now() + extra})
-		n.eng.CallAfter(extra, n.drainCB, nil, uint64(queue))
-		return
-	}
 	n.eng.CallAfter(extra, n.deliverCB, pkt, uint64(queue))
 }
 
-// ringEntry is one ring-resident packet awaiting its delivery instant
-// (arrival plus the offload engine's latency; due times are monotone per
-// queue because every packet pays the same offload cost).
-type ringEntry struct {
-	pkt *Packet
-	due sim.Time
-}
-
-// drain is the burst softirq event: hand up to Budget due packets from the
-// queue's ring to the host in one go. The ring accounting (inflight) is
-// decremented by the host per packet actually consumed — never by burst
-// length up front — so a packet the host drops at admission is not
-// double-consumed (the Consumed underflow bug the batched drain originally
-// tripped). A drain finding nothing due is a coinciding later event whose
-// packet an earlier burst already carried.
-func (n *NIC) drain(queue int) {
-	now := n.eng.Now()
-	ring := n.rings[queue]
-	b := n.burst[:0]
-	i := 0
-	for ; i < len(ring) && len(b) < n.cfg.Budget && ring[i].due <= now; i++ {
-		b = append(b, ring[i].pkt)
-		ring[i].pkt = nil
-	}
-	if i == 0 {
-		return
-	}
-	rest := copy(ring, ring[i:])
-	for j := rest; j < len(ring); j++ {
-		ring[j].pkt = nil
-	}
-	n.rings[queue] = ring[:rest]
-	if rest > 0 && ring[0].due <= now {
-		// Budget exhausted with due packets left: their own drain events
-		// coincided with this one and have already fired, so re-arm.
-		n.eng.CallAt(now, n.drainCB, nil, uint64(queue))
-	}
-	n.burst = b
-	n.handoff(queue, b)
-}
-
-// handoff hands a drained burst to the host, preferring the vectorized
-// entry point.
-func (n *NIC) handoff(queue int, pkts []*Packet) {
-	if n.batchDeliver != nil {
-		n.batchDeliver(queue, pkts)
-		return
-	}
-	for _, pkt := range pkts {
-		n.deliver(queue, pkt)
-	}
-}
-
-// SetBatchDeliver installs the burst handoff the drain path uses when the
-// budget exceeds 1 (netstack.Wire supplies Stack.DeliverBatch).
-func (n *NIC) SetBatchDeliver(fn BatchDeliverFunc) { n.batchDeliver = fn }
-
-// Budget reports the configured drain budget.
-func (n *NIC) Budget() int { return n.cfg.Budget }
+// Deprecated: SetBatchDeliver has no effect; kept only until a benchmark-archetype PR stops calling it.
+func (n *NIC) SetBatchDeliver(fn func(queue int, pkts []*Packet)) {}
 
 // Inflight reports how many packets of queue's ring the host has not yet
-// consumed (tests assert ring accounting around burst drains).
+// consumed (tests assert ring accounting with it).
 func (n *NIC) Inflight(queue int) int { return n.inflight[queue] }
 
 // traceNIC records the packet's StageNIC span: arrival to ring handoff

@@ -224,3 +224,149 @@ func TestConsumedUnderflowPanics(t *testing.T) {
 	}()
 	dev.Consumed(0)
 }
+
+// steerAll returns an offload program steering every packet to queue 0, so
+// every packet pays the offload engine's latency before the host sees it.
+func steerAll(t *testing.T) *ebpf.Program {
+	t.Helper()
+	p, _, err := ebpf.AssembleAndLoad("steer0", "r0 = 0\nexit\n", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestBurstDrainFullRing fills a ring to capacity in one instant behind an
+// offload program, with the host consuming per packet: the one arrival past
+// capacity is the only drop, every accepted packet is handed over in
+// arrival order at arrival + OffloadCost, and the ring accounting returns
+// to zero.
+func TestBurstDrainFullRing(t *testing.T) {
+	eng := sim.New(1)
+	const (
+		ringSize = 64
+		arrival  = sim.Time(1000)
+		offload  = sim.Time(500)
+	)
+	delivered := 0
+	var dev *NIC
+	dev = New(eng, Config{Queues: 1, RingSize: ringSize, OffloadCost: offload}, func(q int, pkt *Packet) {
+		if now := eng.Now(); now != arrival+offload || pkt.ID != uint64(delivered) {
+			t.Fatalf("delivery %d: packet %d at %d, want packet %d at %d", delivered, pkt.ID, now, delivered, arrival+offload)
+		}
+		dev.Consumed(q)
+		delivered++
+	})
+	dev.SetOffloadProgram(steerAll(t))
+
+	eng.After(arrival, func() {
+		for i := 0; i < ringSize+1; i++ {
+			dev.Receive(mkPkt(uint64(i), uint16(1000+i), nil))
+		}
+		if dev.Stats.DroppedRing != 1 {
+			t.Fatalf("DroppedRing = %d, want 1", dev.Stats.DroppedRing)
+		}
+	})
+	eng.Run()
+
+	if delivered != ringSize {
+		t.Fatalf("delivered %d of %d", delivered, ringSize)
+	}
+	if dev.Inflight(0) != 0 {
+		t.Fatalf("inflight = %d after full drain, want 0", dev.Inflight(0))
+	}
+}
+
+// TestBurstDrainConsumesPerPacket checks that a host dropping every other
+// packet at admission (consuming the ring slot but going no further)
+// leaves the ring accounting exact.
+func TestBurstDrainConsumesPerPacket(t *testing.T) {
+	eng := sim.New(1)
+	var kept int
+	var dev *NIC
+	dev = New(eng, Config{Queues: 1, RingSize: 16}, func(q int, pkt *Packet) {
+		dev.Consumed(q) // every packet occupies exactly one ring slot
+		if pkt.ID%2 == 0 {
+			kept++
+		}
+	})
+	dev.SetOffloadProgram(steerAll(t))
+	for i := 0; i < 8; i++ {
+		dev.Receive(mkPkt(uint64(i), uint16(2000+i), nil))
+	}
+	eng.Run()
+	if dev.Inflight(0) != 0 {
+		t.Fatalf("inflight = %d, want 0", dev.Inflight(0))
+	}
+	if kept != 4 {
+		t.Fatalf("kept = %d, want 4", kept)
+	}
+}
+
+// TestPacketPoolRecycle covers the page_pool-style recycler: pooled
+// packets recycle through Free, literal packets ignore it, and a double
+// Free of a live pooled packet panics.
+func TestPacketPoolRecycle(t *testing.T) {
+	p := NewPacket()
+	p.ID = 42
+	p.Payload = append(p.HeaderBuf(), 1, 2, 3)
+	if len(p.Bytes()) != 11 {
+		t.Fatalf("wire length %d", len(p.Bytes()))
+	}
+	p.Free()
+
+	lit := &Packet{ID: 7}
+	lit.Free() // no-op, must not panic
+	lit.Free()
+
+	q := NewPacket()
+	if q.ID != 0 || q.Payload != nil || len(q.Bytes()) != 8 {
+		t.Fatalf("recycled packet not zeroed: %+v", q)
+	}
+	q.Free()
+
+	r := NewPacket()
+	r.ID = 9
+	r.Free()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("double Free of pooled packet did not panic")
+		}
+	}()
+	r.Free()
+}
+
+// raceDetector is set by race_test.go in -race builds.
+var raceDetector bool
+
+// TestZeroAllocReceive gates the NIC's hot path: with pooled packets and
+// the event pool warm, receiving a packet through the offload program and
+// handing it to the host allocates nothing.
+func TestZeroAllocReceive(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops items under the race detector; the packet pool cannot stay warm")
+	}
+	eng := sim.New(1)
+	var dev *NIC
+	dev = New(eng, Config{Queues: 1, RingSize: 256}, func(q int, pkt *Packet) {
+		dev.Consumed(q)
+		pkt.Free()
+	})
+	dev.SetOffloadProgram(steerAll(t))
+	receive := func() {
+		for i := 0; i < 8; i++ {
+			pkt := NewPacket()
+			pkt.ID = uint64(i)
+			pkt.SrcIP, pkt.DstIP = 0x0a000001, 0x0a000002
+			pkt.SrcPort, pkt.DstPort = uint16(4000+i), 9000
+			dev.Receive(pkt)
+		}
+		eng.Run()
+	}
+	for i := 0; i < 64; i++ { // warm the packet and event pools
+		receive()
+	}
+	if avg := testing.AllocsPerRun(200, receive); avg != 0 {
+		t.Fatalf("receive: %v allocs/op, want 0", avg)
+	}
+}

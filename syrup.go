@@ -87,12 +87,7 @@ type HostConfig struct {
 	NumCPUs int
 	// NICQueues is the RX queue count (0 = 1).
 	NICQueues int
-	// Batch is the NAPI-style drain budget: how many ring-resident packets
-	// one softirq event may carry through the datapath (NIC drain, hook
-	// dispatch, SKB stage hops). 0 or 1 selects the per-packet legacy path;
-	// any value preserves per-packet virtual timestamps, so results are
-	// bit-identical across batch sizes — batching only changes wall-clock
-	// cost. Explicit NIC.Budget / Stack.Batch overrides win.
+	// Deprecated: Batch has no effect; kept only until a benchmark-archetype PR stops setting it.
 	Batch int
 	// NIC, Stack, and Kernel override low-level cost models; zero values
 	// take the calibrated defaults.
@@ -115,11 +110,11 @@ type HostConfig struct {
 	Quarantine *syrupd.QuarantineConfig
 	// Telemetry, when set, builds the host's time-series sampler
 	// (internal/obs) and attaches it to the engine's passive sampling
-	// hook: datapath gauges (softirq backlog, ring occupancy, NIC
-	// inflight, runnable ghOSt threads, quarantined links) are sampled
-	// every Period. The hook schedules no events and draws no
-	// randomness, so runs are bit-identical with telemetry on or off
-	// (gated by make obs-diff). Off by default.
+	// hook: datapath gauges (softirq backlog, NIC inflight, runnable ghOSt
+	// threads, quarantined links) are sampled every Period. The hook
+	// schedules no events and draws no randomness, so runs are
+	// bit-identical with telemetry on or off (gated by make obs-diff). Off
+	// by default.
 	Telemetry *obs.Config
 	// PolicyProfile deploys this host's policies with per-instruction
 	// profiling (the per-host form of ebpf.LoadOptions.Profile).
@@ -148,10 +143,10 @@ func WriteChromeTrace(w io.Writer, spans []TraceSpan) error {
 const maxParallelism = 4096
 
 // Normalize validates cfg and resolves every implicit default in one
-// place: the seed, the host name, the NIC queue count, and the Batch →
-// NIC.Budget / Stack.Batch propagation. It is the single config seam —
-// NewHost, TryNewHost, and the cluster layer all normalize through here,
-// so a nonsensical config fails the same way everywhere.
+// place: the seed, the host name, and the NIC queue count. It is the
+// single config seam — NewHost, TryNewHost, and the cluster layer all
+// normalize through here, so a nonsensical config fails the same way
+// everywhere.
 func (cfg HostConfig) Normalize() (HostConfig, error) {
 	switch {
 	case cfg.NumCPUs < 0:
@@ -162,8 +157,6 @@ func (cfg HostConfig) Normalize() (HostConfig, error) {
 		return cfg, fmt.Errorf("syrup: NICQueues %d is negative", cfg.NICQueues)
 	case cfg.NICQueues > maxParallelism:
 		return cfg, fmt.Errorf("syrup: NICQueues %d exceeds the per-host maximum %d", cfg.NICQueues, maxParallelism)
-	case cfg.Batch < 0:
-		return cfg, fmt.Errorf("syrup: Batch %d is negative", cfg.Batch)
 	case cfg.HostID < 0:
 		return cfg, fmt.Errorf("syrup: HostID %d is negative", cfg.HostID)
 	case cfg.NIC.Queues < 0:
@@ -182,14 +175,6 @@ func (cfg HostConfig) Normalize() (HostConfig, error) {
 		cfg.NIC.Queues = 1
 	}
 	cfg.NICQueues = cfg.NIC.Queues
-	if cfg.Batch > 1 {
-		if cfg.NIC.Budget == 0 {
-			cfg.NIC.Budget = cfg.Batch
-		}
-		if cfg.Stack.Batch == 0 {
-			cfg.Stack.Batch = cfg.Batch
-		}
-	}
 	return cfg, nil
 }
 
@@ -276,7 +261,6 @@ func TryNewHost(cfg HostConfig) (*Host, error) {
 		sa := obs.NewSampler(*cfg.Telemetry)
 		sa.Gauge("softirq_backlog", func() float64 { return float64(stack.SoftirqBacklog()) })
 		sa.Gauge("nic_inflight", func() float64 { return float64(dev.InflightTotal()) })
-		sa.Gauge("nic_ring_occupancy", func() float64 { return float64(dev.RingOccupancy()) })
 		sa.Gauge("ghost_runnable", func() float64 { return float64(h.Daemon.GhostRunnable()) })
 		sa.Gauge("quarantined_links", func() float64 { return float64(h.Daemon.QuarantinedCount()) })
 		if cfg.Telemetry.Counters {

@@ -18,8 +18,9 @@ test:
 # single-owner layers (hook, ghost, nic, netstack, obs, trace, ...) whose
 # suites staying clean shows nothing they call shares state behind their
 # back. internal/experiments is left out: it takes ~9 min under -race and
-# found nothing the packages it drives do not find here. Two pooled-packet
-# alloc gates (nic, netstack) skip themselves under -race.
+# found nothing the packages it drives do not find here. The receive-path
+# alloc gates (nic, netstack) run here too: a device-owned free list keeps
+# every packet put back, race detector or not.
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v /internal/experiments)
 
@@ -35,14 +36,15 @@ lint-hooks:
 # Zero-alloc gates (see DESIGN.md): the event-engine steady state, compiled
 # eBPF dispatch, hook dispatch (single and vectorized, traced and
 # untraced), the span recorder's Record path — including disabled/nil
-# recorders, i.e. the tracing-off hot path — the receive path (NIC receive
-# with pooled packets → socket enqueue, offload and XDP attached), the
+# recorders, i.e. the tracing-off hot path — the generator's send+complete
+# round across request-table pages, the receive path (NIC receive with the
+# device's own packets → socket enqueue, offload and XDP attached), the
 # telemetry tick (histogram reads, sampler tick, a controller tick on
 # which no rule acts), the ghOSt agent loop (message batch → Schedule →
 # commit, also under sustained overload), Map.LookupUint64 and Store.Get
 # must all stay at 0 allocs/op; a Store.Scan allocates its result only.
 alloc-gates:
-	$(GO) test -run 'TestZeroAlloc|TestCompiledRunZeroAllocs' -v ./internal/sim/ ./internal/trace/ ./internal/hook/ ./internal/ebpf/ ./internal/nic/ ./internal/netstack/ ./internal/obs/ ./internal/adapt/ ./internal/metrics/ ./internal/ghost/ ./internal/apps/rocksdb/ | grep -E '^(=== RUN|--- (PASS|FAIL)|FAIL|ok)'
+	$(GO) test -run 'TestZeroAlloc|TestCompiledRunZeroAllocs' -v ./internal/sim/ ./internal/trace/ ./internal/hook/ ./internal/ebpf/ ./internal/workload/ ./internal/nic/ ./internal/netstack/ ./internal/obs/ ./internal/adapt/ ./internal/metrics/ ./internal/ghost/ ./internal/apps/rocksdb/ | grep -E '^(=== RUN|--- (PASS|FAIL)|FAIL|ok)'
 
 # Chaos gate (see DESIGN.md "Fault injection and quarantine"): the
 # fault-plan suite plus the syrupd quarantine/revoke tests — including the
@@ -85,16 +87,17 @@ lint-env:
 		exit 1; \
 	fi
 
-# No ambient state in the telemetry and policy-execution packages: a
-# package-level atomic, mutex or mutated map there is shared by every host
-# in the process, which is how per-host attribution was lost once. The awk
+# No ambient state in the telemetry, policy-execution and per-request
+# datapath packages: a package-level atomic, mutex or mutated map there is
+# shared by every host in the process, which is how per-host attribution
+# was lost once. The awk
 # lists package-level declarations (var lines and var blocks) of non-test
 # files that mention an atomic or a mutex; each package-level map is then
 # grepped for an element write or delete. sync.Pool and lookup tables that
 # are never assigned after their initializer pass.
 lint-globals:
 	@decls='/^var \(/{blk=1;next} /^\)/{blk=0} blk||/^var /'; \
-	bad=$$(for d in metrics obs trace hook ebpf syrupd; do \
+	bad=$$(for d in metrics obs trace hook ebpf syrupd nic workload; do \
 		files=$$(ls internal/$$d/*.go | grep -v _test.go); \
 		awk "$$decls"' {if (/atomic\.|sync\.(RW)?Mutex/) print FILENAME":"FNR": "$$0}' $$files; \
 		for m in $$(awk "$$decls"' {if (/map\[/) {sub(/^var /,""); print $$1}}' $$files); do \

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -29,6 +30,12 @@ const maxRuns = 8
 // immutable sorted runs, newest first. It is safe for concurrent use.
 type Store struct {
 	mu sync.RWMutex
+	// index is the point-lookup index: key → newest value, written by Put
+	// under the write lock and probed once by Get. Flush and compaction
+	// move versions between runs but never change which value is newest,
+	// and the store has no delete, so neither touches it. The memtable and
+	// the runs stay the ordered structures Scan, Len and compaction read.
+	index map[string]string
 	// mem is the memtable: a run under construction, kept sorted by
 	// binary-search insert, so reads, scans and flushes treat it like any
 	// other run. Array-backed on purpose: ascending loads append, a flush
@@ -49,11 +56,11 @@ type run struct {
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store { return &Store{} }
+func NewStore() *Store { return &Store{index: make(map[string]string)} }
 
 // find returns where key is, or would be inserted, and whether it is
-// there. Keys outside the fence — ascending loads like Preload, and most
-// runs a Get walks past — cost two comparisons and no search.
+// there. Keys outside the fence — ascending loads like Preload — cost two
+// comparisons and no search.
 func (r *run) find(key string) (int, bool) {
 	n := len(r.keys)
 	if n == 0 || key > r.keys[n-1] {
@@ -80,6 +87,7 @@ func (s *Store) Put(key, value string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.Puts++
+	s.index[key] = value
 	s.mem.put(key, value)
 	if len(s.mem.keys) >= memtableFlushSize {
 		s.flushLocked()
@@ -90,16 +98,9 @@ func (s *Store) Put(key, value string) {
 func (s *Store) Get(key string) (string, bool) {
 	s.Gets.Add(1)
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if i, ok := s.mem.find(key); ok {
-		return s.mem.values[i], true
-	}
-	for _, r := range s.runs {
-		if i, ok := r.find(key); ok {
-			return r.values[i], true
-		}
-	}
-	return "", false
+	v, ok := s.index[key]
+	s.mu.RUnlock()
+	return v, ok
 }
 
 // Scan returns up to limit key/value pairs with key >= start, in key
@@ -234,10 +235,23 @@ func (m merger) next() (key, value string, ok bool) {
 // Preload fills the store with n sequential keys ("key-%08d") so GETs and
 // SCANs have data to touch.
 func (s *Store) Preload(n int) {
+	s.mu.Lock()
+	if len(s.index) == 0 {
+		s.index = make(map[string]string, n) // sized once instead of grown
+	}
+	s.mu.Unlock()
 	for i := 0; i < n; i++ {
-		s.Put(Key(i), fmt.Sprintf("value-%d", i))
+		s.Put(Key(i), "value-"+strconv.Itoa(i))
 	}
 }
 
-// Key renders the canonical preloaded key for index i.
-func Key(i int) string { return fmt.Sprintf("key-%08d", i) }
+// Key renders the canonical preloaded key for index i, "key-%08d". Set-up
+// renders tens of thousands, so the common range skips fmt.
+func Key(i int) string {
+	const zeros = "key-00000000"
+	d := strconv.Itoa(i)
+	if i < 0 || len(d) > 8 {
+		return fmt.Sprintf("key-%08d", i)
+	}
+	return zeros[:len(zeros)-len(d)] + d
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -127,6 +128,16 @@ func TestPropertyStoreMatchesMap(t *testing.T) {
 	}
 }
 
+// TestKeyFormat: Key is "key-%08d" over the whole int range, the fast path
+// and the fmt fallback alike.
+func TestKeyFormat(t *testing.T) {
+	for _, i := range []int{0, 7, 99, 100, 12_345_678, 99_999_999, 100_000_000, -1, -12_345_678} {
+		if got, want := Key(i), fmt.Sprintf("key-%08d", i); got != want {
+			t.Errorf("Key(%d) = %q, want %q", i, got, want)
+		}
+	}
+}
+
 func TestPreloadAndLen(t *testing.T) {
 	s := NewStore()
 	s.Preload(500)
@@ -246,6 +257,24 @@ func (o *oracleStore) Flush() {
 	}
 }
 
+// walkGet is the lookup Get was before the point index: the memtable, then
+// every run newest first, each behind its fence. It reads the store's own
+// LSM state, so comparing it with Get checks the index against the runs it
+// summarises — across every flush and compaction that rearranged them.
+func (s *Store) walkGet(key string) (string, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if i, ok := s.mem.find(key); ok {
+		return s.mem.values[i], true
+	}
+	for _, r := range s.runs {
+		if i, ok := r.find(key); ok {
+			return r.values[i], true
+		}
+	}
+	return "", false
+}
+
 // storePair drives the store and the oracle with the same operations and
 // compares every read.
 type storePair struct {
@@ -263,6 +292,9 @@ func (p storePair) get(k string) {
 	wv, wok := p.o.Get(k)
 	if gv != wv || gok != wok {
 		p.t.Fatalf("Get(%q) = %q,%v; oracle %q,%v", k, gv, gok, wv, wok)
+	}
+	if rv, rok := p.s.walkGet(k); gv != rv || gok != rok {
+		p.t.Fatalf("Get(%q) = %q,%v from the index; %q,%v walking the store's own runs", k, gv, gok, rv, rok)
 	}
 }
 
@@ -285,8 +317,8 @@ func (p storePair) shape() {
 		p.t.Fatalf("shape: flushes %d/%d compactions %d/%d runs %d/%d", p.s.Flushes, p.o.Flushes,
 			p.s.Compactions, p.o.Compactions, len(p.s.runs), len(p.o.runs))
 	}
-	if got, want := p.s.Len(), p.o.Len(); got != want {
-		p.t.Fatalf("Len = %d; oracle %d", got, want)
+	if got, want := p.s.Len(), p.o.Len(); got != want || len(p.s.index) != want {
+		p.t.Fatalf("Len = %d, index holds %d; oracle %d", got, len(p.s.index), want)
 	}
 	for _, r := range append([]run{p.s.mem}, p.s.runs...) {
 		if !sort.StringsAreSorted(r.keys) || len(r.keys) != len(r.values) {
@@ -417,8 +449,8 @@ func TestStoreConcurrentReaders(t *testing.T) {
 				k := Key((i*7 + r) % 2500)
 				if i%16 == 0 {
 					s.Scan(k, 20)
-				} else {
-					s.Get(k)
+				} else if v, ok := s.Get(k); ok && v != "w" && !strings.HasPrefix(v, "value-") {
+					t.Errorf("Get(%q) = %q: neither the preloaded nor the written value", k, v)
 				}
 			}
 		}(r)
@@ -480,6 +512,28 @@ func BenchmarkStoreGet(b *testing.B) {
 				s.Get(keys[i&1023])
 			}
 		})
+	}
+}
+
+// BenchmarkGetRandom is the ledger's rocksdb.get probe shape: uniform over
+// the 10 K preloaded keys, so two lookups in three land in a run rather
+// than the memtable.
+func BenchmarkGetRandom(b *testing.B) {
+	s := NewStore()
+	s.Preload(10_000)
+	keys := make([]string, 10_000)
+	for i := range keys {
+		keys[i] = Key(i)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	order := make([]uint16, 1<<14)
+	for i := range order {
+		order[i] = uint16(rng.IntN(len(keys)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Get(keys[order[i&(len(order)-1)]])
 	}
 }
 

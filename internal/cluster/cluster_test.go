@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"syrup"
+	"syrup/internal/apps/rocksdb"
+	"syrup/internal/sim"
 	"syrup/internal/workload"
 )
 
@@ -136,6 +139,50 @@ func TestRunAllVisitsEveryMemberOnce(t *testing.T) {
 			if v != 1 {
 				t.Fatalf("workers=%d: member %d visited %d times", workers, i, v)
 			}
+		}
+	}
+}
+
+// TestFleetPacketsStayPerHost: packets come from and go back to the NIC of
+// the host that sent them, so four hosts that each generate, serve and
+// free their own traffic share nothing: run on four workers they report
+// exactly what they report on one, every request answered — and `make
+// race` runs this with the detector watching the free lists.
+func TestFleetPacketsStayPerHost(t *testing.T) {
+	const app, uid, port = 3, 1003, 9100
+	run := func(workers int) []string {
+		c, err := New(Config{Hosts: 4, Seed: 42, TableSize: 251, Host: syrup.HostConfig{NumCPUs: 2, NICQueues: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts := c.Split(workload.Config{
+			Rate: 400_000, Flows: 200, DstPort: port,
+			Warmup: sim.Millisecond, Measure: 20 * sim.Millisecond, Drain: 2 * sim.Millisecond,
+		})
+		gens := make([]*workload.Generator, len(c.Members))
+		for i, m := range c.Members {
+			if _, err := m.Host.RegisterApp(app, uid, port); err != nil {
+				t.Fatal(err)
+			}
+			gens[i] = workload.New(m.Host.Eng, m.Host.NIC, parts[i])
+			rocksdb.NewServer(m.Host.Eng, m.Host.Machine, m.Host.Stack, rocksdb.Config{
+				Port: port, App: app, NumThreads: 2, KeySpace: 64, OnComplete: gens[i].Complete,
+			}).Start()
+		}
+		out := make([]string, len(c.Members))
+		c.RunAll(workers, func(m *Member) {
+			st := gens[m.Index].RunToCompletion().All
+			if st.Offered == 0 || st.Completed != st.Offered {
+				t.Errorf("workers=%d %s: completed %d of %d", workers, m.Name, st.Completed, st.Offered)
+			}
+			out[m.Index] = fmt.Sprintf("%v nic=%+v inflight=%d", st, m.Host.NIC.Stats, m.Host.NIC.InflightTotal())
+		})
+		return out
+	}
+	one, four := run(1), run(4)
+	for i := range one {
+		if one[i] != four[i] {
+			t.Fatalf("host %d differs across worker counts:\n%s\n%s", i, one[i], four[i])
 		}
 	}
 }

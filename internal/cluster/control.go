@@ -305,7 +305,7 @@ func (c *Cluster) bake(m *Member, cfg RolloutConfig) {
 		gap = 1
 	}
 	for i := 0; i < cfg.Probes; i++ {
-		pkt := nic.NewPacket()
+		pkt := m.Host.NIC.NewPacket()
 		pkt.ID = probeIDBase + uint64(i)
 		pkt.SrcIP = 0x0afe0000 + uint32(m.Index)
 		pkt.DstIP = 0x0a00ffff

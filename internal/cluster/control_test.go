@@ -38,7 +38,7 @@ func newTestCluster(t *testing.T, hosts int, tune func(i int, cfg *syrup.HostCon
 
 // probePacket builds one GET request addressed to the member's test app.
 func probePacket(m *Member, id uint64, port uint16) *nic.Packet {
-	p := nic.NewPacket()
+	p := m.Host.NIC.NewPacket()
 	p.ID = id
 	p.SrcIP = 0x0a000001
 	p.DstIP = 0x0a0000ff

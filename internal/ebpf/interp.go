@@ -82,9 +82,9 @@ type dynRegion struct {
 
 // runState is the mutable state of one program invocation: registers,
 // stack, dynamic map-value regions, accounting, and the ambient context.
-// The compiled dispatch path recycles runStates through a sync.Pool so
-// steady-state execution allocates nothing; the interpreter allocates a
-// fresh one per run.
+// The compiled dispatch path reuses runStates (a hook point's own RunState,
+// or the pool behind Program.Run) so steady-state execution allocates
+// nothing; the interpreter allocates a fresh one per run.
 type runState struct {
 	stack   [StackSize]byte
 	regs    [NumRegs]uint64

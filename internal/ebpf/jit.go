@@ -36,17 +36,16 @@ const (
 	opErr  = -1<<30 + 2 // runtime error; rs.err holds it
 )
 
-// runStatePool recycles run state across compiled invocations. A pooled
-// state is returned as-is and reset lazily on the next get: the 512-byte
-// stack and the registers stay dirty because the verifier rejects any read
-// of an uninitialized register or stack byte (only NoVerify loads pay for
-// a scrub on entry), and the env/ctx/region references from the last run
+// runStatePool lends run state to Program.Run, the entry any goroutine may
+// call; a hook point owns a RunState instead and never comes here. A state
+// is reused as it was left and reset lazily: the 512-byte stack and the
+// registers stay dirty because the verifier rejects any read of an
+// uninitialized register or stack byte (only NoVerify loads pay for a
+// scrub on entry), and the env/ctx/region references from the last run
 // are overwritten or truncated at reuse — they point at caller-owned
 // contexts and long-lived map storage, so holding them across the gap
 // pins nothing meaningful.
 var runStatePool = sync.Pool{New: func() any { return new(runState) }}
-
-func putRunState(rs *runState) { runStatePool.Put(rs) }
 
 // runCompiled is the fast dispatch path: a pooled runState driven through
 // the pre-decoded closure stream. Steady state performs zero heap
@@ -55,14 +54,14 @@ func (p *Program) runCompiled(ctx *Ctx, env *Env) (uint64, ExecStats, error) {
 	rs := runStatePool.Get().(*runState)
 	ret, err := p.execCompiled(rs, ctx, env)
 	st := rs.stats
-	putRunState(rs)
+	runStatePool.Put(rs)
 	return ret, st, err
 }
 
 // execCompiled resets rs for one invocation and drives the threaded code.
-// The caller owns rs (pool get/put), so a batch entry point can reuse one
-// state across a whole burst; everything per-run — reset, accounting,
-// instret/fault charging — happens here and is identical to runCompiled.
+// The caller owns rs — borrowed from the pool by runCompiled, held for good
+// by a RunState — and everything per-run (reset, accounting, instret/fault
+// charging) happens here, so the two entries cannot differ.
 func (p *Program) execCompiled(rs *runState, ctx *Ctx, env *Env) (uint64, error) {
 	if env == nil {
 		env = &rs.noEnv

@@ -6,7 +6,8 @@ import (
 )
 
 // runBatchDifferential drives one world through N individual Runs and an
-// identical world through one BatchRun, comparing every observable:
+// identical world through N runs on one caller-owned RunState — the state
+// a hook point keeps — comparing every observable:
 // return values, error strings, exec stats, map side effects, and the
 // dispatch counters left behind. Reports whether the program loaded.
 func runBatchDifferential(t *testing.T, insns []Instruction) bool {
@@ -21,7 +22,7 @@ func runBatchDifferential(t *testing.T, insns []Instruction) bool {
 	}
 
 	envS, envB := diffEnv(), diffEnv()
-	br := batched.prog.BeginBatch()
+	var rs RunState
 	for pi, pkt := range diffPackets {
 		pktS := append([]byte(nil), pkt...)
 		pktB := append([]byte(nil), pkt...)
@@ -29,31 +30,30 @@ func runBatchDifferential(t *testing.T, insns []Instruction) bool {
 		ctxB := &Ctx{Packet: pktB, Hash: uint32(pi) * 0x9e37, Port: 9000 + uint32(pi), Queue: uint32(pi)}
 
 		retS, stS, errS := single.prog.Run(ctxS, envS)
-		retB, stB, errB := br.Run(ctxB, envB)
+		retB, stB, errB := rs.Run(batched.prog, ctxB, envB)
 
 		if errString(errS) != errString(errB) {
-			t.Fatalf("pkt %d error divergence: Run %v, BatchRun %v\n%s", pi, errS, errB, single.prog.Disassemble())
+			t.Fatalf("pkt %d error divergence: Run %v, RunState %v\n%s", pi, errS, errB, single.prog.Disassemble())
 		}
 		if retS != retB {
-			t.Fatalf("pkt %d return divergence: Run %d, BatchRun %d\n%s", pi, retS, retB, single.prog.Disassemble())
+			t.Fatalf("pkt %d return divergence: Run %d, RunState %d\n%s", pi, retS, retB, single.prog.Disassemble())
 		}
 		if stS != stB {
-			t.Fatalf("pkt %d stats divergence: Run %+v, BatchRun %+v\n%s", pi, stS, stB, single.prog.Disassemble())
+			t.Fatalf("pkt %d stats divergence: Run %+v, RunState %+v\n%s", pi, stS, stB, single.prog.Disassemble())
 		}
 		if string(pktS) != string(pktB) {
 			t.Fatalf("pkt %d packet-write divergence\n%s", pi, single.prog.Disassemble())
 		}
 	}
-	br.End()
 
 	if ss, sb := single.prog.Stats(), batched.prog.Stats(); ss != sb {
-		t.Fatalf("program accounting divergence: Run %+v, BatchRun %+v", ss, sb)
+		t.Fatalf("program accounting divergence: Run %+v, RunState %+v", ss, sb)
 	}
 	for k := uint32(0); k < 8; k++ {
 		vs, oks := single.arr.LookupUint64(k)
 		vb, okb := batched.arr.LookupUint64(k)
 		if vs != vb || oks != okb {
-			t.Fatalf("map divergence at %d: Run %d/%v, BatchRun %d/%v", k, vs, oks, vb, okb)
+			t.Fatalf("map divergence at %d: Run %d/%v, RunState %d/%v", k, vs, oks, vb, okb)
 		}
 	}
 	return true
@@ -82,23 +82,9 @@ func TestBatchRunEquivalence(t *testing.T) {
 	t.Logf("batch differential: %d/%d programs accepted and compared", accepted, trials)
 }
 
-// TestBatchRunEndIdempotent: End twice is safe and returns the pooled
-// state once.
-func TestBatchRunEndIdempotent(t *testing.T) {
-	p := MustLoad("b_end", []Instruction{MovImm(R0, 5), Exit()}, LoadOptions{})
-	br := p.BeginBatch()
-	if ret, _, err := br.Run(&Ctx{}, nil); err != nil || ret != 5 {
-		t.Fatalf("ret %d err %v", ret, err)
-	}
-	br.End()
-	br.End()
-	if st := p.Stats(); st.Runs != 1 {
-		t.Fatalf("Runs = %d, want 1", st.Runs)
-	}
-}
-
-// TestZeroAllocBatchRun gates the burst entry point: a warm burst of
-// compiled runs allocates nothing, including the shared map-heavy shape.
+// TestZeroAllocBatchRun gates the caller-owned entry point: a burst of
+// compiled runs on one RunState allocates nothing, including the shared
+// map-heavy shape.
 func TestZeroAllocBatchRun(t *testing.T) {
 	arr := MustNewMap(MapSpec{Name: "zb", Type: MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 8})
 	table := NewMapTable()
@@ -116,17 +102,16 @@ func TestZeroAllocBatchRun(t *testing.T) {
 			Exit(),
 		)...), LoadOptions{MapTable: table})
 	ctx := &Ctx{Hash: 0x1234}
+	var rs RunState
 	burst := func() {
-		br := prog.BeginBatch()
 		for i := 0; i < 16; i++ {
-			if _, _, err := br.Run(ctx, nil); err != nil {
+			if _, _, err := rs.Run(prog, ctx, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		br.End()
 	}
-	burst() // warm the pool
+	burst() // size the map-value region list
 	if avg := testing.AllocsPerRun(300, burst); avg != 0 {
-		t.Fatalf("BatchRun burst: %v allocs/op, want 0", avg)
+		t.Fatalf("RunState burst: %v allocs/op, want 0", avg)
 	}
 }

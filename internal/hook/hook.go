@@ -5,8 +5,9 @@
 // A Point is a named slot at a layer (the NIC's offload engine, a
 // reuseport group's socket-select, the storage device's submit path, the
 // ghOSt agent's thread hook). It owns the installed program, a reusable
-// scratch Ctx so the per-packet path stays allocation-free, the layer's
-// default Env, and per-point run/fault/verdict counters. The counters are
+// scratch Ctx and the one run state every run at the point executes on —
+// so the per-packet path allocates nothing and touches nothing shared —
+// the layer's default Env, and per-point run/fault/verdict counters. The counters are
 // plain fields read through Stats; the host that owns the point publishes
 // them (syrupd.Daemon.Counters) as ebpf_hook_runs_<point> and
 // ebpf_hook_faults_<point>.
@@ -123,9 +124,11 @@ type Point struct {
 	payload any
 
 	env *ebpf.Env
-	// ctx is the reusable scratch context; Run is synchronous and the
-	// engine single-threaded, so one per point keeps runs allocation-free.
+	// ctx is the reusable scratch context and rs the run state; Run is
+	// synchronous and the engine single-threaded, so one of each per point
+	// serves every run, across Replace and whichever program is installed.
 	ctx ebpf.Ctx
+	rs  ebpf.RunState
 
 	stats Stats
 	// runsKey and faultsKey are the names stats.Runs and stats.Faults are
@@ -299,9 +302,7 @@ func (p *Point) Run(in Input) Verdict {
 		return Verdict{Action: Pass}
 	}
 	var d Stats
-	br := prog.BeginBatch()
-	v := p.runOne(&br, prog, &in, &d)
-	br.End()
+	v := p.runOne(prog, &in, &d)
 	p.account(p.link, d)
 	return v
 }
@@ -309,8 +310,7 @@ func (p *Point) Run(in Input) Verdict {
 // RunBatch executes the installed program against a burst of inputs and
 // returns one Verdict per input, in order — the vectorized form of Run,
 // the XDP bulk-processing analogue. The burst amortizes what Run pays per
-// packet: the attach check and program snapshot happen once, the run
-// state is pooled once for the whole burst (ebpf.BatchRun), and the
+// packet: the attach check and program snapshot happen once, and the
 // point's and link's counters take the burst totals in one flush.
 // Everything observable is equivalent to calling Run once per input in
 // the same order — both go through runOne — so a burst whose packets
@@ -336,21 +336,19 @@ func (p *Point) RunBatch(ins []Input) []Verdict {
 	}
 	link := p.link
 	var d Stats
-	br := prog.BeginBatch()
 	for i := range ins {
-		out = append(out, p.runOne(&br, prog, &ins[i], &d))
+		out = append(out, p.runOne(prog, &ins[i], &d))
 	}
-	br.End()
 	p.account(link, d)
 	p.batch = out
 	return out
 }
 
 // runOne is one policy invocation, shared by Run and RunBatch so the two
-// cannot drift: consult the fault seam, run prog on the burst's pooled
+// cannot drift: consult the fault seam, run prog on the point's run
 // state, classify the result (a runtime error fails open as a counted
 // fault), charge it to d, and emit the verdict's trace span.
-func (p *Point) runOne(br *ebpf.BatchRun, prog *ebpf.Program, in *Input, d *Stats) Verdict {
+func (p *Point) runOne(prog *ebpf.Program, in *Input, d *Stats) Verdict {
 	var (
 		raw uint32
 		err error
@@ -365,7 +363,7 @@ func (p *Point) runOne(br *ebpf.BatchRun, prog *ebpf.Program, in *Input, d *Stat
 			env = p.env
 		}
 		p.ctx = ebpf.Ctx{Packet: in.Packet, Hash: in.Hash, Port: in.Port, Queue: in.Queue}
-		raw, _, err = br.Run(&p.ctx, env)
+		raw, _, err = p.rs.Run(prog, &p.ctx, env)
 	}
 	d.Runs++
 	var v Verdict

@@ -450,3 +450,80 @@ func TestTailCallBudgetOneHookFault(t *testing.T) {
 		t.Fatalf("program faults = %d, want 1", f)
 	}
 }
+
+// TestRunStateSurvivesReplaceTailCallsAndFaults: a point runs everything on
+// the one run state it owns, whichever program is installed. A long-lived
+// point taken through Replace, a tail-call chain that faults at its
+// budget, a program faulting at run time and injected faults must give,
+// generation by generation, the verdicts and the accounting of a point
+// created for that generation alone — a fresh state.
+func TestRunStateSurvivesReplaceTailCallsAndFaults(t *testing.T) {
+	spill := func(mod string) func(*testing.T) *ebpf.Program {
+		return func(t *testing.T) *ebpf.Program {
+			return mustProg(t, "spill"+mod, "r2 = *(u32 *)(r1 + 16)\n*(u64 *)(r10 - 8) = r2\nr0 = *(u64 *)(r10 - 8)\nr0 %= "+mod+"\nexit\n")
+		}
+	}
+	gens := []struct {
+		name   string
+		prog   func(*testing.T) *ebpf.Program
+		inject int // fire on every inject-th run; 0 never
+		batch  bool
+	}{
+		{"spill", spill("4"), 0, false},
+		{"tailcall budget", func(t *testing.T) *ebpf.Program { return selfTailProg(t, "rs_tail") }, 0, false},
+		{"after a tail-call fault", spill("3"), 0, true},
+		{"runtime fault", faultyProg, 0, false},
+		{"injected faults", spill("5"), 3, false},
+		{"after injected faults", spill("7"), 0, true},
+	}
+	arm := func(pt *Point, every int) {
+		if every == 0 {
+			pt.SetFaultInjector(nil)
+			return
+		}
+		n := 0
+		pt.SetFaultInjector(func() bool { n++; return n%every == 0 })
+	}
+	run := func(pt *Point, ins []Input, batch bool) []Verdict {
+		if batch {
+			return append([]Verdict(nil), pt.RunBatch(ins)...)
+		}
+		var out []Verdict
+		for _, in := range ins {
+			out = append(out, pt.Run(in))
+		}
+		return out
+	}
+	ins := mkInputs(20)
+	long := NewPoint(SocketSelect, "t_long", nil)
+	var prev Stats
+	for _, g := range gens {
+		progL, progF := g.prog(t), g.prog(t)
+		long.Set(progL) // attach, then live Replace from the second generation on
+		fresh := NewPoint(SocketSelect, "t_fresh", nil)
+		fresh.Set(progF)
+		arm(long, g.inject)
+		arm(fresh, g.inject)
+		got, want := run(long, ins, g.batch), run(fresh, ins, g.batch)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: verdict %d = %+v on the long-lived point, %+v on a fresh one", g.name, i, got[i], want[i])
+			}
+		}
+		cur := long.Stats()
+		delta := Stats{cur.Runs - prev.Runs, cur.Faults - prev.Faults, cur.Passes - prev.Passes, cur.Drops - prev.Drops, cur.Steers - prev.Steers}
+		if delta != fresh.Stats() {
+			t.Fatalf("%s: point stats %+v on the long-lived point, %+v on a fresh one", g.name, delta, fresh.Stats())
+		}
+		if progL.Stats() != progF.Stats() {
+			t.Fatalf("%s: program stats %+v on the long-lived point, %+v on a fresh one", g.name, progL.Stats(), progF.Stats())
+		}
+		prev = cur
+	}
+	if l := long.Link(); l.Swaps() != uint64(len(gens)-1) || l.Stats() != long.Stats() {
+		t.Fatalf("link: %d swaps, stats %+v; point stats %+v", l.Swaps(), l.Stats(), long.Stats())
+	}
+	if prev.Faults == 0 || prev.Steers == 0 {
+		t.Fatalf("generations never faulted or never steered: %+v", prev)
+	}
+}

@@ -414,17 +414,11 @@ func TestXDPRevokeBetweenAdmissionAndCompletion(t *testing.T) {
 	}
 }
 
-// raceDetector is set by race_test.go in -race builds.
-var raceDetector bool
-
-// TestZeroAllocDeliver gates the receive path end to end: with pooled
-// packets and the event pool and socket ring warm, carrying a packet
+// TestZeroAllocDeliver gates the receive path end to end: with the
+// device's own packets and the event pool and socket ring warm, carrying a packet
 // through offload, softirq, XDP dispatch, protocol processing, and socket
 // delivery allocates nothing.
 func TestZeroAllocDeliver(t *testing.T) {
-	if raceDetector {
-		t.Skip("sync.Pool drops items under the race detector; the packet pool cannot stay warm")
-	}
 	eng := sim.New(1)
 	dev, st := Wire(eng, nic.Config{Queues: 1, RingSize: 256}, Config{})
 	sock, _ := st.NewUDPSocket(9000, 1, "w")
@@ -432,7 +426,7 @@ func TestZeroAllocDeliver(t *testing.T) {
 	dev.SetOffloadProgram(mustProg(t, "r0 = PASS\nexit\n"))
 	deliver := func() {
 		for i := 0; i < 8; i++ {
-			pkt := nic.NewPacket()
+			pkt := dev.NewPacket()
 			pkt.ID = uint64(i)
 			pkt.SrcIP, pkt.DstIP = 1, 2
 			pkt.SrcPort, pkt.DstPort = uint16(7000+i), 9000
@@ -443,7 +437,7 @@ func TestZeroAllocDeliver(t *testing.T) {
 			p.Free()
 		}
 	}
-	for i := 0; i < 64; i++ { // warm the packet and event pools and the socket ring
+	for i := 0; i < 64; i++ { // warm the event pool and the socket ring
 		deliver()
 	}
 	if avg := testing.AllocsPerRun(200, deliver); avg != 0 {

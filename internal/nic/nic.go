@@ -10,7 +10,6 @@ package nic
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"syrup/internal/ebpf"
 	"syrup/internal/faults"
@@ -52,30 +51,54 @@ type Packet struct {
 	// Queue is the RX queue the NIC placed the packet on.
 	Queue int
 
-	// wire caches the policy-visible byte view.
+	// wire caches the policy-visible byte view (see Bytes).
 	wire []byte
 
-	// hdr is scratch storage for small generated payloads (see HeaderBuf);
-	// pooled/freed drive the page-pool-style recycler (see NewPacket/Free).
-	hdr    [32]byte
-	pooled bool
-	freed  bool
+	// hdr is scratch storage for small generated payloads (see HeaderBuf)
+	// and view is the storage wire points into when the payload fits hdr,
+	// so a generated request carries both inline.
+	hdr  [32]byte
+	view [8 + 32]byte
+
+	// owner is the device whose free list issued the packet and takes it
+	// back (see NIC.NewPacket, Free); nil for a literal packet. next links
+	// the free list; freed marks a packet sitting on it.
+	owner *NIC
+	next  *Packet
+	freed bool
 }
 
-// pktPool recycles Packets across requests — the simulator's page_pool:
-// the datapath allocates one descriptor per request at the generator and
-// returns it at its terminal point (serve completion or drop), so
-// steady-state load stops exercising the garbage collector.
-var pktPool = sync.Pool{New: func() any { return new(Packet) }}
+// Packets are recycled per device by their one owner, the way XDP's
+// page_pool recycles buffers per RX queue: the host is single-threaded, so
+// the free list is a plain intrusive chain on the NIC and the datapath
+// takes no lock and touches no shared state per packet. The list grows a
+// slab at a time and New adds the first: the ledger's workloads keep under
+// 128 packets in flight per host, so theirs are in place before a run
+// starts, and a host deep in overload grows a few slabs while it runs.
+const packetSlab = 256
 
-// NewPacket returns a zeroed Packet from the recycler. Packets obtained
-// here should be released with Free at their terminal point; packets built
-// with a plain literal are ordinary GC-managed values and Free ignores
-// them, so the two allocation styles mix safely.
-func NewPacket() *Packet {
-	p := pktPool.Get().(*Packet)
-	p.pooled, p.freed = true, false
+// NewPacket returns a zeroed Packet from the device's free list. Packets
+// obtained here should be released with Free at their terminal point;
+// packets built with a plain literal are ordinary GC-managed values and
+// Free ignores them, so the two allocation styles mix safely.
+func (n *NIC) NewPacket() *Packet {
+	if n.free == nil {
+		n.growPackets()
+	}
+	p := n.free
+	n.free, p.next = p.next, nil
+	p.freed = false
 	return p
+}
+
+// growPackets adds one slab of packets to the free list.
+func (n *NIC) growPackets() {
+	slab := make([]Packet, packetSlab)
+	for i := range slab {
+		p := &slab[i]
+		p.owner, p.freed = n, true
+		p.next, n.free = n.free, p
+	}
 }
 
 // HeaderBuf returns the packet's inline scratch buffer (length 0), for
@@ -83,36 +106,41 @@ func NewPacket() *Packet {
 // pkt.Payload = append(pkt.HeaderBuf(), ...).
 func (p *Packet) HeaderBuf() []byte { return p.hdr[:0] }
 
-// Free returns a pooled packet to the recycler. Only terminal owners may
-// call it — the layer that drops the packet or the server that finished
-// serving it — and only once; a second Free of a live pooled packet is a
-// datapath ownership bug and panics. Free on a non-pooled packet is a
-// no-op.
+// Free returns the packet to the free list of the device that issued it.
+// Only terminal owners may call it — the layer that drops the packet or
+// the server that finished serving it — and only once; a second Free of a
+// live device packet is a datapath ownership bug and panics. Free on a
+// literal packet is a no-op.
 func (p *Packet) Free() {
-	if !p.pooled {
+	n := p.owner
+	if n == nil {
 		return
 	}
 	if p.freed {
 		panic(fmt.Sprintf("nic: double Free of packet %d", p.ID))
 	}
 	wire := p.wire
-	*p = Packet{}
-	p.wire = wire[:0]
-	p.pooled, p.freed = true, true
-	pktPool.Put(p)
+	*p = Packet{owner: n, next: n.free, freed: true}
+	if cap(wire) > len(p.view) {
+		p.wire = wire[:0] // a heap view outlives the request that needed it
+	}
+	n.free = p
 }
 
 // Bytes renders the policy-visible view: an 8-byte UDP header followed by
 // the payload. The slice is cached; policies may write to it (XDP allows
-// packet writes) and later hooks will observe those writes. Recycled
-// packets rebuild into the previous packet's buffer when it is large
-// enough.
+// packet writes) and later hooks will observe those writes. The view is
+// built in the packet's own storage when it fits; a larger payload takes a
+// heap buffer, which a recycled packet keeps and rebuilds into.
 func (p *Packet) Bytes() []byte {
 	if len(p.wire) == 0 {
 		need := 8 + len(p.Payload)
-		if cap(p.wire) < need {
+		switch {
+		case need <= len(p.view):
+			p.wire = p.view[:need]
+		case cap(p.wire) < need:
 			p.wire = make([]byte, need)
-		} else {
+		default:
 			p.wire = p.wire[:need]
 		}
 		binary.BigEndian.PutUint16(p.wire[0:], p.SrcPort)
@@ -233,6 +261,9 @@ type NIC struct {
 	// offload hook point and NIC-side Env carry their own triggers.
 	faults *faults.Injector
 
+	// free heads the packet free list (see NewPacket).
+	free *Packet
+
 	Stats Stats
 }
 
@@ -250,6 +281,7 @@ func New(eng *sim.Engine, cfg Config, deliver DeliverFunc) *NIC {
 		Prandom: func() uint32 { return eng.Rand().Uint32() },
 		Ktime:   func() uint64 { return uint64(eng.Now()) },
 	})
+	n.growPackets()
 	return n
 }
 

@@ -303,11 +303,21 @@ func TestBurstDrainConsumesPerPacket(t *testing.T) {
 	}
 }
 
-// TestPacketPoolRecycle covers the page_pool-style recycler: pooled
+// freePackets counts the packets on dev's free list.
+func freePackets(dev *NIC) int {
+	n := 0
+	for p := dev.free; p != nil; p = p.next {
+		n++
+	}
+	return n
+}
+
+// TestPacketPoolRecycle covers the device's packet free list: device
 // packets recycle through Free, literal packets ignore it, and a double
-// Free of a live pooled packet panics.
+// Free of a live device packet panics.
 func TestPacketPoolRecycle(t *testing.T) {
-	p := NewPacket()
+	dev := New(sim.New(1), Config{}, func(int, *Packet) {})
+	p := dev.NewPacket()
 	p.ID = 42
 	p.Payload = append(p.HeaderBuf(), 1, 2, 3)
 	if len(p.Bytes()) != 11 {
@@ -319,33 +329,93 @@ func TestPacketPoolRecycle(t *testing.T) {
 	lit.Free() // no-op, must not panic
 	lit.Free()
 
-	q := NewPacket()
-	if q.ID != 0 || q.Payload != nil || len(q.Bytes()) != 8 {
+	q := dev.NewPacket()
+	if q != p || q.ID != 0 || q.Payload != nil || len(q.Bytes()) != 8 {
 		t.Fatalf("recycled packet not zeroed: %+v", q)
 	}
 	q.Free()
+	// A view larger than the inline storage goes to the heap, survives the
+	// recycle, and is rebuilt into by the next request that needs it.
+	q = dev.NewPacket()
+	q.Payload = make([]byte, 100)
+	big := q.Bytes()
+	if len(big) != 108 {
+		t.Fatalf("wire length %d", len(big))
+	}
+	q.Free()
+	if q = dev.NewPacket(); q != p {
+		t.Fatal("free list is not LIFO")
+	}
+	q.Payload = make([]byte, 60)
+	if b := q.Bytes(); len(b) != 68 || &b[0] != &big[0] {
+		t.Fatalf("recycled packet did not rebuild into its heap view (len %d)", len(b))
+	}
+	q.Free()
 
-	r := NewPacket()
+	r := dev.NewPacket()
 	r.ID = 9
 	r.Free()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("double Free of pooled packet did not panic")
+			t.Fatal("double Free of device packet did not panic")
 		}
 	}()
 	r.Free()
 }
 
-// raceDetector is set by race_test.go in -race builds.
-var raceDetector bool
-
-// TestZeroAllocReceive gates the NIC's hot path: with pooled packets and
-// the event pool warm, receiving a packet through the offload program and
-// handing it to the host allocates nothing.
-func TestZeroAllocReceive(t *testing.T) {
-	if raceDetector {
-		t.Skip("sync.Pool drops items under the race detector; the packet pool cannot stay warm")
+// TestPacketReturnsToIssuingNIC: whoever frees a packet — a stack, an app,
+// the other device's drop path — it goes back to the free list of the
+// device that issued it, and a device that runs dry grows by one slab.
+func TestPacketReturnsToIssuingNIC(t *testing.T) {
+	eng := sim.New(1)
+	a := New(eng, Config{}, func(int, *Packet) {})
+	// b's ring holds one packet, so it drops (and frees) the rest.
+	b := New(eng, Config{RingSize: 1}, func(int, *Packet) {})
+	if freePackets(a) != packetSlab || freePackets(b) != packetSlab {
+		t.Fatalf("pre-fill: %d and %d packets, want %d each", freePackets(a), freePackets(b), packetSlab)
 	}
+	var fromA, fromB []*Packet
+	for i := 0; i < 10; i++ {
+		fromA = append(fromA, a.NewPacket())
+		fromB = append(fromB, b.NewPacket())
+	}
+	if freePackets(a) != packetSlab-10 || freePackets(b) != packetSlab-10 {
+		t.Fatalf("after 10 takes each: %d and %d free", freePackets(a), freePackets(b))
+	}
+	// Interleaved frees, a's packets freed by b's drop path among them.
+	for i := 0; i < 10; i++ {
+		if i < 5 {
+			b.Receive(fromA[i]) // i == 0 is kept on the ring, 1..4 are dropped
+		} else {
+			fromA[i].Free()
+		}
+		if i%2 == 0 {
+			fromB[i].Free()
+		}
+	}
+	if got, want := freePackets(a), packetSlab-1; got != want {
+		t.Fatalf("issuer a has %d free packets, want %d (one still on b's ring)", got, want)
+	}
+	if got, want := freePackets(b), packetSlab-5; got != want {
+		t.Fatalf("issuer b has %d free packets, want %d", got, want)
+	}
+	if b.Stats.DroppedRing != 4 {
+		t.Fatalf("b dropped %d, want 4", b.Stats.DroppedRing)
+	}
+	// Running dry adds exactly one slab.
+	for freePackets(b) > 0 {
+		b.NewPacket()
+	}
+	b.NewPacket()
+	if got := freePackets(b); got != packetSlab-1 {
+		t.Fatalf("after growing: %d free, want %d", got, packetSlab-1)
+	}
+}
+
+// TestZeroAllocReceive gates the NIC's hot path: with the device's own
+// packets and the event pool warm, receiving a packet through the offload
+// program and handing it to the host allocates nothing.
+func TestZeroAllocReceive(t *testing.T) {
 	eng := sim.New(1)
 	var dev *NIC
 	dev = New(eng, Config{Queues: 1, RingSize: 256}, func(q int, pkt *Packet) {
@@ -355,7 +425,7 @@ func TestZeroAllocReceive(t *testing.T) {
 	dev.SetOffloadProgram(steerAll(t))
 	receive := func() {
 		for i := 0; i < 8; i++ {
-			pkt := NewPacket()
+			pkt := dev.NewPacket()
 			pkt.ID = uint64(i)
 			pkt.SrcIP, pkt.DstIP = 0x0a000001, 0x0a000002
 			pkt.SrcPort, pkt.DstPort = uint16(4000+i), 9000
@@ -363,7 +433,7 @@ func TestZeroAllocReceive(t *testing.T) {
 		}
 		eng.Run()
 	}
-	for i := 0; i < 64; i++ { // warm the packet and event pools
+	for i := 0; i < 64; i++ { // warm the event pool
 		receive()
 	}
 	if avg := testing.AllocsPerRun(200, receive); avg != 0 {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -266,6 +267,201 @@ func diffTrace(t *testing.T, seed int64) {
 func TestDifferentialVsHeap(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		diffTrace(t, seed)
+	}
+	for _, c := range edgeCases {
+		diffScript(t, c)
+	}
+}
+
+// scriptEvent is one event of a directed trace: its absolute time, and the
+// events (by index) it schedules and cancels when it fires.
+type scriptEvent struct {
+	at     Time
+	spawn  []int
+	cancel []int
+}
+
+// edgeCase is a directed trace placed on an edge of advance's level scan.
+// roots are scheduled at time zero, in order. inspect, if set, runs on the
+// wheel engine when event 0 fires, after its spawns and cancels, and
+// returns "" or how the wheel's state differs from what the case is built
+// to reach; want documents the order the heap reference must agree with.
+type edgeCase struct {
+	name    string
+	events  []scriptEvent
+	roots   []int
+	want    []int
+	inspect func(*Engine) string
+}
+
+const (
+	bucketNs = Time(1) << granShift                // one level-0 bucket
+	stride1  = Time(1) << (granShift + bucketBits) // one level-1 bucket
+	stride2  = stride1 << bucketBits               // one level-2 bucket
+	horizon  = Time(1) << (granShift + bucketBits*numLevels)
+)
+
+// occupied reports whether the wheel holds anything at level l, slot.
+func occupied(e *Engine, l, slot int) bool { return e.wheel.buckets[l][slot] != nil }
+
+var edgeCases = []edgeCase{{
+	// Event 0 fires in the last slot of a level-0 revolution and schedules
+	// event 1 into slot 0 of the next: the level-0 hit wraps, so the scan
+	// must go on to level 1, where event 2 — filed from time zero — starts
+	// on the same level-1 boundary and is tied with event 1 to the
+	// nanosecond. Schedule order decides: 2 before 1.
+	name: "slot 255 to 0 across a level-1 boundary, tied with a level-1 event",
+	events: []scriptEvent{
+		{at: 255 * bucketNs, spawn: []int{1}},
+		{at: stride1 + 7},
+		{at: stride1 + 7},
+		{at: stride1 + 3*bucketNs},
+	},
+	roots: []int{0, 2, 3},
+	want:  []int{0, 2, 1, 3},
+	inspect: func(e *Engine) string {
+		if !occupied(e, 0, 0) || !occupied(e, 1, 1) {
+			return "want event 1 at level 0 slot 0 and event 2 at level 1 slot 1"
+		}
+		return ""
+	},
+}, {
+	// Three events at one instant that is a level-1 and a level-2 stride:
+	// event 3 filed at level 2 from time zero, event 2 at level 1 from two
+	// level-1 buckets before, event 1 at level 0 from 100 buckets before.
+	// All three hits wrap or sit above, so the scan ends at level 2 and the
+	// drain must take all three levels.
+	name: "level-0, level-1 and level-2 events tied on a level-2 stride",
+	events: []scriptEvent{
+		{at: stride2 - 100*bucketNs, spawn: []int{1}},
+		{at: stride2},
+		{at: stride2},
+		{at: stride2},
+		{at: stride2 - 300*bucketNs, spawn: []int{2}},
+		{at: stride2 + 1},
+	},
+	roots: []int{3, 4, 0, 5},
+	want:  []int{4, 0, 3, 2, 1, 5},
+	inspect: func(e *Engine) string {
+		if !occupied(e, 0, 0) || !occupied(e, 1, 0) || !occupied(e, 2, 1) {
+			return "want the tied events at level 0 slot 0, level 1 slot 0 and level 2 slot 1"
+		}
+		return ""
+	},
+}, {
+	// The level-0 hit wraps into the level-1 bucket after next; level 1's
+	// own hit does not wrap and starts later than it. The scan ends at
+	// level 1 with the level-0 event as the minimum.
+	name: "wrapped level-0 hit earlier than a non-wrapping level-1 hit",
+	events: []scriptEvent{
+		{at: 200 * bucketNs, spawn: []int{1}},
+		{at: stride1 + 40*bucketNs},
+		{at: 2 * stride1},
+	},
+	roots: []int{0, 2},
+	want:  []int{0, 1, 2},
+	inspect: func(e *Engine) string {
+		if !occupied(e, 0, 40) || !occupied(e, 1, 2) || occupied(e, 1, 1) {
+			return "want event 1 at level 0 slot 40 and event 2 alone at level 1 slot 2"
+		}
+		return ""
+	},
+}, {
+	// Events 1 and 2 sit past the wheel's horizon when they are scheduled
+	// and so go to the overflow list. Event 4, the last thing inside the
+	// horizon, brings the wheel within a revolution of them and schedules
+	// event 0 just before them; nothing has refilled yet when event 0
+	// fires and schedules event 3 at level 0 four slots ahead — a hit that
+	// does not wrap and ends the scan at level 0. overflowMin lies before
+	// it, so the refill must still come first.
+	name: "overflowMin inside the current level-0 revolution",
+	events: []scriptEvent{
+		{at: horizon + bucketNs, spawn: []int{3}},
+		{at: horizon + 3*bucketNs},
+		{at: horizon + 3*bucketNs + 1},
+		{at: horizon + 5*bucketNs},
+		{at: horizon - 10*bucketNs, spawn: []int{0}},
+	},
+	roots: []int{1, 2, 4},
+	want:  []int{4, 0, 1, 2, 3},
+	inspect: func(e *Engine) string {
+		if len(e.wheel.overflow) == 0 || e.wheel.overflowMin > bucketOf(horizon+3*bucketNs) || !occupied(e, 0, 5) {
+			return "want events 1 and 2 still in overflow and event 3 at level 0 slot 5"
+		}
+		return ""
+	},
+}, {
+	// Event 1 is alone in the slot after event 0's and event 0 cancels it:
+	// the eager unlink must clear the slot's bit or the scan would stop at
+	// an empty bucket; the next event is a level-1 one.
+	name: "the only event of the next slot cancelled",
+	events: []scriptEvent{
+		{at: 10 * bucketNs, cancel: []int{1}},
+		{at: 11 * bucketNs},
+		{at: 300 * bucketNs},
+	},
+	roots: []int{0, 1, 2},
+	want:  []int{0, 2},
+	inspect: func(e *Engine) string {
+		if occupied(e, 0, 11) || e.wheel.occ[0][0] != 0 || !occupied(e, 1, 1) {
+			return "want level 0 empty and event 2 at level 1 slot 1"
+		}
+		return ""
+	},
+}}
+
+// diffScript runs one directed trace through the wheel engine and the heap
+// reference and compares the fired sequences with each other and with the
+// order the case documents.
+func diffScript(t *testing.T, c edgeCase) {
+	eng := New(1)
+	ref := &refEngine{}
+	var gotW, gotR []int
+	wheelEvs := make([]*Event, len(c.events))
+	refEvs := make([]*refEvent, len(c.events))
+
+	var scheduleWheel, scheduleRef func(id int)
+	scheduleWheel = func(id int) {
+		wheelEvs[id] = eng.At(c.events[id].at, func() {
+			gotW = append(gotW, id)
+			for _, k := range c.events[id].cancel {
+				eng.Cancel(wheelEvs[k])
+			}
+			for _, k := range c.events[id].spawn {
+				scheduleWheel(k)
+			}
+			if id == 0 && c.inspect != nil {
+				if msg := c.inspect(eng); msg != "" {
+					t.Fatalf("%s: the trace is off the edge it was built for: %s", c.name, msg)
+				}
+			}
+		})
+	}
+	scheduleRef = func(id int) {
+		refEvs[id] = ref.at(c.events[id].at, func() {
+			gotR = append(gotR, id)
+			for _, k := range c.events[id].cancel {
+				ref.cancel(refEvs[k])
+			}
+			for _, k := range c.events[id].spawn {
+				scheduleRef(k)
+			}
+		})
+	}
+	for _, id := range c.roots {
+		scheduleWheel(id)
+		scheduleRef(id)
+	}
+	eng.Run()
+	ref.run()
+	if fmt.Sprint(gotR) != fmt.Sprint(c.want) {
+		t.Fatalf("%s: the heap reference fired %v, the case expects %v", c.name, gotR, c.want)
+	}
+	if fmt.Sprint(gotW) != fmt.Sprint(gotR) {
+		t.Fatalf("%s: wheel fired %v, heap reference %v", c.name, gotW, gotR)
+	}
+	if eng.Now() != ref.now || eng.Pending() != 0 {
+		t.Fatalf("%s: wheel ends at %v with %d pending, reference at %v", c.name, eng.Now(), eng.Pending(), ref.now)
 	}
 }
 

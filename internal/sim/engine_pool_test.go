@@ -219,3 +219,27 @@ func BenchmarkEngineTickerChurn(b *testing.B) {
 		b.Fatalf("ticker fired %d times, want >= %d", n, b.N)
 	}
 }
+
+// BenchmarkEngineSparse is the regime a loaded host runs in and the dense
+// steady-state shape above does not reach: about one event per level-0
+// bucket, so nearly every fire pays a wheel advance, with a millisecond
+// ticker keeping a higher level occupied.
+func BenchmarkEngineSparse(b *testing.B) {
+	e := New(42)
+	tk := e.NewTicker(Millisecond, func() {})
+	left := b.N
+	var cb Callback
+	cb = func(any, uint64) {
+		if left--; left > 0 {
+			e.CallAfter(1200+Time(left%8)*100, cb, nil, 0)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.CallAfter(Microsecond, cb, nil, 0)
+	for left > 0 {
+		e.RunUntil(e.Now() + Millisecond)
+	}
+	b.StopTimer()
+	tk.Stop()
+}

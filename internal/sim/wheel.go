@@ -152,20 +152,30 @@ func (w *wheel) nextOcc(l, pos int) (slot int, ok bool) {
 // event in the ready queue.
 func (e *Engine) advance() bool {
 	w := &e.wheel
-	// Find the earliest occupied absolute position across all levels. A
+	// Find the earliest occupied absolute position, lowest level first. A
 	// level-l slot's position is the start of the time range it covers.
+	// The scan ends at the first level whose next occupied slot does not
+	// wrap, i.e. lies in the level-(l+1) bucket base is in: every occupied
+	// slot of a higher level starts at or after that bucket's end (the
+	// invariant below), so none can be earlier. top is the last level
+	// scanned.
 	bestAbs := int64(-1)
+	top := numLevels - 1
 	for l := 0; l < numLevels; l++ {
 		shift := uint(bucketBits * l)
 		pos := w.base >> shift
-		slot, ok := w.nextOcc(l, int(pos&bucketMask))
+		cur := int(pos & bucketMask)
+		slot, ok := w.nextOcc(l, cur)
 		if !ok {
 			continue
 		}
-		d := int64((slot - int(pos&bucketMask)) & bucketMask)
-		abs := (pos + d) << shift
+		abs := (pos + int64((slot-cur)&bucketMask)) << shift
 		if bestAbs < 0 || abs < bestAbs {
 			bestAbs = abs
+		}
+		if slot > cur {
+			top = l
+			break
 		}
 	}
 	if len(w.overflow) > 0 && (bestAbs < 0 || w.overflowMin <= bestAbs) {
@@ -175,8 +185,8 @@ func (e *Engine) advance() bool {
 		return false
 	}
 
-	// Jump to bestAbs and drain EVERY level's bucket starting there in
-	// the same step: when bestAbs is aligned to a higher level's stride,
+	// Jump to bestAbs and drain EVERY scanned level's bucket starting there
+	// in the same step: when bestAbs is aligned to a higher level's stride,
 	// that level's bucket covers [bestAbs, ...) and may hold events tied
 	// with the level-0 slot — all of them must reach the ready queue
 	// before any fires, or same-bucket events would fire out of order.
@@ -185,6 +195,9 @@ func (e *Engine) advance() bool {
 	// readyInsert, which restores (at, seq) order by binary insertion.
 	// Cascaded events never land back in a drained bucket: b == bestAbs
 	// goes to ready, and b > bestAbs maps to a slot at distance >= 1.
+	// Levels above top have nothing to drain: bestAbs lies strictly inside
+	// the level-(top+1) bucket base is in, so it is aligned to no stride
+	// above top's.
 	w.base = bestAbs
 	if slot := int(bestAbs & bucketMask); w.buckets[0][slot] != nil {
 		chain := w.buckets[0][slot]
@@ -192,7 +205,7 @@ func (e *Engine) advance() bool {
 		w.occ[0][slot>>6] &^= 1 << uint(slot&63)
 		e.spliceChain(chain)
 	}
-	for l := 1; l < numLevels; l++ {
+	for l := 1; l <= top; l++ {
 		shift := uint(bucketBits * l)
 		slot := int((bestAbs >> shift) & bucketMask)
 		chain := w.buckets[l][slot]

@@ -102,6 +102,9 @@ func (c *Config) fill() {
 	if c.KeyShards > 1 && (c.KeyShard < 0 || c.KeyShard >= c.KeyShards) {
 		panic(fmt.Sprintf("workload: KeyShard %d outside [0,%d)", c.KeyShard, c.KeyShards))
 	}
+	if len(c.Classes) > maxClasses {
+		panic(fmt.Sprintf("workload: %d classes, the request table holds at most %d", len(c.Classes), maxClasses))
+	}
 	if len(c.Classes) == 0 {
 		c.Classes = []Class{{Name: "GET", Weight: 1, Type: policy.ReqGET}}
 	}
@@ -125,12 +128,53 @@ func (c *Config) fill() {
 	}
 }
 
-type reqInfo struct {
-	sentAt   sim.Time
-	class    uint8
-	measured bool
-	done     bool
+// The request table holds one packed word per request,
+//
+//	sentAt<<10 | class<<2 | measured<<1 | done
+//
+// so sentAt has 54 bits (2^54 ns ≈ 208 days of simulated time) and class
+// has 8 (Config.fill rejects a mix of more than maxClasses). Words live in
+// fixed pages behind a directory indexed by reqID>>pageShift; a page goes
+// back to the generator's free list once every slot on it has been issued
+// and every one of those requests has completed, so the table is sized by
+// what is in flight, not by the run's history. A request that is never
+// answered pins its page: a late completion still finds its sentAt, and
+// Result counts it from the pages still held.
+const (
+	pageShift = 12
+	pageSlots = 1 << pageShift
+	pageMask  = pageSlots - 1
+
+	wordDone     = 1 << 0
+	wordMeasured = 1 << 1
+	classShift   = 2
+	sentShift    = 10
+	maxClasses   = 1 << (sentShift - classShift)
+
+	// prefillPages pages are allocated in New: a run whose requests are all
+	// answered holds the page being filled and the one before it while its
+	// stragglers finish, so with one to spare it allocates no page while it
+	// runs.
+	prefillPages = 3
+)
+
+type page struct {
+	words [pageSlots]uint64
+	// open counts the page's issued requests that have not completed.
+	open int
+	next *page // free list
 }
+
+func packReq(sentAt sim.Time, class int, measured bool) uint64 {
+	w := uint64(sentAt)<<sentShift | uint64(class)<<classShift
+	if measured {
+		w |= wordMeasured
+	}
+	return w
+}
+
+func reqSentAt(w uint64) sim.Time { return sim.Time(w >> sentShift) }
+func reqClass(w uint64) int       { return int(w >> classShift & (maxClasses - 1)) }
 
 // Generator injects load into a NIC and collects results.
 type Generator struct {
@@ -138,11 +182,21 @@ type Generator struct {
 	dev *nic.NIC
 	cfg Config
 
-	cum     []float64           // cumulative class weights
-	flows   []flowID            // randomized per run: re-running with a new seed
-	reqs    []reqInfo           // redraws the 5-tuple pool, which is where Fig. 2's
-	perCls  []*metrics.RunStats // run-to-run hash-imbalance noise comes from
+	cum []float64 // cumulative class weights
+	// flows is randomized per run: re-running with a new seed redraws the
+	// 5-tuple pool, which is where Fig. 2's run-to-run hash-imbalance noise
+	// comes from.
+	flows   []flowID
+	perCls  []*metrics.RunStats
 	stopped bool
+
+	// The paged request table (see pageShift). dir[i] is nil once page i
+	// has been recycled and the last entry is the page being filled; issued
+	// is the next request id, so slots at or past it hold a recycled page's
+	// stale words and are never read.
+	dir    []*page
+	free   *page
+	issued uint64
 
 	// Arrival-process state plus the two stored closure-free callbacks
 	// (next-arrival tick and wire-delay delivery), so the per-request hot
@@ -163,10 +217,13 @@ type flowID struct {
 func New(eng *sim.Engine, dev *nic.NIC, cfg Config) *Generator {
 	cfg.fill()
 	g := &Generator{eng: eng, dev: dev, cfg: cfg}
-	// Presize the request table for the expected Poisson count (plus slack
+	// Presize the page directory for the expected Poisson count (plus slack
 	// for variance) so the send path never reallocates mid-run.
 	expect := int(cfg.Rate * float64(cfg.Warmup+cfg.Measure) / 1e9)
-	g.reqs = make([]reqInfo, 0, expect+expect/8+64)
+	g.dir = make([]*page, 0, (expect+expect/8+64)>>pageShift+1)
+	for i := 0; i < prefillPages; i++ {
+		g.free = &page{next: g.free}
+	}
 	var sum float64
 	for _, c := range cfg.Classes {
 		sum += c.Weight
@@ -215,20 +272,29 @@ func New(eng *sim.Engine, dev *nic.NIC, cfg Config) *Generator {
 // Complete is the server-side completion callback (wire latency back to
 // the client is added here).
 func (g *Generator) Complete(reqID uint64, finish sim.Time) {
-	if reqID >= uint64(len(g.reqs)) {
+	if reqID >= g.issued {
 		return
 	}
-	info := &g.reqs[reqID]
-	if info.done {
+	pi := reqID >> pageShift
+	pg := g.dir[pi]
+	if pg == nil {
+		return // recycled: every request on the page had already completed
+	}
+	w := pg.words[reqID&pageMask]
+	if w&wordDone != 0 {
 		return
 	}
-	info.done = true
-	if !info.measured {
+	pg.words[reqID&pageMask] = w | wordDone
+	if pg.open--; pg.open == 0 && (pi+1)<<pageShift <= g.issued {
+		g.dir[pi] = nil
+		pg.next, g.free = g.free, pg
+	}
+	if w&wordMeasured == 0 {
 		return
 	}
-	st := g.perCls[info.class]
+	st := g.perCls[reqClass(w)]
 	st.Completed++
-	lat := finish + g.cfg.Wire - info.sentAt
+	lat := finish + g.cfg.Wire - reqSentAt(w)
 	st.Latency.Record(int64(lat))
 	if g.cfg.Deadline > 0 && lat <= g.cfg.Deadline {
 		st.DeadlineHits++
@@ -287,8 +353,20 @@ func (g *Generator) send(measured bool) {
 	}
 	class := g.cfg.Classes[cls]
 
-	reqID := uint64(len(g.reqs))
-	g.reqs = append(g.reqs, reqInfo{sentAt: g.eng.Now(), class: uint8(cls), measured: measured})
+	reqID := g.issued
+	if reqID&pageMask == 0 {
+		pg := g.free
+		if pg == nil {
+			pg = new(page)
+		} else {
+			g.free = pg.next
+		}
+		g.dir = append(g.dir, pg)
+	}
+	pg := g.dir[len(g.dir)-1]
+	pg.words[reqID&pageMask] = packReq(g.eng.Now(), cls, measured)
+	pg.open++
+	g.issued++
 	if measured {
 		g.perCls[cls].Offered++
 	}
@@ -306,7 +384,7 @@ func (g *Generator) send(measured bool) {
 	}
 
 	flow := g.flows[rng.IntN(len(g.flows))]
-	pkt := nic.NewPacket()
+	pkt := g.dev.NewPacket()
 	pkt.ID = reqID
 	pkt.SrcIP = flow.ip
 	pkt.DstIP = 0x0a00ffff
@@ -318,25 +396,39 @@ func (g *Generator) send(measured bool) {
 	g.eng.CallAfter(g.cfg.Wire, g.rxCB, pkt, 0)
 }
 
-// Result finalizes the run: anything sent in the measure window and still
-// unfinished counts as a drop. Call after the engine has run through
-// Warmup+Measure+Drain.
+// Result is a run's statistics: anything sent in the measure window and
+// still unfinished counts as a drop. Take it after the engine has run
+// through Warmup+Measure+Drain.
 type Result struct {
 	PerClass map[string]*metrics.RunStats
 	All      *metrics.RunStats
 }
 
-// Result computes the run's statistics.
+// Result computes the run's statistics. The unanswered measured requests
+// are counted from the pages still held (a page with none has been
+// recycled) and assigned, so calling it again — also after a late Complete
+// — reports the table as it then stands.
 func (g *Generator) Result() *Result {
-	for i := range g.reqs {
-		info := &g.reqs[i]
-		if info.measured && !info.done {
-			g.perCls[info.class].Drop(metrics.DropSocketOverflow)
+	unanswered := make([]uint64, len(g.perCls))
+	for pi, pg := range g.dir {
+		if pg == nil {
+			continue
+		}
+		n := min(g.issued-uint64(pi)<<pageShift, pageSlots)
+		for _, w := range pg.words[:n] {
+			if w&(wordMeasured|wordDone) == wordMeasured {
+				unanswered[reqClass(w)]++
+			}
 		}
 	}
 	res := &Result{PerClass: make(map[string]*metrics.RunStats), All: metrics.NewRunStats()}
 	for i, c := range g.cfg.Classes {
 		st := g.perCls[i]
+		if unanswered[i] > 0 {
+			st.Drops[metrics.DropSocketOverflow] = unanswered[i]
+		} else {
+			delete(st.Drops, metrics.DropSocketOverflow)
+		}
 		st.WindowNanos = int64(g.cfg.Measure)
 		res.PerClass[c.Name] = st
 		res.All.Merge(st)

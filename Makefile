@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint-hooks lint-metrics lint-env lint-globals alloc-gates chaos cluster-diff opt-diff obs-diff adapt-diff check bench bench-cluster bench-dispatch bench-engine bench-obs bench-profile fuzz clean
+.PHONY: build test vet race lint-hooks lint-metrics lint-env lint-globals alloc-gates chaos cluster-diff vm-diff obs-diff adapt-diff check bench bench-cluster bench-dispatch bench-engine bench-obs bench-profile fuzz clean
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,24 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# A gate whose -run regex selects nothing passes forever (`TestOpt` in the
+# old opt-diff did, for six PRs). $(call selects,PATTERN,PKGS) takes one
+# `go test -list` and fails unless every package in PKGS lists at least one
+# test and every |-alternative of PATTERN names one of those listed;
+# $(call gate,PATTERN,PKGS) is that check followed by the run.
+define selects
+@list=$$($(GO) test -list '$(1)' $(2)) || { echo "$$list"; exit 1; }; \
+echo "$$list" | awk '/^(Test|Fuzz)/ {n++; next} /^ok/ {if (!n) {print "$@: -run selects no test in " $$2; bad = 1}; n = 0} END {exit bad}' || exit 1; \
+for alt in $(subst |, ,$(1)); do \
+	echo "$$list" | grep -E '^(Test|Fuzz)' | grep -qE "$$alt" \
+		|| { echo "$@: -run alternative '$$alt' selects no test in $(2)"; exit 1; }; \
+done
+endef
+define gate
+$(call selects,$(1),$(2))
+$(GO) test -run '$(1)' $(2)
+endef
 
 # The race detector over every package but one: the facade, the CLIs and
 # all of internal/ — the VM's concurrent-Run contract and run-state pool,
@@ -43,8 +61,10 @@ lint-hooks:
 # which no rule acts), the ghOSt agent loop (message batch → Schedule →
 # commit, also under sustained overload), Map.LookupUint64 and Store.Get
 # must all stay at 0 allocs/op; a Store.Scan allocates its result only.
+alloc-gates: pkgs = ./internal/sim/ ./internal/trace/ ./internal/hook/ ./internal/ebpf/ ./internal/workload/ ./internal/nic/ ./internal/netstack/ ./internal/obs/ ./internal/adapt/ ./internal/metrics/ ./internal/ghost/ ./internal/apps/rocksdb/
 alloc-gates:
-	$(GO) test -run 'TestZeroAlloc|TestCompiledRunZeroAllocs' -v ./internal/sim/ ./internal/trace/ ./internal/hook/ ./internal/ebpf/ ./internal/workload/ ./internal/nic/ ./internal/netstack/ ./internal/obs/ ./internal/adapt/ ./internal/metrics/ ./internal/ghost/ ./internal/apps/rocksdb/ | grep -E '^(=== RUN|--- (PASS|FAIL)|FAIL|ok)'
+	$(call selects,TestZeroAlloc|TestCompiledRunZeroAllocs,$(pkgs))
+	$(GO) test -run 'TestZeroAlloc|TestCompiledRunZeroAllocs' -v $(pkgs) | grep -E '^(=== RUN|--- (PASS|FAIL)|FAIL|ok)'
 
 # Chaos gate (see DESIGN.md "Fault injection and quarantine"): the
 # fault-plan suite plus the syrupd quarantine/revoke tests — including the
@@ -52,7 +72,7 @@ alloc-gates:
 # then the experiments-level fall-open and determinism gates.
 chaos:
 	$(GO) test -race ./internal/faults/ ./internal/syrupd/
-	$(GO) test -run 'TestChaos' ./internal/experiments/
+	$(call gate,TestChaos,./internal/experiments/)
 
 # Cluster determinism gate (see DESIGN.md "Cluster layer"): the 4-host
 # LS/BE and sharded-MICA scenarios at -workers 1 vs 4 must produce
@@ -60,7 +80,7 @@ chaos:
 # escalation invariants must hold.
 cluster-diff:
 	$(GO) test ./internal/cluster/ ./internal/par/
-	$(GO) test -run 'TestCluster' ./internal/experiments/
+	$(call gate,TestCluster,./internal/experiments/)
 
 # Metric names must be prometheus-style snake_case: lowercase letters,
 # digits, and underscores, starting with a letter. The grep matches every
@@ -78,9 +98,9 @@ lint-metrics:
 		exit 1; \
 	fi
 
-# Policies take one path (verify, optimize, re-verify, compile) and no
-# environment variable may fork it — or anything else: outside benchmark/,
-# which pins its own build cache, the tree reads and writes no environment.
+# Policies take one path (verify, compile) and no environment variable
+# may fork it — or anything else: outside benchmark/, which pins its own
+# build cache, the tree reads and writes no environment.
 lint-env:
 	@if grep -rn 'os\.\(Getenv\|LookupEnv\|Setenv\)' --include='*.go' . | grep -v '^\./benchmark/'; then \
 		echo 'lint-env: no environment-variable switches outside benchmark/'; \
@@ -110,13 +130,14 @@ lint-globals:
 		exit 1; \
 	fi
 
-# Optimizer gate (see DESIGN.md "Policy execution pipeline"): the
-# differential against the reference interpreter (semantics on the verified
-# original, accounting on the executed stream) over random programs, the
-# fuzz seed corpus and every shipped policy, the per-pass optimizer tests,
-# and the text round-trip suite syrup-policy disasm depends on.
-opt-diff:
-	$(GO) test -run 'TestDifferential|FuzzJITMatchesInterp|TestShippedPolicies|TestTextRoundTrip|TestOpt' ./internal/ebpf/
+# VM differential gate (see DESIGN.md "Policy execution pipeline"): the
+# compiled closures against the reference interpreter on the same loaded
+# stream — verdicts, errors, map and packet effects, full ExecStats and
+# instret/runs/faults charging — over random programs, the fuzz seed
+# corpus and every shipped policy, and the text round-trip suite
+# syrup-policy disasm depends on.
+vm-diff:
+	$(call gate,TestDifferential|FuzzJITMatchesInterp|TestShippedPolicies|TestTextRoundTrip,./internal/ebpf/)
 
 # Telemetry gate (see DESIGN.md "Telemetry plane"): the sampler rides the
 # engine's passive hook — figure-slice digests (fig2/6/8/9 + the fleet
@@ -125,8 +146,8 @@ opt-diff:
 # identical hit counts across interp and JIT.
 obs-diff:
 	$(GO) test ./internal/obs/ ./internal/sim/
-	$(GO) test -run 'TestProfile|TestAnnotatedDisasm' ./internal/ebpf/
-	$(GO) test -run 'TestObsDifferential' ./internal/experiments/
+	$(call gate,TestProfile|TestAnnotatedDisasm,./internal/ebpf/)
+	$(call gate,TestObsDifferential,./internal/experiments/)
 
 # Adaptive-control gate (see DESIGN.md "Adaptive control loop"): the
 # controller's detector/debounce unit suite under the race detector, the
@@ -137,22 +158,21 @@ obs-diff:
 # over every static policy.
 adapt-diff:
 	$(GO) test -race ./internal/adapt/
-	$(GO) test -run 'TestAdapt|TestRollout' ./internal/cluster/ ./internal/syrupd/
-	$(GO) test -run 'TestAdapt' ./internal/experiments/
+	$(call gate,TestAdapt|TestRollout,./internal/cluster/ ./internal/syrupd/)
+	$(call gate,TestAdapt,./internal/experiments/)
 
 # check is the PR gate: build, vet, lints, the race detector over every
 # package but experiments, alloc gates, chaos suite, cluster determinism
-# gate, optimizer differential gate, telemetry gate, adaptive-control
-# gate, then the full suite.
-check: build vet lint-hooks lint-metrics lint-env lint-globals race alloc-gates chaos cluster-diff opt-diff obs-diff adapt-diff test
+# gate, VM differential gate, telemetry gate, adaptive-control gate, then
+# the full suite.
+check: build vet lint-hooks lint-metrics lint-env lint-globals race alloc-gates chaos cluster-diff vm-diff obs-diff adapt-diff test
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Fleet-scale scenario: 32 hosts behind the Maglev L4 LB, >1M flows,
 # token-QoS policy deployed through the control plane's staged rollout.
-# Bit-identical at any -workers value; see ROADMAP.md for reference
-# numbers.
+# Bit-identical at any -workers value.
 bench-cluster:
 	$(GO) run ./cmd/syrup-bench -hosts 32
 

@@ -1,22 +1,20 @@
-// Command syrup-policy is the policy author's front door to the compiler
-// pipeline: assemble, verify, optimize, and inspect .syr policy files the
-// same way syrupd will at deploy time.
+// Command syrup-policy is the policy author's front door to the load
+// pipeline: assemble, verify, and inspect .syr policy files the same way
+// syrupd will at deploy time.
 //
 // Usage:
 //
 //	syrup-policy build   [-D NAME=VALUE ...] [-o out.bin] <file.syr | builtin:NAME>
-//	syrup-policy disasm  [-D NAME=VALUE ...] <file.syr | builtin:NAME>
-//	syrup-policy doctor  [-D NAME=VALUE ...] [-profile N] <file.syr | builtin:NAME>
+//	syrup-policy disasm  [-D NAME=VALUE ...] [-profile N] <file.syr | builtin:NAME>
 //	syrup-policy list
 //	syrup-policy scaffold [name]
 //
 // build compiles and verifies, printing a summary (and with -o the
 // assembled bytecode in the classic 8-byte wire format). disasm prints
-// the executed stream rendered back to assemblable .syr source — the
-// output re-assembles to bit-identical bytecode (gated by the round-trip
-// tests). doctor runs the optimizing middle-end and prints the per-pass
-// instruction deltas plus the verifier fact justifying each elision; with
-// -profile N it additionally executes N deterministic synthetic packets
+// the loaded stream — the one the verifier admitted and the one that
+// executes — rendered back to assemblable .syr source; the output
+// re-assembles to bit-identical bytecode (gated by the round-trip tests).
+// With -profile N it instead executes N deterministic synthetic packets
 // under per-instruction profiling and prints the hotness-annotated
 // disassembly. list prints the built-in policies. scaffold prints a
 // commented starter policy to build from.
@@ -54,16 +52,15 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: syrup-policy <command> [flags] <file.syr | builtin:NAME>
 
 commands:
-  build     assemble, verify, and optimize; print a summary (-o writes bytecode)
-  disasm    print the executed stream as re-assemblable .syr source
-  doctor    print per-pass optimizer deltas and the fact behind each elision
+  build     assemble and verify; print a summary (-o writes bytecode)
+  disasm    print the loaded stream as re-assemblable .syr source
   list      list the built-in policies
   scaffold  print a starter policy template
 
-flags (build/disasm/doctor):
+flags (build/disasm):
   -D NAME=VALUE   deploy-time define (repeatable)
   -o file         write the loaded bytecode in wire format (build)
-  -profile N      run N synthetic packets and print hotness-annotated disasm (doctor)`)
+  -profile N      run N synthetic packets and print hotness-annotated disasm (disasm)`)
 	os.Exit(2)
 }
 
@@ -115,26 +112,22 @@ func main() {
 	defines := defineFlags{}
 	fs.Var(defines, "D", "deploy-time define NAME=VALUE (repeatable)")
 	out := fs.String("o", "", "write the loaded bytecode in wire format to `file` (build)")
-	profile := fs.Int("profile", 0, "doctor: run `n` deterministic synthetic packets with per-instruction profiling and print the hotness-annotated disassembly (0 = off)")
+	profile := fs.Int("profile", 0, "disasm: run `n` deterministic synthetic packets with per-instruction profiling and print the hotness-annotated disassembly (0 = off)")
 
 	switch cmd {
-	case "build", "disasm", "doctor":
+	case "build", "disasm":
 		fs.Parse(args)
 		if fs.NArg() != 1 {
 			usage()
 		}
 		name, src := source(fs.Arg(0))
-		switch cmd {
-		case "build":
+		switch {
+		case cmd == "build":
 			runBuild(name, src, defines, *out)
-		case "disasm":
+		case *profile > 0:
+			runProfile(os.Stdout, name, src, defines, *profile)
+		default:
 			runDisasm(name, src, defines)
-		case "doctor":
-			runDoctor(os.Stdout, name, src, defines)
-			if *profile > 0 {
-				fmt.Println()
-				runProfile(os.Stdout, name, src, defines, *profile)
-			}
 		}
 	case "list":
 		runList()
@@ -152,8 +145,8 @@ func main() {
 
 func runBuild(name, src string, defines map[string]int64, out string) {
 	f, prog := load(name, src, defines, false)
-	fmt.Printf("%s: %d source lines, %d -> %d instructions, %d map(s) — verified\n",
-		name, f.SourceLines, prog.OrigLen(), prog.Len(), len(f.Maps))
+	fmt.Printf("%s: %d source lines, %d instructions, %d map(s) — verified\n",
+		name, f.SourceLines, prog.Len(), len(f.Maps))
 	for _, spec := range f.Maps {
 		fmt.Printf("  map %-16s %-10s key=%d value=%d entries=%d\n",
 			spec.Name, spec.Type, spec.KeySize, spec.ValueSize, spec.MaxEntries)
@@ -175,19 +168,6 @@ func runBuild(name, src string, defines map[string]int64, out string) {
 func runDisasm(name, src string, defines map[string]int64) {
 	_, prog := load(name, src, defines, false)
 	fmt.Print(prog.TextSource())
-}
-
-func runDoctor(w io.Writer, name, src string, defines map[string]int64) {
-	_, prog := load(name, src, defines, false)
-	rep := prog.OptReport()
-	if rep == nil {
-		fmt.Fprintf(w, "%s: optimizer bailed out or its output failed re-verification; program runs the verified original\n", name)
-		return
-	}
-	fmt.Fprintf(w, "%s:\n%s", name, rep)
-	if !prog.Optimized() {
-		fmt.Fprintln(w, "(no pass changed the stream; the verified original is executed)")
-	}
 }
 
 // runList prints every built-in policy with its size, flagging any that no

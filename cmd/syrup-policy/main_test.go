@@ -7,7 +7,7 @@ import (
 	"syrup/internal/policy"
 )
 
-// TestRunProfileAnnotates: doctor -profile executes the policy under
+// TestRunProfileAnnotates: disasm -profile executes the policy under
 // per-instruction profiling and the annotated disassembly reflects the
 // synthetic run count.
 func TestRunProfileAnnotates(t *testing.T) {
@@ -52,26 +52,5 @@ func TestRunProfileDeterministic(t *testing.T) {
 	runProfile(&b, "round_robin", src, nil, 200)
 	if strip(a.String()) != strip(b.String()) {
 		t.Fatalf("profile output not deterministic:\n--- a\n%s--- b\n%s", a.String(), b.String())
-	}
-}
-
-// TestRunDoctorUntouchedPolicy: when the optimizer runs but no pass has
-// anything to do, doctor says so instead of implying a rewrite.
-func TestRunDoctorUntouchedPolicy(t *testing.T) {
-	const src = "r0 = *(u32 *)(r1 + 16)\nr0 %= 6\nexit\n"
-	var b strings.Builder
-	runDoctor(&b, "hash_mod", src, nil)
-	out := b.String()
-	if !strings.Contains(out, "optimizer: 3 -> 3 insns") {
-		t.Fatalf("missing pass report:\n%s", out)
-	}
-	if !strings.Contains(out, "no pass changed the stream") {
-		t.Fatalf("untouched policy not reported as such:\n%s", out)
-	}
-
-	b.Reset()
-	runDoctor(&b, "user_weight", policy.MustSource("user_weight"), nil)
-	if out := b.String(); !strings.Contains(out, "31 -> 24 insns") || strings.Contains(out, "no pass changed") {
-		t.Fatalf("rewritten policy misreported:\n%s", out)
 	}
 }

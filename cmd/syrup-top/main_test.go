@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -65,6 +67,18 @@ func TestRenderRecordedSnapshot(t *testing.T) {
 	sa := strings.Index(out, "scan_avoid")
 	if si < 0 || sa < 0 || si > sa {
 		t.Fatalf("hot-policy ranking wrong (sita@%d scan_avoid@%d):\n%s", si, sa, out)
+	}
+
+	// host-00's listing was recorded when daemons still published three
+	// load-time optimizer counters; names no host emits any more must not
+	// stop a recording from loading.
+	blob, err := os.ReadFile(filepath.Join("testdata", "fleet.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap cluster.FleetSnapshot
+	if err := json.Unmarshal(blob, &snap); err != nil || len(snap.Hosts[0].Counters) != 3 {
+		t.Fatalf("fixture lost its old counter listing (err %v)", err)
 	}
 }
 

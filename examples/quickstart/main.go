@@ -32,8 +32,8 @@ const roundRobin = `
   r7 = r6
   r7 += 1
   *(u64 *)(r0 + 0) = r7
-  r6 %= NUM_THREADS
   r0 = r6
+  r0 %= NUM_THREADS
   exit
 pass:
   r0 = PASS

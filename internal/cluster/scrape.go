@@ -26,7 +26,7 @@ type HostSnapshot struct {
 	Series   []obs.SeriesJSON     `json:"series"`
 	Profiles []syrupd.ProfileInfo `json:"profiles,omitempty"`
 	// Counters is the member's own counter listing (Daemon.Counters):
-	// per-host hook runs and faults, optimizer outcomes, quarantines.
+	// per-host hook runs and faults, quarantines.
 	Counters []metrics.CounterValue `json:"counters,omitempty"`
 	// Decisions is the host controller's decision history when adaptive
 	// control is enabled (syrup-top renders them as annotations).

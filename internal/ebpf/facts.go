@@ -1,19 +1,16 @@
 package ebpf
 
-import "fmt"
-
 // Facts is the verifier's per-PC fact table: everything the abstract
 // interpretation proved about each instruction, met (in the lattice sense)
 // across every path that reached it. The verifier already derives constant
 // scalars, pointer offsets, packet bounds and null-resolution to discharge
-// its safety obligations; Facts exports those proofs behind a stable API so
-// the optimizer and the JIT consume them instead of re-deriving (or worse,
-// guessing) them. A fact at pc P holds on *every* execution that reaches P —
-// that is the soundness contract every downstream transformation leans on.
-//
-// Facts describe the instruction stream they were computed for. After the
-// optimizer rewrites a program the stream is re-verified and a fresh table
-// is produced; stale tables must not be applied to a different stream.
+// its safety obligations; Facts keeps the ones the compiler specializes on
+// (jit.go: regFact, stackWindow) — a register's region type, its constant
+// offset from the region base, and the map behind a handle — so it consumes
+// them instead of re-deriving (or worse, guessing) them. A fact at pc P
+// holds on *every* execution that reaches P — that is the soundness
+// contract each specialized closure leans on. Nothing rewrites a program
+// after verification, so the table always describes the stream that runs.
 
 // FactType mirrors the verifier's register type lattice. FactNone means the
 // register either was uninitialized or had conflicting types across paths —
@@ -32,37 +29,10 @@ const (
 	FactMapValueOrNull
 )
 
-func (t FactType) String() string {
-	switch t {
-	case FactNone:
-		return "none"
-	case FactScalar:
-		return "scalar"
-	case FactCtx:
-		return "ctx"
-	case FactPacket:
-		return "pkt"
-	case FactPacketEnd:
-		return "pkt_end"
-	case FactStack:
-		return "fp"
-	case FactMapHandle:
-		return "map_ptr"
-	case FactMapValue:
-		return "map_value"
-	case FactMapValueOrNull:
-		return "map_value_or_null"
-	}
-	return "?"
-}
-
 // RegFact is what is known about one register at one program point, valid on
 // every path reaching that point.
 type RegFact struct {
 	Type FactType
-	// Known: Type==FactScalar and the value is exactly Val on every path.
-	Known bool
-	Val   uint64
 	// OffKnown: the pointer offset from the region base is exactly Off on
 	// every path (pointer types only).
 	OffKnown bool
@@ -72,77 +42,26 @@ type RegFact struct {
 	MapIdx int32
 }
 
-func (f RegFact) String() string {
-	switch {
-	case f.Type == FactScalar && f.Known:
-		return fmt.Sprintf("const %d", f.Val)
-	case f.Type == FactScalar:
-		return "scalar"
-	case f.OffKnown:
-		return fmt.Sprintf("%v%+d", f.Type, f.Off)
-	default:
-		return f.Type.String()
-	}
-}
-
-// BranchDecision is the verifier's verdict on a conditional jump, met across
-// every visit: if the branch provably goes the same way on all paths it is
-// Always/Never taken and the optimizer may fold it.
-type BranchDecision uint8
-
-const (
-	// BranchNone: not a conditional jump, or never visited.
-	BranchNone BranchDecision = iota
-	// BranchVaries: outcome depends on runtime state on at least one path.
-	BranchVaries
-	BranchAlwaysTaken
-	BranchNeverTaken
-)
-
-func (d BranchDecision) String() string {
-	switch d {
-	case BranchNone:
-		return "none"
-	case BranchVaries:
-		return "varies"
-	case BranchAlwaysTaken:
-		return "always-taken"
-	case BranchNeverTaken:
-		return "never-taken"
-	}
-	return "?"
-}
-
-// InsnFacts is the fact set for one instruction slot (the low slot for an
+// insnFacts is the fact set for one instruction slot (the low slot for an
 // LDDW pair; the high slot records no visits of its own).
-type InsnFacts struct {
-	// Visits counts how many distinct abstract paths executed this
+type insnFacts struct {
+	// visits counts how many distinct abstract paths executed this
 	// instruction. 0 means the verifier proved it unreachable from the
 	// entry state.
-	Visits int
-	// In holds per-register facts on entry to the instruction.
-	In [NumRegs]RegFact
-	// PktRange: bytes [0, PktRange) of the packet proven accessible on
-	// entry, on every path (the minimum over visits). -1 when unvisited.
-	PktRange int64
-	// Decision and Reason: for conditional jumps, the met branch verdict
-	// and the human-readable fact that justified it (Reason is set for
-	// Always/Never decisions; it names the proof, e.g. the dominating
-	// bounds check, for `syrup-policy doctor`).
-	Decision BranchDecision
-	Reason   string
+	visits int
+	// in holds per-register facts on entry to the instruction.
+	in [NumRegs]RegFact
 }
 
 // Facts is the exported per-PC table for one verified instruction stream.
 type Facts struct {
-	insns []InsnFacts
+	insns []insnFacts
 }
 
 func newFacts(n int) *Facts {
-	f := &Facts{insns: make([]InsnFacts, n)}
+	f := &Facts{insns: make([]insnFacts, n)}
 	for i := range f.insns {
-		f.insns[i].PktRange = -1
-		f.insns[i].In = unknownRegs
+		f.insns[i].in = unknownRegs
 	}
 	return f
 }
@@ -158,33 +77,13 @@ var unknownRegs = func() [NumRegs]RegFact {
 // Len returns the number of instruction slots covered.
 func (f *Facts) Len() int { return len(f.insns) }
 
-// At returns the fact set for one instruction slot.
-func (f *Facts) At(pc int) InsnFacts {
-	if pc < 0 || pc >= len(f.insns) {
-		return InsnFacts{PktRange: -1, In: unknownRegs}
-	}
-	return f.insns[pc]
-}
-
-// Visited reports whether any abstract path reached pc.
-func (f *Facts) Visited(pc int) bool { return f.At(pc).Visits > 0 }
-
-// Reg returns the entry fact for register r at pc.
+// Reg returns the entry fact for register r at pc: no fact (FactNone) when
+// either is out of range or no abstract path reached pc.
 func (f *Facts) Reg(pc int, r uint8) RegFact {
-	if r >= NumRegs {
+	if pc < 0 || pc >= len(f.insns) || r >= NumRegs {
 		return RegFact{MapIdx: -1}
 	}
-	return f.At(pc).In[r]
-}
-
-// PktRange returns the packet bytes proven accessible on entry to pc
-// (minimum over all paths), or -1 when pc was never visited.
-func (f *Facts) PktRange(pc int) int64 { return f.At(pc).PktRange }
-
-// Branch returns the met decision for the conditional jump at pc.
-func (f *Facts) Branch(pc int) (BranchDecision, string) {
-	in := f.At(pc)
-	return in.Decision, in.Reason
+	return f.insns[pc].in[r]
 }
 
 // observe folds one visit's entry state into the table.
@@ -192,38 +91,17 @@ func (f *Facts) observe(pc int, st *vstate) {
 	if pc < 0 || pc >= len(f.insns) {
 		return
 	}
-	in := &f.insns[pc]
-	if in.Visits == 0 {
+	slot := &f.insns[pc]
+	if slot.visits == 0 {
 		for r := uint8(0); r < NumRegs; r++ {
-			in.In[r] = regFactOf(st.regs[r])
+			slot.in[r] = regFactOf(st.regs[r])
 		}
-		in.PktRange = st.pktRange
 	} else {
 		for r := uint8(0); r < NumRegs; r++ {
-			in.In[r] = meetReg(in.In[r], regFactOf(st.regs[r]))
-		}
-		if st.pktRange < in.PktRange {
-			in.PktRange = st.pktRange
+			slot.in[r] = meetReg(slot.in[r], regFactOf(st.regs[r]))
 		}
 	}
-	in.Visits++
-}
-
-// observeBranch folds one visit's branch verdict into the table. The first
-// visit sets the decision; disagreeing later visits demote it to Varies.
-func (f *Facts) observeBranch(pc int, d BranchDecision, reason string) {
-	if pc < 0 || pc >= len(f.insns) {
-		return
-	}
-	in := &f.insns[pc]
-	switch {
-	case in.Decision == BranchNone:
-		in.Decision = d
-		in.Reason = reason
-	case in.Decision != d:
-		in.Decision = BranchVaries
-		in.Reason = ""
-	}
+	slot.visits++
 }
 
 func regFactOf(r vreg) RegFact {
@@ -231,11 +109,6 @@ func regFactOf(r vreg) RegFact {
 	switch r.typ {
 	case tScalar:
 		f.Type = FactScalar
-		f.Known = r.known
-		f.Val = r.val
-		if !r.known {
-			f.Val = 0
-		}
 	case tCtx:
 		f.Type = FactCtx
 		f.OffKnown = true
@@ -272,10 +145,6 @@ func meetReg(a, b RegFact) RegFact {
 		return RegFact{Type: FactNone, MapIdx: -1}
 	}
 	out := a
-	if !(a.Known && b.Known && a.Val == b.Val) {
-		out.Known = false
-		out.Val = 0
-	}
 	if !(a.OffKnown && b.OffKnown && a.Off == b.Off) {
 		out.OffKnown = false
 		out.Off = 0

@@ -359,8 +359,8 @@ func TestInterpTailCallLimit(t *testing.T) {
 }
 
 func TestInterpStatsAccounting(t *testing.T) {
-	// The add's operand is runtime state, so the optimizer has nothing to
-	// fold; the disassembly pins that the stream ran verbatim.
+	// Nothing rewrites a verified stream; the disassembly pins that it is
+	// loaded verbatim, so the counts below are the source's.
 	insns := []Instruction{
 		Ldx(4, R0, R1, CtxOffHash),
 		ALUImm(ALUAdd, R0, 1),
@@ -371,7 +371,7 @@ func TestInterpStatsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := p.Disassemble(), DisassembleProgram(insns); got != want {
-		t.Fatalf("optimizer rewrote the pinned stream:\n%s\nwant:\n%s", got, want)
+		t.Fatalf("load rewrote the stream:\n%s\nwant:\n%s", got, want)
 	}
 	_, stats, err := p.Run(&Ctx{}, nil)
 	if err != nil {

@@ -12,9 +12,9 @@ package ebpf
 // There is one closure tier. Where the verifier's fact table pins a load,
 // store or map-lookup operand (p.facts is nil only for NoVerify loads),
 // the closure is specialized to a direct slice access; where it does not,
-// the generic form resolves the region at run time. The table always
-// describes the stream being compiled: the original verify's when the
-// optimizer leaves the program alone, the re-verifier's when it rewrites.
+// the generic form resolves the region at run time. The table is the one
+// the verifier built for exactly this stream: nothing rewrites a program
+// between verify and compile.
 
 import (
 	"fmt"
@@ -400,6 +400,19 @@ func (p *Program) regFact(i int, reg uint8) RegFact {
 		return RegFact{MapIdx: -1}
 	}
 	return p.facts.Reg(i, reg)
+}
+
+// stackWindow resolves a store/load through a verifier-proven stack base
+// to an absolute [off, off+size) window within the frame.
+func stackWindow(base RegFact, insOff int16, size int) (int, bool) {
+	if base.Type != FactStack || !base.OffKnown {
+		return 0, false
+	}
+	abs := int64(StackSize) + base.Off + int64(insOff)
+	if abs < 0 || abs+int64(size) > int64(StackSize) {
+		return 0, false
+	}
+	return int(abs), true
 }
 
 // loadValue performs one load with the interpreter's exact semantics and

@@ -5,10 +5,11 @@ package ebpf
 // math, counter bumps, call+null-check, load+compare, the epilogue —
 // compile to one closure, halving dispatches on those sequences.
 //
-// Every pair shape is one row of fusions: the predicate the optimizer's
-// scheduling pass steers by (fusableShape) and the emitter compile applies
-// are the same row, so the two cannot drift apart. Rows are mutually
-// exclusive, so at most one matches a given pair.
+// Every pair shape is one row of fusions: the predicate that recognises it
+// and the emitter compile applies. Rows are mutually exclusive, so at most
+// one matches a given pair. Nothing reorders a policy toward these shapes;
+// the shipped sources are written in them (`r0 = r6; r0 %= N`, the map
+// handle loaded before the key store).
 //
 // Accounting rule: a fused closure covers contiguous slots i..i+n and
 // bumps rs.extra only once a later instruction's semantics actually
@@ -90,20 +91,8 @@ var fusions = []fusion{
 	},
 }
 
-// fusableShape reports whether compile fuses a immediately followed by b.
-// The optimizer's scheduling pass steers reorderings with it; a false
-// positive only costs a missed fusion, never correctness.
-func fusableShape(a, b Instruction) bool {
-	for _, f := range fusions {
-		if f.match(a, b) {
-			return true
-		}
-	}
-	return false
-}
-
-// fusableALUImm reports the immediate ops the mov+alu shape handles; the
-// scheduler's rename rewrite produces exactly these.
+// fusableALUImm reports the immediate ops the mov+alu shape handles:
+// exactly the arms of movALU.
 func fusableALUImm(op uint8) bool {
 	switch op {
 	case ALUAdd, ALUSub, ALUAnd, ALUOr, ALUXor, ALUMod, ALULsh, ALURsh:
@@ -112,9 +101,38 @@ func fusableALUImm(op uint8) bool {
 	return false
 }
 
+// movALU evaluates `a OP b` for the 64-bit immediate ops fusableALUImm
+// admits. It mirrors execALU (interp.go) bit for bit, including mod by
+// zero and shift masking; TestJITFusedMovALUMatchesInterp holds each arm
+// to the interpreter.
+func movALU(op uint8, a, b uint64) uint64 {
+	switch op {
+	case ALUAdd:
+		return a + b
+	case ALUSub:
+		return a - b
+	case ALUAnd:
+		return a & b
+	case ALUOr:
+		return a | b
+	case ALUXor:
+		return a ^ b
+	case ALUMod:
+		if b == 0 {
+			return a
+		}
+		return a % b
+	case ALULsh:
+		return a << (b & 63)
+	case ALURsh:
+		return a >> (b & 63)
+	}
+	return a // unreachable: the fusions row admits no other op
+}
+
 // compileFused returns one closure executing the fusable sequence that
 // starts at slot i, or nil. The three-slot read-modify-write is tried
-// first; it is not a pair shape, so the scheduler does not steer toward it.
+// first; it is not a pair shape.
 func (p *Program) compileFused(i int, targets []bool) opFunc {
 	if f := p.fuseRMW(i, targets); f != nil {
 		return f
@@ -171,8 +189,9 @@ func (p *Program) fuseStLddw(i int, targets []bool) opFunc {
 }
 
 // fuseMovALU keeps a dedicated closure for add — stack address math runs
-// before every map lookup — and evaluates the other ops through foldALU,
-// the optimizer's bit-for-bit mirror of execALU.
+// before every map lookup — and evaluates the other ops through movALU: a
+// static call, measurably cheaper on the `r0 = r6; r0 %= N` epilogue than
+// chaining into compileALU's closure.
 func (p *Program) fuseMovALU(i int, _ []bool) opFunc {
 	a, b := p.insns[i], p.insns[i+1]
 	op := b.Op & 0xf0
@@ -188,7 +207,7 @@ func (p *Program) fuseMovALU(i int, _ []bool) opFunc {
 	}
 	return func(rs *runState) int {
 		rs.extra++
-		rs.regs[dst], _ = foldALU(op, rs.regs[src], k, true)
+		rs.regs[dst] = movALU(op, rs.regs[src], k)
 		return next
 	}
 }
@@ -294,6 +313,22 @@ func (p *Program) fuseCallJmp(i int, _ []bool) opFunc {
 		}
 		return branch(taken, target, fall)
 	}
+}
+
+func isCondJump(ins Instruction) bool {
+	cls := ins.Class()
+	if cls != ClassJMP && cls != ClassJMP32 {
+		return false
+	}
+	switch ins.Op & 0xf0 {
+	case JmpExit, JmpCall, JmpA:
+		return false
+	}
+	return true
+}
+
+func isExit(ins Instruction) bool {
+	return ins.Class() == ClassJMP && ins.Op&0xf0 == JmpExit
 }
 
 // jmpCmpUnsigned returns the predicate for a full-width compare against a

@@ -9,17 +9,11 @@ import (
 )
 
 // Differential harness around one oracle, the reference interpreter. The
-// same instruction stream is loaded into three identically initialized
-// "worlds" and driven through every packet:
-//
-//   - Leg A, semantics: the interpreter over the verified pre-optimization
-//     stream (Program.Reference) vs Run on the loaded program. Verdicts,
-//     error strings, packet mutations, map contents and helper/tail-call
-//     accounting must agree; the optimizer may legitimately retire fewer
-//     instructions, which is the entire point of it.
-//   - Leg B, accounting: RunInterp vs Run on the same loaded program —
-//     the optimized, fused, fact-specialized stream. Full ExecStats and
-//     instret/runs/faults charging must agree.
+// same instruction stream is loaded into two identically initialized
+// "worlds" and driven through every packet: Run — the fused,
+// fact-specialized closures — in one, RunInterp in the other. Verdicts,
+// error strings, packet mutations, map contents, full ExecStats and
+// instret/runs/faults charging must agree.
 
 type diffWorld struct {
 	table   *MapTable
@@ -33,9 +27,8 @@ type diffWorld struct {
 
 // buildDiffWorld registers an array map (fd 3), a hash map (fd 4), and a
 // prog array (fd 5, slot 1 populated) so generated programs can exercise
-// lookups, updates, and tail calls. With reference set, the world's
-// programs are swapped for their pre-optimization interpreter twins.
-func buildDiffWorld(insns []Instruction, reference bool) *diffWorld {
+// lookups, updates, and tail calls.
+func buildDiffWorld(insns []Instruction) *diffWorld {
 	w := &diffWorld{
 		arr:     MustNewMap(MapSpec{Name: "dfarr", Type: MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 8}),
 		hash:    MustNewMap(MapSpec{Name: "dfhash", Type: MapHash, KeySize: 4, ValueSize: 8, MaxEntries: 16}),
@@ -55,12 +48,6 @@ func buildDiffWorld(insns []Instruction, reference bool) *diffWorld {
 	w.table.Register(w.progArr) // fd 5
 	w.leaf = MustLoad("dleaf", []Instruction{MovImm(R0, 77), Exit()}, LoadOptions{})
 	w.prog, w.loadErr = Load("dprog", insns, LoadOptions{MapTable: w.table, Budget: 50_000})
-	if reference {
-		w.leaf = w.leaf.Reference()
-		if w.loadErr == nil {
-			w.prog = w.prog.Reference()
-		}
-	}
 	if err := w.progArr.UpdateProg(1, w.leaf); err != nil {
 		panic(err)
 	}
@@ -103,73 +90,58 @@ func diffCtx(pi int, pkt []byte) *Ctx {
 	return &Ctx{Packet: append([]byte(nil), pkt...), Hash: uint32(pi) * 0x9e37, Port: 9000 + uint32(pi), Queue: uint32(pi)}
 }
 
-// runDifferential drives all three worlds through every packet and fails
-// on the first divergence. It reports whether the program loaded.
+// runDifferential drives both worlds through every packet and fails on the
+// first divergence. It reports whether the program loaded.
 func runDifferential(t *testing.T, insns []Instruction) bool {
 	t.Helper()
-	ref := buildDiffWorld(insns, true)     // verified original, interpreter
-	jit := buildDiffWorld(insns, false)    // loaded program, Run
-	oracle := buildDiffWorld(insns, false) // loaded program, RunInterp
+	jit := buildDiffWorld(insns)    // Run
+	oracle := buildDiffWorld(insns) // RunInterp
 	if jit.loadErr != nil {
 		return false
 	}
 	dis := jit.prog.Disassemble()
 
-	envR, envJ, envO := diffEnv(), diffEnv(), diffEnv()
+	envJ, envO := diffEnv(), diffEnv()
 	for pi, pkt := range diffPackets {
-		ctxR, ctxJ, ctxO := diffCtx(pi, pkt), diffCtx(pi, pkt), diffCtx(pi, pkt)
+		ctxJ, ctxO := diffCtx(pi, pkt), diffCtx(pi, pkt)
 
-		retR, stR, errR := ref.prog.runInterp(ctxR, envR)
 		retJ, stJ, errJ := jit.prog.RunRet64(ctxJ, envJ)
 		retO, stO, errO := oracle.prog.runInterp(ctxO, envO)
 
-		if errString(errJ) != errString(errR) || errString(errJ) != errString(errO) {
-			t.Fatalf("pkt %d error divergence:\n run:       %v\n interp:    %v\n reference: %v\n%s", pi, errJ, errO, errR, dis)
+		if errString(errJ) != errString(errO) {
+			t.Fatalf("pkt %d error divergence:\n run:    %v\n interp: %v\n%s", pi, errJ, errO, dis)
 		}
-		if errJ == nil && (retJ != retR || retJ != retO) {
-			t.Fatalf("pkt %d R0 divergence: run %#x interp %#x reference %#x\n%s", pi, retJ, retO, retR, dis)
+		if errJ == nil && retJ != retO {
+			t.Fatalf("pkt %d R0 divergence: run %#x interp %#x\n%s", pi, retJ, retO, dis)
 		}
-		// Leg A: helper calls and tail calls are never added, removed, or
-		// reordered by the optimizer.
-		if stJ.Helpers != stR.Helpers || stJ.TailCalls != stR.TailCalls {
-			t.Fatalf("pkt %d helper/tailcall divergence: run %+v reference %+v\n%s", pi, stJ, stR, dis)
-		}
-		// Leg B: same stream, so every counter agrees.
 		if stJ != stO {
 			t.Fatalf("pkt %d stats divergence: run %+v interp %+v\n%s", pi, stJ, stO, dis)
 		}
-		if !bytes.Equal(ctxJ.Packet, ctxR.Packet) || !bytes.Equal(ctxJ.Packet, ctxO.Packet) {
-			t.Fatalf("pkt %d packet mutation divergence\n run:       %x\n interp:    %x\n reference: %x\n%s", pi, ctxJ.Packet, ctxO.Packet, ctxR.Packet, dis)
+		if !bytes.Equal(ctxJ.Packet, ctxO.Packet) {
+			t.Fatalf("pkt %d packet mutation divergence\n run:    %x\n interp: %x\n%s", pi, ctxJ.Packet, ctxO.Packet, dis)
 		}
 	}
 
-	// Map contents must have evolved identically in all three worlds.
-	for _, other := range []*diffWorld{ref, oracle} {
-		for k := uint32(0); k < 16; k++ {
-			vj, okj := jit.arr.LookupUint64(k)
-			vo, oko := other.arr.LookupUint64(k)
-			if vj != vo || okj != oko {
-				t.Fatalf("array key %d divergence: run (%d,%v) other (%d,%v)\n%s", k, vj, okj, vo, oko, dis)
-			}
-			vj, okj = jit.hash.LookupUint64(k)
-			vo, oko = other.hash.LookupUint64(k)
-			if vj != vo || okj != oko {
-				t.Fatalf("hash key %d divergence: run (%d,%v) other (%d,%v)\n%s", k, vj, okj, vo, oko, dis)
-			}
+	// Map contents must have evolved identically in both worlds.
+	for k := uint32(0); k < 16; k++ {
+		vj, okj := jit.arr.LookupUint64(k)
+		vo, oko := oracle.arr.LookupUint64(k)
+		if vj != vo || okj != oko {
+			t.Fatalf("array key %d divergence: run (%d,%v) interp (%d,%v)\n%s", k, vj, okj, vo, oko, dis)
+		}
+		vj, okj = jit.hash.LookupUint64(k)
+		vo, oko = oracle.hash.LookupUint64(k)
+		if vj != vo || okj != oko {
+			t.Fatalf("hash key %d divergence: run (%d,%v) interp (%d,%v)\n%s", k, vj, okj, vo, oko, dis)
 		}
 	}
 
-	// Table 2 charging (instret/runs/faults) is dispatch-independent on the
-	// same stream; against the reference stream, runs and faults agree.
+	// Table 2 charging (instret/runs/faults) is dispatch-independent.
 	if jit.prog.Stats() != oracle.prog.Stats() {
 		t.Fatalf("program charging divergence: run %+v interp %+v\n%s", jit.prog.Stats(), oracle.prog.Stats(), dis)
 	}
-	if jit.leaf.Stats() != oracle.leaf.Stats() || jit.leaf.Stats() != ref.leaf.Stats() {
-		t.Fatalf("leaf charging divergence: run %+v interp %+v reference %+v", jit.leaf.Stats(), oracle.leaf.Stats(), ref.leaf.Stats())
-	}
-	sJ, sR := jit.prog.Stats(), ref.prog.Stats()
-	if sJ.Runs != sR.Runs || sJ.Faults != sR.Faults {
-		t.Fatalf("run/fault charging divergence: run %+v reference %+v\n%s", sJ, sR, dis)
+	if jit.leaf.Stats() != oracle.leaf.Stats() {
+		t.Fatalf("leaf charging divergence: run %+v interp %+v", jit.leaf.Stats(), oracle.leaf.Stats())
 	}
 	return true
 }
@@ -282,6 +254,36 @@ func TestJITTailCallChain(t *testing.T) {
 	ret2, st2, err2 := root.RunInterp(ctx, nil)
 	if err2 != nil || ret2 != ret || st2 != st {
 		t.Fatalf("oracle mismatch: ret %d vs %d, stats %+v vs %+v, err %v", ret2, ret, st2, st, err2)
+	}
+}
+
+// TestJITFusedMovALUMatchesInterp drives the fused `rD = rS; rD OP= imm`
+// closure through every op the shape admits: add has a dedicated closure,
+// the rest evaluate through movALU, the one ALU table beside compileALU's.
+func TestJITFusedMovALUMatchesInterp(t *testing.T) {
+	ops := []uint8{ALUAdd, ALUSub, ALUAnd, ALUOr, ALUXor, ALUMod, ALULsh, ALURsh}
+	for _, op := range ops {
+		if !fusableALUImm(op) {
+			t.Fatalf("op %#x left the fused shape", op)
+		}
+		for _, imm := range []int32{1, 6, 63, -3} {
+			p := MustLoad("movalu", []Instruction{
+				Ldx(4, R6, R1, CtxOffHash),
+				ALUImm(ALULsh, R6, 29), // spill past 32 bits so width matters
+				MovReg(R0, R6),
+				ALUImm(op, R0, imm),
+				Exit(),
+			}, LoadOptions{})
+			for _, hash := range []uint32{0, 7, 0xdeadbeef} {
+				ctx := &Ctx{Hash: hash}
+				retJ, stJ, errJ := p.RunRet64(ctx, nil)
+				retI, stI, errI := p.runInterp(ctx, nil)
+				if errJ != nil || errI != nil || retJ != retI || stJ != stI {
+					t.Fatalf("op %#x imm %d hash %#x: run (%#x, %+v, %v) interp (%#x, %+v, %v)",
+						op, imm, hash, retJ, stJ, errJ, retI, stI, errI)
+				}
+			}
+		}
 	}
 }
 

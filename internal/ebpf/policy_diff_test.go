@@ -63,20 +63,19 @@ func dumpMaps(maps map[string]*ebpf.Map) map[string]string {
 	return out
 }
 
-// TestShippedPoliciesMatchReference is leg A of the differential over the
-// policies the figures actually run: the reference interpreter on each
-// policy's verified pre-optimization stream vs Run on the loaded program,
-// across a seeded GET/SCAN/PUT header mix with truncated and empty
-// packets. Verdicts, errors, packet bytes, helper/tail-call counts and
-// final map contents must agree.
+// TestShippedPoliciesMatchReference is the differential over the policies
+// the figures actually run: the reference interpreter vs Run, each on its
+// own loaded copy of the policy, across a seeded GET/SCAN/PUT header mix
+// with truncated and empty packets. Verdicts, errors, packet bytes, full
+// ExecStats, instret/runs/faults charging and final map contents must
+// agree.
 func TestShippedPoliciesMatchReference(t *testing.T) {
 	const packets = 12_000
 	types := []uint64{policy.ReqGET, policy.ReqSCAN, policy.ReqPUT}
 	for _, name := range policy.Names() {
 		t.Run(name, func(t *testing.T) {
 			prog, mapsJ := policyWorld(t, name)
-			loaded, mapsR := policyWorld(t, name)
-			ref := loaded.Reference()
+			ref, mapsR := policyWorld(t, name)
 
 			rng := rand.New(rand.NewPCG(0x5eed, uint64(len(name))))
 			envJ, envR := policyEnv(), policyEnv()
@@ -99,12 +98,15 @@ func TestShippedPoliciesMatchReference(t *testing.T) {
 				if fmt.Sprint(errJ) != fmt.Sprint(errR) || vJ != vR {
 					t.Fatalf("packet %d (%d bytes): run (%d, %v), reference (%d, %v)\n%s", i, len(wire), vJ, errJ, vR, errR, prog.Disassemble())
 				}
-				if stJ.Helpers != stR.Helpers || stJ.TailCalls != stR.TailCalls {
-					t.Fatalf("packet %d: helper/tail-call divergence: run %+v reference %+v", i, stJ, stR)
+				if stJ != stR {
+					t.Fatalf("packet %d: stats divergence: run %+v reference %+v", i, stJ, stR)
 				}
 				if !bytes.Equal(ctxJ.Packet, ctxR.Packet) {
 					t.Fatalf("packet %d: packet mutation divergence", i)
 				}
+			}
+			if prog.Stats() != ref.Stats() {
+				t.Fatalf("program charging divergence: run %+v reference %+v", prog.Stats(), ref.Stats())
 			}
 			dj, dr := dumpMaps(mapsJ), dumpMaps(mapsR)
 			if len(dj) != len(dr) {

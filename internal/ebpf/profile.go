@@ -82,7 +82,7 @@ func profSince(t0 time.Time) uint64 { return uint64(time.Since(t0)) }
 
 // AnnotatedDisasm renders the executed stream with per-instruction
 // hotness: hit count, percentage of the hottest slot, and a bar — the
-// syrup-policy doctor -profile output. Returns "" when not profiling.
+// syrup-policy disasm -profile output. Returns "" when not profiling.
 func (p *Program) AnnotatedDisasm() string {
 	prof := p.Profile()
 	if prof == nil {

@@ -6,8 +6,7 @@ import (
 	"testing"
 )
 
-// profTestInsns branches on a runtime value so the optimizer has nothing to
-// fold and the stream runs verbatim (pinned by profRun): with Hash == 5
+// profTestInsns runs verbatim (pinned by profRun): with Hash == 5
 // slots 0-2 always run, the taken branch skips slot 3, slots 4-5 always
 // run. Slots 1-2 and 4-5 are fused pairs.
 func profTestInsns() []Instruction {
@@ -23,12 +22,12 @@ func profTestInsns() []Instruction {
 
 var profTestCtx = &Ctx{Hash: 5}
 
-// pinStream fails unless the optimizer left insns verbatim, so slot
-// numbers in the test mean what the source says.
+// pinStream fails unless Load left insns verbatim, so slot numbers in the
+// test mean what the source says.
 func pinStream(t *testing.T, p *Program, insns []Instruction) {
 	t.Helper()
 	if got, want := p.Disassemble(), DisassembleProgram(insns); got != want {
-		t.Fatalf("optimizer rewrote the pinned stream:\n%s\nwant:\n%s", got, want)
+		t.Fatalf("load rewrote the stream:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -75,10 +74,10 @@ func TestProfileHitsInterpVsJIT(t *testing.T) {
 	}
 }
 
-// fusedShapeInsns is a verifiable policy that keeps every fused shape
-// adjacent through the optimizer: mov+alu, ldx+jcc, st+lddw, call+jcc, the
-// read-modify-write triple, ldx+alu, st+mov and alu+exit. fd 3 is an
-// 8-byte-value array map, fd 4 a prog array.
+// fusedShapeInsns is a verifiable policy holding every fused shape:
+// mov+alu, ldx+jcc, st+lddw, call+jcc, the read-modify-write triple,
+// ldx+alu, st+mov and alu+exit. fd 3 is an 8-byte-value array map, fd 4 a
+// prog array.
 func fusedShapeInsns() []Instruction {
 	insns := []Instruction{
 		MovReg(R9, R1),
@@ -253,7 +252,7 @@ func TestProfileOffByDefault(t *testing.T) {
 	}
 }
 
-// TestAnnotatedDisasm: the doctor -profile rendering carries hits,
+// TestAnnotatedDisasm: the disasm -profile rendering carries hits,
 // percentages, and the disassembly text, one line per instruction (LDDW
 // pairs render once).
 func TestAnnotatedDisasm(t *testing.T) {
@@ -294,11 +293,6 @@ func TestProfileTailCallAttribution(t *testing.T) {
 	entry, err := Load("pfentry", entryInsns, LoadOptions{MapTable: table, Profile: true})
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Map references resolve to indices at load; only the slot layout is
-	// pinned.
-	if entry.Len() != len(entryInsns) || entry.Optimized() {
-		t.Fatalf("optimizer rewrote the pinned stream:\n%s", entry.Disassemble())
 	}
 	ret, _, err := entry.Run(nil, nil)
 	if err != nil || ret != 42 {

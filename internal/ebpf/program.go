@@ -34,17 +34,9 @@ type Program struct {
 	// program can never read registers or stack bytes it didn't write).
 	noVerify bool
 
-	// facts is the verifier's per-PC fact table for insns (the stream
-	// actually executed). Refreshed by the post-optimization re-verify, so
-	// it always describes the current stream; nil for NoVerify loads.
+	// facts is the verifier's per-PC fact table for insns; nil for
+	// NoVerify loads.
 	facts *Facts
-	// origInsns is the verified pre-optimization stream, set only when the
-	// optimizer rewrote insns; optRep is the pass report of an optimizer
-	// run that neither bailed out nor was rejected by the re-verifier;
-	// optRejected marks the latter.
-	origInsns   []Instruction
-	optRep      *OptReport
-	optRejected bool
 
 	// Accounting for Table 2.
 	runs    atomic.Uint64
@@ -72,8 +64,9 @@ type LoadOptions struct {
 	MapTable *MapTable
 	// Budget overrides DefaultVerifierBudget when > 0.
 	Budget int
-	// NoVerify skips verification. Only syrupd's own trusted dispatcher
-	// may use it; user policies must always be verified.
+	// NoVerify skips verification. Nothing outside tests sets it (syrupd's
+	// own root dispatcher is verified like any policy): it is how the
+	// runtime-fault paths a verified program cannot reach get exercised.
 	NoVerify bool
 	// Profile enables bpf_stats_enabled-style accounting for this load:
 	// run count, cumulative wall ns, and per-instruction hit counters
@@ -82,8 +75,9 @@ type LoadOptions struct {
 }
 
 // Load is the one pipeline every program takes: resolve map references,
-// verify, optimize, re-verify, compile (plus the profile decorator when
-// asked). NoVerify programs skip straight to compilation.
+// verify, compile (plus the profile decorator when asked). Nothing
+// rewrites the stream after the verifier admits it, so the verified stream
+// is the executed stream. NoVerify programs skip straight to compilation.
 func Load(name string, insns []Instruction, opts LoadOptions) (*Program, error) {
 	if len(insns) == 0 {
 		return nil, fmt.Errorf("ebpf: %s: empty program", name)
@@ -128,47 +122,12 @@ func Load(name string, insns []Instruction, opts LoadOptions) (*Program, error) 
 			return nil, fmt.Errorf("ebpf: %s: verifier: %w", name, err)
 		}
 		p.facts = facts
-		p.optimize(budget)
 	}
 	if opts.Profile {
 		p.prof = newProfData(len(p.insns))
 	}
 	p.code = compile(p)
 	return p, nil
-}
-
-// optimize runs the fact-driven pass pipeline over the freshly verified
-// stream and, following MOAT's check-don't-trust rule, re-verifies the
-// result before adopting it. Any failure — a pass bailing out, or the
-// re-verifier rejecting the rewritten stream — leaves the program on the
-// verified original with its original fact table, so the optimizer can
-// never make a load fail and the compiler always has facts for the stream
-// it is handed.
-func (p *Program) optimize(budget int) {
-	optimized, rep, err := Optimize(p.insns, p.facts)
-	if err != nil {
-		return
-	}
-	changed := rep.Removed() != 0
-	for _, pass := range rep.Passes {
-		changed = changed || pass.Rewritten > 0
-	}
-	if !changed {
-		// Nothing rewritten: the stream (and its fact table) stand as
-		// verified.
-		p.optRep = rep
-		return
-	}
-	cand := &Program{name: p.name, insns: optimized, maps: p.maps}
-	cfacts, err := verify(cand, budget)
-	if err != nil {
-		p.optRejected = true
-		return
-	}
-	p.origInsns = p.insns
-	p.insns = optimized
-	p.facts = cfacts
-	p.optRep = rep
 }
 
 // MustLoad is Load that panics on error, for static trusted programs.
@@ -213,42 +172,9 @@ func (p *Program) MeanInsnsPerRun() float64 {
 	return float64(p.instret.Load()) / float64(r)
 }
 
-// Disassemble renders the loaded (map-resolved) instruction stream — the
-// optimized form when the optimizer ran.
+// Disassemble renders the loaded (map-resolved) instruction stream.
 func (p *Program) Disassemble() string { return DisassembleProgram(p.insns) }
 
-// Optimized reports whether the middle-end rewrote this program.
-func (p *Program) Optimized() bool { return p.origInsns != nil }
-
-// OptReport returns the optimizer's pass report, or nil when a pass bailed
-// out or the re-verifier rejected the rewritten stream.
-func (p *Program) OptReport() *OptReport { return p.optRep }
-
-// OptRejected reports whether the re-verifier rejected the optimizer's
-// rewrite, leaving the program on its verified original. With Optimized
-// and OptReport it completes the load outcome: rewritten (Optimized),
-// left unchanged (a report, not Optimized), rejected, or — no report and
-// not rejected — a pass bailed out (or the load skipped verification).
-func (p *Program) OptRejected() bool { return p.optRejected }
-
-// verified returns the stream the verifier first admitted: the
-// pre-optimization one when the optimizer rewrote the program, else insns.
-func (p *Program) verified() []Instruction {
-	if p.origInsns != nil {
-		return p.origInsns
-	}
-	return p.insns
-}
-
-// OrigLen reports the pre-optimization instruction count (equal to Len()
-// when the optimizer did not change the program).
-func (p *Program) OrigLen() int { return len(p.verified()) }
-
-// DisassembleOrig renders the pre-optimization stream.
-func (p *Program) DisassembleOrig() string { return DisassembleProgram(p.verified()) }
-
-// Facts returns the verifier's per-PC fact table for the executed stream
-// (nil for NoVerify loads). The table always matches the current insns:
-// after optimization it is the re-verifier's table for the rewritten
-// stream, never the stale pre-optimization one.
+// Facts returns the verifier's per-PC fact table for the loaded stream
+// (nil for NoVerify loads).
 func (p *Program) Facts() *Facts { return p.facts }

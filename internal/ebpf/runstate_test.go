@@ -12,8 +12,8 @@ import (
 // dispatch counters left behind. Reports whether the program loaded.
 func runBatchDifferential(t *testing.T, insns []Instruction) bool {
 	t.Helper()
-	single := buildDiffWorld(insns, false)
-	batched := buildDiffWorld(insns, false)
+	single := buildDiffWorld(insns)
+	batched := buildDiffWorld(insns)
 	if errString(single.loadErr) != errString(batched.loadErr) {
 		t.Fatalf("load divergence: %v vs %v", single.loadErr, batched.loadErr)
 	}

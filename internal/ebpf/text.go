@@ -459,8 +459,8 @@ func (f *AsmFile) Text() string {
 	})
 }
 
-// TextSource renders a loaded program (its executed, possibly optimized
-// stream) back to assemblable .syr source. Pseudo-map immediates index
+// TextSource renders a loaded program's stream back to assemblable .syr
+// source. Pseudo-map immediates index
 // p.maps after Load, so references render as map(name) and declarations
 // are reconstructed from the live map specs.
 func (p *Program) TextSource() string {
@@ -531,8 +531,8 @@ func programText(insns []Instruction, maps []MapSpec, mapName func(int32) string
 // textRenderable reports whether programText can represent the stream
 // exactly: no jump may target the high half of an LDDW pair or the slot
 // one past the end, since neither has a line to label. Reachable code in
-// a verified program always renders; only unreachable garbage (which the
-// optimizer also refuses to lift) can fail this.
+// a verified program always renders; only unreachable garbage can fail
+// this.
 func textRenderable(insns []Instruction) bool {
 	for i, ins := range insns {
 		cls := ins.Class()

@@ -157,8 +157,8 @@ type verifier struct {
 	used    int
 	nextID  int32
 	pending []branchPoint
-	// facts accumulates the per-PC proof table exported to the optimizer
-	// and the JIT (see facts.go).
+	// facts accumulates the per-PC proof table the compiler specializes on
+	// (see facts.go).
 	facts *Facts
 	// lddwHi marks instruction slots that are the high half of an LDDW
 	// pair; jumping into one is rejected.
@@ -758,7 +758,6 @@ func (v *verifier) checkJump(pc int, ins Instruction, st *vstate) (int, bool, er
 	// map value.
 	if dst.typ == tMapValueOrNull && src.typ == tScalar && src.known && src.val == 0 &&
 		(op == JmpEq || op == JmpNe) {
-		v.facts.observeBranch(pc, BranchVaries, "")
 		taken := st.clone()
 		taken.markNullResolved(dst.id, op == JmpEq) // == 0 taken → null
 		st.markNullResolved(dst.id, op != JmpEq)    // fallthrough of != 0 → null
@@ -770,29 +769,20 @@ func (v *verifier) checkJump(pc int, ins Instruction, st *vstate) (int, bool, er
 	// resolved* map value. The pointer is non-null by construction (the
 	// resolving check already sent the null case elsewhere), so the branch
 	// is statically decided — follow only the live side, like the kernel
-	// verifier's dead-branch patching, and record the decision so the
-	// optimizer can elide the re-check.
+	// verifier's dead-branch pruning.
 	if dst.typ == tMapValue && src.typ == tScalar && src.known && src.val == 0 &&
 		(op == JmpEq || op == JmpNe) {
-		reason := fmt.Sprintf("r%d is a resolved map value (non-null after its null check)", ins.Dst)
 		if op == JmpNe {
-			v.facts.observeBranch(pc, BranchAlwaysTaken, reason)
 			return target, false, nil
 		}
-		v.facts.observeBranch(pc, BranchNeverTaken, reason)
 		return pc + 1, false, nil
 	}
 
 	// Packet bounds refinement: comparisons between a packet pointer and
 	// pkt_end prove the range [0, ptr.off) accessible on the side where
-	// ptr <= pkt_end. When the range already proven on entry decides the
-	// comparison (a dominating check covered these bytes), record the
-	// verdict so the optimizer can elide the redundant re-check; the
-	// exploration itself is unchanged (both sides are still walked, so a
-	// program accepted today is accepted identically).
+	// ptr <= pkt_end. Both sides are always walked, even when a dominating
+	// check already covered these bytes.
 	if dst.typ == tPacket && src.typ == tPacketEnd {
-		bd, breason := pktBoundsDecision(op, dst.off, st.pktRange, false)
-		v.facts.observeBranch(pc, bd, breason)
 		taken := st.clone()
 		switch op {
 		case JmpGt: // taken: pkt+off > end (bad side); fall: pkt+off <= end
@@ -817,8 +807,6 @@ func (v *verifier) checkJump(pc int, ins Instruction, st *vstate) (int, bool, er
 	}
 	// Symmetric form: pkt_end vs packet pointer.
 	if dst.typ == tPacketEnd && src.typ == tPacket {
-		bd, breason := pktBoundsDecision(op, src.off, st.pktRange, true)
-		v.facts.observeBranch(pc, bd, breason)
 		taken := st.clone()
 		switch op {
 		case JmpGe, JmpGt: // taken: end >(=) pkt+off → off bytes safe
@@ -846,7 +834,6 @@ func (v *verifier) checkJump(pc int, ins Instruction, st *vstate) (int, bool, er
 			return 0, false, fmt.Errorf("insn %d: comparison between %v and %v", pc, dst.typ, src.typ)
 		}
 		// Same-type pointer comparison (e.g., pkt vs pkt): explore both.
-		v.facts.observeBranch(pc, BranchVaries, "")
 		taken := st.clone()
 		v.pending = append(v.pending, branchPoint{pc: target, st: taken})
 		return pc + 1, false, nil
@@ -858,17 +845,12 @@ func (v *verifier) checkJump(pc int, ins Instruction, st *vstate) (int, bool, er
 	// truncates only the signed forms — the static decision must match the
 	// runtime outcome exactly, or the unexplored side could execute.
 	if dst.known && src.known {
-		a, b := dst.val, src.val
-		reason := fmt.Sprintf("r%d proven const %d, compared against const %d", ins.Dst, a, b)
-		if jumpTaken(op, a, b, is32) {
-			v.facts.observeBranch(pc, BranchAlwaysTaken, reason)
+		if jumpTaken(op, dst.val, src.val, is32) {
 			return target, false, nil
 		}
-		v.facts.observeBranch(pc, BranchNeverTaken, reason)
 		return pc + 1, false, nil
 	}
 
-	v.facts.observeBranch(pc, BranchVaries, "")
 	taken := st.clone()
 	// Equality refinement: on `if rX == K` taken, rX is the constant.
 	if op == JmpEq && src.known && !is32 {
@@ -879,60 +861,6 @@ func (v *verifier) checkJump(pc int, ins Instruction, st *vstate) (int, bool, er
 	}
 	v.pending = append(v.pending, branchPoint{pc: target, st: taken})
 	return pc + 1, false, nil
-}
-
-// pktBoundsDecision decides a packet-vs-pkt_end comparison from the range
-// already proven on entry. pktRange proves the true packet length is at
-// least pktRange on every path here, so e.g. `if pkt+off > pkt_end` can
-// never be taken once off <= pktRange. endLeft selects the symmetric
-// `pkt_end OP pkt+off` form.
-func pktBoundsDecision(op uint8, off, pktRange int64, endLeft bool) (BranchDecision, string) {
-	if pktRange < 0 {
-		return BranchVaries, ""
-	}
-	reason := fmt.Sprintf("bytes [0,%d) already proven in bounds by a dominating check, pkt offset %d", pktRange, off)
-	if endLeft {
-		// pkt_end OP pkt+off, i.e. len OP off with len >= pktRange.
-		switch op {
-		case JmpGe: // len >= off: always once off <= pktRange
-			if off <= pktRange {
-				return BranchAlwaysTaken, reason
-			}
-		case JmpGt: // len > off: always once off < pktRange
-			if off < pktRange {
-				return BranchAlwaysTaken, reason
-			}
-		case JmpLt: // len < off: never once off <= pktRange
-			if off <= pktRange {
-				return BranchNeverTaken, reason
-			}
-		case JmpLe: // len <= off: never once off < pktRange
-			if off < pktRange {
-				return BranchNeverTaken, reason
-			}
-		}
-		return BranchVaries, ""
-	}
-	// pkt+off OP pkt_end, i.e. off OP len with len >= pktRange.
-	switch op {
-	case JmpGt: // off > len: never once off <= pktRange
-		if off <= pktRange {
-			return BranchNeverTaken, reason
-		}
-	case JmpGe: // off >= len: never once off < pktRange
-		if off < pktRange {
-			return BranchNeverTaken, reason
-		}
-	case JmpLe: // off <= len: always once off <= pktRange
-		if off <= pktRange {
-			return BranchAlwaysTaken, reason
-		}
-	case JmpLt: // off < len: always once off < pktRange
-		if off < pktRange {
-			return BranchAlwaysTaken, reason
-		}
-	}
-	return BranchVaries, ""
 }
 
 func jumpTaken(op uint8, a, b uint64, is32 bool) bool {

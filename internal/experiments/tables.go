@@ -16,10 +16,9 @@ type Table2Row struct {
 	Policy string
 	// LoC counts non-comment lines of the .syr policy file.
 	LoC int
-	// Instructions is the executed bytecode length (after the optimizing
-	// middle-end); UnoptInstructions is the verified stream before it.
-	Instructions      int
-	UnoptInstructions int
+	// Instructions is the bytecode length: the stream the verifier
+	// admitted, which is the stream that executes.
+	Instructions int
 	// MeanExecInsns is the average instructions executed per decision.
 	MeanExecInsns float64
 	// WallNanos is the measured wall-clock cost per decision of the
@@ -91,13 +90,12 @@ func Table2() ([]Table2Row, error) {
 		}
 		wall := float64(time.Since(start).Nanoseconds()) / iters
 		rows = append(rows, Table2Row{
-			Policy:            c.name,
-			LoC:               f.SourceLines,
-			Instructions:      prog.Len(),
-			UnoptInstructions: prog.OrigLen(),
-			MeanExecInsns:     prog.MeanInsnsPerRun(),
-			WallNanos:         wall,
-			ModelCycles:       modelCyclesPerDecision,
+			Policy:        c.name,
+			LoC:           f.SourceLines,
+			Instructions:  prog.Len(),
+			MeanExecInsns: prog.MeanInsnsPerRun(),
+			WallNanos:     wall,
+			ModelCycles:   modelCyclesPerDecision,
 		})
 	}
 	return rows, nil
@@ -135,14 +133,14 @@ func xorshiftEnv() func() uint32 {
 func FormatTable2(rows []Table2Row) string {
 	var b strings.Builder
 	b.WriteString("== table2: Overhead of different Syrup policies (paper Table 2) ==\n\n")
-	fmt.Fprintf(&b, "%-14s %6s %14s %10s %16s %18s %14s\n",
-		"Policy", "LoC", "Insns verified", "executed", "ExecInsns/run", "ns/run", "ModelCycles")
+	fmt.Fprintf(&b, "%-14s %6s %10s %16s %18s %14s\n",
+		"Policy", "LoC", "Insns", "ExecInsns/run", "ns/run", "ModelCycles")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %6d %14d %10d %16.1f %18.1f %14.0f\n",
-			r.Policy, r.LoC, r.UnoptInstructions, r.Instructions, r.MeanExecInsns, r.WallNanos, r.ModelCycles)
+		fmt.Fprintf(&b, "%-14s %6d %10d %16.1f %18.1f %14.0f\n",
+			r.Policy, r.LoC, r.Instructions, r.MeanExecInsns, r.WallNanos, r.ModelCycles)
 	}
 	b.WriteString("\nnotes:\n  - paper: RR 6 LoC/56 insns, SCAN Avoid 21/311, SITA 16/81, Token 45/106; cycles 1563-1709 dominated by enforcement\n")
-	b.WriteString("  - Insns verified is the stream the verifier admitted, executed the stream after the fact-driven middle-end (see `syrup-policy doctor`)\n")
+	b.WriteString("  - Insns is the stream the verifier admitted, which is the stream that executes (see `syrup-policy disasm`)\n")
 	b.WriteString("  - ns/run is the wall-clock cost of one compiled Program.Run on this machine (decision only)\n")
 	b.WriteString("  - ModelCycles is the fixed decision+enforcement charge the simulation applies per hook invocation (0.7us at 2.3GHz)\n")
 	return b.String()

@@ -105,19 +105,41 @@ func (o SLO) values(snap []SeriesJSON) (t []int64, v []float64) {
 	return t, v
 }
 
+// points is an oldest-first view of one sample stream: a snapshot's arrays
+// or a live ring. burn is generic over it so the controller's per-tick
+// evaluation of a live *Series neither copies nor boxes.
+type points interface {
+	Len() int
+	at(i int) (t int64, v float64)
+}
+
+// Len reports how many points the snapshot holds.
+func (s SeriesJSON) Len() int { return len(s.T) }
+
+func (s SeriesJSON) at(i int) (int64, float64) { return s.T[i], s.V[i] }
+
+func (s *Series) at(i int) (int64, float64) {
+	j := s.start + i
+	if j >= len(s.t) {
+		j -= len(s.t)
+	}
+	return s.t[j], s.v[j]
+}
+
 // burn computes the bad fraction over [now-window, now] divided by the
-// budget. No samples in the window means no evidence: burn 0 with n==0,
-// which Evaluate surfaces as an explicit NoData verdict rather than
-// letting an empty window read as healthy.
-func burn(t []int64, v []float64, now int64, window sim.Time, target, budget float64) (float64, int) {
+// budget, walking newest backward. No samples in the window means no
+// evidence: burn 0 with n==0, which evaluate surfaces as an explicit
+// NoData verdict rather than letting an empty window read as healthy.
+func burn[P points](p P, now int64, window sim.Time, target, budget float64) (float64, int) {
 	lo := now - int64(window)
 	n, bad := 0, 0
-	for i := len(t) - 1; i >= 0; i-- {
-		if t[i] < lo {
+	for i := p.Len() - 1; i >= 0; i-- {
+		t, v := p.at(i)
+		if t < lo {
 			break
 		}
 		n++
-		if v[i] > target {
+		if v > target {
 			bad++
 		}
 	}
@@ -127,16 +149,14 @@ func burn(t []int64, v []float64, now int64, window sim.Time, target, budget flo
 	return (float64(bad) / float64(n)) / budget, n
 }
 
-// Evaluate runs the multi-window burn-rate rule against snap as of sim
-// time now.
-func (o SLO) Evaluate(snap []SeriesJSON, now sim.Time) SLOResult {
+// evaluate runs the multi-window burn-rate rule over one sample stream.
+func evaluate[P points](o SLO, p P, now sim.Time) SLOResult {
 	maxBurn := o.MaxBurn
 	if maxBurn <= 0 {
 		maxBurn = 1
 	}
-	t, v := o.values(snap)
-	shortBurn, nShort := burn(t, v, int64(now), o.Short, o.Target, o.Budget)
-	longBurn, nLong := burn(t, v, int64(now), o.Long, o.Target, o.Budget)
+	shortBurn, nShort := burn(p, int64(now), o.Short, o.Target, o.Budget)
+	longBurn, nLong := burn(p, int64(now), o.Long, o.Target, o.Budget)
 	return SLOResult{
 		Name:      o.Name,
 		ShortBurn: shortBurn,
@@ -145,6 +165,13 @@ func (o SLO) Evaluate(snap []SeriesJSON, now sim.Time) SLOResult {
 		Burning:   nShort > 0 && nLong > 0 && shortBurn >= maxBurn && longBurn >= maxBurn,
 		NoData:    nShort == 0 || nLong == 0,
 	}
+}
+
+// Evaluate runs the multi-window burn-rate rule against snap as of sim
+// time now.
+func (o SLO) Evaluate(snap []SeriesJSON, now sim.Time) SLOResult {
+	t, v := o.values(snap)
+	return evaluate(o, SeriesJSON{T: t, V: v}, now)
 }
 
 // EvaluateStore runs the objective against a live store — the in-process
@@ -163,47 +190,11 @@ func (o SLO) EvaluateStore(st *Store, now sim.Time) SLOResult {
 		}
 		return o.Evaluate(snap, now)
 	}
-	maxBurn := o.MaxBurn
-	if maxBurn <= 0 {
-		maxBurn = 1
-	}
 	s := st.Get(o.Series)
-	shortBurn, nShort := burnSeries(s, int64(now), o.Short, o.Target, o.Budget)
-	longBurn, nLong := burnSeries(s, int64(now), o.Long, o.Target, o.Budget)
-	return SLOResult{
-		Name:      o.Name,
-		ShortBurn: shortBurn,
-		LongBurn:  longBurn,
-		Samples:   nLong,
-		Burning:   nShort > 0 && nLong > 0 && shortBurn >= maxBurn && longBurn >= maxBurn,
-		NoData:    nShort == 0 || nLong == 0,
-	}
-}
-
-// burnSeries is burn over a live ring (newest backward, no copy).
-func burnSeries(s *Series, now int64, window sim.Time, target, budget float64) (float64, int) {
 	if s == nil {
-		return 0, 0
+		return evaluate(o, SeriesJSON{}, now)
 	}
-	lo := now - int64(window)
-	n, bad := 0, 0
-	for i := s.n - 1; i >= 0; i-- {
-		j := s.start + i
-		if j >= len(s.t) {
-			j -= len(s.t)
-		}
-		if s.t[j] < lo {
-			break
-		}
-		n++
-		if s.v[j] > target {
-			bad++
-		}
-	}
-	if n == 0 || budget <= 0 {
-		return 0, n
-	}
-	return (float64(bad) / float64(n)) / budget, n
+	return evaluate(o, s, now)
 }
 
 // EvaluateSLOs runs every objective against one snapshot.

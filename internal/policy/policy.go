@@ -30,9 +30,9 @@ const (
 	// NameShed drops the best-effort tenant at the hook and round-robins
 	// the rest — the adaptive controller's protective swap under SLO burn.
 	NameShed = "shed"
-	// NamePrio and NameUserWeight are written first-draft style on purpose:
-	// they document what the optimizing middle-end recovers from naive
-	// policy code (see DESIGN.md "Optimizer" and `syrup-policy doctor`).
+	// NamePrio and NameUserWeight re-check what an earlier check already
+	// proved (packet bounds, a resolved map value): the shipped policies
+	// that drive the verifier's dominated-bounds and resolved-null paths.
 	NamePrio       = "prio"
 	NameUserWeight = "user_weight"
 )

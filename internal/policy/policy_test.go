@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"os"
 	"testing"
 
 	"syrup/internal/ebpf"
@@ -24,14 +25,45 @@ func TestAllBuiltinsAssembleAndVerify(t *testing.T) {
 			if name == NameSITA {
 				defines = SITADefines(6)
 			}
-			p, maps, err := Load(name, defines, nil)
+			p, _, err := Load(name, defines, nil)
 			if err != nil {
 				t.Fatalf("load: %v", err)
 			}
-			if p.Len() == 0 {
-				t.Fatal("empty program")
+			// The loaded stream is the assembled stream, and the fact table
+			// describes exactly it.
+			f, err := ebpf.Assemble(MustSource(name), defines)
+			if err != nil {
+				t.Fatal(err)
 			}
-			_ = maps
+			if p.Len() == 0 || p.Len() != len(f.Insns) {
+				t.Fatalf("loaded %d instructions, assembled %d", p.Len(), len(f.Insns))
+			}
+			if p.Facts().Len() != p.Len() {
+				t.Fatalf("fact table covers %d slots, program has %d", p.Facts().Len(), p.Len())
+			}
+		})
+	}
+}
+
+// TestShippedStreamsPinned pins what `syrup-policy disasm builtin:<name>`
+// prints for every shipped policy at its .const defaults. Nothing rewrites
+// a policy after it is assembled, so an instruction order that matters —
+// the pairs written adjacent so the compiler fuses them — lives in the
+// .syr source, and this is what notices it moving.
+func TestShippedStreamsPinned(t *testing.T) {
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			p, _, err := Load(name, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile("testdata/streams/" + name + ".txt")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := p.TextSource(); got != string(want) {
+				t.Fatalf("stream moved\nwant:\n%s\ngot:\n%s", want, got)
+			}
 		})
 	}
 }

@@ -38,8 +38,8 @@ func TestPolicySourcesRoundTrip(t *testing.T) {
 	}
 }
 
-// The loaded (optimized) form must round-trip too: TextSource renders the
-// executed stream, and re-assembling it yields the same bytecode.
+// The loaded form must round-trip too: TextSource renders the loaded
+// (map-resolved) stream, and re-assembling it yields the same bytecode.
 func TestPolicyTextSourceRoundTrip(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
@@ -60,15 +60,13 @@ func TestPolicyTextSourceRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("instantiate %s: %v", name, err)
 			}
-			// The re-loaded program must verify and produce the same
-			// executed stream (optimizing an already-optimized stream is a
-			// fixed point for the shipped policies).
+			// The re-loaded program must verify and produce the same stream.
 			q, err := ebpf.Load(name, insns, ebpf.LoadOptions{MapTable: table})
 			if err != nil {
 				t.Fatalf("re-load %s: %v\nrendered:\n%s", name, err, text)
 			}
 			if p.Disassemble() != q.Disassemble() {
-				t.Fatalf("%s: executed stream changed across round trip\nwant:\n%s\ngot:\n%s",
+				t.Fatalf("%s: loaded stream changed across round trip\nwant:\n%s\ngot:\n%s",
 					name, p.Disassemble(), q.Disassemble())
 			}
 		})

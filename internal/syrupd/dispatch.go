@@ -92,9 +92,11 @@ func (d *Daemon) buildRootDispatcher(name string, portMap, progArray *ebpf.Map) 
 	insns = append(insns, ebpf.MovReg(ebpf.R6, ebpf.R1))
 	// key = ctx->port
 	insns = append(insns, ebpf.Ldx(4, ebpf.R2, ebpf.R1, ebpf.CtxOffPort))
-	insns = append(insns, ebpf.Stx(4, ebpf.R10, ebpf.R2, -4))
+	// The map handle is loaded before the key store so the store sits next
+	// to the address math and the two compile to one closure.
 	insns = append(insns, ebpf.LoadMapFD(ebpf.R1, portFD)...)
 	insns = append(insns,
+		ebpf.Stx(4, ebpf.R10, ebpf.R2, -4),
 		ebpf.MovReg(ebpf.R2, ebpf.R10),
 		ebpf.ALUImm(ebpf.ALUAdd, ebpf.R2, -4),
 		ebpf.Call(ebpf.HelperMapLookup),
@@ -109,7 +111,7 @@ func (d *Daemon) buildRootDispatcher(name string, portMap, progArray *ebpf.Map) 
 		ebpf.MovImm(ebpf.R0, -1), // PASS
 		ebpf.Exit(),
 	)
-	return d.load("syrupd-dispatch-"+name, insns, ebpf.LoadOptions{MapTable: table})
+	return ebpf.Load("syrupd-dispatch-"+name, insns, ebpf.LoadOptions{MapTable: table})
 }
 
 // install binds an app's program into the dispatcher for all its ports.

@@ -139,7 +139,6 @@ func TestServerLinksAndRevokeOps(t *testing.T) {
 		"ebpf_hook_runs_cpu_redirect":       0,
 		"ebpf_hook_runs_xdp_offload":        0,
 		"ebpf_hook_faults":                  0,
-		"ebpf_opt_programs":                 3, // two policies + the XDP root
 	} {
 		if got, ok := stats[key]; !ok || got != want {
 			t.Fatalf("stats[%s] = %v (present %v), want %v", key, got, ok, want)
@@ -348,7 +347,6 @@ func TestCountersDeterministic(t *testing.T) {
 		"ebpf_hook_runs_socket_select_9000", "ebpf_hook_runs_socket_select_9001",
 		"ebpf_hook_runs_storage", "ebpf_hook_runs_thread_sched_app2",
 		"ebpf_hook_runs_xdp", "ebpf_hook_runs_xdp_offload",
-		"ebpf_opt_insns_removed", "ebpf_opt_programs", "ebpf_opt_reverify_rejects",
 		"syrupd_quarantines",
 	}
 	if !slices.Equal(names, want) || !slices.IsSorted(names) {

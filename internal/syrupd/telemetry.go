@@ -35,8 +35,8 @@ func (d *Daemon) Obs() *obs.Store {
 // point the host owns — NIC offload, XDP, CPU redirect, each UDP and TCP
 // reuseport group by ascending port, the storage submit hook, each app's
 // ghOSt agent — as ebpf_hook_runs_<point> / ebpf_hook_faults_<point>, the
-// ebpf_hook_faults total across them, the load-time ebpf_opt_* outcomes
-// and syrupd_quarantines, sorted by name. The values are the owners' own
+// ebpf_hook_faults total across them and syrupd_quarantines, sorted by
+// name. The values are the owners' own
 // plain fields, so the listing is per host by construction; like Links it
 // must be read from the event loop's goroutine (the server's big lock).
 func (d *Daemon) Counters() []metrics.CounterValue {
@@ -54,7 +54,7 @@ func (d *Daemon) Counters() []metrics.CounterValue {
 		}
 	}
 
-	out := make([]metrics.CounterValue, 0, 2*len(points)+5)
+	out := make([]metrics.CounterValue, 0, 2*len(points)+2)
 	var faults uint64
 	for _, pt := range points {
 		st := pt.Stats()
@@ -66,9 +66,6 @@ func (d *Daemon) Counters() []metrics.CounterValue {
 	}
 	out = append(out,
 		metrics.CounterValue{Name: "ebpf_hook_faults", Value: faults},
-		metrics.CounterValue{Name: "ebpf_opt_programs", Value: d.optPrograms},
-		metrics.CounterValue{Name: "ebpf_opt_insns_removed", Value: d.optInsnsRemoved},
-		metrics.CounterValue{Name: "ebpf_opt_reverify_rejects", Value: d.optReverifyRejects},
 		metrics.CounterValue{Name: "syrupd_quarantines", Value: d.quarantines})
 	slices.SortFunc(out, func(a, b metrics.CounterValue) int { return strings.Compare(a.Name, b.Name) })
 	return out

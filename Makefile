@@ -130,14 +130,18 @@ lint-globals:
 		exit 1; \
 	fi
 
-# VM differential gate (see DESIGN.md "Policy execution pipeline"): the
-# compiled closures against the reference interpreter on the same loaded
-# stream — verdicts, errors, map and packet effects, full ExecStats and
-# instret/runs/faults charging — over random programs, the fuzz seed
-# corpus and every shipped policy, and the text round-trip suite
+# VM differential gate (see DESIGN.md "Policy execution pipeline"), in two
+# halves. Semantics against literal vectors: alu and jumpTaken — the one
+# table the verifier, the interpreter and the closures all evaluate
+# through — against values written from the ISA definition, and the
+# verifier's folded constants against run-time values. Engines against
+# each other: the compiled closures against the reference interpreter on
+# the same loaded stream — verdicts, errors, map and packet effects, full
+# ExecStats and instret/runs/faults charging — over random programs, the
+# fuzz seed corpus and every shipped policy, and the text round-trip suite
 # syrup-policy disasm depends on.
 vm-diff:
-	$(call gate,TestDifferential|FuzzJITMatchesInterp|TestShippedPolicies|TestTextRoundTrip,./internal/ebpf/)
+	$(call gate,TestALUTable|TestJumpTable|TestVerifierFold|TestDifferential|FuzzJITMatchesInterp|TestShippedPolicies|TestTextRoundTrip,./internal/ebpf/)
 
 # Telemetry gate (see DESIGN.md "Telemetry plane"): the sampler rides the
 # engine's passive hook — figure-slice digests (fig2/6/8/9 + the fleet
@@ -176,9 +180,9 @@ bench:
 bench-cluster:
 	$(GO) run ./cmd/syrup-bench -hosts 32
 
-# Reference-interpreter vs compiled dispatch margin (see DESIGN.md "Policy
-# execution pipeline"): the map-heavy shape must hold >=2x and 0 allocs/op
-# compiled.
+# Reference-interpreter and compiled dispatch cost (see DESIGN.md "Policy
+# execution pipeline"): compiled, the map-heavy shape must stay <= 65 ns/op
+# and every shape at 0 allocs/op.
 bench-dispatch:
 	$(GO) test ./internal/ebpf/ -run '^$$' -bench BenchmarkDispatch -benchmem
 

@@ -64,29 +64,6 @@ func (r *RuleRolloutReport) String() string {
 		r.Canaries, r.Decisions, r.Enabled)
 }
 
-func (cfg *RuleRolloutConfig) fill(hosts int) {
-	if cfg.Canaries <= 0 {
-		cfg.Canaries = (hosts + 7) / 8
-	}
-	if cfg.Canaries > hosts {
-		cfg.Canaries = hosts
-	}
-	if cfg.Bake == 0 {
-		cfg.Bake = 2 * sim.Millisecond
-	}
-	for i := range cfg.SLOs {
-		if cfg.SLOs[i].Short == 0 {
-			cfg.SLOs[i].Short = cfg.Bake / 4
-		}
-		if cfg.SLOs[i].Long == 0 {
-			cfg.SLOs[i].Long = cfg.Bake
-		}
-	}
-	if cfg.MaxExtend <= 0 {
-		cfg.MaxExtend = 3
-	}
-}
-
 // RolloutRules arms an adaptive rule table across the fleet in two
 // stages: enable on the canary subset, bake under (optional) probe
 // traffic, inspect the canaries' decision histories for failed
@@ -94,92 +71,45 @@ func (cfg *RuleRolloutConfig) fill(hosts int) {
 // enable fleet-wide. An aborted rollout disarms the canaries, so a bad
 // table never outlives its bake.
 func (c *Cluster) RolloutRules(cfg RuleRolloutConfig) (*RuleRolloutReport, error) {
-	cfg.fill(len(c.Members))
-	order := c.CanaryOrder()
-	canaries := append([]int(nil), order[:cfg.Canaries]...)
-	rep := &RuleRolloutReport{Canaries: canaries}
-
-	// The probe path reuses the policy rollout's bake machinery.
-	probeCfg := RolloutConfig{App: cfg.App, Bake: cfg.Bake, Probes: cfg.Probes}
-
-	for _, idx := range canaries {
-		if _, err := c.Members[idx].Host.Daemon.EnableAdapt(cfg.Rules); err != nil {
-			return nil, fmt.Errorf("cluster: %s: %w", c.Members[idx].Name, err)
-		}
-	}
-	bakeAll := func() {
-		for _, idx := range canaries {
-			c.bake(c.Members[idx], probeCfg)
-		}
-	}
-	bakeAll()
-
-	gather := func() {
-		rep.Decisions, rep.Errors = 0, nil
-		for _, idx := range canaries {
-			ctl := c.Members[idx].Host.Daemon.AdaptController()
-			for _, d := range ctl.History() {
-				rep.Decisions++
-				if d.Err != "" {
-					rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %s", c.Members[idx].Name, d.String()))
+	stageDefaults(len(c.Members), &cfg.Canaries, &cfg.Bake, cfg.SLOs, &cfg.MaxExtend)
+	rep := &RuleRolloutReport{}
+	out, err := c.staged(stagedRollout{
+		canaries: cfg.Canaries, slos: cfg.SLOs, maxExtend: cfg.MaxExtend,
+		// The probe path reuses the policy rollout's bake machinery.
+		probe: RolloutConfig{App: cfg.App, Bake: cfg.Bake, Probes: cfg.Probes},
+		apply: func(idx int) error {
+			if _, err := c.Members[idx].Host.Daemon.EnableAdapt(cfg.Rules); err != nil {
+				return fmt.Errorf("cluster: %s: %w", c.Members[idx].Name, err)
+			}
+			return nil
+		},
+		health: func(canaries []int) string {
+			rep.Decisions, rep.Errors = 0, nil
+			for _, idx := range canaries {
+				for _, d := range c.Members[idx].Host.Daemon.AdaptController().History() {
+					rep.Decisions++
+					if d.Err != "" {
+						rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %s", c.Members[idx].Name, d.String()))
+					}
 				}
 			}
-		}
-	}
-	gather()
-	abortReason := ""
-	if len(rep.Errors) > 0 {
-		abortReason = fmt.Sprintf("%d canary actuation error(s): %s", len(rep.Errors), rep.Errors[0])
-	}
-
-	// SLO gate with the same no-data-extends-bake discipline as policy
-	// rollouts.
-	if abortReason == "" && len(cfg.SLOs) > 0 {
-		for {
-			snap := c.canarySnapshot(canaries)
-			rep.SLOResults = snap.EvaluateSLOs(cfg.SLOs)
-			noData := false
-			for _, r := range rep.SLOResults {
-				if r.Burning {
-					abortReason = fmt.Sprintf("SLO %s burning (short %.2fx, long %.2fx over %d samples)",
-						r.Name, r.ShortBurn, r.LongBurn, r.Samples)
-					break
-				}
-				if r.NoData {
-					noData = true
-				}
-			}
-			if abortReason != "" || !noData {
-				break
-			}
-			if rep.Extended >= cfg.MaxExtend {
-				abortReason = fmt.Sprintf("SLO gate still has no data after %d bake extension(s)", rep.Extended)
-				break
-			}
-			rep.Extended++
-			bakeAll()
-			gather()
 			if len(rep.Errors) > 0 {
-				abortReason = fmt.Sprintf("%d canary actuation error(s): %s", len(rep.Errors), rep.Errors[0])
-				break
+				return fmt.Sprintf("%d canary actuation error(s): %s", len(rep.Errors), rep.Errors[0])
 			}
-		}
-	}
-
-	if abortReason != "" {
-		rep.Aborted = true
-		rep.Reason = abortReason
-		for _, idx := range canaries {
+			return ""
+		},
+		revert: func(idx int) error {
 			c.Members[idx].Host.Daemon.DisableAdapt()
-		}
-		return rep, nil
+			return nil
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	// Stage 2: arm the rest of the fleet, in canary order for determinism.
-	for _, idx := range order[cfg.Canaries:] {
-		if _, err := c.Members[idx].Host.Daemon.EnableAdapt(cfg.Rules); err != nil {
-			return nil, fmt.Errorf("cluster: %s: %w", c.Members[idx].Name, err)
-		}
+	rep.Canaries, rep.SLOResults, rep.Extended = out.canaries, out.sloResults, out.extended
+	if out.reason != "" {
+		rep.Aborted, rep.Reason = true, out.reason
+		return rep, nil
 	}
 	rep.Enabled = len(c.Members)
 	return rep, nil

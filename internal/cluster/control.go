@@ -106,30 +106,35 @@ func (cfg *RolloutConfig) fill(hosts int) error {
 	if cfg.Hook == syrup.HookThreadSched {
 		return fmt.Errorf("cluster: thread policies are userspace code and do not roll out as .syr artifacts")
 	}
-	if cfg.Canaries <= 0 {
-		cfg.Canaries = (hosts + 7) / 8
-	}
-	if cfg.Canaries > hosts {
-		cfg.Canaries = hosts
-	}
-	if cfg.Bake == 0 {
-		cfg.Bake = 2 * sim.Millisecond
-	}
 	if cfg.Probes == 0 {
 		cfg.Probes = 32
 	}
-	for i := range cfg.SLOs {
-		if cfg.SLOs[i].Short == 0 {
-			cfg.SLOs[i].Short = cfg.Bake / 4
-		}
-		if cfg.SLOs[i].Long == 0 {
-			cfg.SLOs[i].Long = cfg.Bake
-		}
-	}
-	if cfg.MaxExtend <= 0 {
-		cfg.MaxExtend = 3
-	}
+	stageDefaults(hosts, &cfg.Canaries, &cfg.Bake, cfg.SLOs, &cfg.MaxExtend)
 	return nil
+}
+
+// stageDefaults fills the staging knobs policy and rule rollouts share.
+func stageDefaults(hosts int, canaries *int, bake *sim.Time, slos []obs.SLO, maxExtend *int) {
+	if *canaries <= 0 {
+		*canaries = (hosts + 7) / 8
+	}
+	if *canaries > hosts {
+		*canaries = hosts
+	}
+	if *bake == 0 {
+		*bake = 2 * sim.Millisecond
+	}
+	for i := range slos {
+		if slos[i].Short == 0 {
+			slos[i].Short = *bake / 4
+		}
+		if slos[i].Long == 0 {
+			slos[i].Long = *bake
+		}
+	}
+	if *maxExtend <= 0 {
+		*maxExtend = 3
+	}
 }
 
 // CanaryOrder derives the rollout order: a seeded Fisher-Yates
@@ -147,6 +152,92 @@ func (c *Cluster) CanaryOrder() []int {
 		order[i], order[j] = order[j], order[i]
 	}
 	return order
+}
+
+// stagedRollout is one run of the fleet's rollout state machine. What is
+// rolled out lives in the three callbacks; the staging around them is the
+// same for a policy and for a rule table.
+type stagedRollout struct {
+	canaries  int           // stage-1 host count
+	probe     RolloutConfig // App, Bake and Probes drive each bake
+	slos      []obs.SLO
+	maxExtend int
+	// apply installs the artifact on one member.
+	apply func(idx int) error
+	// health inspects the canaries after a bake and returns why the
+	// rollout must abort, or "".
+	health func(canaries []int) string
+	// revert undoes apply on one canary of an aborted rollout.
+	revert func(idx int) error
+}
+
+// stagedOutcome is what staged decided; reason is non-empty when the
+// canary stage failed and the canaries were reverted.
+type stagedOutcome struct {
+	canaries   []int
+	sloResults []obs.SLOResult
+	extended   int
+	reason     string
+}
+
+// staged applies to the canary subset (the head of CanaryOrder), bakes
+// every canary, asks health, then the SLO gate, and only then applies to
+// the rest of the fleet, in canary order for determinism; a failed canary
+// stage reverts the canaries instead.
+func (c *Cluster) staged(s stagedRollout) (stagedOutcome, error) {
+	order := c.CanaryOrder()
+	out := stagedOutcome{canaries: append([]int(nil), order[:s.canaries]...)}
+	for _, idx := range out.canaries {
+		if err := s.apply(idx); err != nil {
+			return out, err
+		}
+	}
+	bakeAll := func() string {
+		for _, idx := range out.canaries {
+			c.bake(c.Members[idx], s.probe)
+		}
+		return s.health(out.canaries)
+	}
+	out.reason = bakeAll()
+	// SLO gate: evaluate the objectives against the canaries' merged
+	// telemetry as of bake end. A health abort wins (it is the cheaper,
+	// more specific signal); otherwise any burning objective aborts
+	// through the same revert path. An objective with no data extends the
+	// bake — and re-asks health over the now longer bake — instead of
+	// passing: a gate that cannot see must not wave the rollout through
+	// (the short-bake bug).
+	for out.reason == "" && len(s.slos) > 0 {
+		out.sloResults = c.canarySnapshot(out.canaries).EvaluateSLOs(s.slos)
+		noData := false
+		for _, r := range out.sloResults {
+			if r.Burning {
+				out.reason = fmt.Sprintf("SLO %s burning (short %.2fx, long %.2fx over %d samples)",
+					r.Name, r.ShortBurn, r.LongBurn, r.Samples)
+				break
+			}
+			noData = noData || r.NoData
+		}
+		if out.reason != "" || !noData {
+			break
+		}
+		if out.extended >= s.maxExtend {
+			out.reason = fmt.Sprintf("SLO gate still has no data after %d bake extension(s)", out.extended)
+			break
+		}
+		out.extended++
+		out.reason = bakeAll()
+	}
+	rest := order[s.canaries:]
+	step := s.apply
+	if out.reason != "" {
+		rest, step = out.canaries, s.revert
+	}
+	for _, idx := range rest {
+		if err := step(idx); err != nil {
+			return out, err
+		}
+	}
+	return out, nil
 }
 
 // Rollout deploys a policy across the fleet in two stages: deploy to a
@@ -168,107 +259,51 @@ func (c *Cluster) Rollout(cfg RolloutConfig) (*RolloutReport, error) {
 			return nil, err
 		}
 	}
-	order := c.CanaryOrder()
-	canaries := append([]int(nil), order[:cfg.Canaries]...)
-	rep := &RolloutReport{Canaries: canaries}
-
-	deploy := func(idx int) error {
-		m := c.Members[idx]
-		if _, err := m.Host.Daemon.DeployPolicy(cfg.App, cfg.Hook, source, cfg.Defines); err != nil {
-			return fmt.Errorf("cluster: %s: %w", m.Name, err)
-		}
-		return nil
-	}
-
-	// Stage 1: canaries.
-	for _, idx := range canaries {
-		if err := deploy(idx); err != nil {
-			return nil, err
-		}
-	}
-	before := make([]uint64, len(canaries))
-	for i, idx := range canaries {
-		before[i] = c.hookFaults(idx, cfg.App, cfg.Hook)
-	}
-	for _, idx := range canaries {
-		c.bake(c.Members[idx], cfg)
-	}
-	for i, idx := range canaries {
-		rep.CanaryFaults += c.hookFaults(idx, cfg.App, cfg.Hook) - before[i]
-	}
-
+	rep := &RolloutReport{}
 	key := releaseKey{cfg.App, cfg.Hook}
-	abortReason := ""
-	if rep.CanaryFaults > cfg.FaultBudget {
-		abortReason = fmt.Sprintf("canary faults %d exceed budget %d", rep.CanaryFaults, cfg.FaultBudget)
-	}
-	// SLO gate: evaluate the objectives against the canaries' merged
-	// telemetry as of bake end. A fault-budget abort wins (it is the
-	// cheaper, more specific signal); otherwise any burning objective
-	// aborts through the same rollback path. An objective with no data
-	// extends the bake instead of passing — a gate that cannot see must
-	// not wave the rollout through (the short-bake bug).
-	if abortReason == "" && len(cfg.SLOs) > 0 {
-		for {
-			snap := c.canarySnapshot(canaries)
-			rep.SLOResults = snap.EvaluateSLOs(cfg.SLOs)
-			noData := false
-			for _, r := range rep.SLOResults {
-				if r.Burning {
-					abortReason = fmt.Sprintf("SLO %s burning (short %.2fx, long %.2fx over %d samples)",
-						r.Name, r.ShortBurn, r.LongBurn, r.Samples)
-					break
-				}
-				if r.NoData {
-					noData = true
-				}
+	prev, havePrev := c.released[key]
+	// before holds each member's fault count as of its deploy, so a bake's
+	// faults are the new policy's own.
+	before := make(map[int]uint64)
+	out, err := c.staged(stagedRollout{
+		canaries: cfg.Canaries, probe: cfg, slos: cfg.SLOs, maxExtend: cfg.MaxExtend,
+		apply: func(idx int) error {
+			m := c.Members[idx]
+			if _, err := m.Host.Daemon.DeployPolicy(cfg.App, cfg.Hook, source, cfg.Defines); err != nil {
+				return fmt.Errorf("cluster: %s: %w", m.Name, err)
 			}
-			if abortReason != "" || !noData {
-				break
-			}
-			if rep.Extended >= cfg.MaxExtend {
-				abortReason = fmt.Sprintf("SLO gate still has no data after %d bake extension(s)", rep.Extended)
-				break
-			}
-			rep.Extended++
-			for _, idx := range canaries {
-				c.bake(c.Members[idx], cfg)
-			}
-			// The extension ran more probes; re-check the fault budget over
-			// the whole (now longer) bake.
+			before[idx] = c.hookFaults(idx, cfg.App, cfg.Hook)
+			return nil
+		},
+		health: func(canaries []int) string {
 			rep.CanaryFaults = 0
-			for i, idx := range canaries {
-				rep.CanaryFaults += c.hookFaults(idx, cfg.App, cfg.Hook) - before[i]
+			for _, idx := range canaries {
+				rep.CanaryFaults += c.hookFaults(idx, cfg.App, cfg.Hook) - before[idx]
 			}
 			if rep.CanaryFaults > cfg.FaultBudget {
-				abortReason = fmt.Sprintf("canary faults %d exceed budget %d", rep.CanaryFaults, cfg.FaultBudget)
-				break
+				return fmt.Sprintf("canary faults %d exceed budget %d", rep.CanaryFaults, cfg.FaultBudget)
 			}
-		}
-	}
-	if abortReason != "" {
-		rep.Aborted = true
-		rep.Reason = abortReason
-		prev, havePrev := c.released[key]
-		for _, idx := range canaries {
+			return ""
+		},
+		revert: func(idx int) error {
 			m := c.Members[idx]
 			if havePrev {
 				if _, err := m.Host.Daemon.DeployPolicy(cfg.App, cfg.Hook, prev.source, prev.defines); err != nil {
-					return nil, fmt.Errorf("cluster: restore %s: %w", m.Name, err)
+					return fmt.Errorf("cluster: restore %s: %w", m.Name, err)
 				}
 			} else if err := m.Host.Daemon.DetachApp(cfg.App, cfg.Hook); err != nil {
-				return nil, fmt.Errorf("cluster: detach %s: %w", m.Name, err)
+				return fmt.Errorf("cluster: detach %s: %w", m.Name, err)
 			}
-		}
-		rep.RolledBack = havePrev
-		return rep, nil
+			return nil
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	// Stage 2: the rest of the fleet, in canary order for determinism.
-	for _, idx := range order[cfg.Canaries:] {
-		if err := deploy(idx); err != nil {
-			return nil, err
-		}
+	rep.Canaries, rep.SLOResults, rep.Extended = out.canaries, out.sloResults, out.extended
+	if out.reason != "" {
+		rep.Aborted, rep.Reason, rep.RolledBack = true, out.reason, havePrev
+		return rep, nil
 	}
 	rep.Deployed = len(c.Members)
 	c.released[key] = release{source: source, defines: cfg.Defines}

@@ -169,38 +169,3 @@ func BenchmarkDispatch(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkInterpMapPolicy measures a map-touching policy per invocation —
-// the hot path of every simulated hook.
-func BenchmarkInterpMapPolicy(b *testing.B) {
-	src := `
-.map state array 4 8 1
-  *(u32 *)(r10 - 4) = 0
-  r1 = map(state)
-  r2 = r10
-  r2 += -4
-  call map_lookup_elem
-  if r0 == 0 goto pass
-  r6 = *(u64 *)(r0 + 0)
-  r6 += 1
-  *(u64 *)(r0 + 0) = r6
-  r6 %= 6
-  r0 = r6
-  exit
-pass:
-  r0 = PASS
-  exit
-`
-	p, _, err := AssembleAndLoad("bench", src, nil, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := &Ctx{Packet: make([]byte, 64)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := p.Run(ctx, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

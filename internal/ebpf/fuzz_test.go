@@ -1,6 +1,7 @@
 package ebpf
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"testing"
 )
@@ -8,8 +9,11 @@ import (
 // The verifier's core soundness property: any program it admits must
 // execute without memory faults on arbitrary inputs. We generate random
 // (biased-toward-plausible) instruction streams, load them, and run every
-// accepted program against adversarial packets. A runtime error from an
-// accepted program is a verifier hole; a panic anywhere is a bug outright.
+// accepted program against adversarial packets on both engines. The
+// reference interpreter trusts nothing for memory, so a runtime error
+// there is a verifier hole; the compiled closures trust the verifier's
+// facts, so a wrong fact shows up as a result that differs from the
+// interpreter's, not as a fault. A panic anywhere is a bug outright.
 
 // randInsn produces one random instruction from a menu weighted toward
 // forms that have a chance of verifying.
@@ -17,7 +21,24 @@ func randInsn(rng *rand.Rand, table *MapTable, fd int32) []Instruction {
 	reg := func() uint8 { return uint8(rng.IntN(10)) } // R0..R9
 	off := func() int16 { return int16(rng.IntN(64) - 32) }
 	imm := func() int32 { return int32(rng.IntN(256) - 64) }
-	switch rng.IntN(16) {
+	allALU := []uint8{ALUAdd, ALUSub, ALUMul, ALUDiv, ALUOr, ALUAnd, ALULsh, ALURsh, ALUNeg, ALUMod, ALUXor, ALUMov, ALUArsh}
+	shiftOps := []uint8{ALULsh, ALURsh, ALUArsh}
+	// aluImm is any ALU op of either width against an immediate; shift
+	// counts span 0..63, past the 32-bit class's 5-bit mask.
+	aluImm := func(dst uint8) Instruction {
+		op, k := allALU[rng.IntN(len(allALU))], imm()
+		switch op {
+		case ALULsh, ALURsh, ALUArsh:
+			k = int32(rng.IntN(64))
+		case ALUNeg:
+			k = 0 // the text form has nowhere to keep NEG's unused operand
+		}
+		if rng.IntN(2) == 0 {
+			return ALU32Imm(op, dst, k)
+		}
+		return ALUImm(op, dst, k)
+	}
+	switch rng.IntN(20) {
 	case 0:
 		return []Instruction{MovImm(reg(), imm())}
 	case 1:
@@ -52,6 +73,40 @@ func randInsn(rng *rand.Rand, table *MapTable, fd int32) []Instruction {
 		return LoadMapFD(reg(), fd)
 	case 14:
 		return []Instruction{XAdd(4+4*rng.IntN(2), reg(), reg(), off())}
+	case 15:
+		return []Instruction{aluImm(reg())}
+	case 16:
+		op := allALU[rng.IntN(len(allALU))]
+		if op == ALUNeg {
+			return []Instruction{ALU32Imm(op, reg(), 0)}
+		}
+		return []Instruction{ALU32Reg(op, reg(), reg())}
+	case 17:
+		return []Instruction{ALUReg(shiftOps[rng.IntN(len(shiftOps))], reg(), reg())}
+	case 18:
+		// A register the verifier knows exactly — a small constant through
+		// one more ALU op — added to a stack or map-value pointer, then a
+		// store through the sum: the verifier's constant becomes a pointer
+		// offset and, on the compiled side, a fact.
+		k := uint8(6 + rng.IntN(4)) // R6..R9
+		konst := []Instruction{MovImm(k, int32(rng.IntN(9))), aluImm(k)}
+		size := 1 << uint(rng.IntN(4))
+		if rng.IntN(2) == 0 {
+			return append(konst,
+				MovReg(R2, R10),
+				ALUImm(ALUAdd, R2, int32(-8*(1+rng.IntN(8)))),
+				ALUReg(ALUAdd, R2, k),
+				StImm(size, R2, 0, imm()))
+		}
+		seq := append([]Instruction{StImm(4, R10, -4, int32(rng.IntN(8)))}, LoadMapFD(R1, fd)...)
+		seq = append(seq,
+			MovReg(R2, R10),
+			ALUImm(ALUAdd, R2, -4),
+			Call(HelperMapLookup),
+			JmpImm(JmpEq, R0, 0, int16(len(konst)+2)))
+		return append(append(seq, konst...),
+			ALUReg(ALUAdd, R0, k),
+			StImm(size, R0, 0, imm()))
 	default:
 		return []Instruction{Exit()}
 	}
@@ -59,9 +114,10 @@ func randInsn(rng *rand.Rand, table *MapTable, fd int32) []Instruction {
 
 func TestFuzzVerifierSoundness(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xfeed, 0xbeef))
-	m := MustNewMap(MapSpec{Name: "fz", Type: MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 8})
+	// The accept decision is taken against one static table whose only map
+	// has the shape and fd of the differential world's array.
 	table := NewMapTable()
-	fd := table.Register(m)
+	fd := table.Register(MustNewMap(MapSpec{Name: "fz", Type: MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 8}))
 
 	pkts := [][]byte{
 		nil,
@@ -90,15 +146,26 @@ func TestFuzzVerifierSoundness(t *testing.T) {
 					t.Fatalf("panic on fuzz program: %v\n%s", r, DisassembleProgram(insns))
 				}
 			}()
-			p, err := Load("fuzz", insns, LoadOptions{MapTable: table, Budget: 50_000})
-			if err != nil {
+			if _, err := Load("fuzz", insns, LoadOptions{MapTable: table, Budget: 50_000}); err != nil {
 				return // rejected: fine
 			}
 			accepted++
+			// Two identically seeded worlds, so map effects cannot make the
+			// engines' results differ.
+			run, interp := buildDiffWorld(insns), buildDiffWorld(insns)
+			envR, envI := diffEnv(), diffEnv()
 			for _, pkt := range pkts {
-				ctx := &Ctx{Packet: pkt, Hash: rng.Uint32(), Port: uint32(rng.IntN(65536))}
-				if _, _, err := p.Run(ctx, nil); err != nil {
-					t.Fatalf("verifier admitted a faulting program (%v):\n%s", err, p.Disassemble())
+				hash, port := rng.Uint32(), uint32(rng.IntN(65536))
+				ctxR := &Ctx{Packet: bytes.Clone(pkt), Hash: hash, Port: port}
+				ctxI := &Ctx{Packet: bytes.Clone(pkt), Hash: hash, Port: port}
+				retR, _, errR := run.prog.RunRet64(ctxR, envR)
+				retI, _, errI := interp.prog.runInterp(ctxI, envI)
+				if errR != nil || errI != nil {
+					t.Fatalf("verifier admitted a faulting program (Run: %v, RunInterp: %v):\n%s", errR, errI, run.prog.Disassemble())
+				}
+				if retR != retI || !bytes.Equal(ctxR.Packet, ctxI.Packet) {
+					t.Fatalf("verifier admitted a program whose facts do not hold: Run r0 %#x packet %x, RunInterp r0 %#x packet %x\n%s",
+						retR, ctxR.Packet, retI, ctxI.Packet, run.prog.Disassemble())
 				}
 				ran++
 			}
@@ -107,7 +174,7 @@ func TestFuzzVerifierSoundness(t *testing.T) {
 	if accepted == 0 {
 		t.Fatal("fuzzer never produced an accepted program; generator too hostile to be useful")
 	}
-	t.Logf("fuzz: %d/%d programs accepted, %d executions, no faults", accepted, trials, ran)
+	t.Logf("fuzz: %d/%d programs accepted, %d executions on each engine, no faults, no disagreement", accepted, trials, ran)
 }
 
 // FuzzJITMatchesInterp is the differential fuzz target from the JIT work:

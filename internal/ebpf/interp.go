@@ -168,6 +168,12 @@ func (p *Program) runInterp(ctx *Ctx, env *Env) (uint64, ExecStats, error) {
 	return ret, rs.stats, err
 }
 
+// insnErr names the program and slot a runtime error came from. Both
+// engines report through it, so a fault reads the same whichever ran.
+func (p *Program) insnErr(i int, err error) error {
+	return fmt.Errorf("ebpf: %s: insn %d: %w", p.name, i, err)
+}
+
 // interpExec interprets starting at the first instruction of start with an
 // already-initialized runState.
 func interpExec(start *Program, rs *runState) (uint64, error) {
@@ -188,7 +194,7 @@ func interpExec(start *Program, rs *runState) (uint64, error) {
 	}
 
 	for {
-		if pc >= len(prog.insns) {
+		if uint(pc) >= uint(len(prog.insns)) {
 			fail()
 			return 0, fmt.Errorf("ebpf: %s: pc %d out of range", prog.name, pc)
 		}
@@ -199,37 +205,38 @@ func interpExec(start *Program, rs *runState) (uint64, error) {
 			prog.prof.hits[pc].Add(1)
 		}
 		switch ins.Class() {
-		case ClassALU64:
-			if err := execALU(&rs.regs, ins, true); err != nil {
+		case ClassALU64, ClassALU:
+			a, b := rs.operands(ins)
+			r, ok := alu(ins.Op&0xf0, ins.Class() == ClassALU64, a, b)
+			if !ok {
 				fail()
-				return 0, err
+				return 0, fmt.Errorf("ebpf: bad alu op %#x", ins.Op)
 			}
-			pc++
-		case ClassALU:
-			if err := execALU(&rs.regs, ins, false); err != nil {
-				fail()
-				return 0, err
-			}
+			rs.regs[ins.Dst] = r
 			pc++
 		case ClassLD: // LDDW
 			if ins.Src == PseudoMapFD {
 				rs.regs[ins.Dst] = ptrVal(regionMapHandle, uint64(ins.Imm))
-			} else {
+			} else if pc+1 < len(prog.insns) {
 				rs.regs[ins.Dst] = Imm64(ins, prog.insns[pc+1])
-			}
+			} // else NoVerify garbage: no high half, and pc+2 faults below
 			pc += 2
 		case ClassLDX:
-			v, err := rs.load(ins)
+			v, err := rs.load(rs.regs[ins.Src], int64(ins.Off), ins.LoadSize())
 			if err != nil {
 				fail()
-				return 0, fmt.Errorf("ebpf: %s: insn %d: %w", prog.name, pc, err)
+				return 0, prog.insnErr(pc, err)
 			}
 			rs.regs[ins.Dst] = v
 			pc++
 		case ClassST, ClassSTX:
-			if err := rs.store(ins); err != nil {
+			v, isSTX := uint64(int64(ins.Imm)), ins.Class() == ClassSTX
+			if isSTX {
+				v = rs.regs[ins.Src]
+			}
+			if err := rs.store(rs.regs[ins.Dst], int64(ins.Off), ins.LoadSize(), v, isSTX && ins.Op&0xe0 == ModeATOMIC); err != nil {
 				fail()
-				return 0, fmt.Errorf("ebpf: %s: insn %d: %w", prog.name, pc, err)
+				return 0, prog.insnErr(pc, err)
 			}
 			pc++
 		case ClassJMP, ClassJMP32:
@@ -242,7 +249,7 @@ func interpExec(start *Program, rs *runState) (uint64, error) {
 				next, err := rs.call(prog, ins)
 				if err != nil {
 					fail()
-					return 0, fmt.Errorf("ebpf: %s: insn %d: %w", prog.name, pc, err)
+					return 0, prog.insnErr(pc, err)
 				}
 				if next != nil {
 					// Tail call: switch programs.
@@ -256,14 +263,7 @@ func interpExec(start *Program, rs *runState) (uint64, error) {
 			case JmpA:
 				pc += 1 + int(ins.Off)
 			default:
-				a := rs.regs[ins.Dst]
-				var b uint64
-				if ins.Op&SrcX != 0 {
-					b = rs.regs[ins.Src]
-				} else {
-					b = uint64(int64(ins.Imm))
-				}
-				if jumpTaken(op, a, b, ins.Class() == ClassJMP32) {
+				if a, b := rs.operands(ins); jumpTaken(op, a, b, ins.Class() == ClassJMP32) {
 					pc += 1 + int(ins.Off)
 				} else {
 					pc++
@@ -276,80 +276,13 @@ func interpExec(start *Program, rs *runState) (uint64, error) {
 	}
 }
 
-func execALU(regs *[NumRegs]uint64, ins Instruction, is64 bool) error {
-	op := ins.Op & 0xf0
-	if op == ALUNeg {
-		v := -regs[ins.Dst]
-		if !is64 {
-			v = uint64(uint32(v))
-		}
-		regs[ins.Dst] = v
-		return nil
-	}
-	var src uint64
+// operands reads the dst/src pair every ALU op and conditional jump takes:
+// the second operand is a register or the sign-extended immediate.
+func (rs *runState) operands(ins Instruction) (dst, src uint64) {
 	if ins.Op&SrcX != 0 {
-		src = regs[ins.Src]
-	} else {
-		src = uint64(int64(ins.Imm))
+		return rs.regs[ins.Dst], rs.regs[ins.Src]
 	}
-	dst := regs[ins.Dst]
-	if !is64 {
-		dst, src = uint64(uint32(dst)), uint64(uint32(src))
-	}
-	var r uint64
-	switch op {
-	case ALUMov:
-		r = src
-	case ALUAdd:
-		r = dst + src
-	case ALUSub:
-		r = dst - src
-	case ALUMul:
-		r = dst * src
-	case ALUDiv:
-		if src == 0 {
-			r = 0
-		} else {
-			r = dst / src
-		}
-	case ALUMod:
-		if src == 0 {
-			r = dst
-		} else {
-			r = dst % src
-		}
-	case ALUOr:
-		r = dst | src
-	case ALUAnd:
-		r = dst & src
-	case ALUXor:
-		r = dst ^ src
-	case ALULsh:
-		if is64 {
-			r = dst << (src & 63)
-		} else {
-			r = dst << (src & 31)
-		}
-	case ALURsh:
-		if is64 {
-			r = dst >> (src & 63)
-		} else {
-			r = dst >> (src & 31)
-		}
-	case ALUArsh:
-		if is64 {
-			r = uint64(int64(dst) >> (src & 63))
-		} else {
-			r = uint64(uint32(int32(uint32(dst)) >> (src & 31)))
-		}
-	default:
-		return fmt.Errorf("ebpf: bad alu op %#x", ins.Op)
-	}
-	if !is64 {
-		r = uint64(uint32(r))
-	}
-	regs[ins.Dst] = r
-	return nil
+	return rs.regs[ins.Dst], uint64(int64(ins.Imm))
 }
 
 // mem resolves a tagged pointer to a live byte slice of exactly size bytes.
@@ -406,11 +339,15 @@ func storeSized(b []byte, size int, v uint64) {
 	}
 }
 
-func (rs *runState) load(ins Instruction) (uint64, error) {
-	base := rs.regs[ins.Src]
-	size := ins.LoadSize()
+// load, store and lookup are the one body each of a memory read, a memory
+// write (plain and XADD) and bpf_map_lookup_elem: the interpreter and the
+// compiled closures' generic forms both land here. What the compiled side
+// adds is only what the verifier's facts let it skip — the region dispatch
+// in mem, the key resolution before lookup.
+
+func (rs *runState) load(base uint64, off int64, size int) (uint64, error) {
 	if ptrRegion(base) == regionCtx {
-		switch int64(ptrOff(base)) + int64(ins.Off) {
+		switch off += int64(ptrOff(base)); off {
 		case CtxOffData:
 			return ptrVal(regionPacket, 0), nil
 		case CtxOffDataEnd:
@@ -422,41 +359,61 @@ func (rs *runState) load(ins Instruction) (uint64, error) {
 		case CtxOffQueue:
 			return uint64(rs.ctx.Queue), nil
 		default:
-			return 0, fmt.Errorf("bad ctx load at %d", int64(ptrOff(base))+int64(ins.Off))
+			return 0, fmt.Errorf("bad ctx load at %d", off)
 		}
 	}
-	b, _, err := rs.mem(base+uint64(int64(ins.Off)), size)
+	b, _, err := rs.mem(base+uint64(off), size)
 	if err != nil {
 		return 0, err
 	}
 	return loadSized(b, size), nil
 }
 
-func (rs *runState) store(ins Instruction) error {
-	base := rs.regs[ins.Dst]
-	size := ins.LoadSize()
-	b, owner, err := rs.mem(base+uint64(int64(ins.Off)), size)
+func (rs *runState) store(base uint64, off int64, size int, v uint64, xadd bool) error {
+	b, owner, err := rs.mem(base+uint64(off), size)
 	if err != nil {
 		return err
 	}
-	var v uint64
-	if ins.Class() == ClassSTX {
-		v = rs.regs[ins.Src]
-	} else {
-		v = uint64(int64(ins.Imm))
-	}
-	if ins.Class() == ClassSTX && ins.Op&0xe0 == ModeATOMIC {
-		// XADD; serialize against userspace map API via the owner's lock.
+	if xadd {
+		// Serialize against the userspace map API via the owner's lock.
 		if owner != nil {
 			owner.mu.Lock()
-			storeSized(b, size, loadSized(b, size)+v)
-			owner.mu.Unlock()
-		} else {
-			storeSized(b, size, loadSized(b, size)+v)
 		}
-		return nil
+		v += loadSized(b, size)
 	}
 	storeSized(b, size, v)
+	if xadd && owner != nil {
+		owner.mu.Unlock()
+	}
+	return nil
+}
+
+// clobber sets a helper's return value and scrubs the caller-saved
+// argument registers.
+func (rs *runState) clobber(ret uint64) {
+	rs.regs[R0] = ret
+	for r := R1; r <= R5; r++ {
+		rs.regs[r] = 0
+	}
+}
+
+// lookup is bpf_map_lookup_elem once the map and the key bytes are
+// resolved: a hit registers the value as a new dynamic region and returns
+// a pointer to it in R0; a miss, real or injected, returns NULL.
+func (rs *runState) lookup(m *Map, key []byte) error {
+	var ref []byte
+	if rs.env.FaultLookupMiss == nil || !rs.env.FaultLookupMiss() {
+		ref = m.lookupRef(key, rs.env.CPUID)
+	}
+	if ref == nil {
+		rs.clobber(0)
+		return nil
+	}
+	if len(rs.regions) >= (1<<16)-regionDynBase {
+		return fmt.Errorf("too many map value regions")
+	}
+	rs.regions = append(rs.regions, dynRegion{data: ref, m: m})
+	rs.clobber(ptrVal(regionDynBase+uint64(len(rs.regions)-1), 0))
 	return nil
 }
 
@@ -466,12 +423,6 @@ func (rs *runState) store(ins Instruction) error {
 func (rs *runState) call(p *Program, ins Instruction) (*Program, error) {
 	rs.stats.Helpers++
 	regs := &rs.regs
-	clobber := func(ret uint64) {
-		regs[R0] = ret
-		for r := R1; r <= R5; r++ {
-			regs[r] = 0
-		}
-	}
 	mapArg := func(r int) (*Map, error) {
 		v := regs[r]
 		if ptrRegion(v) != regionMapHandle {
@@ -498,22 +449,7 @@ func (rs *runState) call(p *Program, ins Instruction) (*Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		if rs.env.FaultLookupMiss != nil && rs.env.FaultLookupMiss() {
-			// Injected miss: R0 = NULL, exactly a real lookup failure.
-			clobber(0)
-			return nil, nil
-		}
-		ref := m.lookupRef(key, rs.env.CPUID)
-		if ref == nil {
-			clobber(0)
-			return nil, nil
-		}
-		if len(rs.regions) >= (1<<16)-regionDynBase {
-			return nil, fmt.Errorf("too many map value regions")
-		}
-		rs.regions = append(rs.regions, dynRegion{data: ref, m: m})
-		clobber(ptrVal(regionDynBase+uint64(len(rs.regions)-1), 0))
-		return nil, nil
+		return nil, rs.lookup(m, key)
 	case HelperMapUpdate:
 		m, err := mapArg(R1)
 		if err != nil {
@@ -529,14 +465,14 @@ func (rs *runState) call(p *Program, ins Instruction) (*Program, error) {
 		}
 		if rs.env.FaultUpdateFail != nil && rs.env.FaultUpdateFail() {
 			// Injected map-full: R0 = -1, exactly a real update failure.
-			clobber(uint64(0xffffffffffffffff))
+			rs.clobber(uint64(0xffffffffffffffff))
 			return nil, nil
 		}
 		if err := m.Update(key, val); err != nil {
-			clobber(uint64(0xffffffffffffffff)) // -1
+			rs.clobber(uint64(0xffffffffffffffff)) // -1
 			return nil, nil
 		}
-		clobber(0)
+		rs.clobber(0)
 		return nil, nil
 	case HelperMapDelete:
 		m, err := mapArg(R1)
@@ -548,17 +484,17 @@ func (rs *runState) call(p *Program, ins Instruction) (*Program, error) {
 			return nil, err
 		}
 		if err := m.Delete(key); err != nil {
-			clobber(uint64(0xffffffffffffffff))
+			rs.clobber(uint64(0xffffffffffffffff))
 			return nil, nil
 		}
-		clobber(0)
+		rs.clobber(0)
 		return nil, nil
 	case HelperKtimeGetNS:
 		var t uint64
 		if rs.env.Ktime != nil {
 			t = rs.env.Ktime()
 		}
-		clobber(t)
+		rs.clobber(t)
 		return nil, nil
 	case HelperPrandomU32:
 		var r uint32
@@ -567,10 +503,10 @@ func (rs *runState) call(p *Program, ins Instruction) (*Program, error) {
 		} else {
 			r = p.fallbackPrandom()
 		}
-		clobber(uint64(r))
+		rs.clobber(uint64(r))
 		return nil, nil
 	case HelperGetSmpProcID:
-		clobber(uint64(rs.env.CPUID))
+		rs.clobber(uint64(rs.env.CPUID))
 		return nil, nil
 	case HelperTailCall:
 		m, err := mapArg(R2)
@@ -581,7 +517,7 @@ func (rs *runState) call(p *Program, ins Instruction) (*Program, error) {
 		target := m.prog(idx)
 		if target == nil {
 			// Missing entry: helper fails, execution continues.
-			clobber(uint64(0xffffffffffffffff))
+			rs.clobber(uint64(0xffffffffffffffff))
 			return nil, nil
 		}
 		if rs.stats.TailCalls >= MaxTailCalls ||

@@ -454,17 +454,3 @@ func TestPropertyALUMatchesGo(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkInterpSimplePolicy(b *testing.B) {
-	p := MustLoad("bench", []Instruction{
-		Ldx(4, R0, R1, CtxOffHash),
-		ALUImm(ALUMod, R0, 6),
-		Exit(),
-	}, LoadOptions{})
-	ctx := &Ctx{Hash: 12345}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Run(ctx, nil)
-	}
-}

@@ -105,6 +105,104 @@ const (
 	JmpSLe  = 0xd0
 )
 
+// alu and jumpTaken are the ISA's one definition of what an ALU op
+// computes and when a conditional jump is taken. The verifier's constant
+// folding and branch deciding, the reference interpreter and every
+// compiled closure evaluate through them, so a constant the verifier
+// believes is by construction the value the machine computes.
+// TestALUTable and TestJumpTable hold both to literal vectors.
+
+// alu returns what `dst OP= src` leaves in dst; src is a register value or
+// the sign-extended immediate, and NEG ignores it. The 32-bit class
+// truncates both operands, masks shift counts to 5 bits instead of 6 and
+// zero-extends the result. Division by zero yields 0 and modulo by zero
+// leaves dst. ok is false for an opcode that is not an ALU operation.
+func alu(op uint8, is64 bool, dst, src uint64) (r uint64, ok bool) {
+	shift := src & 63
+	if !is64 {
+		dst, src, shift = uint64(uint32(dst)), uint64(uint32(src)), src&31
+	}
+	switch op {
+	case ALUAdd:
+		r = dst + src
+	case ALUSub:
+		r = dst - src
+	case ALUMul:
+		r = dst * src
+	case ALUDiv:
+		if src != 0 {
+			r = dst / src
+		}
+	case ALUMod:
+		r = dst
+		if src != 0 {
+			r = dst % src
+		}
+	case ALUOr:
+		r = dst | src
+	case ALUAnd:
+		r = dst & src
+	case ALUXor:
+		r = dst ^ src
+	case ALULsh:
+		r = dst << shift
+	case ALURsh:
+		r = dst >> shift
+	case ALUArsh:
+		if is64 {
+			r = uint64(int64(dst) >> shift)
+		} else {
+			r = uint64(int32(dst) >> shift)
+		}
+	case ALUNeg:
+		r = -dst
+	case ALUMov:
+		r = src
+	default:
+		return 0, false
+	}
+	if !is64 {
+		r = uint64(uint32(r))
+	}
+	return r, true
+}
+
+// jumpTaken reports whether `if a OP b` branches. Operands arrive at full
+// width in both jump classes: JMP32 narrows only the signed comparisons,
+// to the operands' low 32 bits. An opcode that is not a comparison never
+// branches.
+func jumpTaken(op uint8, a, b uint64, is32 bool) bool {
+	sa, sb := int64(a), int64(b)
+	if is32 {
+		sa, sb = int64(int32(uint32(a))), int64(int32(uint32(b)))
+	}
+	switch op {
+	case JmpEq:
+		return a == b
+	case JmpNe:
+		return a != b
+	case JmpGt:
+		return a > b
+	case JmpGe:
+		return a >= b
+	case JmpLt:
+		return a < b
+	case JmpLe:
+		return a <= b
+	case JmpSGt:
+		return sa > sb
+	case JmpSGe:
+		return sa >= sb
+	case JmpSLt:
+		return sa < sb
+	case JmpSLe:
+		return sa <= sb
+	case JmpSet:
+		return a&b != 0
+	}
+	return false
+}
+
 // PseudoMapFD marks the Src field of an LDDW instruction whose immediate is
 // a map file descriptor to be resolved at load time (mirrors
 // BPF_PSEUDO_MAP_FD).

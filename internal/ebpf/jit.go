@@ -4,10 +4,15 @@ package ebpf
 // instruction stream into a slice of pre-decoded op closures, one per
 // instruction slot: immediates, offsets, register indices, map handles,
 // and jump targets are resolved once at load time, so the per-packet run
-// path does no opcode decoding at all. Semantics are bit-identical to the
-// interpreter (same ExecStats accounting, same instret/runs charging
-// across tail calls, same error strings) — the interpreter stays around
-// only as the differential-testing oracle (RunInterp).
+// path does no operand decoding at all. What an instruction means is not
+// written here: ALU ops and conditional jumps evaluate through alu and
+// jumpTaken (isa.go), and the generic load, store and map lookup through
+// rs.load, rs.store and rs.lookup (interp.go) — the bodies the verifier
+// folds with and the reference interpreter (RunInterp, the differential
+// oracle) executes. This file owns operand pre-decoding, jump-target
+// resolution, error parking and the fact-specialized forms; ExecStats
+// accounting, instret/runs charging across tail calls and error strings
+// are bit-identical to the interpreter's.
 //
 // There is one closure tier. Where the verifier's fact table pins a load,
 // store or map-lookup operand (p.facts is nil only for NoVerify loads),
@@ -28,8 +33,8 @@ type opFunc func(rs *runState) int
 
 // Sentinels sit far below any reachable jump target (a conditional offset
 // is an int16, so even hostile NoVerify programs cannot produce a pc near
-// these), letting the dispatcher distinguish them from a plain negative pc
-// — which must reproduce the interpreter's slice-index panic instead.
+// these), letting the dispatcher distinguish them from a plain negative pc,
+// which is an out-of-range fault like any other.
 const (
 	opExit = -1 << 30   // program returned; R0 holds the result
 	opTail = -1<<30 + 1 // successful tail call; rs.tail holds the target
@@ -122,11 +127,6 @@ func (p *Program) execCompiled(rs *runState, ctx *Ctx, env *Env) (uint64, error)
 			rs.err = nil
 			return 0, err
 		default:
-			if pc < 0 {
-				// NoVerify garbage jumped to a negative pc; the interpreter
-				// panics indexing the insns slice — reproduce that exactly.
-				_ = prog.insns[pc]
-			}
 			prog.faults.Add(1)
 			return 0, fmt.Errorf("ebpf: %s: pc %d out of range", prog.name, pc)
 		}
@@ -188,10 +188,8 @@ func jumpTargets(insns []Instruction) []bool {
 func (p *Program) compileInsn(i int) opFunc {
 	ins := p.insns[i]
 	switch ins.Class() {
-	case ClassALU64:
-		return compileALU(ins, true, i+1)
-	case ClassALU:
-		return compileALU(ins, false, i+1)
+	case ClassALU64, ClassALU:
+		return compileALU(ins, i+1)
 	case ClassLD:
 		return p.compileLDDW(i, ins)
 	case ClassLDX:
@@ -203,11 +201,22 @@ func (p *Program) compileInsn(i int) opFunc {
 	}
 	// Unreachable: Class() is Op&0x07 and all eight values are handled
 	// above. Kept for defense in depth, with the interpreter's error.
-	err := fmt.Errorf("ebpf: %s: insn %d: bad class %#x", p.name, i, ins.Op)
+	return parkErr(fmt.Errorf("ebpf: %s: insn %d: bad class %#x", p.name, i, ins.Op))
+}
+
+// parkErr is the closure of a slot that can only fault, with err as is.
+func parkErr(err error) opFunc {
 	return func(rs *runState) int {
 		rs.err = err
 		return opErr
 	}
+}
+
+// fault parks a runtime error raised at slot i, wrapped as the interpreter
+// wraps it, and returns the sentinel the dispatch loop stops on.
+func (p *Program) fault(rs *runState, i int, err error) int {
+	rs.err = p.insnErr(i, err)
+	return opErr
 }
 
 func (p *Program) compileLDDW(i int, ins Instruction) opFunc {
@@ -222,12 +231,9 @@ func (p *Program) compileLDDW(i int, ins Instruction) opFunc {
 	}
 	if i+1 >= len(p.insns) {
 		// A truncated pair only slips past Load when NoVerify garbage jumps
-		// into a trailing degenerate slot; reproduce the interpreter's
-		// out-of-range panic on the insns slice.
-		return func(rs *runState) int {
-			rs.regs[dst] = Imm64(ins, p.insns[i+1])
-			return next
-		}
+		// into a trailing degenerate slot: nothing to load, and next is out
+		// of range, which is the fault the interpreter reports too.
+		return func(rs *runState) int { return next }
 	}
 	v := Imm64(ins, p.insns[i+1])
 	return func(rs *runState) int {
@@ -236,160 +242,38 @@ func (p *Program) compileLDDW(i int, ins Instruction) opFunc {
 	}
 }
 
-// aluOps loads the operand pair with 32-bit truncation already applied for
-// 32-bit forms, mirroring execALU's prologue. Static call, so it inlines
-// into each op closure; the flag arguments are captured constants there,
-// making every branch perfectly predicted.
-func aluOps(rs *runState, dst, src uint8, k uint64, useReg, is64 bool) (uint64, uint64) {
-	d := rs.regs[dst]
-	s := k
-	if useReg {
-		s = rs.regs[src]
-	}
-	if !is64 {
-		d, s = uint64(uint32(d)), uint64(uint32(s))
-	}
-	return d, s
-}
-
-// aluFin truncates and writes back the result, mirroring execALU's
-// epilogue.
-func aluFin(rs *runState, dst uint8, r uint64, is64 bool, next int) int {
-	if !is64 {
-		r = uint64(uint32(r))
-	}
-	rs.regs[dst] = r
-	return next
-}
-
-// compileALU emits one closure per ALU op with operands and write-back
-// fully pre-decoded.
-func compileALU(ins Instruction, is64 bool, next int) opFunc {
+// compileALU pre-decodes the operands and evaluates through alu, aimed at
+// next. The 64-bit moves keep direct closures: they open and close nearly
+// every policy and have nothing to compute.
+func compileALU(ins Instruction, next int) opFunc {
 	op := ins.Op & 0xf0
+	is64 := ins.Class() == ClassALU64
 	dst, src := ins.Dst, ins.Src
 	useReg := ins.Op&SrcX != 0
 	k := uint64(int64(ins.Imm))
-
-	if op == ALUNeg {
-		if is64 {
-			return func(rs *runState) int {
-				rs.regs[dst] = -rs.regs[dst]
-				return next
-			}
-		}
-		return func(rs *runState) int {
-			rs.regs[dst] = uint64(uint32(-rs.regs[dst]))
-			return next
-		}
+	if _, ok := alu(op, is64, 0, 0); !ok {
+		// The interpreter's error for this slot, unwrapped like its own.
+		return parkErr(fmt.Errorf("ebpf: bad alu op %#x", ins.Op))
 	}
-
-	switch op {
-	case ALUMov:
+	if op == ALUMov && is64 {
 		if useReg {
-			if is64 {
-				return func(rs *runState) int {
-					rs.regs[dst] = rs.regs[src]
-					return next
-				}
-			}
 			return func(rs *runState) int {
-				rs.regs[dst] = uint64(uint32(rs.regs[src]))
+				rs.regs[dst] = rs.regs[src]
 				return next
 			}
 		}
-		kk := k
-		if !is64 {
-			kk = uint64(uint32(k))
-		}
 		return func(rs *runState) int {
-			rs.regs[dst] = kk
+			rs.regs[dst] = k
 			return next
 		}
-	case ALUAdd:
-		return func(rs *runState) int {
-			d, s := aluOps(rs, dst, src, k, useReg, is64)
-			return aluFin(rs, dst, d+s, is64, next)
-		}
-	case ALUSub:
-		return func(rs *runState) int {
-			d, s := aluOps(rs, dst, src, k, useReg, is64)
-			return aluFin(rs, dst, d-s, is64, next)
-		}
-	case ALUMul:
-		return func(rs *runState) int {
-			d, s := aluOps(rs, dst, src, k, useReg, is64)
-			return aluFin(rs, dst, d*s, is64, next)
-		}
-	case ALUDiv:
-		return func(rs *runState) int {
-			d, s := aluOps(rs, dst, src, k, useReg, is64)
-			if s == 0 {
-				return aluFin(rs, dst, 0, is64, next)
-			}
-			return aluFin(rs, dst, d/s, is64, next)
-		}
-	case ALUMod:
-		return func(rs *runState) int {
-			d, s := aluOps(rs, dst, src, k, useReg, is64)
-			if s == 0 {
-				return aluFin(rs, dst, d, is64, next)
-			}
-			return aluFin(rs, dst, d%s, is64, next)
-		}
-	case ALUOr:
-		return func(rs *runState) int {
-			d, s := aluOps(rs, dst, src, k, useReg, is64)
-			return aluFin(rs, dst, d|s, is64, next)
-		}
-	case ALUAnd:
-		return func(rs *runState) int {
-			d, s := aluOps(rs, dst, src, k, useReg, is64)
-			return aluFin(rs, dst, d&s, is64, next)
-		}
-	case ALUXor:
-		return func(rs *runState) int {
-			d, s := aluOps(rs, dst, src, k, useReg, is64)
-			return aluFin(rs, dst, d^s, is64, next)
-		}
-	case ALULsh:
-		if is64 {
-			return func(rs *runState) int {
-				d, s := aluOps(rs, dst, src, k, useReg, true)
-				return aluFin(rs, dst, d<<(s&63), true, next)
-			}
-		}
-		return func(rs *runState) int {
-			d, s := aluOps(rs, dst, src, k, useReg, false)
-			return aluFin(rs, dst, d<<(s&31), false, next)
-		}
-	case ALURsh:
-		if is64 {
-			return func(rs *runState) int {
-				d, s := aluOps(rs, dst, src, k, useReg, true)
-				return aluFin(rs, dst, d>>(s&63), true, next)
-			}
-		}
-		return func(rs *runState) int {
-			d, s := aluOps(rs, dst, src, k, useReg, false)
-			return aluFin(rs, dst, d>>(s&31), false, next)
-		}
-	case ALUArsh:
-		if is64 {
-			return func(rs *runState) int {
-				d, s := aluOps(rs, dst, src, k, useReg, true)
-				return aluFin(rs, dst, uint64(int64(d)>>(s&63)), true, next)
-			}
-		}
-		return func(rs *runState) int {
-			d, s := aluOps(rs, dst, src, k, useReg, false)
-			return aluFin(rs, dst, uint64(uint32(int32(uint32(d))>>(s&31))), false, next)
-		}
 	}
-	// Same unwrapped error string as execALU's default arm.
-	err := fmt.Errorf("ebpf: bad alu op %#x", ins.Op)
 	return func(rs *runState) int {
-		rs.err = err
-		return opErr
+		s := k
+		if useReg {
+			s = rs.regs[src]
+		}
+		rs.regs[dst], _ = alu(op, is64, rs.regs[dst], s)
+		return next
 	}
 }
 
@@ -415,35 +299,6 @@ func stackWindow(base RegFact, insOff int16, size int) (int, bool) {
 	return int(abs), true
 }
 
-// loadValue performs one load with the interpreter's exact semantics and
-// error strings, parking the wrapped error on rs.err on failure. It is the
-// generic load body: every compiled load the facts do not pin lands here.
-func (p *Program) loadValue(rs *runState, base uint64, off int64, size int, i int) (uint64, bool) {
-	if ptrRegion(base) == regionCtx {
-		switch int64(ptrOff(base)) + off {
-		case CtxOffData:
-			return ptrVal(regionPacket, 0), true
-		case CtxOffDataEnd:
-			return ptrVal(regionPacket, uint64(len(rs.ctx.Packet))), true
-		case CtxOffHash:
-			return uint64(rs.ctx.Hash), true
-		case CtxOffPort:
-			return uint64(rs.ctx.Port), true
-		case CtxOffQueue:
-			return uint64(rs.ctx.Queue), true
-		default:
-			rs.err = fmt.Errorf("ebpf: %s: insn %d: bad ctx load at %d", p.name, i, int64(ptrOff(base))+off)
-			return 0, false
-		}
-	}
-	b, _, err := rs.mem(base+uint64(off), size)
-	if err != nil {
-		rs.err = fmt.Errorf("ebpf: %s: insn %d: %w", p.name, i, err)
-		return 0, false
-	}
-	return loadSized(b, size), true
-}
-
 func (p *Program) compileLoad(i int, ins Instruction) opFunc {
 	if f := p.specLoad(i, ins); f != nil {
 		return f
@@ -453,9 +308,9 @@ func (p *Program) compileLoad(i int, ins Instruction) opFunc {
 	size := ins.LoadSize()
 	next := i + 1
 	return func(rs *runState) int {
-		v, ok := p.loadValue(rs, rs.regs[src], off, size, i)
-		if !ok {
-			return opErr
+		v, err := rs.load(rs.regs[src], off, size)
+		if err != nil {
+			return p.fault(rs, i, err)
 		}
 		rs.regs[dst] = v
 		return next
@@ -518,9 +373,7 @@ func (p *Program) specLoad(i int, ins Instruction) opFunc {
 		po := base.Off + int64(ins.Off)
 		return func(rs *runState) int {
 			if po < 0 || int(po)+size > len(rs.ctx.Packet) {
-				rs.err = fmt.Errorf("ebpf: %s: insn %d: %w", p.name, i,
-					fmt.Errorf("packet access out of range: off %d size %d len %d", po, size, len(rs.ctx.Packet)))
-				return opErr
+				return p.fault(rs, i, fmt.Errorf("packet access out of range: off %d size %d len %d", po, size, len(rs.ctx.Packet)))
 			}
 			rs.regs[dst] = loadSized(rs.ctx.Packet[po:int(po)+size], size)
 			return next
@@ -534,28 +387,10 @@ func (p *Program) compileStore(i int, ins Instruction) opFunc {
 	off := int64(ins.Off)
 	size := ins.LoadSize()
 	isSTX := ins.Class() == ClassSTX
+	xadd := isSTX && ins.Op&0xe0 == ModeATOMIC
 	k := uint64(int64(ins.Imm))
 	next := i + 1
-
-	if isSTX && ins.Op&0xe0 == ModeATOMIC {
-		return func(rs *runState) int {
-			b, owner, err := rs.mem(rs.regs[dst]+uint64(off), size)
-			if err != nil {
-				rs.err = fmt.Errorf("ebpf: %s: insn %d: %w", p.name, i, err)
-				return opErr
-			}
-			v := rs.regs[src]
-			if owner != nil {
-				owner.mu.Lock()
-				storeSized(b, size, loadSized(b, size)+v)
-				owner.mu.Unlock()
-			} else {
-				storeSized(b, size, loadSized(b, size)+v)
-			}
-			return next
-		}
-	}
-	if lo, ok := stackWindow(p.regFact(i, dst), ins.Off, size); ok {
+	if lo, ok := stackWindow(p.regFact(i, dst), ins.Off, size); ok && !xadd {
 		// Verifier-pinned stack base: store straight into the window.
 		if isSTX {
 			return func(rs *runState) int {
@@ -569,33 +404,22 @@ func (p *Program) compileStore(i int, ins Instruction) opFunc {
 		}
 	}
 	return func(rs *runState) int {
-		b, _, err := rs.mem(rs.regs[dst]+uint64(off), size)
-		if err != nil {
-			rs.err = fmt.Errorf("ebpf: %s: insn %d: %w", p.name, i, err)
-			return opErr
-		}
 		v := k
 		if isSTX {
 			v = rs.regs[src]
 		}
-		storeSized(b, size, v)
+		if err := rs.store(rs.regs[dst], off, size, v, xadd); err != nil {
+			return p.fault(rs, i, err)
+		}
 		return next
 	}
 }
 
-func clobberCall(rs *runState, ret uint64) {
-	rs.regs[R0] = ret
-	for r := R1; r <= R5; r++ {
-		rs.regs[r] = 0
-	}
-}
-
 // compileCallCore returns the helper-invocation core for the call at slot
-// i: a specialized map-lookup closure when facts pin the handle to a known
-// map and the key to a known stack window (the dominant shape on every
-// policy's hot path), else a thin wrapper over the interpreter's rs.call.
-// Effect order matches rs.call exactly: Helpers accounting, fault hook,
-// lookup, region bookkeeping, R0-R5 clobber.
+// i: when facts pin the handle to a known map and the key to a known stack
+// window (the dominant shape on every policy's hot path) a closure that
+// slices the key itself and goes straight to rs.lookup, else a thin
+// wrapper over rs.call, which resolves both at run time first.
 func (p *Program) compileCallCore(i int) func(rs *runState) (*Program, error) {
 	ins := p.insns[i]
 	if h := p.regFact(i, R1); ins.Imm == HelperMapLookup &&
@@ -605,57 +429,15 @@ func (p *Program) compileCallCore(i int) func(rs *runState) (*Program, error) {
 		if lo, ok := stackWindow(p.regFact(i, R2), 0, ks); ok {
 			return func(rs *runState) (*Program, error) {
 				rs.stats.Helpers++
-				if rs.env.FaultLookupMiss != nil && rs.env.FaultLookupMiss() {
-					clobberCall(rs, 0)
-					return nil, nil
-				}
-				ref := m.lookupRef(rs.stack[lo:lo+ks], rs.env.CPUID)
-				if ref == nil {
-					clobberCall(rs, 0)
-					return nil, nil
-				}
-				if len(rs.regions) >= (1<<16)-regionDynBase {
-					return nil, fmt.Errorf("too many map value regions")
-				}
-				rs.regions = append(rs.regions, dynRegion{data: ref, m: m})
-				clobberCall(rs, ptrVal(regionDynBase+uint64(len(rs.regions)-1), 0))
-				return nil, nil
+				return nil, rs.lookup(m, rs.stack[lo:lo+ks])
 			}
 		}
 	}
 	return func(rs *runState) (*Program, error) { return rs.call(p, ins) }
 }
 
-// jmpOps loads the operand pair for a conditional jump; full 64-bit, as
-// jumpTaken's unsigned comparisons (and SET) use the untruncated values
-// even in JMP32 class.
-func jmpOps(rs *runState, dst, src uint8, k uint64, useReg bool) (uint64, uint64) {
-	b := k
-	if useReg {
-		b = rs.regs[src]
-	}
-	return rs.regs[dst], b
-}
-
-// jmpOpsSigned is jmpOps for the signed forms, which are the only ones
-// jumpTaken truncates to 32 bits under JMP32.
-func jmpOpsSigned(rs *runState, dst, src uint8, k uint64, useReg, is32 bool) (int64, int64) {
-	a, b := jmpOps(rs, dst, src, k, useReg)
-	if is32 {
-		return int64(int32(uint32(a))), int64(int32(uint32(b)))
-	}
-	return int64(a), int64(b)
-}
-
-func branch(taken bool, target, fall int) int {
-	if taken {
-		return target
-	}
-	return fall
-}
-
-// compileJump pre-resolves both branch targets and emits one closure per
-// jump op, replicating jumpTaken exactly.
+// compileJump pre-resolves both branch targets; the conditional forms
+// decide through jumpTaken.
 func (p *Program) compileJump(i int, ins Instruction) opFunc {
 	op := ins.Op & 0xf0
 	dst, src := ins.Dst, ins.Src
@@ -673,8 +455,7 @@ func (p *Program) compileJump(i int, ins Instruction) opFunc {
 		return func(rs *runState) int {
 			next, err := core(rs)
 			if err != nil {
-				rs.err = fmt.Errorf("ebpf: %s: insn %d: %w", p.name, i, err)
-				return opErr
+				return p.fault(rs, i, err)
 			}
 			if next != nil {
 				rs.tail = next
@@ -684,63 +465,15 @@ func (p *Program) compileJump(i int, ins Instruction) opFunc {
 		}
 	case JmpA:
 		return func(rs *runState) int { return target }
-	case JmpEq:
-		return func(rs *runState) int {
-			a, b := jmpOps(rs, dst, src, k, useReg)
-			return branch(a == b, target, fall)
-		}
-	case JmpNe:
-		return func(rs *runState) int {
-			a, b := jmpOps(rs, dst, src, k, useReg)
-			return branch(a != b, target, fall)
-		}
-	case JmpGt:
-		return func(rs *runState) int {
-			a, b := jmpOps(rs, dst, src, k, useReg)
-			return branch(a > b, target, fall)
-		}
-	case JmpGe:
-		return func(rs *runState) int {
-			a, b := jmpOps(rs, dst, src, k, useReg)
-			return branch(a >= b, target, fall)
-		}
-	case JmpLt:
-		return func(rs *runState) int {
-			a, b := jmpOps(rs, dst, src, k, useReg)
-			return branch(a < b, target, fall)
-		}
-	case JmpLe:
-		return func(rs *runState) int {
-			a, b := jmpOps(rs, dst, src, k, useReg)
-			return branch(a <= b, target, fall)
-		}
-	case JmpSet:
-		return func(rs *runState) int {
-			a, b := jmpOps(rs, dst, src, k, useReg)
-			return branch(a&b != 0, target, fall)
-		}
-	case JmpSGt:
-		return func(rs *runState) int {
-			a, b := jmpOpsSigned(rs, dst, src, k, useReg, is32)
-			return branch(a > b, target, fall)
-		}
-	case JmpSGe:
-		return func(rs *runState) int {
-			a, b := jmpOpsSigned(rs, dst, src, k, useReg, is32)
-			return branch(a >= b, target, fall)
-		}
-	case JmpSLt:
-		return func(rs *runState) int {
-			a, b := jmpOpsSigned(rs, dst, src, k, useReg, is32)
-			return branch(a < b, target, fall)
-		}
-	case JmpSLe:
-		return func(rs *runState) int {
-			a, b := jmpOpsSigned(rs, dst, src, k, useReg, is32)
-			return branch(a <= b, target, fall)
-		}
 	}
-	// Unknown jump op: jumpTaken returns false, so the interpreter always
-	// falls through.
-	return func(rs *runState) int { return fall }
+	return func(rs *runState) int {
+		b := k
+		if useReg {
+			b = rs.regs[src]
+		}
+		if jumpTaken(op, rs.regs[dst], b, is32) {
+			return target
+		}
+		return fall
+	}
 }

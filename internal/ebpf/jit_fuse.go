@@ -15,10 +15,10 @@ package ebpf
 // bumps rs.extra only once a later instruction's semantics actually
 // execute, so a fault in an earlier half charges exactly like the
 // interpreter — and the profiling decorator can credit slots
-// i..i+Δextra. Semantics, error strings and ExecStats stay bit-identical
-// to the interpreter's.
-
-import "fmt"
+// i..i+Δextra. A fused closure computes nothing of its own: each half
+// evaluates through the same alu / jumpTaken / rs.load / rs.store its
+// standalone closure would, so error strings and ExecStats stay
+// bit-identical to the interpreter's.
 
 type fusion struct {
 	// match reports whether b immediately after a is this shape.
@@ -62,13 +62,10 @@ var fusions = []fusion{
 		},
 		emit: (*Program).fuseCallJmp,
 	},
-	// ldx ; if rX OP imm  →  load then compare. Only the ops that read the
-	// untruncated 64-bit register in both jump classes (jumpTaken):
-	// signed forms truncate under JMP32 and are excluded.
+	// ldx ; if rX OP imm  →  load then compare.
 	{
 		match: func(a, b Instruction) bool {
-			return a.Class() == ClassLDX && isCondJump(b) && b.Op&SrcX == 0 && b.Dst == a.Dst &&
-				jmpCmpUnsigned(b.Op&0xf0, 0) != nil
+			return a.Class() == ClassLDX && isCondJump(b) && b.Op&SrcX == 0 && b.Dst == a.Dst
 		},
 		emit: (*Program).fuseLdxJmp,
 	},
@@ -91,43 +88,13 @@ var fusions = []fusion{
 	},
 }
 
-// fusableALUImm reports the immediate ops the mov+alu shape handles:
-// exactly the arms of movALU.
+// fusableALUImm reports the immediate ops the mov+alu shape admits.
 func fusableALUImm(op uint8) bool {
 	switch op {
 	case ALUAdd, ALUSub, ALUAnd, ALUOr, ALUXor, ALUMod, ALULsh, ALURsh:
 		return true
 	}
 	return false
-}
-
-// movALU evaluates `a OP b` for the 64-bit immediate ops fusableALUImm
-// admits. It mirrors execALU (interp.go) bit for bit, including mod by
-// zero and shift masking; TestJITFusedMovALUMatchesInterp holds each arm
-// to the interpreter.
-func movALU(op uint8, a, b uint64) uint64 {
-	switch op {
-	case ALUAdd:
-		return a + b
-	case ALUSub:
-		return a - b
-	case ALUAnd:
-		return a & b
-	case ALUOr:
-		return a | b
-	case ALUXor:
-		return a ^ b
-	case ALUMod:
-		if b == 0 {
-			return a
-		}
-		return a % b
-	case ALULsh:
-		return a << (b & 63)
-	case ALURsh:
-		return a >> (b & 63)
-	}
-	return a // unreachable: the fusions row admits no other op
 }
 
 // compileFused returns one closure executing the fusable sequence that
@@ -147,67 +114,43 @@ func (p *Program) compileFused(i int, targets []bool) opFunc {
 }
 
 // fuseStLddw: Load guarantees every verified LDDW low half has its high
-// half, so i+2 is in range; both LDDW slots must be jump-free. The store
-// goes straight into the stack when facts pin its base (the map-key
-// prologue always qualifies).
+// half, so i+2 is in range; both LDDW slots must be jump-free. The shape
+// is the map-key prologue, whose store facts always pin to a stack window;
+// a store they do not pin is left to its own closure.
 func (p *Program) fuseStLddw(i int, targets []bool) opFunc {
 	if i+2 >= len(p.insns) || targets[i+2] {
 		return nil
 	}
 	a, b := p.insns[i], p.insns[i+1]
 	size := a.LoadSize()
+	lo, ok := stackWindow(p.regFact(i, a.Dst), a.Off, size)
+	if !ok {
+		return nil
+	}
 	sval := uint64(int64(a.Imm))
-	var v uint64
+	v := Imm64(b, p.insns[i+2])
 	if b.Src == PseudoMapFD {
 		v = ptrVal(regionMapHandle, uint64(b.Imm))
-	} else {
-		v = Imm64(b, p.insns[i+2])
 	}
 	ldst := b.Dst
 	next := i + 3
-	if lo, ok := stackWindow(p.regFact(i, a.Dst), a.Off, size); ok {
-		return func(rs *runState) int {
-			storeSized(rs.stack[lo:lo+size], size, sval)
-			rs.extra++
-			rs.regs[ldst] = v
-			return next
-		}
-	}
-	sdst := a.Dst
-	soff := int64(a.Off)
 	return func(rs *runState) int {
-		m, _, err := rs.mem(rs.regs[sdst]+uint64(soff), size)
-		if err != nil {
-			rs.err = fmt.Errorf("ebpf: %s: insn %d: %w", p.name, i, err)
-			return opErr
-		}
-		storeSized(m, size, sval)
+		storeSized(rs.stack[lo:lo+size], size, sval)
 		rs.extra++
 		rs.regs[ldst] = v
 		return next
 	}
 }
 
-// fuseMovALU keeps a dedicated closure for add — stack address math runs
-// before every map lookup — and evaluates the other ops through movALU: a
-// static call, measurably cheaper on the `r0 = r6; r0 %= N` epilogue than
-// chaining into compileALU's closure.
 func (p *Program) fuseMovALU(i int, _ []bool) opFunc {
 	a, b := p.insns[i], p.insns[i+1]
 	op := b.Op & 0xf0
 	k := uint64(int64(b.Imm))
 	dst, src := b.Dst, a.Src
 	next := i + 2
-	if op == ALUAdd {
-		return func(rs *runState) int {
-			rs.extra++
-			rs.regs[dst] = rs.regs[src] + k
-			return next
-		}
-	}
 	return func(rs *runState) int {
 		rs.extra++
-		rs.regs[dst] = movALU(op, rs.regs[src], k)
+		rs.regs[dst], _ = alu(op, true, rs.regs[src], k)
 		return next
 	}
 }
@@ -220,20 +163,16 @@ func (p *Program) fuseLdxALU(i int, _ []bool) opFunc {
 	dst, src := a.Dst, a.Src
 	off := int64(a.Off)
 	size := a.LoadSize()
+	op := b.Op & 0xf0
 	k := uint64(int64(b.Imm))
-	isAdd := b.Op&0xf0 == ALUAdd
 	next := i + 2
 	return func(rs *runState) int {
-		v, ok := p.loadValue(rs, rs.regs[src], off, size, i)
-		if !ok {
-			return opErr
+		v, err := rs.load(rs.regs[src], off, size)
+		if err != nil {
+			return p.fault(rs, i, err)
 		}
 		rs.extra++
-		if isAdd {
-			rs.regs[dst] = v + k
-		} else {
-			rs.regs[dst] = v & k
-		}
+		rs.regs[dst], _ = alu(op, true, v, k)
 		return next
 	}
 }
@@ -264,22 +203,9 @@ func (p *Program) fuseRMW(i int, targets []bool) opFunc {
 	return func(rs *runState) int {
 		m, _, err := rs.mem(rs.regs[src]+uint64(off), size)
 		if err != nil {
-			rs.err = fmt.Errorf("ebpf: %s: insn %d: %w", p.name, i, err)
-			return opErr
+			return p.fault(rs, i, err)
 		}
-		v := loadSized(m, size)
-		switch op {
-		case ALUAdd:
-			v += k
-		case ALUSub:
-			v -= k
-		case ALUAnd:
-			v &= k
-		case ALUOr:
-			v |= k
-		case ALUXor:
-			v ^= k
-		}
+		v, _ := alu(op, true, loadSized(m, size), k)
 		rs.regs[dst] = v
 		storeSized(m, size, v)
 		rs.extra += 2
@@ -292,26 +218,25 @@ func (p *Program) fuseRMW(i int, targets []bool) opFunc {
 func (p *Program) fuseCallJmp(i int, _ []bool) opFunc {
 	b := p.insns[i+1]
 	core := p.compileCallCore(i)
+	op := b.Op & 0xf0
+	is32 := b.Class() == ClassJMP32
 	k := uint64(int64(b.Imm))
 	target := i + 2 + int(b.Off)
 	fall := i + 2
-	isEq := b.Op&0xf0 == JmpEq
 	return func(rs *runState) int {
 		next, err := core(rs)
 		if err != nil {
-			rs.err = fmt.Errorf("ebpf: %s: insn %d: %w", p.name, i, err)
-			return opErr
+			return p.fault(rs, i, err)
 		}
 		if next != nil {
 			rs.tail = next
 			return opTail
 		}
 		rs.extra++
-		taken := rs.regs[R0] == k
-		if !isEq {
-			taken = !taken
+		if jumpTaken(op, rs.regs[R0], k, is32) {
+			return target
 		}
-		return branch(taken, target, fall)
+		return fall
 	}
 }
 
@@ -331,54 +256,36 @@ func isExit(ins Instruction) bool {
 	return ins.Class() == ClassJMP && ins.Op&0xf0 == JmpExit
 }
 
-// jmpCmpUnsigned returns the predicate for a full-width compare against a
-// (sign-extended) immediate, or nil for the signed ops.
-func jmpCmpUnsigned(op uint8, k uint64) func(uint64) bool {
-	switch op {
-	case JmpEq:
-		return func(v uint64) bool { return v == k }
-	case JmpNe:
-		return func(v uint64) bool { return v != k }
-	case JmpGt:
-		return func(v uint64) bool { return v > k }
-	case JmpGe:
-		return func(v uint64) bool { return v >= k }
-	case JmpLt:
-		return func(v uint64) bool { return v < k }
-	case JmpLe:
-		return func(v uint64) bool { return v <= k }
-	case JmpSet:
-		return func(v uint64) bool { return v&k != 0 }
-	}
-	return nil
-}
-
 func (p *Program) fuseLdxJmp(i int, _ []bool) opFunc {
 	a, b := p.insns[i], p.insns[i+1]
-	cmp := jmpCmpUnsigned(b.Op&0xf0, uint64(int64(b.Imm)))
 	dst, src := a.Dst, a.Src
 	off := int64(a.Off)
 	size := a.LoadSize()
+	op := b.Op & 0xf0
+	is32 := b.Class() == ClassJMP32
+	k := uint64(int64(b.Imm))
 	target := i + 2 + int(b.Off)
 	fall := i + 2
 	return func(rs *runState) int {
-		v, ok := p.loadValue(rs, rs.regs[src], off, size, i)
-		if !ok {
-			return opErr
+		v, err := rs.load(rs.regs[src], off, size)
+		if err != nil {
+			return p.fault(rs, i, err)
 		}
 		rs.regs[dst] = v
 		rs.extra++
-		return branch(cmp(v), target, fall)
+		if jumpTaken(op, v, k, is32) {
+			return target
+		}
+		return fall
 	}
 }
 
-// fuseALUExit: compileALU already emits the exact per-op closure; aiming
-// it at opExit and charging the extra slot covers every ALU form
-// (`r0 = 1`, `r0 = r6`, `r0 %= 6`, ...). An ALU op in a verified stream
-// cannot fault, so the up-front extra bump never misattributes.
+// fuseALUExit: compileALU's closure aimed at opExit, plus the extra slot,
+// covers every ALU form (`r0 = 1`, `r0 = r6`, `r0 %= 6`, ...). An ALU op in
+// a verified stream cannot fault, so the up-front extra bump never
+// misattributes.
 func (p *Program) fuseALUExit(i int, _ []bool) opFunc {
-	a := p.insns[i]
-	inner := compileALU(a, a.Class() == ClassALU64, opExit)
+	inner := compileALU(p.insns[i], opExit)
 	return func(rs *runState) int {
 		rs.extra++
 		return inner(rs)
@@ -392,24 +299,18 @@ func (p *Program) fuseStoreMov(i int, _ []bool) opFunc {
 	soff := int64(a.Off)
 	sk := uint64(int64(a.Imm))
 	isSTX := a.Class() == ClassSTX
-	movReg := b.Op == ClassALU64|ALUMov|SrcX
+	movReg := b.Op&SrcX != 0
 	mdst, msrc := b.Dst, b.Src
-	kk := uint64(int64(b.Imm))
-	if b.Op == ClassALU|ALUMov|SrcK {
-		kk = uint64(uint32(kk))
-	}
+	kk, _ := alu(ALUMov, b.Class() == ClassALU64, 0, uint64(int64(b.Imm)))
 	next := i + 2
 	return func(rs *runState) int {
-		m, _, err := rs.mem(rs.regs[sdst]+uint64(soff), size)
-		if err != nil {
-			rs.err = fmt.Errorf("ebpf: %s: insn %d: %w", p.name, i, err)
-			return opErr
-		}
 		v := sk
 		if isSTX {
 			v = rs.regs[ssrc]
 		}
-		storeSized(m, size, v)
+		if err := rs.store(rs.regs[sdst], soff, size, v, false); err != nil {
+			return p.fault(rs, i, err)
+		}
 		rs.extra++
 		if movReg {
 			rs.regs[mdst] = rs.regs[msrc]

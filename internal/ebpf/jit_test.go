@@ -258,8 +258,9 @@ func TestJITTailCallChain(t *testing.T) {
 }
 
 // TestJITFusedMovALUMatchesInterp drives the fused `rD = rS; rD OP= imm`
-// closure through every op the shape admits: add has a dedicated closure,
-// the rest evaluate through movALU, the one ALU table beside compileALU's.
+// closure through every op the shape admits: what the pair computes is
+// alu's business, but reading rS where the standalone ALU closure reads
+// rD, and charging the second slot, are the fused closure's own.
 func TestJITFusedMovALUMatchesInterp(t *testing.T) {
 	ops := []uint8{ALUAdd, ALUSub, ALUAnd, ALUOr, ALUXor, ALUMod, ALULsh, ALURsh}
 	for _, op := range ops {
@@ -319,6 +320,19 @@ func TestJITErrorStringsMatchInterp(t *testing.T) {
 		{"stack_oob", []Instruction{
 			Ldx(8, R0, R10, 8),
 			Exit(),
+		}},
+		// A jump before slot 0 is a fault like any other, not an index panic
+		// in the host process.
+		{"pc_negative", []Instruction{
+			Ja(-3),
+			Exit(),
+		}},
+		// So is a jump into a trailing slot that decodes as an LDDW with no
+		// high half.
+		{"lddw_truncated", []Instruction{
+			Ja(1),
+			Exit(),
+			{Op: ClassLD | ModeIMM | SizeW, Dst: R0},
 		}},
 	}
 	for _, tc := range cases {

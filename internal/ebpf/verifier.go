@@ -290,67 +290,27 @@ func (v *verifier) writable(pc int, r uint8) error {
 func (v *verifier) checkALU(pc int, ins Instruction, st *vstate) error {
 	op := ins.Op & 0xf0
 	is64 := ins.Class() == ClassALU64
-
-	if op == ALUNeg {
-		if err := v.writable(pc, ins.Dst); err != nil {
-			return err
-		}
-		d, err := v.readReg(pc, st, ins.Dst)
-		if err != nil {
-			return err
-		}
-		if d.typ != tScalar {
-			return fmt.Errorf("insn %d: NEG on %v pointer", pc, d.typ)
-		}
-		if d.known {
-			val := -d.val
-			if !is64 {
-				val = uint64(uint32(val))
-			}
-			st.regs[ins.Dst] = scalarConst(val)
-		} else {
-			st.regs[ins.Dst] = scalarUnknown()
-		}
-		return nil
-	}
-
 	if err := v.writable(pc, ins.Dst); err != nil {
 		return err
 	}
 
-	// Resolve the source operand.
-	var src vreg
+	// Resolve the operands as the machine reads them: the source is a
+	// register or the sign-extended immediate (NEG's too, though it goes
+	// unused), and MOV does not read dst.
+	src, dst := scalarConst(uint64(int64(ins.Imm))), scalarConst(0)
+	var err error
 	if ins.Op&SrcX != 0 {
-		s, err := v.readReg(pc, st, ins.Src)
-		if err != nil {
+		if src, err = v.readReg(pc, st, ins.Src); err != nil {
 			return err
 		}
-		src = s
-	} else {
-		src = scalarConst(uint64(int64(ins.Imm))) // sign-extended immediate
 	}
-
-	if op == ALUMov {
-		if !is64 {
-			// 32-bit mov truncates; moving a pointer through it would
-			// mangle (and leak) it, so only scalars are allowed.
-			if src.typ != tScalar {
-				return fmt.Errorf("insn %d: 32-bit MOV of %v pointer", pc, src.typ)
-			}
-			if src.known {
-				st.regs[ins.Dst] = scalarConst(uint64(uint32(src.val)))
-			} else {
-				st.regs[ins.Dst] = scalarUnknown()
-			}
-			return nil
+	if op != ALUMov {
+		if dst, err = v.readReg(pc, st, ins.Dst); err != nil {
+			return err
 		}
-		st.regs[ins.Dst] = src
+	} else if is64 {
+		st.regs[ins.Dst] = src // pointers move whole
 		return nil
-	}
-
-	dst, err := v.readReg(pc, st, ins.Dst)
-	if err != nil {
-		return err
 	}
 
 	// Pointer arithmetic: only ADD/SUB of a constant-or-scalar to a
@@ -385,68 +345,28 @@ func (v *verifier) checkALU(pc int, ins Instruction, st *vstate) error {
 		return nil
 	}
 	if src.typ != tScalar {
-		// scalar OP pointer: allow SUB of two packet pointers? Not needed
-		// by any policy; reject for simplicity and safety.
+		// A pointer operand would leak its address into a scalar; a 32-bit
+		// MOV would mangle it on the way.
+		if op == ALUMov {
+			return fmt.Errorf("insn %d: 32-bit MOV of %v pointer", pc, src.typ)
+		}
 		return fmt.Errorf("insn %d: %v pointer as ALU source operand", pc, src.typ)
 	}
 
-	// Scalar-scalar arithmetic; track constants exactly.
-	if op == ALUDiv || op == ALUMod {
-		if src.known && src.val == 0 {
-			return fmt.Errorf("insn %d: division by zero constant", pc)
-		}
+	// Scalar arithmetic. A constant result is, by construction, the value
+	// the machine computes: the fold is the run-time table itself.
+	if (op == ALUDiv || op == ALUMod) && src.known && src.val == 0 {
+		return fmt.Errorf("insn %d: division by zero constant", pc)
+	}
+	r, ok := alu(op, is64, dst.val, src.val)
+	if !ok {
+		return fmt.Errorf("insn %d: unknown ALU op %#x", pc, op)
 	}
 	if dst.known && src.known {
-		a, b := dst.val, src.val
-		if !is64 {
-			a, b = uint64(uint32(a)), uint64(uint32(b))
-		}
-		var r uint64
-		switch op {
-		case ALUAdd:
-			r = a + b
-		case ALUSub:
-			r = a - b
-		case ALUMul:
-			r = a * b
-		case ALUDiv:
-			if b == 0 {
-				r = 0
-			} else {
-				r = a / b
-			}
-		case ALUMod:
-			if b == 0 {
-				r = a
-			} else {
-				r = a % b
-			}
-		case ALUOr:
-			r = a | b
-		case ALUAnd:
-			r = a & b
-		case ALUXor:
-			r = a ^ b
-		case ALULsh:
-			r = a << (b & 63)
-		case ALURsh:
-			r = a >> (b & 63)
-		case ALUArsh:
-			if is64 {
-				r = uint64(int64(a) >> (b & 63))
-			} else {
-				r = uint64(uint32(int32(uint32(a)) >> (b & 31)))
-			}
-		default:
-			return fmt.Errorf("insn %d: unknown ALU op %#x", pc, op)
-		}
-		if !is64 {
-			r = uint64(uint32(r))
-		}
 		st.regs[ins.Dst] = scalarConst(r)
-		return nil
+	} else {
+		st.regs[ins.Dst] = scalarUnknown()
 	}
-	st.regs[ins.Dst] = scalarUnknown()
 	return nil
 }
 
@@ -861,36 +781,4 @@ func (v *verifier) checkJump(pc int, ins Instruction, st *vstate) (int, bool, er
 	}
 	v.pending = append(v.pending, branchPoint{pc: target, st: taken})
 	return pc + 1, false, nil
-}
-
-func jumpTaken(op uint8, a, b uint64, is32 bool) bool {
-	sa, sb := int64(a), int64(b)
-	if is32 {
-		sa, sb = int64(int32(uint32(a))), int64(int32(uint32(b)))
-	}
-	switch op {
-	case JmpEq:
-		return a == b
-	case JmpNe:
-		return a != b
-	case JmpGt:
-		return a > b
-	case JmpGe:
-		return a >= b
-	case JmpLt:
-		return a < b
-	case JmpLe:
-		return a <= b
-	case JmpSGt:
-		return sa > sb
-	case JmpSGe:
-		return sa >= sb
-	case JmpSLt:
-		return sa < sb
-	case JmpSLe:
-		return sa <= sb
-	case JmpSet:
-		return a&b != 0
-	}
-	return false
 }

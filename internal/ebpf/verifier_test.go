@@ -1,6 +1,7 @@
 package ebpf
 
 import (
+	"math/rand/v2"
 	"strings"
 	"testing"
 )
@@ -524,4 +525,108 @@ func TestVerifierOrNullComparedToNonZeroRejected(t *testing.T) {
 		Exit(),
 	)
 	wantReject(t, insns, tb, "compared against 0")
+}
+
+// The verifier may believe only what the machine computes. Two programs
+// show what a folded constant that differs from the run-time value costs:
+// at the commit before alu became the one table, the verifier folded a
+// 32-bit shift with a 6-bit count mask where both engines use 5 bits, so
+// `w3 = 1; w3 <<= 33` was 0 to the verifier and 2 to the machine.
+
+// afterShiftBy33 is tail run with r3 = 2.
+func afterShiftBy33(tail ...Instruction) []Instruction {
+	return append([]Instruction{ALU32Imm(ALUMov, R3, 1), ALU32Imm(ALULsh, R3, 33)}, tail...)
+}
+
+// The arm a wrong constant prunes is never checked, and here it reads r7,
+// which nothing wrote — on a run state that is deliberately not scrubbed.
+func TestVerifierRejectsPrunedArmUninitRead(t *testing.T) {
+	wantReject(t, afterShiftBy33(
+		JmpImm(JmpEq, R3, 0, 2),
+		MovReg(R0, R7),
+		Exit(),
+		MovImm(R0, -1), // PASS
+		Exit(),
+	), nil, "R7 !read_ok")
+}
+
+// A wrong constant folded into a stack pointer is a wrong fact: the
+// specialized store trusts it and writes fp-8 while the machine's own
+// pointer is fp-6.
+func TestVerifierRejectsFoldedConstantIntoStackPointer(t *testing.T) {
+	wantReject(t, afterShiftBy33(
+		MovImm(R0, 0),
+		MovReg(R2, R10),
+		ALUImm(ALUAdd, R2, -8),
+		ALUReg(ALUAdd, R2, R3),
+		StImm(8, R2, 0, 0x55), // followed by exit, so nothing fuses it onto the generic path
+		Exit(),
+	), nil, "stack access at fp-6 size 8 out of bounds")
+}
+
+func TestVerifier32BitShiftMasksCountTo5Bits(t *testing.T) {
+	p := wantAccept(t, afterShiftBy33(MovReg(R0, R3), Exit()), nil)
+	for name, run := range map[string]func(*Ctx, *Env) (uint32, ExecStats, error){"Run": p.Run, "RunInterp": p.RunInterp} {
+		if ret, _, err := run(&Ctx{}, nil); err != nil || ret != 2 {
+			t.Errorf("%s = %d, %v; want 2", name, ret, err)
+		}
+	}
+}
+
+// An opcode alu does not define is rejected whatever its operands: before,
+// only the constant fold looked, so `r0 = ctx->hash; r0 <0xe0>= 1` loaded
+// and faulted on every run.
+func TestVerifierRejectsUnknownALUOpOnUnknownScalar(t *testing.T) {
+	wantReject(t, []Instruction{
+		Ldx(4, R0, R1, CtxOffHash),
+		{Op: ClassALU64 | 0xe0 | SrcK, Dst: R0, Imm: 1},
+		Exit(),
+	}, nil, "unknown ALU op")
+}
+
+// TestVerifierFoldMatchesRuntime holds the verifier's constant folding to
+// the machine over seeded constant chains: the chain's run-time value v is
+// taken from the reference interpreter, and the same chain followed by
+// `r4 = v ll; if r3 == r4 goto ok; r0 = r7; exit; ok: r0 = 0; exit` loads
+// exactly when the verifier's constant for r3 equals v — otherwise it
+// decides the branch the other way and walks into the uninitialized r7.
+func TestVerifierFoldMatchesRuntime(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 9))
+	ops := []uint8{ALUAdd, ALUSub, ALUMul, ALUDiv, ALUOr, ALUAnd, ALULsh, ALURsh, ALUNeg, ALUMod, ALUXor, ALUMov, ALUArsh}
+	const chains = 20000
+	bad := 0
+	for n := 0; n < chains; n++ {
+		chain := LoadImm64(R3, rng.Uint64())
+		for k := 1 + rng.IntN(3); k > 0; k-- {
+			op, imm := ops[rng.IntN(len(ops))], int32(rng.IntN(130)-2)
+			if imm == 0 && (op == ALUDiv || op == ALUMod) {
+				imm = 1 // a zero constant divisor is rejected outright
+			}
+			ins := ALUImm(op, R3, imm)
+			if rng.IntN(2) == 0 {
+				ins = ALU32Imm(op, R3, imm)
+			}
+			chain = append(chain, ins)
+		}
+		p := wantAccept(t, append(append([]Instruction{}, chain...), MovReg(R0, R3), Exit()), nil)
+		v, _, err := p.runInterp(&Ctx{}, nil)
+		if err != nil {
+			t.Fatalf("constant chain faulted: %v\n%s", err, p.Disassemble())
+		}
+		probe := append(append(chain, LoadImm64(R4, v)...),
+			JmpReg(JmpEq, R3, R4, 2),
+			MovReg(R0, R7),
+			Exit(),
+			MovImm(R0, 0),
+			Exit(),
+		)
+		if _, err := loadRaw(t, probe, nil); err != nil {
+			if bad++; bad <= 3 {
+				t.Errorf("verifier's constant differs from the run-time value %#x (%v):\n%s", v, err, DisassembleProgram(chain))
+			}
+		}
+	}
+	if bad > 0 {
+		t.Fatalf("%d of %d constant chains fold to a value the machine does not compute", bad, chains)
+	}
 }

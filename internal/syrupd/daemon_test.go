@@ -95,9 +95,20 @@ func TestDeployRejectsUnsafePolicy(t *testing.T) {
 	h := newHost(t, 1, 0)
 	h.d.RegisterApp(1, 1000, 9000)
 	h.stack.NewUDPSocket(9000, 1, "w")
-	unsafe := "r2 = *(u64 *)(r1 + 0)\nr0 = *(u64 *)(r2 + 0)\nexit\n"
-	if _, err := h.d.DeployPolicy(1, HookSocketSelect, unsafe, nil); err == nil {
-		t.Fatal("unsafe policy deployed")
+	for name, unsafe := range map[string]string{
+		"unchecked packet read": "r2 = *(u64 *)(r1 + 0)\nr0 = *(u64 *)(r2 + 0)\nexit\n",
+		// r3 is 2 at run time (a 32-bit shift masks its count to 5 bits), so
+		// the `r0 = r7` arm runs and reads a register nothing wrote. A
+		// verifier that folded the shift to 0 pruned that arm unchecked.
+		"uninitialized read behind a folded branch": "w3 = 1\nw3 <<= 33\nif r3 == 0 goto ok\nr0 = r7\nexit\nok:\nr0 = PASS\nexit\n",
+	} {
+		_, err := h.d.DeployPolicy(1, HookSocketSelect, unsafe, nil)
+		if err == nil || !strings.Contains(err.Error(), "verifier") {
+			t.Errorf("%s: deploy error %v, want a verifier rejection", name, err)
+		}
+		if links := h.d.Links(); len(links) != 0 {
+			t.Errorf("%s: rejected deploy left links %+v", name, links)
+		}
 	}
 }
 

@@ -134,21 +134,21 @@ func dispatchPrograms(b *testing.B) map[string]*Program {
 	}
 }
 
-// BenchmarkDispatch compares the reference interpreter (RunInterp) vs.
-// threaded-code dispatch (Run) on the three canonical policy shapes. Run
-// with -benchmem: the compiled variants must report 0 allocs/op in steady
-// state.
+// BenchmarkDispatch compares the reference (RunInterp: plain decoding,
+// fresh state, decoded per call) with Run (pinned decoding, pooled state) on
+// the three canonical policy shapes. Run with -benchmem: the run rows must
+// report 0 allocs/op in steady state.
 func BenchmarkDispatch(b *testing.B) {
 	env := &Env{
 		Prandom: func() uint32 { return 4 },
 		Ktime:   func() uint64 { return 0 },
 	}
 	for _, kind := range []string{"short_filter", "map_policy", "tailcall_chain"} {
-		for _, mode := range []string{"interp", "jit"} {
+		for _, mode := range []string{"ref", "run"} {
 			b.Run(kind+"/"+mode, func(b *testing.B) {
 				p := dispatchPrograms(b)[kind]
 				run := p.Run
-				if mode == "interp" {
+				if mode == "ref" {
 					run = p.RunInterp
 				}
 				ctx := &Ctx{Packet: make([]byte, 64), Hash: 0x1234}

@@ -4,13 +4,13 @@ package ebpf
 // interpretation proved about each instruction, met (in the lattice sense)
 // across every path that reached it. The verifier already derives constant
 // scalars, pointer offsets, packet bounds and null-resolution to discharge
-// its safety obligations; Facts keeps the ones the compiler specializes on
-// (jit.go: regFact, stackWindow) — a register's region type, its constant
+// its safety obligations; Facts keeps the ones decode pins kinds on
+// (walk.go: pin, stackWindow) — a register's region type, its constant
 // offset from the region base, and the map behind a handle — so it consumes
 // them instead of re-deriving (or worse, guessing) them. A fact at pc P
 // holds on *every* execution that reaches P — that is the soundness
-// contract each specialized closure leans on. Nothing rewrites a program
-// after verification, so the table always describes the stream that runs.
+// contract each pinned kind leans on. Nothing rewrites a program after
+// verification, so the table always describes the stream that runs.
 
 // FactType mirrors the verifier's register type lattice. FactNone means the
 // register either was uninitialized or had conflicting types across paths —

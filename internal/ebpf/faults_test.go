@@ -2,8 +2,8 @@ package ebpf
 
 // Differential coverage of the fault paths a chaos plan can reach: the
 // tail-call budget fault and the injected helper errors must behave
-// bit-identically under the compiled dispatcher and the interpreter
-// oracle, and every runtime error must charge exactly one fault to the
+// bit-identically under Run and the reference decoding, and every
+// runtime error must charge exactly one fault to the
 // program whose instruction errored.
 
 import (
@@ -35,20 +35,20 @@ func selfTailProg(t *testing.T) *Program {
 func TestTailCallBudgetDifferential(t *testing.T) {
 	p := selfTailProg(t)
 
-	_, stC, errC := p.Run(&Ctx{}, nil) // compiled path
+	_, stC, errC := p.Run(&Ctx{}, nil)
 	_, stI, errI := p.RunInterp(&Ctx{}, nil)
 
 	if errC == nil || errI == nil {
-		t.Fatalf("budget exhaustion must fault: compiled=%v interp=%v", errC, errI)
+		t.Fatalf("budget exhaustion must fault: run=%v ref=%v", errC, errI)
 	}
 	if errC.Error() != errI.Error() {
-		t.Fatalf("error divergence:\n  compiled: %v\n  interp:   %v", errC, errI)
+		t.Fatalf("error divergence:\n  run: %v\n  ref: %v", errC, errI)
 	}
 	if !strings.Contains(errC.Error(), "tail call budget exhausted") {
 		t.Fatalf("unexpected fault: %v", errC)
 	}
 	if stC != stI {
-		t.Fatalf("stats divergence: compiled %+v, interp %+v", stC, stI)
+		t.Fatalf("stats divergence: run %+v, ref %+v", stC, stI)
 	}
 	if stC.TailCalls != MaxTailCalls {
 		t.Fatalf("tail calls = %d, want %d", stC.TailCalls, MaxTailCalls)
@@ -86,7 +86,7 @@ func TestTailCallFaultChargedToCallee(t *testing.T) {
 		t.Fatal("chain did not fault")
 	}
 	if _, _, err := root.RunInterp(&Ctx{}, nil); err == nil {
-		t.Fatal("chain did not fault under the interpreter")
+		t.Fatal("chain did not fault under the reference")
 	}
 	if f := root.Stats().Faults; f != 0 {
 		t.Fatalf("root charged %d faults, want 0", f)
@@ -128,7 +128,7 @@ func TestInjectedLookupMissDifferential(t *testing.T) {
 			t.Fatalf("miss=%v errored: %v / %v", miss, errC, errI)
 		}
 		if gotC != want || gotI != want {
-			t.Fatalf("miss=%v: compiled=%d interp=%d, want %d", miss, gotC, gotI, want)
+			t.Fatalf("miss=%v: run=%d ref=%d, want %d", miss, gotC, gotI, want)
 		}
 	}
 	// A forced miss is a policy degradation, not a program fault.
@@ -163,9 +163,9 @@ func TestInjectedUpdateFailDifferential(t *testing.T) {
 	if errC != nil {
 		t.Fatal(errC)
 	}
-	retI, _, _ := func() (uint64, ExecStats, error) { return p.runInterp(&Ctx{}, env) }()
+	retI, _, _ := p.runRef(&Ctx{}, env)
 	if retC != retI {
-		t.Fatalf("compiled=%#x interp=%#x", retC, retI)
+		t.Fatalf("run=%#x ref=%#x", retC, retI)
 	}
 	if int64(retC) != -1 {
 		t.Fatalf("injected update returned %d, want -1", int64(retC))

@@ -9,11 +9,11 @@ import (
 // The verifier's core soundness property: any program it admits must
 // execute without memory faults on arbitrary inputs. We generate random
 // (biased-toward-plausible) instruction streams, load them, and run every
-// accepted program against adversarial packets on both engines. The
-// reference interpreter trusts nothing for memory, so a runtime error
-// there is a verifier hole; the compiled closures trust the verifier's
-// facts, so a wrong fact shows up as a result that differs from the
-// interpreter's, not as a fault. A panic anywhere is a bug outright.
+// accepted program against adversarial packets under both decodings. The
+// reference decoding trusts nothing for memory, so a runtime error there
+// is a verifier hole; Run's pinned kinds trust the verifier's facts, so a
+// wrong fact shows up as a result that differs from the reference's, not
+// as a fault. A panic anywhere is a bug outright.
 
 // randInsn produces one random instruction from a menu weighted toward
 // forms that have a chance of verifying.
@@ -87,7 +87,7 @@ func randInsn(rng *rand.Rand, table *MapTable, fd int32) []Instruction {
 		// A register the verifier knows exactly — a small constant through
 		// one more ALU op — added to a stack or map-value pointer, then a
 		// store through the sum: the verifier's constant becomes a pointer
-		// offset and, on the compiled side, a fact.
+		// offset and, in Run's decoding, a fact.
 		k := uint8(6 + rng.IntN(4)) // R6..R9
 		konst := []Instruction{MovImm(k, int32(rng.IntN(9))), aluImm(k)}
 		size := 1 << uint(rng.IntN(4))
@@ -151,7 +151,7 @@ func TestFuzzVerifierSoundness(t *testing.T) {
 			}
 			accepted++
 			// Two identically seeded worlds, so map effects cannot make the
-			// engines' results differ.
+			// two decodings' results differ.
 			run, interp := buildDiffWorld(insns), buildDiffWorld(insns)
 			envR, envI := diffEnv(), diffEnv()
 			for _, pkt := range pkts {
@@ -159,7 +159,7 @@ func TestFuzzVerifierSoundness(t *testing.T) {
 				ctxR := &Ctx{Packet: bytes.Clone(pkt), Hash: hash, Port: port}
 				ctxI := &Ctx{Packet: bytes.Clone(pkt), Hash: hash, Port: port}
 				retR, _, errR := run.prog.RunRet64(ctxR, envR)
-				retI, _, errI := interp.prog.runInterp(ctxI, envI)
+				retI, _, errI := interp.prog.runRef(ctxI, envI)
 				if errR != nil || errI != nil {
 					t.Fatalf("verifier admitted a faulting program (Run: %v, RunInterp: %v):\n%s", errR, errI, run.prog.Disassemble())
 				}
@@ -174,16 +174,16 @@ func TestFuzzVerifierSoundness(t *testing.T) {
 	if accepted == 0 {
 		t.Fatal("fuzzer never produced an accepted program; generator too hostile to be useful")
 	}
-	t.Logf("fuzz: %d/%d programs accepted, %d executions on each engine, no faults, no disagreement", accepted, trials, ran)
+	t.Logf("fuzz: %d/%d programs accepted, %d executions under each decoding, no faults, no disagreement", accepted, trials, ran)
 }
 
-// FuzzJITMatchesInterp is the differential fuzz target from the JIT work:
-// any instruction stream that decodes must behave bit-identically under
-// the threaded-code compiler and the interpreter — same load outcome, same
+// FuzzRunMatchesReference is the differential fuzz target: any instruction
+// stream that decodes must behave bit-identically under Run's pinned
+// decoding and the reference's plain one — same load outcome, same
 // verdict and R0, same ExecStats, same error strings, same map and packet
 // effects. The seed corpus covers the three benchmark shapes (short
 // filter, map-heavy policy, tail-call chain).
-func FuzzJITMatchesInterp(f *testing.F) {
+func FuzzRunMatchesReference(f *testing.F) {
 	f.Add(Encode([]Instruction{
 		Ldx(4, R0, R1, CtxOffHash),
 		ALUImm(ALUAnd, R0, 3),
@@ -216,6 +216,8 @@ func FuzzJITMatchesInterp(f *testing.F) {
 	f.Add(Encode(chain))
 	// A rejected program: load errors must match too.
 	f.Add(Encode([]Instruction{Ldx(8, R0, R9, 0), Exit()}))
+	// Admitted, with src fields no check covers naming registers past R10.
+	f.Add(Encode(operandlessJunkSrc(12)))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		insns, err := Decode(raw)

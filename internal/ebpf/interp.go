@@ -28,9 +28,9 @@ type Ctx struct {
 // deterministic defaults (zero time, a fixed-seed xorshift PRNG).
 //
 // The Fault* hooks are armed by a chaos plan (internal/faults) and
-// consulted inside the shared helper dispatch, so an injected helper
-// error behaves identically under the interpreter and the compiled
-// path. Nil hooks (the default) cost one pointer check.
+// consulted inside the helper bodies below, so an injected helper error
+// behaves identically under either decoding. Nil hooks (the default) cost
+// one pointer check.
 type Env struct {
 	Prandom func() uint32 // get_prandom_u32
 	Ktime   func() uint64 // ktime_get_ns
@@ -47,8 +47,6 @@ type Env struct {
 }
 
 // errTailCallBudget aborts a program chain that exhausted MaxTailCalls.
-// Both execution paths wrap it identically ("ebpf: <prog>: insn <i>: ..."),
-// so the interpreter and the compiled dispatcher report the same fault.
 var errTailCallBudget = fmt.Errorf("tail call budget exhausted (max %d)", MaxTailCalls)
 
 // Runtime pointer encoding: 16-bit region tag | 48-bit offset. Verified
@@ -82,9 +80,9 @@ type dynRegion struct {
 
 // runState is the mutable state of one program invocation: registers,
 // stack, dynamic map-value regions, accounting, and the ambient context.
-// The compiled dispatch path reuses runStates (a hook point's own RunState,
-// or the pool behind Program.Run) so steady-state execution allocates
-// nothing; the interpreter allocates a fresh one per run.
+// Run reuses runStates (a hook point's own RunState, or the pool behind
+// Program.Run) so steady-state execution allocates nothing; the reference
+// takes a fresh one per run.
 type runState struct {
 	stack   [StackSize]byte
 	regs    [NumRegs]uint64
@@ -92,19 +90,7 @@ type runState struct {
 	env     *Env
 	ctx     *Ctx
 	stats   ExecStats
-	// tail carries the target of a successful tail call out of a compiled
-	// op closure to the dispatch loop.
-	tail *Program
-	// err carries a runtime error out of a compiled op closure (paired
-	// with the opErr sentinel), keeping the hot dispatch loop's return
-	// path down to a single integer.
-	err error
-	// extra counts instructions executed beyond one per dispatch: fused
-	// superinstructions bump it so ExecStats.Insns and instret charging
-	// stay identical to the interpreter's one-insn-at-a-time accounting.
-	extra int
-	// noEnv stands in for a nil Env on the compiled path; it is never
-	// written.
+	// noEnv stands in for a nil Env; it is never written.
 	noEnv Env
 }
 
@@ -131,160 +117,6 @@ func (p *Program) fallbackPrandom() uint32 {
 	}
 }
 
-// Run executes the program against ctx and returns R0's low 32 bits (the
-// schedule() verdict) along with execution stats. Runtime errors indicate
-// either a verifier gap or a NoVerify program misbehaving; hooks treat them
-// as PASS after logging.
-func (p *Program) Run(ctx *Ctx, env *Env) (uint32, ExecStats, error) {
-	ret, st, err := p.runCompiled(ctx, env)
-	return uint32(ret), st, err
-}
-
-// RunRet64 is Run but returns the full 64-bit R0; used by tests.
-func (p *Program) RunRet64(ctx *Ctx, env *Env) (uint64, ExecStats, error) {
-	return p.runCompiled(ctx, env)
-}
-
-// RunInterp runs the program through the reference interpreter instead of
-// its compiled code. Differential tests use it as the oracle against Run.
-func (p *Program) RunInterp(ctx *Ctx, env *Env) (uint32, ExecStats, error) {
-	ret, st, err := p.runInterp(ctx, env)
-	return uint32(ret), st, err
-}
-
-func (p *Program) runInterp(ctx *Ctx, env *Env) (uint64, ExecStats, error) {
-	if pp := p.prof; pp != nil {
-		// Wall timing charged to the entry program, as in execCompiled.
-		t0 := profNow()
-		defer func() { pp.nanos.Add(profSince(t0)) }()
-	}
-	if env == nil {
-		env = &Env{}
-	}
-	rs := &runState{env: env, ctx: ctx}
-	rs.regs[R1] = ptrVal(regionCtx, 0)
-	rs.regs[R10] = ptrVal(regionStack, StackSize)
-	ret, err := interpExec(p, rs)
-	return ret, rs.stats, err
-}
-
-// insnErr names the program and slot a runtime error came from. Both
-// engines report through it, so a fault reads the same whichever ran.
-func (p *Program) insnErr(i int, err error) error {
-	return fmt.Errorf("ebpf: %s: insn %d: %w", p.name, i, err)
-}
-
-// interpExec interprets starting at the first instruction of start with an
-// already-initialized runState.
-func interpExec(start *Program, rs *runState) (uint64, error) {
-	prog := start
-	pc := 0
-	cur := prog // program whose instret we charge
-	charged := 0
-	flush := func() {
-		cur.instret.Add(uint64(charged))
-		cur.runs.Add(1)
-		charged = 0
-	}
-	// fail flushes and charges the fault to the program whose instruction
-	// errored — after tail calls that is the current program, not start.
-	fail := func() {
-		flush()
-		cur.faults.Add(1)
-	}
-
-	for {
-		if uint(pc) >= uint(len(prog.insns)) {
-			fail()
-			return 0, fmt.Errorf("ebpf: %s: pc %d out of range", prog.name, pc)
-		}
-		ins := prog.insns[pc]
-		rs.stats.Insns++
-		charged++
-		if prog.prof != nil {
-			prog.prof.hits[pc].Add(1)
-		}
-		switch ins.Class() {
-		case ClassALU64, ClassALU:
-			a, b := rs.operands(ins)
-			r, ok := alu(ins.Op&0xf0, ins.Class() == ClassALU64, a, b)
-			if !ok {
-				fail()
-				return 0, fmt.Errorf("ebpf: bad alu op %#x", ins.Op)
-			}
-			rs.regs[ins.Dst] = r
-			pc++
-		case ClassLD: // LDDW
-			if ins.Src == PseudoMapFD {
-				rs.regs[ins.Dst] = ptrVal(regionMapHandle, uint64(ins.Imm))
-			} else if pc+1 < len(prog.insns) {
-				rs.regs[ins.Dst] = Imm64(ins, prog.insns[pc+1])
-			} // else NoVerify garbage: no high half, and pc+2 faults below
-			pc += 2
-		case ClassLDX:
-			v, err := rs.load(rs.regs[ins.Src], int64(ins.Off), ins.LoadSize())
-			if err != nil {
-				fail()
-				return 0, prog.insnErr(pc, err)
-			}
-			rs.regs[ins.Dst] = v
-			pc++
-		case ClassST, ClassSTX:
-			v, isSTX := uint64(int64(ins.Imm)), ins.Class() == ClassSTX
-			if isSTX {
-				v = rs.regs[ins.Src]
-			}
-			if err := rs.store(rs.regs[ins.Dst], int64(ins.Off), ins.LoadSize(), v, isSTX && ins.Op&0xe0 == ModeATOMIC); err != nil {
-				fail()
-				return 0, prog.insnErr(pc, err)
-			}
-			pc++
-		case ClassJMP, ClassJMP32:
-			op := ins.Op & 0xf0
-			switch op {
-			case JmpExit:
-				flush()
-				return rs.regs[R0], nil
-			case JmpCall:
-				next, err := rs.call(prog, ins)
-				if err != nil {
-					fail()
-					return 0, prog.insnErr(pc, err)
-				}
-				if next != nil {
-					// Tail call: switch programs.
-					flush()
-					cur = next
-					prog = next
-					pc = 0
-					continue
-				}
-				pc++
-			case JmpA:
-				pc += 1 + int(ins.Off)
-			default:
-				if a, b := rs.operands(ins); jumpTaken(op, a, b, ins.Class() == ClassJMP32) {
-					pc += 1 + int(ins.Off)
-				} else {
-					pc++
-				}
-			}
-		default:
-			fail()
-			return 0, fmt.Errorf("ebpf: %s: insn %d: bad class %#x", prog.name, pc, ins.Op)
-		}
-	}
-}
-
-// operands reads the dst/src pair every ALU op and conditional jump takes:
-// the second operand is a register or the sign-extended immediate.
-func (rs *runState) operands(ins Instruction) (dst, src uint64) {
-	if ins.Op&SrcX != 0 {
-		return rs.regs[ins.Dst], rs.regs[ins.Src]
-	}
-	return rs.regs[ins.Dst], uint64(int64(ins.Imm))
-}
-
 // mem resolves a tagged pointer to a live byte slice of exactly size bytes.
 func (rs *runState) mem(ptr uint64, size int) ([]byte, *Map, error) {
 	off := int(ptrOff(ptr))
@@ -296,7 +128,7 @@ func (rs *runState) mem(ptr uint64, size int) ([]byte, *Map, error) {
 		return rs.stack[off : off+size], nil, nil
 	case region == regionPacket:
 		if off < 0 || off+size > len(rs.ctx.Packet) {
-			return nil, nil, fmt.Errorf("packet access out of range: off %d size %d len %d", off, size, len(rs.ctx.Packet))
+			return nil, nil, errPacketRange(int64(off), size, len(rs.ctx.Packet))
 		}
 		return rs.ctx.Packet[off : off+size], nil, nil
 	case region >= regionDynBase:
@@ -311,6 +143,10 @@ func (rs *runState) mem(ptr uint64, size int) ([]byte, *Map, error) {
 		return r.data[off : off+size], r.m, nil
 	}
 	return nil, nil, fmt.Errorf("dereference of non-memory pointer %#x", ptr)
+}
+
+func errPacketRange(off int64, size, n int) error {
+	return fmt.Errorf("packet access out of range: off %d size %d len %d", off, size, n)
 }
 
 func loadSized(b []byte, size int) uint64 {
@@ -340,10 +176,10 @@ func storeSized(b []byte, size int, v uint64) {
 }
 
 // load, store and lookup are the one body each of a memory read, a memory
-// write (plain and XADD) and bpf_map_lookup_elem: the interpreter and the
-// compiled closures' generic forms both land here. What the compiled side
-// adds is only what the verifier's facts let it skip — the region dispatch
-// in mem, the key resolution before lookup.
+// write (plain and XADD) and bpf_map_lookup_elem: the walker's generic
+// kinds land here. What its pinned kinds (walk.go) add is only what the
+// verifier's facts let them skip — the region dispatch in mem, the handle
+// and key resolution before lookup.
 
 func (rs *runState) load(base uint64, off int64, size int) (uint64, error) {
 	if ptrRegion(base) == regionCtx {
@@ -417,10 +253,10 @@ func (rs *runState) lookup(m *Map, key []byte) error {
 	return nil
 }
 
-// call executes a helper. A non-nil returned program means a successful
-// tail call into that program. Both the interpreter and the compiled op
-// closures land here, so helper accounting lives inside.
-func (rs *runState) call(p *Program, ins Instruction) (*Program, error) {
+// call executes helper id on behalf of p. A non-nil returned program means
+// a successful tail call into that program. Helper accounting lives
+// inside.
+func (rs *runState) call(p *Program, id int32) (*Program, error) {
 	rs.stats.Helpers++
 	regs := &rs.regs
 	mapArg := func(r int) (*Map, error) {
@@ -439,7 +275,7 @@ func (rs *runState) call(p *Program, ins Instruction) (*Program, error) {
 		return b, err
 	}
 
-	switch ins.Imm {
+	switch id {
 	case HelperMapLookup:
 		m, err := mapArg(R1)
 		if err != nil {
@@ -533,5 +369,5 @@ func (rs *runState) call(p *Program, ins Instruction) (*Program, error) {
 		regs[R1] = ptrVal(regionCtx, 0)
 		return target, nil
 	}
-	return nil, fmt.Errorf("unknown helper %d", ins.Imm)
+	return nil, fmt.Errorf("unknown helper %d", id)
 }

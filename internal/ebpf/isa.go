@@ -107,9 +107,9 @@ const (
 
 // alu and jumpTaken are the ISA's one definition of what an ALU op
 // computes and when a conditional jump is taken. The verifier's constant
-// folding and branch deciding, the reference interpreter and every
-// compiled closure evaluate through them, so a constant the verifier
-// believes is by construction the value the machine computes.
+// folding and branch deciding and the walker (walk.go) evaluate through
+// them, so a constant the verifier believes is by construction the value
+// the machine computes.
 // TestALUTable and TestJumpTable hold both to literal vectors.
 
 // alu returns what `dst OP= src` leaves in dst; src is a register value or

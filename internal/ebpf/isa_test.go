@@ -6,9 +6,9 @@ import (
 )
 
 // The ISA's semantics live in one place (alu and jumpTaken in isa.go) and
-// every consumer — the verifier's folding, the interpreter, the compiled
-// closures — evaluates through it, so comparing those with each other can
-// no longer catch a wrong arm. These tables can: every expected value is a
+// every consumer — the verifier's folding, the walker under either
+// decoding — evaluates through it, so comparing those with each other
+// cannot catch a wrong arm. These tables can: every expected value is a
 // literal worked out from the instruction-set definition (RFC 9669), not
 // computed by any function of this package.
 

@@ -12,7 +12,7 @@ import (
 
 // policyWorld instantiates one shipped policy over fresh, identically
 // seeded maps.
-func policyWorld(t *testing.T, name string) (*ebpf.Program, map[string]*ebpf.Map) {
+func policyWorld(t *testing.T, name string) (*ebpf.Program, []ebpf.Instruction, map[string]*ebpf.Map) {
 	t.Helper()
 	f, err := ebpf.Assemble(policy.MustSource(name), nil)
 	if err != nil {
@@ -37,7 +37,7 @@ func policyWorld(t *testing.T, name string) (*ebpf.Program, map[string]*ebpf.Map
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, maps
+	return p, insns, maps
 }
 
 // policyEnv gives each world its own helper state, so PRNG draws and the
@@ -64,7 +64,7 @@ func dumpMaps(maps map[string]*ebpf.Map) map[string]string {
 }
 
 // TestShippedPoliciesMatchReference is the differential over the policies
-// the figures actually run: the reference interpreter vs Run, each on its
+// the figures actually run: the reference decoding vs Run, each on its
 // own loaded copy of the policy, across a seeded GET/SCAN/PUT header mix
 // with truncated and empty packets. Verdicts, errors, packet bytes, full
 // ExecStats, instret/runs/faults charging and final map contents must
@@ -74,8 +74,8 @@ func TestShippedPoliciesMatchReference(t *testing.T) {
 	types := []uint64{policy.ReqGET, policy.ReqSCAN, policy.ReqPUT}
 	for _, name := range policy.Names() {
 		t.Run(name, func(t *testing.T) {
-			prog, mapsJ := policyWorld(t, name)
-			ref, mapsR := policyWorld(t, name)
+			prog, _, mapsJ := policyWorld(t, name)
+			ref, _, mapsR := policyWorld(t, name)
 
 			rng := rand.New(rand.NewPCG(0x5eed, uint64(len(name))))
 			envJ, envR := policyEnv(), policyEnv()
@@ -116,6 +116,57 @@ func TestShippedPoliciesMatchReference(t *testing.T) {
 				if dr[k] != v {
 					t.Fatalf("map entry %s: run %s reference %s", k, v, dr[k])
 				}
+			}
+		})
+	}
+}
+
+// TestShippedPoliciesPinHotPath: both decodings agree on every observable,
+// so a pinned kind that silently stops being chosen passes every
+// differential gate and shows up only as wall-clock. This holds the
+// decoder to the facts instead: in every shipped policy each ctx load, each
+// constant-offset stack load and store, and each map_lookup_elem whose
+// handle and stack key the verifier knows must decode to its pinned kind —
+// and the plain decoding of the same stream to no pinned kind at all.
+func TestShippedPoliciesPinHotPath(t *testing.T) {
+	for _, name := range policy.Names() {
+		t.Run(name, func(t *testing.T) {
+			p, insns, _ := policyWorld(t, name)
+			facts, pinned := p.Facts(), p.Kinds(true)
+			for i, k := range p.Kinds(false) {
+				if k.Pinned() {
+					t.Errorf("insn %d: the plain decoding chose pinned kind %d", i, k)
+				}
+			}
+			constStack := func(i int, reg uint8) bool {
+				f := facts.Reg(i, reg)
+				return f.Type == ebpf.FactStack && f.OffKnown
+			}
+			checked := 0
+			for i, ins := range insns {
+				var want string
+				var ok bool
+				switch op := ins.Op & 0xf0; {
+				case ins.Class() == ebpf.ClassLDX && facts.Reg(i, ins.Src).Type == ebpf.FactCtx:
+					want, ok = "a ctx field load", pinned[i].CtxLoad()
+				case ins.Class() == ebpf.ClassLDX && constStack(i, ins.Src):
+					want, ok = "a stack load", pinned[i] == ebpf.KindStackLoad
+				case ins.Class() == ebpf.ClassST && constStack(i, ins.Dst),
+					ins.Class() == ebpf.ClassSTX && ins.Op&0xe0 == ebpf.ModeMEM && constStack(i, ins.Dst):
+					want, ok = "a stack store", pinned[i] == ebpf.KindStackStore
+				case ins.Class() == ebpf.ClassJMP && op == ebpf.JmpCall && ins.Imm == ebpf.HelperMapLookup &&
+					facts.Reg(i, ebpf.R1).MapIdx >= 0 && constStack(i, ebpf.R2):
+					want, ok = "a map lookup", pinned[i] == ebpf.KindMapLookup
+				default:
+					continue
+				}
+				checked++
+				if !ok {
+					t.Errorf("insn %d (%s): want %s pinned, decoded to kind %d", i, ebpf.Disassemble(ins, nil), want, pinned[i])
+				}
+			}
+			if checked == 0 {
+				t.Fatal("no pinnable instruction in a shipped policy: the test checks nothing")
 			}
 		})
 	}

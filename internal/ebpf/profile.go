@@ -11,11 +11,11 @@ import (
 // run-time/run-count accounting plus bpftool-prog-profile-style
 // per-instruction counters. Profiling is opt-in at load time
 // (LoadOptions.Profile) because the counters cost an atomic add per
-// executed instruction; an unprofiled load carries a single nil field and
-// zero runtime cost. Profiling is a decorator over the compiled code
-// (profWrapAll), not a compile mode: a profiled program runs the same
-// fused, fact-specialized closures as an unprofiled one. The measured
-// cost is reported in EXPERIMENTS.md.
+// executed instruction; an unprofiled load carries a single nil field.
+// Profiling is not a mode: a profiled program is decoded and walked
+// exactly like an unprofiled one, and the walker bumps hits[pc] itself —
+// exact by construction, because one op is one source instruction. The
+// measured cost is reported in EXPERIMENTS.md.
 
 // profData holds a profiled program's counters: one hit counter per
 // instruction slot (atomic: programs run concurrently across hosts'
@@ -115,23 +115,4 @@ func (p *Program) AnnotatedDisasm() string {
 		}
 	}
 	return b.String()
-}
-
-// profWrapAll wraps every compiled slot with the hit accounting. A fused
-// closure at slot i executes slots i..i+n and reports n through rs.extra
-// (bumped only once a later half actually runs — see jit_fuse.go), so the
-// wrapper credits slot i plus one slot per extra it observed: exactly the
-// slots the interpreter would have counted, including when the first half
-// of a fused sequence faults.
-func profWrapAll(prof *profData, code []opFunc) {
-	for i, inner := range code {
-		code[i] = func(rs *runState) int {
-			before := rs.extra
-			pc := inner(rs)
-			for s := i; s <= i+rs.extra-before; s++ {
-				prof.hits[s].Add(1)
-			}
-			return pc
-		}
-	}
 }

@@ -8,7 +8,7 @@ import (
 
 // profTestInsns runs verbatim (pinned by profRun): with Hash == 5
 // slots 0-2 always run, the taken branch skips slot 3, slots 4-5 always
-// run. Slots 1-2 and 4-5 are fused pairs.
+// run.
 func profTestInsns() []Instruction {
 	return []Instruction{
 		MovImm(R0, 1),              // 0: always
@@ -49,19 +49,19 @@ func profRun(t *testing.T, run func(*Program, *Ctx, *Env) (uint32, ExecStats, er
 	return p
 }
 
-// TestProfileHitsInterpVsJIT: per-slot hit counts are exact and identical
-// between the interpreter and the compiled (fused) form.
+// TestProfileHitsInterpVsJIT: per-slot hit counts are exact — literal for
+// the small program — and identical between the reference and Run.
 func TestProfileHitsInterpVsJIT(t *testing.T) {
 	want := []uint64{10, 10, 10, 0, 10, 10}
-	interp := profRun(t, (*Program).RunInterp).Profile()
-	jit := profRun(t, (*Program).Run).Profile()
-	if !reflect.DeepEqual(interp.Hits, want) {
-		t.Fatalf("interp hits = %v, want %v", interp.Hits, want)
+	ref := profRun(t, (*Program).RunInterp).Profile()
+	run := profRun(t, (*Program).Run).Profile()
+	if !reflect.DeepEqual(ref.Hits, want) {
+		t.Fatalf("reference hits = %v, want %v", ref.Hits, want)
 	}
-	if !reflect.DeepEqual(jit.Hits, want) {
-		t.Fatalf("jit hits = %v, want %v", jit.Hits, want)
+	if !reflect.DeepEqual(run.Hits, want) {
+		t.Fatalf("run hits = %v, want %v", run.Hits, want)
 	}
-	for _, s := range []*ProfileSnapshot{interp, jit} {
+	for _, s := range []*ProfileSnapshot{ref, run} {
 		if s.Runs != 10 || s.Insns != 50 {
 			t.Fatalf("runs=%d insns=%d, want 10/50", s.Runs, s.Insns)
 		}
@@ -72,39 +72,106 @@ func TestProfileHitsInterpVsJIT(t *testing.T) {
 			t.Fatalf("NanosPerRun() = %v", s.NanosPerRun())
 		}
 	}
+
+	// A program holding every pinned kind, across the map path, the
+	// early-out path and a tail call: both legs credit the same slots, and
+	// the hits sum to the instructions charged.
+	t.Run("every_kind", func(t *testing.T) {
+		entryJ, leafJ := profShapeWorld(t)
+		entryI, leafI := profShapeWorld(t)
+		long := make([]byte, 32)
+		magic := make([]byte, 32)
+		magic[8] = 99 // takes the branch to the tail call
+		for _, pkt := range [][]byte{long, magic, make([]byte, 4), long, nil} {
+			ctxJ := &Ctx{Packet: append([]byte(nil), pkt...), Hash: 5}
+			ctxI := &Ctx{Packet: append([]byte(nil), pkt...), Hash: 5}
+			rJ, stJ, errJ := entryJ.Run(ctxJ, nil)
+			rI, stI, errI := entryI.RunInterp(ctxI, nil)
+			if rJ != rI || stJ != stI || errString(errJ) != errString(errI) {
+				t.Fatalf("run diverged: (%d %+v %v) vs reference (%d %+v %v)", rJ, stJ, errJ, rI, stI, errI)
+			}
+		}
+		for _, pair := range [][2]*Program{{entryJ, entryI}, {leafJ, leafI}} {
+			pj, pi := pair[0].Profile(), pair[1].Profile()
+			if !reflect.DeepEqual(pj.Hits, pi.Hits) {
+				t.Fatalf("%s hits diverged:\n run: %v\n ref: %v\n%s", pj.Name, pj.Hits, pi.Hits, pair[0].Disassemble())
+			}
+			var sum uint64
+			for _, h := range pj.Hits {
+				sum += h
+			}
+			if sum != pair[0].Stats().InsnsExecuted || sum == 0 {
+				t.Fatalf("%s: hits sum to %d, InsnsExecuted = %d", pj.Name, sum, pair[0].Stats().InsnsExecuted)
+			}
+		}
+	})
+
+	// A faulting load credits exactly its own slot and one fault: nothing
+	// after it ran. A verified program cannot fault there, so this one is
+	// not verified.
+	t.Run("faulting_load", func(t *testing.T) {
+		insns := []Instruction{
+			Ldx(8, R6, R1, CtxOffData),
+			Ldx(8, R8, R6, 8), // faults on a short packet
+			JmpImm(JmpEq, R8, 99, 1),
+			MovImm(R0, 1),
+			MovImm(R0, 2),
+			Exit(),
+		}
+		load := func() *Program {
+			return MustLoad("pfault", insns, LoadOptions{NoVerify: true, Profile: true})
+		}
+		pj, pi := load(), load()
+		for _, pkt := range [][]byte{make([]byte, 4), make([]byte, 16)} {
+			_, stJ, errJ := pj.Run(&Ctx{Packet: pkt}, nil)
+			_, stI, errI := pi.RunInterp(&Ctx{Packet: pkt}, nil)
+			if stJ != stI || errString(errJ) != errString(errI) {
+				t.Fatalf("run diverged: (%+v %v) vs reference (%+v %v)", stJ, errJ, stI, errI)
+			}
+		}
+		want := []uint64{2, 2, 1, 1, 1, 1} // the short packet stops at slot 1
+		if hj, hi := pj.Profile().Hits, pi.Profile().Hits; !reflect.DeepEqual(hj, want) || !reflect.DeepEqual(hi, want) {
+			t.Fatalf("hits: run %v, reference %v, want %v", hj, hi, want)
+		}
+		if pj.Stats().Faults != 1 {
+			t.Fatalf("faults = %d, want 1", pj.Stats().Faults)
+		}
+	})
 }
 
-// fusedShapeInsns is a verifiable policy holding every fused shape:
-// mov+alu, ldx+jcc, st+lddw, call+jcc, the read-modify-write triple,
-// ldx+alu, st+mov and alu+exit. fd 3 is an 8-byte-value array map, fd 4 a
-// prog array.
-func fusedShapeInsns() []Instruction {
+// profShapeInsns is a verifiable policy that decodes to every pinned kind
+// the walker has — ctx fields, a bounded packet load, stack store and
+// load, the pinned map lookup — beside generic map-value and packet
+// accesses and a tail call. fd 3 is an 8-byte-value array map, fd 4 a prog
+// array.
+func profShapeInsns() []Instruction {
 	insns := []Instruction{
 		MovReg(R9, R1),
 		Ldx(8, R6, R1, CtxOffData),
 		Ldx(8, R7, R1, CtxOffDataEnd),
-		MovReg(R2, R6), // mov ; alu
+		MovReg(R2, R6),
 		ALUImm(ALUAdd, R2, 16),
-		JmpReg(JmpGt, R2, R7, 19), // -> tail
-		Ldx(8, R8, R6, 8),         // ldx ; jcc
-		JmpImm(JmpEq, R8, 99, 17), // -> tail
-		StImm(4, R10, -4, 0),      // st ; lddw
+		JmpReg(JmpGt, R2, R7, 20), // -> tail
+		Ldx(8, R8, R6, 8),
+		JmpImm(JmpEq, R8, 99, 18), // -> tail
+		StImm(4, R10, -4, 0),
 	}
 	insns = append(insns, LoadMapFD(R1, 3)...)
 	insns = append(insns,
-		MovReg(R2, R10), // mov ; alu
+		MovReg(R2, R10),
 		ALUImm(ALUAdd, R2, -4),
-		Call(HelperMapLookup),    // call ; jcc
-		JmpImm(JmpEq, R0, 0, 10), // -> tail
-		Ldx(8, R3, R0, 0),        // ldx ; alu ; stx
+		Call(HelperMapLookup),
+		JmpImm(JmpEq, R0, 0, 11), // -> tail
+		Ldx(8, R3, R0, 0),
 		ALUImm(ALUAdd, R3, 1),
 		Stx(8, R0, R3, 0),
-		Ldx(4, R4, R9, CtxOffHash), // ldx ; alu
+		Ldx(4, R4, R9, CtxOffHash),
 		ALUImm(ALUAnd, R4, 3),
-		StImm(1, R6, 0, 7), // st ; mov
+		StImm(1, R6, 0, 7),
+		Ldx(4, R5, R10, -4),
 		MovReg(R0, R3),
 		ALUReg(ALUAdd, R0, R4),
-		ALUImm(ALUAdd, R0, 1), // alu ; exit
+		ALUReg(ALUAdd, R0, R5),
 		Exit(),
 	)
 	// tail: hand the packet to prog-array slot 0 (r1 must be the ctx).
@@ -113,15 +180,15 @@ func fusedShapeInsns() []Instruction {
 	insns = append(insns,
 		MovImm(R3, 0),
 		Call(HelperTailCall),
-		MovImm(R0, 0), // alu ; exit
+		MovImm(R0, 0),
 		Exit(),
 	)
 	return insns
 }
 
-// fusedShapeWorld loads the every-shape program and its tail-call leaf,
-// both profiled, over fresh maps.
-func fusedShapeWorld(t *testing.T) (entry, leaf *Program) {
+// profShapeWorld loads the every-kind program and its tail-call leaf, both
+// profiled, over fresh maps, and checks the pinned kinds are really there.
+func profShapeWorld(t *testing.T) (entry, leaf *Program) {
 	t.Helper()
 	arr := MustNewMap(MapSpec{Name: "fsarr", Type: MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 1})
 	progArr := MustNewMap(MapSpec{Name: "fsprogs", Type: MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 1})
@@ -132,104 +199,20 @@ func fusedShapeWorld(t *testing.T) (entry, leaf *Program) {
 	if err := progArr.UpdateProg(0, leaf); err != nil {
 		t.Fatal(err)
 	}
-	entry, err := Load("fsentry", fusedShapeInsns(), LoadOptions{MapTable: table, Profile: true})
+	entry, err := Load("fsentry", profShapeInsns(), LoadOptions{MapTable: table, Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	seen := map[opKind]bool{}
+	for _, o := range entry.code {
+		seen[o.kind] = true
+	}
+	for _, k := range []opKind{kCtxData, kCtxDataEnd, kCtxHash, kPacketLoad, kStackStore, kStackLoad, kMapLookup, kLoad, kStore, kCall} {
+		if !seen[k] {
+			t.Fatalf("kind %d missing from the decoded stream:\n%s", k, entry.Disassemble())
+		}
+	}
 	return entry, leaf
-}
-
-// TestProfileExactUnderFusion: profiling decorates the fused code, so a
-// program containing every fused shape must still report the
-// interpreter's per-slot hits — across the map path, the early-out path
-// and a tail call — and the hits must sum to the instructions charged.
-func TestProfileExactUnderFusion(t *testing.T) {
-	entryJ, leafJ := fusedShapeWorld(t)
-	entryI, leafI := fusedShapeWorld(t)
-
-	// Every row of the fusion table, and the triple, must actually be in
-	// the stream the compiler saw — otherwise this test proves nothing.
-	targets := jumpTargets(entryJ.insns)
-	seen := make([]bool, len(fusions))
-	rmw := false
-	for i := 0; i+1 < len(entryJ.insns); i++ {
-		if targets[i+1] {
-			continue
-		}
-		rmw = rmw || entryJ.fuseRMW(i, targets) != nil
-		for fi, f := range fusions {
-			seen[fi] = seen[fi] || f.match(entryJ.insns[i], entryJ.insns[i+1])
-		}
-	}
-	for fi, ok := range seen {
-		if !ok {
-			t.Fatalf("fusion shape %d missing from the loaded stream:\n%s", fi, entryJ.Disassemble())
-		}
-	}
-	if !rmw {
-		t.Fatalf("read-modify-write triple missing from the loaded stream:\n%s", entryJ.Disassemble())
-	}
-
-	long := make([]byte, 32)
-	magic := make([]byte, 32)
-	magic[8] = 99 // takes the ldx;jcc branch to the tail call
-	for _, pkt := range [][]byte{long, magic, make([]byte, 4), long, nil} {
-		ctxJ := &Ctx{Packet: append([]byte(nil), pkt...), Hash: 5}
-		ctxI := &Ctx{Packet: append([]byte(nil), pkt...), Hash: 5}
-		rJ, stJ, errJ := entryJ.Run(ctxJ, nil)
-		rI, stI, errI := entryI.RunInterp(ctxI, nil)
-		if rJ != rI || stJ != stI || errString(errJ) != errString(errI) {
-			t.Fatalf("run diverged: (%d %+v %v) vs interp (%d %+v %v)", rJ, stJ, errJ, rI, stI, errI)
-		}
-	}
-	for _, pair := range [][2]*Program{{entryJ, entryI}, {leafJ, leafI}} {
-		pj, pi := pair[0].Profile(), pair[1].Profile()
-		if !reflect.DeepEqual(pj.Hits, pi.Hits) {
-			t.Fatalf("%s hits diverged:\n run:    %v\n interp: %v\n%s", pj.Name, pj.Hits, pi.Hits, pair[0].Disassemble())
-		}
-		var sum uint64
-		for _, h := range pj.Hits {
-			sum += h
-		}
-		if sum != pair[0].Stats().InsnsExecuted || sum == 0 {
-			t.Fatalf("%s: hits sum to %d, InsnsExecuted = %d", pj.Name, sum, pair[0].Stats().InsnsExecuted)
-		}
-	}
-}
-
-// TestProfileFusedFirstHalfFault: when the load half of a fused ldx;jcc
-// faults, only the load's slot is credited — the interpreter never reaches
-// the branch. A verified program cannot fault there, so the program is
-// compiled by hand: fused like a verified one, but never verified.
-func TestProfileFusedFirstHalfFault(t *testing.T) {
-	insns := []Instruction{
-		Ldx(8, R6, R1, CtxOffData),
-		Ldx(8, R8, R6, 8), // ldx ; jcc — faults on a short packet
-		JmpImm(JmpEq, R8, 99, 1),
-		MovImm(R0, 1),
-		MovImm(R0, 2),
-		Exit(),
-	}
-	build := func() *Program {
-		p := &Program{name: "pfault", insns: insns, prof: newProfData(len(insns))}
-		p.code = compile(p)
-		return p
-	}
-	pj, pi := build(), build()
-	for _, pkt := range [][]byte{make([]byte, 4), make([]byte, 16)} {
-		_, stJ, errJ := pj.Run(&Ctx{Packet: pkt}, nil)
-		_, stI, errI := pi.RunInterp(&Ctx{Packet: pkt}, nil)
-		if stJ != stI || errString(errJ) != errString(errI) {
-			t.Fatalf("run diverged: (%+v %v) vs interp (%+v %v)", stJ, errJ, stI, errI)
-		}
-	}
-	want := []uint64{2, 2, 1, 1, 1, 1} // the short packet stops at slot 1
-	if hj, hi := pj.Profile().Hits, pi.Profile().Hits; !reflect.DeepEqual(hj, want) || !reflect.DeepEqual(hi, want) {
-		t.Fatalf("hits: run %v, interp %v, want %v", hj, hi, want)
-	}
-	if pj.Stats().Faults != 1 {
-		t.Fatalf("faults = %d, want 1", pj.Stats().Faults)
-	}
 }
 
 // TestProfileDoesNotChangeResults: a profiled load returns the same
@@ -313,8 +296,8 @@ func TestProfileTailCallAttribution(t *testing.T) {
 	}
 }
 
-// BenchmarkDispatchProfile measures the profiling tax on the JIT hot
-// path (EXPERIMENTS.md): same program, Profile off vs on.
+// BenchmarkDispatchProfile measures the profiling tax on Run
+// (EXPERIMENTS.md): same program, Profile off vs on.
 func BenchmarkDispatchProfile(b *testing.B) {
 	for _, on := range []bool{false, true} {
 		name := "off"

@@ -26,12 +26,12 @@ type Program struct {
 	// loading, those instructions' Imm fields index this slice.
 	maps []*Map
 
-	// code is the threaded-code form Run executes: one pre-decoded op
-	// closure per instruction slot. Every loaded program has one.
-	code []opFunc
-	// noVerify records that verification was skipped, so the compiled
-	// dispatch path knows it must scrub the pooled run state (a verified
-	// program can never read registers or stack bytes it didn't write).
+	// code is the decoded form Run walks (walk.go): one op per instruction
+	// slot, pinned where facts license it. Every loaded program has one.
+	code []op
+	// noVerify records that verification was skipped, so exec knows it
+	// must scrub reused run state (a verified program can never read
+	// registers or stack bytes it didn't write).
 	noVerify bool
 
 	// facts is the verifier's per-PC fact table for insns; nil for
@@ -53,7 +53,7 @@ type Program struct {
 
 	// prof holds the opt-in per-instruction profile (profile.go); nil —
 	// the common case — means no profiling overhead beyond one nil check
-	// per run segment.
+	// per run segment and one per instruction.
 	prof *profData
 }
 
@@ -70,14 +70,14 @@ type LoadOptions struct {
 	NoVerify bool
 	// Profile enables bpf_stats_enabled-style accounting for this load:
 	// run count, cumulative wall ns, and per-instruction hit counters
-	// (profile.go), as a decorator over the same compiled code.
+	// (profile.go), bumped by the same walker over the same decoding.
 	Profile bool
 }
 
 // Load is the one pipeline every program takes: resolve map references,
-// verify, compile (plus the profile decorator when asked). Nothing
-// rewrites the stream after the verifier admits it, so the verified stream
-// is the executed stream. NoVerify programs skip straight to compilation.
+// verify, decode. Nothing rewrites the stream after the verifier admits
+// it, so the verified stream is the executed stream. NoVerify programs
+// skip straight to decoding, with no facts to pin anything.
 func Load(name string, insns []Instruction, opts LoadOptions) (*Program, error) {
 	if len(insns) == 0 {
 		return nil, fmt.Errorf("ebpf: %s: empty program", name)
@@ -126,7 +126,7 @@ func Load(name string, insns []Instruction, opts LoadOptions) (*Program, error) 
 	if opts.Profile {
 		p.prof = newProfData(len(p.insns))
 	}
-	p.code = compile(p)
+	p.code = decode(p, p.facts)
 	return p, nil
 }
 

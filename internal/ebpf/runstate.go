@@ -12,6 +12,6 @@ type RunState struct{ rs runState }
 // Run executes one invocation of p against ctx on s, equivalent in every
 // observable way (verdict, stats, accounting, errors) to p.Run(ctx, env).
 func (s *RunState) Run(p *Program, ctx *Ctx, env *Env) (uint32, ExecStats, error) {
-	ret, err := p.execCompiled(&s.rs, ctx, env)
+	ret, err := p.exec(&s.rs, ctx, env, false)
 	return uint32(ret), s.rs.stats, err
 }

@@ -83,7 +83,7 @@ func TestBatchRunEquivalence(t *testing.T) {
 }
 
 // TestZeroAllocBatchRun gates the caller-owned entry point: a burst of
-// compiled runs on one RunState allocates nothing, including the shared
+// runs on one RunState allocates nothing, including the shared
 // map-heavy shape.
 func TestZeroAllocBatchRun(t *testing.T) {
 	arr := MustNewMap(MapSpec{Name: "zb", Type: MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 8})

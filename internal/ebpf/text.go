@@ -571,3 +571,22 @@ func AssembleAndLoad(name, src string, defines map[string]int64, existing map[st
 	}
 	return p, maps, nil
 }
+
+// jumpTargets marks every slot some jump can land on.
+func jumpTargets(insns []Instruction) []bool {
+	t := make([]bool, len(insns)+1)
+	for i, ins := range insns {
+		cls := ins.Class()
+		if cls != ClassJMP && cls != ClassJMP32 {
+			continue
+		}
+		op := ins.Op & 0xf0
+		if op == JmpExit || op == JmpCall {
+			continue
+		}
+		if tgt := i + 1 + int(ins.Off); tgt >= 0 && tgt < len(t) {
+			t[tgt] = true
+		}
+	}
+	return t
+}

@@ -760,10 +760,10 @@ func (v *verifier) checkJump(pc int, ins Instruction, st *vstate) (int, bool, er
 	}
 
 	// Scalar comparison: decide statically when both sides are known.
-	// Operands are NOT pre-truncated for JMP32: the runtime (interpreter
-	// and JIT alike) hands the full 64-bit values to jumpTaken, which
-	// truncates only the signed forms — the static decision must match the
-	// runtime outcome exactly, or the unexplored side could execute.
+	// Operands are NOT pre-truncated for JMP32: the walker hands the full
+	// 64-bit values to jumpTaken, which truncates only the signed forms —
+	// the static decision must match the runtime outcome exactly, or the
+	// unexplored side could execute.
 	if dst.known && src.known {
 		if jumpTaken(op, dst.val, src.val, is32) {
 			return target, false, nil

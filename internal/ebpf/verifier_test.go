@@ -551,7 +551,7 @@ func TestVerifierRejectsPrunedArmUninitRead(t *testing.T) {
 }
 
 // A wrong constant folded into a stack pointer is a wrong fact: the
-// specialized store trusts it and writes fp-8 while the machine's own
+// pinned stack store trusts it and writes fp-8 while the machine's own
 // pointer is fp-6.
 func TestVerifierRejectsFoldedConstantIntoStackPointer(t *testing.T) {
 	wantReject(t, afterShiftBy33(
@@ -559,7 +559,7 @@ func TestVerifierRejectsFoldedConstantIntoStackPointer(t *testing.T) {
 		MovReg(R2, R10),
 		ALUImm(ALUAdd, R2, -8),
 		ALUReg(ALUAdd, R2, R3),
-		StImm(8, R2, 0, 0x55), // followed by exit, so nothing fuses it onto the generic path
+		StImm(8, R2, 0, 0x55),
 		Exit(),
 	), nil, "stack access at fp-6 size 8 out of bounds")
 }
@@ -586,7 +586,7 @@ func TestVerifierRejectsUnknownALUOpOnUnknownScalar(t *testing.T) {
 
 // TestVerifierFoldMatchesRuntime holds the verifier's constant folding to
 // the machine over seeded constant chains: the chain's run-time value v is
-// taken from the reference interpreter, and the same chain followed by
+// taken from the reference decoding, and the same chain followed by
 // `r4 = v ll; if r3 == r4 goto ok; r0 = r7; exit; ok: r0 = 0; exit` loads
 // exactly when the verifier's constant for r3 equals v — otherwise it
 // decides the branch the other way and walks into the uninitialized r7.
@@ -609,7 +609,7 @@ func TestVerifierFoldMatchesRuntime(t *testing.T) {
 			chain = append(chain, ins)
 		}
 		p := wantAccept(t, append(append([]Instruction{}, chain...), MovReg(R0, R3), Exit()), nil)
-		v, _, err := p.runInterp(&Ctx{}, nil)
+		v, _, err := p.runRef(&Ctx{}, nil)
 		if err != nil {
 			t.Fatalf("constant chain faulted: %v\n%s", err, p.Disassemble())
 		}

@@ -1,19 +1,25 @@
 package ebpf
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
 	"math/rand/v2"
+	"os"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
 
-// Differential harness around one oracle, the reference interpreter. The
+// Differential harness around one oracle, the reference decoding. The
 // same instruction stream is loaded into two identically initialized
-// "worlds" and driven through every packet: Run — the fused,
-// fact-specialized closures — in one, RunInterp in the other. Verdicts,
-// error strings, packet mutations, map contents, full ExecStats and
-// instret/runs/faults charging must agree.
+// "worlds" and driven through every packet: Run — the decoding pinned by
+// the verifier's facts — in one, RunInterp — the plain decoding on fresh
+// state — in the other. Verdicts, error strings, packet mutations, map
+// contents, full ExecStats and instret/runs/faults charging must agree.
+// Test names that say JIT or Interp are the suite's long-standing ids for
+// these two legs.
 
 type diffWorld struct {
 	table   *MapTable
@@ -94,54 +100,54 @@ func diffCtx(pi int, pkt []byte) *Ctx {
 // first divergence. It reports whether the program loaded.
 func runDifferential(t *testing.T, insns []Instruction) bool {
 	t.Helper()
-	jit := buildDiffWorld(insns)    // Run
+	run := buildDiffWorld(insns)    // Run
 	oracle := buildDiffWorld(insns) // RunInterp
-	if jit.loadErr != nil {
+	if run.loadErr != nil {
 		return false
 	}
-	dis := jit.prog.Disassemble()
+	dis := run.prog.Disassemble()
 
 	envJ, envO := diffEnv(), diffEnv()
 	for pi, pkt := range diffPackets {
 		ctxJ, ctxO := diffCtx(pi, pkt), diffCtx(pi, pkt)
 
-		retJ, stJ, errJ := jit.prog.RunRet64(ctxJ, envJ)
-		retO, stO, errO := oracle.prog.runInterp(ctxO, envO)
+		retJ, stJ, errJ := run.prog.RunRet64(ctxJ, envJ)
+		retO, stO, errO := oracle.prog.runRef(ctxO, envO)
 
 		if errString(errJ) != errString(errO) {
-			t.Fatalf("pkt %d error divergence:\n run:    %v\n interp: %v\n%s", pi, errJ, errO, dis)
+			t.Fatalf("pkt %d error divergence:\n run:    %v\n ref:    %v\n%s", pi, errJ, errO, dis)
 		}
 		if errJ == nil && retJ != retO {
-			t.Fatalf("pkt %d R0 divergence: run %#x interp %#x\n%s", pi, retJ, retO, dis)
+			t.Fatalf("pkt %d R0 divergence: run %#x ref %#x\n%s", pi, retJ, retO, dis)
 		}
 		if stJ != stO {
-			t.Fatalf("pkt %d stats divergence: run %+v interp %+v\n%s", pi, stJ, stO, dis)
+			t.Fatalf("pkt %d stats divergence: run %+v ref %+v\n%s", pi, stJ, stO, dis)
 		}
 		if !bytes.Equal(ctxJ.Packet, ctxO.Packet) {
-			t.Fatalf("pkt %d packet mutation divergence\n run:    %x\n interp: %x\n%s", pi, ctxJ.Packet, ctxO.Packet, dis)
+			t.Fatalf("pkt %d packet mutation divergence\n run:    %x\n ref:    %x\n%s", pi, ctxJ.Packet, ctxO.Packet, dis)
 		}
 	}
 
 	// Map contents must have evolved identically in both worlds.
 	for k := uint32(0); k < 16; k++ {
-		vj, okj := jit.arr.LookupUint64(k)
+		vj, okj := run.arr.LookupUint64(k)
 		vo, oko := oracle.arr.LookupUint64(k)
 		if vj != vo || okj != oko {
-			t.Fatalf("array key %d divergence: run (%d,%v) interp (%d,%v)\n%s", k, vj, okj, vo, oko, dis)
+			t.Fatalf("array key %d divergence: run (%d,%v) ref (%d,%v)\n%s", k, vj, okj, vo, oko, dis)
 		}
-		vj, okj = jit.hash.LookupUint64(k)
+		vj, okj = run.hash.LookupUint64(k)
 		vo, oko = oracle.hash.LookupUint64(k)
 		if vj != vo || okj != oko {
-			t.Fatalf("hash key %d divergence: run (%d,%v) interp (%d,%v)\n%s", k, vj, okj, vo, oko, dis)
+			t.Fatalf("hash key %d divergence: run (%d,%v) ref (%d,%v)\n%s", k, vj, okj, vo, oko, dis)
 		}
 	}
 
 	// Table 2 charging (instret/runs/faults) is dispatch-independent.
-	if jit.prog.Stats() != oracle.prog.Stats() {
-		t.Fatalf("program charging divergence: run %+v interp %+v\n%s", jit.prog.Stats(), oracle.prog.Stats(), dis)
+	if run.prog.Stats() != oracle.prog.Stats() {
+		t.Fatalf("program charging divergence: run %+v ref %+v\n%s", run.prog.Stats(), oracle.prog.Stats(), dis)
 	}
-	if jit.leaf.Stats() != oracle.leaf.Stats() {
-		t.Fatalf("leaf charging divergence: run %+v interp %+v", jit.leaf.Stats(), oracle.leaf.Stats())
+	if run.leaf.Stats() != oracle.leaf.Stats() {
+		t.Fatalf("leaf charging divergence: run %+v ref %+v", run.leaf.Stats(), oracle.leaf.Stats())
 	}
 	return true
 }
@@ -185,8 +191,8 @@ func randDiffInsn(rng *rand.Rand, arrFD, hashFD, progFD int32) []Instruction {
 }
 
 // TestDifferentialCompiledVsInterp is the deterministic core of the
-// differential fuzz satellite: thousands of random programs through both
-// dispatch paths.
+// differential fuzz target: thousands of random programs through both
+// decodings.
 func TestDifferentialCompiledVsInterp(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xc0ffee, 0xd15ea5e))
 	const trials = 4000
@@ -208,7 +214,7 @@ func TestDifferentialCompiledVsInterp(t *testing.T) {
 	t.Logf("differential: %d/%d programs accepted and compared", accepted, trials)
 }
 
-// TestJITTailCallChain checks compiled→compiled tail-call dispatch,
+// TestJITTailCallChain checks the walker's program switch on a tail call,
 // including stats accounting across the chain.
 func TestJITTailCallChain(t *testing.T) {
 	progArr := MustNewMap(MapSpec{Name: "chain", Type: MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 4})
@@ -257,40 +263,10 @@ func TestJITTailCallChain(t *testing.T) {
 	}
 }
 
-// TestJITFusedMovALUMatchesInterp drives the fused `rD = rS; rD OP= imm`
-// closure through every op the shape admits: what the pair computes is
-// alu's business, but reading rS where the standalone ALU closure reads
-// rD, and charging the second slot, are the fused closure's own.
-func TestJITFusedMovALUMatchesInterp(t *testing.T) {
-	ops := []uint8{ALUAdd, ALUSub, ALUAnd, ALUOr, ALUXor, ALUMod, ALULsh, ALURsh}
-	for _, op := range ops {
-		if !fusableALUImm(op) {
-			t.Fatalf("op %#x left the fused shape", op)
-		}
-		for _, imm := range []int32{1, 6, 63, -3} {
-			p := MustLoad("movalu", []Instruction{
-				Ldx(4, R6, R1, CtxOffHash),
-				ALUImm(ALULsh, R6, 29), // spill past 32 bits so width matters
-				MovReg(R0, R6),
-				ALUImm(op, R0, imm),
-				Exit(),
-			}, LoadOptions{})
-			for _, hash := range []uint32{0, 7, 0xdeadbeef} {
-				ctx := &Ctx{Hash: hash}
-				retJ, stJ, errJ := p.RunRet64(ctx, nil)
-				retI, stI, errI := p.runInterp(ctx, nil)
-				if errJ != nil || errI != nil || retJ != retI || stJ != stI {
-					t.Fatalf("op %#x imm %d hash %#x: run (%#x, %+v, %v) interp (%#x, %+v, %v)",
-						op, imm, hash, retJ, stJ, errJ, retI, stI, errI)
-				}
-			}
-		}
-	}
-}
-
-// TestJITErrorStringsMatchInterp pins the error-context contract: the
-// compiled path must produce byte-identical error strings, pc and insn
-// numbers included.
+// TestJITErrorStringsMatchInterp pins the error-context contract: Run on
+// pooled state and the reference on fresh state must produce byte-identical
+// error strings, pc and insn numbers included. (NoVerify loads have no
+// facts, so here both walk the plain decoding; what differs is the state.)
 func TestJITErrorStringsMatchInterp(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -342,21 +318,89 @@ func TestJITErrorStringsMatchInterp(t *testing.T) {
 			_, stJ, errJ := p.Run(ctx, nil)
 			_, stI, errI := p.RunInterp(ctx, nil)
 			if errJ == nil || errI == nil {
-				t.Fatalf("expected errors, got jit %v interp %v", errJ, errI)
+				t.Fatalf("expected errors, got run %v ref %v", errJ, errI)
 			}
 			if errJ.Error() != errI.Error() {
-				t.Fatalf("error string divergence:\n jit:    %s\n interp: %s", errJ, errI)
+				t.Fatalf("error string divergence:\n run: %s\n ref: %s", errJ, errI)
 			}
 			if stJ != stI {
-				t.Fatalf("stats divergence: jit %+v interp %+v", stJ, stI)
+				t.Fatalf("stats divergence: run %+v ref %+v", stJ, stI)
 			}
 		})
 	}
 }
 
-// TestCompiledRunZeroAllocs is the pooling contract: steady-state compiled
-// execution — short filter, map-heavy policy, tail-call chain — performs
-// zero heap allocations per run.
+// TestDecodeIsTotal: every op byte decodes to some kind, and walking the
+// one-instruction NoVerify program exits or faults exactly as the field-
+// decoding interpreter this walker replaced did — testdata/decode_total.txt
+// was captured from it (the commit before the walker) for the same 256
+// programs. Registers stay within R0–R10, as the assembler and the verifier
+// enforce.
+func TestDecodeIsTotal(t *testing.T) {
+	f, err := os.Open("testdata/decode_total.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for opb := 0; opb < 256; opb++ {
+		if !sc.Scan() {
+			t.Fatalf("golden ends before op %#x", opb)
+		}
+		tag, want, _ := strings.Cut(sc.Text(), " ")
+		if tag != fmt.Sprintf("%#04x", opb) {
+			t.Fatalf("golden line %d is for %s", opb, tag)
+		}
+		ins := Instruction{Op: uint8(opb), Dst: R2, Src: R10, Off: -8, Imm: 1}
+		p, err := Load("total", []Instruction{ins}, LoadOptions{NoVerify: true})
+		if err != nil {
+			if got := "load: " + err.Error(); got != want {
+				t.Errorf("op %#04x: %s, want %s", opb, got, want)
+			}
+			continue
+		}
+		for name, run := range map[string]func(*Ctx, *Env) (uint64, ExecStats, error){"Run": p.RunRet64, "reference": p.runRef} {
+			ret, st, err := run(&Ctx{Packet: make([]byte, 4)}, nil)
+			if got := fmt.Sprintf("r0=%d insns=%d helpers=%d err=%v", ret, st.Insns, st.Helpers, err); got != want {
+				t.Errorf("op %#04x under %s: %s, want %s", opb, name, got, want)
+			}
+		}
+	}
+}
+
+// operandlessJunkSrc is a program the verifier admits — it checks neither
+// the X bit nor the src field of exit, call and ja — whose every operandless
+// jump names a register past R10 (Decode yields src up to 15).
+func operandlessJunkSrc(src uint8) []Instruction {
+	return []Instruction{
+		{Op: ClassJMP | JmpA | SrcX, Src: src},
+		{Op: ClassJMP | JmpCall | SrcX, Src: src, Imm: HelperKtimeGetNS},
+		MovImm(R0, 0),
+		{Op: ClassJMP | JmpExit | SrcX, Src: src},
+	}
+}
+
+// TestOperandlessJumpsIgnoreSrc: the walker must not index the register
+// file with a src field no check covers; the program runs to exit with r0=0
+// under both decodings.
+func TestOperandlessJumpsIgnoreSrc(t *testing.T) {
+	for src := uint8(NumRegs); src < 16; src++ {
+		p, err := Load("junk_src", operandlessJunkSrc(src), LoadOptions{})
+		if err != nil {
+			t.Fatalf("src %d: %v", src, err)
+		}
+		for name, run := range map[string]func(*Ctx, *Env) (uint64, ExecStats, error){"Run": p.RunRet64, "reference": p.runRef} {
+			ret, st, err := run(&Ctx{Packet: make([]byte, 4)}, nil)
+			if err != nil || ret != 0 || st.Insns != 4 || st.Helpers != 1 {
+				t.Errorf("src %d under %s: r0=%d stats=%+v err=%v, want r0=0, 4 insns, 1 helper", src, name, ret, st, err)
+			}
+		}
+	}
+}
+
+// TestCompiledRunZeroAllocs is the pooling contract: steady-state Run —
+// short filter, map-heavy policy, tail-call chain — performs zero heap
+// allocations per run.
 func TestCompiledRunZeroAllocs(t *testing.T) {
 	arr := MustNewMap(MapSpec{Name: "za", Type: MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 8})
 	progArr := MustNewMap(MapSpec{Name: "zp", Type: MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 4})
@@ -416,7 +460,7 @@ func TestCompiledRunZeroAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}); avg != 0 {
-				t.Fatalf("%s: %v allocs/op in compiled steady state, want 0", tc.name, avg)
+				t.Fatalf("%s: %v allocs/op in Run steady state, want 0", tc.name, avg)
 			}
 		})
 	}
@@ -452,7 +496,7 @@ func TestConcurrentNilEnvRuns(t *testing.T) {
 }
 
 // TestDispatchCountersExported: a program's run accounting is its own.
-// Three compiled runs and one oracle run of a fresh program read exactly
+// Three runs and one reference run of a fresh program read exactly
 // 4 runs / 8 instructions / 0 faults, whatever else the process ran.
 func TestDispatchCountersExported(t *testing.T) {
 	MustLoad("noise", []Instruction{MovImm(R0, 0), Exit()}, LoadOptions{}).Run(&Ctx{}, nil)
@@ -474,7 +518,7 @@ func TestDispatchCountersExported(t *testing.T) {
 // TestFallbackPrandomPerProgram: a nil-Env program's get_prandom_u32
 // stream is the program's own — the fixed-seed xorshift32 sequence from
 // its first draw, however many draws other programs made in between — and
-// the compiled path and the oracle draw from the same stream.
+// Run and the reference draw from the same stream.
 func TestFallbackPrandomPerProgram(t *testing.T) {
 	load := func(name string) *Program {
 		return MustLoad(name, []Instruction{Call(HelperPrandomU32), Exit()}, LoadOptions{})

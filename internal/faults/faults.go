@@ -18,6 +18,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -175,7 +176,7 @@ func (sp Spec) validate() error {
 	if !knownSite(sp.Site) {
 		return fmt.Errorf("faults: unknown site %q (want one of %s)", sp.Site, siteList())
 	}
-	if sp.Prob < 0 || sp.Prob > 1 {
+	if !(sp.Prob >= 0 && sp.Prob <= 1) { // NaN fails every comparison
 		return fmt.Errorf("faults: site %s: prob %g outside [0, 1]", sp.Site, sp.Prob)
 	}
 	if sp.Prob == 0 && sp.Every == 0 {
@@ -242,10 +243,13 @@ func parseDuration(s string) (sim.Time, error) {
 		return 0, fmt.Errorf("duration %q needs an ns/us/ms/s suffix", s)
 	}
 	f, err := strconv.ParseFloat(num, 64)
-	if err != nil || f < 0 {
-		return 0, fmt.Errorf("bad duration %q", s)
+	// A sim.Time is int64 nanoseconds: NaN, ±Inf and anything at or past
+	// 2^63 ns convert to a negative time.
+	ns := f * float64(unit)
+	if err != nil || !(ns >= 0 && ns < math.MaxInt64) {
+		return 0, fmt.Errorf("bad duration %q: want a finite value in [0, %dns]", s, int64(math.MaxInt64))
 	}
-	return sim.Time(f * float64(unit)), nil
+	return sim.Time(ns), nil
 }
 
 func formatDuration(t sim.Time) string {

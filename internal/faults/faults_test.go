@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -27,12 +28,28 @@ func TestParsePlanRoundTrip(t *testing.T) {
 		t.Fatalf("bad third spec: %+v", p.Specs[2])
 	}
 
-	p2, err := ParsePlan(p.String())
-	if err != nil {
-		t.Fatalf("round trip: %v (%q)", err, p.String())
-	}
-	if p2.String() != p.String() {
-		t.Fatalf("round trip mismatch: %q vs %q", p2.String(), p.String())
+	// Every accepted plan prints as text that parses back to itself.
+	for _, text := range []string{
+		text,
+		"site=nic-ring prob=1",
+		"site=nic-ring prob=1e-300 every=1 max=18446744073709551615",
+		"site=tail-call every=3 from=1.5us until=9223372036s",
+		"site=ghost-stall every=1 stall=0.25ms from=0s",
+		"site=skb-alloc prob=0.1 until=1ns; site=offload every=18446744073709551615",
+	} {
+		p, err := ParsePlan(text)
+		if err != nil {
+			t.Errorf("ParsePlan(%q): %v", text, err)
+			continue
+		}
+		p2, err := ParsePlan(p.String())
+		if err != nil {
+			t.Errorf("%q round trip: %v (%q)", text, err, p.String())
+			continue
+		}
+		if !reflect.DeepEqual(p2, p) {
+			t.Errorf("%q round trip mismatch: %+v vs %+v", text, p2.Specs, p.Specs)
+		}
 	}
 }
 
@@ -49,6 +66,16 @@ func TestParsePlanErrors(t *testing.T) {
 		{"site=nic-ring prob=0.1 from=10", "suffix"},
 		{"site=nic-ring frequency=2", "unknown key"},
 		{"site nic-ring", "key=value"},
+		// Non-finite and overflowing numbers, each naming its field: a NaN
+		// probability never fires and prints as no trigger at all; a NaN,
+		// infinite or > MaxInt64 ns duration converts to a negative time.
+		{"site=nic-ring prob=NaN", "prob NaN outside [0, 1]"},
+		{"site=nic-ring prob=+Inf", "prob +Inf outside [0, 1]"},
+		{"site=nic-ring prob=-Inf", "prob -Inf outside [0, 1]"},
+		{"site=nic-ring every=1 from=NaNs", "from=NaNs: bad duration"},
+		{"site=nic-ring every=1 from=Infs", "from=Infs: bad duration"},
+		{"site=ghost-stall every=1 stall=1e300s", "stall=1e300s: bad duration"},
+		{"site=nic-ring every=1 until=9223372037s", "until=9223372037s: bad duration"},
 	} {
 		_, err := ParsePlan(bad.text)
 		if err == nil || !strings.Contains(err.Error(), bad.want) {

@@ -179,8 +179,8 @@ func adaptiveClasses() []workload.Class {
 	}
 }
 
-// runAdaptivePoint runs one contestant through the committed scenario.
-func runAdaptivePoint(cfg AdaptiveConfig, pol SocketPolicy, adaptive bool) (*workload.Result, []adapt.Decision) {
+// adaptivePoint is one contestant's point in the committed scenario.
+func adaptivePoint(cfg AdaptiveConfig, pol SocketPolicy, adaptive bool) rocksPoint {
 	pt := rocksPoint{
 		Seed:       cfg.Seed,
 		Load:       cfg.CalmRate,
@@ -202,7 +202,12 @@ func runAdaptivePoint(cfg AdaptiveConfig, pol SocketPolicy, adaptive bool) (*wor
 		rules := AdaptiveRules(cfg, pt.NumThreads)
 		pt.Adapt = &rules
 	}
-	res, _, host := runRocksPointFull(pt)
+	return pt
+}
+
+// runAdaptivePoint runs one contestant through the committed scenario.
+func runAdaptivePoint(cfg AdaptiveConfig, pol SocketPolicy, adaptive bool) (*workload.Result, []adapt.Decision) {
+	res, _, host := runRocksPointFull(adaptivePoint(cfg, pol, adaptive))
 	var decisions []adapt.Decision
 	if ctl := host.Daemon.AdaptController(); ctl != nil {
 		decisions = ctl.History()

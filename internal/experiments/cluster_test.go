@@ -9,19 +9,8 @@ import (
 // 4-host LS/BE scenario must produce byte-identical per-host and fleet
 // digests whether the host simulations run sequentially or on 4 workers.
 func TestClusterWorkersDifferential(t *testing.T) {
-	run := func(workers int) string {
-		r, err := RunCluster(ClusterConfig{
-			Hosts: 4, Workers: workers, Seed: 42,
-			App: "rocksdb", TotalLoad: 4 * 120_000, Flows: 2000,
-			Windows: diffWindows,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Digest()
-	}
-	ref := run(1)
-	if got := run(4); got != ref {
+	ref := pinnedDigest("fleet/rocksdb-4")
+	if got := clusterDigest(fleetRocks(4)); got != ref {
 		t.Fatalf("cluster run diverged across worker counts:\n--- workers=1\n%s--- workers=4\n%s", ref, got)
 	}
 }
@@ -29,19 +18,8 @@ func TestClusterWorkersDifferential(t *testing.T) {
 // TestClusterMicaWorkersDifferential: the sharded-MICA variant of the
 // same gate, including the XDP-hook rollout path.
 func TestClusterMicaWorkersDifferential(t *testing.T) {
-	run := func(workers int) string {
-		r, err := RunCluster(ClusterConfig{
-			Hosts: 4, Workers: workers, Seed: 7,
-			App: "mica", TotalLoad: 4 * 200_000, Flows: 2000,
-			Windows: diffWindows,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Digest()
-	}
-	ref := run(1)
-	if got := run(4); got != ref {
+	ref := pinnedDigest("fleet/mica-4")
+	if got := clusterDigest(fleetMica(4)); got != ref {
 		t.Fatalf("mica cluster run diverged across worker counts:\n--- workers=1\n%s--- workers=4\n%s", ref, got)
 	}
 }

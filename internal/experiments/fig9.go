@@ -46,7 +46,7 @@ type micaPoint struct {
 // runMicaPoint builds a MICA host with the requested steering backend.
 // The same mica_hash policy file is deployed at the kernel hook (SW) or
 // the NIC hook (HW) — the paper's portability claim in action.
-func runMicaPoint(pt micaPoint) *workload.Result {
+func runMicaPoint(pt micaPoint) (*workload.Result, *syrup.Host) {
 	if pt.Windows == (Windows{}) {
 		pt.Windows = DefaultWindows
 	}
@@ -97,7 +97,7 @@ func runMicaPoint(pt micaPoint) *workload.Result {
 	}
 
 	srv.Start()
-	return gen.RunToCompletion()
+	return gen.RunToCompletion(), host
 }
 
 // Fig9 reproduces Figure 9: 99.9% latency vs load for the three steering
@@ -121,7 +121,7 @@ func Fig9(cfg Fig9Config) *Result {
 	// Fan out every (mode, load) pair in one worker pool so a slow mode
 	// does not serialize behind the others.
 	grid := sweepGrid(len(modes), cfg.Loads, func(si int, load float64) Row {
-		r := runMicaPoint(micaPoint{
+		r, _ := runMicaPoint(micaPoint{
 			Seed: 53, Load: load, Mode: modes[si], GetFrac: cfg.GetFrac,
 			Windows: cfg.Windows,
 		})

@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"syrup/internal/apps/mica"
-	"syrup/internal/policy"
 	"syrup/internal/sim"
-	"syrup/internal/workload"
 )
 
 // The telemetry plane's contract with the figure pipelines: a host with
@@ -24,13 +22,14 @@ var diffWindows = Windows{
 	Drain:   60 * 1e6,
 }
 
-// withObs runs fn with telemetry off (the reference) and then with the
-// sampler attached at two periods, asserting every digest matches.
+// withObs takes the pinned scenario of that name as the telemetry-off
+// reference and runs fn — the same point — with the sampler attached at
+// two periods, asserting every digest (and event count) matches.
 func withObs(t *testing.T, label string, fn func() string) {
 	t.Helper()
 	defer SetObsPeriod(0)
 	SetObsPeriod(0)
-	ref := fn()
+	ref := pinnedDigest(label)
 	for _, period := range []sim.Time{sim.Millisecond, 100 * sim.Microsecond} {
 		SetObsPeriod(period)
 		if got := fn(); got != ref {
@@ -44,25 +43,12 @@ func withObs(t *testing.T, label string, fn func() string) {
 // a vacuous pass (telemetry silently disabled) must fail.
 func TestObsDifferentialFig2Slice(t *testing.T) {
 	for _, pol := range []SocketPolicy{PolicyVanilla, PolicyRoundRobin} {
-		withObs(t, "fig2/"+string(pol), func() string {
-			r := runRocksPoint(rocksPoint{
-				Seed: 1007, Load: 300_000, NumCPUs: 6, NumThreads: 6,
-				PinToCores: true, Flows: 50,
-				Classes: []workload.Class{{Name: "GET", Weight: 1, Type: policy.ReqGET}},
-				Policy:  pol, Windows: diffWindows,
-			})
-			return StatsDigest(r)
-		})
+		withObs(t, "fig2/"+string(pol), func() string { return rocksDigest(fig2Slice(pol)) })
 	}
 
 	SetObsPeriod(sim.Millisecond)
 	defer SetObsPeriod(0)
-	_, _, host := runRocksPointFull(rocksPoint{
-		Seed: 1007, Load: 300_000, NumCPUs: 6, NumThreads: 6,
-		PinToCores: true, Flows: 50,
-		Classes: []workload.Class{{Name: "GET", Weight: 1, Type: policy.ReqGET}},
-		Policy:  PolicyRoundRobin, Windows: diffWindows,
-	})
+	_, _, host := runRocksPointFull(fig2Slice(PolicyRoundRobin))
 	if host.Obs == nil {
 		t.Fatal("SetObsPeriod did not attach a sampler")
 	}
@@ -90,41 +76,20 @@ func TestObsDifferentialFig2Slice(t *testing.T) {
 // policies.
 func TestObsDifferentialFig6Slice(t *testing.T) {
 	for _, pol := range []SocketPolicy{PolicyScanAvoid, PolicySITA} {
-		withObs(t, "fig6/"+string(pol), func() string {
-			r := runRocksPoint(rocksPoint{
-				Seed: 2011, Load: 200_000, NumCPUs: 6, NumThreads: 6,
-				PinToCores: true, Flows: 50,
-				Classes: fig6Mix, Policy: pol, Windows: diffWindows,
-			})
-			return StatsDigest(r)
-		})
+		withObs(t, "fig6/"+string(pol), func() string { return rocksDigest(fig6Slice(pol)) })
 	}
 }
 
 // TestObsDifferentialFig8Slice: ghOSt thread scheduling on top of socket
 // steering — the ghost_runnable gauge reads agent state every tick.
 func TestObsDifferentialFig8Slice(t *testing.T) {
-	withObs(t, "fig8/scan_avoid+threadsched", func() string {
-		r := runRocksPoint(rocksPoint{
-			Seed: 47, Load: 120_000, NumCPUs: 6, NumThreads: 36,
-			PinToCores: false, Classes: fig8Mix,
-			Policy: PolicyScanAvoid, ThreadSched: true, Windows: diffWindows,
-		})
-		return StatsDigest(r)
-	})
+	withObs(t, "fig8/scan_avoid+threadsched", func() string { return rocksDigest(fig8Slice()) })
 }
 
 // TestObsDifferentialFig9Slice: MICA steering at kernel and NIC layers.
 func TestObsDifferentialFig9Slice(t *testing.T) {
-	for _, mode := range []mica.Mode{mica.ModeSyrupSW, mica.ModeSyrupHW} {
-		withObs(t, "fig9/"+mode.String(), func() string {
-			r := runMicaPoint(micaPoint{
-				Seed: 53, Load: 800_000, Mode: mode, GetFrac: 0.5,
-				Windows: diffWindows,
-			})
-			return StatsDigest(r)
-		})
-	}
+	withObs(t, "fig9/sw", func() string { return micaDigest(fig9Slice(mica.ModeSyrupSW)) })
+	withObs(t, "fig9/hw", func() string { return micaDigest(fig9Slice(mica.ModeSyrupHW)) })
 }
 
 // TestObsDifferentialCluster: the fleet scenario end to end — per-host

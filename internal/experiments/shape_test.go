@@ -200,7 +200,7 @@ func TestShapeFig8CrossLayer(t *testing.T) {
 
 func micaP999(t *testing.T, mode mica.Mode, load float64) float64 {
 	t.Helper()
-	r := runMicaPoint(micaPoint{Seed: 53, Load: load, Mode: mode, GetFrac: 0.5, Windows: FastWindows})
+	r, _ := runMicaPoint(micaPoint{Seed: 53, Load: load, Mode: mode, GetFrac: 0.5, Windows: FastWindows})
 	return float64(r.All.Latency.Percentile(99.9)) / 1000
 }
 

@@ -107,25 +107,34 @@ lint-env:
 		exit 1; \
 	fi
 
-# No ambient state in the telemetry, policy-execution and per-request
-# datapath packages: a package-level atomic, mutex or mutated map there is
-# shared by every host in the process, which is how per-host attribution
-# was lost once. The awk
+# No ambient state in the telemetry, policy-execution, per-request
+# datapath, event-engine and experiment-harness packages: a package-level
+# atomic, mutex or mutated map there is shared by every host in the
+# process, which is how per-host attribution was lost once. The awk
 # lists package-level declarations (var lines and var blocks) of non-test
 # files that mention an atomic or a mutex; each package-level map is then
 # grepped for an element write or delete. sync.Pool and lookup tables that
-# are never assigned after their initializer pass.
+# are never assigned after their initializer pass. In experiments and sim a
+# package-level var with no initializer fails too: a plain scalar that
+# exists only to be assigned later is the shape the last two toggles had
+# (`var obsPeriod sim.Time`, `var poolWorkers int`), and the patterns above
+# cannot see one. Initialized tables (fig6Mix, DefaultWindows) pass; a
+# multi-line initializer inside a `var (` block would not, so write it as
+# its own `var x = ...`.
 lint-globals:
 	@decls='/^var \(/{blk=1;next} /^\)/{blk=0} blk||/^var /'; \
-	bad=$$(for d in metrics obs trace hook ebpf syrupd nic workload; do \
+	bad=$$(for d in metrics obs trace hook ebpf syrupd nic workload experiments sim; do \
 		files=$$(ls internal/$$d/*.go | grep -v _test.go); \
 		awk "$$decls"' {if (/atomic\.|sync\.(RW)?Mutex/) print FILENAME":"FNR": "$$0}' $$files; \
 		for m in $$(awk "$$decls"' {if (/map\[/) {sub(/^var /,""); print $$1}}' $$files); do \
 			grep -nE "(^|[^.[:alnum:]_])$$m\[[^]]*\] *(=[^=]|\+\+|--|[-+|&^]=)|delete\($$m," $$files; \
 		done; \
+		case $$d in experiments|sim) \
+			awk "$$decls"' {if (!/=/ && !/^[[:space:]]*(\/\/|$$)/) print FILENAME":"FNR": "$$0}' $$files;; \
+		esac; \
 	done); \
 	if [ -n "$$bad" ]; then \
-		echo 'lint-globals: package-level atomic, mutex or mutated map:'; \
+		echo 'lint-globals: package-level atomic, mutex, mutated map or uninitialized var:'; \
 		echo "$$bad"; \
 		exit 1; \
 	fi

@@ -100,11 +100,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	windows := experiments.DefaultWindows
-	if *fast {
-		windows = experiments.FastWindows
+	if _, err := experiments.ScanMix(*scanPct); err != nil {
+		fmt.Fprintf(os.Stderr, "syrup-bench: %v\n", err)
+		os.Exit(2)
 	}
-	experiments.SetWorkers(*workers)
+
+	run := experiments.RunConfig{Windows: experiments.DefaultWindows, Workers: *workers}
+	if *fast {
+		run.Windows = experiments.FastWindows
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -152,26 +156,25 @@ func main() {
 
 	if *hosts > 0 {
 		cfg := experiments.ClusterConfig{
-			Hosts:   *hosts,
-			Workers: *workers,
-			Seed:    *seed,
-			App:     *clusterApp,
-			Flows:   *flows,
-			LSFrac:  *lsFrac,
-			Windows: windows,
+			Hosts:  *hosts,
+			Seed:   *seed,
+			App:    *clusterApp,
+			Flows:  *flows,
+			LSFrac: *lsFrac,
+			Run:    run,
 		}
 		if *load > 0 {
 			cfg.TotalLoad = *load
 		}
 		start := time.Now()
-		run, err := experiments.RunCluster(cfg)
+		cr, err := experiments.RunCluster(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cluster: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Print(run.Format())
+		fmt.Print(cr.Format())
 		fmt.Printf("\n[%d-host cluster (%d flows, %d workers) completed in %v]\n",
-			*hosts, totalFlows(run), par.Resolve(*workers), time.Since(start).Round(time.Millisecond))
+			*hosts, totalFlows(cr), par.Resolve(*workers), time.Since(start).Round(time.Millisecond))
 		return
 	}
 
@@ -186,7 +189,7 @@ func main() {
 			ScanPct: *scanPct,
 			Policy:  experiments.SocketPolicy(*polName),
 			Plan:    plan,
-			Windows: windows,
+			Run:     run,
 		}
 		if *load > 0 {
 			cfg.Load = *load
@@ -199,7 +202,7 @@ func main() {
 
 	if traced {
 		cfg := experiments.DefaultTrace()
-		cfg.Windows = windows
+		cfg.Run = run
 		cfg.Seed = *seed
 		cfg.ScanPct = *scanPct
 		cfg.Policy = experiments.SocketPolicy(*polName)
@@ -232,12 +235,12 @@ func main() {
 		return
 	}
 
-	run := func(name string) {
+	figure := func(name string) {
 		start := time.Now()
 		switch name {
 		case "fig2":
 			cfg := experiments.DefaultFig2()
-			cfg.Windows = windows
+			cfg.Run = run
 			if *points > 0 {
 				cfg.Loads = resize(cfg.Loads, *points)
 			}
@@ -247,7 +250,7 @@ func main() {
 			fmt.Print(experiments.Fig2(cfg).Format())
 		case "fig6":
 			cfg := experiments.DefaultFig6()
-			cfg.Windows = windows
+			cfg.Run = run
 			if *points > 0 {
 				cfg.Loads = resize(cfg.Loads, *points)
 			}
@@ -257,42 +260,42 @@ func main() {
 			fmt.Print(experiments.Fig6(cfg).Format())
 		case "fig7":
 			cfg := experiments.DefaultFig7()
-			cfg.Windows = windows
+			cfg.Run = run
 			if *points > 0 {
 				cfg.LSLoads = resize(cfg.LSLoads, *points)
 			}
 			fmt.Print(experiments.Fig7(cfg).Format())
 		case "fig8":
 			cfg := experiments.DefaultFig8()
-			cfg.Windows = windows
+			cfg.Run = run
 			if *points > 0 {
 				cfg.Loads = resize(cfg.Loads, *points)
 			}
 			fmt.Print(experiments.Fig8(cfg).Format())
 		case "fig9a":
 			cfg := experiments.DefaultFig9a()
-			cfg.Windows = windows
+			cfg.Run = run
 			if *points > 0 {
 				cfg.Loads = resize(cfg.Loads, *points)
 			}
 			fmt.Print(experiments.Fig9(cfg).Format())
 		case "fig9b":
 			cfg := experiments.DefaultFig9b()
-			cfg.Windows = windows
+			cfg.Run = run
 			if *points > 0 {
 				cfg.Loads = resize(cfg.Loads, *points)
 			}
 			fmt.Print(experiments.Fig9(cfg).Format())
 		case "ablation-late":
 			cfg := experiments.DefaultAblationLateBinding()
-			cfg.Windows = windows
+			cfg.Run = run
 			if *points > 0 {
 				cfg.Loads = resize(cfg.Loads, *points)
 			}
 			fmt.Print(experiments.AblationLateBinding(cfg).Format())
 		case "ablation-rfs":
 			cfg := experiments.DefaultAblationRFS()
-			cfg.Windows = windows
+			cfg.Run = run
 			if *points > 0 {
 				cfg.Loads = resize(cfg.Loads, *points)
 			}
@@ -315,11 +318,11 @@ func main() {
 
 	if flag.Arg(0) == "all" {
 		for _, name := range []string{"fig2", "fig6", "fig7", "fig8", "fig9a", "fig9b", "table2", "table3", "ablation-late", "ablation-rfs"} {
-			run(name)
+			figure(name)
 		}
 		return
 	}
-	run(flag.Arg(0))
+	figure(flag.Arg(0))
 }
 
 // loadPlan resolves the -faults argument: "default" names the built-in

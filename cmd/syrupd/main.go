@@ -24,15 +24,73 @@ import (
 
 	"syrup"
 	"syrup/internal/apps/rocksdb"
-	"syrup/internal/ebpf"
+	"syrup/internal/experiments"
 	"syrup/internal/metrics"
-	"syrup/internal/nic"
 	"syrup/internal/obs"
-	"syrup/internal/policy"
 	"syrup/internal/sim"
 	"syrup/internal/syrupd"
 	"syrup/internal/workload"
 )
+
+// forever is the demo generator's measure window: as long as the request
+// table's 54-bit send time allows (2^53 ns is about 104 days of virtual
+// time), so the arrival process never ends while the daemon runs.
+const forever = sim.Time(1) << 53
+
+// demo is the daemon's live world: the experiments' RocksDB wiring on one
+// host, offered an open-loop GET/SCAN load for as long as the daemon runs.
+type demo struct {
+	*experiments.RocksWorld
+}
+
+// newDemo builds the host, wires the demo app (app 1, uid 1000, port 9000)
+// and starts server and load. classes is the GET/SCAN mix.
+func newDemo(cfg syrup.HostConfig, threads int, rps float64, classes []workload.Class) *demo {
+	cfg.Seed, cfg.NumCPUs, cfg.NICQueues = 1, threads, threads
+	host, app := syrup.MustHostApp(cfg, 1, 1000, 9000)
+	d := &demo{experiments.WireRocksDB(host, app,
+		workload.Config{Rate: rps, Classes: classes, Measure: forever},
+		rocksdb.Config{NumThreads: threads, PinToCores: true, Tracer: cfg.Trace})}
+	if host.Obs != nil {
+		host.Obs.Gauge("inflight", func() float64 { return float64(d.inflight()) })
+	}
+	d.Srv.Start()
+	d.Gen.Start()
+	return d
+}
+
+// dropped counts the requests the host refused: NIC ring overflow, XDP
+// drop verdicts, and every stack-side cause (backlog, socket queue, a
+// policy's DROP at socket select).
+func (d *demo) dropped() uint64 {
+	return d.Host.Stack.Stats.TotalDrops() + d.Host.NIC.Stats.DroppedRing + d.Host.NIC.Stats.DroppedByXDP
+}
+
+// inflight is what the host holds right now — received, not dropped, not
+// yet served — so it is bounded by the rings, queues and threads it can
+// sit in however long the daemon has been overloaded.
+func (d *demo) inflight() uint64 {
+	return d.Host.NIC.Stats.Received - d.dropped() - d.Srv.ProcessedGET - d.Srv.ProcessedSCAN
+}
+
+// stats is the host-key part of the stats op. Offered, completed and the
+// latency percentiles are the generator's live per-class stats, merged;
+// they cover requests sent after the generator's 200 ms warmup.
+func (d *demo) stats() map[string]float64 {
+	all := metrics.NewRunStats()
+	for _, st := range d.Gen.LiveStats() {
+		all.Merge(st)
+	}
+	return map[string]float64{
+		"virtual_seconds": float64(d.Host.Now()) / 1e9,
+		"offered":         float64(all.Offered),
+		"completed":       float64(all.Completed),
+		"inflight":        float64(d.inflight()),
+		"p50_us":          float64(all.Latency.Percentile(50)) / 1000,
+		"p99_us":          float64(all.Latency.Percentile(99)) / 1000,
+		"p999_us":         float64(all.Latency.Percentile(99.9)) / 1000,
+	}
+}
 
 func main() {
 	socket := flag.String("socket", "/tmp/syrupd.sock", "control socket path")
@@ -41,110 +99,26 @@ func main() {
 	scanPct := flag.Float64("scan-pct", 0.5, "percent of requests that are SCANs")
 	speed := flag.Float64("speed", 1.0, "virtual seconds simulated per wall second")
 	traceCap := flag.Int("trace", 0, "enable request tracing with a span ring of this capacity (0 = off); query via the trace op")
-	obsPeriodUS := flag.Int("obs-period-us", 1000, "telemetry sampling period in virtual microseconds (0 = no sampler); query via the timeseries and metrics ops")
+	samplePeriodUS := flag.Int("obs-period-us", 1000, "telemetry sampling period in virtual microseconds (0 = no sampler); query via the timeseries and metrics ops")
 	profile := flag.Bool("profile", false, "deploy policies with per-instruction profiling; query via the profile op")
 	flag.Parse()
 
-	var tracer *syrup.TraceRecorder
-	if *traceCap > 0 {
-		tracer = syrup.NewTraceRecorder(*traceCap)
-	}
-	var telemetry *obs.Config
-	if *obsPeriodUS > 0 {
-		telemetry = &obs.Config{Period: sim.Time(*obsPeriodUS) * sim.Microsecond, Counters: true}
-	}
-	host, app := syrup.MustHostApp(syrup.HostConfig{
-		Seed: 1, NumCPUs: *threads, NICQueues: *threads, Trace: tracer,
-		Telemetry: telemetry, PolicyProfile: *profile,
-	}, 1, 1000, 9000)
-
-	// Rolling metrics for the stats op. Registering the latency histogram
-	// on the host's sampler traces its percentiles and lets the stats and
-	// metrics ops derive request_latency_{count,p50_us,p99_us,p999_us}.
-	lat := metrics.NewHistogram()
-	var completed, offered uint64
-	sent := map[uint64]sim.Time{}
-	if host.Obs != nil {
-		host.Obs.Rate("rps", func() float64 { return float64(completed) })
-		host.Obs.Gauge("inflight", func() float64 { return float64(len(sent)) })
-		host.Obs.Rate("drop_rate", func() float64 {
-			return float64(host.Stack.Stats.TotalDrops() + host.NIC.Stats.DroppedRing + host.NIC.Stats.DroppedByXDP)
-		})
-		host.Obs.Histogram("request_latency", lat)
-	}
-
-	scanState, err := app.CreateMap(ebpf.MapSpec{
-		Name: "scan_state", Type: ebpf.MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 64,
-	})
+	classes, err := experiments.ScanMix(*scanPct)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("syrupd: %v", err)
 	}
-	srv := rocksdb.NewServer(host.Eng, host.Machine, host.Stack, rocksdb.Config{
-		Port: 9000, App: 1, NumThreads: *threads, PinToCores: true,
-		ScanState: scanState.Raw(),
-		Tracer:    tracer,
-		OnComplete: func(reqID uint64, finish sim.Time) {
-			if at, ok := sent[reqID]; ok {
-				lat.Record(int64(finish + 5*sim.Microsecond - at))
-				delete(sent, reqID)
-				completed++
-			}
-		},
-	})
-
-	// Background open-loop load, regenerated every virtual second so the
-	// daemon can run forever.
-	classes := []workload.Class{
-		{Name: "GET", Weight: 1 - *scanPct/100, Type: policy.ReqGET},
-		{Name: "SCAN", Weight: *scanPct / 100, Type: policy.ReqSCAN},
+	cfg := syrup.HostConfig{PolicyProfile: *profile}
+	if *traceCap > 0 {
+		cfg.Trace = syrup.NewTraceRecorder(*traceCap)
 	}
-	var pump func()
-	reqID := uint64(0)
-	pump = func() {
-		// One virtual second of Poisson arrivals at a time.
-		gap := func() sim.Time {
-			g := sim.Time(host.Eng.Rand().ExpFloat64() / *rps * 1e9)
-			if g < 1 {
-				g = 1
-			}
-			return g
-		}
-		var arrive func()
-		deadline := host.Eng.Now() + sim.Second
-		arrive = func() {
-			if host.Eng.Now() >= deadline {
-				pump()
-				return
-			}
-			id := reqID
-			reqID++
-			offered++
-			cls := classes[0]
-			if host.Eng.Rand().Float64() < classes[1].Weight {
-				cls = classes[1]
-			}
-			sent[id] = host.Eng.Now()
-			pkt := workloadPacket(host, id, cls)
-			host.Eng.After(5*sim.Microsecond, func() { host.NIC.Receive(pkt) })
-			host.Eng.After(gap(), arrive)
-		}
-		host.Eng.After(gap(), arrive)
+	if *samplePeriodUS > 0 {
+		cfg.Telemetry = &obs.Config{Period: sim.Time(*samplePeriodUS) * sim.Microsecond, Counters: true}
 	}
-	pump()
-	srv.Start()
+	d := newDemo(cfg, *threads, *rps, classes)
+	host := d.Host
 
 	server := syrupd.NewServer(host.Daemon)
-	server.StatsFunc = func() map[string]float64 {
-		return map[string]float64{
-			"virtual_seconds": float64(host.Now()) / 1e9,
-			"offered":         float64(offered),
-			"completed":       float64(completed),
-			"inflight":        float64(len(sent)),
-			"p50_us":          float64(lat.Percentile(50)) / 1000,
-			"p99_us":          float64(lat.Percentile(99)) / 1000,
-			"p999_us":         float64(lat.Percentile(99.9)) / 1000,
-		}
-	}
+	server.StatsFunc = d.stats
 	os.Remove(*socket)
 	if err := server.ListenUnix(*socket); err != nil {
 		log.Fatal(err)
@@ -179,15 +153,5 @@ func main() {
 			host.RunFor(slice)
 			server.Unlock()
 		}
-	}
-}
-
-func workloadPacket(host *syrup.Host, id uint64, cls workload.Class) *nic.Packet {
-	keyHash := uint32(id * 2654435761)
-	payload := policy.EncodeHeader(cls.Type, cls.UserID, keyHash, id)
-	return &nic.Packet{
-		ID: id, SrcIP: 0x0a000001, DstIP: 0x0a000002,
-		SrcPort: uint16(1024 + id%997), DstPort: 9000,
-		Payload: payload, SentAt: host.Now(),
 	}
 }

@@ -58,13 +58,13 @@ func driveP99(eng *sim.Engine, st *obs.Store, badFrom, badTo, until sim.Time) {
 	s := st.Series("p99")
 	for t := sim.Time(50); t < until; t += 100 {
 		at := t
-		eng.At(at, func() {
+		eng.CallAt(at, func(any, uint64) {
 			v := 50.0
 			if at >= badFrom && at < badTo {
 				v = 500
 			}
 			s.Append(at, v)
-		})
+		}, nil, 0)
 	}
 }
 
@@ -318,13 +318,13 @@ func TestControllerClearDetector(t *testing.T) {
 	load := st.Series("load")
 	for ti := sim.Time(50); ti < 10_000; ti += 100 {
 		at := ti
-		eng.At(at, func() {
+		eng.CallAt(at, func(any, uint64) {
 			v := 500.0
 			if at >= 7000 {
 				v = 50
 			}
 			load.Append(at, v)
-		})
+		}, nil, 0)
 	}
 	eng.RunUntil(10_000)
 

@@ -339,6 +339,7 @@ func (c *Cluster) bake(m *Member, cfg RolloutConfig) {
 	if gap < 1 {
 		gap = 1
 	}
+	rx := func(pkt any, _ uint64) { m.Host.NIC.Receive(pkt.(*nic.Packet)) }
 	for i := 0; i < cfg.Probes; i++ {
 		pkt := m.Host.NIC.NewPacket()
 		pkt.ID = probeIDBase + uint64(i)
@@ -348,7 +349,7 @@ func (c *Cluster) bake(m *Member, cfg RolloutConfig) {
 		pkt.DstPort = port
 		pkt.Payload = policy.AppendHeader(pkt.HeaderBuf(), policy.ReqGET, 0, uint32(splitmix64(uint64(i))), probeIDBase+uint64(i))
 		pkt.SentAt = m.Host.Now() + sim.Time(i+1)*gap
-		deliverAt(m.Host, pkt)
+		m.Host.Eng.CallAt(pkt.SentAt, rx, pkt, 0)
 	}
 	m.Host.RunFor(cfg.Bake)
 }
@@ -356,11 +357,6 @@ func (c *Cluster) bake(m *Member, cfg RolloutConfig) {
 // probeIDBase keeps probe request ids out of every workload generator's
 // id space (generators index requests densely from 0).
 const probeIDBase = uint64(1) << 62
-
-// deliverAt schedules a probe packet's NIC arrival at pkt.SentAt.
-func deliverAt(h *syrup.Host, pkt *nic.Packet) {
-	h.Eng.At(pkt.SentAt, func() { h.NIC.Receive(pkt) })
-}
 
 // FleetQuarantine records one escalation decision.
 type FleetQuarantine struct {

@@ -236,7 +236,7 @@ func TestEscalateQuarantines(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			id := uint64(i)
 			pkt := probePacket(m, id, testPort)
-			m.Host.Eng.At(m.Host.Now()+sim.Time(i)*50*sim.Microsecond, func() { m.Host.NIC.Receive(pkt) })
+			m.Host.Eng.CallAt(m.Host.Now()+sim.Time(i)*50*sim.Microsecond, func(any, uint64) { m.Host.NIC.Receive(pkt) }, nil, 0)
 		}
 		m.Host.RunFor(3 * sim.Millisecond)
 	})
@@ -283,7 +283,7 @@ func TestEscalateQuarantines(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			id := uint64(i)
 			pkt := probePacket(m, id, testPort)
-			m.Host.Eng.At(m.Host.Now()+sim.Time(i)*50*sim.Microsecond, func() { m.Host.NIC.Receive(pkt) })
+			m.Host.Eng.CallAt(m.Host.Now()+sim.Time(i)*50*sim.Microsecond, func(any, uint64) { m.Host.NIC.Receive(pkt) }, nil, 0)
 		}
 		m.Host.RunFor(3 * sim.Millisecond)
 	})

@@ -18,8 +18,8 @@ func TestShapeAblationLateBinding(t *testing.T) {
 		r := runRocksPoint(rocksPoint{
 			Seed: 61, Load: 200_000, NumCPUs: 6, NumThreads: 6, PinToCores: true,
 			Flows: 50, Classes: fig6Mix, Policy: pol, LateBinding: late,
-			Windows: FastWindows,
-		})
+			Run: RunConfig{Windows: FastWindows},
+		}).Result
 		return float64(r.All.Latency.Percentile(99)) / 1000
 	}
 	rr := point(PolicyRoundRobin, false)
@@ -41,10 +41,10 @@ func TestShapeAblationRFS(t *testing.T) {
 			Flows:   12,
 			Classes: []workload.Class{{Name: "GET", Weight: 1, Type: policy.ReqGET}},
 			Policy:  pol, FlowLocalityBonus: 0.30,
-			Windows: FastWindows,
+			Run: RunConfig{Windows: FastWindows},
 		}
-		r, hits := runRocksPointWithLocality(pt)
-		return r.All.Latency.Mean() / 1000, hits
+		run := runRocksPoint(pt)
+		return run.Result.All.Latency.Mean() / 1000, run.localityPct()
 	}
 	hashMean, hashLoc := point(PolicyVanilla)
 	rrMean, rrLoc := point(PolicyRoundRobin)

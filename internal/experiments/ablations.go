@@ -19,15 +19,15 @@ import (
 
 // AblationLateBindingConfig parameterizes the late-binding comparison.
 type AblationLateBindingConfig struct {
-	Loads   []float64
-	Windows Windows
+	Loads []float64
+	Run   RunConfig
 }
 
 // DefaultAblationLateBinding uses Fig. 6's axes.
 func DefaultAblationLateBinding() AblationLateBindingConfig {
 	return AblationLateBindingConfig{
-		Loads:   loadsBetween(40_000, 400_000, 10),
-		Windows: DefaultWindows,
+		Loads: loadsBetween(40_000, 400_000, 10),
+		Run:   RunConfig{Windows: DefaultWindows},
 	}
 }
 
@@ -55,12 +55,12 @@ func AblationLateBinding(cfg AblationLateBindingConfig) *Result {
 		{"Late Binding", PolicyVanilla, true},
 	} {
 		v := v
-		rows := sweep(cfg.Loads, func(load float64) Row {
+		rows := sweep(cfg.Run, cfg.Loads, func(load float64) Row {
 			r := runRocksPoint(rocksPoint{
 				Seed: 61, Load: load, NumCPUs: 6, NumThreads: 6, PinToCores: true,
 				Flows: 50, Classes: fig6Mix, Policy: v.pol, LateBinding: v.late,
-				Windows: cfg.Windows,
-			})
+				Run: cfg.Run,
+			}).Result
 			return Row{X: load, Cols: map[string]float64{
 				"p99_us":   float64(r.All.Latency.Percentile(99)) / 1000,
 				"drop_pct": 100 * r.All.DropFraction(),
@@ -73,20 +73,20 @@ func AblationLateBinding(cfg AblationLateBindingConfig) *Result {
 
 // AblationRFSConfig parameterizes the locality comparison.
 type AblationRFSConfig struct {
-	Loads   []float64
-	Bonus   float64 // service-time discount on a flow-local request
-	Flows   int
-	Windows Windows
+	Loads []float64
+	Bonus float64 // service-time discount on a flow-local request
+	Flows int
+	Run   RunConfig
 }
 
 // DefaultAblationRFS uses a locality-sensitive setup: few, hot flows and a
 // 30% warm-flow discount.
 func DefaultAblationRFS() AblationRFSConfig {
 	return AblationRFSConfig{
-		Loads:   loadsBetween(100_000, 600_000, 6),
-		Bonus:   0.30,
-		Flows:   12,
-		Windows: DefaultWindows,
+		Loads: loadsBetween(100_000, 600_000, 6),
+		Bonus: 0.30,
+		Flows: 12,
+		Run:   RunConfig{Windows: DefaultWindows},
 	}
 }
 
@@ -112,7 +112,7 @@ func AblationRFS(cfg AblationRFSConfig) *Result {
 		{"Round Robin", PolicyRoundRobin},
 	} {
 		v := v
-		rows := sweep(cfg.Loads, func(load float64) Row {
+		rows := sweep(cfg.Run, cfg.Loads, func(load float64) Row {
 			pt := rocksPoint{
 				Seed: 71, Load: load, NumCPUs: 6, NumThreads: 6, PinToCores: true,
 				Flows: cfg.Flows,
@@ -121,17 +121,28 @@ func AblationRFS(cfg AblationRFSConfig) *Result {
 				},
 				Policy:            v.pol,
 				FlowLocalityBonus: cfg.Bonus,
-				Windows:           cfg.Windows,
+				Run:               cfg.Run,
 			}
-			r, hits := runRocksPointWithLocality(pt)
+			run := runRocksPoint(pt)
+			r := run.Result
 			return Row{X: load, Cols: map[string]float64{
 				"mean_us":      r.All.Latency.Mean() / 1000,
 				"p99_us":       float64(r.All.Latency.Percentile(99)) / 1000,
 				"drop_pct":     100 * r.All.DropFraction(),
-				"locality_pct": hits,
+				"locality_pct": run.localityPct(),
 			}}
 		})
 		res.Series = append(res.Series, Series{Name: v.name, Rows: rows})
 	}
 	return res
+}
+
+// localityPct is the percentage of requests that hit the warm-flow
+// locality discount (the RFS ablation's metric).
+func (r *rocksRun) localityPct() float64 {
+	total := r.Srv.ProcessedGET + r.Srv.ProcessedSCAN
+	if total == 0 {
+		return 0
+	}
+	return 100 * float64(r.Srv.LocalityHits) / float64(total)
 }

@@ -195,8 +195,7 @@ func adaptivePoint(cfg AdaptiveConfig, pol SocketPolicy, adaptive bool) rocksPoi
 		LSUser:     adaptLSUser,
 		BEUser:     adaptBEUser,
 		Deadline:   cfg.Deadline,
-		Windows:    cfg.Windows,
-		ObsPeriod:  cfg.ObsPeriod,
+		Run:        RunConfig{Windows: cfg.Windows, ObsPeriod: cfg.ObsPeriod},
 	}
 	if adaptive {
 		rules := AdaptiveRules(cfg, pt.NumThreads)
@@ -206,13 +205,13 @@ func adaptivePoint(cfg AdaptiveConfig, pol SocketPolicy, adaptive bool) rocksPoi
 }
 
 // runAdaptivePoint runs one contestant through the committed scenario.
-func runAdaptivePoint(cfg AdaptiveConfig, pol SocketPolicy, adaptive bool) (*workload.Result, []adapt.Decision) {
-	res, _, host := runRocksPointFull(adaptivePoint(cfg, pol, adaptive))
+func runAdaptivePoint(cfg AdaptiveConfig, pol SocketPolicy, adaptive bool) (*rocksRun, []adapt.Decision) {
+	run := runRocksPoint(adaptivePoint(cfg, pol, adaptive))
 	var decisions []adapt.Decision
-	if ctl := host.Daemon.AdaptController(); ctl != nil {
+	if ctl := run.Host.Daemon.AdaptController(); ctl != nil {
 		decisions = ctl.History()
 	}
-	return res, decisions
+	return run, decisions
 }
 
 // Adaptive runs the closed-loop demo: every static policy and the
@@ -241,7 +240,8 @@ func Adaptive(cfg AdaptiveConfig) *Result {
 	}
 	measureSec := float64(cfg.Windows.Measure) / 1e9
 	for _, s := range adaptivePolicies {
-		r, decisions := runAdaptivePoint(cfg, s.Policy, s.Adaptive)
+		run, decisions := runAdaptivePoint(cfg, s.Policy, s.Adaptive)
+		r := run.Result
 		ls, be := r.PerClass["LS"], r.PerClass["BE"]
 		total := r.All
 		row := Row{X: cfg.PeakRate, Cols: map[string]float64{

@@ -13,6 +13,7 @@ import (
 // must match always-shed's perfect LS deadline compliance while beating
 // every static's goodput outright.
 func TestAdaptiveDominatesStatics(t *testing.T) {
+	t.Parallel()
 	res := Adaptive(DefaultAdaptive())
 	if len(res.Series) != len(adaptivePolicies) {
 		t.Fatalf("got %d series, want %d", len(res.Series), len(adaptivePolicies))
@@ -105,29 +106,20 @@ func TestAdaptiveDecisionSequence(t *testing.T) {
 func TestAdaptDifferentialOff(t *testing.T) {
 	cfg := DefaultAdaptive()
 	point := func(armed bool) (string, uint64) {
-		pt := rocksPoint{
-			Seed: cfg.Seed, Load: cfg.CalmRate, RateFn: cfg.rateFn(),
-			NumCPUs: 6, NumThreads: 6, PinToCores: true,
-			Classes:  adaptiveClasses(),
-			Policy:   PolicyRoundRobin,
-			Service:  fig7Service,
-			Deadline: cfg.Deadline, Windows: cfg.Windows, ObsPeriod: cfg.ObsPeriod,
-		}
+		pt := adaptivePoint(cfg, PolicyRoundRobin, armed)
 		if armed {
-			rules := AdaptiveRules(cfg, 6)
-			rules.Rules[0].Detect.SLO.Target = 1e18 // unreachable: never fires
-			rules.Rules[0].ClearDetect.SLO.Target = 1e18
-			pt.Adapt = &rules
+			pt.Adapt.Rules[0].Detect.SLO.Target = 1e18 // unreachable: never fires
+			pt.Adapt.Rules[0].ClearDetect.SLO.Target = 1e18
 		}
-		res, _, host := runRocksPointFull(pt)
+		run := runRocksPoint(pt)
 		var ticks uint64
-		if ctl := host.Daemon.AdaptController(); ctl != nil {
+		if ctl := run.Host.Daemon.AdaptController(); ctl != nil {
 			ticks = ctl.Status().Ticks
 			if n := ctl.Status().Decisions; n != 0 {
 				t.Fatalf("idle controller made %d decisions", n)
 			}
 		}
-		return StatsDigest(res), ticks
+		return StatsDigest(run.Result), ticks
 	}
 	ref, _ := point(false)
 	got, ticks := point(true)
@@ -149,7 +141,7 @@ func TestAdaptiveDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(d1, d2) {
 		t.Fatalf("decision histories diverged:\n%v\n%v", d1, d2)
 	}
-	if g1, g2 := StatsDigest(r1), StatsDigest(r2); g1 != g2 {
+	if g1, g2 := StatsDigest(r1.Result), StatsDigest(r2.Result); g1 != g2 {
 		t.Fatalf("stats diverged across identical adaptive runs:\n%s\n%s", g1, g2)
 	}
 }

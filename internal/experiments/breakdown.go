@@ -24,11 +24,10 @@ type TraceConfig struct {
 	Load    float64 // offered RPS
 	ScanPct float64 // percent of requests that are SCANs (0 = pure GET)
 	Policy  SocketPolicy
-	// Capacity sizes the span ring (0 = trace.DefaultCapacity). Stage
-	// histograms see every span regardless; the ring only bounds what the
-	// Chrome export can show.
-	Capacity int
-	Windows  Windows
+	// Run.Tracer, when nil, is a recorder of the default ring capacity.
+	// Stage histograms see every span regardless; the ring only bounds
+	// what the Chrome export can show.
+	Run RunConfig
 }
 
 // DefaultTrace is the quickstart traced point: a moderate 150 K RPS pure-GET
@@ -36,10 +35,10 @@ type TraceConfig struct {
 // stay short and the breakdown is readable.
 func DefaultTrace() TraceConfig {
 	return TraceConfig{
-		Seed:    1,
-		Load:    150_000,
-		Policy:  PolicyRoundRobin,
-		Windows: DefaultWindows,
+		Seed:   1,
+		Load:   150_000,
+		Policy: PolicyRoundRobin,
+		Run:    RunConfig{Windows: DefaultWindows},
 	}
 }
 
@@ -50,40 +49,52 @@ type TraceRun struct {
 	Result   *workload.Result
 }
 
+// ScanMix is the GET/SCAN class mix of a -scan-pct flag (the SCAN class
+// only when it has a share); a percentage outside [0, 100] is an error
+// naming the flag.
+func ScanMix(scanPct float64) ([]workload.Class, error) {
+	if !(scanPct >= 0 && scanPct <= 100) {
+		return nil, fmt.Errorf("-scan-pct %v is outside [0, 100]", scanPct)
+	}
+	classes := []workload.Class{{Name: "GET", Weight: 100 - scanPct, Type: policy.ReqGET}}
+	if scanPct > 0 {
+		classes = append(classes, workload.Class{Name: "SCAN", Weight: scanPct, Type: policy.ReqSCAN})
+	}
+	return classes, nil
+}
+
+// scanPoint is the point -breakdown, -trace and -faults run: the Fig. 2
+// host (6 cores, 6 pinned threads, 50 flows) under a GET/SCAN mix, with
+// the flags' defaults filled in.
+func scanPoint(seed uint64, load, scanPct float64, pol SocketPolicy, run RunConfig) rocksPoint {
+	if seed == 0 {
+		seed = 1
+	}
+	if load == 0 {
+		load = DefaultTrace().Load
+	}
+	if pol == "" {
+		pol = PolicyRoundRobin
+	}
+	classes, err := ScanMix(scanPct)
+	if err != nil {
+		panic(err) // the CLIs reject the flag before building a config
+	}
+	return rocksPoint{
+		Seed: seed, Load: load, NumCPUs: 6, NumThreads: 6, PinToCores: true,
+		Flows: 50, Classes: classes, Policy: pol, Run: run,
+	}
+}
+
 // RunTraced executes one RocksDB point with the cross-stack tracer wired
 // through every layer. The tracer never schedules events or consumes
 // randomness, so Result is bit-identical to the same point run untraced.
 func RunTraced(cfg TraceConfig) *TraceRun {
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
+	if cfg.Run.Tracer == nil {
+		cfg.Run.Tracer = trace.New(0)
 	}
-	if cfg.Load == 0 {
-		cfg.Load = DefaultTrace().Load
-	}
-	if cfg.Policy == "" {
-		cfg.Policy = PolicyRoundRobin
-	}
-	if cfg.Windows == (Windows{}) {
-		cfg.Windows = DefaultWindows
-	}
-	classes := []workload.Class{{Name: "GET", Weight: 100 - cfg.ScanPct, Type: policy.ReqGET}}
-	if cfg.ScanPct > 0 {
-		classes = append(classes, workload.Class{Name: "SCAN", Weight: cfg.ScanPct, Type: policy.ReqSCAN})
-	}
-	rec := trace.New(cfg.Capacity)
-	res := runRocksPoint(rocksPoint{
-		Seed:       cfg.Seed,
-		Load:       cfg.Load,
-		NumCPUs:    6,
-		NumThreads: 6,
-		PinToCores: true,
-		Flows:      50,
-		Classes:    classes,
-		Policy:     cfg.Policy,
-		Windows:    cfg.Windows,
-		Tracer:     rec,
-	})
-	return &TraceRun{Recorder: rec, Result: res}
+	run := runRocksPoint(scanPoint(cfg.Seed, cfg.Load, cfg.ScanPct, cfg.Policy, cfg.Run))
+	return &TraceRun{Recorder: cfg.Run.Tracer, Result: run.Result}
 }
 
 // WriteChrome renders the run's span ring as Chrome trace_event JSON

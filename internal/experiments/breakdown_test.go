@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"syrup/internal/policy"
@@ -13,7 +14,7 @@ import (
 
 // testTraceConfig is a fast traced point well below the saturation knee.
 func testTraceConfig() TraceConfig {
-	return TraceConfig{Seed: 1, Load: 150_000, Policy: PolicyRoundRobin, Windows: FastWindows}
+	return TraceConfig{Seed: 1, Load: 150_000, Policy: PolicyRoundRobin, Run: RunConfig{Windows: FastWindows}}
 }
 
 func TestBreakdownReconcilesWithE2E(t *testing.T) {
@@ -62,12 +63,12 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 			{Name: "GET", Weight: 99.5, Type: policy.ReqGET},
 			{Name: "SCAN", Weight: 0.5, Type: policy.ReqSCAN},
 		},
-		Policy:  PolicyScanAvoid,
-		Windows: FastWindows,
+		Policy: PolicyScanAvoid,
+		Run:    RunConfig{Windows: FastWindows},
 	}
-	plain := runRocksPoint(pt)
-	pt.Tracer = trace.New(1024) // small ring: overwrites must not matter either
-	traced := runRocksPoint(pt)
+	plain := runRocksPoint(pt).Result
+	pt.Run.Tracer = trace.New(1024) // small ring: overwrites must not matter either
+	traced := runRocksPoint(pt).Result
 
 	for _, cmp := range []struct {
 		name          string
@@ -103,6 +104,7 @@ func snap(r *workload.Result, class string) *metricsSnapshot {
 }
 
 func TestTracedRunExportsValidChromeTrace(t *testing.T) {
+	t.Parallel()
 	tr := RunTraced(testTraceConfig())
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
@@ -147,5 +149,26 @@ func TestTracedRunExportsValidChromeTrace(t *testing.T) {
 	}
 	if phases["M"] == 0 {
 		t.Fatalf("thread-name metadata missing: %v", phases)
+	}
+}
+
+// TestScanMixRejectsOutOfRange: -scan-pct is outside input at both CLIs;
+// anything but a percentage is refused with the flag named, instead of
+// normalising {GET: -50, SCAN: 150} into a run that is silently all SCANs.
+func TestScanMixRejectsOutOfRange(t *testing.T) {
+	for _, c := range []struct {
+		pct     float64
+		classes int // 0 = rejected
+	}{
+		{0, 1}, {0.5, 2}, {100, 2},
+		{-0.001, 0}, {100.001, 0}, {150, 0}, {math.NaN(), 0}, {math.Inf(1), 0},
+	} {
+		classes, err := ScanMix(c.pct)
+		if (err == nil) != (c.classes > 0) || len(classes) != c.classes {
+			t.Errorf("ScanMix(%v) = %d classes, err %v; want %d classes", c.pct, len(classes), err, c.classes)
+		}
+		if err != nil && !strings.Contains(err.Error(), "-scan-pct") {
+			t.Errorf("ScanMix(%v): %q does not name the flag", c.pct, err)
+		}
 	}
 }

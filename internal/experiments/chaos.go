@@ -12,7 +12,6 @@ import (
 
 	"syrup"
 	"syrup/internal/faults"
-	"syrup/internal/policy"
 	"syrup/internal/syrupd"
 	"syrup/internal/workload"
 )
@@ -29,7 +28,7 @@ type ChaosConfig struct {
 	// Quarantine tunes the watchdog armed for the chaotic run; zero
 	// fields take syrupd defaults.
 	Quarantine syrupd.QuarantineConfig
-	Windows    Windows
+	Run        RunConfig
 }
 
 // DefaultChaosPlan is a representative mixed plan: sporadic NIC ring and
@@ -60,47 +59,20 @@ type ChaosRun struct {
 // watchdog armed. Both runs use the same seed, so every divergence is
 // attributable to the injected faults.
 func RunChaos(cfg ChaosConfig) *ChaosRun {
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Load == 0 {
-		cfg.Load = DefaultTrace().Load
-	}
-	if cfg.Policy == "" {
-		cfg.Policy = PolicyRoundRobin
-	}
-	if cfg.Windows == (Windows{}) {
-		cfg.Windows = DefaultWindows
-	}
 	if cfg.Plan == nil {
 		cfg.Plan = DefaultChaosPlan()
 	}
-	classes := []workload.Class{{Name: "GET", Weight: 100 - cfg.ScanPct, Type: policy.ReqGET}}
-	if cfg.ScanPct > 0 {
-		classes = append(classes, workload.Class{Name: "SCAN", Weight: cfg.ScanPct, Type: policy.ReqSCAN})
-	}
-	base := rocksPoint{
-		Seed:       cfg.Seed,
-		Load:       cfg.Load,
-		NumCPUs:    6,
-		NumThreads: 6,
-		PinToCores: true,
-		Flows:      50,
-		Classes:    classes,
-		Policy:     cfg.Policy,
-		Windows:    cfg.Windows,
-	}
-	cleanRes, _, cleanHost := runRocksPointFull(base)
+	base := scanPoint(cfg.Seed, cfg.Load, cfg.ScanPct, cfg.Policy, cfg.Run)
+	clean := runRocksPoint(base)
 
 	chaotic := base
 	chaotic.Faults = cfg.Plan
-	q := cfg.Quarantine
-	chaotic.Quarantine = &q
-	chaosRes, _, chaosHost := runRocksPointFull(chaotic)
+	chaotic.Quarantine = &cfg.Quarantine
+	chaos := runRocksPoint(chaotic)
 
 	return &ChaosRun{
-		Plan: cfg.Plan, Clean: cleanRes, Chaos: chaosRes,
-		CleanHost: cleanHost, ChaosHost: chaosHost,
+		Plan: cfg.Plan, Clean: clean.Result, Chaos: chaos.Result,
+		CleanHost: clean.Host, ChaosHost: chaos.Host,
 	}
 }
 

@@ -29,7 +29,7 @@ func TestChaosRunQuarantinesAndStaysLive(t *testing.T) {
 		Policy:     PolicyRoundRobin,
 		Plan:       plan,
 		Quarantine: syrupd.QuarantineConfig{Window: sim.Millisecond, Threshold: 5},
-		Windows:    FastWindows,
+		Run:        RunConfig{Windows: FastWindows},
 	})
 
 	// The clean half runs unarmed.
@@ -76,9 +76,9 @@ func TestChaosWiringDoesNotPerturbWhenIdle(t *testing.T) {
 		Flows:   50,
 		Classes: []workload.Class{{Name: "GET", Weight: 100, Type: policy.ReqGET}},
 		Policy:  PolicyRoundRobin,
-		Windows: FastWindows,
+		Run:     RunConfig{Windows: FastWindows},
 	}
-	plain := runRocksPoint(pt)
+	plain := runRocksPoint(pt).Result
 
 	idlePlan, err := faults.ParsePlan("site=socket-select every=1 from=10s")
 	if err != nil {
@@ -87,7 +87,7 @@ func TestChaosWiringDoesNotPerturbWhenIdle(t *testing.T) {
 	armed := pt
 	armed.Faults = idlePlan
 	armed.Quarantine = &syrupd.QuarantineConfig{}
-	got := runRocksPoint(armed)
+	got := runRocksPoint(armed).Result
 
 	if *snap(plain, "") != *snap(got, "") {
 		t.Fatalf("idle chaos wiring perturbed the run:\nplain: %+v\narmed: %+v",

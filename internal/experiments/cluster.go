@@ -8,7 +8,6 @@ import (
 	"syrup/internal/apps/mica"
 	"syrup/internal/apps/rocksdb"
 	"syrup/internal/cluster"
-	"syrup/internal/ebpf"
 	"syrup/internal/metrics"
 	"syrup/internal/obs"
 	"syrup/internal/policy"
@@ -23,9 +22,6 @@ import (
 type ClusterConfig struct {
 	// Hosts is the fleet size (default 4).
 	Hosts int
-	// Workers is the simulation worker-pool size (<= 0: one per CPU).
-	// Results are bit-identical at any value; only wall-clock changes.
-	Workers int
 	// Seed drives every cluster decision and derives each host's seed
 	// (default 42).
 	Seed uint64
@@ -49,9 +45,11 @@ type ClusterConfig struct {
 	Canaries int
 	// SLOs, when set, gate the rollout's canary bake on burn-rate
 	// objectives evaluated against the canaries' merged telemetry (see
-	// cluster.RolloutConfig.SLOs). Requires telemetry (SetObsPeriod).
-	SLOs    []obs.SLO
-	Windows Windows
+	// cluster.RolloutConfig.SLOs). Requires telemetry (Run.ObsPeriod).
+	SLOs []obs.SLO
+	// Run.Workers is the width of the pool the host simulations run on;
+	// the fleet is bit-identical at any value, only wall-clock changes.
+	Run RunConfig
 }
 
 func (cfg ClusterConfig) withDefaults() ClusterConfig {
@@ -75,9 +73,6 @@ func (cfg ClusterConfig) withDefaults() ClusterConfig {
 	}
 	if cfg.TokenFrac == 0 {
 		cfg.TokenFrac = 0.875
-	}
-	if cfg.Windows == (Windows{}) {
-		cfg.Windows = DefaultWindows
 	}
 	return cfg
 }
@@ -114,106 +109,77 @@ type ClusterRun struct {
 // from the cluster seed alone, and aggregation is index-addressed.
 func RunCluster(cfg ClusterConfig) (*ClusterRun, error) {
 	cfg = cfg.withDefaults()
-
-	hostCfg := syrup.HostConfig{NumCPUs: 6, NICQueues: 6, Telemetry: telemetryConfig()}
-	if cfg.App == "mica" {
-		hostCfg = syrup.HostConfig{NumCPUs: micaN, NICQueues: micaN, Telemetry: telemetryConfig()}
+	if len(cfg.SLOs) > 0 && cfg.Run.ObsPeriod <= 0 {
+		return nil, fmt.Errorf("cluster scenario: %d SLOs gate the rollout but Run.ObsPeriod is 0: the canaries would have no telemetry to evaluate", len(cfg.SLOs))
 	}
-	cl, err := cluster.New(cluster.Config{Hosts: cfg.Hosts, Seed: cfg.Seed, Host: hostCfg})
-	if err != nil {
-		return nil, err
+	if cfg.LSFrac < 0 || cfg.LSFrac > 1 {
+		return nil, fmt.Errorf("cluster scenario: LSFrac %v is outside [0, 1]", cfg.LSFrac)
 	}
 
-	base := workload.Config{
-		Rate:    cfg.TotalLoad,
-		Flows:   cfg.Flows,
-		Warmup:  cfg.Windows.Warmup,
-		Measure: cfg.Windows.Measure,
-		Drain:   cfg.Windows.Drain,
-	}
+	base := cfg.Run.load(cfg.TotalLoad)
+	base.Flows = cfg.Flows
+	hostCfg := syrup.HostConfig{NumCPUs: 6, NICQueues: 6, Telemetry: cfg.Run.telemetry()}
+	var rollout cluster.RolloutConfig
 	switch cfg.App {
 	case "rocksdb":
-		base.DstPort = rocksPort
 		base.Classes = []workload.Class{
 			{Name: "LS", Weight: cfg.LSFrac, Type: policy.ReqGET, UserID: 0},
 			{Name: "BE", Weight: 1 - cfg.LSFrac, Type: policy.ReqGET, UserID: 1},
 		}
+		rollout = cluster.RolloutConfig{
+			App: rocksApp, Hook: syrup.HookSocketSelect, Policy: policy.NameToken,
+		}
 	case "mica":
-		base.DstPort = micaPort
-		base.KeySpace = 1 << 20
-		base.Classes = []workload.Class{
-			{Name: "GET", Weight: 0.5, Type: policy.ReqGET},
-			{Name: "PUT", Weight: 0.5, Type: policy.ReqPUT},
+		hostCfg.NumCPUs, hostCfg.NICQueues = micaN, micaN
+		base.Classes = micaMix(0.5)
+		// Probe keys hash anywhere in the keyspace, so most probes are
+		// foreign to any one shard and served as drops, not faults.
+		rollout = cluster.RolloutConfig{
+			App: micaApp, Hook: syrup.HookXDPSkb, Policy: policy.NameMicaHash,
+			Defines: map[string]int64{"NUM_EXECUTORS": micaN},
 		}
 	default:
 		return nil, fmt.Errorf("cluster scenario: unknown app %q (want rocksdb or mica)", cfg.App)
 	}
+	rollout.Canaries, rollout.SLOs = cfg.Canaries, cfg.SLOs
+	cl, err := cluster.New(cluster.Config{Hosts: cfg.Hosts, Seed: cfg.Seed, Host: hostCfg})
+	if err != nil {
+		return nil, err
+	}
 	parts := cl.Split(base)
 
-	// Per-host topology: app registration, server, workload generator.
+	// Per-host topology: app registration, the app's wiring, server start.
 	// Sequential on purpose — each host's construction consumes only its
 	// own PRNG, and the control plane needs every app registered before
 	// the rollout.
 	gens := make([]*workload.Generator, cfg.Hosts)
 	micaSrvs := make([]*mica.Server, cfg.Hosts)
 	for i, m := range cl.Members {
-		part := parts[i]
 		switch cfg.App {
 		case "rocksdb":
 			app, err := m.Host.RegisterApp(rocksApp, rocksUID, rocksPort)
 			if err != nil {
 				return nil, err
 			}
-			gen := workload.New(m.Host.Eng, m.Host.NIC, part)
-			if _, err := app.CreateMap(ebpf.MapSpec{
-				Name: "scan_state", Type: ebpf.MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 64,
-			}); err != nil {
-				return nil, err
-			}
-			srv := rocksdb.NewServer(m.Host.Eng, m.Host.Machine, m.Host.Stack, rocksdb.Config{
-				Port: rocksPort, App: rocksApp, NumThreads: 6, PinToCores: true,
-				Service: fig7Service, OnComplete: gen.Complete,
+			w := WireRocksDB(m.Host, app, parts[i], rocksdb.Config{
+				NumThreads: 6, PinToCores: true, Service: fig7Service,
 			})
-			srv.Start()
-			gens[i] = gen
-			instrumentHost(m.Host, gen, part.Classes)
+			w.Srv.Start()
+			gens[i] = w.Gen
 		case "mica":
 			if _, err := m.Host.RegisterApp(micaApp, micaUID, micaPort); err != nil {
 				return nil, err
 			}
-			part.KeyShard, part.KeyShards = i, cfg.Hosts
-			gen := workload.New(m.Host.Eng, m.Host.NIC, part)
-			srv := mica.NewServer(m.Host.Eng, m.Host.Machine, m.Host.Stack, mica.Config{
-				Port: micaPort, App: micaApp, NumThreads: micaN, Mode: mica.ModeSyrupSW,
-				Shard: i, NumShards: cfg.Hosts,
-				OnComplete: gen.Complete,
+			parts[i].KeyShard, parts[i].KeyShards = i, cfg.Hosts
+			gens[i], micaSrvs[i] = wireMICA(m.Host, parts[i], mica.Config{
+				Mode: mica.ModeSyrupSW, Shard: i, NumShards: cfg.Hosts,
 			})
-			srv.Start()
-			gens[i] = gen
-			micaSrvs[i] = srv
-			instrumentHost(m.Host, gen, part.Classes)
+			micaSrvs[i].Start()
 		}
 	}
 
 	// Policy deployment through the control plane: canary stage, probe
 	// bake, then fleet-wide.
-	var rollout cluster.RolloutConfig
-	switch cfg.App {
-	case "rocksdb":
-		rollout = cluster.RolloutConfig{
-			App: rocksApp, Hook: syrup.HookSocketSelect,
-			Policy: policy.NameToken, Canaries: cfg.Canaries, SLOs: cfg.SLOs,
-		}
-	case "mica":
-		rollout = cluster.RolloutConfig{
-			App: micaApp, Hook: syrup.HookXDPSkb,
-			Policy:  policy.NameMicaHash,
-			Defines: map[string]int64{"NUM_EXECUTORS": micaN},
-			// Probe keys hash anywhere in the keyspace, so most probes are
-			// foreign to any one shard and served as drops, not faults.
-			Canaries: cfg.Canaries, SLOs: cfg.SLOs,
-		}
-	}
 	rep, err := cl.Rollout(rollout)
 	if err != nil {
 		return nil, err
@@ -239,29 +205,15 @@ func RunCluster(cfg ClusterConfig) (*ClusterRun, error) {
 	}
 
 	// The parallel part: every host simulation to completion on the
-	// worker pool, results stored by member index.
-	results := make([]*workload.Result, cfg.Hosts)
-	cl.RunAll(cfg.Workers, func(m *cluster.Member) {
-		results[m.Index] = gens[m.Index].RunToCompletion()
-	})
-
-	run := &ClusterRun{Hosts: cfg.Hosts, App: cfg.App, Seed: cfg.Seed, Rollout: rep,
-		Fleet: &workload.Result{All: metrics.NewRunStats(), PerClass: make(map[string]*metrics.RunStats)}}
+	// worker pool.
+	results := finish(cfg.Run.Workers, gens...)
+	run := &ClusterRun{Hosts: cfg.Hosts, App: cfg.App, Seed: cfg.Seed, Rollout: rep, Fleet: mergeFleet(results)}
 	for i, m := range cl.Members {
 		mr := MemberRun{Name: m.Name, Flows: parts[i].Flows, Rate: parts[i].Rate, Result: results[i]}
 		if micaSrvs[i] != nil {
 			mr.Foreign = micaSrvs[i].Foreign
 		}
 		run.Members = append(run.Members, mr)
-		run.Fleet.All.Merge(results[i].All)
-		for name, st := range results[i].PerClass {
-			agg, ok := run.Fleet.PerClass[name]
-			if !ok {
-				agg = metrics.NewRunStats()
-				run.Fleet.PerClass[name] = agg
-			}
-			agg.Merge(st)
-		}
 	}
 	return run, nil
 }

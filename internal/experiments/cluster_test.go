@@ -3,14 +3,20 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"syrup/internal/obs"
+	"syrup/internal/sim"
 )
 
 // TestClusterWorkersDifferential is the fleet determinism gate: the same
 // 4-host LS/BE scenario must produce byte-identical per-host and fleet
 // digests whether the host simulations run sequentially or on 4 workers.
 func TestClusterWorkersDifferential(t *testing.T) {
-	ref := pinnedDigest("fleet/rocksdb-4")
-	if got := clusterDigest(fleetRocks(4)); got != ref {
+	ref := clusterDigest(fleetRocks(RunConfig{Workers: 1}))
+	if ref != pinnedDigest("fleet/rocksdb-4") {
+		t.Fatal("the fleet at Workers 1 is not the pinned fleet (default width)")
+	}
+	if got := clusterDigest(fleetRocks(RunConfig{Workers: 4})); got != ref {
 		t.Fatalf("cluster run diverged across worker counts:\n--- workers=1\n%s--- workers=4\n%s", ref, got)
 	}
 }
@@ -18,8 +24,11 @@ func TestClusterWorkersDifferential(t *testing.T) {
 // TestClusterMicaWorkersDifferential: the sharded-MICA variant of the
 // same gate, including the XDP-hook rollout path.
 func TestClusterMicaWorkersDifferential(t *testing.T) {
-	ref := pinnedDigest("fleet/mica-4")
-	if got := clusterDigest(fleetMica(4)); got != ref {
+	ref := clusterDigest(fleetMica(RunConfig{Workers: 1}))
+	if ref != pinnedDigest("fleet/mica-4") {
+		t.Fatal("the fleet at Workers 1 is not the pinned fleet (default width)")
+	}
+	if got := clusterDigest(fleetMica(RunConfig{Workers: 4})); got != ref {
 		t.Fatalf("mica cluster run diverged across worker counts:\n--- workers=1\n%s--- workers=4\n%s", ref, got)
 	}
 }
@@ -31,9 +40,9 @@ func TestClusterMicaWorkersDifferential(t *testing.T) {
 // steered to a host that does not own its key.
 func TestClusterScenarioShape(t *testing.T) {
 	r, err := RunCluster(ClusterConfig{
-		Hosts: 4, Workers: 2, Seed: 42,
+		Hosts: 4, Seed: 42,
 		App: "rocksdb", TotalLoad: 4 * 120_000, Flows: 2000,
-		Windows: diffWindows,
+		Run: RunConfig{Windows: diffWindows, Workers: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,9 +78,9 @@ func TestClusterScenarioShape(t *testing.T) {
 	}
 
 	mr, err := RunCluster(ClusterConfig{
-		Hosts: 4, Workers: 2, Seed: 7,
+		Hosts: 4, Seed: 7,
 		App: "mica", TotalLoad: 4 * 200_000, Flows: 2000,
-		Windows: diffWindows,
+		Run: RunConfig{Windows: diffWindows, Workers: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,9 +103,9 @@ func TestClusterScenarioShape(t *testing.T) {
 func TestClusterSeedChangesResults(t *testing.T) {
 	run := func(seed uint64) string {
 		r, err := RunCluster(ClusterConfig{
-			Hosts: 2, Workers: 2, Seed: seed,
+			Hosts: 2, Seed: seed,
 			App: "rocksdb", TotalLoad: 2 * 100_000, Flows: 500,
-			Windows: diffWindows,
+			Run: RunConfig{Windows: diffWindows, Workers: 2},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -105,5 +114,31 @@ func TestClusterSeedChangesResults(t *testing.T) {
 	}
 	if run(42) == run(43) {
 		t.Fatal("seeds 42 and 43 produced identical cluster digests")
+	}
+}
+
+// TestClusterRejectsUnrunnableConfigs: a config that cannot do what it
+// says is refused before any host is built — SLOs with no sampler used to
+// bake, find no data and report the canaries as merely unobserved.
+func TestClusterRejectsUnrunnableConfigs(t *testing.T) {
+	slo := []obs.SLO{{Name: "ls_p99", Series: "latency_LS_win_p99_us", Target: 500, Budget: 0.5}}
+	for _, c := range []struct {
+		name string
+		cfg  ClusterConfig
+		want string
+	}{
+		{"SLOs without telemetry", ClusterConfig{SLOs: slo}, "Run.ObsPeriod is 0"},
+		{"LS share above 1", ClusterConfig{LSFrac: 1.5}, "LSFrac 1.5"},
+		{"negative LS share", ClusterConfig{LSFrac: -0.1}, "LSFrac -0.1"},
+		{"unknown app", ClusterConfig{App: "redis"}, `unknown app "redis"`},
+	} {
+		if _, err := RunCluster(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.want)
+		}
+	}
+	cfg := fleetRocks(RunConfig{ObsPeriod: sim.Millisecond})
+	cfg.SLOs = slo
+	if _, err := RunCluster(cfg); err != nil {
+		t.Fatalf("SLOs with telemetry: %v", err)
 	}
 }

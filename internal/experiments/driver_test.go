@@ -43,7 +43,7 @@ func TestFig2Driver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("driver test")
 	}
-	r := Fig2(Fig2Config{Loads: []float64{100_000}, Seeds: 1, Windows: tinyWindows})
+	r := Fig2(Fig2Config{Loads: []float64{100_000}, Seeds: 1, Run: RunConfig{Windows: tinyWindows}})
 	checkResult(t, r, 2, "p99_us", "p99_stdev_us", "drop_pct")
 }
 
@@ -51,7 +51,7 @@ func TestFig6Driver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("driver test")
 	}
-	r := Fig6(Fig6Config{Loads: []float64{100_000}, Seeds: 1, Windows: tinyWindows})
+	r := Fig6(Fig6Config{Loads: []float64{100_000}, Seeds: 1, Run: RunConfig{Windows: tinyWindows}})
 	checkResult(t, r, 4, "p99_us", "drop_pct")
 }
 
@@ -59,7 +59,7 @@ func TestFig7Driver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("driver test")
 	}
-	r := Fig7(Fig7Config{LSLoads: []float64{200_000}, TotalLoad: 400_000, TokenRate: 350_000, Windows: tinyWindows})
+	r := Fig7(Fig7Config{LSLoads: []float64{200_000}, TotalLoad: 400_000, TokenRate: 350_000, Run: RunConfig{Windows: tinyWindows}})
 	checkResult(t, r, 2, "be_tput_rps", "ls_p99_us", "ls_drop_pct", "be_drop_pct")
 }
 
@@ -67,7 +67,7 @@ func TestFig8Driver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("driver test")
 	}
-	r := Fig8(Fig8Config{Loads: []float64{4_000}, Windows: tinyWindows})
+	r := Fig8(Fig8Config{Loads: []float64{4_000}, Run: RunConfig{Windows: tinyWindows}})
 	checkResult(t, r, 3, "get_p99_us", "scan_p99_us")
 }
 
@@ -75,10 +75,10 @@ func TestFig9Driver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("driver test")
 	}
-	r := Fig9(Fig9Config{Loads: []float64{1_000_000}, GetFrac: 0.5, Windows: tinyWindows})
+	r := Fig9(Fig9Config{Loads: []float64{1_000_000}, GetFrac: 0.5, Run: RunConfig{Windows: tinyWindows}})
 	checkResult(t, r, 3, "p999_us", "p99_us", "drop_pct")
 	// Panel title switches with the mix.
-	rb := Fig9(Fig9Config{Loads: []float64{1_000_000}, GetFrac: 0.95, Windows: tinyWindows})
+	rb := Fig9(Fig9Config{Loads: []float64{1_000_000}, GetFrac: 0.95, Run: RunConfig{Windows: tinyWindows}})
 	if !strings.Contains(rb.Title, "panel b") {
 		t.Fatalf("panel b title: %q", rb.Title)
 	}
@@ -88,9 +88,9 @@ func TestAblationDrivers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("driver test")
 	}
-	r := AblationLateBinding(AblationLateBindingConfig{Loads: []float64{100_000}, Windows: tinyWindows})
+	r := AblationLateBinding(AblationLateBindingConfig{Loads: []float64{100_000}, Run: RunConfig{Windows: tinyWindows}})
 	checkResult(t, r, 3, "p99_us", "drop_pct")
-	r2 := AblationRFS(AblationRFSConfig{Loads: []float64{100_000}, Bonus: 0.3, Flows: 12, Windows: tinyWindows})
+	r2 := AblationRFS(AblationRFSConfig{Loads: []float64{100_000}, Bonus: 0.3, Flows: 12, Run: RunConfig{Windows: tinyWindows}})
 	checkResult(t, r2, 2, "mean_us", "p99_us", "locality_pct")
 }
 
@@ -101,7 +101,7 @@ func TestExperimentDeterminism(t *testing.T) {
 		t.Skip("driver test")
 	}
 	run := func() string {
-		return Fig6(Fig6Config{Loads: []float64{150_000}, Seeds: 1, Windows: tinyWindows}).Format()
+		return Fig6(Fig6Config{Loads: []float64{150_000}, Seeds: 1, Run: RunConfig{Windows: tinyWindows}}).Format()
 	}
 	if run() != run() {
 		t.Fatal("identical experiment configs produced different results")

@@ -12,17 +12,17 @@ import (
 // 5-tuples, with Linux's hash-based reuseport selection against a Syrup
 // round-robin policy.
 type Fig2Config struct {
-	Loads   []float64
-	Seeds   int // paper: 20 runs; error bars come from re-drawn flow pools
-	Windows Windows
+	Loads []float64
+	Seeds int // paper: 20 runs; error bars come from re-drawn flow pools
+	Run   RunConfig
 }
 
 // DefaultFig2 mirrors the paper's axes: 50–500 K RPS.
 func DefaultFig2() Fig2Config {
 	return Fig2Config{
-		Loads:   loadsBetween(50_000, 500_000, 10),
-		Seeds:   5,
-		Windows: DefaultWindows,
+		Loads: loadsBetween(50_000, 500_000, 10),
+		Seeds: 5,
+		Run:   RunConfig{Windows: DefaultWindows},
 	}
 }
 
@@ -47,7 +47,7 @@ func Fig2(cfg Fig2Config) *Result {
 		}
 		// Every (load, seed) pair is an independent simulation; fan them
 		// all out and aggregate per load in seed order.
-		rows := sweepSeeded(cfg.Loads, cfg.Seeds,
+		rows := sweepSeeded(cfg.Run, cfg.Loads, cfg.Seeds,
 			func(load float64, seed int) [2]float64 {
 				r := runRocksPoint(rocksPoint{
 					Seed:       uint64(1000*seed + 7),
@@ -58,8 +58,8 @@ func Fig2(cfg Fig2Config) *Result {
 					Flows:      50,
 					Classes:    []workload.Class{{Name: "GET", Weight: 1, Type: policy.ReqGET}},
 					Policy:     pol,
-					Windows:    cfg.Windows,
-				})
+					Run:        cfg.Run,
+				}).Result
 				return [2]float64{float64(r.All.Latency.Percentile(99)) / 1000, 100 * r.All.DropFraction()}
 			},
 			func(load float64, samples [][2]float64) Row {

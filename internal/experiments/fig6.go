@@ -8,17 +8,17 @@ import (
 // Fig6Config parameterizes §5.2.1: 99.5% GET / 0.5% SCAN on 6 threads,
 // comparing Vanilla, Round Robin, SCAN Avoid, and SITA socket policies.
 type Fig6Config struct {
-	Loads   []float64
-	Seeds   int // paper: 5 runs
-	Windows Windows
+	Loads []float64
+	Seeds int // paper: 5 runs
+	Run   RunConfig
 }
 
 // DefaultFig6 mirrors the paper's axes: up to 400 K RPS.
 func DefaultFig6() Fig6Config {
 	return Fig6Config{
-		Loads:   loadsBetween(40_000, 400_000, 10),
-		Seeds:   3,
-		Windows: DefaultWindows,
+		Loads: loadsBetween(40_000, 400_000, 10),
+		Seeds: 3,
+		Run:   RunConfig{Windows: DefaultWindows},
 	}
 }
 
@@ -53,7 +53,7 @@ func Fig6(cfg Fig6Config) *Result {
 		s := s
 		// Every (load, seed) pair is an independent simulation; fan them
 		// all out and aggregate per load in seed order.
-		rows := sweepSeeded(cfg.Loads, cfg.Seeds,
+		rows := sweepSeeded(cfg.Run, cfg.Loads, cfg.Seeds,
 			func(load float64, seed int) [2]float64 {
 				r := runRocksPoint(rocksPoint{
 					Seed:       uint64(2000*seed + 11),
@@ -64,8 +64,8 @@ func Fig6(cfg Fig6Config) *Result {
 					Flows:      50,
 					Classes:    fig6Mix,
 					Policy:     s.pol,
-					Windows:    cfg.Windows,
-				})
+					Run:        cfg.Run,
+				}).Result
 				return [2]float64{float64(r.All.Latency.Percentile(99)) / 1000, 100 * r.All.DropFraction()}
 			},
 			func(load float64, samples [][2]float64) Row {

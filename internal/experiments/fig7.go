@@ -15,7 +15,7 @@ type Fig7Config struct {
 	LSLoads   []float64
 	TotalLoad float64
 	TokenRate float64
-	Windows   Windows
+	Run       RunConfig
 }
 
 // DefaultFig7 mirrors the paper's axes: LS load 50–350 K.
@@ -24,7 +24,7 @@ func DefaultFig7() Fig7Config {
 		LSLoads:   loadsBetween(50_000, 350_000, 7),
 		TotalLoad: 400_000,
 		TokenRate: 350_000,
-		Windows:   DefaultWindows,
+		Run:       RunConfig{Windows: DefaultWindows},
 	}
 }
 
@@ -57,7 +57,7 @@ func Fig7(cfg Fig7Config) *Result {
 		{"Token-based", PolicyToken},
 	} {
 		s := s
-		rows := sweep(cfg.LSLoads, func(lsLoad float64) Row {
+		rows := sweep(cfg.Run, cfg.LSLoads, func(lsLoad float64) Row {
 			beLoad := cfg.TotalLoad - lsLoad
 			r := runRocksPoint(rocksPoint{
 				Seed:       31,
@@ -74,8 +74,8 @@ func Fig7(cfg Fig7Config) *Result {
 				TokenRate: cfg.TokenRate,
 				LSUser:    0,
 				BEUser:    1,
-				Windows:   cfg.Windows,
-			})
+				Run:       cfg.Run,
+			}).Result
 			ls := r.PerClass["LS"]
 			be := r.PerClass["BE"]
 			return Row{X: lsLoad, Cols: map[string]float64{

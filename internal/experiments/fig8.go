@@ -11,15 +11,15 @@ import (
 // vanilla socket hashing), and the two combined. When thread scheduling is
 // active one core hosts the spinning agent, leaving five workers.
 type Fig8Config struct {
-	Loads   []float64
-	Windows Windows
+	Loads []float64
+	Run   RunConfig
 }
 
 // DefaultFig8 mirrors the paper's axes: up to 14 K RPS.
 func DefaultFig8() Fig8Config {
 	return Fig8Config{
-		Loads:   loadsBetween(2_000, 14_000, 7),
-		Windows: DefaultWindows,
+		Loads: loadsBetween(2_000, 14_000, 7),
+		Run:   RunConfig{Windows: DefaultWindows},
 	}
 }
 
@@ -52,7 +52,7 @@ func Fig8(cfg Fig8Config) *Result {
 	}
 	// Fan out every (series, load) pair in one worker pool so a slow
 	// series does not serialize behind the others.
-	grid := sweepGrid(len(series), cfg.Loads, func(si int, load float64) Row {
+	grid := sweepGrid(cfg.Run, len(series), cfg.Loads, func(si int, load float64) Row {
 		s := series[si]
 		r := runRocksPoint(rocksPoint{
 			Seed:        47,
@@ -63,8 +63,8 @@ func Fig8(cfg Fig8Config) *Result {
 			Classes:     fig8Mix,
 			Policy:      s.pol,
 			ThreadSched: s.threadSched,
-			Windows:     cfg.Windows,
-		})
+			Run:         cfg.Run,
+		}).Result
 		get := r.PerClass["GET"]
 		scan := r.PerClass["SCAN"]
 		return Row{X: load, Cols: map[string]float64{

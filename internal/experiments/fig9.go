@@ -15,17 +15,17 @@ import (
 type Fig9Config struct {
 	Loads   []float64
 	GetFrac float64 // 0.5 for Fig. 9a, 0.95 for Fig. 9b
-	Windows Windows
+	Run     RunConfig
 }
 
 // DefaultFig9a mirrors the 50% GET / 50% PUT panel, up to 3.5 M RPS.
 func DefaultFig9a() Fig9Config {
-	return Fig9Config{Loads: loadsBetween(500_000, 3_500_000, 7), GetFrac: 0.5, Windows: DefaultWindows}
+	return Fig9Config{Loads: loadsBetween(500_000, 3_500_000, 7), GetFrac: 0.5, Run: RunConfig{Windows: DefaultWindows}}
 }
 
 // DefaultFig9b mirrors the 95% GET / 5% PUT panel.
 func DefaultFig9b() Fig9Config {
-	return Fig9Config{Loads: loadsBetween(500_000, 3_500_000, 7), GetFrac: 0.95, Windows: DefaultWindows}
+	return Fig9Config{Loads: loadsBetween(500_000, 3_500_000, 7), GetFrac: 0.95, Run: RunConfig{Windows: DefaultWindows}}
 }
 
 const (
@@ -40,40 +40,43 @@ type micaPoint struct {
 	Load    float64
 	Mode    mica.Mode
 	GetFrac float64
-	Windows Windows
+	Run     RunConfig
+}
+
+// micaMix is the GET/PUT class mix at the given GET share.
+func micaMix(getFrac float64) []workload.Class {
+	return []workload.Class{
+		{Name: "GET", Weight: getFrac, Type: policy.ReqGET},
+		{Name: "PUT", Weight: 1 - getFrac, Type: policy.ReqPUT},
+	}
+}
+
+// wireMICA is the one MICA wiring — the Fig. 9 points and RunCluster's
+// members both call it, then deploy and start in their own order: the
+// generator over a 1 M keyspace on port 9100, the 8-thread server
+// completing into it, and the workload series on the host's sampler.
+// Nothing is started.
+func wireMICA(host *syrup.Host, load workload.Config, srv mica.Config) (*workload.Generator, *mica.Server) {
+	load.DstPort, load.KeySpace = micaPort, 1<<20
+	gen := workload.New(host.Eng, host.NIC, load)
+	instrumentHost(host, gen, load.Classes)
+	srv.Port, srv.App, srv.NumThreads, srv.OnComplete = micaPort, micaApp, micaN, gen.Complete
+	return gen, mica.NewServer(host.Eng, host.Machine, host.Stack, srv)
 }
 
 // runMicaPoint builds a MICA host with the requested steering backend.
 // The same mica_hash policy file is deployed at the kernel hook (SW) or
 // the NIC hook (HW) — the paper's portability claim in action.
 func runMicaPoint(pt micaPoint) (*workload.Result, *syrup.Host) {
-	if pt.Windows == (Windows{}) {
-		pt.Windows = DefaultWindows
-	}
 	host, app := syrup.MustHostApp(syrup.HostConfig{
 		Seed:      pt.Seed,
 		NumCPUs:   micaN,
 		NICQueues: micaN,
-		Telemetry: telemetryConfig(),
+		Telemetry: pt.Run.telemetry(),
 	}, micaApp, micaUID, micaPort)
-	classes := []workload.Class{
-		{Name: "GET", Weight: pt.GetFrac, Type: policy.ReqGET},
-		{Name: "PUT", Weight: 1 - pt.GetFrac, Type: policy.ReqPUT},
-	}
-	gen := workload.New(host.Eng, host.NIC, workload.Config{
-		Rate:     pt.Load,
-		DstPort:  micaPort,
-		Classes:  classes,
-		KeySpace: 1 << 20,
-		Warmup:   pt.Windows.Warmup,
-		Measure:  pt.Windows.Measure,
-		Drain:    pt.Windows.Drain,
-	})
-	instrumentHost(host, gen, classes)
-	srv := mica.NewServer(host.Eng, host.Machine, host.Stack, mica.Config{
-		Port: micaPort, App: micaApp, NumThreads: micaN, Mode: pt.Mode,
-		OnComplete: gen.Complete,
-	})
+	load := pt.Run.load(pt.Load)
+	load.Classes = micaMix(pt.GetFrac)
+	gen, srv := wireMICA(host, load, mica.Config{Mode: pt.Mode})
 
 	// Steering deployment through syrupd.
 	micaDefines := map[string]int64{"NUM_EXECUTORS": micaN}
@@ -97,7 +100,7 @@ func runMicaPoint(pt micaPoint) (*workload.Result, *syrup.Host) {
 	}
 
 	srv.Start()
-	return gen.RunToCompletion(), host
+	return finish(1, gen)[0], host
 }
 
 // Fig9 reproduces Figure 9: 99.9% latency vs load for the three steering
@@ -120,10 +123,10 @@ func Fig9(cfg Fig9Config) *Result {
 	modes := []mica.Mode{mica.ModeSWRedirect, mica.ModeSyrupSW, mica.ModeSyrupHW}
 	// Fan out every (mode, load) pair in one worker pool so a slow mode
 	// does not serialize behind the others.
-	grid := sweepGrid(len(modes), cfg.Loads, func(si int, load float64) Row {
+	grid := sweepGrid(cfg.Run, len(modes), cfg.Loads, func(si int, load float64) Row {
 		r, _ := runMicaPoint(micaPoint{
 			Seed: 53, Load: load, Mode: modes[si], GetFrac: cfg.GetFrac,
-			Windows: cfg.Windows,
+			Run: cfg.Run,
 		})
 		return Row{X: load, Cols: map[string]float64{
 			"p999_us":  float64(r.All.Latency.Percentile(99.9)) / 1000,

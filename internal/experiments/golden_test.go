@@ -59,8 +59,8 @@ func hostDigest(res *workload.Result, host *syrup.Host) string {
 }
 
 func rocksDigest(pt rocksPoint) string {
-	res, _, host := runRocksPointFull(pt)
-	return hostDigest(res, host)
+	run := runRocksPoint(pt)
+	return hostDigest(run.Result, run.Host)
 }
 
 func micaDigest(pt micaPoint) string {
@@ -69,59 +69,66 @@ func micaDigest(pt micaPoint) string {
 }
 
 // The figure slices the obs-diff gates run with the sampler on; their
-// sampler-off legs are the pinned scenarios of the same name.
-func fig2Slice(pol SocketPolicy) rocksPoint {
+// sampler-off legs are the pinned scenarios of the same name. Each takes
+// how the run observes and parallelises itself and fixes its own windows.
+func fig2Slice(pol SocketPolicy, rc RunConfig) rocksPoint {
+	rc.Windows = diffWindows
 	return rocksPoint{
 		Seed: 1007, Load: 300_000, NumCPUs: 6, NumThreads: 6,
 		PinToCores: true, Flows: 50,
 		Classes: []workload.Class{{Name: "GET", Weight: 1, Type: policy.ReqGET}},
-		Policy:  pol, Windows: diffWindows,
+		Policy:  pol, Run: rc,
 	}
 }
 
-func fig6Slice(pol SocketPolicy) rocksPoint {
+func fig6Slice(pol SocketPolicy, rc RunConfig) rocksPoint {
+	rc.Windows = diffWindows
 	return rocksPoint{
 		Seed: 2011, Load: 200_000, NumCPUs: 6, NumThreads: 6,
 		PinToCores: true, Flows: 50,
-		Classes: fig6Mix, Policy: pol, Windows: diffWindows,
+		Classes: fig6Mix, Policy: pol, Run: rc,
 	}
 }
 
-func fig8Slice() rocksPoint {
+func fig8Slice(rc RunConfig) rocksPoint {
+	rc.Windows = diffWindows
 	return rocksPoint{
 		Seed: 47, Load: 120_000, NumCPUs: 6, NumThreads: 36,
 		PinToCores: false, Classes: fig8Mix,
-		Policy: PolicyScanAvoid, ThreadSched: true, Windows: diffWindows,
+		Policy: PolicyScanAvoid, ThreadSched: true, Run: rc,
 	}
 }
 
-func fig9Slice(mode mica.Mode) micaPoint {
-	return micaPoint{Seed: 53, Load: 800_000, Mode: mode, GetFrac: 0.5, Windows: diffWindows}
+func fig9Slice(mode mica.Mode, rc RunConfig) micaPoint {
+	rc.Windows = diffWindows
+	return micaPoint{Seed: 53, Load: 800_000, Mode: mode, GetFrac: 0.5, Run: rc}
 }
 
 // swapPoint is TestShapeHotSwapMidMeasure's point: round_robin replaced by
 // scan_avoid halfway through the measure window.
-func swapPoint() rocksPoint {
+func swapPoint(rc RunConfig) rocksPoint {
+	rc.Windows = FastWindows
 	pt := fig2Point(PolicyRoundRobin, 100_000, 5)
-	pt.SwapTo = PolicyScanAvoid
-	pt.Windows = FastWindows
+	pt.SwapTo, pt.Run = PolicyScanAvoid, rc
 	return pt
 }
 
 // The 4-host fleets of the cluster-diff gates.
-func fleetRocks(workers int) ClusterConfig {
+func fleetRocks(rc RunConfig) ClusterConfig {
+	rc.Windows = diffWindows
 	return ClusterConfig{
-		Hosts: 4, Workers: workers, Seed: 42,
+		Hosts: 4, Seed: 42,
 		App: "rocksdb", TotalLoad: 4 * 120_000, Flows: 2000,
-		Windows: diffWindows,
+		Run: rc,
 	}
 }
 
-func fleetMica(workers int) ClusterConfig {
+func fleetMica(rc RunConfig) ClusterConfig {
+	rc.Windows = diffWindows
 	return ClusterConfig{
-		Hosts: 4, Workers: workers, Seed: 7,
+		Hosts: 4, Seed: 7,
 		App: "mica", TotalLoad: 4 * 200_000, Flows: 2000,
-		Windows: diffWindows,
+		Run: rc,
 	}
 }
 
@@ -134,17 +141,16 @@ func clusterDigest(cfg ClusterConfig) string {
 }
 
 // adaptDigest is the -adapt demo: every contestant's digest, event count
-// and decision log, in display order.
-func adaptDigest() string {
+// and decision log, in display order. The scenario fixes its own sampling
+// period (the control tick), so it takes nothing from rc.
+func adaptDigest(RunConfig) string {
 	var b strings.Builder
 	cfg := DefaultAdaptive()
 	for _, s := range adaptivePolicies {
-		res, _, host := runRocksPointFull(adaptivePoint(cfg, s.Policy, s.Adaptive))
-		fmt.Fprintf(&b, "== %s ==\n%s", s.Name, hostDigest(res, host))
-		if ctl := host.Daemon.AdaptController(); ctl != nil {
-			for _, d := range ctl.History() {
-				fmt.Fprintf(&b, "decision: %s\n", d)
-			}
+		run, decisions := runAdaptivePoint(cfg, s.Policy, s.Adaptive)
+		fmt.Fprintf(&b, "== %s ==\n%s", s.Name, hostDigest(run.Result, run.Host))
+		for _, d := range decisions {
+			fmt.Fprintf(&b, "decision: %s\n", d)
 		}
 	}
 	return b.String()
@@ -152,41 +158,50 @@ func adaptDigest() string {
 
 // chaosDigest is `syrup-bench -fast -faults default`: the clean and the
 // chaotic half, and what the watchdog and the injector did.
-func chaosDigest() string {
-	cr := RunChaos(ChaosConfig{Windows: FastWindows})
+func chaosDigest(rc RunConfig) string {
+	rc.Windows = FastWindows
+	cr := RunChaos(ChaosConfig{Run: rc})
 	return "== clean ==\n" + hostDigest(cr.Clean, cr.CleanHost) +
 		"== chaos ==\n" + hostDigest(cr.Chaos, cr.ChaosHost) +
 		fmt.Sprintf("quarantines=%d injected=%d\n", cr.Quarantines(), cr.ChaosHost.Faults.Total())
 }
 
-// pinned lists every scenario golden.txt holds, in file order.
+// pinned lists every scenario golden.txt holds, in file order. run takes
+// the part of the run config a differential gate varies — ObsPeriod,
+// Workers — and golden.txt records the zero value's digest.
 var pinned = []struct {
 	name string
 	seed uint64
-	run  func() string
+	run  func(rc RunConfig) string
 }{
-	{"fig2/vanilla", 1007, func() string { return rocksDigest(fig2Slice(PolicyVanilla)) }},
-	{"fig2/round_robin", 1007, func() string { return rocksDigest(fig2Slice(PolicyRoundRobin)) }},
-	{"fig6/scan_avoid", 2011, func() string { return rocksDigest(fig6Slice(PolicyScanAvoid)) }},
-	{"fig6/sita", 2011, func() string { return rocksDigest(fig6Slice(PolicySITA)) }},
-	{"fig8/scan_avoid+threadsched", 47, func() string { return rocksDigest(fig8Slice()) }},
-	{"fig9/sw", 53, func() string { return micaDigest(fig9Slice(mica.ModeSyrupSW)) }},
-	{"fig9/hw", 53, func() string { return micaDigest(fig9Slice(mica.ModeSyrupHW)) }},
-	{"swap/round_robin->scan_avoid", 5, func() string { return rocksDigest(swapPoint()) }},
+	{"fig2/vanilla", 1007, func(rc RunConfig) string { return rocksDigest(fig2Slice(PolicyVanilla, rc)) }},
+	{"fig2/round_robin", 1007, func(rc RunConfig) string { return rocksDigest(fig2Slice(PolicyRoundRobin, rc)) }},
+	{"fig6/scan_avoid", 2011, func(rc RunConfig) string { return rocksDigest(fig6Slice(PolicyScanAvoid, rc)) }},
+	{"fig6/sita", 2011, func(rc RunConfig) string { return rocksDigest(fig6Slice(PolicySITA, rc)) }},
+	{"fig8/scan_avoid+threadsched", 47, func(rc RunConfig) string { return rocksDigest(fig8Slice(rc)) }},
+	{"fig9/sw", 53, func(rc RunConfig) string { return micaDigest(fig9Slice(mica.ModeSyrupSW, rc)) }},
+	{"fig9/hw", 53, func(rc RunConfig) string { return micaDigest(fig9Slice(mica.ModeSyrupHW, rc)) }},
+	{"swap/round_robin->scan_avoid", 5, func(rc RunConfig) string { return rocksDigest(swapPoint(rc)) }},
 	{"chaos/default", 1, chaosDigest},
 	{"adapt/demo", 61, adaptDigest},
-	{"fleet/rocksdb-4", 42, func() string { return clusterDigest(fleetRocks(1)) }},
-	{"fleet/mica-4", 7, func() string { return clusterDigest(fleetMica(1)) }},
+	{"fleet/rocksdb-4", 42, func(rc RunConfig) string { return clusterDigest(fleetRocks(rc)) }},
+	{"fleet/mica-4", 7, func(rc RunConfig) string { return clusterDigest(fleetMica(rc)) }},
 }
 
-// pinnedDigest runs (once) the pinned scenario of that name.
-func pinnedDigest(name string) string {
+// scenario finds a pinned scenario by name.
+func scenario(name string) func(RunConfig) string {
 	for _, sc := range pinned {
 		if sc.name == name {
-			return once(name, sc.run)
+			return sc.run
 		}
 	}
 	panic("experiments: no pinned scenario " + name)
+}
+
+// pinnedDigest runs (once) the pinned scenario of that name as golden.txt
+// records it: no sampler, default pool width.
+func pinnedDigest(name string) string {
+	return once(name, func() string { return scenario(name)(RunConfig{}) })
 }
 
 func TestGolden(t *testing.T) {

@@ -10,7 +10,9 @@ import (
 	"syrup/internal/faults"
 	"syrup/internal/ghost"
 	"syrup/internal/kernel"
+	"syrup/internal/metrics"
 	"syrup/internal/obs"
+	"syrup/internal/par"
 	"syrup/internal/policy"
 	"syrup/internal/sim"
 	"syrup/internal/syrupd"
@@ -40,23 +42,77 @@ var FastWindows = Windows{
 	Drain:   150 * sim.Millisecond,
 }
 
-// obsPeriod, when positive, attaches a telemetry sampler to every
-// subsequently built experiment host: datapath gauges plus workload
-// rps/drop_rate/latency series sampled each period. The sampler rides the
-// engine's passive hook, so results are bit-identical with it on or off
-// (the obs-diff gate). Zero (the default) builds hosts with no telemetry.
-var obsPeriod sim.Time
+// RunConfig is how a run is measured and how it observes and parallelises
+// itself — everything about a run that is not the scenario. Every figure,
+// trace, chaos and cluster config carries one, and every host a run builds
+// is built from it. Results are bit-identical at any ObsPeriod, Workers and
+// Tracer (the obs-diff, cluster-diff and tracing gates).
+type RunConfig struct {
+	// Windows are the simulated run lengths (zero: DefaultWindows).
+	Windows Windows
+	// ObsPeriod, when positive, attaches a telemetry sampler to every host
+	// of the run: datapath gauges plus the workload rps / drop_rate /
+	// latency series, sampled each period. The sampler rides the engine's
+	// passive hook. Zero builds hosts with no telemetry.
+	ObsPeriod sim.Time
+	// Workers is the fan-out width of the run's sweep or fleet (<= 0: one
+	// worker per CPU). Every simulation owns private state and all
+	// aggregation is index-addressed.
+	Workers int
+	// Tracer, when set, threads the cross-stack request tracer through the
+	// host and server of a single-host point. A recorder has one owner: a
+	// sweep that shares one needs Workers: 1, and a fleet takes none.
+	Tracer *trace.Recorder
+}
 
-// SetObsPeriod enables (or, with 0, disables) telemetry on subsequently
-// built experiment hosts.
-func SetObsPeriod(p sim.Time) { obsPeriod = p }
+func (rc RunConfig) windows() Windows {
+	if rc.Windows == (Windows{}) {
+		return DefaultWindows
+	}
+	return rc.Windows
+}
 
-// telemetryConfig renders the package toggle as a host config.
-func telemetryConfig() *obs.Config {
-	if obsPeriod <= 0 {
+func (rc RunConfig) telemetry() *obs.Config {
+	if rc.ObsPeriod <= 0 {
 		return nil
 	}
-	return &obs.Config{Period: obsPeriod}
+	return &obs.Config{Period: rc.ObsPeriod}
+}
+
+// load is the workload config every run starts from: the offered rate over
+// the run's windows.
+func (rc RunConfig) load(rate float64) workload.Config {
+	w := rc.windows()
+	return workload.Config{Rate: rate, Warmup: w.Warmup, Measure: w.Measure, Drain: w.Drain}
+}
+
+// do runs fn(0..n-1) on the run's worker pool and waits for all of them.
+func (rc RunConfig) do(n int, fn func(i int)) { par.Do(n, rc.Workers, fn) }
+
+// finish is the one place a run ends: every generator starts, every engine
+// advances through Warmup+Measure+Drain on the worker pool (width 1 for a
+// single host), and the results come back by index.
+func finish(workers int, gens ...*workload.Generator) []*workload.Result {
+	results := make([]*workload.Result, len(gens))
+	par.Do(len(gens), workers, func(i int) { results[i] = gens[i].RunToCompletion() })
+	return results
+}
+
+// mergeFleet aggregates the members' stats, histograms merged exactly.
+func mergeFleet(results []*workload.Result) *workload.Result {
+	fleet := &workload.Result{All: metrics.NewRunStats(), PerClass: make(map[string]*metrics.RunStats)}
+	for _, r := range results {
+		fleet.All.Merge(r.All)
+		for name, st := range r.PerClass {
+			agg, ok := fleet.PerClass[name]
+			if !ok {
+				agg = metrics.NewRunStats()
+				fleet.PerClass[name] = agg
+			}
+			agg.Merge(st)
+		}
+	}
+	return fleet
 }
 
 // instrumentHost registers the workload-facing series on a telemetry-
@@ -137,11 +193,7 @@ type rocksPoint struct {
 	LateBinding bool
 	// FlowLocalityBonus enables the §2.1 RFS locality model.
 	FlowLocalityBonus float64
-	Windows           Windows
-	// Tracer, when set, threads the cross-stack request tracer through
-	// the host and server. Tracing never perturbs the simulation, so a
-	// traced point's Result is bit-identical to an untraced one.
-	Tracer *trace.Recorder
+	Run               RunConfig
 	// Faults, when set, arms the host with the chaos plan (compiled
 	// against Seed); Quarantine additionally arms syrupd's fault
 	// watchdog. Both nil leaves the point bit-identical to the seed runs.
@@ -155,13 +207,9 @@ type rocksPoint struct {
 	// (RunStats.DeadlineHits). Zero disables deadline accounting.
 	Deadline sim.Time
 	// Adapt, when set, arms syrupd's adaptive controller with this rule
-	// table after the initial policy deploy. Needs telemetry — pair it
-	// with ObsPeriod (or the package SetObsPeriod toggle).
+	// table after the initial policy deploy. Needs telemetry: pair it
+	// with Run.ObsPeriod.
 	Adapt *adapt.Config
-	// ObsPeriod, when positive, attaches telemetry at this sampling
-	// period regardless of the package toggle: adaptive points need a
-	// sampler faster than the default for tight detection loops.
-	ObsPeriod sim.Time
 }
 
 const (
@@ -170,75 +218,73 @@ const (
 	rocksUID  = 1000
 )
 
-// runRocksPoint builds a fresh host, deploys the requested policies via
-// syrupd, offers the load, and returns per-class results.
-func runRocksPoint(pt rocksPoint) *workload.Result {
-	res, _, _ := runRocksPointFull(pt)
-	return res
+// RocksWorld is the RocksDB application wired onto one host: the load
+// generator, the scan_state map the app shares with the SCAN Avoid kernel
+// policy and the ghOSt policy, the server completing into the generator,
+// and the workload series on the host's sampler. It is the one RocksDB
+// wiring: the single-host points, RunCluster's members and cmd/syrupd's
+// demo all call WireRocksDB and then deploy, start and run in their own
+// order (construction order is observable: workload.New draws the flow
+// pool from the host PRNG and Srv.Start consumes event sequence numbers).
+type RocksWorld struct {
+	Host      *syrup.Host
+	App       *syrup.App
+	Gen       *workload.Generator
+	Srv       *rocksdb.Server
+	ScanState *syrup.Map
 }
 
-// runRocksPointWithLocality also reports the percentage of requests that
-// hit the warm-flow locality discount (the RFS ablation's metric).
-func runRocksPointWithLocality(pt rocksPoint) (*workload.Result, float64) {
-	res, srv, _ := runRocksPointFull(pt)
-	total := srv.ProcessedGET + srv.ProcessedSCAN
-	if total == 0 {
-		return res, 0
-	}
-	return res, 100 * float64(srv.LocalityHits) / float64(total)
-}
-
-func runRocksPointFull(pt rocksPoint) (*workload.Result, *rocksdb.Server, *syrup.Host) {
-	if pt.Windows == (Windows{}) {
-		pt.Windows = DefaultWindows
-	}
-	tele := telemetryConfig()
-	if pt.ObsPeriod > 0 {
-		tele = &obs.Config{Period: pt.ObsPeriod}
-	}
-	host, app := syrup.MustHostApp(syrup.HostConfig{
-		Seed:       pt.Seed,
-		NumCPUs:    pt.NumCPUs,
-		NICQueues:  pt.NumCPUs, // one RX queue per core, IRQs on buddies (§5.1.1)
-		Trace:      pt.Tracer,
-		Faults:     pt.Faults,
-		Quarantine: pt.Quarantine,
-		Telemetry:  tele,
-	}, rocksApp, rocksUID, rocksPort)
-
-	gen := workload.New(host.Eng, host.NIC, workload.Config{
-		Rate:     pt.Load,
-		RateFn:   pt.RateFn,
-		Deadline: pt.Deadline,
-		Classes:  pt.Classes,
-		Flows:    pt.Flows,
-		DstPort:  rocksPort,
-		Warmup:   pt.Windows.Warmup,
-		Measure:  pt.Windows.Measure,
-		Drain:    pt.Windows.Drain,
-	})
-	instrumentHost(host, gen, pt.Classes)
-
-	// The scan_state map is shared between the app (userspace updates),
-	// the SCAN Avoid kernel policy, and the ghOSt policy.
+// WireRocksDB builds the RocksDB world on a host whose app is registered
+// on port 9000 as app 1. It fills load's port and srv's port, app,
+// scan_state map and completion callback; nothing is started.
+func WireRocksDB(host *syrup.Host, app *syrup.App, load workload.Config, srv rocksdb.Config) *RocksWorld {
+	load.DstPort = rocksPort
+	gen := workload.New(host.Eng, host.NIC, load)
+	instrumentHost(host, gen, load.Classes)
 	scanState, err := app.CreateMap(ebpf.MapSpec{
 		Name: "scan_state", Type: ebpf.MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 64,
 	})
 	if err != nil {
-		panic(err)
+		panic(err) // a fixed spec on a freshly registered app
 	}
+	srv.Port, srv.App, srv.ScanState, srv.OnComplete = rocksPort, rocksApp, scanState.Raw(), gen.Complete
+	return &RocksWorld{
+		Host: host, App: app, Gen: gen, ScanState: scanState,
+		Srv: rocksdb.NewServer(host.Eng, host.Machine, host.Stack, srv),
+	}
+}
 
-	srv := rocksdb.NewServer(host.Eng, host.Machine, host.Stack, rocksdb.Config{
-		Port:              rocksPort,
-		App:               rocksApp,
+// rocksRun is a finished RocksDB point: the world it ran on and what the
+// client saw.
+type rocksRun struct {
+	*RocksWorld
+	Result *workload.Result
+}
+
+// runRocksPoint builds a fresh host, wires the RocksDB world, deploys the
+// requested policies via syrupd, offers the load, and finishes the run.
+func runRocksPoint(pt rocksPoint) *rocksRun {
+	win := pt.Run.windows()
+	host, app := syrup.MustHostApp(syrup.HostConfig{
+		Seed:       pt.Seed,
+		NumCPUs:    pt.NumCPUs,
+		NICQueues:  pt.NumCPUs, // one RX queue per core, IRQs on buddies (§5.1.1)
+		Trace:      pt.Run.Tracer,
+		Faults:     pt.Faults,
+		Quarantine: pt.Quarantine,
+		Telemetry:  pt.Run.telemetry(),
+	}, rocksApp, rocksUID, rocksPort)
+
+	load := pt.Run.load(pt.Load)
+	load.RateFn, load.Deadline, load.Classes, load.Flows = pt.RateFn, pt.Deadline, pt.Classes, pt.Flows
+	w := WireRocksDB(host, app, load, rocksdb.Config{
 		NumThreads:        pt.NumThreads,
 		PinToCores:        pt.PinToCores,
 		Service:           pt.Service,
-		ScanState:         scanState.Raw(),
-		OnComplete:        gen.Complete,
 		FlowLocalityBonus: pt.FlowLocalityBonus,
-		Tracer:            pt.Tracer,
+		Tracer:            pt.Run.Tracer,
 	})
+	srv, scanState := w.Srv, w.ScanState
 	if pt.LateBinding {
 		host.Stack.LookupGroup(rocksPort).EnableLateBinding(host.Stack.SocketQueueCap() * pt.NumThreads)
 	}
@@ -271,9 +317,9 @@ func runRocksPointFull(pt rocksPoint) (*workload.Result, *rocksdb.Server, *syrup
 		mustDeploy(app, string(pt.Policy), defines)
 	}
 	if pt.SwapTo != "" {
-		host.Eng.At(pt.Windows.Warmup+pt.Windows.Measure/2, func() {
+		host.Eng.CallAt(win.Warmup+win.Measure/2, func(any, uint64) {
 			mustDeploy(app, string(pt.SwapTo), defines)
-		})
+		}, nil, 0)
 	}
 	if pt.Adapt != nil {
 		if _, err := host.Daemon.EnableAdapt(*pt.Adapt); err != nil {
@@ -310,7 +356,7 @@ func runRocksPointFull(pt rocksPoint) (*workload.Result, *rocksdb.Server, *syrup
 	}
 
 	srv.Start()
-	return gen.RunToCompletion(), srv, host
+	return &rocksRun{RocksWorld: w, Result: finish(1, w.Gen)[0]}
 }
 
 func mustDeploy(app *syrup.App, name string, defines map[string]int64) {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"syrup/internal/apps/mica"
 	"syrup/internal/sim"
 )
 
@@ -23,17 +22,14 @@ var diffWindows = Windows{
 }
 
 // withObs takes the pinned scenario of that name as the telemetry-off
-// reference and runs fn — the same point — with the sampler attached at
-// two periods, asserting every digest (and event count) matches.
-func withObs(t *testing.T, label string, fn func() string) {
+// reference and runs it again with the sampler attached at two periods,
+// asserting every digest (and event count) matches.
+func withObs(t *testing.T, name string) {
 	t.Helper()
-	defer SetObsPeriod(0)
-	SetObsPeriod(0)
-	ref := pinnedDigest(label)
+	ref := pinnedDigest(name)
 	for _, period := range []sim.Time{sim.Millisecond, 100 * sim.Microsecond} {
-		SetObsPeriod(period)
-		if got := fn(); got != ref {
-			t.Fatalf("%s diverged with sampler period=%v:\n--- off\n%s--- on\n%s", label, period, ref, got)
+		if got := scenario(name)(RunConfig{ObsPeriod: period}); got != ref {
+			t.Fatalf("%s diverged with sampler period=%v:\n--- off\n%s--- on\n%s", name, period, ref, got)
 		}
 	}
 }
@@ -42,15 +38,13 @@ func withObs(t *testing.T, label string, fn func() string) {
 // sampler on vs off. Also asserts the sampler actually recorded series —
 // a vacuous pass (telemetry silently disabled) must fail.
 func TestObsDifferentialFig2Slice(t *testing.T) {
-	for _, pol := range []SocketPolicy{PolicyVanilla, PolicyRoundRobin} {
-		withObs(t, "fig2/"+string(pol), func() string { return rocksDigest(fig2Slice(pol)) })
-	}
+	t.Parallel()
+	withObs(t, "fig2/vanilla")
+	withObs(t, "fig2/round_robin")
 
-	SetObsPeriod(sim.Millisecond)
-	defer SetObsPeriod(0)
-	_, _, host := runRocksPointFull(fig2Slice(PolicyRoundRobin))
+	host := runRocksPoint(fig2Slice(PolicyRoundRobin, RunConfig{ObsPeriod: sim.Millisecond})).Host
 	if host.Obs == nil {
-		t.Fatal("SetObsPeriod did not attach a sampler")
+		t.Fatal("Run.ObsPeriod did not attach a sampler")
 	}
 	snap := host.Obs.Store().Snapshot()
 	if len(snap) == 0 {
@@ -75,39 +69,30 @@ func TestObsDifferentialFig2Slice(t *testing.T) {
 // TestObsDifferentialFig6Slice: the map-heavy scan_avoid and sita
 // policies.
 func TestObsDifferentialFig6Slice(t *testing.T) {
-	for _, pol := range []SocketPolicy{PolicyScanAvoid, PolicySITA} {
-		withObs(t, "fig6/"+string(pol), func() string { return rocksDigest(fig6Slice(pol)) })
-	}
+	t.Parallel()
+	withObs(t, "fig6/scan_avoid")
+	withObs(t, "fig6/sita")
 }
 
 // TestObsDifferentialFig8Slice: ghOSt thread scheduling on top of socket
 // steering — the ghost_runnable gauge reads agent state every tick.
 func TestObsDifferentialFig8Slice(t *testing.T) {
-	withObs(t, "fig8/scan_avoid+threadsched", func() string { return rocksDigest(fig8Slice()) })
+	t.Parallel()
+	withObs(t, "fig8/scan_avoid+threadsched")
 }
 
 // TestObsDifferentialFig9Slice: MICA steering at kernel and NIC layers.
 func TestObsDifferentialFig9Slice(t *testing.T) {
-	withObs(t, "fig9/sw", func() string { return micaDigest(fig9Slice(mica.ModeSyrupSW)) })
-	withObs(t, "fig9/hw", func() string { return micaDigest(fig9Slice(mica.ModeSyrupHW)) })
+	t.Parallel()
+	withObs(t, "fig9/sw")
+	withObs(t, "fig9/hw")
 }
 
-// TestObsDifferentialCluster: the fleet scenario end to end — per-host
+// TestObsDifferentialCluster: the fleet scenarios end to end — per-host
 // samplers, the control plane's rollout, and parallel host execution —
-// digests bit-identically with telemetry on vs off.
+// digest bit-identically with telemetry on vs off.
 func TestObsDifferentialCluster(t *testing.T) {
-	run := func() string {
-		cr, err := RunCluster(ClusterConfig{Hosts: 3, Seed: 11, TotalLoad: 120_000, Windows: diffWindows})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cr.Digest()
-	}
-	defer SetObsPeriod(0)
-	SetObsPeriod(0)
-	ref := run()
-	SetObsPeriod(sim.Millisecond)
-	if got := run(); got != ref {
-		t.Fatalf("cluster digest diverged with telemetry on:\n--- off\n%s--- on\n%s", ref, got)
-	}
+	t.Parallel()
+	withObs(t, "fleet/rocksdb-4")
+	withObs(t, "fleet/mica-4")
 }

@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"syrup/internal/metrics"
-	"syrup/internal/par"
 	"syrup/internal/workload"
 )
 
@@ -104,26 +103,6 @@ func (r *Result) Col(series string, x float64, col string) float64 {
 	return v
 }
 
-// poolWorkers is the fan-out width for every experiment sweep and the
-// cluster runner (0 = one worker per CPU). Set via SetWorkers (the
-// syrup-bench -workers flag). Results are bit-identical at any width:
-// every simulation owns private state and all aggregation is
-// index-addressed.
-var poolWorkers int
-
-// SetWorkers sets the worker-pool size for subsequent sweeps.
-func SetWorkers(n int) { poolWorkers = n }
-
-// Workers reports the configured worker-pool size (0 = one per CPU).
-func Workers() int { return poolWorkers }
-
-// parallelDo runs fn(0..n-1) on the configured worker pool and waits for
-// all of them. Results are communicated through index-addressed slices, so
-// aggregation order is deterministic regardless of completion order.
-func parallelDo(n int, fn func(i int)) {
-	par.Do(n, poolWorkers, fn)
-}
-
 // StatsDigest renders every client-observable statistic of a run — exact
 // counters, drop causes, and the full latency distribution shape — so two
 // digests match only if the runs were statistically indistinguishable.
@@ -157,11 +136,11 @@ func StatsDigest(r *workload.Result) string {
 	return b.String()
 }
 
-// sweep evaluates fn at every load in parallel (each point owns a private
-// simulation), preserving order.
-func sweep(loads []float64, fn func(load float64) Row) []Row {
+// sweep evaluates fn at every load on the run's worker pool (each point
+// owns a private simulation), preserving order.
+func sweep(rc RunConfig, loads []float64, fn func(load float64) Row) []Row {
 	rows := make([]Row, len(loads))
-	parallelDo(len(loads), func(i int) { rows[i] = fn(loads[i]) })
+	rc.do(len(loads), func(i int) { rows[i] = fn(loads[i]) })
 	sort.Slice(rows, func(i, j int) bool { return rows[i].X < rows[j].X })
 	return rows
 }
@@ -171,9 +150,9 @@ func sweep(loads []float64, fn func(load float64) Row) []Row {
 // one seeded simulation; reduce sees each load's samples in ascending seed
 // order (deterministic aggregation), and rows come back in input load
 // order.
-func sweepSeeded[T any](loads []float64, seeds int, point func(load float64, seed int) T, reduce func(load float64, samples []T) Row) []Row {
+func sweepSeeded[T any](rc RunConfig, loads []float64, seeds int, point func(load float64, seed int) T, reduce func(load float64, samples []T) Row) []Row {
 	samples := make([]T, len(loads)*seeds)
-	parallelDo(len(samples), func(i int) {
+	rc.do(len(samples), func(i int) {
 		samples[i] = point(loads[i/seeds], i%seeds)
 	})
 	rows := make([]Row, len(loads))
@@ -186,12 +165,12 @@ func sweepSeeded[T any](loads []float64, seeds int, point func(load float64, see
 // sweepGrid fans out every (series, load) pair of a multi-series figure in
 // one pool, so one slow series does not serialize behind another. Rows per
 // series come back in input load order.
-func sweepGrid(nSeries int, loads []float64, fn func(si int, load float64) Row) [][]Row {
+func sweepGrid(rc RunConfig, nSeries int, loads []float64, fn func(si int, load float64) Row) [][]Row {
 	rows := make([][]Row, nSeries)
 	for si := range rows {
 		rows[si] = make([]Row, len(loads))
 	}
-	parallelDo(nSeries*len(loads), func(i int) {
+	rc.do(nSeries*len(loads), func(i int) {
 		si, li := i/len(loads), i%len(loads)
 		rows[si][li] = fn(si, loads[li])
 	})

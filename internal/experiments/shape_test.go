@@ -6,8 +6,10 @@ package experiments
 // in the verifier, scheduler, or cost model shows up here.
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"syrup/internal/apps/mica"
 	"syrup/internal/ebpf"
@@ -17,8 +19,8 @@ import (
 
 func rocksP99(t *testing.T, pt rocksPoint) (p99us float64, dropFrac float64) {
 	t.Helper()
-	pt.Windows = FastWindows
-	r := runRocksPoint(pt)
+	pt.Run.Windows = FastWindows
+	r := runRocksPoint(pt).Result
 	return float64(r.All.Latency.Percentile(99)) / 1000, r.All.DropFraction()
 }
 
@@ -133,8 +135,8 @@ func TestShapeFig7TokenQoS(t *testing.T) {
 			},
 			Policy: pol, Service: fig7Service,
 			TokenRate: 350_000, LSUser: 0, BEUser: 1,
-			Windows: FastWindows,
-		})
+			Run: RunConfig{Windows: FastWindows},
+		}).Result
 	}
 	rr := run(PolicyRoundRobin)
 	tok := run(PolicyToken)
@@ -164,8 +166,8 @@ func fig8Point(pol SocketPolicy, threadSched bool, load float64) rocksPoint {
 // getP99 runs a point and returns the GET class's p99 in µs (Fig. 8's
 // panels are per-class; the 50% SCAN mix dominates the overall tail).
 func getP99(pt rocksPoint) float64 {
-	pt.Windows = FastWindows
-	r := runRocksPoint(pt)
+	pt.Run.Windows = FastWindows
+	r := runRocksPoint(pt).Result
 	return float64(r.PerClass["GET"].Latency.Percentile(99)) / 1000
 }
 
@@ -200,13 +202,14 @@ func TestShapeFig8CrossLayer(t *testing.T) {
 
 func micaP999(t *testing.T, mode mica.Mode, load float64) float64 {
 	t.Helper()
-	r, _ := runMicaPoint(micaPoint{Seed: 53, Load: load, Mode: mode, GetFrac: 0.5, Windows: FastWindows})
+	r, _ := runMicaPoint(micaPoint{Seed: 53, Load: load, Mode: mode, GetFrac: 0.5, Run: RunConfig{Windows: FastWindows}})
 	return float64(r.All.Latency.Percentile(99.9)) / 1000
 }
 
 // Fig. 9: steering earlier in the stack wins — app redirect < kernel XDP <
 // NIC offload, with the paper's knee ordering.
 func TestShapeFig9LayerOrdering(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("long shape test")
 	}
@@ -338,11 +341,48 @@ func containsStr(s, sub string) bool {
 
 func TestSweepPreservesOrderAndParallelizes(t *testing.T) {
 	loads := []float64{3, 1, 2}
-	rows := sweep(loads, func(load float64) Row {
-		return Row{X: load, Cols: map[string]float64{"v": load * 10}}
-	})
-	if rows[0].X != 1 || rows[1].X != 2 || rows[2].X != 3 {
-		t.Fatalf("rows unsorted: %+v", rows)
+	for _, workers := range []int{1, 4} {
+		rows := sweep(RunConfig{Workers: workers}, loads, func(load float64) Row {
+			return Row{X: load, Cols: map[string]float64{"v": load * 10}}
+		})
+		if rows[0].X != 1 || rows[1].X != 2 || rows[2].X != 3 {
+			t.Fatalf("workers=%d: rows unsorted: %+v", workers, rows)
+		}
+	}
+}
+
+// TestWorkersReachTheSweep: a Workers value on a figure config sets the
+// width of that figure's sweep. The pool runs inline at width 1 and on one
+// goroutine per slot above it, so the peak goroutine count while Fig7 runs
+// is the width — a config whose Workers never reached the pool would pass
+// every digest gate (results are width-independent) and fail here. Not
+// parallel: it counts the process's goroutines.
+func TestWorkersReachTheSweep(t *testing.T) {
+	peak := func(workers int) int {
+		base := runtime.NumGoroutine()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			Fig7(Fig7Config{
+				LSLoads: loadsBetween(50_000, 350_000, 4), TotalLoad: 400_000, TokenRate: 350_000,
+				Run: RunConfig{Windows: tinyWindows, Workers: workers},
+			})
+		}()
+		most := 0
+		for {
+			select {
+			case <-done:
+				return most
+			case <-time.After(50 * time.Microsecond):
+				most = max(most, runtime.NumGoroutine()-base-1)
+			}
+		}
+	}
+	if got := peak(1); got != 0 {
+		t.Fatalf("Workers: 1 ran the sweep on %d extra goroutines, want it inline", got)
+	}
+	if got := peak(4); got < 4 {
+		t.Fatalf("Workers: 4 reached a pool of width %d", got)
 	}
 }
 

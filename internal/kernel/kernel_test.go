@@ -210,10 +210,10 @@ func TestCFSNoPreemptionForFrequentRunner(t *testing.T) {
 	// Steady state: wake it every 800us while the hog burns CPU.
 	for i := 0; i < 50; i++ {
 		at := eng.Now() + 800*sim.Microsecond
-		eng.At(at, func() {
+		eng.CallAt(at, func(any, uint64) {
 			wakeAt = at
 			frequent.Wake()
-		})
+		}, nil, 0)
 		eng.RunUntil(at + 800*sim.Microsecond)
 	}
 	// It should regularly wait behind the hog's 700us bursts rather than
@@ -317,7 +317,7 @@ func TestPreemptDuringContextSwitchWindow(t *testing.T) {
 	})
 	th.Wake()
 	// Preempt 2us in — mid switch, before the continuation fires.
-	eng.At(2*sim.Microsecond, func() {
+	eng.CallAt(2*sim.Microsecond, func(any, uint64) {
 		if got := m.CPU(0).PreemptCurrent(); got != th {
 			t.Fatalf("preempted %v", got)
 		}
@@ -326,7 +326,7 @@ func TestPreemptDuringContextSwitchWindow(t *testing.T) {
 		}
 		// Re-dispatch manually.
 		m.CPU(0).StartThread(th, 0)
-	})
+	}, nil, 0)
 	eng.Run()
 	if !ran || th.State() != ThreadDead {
 		t.Fatalf("thread did not complete after mid-switch preemption: ran=%v state=%v", ran, th.State())

@@ -391,7 +391,7 @@ func TestXDPRevokeBetweenAdmissionAndCompletion(t *testing.T) {
 	}
 	// Softirq completions land at 1900, 3300, 4700, 6100. The revoke at
 	// t=2000 falls between the first and the second.
-	eng.After(2000, func() { st.SetXDP(XDPNone, nil) })
+	eng.CallAfter(2000, func(any, uint64) { st.SetXDP(XDPNone, nil) }, nil, 0)
 	eng.Run()
 
 	if runs := st.XDP().Stats().Runs; runs != 1 {

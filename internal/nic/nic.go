@@ -420,11 +420,32 @@ type OffloadedMap struct {
 	eng *sim.Engine
 	m   *ebpf.Map
 	rtt sim.Time
+	// The far end of the round trip, one stored callback per operation:
+	// arg is the caller's done func (lookup) or the pending write.
+	lookupCB, updateCB sim.Callback
+}
+
+// offloadWrite is a host-issued update in flight over PCIe.
+type offloadWrite struct {
+	v    uint64
+	done func(err error)
 }
 
 // OffloadMap declares m as living on the NIC.
 func (n *NIC) OffloadMap(m *ebpf.Map) *OffloadedMap {
-	return &OffloadedMap{eng: n.eng, m: m, rtt: n.cfg.HostMapRTT}
+	return &OffloadedMap{
+		eng: n.eng, m: m, rtt: n.cfg.HostMapRTT,
+		lookupCB: func(done any, key uint64) {
+			done.(func(uint64, bool))(m.LookupUint64(uint32(key)))
+		},
+		updateCB: func(arg any, key uint64) {
+			w := arg.(*offloadWrite)
+			err := m.UpdateUint64(uint32(key), w.v)
+			if w.done != nil {
+				w.done(err)
+			}
+		},
+	}
 }
 
 // Inner returns the underlying map (the NIC-side view).
@@ -436,19 +457,11 @@ func (o *OffloadedMap) RTT() sim.Time { return o.rtt }
 // LookupUint64 reads key from the host; done receives the value after the
 // round trip.
 func (o *OffloadedMap) LookupUint64(key uint32, done func(v uint64, ok bool)) {
-	o.eng.After(o.rtt, func() {
-		v, ok := o.m.LookupUint64(key)
-		done(v, ok)
-	})
+	o.eng.CallAfter(o.rtt, o.lookupCB, done, uint64(key))
 }
 
 // UpdateUint64 writes key from the host; done (optional) fires after the
 // round trip.
 func (o *OffloadedMap) UpdateUint64(key uint32, v uint64, done func(err error)) {
-	o.eng.After(o.rtt, func() {
-		err := o.m.UpdateUint64(key, v)
-		if done != nil {
-			done(err)
-		}
-	})
+	o.eng.CallAfter(o.rtt, o.updateCB, &offloadWrite{v: v, done: done}, uint64(key))
 }

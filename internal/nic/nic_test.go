@@ -259,14 +259,14 @@ func TestBurstDrainFullRing(t *testing.T) {
 	})
 	dev.SetOffloadProgram(steerAll(t))
 
-	eng.After(arrival, func() {
+	eng.CallAfter(arrival, func(any, uint64) {
 		for i := 0; i < ringSize+1; i++ {
 			dev.Receive(mkPkt(uint64(i), uint16(1000+i), nil))
 		}
 		if dev.Stats.DroppedRing != 1 {
 			t.Fatalf("DroppedRing = %d, want 1", dev.Stats.DroppedRing)
 		}
-	})
+	}, nil, 0)
 	eng.Run()
 
 	if delivered != ringSize {

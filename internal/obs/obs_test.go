@@ -60,8 +60,8 @@ func TestSamplerEndToEnd(t *testing.T) {
 		t.Fatalf("Histograms() = %v, want the one registered", got)
 	}
 
-	eng.At(5, func() { depth = 3; done = 100; runs = 4; h.Record(2000) })
-	eng.At(15, func() { depth = 1; done = 250; runs = 9 })
+	eng.CallAt(5, func(any, uint64) { depth = 3; done = 100; runs = 4; h.Record(2000) }, nil, 0)
+	eng.CallAt(15, func(any, uint64) { depth = 1; done = 250; runs = 9 }, nil, 0)
 	eng.RunUntil(30)
 
 	snap := sa.Store().Snapshot()

@@ -243,11 +243,11 @@ func TestTokenAgentReplenishesAndGifts(t *testing.T) {
 	agent := &TokenAgent{Tokens: tokens, LSUser: 0, BEUser: 1, PerEpoch: 100, Epoch: 100 * sim.Microsecond}
 	agent.Start(eng)
 	// Consume 60 LS tokens mid-epoch.
-	eng.At(50*sim.Microsecond, func() {
+	eng.CallAt(50*sim.Microsecond, func(any, uint64) {
 		for i := 0; i < 60; i++ {
 			tokens.AddUint64(0, ^uint64(0)) // -1
 		}
-	})
+	}, nil, 0)
 	eng.RunUntil(150 * sim.Microsecond)
 	// After the first epoch tick: 40 leftover gifted to BE, LS reset to 100.
 	if v, _ := tokens.LookupUint64(1); v != 40 {

@@ -38,10 +38,9 @@ type Callback func(arg any, u uint64)
 
 // Event lifecycle states.
 const (
-	statePending uint8 = iota
-	stateFired
-	stateCanceled
-	stateFree // recycled into the pool; gen has been bumped
+	statePending  uint8 = iota
+	stateCanceled       // still occupying ready/overflow, swept when next visited
+	stateFree           // recycled into the pool; gen has been bumped
 )
 
 // Where a pending event currently lives (for O(1) cancel).
@@ -52,48 +51,28 @@ const (
 	locOverflow
 )
 
-// Event is a scheduled callback. Holding the value returned by Schedule
-// allows the caller to Cancel the event before it fires (e.g., a preemption
-// canceling a pending burst-completion event). Events returned by At/After
-// are never pooled, so a held *Event stays valid indefinitely; the pooled
-// CallAt/TimerAt paths hand out no raw *Event (Timer handles are
-// generation-checked instead).
+// Event is one pooled schedule. Every event belongs to the engine's free
+// list: it is recycled the moment it fires or is canceled, so no caller
+// ever holds a raw *Event — Timer, generation-checked, is the one
+// cancelable handle.
 type Event struct {
 	at  Time
 	seq uint64 // tie-break: FIFO among simultaneous events
 	gen uint64 // bumped on every pool recycle; validates Timer handles
 	u   uint64
 
-	fn  func()
 	cb  Callback
 	arg any
 
 	prev, next *Event // intrusive bucket chain / free list
 
-	state  uint8
-	loc    uint8
-	level  int8
-	pooled bool
-	slot   int16
+	state uint8
+	loc   uint8
+	level int8
+	slot  int16
 }
 
-// Time reports when the event is (or was) scheduled to fire.
-func (ev *Event) Time() Time { return ev.at }
-
-// Canceled reports whether the event was canceled before firing. An event
-// that ran normally is Fired, not Canceled — teardown logic (e.g. hot-swap
-// detach paths) distinguishes "this work was revoked" from "this work
-// already happened".
-func (ev *Event) Canceled() bool { return ev.state == stateCanceled }
-
-// Fired reports whether the event's callback has executed.
-func (ev *Event) Fired() bool { return ev.state == stateFired }
-
-// Done reports whether the event will never fire in the future: it either
-// already fired or was canceled.
-func (ev *Event) Done() bool { return ev.state != statePending }
-
-// Timer is a cancelable handle to a pooled event. The zero Timer is inert.
+// Timer is a cancelable handle to a scheduled event. The zero Timer is inert.
 // Handles are generation-checked: once the event fires or is canceled and
 // the pool recycles it, a stale Timer observes the generation mismatch and
 // reports inactive instead of aliasing the event's next incarnation.
@@ -187,24 +166,9 @@ func (e *Engine) schedule(ev *Event, t Time) {
 	e.place(ev)
 }
 
-// At schedules fn to run at absolute virtual time t. The returned event is
-// caller-owned (never pooled) and may be held indefinitely.
-func (e *Engine) At(t Time, fn func()) *Event {
-	if fn == nil {
-		panic("sim: nil event callback")
-	}
-	ev := &Event{fn: fn}
-	e.schedule(ev, t)
-	return ev
-}
-
-// After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Time, fn func()) *Event { return e.At(e.now+d, fn) }
-
-// CallAt schedules cb(arg, u) at absolute time t on a pooled event:
-// fire-and-forget, zero allocations at steady state. This is the hot-path
-// variant of At — the callback is a stored func shared across schedules,
-// not a fresh closure.
+// CallAt schedules cb(arg, u) at absolute time t: fire-and-forget, zero
+// allocations at steady state when cb is a stored func shared across
+// schedules rather than a fresh closure.
 func (e *Engine) CallAt(t Time, cb Callback, arg any, u uint64) {
 	if cb == nil {
 		panic("sim: nil event callback")
@@ -214,8 +178,7 @@ func (e *Engine) CallAt(t Time, cb Callback, arg any, u uint64) {
 	e.schedule(ev, t)
 }
 
-// CallAfter schedules cb(arg, u) to run d nanoseconds from now on a
-// pooled event.
+// CallAfter schedules cb(arg, u) to run d nanoseconds from now.
 func (e *Engine) CallAfter(d Time, cb Callback, arg any, u uint64) {
 	e.CallAt(e.now+d, cb, arg, u)
 }
@@ -236,16 +199,7 @@ func (e *Engine) TimerAfter(d Time, cb Callback, arg any, u uint64) Timer {
 	return e.TimerAt(e.now+d, cb, arg, u)
 }
 
-// Cancel removes ev from the queue. Canceling an already-fired or
-// already-canceled event is a no-op, which makes teardown code simple.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.state != statePending {
-		return
-	}
-	e.cancelEvent(ev)
-}
-
-// CancelTimer cancels a pooled schedule. Stale handles (the event fired or
+// CancelTimer cancels a schedule. Stale handles (the event fired or
 // was already canceled, even if since recycled for an unrelated schedule)
 // are a safe no-op. Reports whether the timer was actually canceled.
 func (e *Engine) CancelTimer(tm Timer) bool {
@@ -259,19 +213,17 @@ func (e *Engine) CancelTimer(tm Timer) bool {
 func (e *Engine) cancelEvent(ev *Event) {
 	ev.state = stateCanceled
 	e.live--
-	ev.fn, ev.cb, ev.arg = nil, nil, nil
+	ev.cb, ev.arg = nil, nil
 	if ev.loc == locBucket {
 		// Eager unlink keeps buckets free of dead events and lets the
 		// pool reuse the slot immediately (the cancel-heavy path).
 		e.wheelUnlink(ev)
-		if ev.pooled {
-			e.recycle(ev)
-		}
+		e.recycle(ev)
 		return
 	}
-	// locReady / locOverflow entries are swept (and pooled ones
-	// recycled) when their slice position is next visited; compaction
-	// bounds how many dead entries can pile up meanwhile.
+	// locReady / locOverflow entries are swept (and recycled) when
+	// their slice position is next visited; compaction bounds how many
+	// dead entries can pile up meanwhile.
 	switch ev.loc {
 	case locReady:
 		e.deadReady++
@@ -287,7 +239,7 @@ func (e *Engine) cancelEvent(ev *Event) {
 }
 
 // compactReady squeezes canceled entries out of the ready queue,
-// recycling pooled ones. Order among survivors is preserved.
+// recycling them. Order among survivors is preserved.
 func (e *Engine) compactReady() {
 	kept := e.ready[:e.head] // fired prefix stays untouched
 	for _, ev := range e.ready[e.head:] {
@@ -295,10 +247,7 @@ func (e *Engine) compactReady() {
 			kept = append(kept, ev)
 			continue
 		}
-		ev.loc = locNone
-		if ev.pooled {
-			e.recycle(ev)
-		}
+		e.recycle(ev)
 	}
 	for i := len(kept); i < len(e.ready); i++ {
 		e.ready[i] = nil
@@ -315,10 +264,7 @@ func (e *Engine) compactOverflow() {
 	w.overflowMin = 0
 	for _, ev := range w.overflow {
 		if ev.state != statePending {
-			ev.loc = locNone
-			if ev.pooled {
-				e.recycle(ev)
-			}
+			e.recycle(ev)
 			continue
 		}
 		if b := bucketOf(ev.at); len(kept) == 0 || b < w.overflowMin {
@@ -340,16 +286,16 @@ func (e *Engine) alloc() *Event {
 		ev.next = nil
 		return ev
 	}
-	return &Event{pooled: true}
+	return new(Event)
 }
 
-// recycle returns a pooled event to the free list, bumping its generation
+// recycle returns an event to the free list, bumping its generation
 // so stale Timer handles cannot alias the next schedule that reuses it.
 func (e *Engine) recycle(ev *Event) {
 	ev.gen++
 	ev.state = stateFree
 	ev.loc = locNone
-	ev.fn, ev.cb, ev.arg = nil, nil, nil
+	ev.cb, ev.arg = nil, nil
 	ev.prev = nil
 	ev.next = e.free
 	e.free = ev
@@ -409,10 +355,7 @@ func (e *Engine) peek() *Event {
 			// Canceled while in the ready queue: sweep.
 			e.head++
 			e.deadReady--
-			ev.loc = locNone
-			if ev.pooled {
-				e.recycle(ev)
-			}
+			e.recycle(ev)
 		}
 		e.ready = e.ready[:0]
 		e.head = 0
@@ -423,8 +366,8 @@ func (e *Engine) peek() *Event {
 	}
 }
 
-// fire pops ev (the current peek result) and runs its callback. Pooled
-// events are recycled before the callback so the pool slot is immediately
+// fire pops ev (the current peek result) and runs its callback. The event
+// is recycled before the callback so the pool slot is immediately
 // reusable; the callback only sees the copied-out fields.
 func (e *Engine) fire(ev *Event) {
 	e.head++
@@ -435,19 +378,10 @@ func (e *Engine) fire(ev *Event) {
 	if e.sampleFn != nil && e.now >= e.sampleNext {
 		e.runSampler()
 	}
-	ev.state = stateFired
-	ev.loc = locNone
 	e.fired++
 	e.live--
-	fn, cb, arg, u := ev.fn, ev.cb, ev.arg, ev.u
-	ev.fn, ev.cb, ev.arg = nil, nil, nil
-	if ev.pooled {
-		e.recycle(ev)
-	}
-	if fn != nil {
-		fn()
-		return
-	}
+	cb, arg, u := ev.cb, ev.arg, ev.u
+	e.recycle(ev)
 	cb(arg, u)
 }
 
@@ -518,13 +452,13 @@ func (e *Engine) runSampler() {
 }
 
 // Ticker invokes fn every period until canceled. It is used for epoch-based
-// agents (e.g., the token replenisher) and scheduler ticks. The ticker owns
-// a single persistent event that is re-armed in place, so steady-state
-// ticking allocates nothing.
+// agents (e.g., the token replenisher) and scheduler ticks. Each tick
+// re-arms a Timer on the event the tick just gave back to the pool, so
+// steady-state ticking allocates nothing.
 type Ticker struct {
 	e      *Engine
 	period Time
-	ev     Event
+	tm     Timer
 	fn     func()
 	done   bool
 }
@@ -535,36 +469,24 @@ func (e *Engine) NewTicker(period Time, fn func()) *Ticker {
 		panic("sim: ticker period must be positive")
 	}
 	t := &Ticker{e: e, period: period, fn: fn}
-	t.arm()
+	t.tm = e.TimerAfter(period, tickerTick, t, 0)
 	return t
-}
-
-// arm re-schedules the ticker's own event for one period from now. The
-// engine clears the callback fields at fire time, so each arm restores
-// them; no allocation happens on this path.
-func (t *Ticker) arm() {
-	t.ev.cb = tickerTick
-	t.ev.arg = t
-	t.e.schedule(&t.ev, t.e.now+t.period)
 }
 
 // tickerTick is the shared tick callback (package-level: one func for all
 // tickers, selected by arg).
 func tickerTick(arg any, _ uint64) {
 	t := arg.(*Ticker)
-	if t.done {
-		return
-	}
 	t.fn()
 	if !t.done {
-		t.arm()
+		t.tm = t.e.TimerAfter(t.period, tickerTick, t, 0)
 	}
 }
 
 // Stop cancels the ticker.
 func (t *Ticker) Stop() {
 	t.done = true
-	t.e.Cancel(&t.ev)
+	t.e.CancelTimer(t.tm)
 }
 
 // eventLess is the engine's total order: time, then schedule FIFO.

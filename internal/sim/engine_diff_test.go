@@ -149,7 +149,7 @@ func diffTrace(t *testing.T, seed int64) {
 	ref := &refEngine{}
 
 	var gotW, gotR []int
-	wheelHandles := map[int]any{} // id -> *Event (even ids) or Timer (odd ids)
+	wheelHandles := map[int]Timer{}
 	refHandles := map[int]*refEvent{}
 	rules := map[int]traceRule{}
 	nextW, nextR := roots, roots // child id counters, one per engine
@@ -171,28 +171,18 @@ func diffTrace(t *testing.T, seed int64) {
 		return r
 	}
 
-	// scheduleWheel alternates the caller-owned closure path (even ids)
-	// and the pooled Timer path (odd ids), so the differential covers
-	// both front ends plus both cancel paths.
+	// Every schedule keeps its Timer: a cancel rule may name an event that
+	// already fired, whose handle the generation check must have retired.
 	var fireWheel func(id int)
+	fireCB := func(_ any, u uint64) { fireWheel(int(u)) }
 	scheduleWheel := func(at Time, id int) {
-		if id%2 == 0 {
-			id := id
-			wheelHandles[id] = eng.At(at, func() { fireWheel(id) })
-		} else {
-			wheelHandles[id] = eng.TimerAt(at, func(_ any, u uint64) { fireWheel(int(u)) }, nil, uint64(id))
-		}
+		wheelHandles[id] = eng.TimerAt(at, fireCB, nil, uint64(id))
 	}
 	fireWheel = func(id int) {
 		gotW = append(gotW, id)
 		rule := ruleFor(id, nextW)
 		for _, c := range rule.cancels {
-			switch h := wheelHandles[c].(type) {
-			case *Event:
-				eng.Cancel(h)
-			case Timer:
-				eng.CancelTimer(h)
-			}
+			eng.CancelTimer(wheelHandles[c])
 		}
 		for _, d := range rule.children {
 			cid := nextW
@@ -417,15 +407,15 @@ func diffScript(t *testing.T, c edgeCase) {
 	eng := New(1)
 	ref := &refEngine{}
 	var gotW, gotR []int
-	wheelEvs := make([]*Event, len(c.events))
+	wheelEvs := make([]Timer, len(c.events))
 	refEvs := make([]*refEvent, len(c.events))
 
 	var scheduleWheel, scheduleRef func(id int)
 	scheduleWheel = func(id int) {
-		wheelEvs[id] = eng.At(c.events[id].at, func() {
+		wheelEvs[id] = eng.TimerAt(c.events[id].at, func(any, uint64) {
 			gotW = append(gotW, id)
 			for _, k := range c.events[id].cancel {
-				eng.Cancel(wheelEvs[k])
+				eng.CancelTimer(wheelEvs[k])
 			}
 			for _, k := range c.events[id].spawn {
 				scheduleWheel(k)
@@ -435,7 +425,7 @@ func diffScript(t *testing.T, c edgeCase) {
 					t.Fatalf("%s: the trace is off the edge it was built for: %s", c.name, msg)
 				}
 			}
-		})
+		}, nil, 0)
 	}
 	scheduleRef = func(id int) {
 		refEvs[id] = ref.at(c.events[id].at, func() {
@@ -466,30 +456,30 @@ func diffScript(t *testing.T, c edgeCase) {
 }
 
 // TestDifferentialFIFOBurst hammers the exact-tie path: hundreds of
-// events at one timestamp, spread across all three scheduling front ends
-// and interleaved with cancels, must fire in schedule order on both
-// engines.
+// events at one timestamp, spread across both scheduling front ends and
+// interleaved with cancels, must fire in schedule order on both engines.
 func TestDifferentialFIFOBurst(t *testing.T) {
 	eng := New(7)
 	ref := &refEngine{}
 	var gotW, gotR []int
 
-	var wheelEvs []*Event
+	var wheelEvs []Timer
 	var refEvs []*refEvent
 	const at = Time(5 * Microsecond)
+	fire := func(_ any, u uint64) { gotW = append(gotW, int(u)) }
 	for i := 0; i < 300; i++ {
 		i := i
 		if i%3 == 1 {
-			eng.CallAt(at, func(_ any, u uint64) { gotW = append(gotW, int(u)) }, nil, uint64(i))
-			wheelEvs = append(wheelEvs, nil) // fire-and-forget: no handle
+			eng.CallAt(at, fire, nil, uint64(i))
+			wheelEvs = append(wheelEvs, Timer{}) // fire-and-forget: no handle
 		} else {
-			wheelEvs = append(wheelEvs, eng.At(at, func() { gotW = append(gotW, i) }))
+			wheelEvs = append(wheelEvs, eng.TimerAt(at, fire, nil, uint64(i)))
 		}
 		refEvs = append(refEvs, ref.at(at, func() { gotR = append(gotR, i) }))
 	}
 	for i := 0; i < 300; i += 7 {
-		if wheelEvs[i] != nil {
-			eng.Cancel(wheelEvs[i])
+		if wheelEvs[i].Active() {
+			eng.CancelTimer(wheelEvs[i])
 			ref.cancel(refEvs[i])
 		}
 	}

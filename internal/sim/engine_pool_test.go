@@ -47,35 +47,6 @@ func TestTimerHandleSurvivesPooling(t *testing.T) {
 	}
 }
 
-// TestEventHandleSurvivesPooling checks that caller-owned *Event handles
-// from At keep their Fired/Canceled/Done semantics indefinitely, even
-// after the engine has churned through its internal pool many times.
-func TestEventHandleSurvivesPooling(t *testing.T) {
-	e := New(2)
-	nop := func(any, uint64) {}
-
-	evFired := e.At(Microsecond, func() {})
-	evCanceled := e.At(2*Microsecond, func() {})
-	e.Cancel(evCanceled)
-	e.Run()
-
-	for round := 0; round < 8; round++ {
-		for i := 0; i < 128; i++ {
-			e.CallAfter(Time(i%7), nop, nil, 0)
-		}
-		e.Run()
-	}
-
-	if !evFired.Fired() || evFired.Canceled() || !evFired.Done() {
-		t.Fatalf("fired handle corrupted by pooling: Fired=%v Canceled=%v Done=%v",
-			evFired.Fired(), evFired.Canceled(), evFired.Done())
-	}
-	if evCanceled.Fired() || !evCanceled.Canceled() || !evCanceled.Done() {
-		t.Fatalf("canceled handle corrupted by pooling: Fired=%v Canceled=%v Done=%v",
-			evCanceled.Fired(), evCanceled.Canceled(), evCanceled.Done())
-	}
-}
-
 // TestCancelChurnCompaction regression-tests the lazy-cancel compaction:
 // a workload that schedules and cancels without ever letting the clock
 // advance must not accumulate dead entries (this was quadratic before

@@ -8,9 +8,9 @@ import (
 func TestEventOrdering(t *testing.T) {
 	e := New(1)
 	var got []int
-	e.At(30, func() { got = append(got, 3) })
-	e.At(10, func() { got = append(got, 1) })
-	e.At(20, func() { got = append(got, 2) })
+	e.CallAt(30, func(any, uint64) { got = append(got, 3) }, nil, 0)
+	e.CallAt(10, func(any, uint64) { got = append(got, 1) }, nil, 0)
+	e.CallAt(20, func(any, uint64) { got = append(got, 2) }, nil, 0)
 	e.Run()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("events out of order: %v", got)
@@ -25,7 +25,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.At(5, func() { got = append(got, i) })
+		e.CallAt(5, func(any, uint64) { got = append(got, i) }, nil, 0)
 	}
 	e.Run()
 	for i, v := range got {
@@ -38,9 +38,9 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 func TestAfterAccumulates(t *testing.T) {
 	e := New(1)
 	var times []Time
-	e.At(100, func() {
-		e.After(50, func() { times = append(times, e.Now()) })
-	})
+	e.CallAt(100, func(any, uint64) {
+		e.CallAfter(50, func(any, uint64) { times = append(times, e.Now()) }, nil, 0)
+	}, nil, 0)
 	e.Run()
 	if len(times) != 1 || times[0] != 150 {
 		t.Fatalf("After misfired: %v", times)
@@ -50,28 +50,33 @@ func TestAfterAccumulates(t *testing.T) {
 func TestCancel(t *testing.T) {
 	e := New(1)
 	fired := false
-	ev := e.At(10, func() { fired = true })
-	e.Cancel(ev)
+	tm := e.TimerAt(10, func(any, uint64) { fired = true }, nil, 0)
+	if !e.CancelTimer(tm) {
+		t.Fatal("pending timer did not cancel")
+	}
 	e.Run()
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !ev.Canceled() {
-		t.Fatal("event does not report canceled")
+	if tm.Active() {
+		t.Fatal("canceled timer still reports active")
 	}
 	// Double-cancel and cancel-after-run must be no-ops.
-	e.Cancel(ev)
-	ev2 := e.At(20, func() {})
+	if e.CancelTimer(tm) {
+		t.Fatal("double cancel reported success")
+	}
+	tm2 := e.TimerAt(20, func(any, uint64) {}, nil, 0)
 	e.Run()
-	e.Cancel(ev2)
+	if e.CancelTimer(tm2) {
+		t.Fatal("cancel after run reported success")
+	}
 }
 
 func TestCancelFromInsideEvent(t *testing.T) {
 	e := New(1)
 	fired := false
-	var victim *Event
-	victim = e.At(10, func() { fired = true })
-	e.At(5, func() { e.Cancel(victim) })
+	victim := e.TimerAt(10, func(any, uint64) { fired = true }, nil, 0)
+	e.CallAt(5, func(any, uint64) { e.CancelTimer(victim) }, nil, 0)
 	e.Run()
 	if fired {
 		t.Fatal("event canceled at t=5 still fired at t=10")
@@ -83,7 +88,7 @@ func TestRunUntil(t *testing.T) {
 	var got []Time
 	for _, at := range []Time{10, 20, 30, 40} {
 		at := at
-		e.At(at, func() { got = append(got, at) })
+		e.CallAt(at, func(any, uint64) { got = append(got, at) }, nil, 0)
 	}
 	e.RunUntil(25)
 	if len(got) != 2 || e.Now() != 25 {
@@ -98,10 +103,10 @@ func TestRunUntil(t *testing.T) {
 func TestRunUntilRunsEventsScheduledAtBoundary(t *testing.T) {
 	e := New(1)
 	n := 0
-	e.At(10, func() {
+	e.CallAt(10, func(any, uint64) {
 		n++
-		e.At(10, func() { n++ })
-	})
+		e.CallAt(10, func(any, uint64) { n++ }, nil, 0)
+	}, nil, 0)
 	e.RunUntil(10)
 	if n != 2 {
 		t.Fatalf("boundary-time chained event did not run: n=%d", n)
@@ -110,22 +115,22 @@ func TestRunUntilRunsEventsScheduledAtBoundary(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := New(1)
-	e.At(100, func() {
+	e.CallAt(100, func(any, uint64) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(50, func() {})
-	})
+		e.CallAt(50, func(any, uint64) {}, nil, 0)
+	}, nil, 0)
 	e.Run()
 }
 
 func TestStop(t *testing.T) {
 	e := New(1)
 	n := 0
-	e.At(1, func() { n++; e.Stop() })
-	e.At(2, func() { n++ })
+	e.CallAt(1, func(any, uint64) { n++; e.Stop() }, nil, 0)
+	e.CallAt(2, func(any, uint64) { n++ }, nil, 0)
 	e.Run()
 	if n != 1 {
 		t.Fatalf("Stop did not halt run loop: n=%d", n)
@@ -163,7 +168,7 @@ func TestDeterminism(t *testing.T) {
 		var out []uint64
 		for i := 0; i < 50; i++ {
 			d := Time(e.Rand().Int64N(1000)) + 1
-			e.After(d, func() { out = append(out, e.Rand().Uint64()) })
+			e.CallAfter(d, func(any, uint64) { out = append(out, e.Rand().Uint64()) }, nil, 0)
 		}
 		e.Run()
 		return out
@@ -192,7 +197,7 @@ func TestPropertyMonotoneClock(t *testing.T) {
 			if at > max {
 				max = at
 			}
-			e.At(at, func() { fireTimes = append(fireTimes, e.Now()) })
+			e.CallAt(at, func(any, uint64) { fireTimes = append(fireTimes, e.Now()) }, nil, 0)
 		}
 		e.Run()
 		for i := 1; i < len(fireTimes); i++ {
@@ -207,39 +212,6 @@ func TestPropertyMonotoneClock(t *testing.T) {
 	}
 }
 
-// TestFiredVsCanceled pins the Event lifecycle split: an event that ran
-// normally is Fired (not Canceled), an event that was canceled is Canceled
-// (not Fired), and Done covers both. Hot-swap teardown relies on this to
-// tell revoked work from completed work.
-func TestFiredVsCanceled(t *testing.T) {
-	e := New(1)
-	ran := e.At(10, func() {})
-	killed := e.At(20, func() { t.Fatal("canceled event fired") })
-	pending := e.At(30, func() {})
-	e.Cancel(killed)
-
-	if ran.Fired() || ran.Canceled() || ran.Done() {
-		t.Fatal("unfired event reports fired/canceled/done")
-	}
-	e.RunUntil(15)
-	if !ran.Fired() || !ran.Done() {
-		t.Fatal("fired event does not report Fired/Done")
-	}
-	if ran.Canceled() {
-		t.Fatal("fired event reports Canceled")
-	}
-	if !killed.Canceled() || !killed.Done() || killed.Fired() {
-		t.Fatal("canceled event lifecycle wrong")
-	}
-	// Cancel after firing must not flip a fired event to canceled.
-	e.Cancel(ran)
-	if ran.Canceled() || !ran.Fired() {
-		t.Fatal("cancel-after-fire corrupted lifecycle")
-	}
-	e.Cancel(pending)
-	e.Run()
-}
-
 func TestMicrosAndString(t *testing.T) {
 	if Microsecond.Micros() != 1 {
 		t.Fatal("Micros conversion wrong")
@@ -251,10 +223,10 @@ func TestMicrosAndString(t *testing.T) {
 
 func BenchmarkScheduleAndFire(b *testing.B) {
 	e := New(1)
-	fn := func() {}
+	fn := func(any, uint64) {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.After(Time(i%64), fn)
+		e.CallAfter(Time(i%64), fn, nil, 0)
 		if e.Pending() > 1024 {
 			e.Run()
 		}

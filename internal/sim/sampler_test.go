@@ -18,10 +18,10 @@ func TestSamplerBoundaries(t *testing.T) {
 	var got []sample
 	e.SetSampler(10, func(at Time) { got = append(got, sample{at, counter}) })
 
-	e.At(3, func() { counter = 1 })
-	e.At(10, func() { counter = 2 }) // at the boundary: sampled value is pre-event
-	e.At(25, func() { counter = 3 }) // crosses boundary 20
-	e.At(77, func() { counter = 4 }) // gap: boundaries 30..70 catch up first
+	e.CallAt(3, func(any, uint64) { counter = 1 }, nil, 0)
+	e.CallAt(10, func(any, uint64) { counter = 2 }, nil, 0) // at the boundary: sampled value is pre-event
+	e.CallAt(25, func(any, uint64) { counter = 3 }, nil, 0) // crosses boundary 20
+	e.CallAt(77, func(any, uint64) { counter = 4 }, nil, 0) // gap: boundaries 30..70 catch up first
 	e.Run()
 
 	want := []sample{
@@ -40,7 +40,7 @@ func TestSamplerRunUntil(t *testing.T) {
 	e := New(1)
 	var got []Time
 	e.SetSampler(10, func(at Time) { got = append(got, at) })
-	e.At(5, func() {})
+	e.CallAt(5, func(any, uint64) {}, nil, 0)
 	e.RunUntil(35)
 	want := []Time{10, 20, 30}
 	if !reflect.DeepEqual(got, want) {
@@ -65,14 +65,14 @@ func TestSamplerPreservesOrder(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			i := i
 			at := Time(5 * (i % 4))
-			e.At(at, func() {
+			e.CallAt(at, func(any, uint64) {
 				order = append(order, i)
 				draws = append(draws, e.Rand().Uint64())
-				e.After(3, func() {
+				e.CallAfter(3, func(any, uint64) {
 					order = append(order, 100+i)
 					draws = append(draws, e.Rand().Uint64())
-				})
-			})
+				}, nil, 0)
+			}, nil, 0)
 		}
 		e.Run()
 		return
@@ -93,14 +93,14 @@ func TestSamplerUninstall(t *testing.T) {
 	fired := 0
 	e.SetSampler(10, func(Time) { fired++ })
 	e.SetSampler(0, func(Time) { fired++ })
-	e.At(50, func() {})
+	e.CallAt(50, func(any, uint64) {}, nil, 0)
 	e.Run()
 	if fired != 0 {
 		t.Fatalf("uninstalled sampler fired %d times", fired)
 	}
 	e.SetSampler(10, func(Time) { fired++ })
 	e.SetSampler(10, nil)
-	e.At(100, func() {})
+	e.CallAt(100, func(any, uint64) {}, nil, 0)
 	e.Run()
 	if fired != 0 {
 		t.Fatalf("nil-fn sampler fired %d times", fired)

@@ -244,10 +244,7 @@ func (e *Engine) refillOverflow(bestAbs int64) bool {
 	minB := int64(-1)
 	for _, ev := range w.overflow {
 		if ev.state != statePending {
-			ev.loc = locNone
-			if ev.pooled {
-				e.recycle(ev)
-			}
+			e.recycle(ev)
 			continue
 		}
 		if b := bucketOf(ev.at); minB < 0 || b < minB {

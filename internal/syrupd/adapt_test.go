@@ -80,7 +80,7 @@ func TestAdaptServerOps(t *testing.T) {
 	series := st.Series("p99")
 	for ts := 50 * sim.Microsecond; ts < 3*sim.Millisecond; ts += 100 * sim.Microsecond {
 		at := ts
-		h.eng.At(at, func() { series.Append(at, 500) })
+		h.eng.CallAt(at, func(any, uint64) { series.Append(at, 500) }, nil, 0)
 	}
 	h.eng.RunUntil(3 * sim.Millisecond)
 

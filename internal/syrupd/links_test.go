@@ -30,19 +30,19 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	const total = 200
 	for i := 0; i < total; i++ {
 		i := i
-		h.eng.At(sim.Time(i)*sim.Microsecond, func() {
+		h.eng.CallAt(sim.Time(i)*sim.Microsecond, func(any, uint64) {
 			h.dev.Receive(pkt(uint64(i), uint16(1000+i), 9000, nil))
-		})
+		}, nil, 0)
 	}
 	// Swap both policies mid-stream, between two arrivals.
-	h.eng.At(100*sim.Microsecond+500*sim.Nanosecond, func() {
+	h.eng.CallAt(100*sim.Microsecond+500*sim.Nanosecond, func(any, uint64) {
 		if _, err := h.d.DeployPolicy(1, HookSocketSelect, "r0 = 1\nexit\n", nil); err != nil {
 			t.Error(err)
 		}
 		if _, err := h.d.DeployPolicy(1, HookXDPSkb, "r6 = 1\nr0 = PASS\nexit\n", nil); err != nil {
 			t.Error(err)
 		}
-	})
+	}, nil, 0)
 	h.eng.Run()
 
 	// Conservation: every packet dispatched exactly once — no drop, no

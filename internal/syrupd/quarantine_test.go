@@ -32,9 +32,9 @@ func TestQuarantineDetachesFaultingPolicy(t *testing.T) {
 	// 40 packets over 2ms: ~20 faulted runs land in the first window.
 	for i := 0; i < 40; i++ {
 		id := uint64(i)
-		h.eng.At(sim.Time(i)*50*sim.Microsecond, func() {
+		h.eng.CallAt(sim.Time(i)*50*sim.Microsecond, func(any, uint64) {
 			h.dev.Receive(pkt(id, uint16(1000+id), 9000, nil))
-		})
+		}, nil, 0)
 	}
 	h.eng.RunUntil(3 * sim.Millisecond)
 

@@ -108,6 +108,19 @@ func (c *Config) fill() {
 	if len(c.Classes) == 0 {
 		c.Classes = []Class{{Name: "GET", Weight: 1, Type: policy.ReqGET}}
 	}
+	// Weights are normalised, so only their ratios matter — but a negative
+	// one makes the cumulative table non-monotonic (every request lands in
+	// the last class) and a zero sum divides it into NaNs.
+	var sum float64
+	for _, cl := range c.Classes {
+		if cl.Weight < 0 || math.IsNaN(cl.Weight) || math.IsInf(cl.Weight, 0) {
+			panic(fmt.Sprintf("workload: class %q has weight %v, want a finite value >= 0", cl.Name, cl.Weight))
+		}
+		sum += cl.Weight
+	}
+	if sum <= 0 || math.IsInf(sum, 0) {
+		panic(fmt.Sprintf("workload: class weights sum to %v, want a finite value > 0", sum))
+	}
 	if c.Flows == 0 {
 		c.Flows = 1024
 	}
@@ -156,6 +169,11 @@ const (
 	// stragglers finish, so with one to spare it allocates no page while it
 	// runs.
 	prefillPages = 3
+
+	// maxPresizePages bounds the page directory New reserves up front
+	// (512 KiB of pointers, 268 M requests): a daemon whose Measure window
+	// is months long must not reserve its whole life's directory.
+	maxPresizePages = 1 << 16
 )
 
 type page struct {
@@ -220,7 +238,7 @@ func New(eng *sim.Engine, dev *nic.NIC, cfg Config) *Generator {
 	// Presize the page directory for the expected Poisson count (plus slack
 	// for variance) so the send path never reallocates mid-run.
 	expect := int(cfg.Rate * float64(cfg.Warmup+cfg.Measure) / 1e9)
-	g.dir = make([]*page, 0, (expect+expect/8+64)>>pageShift+1)
+	g.dir = make([]*page, 0, min((expect+expect/8+64)>>pageShift+1, maxPresizePages))
 	for i := 0; i < prefillPages; i++ {
 		g.free = &page{next: g.free}
 	}

@@ -33,7 +33,7 @@ func newEchoHost(t *testing.T, cfg Config, service sim.Time) (*sim.Engine, *Gene
 		}
 		dev.Consumed(q)
 		pkt.Free()
-		eng.After(service, func() { srv.g.Complete(reqID, eng.Now()) })
+		eng.CallAfter(service, func(any, uint64) { srv.g.Complete(reqID, eng.Now()) }, nil, 0)
 	})
 	g := New(eng, dev, cfg)
 	srv.g = g
@@ -141,6 +141,39 @@ func TestGeneratorWarmupNotMeasured(t *testing.T) {
 	// The server saw roughly twice as many requests as were measured.
 	if srv.seen < int(res.All.Offered)*3/2 {
 		t.Fatalf("server saw %d, measured %d — warmup traffic missing", srv.seen, res.All.Offered)
+	}
+}
+
+// TestClassWeightsRejected: weights are normalised, so only a mix that has
+// no normal form is refused — a negative or non-finite weight (its
+// cumulative table is not monotonic: every request would land in the last
+// class) and a sum that is not positive (it divides into NaN thresholds).
+func TestClassWeightsRejected(t *testing.T) {
+	get := func(w float64) Class { return Class{Name: "GET", Weight: w, Type: policy.ReqGET} }
+	scan := func(w float64) Class { return Class{Name: "SCAN", Weight: w, Type: policy.ReqSCAN} }
+	for _, c := range []struct {
+		name    string
+		classes []Class
+		want    string // substring of the panic; "" = accepted
+	}{
+		{"raw rates", []Class{get(99.5), scan(0.5)}, ""},
+		{"one empty class", []Class{get(100), scan(0)}, ""},
+		{"-scan-pct 150", []Class{get(-50), scan(150)}, `class "GET" has weight -50`},
+		{"NaN", []Class{get(math.NaN()), scan(1)}, `class "GET" has weight NaN`},
+		{"+Inf", []Class{get(1), scan(math.Inf(1))}, `class "SCAN" has weight +Inf`},
+		{"all zero", []Class{get(0), scan(0)}, "weights sum to 0"},
+		{"sum overflows", []Class{get(math.MaxFloat64), scan(math.MaxFloat64)}, "weights sum to +Inf"},
+	} {
+		func() {
+			defer func() {
+				got := fmt.Sprint(recover())
+				if c.want == "" && got != "<nil>" || c.want != "" && !strings.Contains(got, c.want) {
+					t.Errorf("%s: panic %q, want %q", c.name, got, c.want)
+				}
+			}()
+			eng := sim.New(1)
+			New(eng, nic.New(eng, nic.Config{Queues: 1}, func(int, *nic.Packet) {}), Config{Rate: 1000, Classes: c.classes})
+		}()
 	}
 }
 

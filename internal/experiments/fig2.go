@@ -47,33 +47,19 @@ func Fig2(cfg Fig2Config) *Result {
 		}
 		// Every (load, seed) pair is an independent simulation; fan them
 		// all out and aggregate per load in seed order.
-		rows := sweepSeeded(cfg.Run, cfg.Loads, cfg.Seeds,
-			func(load float64, seed int) [2]float64 {
-				r := runRocksPoint(rocksPoint{
-					Seed:       uint64(1000*seed + 7),
-					Load:       load,
-					NumCPUs:    6,
-					NumThreads: 6,
-					PinToCores: true,
-					Flows:      50,
-					Classes:    []workload.Class{{Name: "GET", Weight: 1, Type: policy.ReqGET}},
-					Policy:     pol,
-					Run:        cfg.Run,
-				}).Result
-				return [2]float64{float64(r.All.Latency.Percentile(99)) / 1000, 100 * r.All.DropFraction()}
-			},
-			func(load float64, samples [][2]float64) Row {
-				var p99s, drops []float64
-				for _, s := range samples {
-					p99s = append(p99s, s[0])
-					drops = append(drops, s[1])
-				}
-				p99, sd := meanStdev(p99s)
-				drop, _ := meanStdev(drops)
-				return Row{X: load, Cols: map[string]float64{
-					"p99_us": p99, "p99_stdev_us": sd, "drop_pct": drop,
-				}}
-			})
+		rows := sweepSeeded(cfg.Run, cfg.Loads, cfg.Seeds, func(load float64, seed int) rocksPoint {
+			return rocksPoint{
+				Seed:       uint64(1000*seed + 7),
+				Load:       load,
+				NumCPUs:    6,
+				NumThreads: 6,
+				PinToCores: true,
+				Flows:      50,
+				Classes:    []workload.Class{{Name: "GET", Weight: 1, Type: policy.ReqGET}},
+				Policy:     pol,
+				Run:        cfg.Run,
+			}
+		})
 		res.Series = append(res.Series, Series{Name: name, Rows: rows})
 	}
 	return res

@@ -31,7 +31,7 @@ const goldenFile = "testdata/golden.txt"
 // once runs fn the first time key is asked for and hands every later
 // caller the same value: the differential gates use a pinned scenario as
 // their reference leg, so each is simulated once per `go test`.
-func once[T any](key string, fn func() T) T {
+func once(key string, fn func() string) string {
 	memoMu.Lock()
 	m := memos[key]
 	if m == nil {
@@ -39,13 +39,13 @@ func once[T any](key string, fn func() T) T {
 		memos[key] = m
 	}
 	memoMu.Unlock()
-	m.once.Do(func() { m.v = fn() })
-	return m.v.(T)
+	m.once.Do(func() { m.digest = fn() })
+	return m.digest
 }
 
 type memo struct {
-	once sync.Once
-	v    any
+	once   sync.Once
+	digest string
 }
 
 var (

@@ -86,9 +86,6 @@ func (rc RunConfig) load(rate float64) workload.Config {
 	return workload.Config{Rate: rate, Warmup: w.Warmup, Measure: w.Measure, Drain: w.Drain}
 }
 
-// do runs fn(0..n-1) on the run's worker pool and waits for all of them.
-func (rc RunConfig) do(n int, fn func(i int)) { par.Do(n, rc.Workers, fn) }
-
 // finish is the one place a run ends: every generator starts, every engine
 // advances through Warmup+Measure+Drain on the worker pool (width 1 for a
 // single host), and the results come back by index.
@@ -228,10 +225,9 @@ const (
 // pool from the host PRNG and Srv.Start consumes event sequence numbers).
 type RocksWorld struct {
 	Host      *syrup.Host
-	App       *syrup.App
 	Gen       *workload.Generator
 	Srv       *rocksdb.Server
-	ScanState *syrup.Map
+	ScanState *ebpf.Map
 }
 
 // WireRocksDB builds the RocksDB world on a host whose app is registered
@@ -249,7 +245,7 @@ func WireRocksDB(host *syrup.Host, app *syrup.App, load workload.Config, srv roc
 	}
 	srv.Port, srv.App, srv.ScanState, srv.OnComplete = rocksPort, rocksApp, scanState.Raw(), gen.Complete
 	return &RocksWorld{
-		Host: host, App: app, Gen: gen, ScanState: scanState,
+		Host: host, Gen: gen, ScanState: scanState.Raw(),
 		Srv: rocksdb.NewServer(host.Eng, host.Machine, host.Stack, srv),
 	}
 }
@@ -284,7 +280,6 @@ func runRocksPoint(pt rocksPoint) *rocksRun {
 		FlowLocalityBonus: pt.FlowLocalityBonus,
 		Tracer:            pt.Run.Tracer,
 	})
-	srv, scanState := w.Srv, w.ScanState
 	if pt.LateBinding {
 		host.Stack.LookupGroup(rocksPort).EnableLateBinding(host.Stack.SocketQueueCap() * pt.NumThreads)
 	}
@@ -331,12 +326,12 @@ func runRocksPoint(pt rocksPoint) *rocksRun {
 	// the same scan_state map the application populates (§5.3).
 	if pt.ThreadSched {
 		slotOf := make(map[int]int, pt.NumThreads)
-		for i, th := range srv.Threads() {
+		for i, th := range w.Srv.Threads() {
 			slotOf[th.ID] = i
 		}
 		pol := &policy.GetPriority{
 			TypeOf: func(t *kernel.Thread) uint64 {
-				v, _ := scanState.Raw().LookupUint64(uint32(slotOf[t.ID]))
+				v, _ := w.ScanState.LookupUint64(uint32(slotOf[t.ID]))
 				return v
 			},
 		}
@@ -348,14 +343,14 @@ func runRocksPoint(pt rocksPoint) *rocksRun {
 		if err != nil {
 			panic(err)
 		}
-		for _, th := range srv.Threads() {
+		for _, th := range w.Srv.Threads() {
 			if err := agent.Register(th); err != nil {
 				panic(err)
 			}
 		}
 	}
 
-	srv.Start()
+	w.Srv.Start()
 	return &rocksRun{RocksWorld: w, Result: finish(1, w.Gen)[0]}
 }
 

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"syrup/internal/metrics"
+	"syrup/internal/par"
 	"syrup/internal/workload"
 )
 
@@ -140,24 +141,30 @@ func StatsDigest(r *workload.Result) string {
 // owns a private simulation), preserving order.
 func sweep(rc RunConfig, loads []float64, fn func(load float64) Row) []Row {
 	rows := make([]Row, len(loads))
-	rc.do(len(loads), func(i int) { rows[i] = fn(loads[i]) })
+	par.Do(len(loads), rc.Workers, func(i int) { rows[i] = fn(loads[i]) })
 	sort.Slice(rows, func(i, j int) bool { return rows[i].X < rows[j].X })
 	return rows
 }
 
 // sweepSeeded fans out every (load, seed) pair — not just loads — so
-// multi-seed figures use all cores even with few load points. point runs
-// one seeded simulation; reduce sees each load's samples in ascending seed
-// order (deterministic aggregation), and rows come back in input load
-// order.
-func sweepSeeded[T any](rc RunConfig, loads []float64, seeds int, point func(load float64, seed int) T, reduce func(load float64, samples []T) Row) []Row {
-	samples := make([]T, len(loads)*seeds)
-	rc.do(len(samples), func(i int) {
-		samples[i] = point(loads[i/seeds], i%seeds)
+// multi-seed figures use all cores even with few load points. Each pair is
+// one RocksDB point; a load's row is the mean and spread of its seeds' p99
+// and their mean drop share, aggregated in ascending seed order, and rows
+// come back in input load order.
+func sweepSeeded(rc RunConfig, loads []float64, seeds int, point func(load float64, seed int) rocksPoint) []Row {
+	p99s := make([]float64, len(loads)*seeds)
+	drops := make([]float64, len(loads)*seeds)
+	par.Do(len(p99s), rc.Workers, func(i int) {
+		r := runRocksPoint(point(loads[i/seeds], i%seeds)).Result
+		p99s[i], drops[i] = float64(r.All.Latency.Percentile(99))/1000, 100*r.All.DropFraction()
 	})
 	rows := make([]Row, len(loads))
 	for li, load := range loads {
-		rows[li] = reduce(load, samples[li*seeds:(li+1)*seeds])
+		p99, sd := meanStdev(p99s[li*seeds : (li+1)*seeds])
+		drop, _ := meanStdev(drops[li*seeds : (li+1)*seeds])
+		rows[li] = Row{X: load, Cols: map[string]float64{
+			"p99_us": p99, "p99_stdev_us": sd, "drop_pct": drop,
+		}}
 	}
 	return rows
 }
@@ -170,7 +177,7 @@ func sweepGrid(rc RunConfig, nSeries int, loads []float64, fn func(si int, load 
 	for si := range rows {
 		rows[si] = make([]Row, len(loads))
 	}
-	rc.do(nSeries*len(loads), func(i int) {
+	par.Do(nSeries*len(loads), rc.Workers, func(i int) {
 		si, li := i/len(loads), i%len(loads)
 		rows[si][li] = fn(si, loads[li])
 	})

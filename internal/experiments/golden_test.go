@@ -132,6 +132,14 @@ func fleetMica(rc RunConfig) ClusterConfig {
 	}
 }
 
+// smallPool moves a fleet to seed 23 and a 2^10-flow pool, which Maglev
+// splits 266/239/262/257: a second cluster draw whose shares are uneven
+// and small, beside the 2000-flow rows above.
+func smallPool(cfg ClusterConfig) ClusterConfig {
+	cfg.Seed, cfg.Flows = 23, 1<<10
+	return cfg
+}
+
 func clusterDigest(cfg ClusterConfig) string {
 	r, err := RunCluster(cfg)
 	if err != nil {
@@ -186,6 +194,8 @@ var pinned = []struct {
 	{"adapt/demo", 61, adaptDigest},
 	{"fleet/rocksdb-4", 42, func(rc RunConfig) string { return clusterDigest(fleetRocks(rc)) }},
 	{"fleet/mica-4", 7, func(rc RunConfig) string { return clusterDigest(fleetMica(rc)) }},
+	{"fleet/rocksdb-4-pool1024", 23, func(rc RunConfig) string { return clusterDigest(smallPool(fleetRocks(rc))) }},
+	{"fleet/mica-4-pool1024", 23, func(rc RunConfig) string { return clusterDigest(smallPool(fleetMica(rc))) }},
 }
 
 // scenario finds a pinned scenario by name.

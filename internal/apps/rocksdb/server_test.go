@@ -1,7 +1,10 @@
 package rocksdb
 
 import (
+	"strconv"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"syrup/internal/ebpf"
 	"syrup/internal/kernel"
@@ -55,6 +58,22 @@ func TestServerServesGets(t *testing.T) {
 	// Real storage engine touched.
 	if srv.Store().Gets.Load() != 10 {
 		t.Fatalf("store gets = %d", srv.Store().Gets.Load())
+	}
+}
+
+// TestServerSharesKeysWithStore: the server renders its key space once; the
+// key it looks a request up by is the very string its store holds.
+func TestServerSharesKeysWithStore(t *testing.T) {
+	eng, m, _, stack := testHost(t, 1, 1)
+	srv := NewServer(eng, m, stack, Config{Port: 9000, App: 1, NumThreads: 1, KeySpace: 300})
+	if len(srv.keyTable) != 300 || srv.store.Len() != 300 {
+		t.Fatalf("%d keys in the table, %d in the store, want 300", len(srv.keyTable), srv.store.Len())
+	}
+	for _, kv := range srv.store.Scan("", 300) {
+		i, err := strconv.Atoi(strings.TrimPrefix(kv.Key, "key-"))
+		if err != nil || unsafe.StringData(kv.Key) != unsafe.StringData(srv.keyTable[i]) {
+			t.Fatalf("store key %q is not the server's key-table string", kv.Key)
+		}
 	}
 }
 

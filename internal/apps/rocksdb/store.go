@@ -232,26 +232,62 @@ func (m merger) next() (key, value string, ok bool) {
 	return key, value, true
 }
 
-// Preload fills the store with n sequential keys ("key-%08d") so GETs and
-// SCANs have data to touch.
-func (s *Store) Preload(n int) {
+// Preload puts the n sequential keys Key(i) → "value-<i>", in ascending
+// order, so GETs and SCANs have data to touch. The keys are rendered into
+// one string and the values into another, each sliced per entry: a preload
+// allocates per memtable, not per key.
+func (s *Store) Preload(n int) { s.preload(renderKeys(n)) }
+
+// preload is Preload over keys already rendered: the store keeps the very
+// strings it is given, so a server that looks keys up by renderKeys(n)
+// shares them with its store instead of holding a second copy.
+func (s *Store) preload(keys []string) {
+	values := render(len(keys), 6+len(strconv.Itoa(len(keys))), func(b []byte, i int) []byte {
+		return strconv.AppendInt(append(b, "value-"...), int64(i), 10)
+	})
 	s.mu.Lock()
 	if len(s.index) == 0 {
-		s.index = make(map[string]string, n) // sized once instead of grown
+		s.index = make(map[string]string, len(keys)) // sized once instead of grown
 	}
 	s.mu.Unlock()
-	for i := 0; i < n; i++ {
-		s.Put(Key(i), "value-"+strconv.Itoa(i))
+	for i, k := range keys {
+		s.Put(k, values[i])
 	}
 }
 
-// Key renders the canonical preloaded key for index i, "key-%08d". Set-up
-// renders tens of thousands, so the common range skips fmt.
-func Key(i int) string {
-	const zeros = "key-00000000"
-	d := strconv.Itoa(i)
-	if i < 0 || len(d) > 8 {
-		return fmt.Sprintf("key-%08d", i)
+// Key renders the canonical preloaded key for index i, "key-%08d".
+func Key(i int) string { return string(appendKey(make([]byte, 0, 12), i)) }
+
+// renderKeys renders Key(0) … Key(n-1) into one string, sliced per key.
+func renderKeys(n int) []string { return render(n, 12, appendKey) }
+
+// appendKey appends Key(i) to b; the common range skips fmt.
+func appendKey(b []byte, i int) []byte {
+	if i < 0 || i >= 1e8 {
+		return fmt.Appendf(b, "key-%08d", i)
 	}
-	return zeros[:len(zeros)-len(d)] + d
+	b = append(b, "key-00000000"...)
+	for j := len(b) - 1; i > 0; j, i = j-1, i/10 {
+		b[j] = byte('0' + i%10)
+	}
+	return b
+}
+
+// render appends the renderings of 0 … n-1 (about width bytes each) to
+// one buffer, converts it to a string once and returns that string sliced
+// per index: n strings in four allocations.
+func render(n, width int, appendTo func([]byte, int) []byte) []string {
+	buf := make([]byte, 0, n*width)
+	ends := make([]int, n)
+	for i := range ends {
+		buf = appendTo(buf, i)
+		ends[i] = len(buf)
+	}
+	all := string(buf)
+	out := make([]string, n)
+	lo := 0
+	for i, hi := range ends {
+		out[i], lo = all[lo:hi], hi
+	}
+	return out
 }

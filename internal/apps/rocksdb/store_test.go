@@ -136,16 +136,29 @@ func TestKeyFormat(t *testing.T) {
 			t.Errorf("Key(%d) = %q, want %q", i, got, want)
 		}
 	}
+	for i, k := range renderKeys(12_345) {
+		if k != Key(i) {
+			t.Fatalf("renderKeys[%d] = %q, want %q", i, k, Key(i))
+		}
+	}
 }
 
+// TestPreloadAndLen: Preload puts Key(i) → "value-<i>", and renders them in
+// a handful of allocations — the memtables' arrays, not a string or two
+// per key.
 func TestPreloadAndLen(t *testing.T) {
 	s := NewStore()
 	s.Preload(500)
 	if got := s.Len(); got != 500 {
 		t.Fatalf("len = %d", got)
 	}
-	if _, ok := s.Get(Key(499)); !ok {
-		t.Fatal("preloaded key missing")
+	for _, i := range []int{0, 7, 499} {
+		if v, ok := s.Get(Key(i)); !ok || v != fmt.Sprintf("value-%d", i) {
+			t.Fatalf("Get(%s) = %q, %v", Key(i), v, ok)
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, func() { NewStore().Preload(10_000) }); allocs > 200 {
+		t.Fatalf("Preload(10000): %v allocs, want no more than 200", allocs)
 	}
 }
 

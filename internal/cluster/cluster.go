@@ -119,53 +119,59 @@ func (c *Cluster) RunAll(workers int, fn func(m *Member)) {
 
 // Split is the cluster workload splitter: it draws base.Flows
 // cluster-addressable flows from the cluster seed (never from any host's
-// PRNG), steers each through the Maglev table, and returns one per-member
-// workload config holding that member's flow share with the offered rate
-// scaled by pool share. Rates sum to base.Rate; flow sets partition the
-// pool.
+// PRNG), steers each through the Maglev table once, and returns one
+// per-member workload config holding that member's flow share with the
+// offered rate scaled by pool share. Rates sum to base.Rate; flow sets
+// partition the pool.
+//
+// The shares are a counting sort of the pool by member: member i's FlowSet
+// is the i-th window of one array, in draw order, with its capacity capped
+// at its length so an append cannot run into member i+1's flows. A member
+// the LB steers nothing to gets an empty, non-nil FlowSet and rate 0.
 func (c *Cluster) Split(base workload.Config) []workload.Config {
 	pool := c.DrawFlows(base.Flows)
-	shares := make([][]workload.Flow, len(c.Members))
-	for _, f := range pool {
+	owner := make([]int32, len(pool))
+	// pos[h+1] counts member h's flows; summed, pos[h] is where its window
+	// starts, and after the scatter, where it ends.
+	pos := make([]int, len(c.Members)+1)
+	for i, f := range pool {
 		h := c.Steer(f.Hash())
-		shares[h] = append(shares[h], f)
+		owner[i] = int32(h)
+		pos[h+1]++
+	}
+	for h := range c.Members {
+		pos[h+1] += pos[h]
+	}
+	flat := make([]workload.Flow, len(pool))
+	for i, f := range pool {
+		flat[pos[owner[i]]] = f
+		pos[owner[i]]++
 	}
 	out := make([]workload.Config, len(c.Members))
+	lo := 0
 	for i := range out {
 		cfg := base
-		cfg.FlowSet = shares[i]
-		cfg.Flows = len(shares[i])
-		cfg.Rate = base.Rate * float64(len(shares[i])) / float64(len(pool))
+		cfg.FlowSet = flat[lo:pos[i]:pos[i]]
+		cfg.Flows = len(cfg.FlowSet)
+		cfg.Rate = base.Rate * float64(cfg.Flows) / float64(len(pool))
 		out[i] = cfg
+		lo = pos[i]
 	}
 	return out
 }
 
-// DrawFlows draws n distinct flows from the cluster seed's dedicated
-// stream (the same construction as workload's host-local pool, lifted to
-// cluster scope).
+// DrawFlows draws n distinct flows (1024 if n <= 0) from the cluster
+// seed's dedicated splitmix stream, one 64-bit draw per candidate.
 func (c *Cluster) DrawFlows(n int) []workload.Flow {
 	if n <= 0 {
 		n = 1024
 	}
 	state := splitmix64(c.cfg.Seed ^ 0x666c6f7773) // "flows"
-	next := func() uint64 {
+	return workload.DrawFlows(n, func() workload.Flow {
 		state = splitmix64(state)
-		return state
-	}
-	seen := make(map[workload.Flow]bool, n)
-	flows := make([]workload.Flow, 0, n)
-	for len(flows) < n {
-		r := next()
-		f := workload.Flow{
-			IP:   0x0a000000 + uint32(r&0xffff),
-			Port: uint16(1024 + (r>>16)%60000),
+		return workload.Flow{
+			IP:   0x0a000000 + uint32(state&0xffff),
+			Port: uint16(1024 + (state>>16)%60000),
 		}
-		if seen[f] {
-			continue
-		}
-		seen[f] = true
-		flows = append(flows, f)
-	}
-	return flows
+	})
 }

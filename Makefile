@@ -76,8 +76,8 @@ chaos:
 
 # Cluster determinism gate (see DESIGN.md "Cluster layer"): the 4-host
 # LS/BE and sharded-MICA scenarios at -workers 1 vs 4 must produce
-# byte-identical per-host and fleet stats digests, and the Maglev/rollout/
-# escalation invariants must hold.
+# byte-identical per-host and fleet stats digests, and the Maglev and
+# rollout invariants must hold.
 cluster-diff:
 	$(GO) test ./internal/cluster/ ./internal/par/
 	$(call gate,TestCluster,./internal/experiments/)

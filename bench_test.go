@@ -56,8 +56,8 @@ func BenchmarkFig2(b *testing.B) {
 		printResult("fig2", res.Format())
 		// Headline: round robin's p99 at 400K RPS stays low while vanilla
 		// has collapsed (the paper's 80%-more-load claim).
-		b.ReportMetric(res.Col("Round Robin", 400000, "p99_us"), "rr_p99us@400K")
-		b.ReportMetric(res.Col("Vanilla Linux", 400000, "p99_us"), "vanilla_p99us@400K")
+		b.ReportMetric(col(res, "Round Robin", 400000, "p99_us"), "rr_p99us@400K")
+		b.ReportMetric(col(res, "Vanilla Linux", 400000, "p99_us"), "vanilla_p99us@400K")
 	}
 }
 
@@ -68,8 +68,8 @@ func BenchmarkFig6(b *testing.B) {
 		cfg.Seeds = 2
 		res := experiments.Fig6(cfg)
 		printResult("fig6", res.Format())
-		b.ReportMetric(res.Col("SCAN Avoid", 160000, "p99_us"), "scanavoid_p99us@160K")
-		b.ReportMetric(res.Col("SITA", 320000, "p99_us"), "sita_p99us@320K")
+		b.ReportMetric(col(res, "SCAN Avoid", 160000, "p99_us"), "scanavoid_p99us@160K")
+		b.ReportMetric(col(res, "SITA", 320000, "p99_us"), "sita_p99us@320K")
 	}
 }
 
@@ -78,9 +78,9 @@ func BenchmarkFig7(b *testing.B) {
 		cfg := experiments.DefaultFig7()
 		res := experiments.Fig7(cfg)
 		printResult("fig7", res.Format())
-		b.ReportMetric(res.Col("Token-based", 150000, "ls_p99_us"), "token_ls_p99us@150K")
-		b.ReportMetric(res.Col("Round Robin", 150000, "ls_p99_us"), "rr_ls_p99us@150K")
-		b.ReportMetric(res.Col("Token-based", 150000, "be_tput_rps"), "token_be_tput@150K")
+		b.ReportMetric(col(res, "Token-based", 150000, "ls_p99_us"), "token_ls_p99us@150K")
+		b.ReportMetric(col(res, "Round Robin", 150000, "ls_p99_us"), "rr_ls_p99us@150K")
+		b.ReportMetric(col(res, "Token-based", 150000, "be_tput_rps"), "token_be_tput@150K")
 	}
 }
 
@@ -90,9 +90,9 @@ func BenchmarkFig8(b *testing.B) {
 		cfg.Loads = trim(cfg.Loads, benchPoints)
 		res := experiments.Fig8(cfg)
 		printResult("fig8", res.Format())
-		b.ReportMetric(res.Col("SCAN Avoid + Thread Scheduling", 8000, "get_p99_us"), "combined_get_p99us@8K")
-		b.ReportMetric(res.Col("SCAN Avoid", 8000, "get_p99_us"), "scanavoid_get_p99us@8K")
-		b.ReportMetric(res.Col("Thread Scheduling", 2000, "get_p99_us"), "threadsched_get_p99us@2K")
+		b.ReportMetric(col(res, "SCAN Avoid + Thread Scheduling", 8000, "get_p99_us"), "combined_get_p99us@8K")
+		b.ReportMetric(col(res, "SCAN Avoid", 8000, "get_p99_us"), "scanavoid_get_p99us@8K")
+		b.ReportMetric(col(res, "Thread Scheduling", 2000, "get_p99_us"), "threadsched_get_p99us@2K")
 	}
 }
 
@@ -102,9 +102,9 @@ func BenchmarkFig9a(b *testing.B) {
 		cfg.Loads = trim(cfg.Loads, benchPoints)
 		res := experiments.Fig9(cfg)
 		printResult("fig9a", res.Format())
-		b.ReportMetric(res.Col("SW Redirect (Original MICA)", 2000000, "p999_us"), "redirect_p999us@2M")
-		b.ReportMetric(res.Col("Syrup SW (Kernel)", 2000000, "p999_us"), "sw_p999us@2M")
-		b.ReportMetric(res.Col("Syrup HW (NIC)", 2500000, "p999_us"), "hw_p999us@2.5M")
+		b.ReportMetric(col(res, "SW Redirect (Original MICA)", 2000000, "p999_us"), "redirect_p999us@2M")
+		b.ReportMetric(col(res, "Syrup SW (Kernel)", 2000000, "p999_us"), "sw_p999us@2M")
+		b.ReportMetric(col(res, "Syrup HW (NIC)", 2500000, "p999_us"), "hw_p999us@2.5M")
 	}
 }
 
@@ -114,8 +114,8 @@ func BenchmarkFig9b(b *testing.B) {
 		cfg.Loads = trim(cfg.Loads, benchPoints)
 		res := experiments.Fig9(cfg)
 		printResult("fig9b", res.Format())
-		b.ReportMetric(res.Col("Syrup SW (Kernel)", 2000000, "p999_us"), "sw_p999us@2M")
-		b.ReportMetric(res.Col("Syrup HW (NIC)", 2500000, "p999_us"), "hw_p999us@2.5M")
+		b.ReportMetric(col(res, "Syrup SW (Kernel)", 2000000, "p999_us"), "sw_p999us@2M")
+		b.ReportMetric(col(res, "Syrup HW (NIC)", 2500000, "p999_us"), "hw_p999us@2.5M")
 	}
 }
 
@@ -148,4 +148,16 @@ func BenchmarkTable3(b *testing.B) {
 			}
 		}
 	}
+}
+
+// col fetches a column value from a series at x.
+func col(r *experiments.Result, series string, x float64, name string) float64 {
+	for _, s := range r.Series {
+		for _, row := range s.Rows {
+			if v, ok := row.Cols[name]; ok && s.Name == series && row.X == x {
+				return v
+			}
+		}
+	}
+	panic(fmt.Sprintf("%s has no %s column in %s@%v", r.Name, name, series, x))
 }

@@ -116,9 +116,6 @@ func (c *Controller) Stop() {
 	}
 }
 
-// Enabled reports whether the decision ticker is armed.
-func (c *Controller) Enabled() bool { return c.enabled }
-
 // Period returns the decision tick.
 func (c *Controller) Period() sim.Time { return c.period }
 

@@ -62,22 +62,6 @@ func newPartition(keySpace int) *Partition {
 	return &Partition{present: make([]uint64, (keySpace+63)/64)}
 }
 
-// Has reports whether key is present (tests).
-func (p *Partition) Has(key uint64) bool {
-	return p.present[key>>6]&(1<<(key&63)) != 0
-}
-
-// KeyHash is the client-side hash MICA clients compute and embed in the
-// request header: FNV-1a over the key's 8 little-endian bytes.
-func KeyHash(key uint64) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < 8; i++ {
-		h ^= uint32(key>>(8*i)) & 0xff
-		h *= 16777619
-	}
-	return h
-}
-
 // Config describes a MICA deployment.
 type Config struct {
 	Port       uint16
@@ -231,9 +215,6 @@ func (s *Server) Start() {
 		th.Wake()
 	}
 }
-
-// Threads exposes the worker threads.
-func (s *Server) Threads() []*kernel.Thread { return s.threads }
 
 // homeOf maps a key hash to its home thread.
 func (s *Server) homeOf(keyHash uint32) int { return int(keyHash) % s.cfg.NumThreads }

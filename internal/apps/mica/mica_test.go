@@ -37,24 +37,25 @@ func newFixture(t *testing.T, threads int, mode Mode) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stack.SetXDPMode(netstack.XDPGeneric)
 	switch mode {
 	case ModeSyrupSW:
-		stack.SetXDP(netstack.XDPGeneric, prog)
+		stack.XDP().Set(prog)
 	case ModeSyrupHW:
-		dev.SetOffloadProgram(prog)
+		dev.Offload().Set(prog)
 		// Kernel side: trivial redirect into the queue's only socket.
 		trivial, _, err := ebpf.AssembleAndLoad("to-xsk", "r0 = 0\nexit\n", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stack.SetXDP(netstack.XDPGeneric, trivial)
+		stack.XDP().Set(trivial)
 	case ModeSWRedirect:
 		// RSS decides the queue; queue's only socket gets the packet.
 		trivial, _, err := ebpf.AssembleAndLoad("to-xsk", "r0 = 0\nexit\n", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stack.SetXDP(netstack.XDPGeneric, trivial)
+		stack.XDP().Set(trivial)
 	}
 	f.srv.Start()
 	eng.Run()
@@ -180,4 +181,15 @@ func TestBadConfigPanics(t *testing.T) {
 		}
 	}()
 	NewServer(eng, m, stack, Config{Port: 9000, App: 1, NumThreads: 5})
+}
+
+// KeyHash is the client-side hash MICA clients compute and embed in the
+// request header: FNV-1a over the key's 8 little-endian bytes.
+func KeyHash(key uint64) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < 8; i++ {
+		h ^= uint32(key>>(8*i)) & 0xff
+		h *= 16777619
+	}
+	return h
 }

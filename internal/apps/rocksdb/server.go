@@ -150,16 +150,6 @@ func (s *Server) Start() {
 	}
 }
 
-// ThreadSlotType returns the request type thread i is currently marked as
-// processing (for ghOSt policies that read the cross-layer map).
-func (s *Server) ThreadSlotType(i int) uint64 {
-	if s.cfg.ScanState == nil {
-		return 0
-	}
-	v, _ := s.cfg.ScanState.LookupUint64(uint32(i))
-	return v
-}
-
 // touchFlow reports whether flow was warm on thread slot and promotes it
 // to the front of the thread's LRU.
 func (s *Server) touchFlow(slot int, flow uint64) bool {

@@ -137,9 +137,21 @@ func TestServerPinning(t *testing.T) {
 	}
 	eng.RunUntil(eng.Now() + 20*sim.Microsecond)
 	for i, th := range srv.Threads() {
-		if cpu := th.OnCPU(); cpu != -1 && int(cpu) != i {
-			t.Fatalf("pinned thread %d on cpu %d", i, cpu)
+		for cpu := 0; cpu < m.NumCPUs(); cpu++ {
+			if m.CPU(kernel.CPUID(cpu)).Curr() == th && cpu != i {
+				t.Fatalf("pinned thread %d on cpu %d", i, cpu)
+			}
 		}
 	}
 	eng.Run()
+}
+
+// ThreadSlotType returns the request type thread i is currently marked as
+// processing (for ghOSt policies that read the cross-layer map).
+func (s *Server) ThreadSlotType(i int) uint64 {
+	if s.cfg.ScanState == nil {
+		return 0
+	}
+	v, _ := s.cfg.ScanState.LookupUint64(uint32(i))
+	return v
 }

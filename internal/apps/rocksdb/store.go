@@ -144,13 +144,6 @@ func (s *Store) Len() int {
 	return n
 }
 
-// Flush seals the memtable into a run (exported for tests).
-func (s *Store) Flush() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.flushLocked()
-}
-
 // flushLocked seals the memtable: its arrays become the newest run as is.
 func (s *Store) flushLocked() {
 	if len(s.mem.keys) == 0 {

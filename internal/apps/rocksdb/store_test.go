@@ -564,3 +564,10 @@ func BenchmarkStoreScan100(b *testing.B) {
 		s.Scan(keys[i&1023], 100)
 	}
 }
+
+// Flush seals the memtable into a run.
+func (s *Store) Flush() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.flushLocked()
+}

@@ -1,13 +1,11 @@
 package cluster
 
-// Fleet arms of the closed-loop controller: rule tables roll out the
-// same way policies do (canaries first, bake, gate, then everyone), and
-// quarantines lifted fleet-wide mirror the per-host Unquarantine.
+// The fleet arm of the closed-loop controller: rule tables roll out the
+// same way policies do (canaries first, bake, gate, then everyone).
 
 import (
 	"fmt"
 
-	"syrup"
 	"syrup/internal/adapt"
 	"syrup/internal/obs"
 	"syrup/internal/sim"
@@ -113,28 +111,4 @@ func (c *Cluster) RolloutRules(cfg RuleRolloutConfig) (*RuleRolloutReport, error
 	}
 	rep.Enabled = len(c.Members)
 	return rep, nil
-}
-
-// Unquarantine lifts (app, hook) on every member that has it locally
-// quarantined — the operator-facing inverse of EscalateQuarantines. It
-// returns how many hosts were re-armed, and mirrors the per-host
-// Unquarantine's idempotence contract: lifting a quarantine that exists
-// nowhere on the fleet is an error, so a double fleet-unquarantine
-// fails loudly instead of masking operator confusion.
-func (c *Cluster) Unquarantine(app uint32, hk syrup.Hook) (int, error) {
-	n := 0
-	for _, m := range c.Members {
-		d := m.Host.Daemon
-		if d.App(app) == nil || !d.Quarantined(app, hk) {
-			continue
-		}
-		if err := d.Unquarantine(app, hk); err != nil {
-			return n, fmt.Errorf("cluster: %s: %w", m.Name, err)
-		}
-		n++
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("cluster: app %d is not quarantined at %s on any member", app, hk)
-	}
-	return n, nil
 }

@@ -10,32 +10,6 @@ import (
 	"syrup/internal/sim"
 )
 
-// TestFleetUnquarantine: lifting a fleet quarantine re-arms exactly the
-// hosts that had it, and a double unquarantine errors like the per-host
-// call does.
-func TestFleetUnquarantine(t *testing.T) {
-	c := newTestCluster(t, 4, nil)
-	for _, i := range []int{1, 3} {
-		if err := c.Members[i].Host.Daemon.Quarantine(testApp, syrup.HookSocketSelect); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n, err := c.Unquarantine(testApp, syrup.HookSocketSelect)
-	if err != nil || n != 2 {
-		t.Fatalf("Unquarantine = (%d, %v), want (2, nil)", n, err)
-	}
-	for i, m := range c.Members {
-		if m.Host.Daemon.Quarantined(testApp, syrup.HookSocketSelect) {
-			t.Fatalf("host %d still quarantined", i)
-		}
-	}
-	// Idempotence: nothing left to lift must be an error, not a silent
-	// no-op — the same contract as Daemon.Unquarantine.
-	if _, err := c.Unquarantine(testApp, syrup.HookSocketSelect); err == nil {
-		t.Fatal("double fleet unquarantine succeeded, want error")
-	}
-}
-
 // telemetryCluster builds a test cluster whose members sample telemetry
 // with the given period.
 func telemetryCluster(t *testing.T, hosts int, period sim.Time) *Cluster {
@@ -140,7 +114,7 @@ func TestRolloutRulesFleetWide(t *testing.T) {
 	}
 	for i, m := range c.Members {
 		ctl := m.Host.Daemon.AdaptController()
-		if ctl == nil || !ctl.Enabled() {
+		if ctl == nil || !ctl.Status().Enabled {
 			t.Fatalf("host %d controller not armed", i)
 		}
 	}
@@ -177,13 +151,13 @@ func TestRolloutRulesAbortsOnActuationError(t *testing.T) {
 		t.Fatalf("want actuation-error abort, got %+v", rep)
 	}
 	for _, idx := range rep.Canaries {
-		if ctl := c.Members[idx].Host.Daemon.AdaptController(); ctl != nil && ctl.Enabled() {
+		if ctl := c.Members[idx].Host.Daemon.AdaptController(); ctl != nil && ctl.Status().Enabled {
 			t.Fatalf("canary %d controller still armed after abort", idx)
 		}
 	}
 	armed := 0
 	for _, m := range c.Members {
-		if ctl := m.Host.Daemon.AdaptController(); ctl != nil && ctl.Enabled() {
+		if ctl := m.Host.Daemon.AdaptController(); ctl != nil && ctl.Status().Enabled {
 			armed++
 		}
 	}

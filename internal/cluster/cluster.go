@@ -99,12 +99,6 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Seed reports the cluster seed.
-func (c *Cluster) Seed() uint64 { return c.cfg.Seed }
-
-// Hosts reports the member count.
-func (c *Cluster) Hosts() int { return len(c.Members) }
-
 // Steer is the L4 load balancer: flow hash -> member index via the Maglev
 // table. Every packet of a flow lands on the same host.
 func (c *Cluster) Steer(flowHash uint32) int { return c.Table.Lookup(flowHash) }

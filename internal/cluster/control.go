@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"syrup"
 	"syrup/internal/nic"
@@ -357,82 +355,3 @@ func (c *Cluster) bake(m *Member, cfg RolloutConfig) {
 // probeIDBase keeps probe request ids out of every workload generator's
 // id space (generators index requests densely from 0).
 const probeIDBase = uint64(1) << 62
-
-// FleetQuarantine records one escalation decision.
-type FleetQuarantine struct {
-	App  uint32
-	Hook syrup.Hook
-	// Local is how many hosts had quarantined the (app, hook) on their
-	// own; Escalated is how many more the control plane pulled it from.
-	Local     int
-	Escalated int
-}
-
-// EscalateQuarantines is the fleet-wide arm of the PR-5 watchdog: scan
-// every member's syrupd for locally quarantined (app, hook) pairs and,
-// when at least minFrac of the fleet has quarantined the same pair,
-// quarantine it on every remaining host too — a policy that faults on
-// enough of the fleet is pulled everywhere before the long tail of hosts
-// burns hook cost discovering it independently. Results are ordered by
-// (app, hook) for determinism.
-func (c *Cluster) EscalateQuarantines(minFrac float64) []FleetQuarantine {
-	if minFrac <= 0 {
-		minFrac = 0.25
-	}
-	counts := c.quarantinedHostCounts()
-	keys := make([]releaseKey, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].app != keys[j].app {
-			return keys[i].app < keys[j].app
-		}
-		return keys[i].hook < keys[j].hook
-	})
-	need := int(math.Ceil(minFrac * float64(len(c.Members))))
-	if need < 1 {
-		need = 1
-	}
-	var out []FleetQuarantine
-	for _, k := range keys {
-		local := counts[k]
-		if local < need {
-			continue
-		}
-		fq := FleetQuarantine{App: k.app, Hook: k.hook, Local: local}
-		for _, m := range c.Members {
-			d := m.Host.Daemon
-			if d.App(k.app) == nil || d.Quarantined(k.app, k.hook) {
-				continue
-			}
-			if err := d.Quarantine(k.app, k.hook); err == nil {
-				fq.Escalated++
-			}
-		}
-		out = append(out, fq)
-	}
-	return out
-}
-
-// quarantinedHostCounts counts, per (app, hook), how many member hosts
-// have it locally quarantined (Links() reports one entry per deployment,
-// so counts are deduped to per-host).
-func (c *Cluster) quarantinedHostCounts() map[releaseKey]int {
-	counts := make(map[releaseKey]int)
-	for _, m := range c.Members {
-		seen := make(map[releaseKey]bool)
-		for _, l := range m.Host.Daemon.Links() {
-			if !l.Quarantined {
-				continue
-			}
-			k := releaseKey{l.App, syrup.Hook(l.Hook)}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			counts[k]++
-		}
-	}
-	return counts
-}

@@ -7,8 +7,6 @@ import (
 	"syrup/internal/faults"
 	"syrup/internal/nic"
 	"syrup/internal/policy"
-	"syrup/internal/sim"
-	"syrup/internal/syrupd"
 )
 
 const (
@@ -205,98 +203,5 @@ func TestRolloutValidation(t *testing.T) {
 		App: testApp, Hook: syrup.HookSocketSelect, Policy: "no_such_builtin",
 	}); err == nil {
 		t.Fatal("unknown builtin accepted")
-	}
-}
-
-// TestEscalateQuarantines: three of eight hosts locally quarantine the
-// policy via their own fault watchdogs; the control plane notices the
-// fleet-wide pattern and pulls the policy on the remaining five.
-func TestEscalateQuarantines(t *testing.T) {
-	faulty := map[int]bool{1: true, 4: true, 6: true}
-	c := newTestCluster(t, 8, func(i int, cfg *syrup.HostConfig) {
-		if faulty[i] {
-			cfg.Faults = &faults.Plan{Specs: []faults.Spec{{Site: faults.SiteSocketSelect, Every: 1}}}
-		}
-		cfg.Quarantine = &syrupd.QuarantineConfig{Window: sim.Millisecond, Threshold: 5}
-	})
-	// Deploy everywhere with a budget big enough that the staged rollout
-	// itself survives the faulty canaries (escalation, not rollout, is
-	// under test).
-	rep, err := c.Rollout(RolloutConfig{
-		App: testApp, Hook: syrup.HookSocketSelect, Source: "r0 = 1\nexit\n",
-		FaultBudget: 1 << 30, Probes: 1, Bake: sim.Microsecond,
-	})
-	if err != nil || rep.Aborted {
-		t.Fatalf("deploy failed: %v %+v", err, rep)
-	}
-
-	// Drive traffic through every host so the faulty ones trip their local
-	// watchdogs (>=5 faults inside a 1ms window).
-	c.RunAll(1, func(m *Member) {
-		for i := 0; i < 40; i++ {
-			id := uint64(i)
-			pkt := probePacket(m, id, testPort)
-			m.Host.Eng.CallAt(m.Host.Now()+sim.Time(i)*50*sim.Microsecond, func(any, uint64) { m.Host.NIC.Receive(pkt) }, nil, 0)
-		}
-		m.Host.RunFor(3 * sim.Millisecond)
-	})
-	for i, m := range c.Members {
-		if got := m.Host.Daemon.Quarantined(testApp, syrup.HookSocketSelect); got != faulty[i] {
-			t.Fatalf("host %d locally quarantined=%v, want %v", i, got, faulty[i])
-		}
-	}
-
-	// 3/8 hosts >= 25% of the fleet: escalate to the other five.
-	got := c.EscalateQuarantines(0.25)
-	if len(got) != 1 {
-		t.Fatalf("escalations = %+v, want exactly one", got)
-	}
-	fq := got[0]
-	if fq.App != testApp || fq.Hook != syrup.HookSocketSelect || fq.Local != 3 || fq.Escalated != 5 {
-		t.Fatalf("escalation = %+v, want app=1 hook=socket_select local=3 escalated=5", fq)
-	}
-	for i, m := range c.Members {
-		if !m.Host.Daemon.Quarantined(testApp, syrup.HookSocketSelect) {
-			t.Fatalf("host %d not quarantined after escalation", i)
-		}
-	}
-	// Idempotent: a second scan has nothing left to escalate.
-	if again := c.EscalateQuarantines(0.25); len(again) != 1 || again[0].Escalated != 0 {
-		t.Fatalf("re-escalation = %+v, want local-only record", again)
-	}
-
-	// Below-threshold patterns stay local: a fresh cluster with one faulty
-	// host out of eight must not escalate at 25%.
-	c2 := newTestCluster(t, 8, func(i int, cfg *syrup.HostConfig) {
-		if i == 2 {
-			cfg.Faults = &faults.Plan{Specs: []faults.Spec{{Site: faults.SiteSocketSelect, Every: 1}}}
-		}
-		cfg.Quarantine = &syrupd.QuarantineConfig{Window: sim.Millisecond, Threshold: 5}
-	})
-	if rep, err := c2.Rollout(RolloutConfig{
-		App: testApp, Hook: syrup.HookSocketSelect, Source: "r0 = 1\nexit\n",
-		FaultBudget: 1 << 30, Probes: 1, Bake: sim.Microsecond,
-	}); err != nil || rep.Aborted {
-		t.Fatalf("deploy failed: %v %+v", err, rep)
-	}
-	c2.RunAll(1, func(m *Member) {
-		for i := 0; i < 40; i++ {
-			id := uint64(i)
-			pkt := probePacket(m, id, testPort)
-			m.Host.Eng.CallAt(m.Host.Now()+sim.Time(i)*50*sim.Microsecond, func(any, uint64) { m.Host.NIC.Receive(pkt) }, nil, 0)
-		}
-		m.Host.RunFor(3 * sim.Millisecond)
-	})
-	if got := c2.EscalateQuarantines(0.25); len(got) != 0 {
-		t.Fatalf("1/8 hosts escalated at 25%%: %+v", got)
-	}
-	quarantined := 0
-	for _, m := range c2.Members {
-		if m.Host.Daemon.Quarantined(testApp, syrup.HookSocketSelect) {
-			quarantined++
-		}
-	}
-	if quarantined != 1 {
-		t.Fatalf("%d hosts quarantined, want the 1 local trip only", quarantined)
 	}
 }

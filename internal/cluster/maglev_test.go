@@ -12,6 +12,42 @@ func names(n int) []string {
 	return out
 }
 
+// entryCounts reports how many table entries each of n backends owns.
+func entryCounts(t *Table, n int) []int {
+	counts := make([]int, n)
+	for _, e := range t.entries {
+		counts[e]++
+	}
+	return counts
+}
+
+// disruption compares table a over backends aNames to table b over
+// bNames, matching backends by name, and reports the fraction of entries
+// whose backend changed among those whose old backend still exists in b.
+// Maglev's guarantee is that this is small: removing one backend mostly
+// just reassigns that backend's own entries.
+func disruption(a *Table, aNames []string, b *Table, bNames []string) float64 {
+	idx := make(map[string]int32, len(bNames))
+	for i, name := range bNames {
+		idx[name] = int32(i)
+	}
+	surviving, moved := 0, 0
+	for slot, e := range a.entries {
+		want, ok := idx[aNames[e]]
+		if !ok {
+			continue // backend removed; its entries must move
+		}
+		surviving++
+		if b.entries[slot] != want {
+			moved++
+		}
+	}
+	if surviving == 0 {
+		return 0
+	}
+	return float64(moved) / float64(surviving)
+}
+
 // TestTableDeterministicPerSeed pins the property every other cluster
 // guarantee builds on: same backends + size + seed -> bit-identical
 // table; a different seed -> a different steering function.
@@ -54,7 +90,7 @@ func TestTableBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := tb.Counts()
+	counts := entryCounts(tb, 32)
 	min, max, total := counts[0], counts[0], 0
 	for _, c := range counts {
 		if c < min {
@@ -88,13 +124,13 @@ func TestTableMinimalDisruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := before.Disruption(after)
+	d := disruption(before, all, after, without)
 	if d > 0.2 {
 		t.Fatalf("disruption %.3f after removing 1 of 32 backends; want small", d)
 	}
 	// Sanity floor: an unrelated hash-mod table would move ~31/32 of
 	// surviving entries; a plain rebuild with the same membership moves 0.
-	if same := before.Disruption(before); same != 0 {
+	if same := disruption(before, all, before, all); same != 0 {
 		t.Fatalf("self-disruption %.3f, want 0", same)
 	}
 }

@@ -2,6 +2,8 @@ package ebpf
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 )
@@ -220,7 +222,7 @@ func FuzzRunMatchesReference(f *testing.F) {
 	f.Add(Encode(operandlessJunkSrc(12)))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		insns, err := Decode(raw)
+		insns, err := decodeWire(raw)
 		if err != nil || len(insns) == 0 || len(insns) > 64 {
 			return
 		}
@@ -259,4 +261,23 @@ func TestFuzzAssemblerNoPanic(t *testing.T) {
 			}
 		}()
 	}
+}
+
+// decodeWire parses Encode's 8-byte wire format back into instructions.
+func decodeWire(raw []byte) ([]Instruction, error) {
+	if len(raw)%8 != 0 {
+		return nil, fmt.Errorf("ebpf: bytecode length %d not a multiple of 8", len(raw))
+	}
+	insns := make([]Instruction, len(raw)/8)
+	for i := range insns {
+		b := raw[i*8:]
+		insns[i] = Instruction{
+			Op:  b[0],
+			Dst: b[1] & 0x0f,
+			Src: b[1] >> 4,
+			Off: int16(binary.LittleEndian.Uint16(b[2:])),
+			Imm: int32(binary.LittleEndian.Uint32(b[4:])),
+		}
+	}
+	return insns, nil
 }

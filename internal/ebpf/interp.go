@@ -239,7 +239,7 @@ func (rs *runState) clobber(ret uint64) {
 func (rs *runState) lookup(m *Map, key []byte) error {
 	var ref []byte
 	if rs.env.FaultLookupMiss == nil || !rs.env.FaultLookupMiss() {
-		ref = m.lookupRef(key, rs.env.CPUID)
+		ref = m.lookupRef(key)
 	}
 	if ref == nil {
 		rs.clobber(0)

@@ -297,25 +297,6 @@ func Encode(insns []Instruction) []byte {
 	return out
 }
 
-// Decode parses the 8-byte wire format back into instructions.
-func Decode(raw []byte) ([]Instruction, error) {
-	if len(raw)%8 != 0 {
-		return nil, fmt.Errorf("ebpf: bytecode length %d not a multiple of 8", len(raw))
-	}
-	insns := make([]Instruction, len(raw)/8)
-	for i := range insns {
-		b := raw[i*8:]
-		insns[i] = Instruction{
-			Op:  b[0],
-			Dst: b[1] & 0x0f,
-			Src: b[1] >> 4,
-			Off: int16(binary.LittleEndian.Uint16(b[2:])),
-			Imm: int32(binary.LittleEndian.Uint32(b[4:])),
-		}
-	}
-	return insns, nil
-}
-
 var aluOpName = map[uint8]string{
 	ALUAdd: "+=", ALUSub: "-=", ALUMul: "*=", ALUDiv: "/=", ALUOr: "|=",
 	ALUAnd: "&=", ALULsh: "<<=", ALURsh: ">>=", ALUMod: "%=", ALUXor: "^=",

@@ -16,16 +16,14 @@ const (
 	MapArray MapType = iota
 	MapHash
 	MapProgArray
-	// MapPerCPUArray gives each CPU its own value per key (like
-	// BPF_MAP_TYPE_PERCPU_ARRAY): programs running on different cores
-	// update disjoint memory, so counters need no atomics. Userspace
-	// reads aggregate with SumUint64.
-	MapPerCPUArray
 )
 
-// PerCPUSlots is the fixed per-key slot count of per-CPU maps (one per
-// possible CPU, like the kernel's num_possible_cpus).
-const PerCPUSlots = 64
+// maxStorageBytes caps the storage an ARRAY or PROG_ARRAY map allocates up
+// front (MaxEntries slots of ValueSize bytes, or of one program pointer).
+// A spec is tenant input — syrupd assembles `.map` lines from any client —
+// and an allocation the runtime cannot satisfy ends the process rather
+// than failing the call. 64 MiB is 8× Table 3's 2^20-entry map.
+const maxStorageBytes = 64 << 20
 
 func (t MapType) String() string {
 	switch t {
@@ -35,8 +33,6 @@ func (t MapType) String() string {
 		return "hash"
 	case MapProgArray:
 		return "prog_array"
-	case MapPerCPUArray:
-		return "percpu_array"
 	}
 	return fmt.Sprintf("MapType(%d)", int(t))
 }
@@ -50,8 +46,6 @@ func MapTypeByName(s string) (MapType, error) {
 		return MapHash, nil
 	case "prog_array":
 		return MapProgArray, nil
-	case "percpu_array":
-		return MapPerCPUArray, nil
 	}
 	return 0, fmt.Errorf("ebpf: unknown map type %q", s)
 }
@@ -92,19 +86,24 @@ func NewMap(spec MapSpec) (*Map, error) {
 	if spec.KeySize == 0 || spec.KeySize > 64 {
 		return nil, fmt.Errorf("ebpf: map %q: key size %d out of range (1..64)", spec.Name, spec.KeySize)
 	}
+	tooBig := func(slot uint64) error {
+		if n := uint64(spec.MaxEntries) * slot; n > maxStorageBytes {
+			return fmt.Errorf("ebpf: map %q: %d entries of %d bytes exceed the %d-byte storage limit", spec.Name, spec.MaxEntries, slot, maxStorageBytes)
+		}
+		return nil
+	}
 	switch spec.Type {
-	case MapArray, MapPerCPUArray:
+	case MapArray:
 		if spec.KeySize != 4 {
 			return nil, fmt.Errorf("ebpf: array map %q requires 4-byte keys", spec.Name)
 		}
 		if spec.ValueSize == 0 || spec.ValueSize > 1<<16 {
 			return nil, fmt.Errorf("ebpf: map %q: value size %d out of range", spec.Name, spec.ValueSize)
 		}
-		slots := 1
-		if spec.Type == MapPerCPUArray {
-			slots = PerCPUSlots
+		if err := tooBig(uint64(spec.ValueSize)); err != nil {
+			return nil, err
 		}
-		return &Map{spec: spec, arrayData: make([]byte, int(spec.MaxEntries)*int(spec.ValueSize)*slots)}, nil
+		return &Map{spec: spec, arrayData: make([]byte, int(spec.MaxEntries)*int(spec.ValueSize))}, nil
 	case MapHash:
 		if spec.ValueSize == 0 || spec.ValueSize > 1<<16 {
 			return nil, fmt.Errorf("ebpf: map %q: value size %d out of range", spec.Name, spec.ValueSize)
@@ -113,6 +112,9 @@ func NewMap(spec MapSpec) (*Map, error) {
 	case MapProgArray:
 		if spec.KeySize != 4 || spec.ValueSize != 4 {
 			return nil, fmt.Errorf("ebpf: prog_array %q requires 4-byte keys and values", spec.Name)
+		}
+		if err := tooBig(8); err != nil {
+			return nil, err
 		}
 		return &Map{spec: spec, progs: make([]*Program, spec.MaxEntries)}, nil
 	}
@@ -139,10 +141,9 @@ func (m *Map) checkKey(key []byte) error {
 }
 
 // lookupRef returns the live value slice (no copy); nil if absent. It is
-// what the interpreter's map_lookup_elem helper uses; cpu selects the
-// replica for per-CPU maps. Callers must treat the kernel-side aliasing
-// rules as in real eBPF.
-func (m *Map) lookupRef(key []byte, cpu uint32) []byte {
+// what the interpreter's map_lookup_elem helper uses. Callers must treat
+// the kernel-side aliasing rules as in real eBPF.
+func (m *Map) lookupRef(key []byte) []byte {
 	switch m.spec.Type {
 	case MapArray:
 		idx := binary.LittleEndian.Uint32(key)
@@ -151,14 +152,6 @@ func (m *Map) lookupRef(key []byte, cpu uint32) []byte {
 		}
 		vs := int(m.spec.ValueSize)
 		return m.arrayData[int(idx)*vs : int(idx)*vs+vs]
-	case MapPerCPUArray:
-		idx := binary.LittleEndian.Uint32(key)
-		if idx >= m.spec.MaxEntries {
-			return nil
-		}
-		vs := int(m.spec.ValueSize)
-		off := (int(idx)*PerCPUSlots + int(cpu%PerCPUSlots)) * vs
-		return m.arrayData[off : off+vs]
 	case MapHash:
 		m.mu.RLock()
 		v := m.hashData[string(key)]
@@ -166,36 +159,6 @@ func (m *Map) lookupRef(key []byte, cpu uint32) []byte {
 		return v
 	}
 	return nil
-}
-
-// Lookup returns a copy of the value for key, or ok=false if absent.
-func (m *Map) Lookup(key []byte) ([]byte, bool) {
-	if err := m.checkKey(key); err != nil {
-		return nil, false
-	}
-	if m.spec.Type == MapProgArray {
-		return nil, false // prog arrays are not data-readable, like the kernel
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var ref []byte
-	switch m.spec.Type {
-	case MapArray, MapPerCPUArray:
-		// Per-CPU lookups from userspace read replica 0; SumUint64
-		// aggregates across replicas.
-		ref = m.lookupRef(key, 0)
-		if ref == nil {
-			return nil, false
-		}
-	case MapHash:
-		ref = m.hashData[string(key)]
-	}
-	if ref == nil {
-		return nil, false
-	}
-	out := make([]byte, len(ref))
-	copy(out, ref)
-	return out, true
 }
 
 // Update stores value at key, creating hash entries as needed.
@@ -219,18 +182,6 @@ func (m *Map) Update(key, value []byte) error {
 		}
 		vs := int(m.spec.ValueSize)
 		copy(m.arrayData[int(idx)*vs:], value)
-	case MapPerCPUArray:
-		// Userspace updates broadcast to every replica (the convention
-		// for configuration values; per-replica writes happen in-kernel).
-		idx := binary.LittleEndian.Uint32(key)
-		if idx >= m.spec.MaxEntries {
-			return fmt.Errorf("ebpf: percpu map %q: index %d out of range", m.spec.Name, idx)
-		}
-		vs := int(m.spec.ValueSize)
-		base := int(idx) * PerCPUSlots * vs
-		for c := 0; c < PerCPUSlots; c++ {
-			copy(m.arrayData[base+c*vs:base+(c+1)*vs], value)
-		}
 	case MapHash:
 		if v, ok := m.hashData[string(key)]; ok {
 			copy(v, value)
@@ -271,9 +222,9 @@ func (m *Map) Delete(key []byte) error {
 func (m *Map) LookupUint64(key uint32) (uint64, bool) {
 	var kb [4]byte
 	binary.LittleEndian.PutUint32(kb[:], key)
-	// Read the 8 bytes in place under the read lock: Lookup's defensive
-	// copy would allocate on every call, and thread policies call this per
-	// runnable thread per decision.
+	// Read the 8 bytes in place under the read lock: a copy would allocate
+	// on every call, and thread policies call this per runnable thread per
+	// decision.
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	ref := m.lookupRefLocked(kb[:])
@@ -312,34 +263,12 @@ func (m *Map) AddUint64(key uint32, delta uint64) error {
 
 func (m *Map) lookupRefLocked(key []byte) []byte {
 	switch m.spec.Type {
-	case MapArray, MapPerCPUArray:
-		return m.lookupRef(key, 0)
+	case MapArray:
+		return m.lookupRef(key)
 	case MapHash:
 		return m.hashData[string(key)]
 	}
 	return nil
-}
-
-// SumUint64 aggregates a per-CPU map's 64-bit value at key across every
-// CPU replica (for plain maps it degenerates to LookupUint64).
-func (m *Map) SumUint64(key uint32) (uint64, bool) {
-	if m.spec.Type != MapPerCPUArray {
-		return m.LookupUint64(key)
-	}
-	if key >= m.spec.MaxEntries {
-		return 0, false
-	}
-	var kb [4]byte
-	binary.LittleEndian.PutUint32(kb[:], key)
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var sum uint64
-	for c := uint32(0); c < PerCPUSlots; c++ {
-		if ref := m.lookupRef(kb[:], c); len(ref) >= 8 {
-			sum += binary.LittleEndian.Uint64(ref)
-		}
-	}
-	return sum, true
 }
 
 // UpdateProg installs a program in a PROG_ARRAY slot (nil clears it).
@@ -365,43 +294,6 @@ func (m *Map) prog(idx uint32) *Program {
 	p := m.progs[idx]
 	m.mu.RUnlock()
 	return p
-}
-
-// Iterate visits every present entry of a hash map, or every slot of an
-// array map, with a copied key and value. Iteration order for hash maps is
-// unspecified. Used by agents that sweep maps (e.g., the token gifter).
-func (m *Map) Iterate(fn func(key, value []byte) bool) {
-	switch m.spec.Type {
-	case MapArray:
-		vs := int(m.spec.ValueSize)
-		for i := uint32(0); i < m.spec.MaxEntries; i++ {
-			var kb [4]byte
-			binary.LittleEndian.PutUint32(kb[:], i)
-			m.mu.RLock()
-			v := make([]byte, vs)
-			copy(v, m.arrayData[int(i)*vs:])
-			m.mu.RUnlock()
-			if !fn(kb[:], v) {
-				return
-			}
-		}
-	case MapHash:
-		m.mu.RLock()
-		keys := make([]string, 0, len(m.hashData))
-		for k := range m.hashData {
-			keys = append(keys, k)
-		}
-		m.mu.RUnlock()
-		for _, k := range keys {
-			v, ok := m.Lookup([]byte(k))
-			if !ok {
-				continue
-			}
-			if !fn([]byte(k), v) {
-				return
-			}
-		}
-	}
 }
 
 // MapTable assigns file descriptors to maps, standing in for the
@@ -433,15 +325,4 @@ func (t *MapTable) Get(fd int32) *Map {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.byFD[fd]
-}
-
-// Close drops an fd. The map lives on while programs reference it.
-func (t *MapTable) Close(fd int32) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.byFD[fd]; !ok {
-		return fmt.Errorf("ebpf: bad map fd %d", fd)
-	}
-	delete(t.byFD, fd)
-	return nil
 }

@@ -15,11 +15,19 @@ func TestMapSpecValidation(t *testing.T) {
 		{Name: "zero-value", Type: MapHash, KeySize: 4, ValueSize: 0, MaxEntries: 1},
 		{Name: "pa-bad-value", Type: MapProgArray, KeySize: 4, ValueSize: 8, MaxEntries: 1},
 		{Name: "bad-type", Type: MapType(99), KeySize: 4, ValueSize: 8, MaxEntries: 1},
+		// Storage the runtime cannot allocate ends the process, so it is
+		// refused before the allocation.
+		{Name: "huge-array", Type: MapArray, KeySize: 4, ValueSize: 65536, MaxEntries: 1<<32 - 1},
+		{Name: "huge-prog-array", Type: MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 1<<32 - 1},
 	}
 	for _, spec := range bad {
 		if _, err := NewMap(spec); err == nil {
 			t.Errorf("spec %q accepted", spec.Name)
 		}
+	}
+	// Table 3's map: 2^20 eight-byte slots.
+	if _, err := NewMap(MapSpec{Name: "t3", Type: MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 1 << 20}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -106,7 +114,7 @@ func TestMapAddUint64(t *testing.T) {
 // kind (thread policies call it per runnable thread per decision), and
 // still refuses what Lookup refuses.
 func TestZeroAllocLookupUint64(t *testing.T) {
-	for _, typ := range []MapType{MapArray, MapPerCPUArray, MapHash} {
+	for _, typ := range []MapType{MapArray, MapHash} {
 		m := MustNewMap(MapSpec{Name: "m", Type: typ, KeySize: 4, ValueSize: 8, MaxEntries: 4})
 		m.UpdateUint64(2, 77)
 		var v uint64
@@ -148,33 +156,6 @@ func TestMapConcurrentAdds(t *testing.T) {
 	wg.Wait()
 	if v, _ := m.LookupUint64(0); v != workers*perWorker {
 		t.Fatalf("concurrent adds lost updates: %d", v)
-	}
-}
-
-func TestMapIterate(t *testing.T) {
-	m := MustNewMap(MapSpec{Name: "h", Type: MapHash, KeySize: 4, ValueSize: 8, MaxEntries: 8})
-	m.UpdateUint64(1, 10)
-	m.UpdateUint64(2, 20)
-	var sum uint64
-	m.Iterate(func(k, v []byte) bool {
-		sum += binary.LittleEndian.Uint64(v)
-		return true
-	})
-	if sum != 30 {
-		t.Fatalf("iterate sum = %d", sum)
-	}
-	// Early stop.
-	n := 0
-	m.Iterate(func(k, v []byte) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("early stop visited %d", n)
-	}
-	// Array iteration covers all slots.
-	a := MustNewMap(MapSpec{Name: "a", Type: MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 3})
-	n = 0
-	a.Iterate(func(k, v []byte) bool { n++; return true })
-	if n != 3 {
-		t.Fatalf("array iterate visited %d", n)
 	}
 }
 
@@ -226,15 +207,6 @@ func TestMapTable(t *testing.T) {
 	}
 	if tb.Get(999) != nil {
 		t.Fatal("bogus fd resolved")
-	}
-	if err := tb.Close(fd1); err != nil {
-		t.Fatal(err)
-	}
-	if tb.Get(fd1) != nil {
-		t.Fatal("closed fd still resolves")
-	}
-	if err := tb.Close(fd1); err == nil {
-		t.Fatal("double close succeeded")
 	}
 }
 
@@ -326,7 +298,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		Exit(),
 	}
 	raw := Encode(insns)
-	back, err := Decode(raw)
+	back, err := decodeWire(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +310,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("insn %d round trip: %+v vs %+v", i, insns[i], back[i])
 		}
 	}
-	if _, err := Decode(raw[:5]); err == nil {
+	if _, err := decodeWire(raw[:5]); err == nil {
 		t.Fatal("truncated decode succeeded")
 	}
 }
@@ -377,82 +349,18 @@ func contains(s, sub string) bool {
 	})()
 }
 
-func TestPerCPUArrayMap(t *testing.T) {
-	m := MustNewMap(MapSpec{Name: "pc", Type: MapPerCPUArray, KeySize: 4, ValueSize: 8, MaxEntries: 2})
-	// Program increments its CPU's replica of counter 0 (no atomics).
-	tb := NewMapTable()
-	fd := tb.Register(m)
-	insns := []Instruction{StImm(4, R10, -4, 0)}
-	insns = append(insns, LoadMapFD(R1, fd)...)
-	insns = append(insns,
-		MovReg(R2, R10),
-		ALUImm(ALUAdd, R2, -4),
-		Call(HelperMapLookup),
-		JmpImm(JmpEq, R0, 0, 3),
-		Ldx(8, R6, R0, 0),
-		ALUImm(ALUAdd, R6, 1),
-		Stx(8, R0, R6, 0),
-		MovImm(R0, 0),
-		Exit(),
-	)
-	p := wantAccept(t, insns, tb)
-	// Run 3 times on cpu 2, twice on cpu 5.
-	for i := 0; i < 3; i++ {
-		run(t, p, &Ctx{}, &Env{CPUID: 2})
+// Lookup returns a copy of the value for key, or ok=false if absent.
+func (m *Map) Lookup(key []byte) ([]byte, bool) {
+	if err := m.checkKey(key); err != nil {
+		return nil, false
 	}
-	for i := 0; i < 2; i++ {
-		run(t, p, &Ctx{}, &Env{CPUID: 5})
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	ref := m.lookupRefLocked(key) // nil for prog arrays: not data-readable, like the kernel
+	if ref == nil {
+		return nil, false
 	}
-	if sum, ok := m.SumUint64(0); !ok || sum != 5 {
-		t.Fatalf("per-cpu sum = %d %v, want 5", sum, ok)
-	}
-	// Userspace Lookup reads replica 0 (untouched).
-	if v, _ := m.LookupUint64(0); v != 0 {
-		t.Fatalf("replica 0 = %d", v)
-	}
-	// Broadcast update resets every replica.
-	if err := m.UpdateUint64(0, 7); err != nil {
-		t.Fatal(err)
-	}
-	if sum, _ := m.SumUint64(0); sum != 7*PerCPUSlots {
-		t.Fatalf("post-broadcast sum = %d", sum)
-	}
-	// Out-of-range key.
-	if _, ok := m.SumUint64(9); ok {
-		t.Fatal("out-of-range SumUint64 succeeded")
-	}
-	// SumUint64 on a plain array degenerates to Lookup.
-	a := MustNewMap(MapSpec{Name: "a", Type: MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 1})
-	a.UpdateUint64(0, 3)
-	if v, _ := a.SumUint64(0); v != 3 {
-		t.Fatalf("array SumUint64 = %d", v)
-	}
-}
-
-func TestPerCPUAssemblerDecl(t *testing.T) {
-	src := `
-.map counters percpu_array 4 8 4
-  *(u32 *)(r10 - 4) = 1
-  r1 = map(counters)
-  r2 = r10
-  r2 += -4
-  call map_lookup_elem
-  if r0 == 0 goto out
-  r6 = *(u64 *)(r0 + 0)
-  r6 += 1
-  *(u64 *)(r0 + 0) = r6
-out:
-  r0 = 0
-  exit
-`
-	p, maps, err := AssembleAndLoad("pc", src, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cpu := uint32(0); cpu < 3; cpu++ {
-		run(t, p, &Ctx{}, &Env{CPUID: cpu})
-	}
-	if sum, _ := maps["counters"].SumUint64(1); sum != 3 {
-		t.Fatalf("assembled percpu sum = %d", sum)
-	}
+	out := make([]byte, len(ref))
+	copy(out, ref)
+	return out, true
 }

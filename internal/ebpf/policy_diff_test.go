@@ -55,10 +55,9 @@ func policyEnv() *ebpf.Env {
 func dumpMaps(maps map[string]*ebpf.Map) map[string]string {
 	out := make(map[string]string)
 	for name, m := range maps {
-		m.Iterate(func(k, v []byte) bool {
-			out[fmt.Sprintf("%s/%x", name, k)] = fmt.Sprintf("%x", v)
-			return true
-		})
+		for k, v := range m.Dump() {
+			out[name+"/"+k] = v
+		}
 	}
 	return out
 }
@@ -133,6 +132,9 @@ func TestShippedPoliciesPinHotPath(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			p, insns, _ := policyWorld(t, name)
 			facts, pinned := p.Facts(), p.Kinds(true)
+			if facts.Len() != p.Len() {
+				t.Fatalf("fact table covers %d slots, program has %d", facts.Len(), p.Len())
+			}
 			for i, k := range p.Kinds(false) {
 				if k.Pinned() {
 					t.Errorf("insn %d: the plain decoding chose pinned kind %d", i, k)

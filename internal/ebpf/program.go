@@ -146,9 +146,6 @@ func (p *Program) Name() string { return p.name }
 // paper's Table 2 counts instructions).
 func (p *Program) Len() int { return len(p.insns) }
 
-// Maps returns the maps this program references, in LDDW order.
-func (p *Program) Maps() []*Map { return p.maps }
-
 // Stats reports cumulative run accounting for Table 2.
 type Stats struct {
 	Runs          uint64
@@ -174,7 +171,3 @@ func (p *Program) MeanInsnsPerRun() float64 {
 
 // Disassemble renders the loaded (map-resolved) instruction stream.
 func (p *Program) Disassemble() string { return DisassembleProgram(p.insns) }
-
-// Facts returns the verifier's per-PC fact table for the loaded stream
-// (nil for NoVerify loads).
-func (p *Program) Facts() *Facts { return p.facts }

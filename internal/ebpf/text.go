@@ -143,14 +143,19 @@ func Assemble(src string, defines map[string]int64) (*AsmFile, error) {
 			if err != nil {
 				return nil, &asmError{i + 1, err.Error()}
 			}
-			ks, _ := strconv.Atoi(m[3])
-			vs, _ := strconv.Atoi(m[4])
-			me, _ := strconv.Atoi(m[5])
+			var sizes [3]uint32 // key, value, entries
+			for k, field := range m[3:] {
+				n, err := strconv.ParseUint(field, 10, 32)
+				if err != nil {
+					return nil, &asmError{i + 1, fmt.Sprintf("map %q: size %s does not fit in 32 bits", m[1], field)}
+				}
+				sizes[k] = uint32(n)
+			}
 			if _, dup := mapIdx[m[1]]; dup {
 				return nil, &asmError{i + 1, fmt.Sprintf("duplicate map %q", m[1])}
 			}
 			mapIdx[m[1]] = len(f.Maps)
-			f.Maps = append(f.Maps, MapSpec{Name: m[1], Type: typ, KeySize: uint32(ks), ValueSize: uint32(vs), MaxEntries: uint32(me)})
+			f.Maps = append(f.Maps, MapSpec{Name: m[1], Type: typ, KeySize: sizes[0], ValueSize: sizes[1], MaxEntries: sizes[2]})
 			continue
 		}
 	}

@@ -257,6 +257,7 @@ func TestAssembleErrors(t *testing.T) {
 		{"bad-reg", "r77 = 0\nexit", "bad register"},
 		{"bad-const", ".const X zork\nr0 = 0\nexit", "bad constant"},
 		{"bad-map-type", ".map m sock 4 8 1\nr0 = 0\nexit", "unknown map type"},
+		{"map-size-wraps", ".map w array 4 4294967304 4294967297\nr0 = 0\nexit", "does not fit in 32 bits"},
 		{"empty", "; nothing\n", "empty program"},
 		{"neg-mismatch", "r0 = 1\nr0 = -r1\nexit", "same source"},
 	}

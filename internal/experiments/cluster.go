@@ -250,15 +250,3 @@ func (cr *ClusterRun) Format() string {
 	}
 	return b.String()
 }
-
-// Digest renders the full per-host + fleet statistics: the worker-count
-// differential gate diffs two of these byte-for-byte.
-func (cr *ClusterRun) Digest() string {
-	var b strings.Builder
-	for _, m := range cr.Members {
-		fmt.Fprintf(&b, "== %s flows=%d rate=%.6f foreign=%d ==\n%s",
-			m.Name, m.Flows, m.Rate, m.Foreign, StatsDigest(m.Result))
-	}
-	fmt.Fprintf(&b, "== fleet ==\n%s", StatsDigest(cr.Fleet))
-	return b.String()
-}

@@ -75,50 +75,18 @@ func (r *Result) Format() string {
 	return b.String()
 }
 
-// seriesRow finds the row at x in a series (tests).
-func (r *Result) seriesRow(series string, x float64) (Row, bool) {
-	for _, s := range r.Series {
-		if s.Name != series {
-			continue
-		}
-		for _, row := range s.Rows {
-			if row.X == x {
-				return row, true
-			}
-		}
-	}
-	return Row{}, false
-}
-
-// Col fetches a column value from a series at x; tests use it for shape
-// assertions.
-func (r *Result) Col(series string, x float64, col string) float64 {
-	row, ok := r.seriesRow(series, x)
-	if !ok {
-		panic(fmt.Sprintf("experiments: %s has no row %s@%v", r.Name, series, x))
-	}
-	v, ok := row.Cols[col]
-	if !ok {
-		panic(fmt.Sprintf("experiments: %s %s@%v has no column %q", r.Name, series, x, col))
-	}
-	return v
-}
-
 // StatsDigest renders every client-observable statistic of a run — exact
-// counters, drop causes, and the full latency distribution shape — so two
+// counters and the full latency distribution shape — so two
 // digests match only if the runs were statistically indistinguishable.
 // The telemetry and worker-count differential gates diff these.
 func StatsDigest(r *workload.Result) string {
 	var b strings.Builder
 	writeStats := func(name string, st *metrics.RunStats) {
 		fmt.Fprintf(&b, "%s offered=%d completed=%d window=%d", name, st.Offered, st.Completed, st.WindowNanos)
-		causes := make([]string, 0, len(st.Drops))
-		for c := range st.Drops {
-			causes = append(causes, string(c))
-		}
-		sort.Strings(causes)
-		for _, c := range causes {
-			fmt.Fprintf(&b, " %s=%d", c, st.Drops[metrics.DropCause(c)])
+		// The key predates Unanswered and keeps its name so pinned digests
+		// hold; it counts every unanswered request, whatever the cause.
+		if st.Unanswered > 0 {
+			fmt.Fprintf(&b, " socket-overflow=%d", st.Unanswered)
 		}
 		h := st.Latency
 		fmt.Fprintf(&b, " n=%d mean=%v min=%d max=%d p50=%d p90=%d p99=%d p999=%d\n",

@@ -6,6 +6,7 @@ package experiments
 // in the verifier, scheduler, or cost model shows up here.
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -404,4 +405,33 @@ func TestMeanStdev(t *testing.T) {
 	if m, s := meanStdev(nil); m != 0 || s != 0 {
 		t.Fatal("empty sample")
 	}
+}
+
+// seriesRow finds the row at x in a series.
+func (r *Result) seriesRow(series string, x float64) (Row, bool) {
+	for _, s := range r.Series {
+		if s.Name != series {
+			continue
+		}
+		for _, row := range s.Rows {
+			if row.X == x {
+				return row, true
+			}
+		}
+	}
+	return Row{}, false
+}
+
+// Col fetches a column value from a series at x; tests use it for shape
+// assertions.
+func (r *Result) Col(series string, x float64, col string) float64 {
+	row, ok := r.seriesRow(series, x)
+	if !ok {
+		panic(fmt.Sprintf("experiments: %s has no row %s@%v", r.Name, series, x))
+	}
+	v, ok := row.Cols[col]
+	if !ok {
+		panic(fmt.Sprintf("experiments: %s %s@%v has no column %q", r.Name, series, x, col))
+	}
+	return v
 }

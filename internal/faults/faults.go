@@ -19,7 +19,6 @@ package faults
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -370,19 +369,6 @@ func (i *Injector) Planned() []Site {
 	return append([]Site(nil), i.order...)
 }
 
-// Counts returns the per-site injected counts, keyed by site, sorted
-// stably by the caller via Planned.
-func (i *Injector) Counts() map[Site]uint64 {
-	if i == nil {
-		return nil
-	}
-	m := make(map[Site]uint64, len(i.sites))
-	for s, st := range i.sites {
-		m[s] = st.fired
-	}
-	return m
-}
-
 func (st *siteState) fire(now sim.Time) bool {
 	sp := &st.spec
 	if now < sp.From || (sp.Until > 0 && now >= sp.Until) {
@@ -429,26 +415,3 @@ func hashSite(s Site) uint64 {
 	}
 	return h
 }
-
-// sortSites orders sites in Sites order (unknown last, alphabetical);
-// report formatting uses it so tables are stable.
-func sortSites(ss []Site) {
-	rank := func(s Site) int {
-		for i, k := range Sites {
-			if k == s {
-				return i
-			}
-		}
-		return len(Sites)
-	}
-	sort.Slice(ss, func(a, b int) bool {
-		ra, rb := rank(ss[a]), rank(ss[b])
-		if ra != rb {
-			return ra < rb
-		}
-		return ss[a] < ss[b]
-	})
-}
-
-// SortSites orders sites in stack order for stable report tables.
-func SortSites(ss []Site) { sortSites(ss) }

@@ -88,14 +88,6 @@ type Policy interface {
 	Schedule(now sim.Time, runnable []*kernel.Thread, cpus []CPUView) []Placement
 }
 
-// PolicyFunc adapts a function to Policy.
-type PolicyFunc func(now sim.Time, runnable []*kernel.Thread, cpus []CPUView) []Placement
-
-// Schedule implements Policy.
-func (f PolicyFunc) Schedule(now sim.Time, runnable []*kernel.Thread, cpus []CPUView) []Placement {
-	return f(now, runnable, cpus)
-}
-
 // Config sets the agent cost model.
 type Config struct {
 	// PerMessageCost is agent CPU per consumed message (≈0.5 µs).
@@ -184,7 +176,7 @@ func NewAgent(m *kernel.Machine, app uint32, policy Policy, agentCPU kernel.CPUI
 		m: m, eng: m.Eng, app: app, cfg: cfg,
 		agentCPU: agentCPU, workers: workers,
 		cpuScratch: make([]CPUView, len(workers)),
-		pt:         hook.NewPoint(hook.ThreadSched, fmt.Sprintf("thread_sched:app%d", app), nil),
+		pt:         hook.NewPoint(fmt.Sprintf("thread_sched:app%d", app), nil),
 	}
 	if policy != nil {
 		if _, err := a.pt.AttachUser(policy, fmt.Sprintf("app%d-policy", app)); err != nil {

@@ -161,11 +161,9 @@ func TestAgentPreemption(t *testing.T) {
 
 func TestAgentReservesCores(t *testing.T) {
 	_, m, _ := setup(t, 3, fifoPolicy())
-	if m.CPU(0).ReservedBy() == "" || m.CPU(1).ReservedBy() == "" || m.CPU(2).ReservedBy() == "" {
-		t.Fatal("agent/enclave cores not reserved")
-	}
-	// CFS must not use them: a CFS thread has nowhere to go → panic on
-	// wake (no allowed unreserved CPU).
+	// The agent and enclave reserve all three cores, so CFS must not use
+	// them: a CFS thread has nowhere to go → panic on wake (no allowed
+	// unreserved CPU).
 	th := m.NewThread("cfs", 0, m.AffinityAll(), func(th *kernel.Thread) { th.Exit() })
 	defer func() {
 		if recover() == nil {
@@ -279,4 +277,12 @@ func TestMsgTypeStrings(t *testing.T) {
 			t.Fatalf("missing string for %d", int(mt))
 		}
 	}
+}
+
+// PolicyFunc adapts a function to Policy.
+type PolicyFunc func(now sim.Time, runnable []*kernel.Thread, cpus []CPUView) []Placement
+
+// Schedule implements Policy.
+func (f PolicyFunc) Schedule(now sim.Time, runnable []*kernel.Thread, cpus []CPUView) []Placement {
+	return f(now, runnable, cpus)
 }

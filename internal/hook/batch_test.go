@@ -29,8 +29,8 @@ func mkInputs(n int) []Input {
 func runBoth(t *testing.T, n int, setup func(pt *Point)) ([]Verdict, []Verdict, *Point, *Point) {
 	t.Helper()
 	ins := mkInputs(n)
-	one := NewPoint(SocketSelect, "t_diff_one", nil)
-	batch := NewPoint(SocketSelect, "t_diff_batch", nil)
+	one := NewPoint("t_diff_one", nil)
+	batch := NewPoint("t_diff_batch", nil)
 	setup(one)
 	setup(batch)
 	var ref []Verdict
@@ -127,7 +127,7 @@ func TestRunBatchEquivalentInjectedFaults(t *testing.T) {
 // TestRunBatchEmptySlot: an empty point passes every input without
 // counting runs, like Run.
 func TestRunBatchEmptySlot(t *testing.T) {
-	pt := NewPoint(XDPDrv, "t_batch_empty", nil)
+	pt := NewPoint("t_batch_empty", nil)
 	out := pt.RunBatch(mkInputs(5))
 	if len(out) != 5 {
 		t.Fatalf("got %d verdicts", len(out))
@@ -146,7 +146,7 @@ func TestRunBatchEmptySlot(t *testing.T) {
 // as individual Runs.
 func TestRunBatchTraceSpans(t *testing.T) {
 	eng := sim.New(1)
-	pt := NewPoint(SocketSelect, "t_batch_trace", nil)
+	pt := NewPoint("t_batch_trace", nil)
 	if _, err := pt.Attach(mustProg(t, "hashmod", "r0 = *(u32 *)(r1 + 16)\nr0 %= 4\nexit\n")); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestRunBatchTraceSpans(t *testing.T) {
 // TestZeroAllocRunBatch gates the vectorized hot path: a warm burst
 // dispatch through the JIT allocates nothing.
 func TestZeroAllocRunBatch(t *testing.T) {
-	pt := NewPoint(SocketSelect, "t_batch_zeroalloc", nil)
+	pt := NewPoint("t_batch_zeroalloc", nil)
 	if _, err := pt.Attach(mustProg(t, "hashmod", "r0 = *(u32 *)(r1 + 16)\nr0 %= 4\nexit\n")); err != nil {
 		t.Fatal(err)
 	}

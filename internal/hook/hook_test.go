@@ -34,7 +34,7 @@ func faultyProg(t *testing.T) *ebpf.Program {
 }
 
 func TestPointEmptyRunsPass(t *testing.T) {
-	p := NewPoint(XDPDrv, "t_empty", nil)
+	p := NewPoint("t_empty", nil)
 	v := p.Run(Input{Packet: []byte{1}})
 	if v.Action != Pass || v.Faulted {
 		t.Fatalf("empty point verdict = %+v", v)
@@ -45,7 +45,7 @@ func TestPointEmptyRunsPass(t *testing.T) {
 }
 
 func TestAttachRunDetachLifecycle(t *testing.T) {
-	pt := NewPoint(SocketSelect, "t_lifecycle", nil)
+	pt := NewPoint("t_lifecycle", nil)
 	steer := mustProg(t, "steer2", "r0 = 2\nexit\n")
 	l, err := pt.Attach(steer)
 	if err != nil {
@@ -85,7 +85,7 @@ func TestAttachRunDetachLifecycle(t *testing.T) {
 }
 
 func TestReplaceSwapsLive(t *testing.T) {
-	pt := NewPoint(SocketSelect, "t_replace", nil)
+	pt := NewPoint("t_replace", nil)
 	l, err := pt.Attach(mustProg(t, "gen1", "r0 = 1\nexit\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestReplaceSwapsLive(t *testing.T) {
 	if err := l.Replace(gen2); err != nil {
 		t.Fatal(err)
 	}
-	if pt.Program() != gen2 || l.Program() != gen2 || l.Swaps() != 1 {
+	if pt.Program() != gen2 || l.Program() != gen2 {
 		t.Fatal("replace did not swap the installed program")
 	}
 	if v := pt.Run(Input{}); v.Index != 7 {
@@ -119,11 +119,11 @@ func TestReplaceSwapsLive(t *testing.T) {
 func TestFaultCountsAndFailsOpen(t *testing.T) {
 	// A second point faulting in the same process must not show up in
 	// this one's accounting.
-	noise := NewPoint(XDPOffload, "t:fault", nil)
+	noise := NewPoint("t:fault", nil)
 	noise.Set(faultyProg(t))
 	noise.Run(Input{Packet: []byte{1}})
 
-	pt := NewPoint(XDPOffload, "t:fault", nil)
+	pt := NewPoint("t:fault", nil)
 	l, err := pt.Attach(faultyProg(t))
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestFaultCountsAndFailsOpen(t *testing.T) {
 }
 
 func TestSetCompatSurface(t *testing.T) {
-	pt := NewPoint(Storage, "t_set", nil)
+	pt := NewPoint("t_set", nil)
 	a := mustProg(t, "a", "r0 = PASS\nexit\n")
 	b := mustProg(t, "b", "r0 = DROP\nexit\n")
 	pt.Set(a)
@@ -153,7 +153,7 @@ func TestSetCompatSurface(t *testing.T) {
 		t.Fatal("Set did not attach")
 	}
 	pt.Set(b) // live replace keeps the link identity
-	if pt.Program() != b || pt.Link() != first || first.Swaps() != 1 {
+	if pt.Program() != b || pt.Link() != first || first.Program() != b {
 		t.Fatal("Set did not live-replace")
 	}
 	pt.Set(nil)
@@ -166,7 +166,7 @@ func TestSetCompatSurface(t *testing.T) {
 type tPolicy struct{ id int }
 
 func TestUserAttachment(t *testing.T) {
-	pt := NewPoint(ThreadSched, "t_user", nil)
+	pt := NewPoint("t_user", nil)
 	p1 := &tPolicy{1}
 	l, err := pt.AttachUser(p1, "policy-1")
 	if err != nil {
@@ -188,13 +188,6 @@ func TestUserAttachment(t *testing.T) {
 		}()
 		pt.Run(Input{})
 	}()
-	p2 := &tPolicy{2}
-	if err := l.ReplaceUser(p2, "policy-2"); err != nil {
-		t.Fatal(err)
-	}
-	if pt.UserPayload() != p2 || l.Swaps() != 1 {
-		t.Fatal("ReplaceUser did not swap")
-	}
 	if err := l.Replace(mustProg(t, "x", "r0 = PASS\nexit\n")); err == nil {
 		t.Fatal("program Replace on userspace attachment succeeded")
 	}
@@ -208,7 +201,7 @@ func TestEnvOverride(t *testing.T) {
 	// get_smp_processor_id reads Env.CPUID; the per-call override must win
 	// over the point default.
 	src := "call get_smp_processor_id\nexit\n"
-	pt := NewPoint(CPURedirect, "t_env", &ebpf.Env{CPUID: 3})
+	pt := NewPoint("t_env", &ebpf.Env{CPUID: 3})
 	if _, err := pt.Attach(mustProg(t, "cpu", src)); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +226,7 @@ func TestRegistry(t *testing.T) {
 	if _, err := Parse("bogus"); err == nil {
 		t.Fatal("Parse accepted bogus hook")
 	}
-	tbl := MarkdownTable()
+	tbl := markdownTable()
 	for _, name := range Names() {
 		if !strings.Contains(tbl, "`"+name+"`") {
 			t.Fatalf("markdown table missing %s", name)
@@ -244,7 +237,7 @@ func TestRegistry(t *testing.T) {
 // TestTracedRunEmitsVerdictSpans covers the trace seam: every Run on a
 // traced point must emit one instant hook span carrying the verdict.
 func TestTracedRunEmitsVerdictSpans(t *testing.T) {
-	pt := NewPoint(SocketSelect, "t_traced:9000", nil)
+	pt := NewPoint("t_traced:9000", nil)
 	rec := trace.New(16)
 	var clock sim.Time = 1000
 	pt.SetTracer(rec, func() sim.Time { return clock })
@@ -283,7 +276,7 @@ func TestTracedRunEmitsVerdictSpans(t *testing.T) {
 // contract: a faulting policy must emit a span tagged with the error
 // AND still fall open to Pass so the layer default runs.
 func TestFaultEmitsErrorSpanAndFallsOpen(t *testing.T) {
-	pt := NewPoint(XDPOffload, "t_fault_traced", nil)
+	pt := NewPoint("t_fault_traced", nil)
 	rec := trace.New(16)
 	pt.SetTracer(rec, func() sim.Time { return 500 })
 	if _, err := pt.Attach(faultyProg(t)); err != nil {
@@ -333,7 +326,7 @@ func TestVerdictTrace(t *testing.T) {
 // with) or on (the recorder's ring Record is itself zero-alloc once warm).
 func TestZeroAllocRun(t *testing.T) {
 	eng := sim.New(1)
-	pt := NewPoint(SocketSelect, "t_zeroalloc", nil)
+	pt := NewPoint("t_zeroalloc", nil)
 	if _, err := pt.Attach(mustProg(t, "steer0", "r0 = 0\nexit\n")); err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +347,7 @@ func TestZeroAllocRun(t *testing.T) {
 }
 
 func TestFaultInjectorFailsOpen(t *testing.T) {
-	pt := NewPoint(SocketSelect, "t_inject", nil)
+	pt := NewPoint("t_inject", nil)
 	prog := mustProg(t, "steer7", "r0 = 7\nexit\n")
 	l, err := pt.Attach(prog)
 	if err != nil {
@@ -369,7 +362,6 @@ func TestFaultInjectorFailsOpen(t *testing.T) {
 	})
 
 	rec := trace.New(8)
-	rec.SetEnabled(true)
 	pt.SetTracer(rec, func() sim.Time { return 42 })
 
 	before := prog.Stats().Runs
@@ -434,7 +426,7 @@ func selfTailProg(t *testing.T, name string) *ebpf.Program {
 // and fall open.
 func TestTailCallBudgetOneHookFault(t *testing.T) {
 	prog := selfTailProg(t, "runaway")
-	pt := NewPoint(XDPDrv, "t_tailfault", nil)
+	pt := NewPoint("t_tailfault", nil)
 	if _, err := pt.Attach(prog); err != nil {
 		t.Fatal(err)
 	}
@@ -495,12 +487,12 @@ func TestRunStateSurvivesReplaceTailCallsAndFaults(t *testing.T) {
 		return out
 	}
 	ins := mkInputs(20)
-	long := NewPoint(SocketSelect, "t_long", nil)
+	long := NewPoint("t_long", nil)
 	var prev Stats
 	for _, g := range gens {
 		progL, progF := g.prog(t), g.prog(t)
 		long.Set(progL) // attach, then live Replace from the second generation on
-		fresh := NewPoint(SocketSelect, "t_fresh", nil)
+		fresh := NewPoint("t_fresh", nil)
 		fresh.Set(progF)
 		arm(long, g.inject)
 		arm(fresh, g.inject)
@@ -520,8 +512,9 @@ func TestRunStateSurvivesReplaceTailCallsAndFaults(t *testing.T) {
 		}
 		prev = cur
 	}
-	if l := long.Link(); l.Swaps() != uint64(len(gens)-1) || l.Stats() != long.Stats() {
-		t.Fatalf("link: %d swaps, stats %+v; point stats %+v", l.Swaps(), l.Stats(), long.Stats())
+	// One link across every generation: a re-attach would restart its stats.
+	if l := long.Link(); l.Stats() != long.Stats() {
+		t.Fatalf("link stats %+v; point stats %+v", l.Stats(), long.Stats())
 	}
 	if prev.Faults == 0 || prev.Steers == 0 {
 		t.Fatalf("generations never faulted or never steered: %+v", prev)

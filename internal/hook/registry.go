@@ -69,16 +69,3 @@ func Names() []string {
 	}
 	return out
 }
-
-// MarkdownTable renders the registry as the GitHub-flavored table embedded
-// in README.md between the HOOK TABLE markers; a test keeps the two in
-// sync so the docs can never drift from the code.
-func MarkdownTable() string {
-	var b strings.Builder
-	b.WriteString("| Hook | Input | Executor | Where it runs |\n")
-	b.WriteString("|---|---|---|---|\n")
-	for _, h := range hooks {
-		fmt.Fprintf(&b, "| `%s` | %s | %s | %s |\n", h.Kind, h.Input, h.Executor, h.Where)
-	}
-	return b.String()
-}

@@ -11,14 +11,13 @@ import "testing"
 // RunBatch path across each swap. Asserts: every input yields exactly
 // one verdict, every verdict matches the generation installed when its
 // chunk ran (no packet ever sees an empty slot or a stale program
-// outside the swap's atomic boundary), the link's cumulative stats
-// survive every Replace without resetting, and the swap counter matches
-// the churn exactly.
+// outside the swap's atomic boundary), and the link's cumulative stats
+// survive every Replace without resetting.
 func TestReplaceSwapChurnSoak(t *testing.T) {
 	progA := mustProg(t, "gen_a", "r0 = *(u32 *)(r1 + 16)\nr0 %= 4\nexit\n")
 	progB := mustProg(t, "gen_b", "r0 = *(u32 *)(r1 + 16)\nr0 %= 4\nr0 += 4\nexit\n")
 
-	pt := NewPoint(SocketSelect, "t_swap_soak", nil)
+	pt := NewPoint("t_swap_soak", nil)
 	link, err := pt.Attach(progA)
 	if err != nil {
 		t.Fatal(err)
@@ -87,9 +86,6 @@ func TestReplaceSwapChurnSoak(t *testing.T) {
 		chunk(base, s%2 == 1) // alternate scalar and batch paths
 	}
 
-	if got := link.Swaps(); got != swaps {
-		t.Fatalf("link counted %d swaps, want %d", got, swaps)
-	}
 	st := link.Stats()
 	if st.Runs != total || st.Steers != total {
 		t.Fatalf("link stats %+v, want %d runs, all steers", st, total)

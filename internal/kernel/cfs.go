@@ -107,9 +107,6 @@ func newCFS(m *Machine, cfg CFSConfig) *CFS {
 	return s
 }
 
-// QueueLen reports the runqueue depth of cpu (for tests and stats).
-func (s *CFS) QueueLen(cpu CPUID) int { return s.queues[cpu].Len() }
-
 // Ready implements SchedClass: wake placement + possible wakeup preemption.
 func (s *CFS) Ready(t *Thread) {
 	c := s.selectCPU(t)

@@ -59,8 +59,8 @@ func TestThreadLifecycle(t *testing.T) {
 	if th.State() != ThreadDead {
 		t.Fatalf("final state %v", th.State())
 	}
-	if th.CPUTime() != 15*sim.Microsecond {
-		t.Fatalf("cpu time = %v", th.CPUTime())
+	if cpuTime(th) != 15*sim.Microsecond {
+		t.Fatalf("cpu time = %v", cpuTime(th))
 	}
 }
 
@@ -103,10 +103,10 @@ func TestCFSFairness(t *testing.T) {
 	a.Wake()
 	b.Wake()
 	eng.RunUntil(200 * sim.Millisecond)
-	total := a.CPUTime() + b.CPUTime()
-	ratio := float64(a.CPUTime()) / float64(total)
+	total := cpuTime(a) + cpuTime(b)
+	ratio := float64(cpuTime(a)) / float64(total)
 	if ratio < 0.45 || ratio > 0.55 {
-		t.Fatalf("unfair split: a=%v b=%v", a.CPUTime(), b.CPUTime())
+		t.Fatalf("unfair split: a=%v b=%v", cpuTime(a), cpuTime(b))
 	}
 	// One core can't produce more than 200ms of CPU time.
 	if total > 200*sim.Millisecond {
@@ -126,8 +126,8 @@ func TestCFSSpreadsAcrossIdleCores(t *testing.T) {
 	}
 	eng.RunUntil(50 * sim.Millisecond)
 	for i, th := range threads {
-		if th.CPUTime() < 45*sim.Millisecond {
-			t.Fatalf("thread %d starved with 4 threads on 4 cores: %v", i, th.CPUTime())
+		if cpuTime(th) < 45*sim.Millisecond {
+			t.Fatalf("thread %d starved with 4 threads on 4 cores: %v", i, cpuTime(th))
 		}
 	}
 }
@@ -137,7 +137,7 @@ func TestCFSAffinityRespected(t *testing.T) {
 	pinned := spinner(m, "pinned", 1<<1, sim.Millisecond) // CPU 1 only
 	var sawCPU CPUID = -1
 	th := m.NewThread("check", 0, 1<<1, func(th *Thread) {
-		sawCPU = th.OnCPU()
+		sawCPU = onCPU(th)
 		th.Exec(sim.Microsecond, func() { th.Exit() })
 	})
 	pinned.Wake()
@@ -232,12 +232,12 @@ func TestCFSTimeslicePreemption(t *testing.T) {
 	a.Wake()
 	b.Wake()
 	eng.RunUntil(100 * sim.Millisecond)
-	if a.CPUTime() == 0 || b.CPUTime() == 0 {
-		t.Fatalf("timeslice preemption missing: a=%v b=%v", a.CPUTime(), b.CPUTime())
+	if cpuTime(a) == 0 || cpuTime(b) == 0 {
+		t.Fatalf("timeslice preemption missing: a=%v b=%v", cpuTime(a), cpuTime(b))
 	}
-	ratio := float64(a.CPUTime()) / float64(a.CPUTime()+b.CPUTime())
+	ratio := float64(cpuTime(a)) / float64(cpuTime(a)+cpuTime(b))
 	if ratio < 0.4 || ratio > 0.6 {
-		t.Fatalf("slices unfair: a=%v b=%v", a.CPUTime(), b.CPUTime())
+		t.Fatalf("slices unfair: a=%v b=%v", cpuTime(a), cpuTime(b))
 	}
 }
 
@@ -256,8 +256,8 @@ func TestCFSIdlePull(t *testing.T) {
 		t.Fatal("a core sat idle with three runnable spinners")
 	}
 	for i, th := range ths {
-		if th.CPUTime() < 20*sim.Millisecond {
-			t.Fatalf("spinner %d starved: %v", i, th.CPUTime())
+		if cpuTime(th) < 20*sim.Millisecond {
+			t.Fatalf("spinner %d starved: %v", i, cpuTime(th))
 		}
 	}
 }
@@ -271,10 +271,10 @@ func TestReservedCPUExcludedFromCFS(t *testing.T) {
 	if m.CPU(1).Curr() != nil {
 		t.Fatal("CFS scheduled onto a reserved core")
 	}
-	if a.OnCPU() != 0 {
-		t.Fatalf("thread on cpu %d", a.OnCPU())
+	if onCPU(a) != 0 {
+		t.Fatalf("thread on cpu %d", onCPU(a))
 	}
-	if m.CPU(1).ReservedBy() != "agent" {
+	if m.CPU(1).reservedBy != "agent" {
 		t.Fatal("reservation owner lost")
 	}
 }
@@ -372,4 +372,24 @@ func TestBusyTimeAccounting(t *testing.T) {
 	if c.Switches != 1 {
 		t.Fatalf("switches = %d", c.Switches)
 	}
+}
+
+// cpuTime reports the CPU t consumed, including the in-progress running
+// span (threads that never deschedule still accrue).
+func cpuTime(t *Thread) sim.Time {
+	total := t.cpuTime
+	if t.state == ThreadRunning {
+		if ran := t.m.Eng.Now() - t.dispatchedAt; ran > 0 {
+			total += ran
+		}
+	}
+	return total
+}
+
+// onCPU returns the CPU currently running t, or -1.
+func onCPU(t *Thread) CPUID {
+	if t.cpu == nil {
+		return -1
+	}
+	return t.cpu.id
 }

@@ -52,9 +52,6 @@ func (m *Machine) NumCPUs() int { return len(m.cpus) }
 // CPU returns core i.
 func (m *Machine) CPU(i CPUID) *CPU { return m.cpus[i] }
 
-// CFS exposes the default scheduling class.
-func (m *Machine) CFS() *CFS { return m.cfs }
-
 // AffinityAll is a convenience affinity mask covering every core.
 func (m *Machine) AffinityAll() uint64 {
 	return (uint64(1) << uint(len(m.cpus))) - 1
@@ -120,9 +117,6 @@ type CPU struct {
 	Switches  uint64
 }
 
-// ID returns the core's id.
-func (c *CPU) ID() CPUID { return c.id }
-
 // Curr returns the running thread, or nil when idle.
 func (c *CPU) Curr() *Thread { return c.curr }
 
@@ -135,9 +129,6 @@ func (c *CPU) Reserve(owner string) {
 	}
 	c.reservedBy = owner
 }
-
-// ReservedBy reports the reservation owner ("" = CFS).
-func (c *CPU) ReservedBy() string { return c.reservedBy }
 
 // StartThread begins running t on this idle core, charging extra (IPI,
 // agent commit) on top of the machine context-switch cost before any of the

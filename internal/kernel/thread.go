@@ -76,18 +76,6 @@ type Thread struct {
 	waitingSince sim.Time // when it last became runnable
 }
 
-// CPUTime reports total CPU consumed, including the in-progress running
-// span (threads that never deschedule still accrue).
-func (t *Thread) CPUTime() sim.Time {
-	total := t.cpuTime
-	if t.state == ThreadRunning {
-		if ran := t.m.Eng.Now() - t.dispatchedAt; ran > 0 {
-			total += ran
-		}
-	}
-	return total
-}
-
 // State reports the thread's scheduling state.
 func (t *Thread) State() ThreadState { return t.state }
 
@@ -102,14 +90,6 @@ func (t *Thread) DispatchedAt() sim.Time { return t.dispatchedAt }
 
 // LastCPU reports the CPU the thread last ran (or is running) on.
 func (t *Thread) LastCPU() CPUID { return t.lastCPU }
-
-// OnCPU returns the CPU currently running the thread, or -1.
-func (t *Thread) OnCPU() CPUID {
-	if t.cpu == nil {
-		return -1
-	}
-	return t.cpu.id
-}
 
 // allowedOn reports whether affinity admits CPU c.
 func (t *Thread) allowedOn(c CPUID) bool {

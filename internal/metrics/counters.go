@@ -3,10 +3,8 @@ package metrics
 import "fmt"
 
 // RunStats aggregates everything one experiment data point needs: request
-// latency distribution, completion/drop counts, and the measurement window
-// so throughput can be derived. Drops are attributed to a cause so the
-// harness can distinguish socket-overflow drops (Fig. 2b) from policy DROP
-// verdicts (the token policy).
+// latency distribution, completed and unanswered counts, and the
+// measurement window so throughput can be derived.
 type RunStats struct {
 	Latency *Histogram
 
@@ -16,42 +14,22 @@ type RunStats struct {
 	// the goodput numerator. Zero unless the workload set a Deadline.
 	DeadlineHits uint64
 
-	Drops map[DropCause]uint64
+	// Unanswered counts measured requests that never got a response,
+	// whatever stopped them: a ring, backlog or socket overflow, a policy
+	// DROP, or a request still queued when the run drained. The client
+	// cannot tell these apart; the layers' own counters can.
+	Unanswered uint64
 
 	WindowNanos int64 // measurement window length (virtual ns)
 }
 
-// DropCause classifies why a request never completed.
-type DropCause string
-
-// Drop causes used across the stack.
-const (
-	DropSocketOverflow  DropCause = "socket-overflow"  // bounded socket queue full
-	DropBacklogOverflow DropCause = "backlog-overflow" // softirq backlog full
-	DropPolicy          DropCause = "policy"           // policy returned DROP
-	DropNoExecutor      DropCause = "no-executor"      // policy chose an empty map slot
-	DropRingOverflow    DropCause = "ring-overflow"    // AF_XDP / inter-core ring full
-)
-
 // NewRunStats returns an empty RunStats.
 func NewRunStats() *RunStats {
-	return &RunStats{
-		Latency: NewHistogram(),
-		Drops:   make(map[DropCause]uint64),
-	}
+	return &RunStats{Latency: NewHistogram()}
 }
 
-// Drop records one dropped request.
-func (r *RunStats) Drop(cause DropCause) { r.Drops[cause]++ }
-
-// TotalDrops sums drops across causes.
-func (r *RunStats) TotalDrops() uint64 {
-	var n uint64
-	for _, c := range r.Drops {
-		n += c
-	}
-	return n
-}
+// TotalDrops reports the requests that never completed: Unanswered.
+func (r *RunStats) TotalDrops() uint64 { return r.Unanswered }
 
 // DropFraction reports drops as a fraction of offered load in [0,1].
 func (r *RunStats) DropFraction() float64 {
@@ -81,9 +59,7 @@ func (r *RunStats) Merge(other *RunStats) {
 	r.Offered += other.Offered
 	r.Completed += other.Completed
 	r.DeadlineHits += other.DeadlineHits
-	for c, n := range other.Drops {
-		r.Drops[c] += n
-	}
+	r.Unanswered += other.Unanswered
 	if other.WindowNanos > r.WindowNanos {
 		r.WindowNanos = other.WindowNanos
 	}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // Histogram records non-negative int64 samples (typically latencies in
@@ -248,24 +247,4 @@ func (h *Histogram) Summarize() Summary {
 		P999:  q[3],
 		Max:   h.Max(),
 	}
-}
-
-// ExactPercentile computes a percentile from raw samples with the same rank
-// convention as Histogram.Percentile; tests use it to validate the
-// histogram's bucketing error bound.
-func ExactPercentile(samples []int64, p float64) int64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := make([]int64, len(samples))
-	copy(s, samples)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	rank := int(math.Ceil(p/100*float64(len(s)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(s) {
-		rank = len(s) - 1
-	}
-	return s[rank]
 }

@@ -26,7 +26,7 @@ func TestXDPRedirectToDeadXSK(t *testing.T) {
 		st.RegisterXSK(9000, 0, s)
 		xsks = append(xsks, s)
 	}
-	st.SetXDP(XDPNative, xskRedirectProg(t, 2))
+	setXDP(st, XDPNative, xskRedirectProg(t, 2))
 
 	// First delivery lands: socket 1 is alive.
 	dev.Receive(mkPkt(1, 1, 9000, []byte{1}))
@@ -36,7 +36,7 @@ func TestXDPRedirectToDeadXSK(t *testing.T) {
 	}
 
 	// The executor dies; the same verdict must now drop as no-executor.
-	xsks[1].Close()
+	xsks[1].closed = true
 	dev.Receive(mkPkt(2, 1, 9000, []byte{1}))
 	eng.Run()
 	if xsks[1].Len() != 1 {
@@ -99,7 +99,7 @@ func TestInjectedSocketSelectFallsOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := st.LookupGroup(9000)
-	g.SetProgram(steer)
+	g.Hook().Set(steer)
 
 	for i := 0; i < 4; i++ {
 		dev.Receive(mkPkt(uint64(i), 1, 9000, nil))

@@ -17,15 +17,15 @@ func TestLateBindingSharedQueue(t *testing.T) {
 		socks = append(socks, s)
 	}
 	g.EnableLateBinding(16)
-	if !g.LateBinding() {
+	if !g.lateBinding {
 		t.Fatal("late binding not enabled")
 	}
 	for i := 0; i < 5; i++ {
 		dev.Receive(mkPkt(uint64(i), 1, 9000, nil))
 	}
 	eng.Run()
-	if g.QueuedLate() != 5 {
-		t.Fatalf("shared queue = %d", g.QueuedLate())
+	if g.lateCount != 5 {
+		t.Fatalf("shared queue = %d", g.lateCount)
 	}
 	// Any socket pulls from the shared queue in FIFO order.
 	p := socks[2].TryRecv()
@@ -35,8 +35,8 @@ func TestLateBindingSharedQueue(t *testing.T) {
 	if socks[0].TryRecv().ID != 1 {
 		t.Fatal("FIFO order broken across executors")
 	}
-	if g.QueuedLate() != 3 {
-		t.Fatalf("queue after pops = %d", g.QueuedLate())
+	if g.lateCount != 3 {
+		t.Fatalf("queue after pops = %d", g.lateCount)
 	}
 }
 
@@ -76,8 +76,8 @@ func TestLateBindingOverflowDrops(t *testing.T) {
 		dev.Receive(mkPkt(uint64(i), 1, 9000, nil))
 	}
 	eng.Run()
-	if g.QueuedLate() != 2 {
-		t.Fatalf("queue = %d", g.QueuedLate())
+	if g.lateCount != 2 {
+		t.Fatalf("queue = %d", g.lateCount)
 	}
 	if g.LateDrops != 3 || st.Stats.SocketDrops != 3 {
 		t.Fatalf("late drops = %d stack drops = %d", g.LateDrops, st.Stats.SocketDrops)
@@ -92,17 +92,17 @@ func TestLateBindingPolicyStillGatesAdmission(t *testing.T) {
 	st.NewUDPSocket(9000, 1, "w")
 	g.EnableLateBinding(16)
 	drop := mustProg(t, "r0 = DROP\nexit\n")
-	g.SetProgram(drop)
+	g.Hook().Set(drop)
 	dev.Receive(mkPkt(1, 1, 9000, nil))
 	eng.Run()
-	if g.QueuedLate() != 0 || st.Stats.PolicyDrops != 1 {
-		t.Fatalf("DROP ignored under late binding: queued=%d drops=%d", g.QueuedLate(), st.Stats.PolicyDrops)
+	if g.lateCount != 0 || st.Stats.PolicyDrops != 1 {
+		t.Fatalf("DROP ignored under late binding: queued=%d drops=%d", g.lateCount, st.Stats.PolicyDrops)
 	}
 	idx := mustProg(t, "r0 = 57\nexit\n") // out-of-range executor: ignored under late binding
-	g.SetProgram(idx)
+	g.Hook().Set(idx)
 	dev.Receive(mkPkt(2, 1, 9000, nil))
 	eng.Run()
-	if g.QueuedLate() != 0 {
+	if g.lateCount != 0 {
 		// Out-of-range verdicts are still no-executor errors before the
 		// late queue; this matches early-binding semantics.
 		t.Logf("note: out-of-range verdict dropped before late queue (no-exec=%d)", st.Stats.NoExecutorDrops)

@@ -37,8 +37,9 @@ type Socket struct {
 	// binding; TryRecv then draws from the group's shared queue.
 	group *ReuseportGroup
 
-	// closed marks a dead socket (the owner tore it down); enqueues fail
-	// and deliverers must treat it as a missing executor.
+	// closed marks a dead socket (its owner is gone): enqueues fail and
+	// deliverers treat it as a missing executor. No run closes a socket;
+	// the guard keeps a stale executor index from delivering into one.
 	closed bool
 
 	// Drops counts enqueue failures due to a full queue.
@@ -54,15 +55,6 @@ func NewSocket(port uint16, app uint32, capacity int, label string) *Socket {
 	}
 	return &Socket{Port: port, App: app, cap: capacity, queue: make([]*nic.Packet, capacity), Label: label}
 }
-
-// Close marks the socket dead: enqueues fail from now on and the stack
-// treats a policy verdict naming it as a missing executor. Queued
-// packets stay readable (a real socket's receive queue drains on close
-// only when the fd goes away, which this model does not track).
-func (s *Socket) Close() { s.closed = true }
-
-// Closed reports whether Close was called.
-func (s *Socket) Closed() bool { return s.closed }
 
 // Enqueue appends a packet, waking any parked waiter. It reports false
 // (and counts a drop) when the queue is full or the socket is closed.
@@ -172,9 +164,6 @@ func (g *ReuseportGroup) EnableLateBinding(capacity int) {
 	}
 }
 
-// LateBinding reports whether the group uses late binding.
-func (g *ReuseportGroup) LateBinding() bool { return g.lateBinding }
-
 // lateEnqueue buffers a datagram centrally and wakes one parked executor.
 func (g *ReuseportGroup) lateEnqueue(pkt *nic.Packet) bool {
 	if g.lateCount >= g.lateCap {
@@ -212,15 +201,12 @@ func (g *ReuseportGroup) latePop() *nic.Packet {
 	return pkt
 }
 
-// QueuedLate reports the shared-queue depth.
-func (g *ReuseportGroup) QueuedLate() int { return g.lateCount }
-
 // NewReuseportGroup creates an empty group for a port.
 func NewReuseportGroup(port uint16, app uint32) *ReuseportGroup {
 	return &ReuseportGroup{
 		Port:  port,
 		App:   app,
-		point: hook.NewPoint(hook.SocketSelect, fmt.Sprintf("socket_select:%d", port), nil),
+		point: hook.NewPoint(fmt.Sprintf("socket_select:%d", port), nil),
 	}
 }
 
@@ -235,16 +221,6 @@ func (g *ReuseportGroup) AddSocket(s *Socket) int {
 	g.sockets = append(g.sockets, s)
 	return len(g.sockets) - 1
 }
-
-// Sockets exposes the executor table.
-func (g *ReuseportGroup) Sockets() []*Socket { return g.sockets }
-
-// SetProgram attaches (or clears) the group's Socket Select policy,
-// attaching/replacing/detaching through the hook point.
-func (g *ReuseportGroup) SetProgram(p *ebpf.Program) { g.point.Set(p) }
-
-// Program returns the attached policy, if any.
-func (g *ReuseportGroup) Program() *ebpf.Program { return g.point.Program() }
 
 // Hook exposes the group's Socket Select hook point; syrupd attaches
 // through it.

@@ -158,8 +158,8 @@ func New(eng *sim.Engine, cfg Config, queues int) *Stack {
 	}
 	// The points' default env is queue 0's; runs pass the per-core env
 	// explicitly so get_smp_processor_id reads the executing softirq core.
-	s.xdp = hook.NewPoint(hook.XDPDrv, "xdp", s.envs[0])
-	s.cpuRedirect = hook.NewPoint(hook.CPURedirect, string(hook.CPURedirect), s.envs[0])
+	s.xdp = hook.NewPoint("xdp", s.envs[0])
+	s.cpuRedirect = hook.NewPoint(string(hook.CPURedirect), s.envs[0])
 	s.ingressCB = func(arg any, u uint64) {
 		queue := int(u)
 		s.cores[queue].backlog--
@@ -237,29 +237,6 @@ func (s *Stack) CPURedirect() *hook.Point { return s.cpuRedirect }
 // mode only matters while a program is attached; XDPNone disables the
 // hook's cost stage without touching the attachment.
 func (s *Stack) SetXDPMode(mode XDPMode) { s.xdpMode = mode }
-
-// XDPMode reports the current mode.
-func (s *Stack) XDPMode() XDPMode { return s.xdpMode }
-
-// SetXDP installs the XDP hook program and mode (XDPNone clears),
-// attaching/replacing/detaching through the hook point.
-func (s *Stack) SetXDP(mode XDPMode, p *ebpf.Program) {
-	if mode == XDPNone {
-		s.xdpMode = XDPNone
-		s.xdp.Set(nil)
-		return
-	}
-	if p == nil {
-		panic("netstack: XDP mode without program")
-	}
-	s.xdpMode = mode
-	s.xdp.Set(p)
-}
-
-// SetCPURedirect installs the CPU Redirect hook program (nil clears): its
-// verdict moves protocol processing for a packet onto another softirq
-// core.
-func (s *Stack) SetCPURedirect(p *ebpf.Program) { s.cpuRedirect.Set(p) }
 
 // Group returns (creating if needed) the reuseport group for port.
 func (s *Stack) Group(port uint16, app uint32) *ReuseportGroup {
@@ -430,7 +407,7 @@ func (s *Stack) handleXDPVerdict(queue int, pkt *nic.Packet, v hook.Verdict) boo
 		if tables := s.xsks[pkt.DstPort]; tables != nil {
 			table = tables[queue]
 		}
-		if int(v.Index) >= len(table) || table[v.Index].Closed() {
+		if int(v.Index) >= len(table) || table[v.Index].closed {
 			// Out of range — or a verdict naming a dead AF_XDP socket.
 			// A stale executor index must never receive delivery: the
 			// socket's consumer is gone, so the packet drops here as a

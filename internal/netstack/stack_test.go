@@ -169,7 +169,7 @@ pass:
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.LookupGroup(9000).SetProgram(prog)
+	st.LookupGroup(9000).Hook().Set(prog)
 	for i := 0; i < 9; i++ {
 		dev.Receive(mkPkt(uint64(i), 1, 9000, nil)) // single flow!
 	}
@@ -189,14 +189,14 @@ func TestSocketSelectPolicyDropAndOOB(t *testing.T) {
 	eng, dev, st := wired(t, 1)
 	st.NewUDPSocket(9000, 1, "w")
 	drop, _, _ := ebpf.AssembleAndLoad("drop", "r0 = DROP\nexit\n", nil, nil)
-	st.LookupGroup(9000).SetProgram(drop)
+	st.LookupGroup(9000).Hook().Set(drop)
 	dev.Receive(mkPkt(1, 1, 9000, nil))
 	eng.Run()
 	if st.Stats.PolicyDrops != 1 {
 		t.Fatalf("policy drops = %d", st.Stats.PolicyDrops)
 	}
 	oob, _, _ := ebpf.AssembleAndLoad("oob", "r0 = 17\nexit\n", nil, nil)
-	st.LookupGroup(9000).SetProgram(oob)
+	st.LookupGroup(9000).Hook().Set(oob)
 	dev.Receive(mkPkt(2, 1, 9000, nil))
 	eng.Run()
 	if st.Stats.NoExecutorDrops != 1 {
@@ -255,7 +255,7 @@ func TestXDPNativeRedirectToXSK(t *testing.T) {
 		}
 		xsks = append(xsks, s)
 	}
-	st.SetXDP(XDPNative, xskRedirectProg(t, 2))
+	setXDP(st, XDPNative, xskRedirectProg(t, 2))
 	var deliveredAt sim.Time
 	xsks[1].WaitRecv(func() { deliveredAt = eng.Now() })
 	dev.Receive(mkPkt(1, 1, 9000, []byte{1}))
@@ -278,7 +278,7 @@ func TestXDPGenericCostsMore(t *testing.T) {
 		Config{SKBAllocCost: 300, ProtoCost: 1300, PolicyRunCost: 700, XSKCopyCost: 400})
 	s := NewSocket(0, 1, 64, "xsk")
 	st.RegisterXSK(9000, 0, s)
-	st.SetXDP(XDPGeneric, xskRedirectProg(t, 1))
+	setXDP(st, XDPGeneric, xskRedirectProg(t, 1))
 	var deliveredAt sim.Time
 	s.WaitRecv(func() { deliveredAt = eng.Now() })
 	dev.Receive(mkPkt(1, 1, 9000, []byte{0}))
@@ -293,7 +293,7 @@ func TestXDPPassContinuesUpTheStack(t *testing.T) {
 	eng, dev, st := wired(t, 1)
 	sock, _ := st.NewUDPSocket(9000, 1, "w")
 	pass, _, _ := ebpf.AssembleAndLoad("pass", "r0 = PASS\nexit\n", nil, nil)
-	st.SetXDP(XDPGeneric, pass)
+	setXDP(st, XDPGeneric, pass)
 	dev.Receive(mkPkt(1, 1, 9000, nil))
 	eng.Run()
 	if sock.Len() != 1 {
@@ -305,14 +305,14 @@ func TestXDPDropAndBadExecutor(t *testing.T) {
 	eng, dev, st := wired(t, 1)
 	st.NewUDPSocket(9000, 1, "w")
 	drop, _, _ := ebpf.AssembleAndLoad("drop", "r0 = DROP\nexit\n", nil, nil)
-	st.SetXDP(XDPNative, drop)
+	setXDP(st, XDPNative, drop)
 	dev.Receive(mkPkt(1, 1, 9000, nil))
 	eng.Run()
 	if st.Stats.XSKDrops != 1 {
 		t.Fatalf("xsk drops = %d", st.Stats.XSKDrops)
 	}
 	oob, _, _ := ebpf.AssembleAndLoad("oob", "r0 = 9\nexit\n", nil, nil)
-	st.SetXDP(XDPNative, oob)
+	setXDP(st, XDPNative, oob)
 	dev.Receive(mkPkt(2, 1, 9000, nil))
 	eng.Run()
 	if st.Stats.NoExecutorDrops != 1 {
@@ -328,7 +328,7 @@ func TestCPURedirectMovesProtocolProcessing(t *testing.T) {
 	_ = sock
 	// Redirect everything to softirq core 1.
 	redir, _, _ := ebpf.AssembleAndLoad("redir", "r0 = 1\nexit\n", nil, nil)
-	st.SetCPURedirect(redir)
+	st.CPURedirect().Set(redir)
 	// Two packets on queue 0: ingress serializes on core 0, protocol on
 	// core 1.
 	for i := 0; i < 2; i++ {
@@ -382,8 +382,8 @@ func TestXDPRevokeBetweenAdmissionAndCompletion(t *testing.T) {
 		nic.Config{Queues: 1, RingSize: 64, OffloadCost: 500},
 		Config{SKBAllocCost: 300, ProtoCost: 1300, PolicyRunCost: 700, XSKCopyCost: 400})
 	sock, _ := st.NewUDPSocket(9000, 1, "w")
-	st.SetXDP(XDPGeneric, mustProg(t, "r0 = PASS\nexit\n"))
-	dev.SetOffloadProgram(mustProg(t, "r0 = PASS\nexit\n"))
+	setXDP(st, XDPGeneric, mustProg(t, "r0 = PASS\nexit\n"))
+	dev.Offload().Set(mustProg(t, "r0 = PASS\nexit\n"))
 	// All four arrive at t=0 and reach the softirq core at t=500, behind
 	// the 500 ns offload stage.
 	for i := 0; i < 4; i++ {
@@ -391,7 +391,7 @@ func TestXDPRevokeBetweenAdmissionAndCompletion(t *testing.T) {
 	}
 	// Softirq completions land at 1900, 3300, 4700, 6100. The revoke at
 	// t=2000 falls between the first and the second.
-	eng.CallAfter(2000, func(any, uint64) { st.SetXDP(XDPNone, nil) }, nil, 0)
+	eng.CallAfter(2000, func(any, uint64) { setXDP(st, XDPNone, nil) }, nil, 0)
 	eng.Run()
 
 	if runs := st.XDP().Stats().Runs; runs != 1 {
@@ -422,8 +422,8 @@ func TestZeroAllocDeliver(t *testing.T) {
 	eng := sim.New(1)
 	dev, st := Wire(eng, nic.Config{Queues: 1, RingSize: 256}, Config{})
 	sock, _ := st.NewUDPSocket(9000, 1, "w")
-	st.SetXDP(XDPGeneric, mustProg(t, "r0 = PASS\nexit\n"))
-	dev.SetOffloadProgram(mustProg(t, "r0 = PASS\nexit\n"))
+	setXDP(st, XDPGeneric, mustProg(t, "r0 = PASS\nexit\n"))
+	dev.Offload().Set(mustProg(t, "r0 = PASS\nexit\n"))
 	deliver := func() {
 		for i := 0; i < 8; i++ {
 			pkt := dev.NewPacket()
@@ -443,4 +443,11 @@ func TestZeroAllocDeliver(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, deliver); avg != 0 {
 		t.Fatalf("deliver: %v allocs/op, want 0", avg)
 	}
+}
+
+// setXDP attaches p at the XDP point the way syrupd does: the mode, then
+// the program through the hook point (nil detaches).
+func setXDP(st *Stack, mode XDPMode, p *ebpf.Program) {
+	st.SetXDPMode(mode)
+	st.XDP().Set(p)
 }

@@ -116,7 +116,7 @@ func NewTCPGroup(port uint16, app uint32) *TCPGroup {
 		Port:  port,
 		App:   app,
 		conns: make(map[uint64]*Conn),
-		point: hook.NewPoint(hook.SocketSelect, fmt.Sprintf("socket_select:%d/tcp", port), nil),
+		point: hook.NewPoint(fmt.Sprintf("socket_select:%d/tcp", port), nil),
 	}
 }
 
@@ -130,14 +130,6 @@ func (g *TCPGroup) AddListener(label string, acceptCap, requestCap int) (*Listen
 	g.listeners = append(g.listeners, l)
 	return l, len(g.listeners) - 1
 }
-
-// Listeners exposes the executor table.
-func (g *TCPGroup) Listeners() []*Listener { return g.listeners }
-
-// SetProgram attaches the Socket Select policy (runs per SYN, or per
-// request in KCM mode), attaching/replacing/detaching through the hook
-// point.
-func (g *TCPGroup) SetProgram(p *ebpf.Program) { g.point.Set(p) }
 
 // Hook exposes the group's Socket Select hook point; syrupd attaches
 // through it.

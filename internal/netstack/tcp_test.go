@@ -113,7 +113,7 @@ pass:
   r0 = PASS
   exit
 `)
-	g.SetProgram(rr)
+	g.Hook().Set(rr)
 	for i := 0; i < 6; i++ {
 		inject(synPkt(uint64(i), uint16(100+i)))
 	}
@@ -130,7 +130,7 @@ pass:
 
 func TestTCPPolicyDropsSYN(t *testing.T) {
 	g, _, inject := tcpFixture(t, 2)
-	g.SetProgram(mustProg(t, "r0 = DROP\nexit\n"))
+	g.Hook().Set(mustProg(t, "r0 = DROP\nexit\n"))
 	inject(synPkt(1, 100))
 	if g.Accepted != 0 || g.PolicyDrops != 1 {
 		t.Fatalf("accepted=%d drops=%d", g.Accepted, g.PolicyDrops)
@@ -169,7 +169,7 @@ func TestKCMRequestLevelScheduling(t *testing.T) {
 	// §6.4: with KCM, requests from ONE connection spread across workers.
 	g, ls, inject := tcpFixture(t, 3)
 	g.EnableKCM()
-	g.SetProgram(mustProg(t, `
+	g.Hook().Set(mustProg(t, `
 .map st array 4 8 1
   *(u32 *)(r10 - 4) = 0
   r1 = map(st)

@@ -277,7 +277,7 @@ func New(eng *sim.Engine, cfg Config, deliver DeliverFunc) *NIC {
 	for i := range n.rssTable {
 		n.rssTable[i] = i % cfg.Queues
 	}
-	n.offload = hook.NewPoint(hook.XDPOffload, string(hook.XDPOffload), &ebpf.Env{
+	n.offload = hook.NewPoint(string(hook.XDPOffload), &ebpf.Env{
 		Prandom: func() uint32 { return eng.Rand().Uint32() },
 		Ktime:   func() uint64 { return uint64(eng.Now()) },
 	})
@@ -297,9 +297,6 @@ func (n *NIC) InflightTotal() int {
 	}
 	return total
 }
-
-// HostMapRTT reports the configured host↔NIC map round trip.
-func (n *NIC) HostMapRTT() sim.Time { return n.cfg.HostMapRTT }
 
 // Offload exposes the XDP Offload hook point; syrupd attaches through it.
 func (n *NIC) Offload() *hook.Point { return n.offload }
@@ -323,12 +320,6 @@ func (n *NIC) SetFaults(inj *faults.Injector) {
 	env.FaultUpdateFail = inj.FireFn(faults.SiteHelperUpdate)
 	env.FaultTailCall = inj.FireFn(faults.SiteTailCall)
 }
-
-// SetOffloadProgram installs the XDP Offload hook program (nil clears),
-// attaching/replacing/detaching through the hook point. The program's
-// verdict selects the RX queue; PASS falls back to RSS; DROP discards the
-// frame.
-func (n *NIC) SetOffloadProgram(p *ebpf.Program) { n.offload.Set(p) }
 
 // Receive is called at the packet's wire-arrival time. It runs offloaded
 // steering, applies RSS otherwise, and hands the packet to the host after
@@ -387,10 +378,6 @@ func (n *NIC) Receive(pkt *Packet) {
 // Deprecated: SetBatchDeliver has no effect; kept only until a benchmark-archetype PR stops calling it.
 func (n *NIC) SetBatchDeliver(fn func(queue int, pkts []*Packet)) {}
 
-// Inflight reports how many packets of queue's ring the host has not yet
-// consumed (tests assert ring accounting with it).
-func (n *NIC) Inflight(queue int) int { return n.inflight[queue] }
-
 // traceNIC records the packet's StageNIC span: arrival to ring handoff
 // (end includes the offload engine's added latency); drops end at the
 // drop decision with a drop verdict.
@@ -418,7 +405,6 @@ func (n *NIC) Consumed(queue int) {
 // are asynchronous because they consume simulated time.
 type OffloadedMap struct {
 	eng *sim.Engine
-	m   *ebpf.Map
 	rtt sim.Time
 	// The far end of the round trip, one stored callback per operation:
 	// arg is the caller's done func (lookup) or the pending write.
@@ -434,7 +420,7 @@ type offloadWrite struct {
 // OffloadMap declares m as living on the NIC.
 func (n *NIC) OffloadMap(m *ebpf.Map) *OffloadedMap {
 	return &OffloadedMap{
-		eng: n.eng, m: m, rtt: n.cfg.HostMapRTT,
+		eng: n.eng, rtt: n.cfg.HostMapRTT,
 		lookupCB: func(done any, key uint64) {
 			done.(func(uint64, bool))(m.LookupUint64(uint32(key)))
 		},
@@ -447,12 +433,6 @@ func (n *NIC) OffloadMap(m *ebpf.Map) *OffloadedMap {
 		},
 	}
 }
-
-// Inner returns the underlying map (the NIC-side view).
-func (o *OffloadedMap) Inner() *ebpf.Map { return o.m }
-
-// RTT reports the modeled host access latency.
-func (o *OffloadedMap) RTT() sim.Time { return o.rtt }
 
 // LookupUint64 reads key from the host; done receives the value after the
 // round trip.

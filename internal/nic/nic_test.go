@@ -111,7 +111,7 @@ func TestOffloadProgramSteersQueues(t *testing.T) {
 		ebpf.MovImm(ebpf.R0, -1), // PASS
 		ebpf.Exit(),
 	}, ebpf.LoadOptions{})
-	dev.SetOffloadProgram(prog)
+	dev.Offload().Set(prog)
 	for i := 0; i < 8; i++ {
 		dev.Receive(mkPkt(uint64(i), 100, []byte{byte(i)}))
 	}
@@ -137,7 +137,7 @@ func TestOffloadDropAndOutOfRange(t *testing.T) {
 		ebpf.MovImm(ebpf.R0, -2), // DROP
 		ebpf.Exit(),
 	}, ebpf.LoadOptions{})
-	dev.SetOffloadProgram(drop)
+	dev.Offload().Set(drop)
 	dev.Receive(mkPkt(1, 100, nil))
 	eng.Run()
 	if delivered != 0 || dev.Stats.DroppedByXDP != 1 {
@@ -147,7 +147,7 @@ func TestOffloadDropAndOutOfRange(t *testing.T) {
 		ebpf.MovImm(ebpf.R0, 99),
 		ebpf.Exit(),
 	}, ebpf.LoadOptions{})
-	dev.SetOffloadProgram(oob)
+	dev.Offload().Set(oob)
 	dev.Receive(mkPkt(2, 100, nil))
 	eng.Run()
 	if delivered != 0 || dev.Stats.DroppedByXDP != 2 {
@@ -168,7 +168,7 @@ func TestOffloadFaultFailsOpenAndCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev.SetOffloadProgram(faulty)
+	dev.Offload().Set(faulty)
 	p := mkPkt(1, 100, nil)
 	rssQueue := dev.rssTable[p.RSSHash()%uint32(len(dev.rssTable))]
 	dev.Receive(p)
@@ -208,8 +208,8 @@ func TestOffloadedMapLatency(t *testing.T) {
 	if wroteAt != 25*sim.Microsecond || readAt != 50*sim.Microsecond {
 		t.Fatalf("offloaded map RTTs: write %v read %v", wroteAt, readAt)
 	}
-	// NIC-side access (Inner) is immediate.
-	if v, _ := om.Inner().LookupUint64(0); v != 42 {
+	// NIC-side access is immediate.
+	if v, _ := m.LookupUint64(0); v != 42 {
 		t.Fatal("inner map view inconsistent")
 	}
 }
@@ -257,7 +257,7 @@ func TestBurstDrainFullRing(t *testing.T) {
 		dev.Consumed(q)
 		delivered++
 	})
-	dev.SetOffloadProgram(steerAll(t))
+	dev.Offload().Set(steerAll(t))
 
 	eng.CallAfter(arrival, func(any, uint64) {
 		for i := 0; i < ringSize+1; i++ {
@@ -272,8 +272,8 @@ func TestBurstDrainFullRing(t *testing.T) {
 	if delivered != ringSize {
 		t.Fatalf("delivered %d of %d", delivered, ringSize)
 	}
-	if dev.Inflight(0) != 0 {
-		t.Fatalf("inflight = %d after full drain, want 0", dev.Inflight(0))
+	if dev.inflight[0] != 0 {
+		t.Fatalf("inflight = %d after full drain, want 0", dev.inflight[0])
 	}
 }
 
@@ -290,13 +290,13 @@ func TestBurstDrainConsumesPerPacket(t *testing.T) {
 			kept++
 		}
 	})
-	dev.SetOffloadProgram(steerAll(t))
+	dev.Offload().Set(steerAll(t))
 	for i := 0; i < 8; i++ {
 		dev.Receive(mkPkt(uint64(i), uint16(2000+i), nil))
 	}
 	eng.Run()
-	if dev.Inflight(0) != 0 {
-		t.Fatalf("inflight = %d, want 0", dev.Inflight(0))
+	if dev.inflight[0] != 0 {
+		t.Fatalf("inflight = %d, want 0", dev.inflight[0])
 	}
 	if kept != 4 {
 		t.Fatalf("kept = %d, want 4", kept)
@@ -422,7 +422,7 @@ func TestZeroAllocReceive(t *testing.T) {
 		dev.Consumed(q)
 		pkt.Free()
 	})
-	dev.SetOffloadProgram(steerAll(t))
+	dev.Offload().Set(steerAll(t))
 	receive := func() {
 		for i := 0; i < 8; i++ {
 			pkt := dev.NewPacket()

@@ -33,9 +33,6 @@ func newSeries(name string, capacity int) *Series {
 	return &Series{name: name, t: make([]int64, capacity), v: make([]float64, capacity)}
 }
 
-// Name returns the metric name (snake_case, enforced by lint-metrics).
-func (s *Series) Name() string { return s.name }
-
 // Len reports how many points the series currently holds.
 func (s *Series) Len() int { return s.n }
 

@@ -134,13 +134,6 @@ func SITADefines(n int) map[string]int64 {
 	return map[string]int64{"NUM_THREADS": int64(n), "NT_MINUS_1": int64(n - 1)}
 }
 
-// MarkRequestType is the userspace half of SCAN Avoid (paper Fig. 5b): the
-// application updates scan_state around request processing so the kernel
-// half can steer datagrams away from threads serving SCANs.
-func MarkRequestType(scanState *ebpf.Map, threadSlot uint32, reqType uint64) error {
-	return scanState.UpdateUint64(threadSlot, reqType)
-}
-
 // TokenAgent is the userspace half of the token policy (§3.4 / §5.2.2): an
 // epoch timer that replenishes the latency-sensitive user's tokens and
 // gifts any leftovers to the best-effort user.
@@ -150,7 +143,6 @@ type TokenAgent struct {
 	BEUser      uint32
 	PerEpoch    uint64 // tokens granted to the LS user each epoch
 	Epoch       sim.Time
-	ticker      *sim.Ticker
 	GiftedTotal uint64
 }
 
@@ -161,7 +153,7 @@ func (a *TokenAgent) Start(eng *sim.Engine) {
 	}
 	// Initial grant so the first epoch isn't dry.
 	a.Tokens.UpdateUint64(a.LSUser, a.PerEpoch)
-	a.ticker = eng.NewTicker(a.Epoch, func() {
+	eng.NewTicker(a.Epoch, func() {
 		leftover, _ := a.Tokens.LookupUint64(a.LSUser)
 		if leftover > 0 {
 			// Gift unconsumed tokens to the best-effort user.
@@ -170,13 +162,6 @@ func (a *TokenAgent) Start(eng *sim.Engine) {
 		}
 		a.Tokens.UpdateUint64(a.LSUser, a.PerEpoch)
 	})
-}
-
-// Stop halts replenishment.
-func (a *TokenAgent) Stop() {
-	if a.ticker != nil {
-		a.ticker.Stop()
-	}
 }
 
 // GetPriority is the ghOSt thread policy from §5.3: threads processing GET

@@ -98,12 +98,11 @@ func (tm Timer) When() Time {
 // Engine is a single-threaded discrete-event simulator. It is not safe for
 // concurrent use; all simulated entities run inside event callbacks.
 type Engine struct {
-	now     Time
-	seq     uint64
-	rng     *rand.Rand
-	stopped bool
-	fired   uint64
-	live    int // pending events across ready + wheel + overflow
+	now   Time
+	seq   uint64
+	rng   *rand.Rand
+	fired uint64
+	live  int // pending events across ready + wheel + overflow
 
 	wheel wheel
 
@@ -147,9 +146,6 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Fired reports how many events have executed, a cheap progress metric.
 func (e *Engine) Fired() uint64 { return e.fired }
-
-// Pending reports how many events are queued.
-func (e *Engine) Pending() int { return e.live }
 
 // schedule files a prepared event (callback fields already set) at
 // absolute time t. Scheduling in the past panics: it always indicates a
@@ -385,14 +381,9 @@ func (e *Engine) fire(ev *Event) {
 	cb(arg, u)
 }
 
-// Stop makes the current Run/RunUntil call return after the in-flight
-// callback finishes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events until the queue drains or Stop is called.
+// Run executes events until the queue drains.
 func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		ev := e.peek()
 		if ev == nil {
 			return
@@ -404,15 +395,14 @@ func (e *Engine) Run() {
 // RunUntil executes events with timestamps <= t, then advances the clock to
 // exactly t. Events scheduled at t by other events at t still run.
 func (e *Engine) RunUntil(t Time) {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		ev := e.peek()
 		if ev == nil || ev.at > t {
 			break
 		}
 		e.fire(ev)
 	}
-	if !e.stopped && e.now < t {
+	if e.now < t {
 		e.now = t
 		if e.sampleFn != nil && e.now >= e.sampleNext {
 			e.runSampler()

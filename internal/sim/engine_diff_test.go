@@ -249,8 +249,8 @@ func diffTrace(t *testing.T, seed int64) {
 			t.Fatalf("seed %d: fired order diverges at %d: wheel %d ref %d", seed, i, gotW[i], gotR[i])
 		}
 	}
-	if eng.Pending() != 0 {
-		t.Fatalf("seed %d: %d events still pending after Run", seed, eng.Pending())
+	if eng.live != 0 {
+		t.Fatalf("seed %d: %d events still pending after Run", seed, eng.live)
 	}
 }
 
@@ -450,8 +450,8 @@ func diffScript(t *testing.T, c edgeCase) {
 	if fmt.Sprint(gotW) != fmt.Sprint(gotR) {
 		t.Fatalf("%s: wheel fired %v, heap reference %v", c.name, gotW, gotR)
 	}
-	if eng.Now() != ref.now || eng.Pending() != 0 {
-		t.Fatalf("%s: wheel ends at %v with %d pending, reference at %v", c.name, eng.Now(), eng.Pending(), ref.now)
+	if eng.Now() != ref.now || eng.live != 0 {
+		t.Fatalf("%s: wheel ends at %v with %d pending, reference at %v", c.name, eng.Now(), eng.live, ref.now)
 	}
 }
 

@@ -36,14 +36,14 @@ func TestTimerHandleSurvivesPooling(t *testing.T) {
 	if e.CancelTimer(tm) {
 		t.Fatal("stale timer handle canceled a recycled event")
 	}
-	before := e.Pending()
+	before := e.live
 	e.CancelTimer(tm)
-	if e.Pending() != before {
+	if e.live != before {
 		t.Fatal("stale CancelTimer changed pending count")
 	}
 	e.Run()
-	if e.Pending() != 0 {
-		t.Fatalf("%d events lost or stuck after pool churn", e.Pending())
+	if e.live != 0 {
+		t.Fatalf("%d events lost or stuck after pool churn", e.live)
 	}
 }
 
@@ -86,8 +86,8 @@ func TestCancelChurnCompaction(t *testing.T) {
 			t.Fatalf("survivor order diverges at %d: got %d want %d", i, got[i], want[i])
 		}
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("%d events stuck after churn drain", e.Pending())
+	if e.live != 0 {
+		t.Fatalf("%d events stuck after churn drain", e.live)
 	}
 }
 
@@ -109,7 +109,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	if avg := testing.AllocsPerRun(500, func() {
 		e.CallAfter(Time(i%64), nop, nil, uint64(i))
 		i++
-		if e.Pending() > 128 {
+		if e.live > 128 {
 			e.Run()
 		}
 	}); avg != 0 {
@@ -147,7 +147,7 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.CallAfter(Time(i%64), nop, nil, uint64(i))
-		if e.Pending() > 1024 {
+		if e.live > 1024 {
 			e.Run()
 		}
 	}
@@ -168,7 +168,7 @@ func BenchmarkEngineCancelHeavy(b *testing.B) {
 			e.CancelTimer(tms[slot])
 		}
 		tms[slot] = e.TimerAfter(Time(1+i%512), nop, nil, uint64(i))
-		if e.Pending() > 1024 {
+		if e.live > 1024 {
 			e.Run()
 		}
 	}

@@ -126,21 +126,6 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	e.Run()
 }
 
-func TestStop(t *testing.T) {
-	e := New(1)
-	n := 0
-	e.CallAt(1, func(any, uint64) { n++; e.Stop() }, nil, 0)
-	e.CallAt(2, func(any, uint64) { n++ }, nil, 0)
-	e.Run()
-	if n != 1 {
-		t.Fatalf("Stop did not halt run loop: n=%d", n)
-	}
-	e.Run() // resumes
-	if n != 2 {
-		t.Fatalf("resumed run did not execute remaining event: n=%d", n)
-	}
-}
-
 func TestTicker(t *testing.T) {
 	e := New(1)
 	var ticks []Time
@@ -227,7 +212,7 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.CallAfter(Time(i%64), fn, nil, 0)
-		if e.Pending() > 1024 {
+		if e.live > 1024 {
 			e.Run()
 		}
 	}

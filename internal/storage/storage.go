@@ -132,7 +132,7 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 		eng:    eng,
 		cfg:    cfg,
 		queues: make([]ioQueue, cfg.Queues),
-		submit: hook.NewPoint(hook.Storage, string(hook.Storage), &ebpf.Env{
+		submit: hook.NewPoint(string(hook.Storage), &ebpf.Env{
 			Prandom: func() uint32 { return eng.Rand().Uint32() },
 			Ktime:   func() uint64 { return uint64(eng.Now()) },
 		}),
@@ -155,12 +155,6 @@ func (d *Device) SetPolicy(p *ebpf.Program) { d.submit.Set(p) }
 // Submit exposes the device's submit hook point; syrupd attaches through
 // it.
 func (d *Device) SubmitHook() *hook.Point { return d.submit }
-
-// NumQueues reports the executor count.
-func (d *Device) NumQueues() int { return d.cfg.Queues }
-
-// QueueDepth reports outstanding requests on queue q.
-func (d *Device) QueueDepth(q int) int { return d.queues[q].depth }
 
 // Submit runs the policy and, if admitted, enqueues the IO. It reports
 // whether the request was accepted.

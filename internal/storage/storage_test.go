@@ -147,12 +147,12 @@ pass:
 	for i := 0; i < 9; i++ {
 		d.Submit(&Request{ID: uint64(100 + i), Kind: Read, LBA: uint64(i)})
 	}
-	if d.QueueDepth(0) != 6 {
-		t.Fatalf("write queue depth = %d, want 6", d.QueueDepth(0))
+	if d.queues[0].depth != 6 {
+		t.Fatalf("write queue depth = %d, want 6", d.queues[0].depth)
 	}
 	for q := 1; q < 4; q++ {
-		if d.QueueDepth(q) != 3 {
-			t.Fatalf("read queue %d depth = %d, want 3", q, d.QueueDepth(q))
+		if d.queues[q].depth != 3 {
+			t.Fatalf("read queue %d depth = %d, want 3", q, d.queues[q].depth)
 		}
 	}
 	eng.Run()

@@ -121,9 +121,6 @@ func (app *App) recordSlot(hk Hook, target string, disp *dispatcher, slot uint32
 	})
 }
 
-// Links enumerates the app's live deployments.
-func (a *App) Links() []*AppLink { return a.links }
-
 // LinkInfo is the wire form of one live attachment (the links op).
 type LinkInfo struct {
 	App     uint32 `json:"app"`

@@ -59,11 +59,11 @@ func TestHotSwapUnderLoad(t *testing.T) {
 			g.PolicyDrops, g.NoExecutor, s0.Drops, s1.Drops)
 	}
 
-	// The group's link survived the swap: same attachment, one upgrade,
-	// full run count across both generations.
+	// The group's link survived the swap: same attachment, full run count
+	// across both generations.
 	l := g.Hook().Link()
-	if l == nil || l.Swaps() != 1 {
-		t.Fatalf("socket-select link after swap: %+v", l)
+	if l == nil {
+		t.Fatal("socket-select link gone after the swap")
 	}
 	if l.Stats().Runs != total {
 		t.Fatalf("link runs = %d, want %d", l.Stats().Runs, total)

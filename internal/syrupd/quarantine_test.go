@@ -15,7 +15,6 @@ import (
 func TestQuarantineDetachesFaultingPolicy(t *testing.T) {
 	h := newHost(t, 1, 0)
 	r := trace.New(64)
-	r.SetEnabled(true)
 	h.d.SetTracer(r)
 	h.d.RegisterApp(1, 1000, 9000)
 	s0, _ := h.stack.NewUDPSocket(9000, 1, "w0")
@@ -137,9 +136,7 @@ func TestRevokeUnpinsMapsAndStopsAgent(t *testing.T) {
 	if _, err := h.d.OpenMap("/syrup/1/counter", 1000, false); err != nil {
 		t.Fatalf("pinned map unreachable before revoke: %v", err)
 	}
-	idle := ghost.PolicyFunc(func(sim.Time, []*kernel.Thread, []ghost.CPUView) []ghost.Placement {
-		return nil
-	})
+	var idle idlePolicy
 	agent, err := h.d.DeployThreadPolicy(1, idle, 0, []kernel.CPUID{1, 2}, ghost.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +148,7 @@ func TestRevokeUnpinsMapsAndStopsAgent(t *testing.T) {
 	if _, err := h.d.OpenMap("/syrup/1/counter", 1000, false); err == nil {
 		t.Fatal("revoked app's pinned map still reachable")
 	}
-	if len(h.d.Pins().List("/syrup/1/")) != 0 {
+	if len(h.d.pins.List("/syrup/1/")) != 0 {
 		t.Fatal("pin directory not emptied by revoke")
 	}
 	if !agent.Stopped() {
@@ -233,4 +230,17 @@ func TestServerQuarantineOpsUnderLoad(t *testing.T) {
 	if h.stack.Stats.Processed == 0 {
 		t.Fatal("simulation made no progress")
 	}
+}
+
+// idlePolicy is a ghOSt policy that never places a thread.
+type idlePolicy struct{}
+
+func (idlePolicy) Schedule(sim.Time, []*kernel.Thread, []ghost.CPUView) []ghost.Placement {
+	return nil
+}
+
+// Quarantined reports whether the app is quarantined at hk.
+func (d *Daemon) Quarantined(appID uint32, hk Hook) bool {
+	app, ok := d.apps[appID]
+	return ok && app.quarantined[hk]
 }

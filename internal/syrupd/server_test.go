@@ -94,6 +94,29 @@ func TestServerHandleInProcess(t *testing.T) {
 	}
 }
 
+// TestServerDeployRejectsHostileMapSpecs: deploy assembles source from any
+// client, so a .map line is hostile input. A size that wraps past 32 bits
+// and an array whose storage the runtime cannot allocate (which ends the
+// process: no recover catches it) both come back as errors, and the
+// daemon keeps serving.
+func TestServerDeployRejectsHostileMapSpecs(t *testing.T) {
+	h := newHost(t, 1, 0)
+	srv := NewServer(h.d)
+	srv.Handle(&Request{Op: "register_app", App: 1, UID: 1000, Ports: []uint16{9000}})
+	h.stack.NewUDPSocket(9000, 1, "w")
+	for _, src := range []string{
+		".map w array 4 4294967304 4294967297\nr0 = PASS\nexit\n",
+		".map big array 4 65536 4294967295\nr0 = PASS\nexit\n",
+	} {
+		if resp := srv.Handle(&Request{Op: "deploy", App: 1, Hook: "socket_select", Source: src}); resp.OK {
+			t.Fatalf("deployed %q: %+v", src, resp)
+		}
+		if resp := srv.Handle(&Request{Op: "links"}); !resp.OK || len(resp.Links) != 0 {
+			t.Fatalf("links after a rejected deploy: %+v", resp)
+		}
+	}
+}
+
 func TestServerLinksAndRevokeOps(t *testing.T) {
 	h := newHost(t, 1, 0)
 	srv := NewServer(h.d)

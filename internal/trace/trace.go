@@ -9,13 +9,13 @@
 // The recorder is built for a zero-allocation steady state: Span holds
 // only scalars and string headers (hook/policy names are static), the
 // ring is preallocated at construction, and per-stage histograms use
-// metrics.Histogram's fixed bucket array. Record on a nil or disabled
-// recorder is a branch and a return, so instrumented layers carry no
-// cost when tracing is off; the gates in trace_test.go and
+// metrics.Histogram's fixed bucket array. Record on a nil recorder is a
+// branch and a return, so instrumented layers carry no cost when tracing
+// is off; the gates in trace_test.go and
 // internal/sim enforce both properties under `make check`.
 //
 // The recorder never schedules events and never consumes PRNG draws, so
-// an enabled tracer is behavior-identical to a disabled one — the
+// a traced run is behavior-identical to an untraced one — the
 // golden-figure test in internal/experiments pins that down.
 package trace
 
@@ -136,55 +136,44 @@ type Span struct {
 	Instant  bool   // point event: ring-only, excluded from histograms
 }
 
-// Duration returns End - Start.
-func (s Span) Duration() sim.Time { return s.End - s.Start }
-
 // Recorder accumulates spans in a fixed-capacity ring (newest
 // overwrites oldest) and per-stage duration histograms (which see every
 // span, so latency breakdowns stay exact even after the ring wraps).
-// A nil *Recorder is valid and records nothing; so does a disabled one.
+// A nil *Recorder is valid and records nothing.
 //
 // Recorder is not thread-safe: use one per simulated host (experiment
 // sweeps run hosts on parallel goroutines).
 type Recorder struct {
-	spans   []Span
-	next    int
-	total   uint64
-	enabled bool
-	hists   [numStages]*metrics.Histogram
+	spans []Span
+	next  int
+	total uint64
+	hists [numStages]*metrics.Histogram
 }
 
 // DefaultCapacity is the ring size used when New is given n <= 0.
 const DefaultCapacity = 1 << 16
 
-// New returns an enabled Recorder whose ring holds capacity spans
+// New returns a Recorder whose ring holds capacity spans
 // (DefaultCapacity when capacity <= 0).
 func New(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	r := &Recorder{spans: make([]Span, 0, capacity), enabled: true}
+	r := &Recorder{spans: make([]Span, 0, capacity)}
 	for i := range r.hists {
 		r.hists[i] = metrics.NewHistogram()
 	}
 	return r
 }
 
-// Enabled reports whether Record will keep spans. Nil-safe.
-func (r *Recorder) Enabled() bool { return r != nil && r.enabled }
+// Enabled reports whether Record will keep spans: whether r is non-nil.
+func (r *Recorder) Enabled() bool { return r != nil }
 
-// SetEnabled toggles recording. Disabling does not clear prior spans.
-func (r *Recorder) SetEnabled(on bool) {
-	if r != nil {
-		r.enabled = on
-	}
-}
-
-// Record appends a span. On a nil or disabled recorder it is a no-op;
+// Record appends a span. On a nil recorder it is a no-op;
 // on the steady state (ring at capacity) it performs zero allocations.
 // Non-instant spans also feed the stage's duration histogram.
 func (r *Recorder) Record(s Span) {
-	if r == nil || !r.enabled {
+	if r == nil {
 		return
 	}
 	if len(r.spans) < cap(r.spans) {
@@ -237,19 +226,6 @@ func (r *Recorder) StageHistogram(s Stage) *metrics.Histogram {
 		return nil
 	}
 	return r.hists[s]
-}
-
-// Reset clears the ring, the counters, and every stage histogram.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.spans = r.spans[:0]
-	r.next = 0
-	r.total = 0
-	for _, h := range r.hists {
-		h.Reset()
-	}
 }
 
 // SpanJSON is the wire form of a Span for syrupd's trace op: stage and

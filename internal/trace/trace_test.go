@@ -16,19 +16,12 @@ func TestNilAndDisabledRecorderNoOp(t *testing.T) {
 	if r.Enabled() || r.Total() != 0 || r.Spans() != nil || r.StageHistogram(StageNIC) != nil {
 		t.Fatal("nil recorder not inert")
 	}
-	r.SetEnabled(true)
-	r.Reset()
 
+	// A recorder that exists records.
 	r = New(8)
-	r.SetEnabled(false)
 	r.Record(span(1, 0, 10, StageNIC))
-	if r.Total() != 0 || len(r.Spans()) != 0 {
-		t.Fatalf("disabled recorder kept spans: total=%d", r.Total())
-	}
-	r.SetEnabled(true)
-	r.Record(span(1, 0, 10, StageNIC))
-	if r.Total() != 1 {
-		t.Fatalf("re-enabled recorder dropped span: total=%d", r.Total())
+	if !r.Enabled() || r.Total() != 1 {
+		t.Fatalf("recorder dropped span: total=%d", r.Total())
 	}
 }
 
@@ -71,21 +64,6 @@ func TestInstantSpansSkipHistograms(t *testing.T) {
 	}
 	if len(r.Spans()) != 2 {
 		t.Fatal("instant span missing from ring")
-	}
-}
-
-func TestResetClearsEverything(t *testing.T) {
-	r := New(4)
-	for i := uint64(0); i < 6; i++ {
-		r.Record(span(i, 0, 10, StageOnCPU))
-	}
-	r.Reset()
-	if r.Total() != 0 || len(r.Spans()) != 0 || r.StageHistogram(StageOnCPU).Count() != 0 {
-		t.Fatal("reset left state behind")
-	}
-	r.Record(span(1, 0, 10, StageOnCPU))
-	if len(r.Spans()) != 1 || r.Spans()[0].Req != 1 {
-		t.Fatal("recorder unusable after reset")
 	}
 }
 
@@ -151,21 +129,14 @@ func TestZeroAllocRecordSteadyState(t *testing.T) {
 	}
 }
 
-// TestZeroAllocDisabledAndNil gates the off-by-default claim: a nil or
-// disabled recorder must make Record free.
+// TestZeroAllocDisabledAndNil gates the off-by-default claim: a nil
+// recorder, the only disabled one, must make Record free.
 func TestZeroAllocDisabledAndNil(t *testing.T) {
 	var nilR *Recorder
 	if avg := testing.AllocsPerRun(1000, func() {
 		nilR.Record(Span{Req: 1, Stage: StageOnCPU})
 	}); avg != 0 {
 		t.Fatalf("nil Record allocates %v allocs/op, want 0", avg)
-	}
-	r := New(8)
-	r.SetEnabled(false)
-	if avg := testing.AllocsPerRun(1000, func() {
-		r.Record(Span{Req: 1, Stage: StageOnCPU})
-	}); avg != 0 {
-		t.Fatalf("disabled Record allocates %v allocs/op, want 0", avg)
 	}
 }
 

@@ -246,9 +246,8 @@ type Generator struct {
 	// flows is cfg.FlowSet, or else randomized per run: re-running with a
 	// new seed redraws the 5-tuple pool, which is where Fig. 2's run-to-run
 	// hash-imbalance noise comes from.
-	flows   []Flow
-	perCls  []*metrics.RunStats
-	stopped bool
+	flows  []Flow
+	perCls []*metrics.RunStats
 
 	// The paged request table (see pageShift). dir[i] is nil once page i
 	// has been recycled and the last entry is the page being filled; issued
@@ -303,7 +302,7 @@ func New(eng *sim.Engine, dev *nic.NIC, cfg Config) *Generator {
 	}
 	g.arriveCB = func(any, uint64) {
 		now := g.eng.Now()
-		if now >= g.endAt || g.stopped {
+		if now >= g.endAt {
 			return
 		}
 		g.send(now >= g.measureFrom)
@@ -368,9 +367,6 @@ func (g *Generator) Start() {
 // Without the check the gap converts to a negative Time, which clamps to
 // 1 ns: a zero-rate generator would send every nanosecond.
 func (g *Generator) scheduleNext() {
-	if g.stopped {
-		return
-	}
 	rate := g.cfg.Rate
 	if g.cfg.RateFn != nil {
 		if r := g.cfg.RateFn(g.eng.Now()); r > 0 {
@@ -387,9 +383,6 @@ func (g *Generator) scheduleNext() {
 	gap := max(sim.Time(f), 1)
 	g.eng.CallAfter(gap, g.arriveCB, nil, 0)
 }
-
-// Stop halts the arrival process early.
-func (g *Generator) Stop() { g.stopped = true }
 
 // LiveStats exposes the per-class RunStats (indexed like Config.Classes)
 // that Complete updates in place during the run, so a telemetry sampler
@@ -481,11 +474,7 @@ func (g *Generator) Result() *Result {
 	res := &Result{PerClass: make(map[string]*metrics.RunStats), All: metrics.NewRunStats()}
 	for i, c := range g.cfg.Classes {
 		st := g.perCls[i]
-		if unanswered[i] > 0 {
-			st.Drops[metrics.DropSocketOverflow] = unanswered[i]
-		} else {
-			delete(st.Drops, metrics.DropSocketOverflow)
-		}
+		st.Unanswered = unanswered[i]
 		st.WindowNanos = int64(g.cfg.Measure)
 		res.PerClass[c.Name] = st
 		res.All.Merge(st)
@@ -501,10 +490,4 @@ func (g *Generator) RunToCompletion() *Result {
 	g.Start()
 	g.eng.RunUntil(g.eng.Now() + g.cfg.Warmup + g.cfg.Measure + g.cfg.Drain)
 	return g.Result()
-}
-
-// Describe summarizes the config for experiment logs.
-func (c Config) Describe() string {
-	return fmt.Sprintf("rate=%.0frps flows=%d classes=%d measure=%v",
-		c.Rate, c.Flows, len(c.Classes), c.Measure)
 }

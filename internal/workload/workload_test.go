@@ -177,20 +177,6 @@ func TestClassWeightsRejected(t *testing.T) {
 	}
 }
 
-func TestGeneratorStop(t *testing.T) {
-	cfg := Config{Rate: 10_000, DstPort: 9000,
-		Warmup: 10 * sim.Millisecond, Measure: sim.Second, Drain: sim.Millisecond}
-	eng, g, srv := newEchoHost(t, cfg, sim.Microsecond)
-	g.Start()
-	eng.RunUntil(20 * sim.Millisecond)
-	g.Stop()
-	seenAtStop := srv.seen
-	eng.RunUntil(100 * sim.Millisecond)
-	if srv.seen > seenAtStop+2 {
-		t.Fatalf("generator kept sending after Stop: %d → %d", seenAtStop, srv.seen)
-	}
-}
-
 func TestCompleteIsIdempotentAndBoundsChecked(t *testing.T) {
 	cfg := Config{Rate: 1000, DstPort: 9000, Warmup: sim.Millisecond, Measure: 10 * sim.Millisecond, Drain: sim.Millisecond}
 	_, g, _ := newEchoHost(t, cfg, sim.Microsecond)

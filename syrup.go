@@ -194,7 +194,7 @@ type Host struct {
 	// HostConfig.Trace was set).
 	Tracer *trace.Recorder
 	// Faults is the compiled chaos injector (nil unless HostConfig.Faults
-	// was set); Faults.Counts() reports per-site injections after a run.
+	// was set); Faults.Injected(site) counts one site's injections.
 	Faults *faults.Injector
 	// Obs is the telemetry sampler wired at construction (nil unless
 	// HostConfig.Telemetry was set). Register additional gauges, rates,

@@ -85,6 +85,13 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	for i := range slos {
+		slos[i].Short = sim.Time(*sloShort) * sim.Millisecond
+		slos[i].Long = sim.Time(*sloLong) * sim.Millisecond
+		if err := slos[i].Validate(); err != nil {
+			return fmt.Errorf("-slo: %v", err)
+		}
+	}
 
 	var snap *cluster.FleetSnapshot
 	switch {
@@ -115,14 +122,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("need -sockets or -snapshot (see -h)")
 	}
 
-	for i := range slos {
-		if slos[i].Short == 0 {
-			slos[i].Short = sim.Time(*sloShort) * sim.Millisecond
-		}
-		if slos[i].Long == 0 {
-			slos[i].Long = sim.Time(*sloLong) * sim.Millisecond
-		}
-	}
 	if len(slos) > 0 {
 		snap.EvaluateSLOs(slos)
 	}

@@ -10,6 +10,7 @@ import (
 	"syrup"
 	"syrup/internal/cluster"
 	"syrup/internal/obs"
+	"syrup/internal/policy"
 	"syrup/internal/sim"
 	"syrup/internal/syrupd"
 )
@@ -125,6 +126,32 @@ func TestRenderHostileSnapshot(t *testing.T) {
 	}
 }
 
+// TestSLOFlagRefusesObjectivesThatCannotBurn: an objective with no
+// series, a target that is not a number, a budget outside (0, 1] or a
+// short window longer than the long one is refused before anything
+// renders — a zero budget used to print a quiet "ok" for ever.
+func TestSLOFlagRefusesObjectivesThatCannotBurn(t *testing.T) {
+	fleet := filepath.Join("testdata", "fleet.json")
+	for _, args := range [][]string{
+		{"-slo", "zero:rps:0:0"},
+		{"-slo", "nan:rps:NaN:0.5"},
+		{"-slo", "inf:rps:+Inf:0.5"},
+		{"-slo", "neg:rps:1:-1"},
+		{"-slo", "over:rps:1:1.5"},
+		{"-slo", "blind::1:0.5"},
+		{"-slo", "ok:rps:1:0.5", "-slo-short-ms", "30"},
+		{"-slo", "ok:rps:1:0.5", "-slo-short-ms", "0"},
+	} {
+		var b strings.Builder
+		if err := run(append([]string{"-snapshot", fleet}, args...), &b); err == nil || !strings.Contains(err.Error(), "-slo") {
+			t.Errorf("%q: err = %v, want an -slo refusal", args, err)
+		}
+		if b.Len() != 0 {
+			t.Errorf("%q: rendered %d bytes before refusing", args, b.Len())
+		}
+	}
+}
+
 // TestLiveScrapeMatchesRecording: scrape a real 4-host fleet over its
 // syrupd sockets, record the snapshot, and confirm the recorded render is
 // byte-identical to the live one.
@@ -151,7 +178,7 @@ func TestLiveScrapeMatchesRecording(t *testing.T) {
 	// Deploy everywhere through the control plane; the probe bake drives
 	// traffic through each host so series and profiles are non-trivial.
 	rep, err := c.Rollout(cluster.RolloutConfig{
-		App: 1, Hook: syrup.HookSocketSelect, Source: "r0 = 1\nexit\n",
+		App: 1, Hook: syrup.HookSocketSelect, Policy: policy.NameRoundRobin, Defines: map[string]int64{"NUM_THREADS": 2},
 		Canaries: 4, Bake: 5 * sim.Millisecond,
 	})
 	if err != nil || rep.Aborted {

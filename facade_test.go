@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -222,8 +223,10 @@ func TestCountersPerHost(t *testing.T) {
 // TestBatchFieldsInert proves the three names kept only for benchmark/ —
 // HostConfig.Batch, nic.Config.Budget, (*nic.NIC).SetBatchDeliver — change
 // nothing: a MICA host steering at the NIC and again at XDP produces the
-// same digest, layer stats and event count whether or not the two fields
-// are set, and a bare NIC never calls the installed batch callback.
+// same digest, layer stats and event count whether or not Batch is set,
+// and a bare NIC built with and without a Budget delivers the same packets
+// on the same queues at the same instants, never calling the installed
+// batch callback.
 func TestBatchFieldsInert(t *testing.T) {
 	const threads = 4
 	run := func(cfg syrup.HostConfig) (string, *syrup.Host) {
@@ -256,7 +259,7 @@ func TestBatchFieldsInert(t *testing.T) {
 		return experiments.StatsDigest(gen.RunToCompletion()), host
 	}
 	digest, host := run(syrup.HostConfig{Batch: 0})
-	digest64, host64 := run(syrup.HostConfig{Batch: 64, NIC: nic.Config{Budget: 64}})
+	digest64, host64 := run(syrup.HostConfig{Batch: 64})
 	if host.NIC.Stats.OffloadRuns == 0 || host.Stack.Stats.XSKDelivered == 0 {
 		t.Fatalf("run did not exercise offload and XDP: NIC %+v, stack %+v", host.NIC.Stats, host.Stack.Stats)
 	}
@@ -268,15 +271,21 @@ func TestBatchFieldsInert(t *testing.T) {
 			host.NIC.Stats, host64.NIC.Stats, host.Stack.Stats, host64.Stack.Stats, host.Eng.Fired(), host64.Eng.Fired())
 	}
 
-	eng := sim.New(1)
-	delivered := 0
-	dev := nic.New(eng, nic.Config{Queues: 2, Budget: 64}, func(int, *nic.Packet) { delivered++ })
-	dev.SetBatchDeliver(func(int, []*nic.Packet) { t.Error("batch callback invoked") })
-	for i := 0; i < 100; i++ {
-		dev.Receive(testPacket(uint64(i), 9000))
+	bare := func(budget int) []string {
+		eng := sim.New(1)
+		var got []string
+		dev := nic.New(eng, nic.Config{Queues: 2, RingSize: 8, Budget: budget}, func(q int, pkt *nic.Packet) {
+			got = append(got, fmt.Sprintf("%d q%d @%d", pkt.ID, q, eng.Now()))
+		})
+		dev.SetBatchDeliver(func(int, []*nic.Packet) { t.Error("batch callback invoked") })
+		for i := 0; i < 100; i++ {
+			dev.Receive(testPacket(uint64(i), 9000+uint16(i%3)))
+		}
+		eng.Run()
+		return append(got, fmt.Sprintf("%+v fired=%d", dev.Stats, eng.Fired()))
 	}
-	eng.Run()
-	if delivered != 100 {
-		t.Fatalf("DeliverFunc saw %d of 100 packets", delivered)
+	unset, set := bare(0), bare(64)
+	if len(unset) < 2 || !slices.Equal(unset, set) {
+		t.Fatalf("a bare NIC with Budget 64 diverged from one without:\n%v\n%v", unset, set)
 	}
 }

@@ -1,19 +1,16 @@
 // Package adapt closes Syrup's control loop: a deterministic
 // observer→orchestrator controller that watches the host's telemetry
-// plane (the obs time-series store, windowed latency percentiles, hook
-// fault counters) and reacts through a declarative rule table — hot-swap
-// a policy when service-time dispersion makes d-FCFS lose to c-FCFS,
-// shed best-effort load when the latency-sensitive p99 burns its SLO
-// budget, re-steer keys off a hot shard with a map write, and escalate
-// to quarantine when swaps do not converge.
+// plane (the obs time-series store: windowed latency percentiles, offered
+// load) and reacts through a declarative rule table — hot-swap a policy
+// when an SLO burns its budget, and swap back once a recovery signal has
+// stayed quiet.
 //
-// Everything the controller does is a sim-clock event: detectors read
-// only sampled series and monotone counters, decisions happen on ticker
-// boundaries, and no wall-clock or PRNG input exists anywhere on the
-// path. Two runs with the same seed produce byte-identical decision
-// histories, and a controller whose rules never fire leaves the
-// simulation bit-identical to one that was never created (gated by
-// make adapt-diff).
+// Everything the controller does is a sim-clock event: rules read only
+// sampled series, decisions happen on ticker boundaries, and no
+// wall-clock or PRNG input exists anywhere on the path. Two runs with the
+// same seed produce byte-identical decision histories, and a controller
+// whose rules never fire leaves the simulation bit-identical to one that
+// was never created (gated by make adapt-diff).
 package adapt
 
 import (
@@ -32,110 +29,47 @@ type Actuator interface {
 	// deploy-time defines, hot-swapping any existing deployment through
 	// the atomic hook.Replace path (stats survive the swap).
 	SwapPolicy(app uint32, hook string, policy string, defines map[string]int64) error
-	// Quarantine detaches every one of app's deployments at hook and
-	// bars redeploys — the PR-5 escalation endpoint.
-	Quarantine(app uint32, hook string) error
-	// MapSet writes one key of the app's named map (re-steer actions:
-	// weight tables, shard maps, token budgets).
-	MapSet(app uint32, name string, key uint32, value uint64) error
-	// Faults returns the cumulative hook-fault count of app's
-	// deployments at hook — the same counters the quarantine watchdog
-	// differentiates.
-	Faults(app uint32, hook string) uint64
 }
 
-// DetectorSpec declares one deterministic regression detector. Kind
-// selects the algorithm; the other fields parameterize it.
-type DetectorSpec struct {
-	// Kind is one of:
-	//   slo_burn    — multi-window burn rate on a series (obs.SLO);
-	//   dispersion  — latest Series/Denom ratio at or above Ratio
-	//                 (e.g. windowed p99/p50: service-time dispersion);
-	//   imbalance   — max/mean across the Group gauge series at or
-	//                 above Ratio (queue or runqueue imbalance);
-	//   fault_spike — per-tick fault delta of (App, Hook) at or above
-	//                 Count (the watchdog's signal, sampled faster).
-	Kind string `json:"kind"`
-
-	// slo_burn
-	SLO *obs.SLO `json:"slo,omitempty"`
-
-	// dispersion
-	Series string  `json:"series,omitempty"`
-	Denom  string  `json:"denom,omitempty"`
-	Ratio  float64 `json:"ratio,omitempty"` // also the imbalance threshold
-
-	// imbalance
-	Group []string `json:"group,omitempty"`
-
-	// fault_spike
-	App   uint32 `json:"app,omitempty"`
-	Hook  string `json:"hook,omitempty"`
-	Count uint64 `json:"count,omitempty"`
-}
-
-// ActionSpec declares one reaction.
+// ActionSpec declares one reaction: deploy the built-in Policy for App
+// at Hook.
 type ActionSpec struct {
-	// Kind is "swap" (SwapPolicy), "map_set" (MapSet), or "quarantine".
-	Kind    string           `json:"kind"`
 	App     uint32           `json:"app"`
 	Hook    string           `json:"hook,omitempty"`
 	Policy  string           `json:"policy,omitempty"`
 	Defines map[string]int64 `json:"defines,omitempty"`
-	Map     string           `json:"map,omitempty"`
-	Key     uint32           `json:"key,omitempty"`
-	Value   uint64           `json:"value,omitempty"`
 }
 
 // String renders the action for decision records and syrup-top
 // annotations.
 func (a ActionSpec) String() string {
-	switch a.Kind {
-	case "swap":
-		return fmt.Sprintf("swap app %d %s -> %s", a.App, a.Hook, a.Policy)
-	case "map_set":
-		return fmt.Sprintf("map_set app %d %s[%d]=%d", a.App, a.Map, a.Key, a.Value)
-	case "quarantine":
-		return fmt.Sprintf("quarantine app %d %s", a.App, a.Hook)
-	}
-	return fmt.Sprintf("unknown action %q", a.Kind)
+	return fmt.Sprintf("swap app %d %s -> %s", a.App, a.Hook, a.Policy)
 }
 
 func (a ActionSpec) validate() error {
-	switch a.Kind {
-	case "swap":
-		if a.Hook == "" || a.Policy == "" {
-			return fmt.Errorf("adapt: swap action needs hook and policy")
-		}
-	case "map_set":
-		if a.Map == "" {
-			return fmt.Errorf("adapt: map_set action needs a map name")
-		}
-	case "quarantine":
-		if a.Hook == "" {
-			return fmt.Errorf("adapt: quarantine action needs a hook")
-		}
-	default:
-		return fmt.Errorf("adapt: unknown action kind %q", a.Kind)
+	if a.Hook == "" || a.Policy == "" {
+		return fmt.Errorf("adapt: swap action needs hook and policy")
 	}
 	return nil
 }
 
 // Rule is one observe→react entry of the table.
 type Rule struct {
-	Name   string       `json:"name"`
-	Detect DetectorSpec `json:"detect"`
+	Name string `json:"name"`
+	// Detect fires while the objective burns its budget on both windows
+	// (obs.SLO's multi-window burn rate).
+	Detect obs.SLO `json:"detect"`
 	// ClearDetect (optional) is a separate recovery signal: when set, the
-	// quiet streak counts ticks where THIS detector is not firing, rather
-	// than ticks where Detect is not firing. An action often suppresses
-	// its own trigger — shedding best-effort load fixes the p99 burn that
-	// fired the shed — so recovery must watch something the action cannot
-	// mask (offered load, drop pressure). Detect still vetoes quiet: a
-	// tick where the fire signal burns never counts as quiet.
-	ClearDetect *DetectorSpec `json:"clear_detect,omitempty"`
-	// OnFire runs when the detector has fired for Sustain consecutive
-	// ticks; OnClear (optional) runs once it has then been quiet for
-	// ClearAfter consecutive ticks — typically the inverse swap.
+	// quiet streak counts ticks where THIS objective is not burning, rather
+	// than ticks where Detect is not. An action often suppresses its own
+	// trigger — shedding best-effort load fixes the p99 burn that fired
+	// the shed — so recovery must watch something the action cannot mask
+	// (offered load, drop pressure). Detect still vetoes quiet: a tick
+	// where the fire signal burns never counts as quiet.
+	ClearDetect *obs.SLO `json:"clear_detect,omitempty"`
+	// OnFire runs when Detect has fired for Sustain consecutive ticks;
+	// OnClear (optional) runs once it has then been quiet for ClearAfter
+	// consecutive ticks — typically the inverse swap.
 	OnFire  ActionSpec  `json:"on_fire"`
 	OnClear *ActionSpec `json:"on_clear,omitempty"`
 	// Sustain is the consecutive-firing-tick debounce before OnFire
@@ -147,31 +81,23 @@ type Rule struct {
 	// Cooldown is the minimum sim time between this rule's actions
 	// (default: one controller period).
 	Cooldown sim.Time `json:"cooldown_ns,omitempty"`
-	// EscalateAfter escalates when the detector has kept firing for
-	// that many whole cooldown periods after OnFire was applied — the
-	// swap is not converging. 0 disables escalation.
-	EscalateAfter int         `json:"escalate_after,omitempty"`
-	Escalate      *ActionSpec `json:"escalate,omitempty"`
 }
 
 // Config parameterizes a controller.
 type Config struct {
-	// Period is the decision tick (default 1ms of sim time). Detectors
-	// are evaluated and rules may act once per period.
+	// Period is the decision tick (default 1ms of sim time). Rules are
+	// evaluated and may act once per period.
 	Period sim.Time `json:"period_ns,omitempty"`
 	Rules  []Rule   `json:"rules"`
-	// History caps the retained decision log (default 256; the total
-	// decision count in Status keeps counting past it).
-	History int `json:"history,omitempty"`
 }
 
 // Decision is one controller action, stamped with sim time.
 type Decision struct {
 	AtNS   int64  `json:"at_ns"`
 	Rule   string `json:"rule"`
-	Event  string `json:"event"` // fire | clear | escalate
+	Event  string `json:"event"` // fire | clear
 	Action string `json:"action"`
-	Detail string `json:"detail,omitempty"` // detector evidence
+	Detail string `json:"detail,omitempty"` // burn-rate evidence
 	Err    string `json:"err,omitempty"`
 }
 
@@ -189,12 +115,8 @@ func (d Decision) String() string {
 // RuleStatus is a rule plus its live controller state (the rules op).
 type RuleStatus struct {
 	Rule
-	Firing  bool `json:"firing"`
-	Engaged bool `json:"engaged"` // OnFire applied, awaiting clear
-	// Unconverged counts cooldown periods the detector kept firing
-	// after OnFire was applied — the evidence that drives escalation.
-	Unconverged  int   `json:"unconverged,omitempty"`
-	Escalated    bool  `json:"escalated"`
+	Firing       bool  `json:"firing"`
+	Engaged      bool  `json:"engaged"` // OnFire applied, awaiting clear
 	LastActionNS int64 `json:"last_action_ns,omitempty"`
 }
 

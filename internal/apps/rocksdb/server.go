@@ -49,8 +49,6 @@ type Config struct {
 	ScanState *ebpf.Map
 	// OnComplete reports request completions (server-side finish time).
 	OnComplete func(reqID uint64, finish sim.Time)
-	// Store is the shared storage engine; nil creates a preloaded one.
-	Store *Store
 	// KeySpace bounds the preloaded keys touched by real operations.
 	KeySpace int
 	// FlowLocalityBonus models Receive Flow Steering's cache benefit
@@ -106,15 +104,12 @@ func NewServer(eng *sim.Engine, m *kernel.Machine, stack *netstack.Stack, cfg Co
 	if cfg.KeySpace == 0 {
 		cfg.KeySpace = 10_000
 	}
-	s := &Server{cfg: cfg, eng: eng, store: cfg.Store, warmFlows: make([][]uint64, cfg.NumThreads)}
+	s := &Server{cfg: cfg, eng: eng, store: NewStore(), warmFlows: make([][]uint64, cfg.NumThreads)}
 	// Rendering "key-%08d" per request would dominate the serve path's
 	// allocations; the key space is small and fixed, so render it once, and
 	// preload the store with the very same strings.
 	s.keyTable = renderKeys(cfg.KeySpace)
-	if s.store == nil {
-		s.store = NewStore()
-		s.store.preload(s.keyTable)
-	}
+	s.store.preload(s.keyTable)
 	for i := 0; i < cfg.NumThreads; i++ {
 		i := i
 		sock, idx := stack.NewUDPSocket(cfg.Port, cfg.App, fmt.Sprintf("rocksdb-w%d", i))

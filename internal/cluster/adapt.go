@@ -7,16 +7,13 @@ import (
 	"fmt"
 
 	"syrup/internal/adapt"
-	"syrup/internal/obs"
 	"syrup/internal/sim"
 )
 
 // RuleRolloutConfig describes a staged fleet rollout of an adaptive rule
-// table (adapt.Config). The gate watches two signals during the canary
-// bake: actuation errors in the canaries' decision histories (a rule
-// whose action fails on real hosts is broken config), and optional SLOs
-// over the canaries' merged telemetry — a rule table must not make the
-// canaries worse while it bakes.
+// table (adapt.Config). The gate watches actuation errors in the canaries'
+// decision histories during the bake: a rule whose action fails on real
+// hosts is broken config.
 type RuleRolloutConfig struct {
 	// Rules is the controller table to arm.
 	Rules adapt.Config
@@ -26,15 +23,10 @@ type RuleRolloutConfig struct {
 	// health evaluation (default 2ms).
 	Bake sim.Time
 	// App/Probes, when set, drive synthetic probe traffic through the
-	// canaries during the bake exactly as policy rollouts do — detectors
-	// need traffic to see anything.
+	// canaries during the bake exactly as policy rollouts do — rules need
+	// traffic to see anything.
 	App    uint32
 	Probes int
-	// SLOs gate the canaries' merged telemetry at bake end; zero
-	// Short/Long windows default to Bake/4 and Bake. No-data extends the
-	// bake up to MaxExtend times (default 3) before aborting.
-	SLOs      []obs.SLO
-	MaxExtend int
 }
 
 // RuleRolloutReport records one rule-table rollout.
@@ -44,11 +36,8 @@ type RuleRolloutReport struct {
 	// Errors collects every failed actuation (rendered decisions).
 	Decisions int
 	Errors    []string
-	// SLOResults / Extended mirror RolloutReport.
-	SLOResults []obs.SLOResult
-	Extended   int
-	Aborted    bool
-	Reason     string
+	Aborted   bool
+	Reason    string
 	// Enabled counts members running the controller after the rollout.
 	Enabled int
 }
@@ -65,14 +54,13 @@ func (r *RuleRolloutReport) String() string {
 // RolloutRules arms an adaptive rule table across the fleet in two
 // stages: enable on the canary subset, bake under (optional) probe
 // traffic, inspect the canaries' decision histories for failed
-// actuations and their merged telemetry against the SLOs, and only then
-// enable fleet-wide. An aborted rollout disarms the canaries, so a bad
-// table never outlives its bake.
+// actuations, and only then enable fleet-wide. An aborted rollout
+// disarms the canaries, so a bad table never outlives its bake.
 func (c *Cluster) RolloutRules(cfg RuleRolloutConfig) (*RuleRolloutReport, error) {
-	stageDefaults(len(c.Members), &cfg.Canaries, &cfg.Bake, cfg.SLOs, &cfg.MaxExtend)
+	stageDefaults(len(c.Members), &cfg.Canaries, &cfg.Bake)
 	rep := &RuleRolloutReport{}
-	out, err := c.staged(stagedRollout{
-		canaries: cfg.Canaries, slos: cfg.SLOs, maxExtend: cfg.MaxExtend,
+	canaries, reason, err := c.staged(stagedRollout{
+		canaries: cfg.Canaries,
 		// The probe path reuses the policy rollout's bake machinery.
 		probe: RolloutConfig{App: cfg.App, Bake: cfg.Bake, Probes: cfg.Probes},
 		apply: func(idx int) error {
@@ -82,7 +70,6 @@ func (c *Cluster) RolloutRules(cfg RuleRolloutConfig) (*RuleRolloutReport, error
 			return nil
 		},
 		health: func(canaries []int) string {
-			rep.Decisions, rep.Errors = 0, nil
 			for _, idx := range canaries {
 				for _, d := range c.Members[idx].Host.Daemon.AdaptController().History() {
 					rep.Decisions++
@@ -104,9 +91,9 @@ func (c *Cluster) RolloutRules(cfg RuleRolloutConfig) (*RuleRolloutReport, error
 	if err != nil {
 		return nil, err
 	}
-	rep.Canaries, rep.SLOResults, rep.Extended = out.canaries, out.sloResults, out.extended
-	if out.reason != "" {
-		rep.Aborted, rep.Reason = true, out.reason
+	rep.Canaries = canaries
+	if reason != "" {
+		rep.Aborted, rep.Reason = true, reason
 		return rep, nil
 	}
 	rep.Enabled = len(c.Members)

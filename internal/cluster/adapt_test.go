@@ -14,76 +14,19 @@ import (
 // with the given period.
 func telemetryCluster(t *testing.T, hosts int, period sim.Time) *Cluster {
 	return newTestCluster(t, hosts, func(i int, cfg *syrup.HostConfig) {
-		cfg.Telemetry = &obs.Config{Period: period, Capacity: 512}
+		cfg.Telemetry = &obs.Config{Period: period}
 	})
 }
 
-// TestRolloutExtendsBakeOnNoData: a sampler slower than the SLO's short
-// window leaves the first gate without evidence; the gate must extend
-// the bake until a sample lands instead of waving the rollout through.
-func TestRolloutExtendsBakeOnNoData(t *testing.T) {
-	// Samples land at 1.3ms, 2.6ms, 3.9ms, ... The first gate (bake end,
-	// 2ms) finds the short window [1.5ms, 2ms] empty; the second (4ms)
-	// finds 3.9ms inside [3.5ms, 4ms].
-	c := telemetryCluster(t, 4, 1300*sim.Microsecond)
-	rep, err := c.Rollout(RolloutConfig{
-		App: testApp, Hook: syrup.HookSocketSelect, Source: "r0 = 1\nexit\n",
-		SLOs: []obs.SLO{{Name: "backlog", Series: "softirq_backlog", Target: 1e9, Budget: 0.1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Aborted {
-		t.Fatalf("rollout aborted: %s (slo=%+v)", rep.Reason, rep.SLOResults)
-	}
-	if rep.Extended != 1 {
-		t.Fatalf("Extended = %d, want exactly 1 bake extension", rep.Extended)
-	}
-	if rep.Deployed != 4 {
-		t.Fatalf("deployed to %d hosts, want 4", rep.Deployed)
-	}
-	for _, r := range rep.SLOResults {
-		if r.NoData {
-			t.Fatalf("gate passed with a no-data objective: %+v", r)
-		}
-	}
-}
-
-// TestRolloutNoDataAborts: an objective that never gets data (missing
-// series) exhausts the bake extensions and aborts — no-data is never a
-// pass.
-func TestRolloutNoDataAborts(t *testing.T) {
-	c := telemetryCluster(t, 4, 100*sim.Microsecond)
-	rep, err := c.Rollout(RolloutConfig{
-		App: testApp, Hook: syrup.HookSocketSelect, Source: "r0 = 1\nexit\n",
-		SLOs: []obs.SLO{{Name: "ghost", Series: "no_such_series", Target: 1, Budget: 0.1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Aborted || !strings.Contains(rep.Reason, "no data") {
-		t.Fatalf("want no-data abort, got %+v", rep)
-	}
-	if rep.Extended != 3 {
-		t.Fatalf("Extended = %d, want the default 3 extensions", rep.Extended)
-	}
-	if got := attachedCount(c); got != 0 {
-		t.Fatalf("policy still attached on %d hosts after no-data abort", got)
-	}
-}
-
-// alwaysRule is a one-rule table whose detector fires as soon as
+// alwaysRule is a one-rule table whose objective burns as soon as
 // telemetry flows (every sampled value exceeds a negative target).
 func alwaysRule(onFire adapt.ActionSpec) adapt.Config {
 	return adapt.Config{
 		Period: 100 * sim.Microsecond,
 		Rules: []adapt.Rule{{
 			Name: "always",
-			Detect: adapt.DetectorSpec{
-				Kind: "slo_burn",
-				SLO: &obs.SLO{Name: "backlog", Series: "softirq_backlog", Target: -1, Budget: 1,
-					Short: 200 * sim.Microsecond, Long: 500 * sim.Microsecond},
-			},
+			Detect: obs.SLO{Name: "backlog", Series: "softirq_backlog", Target: -1, Budget: 1,
+				Short: 200 * sim.Microsecond, Long: 500 * sim.Microsecond},
 			OnFire: onFire,
 		}},
 	}
@@ -96,7 +39,7 @@ func TestRolloutRulesFleetWide(t *testing.T) {
 	c := telemetryCluster(t, 8, 50*sim.Microsecond)
 	rep, err := c.RolloutRules(RuleRolloutConfig{
 		Rules: alwaysRule(adapt.ActionSpec{
-			Kind: "swap", App: testApp, Hook: string(syrup.HookSocketSelect), Policy: "round_robin",
+			App: testApp, Hook: string(syrup.HookSocketSelect), Policy: "round_robin",
 		}),
 		App: testApp, Probes: 32,
 	})
@@ -140,7 +83,7 @@ func TestRolloutRulesAbortsOnActuationError(t *testing.T) {
 	c := telemetryCluster(t, 8, 50*sim.Microsecond)
 	rep, err := c.RolloutRules(RuleRolloutConfig{
 		Rules: alwaysRule(adapt.ActionSpec{
-			Kind: "swap", App: testApp, Hook: string(syrup.HookSocketSelect), Policy: "no_such_policy",
+			App: testApp, Hook: string(syrup.HookSocketSelect), Policy: "no_such_policy",
 		}),
 		App: testApp, Probes: 32,
 	})

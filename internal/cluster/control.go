@@ -5,7 +5,6 @@ import (
 
 	"syrup"
 	"syrup/internal/nic"
-	"syrup/internal/obs"
 	"syrup/internal/policy"
 	"syrup/internal/sim"
 )
@@ -16,9 +15,9 @@ type releaseKey struct {
 	hook syrup.Hook
 }
 
-// release is a deployable artifact the control plane can restore.
+// release is a deployed built-in the control plane can restore.
 type release struct {
-	source  string
+	policy  string
 	defines map[string]int64
 }
 
@@ -31,10 +30,8 @@ type RolloutConfig struct {
 	// Hook is the deployment point. Thread policies (HookThreadSched) are
 	// userspace code, not .syr artifacts, and do not roll out this way.
 	Hook syrup.Hook
-	// Policy names a built-in policy; Source provides raw .syr text
-	// instead. Exactly one must be set.
+	// Policy names the built-in policy to release.
 	Policy string
-	Source string
 	// Defines are deploy-time constants.
 	Defines map[string]int64
 	// Canaries is the stage-1 host count (default ceil(Hosts/8), min 1).
@@ -45,23 +42,8 @@ type RolloutConfig struct {
 	// Probes is the number of synthetic probe requests injected into each
 	// canary during the bake, spread across the window (default 32): a
 	// policy must execute to fault, so the bake sends traffic through it.
+	// Any hook fault the canaries take during the bake aborts the rollout.
 	Probes int
-	// FaultBudget is the maximum total hook faults the canaries may
-	// accumulate during the bake before the rollout aborts (default 0 —
-	// any canary fault aborts).
-	FaultBudget uint64
-	// SLOs, when set, are evaluated against the canaries' merged
-	// telemetry at the end of the bake (multi-window burn rate; see
-	// obs.SLO), after the fault-budget check. Any burning objective
-	// aborts the rollout through the same rollback path. Requires
-	// HostConfig.Telemetry on the members; zero Short/Long windows
-	// default to Bake/4 and Bake.
-	SLOs []obs.SLO
-	// MaxExtend caps how many extra bake windows the SLO gate may run
-	// when an objective reports no data (default 3). No-data is "cannot
-	// evaluate", never "pass": the gate extends the bake until evidence
-	// arrives, and aborts when the extensions run out.
-	MaxExtend int
 }
 
 // RolloutReport is the control plane's record of one rollout.
@@ -71,12 +53,6 @@ type RolloutReport struct {
 	// CanaryFaults is the total hook faults the canaries accumulated
 	// during the bake.
 	CanaryFaults uint64
-	// SLOResults holds the canary SLO evaluations when the rollout
-	// configured objectives (in RolloutConfig.SLOs order).
-	SLOResults []obs.SLOResult
-	// Extended counts extra bake windows the SLO gate ran because an
-	// objective had no data yet.
-	Extended int
 	// Aborted reports a failed canary stage; Reason says why. RolledBack
 	// is true when the canaries were restored to the previous release
 	// (false: detached to the kernel default — there was nothing to
@@ -98,8 +74,8 @@ func (r *RolloutReport) String() string {
 }
 
 func (cfg *RolloutConfig) fill(hosts int) error {
-	if (cfg.Policy == "") == (cfg.Source == "") {
-		return fmt.Errorf("cluster: rollout needs exactly one of Policy or Source")
+	if _, err := policy.Source(cfg.Policy); err != nil {
+		return fmt.Errorf("cluster: rollout: %w", err)
 	}
 	if cfg.Hook == syrup.HookThreadSched {
 		return fmt.Errorf("cluster: thread policies are userspace code and do not roll out as .syr artifacts")
@@ -107,12 +83,12 @@ func (cfg *RolloutConfig) fill(hosts int) error {
 	if cfg.Probes == 0 {
 		cfg.Probes = 32
 	}
-	stageDefaults(hosts, &cfg.Canaries, &cfg.Bake, cfg.SLOs, &cfg.MaxExtend)
+	stageDefaults(hosts, &cfg.Canaries, &cfg.Bake)
 	return nil
 }
 
 // stageDefaults fills the staging knobs policy and rule rollouts share.
-func stageDefaults(hosts int, canaries *int, bake *sim.Time, slos []obs.SLO, maxExtend *int) {
+func stageDefaults(hosts int, canaries *int, bake *sim.Time) {
 	if *canaries <= 0 {
 		*canaries = (hosts + 7) / 8
 	}
@@ -121,17 +97,6 @@ func stageDefaults(hosts int, canaries *int, bake *sim.Time, slos []obs.SLO, max
 	}
 	if *bake == 0 {
 		*bake = 2 * sim.Millisecond
-	}
-	for i := range slos {
-		if slos[i].Short == 0 {
-			slos[i].Short = *bake / 4
-		}
-		if slos[i].Long == 0 {
-			slos[i].Long = *bake
-		}
-	}
-	if *maxExtend <= 0 {
-		*maxExtend = 3
 	}
 }
 
@@ -156,10 +121,8 @@ func (c *Cluster) CanaryOrder() []int {
 // rolled out lives in the three callbacks; the staging around them is the
 // same for a policy and for a rule table.
 type stagedRollout struct {
-	canaries  int           // stage-1 host count
-	probe     RolloutConfig // App, Bake and Probes drive each bake
-	slos      []obs.SLO
-	maxExtend int
+	canaries int           // stage-1 host count
+	probe    RolloutConfig // App, Bake and Probes drive each bake
 	// apply installs the artifact on one member.
 	apply func(idx int) error
 	// health inspects the canaries after a bake and returns why the
@@ -169,93 +132,45 @@ type stagedRollout struct {
 	revert func(idx int) error
 }
 
-// stagedOutcome is what staged decided; reason is non-empty when the
-// canary stage failed and the canaries were reverted.
-type stagedOutcome struct {
-	canaries   []int
-	sloResults []obs.SLOResult
-	extended   int
-	reason     string
-}
-
 // staged applies to the canary subset (the head of CanaryOrder), bakes
-// every canary, asks health, then the SLO gate, and only then applies to
-// the rest of the fleet, in canary order for determinism; a failed canary
-// stage reverts the canaries instead.
-func (c *Cluster) staged(s stagedRollout) (stagedOutcome, error) {
+// every canary, asks health, and only then applies to the rest of the
+// fleet, in canary order for determinism; a failed canary stage reverts
+// the canaries instead. It returns the canaries and why the stage failed,
+// or "".
+func (c *Cluster) staged(s stagedRollout) (canaries []int, reason string, err error) {
 	order := c.CanaryOrder()
-	out := stagedOutcome{canaries: append([]int(nil), order[:s.canaries]...)}
-	for _, idx := range out.canaries {
+	canaries = append([]int(nil), order[:s.canaries]...)
+	for _, idx := range canaries {
 		if err := s.apply(idx); err != nil {
-			return out, err
+			return canaries, "", err
 		}
 	}
-	bakeAll := func() string {
-		for _, idx := range out.canaries {
-			c.bake(c.Members[idx], s.probe)
-		}
-		return s.health(out.canaries)
+	for _, idx := range canaries {
+		c.bake(c.Members[idx], s.probe)
 	}
-	out.reason = bakeAll()
-	// SLO gate: evaluate the objectives against the canaries' merged
-	// telemetry as of bake end. A health abort wins (it is the cheaper,
-	// more specific signal); otherwise any burning objective aborts
-	// through the same revert path. An objective with no data extends the
-	// bake — and re-asks health over the now longer bake — instead of
-	// passing: a gate that cannot see must not wave the rollout through
-	// (the short-bake bug).
-	for out.reason == "" && len(s.slos) > 0 {
-		out.sloResults = c.canarySnapshot(out.canaries).EvaluateSLOs(s.slos)
-		noData := false
-		for _, r := range out.sloResults {
-			if r.Burning {
-				out.reason = fmt.Sprintf("SLO %s burning (short %.2fx, long %.2fx over %d samples)",
-					r.Name, r.ShortBurn, r.LongBurn, r.Samples)
-				break
-			}
-			noData = noData || r.NoData
-		}
-		if out.reason != "" || !noData {
-			break
-		}
-		if out.extended >= s.maxExtend {
-			out.reason = fmt.Sprintf("SLO gate still has no data after %d bake extension(s)", out.extended)
-			break
-		}
-		out.extended++
-		out.reason = bakeAll()
-	}
-	rest := order[s.canaries:]
-	step := s.apply
-	if out.reason != "" {
-		rest, step = out.canaries, s.revert
+	reason = s.health(canaries)
+	rest, step := order[s.canaries:], s.apply
+	if reason != "" {
+		rest, step = canaries, s.revert
 	}
 	for _, idx := range rest {
 		if err := step(idx); err != nil {
-			return out, err
+			return canaries, reason, err
 		}
 	}
-	return out, nil
+	return canaries, reason, nil
 }
 
-// Rollout deploys a policy across the fleet in two stages: deploy to a
-// canary subset, bake it under probe traffic, evaluate the canaries'
-// hook-fault counters, and only then deploy to the rest. A canary stage
-// that exceeds the fault budget aborts the rollout and restores the
+// Rollout deploys a built-in policy across the fleet in two stages:
+// deploy to a canary subset, bake it under probe traffic, evaluate the
+// canaries' hook-fault counters, and only then deploy to the rest. A
+// canary stage that takes any fault aborts the rollout and restores the
 // canaries to the previous fleet release (or detaches them to the kernel
-// default when none exists). A successful rollout records the artifact as
+// default when none exists). A successful rollout records the policy as
 // the new fleet release.
 func (c *Cluster) Rollout(cfg RolloutConfig) (*RolloutReport, error) {
 	if err := cfg.fill(len(c.Members)); err != nil {
 		return nil, err
-	}
-	source := cfg.Source
-	if cfg.Policy != "" {
-		var err error
-		source, err = policy.Source(cfg.Policy)
-		if err != nil {
-			return nil, err
-		}
 	}
 	rep := &RolloutReport{}
 	key := releaseKey{cfg.App, cfg.Hook}
@@ -263,11 +178,11 @@ func (c *Cluster) Rollout(cfg RolloutConfig) (*RolloutReport, error) {
 	// before holds each member's fault count as of its deploy, so a bake's
 	// faults are the new policy's own.
 	before := make(map[int]uint64)
-	out, err := c.staged(stagedRollout{
-		canaries: cfg.Canaries, probe: cfg, slos: cfg.SLOs, maxExtend: cfg.MaxExtend,
+	canaries, reason, err := c.staged(stagedRollout{
+		canaries: cfg.Canaries, probe: cfg,
 		apply: func(idx int) error {
 			m := c.Members[idx]
-			if _, err := m.Host.Daemon.DeployPolicy(cfg.App, cfg.Hook, source, cfg.Defines); err != nil {
+			if _, err := m.Host.Daemon.DeployBuiltin(cfg.App, cfg.Hook, cfg.Policy, cfg.Defines); err != nil {
 				return fmt.Errorf("cluster: %s: %w", m.Name, err)
 			}
 			before[idx] = c.hookFaults(idx, cfg.App, cfg.Hook)
@@ -278,15 +193,15 @@ func (c *Cluster) Rollout(cfg RolloutConfig) (*RolloutReport, error) {
 			for _, idx := range canaries {
 				rep.CanaryFaults += c.hookFaults(idx, cfg.App, cfg.Hook) - before[idx]
 			}
-			if rep.CanaryFaults > cfg.FaultBudget {
-				return fmt.Sprintf("canary faults %d exceed budget %d", rep.CanaryFaults, cfg.FaultBudget)
+			if rep.CanaryFaults > 0 {
+				return fmt.Sprintf("canary faults %d exceed budget 0", rep.CanaryFaults)
 			}
 			return ""
 		},
 		revert: func(idx int) error {
 			m := c.Members[idx]
 			if havePrev {
-				if _, err := m.Host.Daemon.DeployPolicy(cfg.App, cfg.Hook, prev.source, prev.defines); err != nil {
+				if _, err := m.Host.Daemon.DeployBuiltin(cfg.App, cfg.Hook, prev.policy, prev.defines); err != nil {
 					return fmt.Errorf("cluster: restore %s: %w", m.Name, err)
 				}
 			} else if err := m.Host.Daemon.DetachApp(cfg.App, cfg.Hook); err != nil {
@@ -298,13 +213,13 @@ func (c *Cluster) Rollout(cfg RolloutConfig) (*RolloutReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep.Canaries, rep.SLOResults, rep.Extended = out.canaries, out.sloResults, out.extended
-	if out.reason != "" {
-		rep.Aborted, rep.Reason, rep.RolledBack = true, out.reason, havePrev
+	rep.Canaries = canaries
+	if reason != "" {
+		rep.Aborted, rep.Reason, rep.RolledBack = true, reason, havePrev
 		return rep, nil
 	}
 	rep.Deployed = len(c.Members)
-	c.released[key] = release{source: source, defines: cfg.Defines}
+	c.released[key] = release{policy: cfg.Policy, defines: cfg.Defines}
 	return rep, nil
 }
 

@@ -47,6 +47,9 @@ func probePacket(m *Member, id uint64, port uint16) *nic.Packet {
 	return p
 }
 
+// twoSockets sizes a built-in to the test app's two sockets.
+var twoSockets = map[string]int64{"NUM_THREADS": 2, "NUM_EXECUTORS": 2}
+
 func attachedCount(c *Cluster) int {
 	n := 0
 	for _, m := range c.Members {
@@ -90,7 +93,7 @@ func TestCanaryOrderDeterministicPerSeed(t *testing.T) {
 func TestRolloutHealthyFleetWide(t *testing.T) {
 	c := newTestCluster(t, 8, nil)
 	rep, err := c.Rollout(RolloutConfig{
-		App: testApp, Hook: syrup.HookSocketSelect, Source: "r0 = 1\nexit\n",
+		App: testApp, Hook: syrup.HookSocketSelect, Policy: policy.NameRoundRobin, Defines: twoSockets,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +132,7 @@ func TestRolloutAbortsOnCanaryFaults(t *testing.T) {
 		cfg.Faults = &faults.Plan{Specs: []faults.Spec{{Site: faults.SiteSocketSelect, Every: 1}}}
 	})
 	rep, err := c.Rollout(RolloutConfig{
-		App: testApp, Hook: syrup.HookSocketSelect, Source: "r0 = 1\nexit\n",
+		App: testApp, Hook: syrup.HookSocketSelect, Policy: policy.NameRoundRobin, Defines: twoSockets,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,8 +162,8 @@ func TestRolloutAbortsOnCanaryFaults(t *testing.T) {
 // leave them on the kernel default.
 func TestRolloutAbortRestoresPreviousRelease(t *testing.T) {
 	c := newTestCluster(t, 8, nil)
-	v1 := "r0 = 0\nexit\n"
-	if rep, err := c.Rollout(RolloutConfig{App: testApp, Hook: syrup.HookSocketSelect, Source: v1}); err != nil || rep.Aborted {
+	v1 := policy.NameHash
+	if rep, err := c.Rollout(RolloutConfig{App: testApp, Hook: syrup.HookSocketSelect, Policy: v1, Defines: twoSockets}); err != nil || rep.Aborted {
 		t.Fatalf("v1 rollout failed: %v %+v", err, rep)
 	}
 	for _, m := range c.Members {
@@ -168,7 +171,7 @@ func TestRolloutAbortRestoresPreviousRelease(t *testing.T) {
 			Specs: []faults.Spec{{Site: faults.SiteSocketSelect, Every: 1}},
 		}).Compile(m.Seed, m.Host.Eng.Now))
 	}
-	rep, err := c.Rollout(RolloutConfig{App: testApp, Hook: syrup.HookSocketSelect, Source: "r0 = 1\nexit\n"})
+	rep, err := c.Rollout(RolloutConfig{App: testApp, Hook: syrup.HookSocketSelect, Policy: policy.NameRoundRobin, Defines: twoSockets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,23 +182,18 @@ func TestRolloutAbortRestoresPreviousRelease(t *testing.T) {
 	if got := attachedCount(c); got != 8 {
 		t.Fatalf("policy attached on %d hosts after rollback, want 8", got)
 	}
-	if rel := c.released[releaseKey{testApp, syrup.HookSocketSelect}]; rel.source != v1 {
-		t.Fatalf("fleet release changed by aborted rollout: %q", rel.source)
+	if rel := c.released[releaseKey{testApp, syrup.HookSocketSelect}]; rel.policy != v1 {
+		t.Fatalf("fleet release changed by aborted rollout: %q", rel.policy)
 	}
 }
 
 func TestRolloutValidation(t *testing.T) {
 	c := newTestCluster(t, 2, nil)
 	if _, err := c.Rollout(RolloutConfig{App: testApp, Hook: syrup.HookSocketSelect}); err == nil {
-		t.Fatal("rollout with neither Policy nor Source accepted")
+		t.Fatal("rollout with no Policy accepted")
 	}
 	if _, err := c.Rollout(RolloutConfig{
-		App: testApp, Hook: syrup.HookSocketSelect, Policy: "x", Source: "y",
-	}); err == nil {
-		t.Fatal("rollout with both Policy and Source accepted")
-	}
-	if _, err := c.Rollout(RolloutConfig{
-		App: testApp, Hook: syrup.HookThreadSched, Source: "r0 = 0\nexit\n",
+		App: testApp, Hook: syrup.HookThreadSched, Policy: policy.NameRoundRobin,
 	}); err == nil {
 		t.Fatal("thread-policy rollout accepted")
 	}

@@ -48,23 +48,21 @@ type FleetSnapshot struct {
 	SLOs []obs.SLOResult `json:"slos,omitempty"`
 }
 
-// scrapeMember pulls one member's telemetry through its control-protocol
-// handler (the in-process equivalent of dialing its syrupd socket). ok is
-// false when the member has telemetry disabled. full adds what only the
-// fleet view shows: policy profiles and the member's counters.
-func scrapeMember(m *Member, full bool) (HostSnapshot, bool) {
+// scrapeMember pulls one member's telemetry, policy profiles and counters
+// through its control-protocol handler (the in-process equivalent of
+// dialing its syrupd socket). ok is false when the member has telemetry
+// disabled.
+func scrapeMember(m *Member) (HostSnapshot, bool) {
 	srv := syrupd.NewServer(m.Host.Daemon)
 	resp := srv.Handle(&syrupd.Request{Op: "timeseries"})
 	if !resp.OK {
 		return HostSnapshot{}, false
 	}
 	hs := HostSnapshot{Host: m.Name, Index: m.Index, NowNS: resp.NowNS, Series: resp.Series}
-	if full {
-		if pr := srv.Handle(&syrupd.Request{Op: "profile"}); pr.OK {
-			hs.Profiles = pr.Profiles
-		}
-		hs.Counters = m.Host.Daemon.Counters()
+	if pr := srv.Handle(&syrupd.Request{Op: "profile"}); pr.OK {
+		hs.Profiles = pr.Profiles
 	}
+	hs.Counters = m.Host.Daemon.Counters()
 	// Hosts without adaptive control answer with an error; that just
 	// leaves Decisions empty.
 	if ah := srv.Handle(&syrupd.Request{Op: "adapt_history"}); ah.OK {
@@ -79,7 +77,7 @@ func scrapeMember(m *Member, full bool) (HostSnapshot, bool) {
 func (c *Cluster) Scrape() (*FleetSnapshot, error) {
 	snap := &FleetSnapshot{}
 	for _, m := range c.Members {
-		hs, ok := scrapeMember(m, true)
+		hs, ok := scrapeMember(m)
 		if !ok {
 			continue
 		}
@@ -104,27 +102,4 @@ func (c *Cluster) Scrape() (*FleetSnapshot, error) {
 func (s *FleetSnapshot) EvaluateSLOs(slos []obs.SLO) []obs.SLOResult {
 	s.SLOs = obs.EvaluateSLOs(slos, s.Merged, sim.Time(s.NowNS))
 	return s.SLOs
-}
-
-// canarySnapshot scrapes and merges just the canary subset (rollout SLO
-// evaluation must not let healthy non-canary hosts mask a regressing
-// canary).
-func (c *Cluster) canarySnapshot(canaries []int) *FleetSnapshot {
-	snap := &FleetSnapshot{}
-	for _, idx := range canaries {
-		hs, ok := scrapeMember(c.Members[idx], false)
-		if !ok {
-			continue
-		}
-		snap.Hosts = append(snap.Hosts, hs)
-		if hs.NowNS > snap.NowNS {
-			snap.NowNS = hs.NowNS
-		}
-	}
-	series := make([][]obs.SeriesJSON, len(snap.Hosts))
-	for i, hs := range snap.Hosts {
-		series[i] = hs.Series
-	}
-	snap.Merged = obs.MergeSeries(series...)
-	return snap
 }

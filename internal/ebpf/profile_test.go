@@ -119,7 +119,7 @@ func TestProfileHitsInterpVsJIT(t *testing.T) {
 			Exit(),
 		}
 		load := func() *Program {
-			return MustLoad("pfault", insns, LoadOptions{NoVerify: true, Profile: true})
+			return MustLoad("pfault", insns, LoadOptions{noVerify: true, Profile: true})
 		}
 		pj, pi := load(), load()
 		for _, pkt := range [][]byte{make([]byte, 4), make([]byte, 16)} {

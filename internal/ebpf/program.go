@@ -35,7 +35,7 @@ type Program struct {
 	noVerify bool
 
 	// facts is the verifier's per-PC fact table for insns; nil for
-	// NoVerify loads.
+	// unverified loads.
 	facts *Facts
 
 	// Accounting for Table 2.
@@ -64,10 +64,11 @@ type LoadOptions struct {
 	MapTable *MapTable
 	// Budget overrides DefaultVerifierBudget when > 0.
 	Budget int
-	// NoVerify skips verification. Nothing outside tests sets it (syrupd's
-	// own root dispatcher is verified like any policy): it is how the
-	// runtime-fault paths a verified program cannot reach get exercised.
-	NoVerify bool
+	// noVerify skips verification. Only this package's tests set it — no
+	// other package can, so every program a hook runs was verified: it is
+	// how the runtime-fault paths a verified program cannot reach get
+	// exercised.
+	noVerify bool
 	// Profile enables bpf_stats_enabled-style accounting for this load:
 	// run count, cumulative wall ns, and per-instruction hit counters
 	// (profile.go), bumped by the same walker over the same decoding.
@@ -76,8 +77,8 @@ type LoadOptions struct {
 
 // Load is the one pipeline every program takes: resolve map references,
 // verify, decode. Nothing rewrites the stream after the verifier admits
-// it, so the verified stream is the executed stream. NoVerify programs
-// skip straight to decoding, with no facts to pin anything.
+// it, so the verified stream is the executed stream. Unverified test
+// programs skip straight to decoding, with no facts to pin anything.
 func Load(name string, insns []Instruction, opts LoadOptions) (*Program, error) {
 	if len(insns) == 0 {
 		return nil, fmt.Errorf("ebpf: %s: empty program", name)
@@ -111,8 +112,8 @@ func Load(name string, insns []Instruction, opts LoadOptions) (*Program, error) 
 		i++ // skip the high half
 	}
 
-	p.noVerify = opts.NoVerify
-	if !opts.NoVerify {
+	p.noVerify = opts.noVerify
+	if !opts.noVerify {
 		budget := opts.Budget
 		if budget <= 0 {
 			budget = DefaultVerifierBudget

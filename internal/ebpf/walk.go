@@ -90,7 +90,7 @@ var ctxFieldKind = map[int64]opKind{
 // included: the walker never reaches that one in a verified program, and in
 // an unverified one that jumps into it, it executes as the degenerate LDDW
 // it decodes to. With facts it pins what they license; with nil — a
-// NoVerify load, or the reference decoding — every slot keeps its generic
+// unverified load, or the reference decoding — every slot keeps its generic
 // kind.
 func decode(p *Program, facts *Facts) []op {
 	code := make([]op, len(p.insns))
@@ -115,7 +115,7 @@ func decode(p *Program, facts *Facts) []op {
 			case i+1 < len(p.insns):
 				o.imm = Imm64(ins, p.insns[i+1])
 			default:
-				// A trailing slot only NoVerify garbage can jump into: no high
+				// A trailing slot only unverified garbage can jump into: no high
 				// half to load, and the target is out of range — the fault.
 				o.kind = kJa
 			}
@@ -204,7 +204,7 @@ func stackWindow(base RegFact, insOff int64, size int) (int64, bool) {
 // call; a hook point owns a RunState instead and never comes here. A state
 // is reused as it was left and reset lazily: the 512-byte stack and the
 // registers stay dirty because the verifier rejects any read of an
-// uninitialized register or stack byte (only NoVerify loads pay for a
+// uninitialized register or stack byte (only unverified loads pay for a
 // scrub on entry), and the env/ctx/region references from the last run
 // are overwritten or truncated at reuse — they point at caller-owned
 // contexts and long-lived map storage, so holding them across the gap
@@ -213,8 +213,8 @@ var runStatePool = sync.Pool{New: func() any { return new(runState) }}
 
 // Run executes the program against ctx and returns R0's low 32 bits (the
 // schedule() verdict) along with execution stats. Runtime errors indicate
-// either a verifier gap or a NoVerify program misbehaving; hooks treat them
-// as PASS after logging. Steady state performs zero heap allocations
+// an exhausted tail-call budget, an injected fault or a verifier gap;
+// hooks treat them as PASS after logging. Steady state performs zero heap allocations
 // (errors are the cold path).
 func (p *Program) Run(ctx *Ctx, env *Env) (uint32, ExecStats, error) {
 	ret, st, err := p.RunRet64(ctx, env)
@@ -298,7 +298,7 @@ func (p *Program) walk(rs *runState, ref bool) (uint64, error) {
 		)
 	seg:
 		for {
-			// One unsigned compare covers both bounds: a NoVerify jump before
+			// One unsigned compare covers both bounds: an unverified jump before
 			// slot 0 is a fault like one past the end.
 			if uint(pc) >= uint(len(code)) {
 				err = fmt.Errorf("ebpf: %s: pc %d out of range", prog.name, pc)

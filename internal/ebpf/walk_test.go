@@ -313,7 +313,7 @@ func TestJITErrorStringsMatchInterp(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := MustLoad("errs", tc.insns, LoadOptions{NoVerify: true})
+			p := MustLoad("errs", tc.insns, LoadOptions{noVerify: true})
 			ctx := &Ctx{Packet: make([]byte, 4)}
 			_, stJ, errJ := p.Run(ctx, nil)
 			_, stI, errI := p.RunInterp(ctx, nil)
@@ -352,7 +352,7 @@ func TestDecodeIsTotal(t *testing.T) {
 			t.Fatalf("golden line %d is for %s", opb, tag)
 		}
 		ins := Instruction{Op: uint8(opb), Dst: R2, Src: R10, Off: -8, Imm: 1}
-		p, err := Load("total", []Instruction{ins}, LoadOptions{NoVerify: true})
+		p, err := Load("total", []Instruction{ins}, LoadOptions{noVerify: true})
 		if err != nil {
 			if got := "load: " + err.Error(); got != want {
 				t.Errorf("op %#04x: %s, want %s", opb, got, want)

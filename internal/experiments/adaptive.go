@@ -50,9 +50,9 @@ type AdaptiveConfig struct {
 	// Deadline is the goodput cutoff: a completion counts only when its
 	// latency is within it.
 	Deadline sim.Time
-	// SLOTargetUS is the windowed LS p99 the fire detector burns
+	// SLOTargetUS is the windowed LS p99 the fire objective burns
 	// against; RecoverRPS is the offered-load level under which the
-	// clear detector lets the controller swap back.
+	// clear objective lets the controller swap back.
 	SLOTargetUS float64
 	RecoverRPS  float64
 	// ObsPeriod is the sampling AND decision tick — the control loop
@@ -111,7 +111,7 @@ func (cfg AdaptiveConfig) rateFn() func(sim.Time) float64 {
 // burn, react by swapping to shed, and swap back to round_robin once the
 // offered load — NOT the p99, which the shed itself repairs — has stayed
 // under RecoverRPS. The split fire/clear signals are the point: an action
-// that suppresses its own trigger would flap under a single detector.
+// that suppresses its own trigger would flap under a single objective.
 func AdaptiveRules(cfg AdaptiveConfig, numThreads int) adapt.Config {
 	defines := map[string]int64{
 		"NUM_THREADS": int64(numThreads),
@@ -121,34 +121,28 @@ func AdaptiveRules(cfg AdaptiveConfig, numThreads int) adapt.Config {
 		Period: cfg.ObsPeriod,
 		Rules: []adapt.Rule{{
 			Name: "ls_burn",
-			Detect: adapt.DetectorSpec{
-				Kind: "slo_burn",
-				SLO: &obs.SLO{
-					Name:   "ls_p99",
-					Series: "latency_LS_win_p99_us",
-					Target: cfg.SLOTargetUS,
-					Budget: 0.5,
-					Short:  3 * cfg.ObsPeriod,
-					Long:   6 * cfg.ObsPeriod,
-				},
+			Detect: obs.SLO{
+				Name:   "ls_p99",
+				Series: "latency_LS_win_p99_us",
+				Target: cfg.SLOTargetUS,
+				Budget: 0.5,
+				Short:  3 * cfg.ObsPeriod,
+				Long:   6 * cfg.ObsPeriod,
 			},
-			ClearDetect: &adapt.DetectorSpec{
-				Kind: "slo_burn",
-				SLO: &obs.SLO{
-					Name:   "overload",
-					Series: "offered_rps",
-					Target: cfg.RecoverRPS,
-					Budget: 0.5,
-					Short:  3 * cfg.ObsPeriod,
-					Long:   6 * cfg.ObsPeriod,
-				},
+			ClearDetect: &obs.SLO{
+				Name:   "overload",
+				Series: "offered_rps",
+				Target: cfg.RecoverRPS,
+				Budget: 0.5,
+				Short:  3 * cfg.ObsPeriod,
+				Long:   6 * cfg.ObsPeriod,
 			},
 			OnFire: adapt.ActionSpec{
-				Kind: "swap", App: rocksApp, Hook: string(syrup.HookSocketSelect),
+				App: rocksApp, Hook: string(syrup.HookSocketSelect),
 				Policy: policy.NameShed, Defines: defines,
 			},
 			OnClear: &adapt.ActionSpec{
-				Kind: "swap", App: rocksApp, Hook: string(syrup.HookSocketSelect),
+				App: rocksApp, Hook: string(syrup.HookSocketSelect),
 				Policy: policy.NameRoundRobin, Defines: defines,
 			},
 			Sustain:    2,

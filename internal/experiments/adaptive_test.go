@@ -71,7 +71,7 @@ func TestAdaptiveDominatesStatics(t *testing.T) {
 // committed scenario: one fire (swap to shed) inside the burst ramp, one
 // clear (swap back to round_robin) after the ramp-down — and nothing
 // else. The clear must hold through the whole plateau even though the
-// shed keeps the fire detector quiet there (the ClearDetect contract).
+// shed keeps the fire objective quiet there (the ClearDetect contract).
 func TestAdaptiveDecisionSequence(t *testing.T) {
 	cfg := DefaultAdaptive()
 	_, dec := runAdaptivePoint(cfg, PolicyRoundRobin, true)
@@ -108,8 +108,8 @@ func TestAdaptDifferentialOff(t *testing.T) {
 	point := func(armed bool) (string, uint64) {
 		pt := adaptivePoint(cfg, PolicyRoundRobin, armed)
 		if armed {
-			pt.Adapt.Rules[0].Detect.SLO.Target = 1e18 // unreachable: never fires
-			pt.Adapt.Rules[0].ClearDetect.SLO.Target = 1e18
+			pt.Adapt.Rules[0].Detect.Target = 1e18 // unreachable: never fires
+			pt.Adapt.Rules[0].ClearDetect.Target = 1e18
 		}
 		run := runRocksPoint(pt)
 		var ticks uint64
@@ -131,7 +131,7 @@ func TestAdaptDifferentialOff(t *testing.T) {
 	}
 }
 
-// TestAdaptiveDeterminism: the whole closed loop — sampler, detectors,
+// TestAdaptiveDeterminism: the whole closed loop — sampler, objectives,
 // swaps under live traffic — replays byte-identically from the seed,
 // decision history included.
 func TestAdaptiveDeterminism(t *testing.T) {

@@ -9,9 +9,7 @@ import (
 	"syrup/internal/apps/rocksdb"
 	"syrup/internal/cluster"
 	"syrup/internal/metrics"
-	"syrup/internal/obs"
 	"syrup/internal/policy"
-	"syrup/internal/sim"
 	"syrup/internal/workload"
 )
 
@@ -41,12 +39,6 @@ type ClusterConfig struct {
 	// TokenFrac sets each host's LS token rate as a fraction of its
 	// offered load (rocksdb; default 0.875, the paper's 350K/400K).
 	TokenFrac float64
-	// Canaries overrides the rollout's stage-1 host count (0 = default).
-	Canaries int
-	// SLOs, when set, gate the rollout's canary bake on burn-rate
-	// objectives evaluated against the canaries' merged telemetry (see
-	// cluster.RolloutConfig.SLOs). Requires telemetry (Run.ObsPeriod).
-	SLOs []obs.SLO
 	// Run.Workers is the width of the pool the host simulations run on;
 	// the fleet is bit-identical at any value, only wall-clock changes.
 	Run RunConfig
@@ -109,9 +101,6 @@ type ClusterRun struct {
 // from the cluster seed alone, and aggregation is index-addressed.
 func RunCluster(cfg ClusterConfig) (*ClusterRun, error) {
 	cfg = cfg.withDefaults()
-	if len(cfg.SLOs) > 0 && cfg.Run.ObsPeriod <= 0 {
-		return nil, fmt.Errorf("cluster scenario: %d SLOs gate the rollout but Run.ObsPeriod is 0: the canaries would have no telemetry to evaluate", len(cfg.SLOs))
-	}
 	if cfg.LSFrac < 0 || cfg.LSFrac > 1 {
 		return nil, fmt.Errorf("cluster scenario: LSFrac %v is outside [0, 1]", cfg.LSFrac)
 	}
@@ -141,7 +130,6 @@ func RunCluster(cfg ClusterConfig) (*ClusterRun, error) {
 	default:
 		return nil, fmt.Errorf("cluster scenario: unknown app %q (want rocksdb or mica)", cfg.App)
 	}
-	rollout.Canaries, rollout.SLOs = cfg.Canaries, cfg.SLOs
 	cl, err := cluster.New(cluster.Config{Hosts: cfg.Hosts, Seed: cfg.Seed, Host: hostCfg})
 	if err != nil {
 		return nil, err
@@ -191,14 +179,13 @@ func RunCluster(cfg ClusterConfig) (*ClusterRun, error) {
 	// Token agents (rocksdb): per-host userspace refill at TokenFrac of
 	// the host's own offered rate, Fig. 7's epoch.
 	if cfg.App == "rocksdb" {
-		const epoch = 100 * sim.Microsecond
 		for i, m := range cl.Members {
 			agent := &policy.TokenAgent{
 				Tokens:   m.Host.Daemon.App(rocksApp).Maps()["tokens"],
 				LSUser:   0,
 				BEUser:   1,
-				PerEpoch: uint64(cfg.TokenFrac * parts[i].Rate * float64(epoch) / 1e9),
-				Epoch:    epoch,
+				PerEpoch: uint64(cfg.TokenFrac * parts[i].Rate * float64(tokenEpoch) / 1e9),
+				Epoch:    tokenEpoch,
 			}
 			agent.Start(m.Host.Eng)
 		}

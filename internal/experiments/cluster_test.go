@@ -3,9 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"syrup/internal/obs"
-	"syrup/internal/sim"
 )
 
 // TestClusterWorkersDifferential is the fleet determinism gate: the same
@@ -118,16 +115,13 @@ func TestClusterSeedChangesResults(t *testing.T) {
 }
 
 // TestClusterRejectsUnrunnableConfigs: a config that cannot do what it
-// says is refused before any host is built — SLOs with no sampler used to
-// bake, find no data and report the canaries as merely unobserved.
+// says is refused before any host is built.
 func TestClusterRejectsUnrunnableConfigs(t *testing.T) {
-	slo := []obs.SLO{{Name: "ls_p99", Series: "latency_LS_win_p99_us", Target: 500, Budget: 0.5}}
 	for _, c := range []struct {
 		name string
 		cfg  ClusterConfig
 		want string
 	}{
-		{"SLOs without telemetry", ClusterConfig{SLOs: slo}, "Run.ObsPeriod is 0"},
 		{"LS share above 1", ClusterConfig{LSFrac: 1.5}, "LSFrac 1.5"},
 		{"negative LS share", ClusterConfig{LSFrac: -0.1}, "LSFrac -0.1"},
 		{"unknown app", ClusterConfig{App: "redis"}, `unknown app "redis"`},
@@ -135,10 +129,5 @@ func TestClusterRejectsUnrunnableConfigs(t *testing.T) {
 		if _, err := RunCluster(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.want)
 		}
-	}
-	cfg := fleetRocks(RunConfig{ObsPeriod: sim.Millisecond})
-	cfg.SLOs = slo
-	if _, err := RunCluster(cfg); err != nil {
-		t.Fatalf("SLOs with telemetry: %v", err)
 	}
 }

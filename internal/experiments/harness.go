@@ -175,11 +175,11 @@ type rocksPoint struct {
 	ThreadSched bool
 	// Service overrides the default RocksDB service model.
 	Service rocksdb.ServiceModel
-	// TokenRate/TokenEpoch configure the token policy's userspace agent.
-	TokenRate  float64
-	TokenEpoch sim.Time
-	LSUser     uint32
-	BEUser     uint32
+	// TokenRate is the LS refill rate of the token policy's userspace
+	// agent, granted every tokenEpoch.
+	TokenRate float64
+	LSUser    uint32
+	BEUser    uint32
 	// SwapTo, when set, hot-swaps the socket policy mid-measure: halfway
 	// through the measurement window the named built-in policy replaces
 	// the running one through syrupd (Link.Replace under live traffic,
@@ -213,6 +213,8 @@ const (
 	rocksPort = 9000
 	rocksApp  = 1
 	rocksUID  = 1000
+	// tokenEpoch is how often the token agent refills (Fig. 7's epoch).
+	tokenEpoch = 100 * sim.Microsecond
 )
 
 // RocksWorld is the RocksDB application wired onto one host: the load
@@ -296,16 +298,12 @@ func runRocksPoint(pt rocksPoint) *rocksRun {
 		if err != nil {
 			panic(err)
 		}
-		epoch := pt.TokenEpoch
-		if epoch == 0 {
-			epoch = 100 * sim.Microsecond
-		}
 		agent := &policy.TokenAgent{
 			Tokens:   dep.Maps["tokens"],
 			LSUser:   pt.LSUser,
 			BEUser:   pt.BEUser,
-			PerEpoch: uint64(pt.TokenRate * float64(epoch) / 1e9),
-			Epoch:    epoch,
+			PerEpoch: uint64(pt.TokenRate * float64(tokenEpoch) / 1e9),
+			Epoch:    tokenEpoch,
 		}
 		agent.Start(host.Eng)
 	default:

@@ -55,10 +55,11 @@ type Verdict struct {
 	Action Action
 	// Index is the chosen executor when Action == Steer.
 	Index uint32
-	// Faulted records that the program hit a runtime error (a verifier
-	// escape or a NoVerify program misbehaving). The action is Pass —
-	// hooks fail open, as in the kernel — but the fault is counted so
-	// escapes are visible instead of silently reading as policy PASSes.
+	// Faulted records that the program hit a runtime error (an exhausted
+	// tail-call budget, an injected fault or a verifier escape). The
+	// action is Pass — hooks fail open, as in the kernel — but the fault
+	// is counted so escapes are visible instead of silently reading as
+	// policy PASSes.
 	Faulted bool
 }
 

@@ -18,19 +18,11 @@ func mustProg(t *testing.T, name, src string) *ebpf.Program {
 	return p
 }
 
-// faultyProg builds an unverified program that hits a runtime error on its
-// first instruction (dereference through an uninitialized register).
+// faultyProg builds a verified program that faults on every run: it
+// tail-calls itself past MaxTailCalls.
 func faultyProg(t *testing.T) *ebpf.Program {
 	t.Helper()
-	insns := []ebpf.Instruction{
-		ebpf.Ldx(8, ebpf.R0, ebpf.R2, 0),
-		ebpf.Exit(),
-	}
-	p, err := ebpf.Load("faulty", insns, ebpf.LoadOptions{NoVerify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return selfTailProg(t, "faulty")
 }
 
 func TestPointEmptyRunsPass(t *testing.T) {
@@ -446,7 +438,7 @@ func TestTailCallBudgetOneHookFault(t *testing.T) {
 // TestRunStateSurvivesReplaceTailCallsAndFaults: a point runs everything on
 // the one run state it owns, whichever program is installed. A long-lived
 // point taken through Replace, a tail-call chain that faults at its
-// budget, a program faulting at run time and injected faults must give,
+// budget and injected faults must give,
 // generation by generation, the verdicts and the accounting of a point
 // created for that generation alone — a fresh state.
 func TestRunStateSurvivesReplaceTailCallsAndFaults(t *testing.T) {
@@ -464,7 +456,6 @@ func TestRunStateSurvivesReplaceTailCallsAndFaults(t *testing.T) {
 		{"spill", spill("4"), 0, false},
 		{"tailcall budget", func(t *testing.T) *ebpf.Program { return selfTailProg(t, "rs_tail") }, 0, false},
 		{"after a tail-call fault", spill("3"), 0, true},
-		{"runtime fault", faultyProg, 0, false},
 		{"injected faults", spill("5"), 3, false},
 		{"after injected faults", spill("7"), 0, true},
 	}

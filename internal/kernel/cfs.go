@@ -6,42 +6,21 @@ import (
 	"syrup/internal/sim"
 )
 
-// CFSConfig exposes the tunables of the CFS model. Zero values take the
-// Linux defaults noted per field.
-type CFSConfig struct {
-	// SchedLatency is the targeted period in which every runnable thread
-	// runs once (sysctl_sched_latency, 6 ms).
-	SchedLatency sim.Time
-	// MinGranularity floors a thread's timeslice (0.75 ms).
-	MinGranularity sim.Time
-	// WakeupGranularity is the vruntime lead a waking thread needs over
-	// the running one to preempt it (1 ms). This is the knob that makes
-	// CFS "oblivious" (§5.3): a waker placed at min_vruntime only
-	// preempts a thread that has already overrun its fair share by more
-	// than the granularity, so sub-millisecond request bursts (a 700 µs
-	// SCAN) are never preempted for a waking GET thread.
-	WakeupGranularity sim.Time
-	// SleeperCredit is how far *behind* min_vruntime a waking sleeper is
-	// placed. The default of 0 places sleepers at min_vruntime, which
-	// reproduces the request-oblivious behaviour the paper measured;
-	// raising it toward sched_latency/2 approximates aggressive
-	// FAIR_SLEEPERS wakeup preemption.
-	SleeperCredit sim.Time
-}
-
-func (c *CFSConfig) fill() {
-	if c.SchedLatency == 0 {
-		c.SchedLatency = 6 * sim.Millisecond
-	}
-	if c.MinGranularity == 0 {
-		c.MinGranularity = 750 * sim.Microsecond
-	}
-	if c.WakeupGranularity == 0 {
-		c.WakeupGranularity = 1 * sim.Millisecond
-	}
-	// SleeperCredit defaults to 0 (no credit) deliberately; see the field
-	// comment.
-}
+// The CFS model's tunables, at their Linux defaults.
+const (
+	// schedLatency is the targeted period in which every runnable thread
+	// runs once (sysctl_sched_latency).
+	schedLatency = 6 * sim.Millisecond
+	// minGranularity floors a thread's timeslice.
+	minGranularity = 750 * sim.Microsecond
+	// wakeupGranularity is the vruntime lead a waking thread needs over
+	// the running one to preempt it. This is the knob that makes CFS
+	// "oblivious" (§5.3): a waker placed at min_vruntime only preempts a
+	// thread that has already overrun its fair share by more than the
+	// granularity, so sub-millisecond request bursts (a 700 µs SCAN) are
+	// never preempted for a waking GET thread.
+	wakeupGranularity = 1 * sim.Millisecond
+)
 
 // cfsQueue is a per-CPU runqueue ordered by vruntime.
 type cfsQueue struct {
@@ -70,11 +49,10 @@ func (q *cfsQueue) peek() *Thread {
 }
 
 // CFS is the default scheduling class: per-core runqueues, vruntime
-// fairness, wakeup preemption bounded by WakeupGranularity, timeslice
+// fairness, wakeup preemption bounded by wakeupGranularity, timeslice
 // preemption, and idle-pull balancing.
 type CFS struct {
 	m      *Machine
-	cfg    CFSConfig
 	queues []cfsQueue
 
 	// sliceCB is the stored timeslice-expiry callback (arg = *CPU, u =
@@ -83,9 +61,8 @@ type CFS struct {
 	sliceCB sim.Callback
 }
 
-func newCFS(m *Machine, cfg CFSConfig) *CFS {
-	cfg.fill()
-	s := &CFS{m: m, cfg: cfg, queues: make([]cfsQueue, len(m.cpus))}
+func newCFS(m *Machine) *CFS {
+	s := &CFS{m: m, queues: make([]cfsQueue, len(m.cpus))}
 	s.sliceCB = func(arg any, u uint64) {
 		c := arg.(*CPU)
 		c.sliceTimer = sim.Timer{}
@@ -113,10 +90,11 @@ func (s *CFS) Ready(t *Thread) {
 	q := &s.queues[c.id]
 
 	// Sleeper placement: don't let long sleepers hoard vruntime, don't
-	// give short sleepers extra credit.
-	floor := q.minVruntime - s.cfg.SleeperCredit
-	if t.vruntime < floor {
-		t.vruntime = floor
+	// give short sleepers extra credit. Placing every sleeper at
+	// min_vruntime reproduces the request-oblivious behaviour the paper
+	// measured.
+	if t.vruntime < q.minVruntime {
+		t.vruntime = q.minVruntime
 	}
 
 	if c.curr == nil && c.reservedBy == "" {
@@ -130,7 +108,7 @@ func (s *CFS) Ready(t *Thread) {
 	// running thread exceeds the granularity.
 	if curr := c.curr; curr != nil && curr.class == s {
 		currVruntime := curr.vruntime + (s.m.Eng.Now() - curr.dispatchedAt)
-		if currVruntime-t.vruntime > s.cfg.WakeupGranularity {
+		if currVruntime-t.vruntime > wakeupGranularity {
 			curr.preempt()
 			heap.Push(&s.queues[c.id], curr)
 			s.dispatch(c)
@@ -237,9 +215,9 @@ func (s *CFS) idlePull(c *CPU) {
 // armSliceTimer schedules a timeslice-expiry preemption check.
 func (s *CFS) armSliceTimer(c *CPU, t *Thread) {
 	nr := s.queues[c.id].Len() + 1
-	slice := s.cfg.SchedLatency / sim.Time(nr)
-	if slice < s.cfg.MinGranularity {
-		slice = s.cfg.MinGranularity
+	slice := schedLatency / sim.Time(nr)
+	if slice < minGranularity {
+		slice = minGranularity
 	}
 	c.sliceTimer = s.m.Eng.TimerAfter(slice, s.sliceCB, c, uint64(t.ID))
 }

@@ -15,8 +15,6 @@ type Config struct {
 	// CtxSwitchCost is charged whenever a CPU switches between two
 	// different threads (≈1 µs on the paper's Xeons).
 	CtxSwitchCost sim.Time
-	// CFS tunables; see cfs.go for defaults.
-	CFS CFSConfig
 }
 
 // Machine is the simulated end-host: a set of logical cores plus the CFS
@@ -42,7 +40,7 @@ func New(eng *sim.Engine, cfg Config) *Machine {
 	for i := 0; i < cfg.NumCPUs; i++ {
 		m.cpus = append(m.cpus, &CPU{id: CPUID(i), m: m})
 	}
-	m.cfs = newCFS(m, cfg.CFS)
+	m.cfs = newCFS(m)
 	return m
 }
 

@@ -159,13 +159,21 @@ func TestOffloadFaultFailsOpenAndCounts(t *testing.T) {
 	eng := sim.New(1)
 	delivered := 0
 	dev := New(eng, Config{Queues: 4}, func(q int, pkt *Packet) { delivered++ })
-	// A NoVerify program that dereferences an uninitialized register: the
-	// stand-in for a verifier escape hitting a runtime fault on the NIC.
-	faulty, err := ebpf.Load("faulty", []ebpf.Instruction{
-		ebpf.Ldx(8, ebpf.R0, ebpf.R2, 0),
+	// A verified program that tail-calls itself past MaxTailCalls: the
+	// stand-in for a runtime fault on the NIC.
+	pa := ebpf.MustNewMap(ebpf.MapSpec{Name: "pa", Type: ebpf.MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 1})
+	tb := ebpf.NewMapTable()
+	insns := append(ebpf.LoadMapFD(ebpf.R2, tb.Register(pa)),
+		ebpf.MovImm(ebpf.R3, 0),
+		ebpf.Call(ebpf.HelperTailCall),
+		ebpf.MovImm(ebpf.R0, -1),
 		ebpf.Exit(),
-	}, ebpf.LoadOptions{NoVerify: true})
+	)
+	faulty, err := ebpf.Load("faulty", insns, ebpf.LoadOptions{MapTable: tb})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pa.UpdateProg(0, faulty); err != nil {
 		t.Fatal(err)
 	}
 	dev.Offload().Set(faulty)

@@ -54,18 +54,6 @@ func (s *Series) Append(t sim.Time, v float64) {
 	}
 }
 
-// Last returns the most recent point, or (0, 0, false) when empty.
-func (s *Series) Last() (t int64, v float64, ok bool) {
-	if s.n == 0 {
-		return 0, 0, false
-	}
-	i := s.start + s.n - 1
-	if i >= len(s.t) {
-		i -= len(s.t)
-	}
-	return s.t[i], s.v[i], true
-}
-
 // Snapshot copies the ring out in chronological order.
 func (s *Series) Snapshot() SeriesJSON {
 	out := SeriesJSON{Name: s.name, T: make([]int64, s.n), V: make([]float64, s.n)}
@@ -106,11 +94,12 @@ type Store struct {
 	order    []*Series // registration order, for cheap iteration
 }
 
+// seriesCapacity is the ring size, in points, of every series a sampler
+// records: 4.1 ms of history at a 1 µs period, 4.1 s at the default 1 ms.
+const seriesCapacity = 4096
+
 // NewStore returns a store whose series each hold capacity points.
 func NewStore(capacity int) *Store {
-	if capacity <= 0 {
-		capacity = 4096
-	}
 	return &Store{capacity: capacity, byName: make(map[string]*Series)}
 }
 

@@ -12,6 +12,15 @@ import (
 	"syrup/internal/sim"
 )
 
+// Last returns the most recent point, or (0, 0, false) when empty.
+func (s *Series) Last() (t int64, v float64, ok bool) {
+	if s.n == 0 {
+		return 0, 0, false
+	}
+	t, v = s.at(s.n - 1)
+	return t, v, true
+}
+
 func TestSeriesRing(t *testing.T) {
 	s := newSeries("x", 4)
 	for i := 1; i <= 6; i++ {
@@ -46,7 +55,7 @@ func TestStoreSnapshotSorted(t *testing.T) {
 // histogram and counter-delta series all land on period boundaries.
 func TestSamplerEndToEnd(t *testing.T) {
 	eng := sim.New(7)
-	sa := NewSampler(Config{Period: 10, Capacity: 64})
+	sa := NewSampler(Config{Period: 10})
 	var depth float64
 	var done float64
 	var runs uint64
@@ -101,7 +110,7 @@ func tickLoad(h *metrics.Histogram, r *rand.Rand) {
 // probeSampler registers what a fleet host does (harness.go): gauges, a
 // rate, and per class a cumulative plus a windowed latency histogram.
 func probeSampler(hists ...*metrics.Histogram) *Sampler {
-	sa := NewSampler(Config{Period: 10, Capacity: 1 << 12})
+	sa := NewSampler(Config{Period: 10})
 	var x float64
 	sa.Gauge("g", func() float64 { return x })
 	sa.Rate("r", func() float64 { return x })

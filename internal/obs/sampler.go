@@ -12,8 +12,6 @@ const DefaultPeriod = sim.Millisecond
 type Config struct {
 	// Period is the sampling interval in sim time (default 1 ms).
 	Period sim.Time
-	// Capacity is the per-series ring size in points (default 4096).
-	Capacity int
 	// Counters folds the host's per-tick counter deltas into the store as
 	// <name>_delta series: a host built with it set hands its daemon's
 	// Counters to Sampler.Counters. Off by default — every counter is one
@@ -72,7 +70,7 @@ func NewSampler(cfg Config) *Sampler {
 		period = DefaultPeriod
 	}
 	return &Sampler{
-		store:  NewStore(cfg.Capacity),
+		store:  NewStore(seriesCapacity),
 		period: period,
 	}
 }

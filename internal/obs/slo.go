@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 
 	"syrup/internal/sim"
 )
@@ -11,8 +12,9 @@ import (
 // rule: a sample is "bad" when its value exceeds Target; the burn rate of
 // a window is the bad-sample fraction divided by the error Budget; the
 // objective is burning when BOTH the short and long windows burn at or
-// above MaxBurn. The short window makes alerts fast, the long window
-// keeps one transient spike from tripping them.
+// above 1 — each spends the budget at least as fast as it accrues. The
+// short window makes alerts fast, the long window keeps one transient
+// spike from tripping them.
 type SLO struct {
 	// Name identifies the objective in reports ("ls_p99", "drop_rate").
 	Name string `json:"name"`
@@ -30,9 +32,23 @@ type SLO struct {
 	// Short and Long are the burn-rate windows in sim time.
 	Short sim.Time `json:"short_ns"`
 	Long  sim.Time `json:"long_ns"`
-	// MaxBurn is the alerting threshold on both windows (default 1:
-	// burning the exact budget).
-	MaxBurn float64 `json:"max_burn,omitempty"`
+}
+
+// Validate refuses an objective that could never burn or never be
+// evaluated: it needs a series, a finite target, a budget in (0, 1] and
+// windows with 0 < Short <= Long.
+func (o SLO) Validate() error {
+	switch {
+	case o.Series == "":
+		return fmt.Errorf("slo %q: no series", o.Name)
+	case math.IsNaN(o.Target) || math.IsInf(o.Target, 0):
+		return fmt.Errorf("slo %q: target %v is not finite", o.Name, o.Target)
+	case !(o.Budget > 0 && o.Budget <= 1):
+		return fmt.Errorf("slo %q: budget %v is outside (0, 1]", o.Name, o.Budget)
+	case !(o.Short > 0 && o.Short <= o.Long):
+		return fmt.Errorf("slo %q: windows short=%d long=%d need 0 < short <= long", o.Name, o.Short, o.Long)
+	}
+	return nil
 }
 
 // SLOResult is one objective's evaluation.
@@ -46,8 +62,8 @@ type SLOResult struct {
 	// the series is missing, the scrape predates the first sampler tick,
 	// or the window is shorter than the sampling period. A no-data result
 	// is not evidence of health: consumers must treat it as "cannot
-	// evaluate" (cluster.Rollout extends the bake; the adapt controller
-	// freezes the rule), never as a pass.
+	// evaluate" (the adapt controller freezes the rule; syrup-top prints
+	// NO-DATA), never as a pass.
 	NoData bool `json:"no_data,omitempty"`
 }
 
@@ -151,10 +167,6 @@ func burn[P points](p P, now int64, window sim.Time, target, budget float64) (fl
 
 // evaluate runs the multi-window burn-rate rule over one sample stream.
 func evaluate[P points](o SLO, p P, now sim.Time) SLOResult {
-	maxBurn := o.MaxBurn
-	if maxBurn <= 0 {
-		maxBurn = 1
-	}
 	shortBurn, nShort := burn(p, int64(now), o.Short, o.Target, o.Budget)
 	longBurn, nLong := burn(p, int64(now), o.Long, o.Target, o.Budget)
 	return SLOResult{
@@ -162,7 +174,7 @@ func evaluate[P points](o SLO, p P, now sim.Time) SLOResult {
 		ShortBurn: shortBurn,
 		LongBurn:  longBurn,
 		Samples:   nLong,
-		Burning:   nShort > 0 && nLong > 0 && shortBurn >= maxBurn && longBurn >= maxBurn,
+		Burning:   nShort > 0 && nLong > 0 && shortBurn >= 1 && longBurn >= 1,
 		NoData:    nShort == 0 || nLong == 0,
 	}
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -9,8 +10,8 @@ import (
 )
 
 // TestSLONoData: zero samples in either burn window is "cannot evaluate",
-// not "healthy" — the bug that let a rollout pass its SLO gate when the
-// bake ended before the first sampler tick.
+// not "healthy" — a window the sampler has not reached yet must not read
+// as a pass.
 func TestSLONoData(t *testing.T) {
 	o := SLO{Name: "ls_p99", Series: "p99", Target: 100, Budget: 0.1, Short: 30, Long: 100}
 
@@ -46,6 +47,33 @@ func TestSLONoData(t *testing.T) {
 	r = o.Evaluate(snap, 30)
 	if r.NoData || !r.Burning {
 		t.Fatalf("young series with data in both windows: %+v, want Burning", r)
+	}
+}
+
+// TestSLOValidate: an objective that could never burn (zero or negative
+// budget, NaN target) or never be evaluated (no series, no windows) is
+// refused; the edges of the legal ranges are not.
+func TestSLOValidate(t *testing.T) {
+	ok := SLO{Name: "s", Series: "p99", Target: 100, Budget: 1, Short: 100, Long: 100}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("budget 1, short == long: %v", err)
+	}
+	for name, mod := range map[string]func(*SLO){
+		"no series":     func(o *SLO) { o.Series = "" },
+		"NaN target":    func(o *SLO) { o.Target = math.NaN() },
+		"inf target":    func(o *SLO) { o.Target = math.Inf(-1) },
+		"zero budget":   func(o *SLO) { o.Budget = 0 },
+		"minus budget":  func(o *SLO) { o.Budget = -1 },
+		"NaN budget":    func(o *SLO) { o.Budget = math.NaN() },
+		"budget over 1": func(o *SLO) { o.Budget = 1.01 },
+		"zero short":    func(o *SLO) { o.Short = 0 },
+		"short > long":  func(o *SLO) { o.Long = 99 },
+	} {
+		o := ok
+		mod(&o)
+		if err := o.Validate(); err == nil {
+			t.Errorf("%s: %+v accepted", name, o)
+		}
 	}
 }
 
@@ -88,7 +116,7 @@ func TestEvaluateStore(t *testing.T) {
 // TestSamplerWindowHistogram: interval percentiles react within one tick
 // and decay right after, unlike the cumulative series.
 func TestSamplerWindowHistogram(t *testing.T) {
-	sa := NewSampler(Config{Period: 10, Capacity: 64})
+	sa := NewSampler(Config{Period: 10})
 	h := metrics.NewHistogram()
 	sa.Histogram("lat", h)
 	sa.WindowHistogram("lat", h)

@@ -1,6 +1,7 @@
 package syrupd
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -18,15 +19,12 @@ func burnCfg() adapt.Config {
 		Period: 100 * sim.Microsecond,
 		Rules: []adapt.Rule{{
 			Name: "p99_burn",
-			Detect: adapt.DetectorSpec{
-				Kind: "slo_burn",
-				SLO: &obs.SLO{
-					Name: "p99", Series: "p99", Target: 100, Budget: 0.1,
-					Short: 300 * sim.Microsecond, Long: 600 * sim.Microsecond,
-				},
+			Detect: obs.SLO{
+				Name: "p99", Series: "p99", Target: 100, Budget: 0.1,
+				Short: 300 * sim.Microsecond, Long: 600 * sim.Microsecond,
 			},
 			OnFire: adapt.ActionSpec{
-				Kind: "swap", App: 1, Hook: "socket_select",
+				App: 1, Hook: "socket_select",
 				Policy: "round_robin", Defines: map[string]int64{"NUM_THREADS": 2},
 			},
 			Sustain: 2,
@@ -62,11 +60,11 @@ func TestAdaptServerOps(t *testing.T) {
 		t.Fatal("adapt_enable without telemetry accepted")
 	}
 
-	sa := obs.NewSampler(obs.Config{Capacity: 256})
+	sa := obs.NewSampler(obs.Config{})
 	h.d.SetObs(sa)
 	st := sa.Store()
 	bad := burnCfg()
-	bad.Rules[0].Detect.Kind = "no_such_kind"
+	bad.Rules[0].Detect.Budget = 0
 	if resp := srv.Handle(&Request{Op: "adapt_enable", AdaptConfig: &bad}); resp.OK {
 		t.Fatal("malformed rule table accepted")
 	}
@@ -128,5 +126,39 @@ func TestAdaptServerOps(t *testing.T) {
 	}
 	if resp := srv.Handle(&Request{Op: "adapt_history"}); !resp.OK || len(resp.Decisions) != 1 {
 		t.Fatalf("history lost on disable: %+v", resp)
+	}
+}
+
+// TestAdaptEnableRefusesRemovedKinds: the controller's one rule kind is
+// an SLO burn that swaps a built-in. A table written for a detector or
+// action kind it no longer has — as a client would send it on the control
+// socket — is refused with an error, and nothing is armed.
+func TestAdaptEnableRefusesRemovedKinds(t *testing.T) {
+	const detect = `"detect":{"name":"p99","series":"p99","target":100,"budget":0.1,"short_ns":300000,"long_ns":600000}`
+	const onFire = `"on_fire":{"app":1,"hook":"socket_select","policy":"round_robin","defines":{"NUM_THREADS":2}}`
+	for kind, rule := range map[string]string{
+		"dispersion":  `"detect":{"kind":"dispersion","series":"latency_LS_win_p99_us","denom":"latency_LS_win_p50_us","ratio":5},` + onFire,
+		"imbalance":   `"detect":{"kind":"imbalance","group":["nic_inflight","softirq_backlog"],"ratio":3},` + onFire,
+		"fault_spike": `"detect":{"kind":"fault_spike","app":1,"hook":"socket_select","count":10},` + onFire,
+		"map_set":     detect + `,"on_fire":{"kind":"map_set","app":1,"map":"weights","key":0,"value":9}`,
+		"quarantine":  detect + `,"on_fire":{"kind":"quarantine","app":1,"hook":"socket_select"}`,
+	} {
+		h := newHost(t, 1, 0)
+		h.d.SetObs(obs.NewSampler(obs.Config{}))
+		srv := NewServer(h.d)
+		if resp := srv.Handle(&Request{Op: "register_app", App: 1, UID: 1000, Ports: []uint16{9000}}); !resp.OK {
+			t.Fatalf("register: %+v", resp)
+		}
+		var req Request
+		line := `{"op":"adapt_enable","adapt_config":{"period_ns":100000,"rules":[{"name":"r",` + rule + `}]}}`
+		if err := json.Unmarshal([]byte(line), &req); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if resp := srv.Handle(&req); resp.OK || !strings.Contains(resp.Error, `rule "r"`) {
+			t.Errorf("%s: adapt_enable = %+v, want a refusal naming the rule", kind, resp)
+		}
+		if resp := srv.Handle(&Request{Op: "adapt_status"}); resp.OK {
+			t.Errorf("%s: a controller was armed: %+v", kind, resp)
+		}
 	}
 }

@@ -80,10 +80,8 @@ func (w *watchdog) scan() {
 	}
 }
 
-// quarantineHook is the shared quarantine path: detach every deployment at
-// hk, bar redeploys, count, and mark the trace. The watchdog reaches it
-// when a fault window trips; the adapt controller reaches it through
-// Quarantine when a rule escalates.
+// quarantineHook is the watchdog's quarantine path: detach every
+// deployment at hk, bar redeploys, count, and mark the trace.
 func (d *Daemon) quarantineHook(app *App, hk Hook, target, label string, faultsInWindow uint64) {
 	for _, l := range app.links {
 		if l.Hook == hk {
@@ -106,32 +104,8 @@ func (d *Daemon) quarantineHook(app *App, hk Hook, target, label string, faultsI
 	}
 }
 
-// Quarantine force-detaches the app's deployments at hk and bars
-// redeploys, exactly as if the watchdog had tripped — the adapt
-// controller's escalation action. Quarantining an already-quarantined
-// hook is a no-op.
-func (d *Daemon) Quarantine(appID uint32, hk Hook) error {
-	app, ok := d.apps[appID]
-	if !ok {
-		return fmt.Errorf("syrupd: unknown app %d", appID)
-	}
-	if app.quarantined[hk] {
-		return nil
-	}
-	target, label := string(hk), ""
-	for _, al := range app.links {
-		if al.Hook == hk {
-			target, label = al.Target, al.Label()
-			break
-		}
-	}
-	d.quarantineHook(app, hk, target, label, 0)
-	return nil
-}
-
-// Quarantines reports how many quarantine events — watchdog trips and
-// forced quarantines alike — this daemon has carried out (the stats op's
-// syrupd_quarantines).
+// Quarantines reports how many times this daemon's watchdog has
+// quarantined a hook (the stats op's syrupd_quarantines).
 func (d *Daemon) Quarantines() uint64 { return d.quarantines }
 
 // Unquarantine re-arms a quarantined app at hk: the operator judged the

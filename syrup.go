@@ -89,11 +89,6 @@ type HostConfig struct {
 	NICQueues int
 	// Deprecated: Batch has no effect; kept only until a benchmark-archetype PR stops setting it.
 	Batch int
-	// NIC, Stack, and Kernel override low-level cost models; zero values
-	// take the calibrated defaults.
-	NIC    nic.Config
-	Stack  netstack.Config
-	Kernel kernel.Config
 	// Trace, when set, threads the request tracer through every layer
 	// (NIC, netstack, hook points, ghOSt agents) at construction.
 	// Tracing is off by default; the recorder never schedules events or
@@ -159,8 +154,6 @@ func (cfg HostConfig) Normalize() (HostConfig, error) {
 		return cfg, fmt.Errorf("syrup: NICQueues %d exceeds the per-host maximum %d", cfg.NICQueues, maxParallelism)
 	case cfg.HostID < 0:
 		return cfg, fmt.Errorf("syrup: HostID %d is negative", cfg.HostID)
-	case cfg.NIC.Queues < 0:
-		return cfg, fmt.Errorf("syrup: NIC.Queues %d is negative", cfg.NIC.Queues)
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -168,13 +161,9 @@ func (cfg HostConfig) Normalize() (HostConfig, error) {
 	if cfg.Name == "" {
 		cfg.Name = fmt.Sprintf("host-%d", cfg.HostID)
 	}
-	if cfg.NIC.Queues == 0 {
-		cfg.NIC.Queues = cfg.NICQueues
+	if cfg.NICQueues == 0 {
+		cfg.NICQueues = 1
 	}
-	if cfg.NIC.Queues == 0 {
-		cfg.NIC.Queues = 1
-	}
-	cfg.NICQueues = cfg.NIC.Queues
 	return cfg, nil
 }
 
@@ -223,12 +212,10 @@ func TryNewHost(cfg HostConfig) (*Host, error) {
 		return nil, err
 	}
 	eng := sim.New(cfg.Seed)
-	dev, stack := netstack.Wire(eng, cfg.NIC, cfg.Stack)
+	dev, stack := netstack.Wire(eng, nic.Config{Queues: cfg.NICQueues}, netstack.Config{})
 	var machine *kernel.Machine
 	if cfg.NumCPUs > 0 {
-		kcfg := cfg.Kernel
-		kcfg.NumCPUs = cfg.NumCPUs
-		machine = kernel.New(eng, kcfg)
+		machine = kernel.New(eng, kernel.Config{NumCPUs: cfg.NumCPUs})
 	}
 	h := &Host{
 		ID:      cfg.HostID,

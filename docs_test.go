@@ -10,10 +10,9 @@ import (
 	"testing"
 )
 
-// TestDocsNameOnlyWhatExists is the lint-docs stage: the documents a reader
-// builds and verifies from may only name things that exist. README.md,
-// DESIGN.md, the verify skill and the Makefile's own lines (comments
-// excepted) are scanned for
+// TestDocsNameOnlyWhatExists: the documents a reader builds and verifies
+// from may only name things that exist. README.md, DESIGN.md, the verify
+// skill and the Makefile's own lines (comments excepted) are scanned for
 //
 //   - internal/… and cmd/… paths, and backticked *.go file names;
 //   - `make <target>` invocations;

@@ -714,12 +714,7 @@ func directRuns(tree *srcTree) []string {
 			}
 		}
 	}
-	var out []string
-	for call := range calls {
-		out = append(out, call)
-	}
-	slices.Sort(out)
-	return out
+	return sortedKeys(calls)
 }
 
 func isUnkeyed(lit *ast.CompositeLit) bool {

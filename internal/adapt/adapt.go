@@ -10,7 +10,7 @@
 // wall-clock or PRNG input exists anywhere on the path. Two runs with the
 // same seed produce byte-identical decision histories, and a controller
 // whose rules never fire leaves the simulation bit-identical to one that
-// was never created (gated by make adapt-diff).
+// was never created (gated by TestAdaptDifferentialOff).
 package adapt
 
 import (

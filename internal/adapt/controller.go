@@ -47,7 +47,7 @@ type Controller struct {
 // and arms the decision ticker. The ticker draws no randomness and, while
 // no rule acts, changes nothing observable — runs with an idle controller
 // stay bit-identical to runs without one (the quarantine-watchdog
-// argument, gated by make adapt-diff).
+// argument, gated by TestAdaptDifferentialOff).
 func New(eng *sim.Engine, store *obs.Store, act Actuator, cfg Config) (*Controller, error) {
 	if store == nil {
 		return nil, fmt.Errorf("adapt: controller needs a telemetry store (enable the sampler)")

@@ -97,7 +97,7 @@ func TestAdaptiveDecisionSequence(t *testing.T) {
 	}
 }
 
-// TestAdaptDifferentialOff is the adapt-diff gate: a controller whose
+// TestAdaptDifferentialOff is the adaptive-control gate: a controller whose
 // rules never fire must leave the simulation bit-identical to a run with
 // no controller at all — the decision ticker draws no randomness and
 // schedules nothing observable. Runs the full burst scenario so the

@@ -68,7 +68,7 @@ func micaDigest(pt micaPoint) string {
 	return hostDigest(res, host)
 }
 
-// The figure slices the obs-diff gates run with the sampler on; their
+// The figure slices TestObsDifferential* runs with the sampler on; their
 // sampler-off legs are the pinned scenarios of the same name. Each takes
 // how the run observes and parallelises itself and fixes its own windows.
 func fig2Slice(pol SocketPolicy, rc RunConfig) rocksPoint {
@@ -113,7 +113,8 @@ func swapPoint(rc RunConfig) rocksPoint {
 	return pt
 }
 
-// The 4-host fleets of the cluster-diff gates.
+// The 4-host fleets of TestClusterWorkersDifferential and
+// TestClusterMicaWorkersDifferential.
 func fleetRocks(rc RunConfig) ClusterConfig {
 	rc.Windows = diffWindows
 	return ClusterConfig{

@@ -46,7 +46,8 @@ var FastWindows = Windows{
 // itself — everything about a run that is not the scenario. Every figure,
 // trace, chaos and cluster config carries one, and every host a run builds
 // is built from it. Results are bit-identical at any ObsPeriod, Workers and
-// Tracer (the obs-diff, cluster-diff and tracing gates).
+// Tracer (TestObsDifferential*, TestCluster*WorkersDifferential and
+// TestTracingDoesNotPerturbResults).
 type RunConfig struct {
 	// Windows are the simulated run lengths (zero: DefaultWindows).
 	Windows Windows

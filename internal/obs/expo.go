@@ -15,7 +15,8 @@ import (
 // in hists by ascending name as a summary, and the latest point of every
 // series in st (which may be nil). Timestamps are the sim clock in
 // milliseconds — scrapers normalize deltas into true rates with them.
-// Metric names are prefixed syrup_ and already snake_case (lint-metrics).
+// Metric names are prefixed syrup_ and already legal Prometheus names
+// (TestMetricNamesAreLegal).
 func PromText(counters []metrics.CounterValue, hists map[string]*metrics.Histogram, st *Store, now sim.Time) string {
 	var b strings.Builder
 	ms := int64(now) / 1e6

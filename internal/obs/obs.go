@@ -5,7 +5,7 @@
 // The sampler rides the engine's passive sampling hook (sim.SetSampler)
 // rather than scheduled events, so enabling telemetry consumes no event
 // sequence numbers and no PRNG draws — simulations are bit-identical with
-// sampling on or off (gated by make obs-diff), and the disabled cost is
+// sampling on or off (gated by TestObsDifferential*), and the disabled cost is
 // one nil check per event fire.
 package obs
 

@@ -82,7 +82,8 @@ func (sa *Sampler) Store() *Store { return sa.store }
 func (sa *Sampler) Period() sim.Time { return sa.period }
 
 // Gauge registers an instantaneous value sampled every tick (queue depth,
-// ring occupancy, runnable threads). Names are snake_case (lint-metrics).
+// ring occupancy, runnable threads). Names are Prometheus metric names,
+// [a-zA-Z_][a-zA-Z0-9_]* (TestMetricNamesAreLegal).
 func (sa *Sampler) Gauge(name string, fn func() float64) {
 	sa.gauges = append(sa.gauges, gaugeReg{s: sa.store.Series(name), fn: fn})
 }

@@ -5,7 +5,7 @@ package syrupd
 // entry point operators use — DeployBuiltin for hot swaps. The controller
 // ticks on the simulated clock and draws no randomness, so a host whose
 // rules never fire is bit-identical to one without a controller (gated by
-// make adapt-diff).
+// TestAdaptDifferentialOff).
 
 import (
 	"fmt"

@@ -399,7 +399,7 @@ func TestCountersDeterministic(t *testing.T) {
 // TestStatsDeltaConcurrent: delta reads racing the simulation must never
 // lose or double-count an increment — the deltas one consumer collects
 // plus its final residue sum to exactly the runs the host made. The
-// counters are plain fields, so this is the big lock's job; `make chaos`
+// counters are plain fields, so this is the big lock's job; `make race`
 // runs it under -race.
 func TestStatsDeltaConcurrent(t *testing.T) {
 	const key = "ebpf_hook_runs_socket_select_9000"

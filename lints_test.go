@@ -1,0 +1,424 @@
+package syrup_test
+
+import (
+	"go/ast"
+	"go/constant"
+	"go/token"
+	"go/types"
+	"regexp"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"testing/fstest"
+)
+
+// TestMetricNamesAreLegal: every name given to an obs.Sampler series
+// (Gauge, Rate, Histogram, WindowHistogram) or to a metrics.CounterValue
+// is a Prometheus metric name, [a-zA-Z_][a-zA-Z0-9_]*, which is all
+// obs.PromText needs (DESIGN.md "Telemetry plane"). A constant name is
+// checked whole; in a + chain built at run time ("latency_"+c.Name), each
+// constant operand is. The calls are found by type, not by spelling.
+func TestMetricNamesAreLegal(t *testing.T) {
+	t.Run("fixture", func(t *testing.T) {
+		tree, err := lintsTree()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []string{`nic names metric "bad-name"`, `nic names metric "ok_Bad.x"`, `nic names metric "x-"`}
+		if got := badMetricNames(tree); !slices.Equal(got, want) {
+			t.Fatalf("bad names = %q, want %q", got, want)
+		}
+	})
+
+	tree, err := repoTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range badMetricNames(tree) {
+		t.Errorf("%s: metric names are [a-zA-Z_][a-zA-Z0-9_]*", bad)
+	}
+}
+
+// TestNothingReadsTheEnvironment: policies take one path (verify, decode,
+// walk) and no environment variable may fork it, or anything else. Outside
+// the benchmark module, which pins its own build cache, no non-test file
+// reads or writes the environment.
+func TestNothingReadsTheEnvironment(t *testing.T) {
+	t.Run("fixture", func(t *testing.T) {
+		tree, err := lintsTree()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := envUses(tree), []string{"nic calls os.Getenv"}; !slices.Equal(got, want) {
+			t.Fatalf("env uses = %q, want %q", got, want)
+		}
+	})
+
+	tree, err := repoTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, use := range envUses(tree) {
+		t.Errorf("%s: no environment-variable switches outside benchmark/", use)
+	}
+}
+
+// TestNoAmbientState: the telemetry, policy-execution, per-request
+// datapath, event-engine and experiment-harness packages hold no state
+// shared by every host in the process, which is how per-host attribution
+// was lost once. No package-level var there holds a sync/atomic value or a
+// sync.Mutex or RWMutex (in place, through struct fields and arrays), and
+// no non-test code writes a package-level map by index or delete. In sim
+// and experiments a package-level var also needs an initializer: a plain
+// scalar that exists only to be assigned later is the shape the last two
+// toggles had (`var obsPeriod sim.Time`, `var poolWorkers int`).
+// sync.Pool and lookup tables never written after their initializer pass.
+func TestNoAmbientState(t *testing.T) {
+	t.Run("fixture", func(t *testing.T) {
+		want := []string{
+			"obs.hits holds sync/atomic.Int64",
+			"obs.seen is a package-level map non-test code writes",
+			"sim.planted has no initializer",
+		}
+		tree, err := lintsTree()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ambientState(tree); !slices.Equal(got, want) {
+			t.Fatalf("ambient state = %q, want %q", got, want)
+		}
+	})
+
+	tree, err := repoTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range ambientState(tree) {
+		t.Errorf("%s: keep the state on the host that owns it", bad)
+	}
+}
+
+var (
+	metricNameRe = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
+	// metricPartRe is a constant operand after the first in a + chain.
+	metricPartRe = regexp.MustCompile(`^[a-zA-Z0-9_]*$`)
+)
+
+// badMetricNames lists, sorted, every package of the tree that gives a
+// sampler series or a counter reading an illegal name, with the name.
+func badMetricNames(tree *srcTree) []string {
+	namers := map[types.Object]bool{} // the Sampler methods whose first argument is a name
+	var counterValue types.Type
+	for _, p := range tree.pkgs {
+		switch qual, _ := tree.internalQual(p); qual {
+		case "obs":
+			if tn, ok := p.types.Scope().Lookup("Sampler").(*types.TypeName); ok {
+				for _, name := range []string{"Gauge", "Rate", "Histogram", "WindowHistogram"} {
+					if obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(tn.Type()), false, p.types, name); obj != nil {
+						namers[obj] = true
+					}
+				}
+			}
+		case "metrics":
+			if tn, ok := p.types.Scope().Lookup("CounterValue").(*types.TypeName); ok {
+				counterValue = tn.Type()
+			}
+		}
+	}
+
+	bad := map[string]bool{}
+	for _, p := range tree.pkgs {
+		name := tree.qualName(p)
+		// check reports the constant parts of a name expression; first says
+		// whether e starts the name.
+		var check func(e ast.Expr, first bool)
+		check = func(e ast.Expr, first bool) {
+			if tv := p.info.Types[e]; tv.Value != nil && tv.Value.Kind() == constant.String {
+				re := metricPartRe
+				if first {
+					re = metricNameRe
+				}
+				if s := constant.StringVal(tv.Value); !re.MatchString(s) {
+					bad[name+" names metric "+strconv.Quote(s)] = true
+				}
+				return
+			}
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				check(x.X, first)
+			case *ast.BinaryExpr:
+				if x.Op == token.ADD {
+					check(x.X, first)
+					check(x.Y, false)
+				}
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && namers[p.info.Uses[sel.Sel]] && len(n.Args) > 0 {
+						check(n.Args[0], true)
+					}
+				case *ast.CompositeLit:
+					if counterValue == nil || !types.Identical(p.info.TypeOf(n), counterValue) {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok && kv.Key.(*ast.Ident).Name == "Name" {
+							check(kv.Value, true)
+						} else if !ok && i == 0 {
+							check(elt, true)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return sortedKeys(bad)
+}
+
+// envFuncs are the os functions that read or write the environment.
+var envFuncs = []string{"Clearenv", "Environ", "ExpandEnv", "Getenv", "LookupEnv", "Setenv", "Unsetenv"}
+
+// envUses lists, sorted, every package outside the benchmark module whose
+// non-test files touch the environment, with the function.
+func envUses(tree *srcTree) []string {
+	uses := map[string]bool{}
+	for _, p := range tree.pkgs {
+		if bench := tree.mainModule + "/benchmark"; p.path == bench || strings.HasPrefix(p.path, bench+"/") {
+			continue
+		}
+		name := tree.qualName(p)
+		for _, obj := range p.info.Uses {
+			if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "os" && slices.Contains(envFuncs, fn.Name()) {
+				uses[name+" calls os."+fn.Name()] = true
+			}
+		}
+	}
+	return sortedKeys(uses)
+}
+
+// ambientPkgs are the packages under internal/ TestNoAmbientState covers;
+// uninitialized are those where a package-level var also needs an
+// initializer.
+var (
+	ambientPkgs   = []string{"metrics", "obs", "trace", "hook", "ebpf", "syrupd", "nic", "workload", "experiments", "sim"}
+	uninitialized = []string{"experiments", "sim"}
+)
+
+// ambientState lists, sorted, every package-level var of ambientPkgs that
+// holds an atomic or a mutex, is a map some non-test file writes, or, in
+// the uninitialized packages, has no initializer.
+func ambientState(tree *srcTree) []string {
+	bad := map[string]bool{}
+	maps := map[types.Object]string{} // package-level maps in scope → qualified name
+	for _, p := range tree.pkgs {
+		qual, ok := tree.internalQual(p)
+		if !ok || !slices.Contains(ambientPkgs, qual) {
+			continue
+		}
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				gen, ok := decl.(*ast.GenDecl)
+				if !ok || gen.Tok != token.VAR {
+					continue
+				}
+				for _, spec := range gen.Specs {
+					spec := spec.(*ast.ValueSpec)
+					for _, id := range spec.Names {
+						obj := p.info.Defs[id]
+						if obj == nil {
+							continue
+						}
+						name := qual + "." + id.Name
+						if held := syncHeld(obj.Type(), nil); held != "" {
+							bad[name+" holds "+held] = true
+						}
+						if _, ok := obj.Type().Underlying().(*types.Map); ok {
+							maps[obj] = name
+						}
+						if len(spec.Values) == 0 && slices.Contains(uninitialized, qual) {
+							bad[name+" has no initializer"] = true
+						}
+					}
+				}
+			}
+		}
+	}
+
+	for _, p := range tree.pkgs {
+		// written marks the package-level map an index expression writes.
+		written := func(e ast.Expr) {
+			ix, ok := ast.Unparen(e).(*ast.IndexExpr)
+			if !ok {
+				return
+			}
+			if id, ok := ast.Unparen(ix.X).(*ast.Ident); ok && maps[p.info.Uses[id]] != "" {
+				bad[maps[p.info.Uses[id]]+" is a package-level map non-test code writes"] = true
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						written(lhs)
+					}
+				case *ast.IncDecStmt:
+					written(n.X)
+				case *ast.CallExpr:
+					id, ok := ast.Unparen(n.Fun).(*ast.Ident)
+					if !ok || len(n.Args) == 0 {
+						break
+					}
+					if b, ok := p.info.Uses[id].(*types.Builtin); ok && (b.Name() == "delete" || b.Name() == "clear") {
+						if m, ok := ast.Unparen(n.Args[0]).(*ast.Ident); ok && maps[p.info.Uses[m]] != "" {
+							bad[maps[p.info.Uses[m]]+" is a package-level map non-test code writes"] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return sortedKeys(bad)
+}
+
+// syncHeld names the sync/atomic type, sync.Mutex or sync.RWMutex that t
+// holds in place — itself, or through struct fields and array elements —
+// or returns "". seen guards against recursive types.
+func syncHeld(t types.Type, seen map[types.Type]bool) string {
+	if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
+		switch pkg, name := named.Obj().Pkg().Path(), named.Obj().Name(); {
+		case pkg == "sync/atomic", pkg == "sync" && (name == "Mutex" || name == "RWMutex"):
+			return pkg + "." + name
+		}
+	}
+	if seen[t] {
+		return ""
+	}
+	if seen == nil {
+		seen = map[types.Type]bool{}
+	}
+	seen[t] = true
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := range u.NumFields() {
+			if s := syncHeld(u.Field(i).Type(), seen); s != "" {
+				return s
+			}
+		}
+	case *types.Array:
+		return syncHeld(u.Elem(), seen)
+	}
+	return ""
+}
+
+// qualName is p's path below internal/, or its import path elsewhere.
+func (tr *srcTree) qualName(p *srcPkg) string {
+	if qual, ok := tr.internalQual(p); ok {
+		return qual
+	}
+	return p.path
+}
+
+func sortedKeys(set map[string]bool) []string {
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// lintsTree is lintsFixture, loaded once for the three gates above.
+var lintsTree = sync.OnceValues(func() (*srcTree, error) { return loadTree(lintsFixture) })
+
+// lintsFixture plants, for the metric-name gate, Gauge("bad-name"),
+// Rate("ok_"+"Bad.x") and a bad constant after a run-time operand; for the
+// environment gate, os.Getenv in a non-benchmark package; for the
+// ambient-state gate, a package-level atomic.Int64, a package-level map
+// written through m[k] = v and an uninitialized var in sim. What passes:
+// run-time name parts, a legal CounterValue, a Gauge method of another
+// type, os.Getenv in the benchmark module, a sync.Pool, a map only read,
+// and a multi-line initializer inside a var block (which the awk lint
+// this replaced could not parse).
+var lintsFixture = fstest.MapFS{
+	"go.mod": {Data: []byte("module fix\n")},
+	"internal/metrics/metrics.go": {Data: []byte(`package metrics
+
+import "sync"
+
+type CounterValue struct {
+	Name  string
+	Value uint64
+}
+
+var pool = sync.Pool{New: func() any { return new(int) }}
+`)},
+	"internal/obs/obs.go": {Data: []byte(`package obs
+
+import "sync/atomic"
+
+type Sampler struct{}
+
+func (*Sampler) Gauge(name string, fn func() float64)  {}
+func (*Sampler) Rate(name string, fn func() float64)   {}
+func (*Sampler) Histogram(name string, h any)          {}
+func (*Sampler) WindowHistogram(name string, h any)    {}
+
+var hits atomic.Int64
+
+var seen = map[string]int{}
+
+var units = map[string]int{"us": 1000}
+
+func Mark(k string) int {
+	seen[k] = units[k]
+	return len(seen)
+}
+`)},
+	"internal/sim/sim.go": {Data: []byte(`package sim
+
+var planted int
+
+var (
+	table = map[string]int{
+		"a": 1,
+		"b": 2,
+	}
+	limit = 3
+)
+
+func Limit() int { return table["a"] + limit + planted }
+`)},
+	"internal/nic/nic.go": {Data: []byte(`package nic
+
+import (
+	"os"
+
+	"fix/internal/metrics"
+	"fix/internal/obs"
+)
+
+type meter struct{}
+
+func (meter) Gauge(name string) {}
+
+func Register(sa *obs.Sampler, class string) []metrics.CounterValue {
+	sa.Gauge("bad-name", nil)
+	sa.Rate("ok_"+"Bad.x", nil)
+	sa.Histogram("latency_"+class, nil)
+	sa.WindowHistogram("latency_"+class+"x-", nil)
+	meter{}.Gauge("not-a-sampler")
+	_ = os.Getenv("NIC_MODE")
+	return []metrics.CounterValue{{Name: "nic_drops_" + class}, {"nic_" + class, 1}}
+}
+`)},
+	"benchmark/go.mod":  {Data: []byte("module fix/benchmark\n")},
+	"benchmark/main.go": {Data: []byte("package main\n\nimport \"os\"\n\nfunc main() { _ = os.Getenv(\"GOCACHE\") }\n")},
+}

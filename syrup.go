@@ -108,7 +108,7 @@ type HostConfig struct {
 	// hook: datapath gauges (softirq backlog, NIC inflight, runnable ghOSt
 	// threads, quarantined links) are sampled every Period. The hook
 	// schedules no events and draws no randomness, so runs are
-	// bit-identical with telemetry on or off (gated by make obs-diff). Off
+	// bit-identical with telemetry on or off (gated by TestObsDifferential*). Off
 	// by default.
 	Telemetry *obs.Config
 	// PolicyProfile deploys this host's policies with per-instruction

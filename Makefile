@@ -11,18 +11,18 @@ vet:
 # The full suite. Its root package holds the typed source gates, on one
 # go/types load of the tree: TestExportsAreReached, TestFieldsAreWritten,
 # TestPoliciesRunThroughHooks, TestMetricNamesAreLegal,
-# TestNothingReadsTheEnvironment and TestNoAmbientState.
+# TestNothingReadsTheEnvironment, TestNoAmbientState and
+# TestHostStateHasNoLocks.
 test:
 	$(GO) test ./...
 
 # The race detector over every package but one: the facade, the CLIs and
-# all of internal/ — the VM's concurrent-Run contract and run-state pool,
-# the RocksDB store's readers beside one writer, the fleet at -workers > 1
-# (cluster, par), syrupd's server ops against the event loop (the chaos
-# suite's quarantine and revoke tests among them), the adapt controller,
-# and the single-owner layers (hook, ghost, nic, netstack, obs, trace, ...)
-# whose suites staying clean shows nothing they call shares state behind
-# their back. internal/experiments is left out: it takes ~9 min under
+# all of internal/ — the fleet at -workers > 1 (cluster, par), syrupd's
+# server ops against the event loop (the one door into a host: its map ops
+# beside a policy that XADDs the same map, the chaos suite's quarantine and
+# revoke tests), the adapt controller, and the single-owner layers (ebpf,
+# hook, ghost, nic, netstack, rocksdb, obs, trace, ...) whose suites staying
+# clean shows nothing they call shares state behind their back. internal/experiments is left out: it takes ~9 min under
 # -race and found nothing the packages it drives do not find here. The
 # zero-alloc gates (TestZeroAlloc*) run here and again under test: a
 # device-owned free list keeps every packet put back, race detector or not.

@@ -87,7 +87,7 @@ func TestExportsAreReached(t *testing.T) {
 // an assignment, op-assignment or ++/-- through a selector chain that
 // passes through the field (n.Stats.Drops++ writes Stats and Drops); &x.F;
 // or a pointer-receiver method called on the addressable field
-// (s.Gets.Add(1)). A field no run sets is a constant: make it one, or
+// (t.Gets.Add(1)). A field no run sets is a constant: make it one, or
 // delete the code behind its other values.
 func TestFieldsAreWritten(t *testing.T) {
 	t.Run("fixture", func(t *testing.T) {
@@ -224,7 +224,7 @@ var Origin = Pair{1, 2}
 
 // runsFixture plants the two direct runs a layer could make: a method value
 // call with a nil environment, which the grep this replaced missed, and a
-// pooled run state's Run.
+// caller-owned run state's Run.
 var runsFixture = fstest.MapFS{
 	"go.mod": {Data: []byte("module fix\n")},
 	"internal/ebpf/ebpf.go": {Data: []byte(`package ebpf
@@ -265,7 +265,7 @@ type srcPkg struct {
 	info  *types.Info
 }
 
-// repoTree is this repository, loaded once for all three gates.
+// repoTree is this repository, loaded once for every gate.
 var repoTree = sync.OnceValues(func() (*srcTree, error) { return loadTree(os.DirFS(".")) })
 
 // internalQual is the qualified-name prefix of a package under the main
@@ -654,7 +654,7 @@ func unwrittenFields(tree *srcTree) []string {
 					}
 				case *ast.CallExpr:
 					// A pointer method on an addressable value takes its
-					// address: s.Gets.Add(1) is (&s.Gets).Add(1).
+					// address: t.Gets.Add(1) is (&t.Gets).Add(1).
 					sel, ok := n.Fun.(*ast.SelectorExpr)
 					if !ok {
 						break

@@ -83,6 +83,10 @@ type Server struct {
 
 	warmFlows [][]uint64 // per-thread LRU of recently served flows
 	keyTable  []string   // precomputed canonical keys, indexed by keyHash % KeySpace
+	// scanBuf is the one buffer every worker's SCAN fills and drops: the
+	// result is never read, and a buffer per server rather than per
+	// worker keeps a 36-thread server's heap flat.
+	scanBuf []KV
 }
 
 // NewServer creates the server's threads and sockets. Each worker thread
@@ -261,7 +265,7 @@ func (w *worker) finishOp() {
 	key := s.keyTable[int(w.keyHash)%s.cfg.KeySpace]
 	switch w.reqType {
 	case policy.ReqSCAN:
-		s.store.Scan(key, 100)
+		s.scanBuf = s.store.AppendScan(s.scanBuf[:0], key, 100)
 		s.ProcessedSCAN++
 	case policy.ReqPUT:
 		s.store.Put(key, "updated")

@@ -15,8 +15,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 )
 
 // memtableFlushSize is the number of entries after which the memtable is
@@ -27,11 +25,11 @@ const memtableFlushSize = 4096
 const maxRuns = 8
 
 // Store is a miniature LSM tree: one mutable memtable plus a stack of
-// immutable sorted runs, newest first. It is safe for concurrent use.
+// immutable sorted runs, newest first. It belongs to the server of one
+// host and takes no lock (DESIGN.md "One owner per host").
 type Store struct {
-	mu sync.RWMutex
 	// index is the point-lookup index: key → newest value, written by Put
-	// under the write lock and probed once by Get. Flush and compaction
+	// and probed once by Get. Flush and compaction
 	// move versions between runs but never change which value is newest,
 	// and the store has no delete, so neither touches it. The memtable and
 	// the runs stay the ordered structures Scan, Len and compaction read.
@@ -43,9 +41,8 @@ type Store struct {
 	mem  run
 	runs []run // runs[0] is newest
 
-	// Stats. Readers hold only the read lock, so theirs are atomic.
-	Gets, Scans                atomic.Uint64
-	Puts, Flushes, Compactions uint64
+	// Stats.
+	Gets, Scans, Puts, Flushes, Compactions uint64
 }
 
 // run is a sorted, duplicate-free key/value array pair. Its first and last
@@ -84,46 +81,46 @@ func (r *run) put(key, value string) {
 
 // Put inserts or overwrites a key.
 func (s *Store) Put(key, value string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.Puts++
 	s.index[key] = value
 	s.mem.put(key, value)
 	if len(s.mem.keys) >= memtableFlushSize {
-		s.flushLocked()
+		s.flush()
 	}
 }
 
 // Get returns the newest value for key.
 func (s *Store) Get(key string) (string, bool) {
-	s.Gets.Add(1)
-	s.mu.RLock()
+	s.Gets++
 	v, ok := s.index[key]
-	s.mu.RUnlock()
 	return v, ok
 }
 
 // Scan returns up to limit key/value pairs with key >= start, in key
 // order, merging the memtable and all runs (newest version wins).
-func (s *Store) Scan(start string, limit int) []KV {
-	s.Scans.Add(1)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+func (s *Store) Scan(start string, limit int) []KV { return s.AppendScan(nil, start, limit) }
+
+// AppendScan is Scan appending to dst: a caller that scans into a buffer
+// it keeps allocates nothing once the buffer has grown to limit.
+func (s *Store) AppendScan(dst []KV, start string, limit int) []KV {
+	s.Scans++
 	var buf [maxRuns + 1]iterator
 	m := s.mergeFrom(buf[:0], start)
 	n := min(limit, m.remaining())
 	if n <= 0 {
-		return nil
+		return dst
 	}
-	out := make([]KV, 0, n)
-	for len(out) < n {
+	if cap(dst)-len(dst) < n {
+		dst = append(make([]KV, 0, len(dst)+n), dst...)
+	}
+	for range n {
 		k, v, ok := m.next()
 		if !ok {
 			break
 		}
-		out = append(out, KV{Key: k, Value: v})
+		dst = append(dst, KV{Key: k, Value: v})
 	}
-	return out
+	return dst
 }
 
 // KV is one scan result entry.
@@ -133,8 +130,6 @@ type KV struct {
 
 // Len reports the number of live entries (shadowed versions count once).
 func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	var buf [maxRuns + 1]iterator
 	m := s.mergeFrom(buf[:0], "")
 	n := 0
@@ -144,8 +139,8 @@ func (s *Store) Len() int {
 	return n
 }
 
-// flushLocked seals the memtable: its arrays become the newest run as is.
-func (s *Store) flushLocked() {
+// flush seals the memtable: its arrays become the newest run as is.
+func (s *Store) flush() {
 	if len(s.mem.keys) == 0 {
 		return
 	}
@@ -153,13 +148,13 @@ func (s *Store) flushLocked() {
 	s.runs = append([]run{s.mem}, s.runs...)
 	s.mem = run{}
 	if len(s.runs) > maxRuns {
-		s.compactLocked()
+		s.compact()
 	}
 }
 
-// compactLocked merges all runs (the memtable was just sealed, so it is
+// compact merges all runs (the memtable was just sealed, so it is
 // empty) into one, dropping shadowed versions.
-func (s *Store) compactLocked() {
+func (s *Store) compact() {
 	s.Compactions++
 	var buf [maxRuns + 1]iterator
 	m := s.mergeFrom(buf[:0], "")
@@ -238,11 +233,9 @@ func (s *Store) preload(keys []string) {
 	values := render(len(keys), 6+len(strconv.Itoa(len(keys))), func(b []byte, i int) []byte {
 		return strconv.AppendInt(append(b, "value-"...), int64(i), 10)
 	})
-	s.mu.Lock()
 	if len(s.index) == 0 {
 		s.index = make(map[string]string, len(keys)) // sized once instead of grown
 	}
-	s.mu.Unlock()
 	for i, k := range keys {
 		s.Put(k, values[i])
 	}

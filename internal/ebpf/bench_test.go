@@ -135,9 +135,9 @@ func dispatchPrograms(b *testing.B) map[string]*Program {
 }
 
 // BenchmarkDispatch compares the reference (RunInterp: plain decoding,
-// fresh state, decoded per call) with Run (pinned decoding, pooled state) on
-// the three canonical policy shapes. Run with -benchmem: the run rows must
-// report 0 allocs/op in steady state.
+// fresh state, decoded per call) with Run (pinned decoding, the program's
+// own reused state) on the three canonical policy shapes. Run with
+// -benchmem: the run rows must report 0 allocs/op in steady state.
 func BenchmarkDispatch(b *testing.B) {
 	env := &Env{
 		Prandom: func() uint32 { return 4 },
@@ -152,7 +152,7 @@ func BenchmarkDispatch(b *testing.B) {
 					run = p.RunInterp
 				}
 				ctx := &Ctx{Packet: make([]byte, 64), Hash: 0x1234}
-				// Warm the pool and dynamic-region capacity.
+				// Warm the dynamic-region capacity.
 				for i := 0; i < 8; i++ {
 					if _, _, err := run(ctx, env); err != nil {
 						b.Fatal(err)

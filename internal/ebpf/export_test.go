@@ -43,8 +43,6 @@ func (p *Program) Kinds(pinned bool) []Kind {
 // Dump renders every slot of an array map and every entry of a hash map as
 // hex value by hex key: the final map state the differential tests compare.
 func (m *Map) Dump() map[string]string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	out := map[string]string{}
 	switch m.spec.Type {
 	case MapArray:

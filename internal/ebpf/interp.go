@@ -73,20 +73,15 @@ type ExecStats struct {
 	Helpers   int
 }
 
-type dynRegion struct {
-	data []byte
-	m    *Map // owner, for atomic ops
-}
-
 // runState is the mutable state of one program invocation: registers,
-// stack, dynamic map-value regions, accounting, and the ambient context.
-// Run reuses runStates (a hook point's own RunState, or the pool behind
-// Program.Run) so steady-state execution allocates nothing; the reference
-// takes a fresh one per run.
+// stack, dynamic map-value regions (the live values lookups returned),
+// accounting, and the ambient context. Run reuses runStates (a hook point's
+// own RunState, or the program's own behind Program.Run) so steady-state
+// execution allocates nothing; the reference takes a fresh one per run.
 type runState struct {
 	stack   [StackSize]byte
 	regs    [NumRegs]uint64
-	regions []dynRegion
+	regions [][]byte
 	env     *Env
 	ctx     *Ctx
 	stats   ExecStats
@@ -99,50 +94,45 @@ type runState struct {
 // whose call instruction draws, so it depends on nothing but that
 // program's earlier fallback draws. xorshift32 never reaches zero from a
 // nonzero state, so the zero value means "no draw yet" and takes the fixed
-// seed. The state is atomic because a Program is safe for concurrent Run
-// calls; the CAS loop preserves the exact single-threaded sequence.
+// seed.
 func (p *Program) fallbackPrandom() uint32 {
-	for {
-		old := p.prng.Load()
-		x := old
-		if x == 0 {
-			x = 0x9e3779b9
-		}
-		x ^= x << 13
-		x ^= x >> 17
-		x ^= x << 5
-		if p.prng.CompareAndSwap(old, x) {
-			return x
-		}
+	x := p.prng
+	if x == 0 {
+		x = 0x9e3779b9
 	}
+	x ^= x << 13
+	x ^= x >> 17
+	x ^= x << 5
+	p.prng = x
+	return x
 }
 
 // mem resolves a tagged pointer to a live byte slice of exactly size bytes.
-func (rs *runState) mem(ptr uint64, size int) ([]byte, *Map, error) {
+func (rs *runState) mem(ptr uint64, size int) ([]byte, error) {
 	off := int(ptrOff(ptr))
 	switch region := ptrRegion(ptr); {
 	case region == regionStack:
 		if off < 0 || off+size > StackSize {
-			return nil, nil, fmt.Errorf("stack access out of range: off %d size %d", off, size)
+			return nil, fmt.Errorf("stack access out of range: off %d size %d", off, size)
 		}
-		return rs.stack[off : off+size], nil, nil
+		return rs.stack[off : off+size], nil
 	case region == regionPacket:
 		if off < 0 || off+size > len(rs.ctx.Packet) {
-			return nil, nil, errPacketRange(int64(off), size, len(rs.ctx.Packet))
+			return nil, errPacketRange(int64(off), size, len(rs.ctx.Packet))
 		}
-		return rs.ctx.Packet[off : off+size], nil, nil
+		return rs.ctx.Packet[off : off+size], nil
 	case region >= regionDynBase:
 		idx := int(region - regionDynBase)
 		if idx >= len(rs.regions) {
-			return nil, nil, fmt.Errorf("bad dynamic region %d", idx)
+			return nil, fmt.Errorf("bad dynamic region %d", idx)
 		}
 		r := rs.regions[idx]
-		if off < 0 || off+size > len(r.data) {
-			return nil, nil, fmt.Errorf("map value access out of range: off %d size %d len %d", off, size, len(r.data))
+		if off < 0 || off+size > len(r) {
+			return nil, fmt.Errorf("map value access out of range: off %d size %d len %d", off, size, len(r))
 		}
-		return r.data[off : off+size], r.m, nil
+		return r[off : off+size], nil
 	}
-	return nil, nil, fmt.Errorf("dereference of non-memory pointer %#x", ptr)
+	return nil, fmt.Errorf("dereference of non-memory pointer %#x", ptr)
 }
 
 func errPacketRange(off int64, size, n int) error {
@@ -198,7 +188,7 @@ func (rs *runState) load(base uint64, off int64, size int) (uint64, error) {
 			return 0, fmt.Errorf("bad ctx load at %d", off)
 		}
 	}
-	b, _, err := rs.mem(base+uint64(off), size)
+	b, err := rs.mem(base+uint64(off), size)
 	if err != nil {
 		return 0, err
 	}
@@ -206,21 +196,14 @@ func (rs *runState) load(base uint64, off int64, size int) (uint64, error) {
 }
 
 func (rs *runState) store(base uint64, off int64, size int, v uint64, xadd bool) error {
-	b, owner, err := rs.mem(base+uint64(off), size)
+	b, err := rs.mem(base+uint64(off), size)
 	if err != nil {
 		return err
 	}
 	if xadd {
-		// Serialize against the userspace map API via the owner's lock.
-		if owner != nil {
-			owner.mu.Lock()
-		}
 		v += loadSized(b, size)
 	}
 	storeSized(b, size, v)
-	if xadd && owner != nil {
-		owner.mu.Unlock()
-	}
 	return nil
 }
 
@@ -248,7 +231,7 @@ func (rs *runState) lookup(m *Map, key []byte) error {
 	if len(rs.regions) >= (1<<16)-regionDynBase {
 		return fmt.Errorf("too many map value regions")
 	}
-	rs.regions = append(rs.regions, dynRegion{data: ref, m: m})
+	rs.regions = append(rs.regions, ref)
 	rs.clobber(ptrVal(regionDynBase+uint64(len(rs.regions)-1), 0))
 	return nil
 }
@@ -271,8 +254,7 @@ func (rs *runState) call(p *Program, id int32) (*Program, error) {
 		return p.maps[idx], nil
 	}
 	keyArg := func(r int, m *Map) ([]byte, error) {
-		b, _, err := rs.mem(regs[r], int(m.spec.KeySize))
-		return b, err
+		return rs.mem(regs[r], int(m.spec.KeySize))
 	}
 
 	switch id {
@@ -295,7 +277,7 @@ func (rs *runState) call(p *Program, id int32) (*Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		val, _, err := rs.mem(regs[R3], int(m.spec.ValueSize))
+		val, err := rs.mem(regs[R3], int(m.spec.ValueSize))
 		if err != nil {
 			return nil, err
 		}

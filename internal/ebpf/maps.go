@@ -3,7 +3,6 @@ package ebpf
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 )
 
 // MapType enumerates the map kinds Syrup needs: ARRAY (executor tables,
@@ -59,15 +58,15 @@ type MapSpec struct {
 	MaxEntries uint32
 }
 
-// Map is a kernel map. All userspace-facing operations are internally
-// synchronized; value memory handed to the interpreter is the live backing
-// store (kernel semantics: lookups return pointers into map memory), and
-// concurrent unsynchronized access through those pointers races exactly as
-// it does in real eBPF unless the program uses atomic XADD.
+// Map is a kernel map. Value memory handed to a program is the live backing
+// store (kernel semantics: lookups return pointers into map memory). A map
+// belongs to one host, like everything else the host owns, and takes no
+// lock: the host's event loop is its only user, and another goroutine —
+// a syrupd client — reaches it only under syrupd.Server's big lock
+// (DESIGN.md "One owner per host").
 type Map struct {
 	spec MapSpec
 
-	mu sync.RWMutex
 	// Array storage: one contiguous backing slice so value pointers remain
 	// stable for the program's lifetime.
 	arrayData []byte
@@ -153,10 +152,7 @@ func (m *Map) lookupRef(key []byte) []byte {
 		vs := int(m.spec.ValueSize)
 		return m.arrayData[int(idx)*vs : int(idx)*vs+vs]
 	case MapHash:
-		m.mu.RLock()
-		v := m.hashData[string(key)]
-		m.mu.RUnlock()
-		return v
+		return m.hashData[string(key)]
 	}
 	return nil
 }
@@ -172,8 +168,6 @@ func (m *Map) Update(key, value []byte) error {
 	if uint32(len(value)) != m.spec.ValueSize {
 		return fmt.Errorf("ebpf: map %q: value size %d, want %d", m.spec.Name, len(value), m.spec.ValueSize)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	switch m.spec.Type {
 	case MapArray:
 		idx := binary.LittleEndian.Uint32(key)
@@ -205,8 +199,6 @@ func (m *Map) Delete(key []byte) error {
 	}
 	switch m.spec.Type {
 	case MapHash:
-		m.mu.Lock()
-		defer m.mu.Unlock()
 		if _, ok := m.hashData[string(key)]; !ok {
 			return fmt.Errorf("ebpf: map %q: key not found", m.spec.Name)
 		}
@@ -222,12 +214,9 @@ func (m *Map) Delete(key []byte) error {
 func (m *Map) LookupUint64(key uint32) (uint64, bool) {
 	var kb [4]byte
 	binary.LittleEndian.PutUint32(kb[:], key)
-	// Read the 8 bytes in place under the read lock: a copy would allocate
-	// on every call, and thread policies call this per runnable thread per
-	// decision.
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	ref := m.lookupRefLocked(kb[:])
+	// Read the 8 bytes in place: a copy would allocate on every call, and
+	// thread policies call this per runnable thread per decision.
+	ref := m.lookupRef(kb[:])
 	if len(ref) < 8 {
 		return 0, false
 	}
@@ -243,31 +232,19 @@ func (m *Map) UpdateUint64(key uint32, value uint64) error {
 	return m.Update(kb[:], vb[:])
 }
 
-// AddUint64 atomically adds delta to the 64-bit value at key (userspace
-// equivalent of the program-side XADD).
+// AddUint64 adds delta to the 64-bit value at key (userspace equivalent of
+// the program-side XADD).
 func (m *Map) AddUint64(key uint32, delta uint64) error {
 	var kb [4]byte
 	binary.LittleEndian.PutUint32(kb[:], key)
 	if err := m.checkKey(kb[:]); err != nil {
 		return err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ref := m.lookupRefLocked(kb[:])
-	if ref == nil || len(ref) < 8 {
+	ref := m.lookupRef(kb[:])
+	if len(ref) < 8 {
 		return fmt.Errorf("ebpf: map %q: key %d not found", m.spec.Name, key)
 	}
 	binary.LittleEndian.PutUint64(ref, binary.LittleEndian.Uint64(ref)+delta)
-	return nil
-}
-
-func (m *Map) lookupRefLocked(key []byte) []byte {
-	switch m.spec.Type {
-	case MapArray:
-		return m.lookupRef(key)
-	case MapHash:
-		return m.hashData[string(key)]
-	}
 	return nil
 }
 
@@ -279,9 +256,7 @@ func (m *Map) UpdateProg(idx uint32, p *Program) error {
 	if idx >= m.spec.MaxEntries {
 		return fmt.Errorf("ebpf: prog_array %q: index %d out of range", m.spec.Name, idx)
 	}
-	m.mu.Lock()
 	m.progs[idx] = p
-	m.mu.Unlock()
 	return nil
 }
 
@@ -290,16 +265,12 @@ func (m *Map) prog(idx uint32) *Program {
 	if m.spec.Type != MapProgArray || idx >= m.spec.MaxEntries {
 		return nil
 	}
-	m.mu.RLock()
-	p := m.progs[idx]
-	m.mu.RUnlock()
-	return p
+	return m.progs[idx]
 }
 
 // MapTable assigns file descriptors to maps, standing in for the
 // per-process fd table; syrupd owns one table per application.
 type MapTable struct {
-	mu   sync.Mutex
 	next int32
 	byFD map[int32]*Map
 }
@@ -312,8 +283,6 @@ func NewMapTable() *MapTable {
 
 // Register assigns the next fd to m.
 func (t *MapTable) Register(m *Map) int32 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	fd := t.next
 	t.next++
 	t.byFD[fd] = m
@@ -322,7 +291,5 @@ func (t *MapTable) Register(m *Map) int32 {
 
 // Get resolves an fd, or nil.
 func (t *MapTable) Get(fd int32) *Map {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.byFD[fd]
 }

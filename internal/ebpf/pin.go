@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // PinRegistry models the bpffs/sysfs pin namespace syrupd uses to share
@@ -12,7 +11,6 @@ import (
 // hooks (§3.4). Access control mirrors file-system permissions: the owning
 // UID always has access; others need the world-readable/writable bits.
 type PinRegistry struct {
-	mu      sync.Mutex
 	entries map[string]*pinEntry
 }
 
@@ -39,8 +37,6 @@ func (r *PinRegistry) Pin(path string, m *Map, owner uint32, mode uint32) error 
 	if !strings.HasPrefix(path, "/") {
 		return fmt.Errorf("ebpf: pin path %q must be absolute", path)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if _, ok := r.entries[path]; ok {
 		return fmt.Errorf("ebpf: pin path %q already exists", path)
 	}
@@ -51,8 +47,6 @@ func (r *PinRegistry) Pin(path string, m *Map, owner uint32, mode uint32) error 
 // Open resolves a pinned map for uid, enforcing owner/world permissions.
 // write selects which world bit is required for non-owners.
 func (r *PinRegistry) Open(path string, uid uint32, write bool) (*Map, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	e, ok := r.entries[path]
 	if !ok {
 		return nil, fmt.Errorf("ebpf: no map pinned at %q", path)
@@ -71,8 +65,6 @@ func (r *PinRegistry) Open(path string, uid uint32, write bool) (*Map, error) {
 
 // Unpin removes a path; only the owner may unpin.
 func (r *PinRegistry) Unpin(path string, uid uint32) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	e, ok := r.entries[path]
 	if !ok {
 		return fmt.Errorf("ebpf: no map pinned at %q", path)
@@ -86,8 +78,6 @@ func (r *PinRegistry) Unpin(path string, uid uint32) error {
 
 // List returns all pinned paths under prefix, sorted.
 func (r *PinRegistry) List(prefix string) []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var out []string
 	for p := range r.entries {
 		if strings.HasPrefix(p, prefix) {

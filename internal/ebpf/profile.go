@@ -2,30 +2,31 @@ package ebpf
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
 // Per-program profiling, modeled on the kernel's bpf_stats_enabled
 // run-time/run-count accounting plus bpftool-prog-profile-style
 // per-instruction counters. Profiling is opt-in at load time
-// (LoadOptions.Profile) because the counters cost an atomic add per
-// executed instruction; an unprofiled load carries a single nil field.
+// (LoadOptions.Profile) because the counters cost an add per executed
+// instruction; an unprofiled load carries a single nil field.
 // Profiling is not a mode: a profiled program is decoded and walked
 // exactly like an unprofiled one, and the walker bumps hits[pc] itself —
 // exact by construction, because one op is one source instruction. The
 // measured cost is reported in EXPERIMENTS.md.
 
 // profData holds a profiled program's counters: one hit counter per
-// instruction slot (atomic: programs run concurrently across hosts'
-// goroutines in cluster sweeps) and cumulative wall nanoseconds.
+// instruction slot and cumulative wall nanoseconds. They are plain fields,
+// like the program's own accounting: no program runs on two hosts'
+// goroutines.
 type profData struct {
-	hits  []atomic.Uint64
-	nanos atomic.Uint64
+	hits  []uint64
+	nanos uint64
 }
 
-func newProfData(n int) *profData { return &profData{hits: make([]atomic.Uint64, n)} }
+func newProfData(n int) *profData { return &profData{hits: make([]uint64, n)} }
 
 // Profiling reports whether this load carries per-instruction counters.
 func (p *Program) Profiling() bool { return p.prof != nil }
@@ -60,17 +61,13 @@ func (p *Program) Profile() *ProfileSnapshot {
 	if p.prof == nil {
 		return nil
 	}
-	s := &ProfileSnapshot{
+	return &ProfileSnapshot{
 		Name:  p.name,
-		Runs:  p.runs.Load(),
-		Insns: p.instret.Load(),
-		Nanos: p.prof.nanos.Load(),
-		Hits:  make([]uint64, len(p.prof.hits)),
+		Runs:  p.runs,
+		Insns: p.instret,
+		Nanos: p.prof.nanos,
+		Hits:  slices.Clone(p.prof.hits),
 	}
-	for i := range p.prof.hits {
-		s.Hits[i] = p.prof.hits[i].Load()
-	}
-	return s
 }
 
 // profNow/profSince isolate the one wall-clock dependency; the simulator

@@ -1,9 +1,6 @@
 package ebpf
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // MaxInsns caps program length, mirroring the kernel's per-program limit
 // for unprivileged loads.
@@ -17,8 +14,10 @@ const DefaultVerifierBudget = 1_000_000
 // MaxTailCalls bounds tail-call chains at runtime, as in the kernel.
 const MaxTailCalls = 33
 
-// Program is a loaded, verified program. Programs are immutable after Load
-// and safe for concurrent Run calls (each run gets its own stack).
+// Program is a loaded, verified program. Its code is immutable after Load;
+// its accounting, fallback PRNG and Run's state are plain fields, because a
+// program belongs to the one host that loaded it (DESIGN.md "One owner per
+// host").
 type Program struct {
 	name  string
 	insns []Instruction
@@ -39,17 +38,21 @@ type Program struct {
 	facts *Facts
 
 	// Accounting for Table 2.
-	runs    atomic.Uint64
-	instret atomic.Uint64
+	runs    uint64
+	instret uint64
 	// faults counts runs of this program that ended in a runtime error,
 	// charged to the program whose instruction faulted (after tail calls,
 	// that is the callee, not the entry program) — the per-tenant signal
 	// syrupd's quarantine watchdog reads for dispatcher slots.
-	faults atomic.Uint64
+	faults uint64
 
 	// prng is the state of the fallback get_prandom_u32 stream
 	// (fallbackPrandom); zero until the first draw.
-	prng atomic.Uint32
+	prng uint32
+
+	// rs is the run state Run executes on; a hook point brings its own
+	// (RunState) and never touches this one.
+	rs runState
 
 	// prof holds the opt-in per-instruction profile (profile.go); nil —
 	// the common case — means no profiling overhead beyond one nil check
@@ -158,16 +161,15 @@ type Stats struct {
 
 // Stats returns cumulative accounting.
 func (p *Program) Stats() Stats {
-	return Stats{Runs: p.runs.Load(), InsnsExecuted: p.instret.Load(), Faults: p.faults.Load()}
+	return Stats{Runs: p.runs, InsnsExecuted: p.instret, Faults: p.faults}
 }
 
 // MeanInsnsPerRun reports average executed instructions per invocation.
 func (p *Program) MeanInsnsPerRun() float64 {
-	r := p.runs.Load()
-	if r == 0 {
+	if p.runs == 0 {
 		return 0
 	}
-	return float64(p.instret.Load()) / float64(r)
+	return float64(p.instret) / float64(p.runs)
 }
 
 // Disassemble renders the loaded (map-resolved) instruction stream.

@@ -6,7 +6,7 @@ package ebpf
 // is installed at the time. The zero value is ready. Every per-run effect
 // (reset, stats, instret and fault charging, tail-call handling) is the
 // one Program.Run has; only where the state comes from differs: Program.Run
-// is safe from any goroutine and borrows a state from a pool per call.
+// executes on a state the program owns.
 type RunState struct{ rs runState }
 
 // Run executes one invocation of p against ctx on s, equivalent in every

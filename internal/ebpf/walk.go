@@ -18,11 +18,7 @@ package ebpf
 // pinned arm of the walker — a wrong fact, or a pinned kind chosen without
 // one, shows up as a result that differs from the reference's.
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // opKind selects the walker's arm for a slot.
 type opKind uint8
@@ -200,22 +196,12 @@ func stackWindow(base RegFact, insOff int64, size int) (int64, bool) {
 	return lo, true
 }
 
-// runStatePool lends run state to Program.Run, the entry any goroutine may
-// call; a hook point owns a RunState instead and never comes here. A state
-// is reused as it was left and reset lazily: the 512-byte stack and the
-// registers stay dirty because the verifier rejects any read of an
-// uninitialized register or stack byte (only unverified loads pay for a
-// scrub on entry), and the env/ctx/region references from the last run
-// are overwritten or truncated at reuse — they point at caller-owned
-// contexts and long-lived map storage, so holding them across the gap
-// pins nothing meaningful.
-var runStatePool = sync.Pool{New: func() any { return new(runState) }}
-
 // Run executes the program against ctx and returns R0's low 32 bits (the
 // schedule() verdict) along with execution stats. Runtime errors indicate
 // an exhausted tail-call budget, an injected fault or a verifier gap;
-// hooks treat them as PASS after logging. Steady state performs zero heap allocations
-// (errors are the cold path).
+// hooks treat them as PASS after logging. It executes on the program's own
+// run state and performs zero heap allocations in steady state (errors are
+// the cold path).
 func (p *Program) Run(ctx *Ctx, env *Env) (uint32, ExecStats, error) {
 	ret, st, err := p.RunRet64(ctx, env)
 	return uint32(ret), st, err
@@ -223,11 +209,8 @@ func (p *Program) Run(ctx *Ctx, env *Env) (uint32, ExecStats, error) {
 
 // RunRet64 is Run but returns the full 64-bit R0; used by tests.
 func (p *Program) RunRet64(ctx *Ctx, env *Env) (uint64, ExecStats, error) {
-	rs := runStatePool.Get().(*runState)
-	ret, err := p.exec(rs, ctx, env, false)
-	st := rs.stats
-	runStatePool.Put(rs)
-	return ret, st, err
+	ret, err := p.exec(&p.rs, ctx, env, false)
+	return ret, p.rs.stats, err
 }
 
 // RunInterp runs the reference: the same walker over the plain decoding of
@@ -244,10 +227,16 @@ func (p *Program) runRef(ctx *Ctx, env *Env) (uint64, ExecStats, error) {
 	return ret, rs.stats, err
 }
 
-// exec resets rs for one invocation and walks p. The caller owns rs —
-// borrowed from the pool by Run, held for good by a RunState, fresh for the
-// reference — and everything per-run (reset, accounting, instret/fault
-// charging) happens here and in walk, so the entries cannot differ.
+// exec resets rs for one invocation and walks p. The caller owns rs — the
+// program's own for Run, a hook point's RunState, fresh for the reference —
+// and everything per-run (reset, accounting, instret/fault charging)
+// happens here and in walk, so the entries cannot differ. A state is reused
+// as it was left and reset lazily: the 512-byte stack and the registers
+// stay dirty because the verifier rejects any read of an uninitialized
+// register or stack byte (only unverified loads pay for a scrub), and the
+// env/ctx/region references from the last run are overwritten or truncated
+// here — they point at caller-owned contexts and long-lived map storage, so
+// holding them across the gap pins nothing meaningful.
 func (p *Program) exec(rs *runState, ctx *Ctx, env *Env, ref bool) (uint64, error) {
 	if env == nil {
 		env = &rs.noEnv
@@ -256,7 +245,7 @@ func (p *Program) exec(rs *runState, ctx *Ctx, env *Env, ref bool) (uint64, erro
 		// bpf_stats_enabled-style wall timing, charged to the entry
 		// program across tail calls.
 		t0 := profNow()
-		defer func() { pp.nanos.Add(profSince(t0)) }()
+		defer func() { pp.nanos += profSince(t0) }()
 	}
 	rs.regions = rs.regions[:0]
 	rs.stats = ExecStats{}
@@ -287,7 +276,7 @@ func (p *Program) walk(rs *runState, ref bool) (uint64, error) {
 		if ref {
 			code = decode(prog, nil)
 		}
-		var hits []atomic.Uint64
+		var hits []uint64
 		if prog.prof != nil {
 			hits = prog.prof.hits
 		}
@@ -307,7 +296,7 @@ func (p *Program) walk(rs *runState, ref bool) (uint64, error) {
 			o := &code[pc]
 			charged++
 			if hits != nil {
-				hits[pc].Add(1)
+				hits[pc]++
 			}
 			operand := o.imm
 			if o.reg {
@@ -373,11 +362,11 @@ func (p *Program) walk(rs *runState, ref bool) (uint64, error) {
 			pc = next
 		}
 		rs.stats.Insns += charged
-		prog.instret.Add(uint64(charged))
-		prog.runs.Add(1)
+		prog.instret += uint64(charged)
+		prog.runs++
 		switch {
 		case err != nil:
-			prog.faults.Add(1)
+			prog.faults++
 			return 0, err
 		case tail == nil:
 			return regs[R0], nil

@@ -8,7 +8,6 @@ import (
 	"os"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -264,7 +263,7 @@ func TestJITTailCallChain(t *testing.T) {
 }
 
 // TestJITErrorStringsMatchInterp pins the error-context contract: Run on
-// pooled state and the reference on fresh state must produce byte-identical
+// reused state and the reference on fresh state must produce byte-identical
 // error strings, pc and insn numbers included. (NoVerify loads have no
 // facts, so here both walk the plain decoding; what differs is the state.)
 func TestJITErrorStringsMatchInterp(t *testing.T) {
@@ -398,7 +397,7 @@ func TestOperandlessJumpsIgnoreSrc(t *testing.T) {
 	}
 }
 
-// TestCompiledRunZeroAllocs is the pooling contract: steady-state Run —
+// TestCompiledRunZeroAllocs is the reuse contract: steady-state Run —
 // short filter, map-heavy policy, tail-call chain — performs zero heap
 // allocations per run.
 func TestCompiledRunZeroAllocs(t *testing.T) {
@@ -449,7 +448,7 @@ func TestCompiledRunZeroAllocs(t *testing.T) {
 		{"tailcall_chain", chain},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// Warm the pool and the map-value region slice.
+			// Warm the map-value region slice.
 			for i := 0; i < 16; i++ {
 				if _, _, err := tc.p.Run(ctx, env); err != nil {
 					t.Fatal(err)
@@ -464,35 +463,6 @@ func TestCompiledRunZeroAllocs(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestConcurrentNilEnvRuns exercises the per-program fallback PRNG and
-// the runState pool under the race detector.
-func TestConcurrentNilEnvRuns(t *testing.T) {
-	p := MustLoad("conc", []Instruction{
-		Call(HelperPrandomU32),
-		ALUImm(ALUAnd, R0, 0xff),
-		Exit(),
-	}, LoadOptions{})
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx := &Ctx{Packet: make([]byte, 8)}
-			for i := 0; i < 500; i++ {
-				if _, _, err := p.Run(ctx, nil); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, _, err := p.RunInterp(ctx, nil); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // TestDispatchCountersExported: a program's run accounting is its own.

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"syrup/internal/adapt"
+	"syrup/internal/ebpf"
 	"syrup/internal/metrics"
 	"syrup/internal/obs"
 	"syrup/internal/policy"
@@ -104,7 +105,10 @@ type Response struct {
 
 // Server serves the control protocol for one Daemon. All handling is
 // serialized through mu, which the embedding process also holds while
-// advancing the simulation (the engine is single-threaded).
+// advancing the simulation (the engine is single-threaded). mu is the one
+// lock a host has: it is the only way another goroutine reaches what the
+// host owns — maps, programs, counters — none of which locks itself
+// (DESIGN.md "One owner per host").
 type Server struct {
 	mu sync.Mutex
 	d  *Daemon
@@ -237,14 +241,14 @@ func (s *Server) Handle(req *Request) Response {
 		}
 		return Response{OK: true, Links: links}
 	case "map_lookup":
-		m, err := s.d.OpenMap(req.Path, req.UID, false)
+		m, err := s.openWordMap(req, false)
 		if err != nil {
 			return errResp(err)
 		}
 		v, ok := m.LookupUint64(req.Key)
 		return Response{OK: true, Value: v, Found: ok}
 	case "map_update":
-		m, err := s.d.OpenMap(req.Path, req.UID, true)
+		m, err := s.openWordMap(req, true)
 		if err != nil {
 			return errResp(err)
 		}
@@ -369,6 +373,21 @@ func (s *Server) Handle(req *Request) Response {
 }
 
 func errResp(err error) Response { return Response{Error: err.Error()} }
+
+// openWordMap opens the pinned map a map_lookup or map_update names. Both
+// ops speak 32-bit keys and 64-bit values, so both refuse a map of any
+// other shape with the same error; otherwise a lookup would read a map it
+// cannot address as an absent key.
+func (s *Server) openWordMap(req *Request, write bool) (*ebpf.Map, error) {
+	m, err := s.d.OpenMap(req.Path, req.UID, write)
+	if err != nil {
+		return nil, err
+	}
+	if sp := m.Spec(); sp.KeySize != 4 || sp.ValueSize != 8 {
+		return nil, fmt.Errorf("syrupd: map %s has %d-byte keys and %d-byte values; map ops need 4 and 8", req.Path, sp.KeySize, sp.ValueSize)
+	}
+	return m, nil
+}
 
 // putStat sets a stats key unless the host's StatsFunc already claimed
 // it.

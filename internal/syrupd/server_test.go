@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"syrup/internal/ghost"
@@ -443,6 +444,111 @@ func TestStatsDeltaConcurrent(t *testing.T) {
 	residue := srv.Handle(&Request{Op: "stats", Delta: true}).Stats[key]
 	if got := collected + residue; got != steps*perStep {
 		t.Fatalf("deltas sum to %v, want %d", got, steps*perStep)
+	}
+	if got := srv.Handle(&Request{Op: "links"}).Links[0].Runs; got != steps*perStep {
+		t.Fatalf("link runs = %d, want %d", got, steps*perStep)
+	}
+}
+
+// TestServerMapOpsRefuseOtherShapes: map_lookup and map_update address
+// 32-bit keys and 64-bit values. A map of another shape is refused by both
+// with one error — a lookup must not report "not found" for a map it cannot
+// read, such as slot 0 of a narrow array, which exists.
+func TestServerMapOpsRefuseOtherShapes(t *testing.T) {
+	h := newHost(t, 1, 0)
+	srv := NewServer(h.d)
+	srv.Handle(&Request{Op: "register_app", App: 1, UID: 1000, Ports: []uint16{9000}})
+	h.stack.NewUDPSocket(9000, 1, "w")
+	src := ".map wide hash 8 8 4\n.map narrow array 4 4 4\nr0 = PASS\nexit\n"
+	if resp := srv.Handle(&Request{Op: "deploy", App: 1, Hook: "socket_select", Source: src}); !resp.OK {
+		t.Fatalf("deploy: %+v", resp)
+	}
+	for _, path := range []string{"/syrup/1/wide", "/syrup/1/narrow"} {
+		upd := srv.Handle(&Request{Op: "map_update", Path: path, UID: 1000, Key: 0, Value: 1})
+		look := srv.Handle(&Request{Op: "map_lookup", Path: path, UID: 1000, Key: 0})
+		if upd.OK || look.OK || look.Found || upd.Error == "" || look.Error != upd.Error {
+			t.Errorf("%s: map_update ok=%v %q, map_lookup ok=%v found=%v %q; want both refused with one error",
+				path, upd.OK, upd.Error, look.OK, look.Found, look.Error)
+		}
+	}
+}
+
+// TestServerMapOpsBesideTheEventLoop is the race test of the one door:
+// client goroutines update and read a pinned map through Server.Handle
+// while the host advances under Server.Lock, as cmd/syrupd's loop does,
+// and the deployed policy xadds the same map on every packet. Neither the
+// map nor the program locks anything, so only the big lock keeps this
+// clean under -race, and the final values and run counts are exact.
+func TestServerMapOpsBesideTheEventLoop(t *testing.T) {
+	const (
+		clients, updates = 4, 200
+		steps, perStep   = 200, 5
+	)
+	h := newHost(t, 1, 0)
+	srv := NewServer(h.d)
+	srv.Handle(&Request{Op: "register_app", App: 1, UID: 1000, Ports: []uint16{9000}})
+	h.stack.NewUDPSocket(9000, 1, "w")
+	// Slot 0 counts packets; slot 1+c belongs to client c.
+	src := `.map door array 4 8 8
+  *(u32 *)(r10 - 4) = 0
+  r1 = map(door)
+  r2 = r10
+  r2 += -4
+  call map_lookup_elem
+  if r0 == 0 goto out
+  r1 = 1
+  lock *(u64 *)(r0 + 0) += r1
+out:
+  r0 = 0
+  exit
+`
+	if resp := srv.Handle(&Request{Op: "deploy", App: 1, Hook: "socket_select", Source: src}); !resp.OK {
+		t.Fatalf("deploy: %+v", resp)
+	}
+	const path = "/syrup/1/door"
+
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var seen uint64
+			for i := uint64(1); i <= updates; i++ {
+				if resp := srv.Handle(&Request{Op: "map_update", Path: path, UID: 1000, Key: uint32(1 + c), Value: i}); !resp.OK {
+					t.Errorf("client %d: map_update: %+v", c, resp)
+					return
+				}
+				if resp := srv.Handle(&Request{Op: "map_lookup", Path: path, UID: 1000, Key: uint32(1 + c)}); resp.Value != i {
+					t.Errorf("client %d: read back %d after writing %d", c, resp.Value, i)
+					return
+				}
+				// The packet count only grows, and only between requests.
+				resp := srv.Handle(&Request{Op: "map_lookup", Path: path, UID: 1000, Key: 0})
+				if resp.Value < seen || resp.Value > steps*perStep {
+					t.Errorf("client %d: packet count %d after %d", c, resp.Value, seen)
+					return
+				}
+				seen = resp.Value
+			}
+		}()
+	}
+	for step := range steps {
+		srv.Lock()
+		for i := range perStep {
+			h.dev.Receive(pkt(uint64(step*perStep+i), 1, 9000, nil))
+		}
+		h.eng.Run()
+		srv.Unlock()
+	}
+	wg.Wait()
+
+	if resp := srv.Handle(&Request{Op: "map_lookup", Path: path, UID: 1000, Key: 0}); resp.Value != steps*perStep {
+		t.Fatalf("policy counted %d packets, want %d", resp.Value, steps*perStep)
+	}
+	for c := range clients {
+		if resp := srv.Handle(&Request{Op: "map_lookup", Path: path, UID: 1000, Key: uint32(1 + c)}); resp.Value != updates {
+			t.Fatalf("client %d's slot = %d, want %d", c, resp.Value, updates)
+		}
 	}
 	if got := srv.Handle(&Request{Op: "links"}).Links[0].Runs; got != steps*perStep {
 		t.Fatalf("link runs = %d, want %d", got, steps*perStep)

@@ -68,17 +68,16 @@ func TestNothingReadsTheEnvironment(t *testing.T) {
 // TestNoAmbientState: the telemetry, policy-execution, per-request
 // datapath, event-engine and experiment-harness packages hold no state
 // shared by every host in the process, which is how per-host attribution
-// was lost once. No package-level var there holds a sync/atomic value or a
-// sync.Mutex or RWMutex (in place, through struct fields and arrays), and
-// no non-test code writes a package-level map by index or delete. In sim
-// and experiments a package-level var also needs an initializer: a plain
-// scalar that exists only to be assigned later is the shape the last two
-// toggles had (`var obsPeriod sim.Time`, `var poolWorkers int`).
-// sync.Pool and lookup tables never written after their initializer pass.
+// was lost once. No non-test code writes a package-level map there by index
+// or delete (TestHostStateHasNoLocks keeps atomics and mutexes out of every
+// package-level var). In sim and experiments a package-level var also needs
+// an initializer: a plain scalar that exists only to be assigned later is
+// the shape the last two toggles had (`var obsPeriod sim.Time`,
+// `var poolWorkers int`). Lookup tables never written after their
+// initializer pass.
 func TestNoAmbientState(t *testing.T) {
 	t.Run("fixture", func(t *testing.T) {
 		want := []string{
-			"obs.hits holds sync/atomic.Int64",
 			"obs.seen is a package-level map non-test code writes",
 			"sim.planted has no initializer",
 		}
@@ -98,6 +97,39 @@ func TestNoAmbientState(t *testing.T) {
 	for _, bad := range ambientState(tree) {
 		t.Errorf("%s: keep the state on the host that owns it", bad)
 	}
+}
+
+// lockAllow is the one lock a host may hold.
+var lockAllow = []allowRow{
+	{"syrupd.Server.mu", "the big lock: the one way another goroutine (a syrupd client, a fleet scrape) reaches a host"},
+}
+
+// TestHostStateHasNoLocks: a host is single-threaded, and syrupd.Server's
+// big lock is the only way another goroutine reaches it (DESIGN.md "One
+// owner per host"). So no package-level var and no field of a
+// package-level struct type, declared in a non-test file under internal/
+// or in the facade, holds a sync.Mutex, sync.RWMutex, sync.Pool or
+// sync/atomic value — itself, or through struct fields, arrays and slices
+// of the repo's own types — except that lock. Locals are not state: par's
+// WaitGroup passes.
+func TestHostStateHasNoLocks(t *testing.T) {
+	t.Run("fixture", func(t *testing.T) {
+		tree, err := lintsTree()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"metrics.pool", "nic.meter.hits", "nic.meter.mu", "obs.hits"}
+		if got := hostLocks(tree); !slices.Equal(got, want) {
+			t.Fatalf("locks = %q, want %q", got, want)
+		}
+	})
+
+	tree, err := repoTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAllowed(t, lockAllow, 1, hostLocks(tree),
+		"holds a mutex, a sync.Pool or an atomic: state a host owns is reached only under syrupd.Server's lock")
 }
 
 var (
@@ -211,8 +243,8 @@ var (
 )
 
 // ambientState lists, sorted, every package-level var of ambientPkgs that
-// holds an atomic or a mutex, is a map some non-test file writes, or, in
-// the uninitialized packages, has no initializer.
+// is a map some non-test file writes or, in the uninitialized packages, has
+// no initializer.
 func ambientState(tree *srcTree) []string {
 	bad := map[string]bool{}
 	maps := map[types.Object]string{} // package-level maps in scope → qualified name
@@ -235,9 +267,6 @@ func ambientState(tree *srcTree) []string {
 							continue
 						}
 						name := qual + "." + id.Name
-						if held := syncHeld(obj.Type(), nil); held != "" {
-							bad[name+" holds "+held] = true
-						}
 						if _, ok := obj.Type().Underlying().(*types.Map); ok {
 							maps[obj] = name
 						}
@@ -288,34 +317,75 @@ func ambientState(tree *srcTree) []string {
 	return sortedKeys(bad)
 }
 
-// syncHeld names the sync/atomic type, sync.Mutex or sync.RWMutex that t
-// holds in place — itself, or through struct fields and array elements —
-// or returns "". seen guards against recursive types.
-func syncHeld(t types.Type, seen map[types.Type]bool) string {
-	if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
-		switch pkg, name := named.Obj().Pkg().Path(), named.Obj().Name(); {
-		case pkg == "sync/atomic", pkg == "sync" && (name == "Mutex" || name == "RWMutex"):
-			return pkg + "." + name
+// hostLocks lists, sorted, the qualified name of every package-level var
+// and every field of a package-level struct type, declared in a non-test
+// file under the main module's internal/ or in its root package, whose type
+// holds a lock or an atomic.
+func hostLocks(tree *srcTree) []string {
+	var bad []string
+	for _, p := range tree.pkgs {
+		qual, ok := tree.internalQual(p)
+		if p.path == tree.mainModule {
+			qual, ok = p.types.Name(), true
+		}
+		if !ok {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Var:
+				if tree.holdsLock(obj.Type(), map[types.Type]bool{}) {
+					bad = append(bad, qual+"."+name)
+				}
+			case *types.TypeName:
+				st, ok := obj.Type().Underlying().(*types.Struct)
+				if !ok || obj.IsAlias() {
+					continue
+				}
+				for i := range st.NumFields() {
+					if f := st.Field(i); tree.holdsLock(f.Type(), map[types.Type]bool{}) {
+						bad = append(bad, qual+"."+name+"."+f.Name())
+					}
+				}
+			}
 		}
 	}
-	if seen[t] {
-		return ""
+	slices.Sort(bad)
+	return bad
+}
+
+// holdsLock reports whether t is, or holds through struct fields, array
+// and slice elements of the tree's own types, a sync.Mutex, sync.RWMutex,
+// sync.Pool or sync/atomic value; a pointer is another owner's. Other
+// packages' types are opaque: a sync.WaitGroup is built on an atomic, and
+// it is no lock. seen guards against recursive types.
+func (tr *srcTree) holdsLock(t types.Type, seen map[types.Type]bool) bool {
+	if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
+		switch pkg, name := named.Obj().Pkg().Path(), named.Obj().Name(); {
+		case pkg == "sync/atomic", pkg == "sync" && (name == "Mutex" || name == "RWMutex" || name == "Pool"):
+			return true
+		case pkg != tr.mainModule && !strings.HasPrefix(pkg, tr.mainModule+"/"):
+			return false
+		}
 	}
-	if seen == nil {
-		seen = map[types.Type]bool{}
+	if t == nil || seen[t] {
+		return false
 	}
 	seen[t] = true
 	switch u := t.Underlying().(type) {
 	case *types.Struct:
 		for i := range u.NumFields() {
-			if s := syncHeld(u.Field(i).Type(), seen); s != "" {
-				return s
+			if tr.holdsLock(u.Field(i).Type(), seen) {
+				return true
 			}
 		}
 	case *types.Array:
-		return syncHeld(u.Elem(), seen)
+		return tr.holdsLock(u.Elem(), seen)
+	case *types.Slice:
+		return tr.holdsLock(u.Elem(), seen)
 	}
-	return ""
+	return false
 }
 
 // qualName is p's path below internal/, or its import path elsewhere.
@@ -335,18 +405,20 @@ func sortedKeys(set map[string]bool) []string {
 	return out
 }
 
-// lintsTree is lintsFixture, loaded once for the three gates above.
+// lintsTree is lintsFixture, loaded once for the four gates above.
 var lintsTree = sync.OnceValues(func() (*srcTree, error) { return loadTree(lintsFixture) })
 
 // lintsFixture plants, for the metric-name gate, Gauge("bad-name"),
 // Rate("ok_"+"Bad.x") and a bad constant after a run-time operand; for the
 // environment gate, os.Getenv in a non-benchmark package; for the
-// ambient-state gate, a package-level atomic.Int64, a package-level map
-// written through m[k] = v and an uninitialized var in sim. What passes:
-// run-time name parts, a legal CounterValue, a Gauge method of another
-// type, os.Getenv in the benchmark module, a sync.Pool, a map only read,
-// and a multi-line initializer inside a var block (which the awk lint
-// this replaced could not parse).
+// ambient-state gate, a package-level map written through m[k] = v and an
+// uninitialized var in sim; for the lock gate, a mutex field, a slice of
+// atomics in a field, a package-level atomic.Int64 and a package-level
+// sync.Pool. What passes: run-time name parts, a legal CounterValue, a
+// Gauge method of another type, os.Getenv in the benchmark module, a map
+// only read, a multi-line initializer inside a var block (which the awk
+// lint this replaced could not parse), a pointer to a mutex, and a local
+// WaitGroup.
 var lintsFixture = fstest.MapFS{
 	"go.mod": {Data: []byte("module fix\n")},
 	"internal/metrics/metrics.go": {Data: []byte(`package metrics
@@ -400,21 +472,32 @@ func Limit() int { return table["a"] + limit + planted }
 
 import (
 	"os"
+	"sync"
+	"sync/atomic"
 
 	"fix/internal/metrics"
 	"fix/internal/obs"
 )
 
-type meter struct{}
+type meter struct {
+	mu   sync.Mutex
+	hits []atomic.Uint64
+	ring *sync.Mutex
+}
 
-func (meter) Gauge(name string) {}
+func (*meter) Gauge(name string) {}
+
+func Wait(n int) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+}
 
 func Register(sa *obs.Sampler, class string) []metrics.CounterValue {
 	sa.Gauge("bad-name", nil)
 	sa.Rate("ok_"+"Bad.x", nil)
 	sa.Histogram("latency_"+class, nil)
 	sa.WindowHistogram("latency_"+class+"x-", nil)
-	meter{}.Gauge("not-a-sampler")
+	new(meter).Gauge("not-a-sampler")
 	_ = os.Getenv("NIC_MODE")
 	return []metrics.CounterValue{{Name: "nic_drops_" + class}, {"nic_" + class, 1}}
 }

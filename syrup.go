@@ -412,8 +412,8 @@ func (m *Map) LookupElem(key uint32) (uint64, bool) { return m.m.LookupUint64(ke
 // UpdateElem is syr_map_update_elem.
 func (m *Map) UpdateElem(key uint32, value uint64) error { return m.m.UpdateUint64(key, value) }
 
-// AddElem atomically adds delta (two's-complement for subtraction) to the
-// value at key.
+// AddElem adds delta (two's-complement for subtraction) to the value at
+// key in one step, as a policy's XADD does.
 func (m *Map) AddElem(key uint32, delta uint64) error { return m.m.AddUint64(key, delta) }
 
 // Raw exposes the underlying map for advanced use (byte-typed access,

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 
+	"syrup/internal/hook"
 	"syrup/internal/metrics"
 	"syrup/internal/policy"
 	"syrup/internal/sim"
@@ -39,7 +40,7 @@ func run(withPolicy bool) (p50, p99, writesPerSec float64) {
 	eng := sim.New(9)
 	lat := metrics.NewHistogram()
 	var writesDone uint64
-	dev := storage.NewDevice(eng, storage.Config{
+	dev := storage.NewDevice(&hook.Host{Eng: eng}, storage.Config{
 		Queues: 4,
 		OnComplete: func(req *storage.Request, at sim.Time) {
 			if req.Tenant == 0 {

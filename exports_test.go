@@ -119,7 +119,7 @@ func TestPoliciesRunThroughHooks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := directRuns(tree), []string{"nic calls ebpf.Program.Run", "nic calls ebpf.RunState.Run"}; !slices.Equal(got, want) {
+		if got, want := directRuns(tree), []string{"nic calls ebpf.Program.Run", "nic calls ebpf.Program.RunRet64"}; !slices.Equal(got, want) {
 			t.Fatalf("direct runs = %q, want %q", got, want)
 		}
 	})
@@ -222,9 +222,9 @@ var Origin = Pair{1, 2}
 	"benchmark/main.go":    {Data: []byte("package main\n\nimport \"fix/internal/a\"\n\nfunc main() { _ = a.Read(&a.T{Remote: 1}, a.Origin) }\n")},
 }
 
-// runsFixture plants the two direct runs a layer could make: a method value
+// runsFixture plants two direct runs a layer could make: a method value
 // call with a nil environment, which the grep this replaced missed, and a
-// caller-owned run state's Run.
+// RunRet64.
 var runsFixture = fstest.MapFS{
 	"go.mod": {Data: []byte("module fix\n")},
 	"internal/ebpf/ebpf.go": {Data: []byte(`package ebpf
@@ -235,9 +235,7 @@ type Program struct{}
 
 func (p *Program) Run(ctx *Ctx, env any) uint32 { return 0 }
 
-type RunState struct{}
-
-func (s *RunState) Run(p *Program, ctx *Ctx, env any) uint32 { return 0 }
+func (p *Program) RunRet64(ctx *Ctx, env any) uint64 { return 0 }
 `)},
 	"internal/hook/hook.go": {Data: []byte("package hook\n\nimport \"fix/internal/ebpf\"\n\nfunc Run(p *ebpf.Program) uint32 { return p.Run(nil, nil) }\n")},
 	"internal/nic/nic.go": {Data: []byte(`package nic
@@ -246,7 +244,7 @@ import "fix/internal/ebpf"
 
 func plantedDirectRun(p *ebpf.Program, ctx *ebpf.Ctx) { p.Run(ctx, nil) }
 
-func plantedStateRun(s *ebpf.RunState, p *ebpf.Program) { s.Run(p, nil, nil) }
+func plantedRet64(p *ebpf.Program) { p.RunRet64(nil, nil) }
 `)},
 }
 
@@ -683,22 +681,20 @@ func unwrittenFields(tree *srcTree) []string {
 // directRuns lists, sorted, every package under the main module's
 // internal/ other than ebpf, hook and experiments whose non-test files run
 // a program without a hook point: (*ebpf.Program).Run, RunRet64 or
-// RunInterp, or (*ebpf.RunState).Run.
+// RunInterp.
 func directRuns(tree *srcTree) []string {
 	runners := map[types.Object]string{}
 	for _, p := range tree.pkgs {
 		if qual, _ := tree.internalQual(p); qual != "ebpf" {
 			continue
 		}
-		for typ, names := range map[string][]string{"Program": {"Run", "RunRet64", "RunInterp"}, "RunState": {"Run"}} {
-			tn, ok := p.types.Scope().Lookup(typ).(*types.TypeName)
-			if !ok {
-				continue
-			}
-			for _, name := range names {
-				if obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(tn.Type()), false, p.types, name); obj != nil {
-					runners[obj] = "ebpf." + typ + "." + name
-				}
+		tn, ok := p.types.Scope().Lookup("Program").(*types.TypeName)
+		if !ok {
+			continue
+		}
+		for _, name := range []string{"Run", "RunRet64", "RunInterp"} {
+			if obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(tn.Type()), false, p.types, name); obj != nil {
+				runners[obj] = "ebpf.Program." + name
 			}
 		}
 	}

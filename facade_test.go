@@ -12,13 +12,16 @@ import (
 	"syrup/internal/apps/mica"
 	"syrup/internal/ebpf"
 	"syrup/internal/experiments"
+	"syrup/internal/faults"
 	"syrup/internal/ghost"
 	"syrup/internal/kernel"
 	"syrup/internal/nic"
 	"syrup/internal/obs"
 	"syrup/internal/policy"
 	"syrup/internal/sim"
+	"syrup/internal/storage"
 	"syrup/internal/syrupd"
+	"syrup/internal/trace"
 	"syrup/internal/workload"
 )
 
@@ -287,5 +290,114 @@ func TestBatchFieldsInert(t *testing.T) {
 	unset, set := bare(0), bare(64)
 	if len(unset) < 2 || !slices.Equal(unset, set) {
 		t.Fatalf("a bare NIC with Budget 64 diverged from one without:\n%v\n%v", unset, set)
+	}
+}
+
+// TestStorageJoinsItsHost: a device attached through the host shares the
+// host's tracer and chaos plan. With every helper lookup failing, each of
+// ten token-policy runs at the storage hook records one hook span and takes
+// one injected lookup miss.
+func TestStorageJoinsItsHost(t *testing.T) {
+	plan, err := faults.ParsePlan("site=helper-lookup every=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, app := syrup.MustHostApp(syrup.HostConfig{Trace: syrup.NewTraceRecorder(0), Faults: plan}, 1, 1000, 9000)
+	dev := host.AttachStorage(storage.Config{})
+	if _, err := app.DeployBuiltin(policy.NameToken, syrup.HookStorage, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 10 {
+		dev.Submit(&storage.Request{ID: uint64(i + 1), Kind: storage.Read, LBA: uint64(i)})
+	}
+	host.Run()
+	spans := 0
+	for _, sp := range host.Tracer.Spans() {
+		if sp.Stage == trace.StageHook && sp.Hook == string(syrup.HookStorage) {
+			spans++
+		}
+	}
+	if got := host.Faults.Injected(faults.SiteHelperLookup); spans != 10 || got != 10 {
+		t.Fatalf("storage hook spans = %d, injected lookup misses = %d; want 10 and 10", spans, got)
+	}
+}
+
+// TestHostArmsEveryLayer: a host built untraced and unarmed, with
+// deployments at XDP offload and socket select, a ghOSt thread policy and
+// attached storage, is traced and armed by setting host.Tracer and
+// host.Faults once. Every layer records spans and fires its sites from
+// then on, and so does a reuseport group bound afterwards.
+func TestHostArmsEveryLayer(t *testing.T) {
+	host, app := syrup.MustHostApp(syrup.HostConfig{Seed: 3, NumCPUs: 3, NICQueues: 2}, 1, 1000, 9000, 9001)
+	app.NewUDPSocket(9000, "w0")
+	app.NewUDPSocket(9000, "w1")
+	deploySelect := func() {
+		t.Helper()
+		if _, err := app.DeployBuiltin(policy.NameRoundRobin, syrup.HookSocketSelect, map[string]int64{"NUM_THREADS": 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deploySelect()
+	if _, err := app.DeployPolicy("r0 = 1\nexit\n", syrup.HookXDPOffload, nil); err != nil {
+		t.Fatal(err)
+	}
+	agent, err := app.DeployThreadPolicy(&policy.FIFO{}, 2, []int{0, 1}, ghost.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := host.AttachStorage(storage.Config{})
+	if _, err := app.DeployBuiltin(policy.NameToken, syrup.HookStorage, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	plan, err := faults.ParsePlan("site=offload every=2; site=socket-select every=2; site=helper-lookup every=1; site=ghost-stall every=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	host.Tracer = syrup.NewTraceRecorder(1 << 14)
+	host.Faults = plan.Compile(3, host.Eng.Now)
+	// A group bound after arming; the redeploy attaches to it.
+	app.NewUDPSocket(9001, "late")
+	deploySelect()
+
+	for i := range 20 {
+		host.NIC.Receive(testPacket(uint64(i+1), 9000+uint16(i%2)))
+		dev.Submit(&storage.Request{ID: uint64(i + 1), Kind: storage.Read, LBA: uint64(i)})
+	}
+	for range 2 {
+		th := host.Machine.NewThread("w", 1, host.Machine.AffinityAll(), func(th *kernel.Thread) {
+			th.Exec(10*sim.Microsecond, func() { th.Exit() })
+		})
+		if err := agent.Register(th); err != nil {
+			t.Fatal(err)
+		}
+		th.Wake()
+	}
+	host.Run()
+
+	stages, hooks := map[trace.Stage]bool{}, map[string]bool{}
+	for _, sp := range host.Tracer.Spans() {
+		stages[sp.Stage] = true
+		if sp.Stage == trace.StageHook {
+			hooks[sp.Hook] = true
+		}
+	}
+	for _, s := range []trace.Stage{trace.StageNIC, trace.StageSoftirq, trace.StageProto, trace.StageHook, trace.StageGhost} {
+		if !stages[s] {
+			t.Errorf("no %v span", s)
+		}
+	}
+	for _, h := range []string{string(syrup.HookXDPOffload), "socket_select:9000", "socket_select:9001", string(syrup.HookStorage)} {
+		if !hooks[h] {
+			t.Errorf("no hook span from %s", h)
+		}
+	}
+	for _, site := range []faults.Site{faults.SiteOffload, faults.SiteSocketSelect, faults.SiteHelperLookup, faults.SiteGhostStall} {
+		if host.Faults.Injected(site) == 0 {
+			t.Errorf("nothing injected at %s", site)
+		}
+	}
+	if f := host.Stack.LookupGroup(9001).Hook().Stats().Faults; f == 0 {
+		t.Error("the group bound after arming took no injected fault")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"syrup/internal/ebpf"
+	"syrup/internal/hook"
 	"syrup/internal/kernel"
 	"syrup/internal/netstack"
 	"syrup/internal/nic"
@@ -24,7 +25,7 @@ func newFixture(t *testing.T, threads int, mode Mode) *fixture {
 	t.Helper()
 	eng := sim.New(1)
 	m := kernel.New(eng, kernel.Config{NumCPUs: threads})
-	dev, stack := netstack.Wire(eng, nic.Config{Queues: threads}, netstack.Config{})
+	dev, stack := netstack.Wire(&hook.Host{Eng: eng}, nic.Config{Queues: threads}, netstack.Config{})
 	f := &fixture{eng: eng, m: m, dev: dev, stack: stack}
 	f.srv = NewServer(eng, m, stack, Config{
 		Port: 9000, App: 1, NumThreads: threads, Mode: mode,
@@ -174,7 +175,7 @@ func TestPutsHitPartitions(t *testing.T) {
 func TestBadConfigPanics(t *testing.T) {
 	eng := sim.New(1)
 	m := kernel.New(eng, kernel.Config{NumCPUs: 2})
-	_, stack := netstack.Wire(eng, nic.Config{Queues: 2}, netstack.Config{})
+	_, stack := netstack.Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 2}, netstack.Config{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("oversubscribed NumThreads accepted")

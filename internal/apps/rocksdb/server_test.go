@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"syrup/internal/ebpf"
+	"syrup/internal/hook"
 	"syrup/internal/kernel"
 	"syrup/internal/netstack"
 	"syrup/internal/nic"
@@ -18,7 +19,7 @@ func testHost(t *testing.T, cpus, queues int) (*sim.Engine, *kernel.Machine, *ni
 	t.Helper()
 	eng := sim.New(1)
 	m := kernel.New(eng, kernel.Config{NumCPUs: cpus})
-	dev, stack := netstack.Wire(eng, nic.Config{Queues: queues}, netstack.Config{})
+	dev, stack := netstack.Wire(&hook.Host{Eng: eng}, nic.Config{Queues: queues}, netstack.Config{})
 	return eng, m, dev, stack
 }
 

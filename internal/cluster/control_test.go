@@ -167,9 +167,9 @@ func TestRolloutAbortRestoresPreviousRelease(t *testing.T) {
 		t.Fatalf("v1 rollout failed: %v %+v", err, rep)
 	}
 	for _, m := range c.Members {
-		m.Host.Stack.SetFaults((&faults.Plan{
+		m.Host.Faults = (&faults.Plan{
 			Specs: []faults.Spec{{Site: faults.SiteSocketSelect, Every: 1}},
-		}).Compile(m.Seed, m.Host.Eng.Now))
+		}).Compile(m.Seed, m.Host.Eng.Now)
 	}
 	rep, err := c.Rollout(RolloutConfig{App: testApp, Hook: syrup.HookSocketSelect, Policy: policy.NameRoundRobin, Defines: twoSockets})
 	if err != nil {

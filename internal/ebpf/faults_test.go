@@ -9,7 +9,15 @@ package ebpf
 import (
 	"strings"
 	"testing"
+
+	"syrup/internal/faults"
+	"syrup/internal/sim"
 )
+
+// always is an injector that fires site on every event.
+func always(site faults.Site) *faults.Injector {
+	return (&faults.Plan{Specs: []faults.Spec{{Site: site, Every: 1}}}).Compile(1, func() sim.Time { return 0 })
+}
 
 // selfTailProg builds a verified program that tail-calls itself forever.
 func selfTailProg(t *testing.T) *Program {
@@ -117,10 +125,10 @@ func TestInjectedLookupMissDifferential(t *testing.T) {
 	p := wantAccept(t, insns, tb)
 
 	for _, miss := range []bool{false, true, false} {
-		env := &Env{FaultLookupMiss: func() bool { return miss }}
+		env := &Env{}
 		want := uint32(7777)
 		if miss {
-			want = 99
+			env.Faults, want = always(faults.SiteHelperLookup), 99
 		}
 		gotC, _, errC := p.Run(&Ctx{}, env)
 		gotI, _, errI := p.RunInterp(&Ctx{}, env)
@@ -158,7 +166,7 @@ func TestInjectedUpdateFailDifferential(t *testing.T) {
 	)
 	p := wantAccept(t, insns, tb)
 
-	env := &Env{FaultUpdateFail: func() bool { return true }}
+	env := &Env{Faults: always(faults.SiteHelperUpdate)}
 	retC, _, errC := p.RunRet64(&Ctx{}, env)
 	if errC != nil {
 		t.Fatal(errC)
@@ -198,7 +206,7 @@ func TestInjectedTailCallFaultDifferential(t *testing.T) {
 	)
 	root := wantAccept(t, insns, tb)
 
-	env := &Env{FaultTailCall: func() bool { return true }}
+	env := &Env{Faults: always(faults.SiteTailCall)}
 	_, _, errC := root.Run(&Ctx{}, env)
 	_, _, errI := root.RunInterp(&Ctx{}, env)
 	if errC == nil || errI == nil || errC.Error() != errI.Error() {

@@ -3,6 +3,8 @@ package ebpf
 import (
 	"encoding/binary"
 	"fmt"
+
+	"syrup/internal/faults"
 )
 
 // Context layout offsets, the program-visible view of a packet hook
@@ -26,24 +28,18 @@ type Ctx struct {
 
 // Env supplies the ambient kernel facilities helpers need. A nil Env uses
 // deterministic defaults (zero time, a fixed-seed xorshift PRNG).
-//
-// The Fault* hooks are armed by a chaos plan (internal/faults) and
-// consulted inside the helper bodies below, so an injected helper error
-// behaves identically under either decoding. Nil hooks (the default) cost
-// one pointer check.
 type Env struct {
 	Prandom func() uint32 // get_prandom_u32
 	Ktime   func() uint64 // ktime_get_ns
 	CPUID   uint32        // get_smp_processor_id
 
-	// FaultLookupMiss forces bpf_map_lookup_elem to return NULL.
-	FaultLookupMiss func() bool
-	// FaultUpdateFail forces bpf_map_update_elem to fail with -1
-	// (the map-full error).
-	FaultUpdateFail func() bool
-	// FaultTailCall forces bpf_tail_call to hit the MaxTailCalls budget:
-	// a runtime fault, not a fall-through.
-	FaultTailCall func() bool
+	// Faults is the host's chaos injector (nil disarms), fired inside the
+	// helper bodies below so an injected helper error behaves identically
+	// under either decoding: SiteHelperLookup makes bpf_map_lookup_elem
+	// return NULL, SiteHelperUpdate makes bpf_map_update_elem fail with -1
+	// (the map-full error), and SiteTailCall makes bpf_tail_call hit the
+	// MaxTailCalls budget — a runtime fault, not a fall-through.
+	Faults *faults.Injector
 }
 
 // errTailCallBudget aborts a program chain that exhausted MaxTailCalls.
@@ -75,9 +71,9 @@ type ExecStats struct {
 
 // runState is the mutable state of one program invocation: registers,
 // stack, dynamic map-value regions (the live values lookups returned),
-// accounting, and the ambient context. Run reuses runStates (a hook point's
-// own RunState, or the program's own behind Program.Run) so steady-state
-// execution allocates nothing; the reference takes a fresh one per run.
+// accounting, and the ambient context. Run reuses the program's own so
+// steady-state execution allocates nothing; the reference takes a fresh one
+// per run.
 type runState struct {
 	stack   [StackSize]byte
 	regs    [NumRegs]uint64
@@ -221,7 +217,7 @@ func (rs *runState) clobber(ret uint64) {
 // a pointer to it in R0; a miss, real or injected, returns NULL.
 func (rs *runState) lookup(m *Map, key []byte) error {
 	var ref []byte
-	if rs.env.FaultLookupMiss == nil || !rs.env.FaultLookupMiss() {
+	if !rs.env.Faults.Fire(faults.SiteHelperLookup) {
 		ref = m.lookupRef(key)
 	}
 	if ref == nil {
@@ -281,7 +277,7 @@ func (rs *runState) call(p *Program, id int32) (*Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		if rs.env.FaultUpdateFail != nil && rs.env.FaultUpdateFail() {
+		if rs.env.Faults.Fire(faults.SiteHelperUpdate) {
 			// Injected map-full: R0 = -1, exactly a real update failure.
 			rs.clobber(uint64(0xffffffffffffffff))
 			return nil, nil
@@ -338,8 +334,7 @@ func (rs *runState) call(p *Program, id int32) (*Program, error) {
 			rs.clobber(uint64(0xffffffffffffffff))
 			return nil, nil
 		}
-		if rs.stats.TailCalls >= MaxTailCalls ||
-			(rs.env.FaultTailCall != nil && rs.env.FaultTailCall()) {
+		if rs.stats.TailCalls >= MaxTailCalls || rs.env.Faults.Fire(faults.SiteTailCall) {
 			// Budget exhausted (or injected exhaustion): a runtime fault,
 			// not a fall-through — a chain this deep is a runaway, and the
 			// hook must count exactly one fault and fall open. The kernel

@@ -50,8 +50,8 @@ type Program struct {
 	// (fallbackPrandom); zero until the first draw.
 	prng uint32
 
-	// rs is the run state Run executes on; a hook point brings its own
-	// (RunState) and never touches this one.
+	// rs is the one run state Run executes on, whichever hook point runs
+	// the program; a tail call continues on its entry program's.
 	rs runState
 
 	// prof holds the opt-in per-instruction profile (profile.go); nil —

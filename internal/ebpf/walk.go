@@ -4,7 +4,7 @@ package ebpf
 // into one op per instruction slot — operands, widths, the resolved jump
 // target and, where the verifier's facts pin it, the memory window or map —
 // and walk is the only loop in the package that executes instructions:
-// Program.Run, RunState.Run and RunInterp all drive it. What an
+// Program.Run and RunInterp both drive it. What an
 // instruction means is not written here either: ALU ops and conditional
 // jumps evaluate through alu and jumpTaken (isa.go), memory and helpers
 // through rs.load, rs.store, rs.lookup and rs.call (interp.go).
@@ -228,15 +228,15 @@ func (p *Program) runRef(ctx *Ctx, env *Env) (uint64, ExecStats, error) {
 }
 
 // exec resets rs for one invocation and walks p. The caller owns rs — the
-// program's own for Run, a hook point's RunState, fresh for the reference —
-// and everything per-run (reset, accounting, instret/fault charging)
-// happens here and in walk, so the entries cannot differ. A state is reused
-// as it was left and reset lazily: the 512-byte stack and the registers
-// stay dirty because the verifier rejects any read of an uninitialized
-// register or stack byte (only unverified loads pay for a scrub), and the
-// env/ctx/region references from the last run are overwritten or truncated
-// here — they point at caller-owned contexts and long-lived map storage, so
-// holding them across the gap pins nothing meaningful.
+// program's own for Run, fresh for the reference — and everything per-run
+// (reset, accounting, instret/fault charging) happens here and in walk, so
+// the entries cannot differ. A state is reused as it was left and reset
+// lazily: the 512-byte stack and the registers stay dirty because the
+// verifier rejects any read of an uninitialized register or stack byte
+// (only unverified loads pay for a scrub), and the env/ctx/region
+// references from the last run are overwritten or truncated here — they
+// point at caller-owned contexts and long-lived map storage, so holding
+// them across the gap pins nothing meaningful.
 func (p *Program) exec(rs *runState, ctx *Ctx, env *Env, ref bool) (uint64, error) {
 	if env == nil {
 		env = &rs.noEnv

@@ -302,27 +302,13 @@ type Injector struct {
 }
 
 // Fire reports whether the site's fault should trigger for the current
-// event, and counts it if so.
-func (i *Injector) Fire(site Site) bool {
-	if i == nil {
-		return false
-	}
-	st := i.sites[site]
-	if st == nil {
-		return false
-	}
-	return st.fire(i.now())
-}
+// event, and counts it if so. It inlines to one nil check, so the disarmed
+// path every hook run and map helper takes costs no call.
+func (i *Injector) Fire(site Site) bool { return i != nil && i.fire(site) }
 
-// FireFn returns a closure equivalent to Fire(site), or nil when the
-// site is not in the plan — callers store it in optional hook fields so
-// the disabled path stays a single nil check.
-func (i *Injector) FireFn(site Site) func() bool {
-	if i == nil || i.sites[site] == nil {
-		return nil
-	}
+func (i *Injector) fire(site Site) bool {
 	st := i.sites[site]
-	return func() bool { return st.fire(i.now()) }
+	return st != nil && st.fire(i.now())
 }
 
 // Stall fires the site and returns the injected stall duration, or 0

@@ -221,9 +221,6 @@ func TestNilInjectorSafe(t *testing.T) {
 		inj.Injected(SiteNICRing) != 0 || inj.Total() != 0 {
 		t.Fatal("nil injector fired")
 	}
-	if inj.FireFn(SiteNICRing) != nil {
-		t.Fatal("nil injector returned a FireFn")
-	}
 	if inj.Planned() != nil {
 		t.Fatal("nil injector reported plan state")
 	}
@@ -231,12 +228,13 @@ func TestNilInjectorSafe(t *testing.T) {
 	if p.Compile(1, nil) != nil {
 		t.Fatal("nil plan compiled to a non-nil injector")
 	}
-	// A planned injector still returns nil FireFn for unplanned sites.
+	// A planned injector never fires an unplanned site, nor the empty site
+	// of a hook point without a chaos seam, and counts nothing for them.
 	real := (&Plan{Specs: []Spec{{Site: SiteNICRing, Every: 1}}}).Compile(1, func() sim.Time { return 0 })
-	if real.FireFn(SiteOffload) != nil {
-		t.Fatal("unplanned site returned a FireFn")
+	if real.Fire(SiteOffload) || real.Fire("") || real.Total() != 0 {
+		t.Fatal("unplanned site fired")
 	}
-	if real.FireFn(SiteNICRing) == nil || !real.FireFn(SiteNICRing)() {
-		t.Fatal("planned every=1 site did not fire via FireFn")
+	if !real.Fire(SiteNICRing) || real.Total() != 1 {
+		t.Fatal("planned every=1 site did not fire")
 	}
 }

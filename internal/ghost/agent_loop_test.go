@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"syrup/internal/ghost"
+	"syrup/internal/hook"
 	"syrup/internal/kernel"
 	"syrup/internal/policy"
 	"syrup/internal/sim"
@@ -31,7 +32,7 @@ func newEnclave(burst sim.Time, yield bool) *enclave {
 		workers[i] = kernel.CPUID(i)
 	}
 	pol := &policy.GetPriority{TypeOf: func(*kernel.Thread) uint64 { return policy.ReqGET }}
-	e.agent = ghost.NewAgent(m, 1, pol, cpus-1, workers, ghost.Config{})
+	e.agent = ghost.NewAgent(&hook.Host{Eng: e.eng}, m, 1, pol, cpus-1, workers, ghost.Config{})
 	for i := 0; i < threads; i++ {
 		var th *kernel.Thread
 		var run, done func()

@@ -16,6 +16,7 @@ import (
 
 	"syrup/internal/faults"
 	"syrup/internal/ghost"
+	"syrup/internal/hook"
 	"syrup/internal/kernel"
 	"syrup/internal/policy"
 	"syrup/internal/sim"
@@ -101,12 +102,9 @@ func runDecisionTrace(seed uint64, mk func(typeOf func(*kernel.Thread) uint64) g
 	for i := range workers {
 		workers[i] = kernel.CPUID(i)
 	}
-	agent := ghost.NewAgent(m, 1, rec, cpus-1, workers, ghost.Config{})
 	tr := trace.New(1 << 16)
-	agent.SetTracer(tr)
-	if plan != nil {
-		agent.SetFaults(plan.Compile(seed, eng.Now))
-	}
+	host := &hook.Host{Eng: eng, Tracer: tr, Faults: plan.Compile(seed, eng.Now)}
+	agent := ghost.NewAgent(host, m, 1, rec, cpus-1, workers, ghost.Config{})
 
 	var res traceResult
 	rng := rand.New(rand.NewPCG(seed, 0x5ca9))

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"syrup/internal/faults"
+	"syrup/internal/hook"
 	"syrup/internal/kernel"
 	"syrup/internal/sim"
 )
@@ -16,10 +17,7 @@ func TestInjectedAgentStallDelaysDispatch(t *testing.T) {
 	run := func(plan *faults.Plan) sim.Time {
 		eng := sim.New(1)
 		m := kernel.New(eng, kernel.Config{NumCPUs: 2})
-		a := NewAgent(m, 7, fifoPolicy(), 0, []kernel.CPUID{1}, Config{})
-		if plan != nil {
-			a.SetFaults(plan.Compile(1, eng.Now))
-		}
+		a := NewAgent(&hook.Host{Eng: eng, Faults: plan.Compile(1, eng.Now)}, m, 7, fifoPolicy(), 0, []kernel.CPUID{1}, Config{})
 		var startedAt sim.Time
 		th := m.NewThread("w", 7, m.AffinityAll(), func(th *kernel.Thread) {
 			startedAt = eng.Now()
@@ -46,10 +44,9 @@ func TestInjectedAgentStallDelaysDispatch(t *testing.T) {
 func TestInjectedCommitDropRecovers(t *testing.T) {
 	eng := sim.New(1)
 	m := kernel.New(eng, kernel.Config{NumCPUs: 2})
-	a := NewAgent(m, 7, fifoPolicy(), 0, []kernel.CPUID{1}, Config{})
 	// Drop the first commit; the retry (via the kicked policy) goes through.
 	plan := &faults.Plan{Specs: []faults.Spec{{Site: faults.SiteGhostCommit, Every: 1, Max: 1}}}
-	a.SetFaults(plan.Compile(1, eng.Now))
+	a := NewAgent(&hook.Host{Eng: eng, Faults: plan.Compile(1, eng.Now)}, m, 7, fifoPolicy(), 0, []kernel.CPUID{1}, Config{})
 
 	done := false
 	th := m.NewThread("w", 7, m.AffinityAll(), func(th *kernel.Thread) {

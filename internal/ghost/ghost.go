@@ -115,6 +115,10 @@ type Agent struct {
 	eng *sim.Engine
 	app uint32
 	cfg Config
+	// host supplies the request tracer and the chaos injector
+	// (message-batch stalls on the agent core, dropped commit
+	// transactions).
+	host *hook.Host
 
 	// pt is the agent's Thread Scheduler hook point. The policy lives
 	// there as a userspace attachment, so lifecycle (replace a policy
@@ -139,10 +143,6 @@ type Agent struct {
 	// reservations stay in place so a redeploy reuses the same agent.
 	stopped bool
 
-	// faults, when armed by a chaos plan, stalls message batches on the
-	// agent core and drops commit transactions in flight.
-	faults *faults.Injector
-
 	// Stored closure-free callbacks for the agent's event hot paths. The
 	// single-outstanding-batch invariant (busy) makes one inflight buffer
 	// sufficient; a commit event carries its whole placement (packCommit),
@@ -150,10 +150,7 @@ type Agent struct {
 	batchCB  sim.Callback
 	commitCB sim.Callback
 
-	// tracer, when enabled, receives StageGhost spans for message-batch
-	// processing and placement commits; batchStart marks the current
-	// batch's start on the agent core.
-	tracer     *trace.Recorder
+	// batchStart marks the current batch's start on the agent core.
 	batchStart sim.Time
 
 	// Stats.
@@ -167,16 +164,19 @@ type Agent struct {
 	CommitDrops uint64
 }
 
-// NewAgent reserves agentCPU for the spinning agent and workers as the
-// enclave's application cores, and installs the agent as the scheduling
-// class for registered threads.
-func NewAgent(m *kernel.Machine, app uint32, policy Policy, agentCPU kernel.CPUID, workers []kernel.CPUID, cfg Config) *Agent {
+// NewAgent reserves agentCPU on host h's machine m for the spinning agent
+// and workers as the enclave's application cores, and installs the agent as
+// the scheduling class for registered threads. Its StageGhost spans go to
+// the host's tracer: one per processed batch (Policy "batch", Executor =
+// message count) and one per placement commit (Policy "commit", Executor =
+// target CPU, Req = thread ID).
+func NewAgent(h *hook.Host, m *kernel.Machine, app uint32, policy Policy, agentCPU kernel.CPUID, workers []kernel.CPUID, cfg Config) *Agent {
 	cfg.fill()
 	a := &Agent{
-		m: m, eng: m.Eng, app: app, cfg: cfg,
+		m: m, eng: m.Eng, app: app, cfg: cfg, host: h,
 		agentCPU: agentCPU, workers: workers,
 		cpuScratch: make([]CPUView, len(workers)),
-		pt:         hook.NewPoint(fmt.Sprintf("thread_sched:app%d", app), nil),
+		pt:         hook.NewPoint(h, fmt.Sprintf("thread_sched:app%d", app), ""),
 	}
 	if policy != nil {
 		if _, err := a.pt.AttachUser(policy, fmt.Sprintf("app%d-policy", app)); err != nil {
@@ -189,8 +189,8 @@ func NewAgent(m *kernel.Machine, app uint32, policy Policy, agentCPU kernel.CPUI
 	}
 	a.batchCB = func(any, uint64) {
 		// A kick is an empty batch: no span, no messages, just the policy.
-		if len(a.inflight) > 0 && a.tracer.Enabled() {
-			a.tracer.Record(trace.Span{
+		if len(a.inflight) > 0 && a.host.Tracer.Enabled() {
+			a.host.Tracer.Record(trace.Span{
 				Start: a.batchStart, End: a.eng.Now(), Stage: trace.StageGhost,
 				CPU: int32(a.agentCPU), Executor: uint32(len(a.inflight)),
 				Hook: a.pt.Name(), Policy: "batch",
@@ -214,10 +214,10 @@ func NewAgent(m *kernel.Machine, app uint32, policy Policy, agentCPU kernel.CPUI
 	}
 	a.commitCB = func(arg any, u uint64) {
 		pl := Placement{Thread: arg.(*kernel.Thread), CPU: kernel.CPUID(uint32(u) >> 1), Preempt: u&1 != 0}
-		if a.tracer.Enabled() {
+		if a.host.Tracer.Enabled() {
 			// The span is the syscall+IPI round trip: a decision's nth
 			// commit (u>>32, see packCommit) was issued nth commit costs ago.
-			a.tracer.Record(trace.Span{
+			a.host.Tracer.Record(trace.Span{
 				Req: uint64(pl.Thread.ID), Start: a.eng.Now() - sim.Time(u>>32)*a.cfg.CommitCost, End: a.eng.Now(),
 				Stage: trace.StageGhost, Verdict: trace.VerdictSteer,
 				Executor: uint32(pl.CPU), CPU: int32(a.agentCPU),
@@ -228,7 +228,7 @@ func NewAgent(m *kernel.Machine, app uint32, policy Policy, agentCPU kernel.CPUI
 		// paid: the IPI round trip happened but the placement never landed.
 		// The thread returns to the runnable set and the policy is kicked,
 		// exactly the failed-txn recovery path.
-		if a.faults.Fire(faults.SiteGhostCommit) {
+		if a.host.Faults.Fire(faults.SiteGhostCommit) {
 			a.CommitDrops++
 			if pl.Thread.State() == kernel.ThreadRunnable {
 				a.setRunnable(pl.Thread, true)
@@ -240,10 +240,6 @@ func NewAgent(m *kernel.Machine, app uint32, policy Policy, agentCPU kernel.CPUI
 	}
 	return a
 }
-
-// SetFaults arms the agent with a chaos plan's injector (nil disarms):
-// message-batch stalls on the agent core and dropped commit transactions.
-func (a *Agent) SetFaults(inj *faults.Injector) { a.faults = inj }
 
 // Stop quiesces the agent: messages keep accumulating but no batch is
 // processed and no placements are committed until Resume. Core
@@ -265,12 +261,6 @@ func (a *Agent) Resume() {
 
 // Stopped reports whether the agent is quiesced.
 func (a *Agent) Stopped() bool { return a.stopped }
-
-// SetTracer routes the agent's message→commit round trips to r as
-// StageGhost spans: one per processed batch (Policy "batch", Executor =
-// message count) and one per placement commit (Policy "commit",
-// Executor = target CPU, Req = thread ID).
-func (a *Agent) SetTracer(r *trace.Recorder) { a.tracer = r }
 
 // Register moves a blocked thread into this agent's scheduling class.
 // ghOSt's isolation guarantee: the kernel refuses threads of other
@@ -324,9 +314,9 @@ func (a *Agent) maybeRun() {
 	cost := a.cfg.PerMessageCost * sim.Time(len(a.inflight))
 	// An injected stall holds the agent core for the spec's duration on
 	// top of the batch cost (a GC pause or scheduler-thread descheduling).
-	if a.faults.Fire(faults.SiteGhostStall) {
+	if inj := a.host.Faults; inj.Fire(faults.SiteGhostStall) {
 		a.Stalls++
-		cost += a.faults.Stall(faults.SiteGhostStall)
+		cost += inj.Stall(faults.SiteGhostStall)
 	}
 	a.eng.CallAfter(cost, a.batchCB, nil, 0)
 }

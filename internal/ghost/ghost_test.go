@@ -3,6 +3,7 @@ package ghost
 import (
 	"testing"
 
+	"syrup/internal/hook"
 	"syrup/internal/kernel"
 	"syrup/internal/sim"
 )
@@ -34,7 +35,7 @@ func setup(t *testing.T, cpus int, policy Policy) (*sim.Engine, *kernel.Machine,
 	for i := range workers {
 		workers[i] = kernel.CPUID(i + 1)
 	}
-	a := NewAgent(m, 7, policy, 0, workers, Config{})
+	a := NewAgent(&hook.Host{Eng: eng}, m, 7, policy, 0, workers, Config{})
 	return eng, m, a
 }
 
@@ -71,7 +72,7 @@ func TestAgentRejectsForeignApp(t *testing.T) {
 func TestAgentLatencyIncludesMessageAndCommitCosts(t *testing.T) {
 	eng := sim.New(1)
 	m := kernel.New(eng, kernel.Config{NumCPUs: 2, CtxSwitchCost: 1 * sim.Microsecond})
-	a := NewAgent(m, 7, fifoPolicy(), 0, []kernel.CPUID{1},
+	a := NewAgent(&hook.Host{Eng: eng}, m, 7, fifoPolicy(), 0, []kernel.CPUID{1},
 		Config{PerMessageCost: 500 * sim.Nanosecond, CommitCost: 2 * sim.Microsecond})
 	var startedAt sim.Time
 	th := m.NewThread("w", 7, m.AffinityAll(), func(th *kernel.Thread) {

@@ -3,7 +3,7 @@ package hook
 import (
 	"testing"
 
-	"syrup/internal/sim"
+	"syrup/internal/faults"
 	"syrup/internal/trace"
 )
 
@@ -26,11 +26,11 @@ func mkInputs(n int) []Input {
 // runBoth executes the same input sequence through Run (on one point) and
 // RunBatch (on an identically configured second point), returning both
 // verdict sequences and the two points for stats comparison.
-func runBoth(t *testing.T, n int, setup func(pt *Point)) ([]Verdict, []Verdict, *Point, *Point) {
+func runBoth(t *testing.T, n int, site faults.Site, setup func(pt *Point)) ([]Verdict, []Verdict, *Point, *Point) {
 	t.Helper()
 	ins := mkInputs(n)
-	one := NewPoint("t_diff_one", nil)
-	batch := NewPoint("t_diff_batch", nil)
+	one := NewPoint(newHost(), "t_diff_one", site)
+	batch := NewPoint(newHost(), "t_diff_batch", site)
 	setup(one)
 	setup(batch)
 	var ref []Verdict
@@ -63,7 +63,7 @@ func assertEquivalent(t *testing.T, ref, got []Verdict, one, batch *Point) {
 // vary per packet) through the JIT path.
 func TestRunBatchEquivalentSteering(t *testing.T) {
 	src := "r0 = *(u32 *)(r1 + 16)\nr0 %= 4\nexit\n"
-	ref, got, one, batch := runBoth(t, 33, func(pt *Point) {
+	ref, got, one, batch := runBoth(t, 33, "", func(pt *Point) {
 		if _, err := pt.Attach(mustProg(t, "hashmod", src)); err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestRunBatchEquivalentSteering(t *testing.T) {
 // TestRunBatchEquivalentFaulting: runtime faults must fall open per input
 // with identical fault accounting.
 func TestRunBatchEquivalentFaulting(t *testing.T) {
-	ref, got, one, batch := runBoth(t, 9, func(pt *Point) {
+	ref, got, one, batch := runBoth(t, 9, "", func(pt *Point) {
 		if _, err := pt.Attach(faultyProg(t)); err != nil {
 			t.Fatal(err)
 		}
@@ -99,18 +99,12 @@ func TestRunBatchEquivalentFaulting(t *testing.T) {
 // TestRunBatchEquivalentInjectedFaults: the chaos seam draws once per
 // input, in input order, exactly as N individual Runs would.
 func TestRunBatchEquivalentInjectedFaults(t *testing.T) {
-	mkFire := func() func() bool {
-		n := 0
-		return func() bool {
-			n++
-			return n%3 == 0 // deterministic: every third draw fires
-		}
-	}
-	ref, got, one, batch := runBoth(t, 21, func(pt *Point) {
+	ref, got, one, batch := runBoth(t, 21, faults.SiteSocketSelect, func(pt *Point) {
 		if _, err := pt.Attach(mustProg(t, "steer1", "r0 = 1\nexit\n")); err != nil {
 			t.Fatal(err)
 		}
-		pt.SetFaultInjector(mkFire())
+		// Deterministic: every third draw fires.
+		pt.host.Faults = everyNth(pt.host, faults.SiteSocketSelect, 3)
 	})
 	assertEquivalent(t, ref, got, one, batch)
 	faults := 0
@@ -127,7 +121,7 @@ func TestRunBatchEquivalentInjectedFaults(t *testing.T) {
 // TestRunBatchEmptySlot: an empty point passes every input without
 // counting runs, like Run.
 func TestRunBatchEmptySlot(t *testing.T) {
-	pt := NewPoint("t_batch_empty", nil)
+	pt := NewPoint(newHost(), "t_batch_empty", "")
 	out := pt.RunBatch(mkInputs(5))
 	if len(out) != 5 {
 		t.Fatalf("got %d verdicts", len(out))
@@ -145,13 +139,13 @@ func TestRunBatchEmptySlot(t *testing.T) {
 // TestRunBatchTraceSpans: batch dispatch records the same per-input spans
 // as individual Runs.
 func TestRunBatchTraceSpans(t *testing.T) {
-	eng := sim.New(1)
-	pt := NewPoint("t_batch_trace", nil)
+	h := newHost()
+	pt := NewPoint(h, "t_batch_trace", "")
 	if _, err := pt.Attach(mustProg(t, "hashmod", "r0 = *(u32 *)(r1 + 16)\nr0 %= 4\nexit\n")); err != nil {
 		t.Fatal(err)
 	}
 	rec := trace.New(64)
-	pt.SetTracer(rec, eng.Now)
+	h.Tracer = rec
 	ins := mkInputs(6)
 	out := pt.RunBatch(ins)
 	spans := rec.Spans()
@@ -172,7 +166,7 @@ func TestRunBatchTraceSpans(t *testing.T) {
 // TestZeroAllocRunBatch gates the vectorized hot path: a warm burst
 // dispatch through the JIT allocates nothing.
 func TestZeroAllocRunBatch(t *testing.T) {
-	pt := NewPoint("t_batch_zeroalloc", nil)
+	pt := NewPoint(newHost(), "t_batch_zeroalloc", "")
 	if _, err := pt.Attach(mustProg(t, "hashmod", "r0 = *(u32 *)(r1 + 16)\nr0 %= 4\nexit\n")); err != nil {
 		t.Fatal(err)
 	}

@@ -5,12 +5,15 @@
 // A Point is a named slot at a layer (the NIC's offload engine, a
 // reuseport group's socket-select, the storage device's submit path, the
 // ghOSt agent's thread hook). It owns the installed program, a reusable
-// scratch Ctx and the one run state every run at the point executes on —
-// so the per-packet path allocates nothing and touches nothing shared —
-// the layer's default Env, and per-point run/fault/verdict counters. The counters are
-// plain fields read through Stats; the host that owns the point publishes
-// them (syrupd.Daemon.Counters) as ebpf_hook_runs_<point> and
-// ebpf_hook_faults_<point>.
+// scratch Ctx and Env — so the per-packet path allocates nothing — and
+// per-point run/fault/verdict counters; the program runs on the run state
+// it owns itself. The counters are plain fields read through Stats; the
+// host that owns the point publishes them (syrupd.Daemon.Counters) as
+// ebpf_hook_runs_<point> and ebpf_hook_faults_<point>.
+//
+// A point is built on its Host, the per-host context every layer shares:
+// each run reads the host's tracer and chaos injector where it uses them,
+// so arming either once reaches every point, points built later included.
 //
 // Attach returns a Link — an owned, detachable, atomically-replaceable
 // attachment object modeled on the kernel's bpf_link. Link.Replace swaps
@@ -32,9 +35,23 @@ import (
 	"strings"
 
 	"syrup/internal/ebpf"
+	"syrup/internal/faults"
 	"syrup/internal/sim"
 	"syrup/internal/trace"
 )
+
+// Host is one simulated host's context: its event engine and the two
+// ambient services every layer reaches through it, the request tracer and
+// the chaos-fault injector. Everything that records spans or consults a
+// fault site is built on the Host and reads Tracer and Faults where it uses
+// them, the way bpf_ktime_get_ns and bpf_get_prandom_u32 are one host-wide
+// environment every attach point calls rather than state pushed into each.
+// Nil Tracer and Faults (the default) record nothing and inject nothing.
+type Host struct {
+	Eng    *sim.Engine
+	Tracer *trace.Recorder
+	Faults *faults.Injector
+}
 
 // Action classifies a hook run's outcome for the layer.
 type Action int
@@ -78,17 +95,17 @@ func (v Verdict) Trace() (trace.Verdict, uint32) {
 	}
 }
 
-// Input is one hook invocation's arguments. Env, when non-nil, overrides
-// the point's default environment (the netstack passes per-softirq-core
-// envs so get_smp_processor_id reads the right CPU). Req carries the
-// request/packet ID for trace attribution only — programs never see it.
+// Input is one hook invocation's arguments. CPU is the core the run
+// executes on, what get_smp_processor_id reads (the netstack passes the
+// softirq core). Req carries the request/packet ID for trace attribution
+// only — programs never see it.
 type Input struct {
 	Packet []byte
 	Hash   uint32
 	Port   uint32
 	Queue  uint32
 	Req    uint64
-	Env    *ebpf.Env
+	CPU    uint32
 }
 
 // Stats is cumulative per-point (or per-link) accounting.
@@ -115,6 +132,12 @@ var errInjected = errors.New("hook: injected fault")
 // Point is one hook slot at one layer.
 type Point struct {
 	name string
+	host *Host
+	// site is the chaos seam fired before each run ("" for none): a firing
+	// makes the run a counted fault that falls open without the program
+	// ever running (an offload engine or select path failing under the
+	// policy, not the policy misbehaving).
+	site faults.Site
 
 	prog *ebpf.Program
 	link *Link
@@ -123,44 +146,37 @@ type Point struct {
 	// layer invokes itself; the framework still owns lifecycle+accounting.
 	payload any
 
-	env *ebpf.Env
-	// ctx is the reusable scratch context and rs the run state; Run is
+	// env and ctx are the reusable environment and scratch context; Run is
 	// synchronous and the engine single-threaded, so one of each per point
 	// serves every run, across Replace and whichever program is installed.
+	env ebpf.Env
 	ctx ebpf.Ctx
-	rs  ebpf.RunState
 
 	stats Stats
 	// runsKey and faultsKey are the names stats.Runs and stats.Faults are
 	// published under (StatsKeys).
 	runsKey, faultsKey string
 
-	// tracer, when set and enabled, receives one instant span per Run
-	// with the verdict that came out of the installed policy; now
-	// supplies the simulated clock for the span timestamp.
-	tracer *trace.Recorder
-	now    func() sim.Time
-
-	// inject, when armed by a chaos plan, is consulted before executing
-	// the installed program; a firing makes the run a counted fault that
-	// falls open without the program ever running (an offload engine or
-	// select path failing under the policy, not the policy misbehaving).
-	inject func() bool
-
 	// batch is RunBatch's reusable verdict slice, so steady-state burst
 	// dispatch stays allocation-free.
 	batch []Verdict
 }
 
-// NewPoint creates a hook point. name identifies the instance (for metric
-// names and the links listing) and should be stable, e.g.
-// "socket_select:9000"; env is the layer's default environment (may be
-// nil for deterministic defaults).
-func NewPoint(name string, env *ebpf.Env) *Point {
+// NewPoint creates a hook point on h. name identifies the instance (for
+// metric names and the links listing) and should be stable, e.g.
+// "socket_select:9000"; site is the chaos seam the point fires before each
+// run ("" for none). The point's Env draws time and randomness from h.Eng.
+func NewPoint(h *Host, name string, site faults.Site) *Point {
 	metric := sanitize(name)
+	eng := h.Eng
 	return &Point{
-		name:      name,
-		env:       env,
+		name: name,
+		host: h,
+		site: site,
+		env: ebpf.Env{
+			Prandom: func() uint32 { return eng.Rand().Uint32() },
+			Ktime:   func() uint64 { return uint64(eng.Now()) },
+		},
 		runsKey:   "ebpf_hook_runs_" + metric,
 		faultsKey: "ebpf_hook_faults_" + metric,
 	}
@@ -176,31 +192,11 @@ func sanitize(name string) string {
 	}, name)
 }
 
-// SetTracer routes one instant span per Run to r, timestamped with now
-// (the simulated clock). Pass nil to detach. The hook.Point framework
-// is the single instrumentation seam for policy decisions: layers see
-// routing verdicts only through Run, so attaching the tracer here
-// covers XDP offload, SKB XDP, cpumap redirect, socket select, storage
-// submit, and the thread hook without per-layer duplication.
-func (p *Point) SetTracer(r *trace.Recorder, now func() sim.Time) {
-	p.tracer, p.now = r, now
-}
-
-// SetFaultInjector arms (or, with nil, disarms) fault injection at this
-// point. fire is consulted once per Run with a program installed; when
-// it returns true the run is accounted as a fault — point and link
-// counters both bump, a fault span is recorded — and the verdict
-// falls open to Pass without executing the program, exactly the
-// treatment a runtime program error gets.
-func (p *Point) SetFaultInjector(fire func() bool) {
-	p.inject = fire
-}
-
 // Name reports the point's instance name.
 func (p *Point) Name() string { return p.name }
 
-// Env returns the point's default environment.
-func (p *Point) Env() *ebpf.Env { return p.env }
+// Env returns the point's environment, as the last run left it.
+func (p *Point) Env() *ebpf.Env { return &p.env }
 
 // Attached reports whether anything (program or userspace payload) is
 // installed.
@@ -340,25 +336,24 @@ func (p *Point) RunBatch(ins []Input) []Verdict {
 }
 
 // runOne is one policy invocation, shared by Run and RunBatch so the two
-// cannot drift: consult the fault seam, run prog on the point's run
-// state, classify the result (a runtime error fails open as a counted
-// fault), charge it to d, and emit the verdict's trace span.
+// cannot drift: fire the host's injector at the point's seam, run prog,
+// classify the result (a runtime error fails open as a counted fault),
+// charge it to d, and emit the verdict's trace span to the host's tracer.
+// An injected fault accounts exactly as a runtime error does — point and
+// link counters both bump, a fault span is recorded — without executing
+// the program.
 func (p *Point) runOne(prog *ebpf.Program, in *Input, d *Stats) Verdict {
+	h := p.host
 	var (
 		raw uint32
 		err error
 	)
-	if p.inject != nil && p.inject() {
-		// Injected hook fault: the program never runs; the classification
-		// below treats it exactly like a runtime error.
+	if h.Faults.Fire(p.site) {
 		err = errInjected
 	} else {
-		env := in.Env
-		if env == nil {
-			env = p.env
-		}
+		p.env.CPUID, p.env.Faults = in.CPU, h.Faults
 		p.ctx = ebpf.Ctx{Packet: in.Packet, Hash: in.Hash, Port: in.Port, Queue: in.Queue}
-		raw, _, err = p.rs.Run(prog, &p.ctx, env)
+		raw, _, err = prog.Run(&p.ctx, &p.env)
 	}
 	d.Runs++
 	var v Verdict
@@ -376,10 +371,10 @@ func (p *Point) runOne(prog *ebpf.Program, in *Input, d *Stats) Verdict {
 		d.Steers++
 		v = Verdict{Action: Steer, Index: raw}
 	}
-	if p.tracer.Enabled() {
+	if h.Tracer.Enabled() {
 		tv, exec := v.Trace()
-		now := p.now()
-		p.tracer.Record(trace.Span{
+		now := h.Eng.Now()
+		h.Tracer.Record(trace.Span{
 			Req: in.Req, Start: now, End: now, Stage: trace.StageHook,
 			Verdict: tv, Executor: exec, CPU: int32(in.Queue),
 			Port: uint16(in.Port), Hook: p.name, Policy: prog.Name(),

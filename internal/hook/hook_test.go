@@ -5,9 +5,18 @@ import (
 	"testing"
 
 	"syrup/internal/ebpf"
+	"syrup/internal/faults"
 	"syrup/internal/sim"
 	"syrup/internal/trace"
 )
+
+// newHost is a host of its own, untraced and unarmed.
+func newHost() *Host { return &Host{Eng: sim.New(1)} }
+
+// everyNth is a chaos plan firing site on every n-th event.
+func everyNth(h *Host, site faults.Site, n uint64) *faults.Injector {
+	return (&faults.Plan{Specs: []faults.Spec{{Site: site, Every: n}}}).Compile(1, h.Eng.Now)
+}
 
 func mustProg(t *testing.T, name, src string) *ebpf.Program {
 	t.Helper()
@@ -26,7 +35,7 @@ func faultyProg(t *testing.T) *ebpf.Program {
 }
 
 func TestPointEmptyRunsPass(t *testing.T) {
-	p := NewPoint("t_empty", nil)
+	p := NewPoint(newHost(), "t_empty", "")
 	v := p.Run(Input{Packet: []byte{1}})
 	if v.Action != Pass || v.Faulted {
 		t.Fatalf("empty point verdict = %+v", v)
@@ -37,7 +46,7 @@ func TestPointEmptyRunsPass(t *testing.T) {
 }
 
 func TestAttachRunDetachLifecycle(t *testing.T) {
-	pt := NewPoint("t_lifecycle", nil)
+	pt := NewPoint(newHost(), "t_lifecycle", "")
 	steer := mustProg(t, "steer2", "r0 = 2\nexit\n")
 	l, err := pt.Attach(steer)
 	if err != nil {
@@ -77,7 +86,7 @@ func TestAttachRunDetachLifecycle(t *testing.T) {
 }
 
 func TestReplaceSwapsLive(t *testing.T) {
-	pt := NewPoint("t_replace", nil)
+	pt := NewPoint(newHost(), "t_replace", "")
 	l, err := pt.Attach(mustProg(t, "gen1", "r0 = 1\nexit\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -111,11 +120,11 @@ func TestReplaceSwapsLive(t *testing.T) {
 func TestFaultCountsAndFailsOpen(t *testing.T) {
 	// A second point faulting in the same process must not show up in
 	// this one's accounting.
-	noise := NewPoint("t:fault", nil)
+	noise := NewPoint(newHost(), "t:fault", "")
 	noise.Set(faultyProg(t))
 	noise.Run(Input{Packet: []byte{1}})
 
-	pt := NewPoint("t:fault", nil)
+	pt := NewPoint(newHost(), "t:fault", "")
 	l, err := pt.Attach(faultyProg(t))
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +145,7 @@ func TestFaultCountsAndFailsOpen(t *testing.T) {
 }
 
 func TestSetCompatSurface(t *testing.T) {
-	pt := NewPoint("t_set", nil)
+	pt := NewPoint(newHost(), "t_set", "")
 	a := mustProg(t, "a", "r0 = PASS\nexit\n")
 	b := mustProg(t, "b", "r0 = DROP\nexit\n")
 	pt.Set(a)
@@ -158,7 +167,7 @@ func TestSetCompatSurface(t *testing.T) {
 type tPolicy struct{ id int }
 
 func TestUserAttachment(t *testing.T) {
-	pt := NewPoint("t_user", nil)
+	pt := NewPoint(newHost(), "t_user", "")
 	p1 := &tPolicy{1}
 	l, err := pt.AttachUser(p1, "policy-1")
 	if err != nil {
@@ -190,18 +199,18 @@ func TestUserAttachment(t *testing.T) {
 }
 
 func TestEnvOverride(t *testing.T) {
-	// get_smp_processor_id reads Env.CPUID; the per-call override must win
-	// over the point default.
+	// get_smp_processor_id reads Env.CPUID, which each run takes from
+	// Input.CPU.
 	src := "call get_smp_processor_id\nexit\n"
-	pt := NewPoint("t_env", &ebpf.Env{CPUID: 3})
+	pt := NewPoint(newHost(), "t_env", "")
 	if _, err := pt.Attach(mustProg(t, "cpu", src)); err != nil {
 		t.Fatal(err)
 	}
-	if v := pt.Run(Input{}); v.Index != 3 {
-		t.Fatalf("default env verdict = %+v", v)
+	if v := pt.Run(Input{CPU: 5}); v.Index != 5 {
+		t.Fatalf("cpu 5 verdict = %+v", v)
 	}
-	if v := pt.Run(Input{Env: &ebpf.Env{CPUID: 5}}); v.Index != 5 {
-		t.Fatalf("override env verdict = %+v", v)
+	if v := pt.Run(Input{}); v.Index != 0 {
+		t.Fatalf("cpu 0 verdict = %+v", v)
 	}
 }
 
@@ -229,10 +238,11 @@ func TestRegistry(t *testing.T) {
 // TestTracedRunEmitsVerdictSpans covers the trace seam: every Run on a
 // traced point must emit one instant hook span carrying the verdict.
 func TestTracedRunEmitsVerdictSpans(t *testing.T) {
-	pt := NewPoint("t_traced:9000", nil)
+	h := newHost()
+	pt := NewPoint(h, "t_traced:9000", "")
 	rec := trace.New(16)
-	var clock sim.Time = 1000
-	pt.SetTracer(rec, func() sim.Time { return clock })
+	h.Tracer = rec
+	h.Eng.RunUntil(1000)
 
 	// Empty slot: layer default, no policy ran, no span.
 	pt.Run(Input{Req: 1})
@@ -243,7 +253,7 @@ func TestTracedRunEmitsVerdictSpans(t *testing.T) {
 	if _, err := pt.Attach(mustProg(t, "steer2", "r0 = 2\nexit\n")); err != nil {
 		t.Fatal(err)
 	}
-	clock = 2000
+	h.Eng.RunUntil(2000)
 	pt.Run(Input{Req: 7, Port: 9000, Queue: 3})
 	spans := rec.Spans()
 	if len(spans) != 1 {
@@ -258,7 +268,7 @@ func TestTracedRunEmitsVerdictSpans(t *testing.T) {
 	}
 
 	// Detaching the tracer stops emission without touching the verdict.
-	pt.SetTracer(nil, nil)
+	h.Tracer = nil
 	if v := pt.Run(Input{Req: 8}); v.Action != Steer || rec.Total() != 1 {
 		t.Fatalf("untraced Run: verdict=%+v spans=%d", v, rec.Total())
 	}
@@ -268,9 +278,10 @@ func TestTracedRunEmitsVerdictSpans(t *testing.T) {
 // contract: a faulting policy must emit a span tagged with the error
 // AND still fall open to Pass so the layer default runs.
 func TestFaultEmitsErrorSpanAndFallsOpen(t *testing.T) {
-	pt := NewPoint("t_fault_traced", nil)
+	h := newHost()
+	pt := NewPoint(h, "t_fault_traced", "")
 	rec := trace.New(16)
-	pt.SetTracer(rec, func() sim.Time { return 500 })
+	h.Tracer = rec
 	if _, err := pt.Attach(faultyProg(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -317,8 +328,8 @@ func TestVerdictTrace(t *testing.T) {
 // allocation-free whether tracing is off (the default every figure runs
 // with) or on (the recorder's ring Record is itself zero-alloc once warm).
 func TestZeroAllocRun(t *testing.T) {
-	eng := sim.New(1)
-	pt := NewPoint("t_zeroalloc", nil)
+	h := newHost()
+	pt := NewPoint(h, "t_zeroalloc", "")
 	if _, err := pt.Attach(mustProg(t, "steer0", "r0 = 0\nexit\n")); err != nil {
 		t.Fatal(err)
 	}
@@ -328,8 +339,7 @@ func TestZeroAllocRun(t *testing.T) {
 		t.Fatalf("untraced Run: %v allocs/op, want 0", avg)
 	}
 
-	rec := trace.New(256)
-	pt.SetTracer(rec, eng.Now)
+	h.Tracer = trace.New(256)
 	for i := 0; i < 512; i++ { // warm the ring past its first lap
 		pt.Run(in)
 	}
@@ -339,7 +349,8 @@ func TestZeroAllocRun(t *testing.T) {
 }
 
 func TestFaultInjectorFailsOpen(t *testing.T) {
-	pt := NewPoint("t_inject", nil)
+	h := newHost()
+	pt := NewPoint(h, "t_inject", faults.SiteOffload)
 	prog := mustProg(t, "steer7", "r0 = 7\nexit\n")
 	l, err := pt.Attach(prog)
 	if err != nil {
@@ -347,14 +358,9 @@ func TestFaultInjectorFailsOpen(t *testing.T) {
 	}
 
 	// Fire on every other run.
-	n := 0
-	pt.SetFaultInjector(func() bool {
-		n++
-		return n%2 == 0
-	})
-
+	h.Faults = everyNth(h, faults.SiteOffload, 2)
 	rec := trace.New(8)
-	pt.SetTracer(rec, func() sim.Time { return 42 })
+	h.Tracer = rec
 
 	before := prog.Stats().Runs
 	v1 := pt.Run(Input{Packet: []byte{1}})
@@ -382,7 +388,7 @@ func TestFaultInjectorFailsOpen(t *testing.T) {
 	}
 
 	// Disarm: back to clean verdicts.
-	pt.SetFaultInjector(nil)
+	h.Faults = nil
 	if v := pt.Run(Input{Packet: []byte{1}}); v.Faulted {
 		t.Fatalf("disarmed point still faulted: %+v", v)
 	}
@@ -418,7 +424,7 @@ func selfTailProg(t *testing.T, name string) *ebpf.Program {
 // and fall open.
 func TestTailCallBudgetOneHookFault(t *testing.T) {
 	prog := selfTailProg(t, "runaway")
-	pt := NewPoint("t_tailfault", nil)
+	pt := NewPoint(newHost(), "t_tailfault", "")
 	if _, err := pt.Attach(prog); err != nil {
 		t.Fatal(err)
 	}
@@ -435,12 +441,12 @@ func TestTailCallBudgetOneHookFault(t *testing.T) {
 	}
 }
 
-// TestRunStateSurvivesReplaceTailCallsAndFaults: a point runs everything on
-// the one run state it owns, whichever program is installed. A long-lived
-// point taken through Replace, a tail-call chain that faults at its
-// budget and injected faults must give,
-// generation by generation, the verdicts and the accounting of a point
-// created for that generation alone — a fresh state.
+// TestRunStateSurvivesReplaceTailCallsAndFaults: a point runs each program
+// on the run state that program owns, and keeps one Env and Ctx for every
+// run whichever program is installed. A long-lived point taken through
+// Replace, a tail-call chain that faults at its budget and injected faults
+// must give, generation by generation, the verdicts and the accounting of a
+// point created for that generation alone.
 func TestRunStateSurvivesReplaceTailCallsAndFaults(t *testing.T) {
 	spill := func(mod string) func(*testing.T) *ebpf.Program {
 		return func(t *testing.T) *ebpf.Program {
@@ -450,7 +456,7 @@ func TestRunStateSurvivesReplaceTailCallsAndFaults(t *testing.T) {
 	gens := []struct {
 		name   string
 		prog   func(*testing.T) *ebpf.Program
-		inject int // fire on every inject-th run; 0 never
+		inject uint64 // fire on every inject-th run; 0 never
 		batch  bool
 	}{
 		{"spill", spill("4"), 0, false},
@@ -459,13 +465,11 @@ func TestRunStateSurvivesReplaceTailCallsAndFaults(t *testing.T) {
 		{"injected faults", spill("5"), 3, false},
 		{"after injected faults", spill("7"), 0, true},
 	}
-	arm := func(pt *Point, every int) {
-		if every == 0 {
-			pt.SetFaultInjector(nil)
-			return
+	arm := func(h *Host, every uint64) {
+		h.Faults = nil
+		if every != 0 {
+			h.Faults = everyNth(h, faults.SiteSocketSelect, every)
 		}
-		n := 0
-		pt.SetFaultInjector(func() bool { n++; return n%every == 0 })
 	}
 	run := func(pt *Point, ins []Input, batch bool) []Verdict {
 		if batch {
@@ -478,15 +482,17 @@ func TestRunStateSurvivesReplaceTailCallsAndFaults(t *testing.T) {
 		return out
 	}
 	ins := mkInputs(20)
-	long := NewPoint("t_long", nil)
+	longHost := newHost()
+	long := NewPoint(longHost, "t_long", faults.SiteSocketSelect)
 	var prev Stats
 	for _, g := range gens {
 		progL, progF := g.prog(t), g.prog(t)
 		long.Set(progL) // attach, then live Replace from the second generation on
-		fresh := NewPoint("t_fresh", nil)
+		freshHost := newHost()
+		fresh := NewPoint(freshHost, "t_fresh", faults.SiteSocketSelect)
 		fresh.Set(progF)
-		arm(long, g.inject)
-		arm(fresh, g.inject)
+		arm(longHost, g.inject)
+		arm(freshHost, g.inject)
 		got, want := run(long, ins, g.batch), run(fresh, ins, g.batch)
 		for i := range want {
 			if got[i] != want[i] {

@@ -17,7 +17,7 @@ func TestReplaceSwapChurnSoak(t *testing.T) {
 	progA := mustProg(t, "gen_a", "r0 = *(u32 *)(r1 + 16)\nr0 %= 4\nexit\n")
 	progB := mustProg(t, "gen_b", "r0 = *(u32 *)(r1 + 16)\nr0 %= 4\nr0 += 4\nexit\n")
 
-	pt := NewPoint("t_swap_soak", nil)
+	pt := NewPoint(newHost(), "t_swap_soak", "")
 	link, err := pt.Attach(progA)
 	if err != nil {
 		t.Fatal(err)

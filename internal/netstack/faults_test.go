@@ -10,6 +10,7 @@ import (
 
 	"syrup/internal/ebpf"
 	"syrup/internal/faults"
+	"syrup/internal/hook"
 	"syrup/internal/nic"
 	"syrup/internal/sim"
 )
@@ -19,7 +20,7 @@ import (
 // missing-executor drop, not enqueue into the dead socket's queue.
 func TestXDPRedirectToDeadXSK(t *testing.T) {
 	eng := sim.New(1)
-	dev, st := Wire(eng, nic.Config{Queues: 1}, Config{})
+	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1}, Config{})
 	var xsks []*Socket
 	for i := 0; i < 2; i++ {
 		s := NewSocket(0, 1, 64, "xsk")
@@ -62,11 +63,9 @@ func TestXDPRedirectToDeadXSK(t *testing.T) {
 
 func TestInjectedSKBAllocDrops(t *testing.T) {
 	eng := sim.New(1)
-	dev, st := Wire(eng, nic.Config{Queues: 1}, Config{})
-	sock, _ := st.NewUDPSocket(9000, 1, "w")
-
 	plan := &faults.Plan{Specs: []faults.Spec{{Site: faults.SiteSKBAlloc, Every: 2}}}
-	st.SetFaults(plan.Compile(1, eng.Now))
+	dev, st := Wire(&hook.Host{Eng: eng, Faults: plan.Compile(1, eng.Now)}, nic.Config{Queues: 1}, Config{})
+	sock, _ := st.NewUDPSocket(9000, 1, "w")
 
 	for i := 0; i < 6; i++ {
 		dev.Receive(mkPkt(uint64(i), 1, 9000, nil))
@@ -80,17 +79,14 @@ func TestInjectedSKBAllocDrops(t *testing.T) {
 	}
 }
 
-// TestInjectedSocketSelectFallsOpen arms the injector before the group
-// exists, covering the lazy arming path, and checks an injected hook
-// fault falls back to hash selection with the fault counted.
+// TestInjectedSocketSelectFallsOpen checks an injected hook fault falls
+// back to hash selection with the fault counted. (Arming a live host, late
+// groups included, is the facade's TestHostArmsEveryLayer.)
 func TestInjectedSocketSelectFallsOpen(t *testing.T) {
 	eng := sim.New(1)
-	dev, st := Wire(eng, nic.Config{Queues: 1}, Config{})
-
 	plan := &faults.Plan{Specs: []faults.Spec{{Site: faults.SiteSocketSelect, Every: 2}}}
-	st.SetFaults(plan.Compile(1, eng.Now))
+	dev, st := Wire(&hook.Host{Eng: eng, Faults: plan.Compile(1, eng.Now)}, nic.Config{Queues: 1}, Config{})
 
-	// Group (and its hook point) created after SetFaults.
 	s0, _ := st.NewUDPSocket(9000, 1, "w0")
 	s1, _ := st.NewUDPSocket(9000, 1, "w1")
 	// Policy pins everything to executor 1.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"syrup/internal/ebpf"
+	"syrup/internal/hook"
 	"syrup/internal/nic"
 	"syrup/internal/sim"
 )
@@ -68,7 +69,7 @@ func TestLateBindingWakesOneWaiter(t *testing.T) {
 
 func TestLateBindingOverflowDrops(t *testing.T) {
 	eng := sim.New(1)
-	dev, st := Wire(eng, nic.Config{Queues: 1}, Config{})
+	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1}, Config{})
 	g := st.Group(9000, 1)
 	st.NewUDPSocket(9000, 1, "w")
 	g.EnableLateBinding(2)
@@ -110,7 +111,7 @@ func TestLateBindingPolicyStillGatesAdmission(t *testing.T) {
 }
 
 func TestEnableLateBindingValidation(t *testing.T) {
-	g := NewReuseportGroup(9000, 1)
+	g := NewReuseportGroup(&hook.Host{}, 9000, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("zero capacity accepted")

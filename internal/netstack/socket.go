@@ -9,7 +9,7 @@ package netstack
 import (
 	"fmt"
 
-	"syrup/internal/ebpf"
+	"syrup/internal/faults"
 	"syrup/internal/hook"
 	"syrup/internal/nic"
 )
@@ -201,12 +201,12 @@ func (g *ReuseportGroup) latePop() *nic.Packet {
 	return pkt
 }
 
-// NewReuseportGroup creates an empty group for a port.
-func NewReuseportGroup(port uint16, app uint32) *ReuseportGroup {
+// NewReuseportGroup creates an empty group for a port on host h.
+func NewReuseportGroup(h *hook.Host, port uint16, app uint32) *ReuseportGroup {
 	return &ReuseportGroup{
 		Port:  port,
 		App:   app,
-		point: hook.NewPoint(fmt.Sprintf("socket_select:%d", port), nil),
+		point: hook.NewPoint(h, fmt.Sprintf("socket_select:%d", port), faults.SiteSocketSelect),
 	}
 }
 
@@ -238,8 +238,9 @@ const (
 // selectSocket picks the destination socket for pkt: the attached policy's
 // verdict, or hash-based selection (vanilla Linux reuseport) otherwise.
 // The returned index is the chosen executor's slot (-1 unless selected),
-// which trace spans report as the routing decision.
-func (g *ReuseportGroup) selectSocket(pkt *nic.Packet, hash uint32, env *ebpf.Env) (*Socket, int, selectResult) {
+// which trace spans report as the routing decision. cpu is the core the
+// policy runs on.
+func (g *ReuseportGroup) selectSocket(pkt *nic.Packet, hash, cpu uint32) (*Socket, int, selectResult) {
 	if len(g.sockets) == 0 {
 		return nil, -1, noExecutor
 	}
@@ -248,7 +249,7 @@ func (g *ReuseportGroup) selectSocket(pkt *nic.Packet, hash uint32, env *ebpf.En
 		return g.sockets[defaultIdx], defaultIdx, selected
 	}
 	g.PolicyRuns++
-	v := g.point.Run(hook.Input{Packet: pkt.Bytes(), Hash: hash, Port: uint32(pkt.DstPort), Queue: uint32(pkt.Queue), Req: pkt.ID, Env: env})
+	v := g.point.Run(hook.Input{Packet: pkt.Bytes(), Hash: hash, Port: uint32(pkt.DstPort), Queue: uint32(pkt.Queue), Req: pkt.ID, CPU: cpu})
 	switch {
 	case v.Faulted || v.Action == hook.Pass:
 		// A fault fails open like the kernel (counted by the hook point's

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"syrup/internal/ebpf"
 	"syrup/internal/faults"
 	"syrup/internal/hook"
 	"syrup/internal/nic"
@@ -96,9 +95,12 @@ type Stack struct {
 	eng *sim.Engine
 	cfg Config
 	dev *nic.NIC
+	// host supplies the request tracer (StageSoftirq and StageProto spans
+	// per packet) and the chaos injector (SKB allocation failures), and
+	// every hook point the stack creates is built on it.
+	host *hook.Host
 
 	cores []softirqCore
-	envs  []*ebpf.Env
 
 	// xdp is the XDP hook point (one slot serving both drv and skb
 	// attachments; mode selects where in the receive path it runs).
@@ -124,42 +126,26 @@ type Stack struct {
 	ingressCB sim.Callback
 	protoCB   sim.Callback
 
-	// tracer, when enabled, receives StageSoftirq and StageProto spans
-	// per packet; it also fans out to every hook point the stack owns.
-	tracer *trace.Recorder
-
-	// faults, when armed by a chaos plan, injects SKB allocation
-	// failures; the per-core envs and socket-select points carry their
-	// own triggers.
-	faults *faults.Injector
-
 	Stats Stats
 }
 
-// New creates a stack bound to dev. Call dev's constructor with
+// New creates the receive path of host h. Call dev's constructor with
 // stack.Deliver as the DeliverFunc (or use Wire).
-func New(eng *sim.Engine, cfg Config, queues int) *Stack {
+func New(h *hook.Host, cfg Config, queues int) *Stack {
 	cfg.fill()
 	s := &Stack{
-		eng:       eng,
+		eng:       h.Eng,
 		cfg:       cfg,
+		host:      h,
 		cores:     make([]softirqCore, queues),
 		groups:    make(map[uint16]*ReuseportGroup),
 		tcpGroups: make(map[uint16]*TCPGroup),
 		xsks:      make(map[uint16][][]*Socket),
 	}
-	for i := 0; i < queues; i++ {
-		i := i
-		s.envs = append(s.envs, &ebpf.Env{
-			Prandom: func() uint32 { return eng.Rand().Uint32() },
-			Ktime:   func() uint64 { return uint64(eng.Now()) },
-			CPUID:   uint32(i),
-		})
-	}
-	// The points' default env is queue 0's; runs pass the per-core env
-	// explicitly so get_smp_processor_id reads the executing softirq core.
-	s.xdp = hook.NewPoint("xdp", s.envs[0])
-	s.cpuRedirect = hook.NewPoint(string(hook.CPURedirect), s.envs[0])
+	// Runs pass the executing softirq core as Input.CPU, so
+	// get_smp_processor_id reads it.
+	s.xdp = hook.NewPoint(h, "xdp", "")
+	s.cpuRedirect = hook.NewPoint(h, string(hook.CPURedirect), "")
 	s.ingressCB = func(arg any, u uint64) {
 		queue := int(u)
 		s.cores[queue].backlog--
@@ -172,58 +158,24 @@ func New(eng *sim.Engine, cfg Config, queues int) *Stack {
 	return s
 }
 
-// Wire connects a NIC to this stack and returns it; convenience for hosts.
-func Wire(eng *sim.Engine, nicCfg nic.Config, stackCfg Config) (*nic.NIC, *Stack) {
-	s := New(eng, stackCfg, max(nicCfg.Queues, 1))
-	dev := nic.New(eng, nicCfg, s.Deliver)
+// Wire builds host h's NIC and receive path, connected; convenience for
+// hosts.
+func Wire(h *hook.Host, nicCfg nic.Config, stackCfg Config) (*nic.NIC, *Stack) {
+	s := New(h, stackCfg, max(nicCfg.Queues, 1))
+	dev := nic.NewOnHost(h, nicCfg, s.Deliver)
 	s.dev = dev
 	return dev, s
 }
 
-// SetTracer wires the request tracer through the receive path: the
-// stack records softirq and protocol spans, and every hook point it
-// owns — XDP, CPU Redirect, and each group's Socket Select, including
-// groups created later — records its verdicts.
-func (s *Stack) SetTracer(r *trace.Recorder) {
-	s.tracer = r
-	s.xdp.SetTracer(r, s.eng.Now)
-	s.cpuRedirect.SetTracer(r, s.eng.Now)
-	for _, g := range s.groups {
-		g.point.SetTracer(r, s.eng.Now)
-	}
-	for _, g := range s.tcpGroups {
-		g.point.SetTracer(r, s.eng.Now)
-	}
-}
-
 // traceSpan records one lifecycle stage span ending now.
 func (s *Stack) traceSpan(pkt *nic.Packet, stage trace.Stage, start sim.Time, cpu int, v trace.Verdict, exec uint32) {
-	if !s.tracer.Enabled() {
+	if !s.host.Tracer.Enabled() {
 		return
 	}
-	s.tracer.Record(trace.Span{
+	s.host.Tracer.Record(trace.Span{
 		Req: pkt.ID, Start: start, End: s.eng.Now(), Stage: stage,
 		Verdict: v, CPU: int32(cpu), Executor: exec, Port: pkt.DstPort,
 	})
-}
-
-// SetFaults arms the receive path with a chaos plan's injector (nil
-// disarms): SKB allocation failures at backlog admission, helper errors
-// through every per-core Env, and socket-select faults at every group's
-// hook point — including groups created after this call.
-func (s *Stack) SetFaults(inj *faults.Injector) {
-	s.faults = inj
-	for _, env := range s.envs {
-		env.FaultLookupMiss = inj.FireFn(faults.SiteHelperLookup)
-		env.FaultUpdateFail = inj.FireFn(faults.SiteHelperUpdate)
-		env.FaultTailCall = inj.FireFn(faults.SiteTailCall)
-	}
-	for _, g := range s.groups {
-		g.point.SetFaultInjector(inj.FireFn(faults.SiteSocketSelect))
-	}
-	for _, g := range s.tcpGroups {
-		g.point.SetFaultInjector(inj.FireFn(faults.SiteSocketSelect))
-	}
 }
 
 // XDP exposes the XDP hook point; syrupd attaches through it (pairing the
@@ -243,13 +195,7 @@ func (s *Stack) Group(port uint16, app uint32) *ReuseportGroup {
 	if g, ok := s.groups[port]; ok {
 		return g
 	}
-	g := NewReuseportGroup(port, app)
-	if s.tracer != nil {
-		g.point.SetTracer(s.tracer, s.eng.Now)
-	}
-	if s.faults != nil {
-		g.point.SetFaultInjector(s.faults.FireFn(faults.SiteSocketSelect))
-	}
+	g := NewReuseportGroup(s.host, port, app)
 	s.groups[port] = g
 	return g
 }
@@ -262,13 +208,7 @@ func (s *Stack) TCPGroup(port uint16, app uint32) *TCPGroup {
 	if g, ok := s.tcpGroups[port]; ok {
 		return g
 	}
-	g := NewTCPGroup(port, app)
-	if s.tracer != nil {
-		g.point.SetTracer(s.tracer, s.eng.Now)
-	}
-	if s.faults != nil {
-		g.point.SetFaultInjector(s.faults.FireFn(faults.SiteSocketSelect))
-	}
+	g := NewTCPGroup(s.host, port, app)
 	s.tcpGroups[port] = g
 	return g
 }
@@ -354,7 +294,7 @@ func (s *Stack) Deliver(queue int, pkt *nic.Packet) {
 	core := &s.cores[queue]
 	// An injected SKB allocation failure drops exactly where a full
 	// backlog would: at admission, before any softirq cost is charged.
-	if core.backlog >= s.cfg.BacklogCap || s.faults.Fire(faults.SiteSKBAlloc) {
+	if core.backlog >= s.cfg.BacklogCap || s.host.Faults.Fire(faults.SiteSKBAlloc) {
 		s.Stats.BacklogDrops++
 		s.traceSpan(pkt, trace.StageSoftirq, pkt.SoftirqAt, queue, trace.VerdictDrop, 0)
 		if s.dev != nil {
@@ -381,7 +321,7 @@ func (s *Stack) Deliver(queue int, pkt *nic.Packet) {
 func (s *Stack) afterIngress(queue int, pkt *nic.Packet) {
 	s.Stats.Processed++
 	if s.xdpMode != XDPNone && s.xdp.Attached() {
-		v := s.xdp.Run(hook.Input{Packet: pkt.Bytes(), Hash: pkt.RSSHash(), Port: uint32(pkt.DstPort), Queue: uint32(queue), Req: pkt.ID, Env: s.envs[queue]})
+		v := s.xdp.Run(hook.Input{Packet: pkt.Bytes(), Hash: pkt.RSSHash(), Port: uint32(pkt.DstPort), Queue: uint32(queue), Req: pkt.ID, CPU: uint32(queue)})
 		if !s.handleXDPVerdict(queue, pkt, v) {
 			return
 		}
@@ -437,7 +377,7 @@ func (s *Stack) postXDP(queue int, pkt *nic.Packet) {
 	// CPU Redirect hook: choose the core for protocol processing.
 	protoCore := queue
 	if s.cpuRedirect.Attached() {
-		v := s.cpuRedirect.Run(hook.Input{Packet: pkt.Bytes(), Hash: pkt.RSSHash(), Port: uint32(pkt.DstPort), Queue: uint32(queue), Req: pkt.ID, Env: s.envs[queue]})
+		v := s.cpuRedirect.Run(hook.Input{Packet: pkt.Bytes(), Hash: pkt.RSSHash(), Port: uint32(pkt.DstPort), Queue: uint32(queue), Req: pkt.ID, CPU: uint32(queue)})
 		switch {
 		case v.Faulted || v.Action == hook.Pass:
 		case v.Action == hook.Drop:
@@ -503,7 +443,7 @@ func (s *Stack) protocolDeliver(core int, pkt *nic.Packet) {
 		// the stamp onto each request packet it cuts from the stream.
 		pkt.EnqueuedAt = s.eng.Now()
 		s.traceSpan(pkt, trace.StageProto, pkt.ProtoAt, core, trace.VerdictNone, 0)
-		tg.HandleSegment(pkt, pkt.RSSHash(), s.envs[core])
+		tg.HandleSegment(pkt, pkt.RSSHash(), uint32(core))
 		return
 	}
 	g, ok := s.groups[pkt.DstPort]
@@ -513,7 +453,7 @@ func (s *Stack) protocolDeliver(core int, pkt *nic.Packet) {
 		pkt.Free()
 		return
 	}
-	sock, idx, res := g.selectSocket(pkt, pkt.RSSHash(), s.envs[core])
+	sock, idx, res := g.selectSocket(pkt, pkt.RSSHash(), uint32(core))
 	switch res {
 	case dropped:
 		s.Stats.PolicyDrops++

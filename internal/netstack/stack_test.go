@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"syrup/internal/ebpf"
+	"syrup/internal/hook"
 	"syrup/internal/nic"
 	"syrup/internal/sim"
 )
@@ -15,7 +16,7 @@ func mkPkt(id uint64, srcPort, dstPort uint16, payload []byte) *nic.Packet {
 func wired(t *testing.T, queues int) (*sim.Engine, *nic.NIC, *Stack) {
 	t.Helper()
 	eng := sim.New(1)
-	dev, st := Wire(eng, nic.Config{Queues: queues}, Config{})
+	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: queues}, Config{})
 	return eng, dev, st
 }
 
@@ -99,7 +100,7 @@ func TestVanillaDeliveryHashSelection(t *testing.T) {
 
 func TestSoftirqCostsAreCharged(t *testing.T) {
 	eng := sim.New(1)
-	dev, st := Wire(eng, nic.Config{Queues: 1},
+	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1},
 		Config{SKBAllocCost: 300, ProtoCost: 1300})
 	sock, _ := st.NewUDPSocket(9000, 1, "w")
 	var deliveredAt sim.Time
@@ -113,7 +114,7 @@ func TestSoftirqCostsAreCharged(t *testing.T) {
 
 func TestSoftirqSerializesPerQueue(t *testing.T) {
 	eng := sim.New(1)
-	dev, st := Wire(eng, nic.Config{Queues: 1},
+	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1},
 		Config{SKBAllocCost: 500, ProtoCost: 500})
 	sock, _ := st.NewUDPSocket(9000, 1, "w")
 	for i := 0; i < 3; i++ {
@@ -206,7 +207,7 @@ func TestSocketSelectPolicyDropAndOOB(t *testing.T) {
 
 func TestSocketOverflowDropsCounted(t *testing.T) {
 	eng := sim.New(1)
-	dev, st := Wire(eng, nic.Config{Queues: 1}, Config{SocketQueueCap: 4})
+	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1}, Config{SocketQueueCap: 4})
 	sock, _ := st.NewUDPSocket(9000, 1, "w")
 	for i := 0; i < 10; i++ {
 		dev.Receive(mkPkt(uint64(i), 1, 9000, nil))
@@ -245,7 +246,7 @@ pass:
 
 func TestXDPNativeRedirectToXSK(t *testing.T) {
 	eng := sim.New(1)
-	dev, st := Wire(eng, nic.Config{Queues: 1},
+	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1},
 		Config{SKBAllocCost: 300, ProtoCost: 1300, PolicyRunCost: 700})
 	var xsks []*Socket
 	for i := 0; i < 2; i++ {
@@ -274,7 +275,7 @@ func TestXDPNativeRedirectToXSK(t *testing.T) {
 
 func TestXDPGenericCostsMore(t *testing.T) {
 	eng := sim.New(1)
-	dev, st := Wire(eng, nic.Config{Queues: 1},
+	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1},
 		Config{SKBAllocCost: 300, ProtoCost: 1300, PolicyRunCost: 700, XSKCopyCost: 400})
 	s := NewSocket(0, 1, 64, "xsk")
 	st.RegisterXSK(9000, 0, s)
@@ -322,7 +323,7 @@ func TestXDPDropAndBadExecutor(t *testing.T) {
 
 func TestCPURedirectMovesProtocolProcessing(t *testing.T) {
 	eng := sim.New(1)
-	dev, st := Wire(eng, nic.Config{Queues: 2},
+	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 2},
 		Config{SKBAllocCost: 300, ProtoCost: 1000, PolicyRunCost: 200})
 	sock, _ := st.NewUDPSocket(9000, 1, "w")
 	_ = sock
@@ -347,7 +348,7 @@ func TestCPURedirectMovesProtocolProcessing(t *testing.T) {
 
 func TestBacklogOverflow(t *testing.T) {
 	eng := sim.New(1)
-	dev, st := Wire(eng, nic.Config{Queues: 1, RingSize: 4096},
+	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1, RingSize: 4096},
 		Config{SKBAllocCost: 1000, ProtoCost: 1000, BacklogCap: 5})
 	st.NewUDPSocket(9000, 1, "w")
 	for i := 0; i < 20; i++ {
@@ -360,7 +361,7 @@ func TestBacklogOverflow(t *testing.T) {
 }
 
 func TestGroupPortMismatchPanics(t *testing.T) {
-	g := NewReuseportGroup(9000, 1)
+	g := NewReuseportGroup(&hook.Host{}, 9000, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("port mismatch not caught")
@@ -378,7 +379,7 @@ func TestGroupPortMismatchPanics(t *testing.T) {
 // program, and all four continue up the stack.
 func TestXDPRevokeBetweenAdmissionAndCompletion(t *testing.T) {
 	eng := sim.New(3)
-	dev, st := Wire(eng,
+	dev, st := Wire(&hook.Host{Eng: eng},
 		nic.Config{Queues: 1, RingSize: 64, OffloadCost: 500},
 		Config{SKBAllocCost: 300, ProtoCost: 1300, PolicyRunCost: 700, XSKCopyCost: 400})
 	sock, _ := st.NewUDPSocket(9000, 1, "w")
@@ -420,7 +421,7 @@ func TestXDPRevokeBetweenAdmissionAndCompletion(t *testing.T) {
 // delivery allocates nothing.
 func TestZeroAllocDeliver(t *testing.T) {
 	eng := sim.New(1)
-	dev, st := Wire(eng, nic.Config{Queues: 1, RingSize: 256}, Config{})
+	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1, RingSize: 256}, Config{})
 	sock, _ := st.NewUDPSocket(9000, 1, "w")
 	setXDP(st, XDPGeneric, mustProg(t, "r0 = PASS\nexit\n"))
 	dev.Offload().Set(mustProg(t, "r0 = PASS\nexit\n"))

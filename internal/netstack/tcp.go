@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"syrup/internal/ebpf"
+	"syrup/internal/faults"
 	"syrup/internal/hook"
 	"syrup/internal/nic"
 )
@@ -110,13 +110,13 @@ type TCPGroup struct {
 	BadSegments uint64
 }
 
-// NewTCPGroup creates an empty TCP group.
-func NewTCPGroup(port uint16, app uint32) *TCPGroup {
+// NewTCPGroup creates an empty TCP group on host h.
+func NewTCPGroup(h *hook.Host, port uint16, app uint32) *TCPGroup {
 	return &TCPGroup{
 		Port:  port,
 		App:   app,
 		conns: make(map[uint64]*Conn),
-		point: hook.NewPoint(fmt.Sprintf("socket_select:%d/tcp", port), nil),
+		point: hook.NewPoint(h, fmt.Sprintf("socket_select:%d/tcp", port), faults.SiteSocketSelect),
 	}
 }
 
@@ -142,14 +142,14 @@ func flowKey(ip uint32, port uint16) uint64 { return uint64(ip)<<16 | uint64(por
 
 // HandleSegment processes one TCP segment after protocol processing:
 // SYNs establish connections (scheduled by the policy), data segments are
-// framed into requests and delivered.
-func (g *TCPGroup) HandleSegment(pkt *nic.Packet, hash uint32, env *ebpf.Env) {
+// framed into requests and delivered. cpu is the core the policy runs on.
+func (g *TCPGroup) HandleSegment(pkt *nic.Packet, hash, cpu uint32) {
 	key := flowKey(pkt.SrcIP, pkt.SrcPort)
 	if pkt.SYN {
 		if _, dup := g.conns[key]; dup {
 			return // retransmitted SYN
 		}
-		l := g.selectListener(pkt, hash, env)
+		l := g.selectListener(pkt, hash, cpu)
 		if l == nil {
 			return
 		}
@@ -187,11 +187,11 @@ func (g *TCPGroup) HandleSegment(pkt *nic.Packet, hash uint32, env *ebpf.Env) {
 		body := make([]byte, n)
 		copy(body, c.stream[2:2+n])
 		c.stream = c.stream[2+n:]
-		g.deliverRequest(c, pkt, body, hash, env)
+		g.deliverRequest(c, pkt, body, hash, cpu)
 	}
 }
 
-func (g *TCPGroup) deliverRequest(c *Conn, pkt *nic.Packet, body []byte, hash uint32, env *ebpf.Env) {
+func (g *TCPGroup) deliverRequest(c *Conn, pkt *nic.Packet, body []byte, hash, cpu uint32) {
 	g.Requests++
 	req := &nic.Packet{
 		ID: pkt.ID, SrcIP: pkt.SrcIP, DstIP: pkt.DstIP,
@@ -205,7 +205,7 @@ func (g *TCPGroup) deliverRequest(c *Conn, pkt *nic.Packet, body []byte, hash ui
 	target := c.Listener
 	if g.kcm {
 		// KCM: the policy re-schedules every request individually.
-		if l := g.selectListener(req, hash, env); l != nil {
+		if l := g.selectListener(req, hash, cpu); l != nil {
 			target = l
 		} else {
 			return
@@ -216,7 +216,7 @@ func (g *TCPGroup) deliverRequest(c *Conn, pkt *nic.Packet, body []byte, hash ui
 
 // selectListener runs the policy (or hash fallback) and resolves the
 // executor index to a listener. nil means the input was dropped.
-func (g *TCPGroup) selectListener(pkt *nic.Packet, hash uint32, env *ebpf.Env) *Listener {
+func (g *TCPGroup) selectListener(pkt *nic.Packet, hash, cpu uint32) *Listener {
 	if len(g.listeners) == 0 {
 		g.NoExecutor++
 		return nil
@@ -224,7 +224,7 @@ func (g *TCPGroup) selectListener(pkt *nic.Packet, hash uint32, env *ebpf.Env) *
 	if !g.point.Attached() {
 		return g.listeners[hash%uint32(len(g.listeners))]
 	}
-	v := g.point.Run(hook.Input{Packet: pkt.Bytes(), Hash: hash, Port: uint32(pkt.DstPort), Queue: uint32(pkt.Queue), Req: pkt.ID, Env: env})
+	v := g.point.Run(hook.Input{Packet: pkt.Bytes(), Hash: hash, Port: uint32(pkt.DstPort), Queue: uint32(pkt.Queue), Req: pkt.ID, CPU: cpu})
 	switch {
 	case v.Faulted || v.Action == hook.Pass:
 		return g.listeners[hash%uint32(len(g.listeners))]

@@ -237,6 +237,10 @@ type Stats struct {
 type NIC struct {
 	eng *sim.Engine
 	cfg Config
+	// host supplies the request tracer (one StageNIC span per packet,
+	// arrival to ring handoff, including offload-engine latency) and the
+	// chaos injector (RX ring overflows).
+	host *hook.Host
 
 	rssTable []int // 128-entry indirection table
 
@@ -253,34 +257,29 @@ type NIC struct {
 	// (arg = *Packet, u = queue), so Receive schedules without allocating.
 	deliverCB sim.Callback
 
-	// tracer, when enabled, receives one StageNIC span per packet
-	// (arrival to ring handoff, including offload-engine latency).
-	tracer *trace.Recorder
-
-	// faults, when armed by a chaos plan, injects RX ring overflows; the
-	// offload hook point and NIC-side Env carry their own triggers.
-	faults *faults.Injector
-
 	// free heads the packet free list (see NewPacket).
 	free *Packet
 
 	Stats Stats
 }
 
-// New creates a NIC; deliver is invoked (via the event loop) for every
-// packet that survives steering.
+// New creates a bare NIC on an engine of its own, with no tracer and no
+// chaos plan; deliver is invoked (via the event loop) for every packet that
+// survives steering.
 func New(eng *sim.Engine, cfg Config, deliver DeliverFunc) *NIC {
+	return NewOnHost(&hook.Host{Eng: eng}, cfg, deliver)
+}
+
+// NewOnHost creates the NIC of host h.
+func NewOnHost(h *hook.Host, cfg Config, deliver DeliverFunc) *NIC {
 	cfg.fill()
-	n := &NIC{eng: eng, cfg: cfg, deliver: deliver, inflight: make([]int, cfg.Queues)}
+	n := &NIC{eng: h.Eng, cfg: cfg, host: h, deliver: deliver, inflight: make([]int, cfg.Queues)}
 	n.deliverCB = func(arg any, u uint64) { n.deliver(int(u), arg.(*Packet)) }
 	n.rssTable = make([]int, 128)
 	for i := range n.rssTable {
 		n.rssTable[i] = i % cfg.Queues
 	}
-	n.offload = hook.NewPoint(string(hook.XDPOffload), &ebpf.Env{
-		Prandom: func() uint32 { return eng.Rand().Uint32() },
-		Ktime:   func() uint64 { return uint64(eng.Now()) },
-	})
+	n.offload = hook.NewPoint(h, string(hook.XDPOffload), faults.SiteOffload)
 	n.growPackets()
 	return n
 }
@@ -300,26 +299,6 @@ func (n *NIC) InflightTotal() int {
 
 // Offload exposes the XDP Offload hook point; syrupd attaches through it.
 func (n *NIC) Offload() *hook.Point { return n.offload }
-
-// SetTracer wires the request tracer through the device: the NIC
-// records arrival→handoff spans and the offload hook point records its
-// verdicts.
-func (n *NIC) SetTracer(r *trace.Recorder) {
-	n.tracer = r
-	n.offload.SetTracer(r, n.eng.Now)
-}
-
-// SetFaults arms the device with a chaos plan's injector (nil disarms):
-// ring overflows on SiteNICRing, offload-engine faults on SiteOffload,
-// and helper errors inside offloaded programs through the NIC-side Env.
-func (n *NIC) SetFaults(inj *faults.Injector) {
-	n.faults = inj
-	n.offload.SetFaultInjector(inj.FireFn(faults.SiteOffload))
-	env := n.offload.Env()
-	env.FaultLookupMiss = inj.FireFn(faults.SiteHelperLookup)
-	env.FaultUpdateFail = inj.FireFn(faults.SiteHelperUpdate)
-	env.FaultTailCall = inj.FireFn(faults.SiteTailCall)
-}
 
 // Receive is called at the packet's wire-arrival time. It runs offloaded
 // steering, applies RSS otherwise, and hands the packet to the host after
@@ -363,7 +342,7 @@ func (n *NIC) Receive(pkt *Packet) {
 	}
 
 	// An injected ring overflow drops exactly where a full ring would.
-	if n.inflight[queue] >= n.cfg.RingSize || n.faults.Fire(faults.SiteNICRing) {
+	if n.inflight[queue] >= n.cfg.RingSize || n.host.Faults.Fire(faults.SiteNICRing) {
 		n.Stats.DroppedRing++
 		n.traceNIC(pkt, pkt.ArrivedAt, queue, trace.VerdictDrop)
 		pkt.Free()
@@ -382,10 +361,10 @@ func (n *NIC) SetBatchDeliver(fn func(queue int, pkts []*Packet)) {}
 // (end includes the offload engine's added latency); drops end at the
 // drop decision with a drop verdict.
 func (n *NIC) traceNIC(pkt *Packet, end sim.Time, queue int, v trace.Verdict) {
-	if !n.tracer.Enabled() {
+	if !n.host.Tracer.Enabled() {
 		return
 	}
-	n.tracer.Record(trace.Span{
+	n.host.Tracer.Record(trace.Span{
 		Req: pkt.ID, Start: pkt.ArrivedAt, End: end, Stage: trace.StageNIC,
 		Verdict: v, CPU: int32(queue), Port: pkt.DstPort,
 	})

@@ -125,17 +125,16 @@ type ioQueue struct {
 	depth     int
 }
 
-// NewDevice creates the device.
-func NewDevice(eng *sim.Engine, cfg Config) *Device {
+// NewDevice creates the device of host h: its submit hook records spans
+// to, and its policies' helpers fault under, the host's tracer and chaos
+// plan.
+func NewDevice(h *hook.Host, cfg Config) *Device {
 	cfg.fill()
 	d := &Device{
-		eng:    eng,
+		eng:    h.Eng,
 		cfg:    cfg,
 		queues: make([]ioQueue, cfg.Queues),
-		submit: hook.NewPoint(string(hook.Storage), &ebpf.Env{
-			Prandom: func() uint32 { return eng.Rand().Uint32() },
-			Ktime:   func() uint64 { return uint64(eng.Now()) },
-		}),
+		submit: hook.NewPoint(h, string(hook.Storage), ""),
 	}
 	d.completeCB = func(arg any, u uint64) {
 		d.queues[u].depth--

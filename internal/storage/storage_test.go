@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"syrup/internal/ebpf"
+	"syrup/internal/hook"
 	"syrup/internal/metrics"
 	"syrup/internal/policy"
 	"syrup/internal/sim"
@@ -12,7 +13,7 @@ import (
 func TestDeviceCompletesIOs(t *testing.T) {
 	eng := sim.New(1)
 	var finished []sim.Time
-	d := NewDevice(eng, Config{
+	d := NewDevice(&hook.Host{Eng: eng}, Config{
 		Queues: 2, ReadCost: 100 * sim.Microsecond, WriteCost: 400 * sim.Microsecond,
 		OnComplete: func(req *Request, at sim.Time) { finished = append(finished, at) },
 	})
@@ -36,7 +37,7 @@ func TestDeviceCompletesIOs(t *testing.T) {
 
 func TestDeviceQueuesSerializeIndependently(t *testing.T) {
 	eng := sim.New(1)
-	d := NewDevice(eng, Config{Queues: 2, ReadCost: 100 * sim.Microsecond})
+	d := NewDevice(&hook.Host{Eng: eng}, Config{Queues: 2, ReadCost: 100 * sim.Microsecond})
 	// Two reads on queue 0 serialize; one on queue 1 runs in parallel.
 	d.Submit(&Request{ID: 1, Kind: Read, LBA: 0})
 	d.Submit(&Request{ID: 2, Kind: Read, LBA: 2}) // also queue 0
@@ -49,7 +50,7 @@ func TestDeviceQueuesSerializeIndependently(t *testing.T) {
 
 func TestDeviceQueueDepthBound(t *testing.T) {
 	eng := sim.New(1)
-	d := NewDevice(eng, Config{Queues: 1, QueueDepth: 4})
+	d := NewDevice(&hook.Host{Eng: eng}, Config{Queues: 1, QueueDepth: 4})
 	accepted := 0
 	for i := 0; i < 10; i++ {
 		if d.Submit(&Request{ID: uint64(i), Kind: Read, LBA: 0}) {
@@ -70,7 +71,7 @@ func TestDeviceQueueDepthBound(t *testing.T) {
 // Reflex-style IO admission control.
 func TestTokenPolicyGatesIOSubmissions(t *testing.T) {
 	eng := sim.New(1)
-	d := NewDevice(eng, Config{Queues: 2})
+	d := NewDevice(&hook.Host{Eng: eng}, Config{Queues: 2})
 	prog, maps, err := policy.Load(policy.NameToken, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +103,7 @@ func TestTokenPolicyGatesIOSubmissions(t *testing.T) {
 // off the write queue.
 func TestSteeringPolicySeparatesReadsAndWrites(t *testing.T) {
 	eng := sim.New(1)
-	d := NewDevice(eng, Config{Queues: 4})
+	d := NewDevice(&hook.Host{Eng: eng}, Config{Queues: 4})
 	// Writes (type PUT=3 at payload offset 0 → wire offset 8) to queue 0,
 	// reads striped over 1..3.
 	src := `
@@ -165,7 +166,7 @@ func TestReflexStyleQoS(t *testing.T) {
 	run := func(withPolicy bool) (readP99 float64) {
 		eng := sim.New(3)
 		lat := metrics.NewHistogram()
-		d := NewDevice(eng, Config{
+		d := NewDevice(&hook.Host{Eng: eng}, Config{
 			Queues: 4,
 			OnComplete: func(req *Request, at sim.Time) {
 				if req.Tenant == 0 && req.Kind == Read {

@@ -36,7 +36,7 @@ func (d *Daemon) EnableAdapt(cfg adapt.Config) (*adapt.Controller, error) {
 	if d.sampler == nil {
 		return nil, fmt.Errorf("syrupd: adaptive control needs telemetry (SetObs first)")
 	}
-	c, err := adapt.New(d.eng, d.sampler.Store(), daemonActuator{d: d}, cfg)
+	c, err := adapt.New(d.host.Eng, d.sampler.Store(), daemonActuator{d: d}, cfg)
 	if err != nil {
 		return nil, err
 	}

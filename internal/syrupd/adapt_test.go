@@ -78,9 +78,9 @@ func TestAdaptServerOps(t *testing.T) {
 	series := st.Series("p99")
 	for ts := 50 * sim.Microsecond; ts < 3*sim.Millisecond; ts += 100 * sim.Microsecond {
 		at := ts
-		h.eng.CallAt(at, func(any, uint64) { series.Append(at, 500) }, nil, 0)
+		h.Eng.CallAt(at, func(any, uint64) { series.Append(at, 500) }, nil, 0)
 	}
-	h.eng.RunUntil(3 * sim.Millisecond)
+	h.Eng.RunUntil(3 * sim.Millisecond)
 
 	resp = srv.Handle(&Request{Op: "adapt_status"})
 	if !resp.OK || resp.Adapt == nil || resp.Adapt.Ticks == 0 || resp.Adapt.Decisions != 1 {

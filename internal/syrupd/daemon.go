@@ -17,7 +17,6 @@ import (
 
 	"syrup/internal/adapt"
 	"syrup/internal/ebpf"
-	"syrup/internal/faults"
 	"syrup/internal/ghost"
 	"syrup/internal/hook"
 	"syrup/internal/kernel"
@@ -25,9 +24,7 @@ import (
 	"syrup/internal/nic"
 	"syrup/internal/obs"
 	"syrup/internal/policy"
-	"syrup/internal/sim"
 	"syrup/internal/storage"
-	"syrup/internal/trace"
 )
 
 // Hook names a deployment point (paper Fig. 4). It is the hook registry's
@@ -71,7 +68,10 @@ func (a *App) Maps() map[string]*ebpf.Map { return a.maps }
 
 // Daemon is syrupd.
 type Daemon struct {
-	eng     *sim.Engine
+	// host is the host the daemon manages: its engine, and the tracer and
+	// chaos plan the ghOSt agents and storage devices it creates are built
+	// on.
+	host    *hook.Host
 	stack   *netstack.Stack
 	dev     *nic.NIC
 	machine *kernel.Machine
@@ -94,14 +94,7 @@ type Daemon struct {
 	// syrupd_quarantines.
 	quarantines uint64
 
-	// tracer is handed to ghOSt agents created by DeployThreadPolicy
-	// (the NIC and stack get theirs at host construction).
-	tracer *trace.Recorder
-
-	// faults is handed to ghOSt agents the same way (the NIC and stack
-	// get theirs at host construction); watchdog is the quarantine
-	// watchdog once EnableQuarantine runs.
-	faults   *faults.Injector
+	// watchdog is the quarantine watchdog once EnableQuarantine runs.
 	watchdog *watchdog
 
 	// adapt is the closed-loop controller once EnableAdapt runs
@@ -109,11 +102,11 @@ type Daemon struct {
 	adapt *adapt.Controller
 }
 
-// New creates a daemon managing the given host components. machine may be
-// nil when thread scheduling is not used.
-func New(eng *sim.Engine, dev *nic.NIC, stack *netstack.Stack, machine *kernel.Machine) *Daemon {
+// New creates a daemon managing host h's components. machine may be nil
+// when thread scheduling is not used.
+func New(h *hook.Host, dev *nic.NIC, stack *netstack.Stack, machine *kernel.Machine) *Daemon {
 	return &Daemon{
-		eng:       eng,
+		host:      h,
 		stack:     stack,
 		dev:       dev,
 		machine:   machine,
@@ -124,35 +117,14 @@ func New(eng *sim.Engine, dev *nic.NIC, stack *netstack.Stack, machine *kernel.M
 	}
 }
 
-// SetTracer routes spans from daemon-created components (ghOSt agents)
-// to r; existing agents are rewired immediately.
-func (d *Daemon) SetTracer(r *trace.Recorder) {
-	d.tracer = r
-	for _, app := range d.apps {
-		if app.agent != nil {
-			app.agent.SetTracer(r)
-		}
-	}
+// AttachStorage builds a storage device on the daemon's host and puts it
+// under the daemon's management, so apps can deploy to the storage submit
+// hook (the §6.1 extension). The device shares the host's tracer and chaos
+// plan.
+func (d *Daemon) AttachStorage(cfg storage.Config) *storage.Device {
+	d.store = storage.NewDevice(d.host, cfg)
+	return d.store
 }
-
-// Tracer returns the daemon's tracer, or nil.
-func (d *Daemon) Tracer() *trace.Recorder { return d.tracer }
-
-// SetFaults hands a chaos plan's injector to daemon-created components
-// (ghOSt agents, present and future); nil disarms. The NIC and stack are
-// armed directly at host construction.
-func (d *Daemon) SetFaults(inj *faults.Injector) {
-	d.faults = inj
-	for _, app := range d.apps {
-		if app.agent != nil {
-			app.agent.SetFaults(inj)
-		}
-	}
-}
-
-// AttachStorage puts a storage device under the daemon's management so
-// apps can deploy to the storage submit hook (the §6.1 extension).
-func (d *Daemon) AttachStorage(dev *storage.Device) { d.store = dev }
 
 // RegisterApp claims ports for an application. Claiming a port owned by
 // another app fails — the root of Syrup's input isolation.
@@ -347,11 +319,7 @@ func (d *Daemon) DeployThreadPolicy(appID uint32, pol ghost.Policy, agentCPU ker
 		}
 		app.agent.Resume()
 	} else {
-		app.agent = ghost.NewAgent(d.machine, appID, pol, agentCPU, workers, cfg)
-		if d.tracer != nil {
-			app.agent.SetTracer(d.tracer)
-		}
-		app.agent.SetFaults(d.faults)
+		app.agent = ghost.NewAgent(d.host, d.machine, appID, pol, agentCPU, workers, cfg)
 	}
 	app.recordDirect(HookThreadSched, app.agent.Hook())
 	return app.agent, nil

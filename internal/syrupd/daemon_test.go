@@ -6,6 +6,7 @@ import (
 
 	"syrup/internal/ebpf"
 	"syrup/internal/ghost"
+	"syrup/internal/hook"
 	"syrup/internal/kernel"
 	"syrup/internal/netstack"
 	"syrup/internal/nic"
@@ -14,7 +15,7 @@ import (
 )
 
 type host struct {
-	eng   *sim.Engine
+	*hook.Host
 	dev   *nic.NIC
 	stack *netstack.Stack
 	m     *kernel.Machine
@@ -23,13 +24,13 @@ type host struct {
 
 func newHost(t *testing.T, queues, cpus int) *host {
 	t.Helper()
-	eng := sim.New(1)
-	dev, stack := netstack.Wire(eng, nic.Config{Queues: queues}, netstack.Config{})
+	hh := &hook.Host{Eng: sim.New(1)}
+	dev, stack := netstack.Wire(hh, nic.Config{Queues: queues}, netstack.Config{})
 	var m *kernel.Machine
 	if cpus > 0 {
-		m = kernel.New(eng, kernel.Config{NumCPUs: cpus})
+		m = kernel.New(hh.Eng, kernel.Config{NumCPUs: cpus})
 	}
-	return &host{eng: eng, dev: dev, stack: stack, m: m, d: New(eng, dev, stack, m)}
+	return &host{Host: hh, dev: dev, stack: stack, m: m, d: New(hh, dev, stack, m)}
 }
 
 func pkt(id uint64, srcPort, dstPort uint16, payload []byte) *nic.Packet {
@@ -71,7 +72,7 @@ func TestDeploySocketSelectPolicy(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		h.dev.Receive(pkt(uint64(i), 1, 9000, nil))
 	}
-	h.eng.Run()
+	h.Eng.Run()
 	for i, s := range socks {
 		if s.Len() != 2 {
 			t.Fatalf("socket %d got %d", i, s.Len())
@@ -139,7 +140,7 @@ func TestXDPDispatcherIsolation(t *testing.T) {
 		h.dev.Receive(pkt(uint64(i), 1, 9000, nil))
 		h.dev.Receive(pkt(uint64(100+i), 1, 9001, nil))
 	}
-	h.eng.Run()
+	h.Eng.Run()
 	if s1.Len() != 0 {
 		t.Fatalf("app 1's own packets not dropped: %d", s1.Len())
 	}
@@ -163,7 +164,7 @@ func TestXDPOffloadDispatcherIsolation(t *testing.T) {
 	}
 	h.dev.Receive(pkt(1, 1, 9000, nil))
 	h.dev.Receive(pkt(2, 1, 9001, nil))
-	h.eng.Run()
+	h.Eng.Run()
 	if s1.Len() != 1 || s2.Len() != 1 {
 		t.Fatalf("delivery: %d %d", s1.Len(), s2.Len())
 	}
@@ -189,7 +190,7 @@ func TestTwoAppsIndependentPoliciesSameHook(t *testing.T) {
 	p1, p2 := pkt(1, 1, 9000, nil), pkt(2, 1, 9001, nil)
 	h.dev.Receive(p1)
 	h.dev.Receive(p2)
-	h.eng.Run()
+	h.Eng.Run()
 	q1, q2 = p1.Queue, p2.Queue
 	if q1 != 2 || q2 != 3 {
 		t.Fatalf("steering: app1→q%d app2→q%d", q1, q2)
@@ -204,7 +205,7 @@ func TestDeployRedeployReplacesProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.dev.Receive(pkt(1, 1, 9000, nil))
-	h.eng.Run()
+	h.Eng.Run()
 	if s.Len() != 0 {
 		t.Fatal("drop policy inactive")
 	}
@@ -214,7 +215,7 @@ func TestDeployRedeployReplacesProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.dev.Receive(pkt(2, 1, 9000, nil))
-	h.eng.Run()
+	h.Eng.Run()
 	if s.Len() != 1 {
 		t.Fatal("redeploy did not replace the program")
 	}
@@ -243,7 +244,7 @@ func TestSharedMapsAcrossDeployments(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		h.dev.Receive(pkt(uint64(i), 1, 9000, payload))
 	}
-	h.eng.Run()
+	h.Eng.Run()
 	if h.stack.Stats.XSKDrops != 1 {
 		t.Fatalf("token drops = %d, want 1", h.stack.Stats.XSKDrops)
 	}
@@ -284,7 +285,7 @@ func TestDeployThreadPolicy(t *testing.T) {
 		}
 		th.Wake()
 	}
-	h.eng.Run()
+	h.Eng.Run()
 	if done != 4 {
 		t.Fatalf("ghost ran %d/4 threads", done)
 	}
@@ -341,7 +342,7 @@ func TestCPURedirectDispatcher(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.dev.Receive(pkt(1, 1, 9000, nil))
-	h.eng.Run()
+	h.Eng.Run()
 	if s.Len() != 1 {
 		t.Fatal("cpu-redirected packet lost")
 	}
@@ -360,7 +361,7 @@ func TestDeploySocketSelectToTCPGroup(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		h.dev.Receive(&nic.Packet{ID: uint64(i), SrcIP: 9, SrcPort: uint16(100 + i), DstPort: 9000, TCP: true, SYN: true})
 	}
-	h.eng.Run()
+	h.Eng.Run()
 	n := 0
 	for l1.TryAccept() != nil {
 		n++

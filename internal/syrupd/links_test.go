@@ -30,12 +30,12 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	const total = 200
 	for i := 0; i < total; i++ {
 		i := i
-		h.eng.CallAt(sim.Time(i)*sim.Microsecond, func(any, uint64) {
+		h.Eng.CallAt(sim.Time(i)*sim.Microsecond, func(any, uint64) {
 			h.dev.Receive(pkt(uint64(i), uint16(1000+i), 9000, nil))
 		}, nil, 0)
 	}
 	// Swap both policies mid-stream, between two arrivals.
-	h.eng.CallAt(100*sim.Microsecond+500*sim.Nanosecond, func(any, uint64) {
+	h.Eng.CallAt(100*sim.Microsecond+500*sim.Nanosecond, func(any, uint64) {
 		if _, err := h.d.DeployPolicy(1, HookSocketSelect, "r0 = 1\nexit\n", nil); err != nil {
 			t.Error(err)
 		}
@@ -43,7 +43,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 			t.Error(err)
 		}
 	}, nil, 0)
-	h.eng.Run()
+	h.Eng.Run()
 
 	// Conservation: every packet dispatched exactly once — no drop, no
 	// double dispatch.
@@ -94,8 +94,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 func TestRevokeAppFallsBackEverywhere(t *testing.T) {
 	h := newHost(t, 2, 0)
 	var completed int
-	sdev := storage.NewDevice(h.eng, storage.Config{Queues: 2, OnComplete: func(*storage.Request, sim.Time) { completed++ }})
-	h.d.AttachStorage(sdev)
+	sdev := h.d.AttachStorage(storage.Config{Queues: 2, OnComplete: func(*storage.Request, sim.Time) { completed++ }})
 
 	h.d.RegisterApp(1, 1000, 9000)
 	s0, _ := h.stack.NewUDPSocket(9000, 1, "w0")
@@ -121,7 +120,7 @@ func TestRevokeAppFallsBackEverywhere(t *testing.T) {
 		for i := 0; i < batch; i++ {
 			h.dev.Receive(pkt(uint64(base+i), uint16(1000+i), 9000, nil))
 		}
-		h.eng.Run()
+		h.Eng.Run()
 	}
 	recvBatch(0)
 	if s0.Enqueued != batch || s1.Enqueued != 0 {
@@ -165,7 +164,7 @@ func TestRevokeAppFallsBackEverywhere(t *testing.T) {
 	if !sdev.Submit(&storage.Request{ID: 2, Tenant: 7, LBA: 1}) {
 		t.Fatal("storage rejected after revoke")
 	}
-	h.eng.Run()
+	h.Eng.Run()
 	if completed != 1 {
 		t.Fatalf("storage completions = %d", completed)
 	}
@@ -216,7 +215,7 @@ func TestRevokeThreadPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	th.Wake()
-	h.eng.Run()
+	h.Eng.Run()
 	if done != 1 {
 		t.Fatal("redeployed thread policy did not schedule")
 	}

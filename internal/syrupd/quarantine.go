@@ -53,7 +53,7 @@ func (d *Daemon) EnableQuarantine(cfg QuarantineConfig) {
 		d.watchdog.ticker.Stop()
 	}
 	w := &watchdog{d: d, cfg: cfg, last: make(map[*AppLink]uint64)}
-	w.ticker = d.eng.NewTicker(cfg.Window, w.scan)
+	w.ticker = d.host.Eng.NewTicker(cfg.Window, w.scan)
 	d.watchdog = w
 }
 
@@ -90,12 +90,12 @@ func (d *Daemon) quarantineHook(app *App, hk Hook, target, label string, faultsI
 	}
 	app.quarantined[hk] = true
 	d.quarantines++
-	if d.tracer.Enabled() {
+	if tr := d.host.Tracer; tr.Enabled() {
 		// Error-tagged instant span: the operator's trace shows exactly
 		// when and where the policy was pulled (Executor carries the
 		// window's fault count).
-		now := d.eng.Now()
-		d.tracer.Record(trace.Span{
+		now := d.host.Eng.Now()
+		tr.Record(trace.Span{
 			Start: now, End: now, Stage: trace.StageHook,
 			Hook: target, Policy: label,
 			Verdict: trace.VerdictFault, Err: true, Instant: true,

@@ -14,8 +14,8 @@ import (
 
 func TestQuarantineDetachesFaultingPolicy(t *testing.T) {
 	h := newHost(t, 1, 0)
-	r := trace.New(64)
-	h.d.SetTracer(r)
+	r := trace.New(1 << 12)
+	h.Tracer = r
 	h.d.RegisterApp(1, 1000, 9000)
 	s0, _ := h.stack.NewUDPSocket(9000, 1, "w0")
 	s1, _ := h.stack.NewUDPSocket(9000, 1, "w1")
@@ -25,17 +25,17 @@ func TestQuarantineDetachesFaultingPolicy(t *testing.T) {
 
 	// Every socket-select run faults; the watchdog samples each 1ms.
 	plan := &faults.Plan{Specs: []faults.Spec{{Site: faults.SiteSocketSelect, Every: 1}}}
-	h.stack.SetFaults(plan.Compile(1, h.eng.Now))
+	h.Faults = plan.Compile(1, h.Eng.Now)
 	h.d.EnableQuarantine(QuarantineConfig{Window: sim.Millisecond, Threshold: 5})
 
 	// 40 packets over 2ms: ~20 faulted runs land in the first window.
 	for i := 0; i < 40; i++ {
 		id := uint64(i)
-		h.eng.CallAt(sim.Time(i)*50*sim.Microsecond, func(any, uint64) {
+		h.Eng.CallAt(sim.Time(i)*50*sim.Microsecond, func(any, uint64) {
 			h.dev.Receive(pkt(id, uint16(1000+id), 9000, nil))
 		}, nil, 0)
 	}
-	h.eng.RunUntil(3 * sim.Millisecond)
+	h.Eng.RunUntil(3 * sim.Millisecond)
 
 	if !h.d.Quarantined(1, HookSocketSelect) {
 		t.Fatal("faulting policy was not quarantined")
@@ -108,7 +108,7 @@ func TestRevokedPolicyNeverRuns(t *testing.T) {
 	if err := h.d.RevokeApp(1); err != nil {
 		t.Fatal(err)
 	}
-	h.eng.Run()
+	h.Eng.Run()
 
 	if runs := sel.Program.Stats().Runs; runs != 0 {
 		t.Fatalf("revoked socket-select policy ran %d times", runs)
@@ -186,7 +186,7 @@ func TestServerQuarantineOpsUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := &faults.Plan{Specs: []faults.Spec{{Site: faults.SiteSocketSelect, Every: 1}}}
-	h.stack.SetFaults(plan.Compile(7, h.eng.Now))
+	h.Faults = plan.Compile(7, h.Eng.Now)
 	h.d.EnableQuarantine(QuarantineConfig{Window: sim.Millisecond, Threshold: 5})
 	srv := NewServer(h.d)
 
@@ -216,7 +216,7 @@ func TestServerQuarantineOpsUnderLoad(t *testing.T) {
 	for step := 0; step < 100; step++ {
 		srv.Lock()
 		h.dev.Receive(pkt(uint64(step), uint16(1000+step%64), 9000, nil))
-		h.eng.RunUntil(h.eng.Now() + 100*sim.Microsecond)
+		h.Eng.RunUntil(h.Eng.Now() + 100*sim.Microsecond)
 		srv.Unlock()
 	}
 	close(stop)

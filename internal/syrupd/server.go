@@ -339,7 +339,7 @@ func (s *Server) Handle(req *Request) Response {
 		}
 		return Response{OK: true, Decisions: h, NowNS: int64(s.d.Now())}
 	case "trace":
-		r := s.d.Tracer()
+		r := s.d.host.Tracer
 		if r == nil {
 			return errResp(fmt.Errorf("syrupd: tracing is not enabled on this host"))
 		}

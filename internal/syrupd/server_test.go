@@ -134,7 +134,7 @@ func TestServerLinksAndRevokeOps(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		h.dev.Receive(pkt(uint64(i), 1, 9000, nil))
 	}
-	h.eng.Run()
+	h.Eng.Run()
 	if s.Len() != 3 {
 		t.Fatalf("delivered %d", s.Len())
 	}
@@ -191,9 +191,7 @@ func TestServerTraceOp(t *testing.T) {
 	}
 
 	r := trace.New(64)
-	h.dev.SetTracer(r)
-	h.stack.SetTracer(r)
-	h.d.SetTracer(r)
+	h.Tracer = r
 
 	srv.Handle(&Request{Op: "register_app", App: 1, UID: 1000, Ports: []uint16{9000}})
 	srv.Handle(&Request{Op: "register_app", App: 2, UID: 1001, Ports: []uint16{9001}})
@@ -204,7 +202,7 @@ func TestServerTraceOp(t *testing.T) {
 		h.dev.Receive(pkt(uint64(100+i), 1, 9000, nil))
 	}
 	h.dev.Receive(pkt(200, 1, 9001, nil))
-	h.eng.Run()
+	h.Eng.Run()
 
 	// Unfiltered: every span the ring holds.
 	resp := srv.Handle(&Request{Op: "trace"})
@@ -310,7 +308,7 @@ func TestServerStatsHistogramsAndDelta(t *testing.T) {
 		for i := 0; i < n; i++ {
 			h.dev.Receive(pkt(uint64(i), 1, 9000, nil))
 		}
-		h.eng.Run()
+		h.Eng.Run()
 	}
 	send(2)
 	other := NewServer(h.d) // a second consumer with its own baseline
@@ -339,7 +337,7 @@ func TestServerStatsHistogramsAndDelta(t *testing.T) {
 // the stats op and the links op report.
 func TestCountersDeterministic(t *testing.T) {
 	h := newHost(t, 1, 2)
-	h.d.AttachStorage(storage.NewDevice(h.eng, storage.Config{}))
+	h.d.AttachStorage(storage.Config{})
 	h.d.RegisterApp(1, 1000, 9000, 80)
 	h.d.RegisterApp(2, 1001, 9001)
 	h.stack.NewUDPSocket(9001, 2, "w") // bound before 9000: the listing sorts
@@ -354,7 +352,7 @@ func TestCountersDeterministic(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.dev.Receive(pkt(uint64(i), 1, 9000, nil))
 	}
-	h.eng.Run()
+	h.Eng.Run()
 
 	got := h.d.Counters()
 	var names []string
@@ -435,7 +433,7 @@ func TestStatsDeltaConcurrent(t *testing.T) {
 		for i := 0; i < perStep; i++ {
 			h.dev.Receive(pkt(uint64(step*perStep+i), 1, 9000, nil))
 		}
-		h.eng.Run()
+		h.Eng.Run()
 		srv.Unlock()
 	}
 	close(stop)
@@ -537,7 +535,7 @@ out:
 		for i := range perStep {
 			h.dev.Receive(pkt(uint64(step*perStep+i), 1, 9000, nil))
 		}
-		h.eng.Run()
+		h.Eng.Run()
 		srv.Unlock()
 	}
 	wg.Wait()

@@ -73,7 +73,7 @@ func (d *Daemon) Counters() []metrics.CounterValue {
 
 // Now reports the host's sim clock — the timestamp stats/metrics replies
 // carry so repeated delta snapshots normalize into true rates.
-func (d *Daemon) Now() sim.Time { return d.eng.Now() }
+func (d *Daemon) Now() sim.Time { return d.host.Eng.Now() }
 
 // SetPolicyProfile makes future DeployPolicy calls load with
 // bpf_stats_enabled-style profiling (run count/ns plus per-instruction

@@ -132,6 +132,42 @@ func TestHostStateHasNoLocks(t *testing.T) {
 		"holds a mutex, a sync.Pool or an atomic: state a host owns is reached only under syrupd.Server's lock")
 }
 
+// serviceAllow are the fields that may hold a host's tracer or chaos
+// injector.
+var serviceAllow = []allowRow{
+	{"hook.Host", "the one home of a host's engine, request tracer and chaos injector"},
+	{"ebpf.Env.Faults", "the per-run copy a hook point takes from its Host before each run, for the helpers"},
+	{"syrup.HostConfig.Trace experiments.RunConfig.Tracer experiments.TraceRun.Recorder", "inbound carriers: a recorder on its way into a Host being built, or back out to the caller"},
+	{"apps/rocksdb.Config.Tracer", "the benchmark module sets it"},
+}
+
+// TestHostServicesLiveOnTheHost: a host's request tracer and chaos
+// injector live on its hook.Host, and every layer reads them there (DESIGN.md
+// "One owner per host"). So no package-level var and no field of a
+// package-level struct type, declared in a non-test file under internal/ or
+// in the facade, is a *trace.Recorder or a *faults.Injector, except the
+// serviceAllow rows: a copy held anywhere else is a copy a setter has to
+// keep in step, which is how a layer once went untraced and unarmed.
+func TestHostServicesLiveOnTheHost(t *testing.T) {
+	t.Run("fixture", func(t *testing.T) {
+		tree, err := loadTree(servicesFixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"hook.Host.Faults", "hook.Host.Tracer", "nic.NIC.faults", "nic.NIC.tracer", "nic.spare"}
+		if got := hostServices(tree); !slices.Equal(got, want) {
+			t.Fatalf("services = %q, want %q", got, want)
+		}
+	})
+
+	tree, err := repoTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAllowed(t, serviceAllow, 4, hostServices(tree),
+		"holds a tracer or a chaos injector: read the one on the layer's hook.Host instead")
+}
+
 var (
 	metricNameRe = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
 	// metricPartRe is a constant operand after the first in a + chain.
@@ -355,6 +391,60 @@ func hostLocks(tree *srcTree) []string {
 	return bad
 }
 
+// hostServices lists, sorted, the qualified name of every package-level
+// var and every field of a package-level struct type, declared in a non-test
+// file under the main module's internal/ or in its root package, whose type
+// is *trace.Recorder or *faults.Injector.
+func hostServices(tree *srcTree) []string {
+	service := func(t types.Type) bool {
+		ptr, ok := t.(*types.Pointer)
+		if !ok {
+			return false
+		}
+		named, ok := ptr.Elem().(*types.Named)
+		if !ok || named.Obj().Pkg() == nil {
+			return false
+		}
+		switch pkg, name := named.Obj().Pkg().Path(), named.Obj().Name(); {
+		case pkg == tree.mainModule+"/internal/trace" && name == "Recorder",
+			pkg == tree.mainModule+"/internal/faults" && name == "Injector":
+			return true
+		}
+		return false
+	}
+	var bad []string
+	for _, p := range tree.pkgs {
+		qual, ok := tree.internalQual(p)
+		if p.path == tree.mainModule {
+			qual, ok = p.types.Name(), true
+		}
+		if !ok {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Var:
+				if service(obj.Type()) {
+					bad = append(bad, qual+"."+name)
+				}
+			case *types.TypeName:
+				st, ok := obj.Type().Underlying().(*types.Struct)
+				if !ok || obj.IsAlias() {
+					continue
+				}
+				for i := range st.NumFields() {
+					if f := st.Field(i); service(f.Type()) {
+						bad = append(bad, qual+"."+name+"."+f.Name())
+					}
+				}
+			}
+		}
+	}
+	slices.Sort(bad)
+	return bad
+}
+
 // holdsLock reports whether t is, or holds through struct fields, array
 // and slice elements of the tree's own types, a sync.Mutex, sync.RWMutex,
 // sync.Pool or sync/atomic value; a pointer is another owner's. Other
@@ -403,6 +493,49 @@ func sortedKeys(set map[string]bool) []string {
 	}
 	slices.Sort(out)
 	return out
+}
+
+// servicesFixture plants, for the host-services gate, a tracer field and a
+// faults field on a layer and a package-level injector. What passes: a
+// pointer to the layer's Host, a slice of recorders and a local injector.
+var servicesFixture = fstest.MapFS{
+	"go.mod":                    {Data: []byte("module fix\n")},
+	"internal/trace/trace.go":   {Data: []byte("package trace\n\ntype Recorder struct{}\n")},
+	"internal/faults/faults.go": {Data: []byte("package faults\n\ntype Injector struct{}\n")},
+	"internal/hook/hook.go": {Data: []byte(`package hook
+
+import (
+	"fix/internal/faults"
+	"fix/internal/trace"
+)
+
+type Host struct {
+	Tracer *trace.Recorder
+	Faults *faults.Injector
+}
+`)},
+	"internal/nic/nic.go": {Data: []byte(`package nic
+
+import (
+	"fix/internal/faults"
+	"fix/internal/hook"
+	"fix/internal/trace"
+)
+
+type NIC struct {
+	host   *hook.Host
+	tracer *trace.Recorder
+	faults *faults.Injector
+	rings  []*trace.Recorder
+}
+
+var spare *faults.Injector
+
+func Arm(n *NIC) {
+	var inj *faults.Injector
+	n.faults, spare = inj, inj
+}
+`)},
 }
 
 // lintsTree is lintsFixture, loaded once for the four gates above.

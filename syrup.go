@@ -89,16 +89,18 @@ type HostConfig struct {
 	NICQueues int
 	// Deprecated: Batch has no effect; kept only until a benchmark-archetype PR stops setting it.
 	Batch int
-	// Trace, when set, threads the request tracer through every layer
-	// (NIC, netstack, hook points, ghOSt agents) at construction.
-	// Tracing is off by default; the recorder never schedules events or
-	// consumes randomness, so traced runs are behavior-identical.
+	// Trace, when set, is the host's request tracer (Host.Tracer): every
+	// layer — NIC, netstack, every hook point, ghOSt agents, storage —
+	// records its spans there. Tracing is off by default; the recorder
+	// never schedules events or consumes randomness, so traced runs are
+	// behavior-identical.
 	Trace *trace.Recorder
-	// Faults, when set, compiles the chaos plan against Seed and arms
-	// every layer's injection sites (NIC ring, offload, SKB allocation,
-	// eBPF helpers, socket select, ghOSt agents). The injector draws from
-	// its own per-site PRNG streams and schedules no events, so hosts
-	// built without a plan stay bit-identical.
+	// Faults, when set, compiles the chaos plan against Seed into the
+	// host's injector (Host.Faults), which every layer's injection sites
+	// fire (NIC ring, offload, SKB allocation, eBPF helpers, socket select,
+	// ghOSt agents). The injector draws from its own per-site PRNG streams
+	// and schedules no events, so hosts built without a plan stay
+	// bit-identical.
 	Faults *faults.Plan
 	// Quarantine, when non-nil, arms syrupd's fault watchdog with the
 	// given thresholds (zero fields take defaults).
@@ -169,22 +171,22 @@ func (cfg HostConfig) Normalize() (HostConfig, error) {
 
 // Host is a simulated end-host running syrupd.
 type Host struct {
+	// Host is the host context every layer is built on: Eng, the request
+	// Tracer (nil unless HostConfig.Trace was set) and the compiled chaos
+	// injector Faults (nil unless HostConfig.Faults was set;
+	// Faults.Injected(site) counts one site's injections). Setting Tracer
+	// or Faults on a live host reaches every layer at once.
+	*hook.Host
+
 	// ID and Name carry the host's cluster identity (HostConfig.HostID /
 	// HostConfig.Name); standalone hosts are host 0.
 	ID   int
 	Name string
 
-	Eng     *sim.Engine
 	Machine *kernel.Machine // nil when NumCPUs == 0
 	NIC     *nic.NIC
 	Stack   *netstack.Stack
 	Daemon  *syrupd.Daemon
-	// Tracer is the request tracer wired at construction (nil unless
-	// HostConfig.Trace was set).
-	Tracer *trace.Recorder
-	// Faults is the compiled chaos injector (nil unless HostConfig.Faults
-	// was set); Faults.Injected(site) counts one site's injections.
-	Faults *faults.Injector
 	// Obs is the telemetry sampler wired at construction (nil unless
 	// HostConfig.Telemetry was set). Register additional gauges, rates,
 	// and histograms on it before the run starts; its store backs the
@@ -212,31 +214,20 @@ func TryNewHost(cfg HostConfig) (*Host, error) {
 		return nil, err
 	}
 	eng := sim.New(cfg.Seed)
-	dev, stack := netstack.Wire(eng, nic.Config{Queues: cfg.NICQueues}, netstack.Config{})
+	hh := &hook.Host{Eng: eng, Tracer: cfg.Trace, Faults: cfg.Faults.Compile(cfg.Seed, eng.Now)}
+	dev, stack := netstack.Wire(hh, nic.Config{Queues: cfg.NICQueues}, netstack.Config{})
 	var machine *kernel.Machine
 	if cfg.NumCPUs > 0 {
 		machine = kernel.New(eng, kernel.Config{NumCPUs: cfg.NumCPUs})
 	}
 	h := &Host{
+		Host:    hh,
 		ID:      cfg.HostID,
 		Name:    cfg.Name,
-		Eng:     eng,
 		Machine: machine,
 		NIC:     dev,
 		Stack:   stack,
-		Daemon:  syrupd.New(eng, dev, stack, machine),
-		Tracer:  cfg.Trace,
-	}
-	if cfg.Trace != nil {
-		dev.SetTracer(cfg.Trace)
-		stack.SetTracer(cfg.Trace)
-		h.Daemon.SetTracer(cfg.Trace)
-	}
-	if cfg.Faults != nil {
-		h.Faults = cfg.Faults.Compile(cfg.Seed, eng.Now)
-		dev.SetFaults(h.Faults)
-		stack.SetFaults(h.Faults)
-		h.Daemon.SetFaults(h.Faults)
+		Daemon:  syrupd.New(hh, dev, stack, machine),
 	}
 	if cfg.Quarantine != nil {
 		h.Daemon.EnableQuarantine(*cfg.Quarantine)
@@ -260,10 +251,11 @@ func TryNewHost(cfg HostConfig) (*Host, error) {
 	return h, nil
 }
 
-// AttachStorage puts a storage device under syrupd's management so apps
-// can deploy to HookStorage (the §6.1 extension of the matching
-// abstraction to IO scheduling).
-func (h *Host) AttachStorage(dev *storage.Device) { h.Daemon.AttachStorage(dev) }
+// AttachStorage builds the host's storage device and puts it under
+// syrupd's management so apps can deploy to HookStorage (the §6.1
+// extension of the matching abstraction to IO scheduling). The device
+// shares the host's tracer and chaos plan.
+func (h *Host) AttachStorage(cfg storage.Config) *storage.Device { return h.Daemon.AttachStorage(cfg) }
 
 // Run advances virtual time until the event queue drains.
 func (h *Host) Run() { h.Eng.Run() }

@@ -53,24 +53,18 @@ func newDemo(cfg syrup.HostConfig, threads int, rps float64, classes []workload.
 		rocksdb.Config{NumThreads: threads, PinToCores: true, Tracer: cfg.Trace})}
 	if host.Obs != nil {
 		host.Obs.Gauge("inflight", func() float64 { return float64(d.inflight()) })
+		host.Obs.Counters(host.Daemon.Counters)
 	}
 	d.Srv.Start()
 	d.Gen.Start()
 	return d
 }
 
-// dropped counts the requests the host refused: NIC ring overflow, XDP
-// drop verdicts, and every stack-side cause (backlog, socket queue, a
-// policy's DROP at socket select).
-func (d *demo) dropped() uint64 {
-	return d.Host.Stack.Stats.TotalDrops() + d.Host.NIC.Stats.DroppedRing + d.Host.NIC.Stats.DroppedByXDP
-}
-
-// inflight is what the host holds right now — received, not dropped, not
-// yet served — so it is bounded by the rings, queues and threads it can
-// sit in however long the daemon has been overloaded.
+// inflight is what the host holds right now — received, not dropped
+// (Daemon.Dropped), not yet served — so it is bounded by the rings, queues
+// and threads it can sit in however long the daemon has been overloaded.
 func (d *demo) inflight() uint64 {
-	return d.Host.NIC.Stats.Received - d.dropped() - d.Srv.ProcessedGET - d.Srv.ProcessedSCAN
+	return d.Host.NIC.Stats.Received - d.Host.Daemon.Dropped() - d.Srv.ProcessedGET - d.Srv.ProcessedSCAN
 }
 
 // stats is the host-key part of the stats op. Offered, completed and the
@@ -112,7 +106,7 @@ func main() {
 		cfg.Trace = syrup.NewTraceRecorder(*traceCap)
 	}
 	if *samplePeriodUS > 0 {
-		cfg.Telemetry = &obs.Config{Period: sim.Time(*samplePeriodUS) * sim.Microsecond, Counters: true}
+		cfg.Telemetry = &obs.Config{Period: sim.Time(*samplePeriodUS) * sim.Microsecond}
 	}
 	d := newDemo(cfg, *threads, *rps, classes)
 	host := d.Host

@@ -57,9 +57,9 @@ func TestDemoForgetsUnansweredRequests(t *testing.T) {
 		t.Fatalf("completed %d, unanswered %d: want a live server and far more unanswered requests than the host holds (%.0f)",
 			all.Completed, all.TotalDrops(), held)
 	}
-	if d.Host.Stack.Stats.SocketDrops == 0 || d.dropped() == d.Host.Stack.Stats.SocketDrops {
+	if d.Host.Stack.Stats.SocketDrops == 0 || d.Host.Daemon.Dropped() == d.Host.Stack.Stats.SocketDrops {
 		t.Fatalf("drops %d, %d of them at the socket queues: want both the policy and the queues to have dropped",
-			d.dropped(), d.Host.Stack.Stats.SocketDrops)
+			d.Host.Daemon.Dropped(), d.Host.Stack.Stats.SocketDrops)
 	}
 	for _, s := range d.Host.Obs.Store().Snapshot() {
 		if s.Name != "inflight" {

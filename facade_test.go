@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"syrup/internal/faults"
 	"syrup/internal/ghost"
 	"syrup/internal/kernel"
+	"syrup/internal/metrics"
 	"syrup/internal/nic"
 	"syrup/internal/obs"
 	"syrup/internal/policy"
@@ -162,7 +164,8 @@ func TestRegisterAppErrorsViaFacade(t *testing.T) {
 func TestCountersPerHost(t *testing.T) {
 	const runsKey, faultsKey = "ebpf_hook_runs_socket_select_9000", "ebpf_hook_faults_socket_select_9000"
 	build := func(id int) (*syrup.Host, *syrupd.Server) {
-		host := syrup.NewHost(syrup.HostConfig{HostID: id, Telemetry: &obs.Config{Counters: true}})
+		host := syrup.NewHost(syrup.HostConfig{HostID: id, Telemetry: &obs.Config{}})
+		host.Obs.Counters(host.Daemon.Counters)
 		app, err := host.RegisterApp(1, 1000, 9000)
 		if err != nil {
 			t.Fatal(err)
@@ -223,6 +226,82 @@ func TestCountersPerHost(t *testing.T) {
 	}
 }
 
+// TestCountersCoverEveryStatsField: every count a layer keeps is a row of
+// its host's Daemon.Counters. For each uint64 field of nic.Stats,
+// netstack.Stats, storage.Stats, a ghOSt agent and a CPU, bumping the field
+// on a live host moves exactly one row, by the bump, so a field added
+// without a row fails here. The fixture hides one row from the listing.
+func TestCountersCoverEveryStatsField(t *testing.T) {
+	host := syrup.NewHost(syrup.HostConfig{NumCPUs: 2})
+	dev := host.AttachStorage(storage.Config{})
+	app, err := host.RegisterApp(1, 1000, 9000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agent, err := app.DeployThreadPolicy(&policy.FIFO{}, 0, []int{1}, ghost.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("fixture", func(t *testing.T) {
+		hideRing := func() []metrics.CounterValue {
+			return slices.DeleteFunc(host.Daemon.Counters(), func(c metrics.CounterValue) bool { return c.Name == "nic_dropped_ring" })
+		}
+		if got := uncounted(&host.NIC.Stats, hideRing); !slices.Equal(got, []string{"DroppedRing moved 0 rows"}) {
+			t.Fatalf("uncounted = %q, want DroppedRing alone", got)
+		}
+	})
+
+	for name, owner := range map[string]any{
+		"nic.Stats": &host.NIC.Stats, "netstack.Stats": &host.Stack.Stats, "storage.Stats": &dev.Stats,
+		"ghost.Agent": agent, "kernel.CPU": host.Machine.CPU(1),
+	} {
+		if bad := uncounted(owner, host.Daemon.Counters); len(bad) != 0 {
+			t.Errorf("%s: %q", name, bad)
+		}
+	}
+}
+
+// uncounted bumps, one at a time, each exported uint64 field of the struct
+// owner points to, and lists the fields for which read does not report
+// exactly one row moving by the bump.
+func uncounted(owner any, read func() []metrics.CounterValue) []string {
+	const bump = 7
+	rows := func() map[string]uint64 {
+		m := map[string]uint64{}
+		for _, c := range read() {
+			m[c.Name] = c.Value
+		}
+		return m
+	}
+	v := reflect.ValueOf(owner).Elem()
+	var bad []string
+	for i := range v.NumField() {
+		f := v.Field(i)
+		if !v.Type().Field(i).IsExported() || f.Kind() != reflect.Uint64 {
+			continue
+		}
+		before := rows()
+		f.SetUint(f.Uint() + bump)
+		after := rows()
+		f.SetUint(f.Uint() - bump)
+		var moved []string
+		for name, val := range after {
+			if val != before[name] {
+				moved = append(moved, fmt.Sprintf("%s by %d", name, val-before[name]))
+			}
+		}
+		if len(moved) != 1 || !strings.HasSuffix(moved[0], fmt.Sprintf(" by %d", bump)) {
+			msg := fmt.Sprintf("%s moved %d rows", v.Type().Field(i).Name, len(moved))
+			if len(moved) > 0 {
+				msg += ": " + strings.Join(moved, ", ")
+			}
+			bad = append(bad, msg)
+		}
+	}
+	return bad
+}
+
 // TestBatchFieldsInert proves the three names kept only for benchmark/ —
 // HostConfig.Batch, nic.Config.Budget, (*nic.NIC).SetBatchDeliver — change
 // nothing: a MICA host steering at the NIC and again at XDP produces the
@@ -263,7 +342,7 @@ func TestBatchFieldsInert(t *testing.T) {
 	}
 	digest, host := run(syrup.HostConfig{Batch: 0})
 	digest64, host64 := run(syrup.HostConfig{Batch: 64})
-	if host.NIC.Stats.OffloadRuns == 0 || host.Stack.Stats.XSKDelivered == 0 {
+	if host.NIC.Offload().Stats().Runs == 0 || host.Stack.Stats.XSKDelivered == 0 {
 		t.Fatalf("run did not exercise offload and XDP: NIC %+v, stack %+v", host.NIC.Stats, host.Stack.Stats)
 	}
 	if digest64 != digest {

@@ -225,6 +225,9 @@ func TestSingleFlowFleet(t *testing.T) {
 		})
 		srv.Start()
 		st := gen.RunToCompletion().All
+		if err := m.Host.Daemon.Conserved(); err != nil {
+			t.Errorf("%s: %v", m.Name, err)
+		}
 		if parts[i].Flows == 1 {
 			loaded++
 			if st.Offered == 0 || st.Completed != st.Offered {
@@ -287,6 +290,9 @@ func TestFleetPacketsStayPerHost(t *testing.T) {
 		out := make([]string, len(c.Members))
 		c.RunAll(workers, func(m *Member) {
 			st := gens[m.Index].RunToCompletion().All
+			if err := m.Host.Daemon.Conserved(); err != nil {
+				t.Errorf("workers=%d %s: %v", workers, m.Name, err)
+			}
 			if st.Offered == 0 || st.Completed != st.Offered {
 				t.Errorf("workers=%d %s: completed %d of %d", workers, m.Name, st.Completed, st.Offered)
 			}

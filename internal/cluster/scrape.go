@@ -25,8 +25,8 @@ type HostSnapshot struct {
 	NowNS    int64                `json:"now_ns"`
 	Series   []obs.SeriesJSON     `json:"series"`
 	Profiles []syrupd.ProfileInfo `json:"profiles,omitempty"`
-	// Counters is the member's own counter listing (Daemon.Counters):
-	// per-host hook runs and faults, quarantines.
+	// Counters is the member's own counter list (Daemon.Counters): every
+	// count its layers keep.
 	Counters []metrics.CounterValue `json:"counters,omitempty"`
 	// Decisions is the host controller's decision history when adaptive
 	// control is enabled (syrup-top renders them as annotations).

@@ -76,13 +76,10 @@ func RunChaos(cfg ChaosConfig) *ChaosRun {
 	}
 }
 
-// Quarantines reports how many quarantine events the chaotic run's
-// watchdog fired.
-func (cr *ChaosRun) Quarantines() uint64 { return cr.ChaosHost.Daemon.Quarantines() }
-
 // Format renders the degradation table: client-observed goodput and
-// latency side by side, the per-layer drop and fault counters that
-// absorbed the injected chaos, and the plan's per-site injection counts.
+// latency side by side, every host counter the injected chaos moved (the
+// rows of Daemon.Counters that differ between the two hosts), and the
+// plan's per-site injection counts.
 func (cr *ChaosRun) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== chaos: goodput degradation vs clean run ==\n\n")
@@ -107,18 +104,16 @@ func (cr *ChaosRun) Format() string {
 	num("p99 latency", float64(clLat.P99)/1e3, float64(chLat.P99)/1e3, "us")
 	num("dropped", float64(cl.TotalDrops()), float64(ch.TotalDrops()), "reqs")
 
-	clS, chS := cr.CleanHost.Stack.Stats, cr.ChaosHost.Stack.Stats
-	clN, chN := cr.CleanHost.NIC.Stats, cr.ChaosHost.NIC.Stats
-	fmt.Fprintf(&b, "\n%-18s%14s%14s\n", "layer counter", "clean", "chaos")
-	cnt := func(name string, a, c uint64) {
-		fmt.Fprintf(&b, "%-18s%14d%14d\n", name, a, c)
+	clean := map[string]uint64{}
+	for _, c := range cr.CleanHost.Daemon.Counters() {
+		clean[c.Name] = c.Value
 	}
-	cnt("nic ring drops", clN.DroppedRing, chN.DroppedRing)
-	cnt("offload faults", clN.OffloadFaults, chN.OffloadFaults)
-	cnt("backlog drops", clS.BacklogDrops, chS.BacklogDrops)
-	cnt("no-exec drops", clS.NoExecutorDrops, chS.NoExecutorDrops)
-	cnt("socket drops", clS.SocketDrops, chS.SocketDrops)
-	cnt("quarantines", 0, cr.Quarantines())
+	fmt.Fprintf(&b, "\n%-40s%14s%14s\n", "host counter", "clean", "chaos")
+	for _, c := range cr.ChaosHost.Daemon.Counters() {
+		if clean[c.Name] != c.Value {
+			fmt.Fprintf(&b, "%-40s%14d%14d\n", c.Name, clean[c.Name], c.Value)
+		}
+	}
 
 	if inj := cr.ChaosHost.Faults; inj != nil {
 		fmt.Fprintf(&b, "\ninjected faults (%d total):\n", inj.Total())

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"syrup"
 	"syrup/internal/faults"
 	"syrup/internal/policy"
 	"syrup/internal/sim"
@@ -33,7 +34,7 @@ func TestChaosRunQuarantinesAndStaysLive(t *testing.T) {
 	})
 
 	// The clean half runs unarmed.
-	if cr.CleanHost.Faults != nil || cr.CleanHost.Daemon.Quarantines() != 0 {
+	if cr.CleanHost.Faults != nil || counter(cr.CleanHost, "syrupd_quarantines") != 0 {
 		t.Fatal("clean run was armed with faults or quarantined a policy")
 	}
 	if cr.Clean.All.Completed == 0 {
@@ -57,12 +58,33 @@ func TestChaosRunQuarantinesAndStaysLive(t *testing.T) {
 		t.Fatal("watchdog never quarantined the faulting policy")
 	}
 
+	// The report lists every host counter the chaos moved, and only those.
 	out := cr.Format()
-	for _, want := range []string{"goodput", "quarantines", "socket-select", "injected faults", "backlog drops"} {
+	for _, want := range []string{"goodput", "socket-select", "injected faults", "nic_dropped_ring",
+		"netstack_backlog_drops", "ebpf_hook_faults_socket_select_9000", "syrupd_quarantines"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("chaos report missing %q:\n%s", want, out)
 		}
 	}
+	for _, unmoved := range []string{"netstack_no_group_drops", "ebpf_hook_runs_xdp"} {
+		if strings.Contains(out, unmoved) {
+			t.Fatalf("chaos report lists %s, which the chaos did not move:\n%s", unmoved, out)
+		}
+	}
+}
+
+// Quarantines reports how many quarantine events the chaotic run's
+// watchdog fired.
+func (cr *ChaosRun) Quarantines() uint64 { return counter(cr.ChaosHost, "syrupd_quarantines") }
+
+// counter reads one row of host's counter list.
+func counter(host *syrup.Host, name string) uint64 {
+	for _, c := range host.Daemon.Counters() {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	panic("no counter " + name)
 }
 
 // TestChaosWiringDoesNotPerturbWhenIdle is the determinism gate: a host

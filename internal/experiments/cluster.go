@@ -140,9 +140,10 @@ func RunCluster(cfg ClusterConfig) (*ClusterRun, error) {
 	// Sequential on purpose — each host's construction consumes only its
 	// own PRNG, and the control plane needs every app registered before
 	// the rollout.
-	gens := make([]*workload.Generator, cfg.Hosts)
+	runs := make([]hostRun, cfg.Hosts)
 	micaSrvs := make([]*mica.Server, cfg.Hosts)
 	for i, m := range cl.Members {
+		runs[i].host = m.Host
 		switch cfg.App {
 		case "rocksdb":
 			app, err := m.Host.RegisterApp(rocksApp, rocksUID, rocksPort)
@@ -153,13 +154,13 @@ func RunCluster(cfg ClusterConfig) (*ClusterRun, error) {
 				NumThreads: 6, PinToCores: true, Service: fig7Service,
 			})
 			w.Srv.Start()
-			gens[i] = w.Gen
+			runs[i].gen = w.Gen
 		case "mica":
 			if _, err := m.Host.RegisterApp(micaApp, micaUID, micaPort); err != nil {
 				return nil, err
 			}
 			parts[i].KeyShard, parts[i].KeyShards = i, cfg.Hosts
-			gens[i], micaSrvs[i] = wireMICA(m.Host, parts[i], mica.Config{
+			runs[i].gen, micaSrvs[i] = wireMICA(m.Host, parts[i], mica.Config{
 				Mode: mica.ModeSyrupSW, Shard: i, NumShards: cfg.Hosts,
 			})
 			micaSrvs[i].Start()
@@ -193,7 +194,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterRun, error) {
 
 	// The parallel part: every host simulation to completion on the
 	// worker pool.
-	results := finish(cfg.Run.Workers, gens...)
+	results := finish(cfg.Run.Workers, runs...)
 	run := &ClusterRun{Hosts: cfg.Hosts, App: cfg.App, Seed: cfg.Seed, Rollout: rep, Fleet: mergeFleet(results)}
 	for i, m := range cl.Members {
 		mr := MemberRun{Name: m.Name, Flows: parts[i].Flows, Rate: parts[i].Rate, Result: results[i]}

@@ -1,0 +1,51 @@
+package experiments
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"syrup/internal/sim"
+	"syrup/internal/workload"
+)
+
+// TestConservedCatchesAnUncountedPacket: the check finish runs after every
+// run passes a finished run as it is, and fails it, naming the host and the
+// equation, once one count is planted: a packet the NIC received that no
+// layer accounts for, a datagram the stack delivered without processing
+// it, and client requests lost beyond everything the host dropped or still
+// holds.
+func TestConservedCatchesAnUncountedPacket(t *testing.T) {
+	pt := fig2Slice(PolicyRoundRobin, RunConfig{})
+	pt.Run.Windows = Windows{Warmup: 2 * sim.Millisecond, Measure: 10 * sim.Millisecond, Drain: 5 * sim.Millisecond}
+	run := runRocksPoint(pt)
+	host := run.Host
+	failure := func(res *workload.Result) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		conserve(host, res)
+		return
+	}
+	if msg := failure(run.Result); msg != "<nil>" {
+		t.Fatalf("the finished run fails as it is: %s", msg)
+	}
+
+	lost := *run.Result.All
+	extra := host.Daemon.Dropped() + host.Daemon.Held() + 1
+	lost.Offered, lost.Unanswered = lost.Offered+extra, lost.Unanswered+extra
+	for _, c := range []struct {
+		plant, want string
+		count       *uint64
+		res         *workload.Result
+	}{
+		{"one extra NIC Received", "nic_received", &host.NIC.Stats.Received, run.Result},
+		{"one extra UDPDelivered", "netstack_processed", &host.Stack.Stats.UDPDelivered, run.Result},
+		{"client requests lost past the host", "unanswered", new(uint64), &workload.Result{All: &lost}},
+	} {
+		*c.count++
+		msg := failure(c.res)
+		*c.count--
+		if !strings.Contains(msg, host.Name+":") || !strings.Contains(msg, c.want) || !strings.Contains(msg, "not conserved") {
+			t.Errorf("%s: conservation reports %q, want the host, the equation and %q", c.plant, msg, c.want)
+		}
+	}
+}

@@ -87,13 +87,43 @@ func (rc RunConfig) load(rate float64) workload.Config {
 	return workload.Config{Rate: rate, Warmup: w.Warmup, Measure: w.Measure, Drain: w.Drain}
 }
 
+// hostRun is one host of a run and the generator that loads it.
+type hostRun struct {
+	host *syrup.Host
+	gen  *workload.Generator
+}
+
 // finish is the one place a run ends: every generator starts, every engine
 // advances through Warmup+Measure+Drain on the worker pool (width 1 for a
-// single host), and the results come back by index.
-func finish(workers int, gens ...*workload.Generator) []*workload.Result {
-	results := make([]*workload.Result, len(gens))
-	par.Do(len(gens), workers, func(i int) { results[i] = gens[i].RunToCompletion() })
+// single host), each run is checked for conservation, and the results come
+// back by index.
+func finish(workers int, runs ...hostRun) []*workload.Result {
+	results := make([]*workload.Result, len(runs))
+	par.Do(len(runs), workers, func(i int) {
+		results[i] = runs[i].gen.RunToCompletion()
+		conserve(runs[i].host, results[i])
+	})
 	return results
+}
+
+// conserve panics, naming the host, the equation and its terms, unless the
+// finished run accounted for every request. The host half is
+// Daemon.Conserved; the client half is offered = completed + unanswered,
+// with unanswered no more than the host dropped (Daemon.Dropped) plus what
+// it still holds (Daemon.Held).
+func conserve(host *syrup.Host, res *workload.Result) {
+	d, all := host.Daemon, res.All
+	unanswered, dropped, held := all.TotalDrops(), d.Dropped(), d.Held()
+	err := d.Conserved()
+	if err == nil && all.Offered != all.Completed+unanswered {
+		err = fmt.Errorf("requests not conserved: offered %d != completed %d + unanswered %d", all.Offered, all.Completed, unanswered)
+	}
+	if err == nil && unanswered > dropped+held {
+		err = fmt.Errorf("requests not conserved: unanswered %d > host dropped %d + held %d", unanswered, dropped, held)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %s: %v", host.Name, err))
+	}
 }
 
 // mergeFleet aggregates the members' stats, histograms merged exactly.
@@ -116,8 +146,8 @@ func mergeFleet(results []*workload.Result) *workload.Result {
 // instrumentHost registers the workload-facing series on a telemetry-
 // enabled host: total completion rate (rps), offered load (offered_rps —
 // client pressure, independent of what the policy admits, the adaptive
-// controller's recovery signal), cumulative drop rate across the NIC and
-// stack (drop_rate), and per-class latency series — cumulative
+// controller's recovery signal), the rate of what the host dropped
+// (drop_rate, Daemon.Dropped), and per-class latency series — cumulative
 // percentiles plus the windowed interval percentiles burn-rate SLOs and
 // the adapt controller consume. No-op when the host has no sampler.
 func instrumentHost(host *syrup.Host, gen *workload.Generator, classes []workload.Class) {
@@ -140,7 +170,7 @@ func instrumentHost(host *syrup.Host, gen *workload.Generator, classes []workloa
 		return float64(n)
 	})
 	host.Obs.Rate("drop_rate", func() float64 {
-		return float64(host.Stack.Stats.TotalDrops() + host.NIC.Stats.DroppedRing + host.NIC.Stats.DroppedByXDP)
+		return float64(host.Daemon.Dropped())
 	})
 	for i, c := range classes {
 		host.Obs.Histogram("latency_"+c.Name, live[i].Latency)
@@ -350,7 +380,7 @@ func runRocksPoint(pt rocksPoint) *rocksRun {
 	}
 
 	w.Srv.Start()
-	return &rocksRun{RocksWorld: w, Result: finish(1, w.Gen)[0]}
+	return &rocksRun{RocksWorld: w, Result: finish(1, hostRun{host, w.Gen})[0]}
 }
 
 func mustDeploy(app *syrup.App, name string, defines map[string]int64) {

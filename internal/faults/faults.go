@@ -36,7 +36,7 @@ const (
 	// exactly as if the ring were full (nic.Stats.DroppedRing).
 	SiteNICRing Site = "nic-ring"
 	// SiteOffload faults the NIC offload engine's program without running
-	// it; the NIC falls back to RSS (nic.Stats.OffloadFaults).
+	// it; the NIC falls back to RSS (the offload hook point's Faults).
 	SiteOffload Site = "offload"
 	// SiteSKBAlloc fails SKB allocation in the softirq: the packet is
 	// dropped at backlog admission (netstack.Stats.BacklogDrops).

@@ -15,10 +15,12 @@ package ghost
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"syrup/internal/faults"
 	"syrup/internal/hook"
 	"syrup/internal/kernel"
+	"syrup/internal/metrics"
 	"syrup/internal/sim"
 	"syrup/internal/trace"
 )
@@ -417,3 +419,15 @@ func (a *Agent) Hook() *hook.Point { return a.pt }
 
 // Runnable reports the current runnable-set size (tests/stats).
 func (a *Agent) Runnable() int { return len(a.runnable) }
+
+// AppendCounters appends the agent's counters to dst as
+// ghost_<field>_app<N>.
+func (a *Agent) AppendCounters(dst []metrics.CounterValue) []metrics.CounterValue {
+	app := "_app" + strconv.FormatUint(uint64(a.app), 10)
+	return append(dst,
+		metrics.CounterValue{Name: "ghost_messages" + app, Value: a.Messages},
+		metrics.CounterValue{Name: "ghost_commits" + app, Value: a.Commits},
+		metrics.CounterValue{Name: "ghost_preempts" + app, Value: a.Preempts},
+		metrics.CounterValue{Name: "ghost_stalls" + app, Value: a.Stalls},
+		metrics.CounterValue{Name: "ghost_commit_drops" + app, Value: a.CommitDrops})
+}

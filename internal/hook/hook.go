@@ -36,21 +36,23 @@ import (
 
 	"syrup/internal/ebpf"
 	"syrup/internal/faults"
+	"syrup/internal/obs"
 	"syrup/internal/sim"
 	"syrup/internal/trace"
 )
 
-// Host is one simulated host's context: its event engine and the two
-// ambient services every layer reaches through it, the request tracer and
-// the chaos-fault injector. Everything that records spans or consults a
-// fault site is built on the Host and reads Tracer and Faults where it uses
-// them, the way bpf_ktime_get_ns and bpf_get_prandom_u32 are one host-wide
-// environment every attach point calls rather than state pushed into each.
-// Nil Tracer and Faults (the default) record nothing and inject nothing.
+// Host is one simulated host's context: its event engine and the ambient
+// services every layer reaches through it, the request tracer, the chaos
+// injector and the telemetry sampler. Everything that uses one is
+// built on the Host and reads it there, the way bpf_ktime_get_ns and
+// bpf_get_prandom_u32 are one host-wide environment every attach point
+// calls rather than state pushed into each. Nil services (the default)
+// record, inject and sample nothing.
 type Host struct {
 	Eng    *sim.Engine
 	Tracer *trace.Recorder
 	Faults *faults.Injector
+	Obs    *obs.Sampler
 }
 
 // Action classifies a hook run's outcome for the layer.

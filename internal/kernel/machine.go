@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 
+	"syrup/internal/metrics"
 	"syrup/internal/sim"
 )
 
@@ -49,6 +50,16 @@ func (m *Machine) NumCPUs() int { return len(m.cpus) }
 
 // CPU returns core i.
 func (m *Machine) CPU(i CPUID) *CPU { return m.cpus[i] }
+
+// AppendCounters appends the machine's counters to dst: kernel_switches,
+// the context switches of every core.
+func (m *Machine) AppendCounters(dst []metrics.CounterValue) []metrics.CounterValue {
+	var switches uint64
+	for _, c := range m.cpus {
+		switches += c.Switches
+	}
+	return append(dst, metrics.CounterValue{Name: "kernel_switches", Value: switches})
+}
 
 // AffinityAll is a convenience affinity mask covering every core.
 func (m *Machine) AffinityAll() uint64 {

@@ -80,8 +80,8 @@ func TestLateBindingOverflowDrops(t *testing.T) {
 	if g.lateCount != 2 {
 		t.Fatalf("queue = %d", g.lateCount)
 	}
-	if g.LateDrops != 3 || st.Stats.SocketDrops != 3 {
-		t.Fatalf("late drops = %d stack drops = %d", g.LateDrops, st.Stats.SocketDrops)
+	if st.Stats.SocketDrops != 3 || st.Stats.UDPDelivered != 2 || st.Queued() != 2 {
+		t.Fatalf("socket drops = %d, delivered = %d, queued = %d", st.Stats.SocketDrops, st.Stats.UDPDelivered, st.Queued())
 	}
 }
 

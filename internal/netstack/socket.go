@@ -138,13 +138,6 @@ type ReuseportGroup struct {
 	lateHead  int
 	lateCount int
 	lateCap   int
-
-	// Stats.
-	PolicyRuns   uint64
-	PolicyDrops  uint64
-	PolicyPasses uint64
-	NoExecutor   uint64
-	LateDrops    uint64
 }
 
 // EnableLateBinding switches the group to late binding with the given
@@ -167,7 +160,6 @@ func (g *ReuseportGroup) EnableLateBinding(capacity int) {
 // lateEnqueue buffers a datagram centrally and wakes one parked executor.
 func (g *ReuseportGroup) lateEnqueue(pkt *nic.Packet) bool {
 	if g.lateCount >= g.lateCap {
-		g.LateDrops++
 		return false
 	}
 	slot := g.lateHead + g.lateCount
@@ -248,21 +240,17 @@ func (g *ReuseportGroup) selectSocket(pkt *nic.Packet, hash, cpu uint32) (*Socke
 	if !g.point.Attached() {
 		return g.sockets[defaultIdx], defaultIdx, selected
 	}
-	g.PolicyRuns++
 	v := g.point.Run(hook.Input{Packet: pkt.Bytes(), Hash: hash, Port: uint32(pkt.DstPort), Queue: uint32(pkt.Queue), Req: pkt.ID, CPU: cpu})
 	switch {
 	case v.Faulted || v.Action == hook.Pass:
 		// A fault fails open like the kernel (counted by the hook point's
 		// fault counters, so verifier escapes stay visible).
-		g.PolicyPasses++
 		return g.sockets[defaultIdx], defaultIdx, selected
 	case v.Action == hook.Drop:
-		g.PolicyDrops++
 		return nil, -1, dropped
 	case int(v.Index) < len(g.sockets):
 		return g.sockets[v.Index], int(v.Index), selected
 	default:
-		g.NoExecutor++
 		return nil, -1, noExecutor
 	}
 }

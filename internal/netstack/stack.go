@@ -1,11 +1,11 @@
 package netstack
 
 import (
-	"fmt"
 	"slices"
 
 	"syrup/internal/faults"
 	"syrup/internal/hook"
+	"syrup/internal/metrics"
 	"syrup/internal/nic"
 	"syrup/internal/sim"
 	"syrup/internal/trace"
@@ -64,7 +64,11 @@ const (
 	XDPGeneric
 )
 
-// Stats counts stack-level events.
+// Stats counts stack-level events. A packet admitted to a softirq backlog
+// is Processed once the softirq core reaches it; every processed UDP
+// datagram then ends as exactly one of a drop cause after the backlog, an
+// AF_XDP delivery (XSKDelivered) or a UDP one (UDPDelivered: handed to an
+// executor's socket, or to the group's shared queue under late binding).
 type Stats struct {
 	Processed       uint64
 	BacklogDrops    uint64
@@ -74,12 +78,27 @@ type Stats struct {
 	NoGroupDrops    uint64
 	XSKDelivered    uint64
 	XSKDrops        uint64
+	UDPDelivered    uint64
 }
 
-// TotalDrops sums every stack-level drop cause — the cumulative counter
-// the telemetry sampler differentiates into a drop rate.
+// TotalDrops sums every stack-level drop cause.
 func (s *Stats) TotalDrops() uint64 {
 	return s.BacklogDrops + s.SocketDrops + s.PolicyDrops + s.NoExecutorDrops + s.NoGroupDrops + s.XSKDrops
+}
+
+// AppendCounters appends the stack's counters to dst as netstack_<field>.
+func (s *Stack) AppendCounters(dst []metrics.CounterValue) []metrics.CounterValue {
+	st := &s.Stats
+	return append(dst,
+		metrics.CounterValue{Name: "netstack_processed", Value: st.Processed},
+		metrics.CounterValue{Name: "netstack_backlog_drops", Value: st.BacklogDrops},
+		metrics.CounterValue{Name: "netstack_socket_drops", Value: st.SocketDrops},
+		metrics.CounterValue{Name: "netstack_policy_drops", Value: st.PolicyDrops},
+		metrics.CounterValue{Name: "netstack_no_executor_drops", Value: st.NoExecutorDrops},
+		metrics.CounterValue{Name: "netstack_no_group_drops", Value: st.NoGroupDrops},
+		metrics.CounterValue{Name: "netstack_xsk_delivered", Value: st.XSKDelivered},
+		metrics.CounterValue{Name: "netstack_xsk_drops", Value: st.XSKDrops},
+		metrics.CounterValue{Name: "netstack_udp_delivered", Value: st.UDPDelivered})
 }
 
 // softirqCore is a serial per-RX-queue service timeline: the hyperthread
@@ -271,6 +290,27 @@ func (s *Stack) SoftirqBacklog() int {
 		total += s.cores[i].backlog
 	}
 	return total
+}
+
+// Queued sums the datagrams waiting in every socket the stack delivers
+// to: each reuseport group's sockets and late-binding queue, and each
+// AF_XDP socket.
+func (s *Stack) Queued() int {
+	n := 0
+	for _, g := range s.groups {
+		n += g.lateCount
+		for _, sock := range g.sockets {
+			n += sock.Len()
+		}
+	}
+	for _, tables := range s.xsks {
+		for _, table := range tables {
+			for _, sock := range table {
+				n += sock.Len()
+			}
+		}
+	}
+	return n
 }
 
 // softirqCost computes one packet's softirq occupancy from an attachment
@@ -466,20 +506,17 @@ func (s *Stack) protocolDeliver(core int, pkt *nic.Packet) {
 	case selected:
 		s.traceSpan(pkt, trace.StageProto, pkt.ProtoAt, core, trace.VerdictSteer, uint32(idx))
 		pkt.EnqueuedAt = s.eng.Now()
+		var queued bool
 		if g.lateBinding {
-			if !g.lateEnqueue(pkt) {
-				s.Stats.SocketDrops++
-				pkt.Free()
-			}
-		} else if !sock.Enqueue(pkt) {
+			queued = g.lateEnqueue(pkt)
+		} else {
+			queued = sock.Enqueue(pkt)
+		}
+		if queued {
+			s.Stats.UDPDelivered++
+		} else {
 			s.Stats.SocketDrops++
 			pkt.Free()
 		}
 	}
-}
-
-// String summarizes stats for debugging.
-func (s *Stats) String() string {
-	return fmt.Sprintf("processed=%d backlog-drops=%d socket-drops=%d policy-drops=%d no-exec=%d xsk=%d",
-		s.Processed, s.BacklogDrops, s.SocketDrops, s.PolicyDrops, s.NoExecutorDrops, s.XSKDelivered)
 }

@@ -180,9 +180,8 @@ pass:
 			t.Fatalf("socket %d got %d datagrams; round robin broken", i, s.Len())
 		}
 	}
-	g := st.LookupGroup(9000)
-	if g.PolicyRuns != 9 {
-		t.Fatalf("policy runs = %d", g.PolicyRuns)
+	if runs := st.LookupGroup(9000).Hook().Stats().Runs; runs != 9 {
+		t.Fatalf("policy runs = %d", runs)
 	}
 }
 
@@ -410,8 +409,8 @@ func TestXDPRevokeBetweenAdmissionAndCompletion(t *testing.T) {
 			t.Fatalf("delivery %d: packet %d enqueued at %d, want packet %d at %d", id, p.ID, p.EnqueuedAt, id, w)
 		}
 	}
-	if st.Stats != (Stats{Processed: 4}) {
-		t.Fatalf("stats %+v, want 4 processed and no drops", st.Stats)
+	if st.Stats != (Stats{Processed: 4, UDPDelivered: 4}) {
+		t.Fatalf("stats %+v, want 4 processed and delivered, no drops", st.Stats)
 	}
 }
 

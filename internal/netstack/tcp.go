@@ -102,9 +102,8 @@ type TCPGroup struct {
 	conns      map[uint64]*Conn // by flow key
 	nextConnID uint64
 
-	// Stats.
+	// Stats. A policy's DROPs are its hook point's (Hook().Stats()).
 	Accepted    uint64
-	PolicyDrops uint64
 	NoExecutor  uint64
 	Requests    uint64
 	BadSegments uint64
@@ -229,7 +228,6 @@ func (g *TCPGroup) selectListener(pkt *nic.Packet, hash, cpu uint32) *Listener {
 	case v.Faulted || v.Action == hook.Pass:
 		return g.listeners[hash%uint32(len(g.listeners))]
 	case v.Action == hook.Drop:
-		g.PolicyDrops++
 		return nil
 	case int(v.Index) < len(g.listeners):
 		return g.listeners[v.Index]

@@ -132,8 +132,8 @@ func TestTCPPolicyDropsSYN(t *testing.T) {
 	g, _, inject := tcpFixture(t, 2)
 	g.Hook().Set(mustProg(t, "r0 = DROP\nexit\n"))
 	inject(synPkt(1, 100))
-	if g.Accepted != 0 || g.PolicyDrops != 1 {
-		t.Fatalf("accepted=%d drops=%d", g.Accepted, g.PolicyDrops)
+	if drops := g.Hook().Stats().Drops; g.Accepted != 0 || drops != 1 {
+		t.Fatalf("accepted=%d drops=%d", g.Accepted, drops)
 	}
 	// Data for the refused connection bounces.
 	inject(dataPkt(2, 100, frame([]byte("x"))))

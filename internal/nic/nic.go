@@ -14,6 +14,7 @@ import (
 	"syrup/internal/ebpf"
 	"syrup/internal/faults"
 	"syrup/internal/hook"
+	"syrup/internal/metrics"
 	"syrup/internal/sim"
 	"syrup/internal/trace"
 )
@@ -221,16 +222,20 @@ func (c *Config) fill() {
 // until the host calls Consumed for it.
 type DeliverFunc func(queue int, pkt *Packet)
 
-// Stats counts NIC-level events.
+// Stats counts NIC-level events. The offload program's runs and faults are
+// its hook point's (Offload().Stats()).
 type Stats struct {
 	Received     uint64
 	DroppedRing  uint64
 	DroppedByXDP uint64
-	OffloadRuns  uint64
-	// OffloadFaults counts offload-program runtime errors. A verified
-	// program faulting means a verifier escape; the packet fails open to
-	// RSS, but the escape must be visible, not silently read as PASS.
-	OffloadFaults uint64
+}
+
+// AppendCounters appends the NIC's counters to dst as nic_<field>.
+func (n *NIC) AppendCounters(dst []metrics.CounterValue) []metrics.CounterValue {
+	return append(dst,
+		metrics.CounterValue{Name: "nic_received", Value: n.Stats.Received},
+		metrics.CounterValue{Name: "nic_dropped_ring", Value: n.Stats.DroppedRing},
+		metrics.CounterValue{Name: "nic_dropped_by_xdp", Value: n.Stats.DroppedByXDP})
 }
 
 // NIC is the simulated device.
@@ -311,7 +316,6 @@ func (n *NIC) Receive(pkt *Packet) {
 	extra := sim.Time(0)
 
 	if n.offload.Attached() {
-		n.Stats.OffloadRuns++
 		extra = n.cfg.OffloadCost
 		v := n.offload.Run(hook.Input{
 			Packet: pkt.Bytes(),
@@ -321,15 +325,13 @@ func (n *NIC) Receive(pkt *Packet) {
 			Req:    pkt.ID,
 		})
 		switch {
-		case v.Faulted:
-			n.Stats.OffloadFaults++ // fail open: keep RSS choice
 		case v.Action == hook.Drop:
 			n.Stats.DroppedByXDP++
 			n.traceNIC(pkt, pkt.ArrivedAt, queue, trace.VerdictDrop)
 			pkt.Free()
 			return
 		case v.Action == hook.Pass:
-			// keep RSS choice
+			// keep RSS choice; a faulted run fails open here
 		case int(v.Index) < n.cfg.Queues:
 			queue = int(v.Index)
 		default:

@@ -124,8 +124,8 @@ func TestOffloadProgramSteersQueues(t *testing.T) {
 			t.Fatalf("packet %d steered to queue %d, want %d", i, q, i%4)
 		}
 	}
-	if dev.Stats.OffloadRuns != 8 {
-		t.Fatalf("offload runs = %d", dev.Stats.OffloadRuns)
+	if runs := dev.Offload().Stats().Runs; runs != 8 {
+		t.Fatalf("offload runs = %d", runs)
 	}
 }
 
@@ -186,11 +186,8 @@ func TestOffloadFaultFailsOpenAndCounts(t *testing.T) {
 		t.Fatalf("fault did not fail open to RSS: delivered=%d queue=%d want %d", delivered, p.Queue, rssQueue)
 	}
 	// ...but the fault is counted, not silently read as PASS.
-	if dev.Stats.OffloadFaults != 1 || dev.Stats.DroppedByXDP != 0 {
-		t.Fatalf("fault accounting: %+v", dev.Stats)
-	}
-	if st := dev.Offload().Stats(); st.Faults != 1 {
-		t.Fatalf("hook point faults = %d", st.Faults)
+	if st := dev.Offload().Stats(); st.Faults != 1 || st.Passes != 0 || dev.Stats.DroppedByXDP != 0 {
+		t.Fatalf("fault accounting: hook point %+v, NIC %+v", st, dev.Stats)
 	}
 }
 

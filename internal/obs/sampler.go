@@ -12,11 +12,6 @@ const DefaultPeriod = sim.Millisecond
 type Config struct {
 	// Period is the sampling interval in sim time (default 1 ms).
 	Period sim.Time
-	// Counters folds the host's per-tick counter deltas into the store as
-	// <name>_delta series: a host built with it set hands its daemon's
-	// Counters to Sampler.Counters. Off by default — every counter is one
-	// more series ring per host.
-	Counters bool
 }
 
 type gaugeReg struct {
@@ -75,8 +70,13 @@ func NewSampler(cfg Config) *Sampler {
 	}
 }
 
-// Store returns the backing time-series store.
-func (sa *Sampler) Store() *Store { return sa.store }
+// Store returns the backing time-series store; a nil sampler has none.
+func (sa *Sampler) Store() *Store {
+	if sa == nil {
+		return nil
+	}
+	return sa.store
+}
 
 // Period returns the sampling interval.
 func (sa *Sampler) Period() sim.Time { return sa.period }
@@ -127,7 +127,8 @@ func (sa *Sampler) Histograms() map[string]*metrics.Histogram {
 // Counters registers the source of cumulative counter readings (a host's
 // syrupd.Daemon.Counters); every tick records each counter's increase
 // since the previous tick as <name>_delta. The baseline is the sampler's
-// own, so other delta consumers of the same counters are unaffected.
+// own, so other delta consumers of the same counters are unaffected. Off
+// unless registered: every counter is one more series ring per host.
 func (sa *Sampler) Counters(read func() []metrics.CounterValue) {
 	sa.counters, sa.baseline = read, make(map[string]uint64)
 }

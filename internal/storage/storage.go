@@ -11,10 +11,9 @@
 package storage
 
 import (
-	"fmt"
-
 	"syrup/internal/ebpf"
 	"syrup/internal/hook"
+	"syrup/internal/metrics"
 	"syrup/internal/policy"
 	"syrup/internal/sim"
 )
@@ -93,13 +92,22 @@ func (c *Config) fill() {
 	}
 }
 
-// Stats counts device events.
+// Stats counts device events. A policy's DROPs (admission rejects) are
+// its submit hook point's (SubmitHook().Stats()).
 type Stats struct {
-	Submitted        uint64
-	Completed        uint64
-	RejectedByPolicy uint64
-	RejectedFull     uint64
-	NoExecutor       uint64
+	Submitted    uint64
+	Completed    uint64
+	RejectedFull uint64
+	NoExecutor   uint64
+}
+
+// AppendCounters appends the device's counters to dst as storage_<field>.
+func (d *Device) AppendCounters(dst []metrics.CounterValue) []metrics.CounterValue {
+	return append(dst,
+		metrics.CounterValue{Name: "storage_submitted", Value: d.Stats.Submitted},
+		metrics.CounterValue{Name: "storage_completed", Value: d.Stats.Completed},
+		metrics.CounterValue{Name: "storage_rejected_full", Value: d.Stats.RejectedFull},
+		metrics.CounterValue{Name: "storage_no_executor", Value: d.Stats.NoExecutor})
 }
 
 // Device is the simulated SSD with a Syrup submit hook.
@@ -165,12 +173,10 @@ func (d *Device) Submit(req *Request) bool {
 	if d.submit.Attached() {
 		v := d.submit.Run(hook.Input{Packet: req.header(), Hash: uint32(req.LBA), Port: uint32(req.Tenant)})
 		switch {
-		case v.Faulted:
-			// fail-open, like the network hooks (faults counted by the point)
 		case v.Action == hook.Drop:
-			d.Stats.RejectedByPolicy++
 			return false
 		case v.Action == hook.Pass:
+			// LBA striping; a faulted run fails open here, like the network hooks
 		case int(v.Index) < d.cfg.Queues:
 			queue = int(v.Index)
 		default:
@@ -202,10 +208,4 @@ func (d *Device) Submit(req *Request) bool {
 	q.busyUntil = done
 	d.eng.CallAt(done, d.completeCB, req, uint64(queue))
 	return true
-}
-
-// String summarizes stats.
-func (s Stats) String() string {
-	return fmt.Sprintf("submitted=%d completed=%d rejected(policy=%d full=%d noexec=%d)",
-		s.Submitted, s.Completed, s.RejectedByPolicy, s.RejectedFull, s.NoExecutor)
 }

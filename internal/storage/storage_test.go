@@ -89,8 +89,8 @@ func TestTokenPolicyGatesIOSubmissions(t *testing.T) {
 	if accepted != 3 {
 		t.Fatalf("token admission let %d of 5 through, want 3", accepted)
 	}
-	if d.Stats.RejectedByPolicy != 2 {
-		t.Fatalf("policy rejects = %d", d.Stats.RejectedByPolicy)
+	if drops := d.SubmitHook().Stats().Drops; drops != 2 {
+		t.Fatalf("policy rejects = %d", drops)
 	}
 	// Other tenants with zero balance are rejected outright.
 	if d.Submit(&Request{ID: 9, Tenant: 8, Kind: Read, LBA: 0}) {

@@ -30,13 +30,13 @@ func (a daemonActuator) SwapPolicy(app uint32, hk string, pol string, defines ma
 }
 
 // EnableAdapt arms (or replaces) the daemon's adaptive controller with
-// the given rule table. The host must run the telemetry sampler (SetObs)
-// first — the controller's rules read the sampled series.
+// the given rule table. The host must run the telemetry sampler
+// (hook.Host.Obs) — the controller's rules read the sampled series.
 func (d *Daemon) EnableAdapt(cfg adapt.Config) (*adapt.Controller, error) {
-	if d.sampler == nil {
-		return nil, fmt.Errorf("syrupd: adaptive control needs telemetry (SetObs first)")
+	if d.host.Obs == nil {
+		return nil, fmt.Errorf("syrupd: adaptive control needs the host's telemetry sampler")
 	}
-	c, err := adapt.New(d.host.Eng, d.sampler.Store(), daemonActuator{d: d}, cfg)
+	c, err := adapt.New(d.host.Eng, d.host.Obs.Store(), daemonActuator{d: d}, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -61,7 +61,7 @@ func TestAdaptServerOps(t *testing.T) {
 	}
 
 	sa := obs.NewSampler(obs.Config{})
-	h.d.SetObs(sa)
+	h.Obs = sa
 	st := sa.Store()
 	bad := burnCfg()
 	bad.Rules[0].Detect.Budget = 0
@@ -144,7 +144,7 @@ func TestAdaptEnableRefusesRemovedKinds(t *testing.T) {
 		"quarantine":  detect + `,"on_fire":{"kind":"quarantine","app":1,"hook":"socket_select"}`,
 	} {
 		h := newHost(t, 1, 0)
-		h.d.SetObs(obs.NewSampler(obs.Config{}))
+		h.Obs = obs.NewSampler(obs.Config{})
 		srv := NewServer(h.d)
 		if resp := srv.Handle(&Request{Op: "register_app", App: 1, UID: 1000, Ports: []uint16{9000}}); !resp.OK {
 			t.Fatalf("register: %+v", resp)

@@ -22,7 +22,6 @@ import (
 	"syrup/internal/kernel"
 	"syrup/internal/netstack"
 	"syrup/internal/nic"
-	"syrup/internal/obs"
 	"syrup/internal/policy"
 	"syrup/internal/storage"
 )
@@ -68,9 +67,9 @@ func (a *App) Maps() map[string]*ebpf.Map { return a.maps }
 
 // Daemon is syrupd.
 type Daemon struct {
-	// host is the host the daemon manages: its engine, and the tracer and
+	// host is the host the daemon manages: its engine, the tracer and
 	// chaos plan the ghOSt agents and storage devices it creates are built
-	// on.
+	// on, and the telemetry sampler the ops and the adapt controller read.
 	host    *hook.Host
 	stack   *netstack.Stack
 	dev     *nic.NIC
@@ -85,10 +84,6 @@ type Daemon struct {
 	// policyProfile loads app policies with per-instruction profiling
 	// (LoadOptions.Profile); see SetPolicyProfile in telemetry.go.
 	policyProfile bool
-
-	// sampler is the host's telemetry sampler (telemetry.go); nil when
-	// the host runs without one.
-	sampler *obs.Sampler
 
 	// Quarantine events on this host, published by Counters as
 	// syrupd_quarantines.

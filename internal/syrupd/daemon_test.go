@@ -168,8 +168,8 @@ func TestXDPOffloadDispatcherIsolation(t *testing.T) {
 	if s1.Len() != 1 || s2.Len() != 1 {
 		t.Fatalf("delivery: %d %d", s1.Len(), s2.Len())
 	}
-	if h.dev.Stats.OffloadRuns != 2 {
-		t.Fatalf("offload runs = %d", h.dev.Stats.OffloadRuns)
+	if runs := h.dev.Offload().Stats().Runs; runs != 2 {
+		t.Fatalf("offload runs = %d", runs)
 	}
 }
 

@@ -54,9 +54,8 @@ func TestHotSwapUnderLoad(t *testing.T) {
 		t.Fatalf("swap had no effect: s0=%d s1=%d", s0.Enqueued, s1.Enqueued)
 	}
 	g := h.stack.LookupGroup(9000)
-	if g.PolicyDrops != 0 || g.NoExecutor != 0 || s0.Drops != 0 || s1.Drops != 0 {
-		t.Fatalf("drops during swap: policy=%d noexec=%d s0=%d s1=%d",
-			g.PolicyDrops, g.NoExecutor, s0.Drops, s1.Drops)
+	if st := h.stack.Stats; st.TotalDrops() != 0 || s0.Drops != 0 || s1.Drops != 0 {
+		t.Fatalf("drops during swap: stack %+v s0=%d s1=%d", st, s0.Drops, s1.Drops)
 	}
 
 	// The group's link survived the swap: same attachment, full run count
@@ -129,8 +128,8 @@ func TestRevokeAppFallsBackEverywhere(t *testing.T) {
 	if sdev.Submit(&storage.Request{ID: 1, Tenant: 7, LBA: 0}) {
 		t.Fatal("storage DROP policy inactive")
 	}
-	if sdev.Stats.RejectedByPolicy != 1 {
-		t.Fatalf("storage rejects = %d", sdev.Stats.RejectedByPolicy)
+	if drops := sdev.SubmitHook().Stats().Drops; drops != 1 {
+		t.Fatalf("storage rejects = %d", drops)
 	}
 
 	if err := h.d.RevokeApp(1); err != nil {

@@ -104,10 +104,6 @@ func (d *Daemon) quarantineHook(app *App, hk Hook, target, label string, faultsI
 	}
 }
 
-// Quarantines reports how many times this daemon's watchdog has
-// quarantined a hook (the stats op's syrupd_quarantines).
-func (d *Daemon) Quarantines() uint64 { return d.quarantines }
-
 // Unquarantine re-arms a quarantined app at hk: the operator judged the
 // policy (or its environment) fixed, so deploys there are allowed again.
 // Nothing reattaches automatically — the app redeploys on its own.

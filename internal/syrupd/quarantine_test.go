@@ -43,7 +43,7 @@ func TestQuarantineDetachesFaultingPolicy(t *testing.T) {
 	if h.stack.LookupGroup(9000).Hook().Attached() {
 		t.Fatal("hook still attached after quarantine")
 	}
-	if q := h.d.Quarantines(); q != 1 {
+	if q := h.d.quarantines; q != 1 {
 		t.Fatalf("quarantine events = %d, want 1", q)
 	}
 	// Degraded, not dead: every packet was delivered — faulted runs fall
@@ -224,7 +224,7 @@ func TestServerQuarantineOpsUnderLoad(t *testing.T) {
 
 	// The first window sees ≥5 injected faults, so at least one
 	// quarantine must have fired regardless of op interleaving.
-	if h.d.Quarantines() == 0 {
+	if h.d.quarantines == 0 {
 		t.Fatal("no quarantine under load")
 	}
 	if h.stack.Stats.Processed == 0 {

@@ -280,7 +280,7 @@ func (s *Server) Handle(req *Request) Response {
 		}
 		// Fold in the host's histograms as <name>_{count,p50_us,p99_us,
 		// p999_us} (see DESIGN.md, "Stats key namespace").
-		for name, h := range s.d.sampler.Histograms() {
+		for name, h := range s.d.host.Obs.Histograms() {
 			sum := h.Summarize()
 			putStat(resp.Stats, name+"_count", float64(sum.Count))
 			putStat(resp.Stats, name+"_p50_us", float64(sum.P50)/1e3)
@@ -292,10 +292,10 @@ func (s *Server) Handle(req *Request) Response {
 		// Prometheus text exposition: the host's counters and histograms,
 		// and the latest point of every telemetry series (when the host
 		// runs a sampler).
-		text := obs.PromText(s.d.Counters(), s.d.sampler.Histograms(), s.d.Obs(), s.d.Now())
+		text := obs.PromText(s.d.Counters(), s.d.host.Obs.Histograms(), s.d.host.Obs.Store(), s.d.Now())
 		return Response{OK: true, Text: text, NowNS: int64(s.d.Now())}
 	case "timeseries":
-		st := s.d.Obs()
+		st := s.d.host.Obs.Store()
 		if st == nil {
 			return errResp(fmt.Errorf("syrupd: telemetry is not enabled on this host"))
 		}

@@ -268,7 +268,7 @@ func TestServerStatsHistogramsAndDelta(t *testing.T) {
 	}
 	sa := obs.NewSampler(obs.Config{})
 	sa.Histogram("srvtest_lat", hist)
-	h.d.SetObs(sa)
+	h.Obs = sa
 
 	stats := srv.Handle(&Request{Op: "stats"}).Stats
 	if stats["srvtest_lat_count"] != 100 {
@@ -332,9 +332,9 @@ func TestServerStatsHistogramsAndDelta(t *testing.T) {
 }
 
 // TestCountersDeterministic: Daemon.Counters is the one enumeration
-// of a host's counters — exactly the points the host owns plus the
-// daemon's own, name-sorted, stable across calls, and value-for-value what
-// the stats op and the links op report.
+// of a host's counters — exactly the points the host owns, each layer's
+// own counters and the daemon's, name-sorted, stable across calls, and
+// value-for-value what the stats op and the links op report.
 func TestCountersDeterministic(t *testing.T) {
 	h := newHost(t, 1, 2)
 	h.d.AttachStorage(storage.Config{})
@@ -369,6 +369,15 @@ func TestCountersDeterministic(t *testing.T) {
 		"ebpf_hook_runs_socket_select_9000", "ebpf_hook_runs_socket_select_9001",
 		"ebpf_hook_runs_storage", "ebpf_hook_runs_thread_sched_app2",
 		"ebpf_hook_runs_xdp", "ebpf_hook_runs_xdp_offload",
+		"ghost_commit_drops_app2", "ghost_commits_app2", "ghost_messages_app2",
+		"ghost_preempts_app2", "ghost_stalls_app2",
+		"kernel_switches",
+		"netstack_backlog_drops", "netstack_no_executor_drops", "netstack_no_group_drops",
+		"netstack_policy_drops", "netstack_processed", "netstack_socket_drops",
+		"netstack_udp_delivered", "netstack_xsk_delivered", "netstack_xsk_drops",
+		"nic_dropped_by_xdp", "nic_dropped_ring", "nic_received",
+		"sim_events_fired",
+		"storage_completed", "storage_no_executor", "storage_rejected_full", "storage_submitted",
 		"syrupd_quarantines",
 	}
 	if !slices.Equal(names, want) || !slices.IsSorted(names) {
@@ -392,6 +401,12 @@ func TestCountersDeterministic(t *testing.T) {
 	if linkRuns["socket_select:9000"] != 5 || stats["ebpf_hook_runs_socket_select_9000"] != 5 ||
 		linkRuns["socket_select:80/tcp"] != 0 || stats["ebpf_hook_runs_socket_select_80_tcp"] != 0 {
 		t.Fatalf("links %v disagree with counters %v", linkRuns, stats)
+	}
+	if stats["nic_received"] != 5 || stats["netstack_udp_delivered"] != 5 {
+		t.Fatalf("5 datagrams in, counters %v", stats)
+	}
+	if err := h.d.Conserved(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -132,29 +132,30 @@ func TestHostStateHasNoLocks(t *testing.T) {
 		"holds a mutex, a sync.Pool or an atomic: state a host owns is reached only under syrupd.Server's lock")
 }
 
-// serviceAllow are the fields that may hold a host's tracer or chaos
-// injector.
+// serviceAllow are the fields that may hold a host's tracer, chaos
+// injector or telemetry sampler.
 var serviceAllow = []allowRow{
-	{"hook.Host", "the one home of a host's engine, request tracer and chaos injector"},
+	{"hook.Host", "the one home of a host's engine, request tracer, chaos injector and telemetry sampler"},
 	{"ebpf.Env.Faults", "the per-run copy a hook point takes from its Host before each run, for the helpers"},
 	{"syrup.HostConfig.Trace experiments.RunConfig.Tracer experiments.TraceRun.Recorder", "inbound carriers: a recorder on its way into a Host being built, or back out to the caller"},
 	{"apps/rocksdb.Config.Tracer", "the benchmark module sets it"},
 }
 
-// TestHostServicesLiveOnTheHost: a host's request tracer and chaos
-// injector live on its hook.Host, and every layer reads them there (DESIGN.md
-// "One owner per host"). So no package-level var and no field of a
-// package-level struct type, declared in a non-test file under internal/ or
-// in the facade, is a *trace.Recorder or a *faults.Injector, except the
-// serviceAllow rows: a copy held anywhere else is a copy a setter has to
-// keep in step, which is how a layer once went untraced and unarmed.
+// TestHostServicesLiveOnTheHost: a host's request tracer, chaos injector
+// and telemetry sampler live on its hook.Host, and every layer reads them
+// there (DESIGN.md "One owner per host"). So no package-level var and no
+// field of a package-level struct type, declared in a non-test file under
+// internal/ or in the facade, is a *trace.Recorder, a *faults.Injector or
+// an *obs.Sampler, except the serviceAllow rows: a copy held anywhere else
+// is a copy a setter has to keep in step, which is how a layer once went
+// untraced and unarmed.
 func TestHostServicesLiveOnTheHost(t *testing.T) {
 	t.Run("fixture", func(t *testing.T) {
 		tree, err := loadTree(servicesFixture)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := []string{"hook.Host.Faults", "hook.Host.Tracer", "nic.NIC.faults", "nic.NIC.tracer", "nic.spare"}
+		want := []string{"hook.Host.Faults", "hook.Host.Obs", "hook.Host.Tracer", "nic.NIC.faults", "nic.NIC.sampler", "nic.NIC.tracer", "nic.spare"}
 		if got := hostServices(tree); !slices.Equal(got, want) {
 			t.Fatalf("services = %q, want %q", got, want)
 		}
@@ -165,7 +166,7 @@ func TestHostServicesLiveOnTheHost(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAllowed(t, serviceAllow, 4, hostServices(tree),
-		"holds a tracer or a chaos injector: read the one on the layer's hook.Host instead")
+		"holds a tracer, a chaos injector or a sampler: read the one on the layer's hook.Host instead")
 }
 
 var (
@@ -394,7 +395,7 @@ func hostLocks(tree *srcTree) []string {
 // hostServices lists, sorted, the qualified name of every package-level
 // var and every field of a package-level struct type, declared in a non-test
 // file under the main module's internal/ or in its root package, whose type
-// is *trace.Recorder or *faults.Injector.
+// is *trace.Recorder, *faults.Injector or *obs.Sampler.
 func hostServices(tree *srcTree) []string {
 	service := func(t types.Type) bool {
 		ptr, ok := t.(*types.Pointer)
@@ -407,7 +408,8 @@ func hostServices(tree *srcTree) []string {
 		}
 		switch pkg, name := named.Obj().Pkg().Path(), named.Obj().Name(); {
 		case pkg == tree.mainModule+"/internal/trace" && name == "Recorder",
-			pkg == tree.mainModule+"/internal/faults" && name == "Injector":
+			pkg == tree.mainModule+"/internal/faults" && name == "Injector",
+			pkg == tree.mainModule+"/internal/obs" && name == "Sampler":
 			return true
 		}
 		return false
@@ -495,23 +497,27 @@ func sortedKeys(set map[string]bool) []string {
 	return out
 }
 
-// servicesFixture plants, for the host-services gate, a tracer field and a
-// faults field on a layer and a package-level injector. What passes: a
-// pointer to the layer's Host, a slice of recorders and a local injector.
+// servicesFixture plants, for the host-services gate, a tracer field, a
+// faults field and a sampler field on a layer and a package-level injector.
+// What passes: a pointer to the layer's Host, a slice of recorders, a
+// sampler's store and a local injector.
 var servicesFixture = fstest.MapFS{
 	"go.mod":                    {Data: []byte("module fix\n")},
 	"internal/trace/trace.go":   {Data: []byte("package trace\n\ntype Recorder struct{}\n")},
 	"internal/faults/faults.go": {Data: []byte("package faults\n\ntype Injector struct{}\n")},
+	"internal/obs/obs.go":       {Data: []byte("package obs\n\ntype Sampler struct{}\n\ntype Store struct{}\n")},
 	"internal/hook/hook.go": {Data: []byte(`package hook
 
 import (
 	"fix/internal/faults"
+	"fix/internal/obs"
 	"fix/internal/trace"
 )
 
 type Host struct {
 	Tracer *trace.Recorder
 	Faults *faults.Injector
+	Obs    *obs.Sampler
 }
 `)},
 	"internal/nic/nic.go": {Data: []byte(`package nic
@@ -519,14 +525,17 @@ type Host struct {
 import (
 	"fix/internal/faults"
 	"fix/internal/hook"
+	"fix/internal/obs"
 	"fix/internal/trace"
 )
 
 type NIC struct {
-	host   *hook.Host
-	tracer *trace.Recorder
-	faults *faults.Injector
-	rings  []*trace.Recorder
+	host    *hook.Host
+	tracer  *trace.Recorder
+	faults  *faults.Injector
+	sampler *obs.Sampler
+	store   *obs.Store
+	rings   []*trace.Recorder
 }
 
 var spare *faults.Injector

@@ -172,10 +172,12 @@ func (cfg HostConfig) Normalize() (HostConfig, error) {
 // Host is a simulated end-host running syrupd.
 type Host struct {
 	// Host is the host context every layer is built on: Eng, the request
-	// Tracer (nil unless HostConfig.Trace was set) and the compiled chaos
+	// Tracer (nil unless HostConfig.Trace was set), the compiled chaos
 	// injector Faults (nil unless HostConfig.Faults was set;
-	// Faults.Injected(site) counts one site's injections). Setting Tracer
-	// or Faults on a live host reaches every layer at once.
+	// Faults.Injected(site) counts one site's injections) and the telemetry
+	// sampler Obs (nil unless HostConfig.Telemetry was set; register more
+	// series on it before the run starts). Setting Tracer or Faults on a
+	// live host reaches every layer at once.
 	*hook.Host
 
 	// ID and Name carry the host's cluster identity (HostConfig.HostID /
@@ -187,12 +189,6 @@ type Host struct {
 	NIC     *nic.NIC
 	Stack   *netstack.Stack
 	Daemon  *syrupd.Daemon
-	// Obs is the telemetry sampler wired at construction (nil unless
-	// HostConfig.Telemetry was set). Register additional gauges, rates,
-	// and histograms on it before the run starts; its store backs the
-	// syrupd timeseries/metrics ops, and its histograms are the ones the
-	// stats and metrics ops summarize.
-	Obs *obs.Sampler
 }
 
 // NewHost builds a host: NIC wired to the kernel network stack, CPUs under
@@ -241,12 +237,8 @@ func TryNewHost(cfg HostConfig) (*Host, error) {
 		sa.Gauge("nic_inflight", func() float64 { return float64(dev.InflightTotal()) })
 		sa.Gauge("ghost_runnable", func() float64 { return float64(h.Daemon.GhostRunnable()) })
 		sa.Gauge("quarantined_links", func() float64 { return float64(h.Daemon.QuarantinedCount()) })
-		if cfg.Telemetry.Counters {
-			sa.Counters(h.Daemon.Counters)
-		}
 		sa.Attach(eng)
-		h.Obs = sa
-		h.Daemon.SetObs(sa)
+		hh.Obs = sa
 	}
 	return h, nil
 }

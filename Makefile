@@ -43,11 +43,11 @@ bench:
 bench-cluster:
 	$(GO) run ./cmd/syrup-bench -hosts 32
 
-# Dispatch cost of Run (`run` rows) beside the reference (`ref` rows, an
-# oracle that decodes per call — its speed is no goal); see DESIGN.md
-# "Policy execution pipeline". The bar: every run row at 0 allocs/op, and
-# map_policy/run within 1.5x of the 55 ns/op the fused closure tier measured
-# before PR 23 deleted it (EXPERIMENTS.md "The tier that fusion paid for").
+# Dispatch cost of Run on reused state (`run` rows) beside RunInterp on
+# fresh state (`ref` rows, the oracle: a new zeroed run state per call — its
+# speed is no goal); see DESIGN.md "Policy execution pipeline". The bar:
+# every run row at 0 allocs/op, and map_policy/run reported against the
+# parent commit on the same box.
 bench-dispatch:
 	$(GO) test ./internal/ebpf/ -run '^$$' -bench BenchmarkDispatch -benchmem
 
@@ -75,8 +75,8 @@ bench-obs:
 bench-profile:
 	$(GO) test ./internal/ebpf/ -run '^$$' -bench BenchmarkDispatchProfile -benchmem
 
-# Extended differential fuzzing of Run against the reference decoding (the
-# seed corpus already runs under plain `go test`).
+# Extended differential fuzzing of Run on reused state against RunInterp on
+# fresh state (the seed corpus already runs under plain `go test`).
 fuzz:
 	$(GO) test ./internal/ebpf/ -run '^$$' -fuzz FuzzRunMatchesReference -fuzztime 30s
 

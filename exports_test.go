@@ -28,7 +28,7 @@ import (
 // type also covers its methods and fields. A row that matches nothing
 // unreached fails the test, so the list only shrinks.
 var exportAllow = []allowRow{
-	{"ebpf.Program.RunInterp", "the reference decoding: the differential oracle Run is checked against"},
+	{"ebpf.Program.RunInterp", "the differential oracle: Run on reused state is checked against RunInterp on fresh state"},
 	{"ebpf.MustLoad", "test vocabulary: load-or-panic for the hand-built programs of ebpf and nic tests"},
 	{"ebpf.Program.Disassemble", "test vocabulary: the ebpf and policy round-trip tests compare loaded streams with it"},
 	{"ebpf.ALUReg ebpf.ALU32Imm ebpf.ALU32Reg ebpf.JmpReg", "the instruction builders' register and 32-bit forms: the rest of the family is reached, tests use all of it"},

@@ -134,10 +134,11 @@ func dispatchPrograms(b *testing.B) map[string]*Program {
 	}
 }
 
-// BenchmarkDispatch compares the reference (RunInterp: plain decoding,
-// fresh state, decoded per call) with Run (pinned decoding, the program's
-// own reused state) on the three canonical policy shapes. Run with
-// -benchmem: the run rows must report 0 allocs/op in steady state.
+// BenchmarkDispatch compares Run on reused state (`run` rows: the
+// program's own run state) with RunInterp on fresh state (`ref` rows: a
+// new zeroed run state per call) on the three canonical policy shapes. Both
+// walk the same code. Run with -benchmem: the run rows must report 0
+// allocs/op in steady state.
 func BenchmarkDispatch(b *testing.B) {
 	env := &Env{
 		Prandom: func() uint32 { return 4 },

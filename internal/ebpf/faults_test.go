@@ -2,9 +2,9 @@ package ebpf
 
 // Differential coverage of the fault paths a chaos plan can reach: the
 // tail-call budget fault and the injected helper errors must behave
-// bit-identically under Run and the reference decoding, and every
-// runtime error must charge exactly one fault to the
-// program whose instruction errored.
+// bit-identically under Run on reused state and RunInterp on fresh state,
+// and every runtime error must charge exactly one fault to the program
+// whose instruction errored.
 
 import (
 	"strings"

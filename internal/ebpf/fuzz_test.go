@@ -11,11 +11,12 @@ import (
 // The verifier's core soundness property: any program it admits must
 // execute without memory faults on arbitrary inputs. We generate random
 // (biased-toward-plausible) instruction streams, load them, and run every
-// accepted program against adversarial packets under both decodings. The
-// reference decoding trusts nothing for memory, so a runtime error there
-// is a verifier hole; Run's pinned kinds trust the verifier's facts, so a
-// wrong fact shows up as a result that differs from the reference's, not
-// as a fault. A panic anywhere is a bug outright.
+// accepted program against adversarial packets, with Run on reused state
+// and RunInterp on fresh state. The executor trusts nothing the verifier
+// proved — every access is checked against its live region — so a runtime
+// error on either leg is a verifier hole, and a result that differs
+// between them is a stale register or stack byte the verifier let a
+// program read. A panic anywhere is a bug outright.
 
 // randInsn produces one random instruction from a menu weighted toward
 // forms that have a chance of verifying.
@@ -89,7 +90,7 @@ func randInsn(rng *rand.Rand, table *MapTable, fd int32) []Instruction {
 		// A register the verifier knows exactly — a small constant through
 		// one more ALU op — added to a stack or map-value pointer, then a
 		// store through the sum: the verifier's constant becomes a pointer
-		// offset and, in Run's decoding, a fact.
+		// offset that the executor checks against the real region.
 		k := uint8(6 + rng.IntN(4)) // R6..R9
 		konst := []Instruction{MovImm(k, int32(rng.IntN(9))), aluImm(k)}
 		size := 1 << uint(rng.IntN(4))
@@ -153,7 +154,7 @@ func TestFuzzVerifierSoundness(t *testing.T) {
 			}
 			accepted++
 			// Two identically seeded worlds, so map effects cannot make the
-			// two decodings' results differ.
+			// two legs' results differ.
 			run, interp := buildDiffWorld(insns), buildDiffWorld(insns)
 			envR, envI := diffEnv(), diffEnv()
 			for _, pkt := range pkts {
@@ -166,7 +167,7 @@ func TestFuzzVerifierSoundness(t *testing.T) {
 					t.Fatalf("verifier admitted a faulting program (Run: %v, RunInterp: %v):\n%s", errR, errI, run.prog.Disassemble())
 				}
 				if retR != retI || !bytes.Equal(ctxR.Packet, ctxI.Packet) {
-					t.Fatalf("verifier admitted a program whose facts do not hold: Run r0 %#x packet %x, RunInterp r0 %#x packet %x\n%s",
+					t.Fatalf("verifier admitted a program that reads stale state: Run (reused state) r0 %#x packet %x, RunInterp (fresh state) r0 %#x packet %x\n%s",
 						retR, ctxR.Packet, retI, ctxI.Packet, run.prog.Disassemble())
 				}
 				ran++
@@ -176,12 +177,12 @@ func TestFuzzVerifierSoundness(t *testing.T) {
 	if accepted == 0 {
 		t.Fatal("fuzzer never produced an accepted program; generator too hostile to be useful")
 	}
-	t.Logf("fuzz: %d/%d programs accepted, %d executions under each decoding, no faults, no disagreement", accepted, trials, ran)
+	t.Logf("fuzz: %d/%d programs accepted, %d executions on each leg, no faults, no disagreement", accepted, trials, ran)
 }
 
 // FuzzRunMatchesReference is the differential fuzz target: any instruction
-// stream that decodes must behave bit-identically under Run's pinned
-// decoding and the reference's plain one — same load outcome, same
+// stream that decodes must behave bit-identically under Run on reused state
+// and RunInterp on fresh state — same load outcome, same
 // verdict and R0, same ExecStats, same error strings, same map and packet
 // effects. The seed corpus covers the three benchmark shapes (short
 // filter, map-heavy policy, tail-call chain).

@@ -34,8 +34,8 @@ type Env struct {
 	CPUID   uint32        // get_smp_processor_id
 
 	// Faults is the host's chaos injector (nil disarms), fired inside the
-	// helper bodies below so an injected helper error behaves identically
-	// under either decoding: SiteHelperLookup makes bpf_map_lookup_elem
+	// helper bodies below, so an injected helper error behaves identically
+	// on reused and fresh run state: SiteHelperLookup makes bpf_map_lookup_elem
 	// return NULL, SiteHelperUpdate makes bpf_map_update_elem fail with -1
 	// (the map-full error), and SiteTailCall makes bpf_tail_call hit the
 	// MaxTailCalls budget — a runtime fault, not a fall-through.
@@ -162,10 +162,9 @@ func storeSized(b []byte, size int, v uint64) {
 }
 
 // load, store and lookup are the one body each of a memory read, a memory
-// write (plain and XADD) and bpf_map_lookup_elem: the walker's generic
-// kinds land here. What its pinned kinds (walk.go) add is only what the
-// verifier's facts let them skip — the region dispatch in mem, the handle
-// and key resolution before lookup.
+// write (plain and XADD) and bpf_map_lookup_elem. Every access the walker
+// makes lands here and is checked against the live region: nothing the
+// verifier proved is taken on trust.
 
 func (rs *runState) load(base uint64, off int64, size int) (uint64, error) {
 	if ptrRegion(base) == regionCtx {
@@ -232,44 +231,45 @@ func (rs *runState) lookup(m *Map, key []byte) error {
 	return nil
 }
 
+// mapArg resolves helper argument register r to the map its handle names.
+func (rs *runState) mapArg(p *Program, r int) (*Map, error) {
+	v := rs.regs[r]
+	if ptrRegion(v) != regionMapHandle {
+		return nil, fmt.Errorf("helper arg r%d is not a map handle", r)
+	}
+	idx := int(ptrOff(v))
+	if idx >= len(p.maps) {
+		return nil, fmt.Errorf("bad map index %d", idx)
+	}
+	return p.maps[idx], nil
+}
+
+// mapKey resolves a map helper's first two arguments: R1 the map handle, R2
+// a pointer to the map's key-size bytes.
+func (rs *runState) mapKey(p *Program) (*Map, []byte, error) {
+	m, err := rs.mapArg(p, R1)
+	if err != nil {
+		return nil, nil, err
+	}
+	key, err := rs.mem(rs.regs[R2], int(m.spec.KeySize))
+	return m, key, err
+}
+
 // call executes helper id on behalf of p. A non-nil returned program means
 // a successful tail call into that program. Helper accounting lives
 // inside.
 func (rs *runState) call(p *Program, id int32) (*Program, error) {
 	rs.stats.Helpers++
 	regs := &rs.regs
-	mapArg := func(r int) (*Map, error) {
-		v := regs[r]
-		if ptrRegion(v) != regionMapHandle {
-			return nil, fmt.Errorf("helper arg r%d is not a map handle", r)
-		}
-		idx := int(ptrOff(v))
-		if idx >= len(p.maps) {
-			return nil, fmt.Errorf("bad map index %d", idx)
-		}
-		return p.maps[idx], nil
-	}
-	keyArg := func(r int, m *Map) ([]byte, error) {
-		return rs.mem(regs[r], int(m.spec.KeySize))
-	}
-
 	switch id {
 	case HelperMapLookup:
-		m, err := mapArg(R1)
-		if err != nil {
-			return nil, err
-		}
-		key, err := keyArg(R2, m)
+		m, key, err := rs.mapKey(p)
 		if err != nil {
 			return nil, err
 		}
 		return nil, rs.lookup(m, key)
 	case HelperMapUpdate:
-		m, err := mapArg(R1)
-		if err != nil {
-			return nil, err
-		}
-		key, err := keyArg(R2, m)
+		m, key, err := rs.mapKey(p)
 		if err != nil {
 			return nil, err
 		}
@@ -289,11 +289,7 @@ func (rs *runState) call(p *Program, id int32) (*Program, error) {
 		rs.clobber(0)
 		return nil, nil
 	case HelperMapDelete:
-		m, err := mapArg(R1)
-		if err != nil {
-			return nil, err
-		}
-		key, err := keyArg(R2, m)
+		m, key, err := rs.mapKey(p)
 		if err != nil {
 			return nil, err
 		}
@@ -323,7 +319,7 @@ func (rs *runState) call(p *Program, id int32) (*Program, error) {
 		rs.clobber(uint64(rs.env.CPUID))
 		return nil, nil
 	case HelperTailCall:
-		m, err := mapArg(R2)
+		m, err := rs.mapArg(p, R2)
 		if err != nil {
 			return nil, err
 		}

@@ -6,8 +6,8 @@ import (
 )
 
 // The ISA's semantics live in one place (alu and jumpTaken in isa.go) and
-// every consumer — the verifier's folding, the walker under either
-// decoding — evaluates through it, so comparing those with each other
+// every consumer — the verifier's folding, the walker on either run state
+// — evaluates through it, so comparing those with each other
 // cannot catch a wrong arm. These tables can: every expected value is a
 // literal worked out from the instruction-set definition (RFC 9669), not
 // computed by any function of this package.

@@ -26,16 +26,12 @@ type Program struct {
 	maps []*Map
 
 	// code is the decoded form Run walks (walk.go): one op per instruction
-	// slot, pinned where facts license it. Every loaded program has one.
+	// slot. Every loaded program has one.
 	code []op
 	// noVerify records that verification was skipped, so exec knows it
 	// must scrub reused run state (a verified program can never read
 	// registers or stack bytes it didn't write).
 	noVerify bool
-
-	// facts is the verifier's per-PC fact table for insns; nil for
-	// unverified loads.
-	facts *Facts
 
 	// Accounting for Table 2.
 	runs    uint64
@@ -81,7 +77,7 @@ type LoadOptions struct {
 // Load is the one pipeline every program takes: resolve map references,
 // verify, decode. Nothing rewrites the stream after the verifier admits
 // it, so the verified stream is the executed stream. Unverified test
-// programs skip straight to decoding, with no facts to pin anything.
+// programs skip straight to decoding.
 func Load(name string, insns []Instruction, opts LoadOptions) (*Program, error) {
 	if len(insns) == 0 {
 		return nil, fmt.Errorf("ebpf: %s: empty program", name)
@@ -121,16 +117,14 @@ func Load(name string, insns []Instruction, opts LoadOptions) (*Program, error) 
 		if budget <= 0 {
 			budget = DefaultVerifierBudget
 		}
-		facts, err := verify(p, budget)
-		if err != nil {
+		if err := verify(p, budget); err != nil {
 			return nil, fmt.Errorf("ebpf: %s: verifier: %w", name, err)
 		}
-		p.facts = facts
 	}
 	if opts.Profile {
 		p.prof = newProfData(len(p.insns))
 	}
-	p.code = decode(p, p.facts)
+	p.code = decode(p)
 	return p, nil
 }
 

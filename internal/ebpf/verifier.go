@@ -157,23 +157,19 @@ type verifier struct {
 	used    int
 	nextID  int32
 	pending []branchPoint
-	// facts accumulates the per-PC proof table the compiler specializes on
-	// (see facts.go).
-	facts *Facts
 	// lddwHi marks instruction slots that are the high half of an LDDW
 	// pair; jumping into one is rejected.
 	lddwHi []bool
 }
 
-// verify runs the abstract interpretation and, on success, returns the
-// per-PC fact table it accumulated along the way.
-func verify(p *Program, budget int) (*Facts, error) {
-	v := &verifier{prog: p, insns: p.insns, budget: budget, facts: newFacts(len(p.insns))}
+// verify runs the abstract interpretation; nil means p is admitted.
+func verify(p *Program, budget int) error {
+	v := &verifier{prog: p, insns: p.insns, budget: budget}
 	v.lddwHi = make([]bool, len(p.insns))
 	for i := 0; i < len(p.insns); i++ {
 		if p.insns[i].IsLDDW() {
 			if i+1 >= len(p.insns) {
-				return nil, fmt.Errorf("insn %d: truncated LDDW", i)
+				return fmt.Errorf("insn %d: truncated LDDW", i)
 			}
 			v.lddwHi[i+1] = true
 			i++
@@ -189,10 +185,10 @@ func verify(p *Program, budget int) (*Facts, error) {
 		bp := v.pending[len(v.pending)-1]
 		v.pending = v.pending[:len(v.pending)-1]
 		if err := v.explore(bp.pc, bp.st); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return v.facts, nil
+	return nil
 }
 
 func (v *verifier) newID() int32 {
@@ -222,7 +218,6 @@ func (v *verifier) explore(pc int, st *vstate) error {
 		if pc >= len(v.insns) {
 			return fmt.Errorf("fell off the end of the program (missing exit)")
 		}
-		v.facts.observe(pc, st)
 		ins := v.insns[pc]
 		switch ins.Class() {
 		case ClassALU64, ClassALU:

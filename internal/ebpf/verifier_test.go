@@ -550,9 +550,9 @@ func TestVerifierRejectsPrunedArmUninitRead(t *testing.T) {
 	), nil, "R7 !read_ok")
 }
 
-// A wrong constant folded into a stack pointer is a wrong fact: the
-// pinned stack store trusts it and writes fp-8 while the machine's own
-// pointer is fp-6.
+// A wrong constant folded into a stack pointer is a wrong offset: the
+// verifier would check the store at fp-8 while the machine's own pointer is
+// fp-6.
 func TestVerifierRejectsFoldedConstantIntoStackPointer(t *testing.T) {
 	wantReject(t, afterShiftBy33(
 		MovImm(R0, 0),
@@ -586,7 +586,7 @@ func TestVerifierRejectsUnknownALUOpOnUnknownScalar(t *testing.T) {
 
 // TestVerifierFoldMatchesRuntime holds the verifier's constant folding to
 // the machine over seeded constant chains: the chain's run-time value v is
-// taken from the reference decoding, and the same chain followed by
+// taken from the reference, and the same chain followed by
 // `r4 = v ll; if r3 == r4 goto ok; r0 = r7; exit; ok: r0 = 0; exit` loads
 // exactly when the verifier's constant for r3 equals v — otherwise it
 // decides the branch the other way and walks into the uninitialized r7.

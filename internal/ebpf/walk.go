@@ -1,22 +1,18 @@
 package ebpf
 
 // One decoded form and one walker. Load decodes the verified stream once
-// into one op per instruction slot — operands, widths, the resolved jump
-// target and, where the verifier's facts pin it, the memory window or map —
-// and walk is the only loop in the package that executes instructions:
-// Program.Run and RunInterp both drive it. What an
-// instruction means is not written here either: ALU ops and conditional
-// jumps evaluate through alu and jumpTaken (isa.go), memory and helpers
-// through rs.load, rs.store, rs.lookup and rs.call (interp.go).
+// into one op per instruction slot — operands, widths and the resolved jump
+// target — and walk is the only loop in the package that executes
+// instructions: Program.Run and RunInterp both drive it over the same code.
+// What an instruction means is not written here either: ALU ops and
+// conditional jumps evaluate through alu and jumpTaken (isa.go), memory and
+// helpers through rs.load, rs.store and rs.call (interp.go).
 //
-// There are two decodings of the same stream. Run's consults the fact
-// table the verifier built for exactly this stream and picks a pinned kind
-// wherever a fact licenses one. The reference's (RunInterp, the
-// differential oracle) consults nothing: every memory op goes through
-// rs.mem's runtime region dispatch and bounds checks and every map lookup
-// through rs.call's runtime handle and key resolution, so it can reach no
-// pinned arm of the walker — a wrong fact, or a pinned kind chosen without
-// one, shows up as a result that differs from the reference's.
+// No kind trusts the verifier. Every memory op resolves its region at run
+// time through rs.mem's tag dispatch and bounds checks, and every helper its
+// map handle and key through rs.call, so a verifier hole surfaces as a
+// simulated fault that the hook fails open on, never as a wrong ctx field,
+// stack window or map.
 
 import "fmt"
 
@@ -35,26 +31,6 @@ const (
 	kJmp          // if jumpTaken(code, dst, operand) goto target
 	kCall         // helper imm, arguments resolved at run time
 	kExit
-
-	// Pinned kinds: chosen only by the decoding that reads Facts, each
-	// trusting exactly the fact named. A fact at a slot holds on every
-	// execution reaching it, so what the fact covers is not re-checked.
-	kCtxData    // src is the ctx at a constant offset naming this field
-	kCtxDataEnd // likewise
-	kCtxHash
-	kCtxPort
-	kCtxQueue
-	kStackLoad  // src is the frame at a constant offset: off is the window's start in rs.stack
-	kStackStore // dst likewise (never xadd)
-	// kPacketLoad trusts only that src is the packet at a constant offset
-	// (off, from the packet's first byte). Packet length is runtime state,
-	// so the bound compare stays.
-	kPacketLoad
-	// kMapLookup is map_lookup_elem with R1 a handle to the known map m
-	// and R2 the frame at a constant offset: the key is rs.stack[off:off+size].
-	kMapLookup
-
-	kPinned = kCtxData // first pinned kind
 )
 
 // op is one decoded instruction slot. Fields a kind does not name are
@@ -67,28 +43,17 @@ type op struct {
 	wide   bool  // ALU64 rather than ALU; JMP rather than JMP32
 	reg    bool  // the operand is the src register, not imm
 	xadd   bool
-	size   int    // access width in bytes; key size for kMapLookup
+	size   int    // access width in bytes
 	target int    // next pc when a jump is taken; past the pair for kLDDW
-	off    int64  // instruction offset, or the pinned window (see the kinds)
+	off    int64  // instruction offset
 	imm    uint64 // sign-extended immediate; LDDW constant; helper id
-	m      *Map
-}
-
-var ctxFieldKind = map[int64]opKind{
-	CtxOffData:    kCtxData,
-	CtxOffDataEnd: kCtxDataEnd,
-	CtxOffHash:    kCtxHash,
-	CtxOffPort:    kCtxPort,
-	CtxOffQueue:   kCtxQueue,
 }
 
 // decode translates every slot of p, the high half of an LDDW pair
 // included: the walker never reaches that one in a verified program, and in
 // an unverified one that jumps into it, it executes as the degenerate LDDW
-// it decodes to. With facts it pins what they license; with nil — a
-// unverified load, or the reference decoding — every slot keeps its generic
-// kind.
-func decode(p *Program, facts *Facts) []op {
+// it decodes to. A kind is chosen from the instruction alone.
+func decode(p *Program) []op {
 	code := make([]op, len(p.insns))
 	for i, ins := range p.insns {
 		o := &code[i]
@@ -137,63 +102,8 @@ func decode(p *Program, facts *Facts) []op {
 				o.wide, o.reg = cls == ClassJMP, ins.Op&SrcX != 0
 			}
 		}
-		if facts != nil {
-			p.pin(o, i, facts)
-		}
 	}
 	return code
-}
-
-// pin swaps a generic memory or lookup kind for the pinned one the facts
-// on entry to slot i license, if any.
-func (p *Program) pin(o *op, i int, facts *Facts) {
-	switch o.kind {
-	case kLoad:
-		base := facts.Reg(i, o.src)
-		if !base.OffKnown {
-			return
-		}
-		switch base.Type {
-		case FactCtx:
-			// The verifier admitted this load, so the offset names a field.
-			if k, ok := ctxFieldKind[base.Off+o.off]; ok {
-				o.kind = k
-			}
-		case FactStack:
-			if lo, ok := stackWindow(base, o.off, o.size); ok {
-				o.kind, o.off = kStackLoad, lo
-			}
-		case FactPacket:
-			o.kind, o.off = kPacketLoad, base.Off+o.off
-		}
-	case kStore:
-		if lo, ok := stackWindow(facts.Reg(i, o.dst), o.off, o.size); ok && !o.xadd {
-			o.kind, o.off = kStackStore, lo
-		}
-	case kCall:
-		h := facts.Reg(i, R1)
-		if int32(o.imm) != HelperMapLookup || h.Type != FactMapHandle || h.MapIdx < 0 || int(h.MapIdx) >= len(p.maps) {
-			return
-		}
-		m := p.maps[h.MapIdx]
-		ks := int(m.spec.KeySize)
-		if lo, ok := stackWindow(facts.Reg(i, R2), 0, ks); ok {
-			o.kind, o.m, o.off, o.size = kMapLookup, m, lo, ks
-		}
-	}
-}
-
-// stackWindow resolves an access through a verifier-proven stack base to
-// the start of its [lo, lo+size) window within the frame.
-func stackWindow(base RegFact, insOff int64, size int) (int64, bool) {
-	if base.Type != FactStack || !base.OffKnown {
-		return 0, false
-	}
-	lo := int64(StackSize) + base.Off + insOff
-	if lo < 0 || lo+int64(size) > int64(StackSize) {
-		return 0, false
-	}
-	return lo, true
 }
 
 // Run executes the program against ctx and returns R0's low 32 bits (the
@@ -209,13 +119,13 @@ func (p *Program) Run(ctx *Ctx, env *Env) (uint32, ExecStats, error) {
 
 // RunRet64 is Run but returns the full 64-bit R0; used by tests.
 func (p *Program) RunRet64(ctx *Ctx, env *Env) (uint64, ExecStats, error) {
-	ret, err := p.exec(&p.rs, ctx, env, false)
+	ret, err := p.exec(&p.rs, ctx, env)
 	return ret, p.rs.stats, err
 }
 
-// RunInterp runs the reference: the same walker over the plain decoding of
-// the same stream (no fact consulted) on fresh zeroed state. Differential
-// tests use it as the oracle against Run.
+// RunInterp runs the reference: the same walker over the same code on
+// fresh zeroed state. Differential tests use it as the oracle for Run's
+// reused, unscrubbed state.
 func (p *Program) RunInterp(ctx *Ctx, env *Env) (uint32, ExecStats, error) {
 	ret, st, err := p.runRef(ctx, env)
 	return uint32(ret), st, err
@@ -223,7 +133,7 @@ func (p *Program) RunInterp(ctx *Ctx, env *Env) (uint32, ExecStats, error) {
 
 func (p *Program) runRef(ctx *Ctx, env *Env) (uint64, ExecStats, error) {
 	rs := new(runState)
-	ret, err := p.exec(rs, ctx, env, true)
+	ret, err := p.exec(rs, ctx, env)
 	return ret, rs.stats, err
 }
 
@@ -237,7 +147,7 @@ func (p *Program) runRef(ctx *Ctx, env *Env) (uint64, ExecStats, error) {
 // references from the last run are overwritten or truncated here — they
 // point at caller-owned contexts and long-lived map storage, so holding
 // them across the gap pins nothing meaningful.
-func (p *Program) exec(rs *runState, ctx *Ctx, env *Env, ref bool) (uint64, error) {
+func (p *Program) exec(rs *runState, ctx *Ctx, env *Env) (uint64, error) {
 	if env == nil {
 		env = &rs.noEnv
 	}
@@ -259,7 +169,7 @@ func (p *Program) exec(rs *runState, ctx *Ctx, env *Env, ref bool) (uint64, erro
 	rs.ctx = ctx
 	rs.regs[R1] = ptrVal(regionCtx, 0)
 	rs.regs[R10] = ptrVal(regionStack, StackSize)
-	return p.walk(rs, ref)
+	return p.walk(rs)
 }
 
 // walk executes p on an initialized rs, one segment per program of a
@@ -269,13 +179,10 @@ func (p *Program) exec(rs *runState, ctx *Ctx, env *Env, ref bool) (uint64, erro
 // segment ends. One op is one source instruction, so the per-instruction
 // profile is the loop's own bump of hits[pc], made before the op executes:
 // a faulting instruction credits its own slot.
-func (p *Program) walk(rs *runState, ref bool) (uint64, error) {
+func (p *Program) walk(rs *runState) (uint64, error) {
 	regs := &rs.regs
 	for prog := p; ; {
 		code := prog.code
-		if ref {
-			code = decode(prog, nil)
-		}
 		var hits []uint64
 		if prog.prof != nil {
 			hits = prog.prof.hits
@@ -326,31 +233,6 @@ func (p *Program) walk(rs *runState, ref bool) (uint64, error) {
 				regs[o.dst], fault = rs.load(regs[o.src], o.off, o.size)
 			case kStore:
 				fault = rs.store(regs[o.dst], o.off, o.size, operand, o.xadd)
-
-			case kCtxData:
-				regs[o.dst] = ptrVal(regionPacket, 0)
-			case kCtxDataEnd:
-				regs[o.dst] = ptrVal(regionPacket, uint64(len(rs.ctx.Packet)))
-			case kCtxHash:
-				regs[o.dst] = uint64(rs.ctx.Hash)
-			case kCtxPort:
-				regs[o.dst] = uint64(rs.ctx.Port)
-			case kCtxQueue:
-				regs[o.dst] = uint64(rs.ctx.Queue)
-			case kStackLoad:
-				regs[o.dst] = loadSized(rs.stack[o.off:o.off+int64(o.size)], o.size)
-			case kStackStore:
-				storeSized(rs.stack[o.off:o.off+int64(o.size)], o.size, operand)
-			case kPacketLoad:
-				if pkt := rs.ctx.Packet; o.off < 0 || o.off+int64(o.size) > int64(len(pkt)) {
-					fault = errPacketRange(o.off, o.size, len(pkt))
-				} else {
-					regs[o.dst] = loadSized(pkt[o.off:o.off+int64(o.size)], o.size)
-				}
-			case kMapLookup:
-				rs.stats.Helpers++
-				fault = rs.lookup(o.m, rs.stack[o.off:o.off+int64(o.size)])
-
 			default:
 				err = prog.badInsn(pc)
 				break seg

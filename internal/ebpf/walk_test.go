@@ -11,14 +11,15 @@ import (
 	"testing"
 )
 
-// Differential harness around one oracle, the reference decoding. The
-// same instruction stream is loaded into two identically initialized
-// "worlds" and driven through every packet: Run — the decoding pinned by
-// the verifier's facts — in one, RunInterp — the plain decoding on fresh
-// state — in the other. Verdicts, error strings, packet mutations, map
-// contents, full ExecStats and instret/runs/faults charging must agree.
-// Test names that say JIT or Interp are the suite's long-standing ids for
-// these two legs.
+// Differential harness around one oracle, the reference. The same
+// instruction stream is loaded into two identically initialized "worlds"
+// and driven through every packet: Run on the program's reused state in
+// one, RunInterp on fresh zeroed state in the other. Both walk the same
+// code, so what the harness proves is the lazy-reset invariant: a verified
+// program never reads a stale register or stack byte. Verdicts, error
+// strings, packet mutations, map contents, full ExecStats and
+// instret/runs/faults charging must agree. Test names that say JIT or
+// Interp are the suite's long-standing ids for these two legs.
 
 type diffWorld struct {
 	table   *MapTable
@@ -191,7 +192,7 @@ func randDiffInsn(rng *rand.Rand, arrFD, hashFD, progFD int32) []Instruction {
 
 // TestDifferentialCompiledVsInterp is the deterministic core of the
 // differential fuzz target: thousands of random programs through both
-// decodings.
+// legs.
 func TestDifferentialCompiledVsInterp(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xc0ffee, 0xd15ea5e))
 	const trials = 4000
@@ -263,9 +264,8 @@ func TestJITTailCallChain(t *testing.T) {
 }
 
 // TestJITErrorStringsMatchInterp pins the error-context contract: Run on
-// reused state and the reference on fresh state must produce byte-identical
-// error strings, pc and insn numbers included. (NoVerify loads have no
-// facts, so here both walk the plain decoding; what differs is the state.)
+// reused state and RunInterp on fresh state must produce byte-identical
+// error strings, pc and insn numbers included.
 func TestJITErrorStringsMatchInterp(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -381,7 +381,7 @@ func operandlessJunkSrc(src uint8) []Instruction {
 
 // TestOperandlessJumpsIgnoreSrc: the walker must not index the register
 // file with a src field no check covers; the program runs to exit with r0=0
-// under both decodings.
+// under both legs.
 func TestOperandlessJumpsIgnoreSrc(t *testing.T) {
 	for src := uint8(NumRegs); src < 16; src++ {
 		p, err := Load("junk_src", operandlessJunkSrc(src), LoadOptions{})

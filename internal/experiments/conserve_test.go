@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"syrup/internal/ebpf"
+	"syrup/internal/hook"
 	"syrup/internal/sim"
 	"syrup/internal/workload"
 )
@@ -13,8 +15,8 @@ import (
 // run passes a finished run as it is, and fails it, naming the host and the
 // equation, once one count is planted: a packet the NIC received that no
 // layer accounts for, a datagram the stack delivered without processing
-// it, and client requests lost beyond everything the host dropped or still
-// holds.
+// it, client requests lost beyond everything the host dropped or still
+// holds, and a policy fault on a host with no fault plan.
 func TestConservedCatchesAnUncountedPacket(t *testing.T) {
 	pt := fig2Slice(PolicyRoundRobin, RunConfig{})
 	pt.Run.Windows = Windows{Warmup: 2 * sim.Millisecond, Measure: 10 * sim.Millisecond, Drain: 5 * sim.Millisecond}
@@ -47,5 +49,31 @@ func TestConservedCatchesAnUncountedPacket(t *testing.T) {
 		if !strings.Contains(msg, host.Name+":") || !strings.Contains(msg, c.want) || !strings.Contains(msg, "not conserved") {
 			t.Errorf("%s: conservation reports %q, want the host, the equation and %q", c.plant, msg, c.want)
 		}
+	}
+
+	// A verified program that tail-calls itself past MaxTailCalls faults on
+	// every run. One run at the host's XDP point is a fault nothing injected.
+	if host.Faults != nil {
+		t.Fatal("the host has a fault plan")
+	}
+	progs := ebpf.MustNewMap(ebpf.MapSpec{Name: "runaway_progs", Type: ebpf.MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 1})
+	table := ebpf.NewMapTable()
+	runaway := ebpf.MustLoad("runaway", append(ebpf.LoadMapFD(ebpf.R2, table.Register(progs)),
+		ebpf.MovImm(ebpf.R3, 0),
+		ebpf.Call(ebpf.HelperTailCall),
+		ebpf.MovImm(ebpf.R0, 0),
+		ebpf.Exit(),
+	), ebpf.LoadOptions{MapTable: table})
+	if err := progs.UpdateProg(0, runaway); err != nil {
+		t.Fatal(err)
+	}
+	xdp := host.Stack.XDP()
+	xdp.Set(runaway)
+	if v := xdp.Run(hook.Input{}); !v.Faulted {
+		t.Fatalf("the runaway tail call did not fault: %+v", v)
+	}
+	xdp.Set(nil)
+	if msg := failure(run.Result); !strings.Contains(msg, host.Name+":") || !strings.Contains(msg, "ebpf_hook_faults 1") {
+		t.Errorf("one policy fault on an unarmed host: conservation reports %q, want the host and ebpf_hook_faults 1", msg)
 	}
 }

@@ -110,11 +110,16 @@ func finish(workers int, runs ...hostRun) []*workload.Result {
 // finished run accounted for every request. The host half is
 // Daemon.Conserved; the client half is offered = completed + unanswered,
 // with unanswered no more than the host dropped (Daemon.Dropped) plus what
-// it still holds (Daemon.Held).
+// it still holds (Daemon.Held). A host with no fault plan must also end with
+// zero policy faults: the executor checks every access, so a verifier hole
+// in a shipped policy shows up as a fault that fell open.
 func conserve(host *syrup.Host, res *workload.Result) {
 	d, all := host.Daemon, res.All
 	unanswered, dropped, held := all.TotalDrops(), d.Dropped(), d.Held()
 	err := d.Conserved()
+	if err == nil && host.Faults == nil {
+		err = unfaulted(d)
+	}
 	if err == nil && all.Offered != all.Completed+unanswered {
 		err = fmt.Errorf("requests not conserved: offered %d != completed %d + unanswered %d", all.Offered, all.Completed, unanswered)
 	}
@@ -124,6 +129,16 @@ func conserve(host *syrup.Host, res *workload.Result) {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %s: %v", host.Name, err))
 	}
+}
+
+// unfaulted fails if the host's ebpf_hook_faults row is non-zero.
+func unfaulted(d *syrupd.Daemon) error {
+	for _, cv := range d.Counters() {
+		if cv.Name == "ebpf_hook_faults" && cv.Value != 0 {
+			return fmt.Errorf("policy faults on a host with no fault plan: ebpf_hook_faults %d != 0", cv.Value)
+		}
+	}
+	return nil
 }
 
 // mergeFleet aggregates the members' stats, histograms merged exactly.

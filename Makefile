@@ -16,18 +16,24 @@ vet:
 test:
 	$(GO) test ./...
 
-# The race detector over every package but one: the facade, the CLIs and
-# all of internal/ — the fleet at -workers > 1 (cluster, par), syrupd's
-# server ops against the event loop (the one door into a host: its map ops
-# beside a policy that XADDs the same map, the chaos suite's quarantine and
-# revoke tests), the adapt controller, and the single-owner layers (ebpf,
-# hook, ghost, nic, netstack, rocksdb, obs, trace, ...) whose suites staying
-# clean shows nothing they call shares state behind their back. internal/experiments is left out: it takes ~9 min under
-# -race and found nothing the packages it drives do not find here. The
-# zero-alloc gates (TestZeroAlloc*) run here and again under test: a
-# device-owned free list keeps every packet put back, race detector or not.
+# The race detector, in two lines. The first runs every package but
+# internal/experiments: the facade, the CLIs and all of internal/ — the
+# fleet at -workers > 1 (cluster, par), syrupd's server ops against the
+# event loop (the one door into a host: its map ops beside a policy that
+# XADDs the same map, the chaos suite's quarantine and revoke tests), the
+# adapt controller, and the single-owner layers (ebpf, hook, ghost, nic,
+# netstack, rocksdb, obs, trace, ...) whose suites staying clean shows
+# nothing they call shares state behind their back. The second runs the
+# slice of internal/experiments that starts goroutines: the fleet's worker
+# differentials (rocksdb and mica), the parallel sweep and its -workers
+# plumbing, and the adaptive controller's differential and determinism
+# tests (~15 s); the rest of that package takes ~9 min under -race and
+# drives only what the first line covers. The zero-alloc gates
+# (TestZeroAlloc*) run here and again under test: a device-owned free list
+# keeps every packet put back, race detector or not.
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v /internal/experiments)
+	$(GO) test -race ./internal/experiments -run '^(TestClusterWorkersDifferential|TestClusterMicaWorkersDifferential|TestSweepPreservesOrderAndParallelizes|TestWorkersReachTheSweep|TestAdaptDifferentialOff|TestAdaptiveDeterminism)$$'
 
 # check is the PR gate. Every differential, determinism, chaos and
 # zero-alloc test is a plain test of its package, so race and test run

@@ -24,11 +24,10 @@ import (
 // non-test file reaches and that stay exported anyway, one concept per row.
 // A row's names are space-separated patterns over qualified names — the
 // package path below internal/, then the type, then the member:
-// "ebpf.Program.RunInterp" — matched by path.Match; a pattern naming a
+// "ebpf.Program.Disassemble" — matched by path.Match; a pattern naming a
 // type also covers its methods and fields. A row that matches nothing
 // unreached fails the test, so the list only shrinks.
 var exportAllow = []allowRow{
-	{"ebpf.Program.RunInterp", "the differential oracle: Run on reused state is checked against RunInterp on fresh state"},
 	{"ebpf.MustLoad", "test vocabulary: load-or-panic for the hand-built programs of ebpf and nic tests"},
 	{"ebpf.Program.Disassemble", "test vocabulary: the ebpf and policy round-trip tests compare loaded streams with it"},
 	{"ebpf.ALUReg ebpf.ALU32Imm ebpf.ALU32Reg ebpf.JmpReg", "the instruction builders' register and 32-bit forms: the rest of the family is reached, tests use all of it"},
@@ -37,7 +36,6 @@ var exportAllow = []allowRow{
 	{"ghost.Agent.Stopped", "revocation's observable: syrupd's revoke test asserts the agent quiesces and resumes"},
 	{"kernel.Thread.Exit kernel.Thread.Yield", "simulated servers loop forever; the finite threads of the scheduler tests exit and yield"},
 	{"metrics.Histogram.Reset", "the reuse HistogramWindow and the sampler are written to survive; their tests drive it"},
-	{"netstack.Stack.TCPGroup netstack.TCPGroup netstack.Listener", "paper Fig. 4's TCP SYN / KCM Socket Select row, unit-tested only (DESIGN.md says why)"},
 	{"policy.FIFO", "the baseline ghOSt policy of the facade, decision-trace and policy tests"},
 }
 
@@ -46,7 +44,6 @@ var exportAllow = []allowRow{
 // facade's own fields are qualified "syrup.").
 var fieldAllow = []allowRow{
 	{"syrupd.Request", "the control protocol's request: encoding/json fills it from the socket"},
-	{"nic.Packet.SYN nic.Packet.TCP", "the TCP socket-select path's packet bits, unit-tested only like the row of exportAllow"},
 	{"experiments.rocksPoint.SwapTo", "the §4.3 mid-measure hot swap: TestGolden pins the one run that sets it"},
 }
 
@@ -680,8 +677,7 @@ func unwrittenFields(tree *srcTree) []string {
 
 // directRuns lists, sorted, every package under the main module's
 // internal/ other than ebpf, hook and experiments whose non-test files run
-// a program without a hook point: (*ebpf.Program).Run, RunRet64 or
-// RunInterp.
+// a program without a hook point: (*ebpf.Program).Run or RunRet64.
 func directRuns(tree *srcTree) []string {
 	runners := map[types.Object]string{}
 	for _, p := range tree.pkgs {
@@ -692,7 +688,7 @@ func directRuns(tree *srcTree) []string {
 		if !ok {
 			continue
 		}
-		for _, name := range []string{"Run", "RunRet64", "RunInterp"} {
+		for _, name := range []string{"Run", "RunRet64"} {
 			if obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(tn.Type()), false, p.types, name); obj != nil {
 				runners[obj] = "ebpf.Program." + name
 			}

@@ -3,7 +3,8 @@ package ebpf
 // One decoded form and one walker. Load decodes the verified stream once
 // into one op per instruction slot — operands, widths and the resolved jump
 // target — and walk is the only loop in the package that executes
-// instructions: Program.Run and RunInterp both drive it over the same code.
+// instructions: Program.Run and the tests' RunInterp both drive it over the
+// same code.
 // What an instruction means is not written here either: ALU ops and
 // conditional jumps evaluate through alu and jumpTaken (isa.go), memory and
 // helpers through rs.load, rs.store and rs.call (interp.go).
@@ -121,20 +122,6 @@ func (p *Program) Run(ctx *Ctx, env *Env) (uint32, ExecStats, error) {
 func (p *Program) RunRet64(ctx *Ctx, env *Env) (uint64, ExecStats, error) {
 	ret, err := p.exec(&p.rs, ctx, env)
 	return ret, p.rs.stats, err
-}
-
-// RunInterp runs the reference: the same walker over the same code on
-// fresh zeroed state. Differential tests use it as the oracle for Run's
-// reused, unscrubbed state.
-func (p *Program) RunInterp(ctx *Ctx, env *Env) (uint32, ExecStats, error) {
-	ret, st, err := p.runRef(ctx, env)
-	return uint32(ret), st, err
-}
-
-func (p *Program) runRef(ctx *Ctx, env *Env) (uint64, ExecStats, error) {
-	rs := new(runState)
-	ret, err := p.exec(rs, ctx, env)
-	return ret, rs.stats, err
 }
 
 // exec resets rs for one invocation and walks p. The caller owns rs — the

@@ -35,7 +35,7 @@ type Info struct {
 // adding a hook point is one edit here.
 var hooks = []Info{
 	{ThreadSched, "thread (state-change msg)", "core", "ghOSt agent (userspace policy)"},
-	{SocketSelect, "UDP datagram / TCP SYN / KCM request", "socket in reuseport group", "eBPF at protocol-stack delivery"},
+	{SocketSelect, "UDP datagram", "socket in reuseport group", "eBPF at protocol-stack delivery"},
 	{CPURedirect, "packet", "core (softirq)", "eBPF after driver RX"},
 	{XDPSkb, "packet", "AF_XDP socket", "eBPF after SKB allocation (no zero-copy)"},
 	{XDPDrv, "packet", "AF_XDP socket", "eBPF before SKB allocation (zero-copy)"},

@@ -59,6 +59,10 @@ func TestXDPRedirectToDeadXSK(t *testing.T) {
 	if xsks[0].Len() != 1 {
 		t.Fatalf("live sibling did not receive: len=%d", xsks[0].Len())
 	}
+	// Every processed packet ended as one drop cause or one delivery.
+	if s := st.Stats; s.Processed != s.TotalDrops()-s.BacklogDrops+s.XSKDelivered+s.UDPDelivered {
+		t.Fatalf("stack not conserved: %+v", s)
+	}
 }
 
 func TestInjectedSKBAllocDrops(t *testing.T) {

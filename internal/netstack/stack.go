@@ -65,9 +65,9 @@ const (
 )
 
 // Stats counts stack-level events. A packet admitted to a softirq backlog
-// is Processed once the softirq core reaches it; every processed UDP
-// datagram then ends as exactly one of a drop cause after the backlog, an
-// AF_XDP delivery (XSKDelivered) or a UDP one (UDPDelivered: handed to an
+// is Processed once the softirq core reaches it; every processed packet
+// then ends as exactly one of a drop cause after the backlog, an AF_XDP
+// delivery (XSKDelivered) or a UDP one (UDPDelivered: handed to an
 // executor's socket, or to the group's shared queue under late binding).
 type Stats struct {
 	Processed       uint64
@@ -129,8 +129,7 @@ type Stack struct {
 	// cpuRedirect is the CPU Redirect hook point.
 	cpuRedirect *hook.Point
 
-	groups    map[uint16]*ReuseportGroup
-	tcpGroups map[uint16]*TCPGroup
+	groups map[uint16]*ReuseportGroup
 
 	// xsks holds the AF_XDP executor tables, scoped per destination port
 	// (= per application, preserving executor-map isolation) and per RX
@@ -153,13 +152,12 @@ type Stack struct {
 func New(h *hook.Host, cfg Config, queues int) *Stack {
 	cfg.fill()
 	s := &Stack{
-		eng:       h.Eng,
-		cfg:       cfg,
-		host:      h,
-		cores:     make([]softirqCore, queues),
-		groups:    make(map[uint16]*ReuseportGroup),
-		tcpGroups: make(map[uint16]*TCPGroup),
-		xsks:      make(map[uint16][][]*Socket),
+		eng:    h.Eng,
+		cfg:    cfg,
+		host:   h,
+		cores:  make([]softirqCore, queues),
+		groups: make(map[uint16]*ReuseportGroup),
+		xsks:   make(map[uint16][][]*Socket),
 	}
 	// Runs pass the executing softirq core as Input.CPU, so
 	// get_smp_processor_id reads it.
@@ -222,40 +220,20 @@ func (s *Stack) Group(port uint16, app uint32) *ReuseportGroup {
 // LookupGroup returns the group for port, or nil.
 func (s *Stack) LookupGroup(port uint16) *ReuseportGroup { return s.groups[port] }
 
-// TCPGroup returns (creating if needed) the TCP listener group for port.
-func (s *Stack) TCPGroup(port uint16, app uint32) *TCPGroup {
-	if g, ok := s.tcpGroups[port]; ok {
-		return g
-	}
-	g := NewTCPGroup(s.host, port, app)
-	s.tcpGroups[port] = g
-	return g
-}
-
-// LookupTCPGroup returns the TCP group for port, or nil.
-func (s *Stack) LookupTCPGroup(port uint16) *TCPGroup { return s.tcpGroups[port] }
-
 // HookPoints appends every hook point the stack owns to dst in a fixed
-// order: XDP, CPU Redirect, then each UDP and then each TCP reuseport
-// group's Socket Select by ascending port.
+// order: XDP, CPU Redirect, then each reuseport group's Socket Select by
+// ascending port.
 func (s *Stack) HookPoints(dst []*hook.Point) []*hook.Point {
 	dst = append(dst, s.xdp, s.cpuRedirect)
-	for _, port := range sortedPorts(s.groups) {
-		dst = append(dst, s.groups[port].point)
-	}
-	for _, port := range sortedPorts(s.tcpGroups) {
-		dst = append(dst, s.tcpGroups[port].point)
-	}
-	return dst
-}
-
-func sortedPorts[G any](groups map[uint16]G) []uint16 {
-	ports := make([]uint16, 0, len(groups))
-	for port := range groups {
+	ports := make([]uint16, 0, len(s.groups))
+	for port := range s.groups {
 		ports = append(ports, port)
 	}
 	slices.Sort(ports)
-	return ports
+	for _, port := range ports {
+		dst = append(dst, s.groups[port].point)
+	}
+	return dst
 }
 
 // NewUDPSocket creates a socket bound to port and adds it to the port's
@@ -454,9 +432,6 @@ func (s *Stack) protocolStage(core int, pkt *nic.Packet) {
 		// The Socket Select policy runs inline with delivery on this core.
 		cost += s.cfg.PolicyRunCost
 	}
-	if tg, ok := s.tcpGroups[pkt.DstPort]; ok && tg.point.Attached() && (pkt.SYN || tg.kcm) {
-		cost += s.cfg.PolicyRunCost
-	}
 	now := s.eng.Now()
 	pkt.ProtoAt = now
 	start := c.busyUntil
@@ -471,21 +446,6 @@ func (s *Stack) protocolStage(core int, pkt *nic.Packet) {
 // protocolDeliver runs once the protocol-processing cost has elapsed on
 // core: socket selection and delivery.
 func (s *Stack) protocolDeliver(core int, pkt *nic.Packet) {
-	if pkt.TCP {
-		tg, ok := s.tcpGroups[pkt.DstPort]
-		if !ok {
-			s.Stats.NoGroupDrops++
-			s.traceSpan(pkt, trace.StageProto, pkt.ProtoAt, core, trace.VerdictDrop, 0)
-			pkt.Free()
-			return
-		}
-		// Framed requests enqueue at this instant; deliverRequest copies
-		// the stamp onto each request packet it cuts from the stream.
-		pkt.EnqueuedAt = s.eng.Now()
-		s.traceSpan(pkt, trace.StageProto, pkt.ProtoAt, core, trace.VerdictNone, 0)
-		tg.HandleSegment(pkt, pkt.RSSHash(), uint32(core))
-		return
-	}
 	g, ok := s.groups[pkt.DstPort]
 	if !ok {
 		s.Stats.NoGroupDrops++

@@ -31,11 +31,6 @@ type Packet struct {
 	SrcPort uint16
 	DstPort uint16
 
-	// TCP marks the packet as a TCP segment (default is a UDP datagram);
-	// SYN marks a connection-establishing segment.
-	TCP bool
-	SYN bool
-
 	Payload []byte
 
 	// SentAt is the client-side send timestamp (for end-to-end latency).
@@ -163,7 +158,8 @@ const (
 
 // RSSHash is the NIC's receive-side-scaling hash over the 5-tuple
 // (deterministic stand-in for Toeplitz). The 13 hashed bytes are src IP,
-// dst IP, src port, dst port (big-endian) and the protocol number.
+// dst IP, src port, dst port (big-endian) and the protocol number, 17:
+// every packet is a UDP datagram.
 func (p *Packet) RSSHash() uint32 {
 	h := uint32(fnvOffset32)
 	h = (h ^ uint32(byte(p.SrcIP>>24))) * fnvPrime32
@@ -178,11 +174,7 @@ func (p *Packet) RSSHash() uint32 {
 	h = (h ^ uint32(byte(p.SrcPort))) * fnvPrime32
 	h = (h ^ uint32(byte(p.DstPort>>8))) * fnvPrime32
 	h = (h ^ uint32(byte(p.DstPort))) * fnvPrime32
-	proto := byte(17)
-	if p.TCP {
-		proto = 6
-	}
-	return (h ^ uint32(proto)) * fnvPrime32
+	return (h ^ 17) * fnvPrime32
 }
 
 // Config sets NIC geometry and costs.

@@ -228,8 +228,7 @@ func (d *Daemon) DeployBuiltin(appID uint32, hk Hook, name string, defines map[s
 func (d *Daemon) install(app *App, hk Hook, prog *ebpf.Program) error {
 	switch hk {
 	case HookSocketSelect:
-		// Per-group attachment (UDP reuseport groups and TCP listener
-		// groups alike): structurally isolated.
+		// Per-group attachment: structurally isolated.
 		var points []*hook.Point
 		for _, port := range app.Ports {
 			if g := d.stack.LookupGroup(port); g != nil {
@@ -237,12 +236,6 @@ func (d *Daemon) install(app *App, hk Hook, prog *ebpf.Program) error {
 					return fmt.Errorf("syrupd: group for port %d belongs to app %d", port, g.App)
 				}
 				points = append(points, g.Hook())
-			}
-			if tg := d.stack.LookupTCPGroup(port); tg != nil {
-				if tg.App != app.ID {
-					return fmt.Errorf("syrupd: TCP group for port %d belongs to app %d", port, tg.App)
-				}
-				points = append(points, tg.Hook())
 			}
 		}
 		if len(points) == 0 {

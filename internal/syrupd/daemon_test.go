@@ -347,32 +347,3 @@ func TestCPURedirectDispatcher(t *testing.T) {
 		t.Fatal("cpu-redirected packet lost")
 	}
 }
-
-func TestDeploySocketSelectToTCPGroup(t *testing.T) {
-	h := newHost(t, 1, 0)
-	h.d.RegisterApp(1, 1000, 9000)
-	g := h.stack.TCPGroup(9000, 1)
-	l0, _ := g.AddListener("w0", 8, 16)
-	l1, _ := g.AddListener("w1", 8, 16)
-	// Send all connections to listener 1.
-	if _, err := h.d.DeployPolicy(1, HookSocketSelect, "r0 = 1\nexit\n", nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		h.dev.Receive(&nic.Packet{ID: uint64(i), SrcIP: 9, SrcPort: uint16(100 + i), DstPort: 9000, TCP: true, SYN: true})
-	}
-	h.Eng.Run()
-	n := 0
-	for l1.TryAccept() != nil {
-		n++
-	}
-	if n != 3 || l0.TryAccept() != nil {
-		t.Fatalf("TCP connection scheduling via syrupd broken: l1=%d", n)
-	}
-	// Foreign TCP group rejected.
-	h.d.RegisterApp(2, 1001, 9002)
-	h.stack.TCPGroup(9002, 1) // owned by app 1 despite app 2's port
-	if _, err := h.d.DeployPolicy(2, HookSocketSelect, "r0 = 0\nexit\n", nil); err == nil {
-		t.Fatal("cross-app TCP group attach accepted")
-	}
-}

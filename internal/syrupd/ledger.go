@@ -72,9 +72,8 @@ func (d *Daemon) Held() uint64 { return uint64(d.dev.InflightTotal() + d.stack.Q
 //     netstack_xsk_delivered + netstack_udp_delivered.
 //
 // The second holds once the stack is idle, at the end of a run: a packet in
-// protocol processing is processed but not yet delivered. It does not cover
-// TCP segments, which no run sends. The error names the equation and its
-// terms.
+// protocol processing is processed but not yet delivered. The error names
+// the equation and its terms.
 func (d *Daemon) Conserved() error {
 	c := map[string]uint64{"nic_inflight": uint64(d.dev.InflightTotal())}
 	for _, cv := range d.Counters() {

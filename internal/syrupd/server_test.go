@@ -338,11 +338,10 @@ func TestServerStatsHistogramsAndDelta(t *testing.T) {
 func TestCountersDeterministic(t *testing.T) {
 	h := newHost(t, 1, 2)
 	h.d.AttachStorage(storage.Config{})
-	h.d.RegisterApp(1, 1000, 9000, 80)
+	h.d.RegisterApp(1, 1000, 9000)
 	h.d.RegisterApp(2, 1001, 9001)
 	h.stack.NewUDPSocket(9001, 2, "w") // bound before 9000: the listing sorts
 	h.stack.NewUDPSocket(9000, 1, "w")
-	h.stack.TCPGroup(80, 1)
 	if _, err := h.d.DeployPolicy(1, HookSocketSelect, "r0 = 0\nexit\n", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -361,11 +360,11 @@ func TestCountersDeterministic(t *testing.T) {
 	}
 	want := []string{
 		"ebpf_hook_faults",
-		"ebpf_hook_faults_cpu_redirect", "ebpf_hook_faults_socket_select_80_tcp",
+		"ebpf_hook_faults_cpu_redirect",
 		"ebpf_hook_faults_socket_select_9000", "ebpf_hook_faults_socket_select_9001",
 		"ebpf_hook_faults_storage", "ebpf_hook_faults_thread_sched_app2",
 		"ebpf_hook_faults_xdp", "ebpf_hook_faults_xdp_offload",
-		"ebpf_hook_runs_cpu_redirect", "ebpf_hook_runs_socket_select_80_tcp",
+		"ebpf_hook_runs_cpu_redirect",
 		"ebpf_hook_runs_socket_select_9000", "ebpf_hook_runs_socket_select_9001",
 		"ebpf_hook_runs_storage", "ebpf_hook_runs_thread_sched_app2",
 		"ebpf_hook_runs_xdp", "ebpf_hook_runs_xdp_offload",
@@ -392,14 +391,13 @@ func TestCountersDeterministic(t *testing.T) {
 			t.Fatalf("stats[%s] = %v (present %v), Counters says %d", c.Name, v, ok, c.Value)
 		}
 	}
-	// Each direct link agrees with its point's counter: 5 runs on the UDP
-	// group that saw the traffic, 0 on the idle TCP group.
+	// The direct link agrees with its point's counter: 5 runs on the group
+	// that saw the traffic.
 	linkRuns := map[string]uint64{}
 	for _, l := range h.d.Links() {
 		linkRuns[l.Target] = l.Runs
 	}
-	if linkRuns["socket_select:9000"] != 5 || stats["ebpf_hook_runs_socket_select_9000"] != 5 ||
-		linkRuns["socket_select:80/tcp"] != 0 || stats["ebpf_hook_runs_socket_select_80_tcp"] != 0 {
+	if linkRuns["socket_select:9000"] != 5 || stats["ebpf_hook_runs_socket_select_9000"] != 5 {
 		t.Fatalf("links %v disagree with counters %v", linkRuns, stats)
 	}
 	if stats["nic_received"] != 5 || stats["netstack_udp_delivered"] != 5 {

@@ -41,7 +41,7 @@ const (
 	// StageSoftirq: backlog wait plus SKB allocation / XDP program /
 	// XSK copy work on the softirq core.
 	StageSoftirq
-	// StageProto: protocol processing (UDP/TCP demux) ending at the
+	// StageProto: protocol processing (UDP demux) ending at the
 	// socket-selection verdict.
 	StageProto
 	// StageSocket: socket queue wait, enqueue to worker dequeue.

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check bench bench-cluster bench-dispatch bench-engine bench-obs bench-profile fuzz clean
+.PHONY: build test vet race check bench bench-cluster bench-dispatch bench-engine bench-obs fuzz clean
 
 build:
 	$(GO) build ./...
@@ -74,12 +74,6 @@ bench-engine:
 bench-obs:
 	$(GO) test ./internal/metrics/ -run '^$$' -bench BenchmarkHistogramWindowAdvance -benchmem
 	$(GO) test ./internal/obs/ -run '^$$' -bench BenchmarkSamplerSample -benchmem
-
-# Profiling overhead margin (see EXPERIMENTS.md "Profiling overhead"): the
-# dispatch shapes with per-instruction profiling off vs on. Profiling is
-# opt-in per deployment.
-bench-profile:
-	$(GO) test ./internal/ebpf/ -run '^$$' -bench BenchmarkDispatchProfile -benchmem
 
 # Extended differential fuzzing of Run on reused state against RunInterp on
 # fresh state (the seed corpus already runs under plain `go test`).

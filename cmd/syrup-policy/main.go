@@ -15,9 +15,9 @@
 // executes — rendered back to assemblable .syr source; the output
 // re-assembles to bit-identical bytecode (gated by the round-trip tests).
 // With -profile N it instead executes N deterministic synthetic packets
-// under per-instruction profiling and prints the hotness-annotated
-// disassembly. list prints the built-in policies. scaffold prints a
-// commented starter policy to build from.
+// and prints the disassembly annotated with each instruction's hit count.
+// list prints the built-in policies. scaffold prints a commented starter
+// policy to build from.
 package main
 
 import (
@@ -86,7 +86,7 @@ func source(arg string) (name, src string) {
 }
 
 // load runs the full deploy-time pipeline on one source.
-func load(name, src string, defines map[string]int64, profile bool) (*ebpf.AsmFile, *ebpf.Program) {
+func load(name, src string, defines map[string]int64) (*ebpf.AsmFile, *ebpf.Program) {
 	f, err := ebpf.Assemble(src, defines)
 	if err != nil {
 		fatal(fmt.Errorf("assemble: %w", err))
@@ -95,7 +95,7 @@ func load(name, src string, defines map[string]int64, profile bool) (*ebpf.AsmFi
 	if err != nil {
 		fatal(err)
 	}
-	prog, err := ebpf.Load(name, insns, ebpf.LoadOptions{MapTable: table, Profile: profile})
+	prog, err := ebpf.Load(name, insns, ebpf.LoadOptions{MapTable: table})
 	if err != nil {
 		fatal(err)
 	}
@@ -112,7 +112,7 @@ func main() {
 	defines := defineFlags{}
 	fs.Var(defines, "D", "deploy-time define NAME=VALUE (repeatable)")
 	out := fs.String("o", "", "write the loaded bytecode in wire format to `file` (build)")
-	profile := fs.Int("profile", 0, "disasm: run `n` deterministic synthetic packets with per-instruction profiling and print the hotness-annotated disassembly (0 = off)")
+	profile := fs.Int("profile", 0, "disasm: run `n` deterministic synthetic packets and print the hotness-annotated disassembly (0 = plain disasm)")
 
 	switch cmd {
 	case "build", "disasm":
@@ -144,7 +144,7 @@ func main() {
 }
 
 func runBuild(name, src string, defines map[string]int64, out string) {
-	f, prog := load(name, src, defines, false)
+	f, prog := load(name, src, defines)
 	fmt.Printf("%s: %d source lines, %d instructions, %d map(s) — verified\n",
 		name, f.SourceLines, prog.Len(), len(f.Maps))
 	for _, spec := range f.Maps {
@@ -166,7 +166,7 @@ func runBuild(name, src string, defines map[string]int64, out string) {
 }
 
 func runDisasm(name, src string, defines map[string]int64) {
-	_, prog := load(name, src, defines, false)
+	_, prog := load(name, src, defines)
 	fmt.Print(prog.TextSource())
 }
 
@@ -183,12 +183,12 @@ func runList() {
 	}
 }
 
-// runProfile loads the policy with per-instruction profiling, drives it
-// with a deterministic synthetic packet mix (GET/SCAN/PUT cycling over
-// flows, queues, and users — the same header layout the scaffold
-// documents), and prints the hotness-annotated disassembly.
+// runProfile loads the policy, drives it with a deterministic synthetic
+// packet mix (GET/SCAN/PUT cycling over flows, queues, and users — the
+// same header layout the scaffold documents), and prints the
+// hotness-annotated disassembly.
 func runProfile(w io.Writer, name, src string, defines map[string]int64, runs int) {
-	_, prog := load(name, src, defines, true)
+	_, prog := load(name, src, defines)
 	types := []uint64{policy.ReqGET, policy.ReqSCAN, policy.ReqPUT}
 	faults := 0
 	for i := 0; i < runs; i++ {

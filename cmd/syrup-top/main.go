@@ -1,12 +1,12 @@
 // Command syrup-top renders a fleet's telemetry as a top(1)-style text
 // dashboard: one row per host (RPS, latency percentiles, drop rate,
 // quarantined deployments, an RPS sparkline), the fleet-merged totals,
-// SLO burn-rate state, the top-K hottest deployed policies by profiled
-// wall time, and — when a host runs the adapt controller — its decision
+// SLO burn-rate state, the top-K hottest deployed policies by instructions
+// executed, and — when a host runs the adapt controller — its decision
 // log as per-host annotations.
 //
-// Live mode scrapes syrupd control sockets through the timeseries and
-// profile ops:
+// Live mode scrapes syrupd control sockets through the timeseries, links
+// and adapt_history ops (cluster.ScrapeHost):
 //
 //	syrup-top -sockets /tmp/h0.sock,/tmp/h1.sock,/tmp/h2.sock,/tmp/h3.sock
 //
@@ -129,43 +129,25 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// scrape pulls every socket's timeseries and profile ops and merges the
-// fleet view — the external-collector form of cluster.(*Cluster).Scrape.
+// scrape pulls every socket's telemetry and merges the fleet view — the
+// external-collector form of cluster.(*Cluster).Scrape, through the same
+// cluster.ScrapeHost.
 func scrape(paths []string) (*cluster.FleetSnapshot, error) {
-	snap := &cluster.FleetSnapshot{}
-	series := make([][]obs.SeriesJSON, 0, len(paths))
+	hosts := make([]cluster.HostSnapshot, 0, len(paths))
 	for i, path := range paths {
 		path = strings.TrimSpace(path)
 		c, err := syrupd.Dial(path)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", path, err)
 		}
-		ts, err := c.Do(&syrupd.Request{Op: "timeseries"})
+		hs, err := cluster.ScrapeHost(strings.TrimSuffix(filepath.Base(path), ".sock"), i, c.Do)
+		c.Close()
 		if err != nil {
-			c.Close()
 			return nil, fmt.Errorf("%s: %v", path, err)
 		}
-		hs := cluster.HostSnapshot{
-			Host:  strings.TrimSuffix(filepath.Base(path), ".sock"),
-			Index: i, NowNS: ts.NowNS, Series: ts.Series,
-		}
-		if pr, err := c.Do(&syrupd.Request{Op: "profile"}); err == nil {
-			hs.Profiles = pr.Profiles
-		}
-		// Hosts without adaptive control answer with an error; that just
-		// leaves the annotations empty.
-		if ah, err := c.Do(&syrupd.Request{Op: "adapt_history"}); err == nil {
-			hs.Decisions = ah.Decisions
-		}
-		c.Close()
-		snap.Hosts = append(snap.Hosts, hs)
-		series = append(series, hs.Series)
-		if hs.NowNS > snap.NowNS {
-			snap.NowNS = hs.NowNS
-		}
+		hosts = append(hosts, hs)
 	}
-	snap.Merged = obs.MergeSeries(series...)
-	return snap, nil
+	return cluster.NewFleetSnapshot(hosts), nil
 }
 
 // last returns the final value of the named series, or 0.
@@ -264,16 +246,22 @@ func render(out io.Writer, snap *cluster.FleetSnapshot, topK, sparkW int) {
 		hot = hot[:topK]
 	}
 	if len(hot) > 0 {
-		fmt.Fprintf(out, "\nhot policies (by profiled ns)\n")
+		fmt.Fprintf(out, "\nhot policies (by instructions executed)\n")
 		fmt.Fprintf(out, "%10s %4s %-14s %-14s %10s %9s %7s\n",
-			"host", "app", "hook", "program", "runs", "ns/run", "hot_pc")
+			"host", "app", "hook", "program", "runs", "insns/run", "hot_pc")
 		for _, h := range hot {
 			pc := "-"
 			if i := hotPC(h.Hits); i >= 0 {
 				pc = strconv.Itoa(i)
 			}
+			// Runs spans every generation the link held, Insns only the
+			// installed one, so a fresh redeploy reads low until it runs.
+			perRun := 0.0
+			if h.Runs > 0 {
+				perRun = float64(h.Insns) / float64(h.Runs)
+			}
 			fmt.Fprintf(out, "%10s %4d %-14s %-14s %10d %9.1f %7s\n",
-				h.host, h.App, h.Hook, h.Program, h.Runs, h.NsPerRun, pc)
+				h.host, h.App, h.Hook, h.Program, h.Runs, perRun, pc)
 		}
 	}
 
@@ -292,24 +280,24 @@ func render(out io.Writer, snap *cluster.FleetSnapshot, topK, sparkW int) {
 	}
 }
 
-// hotRow is one profiled deployment tagged with its host.
+// hotRow is one deployment tagged with its host.
 type hotRow struct {
 	host string
-	syrupd.ProfileInfo
+	syrupd.LinkInfo
 }
 
-// hotPolicies flattens every host's profiles and orders them hottest
-// first (total profiled nanos, then runs, then name for determinism).
+// hotPolicies flattens every host's links and orders them hottest first:
+// instructions executed, then runs, then host, then program.
 func hotPolicies(snap *cluster.FleetSnapshot) []hotRow {
 	var rows []hotRow
 	for _, hs := range snap.Hosts {
-		for _, p := range hs.Profiles {
-			rows = append(rows, hotRow{host: hs.Host, ProfileInfo: p})
+		for _, l := range hs.Links {
+			rows = append(rows, hotRow{host: hs.Host, LinkInfo: l})
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Nanos != rows[j].Nanos {
-			return rows[i].Nanos > rows[j].Nanos
+		if rows[i].Insns != rows[j].Insns {
+			return rows[i].Insns > rows[j].Insns
 		}
 		if rows[i].Runs != rows[j].Runs {
 			return rows[i].Runs > rows[j].Runs
@@ -322,17 +310,14 @@ func hotPolicies(snap *cluster.FleetSnapshot) []hotRow {
 	return rows
 }
 
-// hotPC is the hottest instruction slot (argmax of the hit counters),
-// or -1 when the profile recorded no per-slot hits — a deployment that
-// was profiled but never ran has an empty counter array, not slot 0.
+// hotPC is the hottest instruction slot (argmax of the hit counters, the
+// first on a tie), or -1 when no slot ran: a deployment that never ran
+// has all-zero counters, and its slot 0 is not hot.
 func hotPC(hits []uint64) int {
-	if len(hits) == 0 {
-		return -1
-	}
-	pc := 0
+	pc, most := -1, uint64(0)
 	for i, h := range hits {
-		if h > hits[pc] {
-			pc = i
+		if h > most {
+			pc, most = i, h
 		}
 	}
 	return pc

@@ -17,7 +17,7 @@ import (
 
 // TestRenderRecordedSnapshot: the deterministic path — a committed
 // 4-host FleetSnapshot renders the per-host table, fleet row, SLO burn
-// state, and the hot-policy ranking.
+// state, and the hot-policy ranking by instructions executed.
 func TestRenderRecordedSnapshot(t *testing.T) {
 	var b strings.Builder
 	err := run([]string{
@@ -62,12 +62,18 @@ func TestRenderRecordedSnapshot(t *testing.T) {
 	if !strings.Contains(out, "drops short=0.00x long=0.00x n=5 ok") {
 		t.Fatalf("missing healthy SLO line:\n%s", out)
 	}
-	// Hot policies ranked by profiled nanos: sita (900µs) above
-	// scan_avoid (250µs); sita's hottest slot is pc 0 (argmax tie→first).
+	// Hot policies ranked by instructions executed: sita (23100 insns,
+	// 8000 runs) above scan_avoid (10000 insns, 9000 runs), though it ran
+	// less; sita's hottest slot is pc 0 (argmax tie→first).
 	si := strings.Index(out, "sita")
 	sa := strings.Index(out, "scan_avoid")
 	if si < 0 || sa < 0 || si > sa {
 		t.Fatalf("hot-policy ranking wrong (sita@%d scan_avoid@%d):\n%s", si, sa, out)
+	}
+	for _, want := range []string{"insns/run", "8000       2.9       0", "9000       1.1       0"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("hot-policy table missing %q:\n%s", want, out)
+		}
 	}
 
 	// host-00's listing was recorded when daemons still published three
@@ -86,8 +92,8 @@ func TestRenderRecordedSnapshot(t *testing.T) {
 // TestRenderHostileSnapshot: a fresh host (series registered, zero
 // points), a host with exactly one sample, and a torn recording (a
 // timestamp with no value) must all render as rows, not panics — the
-// scrape-before-first-tick case. An unrun profile (empty hit counters)
-// shows "-" instead of claiming slot 0 is hot, an objective over an
+// scrape-before-first-tick case. A deployment that never ran (all-zero
+// hit counters) shows "-" instead of claiming slot 0 is hot, an objective over an
 // absent series reports NO-DATA instead of ok, and a host that carries
 // controller decisions gets them rendered as annotations.
 func TestRenderHostileSnapshot(t *testing.T) {
@@ -113,9 +119,9 @@ func TestRenderHostileSnapshot(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
 	}
-	// The idle profile renders a "-" hot_pc, right-aligned in its column.
+	// The idle deployment renders a "-" hot_pc, right-aligned in its column.
 	if !strings.Contains(out, " 0.0       -") {
-		t.Errorf("idle profile should render hot_pc '-':\n%s", out)
+		t.Errorf("idle deployment should render hot_pc '-':\n%s", out)
 	}
 	// One sample renders a one-bar sparkline on the young host's table
 	// row (its decision annotation also names the host; skip that).
@@ -123,6 +129,23 @@ func TestRenderHostileSnapshot(t *testing.T) {
 		if strings.Contains(line, "young-01") && strings.Contains(line, "700") && !strings.HasSuffix(line, "▁") {
 			t.Errorf("one-point sparkline missing on %q", line)
 		}
+	}
+}
+
+// TestHotPCOfANeverRunDeployment: a real deployment that has not run yet
+// lists one zero counter per slot, and its hot_pc is "-", not slot 0.
+func TestHotPCOfANeverRunDeployment(t *testing.T) {
+	host, _ := syrup.MustHostApp(syrup.HostConfig{}, 1, 1000, 9000)
+	host.Stack.NewUDPSocket(9000, 1, "w0")
+	if _, err := host.Daemon.DeployBuiltin(1, syrup.HookSocketSelect, policy.NameRoundRobin, map[string]int64{"NUM_THREADS": 1}); err != nil {
+		t.Fatal(err)
+	}
+	links := host.Daemon.Links()
+	if len(links) != 1 || len(links[0].Hits) == 0 || links[0].Runs != 0 {
+		t.Fatalf("links = %+v, want one never-run deployment with its slots listed", links)
+	}
+	if pc := hotPC(links[0].Hits); pc != -1 {
+		t.Fatalf("hotPC(%v) = %d, want -1", links[0].Hits, pc)
 	}
 }
 
@@ -160,7 +183,6 @@ func TestLiveScrapeMatchesRecording(t *testing.T) {
 		Hosts: 4, Seed: 42, TableSize: 251,
 		Tune: func(i int, cfg *syrup.HostConfig) {
 			cfg.Telemetry = &obs.Config{}
-			cfg.PolicyProfile = true
 		},
 	})
 	if err != nil {
@@ -176,7 +198,7 @@ func TestLiveScrapeMatchesRecording(t *testing.T) {
 		host.Obs.Rate("rps", func() float64 { return float64(host.Stack.Stats.Processed) })
 	}
 	// Deploy everywhere through the control plane; the probe bake drives
-	// traffic through each host so series and profiles are non-trivial.
+	// traffic through each host so series and links are non-trivial.
 	rep, err := c.Rollout(cluster.RolloutConfig{
 		App: 1, Hook: syrup.HookSocketSelect, Policy: policy.NameRoundRobin, Defines: map[string]int64{"NUM_THREADS": 2},
 		Canaries: 4, Bake: 5 * sim.Millisecond,
@@ -213,7 +235,8 @@ func TestLiveScrapeMatchesRecording(t *testing.T) {
 	if !strings.Contains(out, "4 hosts") || !strings.Contains(out, "host-03") {
 		t.Fatalf("unexpected live render:\n%s", out)
 	}
-	// Profiling was on fleet-wide, so the hot-policy table is populated.
+	// Every deployment counts its instructions, so the hot-policy table is
+	// populated with no option set.
 	if !strings.Contains(out, "hot policies") {
 		t.Fatalf("no hot policies in live render:\n%s", out)
 	}

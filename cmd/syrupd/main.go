@@ -94,14 +94,13 @@ func main() {
 	speed := flag.Float64("speed", 1.0, "virtual seconds simulated per wall second")
 	traceCap := flag.Int("trace", 0, "enable request tracing with a span ring of this capacity (0 = off); query via the trace op")
 	samplePeriodUS := flag.Int("obs-period-us", 1000, "telemetry sampling period in virtual microseconds (0 = no sampler); query via the timeseries and metrics ops")
-	profile := flag.Bool("profile", false, "deploy policies with per-instruction profiling; query via the profile op")
 	flag.Parse()
 
 	classes, err := experiments.ScanMix(*scanPct)
 	if err != nil {
 		log.Fatalf("syrupd: %v", err)
 	}
-	cfg := syrup.HostConfig{PolicyProfile: *profile}
+	var cfg syrup.HostConfig
 	if *traceCap > 0 {
 		cfg.Trace = syrup.NewTraceRecorder(*traceCap)
 	}

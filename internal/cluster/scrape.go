@@ -11,8 +11,8 @@ import (
 )
 
 // The control plane's scrape loop: pull every member's telemetry through
-// the same syrupd ops an external collector would use (timeseries +
-// profile), merge the per-host series fleet-wide, and evaluate SLO
+// the same syrupd ops an external collector uses (timeseries, links,
+// adapt_history), merge the per-host series fleet-wide, and evaluate SLO
 // objectives against the merged view. Members are independent
 // simulations, so a scrape is a pure read — it schedules no events and
 // perturbs nothing.
@@ -22,11 +22,13 @@ type HostSnapshot struct {
 	Host  string `json:"host"`
 	Index int    `json:"index"`
 	// NowNS is the member's sim clock at scrape time.
-	NowNS    int64                `json:"now_ns"`
-	Series   []obs.SeriesJSON     `json:"series"`
-	Profiles []syrupd.ProfileInfo `json:"profiles,omitempty"`
+	NowNS  int64            `json:"now_ns"`
+	Series []obs.SeriesJSON `json:"series"`
+	// Links is the member's deployments (the links op), each with the
+	// instructions its program executed and its per-slot hits.
+	Links []syrupd.LinkInfo `json:"links,omitempty"`
 	// Counters is the member's own counter list (Daemon.Counters): every
-	// count its layers keep.
+	// count its layers keep. Only the in-process scrape fills it.
 	Counters []metrics.CounterValue `json:"counters,omitempty"`
 	// Decisions is the host controller's decision history when adaptive
 	// control is enabled (syrup-top renders them as annotations).
@@ -48,53 +50,57 @@ type FleetSnapshot struct {
 	SLOs []obs.SLOResult `json:"slos,omitempty"`
 }
 
-// scrapeMember pulls one member's telemetry, policy profiles and counters
-// through its control-protocol handler (the in-process equivalent of
-// dialing its syrupd socket). ok is false when the member has telemetry
-// disabled.
-func scrapeMember(m *Member) (HostSnapshot, bool) {
-	srv := syrupd.NewServer(m.Host.Daemon)
-	resp := srv.Handle(&syrupd.Request{Op: "timeseries"})
-	if !resp.OK {
-		return HostSnapshot{}, false
+// ScrapeHost pulls one host's telemetry through do, one control-protocol
+// round trip: Server.Do in process, Client.Do over the host's socket. It
+// reads the timeseries op, then links, then adapt_history, and fails only
+// when the host has telemetry disabled.
+func ScrapeHost(name string, index int, do func(*syrupd.Request) (*syrupd.Response, error)) (HostSnapshot, error) {
+	ts, err := do(&syrupd.Request{Op: "timeseries"})
+	if err != nil {
+		return HostSnapshot{}, err
 	}
-	hs := HostSnapshot{Host: m.Name, Index: m.Index, NowNS: resp.NowNS, Series: resp.Series}
-	if pr := srv.Handle(&syrupd.Request{Op: "profile"}); pr.OK {
-		hs.Profiles = pr.Profiles
+	hs := HostSnapshot{Host: name, Index: index, NowNS: ts.NowNS, Series: ts.Series}
+	if lr, err := do(&syrupd.Request{Op: "links"}); err == nil {
+		hs.Links = lr.Links
 	}
-	hs.Counters = m.Host.Daemon.Counters()
 	// Hosts without adaptive control answer with an error; that just
 	// leaves Decisions empty.
-	if ah := srv.Handle(&syrupd.Request{Op: "adapt_history"}); ah.OK {
+	if ah, err := do(&syrupd.Request{Op: "adapt_history"}); err == nil {
 		hs.Decisions = ah.Decisions
 	}
-	return hs, true
+	return hs, nil
 }
 
-// Scrape pulls telemetry from every member and merges it fleet-wide.
-// Members without telemetry are skipped; scraping a fleet with none
-// enabled is an error (enable it via HostConfig.Telemetry).
-func (c *Cluster) Scrape() (*FleetSnapshot, error) {
-	snap := &FleetSnapshot{}
-	for _, m := range c.Members {
-		hs, ok := scrapeMember(m)
-		if !ok {
-			continue
-		}
-		snap.Hosts = append(snap.Hosts, hs)
-		if hs.NowNS > snap.NowNS {
-			snap.NowNS = hs.NowNS
-		}
-	}
-	if len(snap.Hosts) == 0 {
-		return nil, fmt.Errorf("cluster: no member has telemetry enabled (set HostConfig.Telemetry)")
-	}
-	series := make([][]obs.SeriesJSON, len(snap.Hosts))
-	for i, hs := range snap.Hosts {
+// NewFleetSnapshot builds the fleet view over host snapshots: the latest
+// member clock and the merge of their series.
+func NewFleetSnapshot(hosts []HostSnapshot) *FleetSnapshot {
+	snap := &FleetSnapshot{Hosts: hosts}
+	series := make([][]obs.SeriesJSON, len(hosts))
+	for i, hs := range hosts {
 		series[i] = hs.Series
+		snap.NowNS = max(snap.NowNS, hs.NowNS)
 	}
 	snap.Merged = obs.MergeSeries(series...)
-	return snap, nil
+	return snap
+}
+
+// Scrape pulls telemetry and counters from every member in process and
+// merges it fleet-wide. Members without telemetry are skipped; scraping a
+// fleet with none enabled is an error (enable it via HostConfig.Telemetry).
+func (c *Cluster) Scrape() (*FleetSnapshot, error) {
+	var hosts []HostSnapshot
+	for _, m := range c.Members {
+		hs, err := ScrapeHost(m.Name, m.Index, syrupd.NewServer(m.Host.Daemon).Do)
+		if err != nil {
+			continue
+		}
+		hs.Counters = m.Host.Daemon.Counters()
+		hosts = append(hosts, hs)
+	}
+	if len(hosts) == 0 {
+		return nil, fmt.Errorf("cluster: no member has telemetry enabled (set HostConfig.Telemetry)")
+	}
+	return NewFleetSnapshot(hosts), nil
 }
 
 // EvaluateSLOs runs the objectives against the merged fleet series as of

@@ -91,14 +91,11 @@ func TestScrapeRequiresTelemetry(t *testing.T) {
 	}
 }
 
-// TestScrapeIncludesProfiles: with per-host policy profiling on, the
-// scrape carries each deployment's run counts for syrup-top's hot-policy
-// table.
-func TestScrapeIncludesProfiles(t *testing.T) {
-	c := newTestCluster(t, 2, func(i int, cfg *syrup.HostConfig) {
-		cfg.Telemetry = &obs.Config{}
-		cfg.PolicyProfile = true
-	})
+// TestScrapeIncludesLinks: with no option beyond telemetry, the scrape
+// carries each host's deployments with their run counts, instructions
+// executed and per-slot hits for syrup-top's hot-policy table.
+func TestScrapeIncludesLinks(t *testing.T) {
+	c := newObsCluster(t, 2)
 	rep, err := c.Rollout(RolloutConfig{
 		App: testApp, Hook: syrup.HookSocketSelect, Policy: policy.NameRoundRobin, Defines: twoSockets, Canaries: 2,
 	})
@@ -110,12 +107,16 @@ func TestScrapeIncludesProfiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, hs := range snap.Hosts {
-		if len(hs.Profiles) != 1 {
-			t.Fatalf("%s: %d profiles, want 1", hs.Host, len(hs.Profiles))
+		if len(hs.Links) != 1 {
+			t.Fatalf("%s: %d links, want 1", hs.Host, len(hs.Links))
 		}
-		p := hs.Profiles[0]
-		if p.Runs == 0 || p.Insns == 0 || len(p.Hits) == 0 {
-			t.Fatalf("%s: empty profile %+v (probes should have run the policy)", hs.Host, p)
+		l := hs.Links[0]
+		var hits uint64
+		for _, h := range l.Hits {
+			hits += h
+		}
+		if l.Runs == 0 || l.Insns == 0 || hits != l.Insns {
+			t.Fatalf("%s: link %+v: runs %d, insns %d, hits sum %d (probes should have run the policy)", hs.Host, l, l.Runs, l.Insns, hits)
 		}
 	}
 }
@@ -123,9 +124,10 @@ func TestScrapeIncludesProfiles(t *testing.T) {
 // TestScrapeCountersPerHost is the fleet attribution gate: each member's
 // HostSnapshot carries that member's own counters. A 2000-flow pool is
 // steered through the Maglev table, every flow sends one datagram to its
-// owner, and the hosts run at -workers 1 and 4: per-host counters are
-// identical across worker counts, differ across hosts (Maglev shares are
-// unequal), match each host's own links, and sum to the pool size.
+// owner, and the hosts run at -workers 1 and 4: per-host counters differ
+// across hosts (Maglev shares are unequal), match each host's own links,
+// and sum to the pool size, and the whole snapshot — series, links with
+// their hits, counters — is byte-identical across worker counts.
 func TestScrapeCountersPerHost(t *testing.T) {
 	const flows, runsKey = 2000, "ebpf_hook_runs_socket_select_9000"
 	run := func(workers int) *FleetSnapshot {
@@ -170,17 +172,15 @@ func TestScrapeCountersPerHost(t *testing.T) {
 		return snap
 	}
 	one, four := run(1), run(4)
-	for i := range one.Hosts {
-		if !slices.Equal(one.Hosts[i].Counters, four.Hosts[i].Counters) {
-			t.Fatalf("%s: counters differ across worker counts:\n%v\n%v", one.Hosts[i].Host, one.Hosts[i].Counters, four.Hosts[i].Counters)
-		}
-	}
-
-	// The counters round-trip through the recorded-file format.
 	blob, err := json.Marshal(one)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if blob4, err := json.Marshal(four); err != nil || string(blob4) != string(blob) {
+		t.Fatalf("snapshot differs across worker counts (err %v):\n%s\n%s", err, blob, blob4)
+	}
+
+	// The counters round-trip through the recorded-file format.
 	var back FleetSnapshot
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatal(err)

@@ -33,14 +33,11 @@ func pinStream(t *testing.T, p *Program, insns []Instruction) {
 
 func profRun(t *testing.T, run func(*Program, *Ctx, *Env) (uint32, ExecStats, error)) *Program {
 	t.Helper()
-	p, err := Load("ptest", profTestInsns(), LoadOptions{Profile: true})
+	p, err := Load("ptest", profTestInsns(), LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pinStream(t, p, profTestInsns())
-	if !p.Profiling() {
-		t.Fatal("Profiling() = false on a Profile load")
-	}
 	for i := 0; i < 10; i++ {
 		if _, _, err := run(p, profTestCtx, nil); err != nil {
 			t.Fatal(err)
@@ -53,23 +50,12 @@ func profRun(t *testing.T, run func(*Program, *Ctx, *Env) (uint32, ExecStats, er
 // the small program — and identical between the reference and Run.
 func TestProfileHitsInterpVsJIT(t *testing.T) {
 	want := []uint64{10, 10, 10, 0, 10, 10}
-	ref := profRun(t, (*Program).RunInterp).Profile()
-	run := profRun(t, (*Program).Run).Profile()
-	if !reflect.DeepEqual(ref.Hits, want) {
-		t.Fatalf("reference hits = %v, want %v", ref.Hits, want)
-	}
-	if !reflect.DeepEqual(run.Hits, want) {
-		t.Fatalf("run hits = %v, want %v", run.Hits, want)
-	}
-	for _, s := range []*ProfileSnapshot{ref, run} {
-		if s.Runs != 10 || s.Insns != 50 {
-			t.Fatalf("runs=%d insns=%d, want 10/50", s.Runs, s.Insns)
+	for _, p := range []*Program{profRun(t, (*Program).RunInterp), profRun(t, (*Program).Run)} {
+		if got := p.Hits(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("hits = %v, want %v", got, want)
 		}
-		if s.Nanos == 0 {
-			t.Fatalf("no wall time recorded")
-		}
-		if s.NanosPerRun() <= 0 {
-			t.Fatalf("NanosPerRun() = %v", s.NanosPerRun())
+		if st := p.Stats(); st.Runs != 10 || st.InsnsExecuted != 50 {
+			t.Fatalf("runs=%d insns=%d, want 10/50", st.Runs, st.InsnsExecuted)
 		}
 	}
 
@@ -92,16 +78,16 @@ func TestProfileHitsInterpVsJIT(t *testing.T) {
 			}
 		}
 		for _, pair := range [][2]*Program{{entryJ, entryI}, {leafJ, leafI}} {
-			pj, pi := pair[0].Profile(), pair[1].Profile()
-			if !reflect.DeepEqual(pj.Hits, pi.Hits) {
-				t.Fatalf("%s hits diverged:\n run: %v\n ref: %v\n%s", pj.Name, pj.Hits, pi.Hits, pair[0].Disassemble())
+			hj, hi := pair[0].Hits(), pair[1].Hits()
+			if !reflect.DeepEqual(hj, hi) {
+				t.Fatalf("%s hits diverged:\n run: %v\n ref: %v\n%s", pair[0].Name(), hj, hi, pair[0].Disassemble())
 			}
 			var sum uint64
-			for _, h := range pj.Hits {
+			for _, h := range hj {
 				sum += h
 			}
 			if sum != pair[0].Stats().InsnsExecuted || sum == 0 {
-				t.Fatalf("%s: hits sum to %d, InsnsExecuted = %d", pj.Name, sum, pair[0].Stats().InsnsExecuted)
+				t.Fatalf("%s: hits sum to %d, InsnsExecuted = %d", pair[0].Name(), sum, pair[0].Stats().InsnsExecuted)
 			}
 		}
 	})
@@ -119,7 +105,7 @@ func TestProfileHitsInterpVsJIT(t *testing.T) {
 			Exit(),
 		}
 		load := func() *Program {
-			return MustLoad("pfault", insns, LoadOptions{noVerify: true, Profile: true})
+			return MustLoad("pfault", insns, LoadOptions{noVerify: true})
 		}
 		pj, pi := load(), load()
 		for _, pkt := range [][]byte{make([]byte, 4), make([]byte, 16)} {
@@ -130,7 +116,7 @@ func TestProfileHitsInterpVsJIT(t *testing.T) {
 			}
 		}
 		want := []uint64{2, 2, 1, 1, 1, 1} // the short packet stops at slot 1
-		if hj, hi := pj.Profile().Hits, pi.Profile().Hits; !reflect.DeepEqual(hj, want) || !reflect.DeepEqual(hi, want) {
+		if hj, hi := pj.Hits(), pi.Hits(); !reflect.DeepEqual(hj, want) || !reflect.DeepEqual(hi, want) {
 			t.Fatalf("hits: run %v, reference %v, want %v", hj, hi, want)
 		}
 		if pj.Stats().Faults != 1 {
@@ -186,8 +172,8 @@ func profShapeInsns() []Instruction {
 	return insns
 }
 
-// profShapeWorld loads the every-region program and its tail-call leaf,
-// both profiled, over fresh maps, and checks it decodes to the generic
+// profShapeWorld loads the every-region program and its tail-call leaf
+// over fresh maps, and checks it decodes to the generic
 // memory and call kinds.
 func profShapeWorld(t *testing.T) (entry, leaf *Program) {
 	t.Helper()
@@ -196,11 +182,11 @@ func profShapeWorld(t *testing.T) (entry, leaf *Program) {
 	table := NewMapTable()
 	table.Register(arr)     // fd 3
 	table.Register(progArr) // fd 4
-	leaf = MustLoad("fsleaf", profTestInsns(), LoadOptions{Profile: true})
+	leaf = MustLoad("fsleaf", profTestInsns(), LoadOptions{})
 	if err := progArr.UpdateProg(0, leaf); err != nil {
 		t.Fatal(err)
 	}
-	entry, err := Load("fsentry", profShapeInsns(), LoadOptions{MapTable: table, Profile: true})
+	entry, err := Load("fsentry", profShapeInsns(), LoadOptions{MapTable: table})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,26 +200,6 @@ func profShapeWorld(t *testing.T) (entry, leaf *Program) {
 		}
 	}
 	return entry, leaf
-}
-
-// TestProfileDoesNotChangeResults: a profiled load returns the same
-// verdict and ExecStats as an unprofiled one.
-func TestProfileDoesNotChangeResults(t *testing.T) {
-	plain := MustLoad("pplain", profTestInsns(), LoadOptions{})
-	prof := MustLoad("pprof", profTestInsns(), LoadOptions{Profile: true})
-	r1, st1, err1 := plain.Run(profTestCtx, nil)
-	r2, st2, err2 := prof.Run(profTestCtx, nil)
-	if r1 != r2 || st1 != st2 || (err1 == nil) != (err2 == nil) {
-		t.Fatalf("profiled run diverged: (%d %+v %v) vs (%d %+v %v)", r1, st1, err1, r2, st2, err2)
-	}
-}
-
-// TestProfileOffByDefault: plain loads carry no profile and report nil.
-func TestProfileOffByDefault(t *testing.T) {
-	p := MustLoad("pnone", profTestInsns(), LoadOptions{})
-	if p.Profiling() || p.Profile() != nil || p.AnnotatedDisasm() != "" {
-		t.Fatal("unprofiled load exposes profile data")
-	}
 }
 
 // TestAnnotatedDisasm: the disasm -profile rendering carries hits,
@@ -259,12 +225,12 @@ func TestAnnotatedDisasm(t *testing.T) {
 }
 
 // TestProfileTailCallAttribution: hits land on the program that executed
-// the instruction; wall time bills the entry program.
+// the instruction.
 func TestProfileTailCallAttribution(t *testing.T) {
 	progArr := MustNewMap(MapSpec{Name: "pfprogs", Type: MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 4})
 	table := NewMapTable()
 	table.Register(progArr) // fd 3
-	leaf := MustLoad("pfleaf", []Instruction{MovImm(R0, 42), Exit()}, LoadOptions{Profile: true})
+	leaf := MustLoad("pfleaf", []Instruction{MovImm(R0, 42), Exit()}, LoadOptions{})
 	if err := progArr.UpdateProg(0, leaf); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +240,7 @@ func TestProfileTailCallAttribution(t *testing.T) {
 		MovImm(R0, 7), // only on failed tail call
 		Exit(),
 	)
-	entry, err := Load("pfentry", entryInsns, LoadOptions{MapTable: table, Profile: true})
+	entry, err := Load("pfentry", entryInsns, LoadOptions{MapTable: table})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,38 +248,11 @@ func TestProfileTailCallAttribution(t *testing.T) {
 	if err != nil || ret != 42 {
 		t.Fatalf("run = %d, %v", ret, err)
 	}
-	ep, lp := entry.Profile(), leaf.Profile()
-	if lp.Hits[0] != 1 || lp.Hits[1] != 1 {
-		t.Fatalf("leaf hits = %v", lp.Hits)
+	eh, lh := entry.Hits(), leaf.Hits()
+	if lh[0] != 1 || lh[1] != 1 {
+		t.Fatalf("leaf hits = %v", lh)
 	}
-	if ep.Hits[4] != 0 {
-		t.Fatalf("entry post-tail-call slot hit: %v", ep.Hits)
-	}
-	if ep.Nanos == 0 {
-		t.Fatal("entry program not billed for wall time")
-	}
-	if lp.Nanos != 0 {
-		t.Fatalf("tail-call callee billed %d ns; time belongs to the entry program", lp.Nanos)
-	}
-}
-
-// BenchmarkDispatchProfile measures the profiling tax on Run
-// (EXPERIMENTS.md): same program, Profile off vs on.
-func BenchmarkDispatchProfile(b *testing.B) {
-	for _, on := range []bool{false, true} {
-		name := "off"
-		if on {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			p := MustLoad("pbench", profTestInsns(), LoadOptions{Profile: on})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := p.Run(profTestCtx, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	if eh[4] != 0 {
+		t.Fatalf("entry post-tail-call slot hit: %v", eh)
 	}
 }

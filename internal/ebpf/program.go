@@ -26,7 +26,7 @@ type Program struct {
 	maps []*Map
 
 	// code is the decoded form Run walks (walk.go): one op per instruction
-	// slot. Every loaded program has one.
+	// slot, each counting its own hits. Every loaded program has one.
 	code []op
 	// noVerify records that verification was skipped, so exec knows it
 	// must scrub reused run state (a verified program can never read
@@ -49,11 +49,6 @@ type Program struct {
 	// rs is the one run state Run executes on, whichever hook point runs
 	// the program; a tail call continues on its entry program's.
 	rs runState
-
-	// prof holds the opt-in per-instruction profile (profile.go); nil —
-	// the common case — means no profiling overhead beyond one nil check
-	// per run segment and one per instruction.
-	prof *profData
 }
 
 // LoadOptions configures program loading.
@@ -68,10 +63,6 @@ type LoadOptions struct {
 	// how the runtime-fault paths a verified program cannot reach get
 	// exercised.
 	noVerify bool
-	// Profile enables bpf_stats_enabled-style accounting for this load:
-	// run count, cumulative wall ns, and per-instruction hit counters
-	// (profile.go), bumped by the same walker over the same decoding.
-	Profile bool
 }
 
 // Load is the one pipeline every program takes: resolve map references,
@@ -120,9 +111,6 @@ func Load(name string, insns []Instruction, opts LoadOptions) (*Program, error) 
 		if err := verify(p, budget); err != nil {
 			return nil, fmt.Errorf("ebpf: %s: verifier: %w", name, err)
 		}
-	}
-	if opts.Profile {
-		p.prof = newProfData(len(p.insns))
 	}
 	p.code = decode(p)
 	return p, nil

@@ -35,7 +35,8 @@ const (
 )
 
 // op is one decoded instruction slot. Fields a kind does not name are
-// unused by it. The walker reads ops in place, never by value.
+// unused by it. The walker reads ops in place, never by value, and bumps
+// hits there: the slot's execution count (Program.Hits).
 type op struct {
 	kind   opKind
 	dst    uint8
@@ -48,6 +49,7 @@ type op struct {
 	target int    // next pc when a jump is taken; past the pair for kLDDW
 	off    int64  // instruction offset
 	imm    uint64 // sign-extended immediate; LDDW constant; helper id
+	hits   uint64 // times the walker reached this slot
 }
 
 // decode translates every slot of p, the high half of an LDDW pair
@@ -138,12 +140,6 @@ func (p *Program) exec(rs *runState, ctx *Ctx, env *Env) (uint64, error) {
 	if env == nil {
 		env = &rs.noEnv
 	}
-	if pp := p.prof; pp != nil {
-		// bpf_stats_enabled-style wall timing, charged to the entry
-		// program across tail calls.
-		t0 := profNow()
-		defer func() { pp.nanos += profSince(t0) }()
-	}
 	rs.regions = rs.regions[:0]
 	rs.stats = ExecStats{}
 	if p.noVerify {
@@ -164,16 +160,13 @@ func (p *Program) exec(rs *runState, ctx *Ctx, env *Env) (uint64, error) {
 // folded into the stats, and charged to the segment's program with its run
 // (and its fault — after tail calls that is the callee, not p), when the
 // segment ends. One op is one source instruction, so the per-instruction
-// profile is the loop's own bump of hits[pc], made before the op executes:
-// a faulting instruction credits its own slot.
+// count is the loop's own bump of the op's hits, made before the op
+// executes: a faulting instruction credits its own slot, and a segment's
+// hits sum to its charge.
 func (p *Program) walk(rs *runState) (uint64, error) {
 	regs := &rs.regs
 	for prog := p; ; {
 		code := prog.code
-		var hits []uint64
-		if prog.prof != nil {
-			hits = prog.prof.hits
-		}
 		var (
 			tail        *Program // set by a successful tail call
 			err         error
@@ -189,9 +182,7 @@ func (p *Program) walk(rs *runState) (uint64, error) {
 			}
 			o := &code[pc]
 			charged++
-			if hits != nil {
-				hits[pc]++
-			}
+			o.hits++
 			operand := o.imm
 			if o.reg {
 				operand = regs[o.src]

@@ -81,9 +81,6 @@ type Daemon struct {
 	portOwner    map[uint16]uint32
 	dispatch     map[Hook]*dispatcher
 	verifyBudget int
-	// policyProfile loads app policies with per-instruction profiling
-	// (LoadOptions.Profile); see SetPolicyProfile in telemetry.go.
-	policyProfile bool
 
 	// Quarantine events on this host, published by Counters as
 	// syrupd_quarantines.
@@ -193,7 +190,7 @@ func (d *Daemon) DeployPolicy(appID uint32, hk Hook, source string, defines map[
 		return nil, fmt.Errorf("syrupd: app %d: %w", appID, err)
 	}
 	name := fmt.Sprintf("app%d-%s", appID, hk)
-	prog, err := ebpf.Load(name, insns, ebpf.LoadOptions{MapTable: table, Budget: d.verifyBudget, Profile: d.policyProfile})
+	prog, err := ebpf.Load(name, insns, ebpf.LoadOptions{MapTable: table, Budget: d.verifyBudget})
 	if err != nil {
 		return nil, err
 	}

@@ -5,12 +5,14 @@ import (
 	"slices"
 	"strings"
 
+	"syrup/internal/ebpf"
 	"syrup/internal/hook"
 	"syrup/internal/metrics"
 )
 
 // The host's ledger: the one enumeration of what its layers count, the one
-// definition of what it dropped, and the conservation check over both.
+// definition of what it dropped, and the conservation check over both and
+// over its programs' instruction counts.
 
 // Counters is the one list of this host's counters, sorted by name. Each
 // layer appends the rows it owns (nic_*, netstack_*, storage_*,
@@ -65,15 +67,19 @@ func (d *Daemon) Held() uint64 { return uint64(d.dev.InflightTotal() + d.stack.Q
 
 // Conserved checks that this host accounted for every packet its NIC
 // received, reading only the rows Counters lists and the NIC's in-flight
-// count (nic_inflight). Two equations:
+// count (nic_inflight), and every instruction its programs executed. Three
+// equations:
 //   - nic_received = nic_dropped_ring + nic_dropped_by_xdp + nic_inflight +
 //     netstack_backlog_drops + netstack_processed;
 //   - netstack_processed = every drop cause past the backlog +
-//     netstack_xsk_delivered + netstack_udp_delivered.
+//     netstack_xsk_delivered + netstack_udp_delivered;
+//   - for every program an app link, a dispatcher root or a dispatcher slot
+//     holds, Σ Hits() = Stats().InsnsExecuted: the walker counts each
+//     executed slot twice, in its segment's charge and in the slot's hits.
 //
 // The second holds once the stack is idle, at the end of a run: a packet in
 // protocol processing is processed but not yet delivered. The error names
-// the equation and its terms.
+// the equation and its terms, or the program.
 func (d *Daemon) Conserved() error {
 	c := map[string]uint64{"nic_inflight": uint64(d.dev.InflightTotal())}
 	for _, cv := range d.Counters() {
@@ -83,9 +89,35 @@ func (d *Daemon) Conserved() error {
 		"netstack_backlog_drops", "netstack_processed"); err != nil {
 		return err
 	}
-	return balance(c, "netstack_processed", "netstack_socket_drops", "netstack_policy_drops",
+	if err := balance(c, "netstack_processed", "netstack_socket_drops", "netstack_policy_drops",
 		"netstack_no_executor_drops", "netstack_no_group_drops", "netstack_xsk_drops",
-		"netstack_xsk_delivered", "netstack_udp_delivered")
+		"netstack_xsk_delivered", "netstack_udp_delivered"); err != nil {
+		return err
+	}
+	var progs []*ebpf.Program
+	for _, app := range d.appsByID() {
+		for _, al := range app.links {
+			progs = append(progs, al.program())
+		}
+	}
+	for _, hk := range []Hook{HookCPURedirect, HookXDPDrv, HookXDPSkb, HookXDPOffload} {
+		if disp := d.dispatch[hk]; disp != nil {
+			progs = append(progs, disp.root)
+		}
+	}
+	for _, p := range progs {
+		if p == nil {
+			continue
+		}
+		var hits uint64
+		for _, h := range p.Hits() {
+			hits += h
+		}
+		if insns := p.Stats().InsnsExecuted; hits != insns {
+			return fmt.Errorf("instructions not conserved: %s: hits sum to %d != insns executed %d", p.Name(), hits, insns)
+		}
+	}
+	return nil
 }
 
 // balance checks c[lhs] = Σ c[rhs].

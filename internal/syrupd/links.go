@@ -59,6 +59,15 @@ func (l *AppLink) Runs() uint64 {
 	return l.priorRuns
 }
 
+// program is the program generation now installed, or nil for a
+// userspace policy.
+func (l *AppLink) program() *ebpf.Program {
+	if l.link != nil {
+		return l.link.Program()
+	}
+	return l.prog
+}
+
 // Faults reports runtime faults attributed to this deployment. Direct
 // links read the hook point's per-link fault count; dispatcher slots read
 // the tail-called program's own fault counter (the VM charges a runtime
@@ -129,22 +138,35 @@ type LinkInfo struct {
 	Program string `json:"program"`
 	Runs    uint64 `json:"runs"`
 	Faults  uint64 `json:"faults"`
+	// Insns and Hits describe the program generation now installed: the
+	// instructions it executed and how often each slot ran (Σ Hits =
+	// Insns). Runs spans every generation the link held. One app's Socket
+	// Select ports share one program, so each of those links reports its
+	// totals. A userspace policy has neither.
+	Insns uint64   `json:"insns"`
+	Hits  []uint64 `json:"hits,omitempty"`
 	// Quarantined marks a deployment detached by the fault watchdog; the
 	// layer serves kernel defaults until an operator unquarantines.
 	Quarantined bool `json:"quarantined,omitempty"`
 }
 
 // Links enumerates every live deployment across all apps, ordered by app
-// id then deployment order (deterministic for tests and tooling).
+// id then deployment order (deterministic for tests and tooling). It is the
+// one listing of a host's deployments: the links op and every scrape read
+// it.
 func (d *Daemon) Links() []LinkInfo {
 	var out []LinkInfo
 	for _, app := range d.appsByID() {
 		for _, al := range app.links {
-			out = append(out, LinkInfo{
+			li := LinkInfo{
 				App: al.App, Hook: string(al.Hook), Target: al.Target,
 				Program: al.Label(), Runs: al.Runs(), Faults: al.Faults(),
 				Quarantined: app.quarantined[al.Hook],
-			})
+			}
+			if prog := al.program(); prog != nil {
+				li.Insns, li.Hits = prog.Stats().InsnsExecuted, prog.Hits()
+			}
+			out = append(out, li)
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package syrupd
 
 import (
+	"strings"
 	"testing"
 
 	"syrup/internal/ghost"
@@ -225,5 +226,58 @@ func TestRevokeUnknownApp(t *testing.T) {
 	h := newHost(t, 1, 0)
 	if err := h.d.RevokeApp(42); err == nil {
 		t.Fatal("revoking unknown app succeeded")
+	}
+}
+
+// TestLinksCountInstructions: with no option set, the links op lists each
+// deployment's instructions executed and per-slot hits. Two apps deploy
+// round robin at one port each and N datagrams reach one port: that link
+// ran N times and its hits sum to its instructions, and the other link
+// lists its slots, every one at zero. The links op is the one listing;
+// there is no profile op.
+func TestLinksCountInstructions(t *testing.T) {
+	const n = 7
+	h := newHost(t, 1, 0)
+	srv := NewServer(h.d)
+	for app := uint32(1); app <= 2; app++ {
+		port := uint16(8999 + app)
+		srv.Handle(&Request{Op: "register_app", App: app, UID: 1000 + app, Ports: []uint16{port}})
+		h.stack.NewUDPSocket(port, app, "w0")
+		h.stack.NewUDPSocket(port, app, "w1")
+		deploy := &Request{Op: "deploy", App: app, Hook: "socket_select", Policy: policy.NameRoundRobin, Defines: map[string]int64{"NUM_THREADS": 2}}
+		if resp := srv.Handle(deploy); !resp.OK {
+			t.Fatalf("deploy: %+v", resp)
+		}
+	}
+	for i := 0; i < n; i++ {
+		h.dev.Receive(pkt(uint64(i), uint16(1000+i), 9000, nil))
+	}
+	h.Eng.Run()
+
+	links := srv.Handle(&Request{Op: "links"}).Links
+	if len(links) != 2 {
+		t.Fatalf("links = %+v, want 2", links)
+	}
+	ran, idle := links[0], links[1]
+	var hits uint64
+	for _, x := range ran.Hits {
+		hits += x
+	}
+	if ran.Runs != n || ran.Insns == 0 || hits != ran.Insns || len(ran.Hits) == 0 || ran.Hits[0] != n {
+		t.Fatalf("link that ran: runs %d, insns %d, hits %v (sum %d), want runs %d and hits summing to insns", ran.Runs, ran.Insns, ran.Hits, hits, n)
+	}
+	if idle.Runs != 0 || idle.Insns != 0 || len(idle.Hits) != len(ran.Hits) {
+		t.Fatalf("idle link: %+v, want no runs and %d zero hits", idle, len(ran.Hits))
+	}
+	for _, x := range idle.Hits {
+		if x != 0 {
+			t.Fatalf("idle link hits = %v, want all zero", idle.Hits)
+		}
+	}
+	if err := h.d.Conserved(); err != nil {
+		t.Fatal(err)
+	}
+	if resp := srv.Handle(&Request{Op: "profile"}); resp.OK || !strings.Contains(resp.Error, "unknown op") {
+		t.Fatalf("profile op: %+v, want unknown op", resp)
 	}
 }

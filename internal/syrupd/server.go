@@ -22,7 +22,7 @@ import (
 
 // Request is one client command.
 type Request struct {
-	Op string `json:"op"` // register_app | deploy | revoke_app | unquarantine | links | map_lookup | map_update | list_policies | stats | trace | metrics | timeseries | profile | adapt_enable | adapt_disable | adapt_status | adapt_rules | adapt_history
+	Op string `json:"op"` // register_app | deploy | revoke_app | unquarantine | links | map_lookup | map_update | list_policies | stats | trace | metrics | timeseries | adapt_enable | adapt_disable | adapt_status | adapt_rules | adapt_history
 
 	// register_app
 	App   uint32   `json:"app,omitempty"`
@@ -48,9 +48,6 @@ type Request struct {
 	// stats: Delta reports counters as increments since the previous
 	// Delta snapshot instead of cumulative totals.
 	Delta bool `json:"delta,omitempty"`
-
-	// profile: Annotate includes the hotness-annotated disassembly.
-	Annotate bool `json:"annotate,omitempty"`
 
 	// adapt_enable: the controller's rule table.
 	AdaptConfig *adapt.Config `json:"adapt_config,omitempty"`
@@ -83,9 +80,8 @@ type Response struct {
 	Total   uint64           `json:"total,omitempty"`   // spans recorded since Reset
 	Dropped uint64           `json:"dropped,omitempty"` // overwritten by the ring
 
-	// stats / metrics / timeseries / profile: NowNS is the host's sim
-	// clock at reply time, so repeated delta snapshots normalize into
-	// true rates.
+	// stats / metrics / timeseries: NowNS is the host's sim clock at reply
+	// time, so repeated delta snapshots normalize into true rates.
 	NowNS int64 `json:"now_ns,omitempty"`
 
 	// metrics: Prometheus text exposition.
@@ -93,9 +89,6 @@ type Response struct {
 
 	// timeseries
 	Series []obs.SeriesJSON `json:"series,omitempty"`
-
-	// profile
-	Profiles []ProfileInfo `json:"profiles,omitempty"`
 
 	// adapt_status / adapt_rules / adapt_history
 	Adapt     *adapt.Status      `json:"adapt,omitempty"`
@@ -300,8 +293,6 @@ func (s *Server) Handle(req *Request) Response {
 			return errResp(fmt.Errorf("syrupd: telemetry is not enabled on this host"))
 		}
 		return Response{OK: true, Series: st.Snapshot(), NowNS: int64(s.d.Now())}
-	case "profile":
-		return Response{OK: true, Profiles: s.d.Profiles(req.Annotate), NowNS: int64(s.d.Now())}
 	case "adapt_enable":
 		if req.AdaptConfig == nil {
 			return errResp(fmt.Errorf("syrupd: adapt_enable needs adapt_config"))
@@ -374,6 +365,21 @@ func (s *Server) Handle(req *Request) Response {
 
 func errResp(err error) Response { return Response{Error: err.Error()} }
 
+// Do is Handle in Client.Do's form, so one caller can speak to a host in
+// process or over its socket alike.
+func (s *Server) Do(req *Request) (*Response, error) {
+	resp := s.Handle(req)
+	return &resp, resp.err()
+}
+
+// err is a failed reply as an error.
+func (r *Response) err() error {
+	if !r.OK && r.Error != "" {
+		return fmt.Errorf("syrupd: %s", r.Error)
+	}
+	return nil
+}
+
 // openWordMap opens the pinned map a map_lookup or map_update names. Both
 // ops speak 32-bit keys and 64-bit values, so both refuse a map of any
 // other shape with the same error; otherwise a lookup would read a map it
@@ -422,10 +428,7 @@ func (c *Client) Do(req *Request) (*Response, error) {
 	if err := c.dec.Decode(&resp); err != nil {
 		return nil, err
 	}
-	if !resp.OK && resp.Error != "" {
-		return &resp, fmt.Errorf("syrupd: %s", resp.Error)
-	}
-	return &resp, nil
+	return &resp, resp.err()
 }
 
 // Close closes the connection.

@@ -113,9 +113,6 @@ type HostConfig struct {
 	// bit-identical with telemetry on or off (gated by TestObsDifferential*). Off
 	// by default.
 	Telemetry *obs.Config
-	// PolicyProfile deploys this host's policies with per-instruction
-	// profiling (the per-host form of ebpf.LoadOptions.Profile).
-	PolicyProfile bool
 }
 
 // TraceRecorder is the cross-stack span recorder (see internal/trace).
@@ -227,9 +224,6 @@ func TryNewHost(cfg HostConfig) (*Host, error) {
 	}
 	if cfg.Quarantine != nil {
 		h.Daemon.EnableQuarantine(*cfg.Quarantine)
-	}
-	if cfg.PolicyProfile {
-		h.Daemon.SetPolicyProfile(true)
 	}
 	if cfg.Telemetry != nil {
 		sa := obs.NewSampler(*cfg.Telemetry)

@@ -5,8 +5,8 @@
 // executed, and — when a host runs the adapt controller — its decision
 // log as per-host annotations.
 //
-// Live mode scrapes syrupd control sockets through the timeseries, links
-// and adapt_history ops (cluster.ScrapeHost):
+// Live mode scrapes syrupd control sockets, one snapshot op per host
+// (cluster.ScrapeHost):
 //
 //	syrup-top -sockets /tmp/h0.sock,/tmp/h1.sock,/tmp/h2.sock,/tmp/h3.sock
 //
@@ -133,7 +133,7 @@ func run(args []string, out io.Writer) error {
 // external-collector form of cluster.(*Cluster).Scrape, through the same
 // cluster.ScrapeHost.
 func scrape(paths []string) (*cluster.FleetSnapshot, error) {
-	hosts := make([]cluster.HostSnapshot, 0, len(paths))
+	hosts := make([]syrupd.HostSnapshot, 0, len(paths))
 	for i, path := range paths {
 		path = strings.TrimSpace(path)
 		c, err := syrupd.Dial(path)
@@ -180,7 +180,7 @@ func lastMax(series []obs.SeriesJSON, suffix string) float64 {
 var sparkRunes = []rune("▁▂▃▄▅▆▇█")
 
 // sparkline renders the tail of a value series as unicode block bars,
-// scaled to the window's min..max.
+// scaled to the window's min..max (see bar).
 func sparkline(series []obs.SeriesJSON, name string, width int) string {
 	var v []float64
 	for _, s := range series {
@@ -206,13 +206,25 @@ func sparkline(series []obs.SeriesJSON, name string, width int) string {
 	}
 	var b strings.Builder
 	for _, x := range v {
-		i := 0
-		if hi > lo {
-			i = int((x - lo) / (hi - lo) * float64(len(sparkRunes)-1))
-		}
-		b.WriteRune(sparkRunes[i])
+		b.WriteRune(sparkRunes[bar(x, lo, hi)])
 	}
 	return b.String()
+}
+
+// bar is the sparkRunes index of x in [lo, hi]. It halves before it
+// subtracts, so a window spanning ±MaxFloat64 scales without overflowing
+// into Inf/Inf, and it clamps, so a NaN or a flat window lands on the
+// lowest bar rather than outside the table.
+func bar(x, lo, hi float64) int {
+	top := float64(len(sparkRunes) - 1)
+	f := (x/2 - lo/2) / (hi/2 - lo/2) * top
+	switch {
+	case !(f > 0):
+		return 0
+	case f >= top:
+		return len(sparkRunes) - 1
+	}
+	return int(f)
 }
 
 func render(out io.Writer, snap *cluster.FleetSnapshot, topK, sparkW int) {

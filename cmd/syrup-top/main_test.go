@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -95,7 +96,9 @@ func TestRenderRecordedSnapshot(t *testing.T) {
 // scrape-before-first-tick case. A deployment that never ran (all-zero
 // hit counters) shows "-" instead of claiming slot 0 is hot, an objective over an
 // absent series reports NO-DATA instead of ok, and a host that carries
-// controller decisions gets them rendered as annotations.
+// controller decisions gets them rendered as annotations. A window
+// spanning ±MaxFloat64 (extreme.json) renders its two bars: it used to
+// scale to Inf/Inf and index the bar table at int(NaN).
 func TestRenderHostileSnapshot(t *testing.T) {
 	var b strings.Builder
 	err := run([]string{
@@ -129,6 +132,14 @@ func TestRenderHostileSnapshot(t *testing.T) {
 		if strings.Contains(line, "young-01") && strings.Contains(line, "700") && !strings.HasSuffix(line, "▁") {
 			t.Errorf("one-point sparkline missing on %q", line)
 		}
+	}
+
+	b.Reset()
+	if err := run([]string{"-snapshot", filepath.Join("testdata", "extreme.json")}, &b); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(b.String(), "  ▁█\n"); n != 2 {
+		t.Errorf("extreme window: %d of the host and FLEET rows end in the lowest and highest bar, want 2:\n%s", n, b.String())
 	}
 }
 
@@ -177,7 +188,9 @@ func TestSLOFlagRefusesObjectivesThatCannotBurn(t *testing.T) {
 
 // TestLiveScrapeMatchesRecording: scrape a real 4-host fleet over its
 // syrupd sockets, record the snapshot, and confirm the recorded render is
-// byte-identical to the live one.
+// byte-identical to the live one. The socket scrape is the in-process one:
+// every recorded host carries its member's whole counter list, and
+// cluster.ScrapeHost gives the same JSON over Client.Do as over Server.Do.
 func TestLiveScrapeMatchesRecording(t *testing.T) {
 	c, err := cluster.New(cluster.Config{
 		Hosts: 4, Seed: 42, TableSize: 251,
@@ -209,6 +222,7 @@ func TestLiveScrapeMatchesRecording(t *testing.T) {
 
 	dir := t.TempDir()
 	var socks []string
+	var srvs []*syrupd.Server
 	for _, m := range c.Members {
 		srv := syrupd.NewServer(m.Host.Daemon)
 		path := filepath.Join(dir, m.Name+".sock")
@@ -217,6 +231,7 @@ func TestLiveScrapeMatchesRecording(t *testing.T) {
 		}
 		defer srv.Close()
 		socks = append(socks, path)
+		srvs = append(srvs, srv)
 	}
 
 	rec := filepath.Join(dir, "fleet.json")
@@ -239,5 +254,38 @@ func TestLiveScrapeMatchesRecording(t *testing.T) {
 	// populated with no option set.
 	if !strings.Contains(out, "hot policies") {
 		t.Fatalf("no hot policies in live render:\n%s", out)
+	}
+
+	blob, err := os.ReadFile(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap cluster.FleetSnapshot
+	if err := json.Unmarshal(blob, &snap); err != nil {
+		t.Fatal(err)
+	}
+	for i, hs := range snap.Hosts {
+		m := c.Members[i]
+		if want := m.Host.Daemon.Counters(); len(hs.Counters) == 0 || !slices.Equal(hs.Counters, want) {
+			t.Errorf("%s: recorded counters %v, member lists %v", hs.Host, hs.Counters, want)
+		}
+		cl, err := syrupd.Dial(socks[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		overSocket, err := cluster.ScrapeHost(m.Name, m.Index, cl.Do)
+		cl.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		inProcess, err := cluster.ScrapeHost(m.Name, m.Index, srvs[i].Do)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _ := json.Marshal(overSocket)
+		b, _ := json.Marshal(inProcess)
+		if string(a) != string(b) {
+			t.Errorf("%s: ScrapeHost over the socket differs from in process:\n%s\n%s", m.Name, a, b)
+		}
 	}
 }

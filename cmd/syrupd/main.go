@@ -10,8 +10,13 @@
 //
 //	{"op":"register_app","app":2,"uid":1002,"ports":[9001]}
 //	{"op":"deploy","app":1,"hook":"socket_select","policy":"sita","defines":{"NUM_THREADS":6,"NT_MINUS_1":5}}
-//	{"op":"stats"}
+//	{"op":"snapshot"}
 //	{"op":"map_lookup","path":"/syrup/1/rr_state","uid":1000,"key":0}
+//
+// The snapshot op is the one read of the host: its clock, counters,
+// deployments, adaptive-control state and every telemetry series — among
+// them the demo's rps, offered_rps, drop_rate, latency_<class>_* and
+// inflight.
 package main
 
 import (
@@ -25,7 +30,6 @@ import (
 	"syrup"
 	"syrup/internal/apps/rocksdb"
 	"syrup/internal/experiments"
-	"syrup/internal/metrics"
 	"syrup/internal/obs"
 	"syrup/internal/sim"
 	"syrup/internal/syrupd"
@@ -53,7 +57,6 @@ func newDemo(cfg syrup.HostConfig, threads int, rps float64, classes []workload.
 		rocksdb.Config{NumThreads: threads, PinToCores: true, Tracer: cfg.Trace})}
 	if host.Obs != nil {
 		host.Obs.Gauge("inflight", func() float64 { return float64(d.inflight()) })
-		host.Obs.Counters(host.Daemon.Counters)
 	}
 	d.Srv.Start()
 	d.Gen.Start()
@@ -67,25 +70,6 @@ func (d *demo) inflight() uint64 {
 	return d.Host.NIC.Stats.Received - d.Host.Daemon.Dropped() - d.Srv.ProcessedGET - d.Srv.ProcessedSCAN
 }
 
-// stats is the host-key part of the stats op. Offered, completed and the
-// latency percentiles are the generator's live per-class stats, merged;
-// they cover requests sent after the generator's 200 ms warmup.
-func (d *demo) stats() map[string]float64 {
-	all := metrics.NewRunStats()
-	for _, st := range d.Gen.LiveStats() {
-		all.Merge(st)
-	}
-	return map[string]float64{
-		"virtual_seconds": float64(d.Host.Now()) / 1e9,
-		"offered":         float64(all.Offered),
-		"completed":       float64(all.Completed),
-		"inflight":        float64(d.inflight()),
-		"p50_us":          float64(all.Latency.Percentile(50)) / 1000,
-		"p99_us":          float64(all.Latency.Percentile(99)) / 1000,
-		"p999_us":         float64(all.Latency.Percentile(99.9)) / 1000,
-	}
-}
-
 func main() {
 	socket := flag.String("socket", "/tmp/syrupd.sock", "control socket path")
 	threads := flag.Int("threads", 6, "demo RocksDB server threads (= cores)")
@@ -93,7 +77,7 @@ func main() {
 	scanPct := flag.Float64("scan-pct", 0.5, "percent of requests that are SCANs")
 	speed := flag.Float64("speed", 1.0, "virtual seconds simulated per wall second")
 	traceCap := flag.Int("trace", 0, "enable request tracing with a span ring of this capacity (0 = off); query via the trace op")
-	samplePeriodUS := flag.Int("obs-period-us", 1000, "telemetry sampling period in virtual microseconds (0 = no sampler); query via the timeseries and metrics ops")
+	samplePeriodUS := flag.Int("obs-period-us", 1000, "telemetry sampling period in virtual microseconds (0 = no sampler); the snapshot op carries the series")
 	flag.Parse()
 
 	classes, err := experiments.ScanMix(*scanPct)
@@ -111,7 +95,6 @@ func main() {
 	host := d.Host
 
 	server := syrupd.NewServer(host.Daemon)
-	server.StatsFunc = d.stats
 	os.Remove(*socket)
 	if err := server.ListenUnix(*socket); err != nil {
 		log.Fatal(err)

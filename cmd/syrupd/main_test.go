@@ -27,7 +27,6 @@ func TestDemoForgetsUnansweredRequests(t *testing.T) {
 			{Name: "BE", Weight: 0.5, Type: policy.ReqGET, UserID: 2},
 		})
 	server := syrupd.NewServer(d.Host.Daemon)
-	server.StatsFunc = d.stats
 	if resp := server.Handle(&syrupd.Request{
 		Op: "deploy", App: 1, Hook: "socket_select", Policy: policy.NameShed,
 		Defines: map[string]int64{"NUM_THREADS": threads, "SHED_USER": 2},
@@ -43,9 +42,14 @@ func TestDemoForgetsUnansweredRequests(t *testing.T) {
 	held := float64(threads * (2*1024 + d.Host.Stack.SocketQueueCap() + 1))
 	for i := 0; i < 60; i++ {
 		d.Host.RunFor(10 * sim.Millisecond)
-		stats := server.Handle(&syrupd.Request{Op: "stats"}).Stats
-		if got := stats["inflight"]; got > held {
-			t.Fatalf("at %v the stats op reports %.0f in flight; the host can hold %.0f", d.Host.Now(), got, held)
+		var got float64
+		for _, s := range server.Handle(&syrupd.Request{Op: "snapshot"}).Snapshot.Series {
+			if s.Name == "inflight" {
+				_, got, _ = obs.LastPoint(s)
+			}
+		}
+		if got > held {
+			t.Fatalf("at %v the snapshot op reports %.0f in flight; the host can hold %.0f", d.Host.Now(), got, held)
 		}
 	}
 

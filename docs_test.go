@@ -6,8 +6,12 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+
+	"syrup"
+	"syrup/internal/syrupd"
 )
 
 // TestDocsNameOnlyWhatExists: the documents a reader builds and verifies
@@ -18,30 +22,75 @@ import (
 //   - `make <target>` invocations;
 //   - Test*/Fuzz*/Benchmark* identifiers, which must be a test function or
 //     a prefix of one (how -run patterns and "TestZeroAlloc*" name groups);
+//   - control-protocol requests, {"op":"…"}, whose op syrupd's Handle must
+//     answer (a deleted op gets "unknown op");
 //
 // and any that no longer exists fails the test. History files
 // (EXPERIMENTS.md, CHANGES.md, ROADMAP.md) are exempt: they describe what
-// was.
+// was. The fixture plants a deleted op in a document.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
-	makefile, err := os.ReadFile("Makefile")
+	idx, makeLines, err := indexRepo()
 	if err != nil {
 		t.Fatal(err)
 	}
-	targets := map[string]bool{}
+	t.Run("fixture", func(t *testing.T) {
+		got := idx.problems("planted.md", `printf '%s\n' '{"op":"snapshot"}' '{"op":"stats","delta":true}' | nc -U /tmp/syrupd.sock`)
+		want := []string{`planted.md names op "stats", which syrupd does not answer`}
+		if !slices.Equal(got, want) {
+			t.Fatalf("problems = %q, want %q", got, want)
+		}
+	})
+
+	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range idx.problems(doc, string(text)) {
+			t.Error(p)
+		}
+	}
+	// The Makefile's own lines hold package paths and -run patterns (a
+	// shell variable or glob ends a path as far as pathRe is concerned).
+	for _, p := range idx.problems("Makefile", strings.Join(makeLines, "\n")) {
+		t.Error(p)
+	}
+}
+
+// repoIndex is what a document may name: the Makefile's targets, every
+// Test/Fuzz/Benchmark function and .go file base name in the tree, and a
+// fresh host's control server to ask about ops.
+type repoIndex struct {
+	targets map[string]bool
+	tests   []string
+	goFiles map[string]bool
+	srv     *syrupd.Server
+}
+
+// indexRepo reads the index from the working tree, and returns the
+// Makefile's lines other than comments for checking too.
+func indexRepo() (*repoIndex, []string, error) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		return nil, nil, err
+	}
+	idx := &repoIndex{
+		targets: map[string]bool{},
+		goFiles: map[string]bool{},
+		srv:     syrupd.NewServer(syrup.NewHost(syrup.HostConfig{}).Daemon),
+	}
 	targetRe := regexp.MustCompile(`^([a-z][a-z0-9-]*):`)
-	var makeLines []string // everything but comments
+	var makeLines []string
 	for _, line := range strings.Split(string(makefile), "\n") {
 		if strings.HasPrefix(line, "#") {
 			continue
 		}
 		makeLines = append(makeLines, line)
 		if m := targetRe.FindStringSubmatch(line); m != nil {
-			targets[m[1]] = true
+			idx.targets[m[1]] = true
 		}
 	}
 
-	var tests []string           // every Test/Fuzz/Benchmark function in the tree
-	goFiles := map[string]bool{} // base names of every .go file
 	funcRe := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err == nil && d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "." {
@@ -50,70 +99,67 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return err
 		}
-		goFiles[d.Name()] = true
+		idx.goFiles[d.Name()] = true
 		if strings.HasSuffix(path, "_test.go") {
 			src, err := os.ReadFile(path)
 			if err != nil {
 				return err
 			}
 			for _, m := range funcRe.FindAllSubmatch(src, -1) {
-				tests = append(tests, string(m[1]))
+				idx.tests = append(idx.tests, string(m[1]))
 			}
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	return idx, makeLines, err
+}
 
-	var (
-		pathRe   = regexp.MustCompile(`\b(?:internal|cmd)/[\w./-]+`)
-		goFileRe = regexp.MustCompile("`([\\w./-]+\\.go)`")
-		testRe   = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*`)
-		// `make a b` in running text, or `$ make a` in a console block.
-		makeRe = regexp.MustCompile("(?:`|\\$ )make ([a-z][a-z0-9-]*(?: [a-z][a-z0-9-]*)*)")
-	)
-	reported := map[string]bool{}
-	missing := func(doc, name, why string) {
-		if msg := doc + " names " + name + ", " + why; !reported[msg] {
-			reported[msg] = true
-			t.Error(msg)
+var (
+	pathRe   = regexp.MustCompile(`\b(?:internal|cmd)/[\w./-]+`)
+	goFileRe = regexp.MustCompile("`([\\w./-]+\\.go)`")
+	testRe   = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*`)
+	// `make a b` in running text, or `$ make a` in a console block.
+	makeRe = regexp.MustCompile("(?:`|\\$ )make ([a-z][a-z0-9-]*(?: [a-z][a-z0-9-]*)*)")
+	opRe   = regexp.MustCompile(`\{\s*"op"\s*:\s*"([^"]*)"`)
+)
+
+// problems lists, once each and in order of appearance, every name in
+// doc's text that does not exist.
+func (idx *repoIndex) problems(doc, text string) []string {
+	var out []string
+	missing := func(name, why string) {
+		if msg := doc + " names " + name + ", " + why; !slices.Contains(out, msg) {
+			out = append(out, msg)
 		}
 	}
-	check := func(doc, text string) {
-		for _, p := range pathRe.FindAllString(text, -1) {
-			if p = strings.TrimRight(p, "./-"); !exists(p) {
-				missing(doc, p, "which does not exist")
-			}
+	for _, p := range pathRe.FindAllString(text, -1) {
+		if p = strings.TrimRight(p, "./-"); !exists(p) {
+			missing(p, "which does not exist")
 		}
-		for _, m := range goFileRe.FindAllStringSubmatch(text, -1) {
-			if !exists(m[1]) && !goFiles[filepath.Base(m[1])] {
-				missing(doc, m[1], "which does not exist")
-			}
+	}
+	for _, m := range goFileRe.FindAllStringSubmatch(text, -1) {
+		if !exists(m[1]) && !idx.goFiles[filepath.Base(m[1])] {
+			missing(m[1], "which does not exist")
 		}
-		for _, name := range testRe.FindAllString(text, -1) {
-			if !slices.ContainsFunc(tests, func(fn string) bool { return strings.HasPrefix(fn, name) }) {
-				missing(doc, name, "which no test function is or starts with")
-			}
+	}
+	for _, name := range testRe.FindAllString(text, -1) {
+		if !slices.ContainsFunc(idx.tests, func(fn string) bool { return strings.HasPrefix(fn, name) }) {
+			missing(name, "which no test function is or starts with")
 		}
-		for _, m := range makeRe.FindAllStringSubmatch(text, -1) {
-			for _, target := range strings.Fields(m[1]) {
-				if !targets[target] {
-					missing(doc, "`make "+target+"`", "which the Makefile does not define")
-				}
+	}
+	for _, m := range makeRe.FindAllStringSubmatch(text, -1) {
+		for _, target := range strings.Fields(m[1]) {
+			if !idx.targets[target] {
+				missing("`make "+target+"`", "which the Makefile does not define")
 			}
 		}
 	}
-	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
-		text, err := os.ReadFile(doc)
-		if err != nil {
-			t.Fatal(err)
+	for _, m := range opRe.FindAllStringSubmatch(text, -1) {
+		if resp := idx.srv.Handle(&syrupd.Request{Op: m[1]}); strings.Contains(resp.Error, "unknown op") {
+			missing("op "+strconv.Quote(m[1]), "which syrupd does not answer")
 		}
-		check(doc, string(text))
 	}
-	// The Makefile's own lines hold package paths and -run patterns (a
-	// shell variable or glob ends a path as far as pathRe is concerned).
-	check("Makefile", strings.Join(makeLines, "\n"))
+	return out
 }
 
 func exists(path string) bool {

@@ -157,15 +157,13 @@ func TestRegisterAppErrorsViaFacade(t *testing.T) {
 }
 
 // TestCountersPerHost: two hosts in one process with the same app, port
-// and policy, traffic into one only. Every counter surface of the idle
-// host — the stats op, the metrics op, Daemon.Counters — reports its own
-// zeros, not the busy host's runs, and each host's listing agrees with its
-// own links.
+// and policy, traffic into one only. Both counter surfaces of the idle
+// host — the snapshot op and Daemon.Counters — report its own zeros, not
+// the busy host's runs, and each host's listing agrees with its own links.
 func TestCountersPerHost(t *testing.T) {
 	const runsKey, faultsKey = "ebpf_hook_runs_socket_select_9000", "ebpf_hook_faults_socket_select_9000"
 	build := func(id int) (*syrup.Host, *syrupd.Server) {
 		host := syrup.NewHost(syrup.HostConfig{HostID: id, Telemetry: &obs.Config{}})
-		host.Obs.Counters(host.Daemon.Counters)
 		app, err := host.RegisterApp(1, 1000, 9000)
 		if err != nil {
 			t.Fatal(err)
@@ -189,19 +187,15 @@ func TestCountersPerHost(t *testing.T) {
 		srv  *syrupd.Server
 		runs uint64
 	}{"busy": {busy, busySrv, 100}, "idle": {idle, idleSrv, 0}} {
-		stats := tc.srv.Handle(&syrupd.Request{Op: "stats"}).Stats
-		text := tc.srv.Handle(&syrupd.Request{Op: "metrics"}).Text
+		listed := tc.host.Daemon.Counters()
+		if snap := tc.srv.Handle(&syrupd.Request{Op: "snapshot"}).Snapshot; !slices.Equal(snap.Counters, listed) {
+			t.Errorf("%s: snapshot counters %v, Counters says %v", name, snap.Counters, listed)
+		}
 		counters := map[string]uint64{}
-		for _, c := range tc.host.Daemon.Counters() {
+		for _, c := range listed {
 			counters[c.Name] = c.Value
 			if strings.HasPrefix(c.Name, "ebpf_hook_runs_") && c.Name != runsKey && c.Value != 0 {
 				t.Errorf("%s: %s = %d on a point that saw no policy run", name, c.Name, c.Value)
-			}
-			if v, ok := stats[c.Name]; !ok || v != float64(c.Value) {
-				t.Errorf("%s: stats[%s] = %v (present %v), Counters says %d", name, c.Name, v, ok, c.Value)
-			}
-			if line := fmt.Sprintf("syrup_%s %d ", c.Name, c.Value); !strings.Contains(text, line) {
-				t.Errorf("%s: metrics op lacks %q", name, line)
 			}
 		}
 		if counters[runsKey] != tc.runs {
@@ -210,18 +204,6 @@ func TestCountersPerHost(t *testing.T) {
 		links := tc.host.Daemon.Links()
 		if len(links) != 1 || links[0].Runs != counters[runsKey] || links[0].Faults != counters[faultsKey] {
 			t.Errorf("%s: links %+v disagree with counters runs=%d faults=%d", name, links, counters[runsKey], counters[faultsKey])
-		}
-		// The sampler folded this host's deltas, nobody else's.
-		var folded float64
-		for _, s := range tc.host.Obs.Store().Snapshot() {
-			if s.Name == runsKey+"_delta" {
-				for _, v := range s.V {
-					folded += v
-				}
-			}
-		}
-		if folded != float64(tc.runs) {
-			t.Errorf("%s: sampled %s_delta sums to %v, want %d", name, runsKey, folded, tc.runs)
 		}
 	}
 }

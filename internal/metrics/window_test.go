@@ -282,3 +282,52 @@ func BenchmarkHistogramWindowAdvance(b *testing.B) {
 		})
 	}
 }
+
+func TestHistogramWindow(t *testing.T) {
+	h := NewHistogram()
+	w := NewHistogramWindow(h)
+	for i := 0; i < 2000; i++ {
+		h.Record(1000)
+	}
+	h.Record(50000)
+	s := w.Advance()
+	if s.Count != 2001 {
+		t.Fatalf("window count = %d, want 2001", s.Count)
+	}
+	if s.P50 < 900 || s.P50 > 1100 {
+		t.Fatalf("window p50 = %d, want ~1000", s.P50)
+	}
+	if s.P99 < 900 || s.P99 > 1100 {
+		t.Fatalf("window p99 = %d, want ~1000 (2000/2001 samples at 1000)", s.P99)
+	}
+
+	// Second interval sees only the new samples — the burst's percentiles
+	// appear instantly even though the cumulative histogram is dominated
+	// by the first interval.
+	for i := 0; i < 10; i++ {
+		h.Record(80000)
+	}
+	s = w.Advance()
+	if s.Count != 10 {
+		t.Fatalf("second window count = %d, want 10", s.Count)
+	}
+	if s.P99 < 70000 {
+		t.Fatalf("second window p99 = %d, want ~80000 (interval, not cumulative)", s.P99)
+	}
+	if cum := h.Percentile(99); cum >= 40000 {
+		t.Fatalf("cumulative p99 = %d — expected it to lag the interval view", cum)
+	}
+
+	// Empty interval: zero stats, no underflow.
+	if s = w.Advance(); s.Count != 0 || s.P99 != 0 {
+		t.Fatalf("empty window = %+v, want zeros", s)
+	}
+
+	// Reset mid-flight rebases instead of underflowing.
+	h.Reset()
+	h.Record(2000)
+	s = w.Advance()
+	if s.Count != 1 || s.P99 > 2100 {
+		t.Fatalf("post-reset window = %+v, want the single fresh sample", s)
+	}
+}

@@ -1,6 +1,5 @@
 // Package obs is the telemetry plane: fixed-capacity time series sampled
-// on the sim clock, Prometheus-style exposition, and SLO objects with
-// multi-window burn-rate evaluation.
+// on the sim clock and SLO objects with multi-window burn-rate evaluation.
 //
 // The sampler rides the engine's passive sampling hook (sim.SetSampler)
 // rather than scheduled events, so enabling telemetry consumes no event
@@ -68,12 +67,24 @@ func (s *Series) Snapshot() SeriesJSON {
 }
 
 // SeriesJSON is the wire form of one series: parallel timestamp (sim ns)
-// and value slices, chronological. It is what the syrupd timeseries op
-// returns and what syrup-top consumes.
+// and value slices, chronological. It is what the syrupd snapshot op
+// carries and what syrup-top consumes.
 type SeriesJSON struct {
 	Name string    `json:"name"`
 	T    []int64   `json:"t_ns"`
 	V    []float64 `json:"v"`
+}
+
+// LastPoint returns the last complete point of a snapshot series. A
+// series whose timestamp and value arrays disagree — a torn or
+// hand-truncated recording — yields its last paired point, or no point
+// at all, rather than an index panic.
+func LastPoint(s SeriesJSON) (t int64, v float64, ok bool) {
+	n := min(len(s.T), len(s.V))
+	if n == 0 {
+		return 0, 0, false
+	}
+	return s.T[n-1], s.V[n-1], true
 }
 
 // LastBefore returns the latest value at or before t, or (0, false).

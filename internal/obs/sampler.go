@@ -26,7 +26,6 @@ type rateReg struct {
 }
 
 type histReg struct {
-	name                  string
 	h                     *metrics.Histogram
 	count, p50, p99, p999 *Series
 	// The histogram's identity (Count, Resets) and percentiles (ns) as of
@@ -48,14 +47,10 @@ type winReg struct {
 type Sampler struct {
 	store  *Store
 	period sim.Time
-	// counters is the registered counter source (nil when none is) and
-	// baseline its readings as of the previous tick.
-	counters func() []metrics.CounterValue
-	baseline map[string]uint64
-	gauges   []gaugeReg
-	rates    []rateReg
-	hists    []histReg
-	wins     []winReg
+	gauges []gaugeReg
+	rates  []rateReg
+	hists  []histReg
+	wins   []winReg
 }
 
 // NewSampler builds a sampler and its backing store from cfg.
@@ -82,7 +77,7 @@ func (sa *Sampler) Store() *Store {
 func (sa *Sampler) Period() sim.Time { return sa.period }
 
 // Gauge registers an instantaneous value sampled every tick (queue depth,
-// ring occupancy, runnable threads). Names are Prometheus metric names,
+// ring occupancy, runnable threads). Names are metric names,
 // [a-zA-Z_][a-zA-Z0-9_]* (TestMetricNamesAreLegal).
 func (sa *Sampler) Gauge(name string, fn func() float64) {
 	sa.gauges = append(sa.gauges, gaugeReg{s: sa.store.Series(name), fn: fn})
@@ -97,40 +92,15 @@ func (sa *Sampler) Rate(name string, fn func() float64) {
 
 // Histogram registers a live latency histogram; every tick records its
 // count and p50/p99/p999 in microseconds as <name>_count, <name>_p50_us,
-// <name>_p99_us, <name>_p999_us — the same derived keys the syrupd stats
-// op folds in.
+// <name>_p99_us, <name>_p999_us.
 func (sa *Sampler) Histogram(name string, h *metrics.Histogram) {
 	sa.hists = append(sa.hists, histReg{
-		name:  name,
 		h:     h,
 		count: sa.store.Series(name + "_count"),
 		p50:   sa.store.Series(name + "_p50_us"),
 		p99:   sa.store.Series(name + "_p99_us"),
 		p999:  sa.store.Series(name + "_p999_us"),
 	})
-}
-
-// Histograms returns the live histograms registered through Histogram, by
-// name — the set the syrupd stats and metrics ops summarize. A nil sampler
-// has none.
-func (sa *Sampler) Histograms() map[string]*metrics.Histogram {
-	if sa == nil {
-		return nil
-	}
-	out := make(map[string]*metrics.Histogram, len(sa.hists))
-	for _, h := range sa.hists {
-		out[h.name] = h.h
-	}
-	return out
-}
-
-// Counters registers the source of cumulative counter readings (a host's
-// syrupd.Daemon.Counters); every tick records each counter's increase
-// since the previous tick as <name>_delta. The baseline is the sampler's
-// own, so other delta consumers of the same counters are unaffected. Off
-// unless registered: every counter is one more series ring per host.
-func (sa *Sampler) Counters(read func() []metrics.CounterValue) {
-	sa.counters, sa.baseline = read, make(map[string]uint64)
 }
 
 // WindowHistogram registers a live histogram sampled as interval
@@ -183,10 +153,5 @@ func (sa *Sampler) Sample(at sim.Time) {
 		w.count.Append(at, float64(s.Count))
 		w.p50.Append(at, float64(s.P50)/1e3)
 		w.p99.Append(at, float64(s.P99)/1e3)
-	}
-	if sa.counters != nil {
-		for _, c := range metrics.DeltaSince(sa.baseline, sa.counters()) {
-			sa.store.Series(c.Name+"_delta").Append(at, float64(c.Value))
-		}
 	}
 }

@@ -32,11 +32,12 @@ func burnCfg() adapt.Config {
 	}
 }
 
-// TestAdaptServerOps drives the adapt_* control ops end to end: enable
-// rejects hosts without telemetry and malformed rule tables, a burning
-// series makes the controller deploy through the daemon's own verify
-// path, and status/rules/history expose the loop's state. Disable leaves
-// the history readable — a postmortem needs the decisions that led here.
+// TestAdaptServerOps drives adaptive control through the protocol end to
+// end: adapt_enable rejects hosts without telemetry and malformed rule
+// tables, a burning series makes the controller deploy through the
+// daemon's own verify path, and the snapshot carries the loop's status,
+// rules and history. Disable leaves the history readable — a postmortem
+// needs the decisions that led here.
 func TestAdaptServerOps(t *testing.T) {
 	h := newHost(t, 1, 0)
 	srv := NewServer(h.d)
@@ -46,11 +47,10 @@ func TestAdaptServerOps(t *testing.T) {
 	h.stack.NewUDPSocket(9000, 1, "w0")
 	h.stack.NewUDPSocket(9000, 1, "w1")
 
-	// Before enable, every read op refuses rather than fabricating state.
-	for _, op := range []string{"adapt_status", "adapt_rules", "adapt_history"} {
-		if resp := srv.Handle(&Request{Op: op}); resp.OK {
-			t.Fatalf("%s succeeded with no controller", op)
-		}
+	// Before enable, the snapshot carries no controller state rather than
+	// fabricating some.
+	if hs := snapshotOf(t, srv); hs.Adapt != nil || hs.Rules != nil || hs.Decisions != nil {
+		t.Fatalf("controller state with no controller: %+v", hs)
 	}
 	if resp := srv.Handle(&Request{Op: "adapt_enable"}); resp.OK {
 		t.Fatal("adapt_enable without a rule table accepted")
@@ -68,9 +68,11 @@ func TestAdaptServerOps(t *testing.T) {
 	if resp := srv.Handle(&Request{Op: "adapt_enable", AdaptConfig: &bad}); resp.OK {
 		t.Fatal("malformed rule table accepted")
 	}
-	resp := srv.Handle(&Request{Op: "adapt_enable", AdaptConfig: &cfg})
-	if !resp.OK || resp.Adapt == nil || !resp.Adapt.Enabled || resp.Adapt.Rules != 1 {
+	if resp := srv.Handle(&Request{Op: "adapt_enable", AdaptConfig: &cfg}); !resp.OK {
 		t.Fatalf("adapt_enable: %+v", resp)
+	}
+	if hs := snapshotOf(t, srv); hs.Adapt == nil || !hs.Adapt.Enabled || hs.Adapt.Rules != 1 {
+		t.Fatalf("snapshot after adapt_enable: %+v", hs.Adapt)
 	}
 
 	// Burn the objective: every sample is 5x target, landing between the
@@ -82,19 +84,17 @@ func TestAdaptServerOps(t *testing.T) {
 	}
 	h.Eng.RunUntil(3 * sim.Millisecond)
 
-	resp = srv.Handle(&Request{Op: "adapt_status"})
-	if !resp.OK || resp.Adapt == nil || resp.Adapt.Ticks == 0 || resp.Adapt.Decisions != 1 {
-		t.Fatalf("adapt_status after burn: %+v", resp)
+	hs := snapshotOf(t, srv)
+	if hs.Adapt == nil || hs.Adapt.Ticks == 0 || hs.Adapt.Decisions != 1 {
+		t.Fatalf("status after burn: %+v", hs.Adapt)
 	}
-	resp = srv.Handle(&Request{Op: "adapt_rules"})
-	if !resp.OK || len(resp.Rules) != 1 || !resp.Rules[0].Engaged || !resp.Rules[0].Firing {
-		t.Fatalf("adapt_rules: %+v", resp)
+	if len(hs.Rules) != 1 || !hs.Rules[0].Engaged || !hs.Rules[0].Firing {
+		t.Fatalf("rules: %+v", hs.Rules)
 	}
-	resp = srv.Handle(&Request{Op: "adapt_history"})
-	if !resp.OK || len(resp.Decisions) != 1 {
-		t.Fatalf("adapt_history: %+v", resp)
+	if len(hs.Decisions) != 1 {
+		t.Fatalf("history: %+v", hs.Decisions)
 	}
-	d := resp.Decisions[0]
+	d := hs.Decisions[0]
 	if d.Event != "fire" || d.Err != "" || !strings.Contains(d.Action, "round_robin") {
 		t.Fatalf("decision: %+v", d)
 	}
@@ -102,30 +102,25 @@ func TestAdaptServerOps(t *testing.T) {
 	// before the controller acted, so the app's socket_select link is its
 	// doing (programs carry daemon-scoped names, hence no literal
 	// "round_robin" here).
-	links := srv.Handle(&Request{Op: "links"})
 	found := false
-	for _, l := range links.Links {
+	for _, l := range hs.Links {
 		if l.App == 1 && l.Hook == "socket_select" && !l.Quarantined {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("controller's deploy not visible in links: %+v", links.Links)
-	}
-	// Max trims from the tail.
-	if resp := srv.Handle(&Request{Op: "adapt_history", Max: 1}); len(resp.Decisions) != 1 {
-		t.Fatalf("adapt_history max: %+v", resp)
+		t.Fatalf("controller's deploy not visible in links: %+v", hs.Links)
 	}
 
 	if resp := srv.Handle(&Request{Op: "adapt_disable"}); !resp.OK {
 		t.Fatalf("adapt_disable: %+v", resp)
 	}
-	resp = srv.Handle(&Request{Op: "adapt_status"})
-	if !resp.OK || resp.Adapt.Enabled {
-		t.Fatalf("status after disable: %+v", resp)
+	hs = snapshotOf(t, srv)
+	if hs.Adapt == nil || hs.Adapt.Enabled {
+		t.Fatalf("status after disable: %+v", hs.Adapt)
 	}
-	if resp := srv.Handle(&Request{Op: "adapt_history"}); !resp.OK || len(resp.Decisions) != 1 {
-		t.Fatalf("history lost on disable: %+v", resp)
+	if len(hs.Decisions) != 1 {
+		t.Fatalf("history lost on disable: %+v", hs.Decisions)
 	}
 }
 
@@ -157,8 +152,8 @@ func TestAdaptEnableRefusesRemovedKinds(t *testing.T) {
 		if resp := srv.Handle(&req); resp.OK || !strings.Contains(resp.Error, `rule "r"`) {
 			t.Errorf("%s: adapt_enable = %+v, want a refusal naming the rule", kind, resp)
 		}
-		if resp := srv.Handle(&Request{Op: "adapt_status"}); resp.OK {
-			t.Errorf("%s: a controller was armed: %+v", kind, resp)
+		if hs := snapshotOf(t, srv); hs.Adapt != nil {
+			t.Errorf("%s: a controller was armed: %+v", kind, hs.Adapt)
 		}
 	}
 }

@@ -130,7 +130,7 @@ func (app *App) recordSlot(hk Hook, target string, disp *dispatcher, slot uint32
 	})
 }
 
-// LinkInfo is the wire form of one live attachment (the links op).
+// LinkInfo is the wire form of one live attachment (HostSnapshot.Links).
 type LinkInfo struct {
 	App     uint32 `json:"app"`
 	Hook    string `json:"hook"`
@@ -152,8 +152,7 @@ type LinkInfo struct {
 
 // Links enumerates every live deployment across all apps, ordered by app
 // id then deployment order (deterministic for tests and tooling). It is the
-// one listing of a host's deployments: the links op and every scrape read
-// it.
+// one listing of a host's deployments, which the snapshot op carries.
 func (d *Daemon) Links() []LinkInfo {
 	var out []LinkInfo
 	for _, app := range d.appsByID() {

@@ -254,7 +254,7 @@ func TestLinksCountInstructions(t *testing.T) {
 	}
 	h.Eng.Run()
 
-	links := srv.Handle(&Request{Op: "links"}).Links
+	links := snapshotOf(t, srv).Links
 	if len(links) != 2 {
 		t.Fatalf("links = %+v, want 2", links)
 	}

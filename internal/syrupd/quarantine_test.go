@@ -174,7 +174,7 @@ func TestRevokeUnpinsMapsAndStopsAgent(t *testing.T) {
 	}
 }
 
-// TestServerQuarantineOpsUnderLoad hammers deploy/unquarantine/links/stats
+// TestServerQuarantineOpsUnderLoad hammers deploy/unquarantine/snapshot
 // through the server from racing goroutines while the simulation advances
 // under the big lock — the -race companion to the deterministic tests.
 func TestServerQuarantineOpsUnderLoad(t *testing.T) {
@@ -193,10 +193,9 @@ func TestServerQuarantineOpsUnderLoad(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	ops := []Request{
-		{Op: "links", App: 1},
 		{Op: "deploy", App: 1, Hook: "socket_select", Source: "r0 = 1\nexit\n"},
 		{Op: "unquarantine", App: 1, Hook: "socket_select"},
-		{Op: "stats"},
+		{Op: "snapshot"},
 	}
 	for g := range ops {
 		wg.Add(1)

@@ -3,14 +3,13 @@ package syrupd
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 
 	"syrup/internal/adapt"
 	"syrup/internal/ebpf"
-	"syrup/internal/metrics"
-	"syrup/internal/obs"
 	"syrup/internal/policy"
 	"syrup/internal/trace"
 )
@@ -22,7 +21,7 @@ import (
 
 // Request is one client command.
 type Request struct {
-	Op string `json:"op"` // register_app | deploy | revoke_app | unquarantine | links | map_lookup | map_update | list_policies | stats | trace | metrics | timeseries | adapt_enable | adapt_disable | adapt_status | adapt_rules | adapt_history
+	Op string `json:"op"` // register_app | deploy | revoke_app | unquarantine | map_lookup | map_update | list_policies | trace | adapt_enable | adapt_disable | snapshot
 
 	// register_app
 	App   uint32   `json:"app,omitempty"`
@@ -45,10 +44,6 @@ type Request struct {
 	Port uint16 `json:"port,omitempty"`
 	Max  int    `json:"max,omitempty"`
 
-	// stats: Delta reports counters as increments since the previous
-	// Delta snapshot instead of cumulative totals.
-	Delta bool `json:"delta,omitempty"`
-
 	// adapt_enable: the controller's rule table.
 	AdaptConfig *adapt.Config `json:"adapt_config,omitempty"`
 }
@@ -69,31 +64,13 @@ type Response struct {
 	// list_policies
 	Policies []string `json:"policies,omitempty"`
 
-	// links
-	Links []LinkInfo `json:"links,omitempty"`
-
-	// stats
-	Stats map[string]float64 `json:"stats,omitempty"`
-
 	// trace
 	Spans   []trace.SpanJSON `json:"spans,omitempty"`
 	Total   uint64           `json:"total,omitempty"`   // spans recorded since Reset
 	Dropped uint64           `json:"dropped,omitempty"` // overwritten by the ring
 
-	// stats / metrics / timeseries: NowNS is the host's sim clock at reply
-	// time, so repeated delta snapshots normalize into true rates.
-	NowNS int64 `json:"now_ns,omitempty"`
-
-	// metrics: Prometheus text exposition.
-	Text string `json:"text,omitempty"`
-
-	// timeseries
-	Series []obs.SeriesJSON `json:"series,omitempty"`
-
-	// adapt_status / adapt_rules / adapt_history
-	Adapt     *adapt.Status      `json:"adapt,omitempty"`
-	Rules     []adapt.RuleStatus `json:"rules,omitempty"`
-	Decisions []adapt.Decision   `json:"decisions,omitempty"`
+	// snapshot
+	Snapshot *HostSnapshot `json:"snapshot,omitempty"`
 }
 
 // Server serves the control protocol for one Daemon. All handling is
@@ -105,15 +82,6 @@ type Response struct {
 type Server struct {
 	mu sync.Mutex
 	d  *Daemon
-	// StatsFunc supplies the embedding host's live metrics for the stats
-	// op (virtual time, throughput, latency percentiles, ...).
-	StatsFunc func() map[string]float64
-
-	// baseline holds the counter readings of the previous stats op in
-	// Delta mode (nil until the first one). Each server owns its own, so
-	// a second consumer of the same host never steals these deltas.
-	baseline map[string]uint64
-
 	ln net.Listener
 }
 
@@ -156,23 +124,35 @@ func (s *Server) Close() error {
 	return s.ln.Close()
 }
 
+// maxLine bounds one request line (policies can be long). A longer line
+// gets an error reply and the connection closes: the scanner cannot find
+// where the next request starts.
+const maxLine = 1 << 20
+
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 0, 64*1024), 1<<20) // policies can be long
+	scanner.Buffer(make([]byte, 0, 64*1024), maxLine)
 	enc := json.NewEncoder(conn)
 	for scanner.Scan() {
-		var req Request
-		var resp Response
-		if err := json.Unmarshal(scanner.Bytes(), &req); err != nil {
-			resp = Response{Error: "bad request: " + err.Error()}
-		} else {
-			resp = s.Handle(&req)
-		}
+		resp := s.serveLine(scanner.Bytes())
 		if err := enc.Encode(&resp); err != nil {
 			return
 		}
 	}
+	if errors.Is(scanner.Err(), bufio.ErrTooLong) {
+		enc.Encode(&Response{Error: fmt.Sprintf("bad request: a request line must be shorter than %d bytes", maxLine)})
+	}
+}
+
+// serveLine decodes one request line and handles it: the socket's one
+// path from bytes to a reply.
+func (s *Server) serveLine(line []byte) Response {
+	var req Request
+	if err := json.Unmarshal(line, &req); err != nil {
+		return Response{Error: "bad request: " + err.Error()}
+	}
+	return s.Handle(&req)
 }
 
 // Handle executes one request under the big lock. It is exported so tests
@@ -221,18 +201,6 @@ func (s *Server) Handle(req *Request) Response {
 			return errResp(err)
 		}
 		return Response{OK: true}
-	case "links":
-		links := s.d.Links()
-		if req.App != 0 {
-			filtered := links[:0]
-			for _, l := range links {
-				if l.App == req.App {
-					filtered = append(filtered, l)
-				}
-			}
-			links = filtered
-		}
-		return Response{OK: true, Links: links}
 	case "map_lookup":
 		m, err := s.openWordMap(req, false)
 		if err != nil {
@@ -251,84 +219,19 @@ func (s *Server) Handle(req *Request) Response {
 		return Response{OK: true}
 	case "list_policies":
 		return Response{OK: true, Policies: policy.Names()}
-	case "stats":
-		resp := Response{OK: true, Stats: map[string]float64{}, NowNS: int64(s.d.Now())}
-		if s.StatsFunc != nil {
-			resp.Stats = s.StatsFunc()
-		}
-		// Fold in this host's counters without clobbering host-supplied
-		// keys. Delta mode reports each counter's increment since this
-		// server's previous delta snapshot instead of its cumulative
-		// total. The counters are plain fields of their owners; the big
-		// lock held here is what makes reading them safe.
-		counters := s.d.Counters()
-		if req.Delta {
-			if s.baseline == nil {
-				s.baseline = make(map[string]uint64, len(counters))
-			}
-			counters = metrics.DeltaSince(s.baseline, counters)
-		}
-		for _, c := range counters {
-			putStat(resp.Stats, c.Name, float64(c.Value))
-		}
-		// Fold in the host's histograms as <name>_{count,p50_us,p99_us,
-		// p999_us} (see DESIGN.md, "Stats key namespace").
-		for name, h := range s.d.host.Obs.Histograms() {
-			sum := h.Summarize()
-			putStat(resp.Stats, name+"_count", float64(sum.Count))
-			putStat(resp.Stats, name+"_p50_us", float64(sum.P50)/1e3)
-			putStat(resp.Stats, name+"_p99_us", float64(sum.P99)/1e3)
-			putStat(resp.Stats, name+"_p999_us", float64(sum.P999)/1e3)
-		}
-		return resp
-	case "metrics":
-		// Prometheus text exposition: the host's counters and histograms,
-		// and the latest point of every telemetry series (when the host
-		// runs a sampler).
-		text := obs.PromText(s.d.Counters(), s.d.host.Obs.Histograms(), s.d.host.Obs.Store(), s.d.Now())
-		return Response{OK: true, Text: text, NowNS: int64(s.d.Now())}
-	case "timeseries":
-		st := s.d.host.Obs.Store()
-		if st == nil {
-			return errResp(fmt.Errorf("syrupd: telemetry is not enabled on this host"))
-		}
-		return Response{OK: true, Series: st.Snapshot(), NowNS: int64(s.d.Now())}
 	case "adapt_enable":
 		if req.AdaptConfig == nil {
 			return errResp(fmt.Errorf("syrupd: adapt_enable needs adapt_config"))
 		}
-		c, err := s.d.EnableAdapt(*req.AdaptConfig)
-		if err != nil {
+		if _, err := s.d.EnableAdapt(*req.AdaptConfig); err != nil {
 			return errResp(err)
 		}
-		st := c.Status()
-		return Response{OK: true, Adapt: &st, NowNS: int64(s.d.Now())}
+		return Response{OK: true}
 	case "adapt_disable":
 		s.d.DisableAdapt()
-		return Response{OK: true, NowNS: int64(s.d.Now())}
-	case "adapt_status":
-		c := s.d.AdaptController()
-		if c == nil {
-			return errResp(fmt.Errorf("syrupd: adaptive control is not enabled on this host"))
-		}
-		st := c.Status()
-		return Response{OK: true, Adapt: &st, NowNS: int64(s.d.Now())}
-	case "adapt_rules":
-		c := s.d.AdaptController()
-		if c == nil {
-			return errResp(fmt.Errorf("syrupd: adaptive control is not enabled on this host"))
-		}
-		return Response{OK: true, Rules: c.Rules(), NowNS: int64(s.d.Now())}
-	case "adapt_history":
-		c := s.d.AdaptController()
-		if c == nil {
-			return errResp(fmt.Errorf("syrupd: adaptive control is not enabled on this host"))
-		}
-		h := c.History()
-		if req.Max > 0 && len(h) > req.Max {
-			h = h[len(h)-req.Max:]
-		}
-		return Response{OK: true, Decisions: h, NowNS: int64(s.d.Now())}
+		return Response{OK: true}
+	case "snapshot":
+		return Response{OK: true, Snapshot: s.d.snapshot()}
 	case "trace":
 		r := s.d.host.Tracer
 		if r == nil {
@@ -393,14 +296,6 @@ func (s *Server) openWordMap(req *Request, write bool) (*ebpf.Map, error) {
 		return nil, fmt.Errorf("syrupd: map %s has %d-byte keys and %d-byte values; map ops need 4 and 8", req.Path, sp.KeySize, sp.ValueSize)
 	}
 	return m, nil
-}
-
-// putStat sets a stats key unless the host's StatsFunc already claimed
-// it.
-func putStat(m map[string]float64, key string, v float64) {
-	if _, taken := m[key]; !taken {
-		m[key] = v
-	}
 }
 
 // Client is a minimal protocol client for tools and tests.

@@ -1,6 +1,8 @@
 package syrupd
 
 import (
+	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -12,6 +14,7 @@ import (
 	"syrup/internal/metrics"
 	"syrup/internal/obs"
 	"syrup/internal/policy"
+	"syrup/internal/sim"
 	"syrup/internal/storage"
 	"syrup/internal/trace"
 )
@@ -80,19 +83,36 @@ func TestServerHandleInProcess(t *testing.T) {
 		t.Fatalf("list: %+v", resp)
 	}
 
-	// stats without a StatsFunc
-	if resp := srv.Handle(&Request{Op: "stats"}); !resp.OK {
-		t.Fatalf("stats: %+v", resp)
-	}
-	srv.StatsFunc = func() map[string]float64 { return map[string]float64{"x": 1} }
-	if resp := srv.Handle(&Request{Op: "stats"}); resp.Stats["x"] != 1 {
-		t.Fatalf("stats func: %+v", resp)
+	// snapshot: the one read op
+	if hs := snapshotOf(t, srv); len(hs.Links) != 2 || len(hs.Counters) == 0 {
+		t.Fatalf("snapshot: %+v", hs)
 	}
 
-	// unknown op
-	if resp := srv.Handle(&Request{Op: "frobnicate"}); resp.OK {
-		t.Fatal("unknown op accepted")
+	// unknown ops, the read ops snapshot replaced among them
+	for _, op := range []string{"frobnicate", "stats", "metrics", "timeseries", "links", "adapt_status", "adapt_rules", "adapt_history"} {
+		if resp := srv.Handle(&Request{Op: op}); resp.OK || !strings.Contains(resp.Error, "unknown op") {
+			t.Fatalf("%s: %+v, want unknown op", op, resp)
+		}
 	}
+}
+
+// snapshotOf is the snapshot op's reply, failing the test on an error.
+func snapshotOf(t testing.TB, srv *Server) *HostSnapshot {
+	t.Helper()
+	resp := srv.Handle(&Request{Op: "snapshot"})
+	if !resp.OK || resp.Snapshot == nil {
+		t.Fatalf("snapshot: %+v", resp)
+	}
+	return resp.Snapshot
+}
+
+// counters indexes a snapshot's counter list by name.
+func (hs *HostSnapshot) counters() map[string]uint64 {
+	out := make(map[string]uint64, len(hs.Counters))
+	for _, c := range hs.Counters {
+		out[c.Name] = c.Value
+	}
+	return out
 }
 
 // TestServerDeployRejectsHostileMapSpecs: deploy assembles source from any
@@ -112,8 +132,8 @@ func TestServerDeployRejectsHostileMapSpecs(t *testing.T) {
 		if resp := srv.Handle(&Request{Op: "deploy", App: 1, Hook: "socket_select", Source: src}); resp.OK {
 			t.Fatalf("deployed %q: %+v", src, resp)
 		}
-		if resp := srv.Handle(&Request{Op: "links"}); !resp.OK || len(resp.Links) != 0 {
-			t.Fatalf("links after a rejected deploy: %+v", resp)
+		if links := snapshotOf(t, srv).Links; len(links) != 0 {
+			t.Fatalf("links after a rejected deploy: %+v", links)
 		}
 	}
 }
@@ -139,24 +159,19 @@ func TestServerLinksAndRevokeOps(t *testing.T) {
 		t.Fatalf("delivered %d", s.Len())
 	}
 
-	resp := srv.Handle(&Request{Op: "links"})
-	if !resp.OK || len(resp.Links) != 2 {
-		t.Fatalf("links: %+v", resp)
+	hs := snapshotOf(t, srv)
+	if len(hs.Links) != 2 || hs.Links[1].App != 2 {
+		t.Fatalf("links: %+v", hs.Links)
 	}
-	if li := resp.Links[0]; li.App != 1 || li.Hook != "socket_select" || li.Runs != 3 {
+	if li := hs.Links[0]; li.App != 1 || li.Hook != "socket_select" || li.Runs != 3 {
 		t.Fatalf("link[0]: %+v", li)
 	}
-	// Filter by app.
-	resp = srv.Handle(&Request{Op: "links", App: 2})
-	if len(resp.Links) != 1 || resp.Links[0].App != 2 {
-		t.Fatalf("filtered links: %+v", resp)
-	}
 
-	// The stats op reports this host's own hook counters: exactly the
+	// The snapshot carries this host's own hook counters: exactly the
 	// three socket-select runs, the three root-dispatcher passes at XDP,
 	// and nothing for the idle points.
-	stats := srv.Handle(&Request{Op: "stats"}).Stats
-	for key, want := range map[string]float64{
+	stats := hs.counters()
+	for key, want := range map[string]uint64{
 		"ebpf_hook_runs_socket_select_9000": 3,
 		"ebpf_hook_runs_socket_select_9001": 0,
 		"ebpf_hook_runs_xdp":                3,
@@ -175,9 +190,8 @@ func TestServerLinksAndRevokeOps(t *testing.T) {
 	if resp := srv.Handle(&Request{Op: "revoke_app", App: 9}); resp.OK {
 		t.Fatal("revoking unknown app accepted")
 	}
-	resp = srv.Handle(&Request{Op: "links"})
-	if len(resp.Links) != 1 || resp.Links[0].App != 2 {
-		t.Fatalf("links after revoke: %+v", resp)
+	if links := snapshotOf(t, srv).Links; len(links) != 1 || links[0].App != 2 {
+		t.Fatalf("links after revoke: %+v", links)
 	}
 }
 
@@ -254,13 +268,23 @@ func TestServerTraceOp(t *testing.T) {
 	}
 }
 
-func TestServerStatsHistogramsAndDelta(t *testing.T) {
+// TestServerSnapshotOp: the snapshot op reads the whole host at one
+// instant. A host without a sampler has counters and no series (null on
+// the wire, which is how a scraper tells it apart); with one, histogram
+// summaries arrive as the sampler's <name>_count / _p50_us / _p99_us /
+// _p999_us series. Delta mode is the client's: two snapshots differ by
+// exactly the traffic between them, over the clock advance between their
+// NowNS.
+func TestServerSnapshotOp(t *testing.T) {
 	h := newHost(t, 1, 0)
 	srv := NewServer(h.d)
 
-	// Without a sampler the host has no histograms to fold in.
-	if stats := srv.Handle(&Request{Op: "stats"}).Stats; len(stats) != len(h.d.Counters()) {
-		t.Fatalf("sampler-less stats carry more than the counters: %v", stats)
+	hs := snapshotOf(t, srv)
+	if hs.Series != nil || !slices.Equal(hs.Counters, h.d.Counters()) || hs.Adapt != nil || hs.Rules != nil || hs.Decisions != nil {
+		t.Fatalf("sampler-less snapshot: %+v", hs)
+	}
+	if blob, err := json.Marshal(hs); err != nil || !strings.Contains(string(blob), `"series":null`) {
+		t.Fatalf("sampler-less snapshot encodes as %s (err %v), want a null series", blob, err)
 	}
 	hist := metrics.NewHistogram()
 	for i := 0; i < 100; i++ {
@@ -268,36 +292,28 @@ func TestServerStatsHistogramsAndDelta(t *testing.T) {
 	}
 	sa := obs.NewSampler(obs.Config{})
 	sa.Histogram("srvtest_lat", hist)
+	sa.Attach(h.Eng)
 	h.Obs = sa
+	h.Eng.RunUntil(sim.Millisecond)
 
-	stats := srv.Handle(&Request{Op: "stats"}).Stats
-	if stats["srvtest_lat_count"] != 100 {
-		t.Fatalf("histogram count missing: %v", stats)
+	hs = snapshotOf(t, srv)
+	last := map[string]float64{}
+	for _, s := range hs.Series {
+		if _, v, ok := obs.LastPoint(s); ok {
+			last[s.Name] = v
+		}
+	}
+	if last["srvtest_lat_count"] != 100 || hs.NowNS != int64(sim.Millisecond) {
+		t.Fatalf("histogram count missing at %d: %v", hs.NowNS, last)
 	}
 	for _, k := range []string{"srvtest_lat_p50_us", "srvtest_lat_p99_us", "srvtest_lat_p999_us"} {
-		// Exact bucket boundaries are the histogram's business; the stats
-		// op just needs to land near 50 µs.
-		if v := stats[k]; v < 45 || v > 55 {
+		// Exact bucket boundaries are the histogram's business; the series
+		// just need to land near 50 µs.
+		if v := last[k]; v < 45 || v > 55 {
 			t.Fatalf("%s = %v, want ≈50", k, v)
 		}
 	}
 
-	// StatsFunc keys win over derived histogram keys.
-	srv.StatsFunc = func() map[string]float64 { return map[string]float64{"srvtest_lat_p50_us": -1} }
-	if v := srv.Handle(&Request{Op: "stats"}).Stats["srvtest_lat_p50_us"]; v != -1 {
-		t.Fatalf("StatsFunc key clobbered: %v", v)
-	}
-	srv.StatsFunc = nil
-
-	// The metrics op exports the same histogram and counters.
-	text := srv.Handle(&Request{Op: "metrics"}).Text
-	for _, line := range []string{"syrup_srvtest_lat_count 100 0", "syrup_ebpf_hook_runs_xdp 0 0"} {
-		if !strings.Contains(text, line) {
-			t.Fatalf("exposition missing %q:\n%s", line, text)
-		}
-	}
-
-	// Delta mode: increments since this server's previous delta snapshot.
 	const key = "ebpf_hook_runs_socket_select_9000"
 	h.d.RegisterApp(1, 1000, 9000)
 	h.stack.NewUDPSocket(9000, 1, "w")
@@ -308,25 +324,16 @@ func TestServerStatsHistogramsAndDelta(t *testing.T) {
 		for i := 0; i < n; i++ {
 			h.dev.Receive(pkt(uint64(i), 1, 9000, nil))
 		}
-		h.Eng.Run()
+		h.Eng.RunUntil(h.Eng.Now() + sim.Millisecond)
 	}
 	send(2)
-	other := NewServer(h.d) // a second consumer with its own baseline
-	if got := srv.Handle(&Request{Op: "stats", Delta: true}).Stats[key]; got != 2 {
-		t.Fatalf("first delta = %v, want 2 (everything since start)", got)
-	}
+	before := snapshotOf(t, srv)
 	send(7)
-	if got := srv.Handle(&Request{Op: "stats", Delta: true}).Stats[key]; got != 7 {
-		t.Fatalf("delta = %v, want 7", got)
+	after := snapshotOf(t, srv)
+	if d := after.counters()[key] - before.counters()[key]; d != 7 || after.NowNS-before.NowNS != int64(sim.Millisecond) {
+		t.Fatalf("snapshot diff = %d runs over %d ns, want 7 over 1ms", d, after.NowNS-before.NowNS)
 	}
-	if got := srv.Handle(&Request{Op: "stats", Delta: true}).Stats[key]; got != 0 {
-		t.Fatalf("second delta = %v, want 0", got)
-	}
-	if got := other.Handle(&Request{Op: "stats", Delta: true}).Stats[key]; got != 9 {
-		t.Fatalf("other server's delta = %v, want 9 (baseline stolen?)", got)
-	}
-	// Cumulative view is untouched by delta snapshots.
-	if got := srv.Handle(&Request{Op: "stats"}).Stats[key]; got != 9 {
+	if got := after.counters()[key]; got != 9 {
 		t.Fatalf("cumulative = %v, want 9", got)
 	}
 }
@@ -334,7 +341,7 @@ func TestServerStatsHistogramsAndDelta(t *testing.T) {
 // TestCountersDeterministic: Daemon.Counters is the one enumeration
 // of a host's counters — exactly the points the host owns, each layer's
 // own counters and the daemon's, name-sorted, stable across calls, and
-// value-for-value what the stats op and the links op report.
+// value-for-value what the snapshot op reports.
 func TestCountersDeterministic(t *testing.T) {
 	h := newHost(t, 1, 2)
 	h.d.AttachStorage(storage.Config{})
@@ -385,12 +392,11 @@ func TestCountersDeterministic(t *testing.T) {
 	if again := h.d.Counters(); !slices.Equal(again, got) {
 		t.Fatalf("listing changed between calls:\n%v\n%v", got, again)
 	}
-	stats := NewServer(h.d).Handle(&Request{Op: "stats"}).Stats
-	for _, c := range got {
-		if v, ok := stats[c.Name]; !ok || v != float64(c.Value) {
-			t.Fatalf("stats[%s] = %v (present %v), Counters says %d", c.Name, v, ok, c.Value)
-		}
+	hs := snapshotOf(t, NewServer(h.d))
+	if !slices.Equal(hs.Counters, got) {
+		t.Fatalf("snapshot counters = %v, Counters says %v", hs.Counters, got)
 	}
+	stats := hs.counters()
 	// The direct link agrees with its point's counter: 5 runs on the group
 	// that saw the traffic.
 	linkRuns := map[string]uint64{}
@@ -408,11 +414,11 @@ func TestCountersDeterministic(t *testing.T) {
 	}
 }
 
-// TestStatsDeltaConcurrent: delta reads racing the simulation must never
-// lose or double-count an increment — the deltas one consumer collects
-// plus its final residue sum to exactly the runs the host made. The
-// counters are plain fields, so this is the big lock's job; `make race`
-// runs it under -race.
+// TestStatsDeltaConcurrent: snapshots racing the simulation must never
+// lose or double-count an increment — the deltas a client computes between
+// successive snapshots plus its final residue sum to exactly the runs the
+// host made. The counters are plain fields, so this is the big lock's job;
+// `make race` runs it under -race.
 func TestStatsDeltaConcurrent(t *testing.T) {
 	const key = "ebpf_hook_runs_socket_select_9000"
 	h := newHost(t, 1, 0)
@@ -423,9 +429,9 @@ func TestStatsDeltaConcurrent(t *testing.T) {
 	}
 	srv := NewServer(h.d)
 
-	// Snapshot loop racing the simulation; collected is only touched here
-	// and read after the goroutine exits.
-	var collected float64
+	// Snapshot loop racing the simulation; collected and seen are only
+	// touched here and read after the goroutine exits.
+	var collected, seen uint64
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -435,7 +441,9 @@ func TestStatsDeltaConcurrent(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				collected += srv.Handle(&Request{Op: "stats", Delta: true}).Stats[key]
+				now := srv.Handle(&Request{Op: "snapshot"}).Snapshot.counters()[key]
+				collected += now - seen
+				seen = now
 			}
 		}
 	}()
@@ -452,11 +460,11 @@ func TestStatsDeltaConcurrent(t *testing.T) {
 	close(stop)
 	<-done
 
-	residue := srv.Handle(&Request{Op: "stats", Delta: true}).Stats[key]
-	if got := collected + residue; got != steps*perStep {
+	hs := snapshotOf(t, srv)
+	if got := collected + hs.counters()[key] - seen; got != steps*perStep {
 		t.Fatalf("deltas sum to %v, want %d", got, steps*perStep)
 	}
-	if got := srv.Handle(&Request{Op: "links"}).Links[0].Runs; got != steps*perStep {
+	if got := hs.Links[0].Runs; got != steps*perStep {
 		t.Fatalf("link runs = %d, want %d", got, steps*perStep)
 	}
 }
@@ -561,7 +569,7 @@ out:
 			t.Fatalf("client %d's slot = %d, want %d", c, resp.Value, updates)
 		}
 	}
-	if got := srv.Handle(&Request{Op: "links"}).Links[0].Runs; got != steps*perStep {
+	if got := snapshotOf(t, srv).Links[0].Runs; got != steps*perStep {
 		t.Fatalf("link runs = %d, want %d", got, steps*perStep)
 	}
 }
@@ -608,5 +616,31 @@ func TestServerOverUnixSocket(t *testing.T) {
 	defer c2.Close()
 	if resp, err := c2.Do(&Request{Op: "list_policies"}); err != nil || len(resp.Policies) == 0 {
 		t.Fatalf("second client: %v %+v", err, resp)
+	}
+}
+
+// TestServerRefusesAnOverlongLine: a request line the scanner cannot hold
+// gets an error reply naming the limit before the connection closes,
+// rather than a bare EOF.
+func TestServerRefusesAnOverlongLine(t *testing.T) {
+	h := newHost(t, 1, 0)
+	srv := NewServer(h.d)
+	path := filepath.Join(t.TempDir(), "syrupd.sock")
+	if err := srv.ListenUnix(path); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	_, err = c.Do(&Request{Op: "deploy", Source: strings.Repeat("x", maxLine+1)})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("shorter than %d bytes", maxLine)) {
+		t.Fatalf("over-long line: err = %v, want the limit named", err)
+	}
+	if _, err := c.Do(&Request{Op: "list_policies"}); err == nil {
+		t.Fatal("the connection outlived an over-long line")
 	}
 }

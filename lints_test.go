@@ -16,8 +16,11 @@ import (
 
 // TestMetricNamesAreLegal: every name given to an obs.Sampler series
 // (Gauge, Rate, Histogram, WindowHistogram) or to a metrics.CounterValue
-// is a Prometheus metric name, [a-zA-Z_][a-zA-Z0-9_]*, which is all
-// obs.PromText needs (DESIGN.md "Telemetry plane"). A constant name is
+// is in [a-zA-Z_][a-zA-Z0-9_]*. Series names are what an SLO names, and
+// `syrup-top -slo name:series[/denom]:target:budget` splits its value on
+// ':' and '/', so a name holding either could never be watched; counters
+// share the alphabet, so one vocabulary names both halves of a snapshot
+// (DESIGN.md "Telemetry plane"). A constant name is
 // checked whole; in a + chain built at run time ("latency_"+c.Name), each
 // constant operand is. The calls are found by type, not by spelling.
 func TestMetricNamesAreLegal(t *testing.T) {

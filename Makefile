@@ -75,10 +75,16 @@ bench-obs:
 	$(GO) test ./internal/metrics/ -run '^$$' -bench BenchmarkHistogramWindowAdvance -benchmem
 	$(GO) test ./internal/obs/ -run '^$$' -bench BenchmarkSamplerSample -benchmem
 
-# Extended differential fuzzing of Run on reused state against RunInterp on
-# fresh state (the seed corpus already runs under plain `go test`).
+# Extended fuzzing: every Fuzz target of every package, 30 s each (the seed
+# corpora already run under plain `go test`). `go test -list` finds the
+# targets, so a new one is fuzzed without editing this rule.
 fuzz:
-	$(GO) test ./internal/ebpf/ -run '^$$' -fuzz FuzzRunMatchesReference -fuzztime 30s
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		for fn in $$($(GO) test $$pkg -list '^Fuzz' | grep '^Fuzz'); do \
+			echo "$$pkg $$fn"; \
+			$(GO) test $$pkg -run '^$$' -fuzz "^$$fn$$" -fuzztime 30s; \
+		done; \
+	done
 
 clean:
 	$(GO) clean ./...

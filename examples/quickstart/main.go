@@ -57,7 +57,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("deployed %q: %d instructions, verified\n", dep.Program.Name(), dep.Program.Len())
+	fmt.Printf("deployed %q: %d instructions, verified\n", dep.Program().Name(), dep.Program().Len())
 
 	// One busy flow sends 9 datagrams. Hash steering would send all nine
 	// to the same socket; the policy spreads them 3/3/3.

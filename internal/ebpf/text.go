@@ -183,7 +183,7 @@ func Assemble(src string, defines map[string]int64) (*AsmFile, error) {
 	}
 	regNum := func(line int, tok string) (uint8, error) {
 		n, err := strconv.Atoi(tok)
-		if err != nil || n >= NumRegs {
+		if err != nil || n < 0 || n >= NumRegs {
 			return 0, &asmError{line, fmt.Sprintf("bad register r%s", tok)}
 		}
 		return uint8(n), nil

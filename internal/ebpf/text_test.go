@@ -255,6 +255,7 @@ func TestAssembleErrors(t *testing.T) {
 		{"dup-map", ".map m array 4 8 1\n.map m array 4 8 1\nr0 = 0\nexit", "duplicate map"},
 		{"bad-imm", "r0 = zork\nexit", "bad immediate"},
 		{"bad-reg", "r77 = 0\nexit", "bad register"},
+		{"negative-reg", "r0 = r-1\nexit", "bad register"},
 		{"bad-const", ".const X zork\nr0 = 0\nexit", "bad constant"},
 		{"bad-map-type", ".map m sock 4 8 1\nr0 = 0\nexit", "unknown map type"},
 		{"map-size-wraps", ".map w array 4 4294967304 4294967297\nr0 = 0\nexit", "does not fit in 32 bits"},

@@ -423,9 +423,6 @@ func (l *Link) Label() string { return l.label }
 // Replace generations).
 func (l *Link) Stats() Stats { return l.stats }
 
-// Detached reports whether the link has been torn down.
-func (l *Link) Detached() bool { return l.detached }
-
 // Detach tears the attachment down; the point's slot empties and the
 // layer falls back to its default path. Idempotent.
 func (l *Link) Detach() {

@@ -517,3 +517,6 @@ func TestRunStateSurvivesReplaceTailCallsAndFaults(t *testing.T) {
 		t.Fatalf("generations never faulted or never steered: %+v", prev)
 	}
 }
+
+// Detached reports whether the link has been torn down.
+func (l *Link) Detached() bool { return l.detached }

@@ -1,0 +1,91 @@
+package policy
+
+import (
+	"io/fs"
+	"reflect"
+	"testing"
+
+	"syrup/internal/ebpf"
+)
+
+// FuzzAssemble feeds the .syr assembler arbitrary text, seeded with every
+// shipped policy file. Whatever the input, Assemble must not panic. A
+// file it accepts and whose jumps all land on a line re-assembles from
+// Text() to the identical instructions, map declarations and map
+// references; one that also instantiates and verifies re-assembles from
+// the loaded program's TextSource() to the same loaded stream. Plain
+// `go test` replays the seeds; `make fuzz` runs it on.
+func FuzzAssemble(f *testing.F) {
+	files, err := fs.Glob(sources, "policies/*")
+	if err != nil || len(files) == 0 {
+		f.Fatalf("policy files: %v %v", files, err)
+	}
+	for _, name := range files {
+		src, err := fs.ReadFile(sources, name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		a, err := ebpf.Assemble(src, nil)
+		if err != nil || !renderable(a.Insns) {
+			return
+		}
+		text := a.Text()
+		b, err := ebpf.Assemble(text, nil)
+		if err != nil {
+			t.Fatalf("Text() does not re-assemble: %v\nsource:\n%s\nrendered:\n%s", err, src, text)
+		}
+		if !reflect.DeepEqual(a.Insns, b.Insns) || !reflect.DeepEqual(a.Maps, b.Maps) || !reflect.DeepEqual(a.MapRefs, b.MapRefs) {
+			t.Fatalf("Text() round trip changed the file\nsource:\n%s\nrendered:\n%s\nwant:\n%s\ngot:\n%s",
+				src, text, ebpf.DisassembleProgram(a.Insns), ebpf.DisassembleProgram(b.Insns))
+		}
+
+		p, err := load(a)
+		if err != nil {
+			return
+		}
+		text = p.TextSource()
+		c, err := ebpf.Assemble(text, nil)
+		if err != nil {
+			t.Fatalf("TextSource() does not re-assemble: %v\nrendered:\n%s", err, text)
+		}
+		q, err := load(c)
+		if err != nil {
+			t.Fatalf("TextSource() does not re-load: %v\nrendered:\n%s", err, text)
+		}
+		if p.Disassemble() != q.Disassemble() {
+			t.Fatalf("TextSource() round trip changed the stream\nwant:\n%s\ngot:\n%s", p.Disassemble(), q.Disassemble())
+		}
+	})
+}
+
+// load instantiates f's maps fresh and verifies its program.
+func load(f *ebpf.AsmFile) (*ebpf.Program, error) {
+	insns, _, table, err := f.Instantiate(nil)
+	if err != nil {
+		return nil, err
+	}
+	return ebpf.Load("fuzz", insns, ebpf.LoadOptions{MapTable: table})
+}
+
+// renderable reports whether every jump lands on a line the renderer can
+// label: inside the stream and not on the high half of an LDDW pair. Only
+// dead code escapes the verifier with a jump that does not.
+func renderable(insns []ebpf.Instruction) bool {
+	for i, ins := range insns {
+		cls := ins.Class()
+		if cls != ebpf.ClassJMP && cls != ebpf.ClassJMP32 {
+			continue
+		}
+		if op := ins.Op & 0xf0; op == ebpf.JmpExit || op == ebpf.JmpCall {
+			continue
+		}
+		tgt := i + 1 + int(ins.Off)
+		if tgt < 0 || tgt >= len(insns) || tgt > 0 && insns[tgt-1].IsLDDW() {
+			return false
+		}
+	}
+	return true
+}

@@ -55,11 +55,11 @@ type App struct {
 	maps map[string]*ebpf.Map
 	// agent is the app's ghOSt agent once a thread policy is deployed.
 	agent *ghost.Agent
-	// links records every live deployment (see AppLink).
+	// links are the app's live deployments, at most one per hook.
 	links []*AppLink
-	// quarantined marks hooks the fault watchdog detached this app from;
-	// deploys there are refused until an operator unquarantines.
-	quarantined map[Hook]bool
+	// quarantined holds the deployments the fault watchdog closed, by
+	// hook; deploys there are refused until an operator unquarantines.
+	quarantined map[Hook]*AppLink
 }
 
 // Maps returns the app's named maps.
@@ -132,7 +132,7 @@ func (d *Daemon) RegisterApp(id, uid uint32, ports ...uint16) (*App, error) {
 	app := &App{
 		ID: id, UID: uid, Ports: ports,
 		maps:        make(map[string]*ebpf.Map),
-		quarantined: make(map[Hook]bool),
+		quarantined: make(map[Hook]*AppLink),
 	}
 	for _, p := range ports {
 		d.portOwner[p] = id
@@ -155,21 +155,13 @@ func (d *Daemon) appsByID() []*App {
 	return apps
 }
 
-// DeployResult reports what a deployment created.
-type DeployResult struct {
-	Program *ebpf.Program
-	// Maps are the policy's named maps (new ones pinned).
-	Maps map[string]*ebpf.Map
-	// SourceLines is the .syr LoC (Table 2's LoC column).
-	SourceLines int
-}
-
 // DeployPolicy is the paper's syr_deploy_policy: compile source (a .syr
 // policy file) with deploy-time defines, verify it, share maps by name with
 // the app's previous deployments, pin new maps, and install the program at
 // hook — wrapped behind the per-port isolation dispatcher for device-wide
-// hooks.
-func (d *Daemon) DeployPolicy(appID uint32, hk Hook, source string, defines map[string]int64) (*DeployResult, error) {
+// hooks. It returns the app's deployment at hook: a redeploy live-replaces
+// the program and returns the same one.
+func (d *Daemon) DeployPolicy(appID uint32, hk Hook, source string, defines map[string]int64) (*AppLink, error) {
 	app, ok := d.apps[appID]
 	if !ok {
 		return nil, fmt.Errorf("syrupd: unknown app %d", appID)
@@ -177,7 +169,7 @@ func (d *Daemon) DeployPolicy(appID uint32, hk Hook, source string, defines map[
 	if hk == HookThreadSched {
 		return nil, fmt.Errorf("syrupd: thread policies deploy via DeployThreadPolicy (they run in userspace)")
 	}
-	if app.quarantined[hk] {
+	if app.quarantined[hk] != nil {
 		return nil, fmt.Errorf("syrupd: app %d is quarantined at %s; unquarantine first", appID, hk)
 	}
 
@@ -207,14 +199,16 @@ func (d *Daemon) DeployPolicy(appID uint32, hk Hook, source string, defines map[
 		}
 	}
 
-	if err := d.install(app, hk, prog); err != nil {
+	l, err := d.install(app, hk, prog)
+	if err != nil {
 		return nil, err
 	}
-	return &DeployResult{Program: prog, Maps: maps, SourceLines: f.SourceLines}, nil
+	l.Maps, l.SourceLines = maps, f.SourceLines
+	return l, nil
 }
 
 // DeployBuiltin deploys one of the named built-in policies.
-func (d *Daemon) DeployBuiltin(appID uint32, hk Hook, name string, defines map[string]int64) (*DeployResult, error) {
+func (d *Daemon) DeployBuiltin(appID uint32, hk Hook, name string, defines map[string]int64) (*AppLink, error) {
 	src, err := policy.Source(name)
 	if err != nil {
 		return nil, err
@@ -222,59 +216,74 @@ func (d *Daemon) DeployBuiltin(appID uint32, hk Hook, name string, defines map[s
 	return d.DeployPolicy(appID, hk, src, defines)
 }
 
-func (d *Daemon) install(app *App, hk Hook, prog *ebpf.Program) error {
+// install puts prog in at hk as the app's deployment there: the first
+// install creates the deployment, a later one live-replaces its program.
+func (d *Daemon) install(app *App, hk Hook, prog *ebpf.Program) (*AppLink, error) {
+	l := app.link(hk)
 	switch hk {
-	case HookSocketSelect:
-		// Per-group attachment: structurally isolated.
-		var points []*hook.Point
-		for _, port := range app.Ports {
-			if g := d.stack.LookupGroup(port); g != nil {
-				if g.App != app.ID {
-					return fmt.Errorf("syrupd: group for port %d belongs to app %d", port, g.App)
-				}
-				points = append(points, g.Hook())
-			}
+	case HookSocketSelect, HookStorage:
+		pts, err := d.hookPoints(app, hk)
+		if err != nil {
+			return nil, err
 		}
-		if len(points) == 0 {
-			return fmt.Errorf("syrupd: app %d has no bound reuseport groups to attach to", app.ID)
-		}
-		for _, pt := range points {
+		links := make(points, len(pts))
+		for i, pt := range pts {
 			pt.Set(prog) // attach, or live-replace an earlier deployment
-			app.recordDirect(hk, pt)
+			links[i] = pt.Link()
 		}
-		return nil
-	case HookStorage:
-		if d.store == nil {
-			return fmt.Errorf("syrupd: host has no storage device attached")
+		if l == nil {
+			return app.add(hk, links), nil
 		}
-		pt := d.store.SubmitHook()
-		if owner, owned := d.directOwner(pt.Name()); owned && owner != app.ID {
-			return fmt.Errorf("syrupd: storage hook already owned by app %d", owner)
-		}
-		pt.Set(prog)
-		app.recordDirect(hk, pt)
-		return nil
+		l.att = links // the same links, plus any group bound since
+		return l, nil
 	case HookCPURedirect, HookXDPDrv, HookXDPSkb, HookXDPOffload:
+		if l != nil {
+			l.att.(*slot).set(prog)
+			return l, nil
+		}
 		disp, err := d.dispatcher(hk)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return disp.install(app, prog)
+		s, err := disp.claim(app)
+		if err != nil {
+			return nil, err
+		}
+		s.set(prog)
+		return app.add(hk, s), nil
 	}
-	return fmt.Errorf("syrupd: cannot install at hook %q", hk)
+	return nil, fmt.Errorf("syrupd: cannot install at hook %q", hk)
 }
 
-// directOwner reports which app currently holds a direct link on the named
-// hook point.
-func (d *Daemon) directOwner(target string) (uint32, bool) {
-	for id, app := range d.apps {
-		for _, al := range app.links {
-			if al.Target == target && al.link != nil && !al.link.Detached() {
-				return id, true
+// hookPoints are the hook points a deployment of app at hk owns: the
+// reuseport group of every port the app has bound (structurally isolated:
+// each sees only its own port's datagrams), or the one storage submit
+// hook, which only one app may hold.
+func (d *Daemon) hookPoints(app *App, hk Hook) ([]*hook.Point, error) {
+	if hk == HookStorage {
+		if d.store == nil {
+			return nil, fmt.Errorf("syrupd: host has no storage device attached")
+		}
+		for _, other := range d.apps {
+			if other != app && other.link(HookStorage) != nil {
+				return nil, fmt.Errorf("syrupd: storage hook already owned by app %d", other.ID)
 			}
 		}
+		return []*hook.Point{d.store.SubmitHook()}, nil
 	}
-	return 0, false
+	var pts []*hook.Point
+	for _, port := range app.Ports {
+		if g := d.stack.LookupGroup(port); g != nil {
+			if g.App != app.ID {
+				return nil, fmt.Errorf("syrupd: group for port %d belongs to app %d", port, g.App)
+			}
+			pts = append(pts, g.Hook())
+		}
+	}
+	if len(pts) == 0 {
+		return nil, fmt.Errorf("syrupd: app %d has no bound reuseport groups to attach to", app.ID)
+	}
+	return pts, nil
 }
 
 // DeployThreadPolicy stands up the app's ghOSt agent (if needed) with the
@@ -289,7 +298,7 @@ func (d *Daemon) DeployThreadPolicy(appID uint32, pol ghost.Policy, agentCPU ker
 	if d.machine == nil {
 		return nil, fmt.Errorf("syrupd: host has no thread scheduler (machine not wired)")
 	}
-	if app.quarantined[HookThreadSched] {
+	if app.quarantined[HookThreadSched] != nil {
 		return nil, fmt.Errorf("syrupd: app %d is quarantined at %s; unquarantine first", appID, HookThreadSched)
 	}
 	if app.agent != nil {
@@ -306,7 +315,7 @@ func (d *Daemon) DeployThreadPolicy(appID uint32, pol ghost.Policy, agentCPU ker
 	} else {
 		app.agent = ghost.NewAgent(d.host, d.machine, appID, pol, agentCPU, workers, cfg)
 	}
-	app.recordDirect(HookThreadSched, app.agent.Hook())
+	app.add(HookThreadSched, points{app.agent.Hook().Link()})
 	return app.agent, nil
 }
 

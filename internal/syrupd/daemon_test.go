@@ -66,7 +66,7 @@ func TestDeploySocketSelectPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SourceLines == 0 || res.Program == nil {
+	if res.SourceLines == 0 || res.Program() == nil {
 		t.Fatalf("deploy result incomplete: %+v", res)
 	}
 	for i := 0; i < 6; i++ {

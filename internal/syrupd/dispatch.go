@@ -3,6 +3,7 @@ package syrupd
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"syrup/internal/ebpf"
 	"syrup/internal/hook"
@@ -20,8 +21,9 @@ type dispatcher struct {
 	rootLink  *hook.Link // the root's attachment at the layer's hook point
 	portMap   *ebpf.Map  // u32 port -> u64 slot
 	progArray *ebpf.Map
-	nextSlot  uint32
-	slotOf    map[uint32]uint32 // app id -> prog array slot
+	// held marks the slots a deployment holds; install takes the lowest
+	// free one and Close frees it.
+	held [dispatcherSlots]bool
 }
 
 const dispatcherSlots = 64
@@ -44,10 +46,7 @@ func (d *Daemon) dispatcher(hk Hook) (*dispatcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	disp := &dispatcher{
-		hook: hk, root: root, portMap: portMap, progArray: progArray,
-		slotOf: make(map[uint32]uint32),
-	}
+	disp := &dispatcher{hook: hk, root: root, portMap: portMap, progArray: progArray}
 	// Attach the root at the layer's hook point; the daemon owns the link.
 	// The two XDP hooks share the stack's one XDP point (they differ only
 	// in where the program runs), so deploying to both at once fails the
@@ -114,52 +113,78 @@ func (d *Daemon) buildRootDispatcher(name string, portMap, progArray *ebpf.Map) 
 	return ebpf.Load("syrupd-dispatch-"+name, insns, ebpf.LoadOptions{MapTable: table})
 }
 
-// install binds an app's program into the dispatcher for all its ports.
-// Re-installing overwrites the app's PROG_ARRAY slot in place — the
-// dispatcher-level equivalent of Link.Replace: packets between event-loop
-// callbacks see either the old or the new program, never a hole.
-func (disp *dispatcher) install(app *App, prog *ebpf.Program) error {
-	if len(app.Ports) == 0 {
-		return fmt.Errorf("syrupd: app %d owns no ports", app.ID)
-	}
-	slot, ok := disp.slotOf[app.ID]
-	if !ok {
-		if disp.nextSlot >= dispatcherSlots {
-			return fmt.Errorf("syrupd: %s dispatcher full", disp.hook)
-		}
-		slot = disp.nextSlot
-		disp.nextSlot++
-		disp.slotOf[app.ID] = slot
-	}
-	if err := disp.progArray.UpdateProg(slot, prog); err != nil {
-		return err
-	}
-	for _, port := range app.Ports {
-		if err := disp.portMap.UpdateUint64(uint32(port), uint64(slot)); err != nil {
-			return err
-		}
-	}
-	target := fmt.Sprintf("%s[slot %d]", disp.rootLink.Point().Name(), slot)
-	app.recordSlot(disp.hook, target, disp, slot, prog)
-	return nil
+// slot is a deployment at a device-wide hook: one PROG_ARRAY entry of the
+// hook's dispatcher, with the app's ports mapped to it.
+type slot struct {
+	disp  *dispatcher
+	index uint32
+	ports []uint16
+	prog  *ebpf.Program
+	// retired counts the generations set swapped out: unlike a hook.Link,
+	// a PROG_ARRAY entry keeps no count of its own across a replace.
+	retired ebpf.Stats
 }
 
-// remove tears an app out of the dispatcher: its PROG_ARRAY slot clears
-// (the root's tail call then misses and PASSes) and its port entries
-// disappear. The root stays attached, so other tenants are untouched.
-func (disp *dispatcher) remove(app *App) {
-	slot, ok := disp.slotOf[app.ID]
-	if !ok {
-		return
+// claim takes the lowest free slot for app and maps the app's ports to
+// it.
+func (disp *dispatcher) claim(app *App) (*slot, error) {
+	if len(app.Ports) == 0 {
+		return nil, fmt.Errorf("syrupd: app %d owns no ports", app.ID)
 	}
-	if err := disp.progArray.UpdateProg(slot, nil); err != nil {
-		panic(err) // unreachable: slot index was validated at install
+	i := slices.Index(disp.held[:], false)
+	if i < 0 {
+		return nil, fmt.Errorf("syrupd: %s dispatcher full", disp.hook)
 	}
 	for _, port := range app.Ports {
+		if err := disp.portMap.UpdateUint64(uint32(port), uint64(i)); err != nil {
+			return nil, err
+		}
+	}
+	disp.held[i] = true
+	return &slot{disp: disp, index: uint32(i), ports: app.Ports}, nil
+}
+
+// set installs prog in the slot. Over an earlier program it is the
+// dispatcher-level Link.Replace: packets between event-loop callbacks see
+// either the old or the new program, never a hole.
+func (s *slot) set(prog *ebpf.Program) {
+	if s.prog != nil {
+		st := s.prog.Stats()
+		s.retired.Runs += st.Runs
+		s.retired.Faults += st.Faults
+	}
+	s.prog = prog
+	if err := s.disp.progArray.UpdateProg(s.index, prog); err != nil {
+		panic(err) // unreachable: claim took an index below dispatcherSlots
+	}
+}
+
+func (s *slot) program() *ebpf.Program { return s.prog }
+func (s *slot) label() string          { return s.prog.Name() }
+
+// stats reads the tail-called programs' own counters: the VM charges a
+// run, and a runtime error, to the program whose instructions ran, so the
+// numbers are the tenant's even though the hook point belongs to the root.
+func (s *slot) stats() (runs, faults uint64) {
+	st := s.prog.Stats()
+	return s.retired.Runs + st.Runs, s.retired.Faults + st.Faults
+}
+
+func (s *slot) target() string {
+	return fmt.Sprintf("%s[slot %d]", s.disp.rootLink.Point().Name(), s.index)
+}
+
+// close clears the slot (the root's tail call then misses and PASSes),
+// unmaps the app's ports and frees the slot. The root stays attached, so
+// other tenants are untouched.
+func (s *slot) close() {
+	if err := s.disp.progArray.UpdateProg(s.index, nil); err != nil {
+		panic(err) // unreachable: claim took an index below dispatcherSlots
+	}
+	for _, port := range s.ports {
 		var key [4]byte
 		binary.LittleEndian.PutUint32(key[:], uint32(port))
-		_ = disp.portMap.Delete(key[:]) // absent entries are fine
+		_ = s.disp.portMap.Delete(key[:]) // absent entries are fine
 	}
-	delete(disp.slotOf, app.ID)
-	// Slot indices are not reused; 64 slots outlast any simulated run.
+	s.disp.held[s.index] = false
 }

@@ -73,9 +73,9 @@ func (d *Daemon) Held() uint64 { return uint64(d.dev.InflightTotal() + d.stack.Q
 //     netstack_backlog_drops + netstack_processed;
 //   - netstack_processed = every drop cause past the backlog +
 //     netstack_xsk_delivered + netstack_udp_delivered;
-//   - for every program an app link, a dispatcher root or a dispatcher slot
-//     holds, Σ Hits() = Stats().InsnsExecuted: the walker counts each
-//     executed slot twice, in its segment's charge and in the slot's hits.
+//   - for every program a live deployment or a dispatcher root holds,
+//     Σ Hits() = Stats().InsnsExecuted: the walker counts each executed
+//     slot twice, in its segment's charge and in the slot's hits.
 //
 // The second holds once the stack is idle, at the end of a run: a packet in
 // protocol processing is processed but not yet delivered. The error names
@@ -96,8 +96,8 @@ func (d *Daemon) Conserved() error {
 	}
 	var progs []*ebpf.Program
 	for _, app := range d.appsByID() {
-		for _, al := range app.links {
-			progs = append(progs, al.program())
+		for _, l := range app.links {
+			progs = append(progs, l.Program())
 		}
 	}
 	for _, hk := range []Hook{HookCPURedirect, HookXDPDrv, HookXDPSkb, HookXDPOffload} {

@@ -2,135 +2,113 @@ package syrupd
 
 import (
 	"fmt"
+	"slices"
 
 	"syrup/internal/ebpf"
 	"syrup/internal/hook"
 )
 
-// AppLink is syrupd's record of one live deployment — the daemon-side
-// bpf_link. Direct attachments (Socket Select groups, the storage submit
-// hook, thread policies) wrap the layer's hook.Link, so detaching and
-// live-replacing go through the framework. Device-wide hooks (XDP, CPU
-// Redirect, offload) instead wrap a slot in the hook's isolation
-// dispatcher: the trusted root program stays attached and the app owns a
-// PROG_ARRAY entry, so revocation clears the slot and the root PASSes.
+// AppLink is one app's deployment at one hook — the daemon-side bpf_link,
+// and what DeployPolicy returns. A redeploy at the hook live-replaces its
+// program and returns the same AppLink; Close is its one teardown.
 type AppLink struct {
-	App    uint32
-	Hook   Hook
-	Target string // hook point instance name ("socket_select:9000", "xdp", ...)
+	App  uint32
+	Hook Hook
+	// Maps are the installed policy's named maps, shared by name with the
+	// app's other deployments (new ones pinned under /syrup/<app>/).
+	Maps map[string]*ebpf.Map
+	// SourceLines is the installed policy's .syr LoC (Table 2's LoC column).
+	SourceLines int
 
 	app *App
-
-	// Direct attachment.
-	link *hook.Link
-
-	// Dispatcher-slot deployment.
-	disp *dispatcher
-	slot uint32
-	prog *ebpf.Program
-	// priorRuns/priorFaults accumulate counts of earlier program
-	// generations in the slot, so Runs and Faults survive redeploys like
-	// hook.Link stats do.
-	priorRuns   uint64
-	priorFaults uint64
+	// att is where the deployment is installed, chosen once at install.
+	att attachment
+	// seen is the deployment's fault count at the watchdog's last scan.
+	seen uint64
 }
 
-// Label names the running program (or userspace policy) generation.
-func (l *AppLink) Label() string {
-	if l.link != nil {
-		return l.link.Label()
-	}
-	if l.prog != nil {
-		return l.prog.Name()
-	}
-	return ""
+// attachment is where a deployment is installed: the hook points it owns
+// (points) or a slot in a device-wide hook's isolation dispatcher (slot).
+type attachment interface {
+	// program is the generation now installed; nil for a userspace policy.
+	program() *ebpf.Program
+	label() string
+	// stats are the deployment's runs and faults over every generation it
+	// installed.
+	stats() (runs, faults uint64)
+	target() string
+	// close uninstalls it; the layer falls back to its default path.
+	close()
 }
 
-// Runs reports how many times this deployment's program ran. For
-// dispatcher slots the tail-called program counts its own runs, so the
-// number is per-tenant even though the hook point belongs to the root.
-func (l *AppLink) Runs() uint64 {
-	if l.link != nil {
-		return l.link.Stats().Runs
-	}
-	if l.prog != nil {
-		return l.priorRuns + l.prog.Stats().Runs
-	}
-	return l.priorRuns
-}
+// Program is the program now installed, or nil for a userspace thread
+// policy.
+func (l *AppLink) Program() *ebpf.Program { return l.att.program() }
 
-// program is the program generation now installed, or nil for a
-// userspace policy.
-func (l *AppLink) program() *ebpf.Program {
-	if l.link != nil {
-		return l.link.Program()
-	}
-	return l.prog
-}
-
-// Faults reports runtime faults attributed to this deployment. Direct
-// links read the hook point's per-link fault count; dispatcher slots read
-// the tail-called program's own fault counter (the VM charges a runtime
-// error to the program whose instruction faulted), so the number is
-// per-tenant even though the hook point belongs to the root.
-func (l *AppLink) Faults() uint64 {
-	if l.link != nil {
-		return l.link.Stats().Faults
-	}
-	if l.prog != nil {
-		return l.priorFaults + l.prog.Stats().Faults
-	}
-	return l.priorFaults
-}
-
-// detach tears the deployment down: direct links detach from their hook
-// point; dispatcher slots are cleared (the root then PASSes the tenant's
-// packets to the default path).
-func (l *AppLink) detach() {
-	if l.link != nil {
-		l.link.Detach()
+// Close tears the deployment down — the layer falls back to its default
+// path and a dispatcher slot is freed for the next install — and drops it
+// from Links. Closing a closed deployment does nothing.
+func (l *AppLink) Close() {
+	links := l.app.links
+	i := slices.Index(links, l)
+	if i < 0 {
 		return
 	}
-	if l.disp != nil {
-		l.disp.remove(l.app)
-	}
+	// A fresh array: a caller ranging over the old one while closing sees
+	// every deployment once.
+	l.app.links = append(links[:i:i], links[i+1:]...)
+	l.att.close()
 }
 
-// recordDirect upserts the app's AppLink for a direct hook-point
-// attachment. Redeploys go through hook.Link.Replace and keep the link
-// identity, so the existing record just tracks the current link.
-func (app *App) recordDirect(hk Hook, pt *hook.Point) {
-	for _, al := range app.links {
-		if al.Target == pt.Name() {
-			al.link = pt.Link()
-			return
+// link is the app's live deployment at hk, or nil.
+func (app *App) link(hk Hook) *AppLink {
+	for _, l := range app.links {
+		if l.Hook == hk {
+			return l
 		}
 	}
-	app.links = append(app.links, &AppLink{
-		App: app.ID, Hook: hk, Target: pt.Name(), app: app, link: pt.Link(),
-	})
+	return nil
 }
 
-// recordSlot upserts the app's AppLink for a dispatcher-slot deployment.
-func (app *App) recordSlot(hk Hook, target string, disp *dispatcher, slot uint32, prog *ebpf.Program) {
-	for _, al := range app.links {
-		if al.disp == disp {
-			if al.prog != nil && al.prog != prog {
-				st := al.prog.Stats()
-				al.priorRuns += st.Runs
-				al.priorFaults += st.Faults
-			}
-			al.prog, al.slot = prog, slot
-			return
-		}
+// add records a new deployment of app at hk.
+func (app *App) add(hk Hook, att attachment) *AppLink {
+	l := &AppLink{App: app.ID, Hook: hk, app: app, att: att}
+	app.links = append(app.links, l)
+	return l
+}
+
+// points is a deployment that owns hook points — Socket Select's
+// reuseport groups, one per port the app claims; the storage submit hook;
+// a ghOSt agent's thread hook — through one hook.Link each. A link counts
+// its runs across Replace, so the deployment's are the sum.
+type points []*hook.Link
+
+func (p points) program() *ebpf.Program { return p[0].Program() }
+func (p points) label() string          { return p[0].Label() }
+
+func (p points) stats() (runs, faults uint64) {
+	for _, l := range p {
+		st := l.Stats()
+		runs, faults = runs+st.Runs, faults+st.Faults
 	}
-	app.links = append(app.links, &AppLink{
-		App: app.ID, Hook: hk, Target: target, app: app,
-		disp: disp, slot: slot, prog: prog,
-	})
+	return runs, faults
 }
 
-// LinkInfo is the wire form of one live attachment (HostSnapshot.Links).
+func (p points) target() string {
+	s := p[0].Point().Name()
+	for _, l := range p[1:] {
+		s += "," + l.Point().Name()
+	}
+	return s
+}
+
+func (p points) close() {
+	for _, l := range p {
+		l.Detach()
+	}
+}
+
+// LinkInfo is the wire form of one deployment (HostSnapshot.Links).
 type LinkInfo struct {
 	App     uint32 `json:"app"`
 	Hook    string `json:"hook"`
@@ -140,73 +118,81 @@ type LinkInfo struct {
 	Faults  uint64 `json:"faults"`
 	// Insns and Hits describe the program generation now installed: the
 	// instructions it executed and how often each slot ran (Σ Hits =
-	// Insns). Runs spans every generation the link held. One app's Socket
-	// Select ports share one program, so each of those links reports its
-	// totals. A userspace policy has neither.
+	// Insns). Runs spans every generation the deployment held. A userspace
+	// policy has neither.
 	Insns uint64   `json:"insns"`
 	Hits  []uint64 `json:"hits,omitempty"`
-	// Quarantined marks a deployment detached by the fault watchdog; the
-	// layer serves kernel defaults until an operator unquarantines.
+	// Quarantined marks a deployment the fault watchdog closed; the layer
+	// serves kernel defaults until an operator unquarantines.
 	Quarantined bool `json:"quarantined,omitempty"`
 }
 
-// Links enumerates every live deployment across all apps, ordered by app
-// id then deployment order (deterministic for tests and tooling). It is the
-// one listing of a host's deployments, which the snapshot op carries.
+func (l *AppLink) info(quarantined bool) LinkInfo {
+	runs, faults := l.att.stats()
+	li := LinkInfo{
+		App: l.App, Hook: string(l.Hook), Target: l.att.target(), Program: l.att.label(),
+		Runs: runs, Faults: faults, Quarantined: quarantined,
+	}
+	if prog := l.Program(); prog != nil {
+		li.Insns, li.Hits = prog.Stats().InsnsExecuted, prog.Hits()
+	}
+	return li
+}
+
+// Links enumerates every deployment, one per (app, hook): by app id, each
+// app's live deployments in deployment order and then its quarantined
+// ones in hook order (deterministic for tests and tooling). It is the one
+// listing of a host's deployments, which the snapshot op carries.
 func (d *Daemon) Links() []LinkInfo {
 	var out []LinkInfo
 	for _, app := range d.appsByID() {
-		for _, al := range app.links {
-			li := LinkInfo{
-				App: al.App, Hook: string(al.Hook), Target: al.Target,
-				Program: al.Label(), Runs: al.Runs(), Faults: al.Faults(),
-				Quarantined: app.quarantined[al.Hook],
+		for _, l := range app.links {
+			out = append(out, l.info(false))
+		}
+		if len(app.quarantined) == 0 {
+			continue
+		}
+		for _, hi := range hook.Hooks() {
+			if l := app.quarantined[hi.Kind]; l != nil {
+				out = append(out, l.info(true))
 			}
-			if prog := al.program(); prog != nil {
-				li.Insns, li.Hits = prog.Stats().InsnsExecuted, prog.Hits()
-			}
-			out = append(out, li)
 		}
 	}
 	return out
 }
 
-// DetachApp detaches the app's deployments at one hook only, leaving
-// maps, other hooks, and the ghOSt agent untouched: the layer falls back
-// to its kernel default and the app may redeploy immediately (unlike
-// Quarantine, nothing is barred). The cluster control plane uses this to
-// roll an aborted canary deployment back when no previous release exists.
+// DetachApp closes the app's deployment at one hook only, leaving maps,
+// other hooks, and the ghOSt agent untouched: the layer falls back to its
+// kernel default and the app may redeploy immediately (unlike Quarantine,
+// nothing is barred). The cluster control plane uses this to roll an
+// aborted canary deployment back when no previous release exists.
 func (d *Daemon) DetachApp(id uint32, hk Hook) error {
 	app, ok := d.apps[id]
 	if !ok {
 		return fmt.Errorf("syrupd: unknown app %d", id)
 	}
-	for _, al := range app.links {
-		if al.Hook == hk {
-			al.detach()
-		}
+	if l := app.link(hk); l != nil {
+		l.Close()
 	}
 	return nil
 }
 
-// RevokeApp tears down every one of the app's deployments across all
-// layers: direct links detach (the layer falls back to its default —
-// hash reuseport, LBA striping, an idle enclave) and dispatcher slots
-// clear (the root dispatcher PASSes the app's packets to RSS). The
-// app's pinned maps are unlinked from the sysfs namespace and its ghOSt
-// agent is quiesced — a revoked app must leave nothing reachable or
-// running, not just empty hook slots. The app stays registered; it can
-// redeploy later (the enclave is reused, maps are re-created and
-// re-pinned fresh).
+// RevokeApp closes every one of the app's deployments across all layers:
+// direct links detach (the layer falls back to its default — hash
+// reuseport, LBA striping, an idle enclave) and dispatcher slots clear
+// (the root dispatcher PASSes the app's packets to RSS). The app's pinned
+// maps are unlinked from the sysfs namespace and its ghOSt agent is
+// quiesced — a revoked app must leave nothing reachable or running, not
+// just empty hook slots. The app stays registered; it can redeploy later
+// (the enclave is reused, maps are re-created and re-pinned fresh).
 func (d *Daemon) RevokeApp(id uint32) error {
 	app, ok := d.apps[id]
 	if !ok {
 		return fmt.Errorf("syrupd: unknown app %d", id)
 	}
-	for _, al := range app.links {
-		al.detach()
+	for _, l := range app.links {
+		l.Close()
 	}
-	app.links = nil
 	// Unpin everything under the app's pin directory. Unpin is owner-only,
 	// so the call is made as the app's UID; the paths came from our own
 	// Pin calls, so failures are daemon bugs.

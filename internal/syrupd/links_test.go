@@ -1,6 +1,7 @@
 package syrupd
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -279,5 +280,114 @@ func TestLinksCountInstructions(t *testing.T) {
 	}
 	if resp := srv.Handle(&Request{Op: "profile"}); resp.OK || !strings.Contains(resp.Error, "unknown op") {
 		t.Fatalf("profile op: %+v, want unknown op", resp)
+	}
+}
+
+// TestDeploymentFormsAgree: a deployment reads the same whether it owns a
+// hook point (Socket Select) or a dispatcher slot (xdp_skb). Deploy at
+// both, send 3 datagrams, detach both, redeploy, send 3 more: both rows
+// report 3 runs, the detached deployments were no longer listed, and the
+// slot row's target names the slot the dispatcher maps the app's port to.
+// A Socket Select deployment over three ports is one row whose
+// instructions are its program's, so Σ Insns over the rows is Σ
+// InsnsExecuted over the programs deployed.
+func TestDeploymentFormsAgree(t *testing.T) {
+	h := newHost(t, 1, 0)
+	h.d.RegisterApp(1, 1000, 9000)
+	h.stack.NewUDPSocket(9000, 1, "w0")
+	h.stack.NewUDPSocket(9000, 1, "w1")
+	hooks := []Hook{HookSocketSelect, HookXDPSkb}
+	deploy := func() {
+		for _, hk := range hooks {
+			if _, err := h.d.DeployPolicy(1, hk, "r0 = PASS\nexit\n", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			h.dev.Receive(pkt(uint64(i), uint16(1000+i), 9000, nil))
+		}
+		h.Eng.Run()
+	}
+	deploy()
+	for _, hk := range hooks {
+		if err := h.d.DetachApp(1, hk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if links := h.d.Links(); len(links) != 0 {
+		t.Errorf("detached deployments still listed: %+v", links)
+	}
+	deploy()
+	links := h.d.Links()
+	if len(links) != 2 {
+		t.Fatalf("links = %+v, want one per hook", links)
+	}
+	for _, l := range links {
+		if l.Runs != 3 {
+			t.Errorf("%s row reports %d runs, want 3: %+v", l.Hook, l.Runs, links)
+		}
+	}
+	slot, ok := h.d.dispatch[HookXDPSkb].portMap.LookupUint64(9000)
+	if want := fmt.Sprintf("xdp[slot %d]", slot); !ok || links[1].Target != want {
+		t.Errorf("slot row target %q, want %q", links[1].Target, want)
+	}
+
+	h = newHost(t, 1, 0)
+	ports := []uint16{9000, 9001, 9002}
+	h.d.RegisterApp(2, 1000, ports...)
+	for _, p := range ports {
+		h.stack.NewUDPSocket(p, 2, "w")
+	}
+	dep, err := h.d.DeployPolicy(2, HookSocketSelect, "r0 = 0\nexit\n", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		h.dev.Receive(pkt(uint64(i), 1000, ports[i%len(ports)], nil))
+	}
+	h.Eng.Run()
+	links = h.d.Links()
+	if len(links) != 1 || links[0].Runs != 4 {
+		t.Errorf("three-port deployment lists %+v, want one row with 4 runs", links)
+	}
+	var insns uint64
+	for _, l := range links {
+		insns += l.Insns
+	}
+	if want := dep.Program().Stats().InsnsExecuted; insns != want || want != 8 {
+		t.Fatalf("Σ Insns over rows = %d, program executed %d (want 8)", insns, want)
+	}
+}
+
+// TestDispatcherSlotsAreReused: a closed deployment gives its dispatcher
+// slot back. Tenant A deploys and is revoked at xdp_skb 100 times beside
+// tenant B, whose every datagram keeps reaching B's slot program; then a
+// third tenant still finds a slot.
+func TestDispatcherSlotsAreReused(t *testing.T) {
+	h := newHost(t, 1, 0)
+	for app := uint32(1); app <= 3; app++ {
+		port := uint16(8999 + app)
+		h.d.RegisterApp(app, 1000+app, port)
+		h.stack.NewUDPSocket(port, app, "w")
+	}
+	if _, err := h.d.DeployPolicy(2, HookXDPSkb, countXDP, nil); err != nil {
+		t.Fatal(err)
+	}
+	seen := h.d.App(2).Maps()["xdp_seen"]
+	for i := 0; i < 100; i++ {
+		if _, err := h.d.DeployPolicy(1, HookXDPSkb, "r0 = PASS\nexit\n", nil); err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		if err := h.d.RevokeApp(1); err != nil {
+			t.Fatal(err)
+		}
+		h.dev.Receive(pkt(uint64(i), 1000, 9001, nil))
+		h.Eng.Run()
+		if got, _ := seen.LookupUint64(0); got != uint64(i+1) {
+			t.Fatalf("cycle %d: B's slot program counted %d datagrams, want %d", i, got, i+1)
+		}
+	}
+	if _, err := h.d.DeployPolicy(3, HookXDPSkb, "r0 = PASS\nexit\n", nil); err != nil {
+		t.Fatalf("third tenant after 100 cycles: %v", err)
 	}
 }

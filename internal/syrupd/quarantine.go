@@ -4,11 +4,11 @@ package syrupd
 // operational conclusion): a policy that keeps faulting at runtime is
 // worse than no policy, because every fault burns hook cost for a
 // fall-open verdict. The quarantine watchdog samples each deployment's
-// fault counters on a fixed window; a link that accumulates Threshold or
-// more faults inside one window is detached — the layer serves its
-// kernel default (RSS, hash reuseport, CFS-idle enclave) — and the app
-// is barred from redeploying at that hook until an operator
-// unquarantines it.
+// fault count on a fixed window; a deployment that accumulates Threshold
+// or more faults inside one window is closed — the layer serves its
+// kernel default (RSS, hash reuseport, CFS-idle enclave) — and stays
+// listed as quarantined, barring the app from redeploying at that hook
+// until an operator unquarantines it.
 
 import (
 	"fmt"
@@ -40,8 +40,6 @@ type watchdog struct {
 	d      *Daemon
 	cfg    QuarantineConfig
 	ticker *sim.Ticker
-	// last holds each deployment's fault counter at the previous scan.
-	last map[*AppLink]uint64
 }
 
 // EnableQuarantine arms (or re-arms with a new config) the fault
@@ -52,43 +50,34 @@ func (d *Daemon) EnableQuarantine(cfg QuarantineConfig) {
 	if d.watchdog != nil {
 		d.watchdog.ticker.Stop()
 	}
-	w := &watchdog{d: d, cfg: cfg, last: make(map[*AppLink]uint64)}
+	w := &watchdog{d: d, cfg: cfg}
 	w.ticker = d.host.Eng.NewTicker(cfg.Window, w.scan)
 	d.watchdog = w
 }
 
-// scan walks every deployment in deterministic order and quarantines any
-// whose fault counter grew by at least Threshold since the last scan.
+// scan walks every live deployment in deterministic order and
+// quarantines any whose fault count grew by at least Threshold since the
+// last scan. A deployment's count only grows, so the baseline it keeps
+// (AppLink.seen) starts at zero and never runs ahead of it.
 func (w *watchdog) scan() {
 	for _, app := range w.d.appsByID() {
-		for _, al := range app.links {
-			f := al.Faults()
-			last := w.last[al]
-			if f < last {
-				// The link was replaced (revoke + redeploy resets a direct
-				// link's stats); restart the window from zero.
-				last = 0
-			}
-			w.last[al] = f
-			if app.quarantined[al.Hook] {
-				continue
-			}
-			if f-last >= w.cfg.Threshold {
-				w.d.quarantineHook(app, al.Hook, al.Target, al.Label(), f-last)
+		for _, l := range app.links {
+			_, f := l.att.stats()
+			grew := f - l.seen
+			l.seen = f
+			if grew >= w.cfg.Threshold {
+				w.d.quarantine(l, grew)
 			}
 		}
 	}
 }
 
-// quarantineHook is the watchdog's quarantine path: detach every
-// deployment at hk, bar redeploys, count, and mark the trace.
-func (d *Daemon) quarantineHook(app *App, hk Hook, target, label string, faultsInWindow uint64) {
-	for _, l := range app.links {
-		if l.Hook == hk {
-			l.detach()
-		}
-	}
-	app.quarantined[hk] = true
+// quarantine is the watchdog's teardown: close the deployment, keep it
+// listed as quarantined (which bars redeploys at its hook), count, and
+// mark the trace.
+func (d *Daemon) quarantine(l *AppLink, faultsInWindow uint64) {
+	l.Close()
+	l.app.quarantined[l.Hook] = l
 	d.quarantines++
 	if tr := d.host.Tracer; tr.Enabled() {
 		// Error-tagged instant span: the operator's trace shows exactly
@@ -97,7 +86,7 @@ func (d *Daemon) quarantineHook(app *App, hk Hook, target, label string, faultsI
 		now := d.host.Eng.Now()
 		tr.Record(trace.Span{
 			Start: now, End: now, Stage: trace.StageHook,
-			Hook: target, Policy: label,
+			Hook: l.att.target(), Policy: l.att.label(),
 			Verdict: trace.VerdictFault, Err: true, Instant: true,
 			Executor: uint32(faultsInWindow),
 		})
@@ -112,18 +101,9 @@ func (d *Daemon) Unquarantine(appID uint32, hk Hook) error {
 	if !ok {
 		return fmt.Errorf("syrupd: unknown app %d", appID)
 	}
-	if !app.quarantined[hk] {
+	if app.quarantined[hk] == nil {
 		return fmt.Errorf("syrupd: app %d is not quarantined at %s", appID, hk)
 	}
 	delete(app.quarantined, hk)
-	// Reset the watchdog baseline so faults from before the quarantine
-	// don't instantly re-trip it.
-	if d.watchdog != nil {
-		for _, al := range app.links {
-			if al.Hook == hk {
-				d.watchdog.last[al] = al.Faults()
-			}
-		}
-	}
 	return nil
 }

@@ -110,10 +110,10 @@ func TestRevokedPolicyNeverRuns(t *testing.T) {
 	}
 	h.Eng.Run()
 
-	if runs := sel.Program.Stats().Runs; runs != 0 {
+	if runs := sel.Program().Stats().Runs; runs != 0 {
 		t.Fatalf("revoked socket-select policy ran %d times", runs)
 	}
-	if runs := xdp.Program.Stats().Runs; runs != 0 {
+	if runs := xdp.Program().Stats().Runs; runs != 0 {
 		t.Fatalf("revoked XDP policy ran %d times", runs)
 	}
 	// Neither dropped by the dead XDP policy nor steered: default path.
@@ -241,5 +241,5 @@ func (idlePolicy) Schedule(sim.Time, []*kernel.Thread, []ghost.CPUView) []ghost.
 // Quarantined reports whether the app is quarantined at hk.
 func (d *Daemon) Quarantined(appID uint32, hk Hook) bool {
 	app, ok := d.apps[appID]
-	return ok && app.quarantined[hk]
+	return ok && app.quarantined[hk] != nil
 }

@@ -182,11 +182,11 @@ func (s *Server) Handle(req *Request) Response {
 		if src == "" {
 			return errResp(fmt.Errorf("syrupd: deploy needs policy or source"))
 		}
-		res, err := s.d.DeployPolicy(req.App, hook, src, req.Defines)
+		l, err := s.d.DeployPolicy(req.App, hook, src, req.Defines)
 		if err != nil {
 			return errResp(err)
 		}
-		return Response{OK: true, Instructions: res.Program.Len(), SourceLines: res.SourceLines}
+		return Response{OK: true, Instructions: l.Program().Len(), SourceLines: l.SourceLines}
 	case "revoke_app":
 		if err := s.d.RevokeApp(req.App); err != nil {
 			return errResp(err)

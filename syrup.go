@@ -291,29 +291,18 @@ func (a *App) Links() []syrupd.LinkInfo {
 	return out
 }
 
-// Deployment describes a deployed policy.
-type Deployment struct {
-	// Program is the verified program now running at the hook.
-	Program *ebpf.Program
-	// Maps are the policy's named maps, shared with earlier deployments.
-	Maps map[string]*ebpf.Map
-	// SourceLines is the policy file's LoC (the paper's Table-2 metric).
-	SourceLines int
-}
-
 // DeployPolicy is syr_deploy_policy: compile the .syr source, verify it,
 // and install it at hook. defines inject deploy-time constants (e.g.
-// NUM_THREADS), overriding the file's .const defaults.
-func (a *App) DeployPolicy(source string, hook Hook, defines map[string]int64) (*Deployment, error) {
-	res, err := a.host.Daemon.DeployPolicy(a.id, hook, source, defines)
-	if err != nil {
-		return nil, err
-	}
-	return &Deployment{Program: res.Program, Maps: res.Maps, SourceLines: res.SourceLines}, nil
+// NUM_THREADS), overriding the file's .const defaults. It returns the
+// app's deployment at hook: the installed program, its maps and its LoC
+// (Table 2). A redeploy live-replaces the program and returns the same
+// deployment; Close tears it down.
+func (a *App) DeployPolicy(source string, hook Hook, defines map[string]int64) (*syrupd.AppLink, error) {
+	return a.host.Daemon.DeployPolicy(a.id, hook, source, defines)
 }
 
 // DeployPolicyFile reads a .syr file from disk and deploys it.
-func (a *App) DeployPolicyFile(path string, hook Hook, defines map[string]int64) (*Deployment, error) {
+func (a *App) DeployPolicyFile(path string, hook Hook, defines map[string]int64) (*syrupd.AppLink, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -323,12 +312,8 @@ func (a *App) DeployPolicyFile(path string, hook Hook, defines map[string]int64)
 
 // DeployBuiltin deploys one of the library policies by name (see
 // BuiltinPolicies).
-func (a *App) DeployBuiltin(name string, hook Hook, defines map[string]int64) (*Deployment, error) {
-	res, err := a.host.Daemon.DeployBuiltin(a.id, hook, name, defines)
-	if err != nil {
-		return nil, err
-	}
-	return &Deployment{Program: res.Program, Maps: res.Maps, SourceLines: res.SourceLines}, nil
+func (a *App) DeployBuiltin(name string, hook Hook, defines map[string]int64) (*syrupd.AppLink, error) {
+	return a.host.Daemon.DeployBuiltin(a.id, hook, name, defines)
 }
 
 // DeployThreadPolicy installs a userspace thread-scheduling policy via the

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check bench bench-cluster bench-dispatch bench-engine bench-obs fuzz clean
+.PHONY: build test vet race check check-benchmark bench bench-cluster bench-dispatch bench-engine bench-obs fuzz clean
 
 build:
 	$(GO) build ./...
@@ -35,10 +35,18 @@ race:
 	$(GO) test -race $$($(GO) list ./... | grep -v /internal/experiments)
 	$(GO) test -race ./internal/experiments -run '^(TestClusterWorkersDifferential|TestClusterMicaWorkersDifferential|TestSweepPreservesOrderAndParallelizes|TestWorkersReachTheSweep|TestAdaptDifferentialOff|TestAdaptiveDeterminism)$$'
 
+# The benchmark is a module of its own (benchmark/go.mod, `replace syrup
+# => ../`), so ./... does not reach it, yet it calls the program's APIs
+# directly: the sampler and its store, the controller, the deploy path.
+# Vet builds it; its test runs every workload's probes once
+# (TestWorkloadsEmitTheManifest).
+check-benchmark:
+	cd benchmark && GOFLAGS=-mod=mod $(GO) vet . && GOFLAGS=-mod=mod $(GO) test .
+
 # check is the PR gate. Every differential, determinism, chaos and
 # zero-alloc test is a plain test of its package, so race and test run
 # them all; DESIGN.md names each one with its go test command.
-check: build vet race test
+check: build vet race test check-benchmark
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

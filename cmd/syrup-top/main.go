@@ -179,13 +179,13 @@ func lastMax(series []obs.SeriesJSON, suffix string) float64 {
 
 var sparkRunes = []rune("▁▂▃▄▅▆▇█")
 
-// sparkline renders the tail of a value series as unicode block bars,
-// scaled to the window's min..max (see bar).
+// sparkline renders the tail of a series' paired points as unicode block
+// bars, scaled to the window's min..max (see bar).
 func sparkline(series []obs.SeriesJSON, name string, width int) string {
 	var v []float64
 	for _, s := range series {
 		if s.Name == name {
-			v = s.V
+			v = s.V[:s.Len()]
 			break
 		}
 	}

@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -141,6 +143,72 @@ func TestRenderHostileSnapshot(t *testing.T) {
 	if n := strings.Count(b.String(), "  ▁█\n"); n != 2 {
 		t.Errorf("extreme window: %d of the host and FLEET rows end in the lowest and highest bar, want 2:\n%s", n, b.String())
 	}
+}
+
+// TestRenderTornSnapshot: a series whose timestamps outnumber its values
+// (or the reverse) reads as its paired points in the merged view, in the
+// SLOs over it (plain and ratio) and in a fleet merge recomputed from the
+// hosts, sorted or not — each used to index past the shorter array.
+func TestRenderTornSnapshot(t *testing.T) {
+	path := filepath.Join("testdata", "torn.json")
+	var b strings.Builder
+	err := run([]string{"-snapshot", path, "-slo", "x:p99:100:0.5", "-slo", "r:p99/rps:0.5:0.5", "-slo-short-ms", "1", "-slo-long-ms", "1"}, &b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"x short=2.00x long=2.00x n=1 BURNING", "r short=0.00x long=0.00x n=1 ok"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("missing %q in:\n%s", want, b.String())
+		}
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap cluster.FleetSnapshot
+	if err := json.Unmarshal(blob, &snap); err != nil {
+		t.Fatal(err)
+	}
+	fleet := cluster.NewFleetSnapshot(snap.Hosts)
+	want := []obs.SeriesJSON{
+		{Name: "p99", T: []int64{10, 20, 30}, V: []float64{550, 60, 70}},
+		{Name: "rps", T: []int64{10, 20, 30}, V: []float64{800, 200, 1200}},
+	}
+	if !reflect.DeepEqual(fleet.Merged, want) {
+		t.Errorf("merge of the torn hosts = %v, want %v", fleet.Merged, want)
+	}
+}
+
+// FuzzRender: no recording, however hostile, panics syrup-top's path from
+// bytes to screen — decoding, re-merging the hosts, a plain and a ratio
+// objective over the merged view, and the render.
+func FuzzRender(f *testing.F) {
+	seeds, err := filepath.Glob(filepath.Join("testdata", "*.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range seeds {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	slos := []obs.SLO{
+		{Name: "plain", Series: "p99", Target: 100, Budget: 0.5, Short: 10, Long: 1e9},
+		{Name: "ratio", Series: "drop_rate", Denom: "rps", Target: 0.01, Budget: 0.5, Short: 10, Long: 1e9},
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		var snap cluster.FleetSnapshot
+		if json.Unmarshal(blob, &snap) != nil {
+			return
+		}
+		snap.EvaluateSLOs(slos)
+		render(io.Discard, &snap, 5, 24)
+		fleet := cluster.NewFleetSnapshot(snap.Hosts)
+		fleet.EvaluateSLOs(slos)
+		render(io.Discard, fleet, 5, 24)
+	})
 }
 
 // TestHotPCOfANeverRunDeployment: a real deployment that has not run yet

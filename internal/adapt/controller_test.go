@@ -37,31 +37,45 @@ func burnRule() Config {
 	}
 }
 
-// driveP99 appends one p99 sample every 100ns whose value is bad inside
-// [badFrom, badTo).
-func driveP99(eng *sim.Engine, st *obs.Store, badFrom, badTo, until sim.Time) {
-	s := st.Series("p99")
+// scripted returns a sampler whose ticks the test schedules itself.
+func scripted() *obs.Sampler { return obs.NewSampler(obs.Config{Period: 100}) }
+
+// tickEvery schedules one sampler tick every 100ns from 50 until until,
+// landing between the controller's ticks.
+func tickEvery(eng *sim.Engine, sa *obs.Sampler, until sim.Time) {
 	for t := sim.Time(50); t < until; t += 100 {
 		at := t
-		eng.CallAt(at, func(any, uint64) {
-			v := 50.0
-			if at >= badFrom && at < badTo {
-				v = 500
-			}
-			s.Append(at, v)
-		}, nil, 0)
+		eng.CallAt(at, func(any, uint64) { sa.Sample(at) }, nil, 0)
 	}
+}
+
+// phased registers a gauge that reads hi inside [from, to) of eng's clock
+// and lo elsewhere.
+func phased(eng *sim.Engine, sa *obs.Sampler, name string, from, to sim.Time, hi, lo float64) {
+	sa.Gauge(name, func() float64 {
+		if now := eng.Now(); now >= from && now < to {
+			return hi
+		}
+		return lo
+	})
+}
+
+// driveP99 records one p99 sample every 100ns whose value is bad inside
+// [badFrom, badTo).
+func driveP99(eng *sim.Engine, sa *obs.Sampler, badFrom, badTo, until sim.Time) {
+	phased(eng, sa, "p99", badFrom, badTo, 500, 50)
+	tickEvery(eng, sa, until)
 }
 
 func TestControllerFireAndClear(t *testing.T) {
 	eng := sim.New(1)
-	st := obs.NewStore(256)
+	sa := scripted()
 	act := &fakeAct{}
-	c, err := New(eng, st, act, burnRule())
+	c, err := New(eng, sa.Store(), act, burnRule())
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveP99(eng, st, 2000, 4000, 10_000)
+	driveP99(eng, sa, 2000, 4000, 10_000)
 	eng.RunUntil(10_000)
 
 	if len(act.calls) != 2 {
@@ -98,12 +112,12 @@ func TestControllerFireAndClear(t *testing.T) {
 func TestControllerDeterminism(t *testing.T) {
 	run := func() []Decision {
 		eng := sim.New(7)
-		st := obs.NewStore(256)
-		c, err := New(eng, st, &fakeAct{}, burnRule())
+		sa := scripted()
+		c, err := New(eng, sa.Store(), &fakeAct{}, burnRule())
 		if err != nil {
 			t.Fatal(err)
 		}
-		driveP99(eng, st, 2000, 4000, 10_000)
+		driveP99(eng, sa, 2000, 4000, 10_000)
 		eng.RunUntil(10_000)
 		return c.History()
 	}
@@ -117,9 +131,8 @@ func TestControllerDeterminism(t *testing.T) {
 // nor clears; the controller does nothing all run.
 func TestControllerNoDataFreezes(t *testing.T) {
 	eng := sim.New(1)
-	st := obs.NewStore(256)
 	act := &fakeAct{}
-	c, err := New(eng, st, act, burnRule()) // series "p99" never created
+	c, err := New(eng, scripted().Store(), act, burnRule()) // series "p99" never created
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +149,13 @@ func TestControllerNoDataFreezes(t *testing.T) {
 // error and the rule retries after the cooldown.
 func TestControllerActionError(t *testing.T) {
 	eng := sim.New(1)
-	st := obs.NewStore(256)
+	sa := scripted()
 	act := &fakeAct{fail: fmt.Errorf("quarantined")}
-	c, err := New(eng, st, act, burnRule())
+	c, err := New(eng, sa.Store(), act, burnRule())
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveP99(eng, st, 1000, 5000, 5000)
+	driveP99(eng, sa, 1000, 5000, 5000)
 	eng.RunUntil(5000)
 	h := c.History()
 	if len(h) == 0 || h[0].Err == "" {
@@ -155,7 +168,7 @@ func TestControllerActionError(t *testing.T) {
 // burn (a zero budget) or never be evaluated.
 func TestConfigValidation(t *testing.T) {
 	eng := sim.New(1)
-	st := obs.NewStore(16)
+	st := scripted().Store()
 	swap := ActionSpec{App: 1, Hook: "h", Policy: "p"}
 	slo := obs.SLO{Name: "s", Series: "p99", Target: 100, Budget: 0.1, Short: 300, Long: 1000}
 	with := func(f func(*Rule)) Config {
@@ -194,26 +207,16 @@ func TestControllerClearDetector(t *testing.T) {
 	cfg := burnRule()
 	cfg.Rules[0].ClearDetect = &obs.SLO{Name: "overload", Series: "load", Target: 100, Budget: 0.5, Short: 300, Long: 1000}
 	eng := sim.New(1)
-	st := obs.NewStore(256)
+	sa := scripted()
 	act := &fakeAct{}
-	c, err := New(eng, st, act, cfg)
+	c, err := New(eng, sa.Store(), act, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// p99 goes bad at 2000 and recovers at 4000 (the shed "worked"), but
 	// the offered-load signal stays hot until 7000.
-	driveP99(eng, st, 2000, 4000, 10_000)
-	load := st.Series("load")
-	for ti := sim.Time(50); ti < 10_000; ti += 100 {
-		at := ti
-		eng.CallAt(at, func(any, uint64) {
-			v := 500.0
-			if at >= 7000 {
-				v = 50
-			}
-			load.Append(at, v)
-		}, nil, 0)
-	}
+	phased(eng, sa, "load", 0, 7000, 500, 50)
+	driveP99(eng, sa, 2000, 4000, 10_000)
 	eng.RunUntil(10_000)
 
 	if len(act.calls) != 2 {
@@ -238,7 +241,7 @@ func TestControllerClearDetector(t *testing.T) {
 func TestControllerClearDetectorValidation(t *testing.T) {
 	cfg := burnRule()
 	cfg.Rules[0].ClearDetect = &obs.SLO{Name: "overload", Target: 100, Budget: 0.5, Short: 300, Long: 1000}
-	if _, err := New(sim.New(1), obs.NewStore(16), &fakeAct{}, cfg); err == nil {
+	if _, err := New(sim.New(1), scripted().Store(), &fakeAct{}, cfg); err == nil {
 		t.Fatal("controller accepted a clear objective with no series")
 	}
 }
@@ -247,9 +250,10 @@ func TestControllerClearDetectorValidation(t *testing.T) {
 // its decision: rendered from the burn rates only when the rule acts.
 func TestVerdictDetail(t *testing.T) {
 	eng := sim.New(1)
-	st := obs.NewStore(16)
-	st.Series("p99").Append(100, 500)
-	c, err := New(eng, st, &fakeAct{}, Config{Period: 100, Rules: []Rule{{
+	sa := scripted()
+	sa.Gauge("p99", func() float64 { return 500 })
+	sa.Sample(100)
+	c, err := New(eng, sa.Store(), &fakeAct{}, Config{Period: 100, Rules: []Rule{{
 		Name:   "s",
 		Detect: obs.SLO{Name: "s", Series: "p99", Target: 100, Budget: 0.5, Short: 50, Long: 100},
 		OnFire: ActionSpec{App: 1, Hook: "h", Policy: "p"},
@@ -270,7 +274,7 @@ func TestVerdictDetail(t *testing.T) {
 // for formatting its evidence.
 func TestZeroAllocTick(t *testing.T) {
 	eng := sim.New(1)
-	st := obs.NewStore(256)
+	sa := scripted()
 	act := &fakeAct{}
 	swap := ActionSpec{App: 1, Hook: "socket-select", Policy: "shed"}
 	slo := obs.SLO{Name: "ls_p99", Series: "p99", Target: 100, Budget: 0.1, Short: 300, Long: 1000}
@@ -278,25 +282,33 @@ func TestZeroAllocTick(t *testing.T) {
 	hot.Target = 10
 	gone := slo
 	gone.Series = "nope"
+	// A ratio objective, read in place from two live rings, firing on
+	// every tick like hot.
+	drops := obs.SLO{Name: "drops", Series: "drops", Denom: "rps", Target: 1e-4, Budget: 0.1, Short: 300, Long: 1000}
 	cfg := Config{Period: 100, Rules: []Rule{
 		{Name: "burn", Detect: slo, OnFire: swap, ClearDetect: &slo},
 		// Fires on every tick, but never for the million ticks its
 		// debounce asks for.
 		{Name: "hot", Detect: hot, OnFire: swap, Sustain: 1 << 20},
 		{Name: "gone", Detect: gone, OnFire: swap},
+		{Name: "drops", Detect: drops, OnFire: swap, Sustain: 1 << 20},
 	}}
-	c, err := New(eng, st, act, cfg)
+	c, err := New(eng, sa.Store(), act, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p99 := st.Series("p99")
+	sa.Gauge("p99", func() float64 { return 50 })
+	sa.Gauge("drops", func() float64 { return 1 })
 	now := sim.Time(0)
 	step := func() {
 		now += 100
-		p99.Append(now-50, 50)
+		sa.Sample(now - 50)
 		eng.RunUntil(now)
 	}
 	for i := 0; i < 20; i++ {
+		if i == 5 {
+			sa.Gauge("rps", func() float64 { return 1000 })
+		}
 		step() // fill the burn windows
 	}
 	ticks := c.Status().Ticks
@@ -306,7 +318,7 @@ func TestZeroAllocTick(t *testing.T) {
 	if got := c.Status(); got.Ticks < ticks+200 || got.Decisions != 0 || len(act.calls) != 0 {
 		t.Fatalf("status = %+v calls = %v, want >=200 more ticks and no decision", got, act.calls)
 	}
-	if rs := c.Rules(); !rs[1].Firing {
-		t.Fatalf("hot rule = %+v, want firing (under its debounce)", rs[1])
+	if rs := c.Rules(); !rs[1].Firing || !rs[3].Firing {
+		t.Fatalf("hot and drops rules = %+v, %+v, want firing (under their debounce)", rs[1], rs[3])
 	}
 }

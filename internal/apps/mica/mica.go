@@ -49,17 +49,34 @@ func (m Mode) String() string {
 }
 
 // Partition is one thread's exclusive shard. Values in the simulation are
-// synthetic, so the store reduces to a presence bitset over the hashed key
-// space; EREW ownership (only the home thread ever touches a partition)
-// means no lock is needed.
+// synthetic, so the store reduces to a presence bitset over the keys the
+// partition can own. Thread t only ever sees keys k ≡ t (mod g), g =
+// gcd(KeySpace, NumThreads) (Server.keyStride), so bit k/g names each of
+// them once and a partition holds ceil(KeySpace/g) bits. EREW ownership
+// (only the home thread ever touches a partition) means no lock is needed.
 type Partition struct {
 	present []uint64
 
 	Gets, Puts, Misses uint64
 }
 
-func newPartition(keySpace int) *Partition {
-	return &Partition{present: make([]uint64, (keySpace+63)/64)}
+func newPartition(keys uint64) *Partition {
+	return &Partition{present: make([]uint64, (keys+63)/64)}
+}
+
+// op applies one request to the key at bit slot of the partition.
+func (p *Partition) op(slot uint64, reqType uint64) {
+	word, bit := slot>>6, uint64(1)<<(slot&63)
+	switch reqType {
+	case policy.ReqPUT:
+		p.present[word] |= bit
+		p.Puts++
+	default:
+		if p.present[word]&bit == 0 {
+			p.Misses++
+		}
+		p.Gets++
+	}
 }
 
 // Config describes a MICA deployment.
@@ -133,6 +150,10 @@ type Server struct {
 	eng        *sim.Engine
 	partitions []*Partition
 	threads    []*kernel.Thread
+	// keyStride is gcd(KeySpace, NumThreads). A key's home thread
+	// (hash mod NumThreads) and the key (hash mod KeySpace) agree mod it,
+	// so the keys of one partition are one residue class mod keyStride.
+	keyStride uint64
 
 	// xsks[i] lists thread i's AF_XDP sockets (8 per thread in SW mode —
 	// one per queue; 1 in HW/redirect modes).
@@ -154,10 +175,11 @@ func NewServer(eng *sim.Engine, m *kernel.Machine, stack *netstack.Stack, cfg Co
 	if cfg.NumThreads <= 0 || cfg.NumThreads > m.NumCPUs() {
 		panic("mica: NumThreads must be in 1..NumCPUs")
 	}
-	s := &Server{cfg: cfg, eng: eng}
+	s := &Server{cfg: cfg, eng: eng, keyStride: gcd(uint64(cfg.KeySpace), uint64(cfg.NumThreads))}
 	n := cfg.NumThreads
+	keys := (uint64(cfg.KeySpace) + s.keyStride - 1) / s.keyStride
 	for i := 0; i < n; i++ {
-		s.partitions = append(s.partitions, newPartition(cfg.KeySpace))
+		s.partitions = append(s.partitions, newPartition(keys))
 	}
 
 	// Socket topology per mode (paper §5.4):
@@ -342,19 +364,7 @@ func (w *worker) finishOp() {
 	s := w.s
 	// The real partition operation (EREW: only this thread touches
 	// partition `home`; redirect mode guarantees home == me here).
-	p := s.partitions[w.home]
-	key := uint64(w.keyHash) % uint64(s.cfg.KeySpace)
-	word, bit := key>>6, uint64(1)<<(key&63)
-	switch w.reqType {
-	case policy.ReqPUT:
-		p.present[word] |= bit
-		p.Puts++
-	default:
-		if p.present[word]&bit == 0 {
-			p.Misses++
-		}
-		p.Gets++
-	}
+	s.apply(w.home, w.keyHash, w.reqType)
 	pkt := w.pkt
 	w.pkt = nil
 	if s.cfg.OnComplete != nil {
@@ -362,6 +372,20 @@ func (w *worker) finishOp() {
 	}
 	pkt.Free()
 	w.loop()
+}
+
+// apply runs one request on partition home, whose thread owns the key.
+func (s *Server) apply(home int, keyHash uint32, reqType uint64) {
+	key := uint64(keyHash) % uint64(s.cfg.KeySpace)
+	s.partitions[home].op(key/s.keyStride, reqType)
+}
+
+// gcd is the greatest common divisor of a and b.
+func gcd(a, b uint64) uint64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // Partition exposes partition i (tests).

@@ -1,6 +1,7 @@
 package mica
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"syrup/internal/ebpf"
@@ -193,4 +194,59 @@ func KeyHash(key uint64) uint32 {
 		h *= 16777619
 	}
 	return h
+}
+
+// TestPartitionBitmapsMatchFullWidth: a partition's bitmap covers only the
+// keys its thread can own, indexed by key/gcd(KeySpace, NumThreads). Over
+// a random GET/PUT stream it counts the same Gets, Puts and Misses per
+// partition as a bitmap over the whole key space would — for a key space
+// the threads divide, one they do not (gcd 1) and one they share a factor
+// with.
+func TestPartitionBitmapsMatchFullWidth(t *testing.T) {
+	for _, c := range []struct{ keys, threads, stride int }{
+		{1 << 20, 8, 8},
+		{(1 << 20) / 3, 8, 1},
+		{1 << 18, 6, 2},
+	} {
+		eng := sim.New(1)
+		m := kernel.New(eng, kernel.Config{NumCPUs: c.threads})
+		_, stack := netstack.Wire(&hook.Host{Eng: eng}, nic.Config{Queues: c.threads}, netstack.Config{})
+		srv := NewServer(eng, m, stack, Config{Port: 9000, App: 1, NumThreads: c.threads, Mode: ModeSyrupSW, KeySpace: c.keys})
+		if want := (c.keys/c.stride + 63) / 64; len(srv.Partition(0).present) != want {
+			t.Errorf("K=%d N=%d: %d bitmap words, want %d", c.keys, c.threads, len(srv.Partition(0).present), want)
+		}
+
+		full := make([]Partition, c.threads)
+		for i := range full {
+			full[i].present = make([]uint64, (c.keys+63)/64)
+		}
+		r := rand.New(rand.NewPCG(uint64(c.keys), uint64(c.threads)))
+		pool := make([]uint32, 4096) // repeat hashes so GETs hit, and alias keys mod K
+		for i := range pool {
+			pool[i] = r.Uint32()
+			if i%3 == 0 {
+				pool[i] = pool[i/2] + uint32(c.keys)
+			}
+		}
+		for i := 0; i < 200_000; i++ {
+			h := pool[r.IntN(len(pool))]
+			reqType := uint64(policy.ReqGET)
+			if r.IntN(3) == 0 {
+				reqType = policy.ReqPUT
+			}
+			home := srv.homeOf(h)
+			srv.apply(home, h, reqType)
+			full[home].op(uint64(h)%uint64(c.keys), reqType)
+		}
+		for i := range full {
+			got, want := srv.Partition(i), &full[i]
+			if got.Gets != want.Gets || got.Puts != want.Puts || got.Misses != want.Misses {
+				t.Errorf("K=%d N=%d partition %d: gets/puts/misses %d/%d/%d, full width %d/%d/%d",
+					c.keys, c.threads, i, got.Gets, got.Puts, got.Misses, want.Gets, want.Puts, want.Misses)
+			}
+			if want.Misses == 0 || want.Misses == want.Gets {
+				t.Errorf("K=%d N=%d partition %d: %d misses of %d gets, want both hits and misses", c.keys, c.threads, i, want.Misses, want.Gets)
+			}
+		}
+	}
 }

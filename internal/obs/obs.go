@@ -16,71 +16,41 @@ import (
 	"syrup/internal/sim"
 )
 
-// Series is a fixed-capacity ring of (time, value) points. Once full, the
-// oldest point is overwritten: the store holds a sliding window of the
-// most recent capacity samples, which is all SLO windows and syrup-top
-// sparklines need.
+// Series is one metric's values over its store's clock: a fixed-capacity
+// ring of values, slot j holding the value at tick Store.clock[j]. It holds
+// every tick since it was registered, up to the ring's capacity — a sliding
+// window of the most recent samples, which is all SLO windows and syrup-top
+// sparklines need. Only the sampler writes it, once per tick.
 type Series struct {
-	name  string
-	t     []int64 // sim ns
-	v     []float64
-	start int // index of oldest point
-	n     int // points held
-}
-
-func newSeries(name string, capacity int) *Series {
-	return &Series{name: name, t: make([]int64, capacity), v: make([]float64, capacity)}
+	name string
+	st   *Store
+	v    []float64
+	born int // st.ticks when registered: the series holds every tick after it
 }
 
 // Len reports how many points the series currently holds.
-func (s *Series) Len() int { return s.n }
-
-// Append records a point. Appends are amortized O(1) and allocation-free,
-// so per-tick sampling stays off the allocator.
-func (s *Series) Append(t sim.Time, v float64) {
-	i := s.start + s.n
-	if i >= len(s.t) {
-		i -= len(s.t)
-	}
-	s.t[i], s.v[i] = int64(t), v
-	if s.n < len(s.t) {
-		s.n++
-	} else {
-		s.start++
-		if s.start == len(s.t) {
-			s.start = 0
-		}
-	}
-}
-
-// Snapshot copies the ring out in chronological order.
-func (s *Series) Snapshot() SeriesJSON {
-	out := SeriesJSON{Name: s.name, T: make([]int64, s.n), V: make([]float64, s.n)}
-	for i := 0; i < s.n; i++ {
-		j := s.start + i
-		if j >= len(s.t) {
-			j -= len(s.t)
-		}
-		out.T[i], out.V[i] = s.t[j], s.v[j]
-	}
-	return out
-}
+func (s *Series) Len() int { return min(s.st.ticks-s.born, len(s.v)) }
 
 // SeriesJSON is the wire form of one series: parallel timestamp (sim ns)
 // and value slices, chronological. It is what the syrupd snapshot op
-// carries and what syrup-top consumes.
+// carries and what syrup-top consumes. The T slices of one Store.Snapshot
+// are suffixes of one shared array: treat T as read-only.
 type SeriesJSON struct {
 	Name string    `json:"name"`
 	T    []int64   `json:"t_ns"`
 	V    []float64 `json:"v"`
 }
 
-// LastPoint returns the last complete point of a snapshot series. A
-// series whose timestamp and value arrays disagree — a torn or
-// hand-truncated recording — yields its last paired point, or no point
-// at all, rather than an index panic.
+// Len reports how many complete points the snapshot holds: the paired
+// prefix of T and V. Every reader stays inside it, so a torn or
+// hand-truncated recording reads as its paired points rather than
+// indexing past the shorter array.
+func (s SeriesJSON) Len() int { return min(len(s.T), len(s.V)) }
+
+// LastPoint returns the last complete point of a snapshot series, or no
+// point at all when the series holds none.
 func LastPoint(s SeriesJSON) (t int64, v float64, ok bool) {
-	n := min(len(s.T), len(s.V))
+	n := s.Len()
 	if n == 0 {
 		return 0, 0, false
 	}
@@ -89,37 +59,65 @@ func LastPoint(s SeriesJSON) (t int64, v float64, ok bool) {
 
 // LastBefore returns the latest value at or before t, or (0, false).
 func (s SeriesJSON) LastBefore(t int64) (float64, bool) {
-	i := sort.Search(len(s.T), func(i int) bool { return s.T[i] > t })
+	i := sort.Search(s.Len(), func(i int) bool { return s.T[i] > t })
 	if i == 0 {
 		return 0, false
 	}
 	return s.V[i-1], true
 }
 
-// Store holds the named series of one host. It is not safe for concurrent
-// use: samples happen inside the (single-threaded) engine, and snapshots
-// are taken between runs or under the syrupd big lock.
+// Store holds the named series of one host over one clock: a ring of the
+// sampler's tick times that every series' value ring is aligned with, so
+// a tick's time is kept once however many series record it. It is not
+// safe for concurrent use: samples happen inside the (single-threaded)
+// engine, and snapshots are taken between runs or under the syrupd big
+// lock.
 type Store struct {
-	capacity int
-	byName   map[string]*Series
-	order    []*Series // registration order, for cheap iteration
+	clock  []int64 // tick times, sim ns
+	head   int     // slot of the newest tick
+	ticks  int     // ticks recorded since the store was built
+	byName map[string]*Series
+	order  []*Series // registration order, for cheap iteration
 }
 
-// seriesCapacity is the ring size, in points, of every series a sampler
-// records: 4.1 ms of history at a 1 µs period, 4.1 s at the default 1 ms.
+// seriesCapacity is the ring size, in ticks, of every store a sampler
+// records into: 4.1 ms of history at a 1 µs period, 4.1 s at the default
+// 1 ms.
 const seriesCapacity = 4096
 
-// NewStore returns a store whose series each hold capacity points.
-func NewStore(capacity int) *Store {
-	return &Store{capacity: capacity, byName: make(map[string]*Series)}
+// newStore returns a store whose clock and series each hold capacity
+// ticks.
+func newStore(capacity int) *Store {
+	return &Store{clock: make([]int64, capacity), head: capacity - 1, byName: make(map[string]*Series)}
 }
 
-// Series returns the named series, creating it on first use.
-func (st *Store) Series(name string) *Series {
+// tick advances the clock to at and returns the slot every series
+// records this tick's value in.
+func (st *Store) tick(at sim.Time) int {
+	st.head++
+	if st.head == len(st.clock) {
+		st.head = 0
+	}
+	st.clock[st.head] = int64(at)
+	st.ticks++
+	return st.head
+}
+
+// slot returns the ring slot of the tick back ticks before the newest.
+func (st *Store) slot(back int) int {
+	j := st.head - back
+	if j < 0 {
+		j += len(st.clock)
+	}
+	return j
+}
+
+// series returns the named series, registering it on first use.
+func (st *Store) series(name string) *Series {
 	if s := st.byName[name]; s != nil {
 		return s
 	}
-	s := newSeries(name, st.capacity)
+	s := &Series{name: name, st: st, v: make([]float64, len(st.clock)), born: st.ticks}
 	st.byName[name] = s
 	st.order = append(st.order, s)
 	return s
@@ -128,15 +126,40 @@ func (st *Store) Series(name string) *Series {
 // Get returns the named series or nil.
 func (st *Store) Get(name string) *Series { return st.byName[name] }
 
-// Snapshot copies every series out, sorted by name for deterministic
-// output regardless of registration order.
+// Snapshot copies every series out in chronological order, sorted by name
+// for deterministic output regardless of registration order. The clock is
+// copied once: every series' T is the suffix of that one copy its points
+// span, and the values share one backing array too.
 func (st *Store) Snapshot() []SeriesJSON {
+	clock := make([]int64, min(st.ticks, len(st.clock)))
+	oldestFirst(st, clock, st.clock)
+	total := 0
+	for _, s := range st.order {
+		total += s.Len()
+	}
+	vals := make([]float64, total)
 	out := make([]SeriesJSON, 0, len(st.order))
 	for _, s := range st.order {
-		out = append(out, s.Snapshot())
+		n := s.Len()
+		v := vals[:n:n]
+		vals = vals[n:]
+		oldestFirst(st, v, s.v)
+		out = append(out, SeriesJSON{Name: s.name, T: clock[len(clock)-n:], V: v})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+// oldestFirst copies the newest len(dst) slots of ring, a ring laid out
+// on st's clock, into dst in chronological order.
+func oldestFirst[E int64 | float64](st *Store, dst, ring []E) {
+	from := st.head + 1 - len(dst)
+	if from < 0 {
+		k := copy(dst, ring[from+len(ring):])
+		copy(dst[k:], ring[:st.head+1])
+		return
+	}
+	copy(dst, ring[from:st.head+1])
 }
 
 // percentileSeries reports whether a merged fleet view of name should
@@ -157,6 +180,10 @@ func percentileSeries(name string) bool {
 // in host order, so the floating-point sums are reproducible. Hosts share
 // the sampler period, so timestamps normally align exactly; a timestamp
 // only some hosts have merges the hosts that have it.
+//
+// A host records every series on one clock, so consecutive names usually
+// merge inputs with the same timestamps: their union is computed once and
+// shared, read-only, as the T of every merged series it serves.
 func MergeSeries(hosts ...[]SeriesJSON) []SeriesJSON {
 	byName := map[string][]SeriesJSON{}
 	var names []string
@@ -170,44 +197,100 @@ func MergeSeries(hosts ...[]SeriesJSON) []SeriesJSON {
 	}
 	sort.Strings(names)
 	out := make([]SeriesJSON, 0, len(names))
+	var clock []int64 // the union of clockOf's timestamps
+	var clockOf []SeriesJSON
 	for _, name := range names {
-		out = append(out, mergeByTime(name, byName[name]))
+		in := byName[name]
+		for i, s := range in {
+			n := s.Len()
+			s.T, s.V = s.T[:n], s.V[:n]
+			if !slices.IsSorted(s.T) {
+				s = sortedByTime(s)
+			}
+			in[i] = s
+		}
+		if !sameTimes(in, clockOf) {
+			clock, clockOf = unionOfTimes(in), in
+		}
+		out = append(out, foldOnto(name, in, clock))
 	}
 	return out
 }
 
-// mergeByTime is a k-way merge over the inputs' timestamp slices, which
-// snapshots deliver sorted: each round emits the smallest timestamp any
-// input still holds and folds in, input by input, every point carrying it.
-func mergeByTime(name string, in []SeriesJSON) SeriesJSON {
-	longest := 0
-	for i, s := range in {
-		if !slices.IsSorted(s.T) {
-			in[i] = sortedByTime(s)
-		}
-		if len(s.T) > longest {
-			longest = len(s.T)
+// sameTimes reports whether a and b carry the same timestamps, input by
+// input; series of one snapshot that share their clock's array compare
+// without a scan.
+func sameTimes(a, b []SeriesJSON) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i].T, b[i].T
+		if len(x) != len(y) || len(x) > 0 && &x[0] != &y[0] && !slices.Equal(x, y) {
+			return false
 		}
 	}
-	pctl := percentileSeries(name)
-	out := SeriesJSON{Name: name, T: make([]int64, 0, longest), V: make([]float64, 0, longest)}
+	return true
+}
+
+// unionOfTimes returns the distinct timestamps of the sorted inputs in
+// order. A k-way walk counts them first, so the second walk fills a slice
+// allocated once at its final size.
+func unionOfTimes(in []SeriesJSON) []int64 {
 	pos := make([]int, len(in))
-	for {
-		var t int64
-		live := false
-		for i, s := range in {
-			if pos[i] < len(s.T) && (!live || s.T[pos[i]] < t) {
-				t, live = s.T[pos[i]], true
+	u := make([]int64, walkTimes(in, pos, nil))
+	walkTimes(in, pos, u)
+	return u
+}
+
+// walkTimes steps through the union of the inputs' timestamps, pos
+// holding each input's cursor, writing the k-th into u while u has room,
+// and returns how many there are. Each step moves every cursor past the
+// current timestamp and finds the next one on the way.
+func walkTimes(in []SeriesJSON, pos []int, u []int64) int {
+	clear(pos)
+	t, ok := int64(0), false
+	for _, s := range in {
+		if len(s.T) > 0 && (!ok || s.T[0] < t) {
+			t, ok = s.T[0], true
+		}
+	}
+	n := 0
+	for ; ok; n++ {
+		if n < len(u) {
+			u[n] = t
+		}
+		var next int64
+		ok = false
+		for i := range in {
+			T, p := in[i].T, pos[i]
+			for p < len(T) && T[p] == t {
+				p++
+			}
+			pos[i] = p
+			if p < len(T) && (!ok || T[p] < next) {
+				next, ok = T[p], true
 			}
 		}
-		if !live {
-			return out
-		}
+		t = next
+	}
+	return n
+}
+
+// foldOnto merges the inputs' values onto clock, the union of their
+// timestamps: at each timestamp it folds in, input by input, every point
+// carrying it.
+func foldOnto(name string, in []SeriesJSON, clock []int64) SeriesJSON {
+	pctl := percentileSeries(name)
+	out := SeriesJSON{Name: name, T: clock, V: make([]float64, len(clock))}
+	pos := make([]int, len(in))
+	for k, t := range clock {
 		var acc float64
 		first := true
-		for i, s := range in {
-			for ; pos[i] < len(s.T) && s.T[pos[i]] == t; pos[i]++ {
-				switch v := s.V[pos[i]]; {
+		for i := range in {
+			s, p := &in[i], pos[i]
+			for ; p < len(s.T) && s.T[p] == t; p++ {
+				switch v := s.V[p]; {
 				case first:
 					acc, first = v, false
 				case !pctl:
@@ -216,17 +299,19 @@ func mergeByTime(name string, in []SeriesJSON) SeriesJSON {
 					acc = v
 				}
 			}
+			pos[i] = p
 		}
-		out.T = append(out.T, t)
-		out.V = append(out.V, acc)
+		out.V[k] = acc
 	}
+	return out
 }
 
-// sortedByTime returns a copy of s in timestamp order, points sharing a
-// timestamp keeping their relative order. Store snapshots are already
-// sorted; a hand-edited or hostile recording fed to syrup-top may not be.
+// sortedByTime returns a copy of s's paired points in timestamp order,
+// points sharing a timestamp keeping their relative order. Store snapshots
+// are already sorted; a hand-edited or hostile recording fed to syrup-top
+// may not be.
 func sortedByTime(s SeriesJSON) SeriesJSON {
-	idx := make([]int, len(s.T))
+	idx := make([]int, s.Len())
 	for i := range idx {
 		idx[i] = i
 	}

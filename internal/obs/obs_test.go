@@ -3,8 +3,10 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -14,34 +16,51 @@ import (
 
 // Last returns the most recent point, or (0, 0, false) when empty.
 func (s *Series) Last() (t int64, v float64, ok bool) {
-	if s.n == 0 {
+	if s.Len() == 0 {
 		return 0, 0, false
 	}
-	t, v = s.at(s.n - 1)
+	t, v = s.back(0)
 	return t, v, true
 }
 
+// ringSampler is a sampler over a store of the given capacity, for tests
+// that wrap the ring in a few ticks.
+func ringSampler(capacity int, period sim.Time) *Sampler {
+	return &Sampler{store: newStore(capacity), period: period}
+}
+
+// snapshotOf returns the named series of st's snapshot.
+func snapshotOf(st *Store, name string) SeriesJSON {
+	s, _ := findSeries(st.Snapshot(), name)
+	return s
+}
+
 func TestSeriesRing(t *testing.T) {
-	s := newSeries("x", 4)
+	sa := ringSampler(4, 10)
+	var x float64
+	sa.Gauge("x", func() float64 { return x })
 	for i := 1; i <= 6; i++ {
-		s.Append(sim.Time(i*10), float64(i))
+		x = float64(i)
+		sa.Sample(sim.Time(i * 10))
 	}
-	snap := s.Snapshot()
+	snap := snapshotOf(sa.Store(), "x")
 	if !reflect.DeepEqual(snap.T, []int64{30, 40, 50, 60}) {
 		t.Fatalf("ring kept %v, want the newest 4", snap.T)
 	}
 	if !reflect.DeepEqual(snap.V, []float64{3, 4, 5, 6}) {
 		t.Fatalf("ring values %v", snap.V)
 	}
-	if ts, v, ok := s.Last(); !ok || ts != 60 || v != 6 {
+	if ts, v, ok := sa.Store().Get("x").Last(); !ok || ts != 60 || v != 6 {
 		t.Fatalf("Last() = %d,%v,%v", ts, v, ok)
 	}
 }
 
 func TestStoreSnapshotSorted(t *testing.T) {
-	st := NewStore(8)
-	st.Series("zeta").Append(1, 1)
-	st.Series("alpha").Append(1, 2)
+	sa := ringSampler(8, 10)
+	sa.Gauge("zeta", func() float64 { return 1 })
+	sa.Gauge("alpha", func() float64 { return 2 })
+	sa.Sample(1)
+	st := sa.Store()
 	snap := st.Snapshot()
 	if len(snap) != 2 || snap[0].Name != "alpha" || snap[1].Name != "zeta" {
 		t.Fatalf("snapshot not name-sorted: %+v", snap)
@@ -227,6 +246,26 @@ func TestMergeSeries(t *testing.T) {
 	if !reflect.DeepEqual(p99.V, []float64{90, 80}) {
 		t.Fatalf("percentile merge should take max: %v", p99.V)
 	}
+
+	// Hosts that record every series on one clock merge onto one union
+	// of their timestamps, shared by every merged series.
+	var snaps [][]SeriesJSON
+	for h := range 2 {
+		sa := ringSampler(4, 10)
+		sa.Gauge("a", func() float64 { return 1 })
+		sa.Gauge("b", func() float64 { return 2 })
+		for k := range 5 {
+			sa.Sample(sim.Time(10 * (k + h)))
+		}
+		snaps = append(snaps, sa.Store().Snapshot())
+	}
+	m = MergeSeries(snaps...)
+	if !reflect.DeepEqual(m[0].T, []int64{10, 20, 30, 40, 50}) || &m[0].T[0] != &m[1].T[0] {
+		t.Fatalf("one-clock merge: a.T = %v, b.T = %v, want one shared union", m[0].T, m[1].T)
+	}
+	if !reflect.DeepEqual(m[1].V, []float64{2, 4, 4, 4, 2}) {
+		t.Fatalf("one-clock merge: b = %v", m[1].V)
+	}
 }
 
 // mergeSeriesByMap is the map-and-resort merge MergeSeries shipped before
@@ -284,7 +323,8 @@ func mergeSeriesByMap(hosts ...[]SeriesJSON) []SeriesJSON {
 // TestMergeSeriesMatchesMapMerge: byte-identical JSON against the map
 // merge over randomized fleets — aligned clocks, hosts that started late
 // or dropped ticks, misaligned periods, empty and missing series,
-// repeated timestamps, and (rarely) an unsorted recording. Values are
+// repeated timestamps, hosts whose series share one clock (the same array
+// or equal copies), and (rarely) an unsorted recording. Values are
 // awkward fractions so any change in summation order shows.
 func TestMergeSeriesMatchesMapMerge(t *testing.T) {
 	names := []string{"rps", "drop_rate", "latency_LS_p99_us", "latency_LS_win_p50_us", "nic_inflight"}
@@ -296,11 +336,26 @@ func TestMergeSeriesMatchesMapMerge(t *testing.T) {
 			if r.IntN(4) == 0 {
 				period, phase = 100+int64(r.IntN(3))*50, int64(r.IntN(100))
 			}
+			// Half the hosts record every series on one clock, as a
+			// store snapshot does: one T array shared, or an equal copy.
+			var clock []int64
+			oneClock := r.IntN(2) == 0
 			for _, name := range names {
 				if r.IntN(8) == 0 {
 					continue // this host lacks the series
 				}
 				s := SeriesJSON{Name: name, T: []int64{}, V: []float64{}}
+				if oneClock && clock != nil {
+					s.T = clock
+					if r.IntN(2) == 0 {
+						s.T = slices.Clone(clock)
+					}
+					for range s.T {
+						s.V = append(s.V, r.Float64()*1e3/3)
+					}
+					hosts[hi] = append(hosts[hi], s)
+					continue
+				}
 				for k, n := int64(r.IntN(3)), int64(r.IntN(30)); k < n; k++ {
 					if r.IntN(10) == 0 {
 						continue // dropped tick
@@ -310,7 +365,9 @@ func TestMergeSeriesMatchesMapMerge(t *testing.T) {
 						s.V = append(s.V, r.Float64()*1e3/3)
 					}
 				}
-				if r.IntN(20) == 0 {
+				if oneClock {
+					clock = s.T
+				} else if r.IntN(20) == 0 {
 					r.Shuffle(len(s.T), func(i, j int) {
 						s.T[i], s.T[j] = s.T[j], s.T[i]
 						s.V[i], s.V[j] = s.V[j], s.V[i]
@@ -383,5 +440,151 @@ func TestSLORatioDenom(t *testing.T) {
 	want := (2.0 / 3.0) / 0.5
 	if !approx(r.LongBurn, want) || !r.Burning {
 		t.Fatalf("ratio burn = %v burning=%v, want %v true", r.LongBurn, r.Burning, want)
+	}
+}
+
+// ringOracle is the store layout the one clock replaced: each series a
+// ring of its own (t, v) points, appended one at a time. It holds the
+// clock store to its exact snapshots and burn rates.
+type ringOracle struct {
+	name  string
+	t     []int64
+	v     []float64
+	start int // index of the oldest point
+	n     int // points held
+}
+
+func (o *ringOracle) Append(t sim.Time, v float64) {
+	i := o.start + o.n
+	if i >= len(o.t) {
+		i -= len(o.t)
+	}
+	o.t[i], o.v[i] = int64(t), v
+	if o.n < len(o.t) {
+		o.n++
+	} else if o.start++; o.start == len(o.t) {
+		o.start = 0
+	}
+}
+
+func (o *ringOracle) Len() int { return o.n }
+
+func (o *ringOracle) at(i int) (int64, float64) {
+	j := o.start + i
+	if j >= len(o.t) {
+		j -= len(o.t)
+	}
+	return o.t[j], o.v[j]
+}
+
+func (o *ringOracle) back(k int) (int64, float64) { return o.at(o.n - 1 - k) }
+
+func (o *ringOracle) snapshot() SeriesJSON {
+	out := SeriesJSON{Name: o.name, T: make([]int64, o.n), V: make([]float64, o.n)}
+	for i := range o.n {
+		out.T[i], out.V[i] = o.at(i)
+	}
+	return out
+}
+
+// TestClockStoreMatchesPerSeriesRings: over seeded random runs, the one
+// clock store's snapshot and burn rates equal those of per-series (t, v)
+// rings fed the same points. Series register before the first tick, mid
+// run and after the ring wraps; ticks land off the period grid, as the
+// ledger's probe calls Sample(at). Every snapshot's T slices end on one
+// shared array.
+func TestClockStoreMatchesPerSeriesRings(t *testing.T) {
+	for seed := uint64(1); seed <= 300; seed++ {
+		r := rand.New(rand.NewPCG(seed, 0xc10c))
+		capacity := 1 + r.IntN(12)
+		ticks := 1 + r.IntN(4*capacity)
+		sa := ringSampler(capacity, 10)
+		cur := map[string]float64{}
+		var oracles []*ringOracle
+		register := func() {
+			name := fmt.Sprintf("s%02d", len(oracles))
+			sa.Gauge(name, func() float64 { return cur[name] })
+			oracles = append(oracles, &ringOracle{name: name, t: make([]int64, capacity), v: make([]float64, capacity)})
+		}
+		register() // before the first tick
+		mid, wrapped := r.IntN(ticks), capacity+r.IntN(capacity)
+		at := sim.Time(r.Int64N(1000))
+		for k := 0; k < ticks; k++ {
+			if k == mid || k == wrapped || r.IntN(8) == 0 {
+				register()
+			}
+			at += 1 + sim.Time(r.Int64N(25))
+			for _, o := range oracles {
+				cur[o.name] = float64(r.IntN(200)) / 3
+				o.Append(at, cur[o.name])
+			}
+			sa.Sample(at)
+
+			want := make([]SeriesJSON, len(oracles))
+			for i, o := range oracles {
+				want[i] = o.snapshot()
+			}
+			got := sa.Store().Snapshot()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d tick %d: snapshot\n got %v\nwant %v", seed, k, got, want)
+			}
+			var end *int64
+			for _, s := range got {
+				if n := len(s.T); n > 0 {
+					if end == nil {
+						end = &s.T[n-1]
+					} else if &s.T[n-1] != end {
+						t.Fatalf("seed %d tick %d: %s's T is not a suffix of the one clock copy", seed, k, s.Name)
+					}
+				}
+			}
+			for _, o := range oracles {
+				live := sa.Store().Get(o.name)
+				for _, w := range []sim.Time{1, 10, 40, 200} {
+					now := int64(at) - r.Int64N(3)
+					gb, gn := burn(live, now, w, 30, 0.25)
+					wb, wn := burn(o, now, w, 30, 0.25)
+					if gb != wb || gn != wn {
+						t.Fatalf("seed %d tick %d: %s burn over %d = %v/%d, want %v/%d", seed, k, o.name, w, gb, gn, wb, wn)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTornSeriesReadAsTheirPairedPoints: a series whose T and V lengths
+// differ — a torn recording, or a peer's bad snapshot — merges, evaluates
+// and reports as its paired prefix, sorted or not, instead of indexing
+// past the shorter array.
+func TestTornSeriesReadAsTheirPairedPoints(t *testing.T) {
+	torn := []SeriesJSON{
+		{Name: "p99", T: []int64{10, 20, 30}, V: []float64{500}},
+		{Name: "rps", T: []int64{30, 10}, V: []float64{9, 7, 5, 3}},
+		{Name: "drops", T: []int64{10}, V: []float64{1, 2, 3}},
+	}
+	merged := MergeSeries(torn, []SeriesJSON{{Name: "p99", T: []int64{20}, V: []float64{100}}})
+	want := []SeriesJSON{
+		{Name: "drops", T: []int64{10}, V: []float64{1}},
+		{Name: "p99", T: []int64{10, 20}, V: []float64{500, 100}},
+		{Name: "rps", T: []int64{10, 30}, V: []float64{7, 9}},
+	}
+	if !reflect.DeepEqual(merged, want) {
+		t.Fatalf("merge of torn series = %v, want %v", merged, want)
+	}
+	for _, c := range []struct {
+		o       SLO
+		burning bool
+	}{
+		{SLO{Name: "plain", Series: "p99", Target: 100, Budget: 0.5, Short: 30, Long: 30}, true},
+		{SLO{Name: "ratio", Series: "p99", Denom: "drops", Target: 0.5, Budget: 0.5, Short: 30, Long: 30}, true},
+		{SLO{Name: "under", Series: "drops", Denom: "p99", Target: 0.5, Budget: 0.5, Short: 30, Long: 30}, false},
+	} {
+		if r := c.o.Evaluate(torn, 30); r.Samples != 1 || r.Burning != c.burning {
+			t.Errorf("%s over torn series = %+v, want one paired sample, burning %v", c.o.Name, r, c.burning)
+		}
+	}
+	if v, ok := torn[0].LastBefore(30); !ok || v != 500 {
+		t.Errorf("LastBefore over a torn series = %v, %v, want its one paired point", v, ok)
 	}
 }

@@ -30,7 +30,7 @@ type histReg struct {
 	count, p50, p99, p999 *Series
 	// The histogram's identity (Count, Resets) and percentiles (ns) as of
 	// the last tick that read them; a tick on which the identity has not
-	// moved re-appends q without touching a bucket.
+	// moved re-records q without touching a bucket.
 	seenCount, seenResets uint64
 	q                     [3]int64
 }
@@ -60,7 +60,7 @@ func NewSampler(cfg Config) *Sampler {
 		period = DefaultPeriod
 	}
 	return &Sampler{
-		store:  NewStore(seriesCapacity),
+		store:  newStore(seriesCapacity),
 		period: period,
 	}
 }
@@ -80,14 +80,14 @@ func (sa *Sampler) Period() sim.Time { return sa.period }
 // ring occupancy, runnable threads). Names are metric names,
 // [a-zA-Z_][a-zA-Z0-9_]* (TestMetricNamesAreLegal).
 func (sa *Sampler) Gauge(name string, fn func() float64) {
-	sa.gauges = append(sa.gauges, gaugeReg{s: sa.store.Series(name), fn: fn})
+	sa.gauges = append(sa.gauges, gaugeReg{s: sa.store.series(name), fn: fn})
 }
 
 // Rate registers a cumulative value differentiated into a per-second rate
 // series: each tick records (cur-prev)/period. Feeding it a monotonically
 // increasing count (completions, drops) yields RPS-style series.
 func (sa *Sampler) Rate(name string, fn func() float64) {
-	sa.rates = append(sa.rates, rateReg{s: sa.store.Series(name), fn: fn})
+	sa.rates = append(sa.rates, rateReg{s: sa.store.series(name), fn: fn})
 }
 
 // Histogram registers a live latency histogram; every tick records its
@@ -96,10 +96,10 @@ func (sa *Sampler) Rate(name string, fn func() float64) {
 func (sa *Sampler) Histogram(name string, h *metrics.Histogram) {
 	sa.hists = append(sa.hists, histReg{
 		h:     h,
-		count: sa.store.Series(name + "_count"),
-		p50:   sa.store.Series(name + "_p50_us"),
-		p99:   sa.store.Series(name + "_p99_us"),
-		p999:  sa.store.Series(name + "_p999_us"),
+		count: sa.store.series(name + "_count"),
+		p50:   sa.store.series(name + "_p50_us"),
+		p99:   sa.store.series(name + "_p99_us"),
+		p999:  sa.store.series(name + "_p999_us"),
 	})
 }
 
@@ -113,27 +113,29 @@ func (sa *Sampler) Histogram(name string, h *metrics.Histogram) {
 func (sa *Sampler) WindowHistogram(name string, h *metrics.Histogram) {
 	sa.wins = append(sa.wins, winReg{
 		w:     metrics.NewHistogramWindow(h),
-		count: sa.store.Series(name + "_win_count"),
-		p50:   sa.store.Series(name + "_win_p50_us"),
-		p99:   sa.store.Series(name + "_win_p99_us"),
+		count: sa.store.series(name + "_win_count"),
+		p50:   sa.store.series(name + "_win_p50_us"),
+		p99:   sa.store.series(name + "_win_p99_us"),
 	})
 }
 
 // Attach installs the sampler on the engine's passive sampling hook.
 func (sa *Sampler) Attach(eng *sim.Engine) { eng.SetSampler(sa.period, sa.Sample) }
 
-// Sample records one tick at boundary time at. It is the engine hook
+// Sample records one tick at time at: it advances the store's clock once
+// and writes every registered series into that slot. It is the engine hook
 // target; it never schedules events and draws no randomness.
 func (sa *Sampler) Sample(at sim.Time) {
+	j := sa.store.tick(at)
 	for i := range sa.gauges {
 		g := &sa.gauges[i]
-		g.s.Append(at, g.fn())
+		g.s.v[j] = g.fn()
 	}
 	perSec := float64(sim.Second) / float64(sa.period)
 	for i := range sa.rates {
 		r := &sa.rates[i]
 		cur := r.fn()
-		r.s.Append(at, (cur-r.prev)*perSec)
+		r.s.v[j] = (cur - r.prev) * perSec
 		r.prev = cur
 	}
 	for i := range sa.hists {
@@ -142,16 +144,16 @@ func (sa *Sampler) Sample(at sim.Time) {
 			h.seenCount, h.seenResets = n, r
 			h.h.Percentiles([]float64{50, 99, 99.9}, h.q[:])
 		}
-		h.count.Append(at, float64(h.seenCount))
-		h.p50.Append(at, float64(h.q[0])/1e3)
-		h.p99.Append(at, float64(h.q[1])/1e3)
-		h.p999.Append(at, float64(h.q[2])/1e3)
+		h.count.v[j] = float64(h.seenCount)
+		h.p50.v[j] = float64(h.q[0]) / 1e3
+		h.p99.v[j] = float64(h.q[1]) / 1e3
+		h.p999.v[j] = float64(h.q[2]) / 1e3
 	}
 	for i := range sa.wins {
 		w := &sa.wins[i]
 		s := w.w.Advance()
-		w.count.Append(at, float64(s.Count))
-		w.p50.Append(at, float64(s.P50)/1e3)
-		w.p99.Append(at, float64(s.P99)/1e3)
+		w.count.v[j] = float64(s.Count)
+		w.p50.v[j] = float64(s.P50) / 1e3
+		w.p99.v[j] = float64(s.P99) / 1e3
 	}
 }

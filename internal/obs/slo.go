@@ -91,8 +91,8 @@ func findSeries(snap []SeriesJSON, name string) (SeriesJSON, bool) {
 }
 
 // values materializes the watched value stream: the raw series, or the
-// Series/(Series+Denom) ratio aligned pointwise (equal timestamps — both
-// come from the same sampler).
+// Series/(Series+Denom) ratio of each numerator point over the latest
+// denominator value at or before it.
 func (o SLO) values(snap []SeriesJSON) (t []int64, v []float64) {
 	num, ok := findSeries(snap, o.Series)
 	if !ok {
@@ -105,41 +105,57 @@ func (o SLO) values(snap []SeriesJSON) (t []int64, v []float64) {
 	if !ok {
 		return nil, nil
 	}
-	for i, ts := range num.T {
+	for i := range num.Len() {
+		ts := num.T[i]
 		dv, ok := den.LastBefore(ts)
 		if !ok {
 			continue
 		}
-		total := num.V[i] + dv
 		t = append(t, ts)
-		if total <= 0 {
-			v = append(v, 0)
-		} else {
-			v = append(v, num.V[i]/total)
-		}
+		v = append(v, ratioOf(num.V[i], dv))
 	}
 	return t, v
 }
 
-// points is an oldest-first view of one sample stream: a snapshot's arrays
-// or a live ring. burn is generic over it so the controller's per-tick
-// evaluation of a live *Series neither copies nor boxes.
-type points interface {
-	Len() int
-	at(i int) (t int64, v float64)
+// ratioOf is one point of a ratio objective: num/(num+den), 0 when the
+// total is zero or negative.
+func ratioOf(num, den float64) float64 {
+	total := num + den
+	if total <= 0 {
+		return 0
+	}
+	return num / total
 }
 
-// Len reports how many points the snapshot holds.
-func (s SeriesJSON) Len() int { return len(s.T) }
+// points is a sample stream read newest first: a snapshot's arrays or a
+// live ring. burn is generic over it so the controller's per-tick
+// evaluation of a live store neither copies nor boxes.
+type points interface {
+	Len() int
+	back(k int) (t int64, v float64) // the k-th newest point, k < Len()
+}
 
-func (s SeriesJSON) at(i int) (int64, float64) { return s.T[i], s.V[i] }
+func (s SeriesJSON) back(k int) (int64, float64) {
+	i := s.Len() - 1 - k
+	return s.T[i], s.V[i]
+}
 
-func (s *Series) at(i int) (int64, float64) {
-	j := s.start + i
-	if j >= len(s.t) {
-		j -= len(s.t)
-	}
-	return s.t[j], s.v[j]
+func (s *Series) back(k int) (int64, float64) {
+	j := s.st.slot(k)
+	return s.st.clock[j], s.v[j]
+}
+
+// ratio is a ratio objective's stream read in place from a live store:
+// numerator and denominator record the same ticks into the same slots, so
+// each tick both hold pairs them, as the snapshot path's LastBefore does
+// on the sampler's strictly increasing clock.
+type ratio struct{ num, den *Series }
+
+func (r ratio) Len() int { return min(r.num.Len(), r.den.Len()) }
+
+func (r ratio) back(k int) (int64, float64) {
+	j := r.num.st.slot(k)
+	return r.num.st.clock[j], ratioOf(r.num.v[j], r.den.v[j])
 }
 
 // burn computes the bad fraction over [now-window, now] divided by the
@@ -149,8 +165,8 @@ func (s *Series) at(i int) (int64, float64) {
 func burn[P points](p P, now int64, window sim.Time, target, budget float64) (float64, int) {
 	lo := now - int64(window)
 	n, bad := 0, 0
-	for i := p.Len() - 1; i >= 0; i-- {
-		t, v := p.at(i)
+	for k, held := 0, p.Len(); k < held; k++ {
+		t, v := p.back(k)
 		if t < lo {
 			break
 		}
@@ -187,26 +203,21 @@ func (o SLO) Evaluate(snap []SeriesJSON, now sim.Time) SLOResult {
 }
 
 // EvaluateStore runs the objective against a live store — the in-process
-// form the adapt controller evaluates every decision tick, with no
-// snapshot copy on the Denom-free fast path.
+// form the adapt controller evaluates every decision tick, reading the
+// rings in place with no snapshot copy, ratio objectives included.
 func (o SLO) EvaluateStore(st *Store, now sim.Time) SLOResult {
-	if o.Denom != "" {
-		// Ratio objectives align two series pointwise; materialize both
-		// and share the snapshot path.
-		snap := make([]SeriesJSON, 0, 2)
-		if num := st.Get(o.Series); num != nil {
-			snap = append(snap, num.Snapshot())
-		}
-		if den := st.Get(o.Denom); den != nil {
-			snap = append(snap, den.Snapshot())
-		}
-		return o.Evaluate(snap, now)
-	}
-	s := st.Get(o.Series)
-	if s == nil {
+	num := st.Get(o.Series)
+	if num == nil {
 		return evaluate(o, SeriesJSON{}, now)
 	}
-	return evaluate(o, s, now)
+	if o.Denom == "" {
+		return evaluate(o, num, now)
+	}
+	den := st.Get(o.Denom)
+	if den == nil {
+		return evaluate(o, SeriesJSON{}, now)
+	}
+	return evaluate(o, ratio{num, den}, now)
 }
 
 // EvaluateSLOs runs every objective against one snapshot.

@@ -78,16 +78,25 @@ func TestSLOValidate(t *testing.T) {
 }
 
 // TestEvaluateStore: the live-ring fast path must agree with the
-// snapshot path, including after the ring wraps.
+// snapshot path, including after the ring wraps, and on a ratio whose two
+// series were registered at different ticks.
 func TestEvaluateStore(t *testing.T) {
-	st := NewStore(8)
-	s := st.Series("p99")
+	sa := ringSampler(8, 10)
+	var p99, drops, rps float64
+	sa.Gauge("p99", func() float64 { return p99 })
+	st := sa.Store()
 	for i := 1; i <= 20; i++ { // wraps the 8-point ring
-		v := 50.0
+		p99, drops, rps = 50, float64(i%4)*40, 1000
 		if i >= 18 {
-			v = 200
+			p99 = 200
 		}
-		s.Append(sim.Time(i*10), v)
+		switch i {
+		case 5:
+			sa.Gauge("drops", func() float64 { return drops })
+		case 15: // after the wrap: rps holds fewer ticks than drops
+			sa.Gauge("rps", func() float64 { return rps })
+		}
+		sa.Sample(sim.Time(i * 10))
 	}
 	o := SLO{Name: "ls_p99", Series: "p99", Target: 100, Budget: 0.2, Short: 30, Long: 80}
 	now := sim.Time(200)
@@ -104,12 +113,19 @@ func TestEvaluateStore(t *testing.T) {
 	if r := miss.EvaluateStore(st, now); !r.NoData {
 		t.Fatalf("absent series via store: %+v, want NoData", r)
 	}
-	// Denom path delegates to the snapshot evaluator.
-	st.Series("rps").Append(200, 1000)
-	st.Series("drops").Append(200, 100)
-	ratio := SLO{Name: "d", Series: "drops", Denom: "rps", Target: 0.01, Budget: 0.5, Short: 50, Long: 50}
-	if r := ratio.EvaluateStore(st, now); r.NoData || !r.Burning {
-		t.Fatalf("ratio via store: %+v, want Burning", r)
+	// Ratios, both ways round: the younger series bounds the stream.
+	for _, ratio := range []SLO{
+		{Name: "d", Series: "drops", Denom: "rps", Target: 0.05, Budget: 0.5, Short: 30, Long: 80},
+		{Name: "r", Series: "rps", Denom: "drops", Target: 0.95, Budget: 0.5, Short: 30, Long: 80},
+		{Name: "gone", Series: "drops", Denom: "absent", Target: 0.05, Budget: 0.5, Short: 30, Long: 80},
+	} {
+		live, snap := ratio.EvaluateStore(st, now), ratio.Evaluate(st.Snapshot(), now)
+		if live != snap {
+			t.Fatalf("%s: EvaluateStore = %+v, Evaluate = %+v", ratio.Name, live, snap)
+		}
+	}
+	if r := (SLO{Name: "d", Series: "drops", Denom: "rps", Target: 0.05, Budget: 0.5, Short: 30, Long: 80}).EvaluateStore(st, now); r.Samples != 6 || !r.Burning {
+		t.Fatalf("ratio via store: %+v, want the 6 ticks rps holds, burning", r)
 	}
 }
 
@@ -132,7 +148,7 @@ func TestSamplerWindowHistogram(t *testing.T) {
 	sa.Sample(30) // idle tick
 
 	get := func(name string) []float64 {
-		return sa.Store().Get(name).Snapshot().V
+		return snapshotOf(sa.Store(), name).V
 	}
 	winP99 := get("lat_win_p99_us")
 	if winP99[0] > 2 || winP99[1] < 800 || winP99[2] != 0 {

@@ -62,7 +62,6 @@ func TestAdaptServerOps(t *testing.T) {
 
 	sa := obs.NewSampler(obs.Config{})
 	h.Obs = sa
-	st := sa.Store()
 	bad := burnCfg()
 	bad.Rules[0].Detect.Budget = 0
 	if resp := srv.Handle(&Request{Op: "adapt_enable", AdaptConfig: &bad}); resp.OK {
@@ -77,10 +76,10 @@ func TestAdaptServerOps(t *testing.T) {
 
 	// Burn the objective: every sample is 5x target, landing between the
 	// controller's ticks.
-	series := st.Series("p99")
+	sa.Gauge("p99", func() float64 { return 500 })
 	for ts := 50 * sim.Microsecond; ts < 3*sim.Millisecond; ts += 100 * sim.Microsecond {
 		at := ts
-		h.Eng.CallAt(at, func(any, uint64) { series.Append(at, 500) }, nil, 0)
+		h.Eng.CallAt(at, func(any, uint64) { sa.Sample(at) }, nil, 0)
 	}
 	h.Eng.RunUntil(3 * sim.Millisecond)
 

@@ -79,7 +79,7 @@ func (p *Partition) op(slot uint64, reqType uint64) {
 	}
 }
 
-// Config describes a MICA deployment.
+// Config describes a MICA deployment. Its queue bounds are fixed (xskCap, ringCap).
 type Config struct {
 	Port       uint16
 	App        uint32
@@ -106,9 +106,6 @@ type Config struct {
 	DequeueCost sim.Time // inter-core ring dequeue (0.35 µs)
 	CrossCost   sim.Time // cache-line transfer when data crossed cores (0.45 µs)
 
-	RingCap int // inter-core ring capacity (4096)
-	XSKCap  int // AF_XDP socket rx ring capacity (2048)
-
 	OnComplete func(reqID uint64, finish sim.Time)
 	KeySpace   int
 }
@@ -126,12 +123,6 @@ func (c *Config) fill() {
 	def(&c.EnqueueCost, 650)
 	def(&c.DequeueCost, 350)
 	def(&c.CrossCost, 450)
-	if c.RingCap == 0 {
-		c.RingCap = 4096
-	}
-	if c.XSKCap == 0 {
-		c.XSKCap = 2048
-	}
 	if c.KeySpace == 0 {
 		c.KeySpace = 1 << 20
 		if c.NumShards > 1 {
@@ -167,6 +158,9 @@ type Server struct {
 	Foreign   uint64 // requests for keys another cluster shard owns (dropped)
 }
 
+// Queue bounds, in packets: AF_XDP rx rings and inter-core rings.
+const xskCap, ringCap = 2048, 4096
+
 // NewServer builds the server and registers its AF_XDP sockets in the
 // stack's executor tables. Threads are pinned 1:1 to cores 0..N-1 (MICA's
 // deployment model).
@@ -191,7 +185,7 @@ func NewServer(eng *sim.Engine, m *kernel.Machine, stack *netstack.Stack, cfg Co
 		for t := 0; t < n; t++ {
 			var socks []*netstack.Socket
 			for q := 0; q < n; q++ {
-				sock := netstack.NewSocket(cfg.Port, cfg.App, cfg.XSKCap, fmt.Sprintf("mica-t%d-q%d", t, q))
+				sock := netstack.NewSocket(cfg.Port, cfg.App, xskCap, fmt.Sprintf("mica-t%d-q%d", t, q))
 				socks = append(socks, sock)
 			}
 			s.xsks = append(s.xsks, socks)
@@ -208,7 +202,7 @@ func NewServer(eng *sim.Engine, m *kernel.Machine, stack *netstack.Stack, cfg Co
 	case ModeSyrupHW, ModeSWRedirect:
 		// One socket per thread, bound to the thread's own queue.
 		for t := 0; t < n; t++ {
-			sock := netstack.NewSocket(cfg.Port, cfg.App, cfg.XSKCap, fmt.Sprintf("mica-t%d", t))
+			sock := netstack.NewSocket(cfg.Port, cfg.App, xskCap, fmt.Sprintf("mica-t%d", t))
 			s.xsks = append(s.xsks, []*netstack.Socket{sock})
 			if idx := stack.RegisterXSK(cfg.Port, t, sock); idx != 0 {
 				panic("mica: xsk executor index mismatch")
@@ -217,7 +211,7 @@ func NewServer(eng *sim.Engine, m *kernel.Machine, stack *netstack.Stack, cfg Co
 	}
 	if cfg.Mode == ModeSWRedirect {
 		for t := 0; t < n; t++ {
-			s.rings = append(s.rings, netstack.NewSocket(cfg.Port, cfg.App, cfg.RingCap, fmt.Sprintf("mica-ring%d", t)))
+			s.rings = append(s.rings, netstack.NewSocket(cfg.Port, cfg.App, ringCap, fmt.Sprintf("mica-ring%d", t)))
 		}
 	}
 

@@ -243,10 +243,11 @@ func parseDuration(s string) (sim.Time, error) {
 	}
 	f, err := strconv.ParseFloat(num, 64)
 	// A sim.Time is int64 nanoseconds: NaN, ±Inf and anything at or past
-	// 2^63 ns convert to a negative time.
+	// 2^63 ns convert to a negative time, and a positive value under 1ns
+	// truncates to 0, which means "no bound" or "the default" here.
 	ns := f * float64(unit)
-	if err != nil || !(ns >= 0 && ns < math.MaxInt64) {
-		return 0, fmt.Errorf("bad duration %q: want a finite value in [0, %dns]", s, int64(math.MaxInt64))
+	if err != nil || !(ns >= 0 && ns < math.MaxInt64) || (ns > 0 && ns < 1) {
+		return 0, fmt.Errorf("bad duration %q: want 0 or a finite value in [1ns, %dns]", s, int64(math.MaxInt64))
 	}
 	return sim.Time(ns), nil
 }

@@ -76,6 +76,11 @@ func TestParsePlanErrors(t *testing.T) {
 		{"site=nic-ring every=1 from=Infs", "from=Infs: bad duration"},
 		{"site=ghost-stall every=1 stall=1e300s", "stall=1e300s: bad duration"},
 		{"site=nic-ring every=1 until=9223372037s", "until=9223372037s: bad duration"},
+		// A positive duration under 1ns would truncate to 0: until=0 is
+		// "forever" and stall=0 is DefaultStall, neither what was written.
+		{"site=nic-ring every=1 until=0.4ns", "until=0.4ns: bad duration"},
+		{"site=ghost-stall every=1 stall=0.4ns", "stall=0.4ns: bad duration"},
+		{"site=nic-ring every=1 from=1e-4us", "from=1e-4us: bad duration"},
 	} {
 		_, err := ParsePlan(bad.text)
 		if err == nil || !strings.Contains(err.Error(), bad.want) {

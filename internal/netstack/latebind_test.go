@@ -18,15 +18,15 @@ func TestLateBindingSharedQueue(t *testing.T) {
 		socks = append(socks, s)
 	}
 	g.EnableLateBinding(16)
-	if !g.lateBinding {
+	if g.lateCap == 0 {
 		t.Fatal("late binding not enabled")
 	}
 	for i := 0; i < 5; i++ {
 		dev.Receive(mkPkt(uint64(i), 1, 9000, nil))
 	}
 	eng.Run()
-	if g.lateCount != 5 {
-		t.Fatalf("shared queue = %d", g.lateCount)
+	if g.late.Len() != 5 {
+		t.Fatalf("shared queue = %d", g.late.Len())
 	}
 	// Any socket pulls from the shared queue in FIFO order.
 	p := socks[2].TryRecv()
@@ -36,8 +36,8 @@ func TestLateBindingSharedQueue(t *testing.T) {
 	if socks[0].TryRecv().ID != 1 {
 		t.Fatal("FIFO order broken across executors")
 	}
-	if g.lateCount != 3 {
-		t.Fatalf("queue after pops = %d", g.lateCount)
+	if g.late.Len() != 3 {
+		t.Fatalf("queue after pops = %d", g.late.Len())
 	}
 }
 
@@ -77,8 +77,8 @@ func TestLateBindingOverflowDrops(t *testing.T) {
 		dev.Receive(mkPkt(uint64(i), 1, 9000, nil))
 	}
 	eng.Run()
-	if g.lateCount != 2 {
-		t.Fatalf("queue = %d", g.lateCount)
+	if g.late.Len() != 2 {
+		t.Fatalf("queue = %d", g.late.Len())
 	}
 	if st.Stats.SocketDrops != 3 || st.Stats.UDPDelivered != 2 || st.Queued() != 2 {
 		t.Fatalf("socket drops = %d, delivered = %d, queued = %d", st.Stats.SocketDrops, st.Stats.UDPDelivered, st.Queued())
@@ -96,14 +96,14 @@ func TestLateBindingPolicyStillGatesAdmission(t *testing.T) {
 	g.Hook().Set(drop)
 	dev.Receive(mkPkt(1, 1, 9000, nil))
 	eng.Run()
-	if g.lateCount != 0 || st.Stats.PolicyDrops != 1 {
-		t.Fatalf("DROP ignored under late binding: queued=%d drops=%d", g.lateCount, st.Stats.PolicyDrops)
+	if g.late.Len() != 0 || st.Stats.PolicyDrops != 1 {
+		t.Fatalf("DROP ignored under late binding: queued=%d drops=%d", g.late.Len(), st.Stats.PolicyDrops)
 	}
 	idx := mustProg(t, "r0 = 57\nexit\n") // out-of-range executor: ignored under late binding
 	g.Hook().Set(idx)
 	dev.Receive(mkPkt(2, 1, 9000, nil))
 	eng.Run()
-	if g.lateCount != 0 {
+	if g.late.Len() != 0 {
 		// Out-of-range verdicts are still no-executor errors before the
 		// late queue; this matches early-binding semantics.
 		t.Logf("note: out-of-range verdict dropped before late queue (no-exec=%d)", st.Stats.NoExecutorDrops)
@@ -127,4 +127,40 @@ func mustProg(t *testing.T, src string) *ebpf.Program {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// TestEnableLateBindingLosesNothing: switching a group to late binding
+// twice would drop the first shared queue's datagrams uncounted, and
+// switching while a member socket holds datagrams would strand them where
+// TryRecv no longer reads. Both are modeling bugs and panic.
+func TestEnableLateBindingLosesNothing(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		fn()
+	}
+	eng, dev, st := wired(t, 1)
+	g := st.Group(9000, 1)
+	st.NewUDPSocket(9000, 1, "w")
+	g.EnableLateBinding(16)
+	dev.Receive(mkPkt(1, 1, 9000, nil))
+	eng.Run()
+	mustPanic("second EnableLateBinding", func() { g.EnableLateBinding(16) })
+	if g.late.Len() != 1 || st.Queued() != 1 {
+		t.Fatalf("shared queue holds %d, stack counts %d queued; want 1", g.late.Len(), st.Queued())
+	}
+
+	eng, dev, st = wired(t, 1)
+	g = st.Group(9000, 1)
+	sock, _ := st.NewUDPSocket(9000, 1, "w")
+	dev.Receive(mkPkt(2, 1, 9000, nil))
+	eng.Run()
+	mustPanic("EnableLateBinding over a non-empty socket", func() { g.EnableLateBinding(16) })
+	if p := sock.TryRecv(); p == nil || p.ID != 2 {
+		t.Fatalf("early-bound datagram unreachable after the refused switch: %v", p)
+	}
 }

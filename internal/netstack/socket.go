@@ -24,17 +24,14 @@ type Socket struct {
 	// Label is a human-readable identity for debugging ("rocksdb-w3").
 	Label string
 
-	// queue is a fixed circular buffer of cap slots: head indexes the
-	// oldest datagram, count the occupancy. A ring (rather than an
-	// append+reslice slice) keeps steady-state enqueue/recv allocation-
-	// free, like the kernel's fixed-size sk_receive_queue budget.
+	// q chains the queued datagrams through the packets themselves, like
+	// the kernel's sk_receive_queue; cap bounds its length. The bound is a
+	// count, not storage, so a socket costs the same whatever its cap.
 	cap    int
-	queue  []*nic.Packet
-	head   int
-	count  int
+	q      nic.Queue
 	waiter func()
-	// group backlink, set when the owning reuseport group uses late
-	// binding; TryRecv then draws from the group's shared queue.
+	// group is the reuseport group the socket joined (AddSocket); when it
+	// binds late, TryRecv draws from the group's shared queue.
 	group *ReuseportGroup
 
 	// closed marks a dead socket (its owner is gone): enqueues fail and
@@ -53,22 +50,17 @@ func NewSocket(port uint16, app uint32, capacity int, label string) *Socket {
 	if capacity <= 0 {
 		panic("netstack: socket capacity must be positive")
 	}
-	return &Socket{Port: port, App: app, cap: capacity, queue: make([]*nic.Packet, capacity), Label: label}
+	return &Socket{Port: port, App: app, cap: capacity, Label: label}
 }
 
 // Enqueue appends a packet, waking any parked waiter. It reports false
 // (and counts a drop) when the queue is full or the socket is closed.
 func (s *Socket) Enqueue(pkt *nic.Packet) bool {
-	if s.closed || s.count >= s.cap {
+	if s.closed || s.q.Len() >= s.cap {
 		s.Drops++
 		return false
 	}
-	slot := s.head + s.count
-	if slot >= s.cap {
-		slot -= s.cap
-	}
-	s.queue[slot] = pkt
-	s.count++
+	s.q.Push(pkt)
 	s.Enqueued++
 	if w := s.waiter; w != nil {
 		s.waiter = nil
@@ -81,24 +73,14 @@ func (s *Socket) Enqueue(pkt *nic.Packet) bool {
 // packet comes from the group's shared queue: the executor binds to its
 // input only at the moment it can process it.
 func (s *Socket) TryRecv() *nic.Packet {
-	if s.group != nil && s.group.lateBinding {
-		return s.group.latePop()
+	if g := s.group; g != nil && g.lateCap > 0 {
+		return g.late.Pop()
 	}
-	if s.count == 0 {
-		return nil
-	}
-	pkt := s.queue[s.head]
-	s.queue[s.head] = nil
-	s.head++
-	if s.head == s.cap {
-		s.head = 0
-	}
-	s.count--
-	return pkt
+	return s.q.Pop()
 }
 
 // Len reports queued datagrams.
-func (s *Socket) Len() int { return s.count }
+func (s *Socket) Len() int { return s.q.Len() }
 
 // WaitRecv parks fn until the next enqueue. Only one waiter may be parked;
 // a second registration is a modeling bug (each socket belongs to one
@@ -132,42 +114,38 @@ type ReuseportGroup struct {
 	// on arrival (early binding), datagrams wait in one shared queue and
 	// are handed to whichever executor asks for work next — eliminating
 	// executor-side head-of-line blocking at the cost of a central queue.
-	lateBinding bool
-	// Shared queue as a fixed ring (same shape as Socket's queue).
-	lateQueue []*nic.Packet
-	lateHead  int
-	lateCount int
-	lateCap   int
+	// late chains them through the packets, as a socket's q does; lateCap
+	// bounds it and is 0 while the group binds early.
+	late    nic.Queue
+	lateCap int
 }
 
 // EnableLateBinding switches the group to late binding with the given
 // shared-queue capacity. The Socket Select program, if any, still runs for
 // its PASS/DROP verdict (admission control); executor indices are ignored
-// because binding happens at recv time.
+// because binding happens at recv time. A second call, or a call while a
+// member socket holds datagrams (TryRecv would strand them), panics.
 func (g *ReuseportGroup) EnableLateBinding(capacity int) {
 	if capacity <= 0 {
 		panic("netstack: late-binding capacity must be positive")
 	}
-	g.lateBinding = true
-	g.lateCap = capacity
-	g.lateQueue = make([]*nic.Packet, capacity)
-	g.lateHead, g.lateCount = 0, 0
-	for _, s := range g.sockets {
-		s.group = g
+	if g.lateCap > 0 {
+		panic(fmt.Sprintf("netstack: port %d already binds late", g.Port))
 	}
+	for _, s := range g.sockets {
+		if s.Len() > 0 {
+			panic(fmt.Sprintf("netstack: late binding would strand %d datagrams in socket %s", s.Len(), s.Label))
+		}
+	}
+	g.lateCap = capacity
 }
 
 // lateEnqueue buffers a datagram centrally and wakes one parked executor.
 func (g *ReuseportGroup) lateEnqueue(pkt *nic.Packet) bool {
-	if g.lateCount >= g.lateCap {
+	if g.late.Len() >= g.lateCap {
 		return false
 	}
-	slot := g.lateHead + g.lateCount
-	if slot >= g.lateCap {
-		slot -= g.lateCap
-	}
-	g.lateQueue[slot] = pkt
-	g.lateCount++
+	g.late.Push(pkt)
 	for _, s := range g.sockets {
 		if w := s.waiter; w != nil {
 			s.waiter = nil
@@ -176,21 +154,6 @@ func (g *ReuseportGroup) lateEnqueue(pkt *nic.Packet) bool {
 		}
 	}
 	return true
-}
-
-// latePop hands the head datagram to an executor that became available.
-func (g *ReuseportGroup) latePop() *nic.Packet {
-	if g.lateCount == 0 {
-		return nil
-	}
-	pkt := g.lateQueue[g.lateHead]
-	g.lateQueue[g.lateHead] = nil
-	g.lateHead++
-	if g.lateHead == g.lateCap {
-		g.lateHead = 0
-	}
-	g.lateCount--
-	return pkt
 }
 
 // NewReuseportGroup creates an empty group for a port on host h.

@@ -276,7 +276,7 @@ func (s *Stack) SoftirqBacklog() int {
 func (s *Stack) Queued() int {
 	n := 0
 	for _, g := range s.groups {
-		n += g.lateCount
+		n += g.late.Len()
 		for _, sock := range g.sockets {
 			n += sock.Len()
 		}
@@ -467,7 +467,7 @@ func (s *Stack) protocolDeliver(core int, pkt *nic.Packet) {
 		s.traceSpan(pkt, trace.StageProto, pkt.ProtoAt, core, trace.VerdictSteer, uint32(idx))
 		pkt.EnqueuedAt = s.eng.Now()
 		var queued bool
-		if g.lateBinding {
+		if g.lateCap > 0 {
 			queued = g.lateEnqueue(pkt)
 		} else {
 			queued = sock.Enqueue(pkt)

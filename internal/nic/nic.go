@@ -58,10 +58,11 @@ type Packet struct {
 
 	// owner is the device whose free list issued the packet and takes it
 	// back (see NIC.NewPacket, Free); nil for a literal packet. next links
-	// the free list; freed marks a packet sitting on it.
-	owner *NIC
-	next  *Packet
-	freed bool
+	// the chain holding the packet: the free list (freed) or a Queue (queued).
+	owner  *NIC
+	next   *Packet
+	freed  bool
+	queued bool
 }
 
 // Packets are recycled per device by their one owner, the way XDP's
@@ -105,15 +106,15 @@ func (p *Packet) HeaderBuf() []byte { return p.hdr[:0] }
 // Free returns the packet to the free list of the device that issued it.
 // Only terminal owners may call it — the layer that drops the packet or
 // the server that finished serving it — and only once; a second Free of a
-// live device packet is a datapath ownership bug and panics. Free on a
-// literal packet is a no-op.
+// live device packet is a datapath ownership bug and panics, as does Free
+// of a packet still linked in a Queue. Free on a literal packet is a no-op.
 func (p *Packet) Free() {
 	n := p.owner
 	if n == nil {
 		return
 	}
-	if p.freed {
-		panic(fmt.Sprintf("nic: double Free of packet %d", p.ID))
+	if p.freed || p.queued {
+		panic(fmt.Sprintf("nic: Free of packet %d not held by its caller (freed %t, queued %t)", p.ID, p.freed, p.queued))
 	}
 	wire := p.wire
 	*p = Packet{owner: n, next: n.free, freed: true}
@@ -122,6 +123,47 @@ func (p *Packet) Free() {
 	}
 	n.free = p
 }
+
+// Queue is a FIFO chained through its packets' own next field, as the
+// kernel's sk_buff_head chains skbs, so it holds no storage whatever bound
+// its owner enforces. Push panics on a freed packet but takes one whose
+// queued mark is stale: still linked in a queue of an abandoned host.
+type Queue struct {
+	// tail is meaningful only while head is non-nil: Pop leaves it
+	// pointing at the last packet out, and Push checks head.
+	head, tail *Packet
+	n          int
+}
+
+// Push appends p at the tail.
+func (q *Queue) Push(p *Packet) {
+	if p.freed {
+		panic("nic: Push of a freed packet")
+	}
+	p.next, p.queued = nil, true
+	if q.head == nil {
+		q.head = p
+	} else {
+		q.tail.next = p
+	}
+	q.tail = p
+	q.n++
+}
+
+// Pop unlinks and returns the head packet, or nil when the queue is empty.
+// The popped packet's next is left stale: whatever links it next resets it.
+func (q *Queue) Pop() *Packet {
+	p := q.head
+	if p == nil {
+		return nil
+	}
+	q.head, p.queued = p.next, false
+	q.n--
+	return p
+}
+
+// Len reports the queued packets.
+func (q *Queue) Len() int { return q.n }
 
 // Bytes renders the policy-visible view: an 8-byte UDP header followed by
 // the payload. The slice is cached; policies may write to it (XDP allows

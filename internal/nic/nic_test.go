@@ -445,3 +445,76 @@ func TestZeroAllocReceive(t *testing.T) {
 		t.Fatalf("receive: %v allocs/op, want 0", avg)
 	}
 }
+
+// TestQueueFIFO: a Queue hands packets back in push order, links them
+// through the packets alone, and empties cleanly between uses.
+func TestQueueFIFO(t *testing.T) {
+	dev := New(sim.New(1), Config{}, func(int, *Packet) {})
+	var q Queue
+	if q.Pop() != nil || q.Len() != 0 {
+		t.Fatal("empty queue not empty")
+	}
+	for round := 0; round < 2; round++ {
+		var in []*Packet
+		for i := 0; i < 5; i++ {
+			p := dev.NewPacket()
+			p.ID = uint64(i)
+			q.Push(p)
+			in = append(in, p)
+		}
+		if q.Len() != 5 {
+			t.Fatalf("round %d: len %d, want 5", round, q.Len())
+		}
+		for i, want := range in {
+			if got := q.Pop(); got != want {
+				t.Fatalf("round %d: pop %d returned packet %v, want %d", round, i, got, want.ID)
+			}
+			want.Free()
+		}
+		if q.Pop() != nil || q.Len() != 0 || q.head != nil {
+			t.Fatalf("round %d: drained queue still holds packets", round)
+		}
+	}
+}
+
+// TestQueueOwnership: a packet is in at most one chain. Freeing a queued
+// packet and queueing a freed one both panic; a packet whose queued mark
+// is stale — still linked in a queue its host abandoned, as when a probe
+// re-drives captured packets into a fresh host — is accepted.
+func TestQueueOwnership(t *testing.T) {
+	dev := New(sim.New(1), Config{}, func(int, *Packet) {})
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		fn()
+	}
+	var q Queue
+	p := dev.NewPacket()
+	q.Push(p)
+	mustPanic("Free of a queued packet", p.Free)
+	if q.Pop() != p {
+		t.Fatal("queue lost the packet")
+	}
+	p.Free()
+	mustPanic("Push of a freed packet", func() { q.Push(p) })
+	if q.Len() != 0 {
+		t.Fatalf("rejected push counted: len %d", q.Len())
+	}
+
+	// Re-drive: the abandoned queue never pops its packets.
+	var abandoned, fresh Queue
+	a, b := dev.NewPacket(), dev.NewPacket()
+	abandoned.Push(a)
+	abandoned.Push(b)
+	fresh.Push(a)
+	fresh.Push(b)
+	if fresh.Pop() != a || fresh.Pop() != b || fresh.Pop() != nil {
+		t.Fatal("re-driven packets came back out of order")
+	}
+	a.Free()
+	b.Free()
+}

@@ -261,7 +261,7 @@ func TestSLOFlagRefusesObjectivesThatCannotBurn(t *testing.T) {
 // cluster.ScrapeHost gives the same JSON over Client.Do as over Server.Do.
 func TestLiveScrapeMatchesRecording(t *testing.T) {
 	c, err := cluster.New(cluster.Config{
-		Hosts: 4, Seed: 42, TableSize: 251,
+		Hosts: 4, Seed: 42,
 		Tune: func(i int, cfg *syrup.HostConfig) {
 			cfg.Telemetry = &obs.Config{}
 		},

@@ -1,6 +1,9 @@
 package syrup_test
 
 import (
+	"go/constant"
+	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -165,4 +168,82 @@ func (idx *repoIndex) problems(doc, text string) []string {
 func exists(path string) bool {
 	_, err := os.Stat(path)
 	return err == nil
+}
+
+// TestCalibrationTableMatchesCode: every row of DESIGN.md's "Calibration
+// constants" table names a package-level constant as `pkg.name` (pkg is
+// the package's name) and states its value, and the code must hold a
+// constant of that name with that value. A duration is written in ns, µs or
+// ms and compared in the simulator's nanoseconds; a bare number is the
+// value itself. The fixture plants a wrong value and a name that is gone.
+func TestCalibrationTableMatchesCode(t *testing.T) {
+	tree, err := repoTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("fixture", func(t *testing.T) {
+		rows := "| `hook.RunCost` | 0.8 µs | planted |\n" +
+			"| `netstack.backlogCap` | 1000 | right |\n" +
+			"| `nic.noSuchCost` | 1 µs | gone |\n"
+		got, n := calibrationProblems(tree, rows)
+		want := []string{
+			"`hook.RunCost` is 700, the row says 0.8 µs",
+			"`nic.noSuchCost` is not a package-level constant",
+		}
+		if n != 3 || !slices.Equal(got, want) {
+			t.Fatalf("%d rows, problems %q; want 3 rows, %q", n, got, want)
+		}
+	})
+
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(design), "### Calibration constants\n")
+	if !ok {
+		t.Fatal(`DESIGN.md has no "### Calibration constants" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	problems, n := calibrationProblems(tree, section)
+	if n == 0 {
+		t.Fatal("the calibration section has no constant rows")
+	}
+	for _, p := range problems {
+		t.Error("DESIGN.md calibration table: " + p)
+	}
+}
+
+// calibrationRowRe is one table row: | `pkg.name` | value [unit] | ...
+var calibrationRowRe = regexp.MustCompile("(?m)^\\| `(\\w+)\\.(\\w+)` \\| ([0-9.]+)(?: (ns|µs|ms))? \\|")
+
+// calibrationProblems checks every calibration row in text against tree's
+// constants and returns the mismatches and the number of rows.
+func calibrationProblems(tree *srcTree, text string) ([]string, int) {
+	scale := map[string]int64{"": 1, "ns": 1, "µs": 1_000, "ms": 1_000_000}
+	var out []string
+	rows := calibrationRowRe.FindAllStringSubmatch(text, -1)
+	for _, m := range rows {
+		name, stated := "`"+m[1]+"."+m[2]+"`", strings.TrimSpace(m[3]+" "+m[4])
+		var c *types.Const
+		for _, p := range tree.pkgs {
+			if p.types.Name() == m[1] {
+				if obj, ok := p.types.Scope().Lookup(m[2]).(*types.Const); ok {
+					c = obj
+				}
+			}
+		}
+		if c == nil {
+			out = append(out, name+" is not a package-level constant")
+			continue
+		}
+		kind := token.INT
+		if strings.Contains(m[3], ".") {
+			kind = token.FLOAT
+		}
+		want := constant.BinaryOp(constant.MakeFromLiteral(m[3], kind, 0), token.MUL, constant.MakeInt64(scale[m[4]]))
+		if !constant.Compare(c.Val(), token.EQL, want) {
+			out = append(out, name+" is "+c.Val().ExactString()+", the row says "+stated)
+		}
+	}
+	return out, len(rows)
 }

@@ -84,15 +84,17 @@ func TestExportsAreReached(t *testing.T) {
 // an assignment, op-assignment or ++/-- through a selector chain that
 // passes through the field (n.Stats.Drops++ writes Stats and Drops); &x.F;
 // or a pointer-receiver method called on the addressable field
-// (t.Gets.Add(1)). A field no run sets is a constant: make it one, or
-// delete the code behind its other values.
+// (t.Gets.Add(1)). A zero-value default arm — if x.F == 0 { x.F = … } (or
+// == ""), with no else — is not a write of x.F: it only fills in the value
+// no caller set. A field no run sets is a constant: make it one, or delete
+// the code behind its other values.
 func TestFieldsAreWritten(t *testing.T) {
 	t.Run("fixture", func(t *testing.T) {
 		tree, err := loadTree(fieldsFixture)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := unwrittenFields(tree), []string{"a.T.Planted"}; !slices.Equal(got, want) {
+		if got, want := unwrittenFields(tree), []string{"a.T.Defaulted", "a.T.Planted"}; !slices.Equal(got, want) {
 			t.Fatalf("unwritten = %q, want %q", got, want)
 		}
 	})
@@ -183,10 +185,11 @@ func Used() { fmt.Println(New()) }
 	"benchmark/main.go":    {Data: []byte("package main\n\nimport \"fix/internal/a\"\n\nfunc main() { a.Used() }\n")},
 }
 
-// fieldsFixture plants one field that is read and only a test writes. The
-// others are written only through a selector chain, a pointer-method call,
-// an unkeyed literal, &x.F or from the second module, and read everywhere;
-// none may be reported.
+// fieldsFixture plants one field that is read and only a test writes, and
+// one whose only writer is its zero-value default arm. The others are
+// written only through a selector chain, a pointer-method call, an unkeyed
+// literal, &x.F, from the second module or by an if arm that is not a
+// zero-value default, and read everywhere; none may be reported.
 var fieldsFixture = fstest.MapFS{
 	"go.mod": {Data: []byte("module fix\n")},
 	"internal/a/a.go": {Data: []byte(`package a
@@ -196,20 +199,34 @@ import "sync/atomic"
 type Stats struct{ Drops int }
 
 type T struct {
-	Planted int
-	Stats   Stats
-	Gets    atomic.Uint64
-	Ptr     int
-	Remote  int
+	Planted   int
+	Defaulted int
+	Clamped   int
+	Stats     Stats
+	Gets      atomic.Uint64
+	Ptr       int
+	Remote    int
 }
 
 type Pair struct{ X, Y int }
 
+func (t *T) fill() {
+	if t.Defaulted == 0 {
+		t.Defaulted = 5
+	}
+	if t.Clamped == 0 {
+		t.Clamped = 1
+	} else {
+		t.Clamped = 2
+	}
+}
+
 func Read(t *T, p Pair) int {
+	t.fill()
 	t.Stats.Drops++
 	t.Gets.Add(1)
 	_ = &t.Ptr
-	return t.Planted + t.Stats.Drops + int(t.Gets.Load()) + t.Ptr + t.Remote + p.X + p.Y
+	return t.Planted + t.Defaulted + t.Clamped + t.Stats.Drops + int(t.Gets.Load()) + t.Ptr + t.Remote + p.X + p.Y
 }
 
 var Origin = Pair{1, 2}
@@ -618,8 +635,14 @@ func unwrittenFields(tree *srcTree) []string {
 			}
 		}
 		for _, f := range p.files {
+			// defaults holds the assignments of zero-value default arms.
+			defaults := map[*ast.AssignStmt]bool{}
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
+				case *ast.IfStmt:
+					for _, a := range defaultArm(n) {
+						defaults[a] = true
+					}
 				case *ast.CompositeLit:
 					st := structOf(p.info.TypeOf(n))
 					if st == nil {
@@ -633,6 +656,9 @@ func unwrittenFields(tree *srcTree) []string {
 						}
 					}
 				case *ast.AssignStmt:
+					if defaults[n] {
+						break
+					}
 					for _, lhs := range n.Lhs {
 						writeThrough(lhs)
 					}
@@ -673,6 +699,29 @@ func unwrittenFields(tree *srcTree) []string {
 	}
 	slices.Sort(unwritten)
 	return unwritten
+}
+
+// defaultArm returns the assignments of n's body to the tested selector
+// when n is a zero-value default arm: if x.F == 0 (or "") { x.F = … }, no
+// else.
+func defaultArm(n *ast.IfStmt) []*ast.AssignStmt {
+	cond, ok := n.Cond.(*ast.BinaryExpr)
+	if !ok || cond.Op != token.EQL || n.Else != nil {
+		return nil
+	}
+	sel, ok := cond.X.(*ast.SelectorExpr)
+	lit, isLit := cond.Y.(*ast.BasicLit)
+	if !ok || !isLit || (lit.Value != "0" && lit.Value != `""`) {
+		return nil
+	}
+	var arm []*ast.AssignStmt
+	for _, st := range n.Body.List {
+		if a, ok := st.(*ast.AssignStmt); ok && a.Tok == token.ASSIGN && len(a.Lhs) == 1 &&
+			types.ExprString(a.Lhs[0]) == types.ExprString(sel) {
+			arm = append(arm, a)
+		}
+	}
+	return arm
 }
 
 // directRuns lists, sorted, every package under the main module's

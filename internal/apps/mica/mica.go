@@ -79,7 +79,20 @@ func (p *Partition) op(slot uint64, reqType uint64) {
 	}
 }
 
-// Config describes a MICA deployment. Its queue bounds are fixed (xskCap, ringCap).
+// The per-request cost model, calibrated in DESIGN.md "Calibration
+// constants".
+const (
+	pollCost    = 250 * sim.Nanosecond  // per-request rx/poll cost
+	opGetCost   = 2100 * sim.Nanosecond // GET processing incl. tx
+	opPutCost   = 2400 * sim.Nanosecond // PUT processing incl. tx
+	parseCost   = 600 * sim.Nanosecond  // request parse on the wrong core
+	enqueueCost = 650 * sim.Nanosecond  // inter-core ring enqueue
+	dequeueCost = 350 * sim.Nanosecond  // inter-core ring dequeue
+	crossCost   = 450 * sim.Nanosecond  // cache-line transfer when data crossed cores
+)
+
+// Config describes a MICA deployment. Its queue bounds (xskCap, ringCap)
+// and costs are fixed.
 type Config struct {
 	Port       uint16
 	App        uint32
@@ -97,32 +110,11 @@ type Config struct {
 	Shard     int
 	NumShards int
 
-	// Cost model (defaults from DESIGN.md calibration).
-	PollCost    sim.Time // per-request rx/poll cost (0.25 µs)
-	OpGetCost   sim.Time // GET processing incl. tx (2.1 µs)
-	OpPutCost   sim.Time // PUT processing incl. tx (2.4 µs)
-	ParseCost   sim.Time // request parse on the wrong core (0.6 µs)
-	EnqueueCost sim.Time // inter-core ring enqueue (0.65 µs)
-	DequeueCost sim.Time // inter-core ring dequeue (0.35 µs)
-	CrossCost   sim.Time // cache-line transfer when data crossed cores (0.45 µs)
-
 	OnComplete func(reqID uint64, finish sim.Time)
 	KeySpace   int
 }
 
 func (c *Config) fill() {
-	def := func(v *sim.Time, d sim.Time) {
-		if *v == 0 {
-			*v = d
-		}
-	}
-	def(&c.PollCost, 250)
-	def(&c.OpGetCost, 2100)
-	def(&c.OpPutCost, 2400)
-	def(&c.ParseCost, 600)
-	def(&c.EnqueueCost, 650)
-	def(&c.DequeueCost, 350)
-	def(&c.CrossCost, 450)
 	if c.KeySpace == 0 {
 		c.KeySpace = 1 << 20
 		if c.NumShards > 1 {
@@ -318,24 +310,24 @@ func (s *Server) serve(w *worker, pkt *nic.Packet, fromRing bool) {
 	if s.cfg.Mode == ModeSWRedirect && !fromRing && home != w.me {
 		s.Forwarded++
 		w.pkt, w.home = pkt, home
-		w.th.Exec(s.cfg.PollCost+s.cfg.ParseCost+s.cfg.EnqueueCost, w.fwdCont)
+		w.th.Exec(pollCost+parseCost+enqueueCost, w.fwdCont)
 		return
 	}
 
 	// Serving path cost: rx + (movement penalties) + the operation.
-	cost := s.cfg.PollCost
+	cost := pollCost
 	if fromRing {
-		cost += s.cfg.DequeueCost + s.cfg.CrossCost
+		cost += dequeueCost + crossCost
 	} else if s.cfg.Mode == ModeSyrupSW && int(pkt.Queue) != w.me {
 		// The packet's softirq/XSK work happened on a foreign queue's
 		// buddy; its lines arrive cold.
-		cost += s.cfg.CrossCost
+		cost += crossCost
 	} else {
 		s.Local++
 	}
-	op := s.cfg.OpGetCost
+	op := opGetCost
 	if reqType == policy.ReqPUT {
-		op = s.cfg.OpPutCost
+		op = opPutCost
 	}
 	cost += op
 

@@ -26,7 +26,7 @@ func newFixture(t *testing.T, threads int, mode Mode) *fixture {
 	t.Helper()
 	eng := sim.New(1)
 	m := kernel.New(eng, kernel.Config{NumCPUs: threads})
-	dev, stack := netstack.Wire(&hook.Host{Eng: eng}, nic.Config{Queues: threads}, netstack.Config{})
+	dev, stack := netstack.Wire(&hook.Host{Eng: eng}, nic.Config{Queues: threads})
 	f := &fixture{eng: eng, m: m, dev: dev, stack: stack}
 	f.srv = NewServer(eng, m, stack, Config{
 		Port: 9000, App: 1, NumThreads: threads, Mode: mode,
@@ -176,7 +176,7 @@ func TestPutsHitPartitions(t *testing.T) {
 func TestBadConfigPanics(t *testing.T) {
 	eng := sim.New(1)
 	m := kernel.New(eng, kernel.Config{NumCPUs: 2})
-	_, stack := netstack.Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 2}, netstack.Config{})
+	_, stack := netstack.Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 2})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("oversubscribed NumThreads accepted")
@@ -210,7 +210,7 @@ func TestPartitionBitmapsMatchFullWidth(t *testing.T) {
 	} {
 		eng := sim.New(1)
 		m := kernel.New(eng, kernel.Config{NumCPUs: c.threads})
-		_, stack := netstack.Wire(&hook.Host{Eng: eng}, nic.Config{Queues: c.threads}, netstack.Config{})
+		_, stack := netstack.Wire(&hook.Host{Eng: eng}, nic.Config{Queues: c.threads})
 		srv := NewServer(eng, m, stack, Config{Port: 9000, App: 1, NumThreads: c.threads, Mode: ModeSyrupSW, KeySpace: c.keys})
 		if want := (c.keys/c.stride + 63) / 64; len(srv.Partition(0).present) != want {
 			t.Errorf("K=%d N=%d: %d bitmap words, want %d", c.keys, c.threads, len(srv.Partition(0).present), want)

@@ -37,20 +37,12 @@ type Config struct {
 	PinToCores bool
 	// Service overrides DefaultServiceModel.
 	Service ServiceModel
-	// RecvOverhead and SendOverhead are the per-request syscall+copy+
-	// reply costs around the storage operation (≈1.25 µs each,
-	// calibrated so 6 GET-serving threads saturate near the paper's
-	// ≈450 K RPS in Fig. 2).
-	RecvOverhead sim.Time
-	SendOverhead sim.Time
 	// ScanState, when set, is updated with the request type each thread
 	// is processing (the userspace half of SCAN Avoid, Fig. 5b, also read
 	// by the ghOSt GET-priority policy).
 	ScanState *ebpf.Map
 	// OnComplete reports request completions (server-side finish time).
 	OnComplete func(reqID uint64, finish sim.Time)
-	// KeySpace bounds the preloaded keys touched by real operations.
-	KeySpace int
 	// FlowLocalityBonus models Receive Flow Steering's cache benefit
 	// (§2.1): each thread keeps a small warm set of recently served flows
 	// (flowLRUSize entries); serving a warm flow shrinks the request's
@@ -67,6 +59,17 @@ type Config struct {
 // flowLRUSize is the per-thread warm flow-context capacity.
 const flowLRUSize = 4
 
+const (
+	// recvOverhead and sendOverhead are the per-request syscall+copy+
+	// reply costs around the storage operation (≈1.25 µs each,
+	// calibrated so 6 GET-serving threads saturate near the paper's
+	// ≈450 K RPS in Fig. 2).
+	recvOverhead = 1250 * sim.Nanosecond
+	sendOverhead = 1250 * sim.Nanosecond
+	// keySpace bounds the preloaded keys touched by real operations.
+	keySpace = 10_000
+)
+
 // Server is a multi-threaded SO_REUSEPORT UDP RocksDB server.
 type Server struct {
 	cfg     Config
@@ -82,7 +85,7 @@ type Server struct {
 	LocalityHits uint64
 
 	warmFlows [][]uint64 // per-thread LRU of recently served flows
-	keyTable  []string   // precomputed canonical keys, indexed by keyHash % KeySpace
+	keyTable  []string   // precomputed canonical keys, indexed by keyHash % keySpace
 	// scanBuf is the one buffer every worker's SCAN fills and drops: the
 	// result is never read, and a buffer per server rather than per
 	// worker keeps a 36-thread server's heap flat.
@@ -99,20 +102,11 @@ func NewServer(eng *sim.Engine, m *kernel.Machine, stack *netstack.Stack, cfg Co
 	if cfg.Service == nil {
 		cfg.Service = DefaultServiceModel
 	}
-	if cfg.RecvOverhead == 0 {
-		cfg.RecvOverhead = 1250 * sim.Nanosecond
-	}
-	if cfg.SendOverhead == 0 {
-		cfg.SendOverhead = 1250 * sim.Nanosecond
-	}
-	if cfg.KeySpace == 0 {
-		cfg.KeySpace = 10_000
-	}
 	s := &Server{cfg: cfg, eng: eng, store: NewStore(), warmFlows: make([][]uint64, cfg.NumThreads)}
 	// Rendering "key-%08d" per request would dominate the serve path's
 	// allocations; the key space is small and fixed, so render it once, and
 	// preload the store with the very same strings.
-	s.keyTable = renderKeys(cfg.KeySpace)
+	s.keyTable = renderKeys(keySpace)
 	s.store.preload(s.keyTable)
 	for i := 0; i < cfg.NumThreads; i++ {
 		i := i
@@ -252,7 +246,7 @@ func (s *Server) serve(w *worker, pkt *nic.Packet, wasBlocked bool) {
 			service = sim.Time(float64(service) * (1 - s.cfg.FlowLocalityBonus))
 		}
 	}
-	total := s.cfg.RecvOverhead + service + s.cfg.SendOverhead
+	total := recvOverhead + service + sendOverhead
 	w.pkt, w.reqType, w.reqID, w.keyHash, w.start = pkt, reqType, reqID, keyHash, start
 	th.Exec(total, w.opCont)
 }
@@ -262,7 +256,7 @@ func (s *Server) serve(w *worker, pkt *nic.Packet, wasBlocked bool) {
 func (w *worker) finishOp() {
 	s, slot, pkt := w.s, w.slot, w.pkt
 	w.pkt = nil
-	key := s.keyTable[int(w.keyHash)%s.cfg.KeySpace]
+	key := s.keyTable[int(w.keyHash)%keySpace]
 	switch w.reqType {
 	case policy.ReqSCAN:
 		s.scanBuf = s.store.AppendScan(s.scanBuf[:0], key, 100)

@@ -19,7 +19,7 @@ func testHost(t *testing.T, cpus, queues int) (*sim.Engine, *kernel.Machine, *ni
 	t.Helper()
 	eng := sim.New(1)
 	m := kernel.New(eng, kernel.Config{NumCPUs: cpus})
-	dev, stack := netstack.Wire(&hook.Host{Eng: eng}, nic.Config{Queues: queues}, netstack.Config{})
+	dev, stack := netstack.Wire(&hook.Host{Eng: eng}, nic.Config{Queues: queues})
 	return eng, m, dev, stack
 }
 
@@ -66,11 +66,11 @@ func TestServerServesGets(t *testing.T) {
 // key it looks a request up by is the very string its store holds.
 func TestServerSharesKeysWithStore(t *testing.T) {
 	eng, m, _, stack := testHost(t, 1, 1)
-	srv := NewServer(eng, m, stack, Config{Port: 9000, App: 1, NumThreads: 1, KeySpace: 300})
-	if len(srv.keyTable) != 300 || srv.store.Len() != 300 {
-		t.Fatalf("%d keys in the table, %d in the store, want 300", len(srv.keyTable), srv.store.Len())
+	srv := NewServer(eng, m, stack, Config{Port: 9000, App: 1, NumThreads: 1})
+	if len(srv.keyTable) != keySpace || srv.store.Len() != keySpace {
+		t.Fatalf("%d keys in the table, %d in the store, want %d", len(srv.keyTable), srv.store.Len(), keySpace)
 	}
-	for _, kv := range srv.store.Scan("", 300) {
+	for _, kv := range srv.store.Scan("", keySpace) {
 		i, err := strconv.Atoi(strings.TrimPrefix(kv.Key, "key-"))
 		if err != nil || unsafe.StringData(kv.Key) != unsafe.StringData(srv.keyTable[i]) {
 			t.Fatalf("store key %q is not the server's key-table string", kv.Key)

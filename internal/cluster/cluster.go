@@ -15,8 +15,6 @@ type Config struct {
 	// Seed drives every cluster-level decision (member seeds, the Maglev
 	// table, flow pools, canary selection). Zero means seed 1.
 	Seed uint64
-	// TableSize is the Maglev lookup-table size (prime; default 65537).
-	TableSize int
 	// Host is the per-member template. Seed, HostID, and Name are derived
 	// per member; everything else is shared.
 	Host syrup.HostConfig
@@ -70,14 +68,11 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.TableSize == 0 {
-		cfg.TableSize = DefaultTableSize
-	}
 	names := make([]string, cfg.Hosts)
 	for i := range names {
 		names[i] = MemberName(i)
 	}
-	table, err := NewTable(names, cfg.TableSize, cfg.Seed)
+	table, err := NewTable(names, tableSize, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -32,10 +32,9 @@ func TestMemberSeedsDistinctNonzero(t *testing.T) {
 func TestClusterConstruction(t *testing.T) {
 	tuned := 0
 	c, err := New(Config{
-		Hosts:     4,
-		Seed:      42,
-		TableSize: 251,
-		Host:      syrup.HostConfig{NumCPUs: 2},
+		Hosts: 4,
+		Seed:  42,
+		Host:  syrup.HostConfig{NumCPUs: 2},
 		Tune: func(i int, cfg *syrup.HostConfig) {
 			tuned++
 			if cfg.Seed != MemberSeed(42, i) {
@@ -63,13 +62,10 @@ func TestClusterConstruction(t *testing.T) {
 	if _, err := New(Config{Hosts: 0}); err == nil {
 		t.Fatal("zero-host cluster accepted")
 	}
-	if _, err := New(Config{Hosts: 2, TableSize: 100}); err == nil {
-		t.Fatal("non-prime table size accepted")
-	}
 }
 
 func TestDrawFlowsDeterministicDistinct(t *testing.T) {
-	c, err := New(Config{Hosts: 2, Seed: 42, TableSize: 251})
+	c, err := New(Config{Hosts: 2, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +90,7 @@ func TestDrawFlowsDeterministicDistinct(t *testing.T) {
 // steering with rates summing to the base rate — the invariant that makes
 // a cluster run comparable to a single-host run at the same total load.
 func TestSplitPartitionsPool(t *testing.T) {
-	c, err := New(Config{Hosts: 4, Seed: 42, TableSize: 251})
+	c, err := New(Config{Hosts: 4, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +183,7 @@ func drawClusterFlowsOracle(seed uint64, n int) []workload.Flow {
 // make repeats common enough to be skipped thousands of times.
 func TestDrawFlowsMatchesMapOracle(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 23} {
-		c, err := New(Config{Hosts: 1, Seed: seed, TableSize: 251})
+		c, err := New(Config{Hosts: 1, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +202,7 @@ func TestDrawFlowsMatchesMapOracle(t *testing.T) {
 // (`syrup-bench -hosts 4 -flows 1 -fast` did not finish).
 func TestSingleFlowFleet(t *testing.T) {
 	const app, uid, port = 3, 1003, 9100
-	c, err := New(Config{Hosts: 4, Seed: 42, TableSize: 251, Host: syrup.HostConfig{NumCPUs: 2, NICQueues: 2}})
+	c, err := New(Config{Hosts: 4, Seed: 42, Host: syrup.HostConfig{NumCPUs: 2, NICQueues: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +217,7 @@ func TestSingleFlowFleet(t *testing.T) {
 		}
 		gen := workload.New(m.Host.Eng, m.Host.NIC, parts[i])
 		srv := rocksdb.NewServer(m.Host.Eng, m.Host.Machine, m.Host.Stack, rocksdb.Config{
-			Port: port, App: app, NumThreads: 2, KeySpace: 64, OnComplete: gen.Complete,
+			Port: port, App: app, NumThreads: 2, OnComplete: gen.Complete,
 		})
 		srv.Start()
 		st := gen.RunToCompletion().All
@@ -246,7 +242,7 @@ func TestSingleFlowFleet(t *testing.T) {
 }
 
 func TestRunAllVisitsEveryMemberOnce(t *testing.T) {
-	c, err := New(Config{Hosts: 8, Seed: 1, TableSize: 251})
+	c, err := New(Config{Hosts: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +265,7 @@ func TestRunAllVisitsEveryMemberOnce(t *testing.T) {
 func TestFleetPacketsStayPerHost(t *testing.T) {
 	const app, uid, port = 3, 1003, 9100
 	run := func(workers int) []string {
-		c, err := New(Config{Hosts: 4, Seed: 42, TableSize: 251, Host: syrup.HostConfig{NumCPUs: 2, NICQueues: 2}})
+		c, err := New(Config{Hosts: 4, Seed: 42, Host: syrup.HostConfig{NumCPUs: 2, NICQueues: 2}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +280,7 @@ func TestFleetPacketsStayPerHost(t *testing.T) {
 			}
 			gens[i] = workload.New(m.Host.Eng, m.Host.NIC, parts[i])
 			rocksdb.NewServer(m.Host.Eng, m.Host.Machine, m.Host.Stack, rocksdb.Config{
-				Port: port, App: app, NumThreads: 2, KeySpace: 64, OnComplete: gens[i].Complete,
+				Port: port, App: app, NumThreads: 2, OnComplete: gens[i].Complete,
 			}).Start()
 		}
 		out := make([]string, len(c.Members))

@@ -20,7 +20,7 @@ const (
 // policies actually execute against probe traffic.
 func newTestCluster(t *testing.T, hosts int, tune func(i int, cfg *syrup.HostConfig)) *Cluster {
 	t.Helper()
-	c, err := New(Config{Hosts: hosts, Seed: 42, TableSize: 251, Tune: tune})
+	c, err := New(Config{Hosts: hosts, Seed: 42, Tune: tune})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +61,8 @@ func attachedCount(c *Cluster) int {
 }
 
 func TestCanaryOrderDeterministicPerSeed(t *testing.T) {
-	a, _ := New(Config{Hosts: 16, Seed: 42, TableSize: 251})
-	b, _ := New(Config{Hosts: 16, Seed: 42, TableSize: 251})
+	a, _ := New(Config{Hosts: 16, Seed: 42})
+	b, _ := New(Config{Hosts: 16, Seed: 42})
 	ao, bo := a.CanaryOrder(), b.CanaryOrder()
 	seen := make([]bool, 16)
 	for i := range ao {
@@ -74,7 +74,7 @@ func TestCanaryOrderDeterministicPerSeed(t *testing.T) {
 		}
 		seen[ao[i]] = true
 	}
-	c, _ := New(Config{Hosts: 16, Seed: 99, TableSize: 251})
+	c, _ := New(Config{Hosts: 16, Seed: 99})
 	co := c.CanaryOrder()
 	same := true
 	for i := range ao {

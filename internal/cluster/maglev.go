@@ -15,11 +15,11 @@ import (
 	"fmt"
 )
 
-// DefaultTableSize is the default Maglev lookup-table size: a prime
+// tableSize is the fleet's Maglev lookup-table size: a prime
 // (65537) large enough that per-backend entry counts differ by well under
 // 1% for any plausible fleet (the Maglev paper recommends size >= 100x
 // the backend count).
-const DefaultTableSize = 65537
+const tableSize = 65537
 
 // Table is a Maglev consistent-hash lookup table (Eisenbud et al.,
 // NSDI'16): each backend generates a seeded permutation of table slots

@@ -86,7 +86,7 @@ func TestTableDeterministicPerSeed(t *testing.T) {
 // "within a few percent" because every backend claims exactly once per
 // round.
 func TestTableBalance(t *testing.T) {
-	tb, err := NewTable(names(32), DefaultTableSize, 7)
+	tb, err := NewTable(names(32), tableSize, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +101,8 @@ func TestTableBalance(t *testing.T) {
 		}
 		total += c
 	}
-	if total != DefaultTableSize {
-		t.Fatalf("counts sum %d, want %d", total, DefaultTableSize)
+	if total != tableSize {
+		t.Fatalf("counts sum %d, want %d", total, tableSize)
 	}
 	if max-min > 1 {
 		t.Fatalf("imbalance: min=%d max=%d (round-robin fill should differ by <=1)", min, max)
@@ -115,12 +115,12 @@ func TestTableBalance(t *testing.T) {
 // are excluded from the metric.)
 func TestTableMinimalDisruption(t *testing.T) {
 	all := names(32)
-	before, err := NewTable(all, DefaultTableSize, 7)
+	before, err := NewTable(all, tableSize, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	without := append(append([]string(nil), all[:13]...), all[14:]...)
-	after, err := NewTable(without, DefaultTableSize, 7)
+	after, err := NewTable(without, tableSize, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 
 	"syrup"
 	"syrup/internal/faults"
-	"syrup/internal/syrupd"
 	"syrup/internal/workload"
 )
 
@@ -25,10 +24,7 @@ type ChaosConfig struct {
 	Policy  SocketPolicy
 	// Plan is the fault plan for the chaotic run (required).
 	Plan *faults.Plan
-	// Quarantine tunes the watchdog armed for the chaotic run; zero
-	// fields take syrupd defaults.
-	Quarantine syrupd.QuarantineConfig
-	Run        RunConfig
+	Run  RunConfig
 }
 
 // DefaultChaosPlan is a representative mixed plan: sporadic NIC ring and
@@ -67,7 +63,6 @@ func RunChaos(cfg ChaosConfig) *ChaosRun {
 
 	chaotic := base
 	chaotic.Faults = cfg.Plan
-	chaotic.Quarantine = &cfg.Quarantine
 	chaos := runRocksPoint(chaotic)
 
 	return &ChaosRun{

@@ -7,8 +7,6 @@ import (
 	"syrup"
 	"syrup/internal/faults"
 	"syrup/internal/policy"
-	"syrup/internal/sim"
-	"syrup/internal/syrupd"
 	"syrup/internal/workload"
 )
 
@@ -25,12 +23,11 @@ func TestChaosRunQuarantinesAndStaysLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	cr := RunChaos(ChaosConfig{
-		Seed:       1,
-		Load:       150_000,
-		Policy:     PolicyRoundRobin,
-		Plan:       plan,
-		Quarantine: syrupd.QuarantineConfig{Window: sim.Millisecond, Threshold: 5},
-		Run:        RunConfig{Windows: FastWindows},
+		Seed:   1,
+		Load:   150_000,
+		Policy: PolicyRoundRobin,
+		Plan:   plan,
+		Run:    RunConfig{Windows: FastWindows},
 	})
 
 	// The clean half runs unarmed.
@@ -107,8 +104,7 @@ func TestChaosWiringDoesNotPerturbWhenIdle(t *testing.T) {
 		t.Fatal(err)
 	}
 	armed := pt
-	armed.Faults = idlePlan
-	armed.Quarantine = &syrupd.QuarantineConfig{}
+	armed.Faults = idlePlan // arms the watchdog too
 	got := runRocksPoint(armed).Result
 
 	if *snap(plain, "") != *snap(got, "") {

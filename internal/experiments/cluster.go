@@ -36,13 +36,14 @@ type ClusterConfig struct {
 	// LSFrac is the latency-sensitive share of the load (rocksdb; default
 	// 0.5).
 	LSFrac float64
-	// TokenFrac sets each host's LS token rate as a fraction of its
-	// offered load (rocksdb; default 0.875, the paper's 350K/400K).
-	TokenFrac float64
 	// Run.Workers is the width of the pool the host simulations run on;
 	// the fleet is bit-identical at any value, only wall-clock changes.
 	Run RunConfig
 }
+
+// tokenFrac sets each rocksdb host's LS token rate as a fraction of its
+// offered load (the paper's 350K/400K).
+const tokenFrac = 0.875
 
 func (cfg ClusterConfig) withDefaults() ClusterConfig {
 	if cfg.Hosts == 0 {
@@ -62,9 +63,6 @@ func (cfg ClusterConfig) withDefaults() ClusterConfig {
 	}
 	if cfg.LSFrac == 0 {
 		cfg.LSFrac = 0.5
-	}
-	if cfg.TokenFrac == 0 {
-		cfg.TokenFrac = 0.875
 	}
 	return cfg
 }
@@ -177,7 +175,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterRun, error) {
 		return nil, fmt.Errorf("cluster scenario: %s", rep)
 	}
 
-	// Token agents (rocksdb): per-host userspace refill at TokenFrac of
+	// Token agents (rocksdb): per-host userspace refill at tokenFrac of
 	// the host's own offered rate, Fig. 7's epoch.
 	if cfg.App == "rocksdb" {
 		for i, m := range cl.Members {
@@ -185,7 +183,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterRun, error) {
 				Tokens:   m.Host.Daemon.App(rocksApp).Maps()["tokens"],
 				LSUser:   0,
 				BEUser:   1,
-				PerEpoch: uint64(cfg.TokenFrac * parts[i].Rate * float64(tokenEpoch) / 1e9),
+				PerEpoch: uint64(tokenFrac * parts[i].Rate * float64(tokenEpoch) / 1e9),
 				Epoch:    tokenEpoch,
 			}
 			agent.Start(m.Host.Eng)

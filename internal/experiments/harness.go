@@ -238,10 +238,9 @@ type rocksPoint struct {
 	FlowLocalityBonus float64
 	Run               RunConfig
 	// Faults, when set, arms the host with the chaos plan (compiled
-	// against Seed); Quarantine additionally arms syrupd's fault
-	// watchdog. Both nil leaves the point bit-identical to the seed runs.
-	Faults     *faults.Plan
-	Quarantine *syrupd.QuarantineConfig
+	// against Seed) and syrupd's fault watchdog. Nil leaves the point
+	// bit-identical to the seed runs.
+	Faults *faults.Plan
 	// RateFn modulates the offered rate over sim time (diurnal cycles,
 	// load bursts); nil keeps the constant Load and the exact PRNG
 	// stream of a constant-rate run.
@@ -315,7 +314,7 @@ func runRocksPoint(pt rocksPoint) *rocksRun {
 		NICQueues:  pt.NumCPUs, // one RX queue per core, IRQs on buddies (§5.1.1)
 		Trace:      pt.Run.Tracer,
 		Faults:     pt.Faults,
-		Quarantine: pt.Quarantine,
+		Quarantine: pt.Faults != nil,
 		Telemetry:  pt.Run.telemetry(),
 	}, rocksApp, rocksUID, rocksPort)
 

@@ -8,6 +8,7 @@ import (
 
 	"syrup"
 	"syrup/internal/ebpf"
+	"syrup/internal/hook"
 	"syrup/internal/policy"
 	"syrup/internal/sim"
 	"syrup/internal/syrupd"
@@ -35,8 +36,8 @@ type Table2Row struct {
 // Table2 regenerates the policy-overhead table by loading each policy and
 // running it against representative packets.
 func Table2() ([]Table2Row, error) {
-	// The modeled enforcement cost: PolicyRunCost (0.7 µs) at 2.3 GHz.
-	const modelCyclesPerDecision = 700e-9 * 2.3e9
+	// The modeled enforcement cost: hook.RunCost (0.7 µs) at 2.3 GHz.
+	const modelCyclesPerDecision = float64(hook.RunCost) * 2.3
 
 	cases := []struct {
 		name    string

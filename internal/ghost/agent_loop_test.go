@@ -32,7 +32,7 @@ func newEnclave(burst sim.Time, yield bool) *enclave {
 		workers[i] = kernel.CPUID(i)
 	}
 	pol := &policy.GetPriority{TypeOf: func(*kernel.Thread) uint64 { return policy.ReqGET }}
-	e.agent = ghost.NewAgent(&hook.Host{Eng: e.eng}, m, 1, pol, cpus-1, workers, ghost.Config{})
+	e.agent = ghost.NewAgent(&hook.Host{Eng: e.eng}, m, 1, pol, cpus-1, workers)
 	for i := 0; i < threads; i++ {
 		var th *kernel.Thread
 		var run, done func()

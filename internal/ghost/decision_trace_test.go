@@ -104,7 +104,7 @@ func runDecisionTrace(seed uint64, mk func(typeOf func(*kernel.Thread) uint64) g
 	}
 	tr := trace.New(1 << 16)
 	host := &hook.Host{Eng: eng, Tracer: tr, Faults: plan.Compile(seed, eng.Now)}
-	agent := ghost.NewAgent(host, m, 1, rec, cpus-1, workers, ghost.Config{})
+	agent := ghost.NewAgent(host, m, 1, rec, cpus-1, workers)
 
 	var res traceResult
 	rng := rand.New(rand.NewPCG(seed, 0x5ca9))

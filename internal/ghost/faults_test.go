@@ -17,7 +17,7 @@ func TestInjectedAgentStallDelaysDispatch(t *testing.T) {
 	run := func(plan *faults.Plan) sim.Time {
 		eng := sim.New(1)
 		m := kernel.New(eng, kernel.Config{NumCPUs: 2})
-		a := NewAgent(&hook.Host{Eng: eng, Faults: plan.Compile(1, eng.Now)}, m, 7, fifoPolicy(), 0, []kernel.CPUID{1}, Config{})
+		a := NewAgent(&hook.Host{Eng: eng, Faults: plan.Compile(1, eng.Now)}, m, 7, fifoPolicy(), 0, []kernel.CPUID{1})
 		var startedAt sim.Time
 		th := m.NewThread("w", 7, m.AffinityAll(), func(th *kernel.Thread) {
 			startedAt = eng.Now()
@@ -46,7 +46,7 @@ func TestInjectedCommitDropRecovers(t *testing.T) {
 	m := kernel.New(eng, kernel.Config{NumCPUs: 2})
 	// Drop the first commit; the retry (via the kicked policy) goes through.
 	plan := &faults.Plan{Specs: []faults.Spec{{Site: faults.SiteGhostCommit, Every: 1, Max: 1}}}
-	a := NewAgent(&hook.Host{Eng: eng, Faults: plan.Compile(1, eng.Now)}, m, 7, fifoPolicy(), 0, []kernel.CPUID{1}, Config{})
+	a := NewAgent(&hook.Host{Eng: eng, Faults: plan.Compile(1, eng.Now)}, m, 7, fifoPolicy(), 0, []kernel.CPUID{1})
 
 	done := false
 	th := m.NewThread("w", 7, m.AffinityAll(), func(th *kernel.Thread) {

@@ -90,24 +90,20 @@ type Policy interface {
 	Schedule(now sim.Time, runnable []*kernel.Thread, cpus []CPUView) []Placement
 }
 
-// Config sets the agent cost model.
-type Config struct {
-	// PerMessageCost is agent CPU per consumed message (≈0.5 µs).
-	PerMessageCost sim.Time
-	// CommitCost is the transaction commit cost per placement: syscall +
+// The agent's cost model, calibrated in DESIGN.md "Calibration constants".
+const (
+	// perMessageCost is agent CPU per consumed message (≈0.5 µs).
+	perMessageCost = 500 * sim.Nanosecond
+	// commitCost is the transaction commit cost per placement: syscall +
 	// IPI to the remote core (≈2 µs, §4.1's "sending interrupts to the
 	// remote logical cores").
-	CommitCost sim.Time
-}
+	commitCost = 2 * sim.Microsecond
+)
 
-func (c *Config) fill() {
-	if c.PerMessageCost == 0 {
-		c.PerMessageCost = 500 * sim.Nanosecond
-	}
-	if c.CommitCost == 0 {
-		c.CommitCost = 2 * sim.Microsecond
-	}
-}
+// Config is empty: the agent's costs are constants.
+//
+// Deprecated: Config has no effect; kept only until a benchmark-archetype PR stops passing it.
+type Config struct{}
 
 // Agent is one application's userspace scheduler: a spinning thread on a
 // dedicated core plus the kernel-side scheduling class for that
@@ -116,7 +112,6 @@ type Agent struct {
 	m   *kernel.Machine
 	eng *sim.Engine
 	app uint32
-	cfg Config
 	// host supplies the request tracer and the chaos injector
 	// (message-batch stalls on the agent core, dropped commit
 	// transactions).
@@ -172,10 +167,9 @@ type Agent struct {
 // the host's tracer: one per processed batch (Policy "batch", Executor =
 // message count) and one per placement commit (Policy "commit", Executor =
 // target CPU, Req = thread ID).
-func NewAgent(h *hook.Host, m *kernel.Machine, app uint32, policy Policy, agentCPU kernel.CPUID, workers []kernel.CPUID, cfg Config) *Agent {
-	cfg.fill()
+func NewAgent(h *hook.Host, m *kernel.Machine, app uint32, policy Policy, agentCPU kernel.CPUID, workers []kernel.CPUID) *Agent {
 	a := &Agent{
-		m: m, eng: m.Eng, app: app, cfg: cfg, host: h,
+		m: m, eng: m.Eng, app: app, host: h,
 		agentCPU: agentCPU, workers: workers,
 		cpuScratch: make([]CPUView, len(workers)),
 		pt:         hook.NewPoint(h, fmt.Sprintf("thread_sched:app%d", app), ""),
@@ -220,7 +214,7 @@ func NewAgent(h *hook.Host, m *kernel.Machine, app uint32, policy Policy, agentC
 			// The span is the syscall+IPI round trip: a decision's nth
 			// commit (u>>32, see packCommit) was issued nth commit costs ago.
 			a.host.Tracer.Record(trace.Span{
-				Req: uint64(pl.Thread.ID), Start: a.eng.Now() - sim.Time(u>>32)*a.cfg.CommitCost, End: a.eng.Now(),
+				Req: uint64(pl.Thread.ID), Start: a.eng.Now() - sim.Time(u>>32)*commitCost, End: a.eng.Now(),
 				Stage: trace.StageGhost, Verdict: trace.VerdictSteer,
 				Executor: uint32(pl.CPU), CPU: int32(a.agentCPU),
 				Hook: a.pt.Name(), Policy: "commit",
@@ -313,7 +307,7 @@ func (a *Agent) maybeRun() {
 	// Swap the queue and the (drained) inflight buffer: the batch keeps its
 	// backing array for reuse, and new messages accumulate in the other.
 	a.inflight, a.queue = a.queue, a.inflight[:0]
-	cost := a.cfg.PerMessageCost * sim.Time(len(a.inflight))
+	cost := perMessageCost * sim.Time(len(a.inflight))
 	// An injected stall holds the agent core for the spec's duration on
 	// top of the batch cost (a GC pause or scheduler-thread descheduling).
 	if inj := a.host.Faults; inj.Fire(faults.SiteGhostStall) {
@@ -347,7 +341,7 @@ func (a *Agent) invokePolicy() {
 			panic(fmt.Sprintf("ghost: policy placed non-runnable thread %q", pl.Thread.Name))
 		}
 		a.Commits++
-		a.eng.CallAfter(sim.Time(i+1)*a.cfg.CommitCost, a.commitCB, pl.Thread, packCommit(pl, i+1))
+		a.eng.CallAfter(sim.Time(i+1)*commitCost, a.commitCB, pl.Thread, packCommit(pl, i+1))
 	}
 }
 
@@ -410,7 +404,7 @@ func (a *Agent) kickPolicy() {
 		return
 	}
 	a.busy = true
-	a.eng.CallAfter(a.cfg.PerMessageCost, a.batchCB, nil, 0)
+	a.eng.CallAfter(perMessageCost, a.batchCB, nil, 0)
 }
 
 // Hook exposes the agent's Thread Scheduler hook point; syrupd replaces

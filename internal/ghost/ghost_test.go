@@ -35,7 +35,7 @@ func setup(t *testing.T, cpus int, policy Policy) (*sim.Engine, *kernel.Machine,
 	for i := range workers {
 		workers[i] = kernel.CPUID(i + 1)
 	}
-	a := NewAgent(&hook.Host{Eng: eng}, m, 7, policy, 0, workers, Config{})
+	a := NewAgent(&hook.Host{Eng: eng}, m, 7, policy, 0, workers)
 	return eng, m, a
 }
 
@@ -71,9 +71,8 @@ func TestAgentRejectsForeignApp(t *testing.T) {
 
 func TestAgentLatencyIncludesMessageAndCommitCosts(t *testing.T) {
 	eng := sim.New(1)
-	m := kernel.New(eng, kernel.Config{NumCPUs: 2, CtxSwitchCost: 1 * sim.Microsecond})
-	a := NewAgent(&hook.Host{Eng: eng}, m, 7, fifoPolicy(), 0, []kernel.CPUID{1},
-		Config{PerMessageCost: 500 * sim.Nanosecond, CommitCost: 2 * sim.Microsecond})
+	m := kernel.New(eng, kernel.Config{NumCPUs: 2})
+	a := NewAgent(&hook.Host{Eng: eng}, m, 7, fifoPolicy(), 0, []kernel.CPUID{1})
 	var startedAt sim.Time
 	th := m.NewThread("w", 7, m.AffinityAll(), func(th *kernel.Thread) {
 		startedAt = eng.Now()
@@ -84,10 +83,24 @@ func TestAgentLatencyIncludesMessageAndCommitCosts(t *testing.T) {
 	wakeAt := eng.Now()
 	th.Wake()
 	eng.Run()
-	// wake → 0.5us message + 2us commit + 1us ctx switch = 3.5us minimum.
-	if lat := startedAt - wakeAt; lat < 3500*sim.Nanosecond {
-		t.Fatalf("ghost dispatch latency %v too low; costs not charged", lat)
+	// wake → message + commit + context switch at minimum.
+	if want := perMessageCost + commitCost + cfsStartDelay(); startedAt-wakeAt < want {
+		t.Fatalf("ghost dispatch latency %v too low, want at least %v; costs not charged", startedAt-wakeAt, want)
 	}
+}
+
+// cfsStartDelay is how long a woken thread on an idle CFS core waits to
+// start: the kernel's context switch.
+func cfsStartDelay() sim.Time {
+	eng := sim.New(1)
+	m := kernel.New(eng, kernel.Config{NumCPUs: 1})
+	var startedAt sim.Time
+	m.NewThread("w", 0, 0, func(th *kernel.Thread) {
+		startedAt = eng.Now()
+		th.Exit()
+	}).Wake()
+	eng.Run()
+	return startedAt
 }
 
 func TestAgentPreemption(t *testing.T) {

@@ -55,6 +55,10 @@ type Host struct {
 	Obs    *obs.Sampler
 }
 
+// RunCost is the decision+enforcement time a layer charges per policy run
+// (Table 2 measures ≈1.6 k cycles ≈ 0.7 µs at 2.3 GHz).
+const RunCost = 700 * sim.Nanosecond
+
 // Action classifies a hook run's outcome for the layer.
 type Action int
 

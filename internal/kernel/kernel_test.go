@@ -81,7 +81,7 @@ func TestRedundantWakeIsNoOp(t *testing.T) {
 
 func TestContextSwitchCostCharged(t *testing.T) {
 	eng := sim.New(1)
-	m := New(eng, Config{NumCPUs: 1, CtxSwitchCost: 3 * sim.Microsecond})
+	m := New(eng, Config{NumCPUs: 1})
 	var doneAt sim.Time
 	th := m.NewThread("w", 0, 0, func(th *Thread) {
 		th.Exec(10*sim.Microsecond, func() {
@@ -91,8 +91,8 @@ func TestContextSwitchCostCharged(t *testing.T) {
 	})
 	th.Wake()
 	eng.Run()
-	if doneAt != 13*sim.Microsecond {
-		t.Fatalf("burst completed at %v, want 13us (3 switch + 10 work)", doneAt)
+	if want := ctxSwitchCost + 10*sim.Microsecond; doneAt != want {
+		t.Fatalf("burst completed at %v, want %v (switch + 10us work)", doneAt, want)
 	}
 }
 
@@ -309,15 +309,15 @@ func TestYield(t *testing.T) {
 
 func TestPreemptDuringContextSwitchWindow(t *testing.T) {
 	eng := sim.New(1)
-	m := New(eng, Config{NumCPUs: 1, CtxSwitchCost: 5 * sim.Microsecond})
+	m := New(eng, Config{NumCPUs: 1})
 	ran := false
 	th := m.NewThread("w", 0, 0, func(th *Thread) {
 		ran = true
 		th.Exec(sim.Microsecond, func() { th.Exit() })
 	})
 	th.Wake()
-	// Preempt 2us in — mid switch, before the continuation fires.
-	eng.CallAt(2*sim.Microsecond, func(any, uint64) {
+	// Preempt halfway through the switch, before the continuation fires.
+	eng.CallAt(ctxSwitchCost/2, func(any, uint64) {
 		if got := m.CPU(0).PreemptCurrent(); got != th {
 			t.Fatalf("preempted %v", got)
 		}

@@ -10,12 +10,16 @@ import (
 // CPUID names a logical core.
 type CPUID int
 
-// Config sets machine-wide cost constants. Zero values take defaults.
+// MaxCPUs bounds a machine's core count: an affinity mask is one uint64.
+const MaxCPUs = 64
+
+// ctxSwitchCost is charged whenever a CPU switches between two different
+// threads (≈1 µs on the paper's Xeons).
+const ctxSwitchCost = 1 * sim.Microsecond
+
+// Config sets the machine's size.
 type Config struct {
 	NumCPUs int
-	// CtxSwitchCost is charged whenever a CPU switches between two
-	// different threads (≈1 µs on the paper's Xeons).
-	CtxSwitchCost sim.Time
 }
 
 // Machine is the simulated end-host: a set of logical cores plus the CFS
@@ -25,19 +29,15 @@ type Machine struct {
 	cpus []*CPU
 	cfs  *CFS
 
-	ctxCost sim.Time
 	nextTID int
 }
 
 // New constructs a machine with cfg.NumCPUs cores.
 func New(eng *sim.Engine, cfg Config) *Machine {
-	if cfg.NumCPUs <= 0 || cfg.NumCPUs > 64 {
+	if cfg.NumCPUs <= 0 || cfg.NumCPUs > MaxCPUs {
 		panic(fmt.Sprintf("kernel: bad cpu count %d", cfg.NumCPUs))
 	}
-	if cfg.CtxSwitchCost == 0 {
-		cfg.CtxSwitchCost = 1 * sim.Microsecond
-	}
-	m := &Machine{Eng: eng, ctxCost: cfg.CtxSwitchCost}
+	m := &Machine{Eng: eng}
 	for i := 0; i < cfg.NumCPUs; i++ {
 		m.cpus = append(m.cpus, &CPU{id: CPUID(i), m: m})
 	}
@@ -156,7 +156,7 @@ func (c *CPU) StartThread(t *Thread, extra sim.Time) {
 	now := c.m.Eng.Now()
 	// Every dispatch from idle involves a switch; same-thread resume on
 	// the same core is rare enough that we charge uniformly.
-	cost := extra + c.m.ctxCost
+	cost := extra + ctxSwitchCost
 	c.curr = t
 	c.Switches++
 	c.busyStart = now

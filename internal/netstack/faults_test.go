@@ -20,7 +20,7 @@ import (
 // missing-executor drop, not enqueue into the dead socket's queue.
 func TestXDPRedirectToDeadXSK(t *testing.T) {
 	eng := sim.New(1)
-	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1}, Config{})
+	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1})
 	var xsks []*Socket
 	for i := 0; i < 2; i++ {
 		s := NewSocket(0, 1, 64, "xsk")
@@ -68,7 +68,7 @@ func TestXDPRedirectToDeadXSK(t *testing.T) {
 func TestInjectedSKBAllocDrops(t *testing.T) {
 	eng := sim.New(1)
 	plan := &faults.Plan{Specs: []faults.Spec{{Site: faults.SiteSKBAlloc, Every: 2}}}
-	dev, st := Wire(&hook.Host{Eng: eng, Faults: plan.Compile(1, eng.Now)}, nic.Config{Queues: 1}, Config{})
+	dev, st := Wire(&hook.Host{Eng: eng, Faults: plan.Compile(1, eng.Now)}, nic.Config{Queues: 1})
 	sock, _ := st.NewUDPSocket(9000, 1, "w")
 
 	for i := 0; i < 6; i++ {
@@ -89,7 +89,7 @@ func TestInjectedSKBAllocDrops(t *testing.T) {
 func TestInjectedSocketSelectFallsOpen(t *testing.T) {
 	eng := sim.New(1)
 	plan := &faults.Plan{Specs: []faults.Spec{{Site: faults.SiteSocketSelect, Every: 2}}}
-	dev, st := Wire(&hook.Host{Eng: eng, Faults: plan.Compile(1, eng.Now)}, nic.Config{Queues: 1}, Config{})
+	dev, st := Wire(&hook.Host{Eng: eng, Faults: plan.Compile(1, eng.Now)}, nic.Config{Queues: 1})
 
 	s0, _ := st.NewUDPSocket(9000, 1, "w0")
 	s1, _ := st.NewUDPSocket(9000, 1, "w1")

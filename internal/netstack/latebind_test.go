@@ -69,7 +69,7 @@ func TestLateBindingWakesOneWaiter(t *testing.T) {
 
 func TestLateBindingOverflowDrops(t *testing.T) {
 	eng := sim.New(1)
-	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1}, Config{})
+	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1})
 	g := st.Group(9000, 1)
 	st.NewUDPSocket(9000, 1, "w")
 	g.EnableLateBinding(2)

@@ -11,46 +11,22 @@ import (
 	"syrup/internal/trace"
 )
 
-// Config sets the stack's per-packet cost model and queue bounds. Zero
-// values take defaults calibrated in DESIGN.md.
-type Config struct {
-	// SKBAllocCost is buffer allocation per packet (≈0.3 µs).
-	SKBAllocCost sim.Time
-	// ProtoCost is IP+UDP protocol processing per packet (≈1.3 µs).
-	ProtoCost sim.Time
-	// PolicyRunCost is the decision+enforcement cost charged per eBPF
-	// hook invocation (Table 2 measures ≈1.6 k cycles ≈ 0.7 µs).
-	PolicyRunCost sim.Time
-	// XSKCopyCost is the extra copy when delivering to AF_XDP in generic
+// The stack's per-packet cost model and queue bounds, calibrated in
+// DESIGN.md "Calibration constants".
+const (
+	// skbAllocCost is buffer allocation per packet (≈0.3 µs).
+	skbAllocCost = 300 * sim.Nanosecond
+	// protoCost is IP+UDP protocol processing per packet (≈1.3 µs).
+	protoCost = 1300 * sim.Nanosecond
+	// xskCopyCost is the extra copy when delivering to AF_XDP in generic
 	// (XDP_SKB) mode; native (XDP_DRV) mode is zero-copy.
-	XSKCopyCost sim.Time
-	// SocketQueueCap bounds each socket's receive queue in datagrams
+	xskCopyCost = 400 * sim.Nanosecond
+	// socketQueueCap bounds each socket's receive queue in datagrams
 	// (≈212 KB rmem_default / ~800 B effective truesize ≈ 256).
-	SocketQueueCap int
-	// BacklogCap bounds each softirq core's backlog (netdev_max_backlog).
-	BacklogCap int
-}
-
-func (c *Config) fill() {
-	if c.SKBAllocCost == 0 {
-		c.SKBAllocCost = 300 * sim.Nanosecond
-	}
-	if c.ProtoCost == 0 {
-		c.ProtoCost = 1300 * sim.Nanosecond
-	}
-	if c.PolicyRunCost == 0 {
-		c.PolicyRunCost = 700 * sim.Nanosecond
-	}
-	if c.XSKCopyCost == 0 {
-		c.XSKCopyCost = 400 * sim.Nanosecond
-	}
-	if c.SocketQueueCap == 0 {
-		c.SocketQueueCap = 256
-	}
-	if c.BacklogCap == 0 {
-		c.BacklogCap = 1000
-	}
-}
+	socketQueueCap = 256
+	// backlogCap bounds each softirq core's backlog (netdev_max_backlog).
+	backlogCap = 1000
+)
 
 // XDPMode selects where the XDP program runs in the receive path.
 type XDPMode int
@@ -112,7 +88,6 @@ type softirqCore struct {
 // Stack is the kernel receive path.
 type Stack struct {
 	eng *sim.Engine
-	cfg Config
 	dev *nic.NIC
 	// host supplies the request tracer (StageSoftirq and StageProto spans
 	// per packet) and the chaos injector (SKB allocation failures), and
@@ -149,11 +124,9 @@ type Stack struct {
 
 // New creates the receive path of host h. Call dev's constructor with
 // stack.Deliver as the DeliverFunc (or use Wire).
-func New(h *hook.Host, cfg Config, queues int) *Stack {
-	cfg.fill()
+func New(h *hook.Host, queues int) *Stack {
 	s := &Stack{
 		eng:    h.Eng,
-		cfg:    cfg,
 		host:   h,
 		cores:  make([]softirqCore, queues),
 		groups: make(map[uint16]*ReuseportGroup),
@@ -177,8 +150,8 @@ func New(h *hook.Host, cfg Config, queues int) *Stack {
 
 // Wire builds host h's NIC and receive path, connected; convenience for
 // hosts.
-func Wire(h *hook.Host, nicCfg nic.Config, stackCfg Config) (*nic.NIC, *Stack) {
-	s := New(h, stackCfg, max(nicCfg.Queues, 1))
+func Wire(h *hook.Host, nicCfg nic.Config) (*nic.NIC, *Stack) {
+	s := New(h, max(nicCfg.Queues, 1))
 	dev := nic.NewOnHost(h, nicCfg, s.Deliver)
 	s.dev = dev
 	return dev, s
@@ -239,7 +212,7 @@ func (s *Stack) HookPoints(dst []*hook.Point) []*hook.Point {
 // NewUDPSocket creates a socket bound to port and adds it to the port's
 // reuseport group, returning the socket and its executor index.
 func (s *Stack) NewUDPSocket(port uint16, app uint32, label string) (*Socket, int) {
-	sock := NewSocket(port, app, s.cfg.SocketQueueCap, label)
+	sock := NewSocket(port, app, socketQueueCap, label)
 	idx := s.Group(port, app).AddSocket(sock)
 	return sock, idx
 }
@@ -257,8 +230,8 @@ func (s *Stack) RegisterXSK(port uint16, queue int, sock *Socket) int {
 	return len(tables[queue]) - 1
 }
 
-// SocketQueueCap exposes the configured socket queue bound.
-func (s *Stack) SocketQueueCap() int { return s.cfg.SocketQueueCap }
+// SocketQueueCap exposes the socket queue bound.
+func (s *Stack) SocketQueueCap() int { return socketQueueCap }
 
 // SoftirqBacklog sums the packets queued behind busy softirq cores across
 // every RX queue — a live gauge for the telemetry sampler.
@@ -297,11 +270,11 @@ func (s *Stack) Queued() int {
 func (s *Stack) softirqCost(xdpAttached bool) sim.Time {
 	switch {
 	case s.xdpMode == XDPNative && xdpAttached:
-		return s.cfg.PolicyRunCost // pre-SKB, zero-copy
+		return hook.RunCost // pre-SKB, zero-copy
 	case s.xdpMode == XDPGeneric && xdpAttached:
-		return s.cfg.SKBAllocCost + s.cfg.PolicyRunCost + s.cfg.XSKCopyCost
+		return skbAllocCost + hook.RunCost + xskCopyCost
 	default:
-		return s.cfg.SKBAllocCost
+		return skbAllocCost
 	}
 }
 
@@ -312,7 +285,7 @@ func (s *Stack) Deliver(queue int, pkt *nic.Packet) {
 	core := &s.cores[queue]
 	// An injected SKB allocation failure drops exactly where a full
 	// backlog would: at admission, before any softirq cost is charged.
-	if core.backlog >= s.cfg.BacklogCap || s.host.Faults.Fire(faults.SiteSKBAlloc) {
+	if core.backlog >= backlogCap || s.host.Faults.Fire(faults.SiteSKBAlloc) {
 		s.Stats.BacklogDrops++
 		s.traceSpan(pkt, trace.StageSoftirq, pkt.SoftirqAt, queue, trace.VerdictDrop, 0)
 		if s.dev != nil {
@@ -424,13 +397,13 @@ func (s *Stack) postXDP(queue int, pkt *nic.Packet) {
 // selection and delivery.
 func (s *Stack) protocolStage(core int, pkt *nic.Packet) {
 	c := &s.cores[core]
-	cost := s.cfg.ProtoCost
+	cost := protoCost
 	if s.cpuRedirect.Attached() {
-		cost += s.cfg.PolicyRunCost
+		cost += hook.RunCost
 	}
 	if g, ok := s.groups[pkt.DstPort]; ok && g.point.Attached() {
 		// The Socket Select policy runs inline with delivery on this core.
-		cost += s.cfg.PolicyRunCost
+		cost += hook.RunCost
 	}
 	now := s.eng.Now()
 	pkt.ProtoAt = now

@@ -16,7 +16,7 @@ func mkPkt(id uint64, srcPort, dstPort uint16, payload []byte) *nic.Packet {
 func wired(t *testing.T, queues int) (*sim.Engine, *nic.NIC, *Stack) {
 	t.Helper()
 	eng := sim.New(1)
-	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: queues}, Config{})
+	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: queues})
 	return eng, dev, st
 }
 
@@ -100,22 +100,20 @@ func TestVanillaDeliveryHashSelection(t *testing.T) {
 
 func TestSoftirqCostsAreCharged(t *testing.T) {
 	eng := sim.New(1)
-	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1},
-		Config{SKBAllocCost: 300, ProtoCost: 1300})
+	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1})
 	sock, _ := st.NewUDPSocket(9000, 1, "w")
 	var deliveredAt sim.Time
 	sock.WaitRecv(func() { deliveredAt = eng.Now() })
 	dev.Receive(mkPkt(1, 1, 9000, nil))
 	eng.Run()
-	if deliveredAt != 1600 {
-		t.Fatalf("delivered at %v, want 1600ns (skb 300 + proto 1300)", deliveredAt)
+	if want := skbAllocCost + protoCost; deliveredAt != want {
+		t.Fatalf("delivered at %v, want %v (skb alloc + proto)", deliveredAt, want)
 	}
 }
 
 func TestSoftirqSerializesPerQueue(t *testing.T) {
 	eng := sim.New(1)
-	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1},
-		Config{SKBAllocCost: 500, ProtoCost: 500})
+	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1})
 	sock, _ := st.NewUDPSocket(9000, 1, "w")
 	for i := 0; i < 3; i++ {
 		dev.Receive(mkPkt(uint64(i), 1, 9000, nil))
@@ -124,9 +122,10 @@ func TestSoftirqSerializesPerQueue(t *testing.T) {
 	if sock.Len() != 3 {
 		t.Fatalf("delivered %d", sock.Len())
 	}
-	// Three packets at 1us each, serialized: the stack finishes at 3us.
-	if eng.Now() != 3000 {
-		t.Fatalf("stack drained at %v, want 3000ns", eng.Now())
+	// Three packets, serialized on the one core: the stack finishes after
+	// three packets' worth of skb alloc + proto.
+	if want := 3 * (skbAllocCost + protoCost); eng.Now() != want {
+		t.Fatalf("stack drained at %v, want %v", eng.Now(), want)
 	}
 }
 
@@ -206,14 +205,14 @@ func TestSocketSelectPolicyDropAndOOB(t *testing.T) {
 
 func TestSocketOverflowDropsCounted(t *testing.T) {
 	eng := sim.New(1)
-	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1}, Config{SocketQueueCap: 4})
+	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1})
 	sock, _ := st.NewUDPSocket(9000, 1, "w")
-	for i := 0; i < 10; i++ {
+	for i := 0; i < socketQueueCap+6; i++ {
 		dev.Receive(mkPkt(uint64(i), 1, 9000, nil))
 	}
 	eng.Run()
-	if sock.Len() != 4 {
-		t.Fatalf("socket holds %d", sock.Len())
+	if sock.Len() != socketQueueCap {
+		t.Fatalf("socket holds %d, want %d", sock.Len(), socketQueueCap)
 	}
 	if st.Stats.SocketDrops != 6 {
 		t.Fatalf("socket drops = %d", st.Stats.SocketDrops)
@@ -245,8 +244,7 @@ pass:
 
 func TestXDPNativeRedirectToXSK(t *testing.T) {
 	eng := sim.New(1)
-	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1},
-		Config{SKBAllocCost: 300, ProtoCost: 1300, PolicyRunCost: 700})
+	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1})
 	var xsks []*Socket
 	for i := 0; i < 2; i++ {
 		s := NewSocket(0, 1, 64, "xsk")
@@ -264,8 +262,8 @@ func TestXDPNativeRedirectToXSK(t *testing.T) {
 		t.Fatalf("xsk delivery wrong: %d %d", xsks[0].Len(), xsks[1].Len())
 	}
 	// Native mode: only the policy cost, no SKB alloc, no protocol work.
-	if deliveredAt != 700 {
-		t.Fatalf("native XDP delivered at %v, want 700ns", deliveredAt)
+	if deliveredAt != hook.RunCost {
+		t.Fatalf("native XDP delivered at %v, want %v", deliveredAt, hook.RunCost)
 	}
 	if st.Stats.XSKDelivered != 1 {
 		t.Fatalf("xsk stat = %d", st.Stats.XSKDelivered)
@@ -274,8 +272,7 @@ func TestXDPNativeRedirectToXSK(t *testing.T) {
 
 func TestXDPGenericCostsMore(t *testing.T) {
 	eng := sim.New(1)
-	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1},
-		Config{SKBAllocCost: 300, ProtoCost: 1300, PolicyRunCost: 700, XSKCopyCost: 400})
+	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1})
 	s := NewSocket(0, 1, 64, "xsk")
 	st.RegisterXSK(9000, 0, s)
 	setXDP(st, XDPGeneric, xskRedirectProg(t, 1))
@@ -283,9 +280,9 @@ func TestXDPGenericCostsMore(t *testing.T) {
 	s.WaitRecv(func() { deliveredAt = eng.Now() })
 	dev.Receive(mkPkt(1, 1, 9000, []byte{0}))
 	eng.Run()
-	// Generic: skb alloc + policy + copy = 1400ns.
-	if deliveredAt != 1400 {
-		t.Fatalf("generic XDP delivered at %v, want 1400ns", deliveredAt)
+	// Generic: skb alloc + policy + copy.
+	if want := skbAllocCost + hook.RunCost + xskCopyCost; deliveredAt != want {
+		t.Fatalf("generic XDP delivered at %v, want %v", deliveredAt, want)
 	}
 }
 
@@ -322,8 +319,7 @@ func TestXDPDropAndBadExecutor(t *testing.T) {
 
 func TestCPURedirectMovesProtocolProcessing(t *testing.T) {
 	eng := sim.New(1)
-	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 2},
-		Config{SKBAllocCost: 300, ProtoCost: 1000, PolicyRunCost: 200})
+	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 2})
 	sock, _ := st.NewUDPSocket(9000, 1, "w")
 	_ = sock
 	// Redirect everything to softirq core 1.
@@ -347,10 +343,9 @@ func TestCPURedirectMovesProtocolProcessing(t *testing.T) {
 
 func TestBacklogOverflow(t *testing.T) {
 	eng := sim.New(1)
-	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1, RingSize: 4096},
-		Config{SKBAllocCost: 1000, ProtoCost: 1000, BacklogCap: 5})
+	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1, RingSize: 4096})
 	st.NewUDPSocket(9000, 1, "w")
-	for i := 0; i < 20; i++ {
+	for i := 0; i < backlogCap+15; i++ {
 		dev.Receive(mkPkt(uint64(i), 1, 9000, nil))
 	}
 	eng.Run()
@@ -372,38 +367,39 @@ func TestGroupPortMismatchPanics(t *testing.T) {
 // TestXDPRevokeBetweenAdmissionAndCompletion: a policy revoke landing
 // between a packet's softirq admission and its completion keeps the cost
 // charged at admission and skips the program at completion. Four packets
-// are admitted with XDP generic attached (1400 ns softirq each); the detach
+// are admitted with XDP generic attached (skb alloc + policy + copy of
+// softirq each); the detach
 // fires after the first packet's softirq completion but before the
 // second's. All four were charged the attached cost, only the first ran the
 // program, and all four continue up the stack.
 func TestXDPRevokeBetweenAdmissionAndCompletion(t *testing.T) {
+	arrive := offloadLatency(t)
+	soft := skbAllocCost + hook.RunCost + xskCopyCost
 	eng := sim.New(3)
-	dev, st := Wire(&hook.Host{Eng: eng},
-		nic.Config{Queues: 1, RingSize: 64, OffloadCost: 500},
-		Config{SKBAllocCost: 300, ProtoCost: 1300, PolicyRunCost: 700, XSKCopyCost: 400})
+	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1, RingSize: 64})
 	sock, _ := st.NewUDPSocket(9000, 1, "w")
 	setXDP(st, XDPGeneric, mustProg(t, "r0 = PASS\nexit\n"))
 	dev.Offload().Set(mustProg(t, "r0 = PASS\nexit\n"))
-	// All four arrive at t=0 and reach the softirq core at t=500, behind
-	// the 500 ns offload stage.
+	// All four arrive at t=0 and reach the softirq core at arrive, behind
+	// the offload stage.
 	for i := 0; i < 4; i++ {
 		dev.Receive(mkPkt(uint64(i), uint16(6000+i), 9000, nil))
 	}
-	// Softirq completions land at 1900, 3300, 4700, 6100. The revoke at
-	// t=2000 falls between the first and the second.
-	eng.CallAfter(2000, func(any, uint64) { setXDP(st, XDPNone, nil) }, nil, 0)
+	// Softirq completions land at arrive + soft, + 2 soft, + 3 soft and
+	// + 4 soft. The revoke falls between the first and the second.
+	eng.CallAfter(arrive+soft+soft/2, func(any, uint64) { setXDP(st, XDPNone, nil) }, nil, 0)
 	eng.Run()
 
 	if runs := st.XDP().Stats().Runs; runs != 1 {
 		t.Fatalf("XDP runs = %d, want exactly 1 (only the pre-revoke packet)", runs)
 	}
 	// Protocol processing serializes behind the softirq stage's busyUntil
-	// (6100), 1300 ns each.
-	want := []sim.Time{7400, 8700, 10000, 11300}
-	for id, w := range want {
+	// (arrive + 4 soft), protoCost each.
+	for id := 0; id < 4; id++ {
+		w := arrive + 4*soft + sim.Time(id+1)*protoCost
 		p := sock.TryRecv()
 		if p == nil {
-			t.Fatalf("delivered %d of %d", id, len(want))
+			t.Fatalf("delivered %d of 4", id)
 		}
 		if p.ID != uint64(id) || p.EnqueuedAt != w {
 			t.Fatalf("delivery %d: packet %d enqueued at %d, want packet %d at %d", id, p.ID, p.EnqueuedAt, id, w)
@@ -414,13 +410,30 @@ func TestXDPRevokeBetweenAdmissionAndCompletion(t *testing.T) {
 	}
 }
 
+// offloadLatency is how long a packet takes to clear an attached offload
+// program and reach the softirq stage: the NIC's offload cost.
+func offloadLatency(t *testing.T) sim.Time {
+	t.Helper()
+	eng := sim.New(1)
+	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1})
+	sock, _ := st.NewUDPSocket(9000, 1, "w")
+	dev.Offload().Set(mustProg(t, "r0 = PASS\nexit\n"))
+	dev.Receive(mkPkt(1, 1, 9000, nil))
+	eng.Run()
+	p := sock.TryRecv()
+	if p == nil || p.SoftirqAt <= 0 {
+		t.Fatal("offload probe packet not delivered after a positive delay")
+	}
+	return p.SoftirqAt
+}
+
 // TestZeroAllocDeliver gates the receive path end to end: with the
 // device's own packets and the event pool and socket ring warm, carrying a packet
 // through offload, softirq, XDP dispatch, protocol processing, and socket
 // delivery allocates nothing.
 func TestZeroAllocDeliver(t *testing.T) {
 	eng := sim.New(1)
-	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1, RingSize: 256}, Config{})
+	dev, st := Wire(&hook.Host{Eng: eng}, nic.Config{Queues: 1, RingSize: 256})
 	sock, _ := st.NewUDPSocket(9000, 1, "w")
 	setXDP(st, XDPGeneric, mustProg(t, "r0 = PASS\nexit\n"))
 	dev.Offload().Set(mustProg(t, "r0 = PASS\nexit\n"))

@@ -219,19 +219,26 @@ func (p *Packet) RSSHash() uint32 {
 	return (h ^ 17) * fnvPrime32
 }
 
-// Config sets NIC geometry and costs.
+// The offload engine's costs, calibrated in DESIGN.md "Calibration
+// constants".
+const (
+	// offloadCost is the on-NIC per-packet program cost. NIC engines are
+	// heavily parallel, so this models added wire latency rather than a
+	// serial bottleneck.
+	offloadCost = 300 * sim.Nanosecond
+	// hostMapRTT is the host↔NIC round trip for map operations on
+	// offloaded maps (Table 3 measures ≈25 µs on the Netronome).
+	hostMapRTT = 25 * sim.Microsecond
+	// defaultRingSize is Config.RingSize when it is left zero.
+	defaultRingSize = 1024
+)
+
+// Config sets NIC geometry.
 type Config struct {
 	Queues int
 	// RingSize bounds each RX queue's descriptor ring (packets dropped on
 	// overflow, as when the host cannot keep up).
 	RingSize int
-	// OffloadCost is the on-NIC per-packet program cost. NIC engines are
-	// heavily parallel, so this models added wire latency rather than a
-	// serial bottleneck.
-	OffloadCost sim.Time
-	// HostMapRTT is the host↔NIC round trip for map operations on
-	// offloaded maps (Table 3 measures ≈25 µs on the Netronome).
-	HostMapRTT sim.Time
 	// Deprecated: Budget has no effect; kept only until a benchmark-archetype PR stops setting it.
 	Budget int
 }
@@ -241,13 +248,7 @@ func (c *Config) fill() {
 		c.Queues = 1
 	}
 	if c.RingSize == 0 {
-		c.RingSize = 1024
-	}
-	if c.OffloadCost == 0 {
-		c.OffloadCost = 300 * sim.Nanosecond
-	}
-	if c.HostMapRTT == 0 {
-		c.HostMapRTT = 25 * sim.Microsecond
+		c.RingSize = defaultRingSize
 	}
 }
 
@@ -350,7 +351,7 @@ func (n *NIC) Receive(pkt *Packet) {
 	extra := sim.Time(0)
 
 	if n.offload.Attached() {
-		extra = n.cfg.OffloadCost
+		extra = offloadCost
 		v := n.offload.Run(hook.Input{
 			Packet: pkt.Bytes(),
 			Hash:   hash,
@@ -420,7 +421,6 @@ func (n *NIC) Consumed(queue int) {
 // are asynchronous because they consume simulated time.
 type OffloadedMap struct {
 	eng *sim.Engine
-	rtt sim.Time
 	// The far end of the round trip, one stored callback per operation:
 	// arg is the caller's done func (lookup) or the pending write.
 	lookupCB, updateCB sim.Callback
@@ -435,7 +435,7 @@ type offloadWrite struct {
 // OffloadMap declares m as living on the NIC.
 func (n *NIC) OffloadMap(m *ebpf.Map) *OffloadedMap {
 	return &OffloadedMap{
-		eng: n.eng, rtt: n.cfg.HostMapRTT,
+		eng: n.eng,
 		lookupCB: func(done any, key uint64) {
 			done.(func(uint64, bool))(m.LookupUint64(uint32(key)))
 		},
@@ -452,11 +452,11 @@ func (n *NIC) OffloadMap(m *ebpf.Map) *OffloadedMap {
 // LookupUint64 reads key from the host; done receives the value after the
 // round trip.
 func (o *OffloadedMap) LookupUint64(key uint32, done func(v uint64, ok bool)) {
-	o.eng.CallAfter(o.rtt, o.lookupCB, done, uint64(key))
+	o.eng.CallAfter(hostMapRTT, o.lookupCB, done, uint64(key))
 }
 
 // UpdateUint64 writes key from the host; done (optional) fires after the
 // round trip.
 func (o *OffloadedMap) UpdateUint64(key uint32, v uint64, done func(err error)) {
-	o.eng.CallAfter(o.rtt, o.updateCB, &offloadWrite{v: v, done: done}, uint64(key))
+	o.eng.CallAfter(hostMapRTT, o.updateCB, &offloadWrite{v: v, done: done}, uint64(key))
 }

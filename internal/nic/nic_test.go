@@ -193,7 +193,7 @@ func TestOffloadFaultFailsOpenAndCounts(t *testing.T) {
 
 func TestOffloadedMapLatency(t *testing.T) {
 	eng := sim.New(1)
-	dev := New(eng, Config{Queues: 1, HostMapRTT: 25 * sim.Microsecond}, func(int, *Packet) {})
+	dev := New(eng, Config{Queues: 1}, func(int, *Packet) {})
 	m := ebpf.MustNewMap(ebpf.MapSpec{Name: "m", Type: ebpf.MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 1})
 	om := dev.OffloadMap(m)
 	var wroteAt, readAt sim.Time
@@ -210,7 +210,7 @@ func TestOffloadedMapLatency(t *testing.T) {
 		})
 	})
 	eng.Run()
-	if wroteAt != 25*sim.Microsecond || readAt != 50*sim.Microsecond {
+	if wroteAt != hostMapRTT || readAt != 2*hostMapRTT {
 		t.Fatalf("offloaded map RTTs: write %v read %v", wroteAt, readAt)
 	}
 	// NIC-side access is immediate.
@@ -244,20 +244,19 @@ func steerAll(t *testing.T) *ebpf.Program {
 // TestBurstDrainFullRing fills a ring to capacity in one instant behind an
 // offload program, with the host consuming per packet: the one arrival past
 // capacity is the only drop, every accepted packet is handed over in
-// arrival order at arrival + OffloadCost, and the ring accounting returns
+// arrival order at arrival + offloadCost, and the ring accounting returns
 // to zero.
 func TestBurstDrainFullRing(t *testing.T) {
 	eng := sim.New(1)
 	const (
 		ringSize = 64
 		arrival  = sim.Time(1000)
-		offload  = sim.Time(500)
 	)
 	delivered := 0
 	var dev *NIC
-	dev = New(eng, Config{Queues: 1, RingSize: ringSize, OffloadCost: offload}, func(q int, pkt *Packet) {
-		if now := eng.Now(); now != arrival+offload || pkt.ID != uint64(delivered) {
-			t.Fatalf("delivery %d: packet %d at %d, want packet %d at %d", delivered, pkt.ID, now, delivered, arrival+offload)
+	dev = New(eng, Config{Queues: 1, RingSize: ringSize}, func(q int, pkt *Packet) {
+		if now := eng.Now(); now != arrival+offloadCost || pkt.ID != uint64(delivered) {
+			t.Fatalf("delivery %d: packet %d at %d, want packet %d at %d", delivered, pkt.ID, now, delivered, arrival+offloadCost)
 		}
 		dev.Consumed(q)
 		delivered++

@@ -58,18 +58,21 @@ func (r *Request) header() []byte {
 	return wire
 }
 
+// The flash model, calibrated in DESIGN.md "Calibration constants"; a
+// submit-hook run costs hook.RunCost on top.
+const (
+	// queueDepth bounds outstanding requests per queue.
+	queueDepth = 64
+	// readCost and writeCost are per-4K flash costs (≈85 µs read, ≈450 µs
+	// program).
+	readCost  = 85 * sim.Microsecond
+	writeCost = 450 * sim.Microsecond
+)
+
 // Config describes the device.
 type Config struct {
 	// Queues is the NVMe submission queue count (the executor set).
 	Queues int
-	// QueueDepth bounds outstanding requests per queue.
-	QueueDepth int
-	// ReadCost and WriteCost are per-4K flash costs (≈85 µs read, ≈450 µs
-	// program).
-	ReadCost  sim.Time
-	WriteCost sim.Time
-	// PolicyRunCost is charged per submit-hook invocation.
-	PolicyRunCost sim.Time
 	// OnComplete reports finished IOs.
 	OnComplete func(req *Request, finish sim.Time)
 }
@@ -77,18 +80,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.Queues == 0 {
 		c.Queues = 4
-	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 64
-	}
-	if c.ReadCost == 0 {
-		c.ReadCost = 85 * sim.Microsecond
-	}
-	if c.WriteCost == 0 {
-		c.WriteCost = 450 * sim.Microsecond
-	}
-	if c.PolicyRunCost == 0 {
-		c.PolicyRunCost = 700 * sim.Nanosecond
 	}
 }
 
@@ -186,18 +177,18 @@ func (d *Device) Submit(req *Request) bool {
 	}
 
 	q := &d.queues[queue]
-	if q.depth >= d.cfg.QueueDepth {
+	if q.depth >= queueDepth {
 		d.Stats.RejectedFull++
 		return false
 	}
 	q.depth++
 
-	cost := d.cfg.ReadCost
+	cost := readCost
 	if req.Kind == Write {
-		cost = d.cfg.WriteCost
+		cost = writeCost
 	}
 	if d.submit.Attached() {
-		cost += d.cfg.PolicyRunCost
+		cost += hook.RunCost
 	}
 	now := d.eng.Now()
 	start := q.busyUntil

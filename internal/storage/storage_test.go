@@ -14,7 +14,7 @@ func TestDeviceCompletesIOs(t *testing.T) {
 	eng := sim.New(1)
 	var finished []sim.Time
 	d := NewDevice(&hook.Host{Eng: eng}, Config{
-		Queues: 2, ReadCost: 100 * sim.Microsecond, WriteCost: 400 * sim.Microsecond,
+		Queues:     2,
 		OnComplete: func(req *Request, at sim.Time) { finished = append(finished, at) },
 	})
 	if !d.Submit(&Request{ID: 1, Kind: Read, LBA: 0}) {
@@ -27,8 +27,8 @@ func TestDeviceCompletesIOs(t *testing.T) {
 	if len(finished) != 2 {
 		t.Fatalf("completed %d", len(finished))
 	}
-	if finished[0] != 100*sim.Microsecond || finished[1] != 400*sim.Microsecond {
-		t.Fatalf("completion times %v", finished)
+	if finished[0] != readCost || finished[1] != writeCost {
+		t.Fatalf("completion times %v, want [%v %v]", finished, readCost, writeCost)
 	}
 	if d.Stats.Completed != 2 {
 		t.Fatalf("stats %v", d.Stats)
@@ -37,27 +37,27 @@ func TestDeviceCompletesIOs(t *testing.T) {
 
 func TestDeviceQueuesSerializeIndependently(t *testing.T) {
 	eng := sim.New(1)
-	d := NewDevice(&hook.Host{Eng: eng}, Config{Queues: 2, ReadCost: 100 * sim.Microsecond})
+	d := NewDevice(&hook.Host{Eng: eng}, Config{Queues: 2})
 	// Two reads on queue 0 serialize; one on queue 1 runs in parallel.
 	d.Submit(&Request{ID: 1, Kind: Read, LBA: 0})
 	d.Submit(&Request{ID: 2, Kind: Read, LBA: 2}) // also queue 0
 	d.Submit(&Request{ID: 3, Kind: Read, LBA: 1}) // queue 1
 	eng.Run()
-	if eng.Now() != 200*sim.Microsecond {
-		t.Fatalf("drained at %v, want 200us", eng.Now())
+	if eng.Now() != 2*readCost {
+		t.Fatalf("drained at %v, want two reads' worth, %v", eng.Now(), 2*readCost)
 	}
 }
 
 func TestDeviceQueueDepthBound(t *testing.T) {
 	eng := sim.New(1)
-	d := NewDevice(&hook.Host{Eng: eng}, Config{Queues: 1, QueueDepth: 4})
+	d := NewDevice(&hook.Host{Eng: eng}, Config{Queues: 1})
 	accepted := 0
-	for i := 0; i < 10; i++ {
+	for i := 0; i < queueDepth+6; i++ {
 		if d.Submit(&Request{ID: uint64(i), Kind: Read, LBA: 0}) {
 			accepted++
 		}
 	}
-	if accepted != 4 || d.Stats.RejectedFull != 6 {
+	if accepted != queueDepth || d.Stats.RejectedFull != 6 {
 		t.Fatalf("accepted=%d rejectedFull=%d", accepted, d.Stats.RejectedFull)
 	}
 	eng.Run()

@@ -86,8 +86,8 @@ type Daemon struct {
 	// syrupd_quarantines.
 	quarantines uint64
 
-	// watchdog is the quarantine watchdog once EnableQuarantine runs.
-	watchdog *watchdog
+	// watchdog records that EnableQuarantine started the fault scan.
+	watchdog bool
 
 	// adapt is the closed-loop controller once EnableAdapt runs
 	// (adapt.go).
@@ -290,7 +290,7 @@ func (d *Daemon) hookPoints(app *App, hk Hook) ([]*hook.Point, error) {
 // given enclave and installs the userspace thread policy. It mirrors the
 // paper's workflow: the policy is user code, but it runs in the app's own
 // ghOSt process, and ghOSt guarantees it only sees the app's threads.
-func (d *Daemon) DeployThreadPolicy(appID uint32, pol ghost.Policy, agentCPU kernel.CPUID, workers []kernel.CPUID, cfg ghost.Config) (*ghost.Agent, error) {
+func (d *Daemon) DeployThreadPolicy(appID uint32, pol ghost.Policy, agentCPU kernel.CPUID, workers []kernel.CPUID) (*ghost.Agent, error) {
 	app, ok := d.apps[appID]
 	if !ok {
 		return nil, fmt.Errorf("syrupd: unknown app %d", appID)
@@ -313,7 +313,7 @@ func (d *Daemon) DeployThreadPolicy(appID uint32, pol ghost.Policy, agentCPU ker
 		}
 		app.agent.Resume()
 	} else {
-		app.agent = ghost.NewAgent(d.host, d.machine, appID, pol, agentCPU, workers, cfg)
+		app.agent = ghost.NewAgent(d.host, d.machine, appID, pol, agentCPU, workers)
 	}
 	app.add(HookThreadSched, points{app.agent.Hook().Link()})
 	return app.agent, nil

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"syrup/internal/ebpf"
-	"syrup/internal/ghost"
 	"syrup/internal/hook"
 	"syrup/internal/kernel"
 	"syrup/internal/netstack"
@@ -25,7 +24,7 @@ type host struct {
 func newHost(t *testing.T, queues, cpus int) *host {
 	t.Helper()
 	hh := &hook.Host{Eng: sim.New(1)}
-	dev, stack := netstack.Wire(hh, nic.Config{Queues: queues}, netstack.Config{})
+	dev, stack := netstack.Wire(hh, nic.Config{Queues: queues})
 	var m *kernel.Machine
 	if cpus > 0 {
 		m = kernel.New(hh.Eng, kernel.Config{NumCPUs: cpus})
@@ -271,7 +270,7 @@ func TestCreateMapErrors(t *testing.T) {
 func TestDeployThreadPolicy(t *testing.T) {
 	h := newHost(t, 1, 4)
 	h.d.RegisterApp(1, 1000, 9000)
-	agent, err := h.d.DeployThreadPolicy(1, &policy.FIFO{}, 3, []kernel.CPUID{1, 2}, ghost.Config{})
+	agent, err := h.d.DeployThreadPolicy(1, &policy.FIFO{}, 3, []kernel.CPUID{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,11 +289,11 @@ func TestDeployThreadPolicy(t *testing.T) {
 		t.Fatalf("ghost ran %d/4 threads", done)
 	}
 	// Second thread policy for the same app fails.
-	if _, err := h.d.DeployThreadPolicy(1, &policy.FIFO{}, 0, nil, ghost.Config{}); err == nil {
+	if _, err := h.d.DeployThreadPolicy(1, &policy.FIFO{}, 0, nil); err == nil {
 		t.Fatal("double thread policy accepted")
 	}
 	// Unknown app.
-	if _, err := h.d.DeployThreadPolicy(9, &policy.FIFO{}, 0, nil, ghost.Config{}); err == nil {
+	if _, err := h.d.DeployThreadPolicy(9, &policy.FIFO{}, 0, nil); err == nil {
 		t.Fatal("unknown app accepted")
 	}
 }

@@ -21,8 +21,11 @@ import (
 // netstack closes a socket, so netstack's TestXDPRedirectToDeadXSK drives
 // it.)
 func TestConservedUnderEveryVerdict(t *testing.T) {
+	// The ring is deeper than the softirq backlog (1000, netdev_max_backlog),
+	// so a burst that fits the ring overflows the backlog.
+	const ring = 2048
 	hh := &hook.Host{Eng: sim.New(7)}
-	dev, stack := netstack.Wire(hh, nic.Config{Queues: 1, RingSize: 8}, netstack.Config{BacklogCap: 4, SocketQueueCap: 2})
+	dev, stack := netstack.Wire(hh, nic.Config{Queues: 1, RingSize: ring})
 	d := New(hh, dev, stack, nil)
 
 	// Each policy belongs to an app of its own, on a port of its own with
@@ -52,9 +55,10 @@ func TestConservedUnderEveryVerdict(t *testing.T) {
 	deploy(9302, HookSocketSelect, "r0 = 3\nexit\n", 1)
 	deploy(9401, HookXDPOffload, "r0 = DROP\nexit\n", 0)
 	deploy(9402, HookXDPOffload, "r0 = 3\nexit\n", 0) // the NIC has one queue
-	// No policy on the rest: a deep socket behind the overflow bursts, a
-	// socket of SocketQueueCap 2, and a late-binding group of depth 1.
-	stack.Group(9000, 0).AddSocket(netstack.NewSocket(9000, 0, 64, "deep"))
+	// No policy on the rest: a socket as deep as the ring behind the
+	// overflow bursts, a socket of the stack's SocketQueueCap, and a
+	// late-binding group of depth 1.
+	stack.Group(9000, 0).AddSocket(netstack.NewSocket(9000, 0, ring, "deep"))
 	stack.NewUDPSocket(9501, 0, "w")
 	stack.NewUDPSocket(9502, 0, "w")
 	stack.LookupGroup(9502).EnableLateBinding(1)
@@ -65,8 +69,8 @@ func TestConservedUnderEveryVerdict(t *testing.T) {
 		burst int
 		row   string
 	}{
-		{"ring overflow", 9000, 16, "nic_dropped_ring"}, // 8 fit the ring
-		{"backlog overflow", 9000, 8, "netstack_backlog_drops"},
+		{"ring overflow", 9000, 2 * ring, "nic_dropped_ring"}, // ring fit
+		{"backlog overflow", 9000, ring, "netstack_backlog_drops"},
 		{"offload DROP", 9401, 1, "nic_dropped_by_xdp"},
 		{"offload out-of-range queue", 9402, 1, "nic_dropped_by_xdp"},
 		{"XDP PASS", 9101, 1, "netstack_udp_delivered"},
@@ -78,7 +82,7 @@ func TestConservedUnderEveryVerdict(t *testing.T) {
 		{"CPU Redirect out-of-range core", 9202, 1, "netstack_no_executor_drops"},
 		{"Socket Select DROP", 9301, 1, "netstack_policy_drops"},
 		{"Socket Select out-of-range index", 9302, 1, "netstack_no_executor_drops"},
-		{"socket overflow", 9501, 3, "netstack_socket_drops"},
+		{"socket overflow", 9501, stack.SocketQueueCap() + 1, "netstack_socket_drops"},
 		{"late binding", 9502, 1, "netstack_udp_delivered"},
 		{"late-binding overflow", 9502, 1, "netstack_socket_drops"},
 		{"unbound port", 9999, 1, "netstack_no_group_drops"},

@@ -4,11 +4,11 @@ package syrupd
 // operational conclusion): a policy that keeps faulting at runtime is
 // worse than no policy, because every fault burns hook cost for a
 // fall-open verdict. The quarantine watchdog samples each deployment's
-// fault count on a fixed window; a deployment that accumulates Threshold
-// or more faults inside one window is closed — the layer serves its
-// kernel default (RSS, hash reuseport, CFS-idle enclave) — and stays
-// listed as quarantined, barring the app from redeploying at that hook
-// until an operator unquarantines it.
+// fault count on a fixed window; a deployment that accumulates
+// quarantineThreshold or more faults inside one window is closed — the
+// layer serves its kernel default (RSS, hash reuseport, CFS-idle enclave)
+// — and stays listed as quarantined, barring the app from redeploying at
+// that hook until an operator unquarantines it.
 
 import (
 	"fmt"
@@ -17,56 +17,37 @@ import (
 	"syrup/internal/trace"
 )
 
-// QuarantineConfig tunes the watchdog.
-type QuarantineConfig struct {
-	// Window is the sampling period (default 10ms of simulated time).
-	Window sim.Time
-	// Threshold is the per-deployment fault count within one window that
-	// triggers quarantine (default 10).
-	Threshold uint64
-}
+// The watchdog's tuning, calibrated in DESIGN.md "Calibration constants".
+const (
+	// quarantineWindow is the sampling period, in simulated time.
+	quarantineWindow = 10 * sim.Millisecond
+	// quarantineThreshold is the per-deployment fault count within one
+	// window that triggers quarantine.
+	quarantineThreshold = 10
+)
 
-func (c *QuarantineConfig) fill() {
-	if c.Window == 0 {
-		c.Window = 10 * sim.Millisecond
+// EnableQuarantine arms the fault watchdog; a second call is a no-op. The
+// scan runs on the simulated clock, so runs with no faults stay
+// bit-identical: a ticker that observes zero deltas changes nothing.
+func (d *Daemon) EnableQuarantine() {
+	if !d.watchdog {
+		d.watchdog = true
+		d.host.Eng.NewTicker(quarantineWindow, d.scanFaults)
 	}
-	if c.Threshold == 0 {
-		c.Threshold = 10
-	}
 }
 
-// watchdog is the armed quarantine scanner.
-type watchdog struct {
-	d      *Daemon
-	cfg    QuarantineConfig
-	ticker *sim.Ticker
-}
-
-// EnableQuarantine arms (or re-arms with a new config) the fault
-// watchdog. The scan runs on the simulated clock, so runs with no faults
-// stay bit-identical: a ticker that observes zero deltas changes nothing.
-func (d *Daemon) EnableQuarantine(cfg QuarantineConfig) {
-	cfg.fill()
-	if d.watchdog != nil {
-		d.watchdog.ticker.Stop()
-	}
-	w := &watchdog{d: d, cfg: cfg}
-	w.ticker = d.host.Eng.NewTicker(cfg.Window, w.scan)
-	d.watchdog = w
-}
-
-// scan walks every live deployment in deterministic order and
-// quarantines any whose fault count grew by at least Threshold since the
-// last scan. A deployment's count only grows, so the baseline it keeps
-// (AppLink.seen) starts at zero and never runs ahead of it.
-func (w *watchdog) scan() {
-	for _, app := range w.d.appsByID() {
+// scanFaults walks every live deployment in deterministic order and
+// quarantines any whose fault count grew by at least quarantineThreshold
+// since the last scan. A deployment's count only grows, so the baseline it
+// keeps (AppLink.seen) starts at zero and never runs ahead of it.
+func (d *Daemon) scanFaults() {
+	for _, app := range d.appsByID() {
 		for _, l := range app.links {
 			_, f := l.att.stats()
 			grew := f - l.seen
 			l.seen = f
-			if grew >= w.cfg.Threshold {
-				w.d.quarantine(l, grew)
+			if grew >= quarantineThreshold {
+				d.quarantine(l, grew)
 			}
 		}
 	}

@@ -23,19 +23,21 @@ func TestQuarantineDetachesFaultingPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every socket-select run faults; the watchdog samples each 1ms.
+	// Every socket-select run faults; the watchdog samples each window.
 	plan := &faults.Plan{Specs: []faults.Spec{{Site: faults.SiteSocketSelect, Every: 1}}}
 	h.Faults = plan.Compile(1, h.Eng.Now)
-	h.d.EnableQuarantine(QuarantineConfig{Window: sim.Millisecond, Threshold: 5})
+	h.d.EnableQuarantine()
 
-	// 40 packets over 2ms: ~20 faulted runs land in the first window.
-	for i := 0; i < 40; i++ {
+	// Packets over two windows: twice the threshold of faulted runs land in
+	// the first.
+	const n = 4 * quarantineThreshold
+	for i := 0; i < n; i++ {
 		id := uint64(i)
-		h.Eng.CallAt(sim.Time(i)*50*sim.Microsecond, func(any, uint64) {
+		h.Eng.CallAt(sim.Time(i)*quarantineWindow/(2*quarantineThreshold), func(any, uint64) {
 			h.dev.Receive(pkt(id, uint16(1000+id), 9000, nil))
 		}, nil, 0)
 	}
-	h.Eng.RunUntil(3 * sim.Millisecond)
+	h.Eng.RunUntil(3 * quarantineWindow)
 
 	if !h.d.Quarantined(1, HookSocketSelect) {
 		t.Fatal("faulting policy was not quarantined")
@@ -48,8 +50,8 @@ func TestQuarantineDetachesFaultingPolicy(t *testing.T) {
 	}
 	// Degraded, not dead: every packet was delivered — faulted runs fall
 	// open to hash select, and post-quarantine the kernel default serves.
-	if got := s0.Enqueued + s1.Enqueued; got != 40 {
-		t.Fatalf("delivered %d of 40 under quarantine", got)
+	if got := s0.Enqueued + s1.Enqueued; got != n {
+		t.Fatalf("delivered %d of %d under quarantine", got, n)
 	}
 	// The links op reports the quarantined deployment.
 	links := h.d.Links()
@@ -137,7 +139,7 @@ func TestRevokeUnpinsMapsAndStopsAgent(t *testing.T) {
 		t.Fatalf("pinned map unreachable before revoke: %v", err)
 	}
 	var idle idlePolicy
-	agent, err := h.d.DeployThreadPolicy(1, idle, 0, []kernel.CPUID{1, 2}, ghost.Config{})
+	agent, err := h.d.DeployThreadPolicy(1, idle, 0, []kernel.CPUID{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +164,7 @@ func TestRevokeUnpinsMapsAndStopsAgent(t *testing.T) {
 	if _, err := h.d.OpenMap("/syrup/1/counter", 1000, false); err != nil {
 		t.Fatalf("re-pinned map unreachable: %v", err)
 	}
-	agent2, err := h.d.DeployThreadPolicy(1, idle, 0, []kernel.CPUID{1, 2}, ghost.Config{})
+	agent2, err := h.d.DeployThreadPolicy(1, idle, 0, []kernel.CPUID{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +189,7 @@ func TestServerQuarantineOpsUnderLoad(t *testing.T) {
 	}
 	plan := &faults.Plan{Specs: []faults.Spec{{Site: faults.SiteSocketSelect, Every: 1}}}
 	h.Faults = plan.Compile(7, h.Eng.Now)
-	h.d.EnableQuarantine(QuarantineConfig{Window: sim.Millisecond, Threshold: 5})
+	h.d.EnableQuarantine()
 	srv := NewServer(h.d)
 
 	stop := make(chan struct{})
@@ -212,7 +214,8 @@ func TestServerQuarantineOpsUnderLoad(t *testing.T) {
 		}(ops[g])
 	}
 
-	for step := 0; step < 100; step++ {
+	// One packet per 100 µs for three windows.
+	for step := 0; step < int(3*quarantineWindow/(100*sim.Microsecond)); step++ {
 		srv.Lock()
 		h.dev.Receive(pkt(uint64(step), uint16(1000+step%64), 9000, nil))
 		h.Eng.RunUntil(h.Eng.Now() + 100*sim.Microsecond)
@@ -221,8 +224,9 @@ func TestServerQuarantineOpsUnderLoad(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// The first window sees ≥5 injected faults, so at least one
-	// quarantine must have fired regardless of op interleaving.
+	// The first window sees more injected faults than the threshold, so
+	// at least one quarantine must have fired regardless of op
+	// interleaving.
 	if h.d.quarantines == 0 {
 		t.Fatal("no quarantine under load")
 	}

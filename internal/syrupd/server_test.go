@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"syrup/internal/ghost"
 	"syrup/internal/kernel"
 	"syrup/internal/metrics"
 	"syrup/internal/obs"
@@ -352,7 +351,7 @@ func TestCountersDeterministic(t *testing.T) {
 	if _, err := h.d.DeployPolicy(1, HookSocketSelect, "r0 = 0\nexit\n", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.d.DeployThreadPolicy(2, &policy.FIFO{}, 0, []kernel.CPUID{1}, ghost.Config{}); err != nil {
+	if _, err := h.d.DeployThreadPolicy(2, &policy.FIFO{}, 0, []kernel.CPUID{1}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {

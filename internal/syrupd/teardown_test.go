@@ -38,11 +38,11 @@ type tenant struct {
 // twoTenants builds a host with tenants A (app 1, port 9000) and B (app 2,
 // port 9001). Each deploys round robin over its two sockets at Socket
 // Select and countXDP in an xdp_skb dispatcher slot. The fault watchdog
-// is armed (1 ms window, 5 faults).
+// is armed.
 func twoTenants(t *testing.T) (*host, *tenant, *tenant) {
 	t.Helper()
 	h := newHost(t, 1, 0)
-	h.d.EnableQuarantine(QuarantineConfig{Window: sim.Millisecond, Threshold: 5})
+	h.d.EnableQuarantine()
 	var tenants [2]*tenant
 	for i := range tenants {
 		tn := &tenant{app: uint32(i + 1), uid: uint32(1001 + i), port: uint16(9000 + i)}
@@ -132,12 +132,13 @@ func TestTenantTeardownIsolation(t *testing.T) {
 			}
 		}},
 		{"quarantine", []Hook{HookSocketSelect}, func(t *testing.T, h *host, a *tenant) {
-			// Ten injected faults, all on A's traffic: B sends nothing
-			// while the plan is live.
-			plan := &faults.Plan{Specs: []faults.Spec{{Site: faults.SiteSocketSelect, Every: 1, Max: 10}}}
+			// A threshold's worth of injected faults, all on A's traffic
+			// and inside one watchdog window: B sends nothing while the
+			// plan is live.
+			plan := &faults.Plan{Specs: []faults.Spec{{Site: faults.SiteSocketSelect, Every: 1, Max: quarantineThreshold}}}
 			h.Faults = plan.Compile(1, h.Eng.Now)
-			h.send(a, 10)
-			h.Eng.RunUntil(h.Eng.Now() + sim.Millisecond)
+			h.send(a, quarantineThreshold)
+			h.Eng.RunUntil(h.Eng.Now() + quarantineWindow)
 			if !h.d.Quarantined(a.app, HookSocketSelect) {
 				t.Fatal("A was not quarantined")
 			}

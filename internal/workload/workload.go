@@ -85,6 +85,9 @@ func DrawFlows(n int, next func() Flow) []Flow {
 	return flows
 }
 
+// wire is the one-way client↔server latency.
+const wire = 5 * sim.Microsecond
+
 // Config describes one load point.
 type Config struct {
 	// Rate is offered load in requests/second across all classes. When
@@ -127,8 +130,6 @@ type Config struct {
 	KeyShards int
 	// DstPort is the server port.
 	DstPort uint16
-	// Wire is the one-way client↔server latency (5 µs).
-	Wire sim.Time
 	// KeySpace bounds generated key hashes.
 	KeySpace int
 	// Warmup and Measure delimit the measurement window; requests sent
@@ -165,9 +166,6 @@ func (c *Config) fill() {
 	}
 	if c.Flows == 0 {
 		c.Flows = 1024
-	}
-	if c.Wire == 0 {
-		c.Wire = 5 * sim.Microsecond
 	}
 	if c.KeySpace == 0 {
 		c.KeySpace = 10_000
@@ -337,7 +335,7 @@ func (g *Generator) Complete(reqID uint64, finish sim.Time) {
 	}
 	st := g.perCls[reqClass(w)]
 	st.Completed++
-	lat := finish + g.cfg.Wire - reqSentAt(w)
+	lat := finish + wire - reqSentAt(w)
 	st.Latency.Record(int64(lat))
 	if g.cfg.Deadline > 0 && lat <= g.cfg.Deadline {
 		st.DeadlineHits++
@@ -443,7 +441,7 @@ func (g *Generator) send(measured bool) {
 	pkt.Payload = policy.AppendHeader(pkt.HeaderBuf(), class.Type, class.UserID, keyHash, reqID)
 	pkt.SentAt = g.eng.Now()
 	// The packet reaches the NIC one wire delay later.
-	g.eng.CallAfter(g.cfg.Wire, g.rxCB, pkt, 0)
+	g.eng.CallAfter(wire, g.rxCB, pkt, 0)
 }
 
 // Result is a run's statistics: anything sent in the measure window and

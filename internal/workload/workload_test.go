@@ -44,7 +44,6 @@ func TestGeneratorRateAndLatency(t *testing.T) {
 	cfg := Config{
 		Rate: 100_000, Flows: 50, DstPort: 9000,
 		Warmup: 50 * sim.Millisecond, Measure: 200 * sim.Millisecond, Drain: 50 * sim.Millisecond,
-		Wire: 5 * sim.Microsecond,
 	}
 	_, g, _ := newEchoHost(t, cfg, 10*sim.Microsecond)
 	res := g.RunToCompletion()
@@ -59,9 +58,11 @@ func TestGeneratorRateAndLatency(t *testing.T) {
 	if st.Completed != st.Offered {
 		t.Fatalf("completed %d of %d", st.Completed, st.Offered)
 	}
-	// Latency = wire + service + wire = 20us exactly (no queueing).
-	if p50 := st.Latency.Percentile(50); p50 < 19_000 || p50 > 21_000 {
-		t.Fatalf("p50 latency = %dns, want ≈20000", p50)
+	// Latency = wire + service + wire exactly (no queueing), within the
+	// histogram's 5%.
+	want := int64(2*wire + 10*sim.Microsecond)
+	if p50 := st.Latency.Percentile(50); p50 < want*95/100 || p50 > want*105/100 {
+		t.Fatalf("p50 latency = %dns, want ≈%d", p50, want)
 	}
 	if got := st.ThroughputRPS(); math.Abs(got-100_000) > 6_000 {
 		t.Fatalf("throughput = %.0f", got)
@@ -282,7 +283,7 @@ func TestZeroAllocSendComplete(t *testing.T) {
 // a double completion is.
 func TestLateCompletionAcrossPages(t *testing.T) {
 	const late = 17
-	eng, g := directHost(Config{Rate: 1e6, DstPort: 9000, Wire: 5 * sim.Microsecond}, func(id uint64) bool { return id != late })
+	eng, g := directHost(Config{Rate: 1e6, DstPort: 9000}, func(id uint64) bool { return id != late })
 	sendN(eng, g, 3*pageSlots+100)
 	if g.dir[0] == nil || g.dir[1] != nil || g.dir[2] != nil || heldPages(g) != 2 {
 		t.Fatalf("held pages: first %v, %d in all; want the pinned first page and the current one", g.dir[0] != nil, heldPages(g))
@@ -294,7 +295,7 @@ func TestLateCompletionAcrossPages(t *testing.T) {
 		t.Fatalf("request %d sent at %d, want %d", late, sentAt, late)
 	}
 	g.Complete(late, eng.Now())
-	wantMax = max(wantMax, int64(eng.Now()+5*sim.Microsecond-sentAt))
+	wantMax = max(wantMax, int64(eng.Now()+wire-sentAt))
 	if st.Completed != before+1 || st.Latency.Max() != wantMax {
 		t.Fatalf("late completion: completed %d -> %d, max latency %d, want %d", before, st.Completed, st.Latency.Max(), wantMax)
 	}
@@ -399,11 +400,11 @@ func TestPackedWordRange(t *testing.T) {
 
 	// End to end at the boundary: a request sent at 2^54-1 ns and answered
 	// 7 ns later has latency 7 ns + wire.
-	eng, g := directHost(Config{Rate: 1e6, DstPort: 9000, Wire: 3}, func(uint64) bool { return false })
+	eng, g := directHost(Config{Rate: 1e6, DstPort: 9000}, func(uint64) bool { return false })
 	eng.RunUntil(last)
 	g.send(true)
 	g.Complete(0, last+7)
-	if got := g.LiveStats()[0].Latency.Max(); got != 10 {
-		t.Fatalf("latency at the range's edge = %d ns, want 10", got)
+	if got, want := g.LiveStats()[0].Latency.Max(), int64(7+wire); got != want {
+		t.Fatalf("latency at the range's edge = %d ns, want %d", got, want)
 	}
 }

@@ -102,9 +102,8 @@ type HostConfig struct {
 	// and schedules no events, so hosts built without a plan stay
 	// bit-identical.
 	Faults *faults.Plan
-	// Quarantine, when non-nil, arms syrupd's fault watchdog with the
-	// given thresholds (zero fields take defaults).
-	Quarantine *syrupd.QuarantineConfig
+	// Quarantine arms syrupd's fault watchdog.
+	Quarantine bool
 	// Telemetry, when set, builds the host's time-series sampler
 	// (internal/obs) and attaches it to the engine's passive sampling
 	// hook: datapath gauges (softirq backlog, NIC inflight, runnable ghOSt
@@ -131,10 +130,11 @@ func WriteChromeTrace(w io.Writer, spans []TraceSpan) error {
 	return trace.WriteChrome(w, spans)
 }
 
-// maxParallelism bounds the per-host core and queue counts; the simulator
-// models end hosts, not whole racks, and a wildly large value is almost
-// certainly a units mistake (e.g. passing a load figure as NumCPUs).
-const maxParallelism = 4096
+// maxQueues bounds the per-host NIC queue count; the simulator models end
+// hosts, not whole racks, and a wildly large value is almost certainly a
+// units mistake (e.g. passing a load figure as NICQueues). The core count
+// is bounded by kernel.MaxCPUs.
+const maxQueues = 4096
 
 // Normalize validates cfg and resolves every implicit default in one
 // place: the seed, the host name, and the NIC queue count. It is the
@@ -145,12 +145,12 @@ func (cfg HostConfig) Normalize() (HostConfig, error) {
 	switch {
 	case cfg.NumCPUs < 0:
 		return cfg, fmt.Errorf("syrup: NumCPUs %d is negative", cfg.NumCPUs)
-	case cfg.NumCPUs > maxParallelism:
-		return cfg, fmt.Errorf("syrup: NumCPUs %d exceeds the per-host maximum %d", cfg.NumCPUs, maxParallelism)
+	case cfg.NumCPUs > kernel.MaxCPUs:
+		return cfg, fmt.Errorf("syrup: NumCPUs %d exceeds the per-host maximum %d", cfg.NumCPUs, kernel.MaxCPUs)
 	case cfg.NICQueues < 0:
 		return cfg, fmt.Errorf("syrup: NICQueues %d is negative", cfg.NICQueues)
-	case cfg.NICQueues > maxParallelism:
-		return cfg, fmt.Errorf("syrup: NICQueues %d exceeds the per-host maximum %d", cfg.NICQueues, maxParallelism)
+	case cfg.NICQueues > maxQueues:
+		return cfg, fmt.Errorf("syrup: NICQueues %d exceeds the per-host maximum %d", cfg.NICQueues, maxQueues)
 	case cfg.HostID < 0:
 		return cfg, fmt.Errorf("syrup: HostID %d is negative", cfg.HostID)
 	}
@@ -208,7 +208,7 @@ func TryNewHost(cfg HostConfig) (*Host, error) {
 	}
 	eng := sim.New(cfg.Seed)
 	hh := &hook.Host{Eng: eng, Tracer: cfg.Trace, Faults: cfg.Faults.Compile(cfg.Seed, eng.Now)}
-	dev, stack := netstack.Wire(hh, nic.Config{Queues: cfg.NICQueues}, netstack.Config{})
+	dev, stack := netstack.Wire(hh, nic.Config{Queues: cfg.NICQueues})
 	var machine *kernel.Machine
 	if cfg.NumCPUs > 0 {
 		machine = kernel.New(eng, kernel.Config{NumCPUs: cfg.NumCPUs})
@@ -222,8 +222,8 @@ func TryNewHost(cfg HostConfig) (*Host, error) {
 		Stack:   stack,
 		Daemon:  syrupd.New(hh, dev, stack, machine),
 	}
-	if cfg.Quarantine != nil {
-		h.Daemon.EnableQuarantine(*cfg.Quarantine)
+	if cfg.Quarantine {
+		h.Daemon.EnableQuarantine()
 	}
 	if cfg.Telemetry != nil {
 		sa := obs.NewSampler(*cfg.Telemetry)
@@ -318,13 +318,14 @@ func (a *App) DeployBuiltin(name string, hook Hook, defines map[string]int64) (*
 
 // DeployThreadPolicy installs a userspace thread-scheduling policy via the
 // ghOSt hook: the agent takes over agentCPU, and the app's registered
-// threads run on workers under pol's control.
-func (a *App) DeployThreadPolicy(pol ghost.Policy, agentCPU int, workers []int, cfg ghost.Config) (*ghost.Agent, error) {
+// threads run on workers under pol's control. The ghost.Config argument
+// has no effect (ghost.Config is deprecated).
+func (a *App) DeployThreadPolicy(pol ghost.Policy, agentCPU int, workers []int, _ ghost.Config) (*ghost.Agent, error) {
 	ws := make([]kernel.CPUID, len(workers))
 	for i, w := range workers {
 		ws[i] = kernel.CPUID(w)
 	}
-	return a.host.Daemon.DeployThreadPolicy(a.id, pol, kernel.CPUID(agentCPU), ws, cfg)
+	return a.host.Daemon.DeployThreadPolicy(a.id, pol, kernel.CPUID(agentCPU), ws)
 }
 
 // NewUDPSocket binds a reuseport socket on one of the app's ports and

@@ -1,9 +1,12 @@
 package syrup_test
 
 import (
+	"strings"
 	"testing"
 
 	"syrup"
+	"syrup/internal/cluster"
+	"syrup/internal/kernel"
 )
 
 func TestHostEndToEndRoundRobin(t *testing.T) {
@@ -86,5 +89,25 @@ func TestHostDeterminism(t *testing.T) {
 	}
 	if run() != run() {
 		t.Fatal("identical seeds produced different runs")
+	}
+}
+
+// TestCoreCountIsBoundedByTheMachine: a host config asking for more cores
+// than a machine models is refused with an error by TryNewHost and by the
+// cluster layer, not a panic inside kernel.New; the largest machine builds.
+func TestCoreCountIsBoundedByTheMachine(t *testing.T) {
+	too := syrup.HostConfig{NumCPUs: kernel.MaxCPUs + 1}
+	if _, err := syrup.TryNewHost(too); err == nil || !strings.Contains(err.Error(), "NumCPUs") {
+		t.Fatalf("TryNewHost(NumCPUs %d) = %v, want a NumCPUs error", too.NumCPUs, err)
+	}
+	if _, err := cluster.New(cluster.Config{Hosts: 2, Host: too}); err == nil {
+		t.Fatalf("cluster of NumCPUs %d hosts built", too.NumCPUs)
+	}
+	host, err := syrup.TryNewHost(syrup.HostConfig{NumCPUs: kernel.MaxCPUs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := host.Machine.NumCPUs(); got != kernel.MaxCPUs {
+		t.Fatalf("machine has %d cores, want %d", got, kernel.MaxCPUs)
 	}
 }

@@ -1,8 +1,8 @@
 // Package rocksdb provides the RocksDB-like key-value server the paper's
 // §5.2/§5.3 experiments run: a real (if miniature) LSM storage engine —
-// mutable memtable, immutable sorted runs, merged iterators for SCANs —
-// plus the multi-threaded SO_REUSEPORT UDP server model whose scheduling
-// Syrup policies control.
+// mutable memtable, immutable sorted runs, a preloaded base level, merged
+// iterators for SCANs — plus the multi-threaded SO_REUSEPORT UDP server
+// model whose scheduling Syrup policies control.
 //
 // The storage engine does real work per request; the simulation charges
 // the paper's measured service times in virtual time (GET 10–12 µs, SCAN
@@ -12,6 +12,7 @@ package rocksdb
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -24,22 +25,26 @@ const memtableFlushSize = 4096
 // maxRuns triggers a full compaction when exceeded.
 const maxRuns = 8
 
-// Store is a miniature LSM tree: one mutable memtable plus a stack of
-// immutable sorted runs, newest first. It belongs to the server of one
-// host and takes no lock (DESIGN.md "One owner per host").
+// maxLevels bounds what a merge stacks: the memtable, up to maxRuns+1 runs
+// (a compaction merges the one over the limit) or maxRuns runs and the base.
+const maxLevels = maxRuns + 2
+
+// Store is a miniature LSM tree: one mutable memtable over a stack of
+// immutable sorted runs, newest first, over the preloaded base level. It
+// belongs to the server of one host and takes no lock (DESIGN.md "One
+// owner per host").
 type Store struct {
-	// index is the point-lookup index: key → newest value, written by Put
-	// and probed once by Get. Flush and compaction
-	// move versions between runs but never change which value is newest,
-	// and the store has no delete, so neither touches it. The memtable and
-	// the runs stay the ordered structures Scan, Len and compaction read.
-	index map[string]string
 	// mem is the memtable: a run under construction, kept sorted by
 	// binary-search insert, so reads, scans and flushes treat it like any
 	// other run. Array-backed on purpose: ascending loads append, a flush
 	// hands the arrays over, and no per-entry node is ever allocated.
 	mem  run
 	runs []run // runs[0] is newest
+	// base is what Preload loaded: Key(0) … Key(n-1) in order, the oldest
+	// level, below every run and never compacted. Its arrays are the
+	// rendered keys and values themselves, and Get finds a key in it by
+	// position (baseIndex), not by search.
+	base run
 
 	// Stats.
 	Gets, Scans, Puts, Flushes, Compactions uint64
@@ -53,11 +58,11 @@ type run struct {
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store { return &Store{index: make(map[string]string)} }
+func NewStore() *Store { return &Store{} }
 
 // find returns where key is, or would be inserted, and whether it is
-// there. Keys outside the fence — ascending loads like Preload — cost two
-// comparisons and no search.
+// there. Keys outside the fence — ascending loads, and most lookups in a
+// run that holds a few keys — cost two comparisons and no search.
 func (r *run) find(key string) (int, bool) {
 	n := len(r.keys)
 	if n == 0 || key > r.keys[n-1] {
@@ -82,29 +87,60 @@ func (r *run) put(key, value string) {
 // Put inserts or overwrites a key.
 func (s *Store) Put(key, value string) {
 	s.Puts++
-	s.index[key] = value
 	s.mem.put(key, value)
 	if len(s.mem.keys) >= memtableFlushSize {
 		s.flush()
 	}
 }
 
-// Get returns the newest value for key.
+// Get returns the newest value for key: the memtable, then every run
+// newest first, each behind its fence, then the base by position.
 func (s *Store) Get(key string) (string, bool) {
 	s.Gets++
-	v, ok := s.index[key]
-	return v, ok
+	if i, ok := s.mem.find(key); ok {
+		return s.mem.values[i], true
+	}
+	for j := range s.runs {
+		if i, ok := s.runs[j].find(key); ok {
+			return s.runs[j].values[i], true
+		}
+	}
+	if i := baseIndex(key); i < len(s.base.keys) && s.base.keys[i] == key {
+		return s.base.values[i], true
+	}
+	return "", false
+}
+
+// baseIndex inverts Key over its 12-byte form "key-DDDDDDDD": the position
+// the key holds in a base of Key(0) … Key(n-1) if it is there at all. Any
+// other string gets a position no base reaches; the base holds no other
+// strings (Preload keeps n ≤ 1e8). Get still confirms the position with one
+// compare, so it is exact whatever keys preload was handed.
+func baseIndex(key string) int {
+	if len(key) != 12 || key[:4] != "key-" {
+		return math.MaxInt
+	}
+	i := 0
+	for j := 4; j < 12; j++ {
+		c := key[j] - '0'
+		if c > 9 {
+			return math.MaxInt
+		}
+		i = i*10 + int(c)
+	}
+	return i
 }
 
 // Scan returns up to limit key/value pairs with key >= start, in key
-// order, merging the memtable and all runs (newest version wins).
+// order, merging the memtable, all runs and the base (newest version
+// wins).
 func (s *Store) Scan(start string, limit int) []KV { return s.AppendScan(nil, start, limit) }
 
 // AppendScan is Scan appending to dst: a caller that scans into a buffer
 // it keeps allocates nothing once the buffer has grown to limit.
 func (s *Store) AppendScan(dst []KV, start string, limit int) []KV {
 	s.Scans++
-	var buf [maxRuns + 1]iterator
+	var buf [maxLevels]iterator
 	m := s.mergeFrom(buf[:0], start)
 	n := min(limit, m.remaining())
 	if n <= 0 {
@@ -130,7 +166,7 @@ type KV struct {
 
 // Len reports the number of live entries (shadowed versions count once).
 func (s *Store) Len() int {
-	var buf [maxRuns + 1]iterator
+	var buf [maxLevels]iterator
 	m := s.mergeFrom(buf[:0], "")
 	n := 0
 	for _, _, ok := m.next(); ok; _, _, ok = m.next() {
@@ -153,11 +189,11 @@ func (s *Store) flush() {
 }
 
 // compact merges all runs (the memtable was just sealed, so it is
-// empty) into one, dropping shadowed versions.
+// empty) into one, dropping shadowed versions. The base stays as it is.
 func (s *Store) compact() {
 	s.Compactions++
-	var buf [maxRuns + 1]iterator
-	m := s.mergeFrom(buf[:0], "")
+	var buf [maxLevels]iterator
+	m := seek(buf[:0], "", s.runs...)
 	n := m.remaining()
 	out := run{keys: make([]string, 0, n), values: make([]string, 0, n)}
 	for k, v, ok := m.next(); ok; k, v, ok = m.next() {
@@ -175,14 +211,18 @@ type iterator struct {
 // merger is a newest-first stack of iterators read as one ordered stream.
 type merger []iterator
 
-// mergeFrom seeks the memtable and every run to start (O(log n) each) and
-// stacks the ones with anything at or past it, newest first, onto buf.
+// mergeFrom seeks the memtable, every run and the base to start, newest
+// first, onto buf.
 func (s *Store) mergeFrom(buf []iterator, start string) merger {
-	m := merger(buf)
-	if pos := sort.SearchStrings(s.mem.keys, start); pos < len(s.mem.keys) {
-		m = append(m, iterator{run: s.mem, pos: pos})
-	}
-	for _, r := range s.runs {
+	m := seek(buf, start, s.mem)
+	m = seek(m, start, s.runs...)
+	return seek(m, start, s.base)
+}
+
+// seek seeks each run to start (O(log n) each) and stacks the ones with
+// anything at or past it onto m, in the order given.
+func seek(m merger, start string, runs ...run) merger {
+	for _, r := range runs {
 		if pos := sort.SearchStrings(r.keys, start); pos < len(r.keys) {
 			m = append(m, iterator{run: r, pos: pos})
 		}
@@ -220,25 +260,28 @@ func (m merger) next() (key, value string, ok bool) {
 	return key, value, true
 }
 
-// Preload puts the n sequential keys Key(i) → "value-<i>", in ascending
-// order, so GETs and SCANs have data to touch. The keys are rendered into
-// one string and the values into another, each sliced per entry: a preload
-// allocates per memtable, not per key.
+// Preload bulk-loads the n sequential keys Key(i) → "value-<i>" into an
+// empty store as its base level, so GETs and SCANs have data to touch. The
+// keys are rendered into one string and the values into another, each
+// sliced per entry, and those slices are the base's arrays: a preload
+// allocates a few times, not per key, and counts no Put or flush. Preload
+// panics on a store that already holds data, whose older versions would
+// otherwise shadow the base loaded after them.
 func (s *Store) Preload(n int) { s.preload(renderKeys(n)) }
 
 // preload is Preload over keys already rendered: the store keeps the very
-// strings it is given, so a server that looks keys up by renderKeys(n)
-// shares them with its store instead of holding a second copy.
+// slice it is given, so a server that looks keys up by renderKeys(n)
+// shares it with its store instead of holding a second copy.
 func (s *Store) preload(keys []string) {
-	values := render(len(keys), 6+len(strconv.Itoa(len(keys))), func(b []byte, i int) []byte {
+	if s.base.keys != nil || len(s.mem.keys) > 0 || len(s.runs) > 0 {
+		panic("rocksdb: Preload into a store that already holds data")
+	}
+	if len(keys) > 1e8 {
+		panic("rocksdb: Preload of more than 1e8 keys") // Key(1e8) leaves the 12-byte form
+	}
+	s.base = run{keys: keys, values: render(len(keys), 6+len(strconv.Itoa(len(keys))), func(b []byte, i int) []byte {
 		return strconv.AppendInt(append(b, "value-"...), int64(i), 10)
-	})
-	if len(s.index) == 0 {
-		s.index = make(map[string]string, len(keys)) // sized once instead of grown
-	}
-	for i, k := range keys {
-		s.Put(k, values[i])
-	}
+	})}
 }
 
 // Key renders the canonical preloaded key for index i, "key-%08d".

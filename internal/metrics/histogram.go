@@ -31,9 +31,10 @@ type Histogram struct {
 
 const (
 	subBuckets = 64
-	// Octaves 6..62 each contribute subBuckets buckets after the exact
-	// low range; 64 + 57*64 + 63 = 3775 is the largest index.
-	bucketCount = subBuckets + 58*subBuckets
+	// Octaves 6..62 (57 of them; no int64 reaches 2^63) each contribute
+	// subBuckets buckets after the exact low range, so 64 + 56*64 + 63 =
+	// 3711, bucketIndex(math.MaxInt64), is the largest index.
+	bucketCount = subBuckets + 57*subBuckets
 )
 
 // NewHistogram returns an empty histogram.
@@ -112,7 +113,7 @@ func (h *Histogram) Resets() uint64 { return h.resets }
 // span returns the occupied bucket range [lo, hi] of a non-empty
 // histogram: min and max are exact, so every non-zero bucket lies between
 // theirs. It is derived at read time — Record pays nothing for it — and
-// lets readers walk the few hundred buckets in use instead of all 3776.
+// lets readers walk the few hundred buckets in use instead of all of them.
 func (h *Histogram) span() (lo, hi int) { return bucketIndex(h.min), bucketIndex(h.max) }
 
 // rankOf returns the 1-based rank of quantile p (percent) among n samples.

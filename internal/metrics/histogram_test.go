@@ -50,16 +50,20 @@ func TestPropertyBucketError(t *testing.T) {
 	}
 }
 
-// Property: adjacent buckets tile the value space (bucketIndex(bucketLow(i)) == i).
+// Property: adjacent buckets tile the value space (bucketIndex(bucketLow(i)) == i),
+// every bucket is reachable, and the last one holds math.MaxInt64.
 func TestPropertyBucketLowMapsBack(t *testing.T) {
 	for i := 0; i < bucketCount; i++ {
 		low := bucketLow(i)
-		if low < 0 { // overflowed past int64 range; ignore tail octaves
-			continue
+		if low < 0 {
+			t.Fatalf("bucketLow(%d) = %d: the bucket starts past the int64 range", i, low)
 		}
 		if got := bucketIndex(low); got != i {
 			t.Fatalf("bucketIndex(bucketLow(%d)=%d) = %d", i, low, got)
 		}
+	}
+	if got := bucketIndex(math.MaxInt64); got != bucketCount-1 {
+		t.Fatalf("bucketIndex(MaxInt64) = %d, want the last bucket %d", got, bucketCount-1)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // The naive* functions are the full-scan read path this package shipped
-// before reads became span-bounded and single-pass: one walk over all 3776
+// before reads became span-bounded and single-pass: one walk over all
 // buckets per percentile, and a window that diffs every bucket into a
 // scratch array before walking it once per percentile. They are the
 // reference the differential test holds the production code to.

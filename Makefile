@@ -30,7 +30,10 @@ test:
 # tests (~15 s); the rest of that package takes ~9 min under -race and
 # drives only what the first line covers. The zero-alloc gates
 # (TestZeroAlloc*) run here and again under test: a device-owned free list
-# keeps every packet put back, race detector or not.
+# keeps every packet put back, race detector or not, and the workload
+# generator's request table settles an answered request
+# (TestZeroAllocSendComplete) and a dropped one (TestZeroAllocLossyRun)
+# without allocating.
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v /internal/experiments)
 	$(GO) test -race ./internal/experiments -run '^(TestClusterWorkersDifferential|TestClusterMicaWorkersDifferential|TestSweepPreservesOrderAndParallelizes|TestWorkersReachTheSweep|TestAdaptDifferentialOff|TestAdaptiveDeterminism)$$'

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"runtime"
 	"testing"
 
 	"syrup"
@@ -18,7 +19,10 @@ import (
 // (offered = completed + unanswered) while what it reports as in flight
 // stays what the host can physically hold: a daemon that remembered each
 // unanswered request would report tens of thousands in flight by the end
-// and keep growing.
+// and keep growing. Its memory stays bounded too: between 600 and 1200
+// virtual ms the live heap grows by less than 1 MiB, where a request table
+// that pinned a 32 KiB page for every 4096 ids holding a dropped request
+// would grow by several.
 func TestDemoForgetsUnansweredRequests(t *testing.T) {
 	const threads = 6
 	d := newDemo(syrup.HostConfig{Telemetry: &obs.Config{Period: sim.Millisecond}}, threads, 1_200_000,
@@ -40,7 +44,17 @@ func TestDemoForgetsUnansweredRequests(t *testing.T) {
 	// work on the same core), and per worker a full socket queue plus the
 	// request being served.
 	held := float64(threads * (2*1024 + d.Host.Stack.SocketQueueCap() + 1))
-	for i := 0; i < 60; i++ {
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var heapAt600 uint64
+	for i := 0; i < 120; i++ {
+		if i == 60 {
+			heapAt600 = heap()
+		}
 		d.Host.RunFor(10 * sim.Millisecond)
 		var got float64
 		for _, s := range server.Handle(&syrupd.Request{Op: "snapshot"}).Snapshot.Series {
@@ -51,6 +65,10 @@ func TestDemoForgetsUnansweredRequests(t *testing.T) {
 		if got > held {
 			t.Fatalf("at %v the snapshot op reports %.0f in flight; the host can hold %.0f", d.Host.Now(), got, held)
 		}
+	}
+
+	if grown := int64(heap()) - int64(heapAt600); grown >= 1<<20 {
+		t.Fatalf("the live heap grew by %d B between 600 and 1200 virtual ms, want < 1 MiB", grown)
 	}
 
 	all := d.Gen.Result().All

@@ -148,7 +148,13 @@ type Server struct {
 	Forwarded uint64 // requests that crossed the ring
 	Local     uint64 // requests served by their receiving thread
 	Foreign   uint64 // requests for keys another cluster shard owns (dropped)
+	Malformed uint64 // requests whose header does not decode (dropped)
+	RingDrops uint64 // forwarded requests a full inter-core ring refused (dropped)
 }
+
+// Dropped is every request the server dropped: foreign keys, malformed
+// headers and inter-core ring overflows.
+func (s *Server) Dropped() uint64 { return s.Foreign + s.Malformed + s.RingDrops }
 
 // Queue bounds, in packets: AF_XDP rx rings and inter-core rings.
 const xskCap, ringCap = 2048, 4096
@@ -290,7 +296,8 @@ func (s *Server) workerLoop(th *kernel.Thread, me int) {
 func (s *Server) serve(w *worker, pkt *nic.Packet, fromRing bool) {
 	reqType, _, keyHash, reqID, ok := policy.DecodeHeader(pkt.Payload)
 	if !ok {
-		pkt.Free()
+		s.Malformed++
+		pkt.Drop()
 		w.loop()
 		return
 	}
@@ -299,7 +306,7 @@ func (s *Server) serve(w *worker, pkt *nic.Packet, fromRing bool) {
 		// key. Dropping (never completing) charges the miss to whoever
 		// steered the flow, and keeps cross-host EREW intact.
 		s.Foreign++
-		pkt.Free()
+		pkt.Drop()
 		w.loop()
 		return
 	}
@@ -340,7 +347,8 @@ func (w *worker) finishForward() {
 	pkt := w.pkt
 	w.pkt = nil
 	if !w.s.rings[w.home].Enqueue(pkt) {
-		pkt.Free() // ring overflow drops, like DPDK
+		w.s.RingDrops++
+		pkt.Drop() // ring overflow drops, like DPDK
 	}
 	w.loop()
 }

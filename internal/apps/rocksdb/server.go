@@ -83,6 +83,9 @@ type Server struct {
 	ProcessedSCAN uint64
 	// LocalityHits counts requests served from a thread's warm flow set.
 	LocalityHits uint64
+	// Malformed counts requests dropped because their header does not
+	// decode.
+	Malformed uint64
 
 	warmFlows [][]uint64 // per-thread LRU of recently served flows
 	keyTable  []string   // precomputed canonical keys, indexed by keyHash % keySpace
@@ -91,6 +94,10 @@ type Server struct {
 	// worker keeps a 36-thread server's heap flat.
 	scanBuf []KV
 }
+
+// Dropped is every request the server dropped: those whose header does not
+// decode.
+func (s *Server) Dropped() uint64 { return s.Malformed }
 
 // NewServer creates the server's threads and sockets. Each worker thread
 // owns exactly one socket in the port's reuseport group, so a Socket
@@ -213,7 +220,8 @@ func (s *Server) serve(w *worker, pkt *nic.Packet, wasBlocked bool) {
 	th, slot := w.th, w.slot
 	reqType, _, keyHash, reqID, ok := policy.DecodeHeader(pkt.Payload)
 	if !ok {
-		pkt.Free()
+		s.Malformed++
+		pkt.Drop()
 		w.loop() // malformed request: ignore
 		return
 	}

@@ -152,7 +152,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterRun, error) {
 				NumThreads: 6, PinToCores: true, Service: fig7Service,
 			})
 			w.Srv.Start()
-			runs[i].gen = w.Gen
+			runs[i].gen, runs[i].app = w.Gen, w.Srv
 		case "mica":
 			if _, err := m.Host.RegisterApp(micaApp, micaUID, micaPort); err != nil {
 				return nil, err
@@ -162,6 +162,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterRun, error) {
 				Mode: mica.ModeSyrupSW, Shard: i, NumShards: cfg.Hosts,
 			})
 			micaSrvs[i].Start()
+			runs[i].app = micaSrvs[i]
 		}
 	}
 
@@ -173,6 +174,9 @@ func RunCluster(cfg ClusterConfig) (*ClusterRun, error) {
 	}
 	if rep.Aborted {
 		return nil, fmt.Errorf("cluster scenario: %s", rep)
+	}
+	for _, idx := range rep.Canaries {
+		runs[idx].probed = true
 	}
 
 	// Token agents (rocksdb): per-host userspace refill at tokenFrac of

@@ -16,7 +16,9 @@ import (
 // equation, once one count is planted: a packet the NIC received that no
 // layer accounts for, a datagram the stack delivered without processing
 // it, client requests lost beyond everything the host dropped or still
-// holds, and a policy fault on a host with no fault plan.
+// holds, a drop site that frees its packet instead of calling Drop (the
+// host counts a drop the client never hears of), and a policy fault on a
+// host with no fault plan.
 func TestConservedCatchesAnUncountedPacket(t *testing.T) {
 	pt := fig2Slice(PolicyRoundRobin, RunConfig{})
 	pt.Run.Windows = Windows{Warmup: 2 * sim.Millisecond, Measure: 10 * sim.Millisecond, Drain: 5 * sim.Millisecond}
@@ -24,7 +26,7 @@ func TestConservedCatchesAnUncountedPacket(t *testing.T) {
 	host := run.Host
 	failure := func(res *workload.Result) (msg string) {
 		defer func() { msg = fmt.Sprint(recover()) }()
-		conserve(host, res)
+		conserve(hostRun{host: host, gen: run.Gen, app: run.Srv}, res)
 		return
 	}
 	if msg := failure(run.Result); msg != "<nil>" {
@@ -49,6 +51,18 @@ func TestConservedCatchesAnUncountedPacket(t *testing.T) {
 		if !strings.Contains(msg, host.Name+":") || !strings.Contains(msg, c.want) || !strings.Contains(msg, "not conserved") {
 			t.Errorf("%s: conservation reports %q, want the host, the equation and %q", c.plant, msg, c.want)
 		}
+	}
+
+	// The planted drop site: an XDP drop that frees its packet. Every host
+	// equation still balances; only the loss identity sees it.
+	host.NIC.Stats.Received++
+	host.NIC.Stats.DroppedByXDP++
+	host.NIC.NewPacket().Free()
+	msg := failure(run.Result)
+	host.NIC.Stats.Received--
+	host.NIC.Stats.DroppedByXDP--
+	if !strings.Contains(msg, host.Name+":") || !strings.Contains(msg, "losses not conserved") {
+		t.Errorf("a drop site that frees its packet: conservation reports %q, want the host and the loss identity", msg)
 	}
 
 	// A verified program that tail-calls itself past MaxTailCalls faults on

@@ -100,7 +100,7 @@ func runMicaPoint(pt micaPoint) (*workload.Result, *syrup.Host) {
 	}
 
 	srv.Start()
-	return finish(1, hostRun{host, gen})[0], host
+	return finish(1, hostRun{host: host, gen: gen, app: srv})[0], host
 }
 
 // Fig9 reproduces Figure 9: 99.9% latency vs load for the three steering

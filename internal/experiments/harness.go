@@ -87,10 +87,14 @@ func (rc RunConfig) load(rate float64) workload.Config {
 	return workload.Config{Rate: rate, Warmup: w.Warmup, Measure: w.Measure, Drain: w.Drain}
 }
 
-// hostRun is one host of a run and the generator that loads it.
+// hostRun is one host of a run, the generator that loads it and the app
+// that serves it. probed marks a host the cluster's rollout baked under
+// probe traffic: its drops include probes, which no generator sent.
 type hostRun struct {
-	host *syrup.Host
-	gen  *workload.Generator
+	host   *syrup.Host
+	gen    *workload.Generator
+	app    interface{ Dropped() uint64 }
+	probed bool
 }
 
 // finish is the one place a run ends: every generator starts, every engine
@@ -101,7 +105,7 @@ func finish(workers int, runs ...hostRun) []*workload.Result {
 	results := make([]*workload.Result, len(runs))
 	par.Do(len(runs), workers, func(i int) {
 		results[i] = runs[i].gen.RunToCompletion()
-		conserve(runs[i].host, results[i])
+		conserve(runs[i], results[i])
 	})
 	return results
 }
@@ -110,12 +114,18 @@ func finish(workers int, runs ...hostRun) []*workload.Result {
 // finished run accounted for every request. The host half is
 // Daemon.Conserved; the client half is offered = completed + unanswered,
 // with unanswered no more than the host dropped (Daemon.Dropped) plus what
-// it still holds (Daemon.Held). A host with no fault plan must also end with
-// zero policy faults: the executor checks every access, so a verifier hole
-// in a shipped policy shows up as a fault that fell open.
-func conserve(host *syrup.Host, res *workload.Result) {
+// it still holds (Daemon.Held), and the loss identity: every request the
+// generator saw lost, warm-up included, is one the host or the app dropped,
+// exactly so on a host that served no probes. So a drop site that frees
+// its packet instead of calling Drop fails here. A host with no fault plan
+// must also end with zero policy faults: the executor checks every access,
+// so a verifier hole in a shipped policy shows up as a fault that fell
+// open.
+func conserve(r hostRun, res *workload.Result) {
+	host := r.host
 	d, all := host.Daemon, res.All
 	unanswered, dropped, held := all.TotalDrops(), d.Dropped(), d.Held()
+	lost, appDropped := r.gen.Lost(), r.app.Dropped()
 	err := d.Conserved()
 	if err == nil && host.Faults == nil {
 		err = unfaulted(d)
@@ -125,6 +135,9 @@ func conserve(host *syrup.Host, res *workload.Result) {
 	}
 	if err == nil && unanswered > dropped+held {
 		err = fmt.Errorf("requests not conserved: unanswered %d > host dropped %d + held %d", unanswered, dropped, held)
+	}
+	if err == nil && (lost > dropped+appDropped || !r.probed && lost != dropped+appDropped) {
+		err = fmt.Errorf("losses not conserved: client lost %d != host dropped %d + app dropped %d", lost, dropped, appDropped)
 	}
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %s: %v", host.Name, err))
@@ -394,7 +407,7 @@ func runRocksPoint(pt rocksPoint) *rocksRun {
 	}
 
 	w.Srv.Start()
-	return &rocksRun{RocksWorld: w, Result: finish(1, hostRun{host, w.Gen})[0]}
+	return &rocksRun{RocksWorld: w, Result: finish(1, hostRun{host: host, gen: w.Gen, app: w.Srv})[0]}
 }
 
 func mustDeploy(app *syrup.App, name string, defines map[string]int64) {

@@ -291,7 +291,7 @@ func (s *Stack) Deliver(queue int, pkt *nic.Packet) {
 		if s.dev != nil {
 			s.dev.Consumed(queue)
 		}
-		pkt.Free()
+		pkt.Drop()
 		return
 	}
 	core.backlog++
@@ -331,7 +331,7 @@ func (s *Stack) handleXDPVerdict(queue int, pkt *nic.Packet, v hook.Verdict) boo
 	case v.Action == hook.Drop:
 		s.Stats.XSKDrops++
 		s.traceSpan(pkt, trace.StageSoftirq, pkt.SoftirqAt, queue, trace.VerdictDrop, 0)
-		pkt.Free()
+		pkt.Drop()
 		return false
 	default:
 		var table []*Socket
@@ -345,7 +345,7 @@ func (s *Stack) handleXDPVerdict(queue int, pkt *nic.Packet, v hook.Verdict) boo
 			// missing-executor, not into a dead queue.
 			s.Stats.NoExecutorDrops++
 			s.traceSpan(pkt, trace.StageSoftirq, pkt.SoftirqAt, queue, trace.VerdictDrop, 0)
-			pkt.Free()
+			pkt.Drop()
 			return false
 		}
 		// AF_XDP delivery bypasses protocol processing: the softirq
@@ -354,7 +354,7 @@ func (s *Stack) handleXDPVerdict(queue int, pkt *nic.Packet, v hook.Verdict) boo
 		pkt.EnqueuedAt = s.eng.Now()
 		if !table[v.Index].Enqueue(pkt) {
 			s.Stats.XSKDrops++
-			pkt.Free()
+			pkt.Drop()
 			return false
 		}
 		s.Stats.XSKDelivered++
@@ -374,14 +374,14 @@ func (s *Stack) postXDP(queue int, pkt *nic.Packet) {
 		case v.Action == hook.Drop:
 			s.Stats.PolicyDrops++
 			s.traceSpan(pkt, trace.StageSoftirq, pkt.SoftirqAt, queue, trace.VerdictDrop, 0)
-			pkt.Free()
+			pkt.Drop()
 			return
 		case int(v.Index) < len(s.cores):
 			protoCore = int(v.Index)
 		default:
 			s.Stats.NoExecutorDrops++
 			s.traceSpan(pkt, trace.StageSoftirq, pkt.SoftirqAt, queue, trace.VerdictDrop, 0)
-			pkt.Free()
+			pkt.Drop()
 			return
 		}
 	}
@@ -423,7 +423,7 @@ func (s *Stack) protocolDeliver(core int, pkt *nic.Packet) {
 	if !ok {
 		s.Stats.NoGroupDrops++
 		s.traceSpan(pkt, trace.StageProto, pkt.ProtoAt, core, trace.VerdictDrop, 0)
-		pkt.Free()
+		pkt.Drop()
 		return
 	}
 	sock, idx, res := g.selectSocket(pkt, pkt.RSSHash(), uint32(core))
@@ -431,11 +431,11 @@ func (s *Stack) protocolDeliver(core int, pkt *nic.Packet) {
 	case dropped:
 		s.Stats.PolicyDrops++
 		s.traceSpan(pkt, trace.StageProto, pkt.ProtoAt, core, trace.VerdictDrop, 0)
-		pkt.Free()
+		pkt.Drop()
 	case noExecutor:
 		s.Stats.NoExecutorDrops++
 		s.traceSpan(pkt, trace.StageProto, pkt.ProtoAt, core, trace.VerdictDrop, 0)
-		pkt.Free()
+		pkt.Drop()
 	case selected:
 		s.traceSpan(pkt, trace.StageProto, pkt.ProtoAt, core, trace.VerdictSteer, uint32(idx))
 		pkt.EnqueuedAt = s.eng.Now()
@@ -449,7 +449,7 @@ func (s *Stack) protocolDeliver(core int, pkt *nic.Packet) {
 			s.Stats.UDPDelivered++
 		} else {
 			s.Stats.SocketDrops++
-			pkt.Free()
+			pkt.Drop()
 		}
 	}
 }

@@ -77,7 +77,8 @@ const packetSlab = 256
 // NewPacket returns a zeroed Packet from the device's free list. Packets
 // obtained here should be released with Free at their terminal point;
 // packets built with a plain literal are ordinary GC-managed values and
-// Free ignores them, so the two allocation styles mix safely.
+// Free ignores them, so the two allocation styles mix safely. A drop site
+// releases its packet with Drop instead.
 func (n *NIC) NewPacket() *Packet {
 	if n.free == nil {
 		n.growPackets()
@@ -104,8 +105,8 @@ func (n *NIC) growPackets() {
 func (p *Packet) HeaderBuf() []byte { return p.hdr[:0] }
 
 // Free returns the packet to the free list of the device that issued it.
-// Only terminal owners may call it — the layer that drops the packet or
-// the server that finished serving it — and only once; a second Free of a
+// Only terminal owners may call it — the server that finished serving it,
+// or Drop at a drop site — and only once; a second Free of a
 // live device packet is a datapath ownership bug and panics, as does Free
 // of a packet still linked in a Queue. Free on a literal packet is a no-op.
 func (p *Packet) Free() {
@@ -122,6 +123,20 @@ func (p *Packet) Free() {
 		p.wire = wire[:0] // a heap view outlives the request that needed it
 	}
 	n.free = p
+}
+
+// Drop is Free at a drop site: it ends the request the packet carries. The
+// packet goes back to its device's free list, and then its id goes to the
+// device's loss sink (see OnLoss), so the client settles the request where
+// the host dropped it rather than waiting for an answer that cannot come.
+// Free stays the call for a served packet. Drop on a literal packet reports
+// nothing.
+func (p *Packet) Drop() {
+	id, n := p.ID, p.owner
+	p.Free()
+	if n != nil && n.lost != nil {
+		n.lost(id)
+	}
 }
 
 // Queue is a FIFO chained through its packets' own next field, as the
@@ -299,6 +314,8 @@ type NIC struct {
 
 	// free heads the packet free list (see NewPacket).
 	free *Packet
+	// lost is the loss sink (see OnLoss); nil reports nothing.
+	lost func(id uint64)
 
 	Stats Stats
 }
@@ -323,6 +340,12 @@ func NewOnHost(h *hook.Host, cfg Config, deliver DeliverFunc) *NIC {
 	n.growPackets()
 	return n
 }
+
+// OnLoss installs fn as the device's loss sink: every Drop of a packet this
+// device issued calls fn with the packet's id, wherever on the host the
+// drop happens. A workload generator installs itself here; a later call
+// replaces the sink.
+func (n *NIC) OnLoss(fn func(id uint64)) { n.lost = fn }
 
 // NumQueues reports the RX queue count.
 func (n *NIC) NumQueues() int { return n.cfg.Queues }
@@ -363,7 +386,7 @@ func (n *NIC) Receive(pkt *Packet) {
 		case v.Action == hook.Drop:
 			n.Stats.DroppedByXDP++
 			n.traceNIC(pkt, pkt.ArrivedAt, queue, trace.VerdictDrop)
-			pkt.Free()
+			pkt.Drop()
 			return
 		case v.Action == hook.Pass:
 			// keep RSS choice; a faulted run fails open here
@@ -373,7 +396,7 @@ func (n *NIC) Receive(pkt *Packet) {
 			// Out-of-range executor index: no such queue.
 			n.Stats.DroppedByXDP++
 			n.traceNIC(pkt, pkt.ArrivedAt, queue, trace.VerdictDrop)
-			pkt.Free()
+			pkt.Drop()
 			return
 		}
 	}
@@ -382,7 +405,7 @@ func (n *NIC) Receive(pkt *Packet) {
 	if n.inflight[queue] >= n.cfg.RingSize || n.host.Faults.Fire(faults.SiteNICRing) {
 		n.Stats.DroppedRing++
 		n.traceNIC(pkt, pkt.ArrivedAt, queue, trace.VerdictDrop)
-		pkt.Free()
+		pkt.Drop()
 		return
 	}
 	n.inflight[queue]++

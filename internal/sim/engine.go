@@ -98,11 +98,12 @@ func (tm Timer) When() Time {
 // Engine is a single-threaded discrete-event simulator. It is not safe for
 // concurrent use; all simulated entities run inside event callbacks.
 type Engine struct {
-	now   Time
-	seq   uint64
-	rng   *rand.Rand
-	fired uint64
-	live  int // pending events across ready + wheel + overflow
+	now      Time
+	seq      uint64
+	rng      *rand.Rand
+	fired    uint64
+	canceled uint64
+	live     int // pending events across ready + wheel + overflow
 
 	wheel wheel
 
@@ -146,6 +147,14 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Fired reports how many events have executed, a cheap progress metric.
 func (e *Engine) Fired() uint64 { return e.fired }
+
+// Scheduled, Canceled and Pending report how many events were ever
+// scheduled, how many were canceled before they fired, and how many are
+// pending now. Every scheduled event is in exactly one of those states, so
+// Scheduled = Fired + Canceled + Pending.
+func (e *Engine) Scheduled() uint64 { return e.seq }
+func (e *Engine) Canceled() uint64  { return e.canceled }
+func (e *Engine) Pending() uint64   { return uint64(e.live) }
 
 // schedule files a prepared event (callback fields already set) at
 // absolute time t. Scheduling in the past panics: it always indicates a
@@ -209,6 +218,7 @@ func (e *Engine) CancelTimer(tm Timer) bool {
 func (e *Engine) cancelEvent(ev *Event) {
 	ev.state = stateCanceled
 	e.live--
+	e.canceled++
 	ev.cb, ev.arg = nil, nil
 	if ev.loc == locBucket {
 		// Eager unlink keeps buckets free of dead events and lets the

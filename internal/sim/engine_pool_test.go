@@ -51,6 +51,8 @@ func TestTimerHandleSurvivesPooling(t *testing.T) {
 // a workload that schedules and cancels without ever letting the clock
 // advance must not accumulate dead entries (this was quadratic before
 // compaction existed), and the survivors must still fire in FIFO order.
+// Every schedule is counted once, as fired, canceled or pending, before
+// and after the drain.
 func TestCancelChurnCompaction(t *testing.T) {
 	e := New(5)
 	var got []int
@@ -68,7 +70,17 @@ func TestCancelChurnCompaction(t *testing.T) {
 	if n := len(e.ready); n > 1024 {
 		t.Fatalf("ready queue grew to %d entries under cancel churn, compaction failed", n)
 	}
+	counts := func(fired, canceled, pending uint64) {
+		t.Helper()
+		if e.Scheduled() != churn || e.Fired() != fired || e.Canceled() != canceled || e.Pending() != pending {
+			t.Fatalf("scheduled %d fired %d canceled %d pending %d, want %d = %d + %d + %d",
+				e.Scheduled(), e.Fired(), e.Canceled(), e.Pending(), churn, fired, canceled, pending)
+		}
+	}
+	const survivors = uint64(len(tms))
+	counts(0, churn-survivors, survivors)
 	e.Run()
+	counts(survivors, churn-survivors, 0)
 	// The survivors are the final len(tms) schedules; they must fire in
 	// (at, schedule order) — i.e. time-sorted, ties by id.
 	want := make([]int, 0, len(tms))

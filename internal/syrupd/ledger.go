@@ -18,7 +18,8 @@ import (
 // layer appends the rows it owns (nic_*, netstack_*, storage_*,
 // ghost_*_app<N>, kernel_switches); the daemon adds every hook point's
 // ebpf_hook_runs_<point> / ebpf_hook_faults_<point> and their
-// ebpf_hook_faults total, sim_events_fired and syrupd_quarantines. The
+// ebpf_hook_faults total, the engine's sim_events_scheduled / _fired /
+// _canceled / _pending and syrupd_quarantines. The
 // values are the owners' plain fields, so the list is per host by
 // construction; like Links it is read from the event loop's goroutine.
 func (d *Daemon) Counters() []metrics.CounterValue {
@@ -48,7 +49,10 @@ func (d *Daemon) Counters() []metrics.CounterValue {
 	}
 	out = append(out,
 		metrics.CounterValue{Name: "ebpf_hook_faults", Value: faults},
+		metrics.CounterValue{Name: "sim_events_scheduled", Value: d.host.Eng.Scheduled()},
 		metrics.CounterValue{Name: "sim_events_fired", Value: d.host.Eng.Fired()},
+		metrics.CounterValue{Name: "sim_events_canceled", Value: d.host.Eng.Canceled()},
+		metrics.CounterValue{Name: "sim_events_pending", Value: d.host.Eng.Pending()},
 		metrics.CounterValue{Name: "syrupd_quarantines", Value: d.quarantines})
 	slices.SortFunc(out, func(a, b metrics.CounterValue) int { return strings.Compare(a.Name, b.Name) })
 	return out
@@ -67,12 +71,14 @@ func (d *Daemon) Held() uint64 { return uint64(d.dev.InflightTotal() + d.stack.Q
 
 // Conserved checks that this host accounted for every packet its NIC
 // received, reading only the rows Counters lists and the NIC's in-flight
-// count (nic_inflight), and every instruction its programs executed. Three
-// equations:
+// count (nic_inflight), every event its engine scheduled, and every
+// instruction its programs executed. Four equations:
 //   - nic_received = nic_dropped_ring + nic_dropped_by_xdp + nic_inflight +
 //     netstack_backlog_drops + netstack_processed;
 //   - netstack_processed = every drop cause past the backlog +
 //     netstack_xsk_delivered + netstack_udp_delivered;
+//   - sim_events_scheduled = sim_events_fired + sim_events_canceled +
+//     sim_events_pending;
 //   - for every program a live deployment or a dispatcher root holds,
 //     Σ Hits() = Stats().InsnsExecuted: the walker counts each executed
 //     slot twice, in its segment's charge and in the slot's hits.
@@ -85,13 +91,16 @@ func (d *Daemon) Conserved() error {
 	for _, cv := range d.Counters() {
 		c[cv.Name] = cv.Value
 	}
-	if err := balance(c, "nic_received", "nic_dropped_ring", "nic_dropped_by_xdp", "nic_inflight",
+	if err := balance(c, "packets", "nic_received", "nic_dropped_ring", "nic_dropped_by_xdp", "nic_inflight",
 		"netstack_backlog_drops", "netstack_processed"); err != nil {
 		return err
 	}
-	if err := balance(c, "netstack_processed", "netstack_socket_drops", "netstack_policy_drops",
+	if err := balance(c, "packets", "netstack_processed", "netstack_socket_drops", "netstack_policy_drops",
 		"netstack_no_executor_drops", "netstack_no_group_drops", "netstack_xsk_drops",
 		"netstack_xsk_delivered", "netstack_udp_delivered"); err != nil {
+		return err
+	}
+	if err := balance(c, "events", "sim_events_scheduled", "sim_events_fired", "sim_events_canceled", "sim_events_pending"); err != nil {
 		return err
 	}
 	var progs []*ebpf.Program
@@ -120,8 +129,9 @@ func (d *Daemon) Conserved() error {
 	return nil
 }
 
-// balance checks c[lhs] = Σ c[rhs].
-func balance(c map[string]uint64, lhs string, rhs ...string) error {
+// balance checks c[lhs] = Σ c[rhs], an equation over what (its error's
+// noun).
+func balance(c map[string]uint64, what, lhs string, rhs ...string) error {
 	for _, name := range append([]string{lhs}, rhs...) {
 		if _, ok := c[name]; !ok {
 			return fmt.Errorf("conservation reads %s, which the host does not list", name)
@@ -134,7 +144,7 @@ func balance(c map[string]uint64, lhs string, rhs ...string) error {
 		terms[i] = fmt.Sprintf("%s %d", name, c[name])
 	}
 	if c[lhs] != sum {
-		return fmt.Errorf("packets not conserved: %s %d != %s (= %d)", lhs, c[lhs], strings.Join(terms, " + "), sum)
+		return fmt.Errorf("%s not conserved: %s %d != %s (= %d)", what, lhs, c[lhs], strings.Join(terms, " + "), sum)
 	}
 	return nil
 }

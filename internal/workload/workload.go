@@ -187,12 +187,14 @@ func (c *Config) fill() {
 //
 // so sentAt has 54 bits (2^54 ns ≈ 208 days of simulated time) and class
 // has 8 (Config.fill rejects a mix of more than maxClasses). Words live in
-// fixed pages behind a directory indexed by reqID>>pageShift; a page goes
-// back to the generator's free list once every slot on it has been issued
-// and every one of those requests has completed, so the table is sized by
-// what is in flight, not by the run's history. A request that is never
-// answered pins its page: a late completion still finds its sentAt, and
-// Result counts it from the pages still held.
+// fixed pages behind a directory, a window over the live pages: dir[i] is
+// page base+i of reqID>>pageShift. A request is settled once — answered
+// (Complete) or lost (its NIC's loss sink, fed by every drop site's
+// nic.Packet.Drop) — and a page goes back to the generator's free list once
+// every slot on it has been issued and settled, so the table is sized by
+// what is in flight, not by the run's history. Only a request still in
+// flight pins its page: a late completion still finds its sentAt, and
+// Result counts it as unanswered from the pages still held.
 const (
 	pageShift = 12
 	pageSlots = 1 << pageShift
@@ -205,15 +207,10 @@ const (
 	maxClasses   = 1 << (sentShift - classShift)
 
 	// prefillPages pages are allocated in New: a run whose requests are all
-	// answered holds the page being filled and the one before it while its
+	// settled holds the page being filled and the one before it while its
 	// stragglers finish, so with one to spare it allocates no page while it
-	// runs.
+	// runs. The directory starts with room for one more.
 	prefillPages = 3
-
-	// maxPresizePages bounds the page directory New reserves up front
-	// (512 KiB of pointers, 268 M requests): a daemon whose Measure window
-	// is months long must not reserve its whole life's directory.
-	maxPresizePages = 1 << 16
 )
 
 type page struct {
@@ -246,12 +243,18 @@ type Generator struct {
 	// hash-imbalance noise comes from.
 	flows  []Flow
 	perCls []*metrics.RunStats
+	// lostCls counts each class's measured requests lost; lost counts every
+	// request lost, warm-up included.
+	lostCls []uint64
+	lost    uint64
 
-	// The paged request table (see pageShift). dir[i] is nil once page i
-	// has been recycled and the last entry is the page being filled; issued
-	// is the next request id, so slots at or past it hold a recycled page's
-	// stale words and are never read.
+	// The paged request table (see pageShift). dir[i] holds page base+i,
+	// nil once recycled, and the last entry is the page being filled; when
+	// the directory is full, opening a page first drops its recycled head
+	// entries in place. issued is the next request id, so slots at or past
+	// it hold a recycled page's stale words and are never read.
 	dir    []*page
+	base   uint64
 	free   *page
 	issued uint64
 
@@ -268,11 +271,7 @@ type Generator struct {
 // engine, then Result.
 func New(eng *sim.Engine, dev *nic.NIC, cfg Config) *Generator {
 	cfg.fill()
-	g := &Generator{eng: eng, dev: dev, cfg: cfg}
-	// Presize the page directory for the expected Poisson count (plus slack
-	// for variance) so the send path never reallocates mid-run.
-	expect := int(cfg.Rate * float64(cfg.Warmup+cfg.Measure) / 1e9)
-	g.dir = make([]*page, 0, min((expect+expect/8+64)>>pageShift+1, maxPresizePages))
+	g := &Generator{eng: eng, dev: dev, cfg: cfg, dir: make([]*page, 0, prefillPages+1)}
 	for i := 0; i < prefillPages; i++ {
 		g.free = &page{next: g.free}
 	}
@@ -282,6 +281,7 @@ func New(eng *sim.Engine, dev *nic.NIC, cfg Config) *Generator {
 		g.cum = append(g.cum, sum)
 		g.perCls = append(g.perCls, metrics.NewRunStats())
 	}
+	g.lostCls = make([]uint64, len(cfg.Classes))
 	if math.Abs(sum-1) > 1e-6 {
 		// Normalize rather than reject: callers often pass raw rates.
 		for i := range g.cum {
@@ -307,30 +307,60 @@ func New(eng *sim.Engine, dev *nic.NIC, cfg Config) *Generator {
 		g.scheduleNext()
 	}
 	g.rxCB = func(arg any, _ uint64) { g.dev.Receive(arg.(*nic.Packet)) }
+	if dev != nil {
+		dev.OnLoss(g.lose)
+	}
 	return g
 }
+
+// settle marks request reqID done and recycles its page once every request
+// on it has been issued and settled. It returns the request's word, or
+// false for an id the table does not hold in flight: not issued yet (a
+// cluster probe's, say), on a recycled page, or already settled.
+func (g *Generator) settle(reqID uint64) (uint64, bool) {
+	pi := reqID >> pageShift
+	if reqID >= g.issued || pi < g.base {
+		return 0, false
+	}
+	pg := g.dir[pi-g.base]
+	if pg == nil {
+		return 0, false // recycled: every request on the page had already settled
+	}
+	w := pg.words[reqID&pageMask]
+	if w&wordDone != 0 {
+		return 0, false
+	}
+	pg.words[reqID&pageMask] = w | wordDone
+	if pg.open--; pg.open == 0 && (pi+1)<<pageShift <= g.issued {
+		g.dir[pi-g.base] = nil
+		pg.next, g.free = g.free, pg
+	}
+	return w, true
+}
+
+// lose is the NIC's loss sink: the host dropped request reqID, so no
+// answer will come. The request is settled like a completion and counted
+// lost; a measured one is unanswered in its class.
+func (g *Generator) lose(reqID uint64) {
+	w, ok := g.settle(reqID)
+	if !ok {
+		return
+	}
+	g.lost++
+	if w&wordMeasured != 0 {
+		g.lostCls[reqClass(w)]++
+	}
+}
+
+// Lost reports every request the host dropped, warm-up included: the
+// losses its drop sites reported through the NIC's loss sink.
+func (g *Generator) Lost() uint64 { return g.lost }
 
 // Complete is the server-side completion callback (wire latency back to
 // the client is added here).
 func (g *Generator) Complete(reqID uint64, finish sim.Time) {
-	if reqID >= g.issued {
-		return
-	}
-	pi := reqID >> pageShift
-	pg := g.dir[pi]
-	if pg == nil {
-		return // recycled: every request on the page had already completed
-	}
-	w := pg.words[reqID&pageMask]
-	if w&wordDone != 0 {
-		return
-	}
-	pg.words[reqID&pageMask] = w | wordDone
-	if pg.open--; pg.open == 0 && (pi+1)<<pageShift <= g.issued {
-		g.dir[pi] = nil
-		pg.next, g.free = g.free, pg
-	}
-	if w&wordMeasured == 0 {
+	w, ok := g.settle(reqID)
+	if !ok || w&wordMeasured == 0 {
 		return
 	}
 	st := g.perCls[reqClass(w)]
@@ -409,6 +439,9 @@ func (g *Generator) send(measured bool) {
 		} else {
 			g.free = pg.next
 		}
+		if len(g.dir) == cap(g.dir) {
+			g.compact()
+		}
 		g.dir = append(g.dir, pg)
 	}
 	pg := g.dir[len(g.dir)-1]
@@ -444,6 +477,20 @@ func (g *Generator) send(measured bool) {
 	g.eng.CallAfter(wire, g.rxCB, pkt, 0)
 }
 
+// compact drops the directory's recycled head entries, moving the window's
+// base past them, so a full directory makes room in place: it grows only
+// while a page at its head is still held.
+func (g *Generator) compact() {
+	k := 0
+	for k < len(g.dir) && g.dir[k] == nil {
+		k++
+	}
+	n := copy(g.dir, g.dir[k:])
+	clear(g.dir[n:])
+	g.dir = g.dir[:n]
+	g.base += uint64(k)
+}
+
 // Result is a run's statistics: anything sent in the measure window and
 // still unfinished counts as a drop. Take it after the engine has run
 // through Warmup+Measure+Drain.
@@ -452,17 +499,17 @@ type Result struct {
 	All      *metrics.RunStats
 }
 
-// Result computes the run's statistics. The unanswered measured requests
-// are counted from the pages still held (a page with none has been
-// recycled) and assigned, so calling it again — also after a late Complete
-// — reports the table as it then stands.
+// Result computes the run's statistics. A class's unanswered measured
+// requests are those it lost plus those still open on the pages held (a
+// page with none has been recycled), assigned, so calling it again — also
+// after a late Complete — reports the table as it then stands.
 func (g *Generator) Result() *Result {
-	unanswered := make([]uint64, len(g.perCls))
-	for pi, pg := range g.dir {
+	unanswered := append([]uint64(nil), g.lostCls...)
+	for i, pg := range g.dir {
 		if pg == nil {
 			continue
 		}
-		n := min(g.issued-uint64(pi)<<pageShift, pageSlots)
+		n := min(g.issued-(g.base+uint64(i))<<pageShift, pageSlots)
 		for _, w := range pg.words[:n] {
 			if w&(wordMeasured|wordDone) == wordMeasured {
 				unanswered[reqClass(w)]++

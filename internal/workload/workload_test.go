@@ -408,3 +408,146 @@ func TestPackedWordRange(t *testing.T) {
 		t.Fatalf("latency at the range's edge = %d ns, want %d", got, want)
 	}
 }
+
+// droppingHost wires a generator to a NIC whose host drops every packet it
+// is handed, through the drop sites' call.
+func droppingHost(cfg Config) (*sim.Engine, *Generator) {
+	eng := sim.New(5)
+	var dev *nic.NIC
+	dev = nic.New(eng, nic.Config{Queues: 1}, func(q int, pkt *nic.Packet) {
+		dev.Consumed(q)
+		pkt.Drop()
+	})
+	return eng, New(eng, dev, cfg)
+}
+
+// pagesOwned counts every page the generator owns: held in the directory
+// or waiting on its free list.
+func pagesOwned(g *Generator) int {
+	n := heldPages(g)
+	for pg := g.free; pg != nil; pg = pg.next {
+		n++
+	}
+	return n
+}
+
+// TestLostRequestsHoldNoPages: a dropped request is settled where it is
+// dropped. A million requests, every one dropped, run on the three pages New
+// prefills, through a directory that never outgrows its four entries, and
+// every measured request is unanswered.
+func TestLostRequestsHoldNoPages(t *testing.T) {
+	eng, g := droppingHost(Config{Rate: 1e6, DstPort: 9000, Classes: []Class{
+		{Name: "A", Weight: 0.5, Type: policy.ReqGET},
+		{Name: "B", Weight: 0.5, Type: policy.ReqSCAN},
+	}})
+	const n = 1_000_000
+	sendN(eng, g, n)
+	if got := pagesOwned(g); got != prefillPages {
+		t.Fatalf("generator owns %d pages, want the %d prefilled", got, prefillPages)
+	}
+	if len(g.dir) > 4 || cap(g.dir) > 4 {
+		t.Fatalf("directory of %d entries (cap %d), want at most 4", len(g.dir), cap(g.dir))
+	}
+	if heldPages(g) != 1 || g.Lost() != n {
+		t.Fatalf("held %d pages, lost %d; want the current page and %d", heldPages(g), g.Lost(), n)
+	}
+	res := g.Result()
+	for name, st := range res.PerClass {
+		if st.Offered == 0 || st.Completed != 0 || st.TotalDrops() != st.Offered {
+			t.Fatalf("class %s: offered %d completed %d unanswered %d", name, st.Offered, st.Completed, st.TotalDrops())
+		}
+	}
+	if all := res.All; all.Offered != n || all.TotalDrops() != n {
+		t.Fatalf("offered %d unanswered %d, want %d of each", all.Offered, all.TotalDrops(), n)
+	}
+}
+
+// TestFreeIsNotALoss: loss is never inferred from Free. The echo harness
+// frees each packet before it completes the request, and every request
+// still counts completed.
+func TestFreeIsNotALoss(t *testing.T) {
+	cfg := Config{Rate: 200_000, DstPort: 9000, Warmup: sim.Millisecond, Measure: 20 * sim.Millisecond, Drain: sim.Millisecond}
+	_, g, _ := newEchoHost(t, cfg, 20*sim.Microsecond)
+	st := g.RunToCompletion().All
+	if st.Offered == 0 || st.Completed != st.Offered || st.TotalDrops() != 0 || g.Lost() != 0 {
+		t.Fatalf("offered %d completed %d unanswered %d lost %d", st.Offered, st.Completed, st.TotalDrops(), g.Lost())
+	}
+}
+
+// TestForeignDropIgnored: only a request in flight is settled by a drop. A
+// cluster probe's id, an id not issued yet, an id on a recycled page, one
+// below the directory's window, and a second drop of a lost request change
+// nothing; nor does a completion of a lost request.
+func TestForeignDropIgnored(t *testing.T) {
+	const late = 3*pageSlots + 9
+	eng, g := directHost(Config{Rate: 1e6, DstPort: 9000}, func(id uint64) bool { return id != late })
+	sendN(eng, g, 5*pageSlots+1)
+	// The window has moved past page 0; the lost request's page is held and
+	// the one before it is recycled inside the window.
+	recycled := uint64(late-pageSlots) >> pageShift
+	if g.base == 0 || recycled < g.base || g.dir[recycled-g.base] != nil || g.dir[recycled+1-g.base] == nil {
+		t.Fatalf("window base %d over %d entries: want page 0 below it, page %d recycled in it and page %d held",
+			g.base, len(g.dir), recycled, recycled+1)
+	}
+	drop := func(id uint64) {
+		pkt := g.dev.NewPacket()
+		pkt.ID = id
+		pkt.Drop()
+	}
+	st := g.LiveStats()[0]
+	check := func(what string, lost uint64, completed uint64) {
+		t.Helper()
+		if got := g.Result().All; g.Lost() != lost || st.Completed != completed || got.Offered != got.Completed+got.TotalDrops() {
+			t.Fatalf("%s: lost %d completed %d (offered %d, unanswered %d), want lost %d completed %d",
+				what, g.Lost(), st.Completed, got.Offered, got.TotalDrops(), lost, completed)
+		}
+	}
+	completed := st.Completed
+	check("before", 0, completed)
+	for _, id := range []uint64{1 << 62, 1<<62 + 31, g.issued, g.issued + 1} {
+		drop(id)
+	}
+	check("foreign ids", 0, completed)
+	drop(0)                // below the window
+	drop(late - pageSlots) // on a recycled page inside the window
+	drop(late + 1)         // answered already
+	check("settled ids", 0, completed)
+	drop(late)
+	check("a lost request", 1, completed)
+	if g.dir[recycled+1-g.base] != nil {
+		t.Fatal("the page of the lost request is still held")
+	}
+	drop(late)
+	g.Complete(late, eng.Now())
+	check("a second drop and a completion", 1, completed)
+	if got := g.Result().All.TotalDrops(); got != 1 {
+		t.Fatalf("unanswered %d, want the one lost request", got)
+	}
+}
+
+// TestZeroAllocLossyRun gates the lossy round: with every packet dropped,
+// issuing a request, carrying it through the NIC and settling it as lost
+// allocates nothing, across page boundaries too — the directory makes room
+// in place instead of growing by a pointer per page. The count is taken
+// over eight pages' worth of requests at once, so an allocation per page
+// shows too.
+func TestZeroAllocLossyRun(t *testing.T) {
+	eng, g := droppingHost(Config{Rate: 1e6, Flows: 8, DstPort: 9000})
+	round := func() {
+		g.send(true)
+		eng.Run()
+	}
+	for i := 0; i < 64; i++ { // warm the event pool
+		round()
+	}
+	if n := testing.AllocsPerRun(1, func() {
+		for range 8 * pageSlots {
+			round()
+		}
+	}); n != 0 {
+		t.Fatalf("send+drop: %v allocations over %d requests, want 0", n, 8*pageSlots)
+	}
+	if heldPages(g) != 1 || g.base < 8 {
+		t.Fatalf("held %d pages, window base %d; want 1 page held past at least 8 recycled", heldPages(g), g.base)
+	}
+}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check check-benchmark bench bench-cluster bench-dispatch bench-engine bench-obs fuzz clean
+.PHONY: build test vet race check check-benchmark check-386 bench bench-cluster bench-dispatch bench-engine bench-obs fuzz clean
 
 build:
 	$(GO) build ./...
@@ -18,10 +18,10 @@ test:
 
 # The race detector, in two lines. The first runs every package but
 # internal/experiments: the facade, the CLIs and all of internal/ — the
-# fleet at -workers > 1 (cluster, par), syrupd's server ops against the
-# event loop (the one door into a host: its map ops beside a policy that
-# XADDs the same map, the chaos suite's quarantine and revoke tests), the
-# adapt controller, and the single-owner layers (ebpf, hook, ghost, nic,
+# fleet at -workers > 1 (cluster, par), syrupd's server ops posted to the
+# mailbox of the loop that runs the host (the one door into a host: its map
+# ops beside a policy that XADDs the same map, the chaos suite's quarantine
+# and revoke tests, a live daemon's ops replayed), the adapt controller, and the single-owner layers (ebpf, hook, ghost, nic,
 # netstack, rocksdb, obs, trace, ...) whose suites staying clean shows
 # nothing they call shares state behind their back. The second runs the
 # slice of internal/experiments that starts goroutines: the fleet's worker
@@ -46,10 +46,18 @@ race:
 check-benchmark:
 	cd benchmark && GOFLAGS=-mod=mod $(GO) vet . && GOFLAGS=-mod=mod $(GO) test .
 
+# The tree on a 32-bit int: vet and the whole suite for GOARCH=386, which
+# runs natively on amd64, TestGolden included against the amd64 goldens, so
+# a value that passes 2^31 in an int fails here rather than moving a digest
+# (~30 s).
+check-386:
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=386 $(GO) test ./...
+
 # check is the PR gate. Every differential, determinism, chaos and
 # zero-alloc test is a plain test of its package, so race and test run
 # them all; DESIGN.md names each one with its go test command.
-check: build vet race test check-benchmark
+check: build vet race test check-benchmark check-386
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

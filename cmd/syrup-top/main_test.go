@@ -256,9 +256,11 @@ func TestSLOFlagRefusesObjectivesThatCannotBurn(t *testing.T) {
 
 // TestLiveScrapeMatchesRecording: scrape a real 4-host fleet over its
 // syrupd sockets, record the snapshot, and confirm the recorded render is
-// byte-identical to the live one. The socket scrape is the in-process one:
-// every recorded host carries its member's whole counter list, and
-// cluster.ScrapeHost gives the same JSON over Client.Do as over Server.Do.
+// byte-identical to the live one. Each member is served by its own loop,
+// as cmd/syrupd serves its host, and the socket scrape is the in-process
+// one: every recorded host carries its member's whole counter list, and
+// cluster.ScrapeHost gives the same JSON over Client.Do as over Server.Do,
+// the same loop's mailbox.
 func TestLiveScrapeMatchesRecording(t *testing.T) {
 	c, err := cluster.New(cluster.Config{
 		Hosts: 4, Seed: 42,
@@ -297,7 +299,15 @@ func TestLiveScrapeMatchesRecording(t *testing.T) {
 		if err := srv.ListenUnix(path); err != nil {
 			t.Fatal(err)
 		}
-		defer srv.Close()
+		served := make(chan struct{})
+		go func() {
+			srv.Serve(nil, nil)
+			close(served)
+		}()
+		defer func() {
+			srv.Close()
+			<-served
+		}()
 		socks = append(socks, path)
 		srvs = append(srvs, srv)
 	}

@@ -17,6 +17,11 @@
 // deployments, adaptive-control state and every telemetry series — among
 // them the demo's rps, offered_rps, drop_rate, latency_<class>_* and
 // inflight.
+//
+// One loop runs the host, in virtual-time slices, and applies each op
+// between slices as it arrives. Every reply carries at_ns, the virtual
+// instant its op was applied at: the (at_ns, request) pairs of the ops that
+// change the host replay the run on a fresh demo.
 package main
 
 import (
@@ -99,35 +104,26 @@ func main() {
 	if err := server.ListenUnix(*socket); err != nil {
 		log.Fatal(err)
 	}
-	defer server.Close()
 	defer os.Remove(*socket)
 	log.Printf("syrupd: listening on %s; demo rocksdb app=1 uid=1000 port=9000 (%d threads, %.0f rps, %.1f%% scans)",
 		*socket, *threads, *rps, *scanPct)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		<-sigc
+		server.Close()
+	}()
 
-	// Simulation loop: advance virtual time in 10ms slices, paced to the
-	// requested speed, interleaving with protocol handling via the big
-	// lock.
+	// Advance virtual time in 10ms slices, paced to the requested speed;
+	// ops from the socket land between slices, at the host's instant.
 	const slice = 10 * sim.Millisecond
-	wallSlice := time.Duration(float64(slice) / *speed)
-	ticker := time.NewTicker(wallSlice)
+	ticker := time.NewTicker(time.Duration(float64(slice) / *speed))
 	defer ticker.Stop()
-	for {
-		select {
-		case <-sigc:
-			log.Printf("syrupd: shutting down at virtual %v", host.Now())
-			server.Lock()
-			for _, c := range host.Daemon.Counters() {
-				log.Printf("syrupd: counter %s=%d", c.Name, c.Value)
-			}
-			server.Unlock()
-			return
-		case <-ticker.C:
-			server.Lock()
-			host.RunFor(slice)
-			server.Unlock()
-		}
+	server.Serve(ticker.C, func() { host.RunFor(slice) })
+
+	log.Printf("syrupd: shutting down at virtual %v", host.Now())
+	for _, c := range host.Daemon.Counters() {
+		log.Printf("syrupd: counter %s=%d", c.Name, c.Value)
 	}
 }

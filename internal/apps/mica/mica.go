@@ -231,7 +231,7 @@ func (s *Server) Start() {
 }
 
 // homeOf maps a key hash to its home thread.
-func (s *Server) homeOf(keyHash uint32) int { return int(keyHash) % s.cfg.NumThreads }
+func (s *Server) homeOf(keyHash uint32) int { return int(keyHash % uint32(s.cfg.NumThreads)) }
 
 // worker is one thread's poll state plus its preallocated continuations:
 // the serve hot path parks per-request state here and hands th.Exec a

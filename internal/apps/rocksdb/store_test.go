@@ -376,6 +376,10 @@ func nearBase(n int) []string {
 	return []string{Key(n), Key(n-1) + "~", "key-0000001", "key-0000000a", Key(-1), Key(1e8)}
 }
 
+// pastLen is a scan limit above any store's Len() here that still fits a
+// 32-bit int.
+const pastLen = 1 << 30
+
 // TestStoreDifferentialDirected pins the cases an ordered (or cached)
 // memtable view could get wrong.
 func TestStoreDifferentialDirected(t *testing.T) {
@@ -409,7 +413,7 @@ func TestStoreDifferentialDirected(t *testing.T) {
 		p.get(k)
 	}
 	for _, start := range []string{"", "0", "a", "bb", "d", "f", "n", "x", "xx", "zzz"} {
-		for _, limit := range []int{-1, 0, 1, 3, 9, 10, 1 << 40} {
+		for _, limit := range []int{-1, 0, 1, 3, 9, 10, pastLen} {
 			p.scan(start, limit)
 		}
 	}
@@ -476,7 +480,7 @@ func TestStoreDifferentialRandom(t *testing.T) {
 				}
 				limit := [...]int{0, 1, 7, 100}[rng.IntN(4)]
 				if rng.IntN(40) == 0 {
-					limit = 1 << 40 // more than Len()
+					limit = pastLen
 				}
 				p.scan(start, limit)
 			}
@@ -485,7 +489,7 @@ func TestStoreDifferentialRandom(t *testing.T) {
 			}
 		}
 		p.shape()
-		p.scan("", 1<<40)
+		p.scan("", pastLen)
 		if p.s.Flushes == explicit || p.s.Compactions == 0 {
 			t.Fatalf("seed %d: flushes %d (%d explicit) compactions %d: the interleaving never reached auto-flush and compaction",
 				seed, p.s.Flushes, explicit, p.s.Compactions)
@@ -533,7 +537,7 @@ func TestStoreDifferentialOverBase(t *testing.T) {
 		p.put(Key(i*7%(2*n)), fmt.Sprintf("v%d", i))
 	}
 	probe()
-	p.scan("", 1<<40)
+	p.scan("", pastLen)
 	if p.s.Flushes < maxRuns+1 {
 		t.Fatalf("flushes = %d: the writes never reached auto-flush", p.s.Flushes)
 	}

@@ -94,10 +94,11 @@ func NewTable(backends []string, size int, seed uint64) (*Table, error) {
 	// preferred slot until the table is full.
 	for filled := 0; ; {
 		for i := 0; i < n; i++ {
-			c := (offset[i] + next[i]*skip[i]) % size
+			// In int64: next*skip passes 2^31 on a large table.
+			c := int((int64(offset[i]) + int64(next[i])*int64(skip[i])) % int64(size))
 			for t.entries[c] >= 0 {
 				next[i]++
-				c = (offset[i] + next[i]*skip[i]) % size
+				c = int((int64(offset[i]) + int64(next[i])*int64(skip[i])) % int64(size))
 			}
 			t.entries[c] = int32(i)
 			next[i]++

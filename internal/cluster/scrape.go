@@ -30,8 +30,8 @@ type FleetSnapshot struct {
 }
 
 // ScrapeHost pulls one host's snapshot through do, one control-protocol
-// round trip: Server.Do in process, Client.Do over the host's socket. It
-// names the snapshot and fails when the host has telemetry disabled.
+// round trip: Server.Handle or Server.Do in process, Client.Do over the
+// host's socket. It names the snapshot and fails when it has no telemetry.
 func ScrapeHost(name string, index int, do func(*syrupd.Request) (*syrupd.Response, error)) (syrupd.HostSnapshot, error) {
 	resp, err := do(&syrupd.Request{Op: "snapshot"})
 	if err != nil {
@@ -64,7 +64,10 @@ func NewFleetSnapshot(hosts []syrupd.HostSnapshot) *FleetSnapshot {
 func (c *Cluster) Scrape() (*FleetSnapshot, error) {
 	var hosts []syrupd.HostSnapshot
 	for _, m := range c.Members {
-		hs, err := ScrapeHost(m.Name, m.Index, syrupd.NewServer(m.Host.Daemon).Do)
+		hs, err := ScrapeHost(m.Name, m.Index, func(req *syrupd.Request) (*syrupd.Response, error) {
+			resp := syrupd.NewServer(m.Host.Daemon).Handle(req) // the caller owns the fleet: no loop serves it
+			return &resp, nil
+		})
 		if err != nil {
 			continue
 		}

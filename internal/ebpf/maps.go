@@ -62,8 +62,8 @@ type MapSpec struct {
 // store (kernel semantics: lookups return pointers into map memory). A map
 // belongs to one host, like everything else the host owns, and takes no
 // lock: the host's event loop is its only user, and another goroutine —
-// a syrupd client — reaches it only under syrupd.Server's big lock
-// (DESIGN.md "One owner per host").
+// a syrupd client — reaches it only by posting an op to the loop that runs
+// the host, syrupd.Server.Serve (DESIGN.md "One owner per host").
 type Map struct {
 	spec MapSpec
 

@@ -7,8 +7,8 @@ import "fmt"
 const MaxInsns = 4096
 
 // DefaultVerifierBudget is the number of simulated instructions the
-// verifier will process before declaring a program possibly unbounded
-// (the kernel's 1M-instruction analysis limit, §4.3 of the paper).
+// verifier will process before it rejects a program as having too many
+// paths (the kernel's 1M-instruction analysis limit, §4.3 of the paper).
 const DefaultVerifierBudget = 1_000_000
 
 // MaxTailCalls bounds tail-call chains at runtime, as in the kernel.

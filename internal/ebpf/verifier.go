@@ -159,7 +159,9 @@ type verifier struct {
 	pending []branchPoint
 	// lddwHi marks instruction slots that are the high half of an LDDW
 	// pair; jumping into one is rejected.
-	lddwHi []bool
+	lddwHi   []bool
+	paths    int  // explored so far
+	backEdge bool // a jump went to an earlier instruction: the only way to loop
 }
 
 // verify runs the abstract interpretation; nil means p is admitted.
@@ -184,6 +186,7 @@ func verify(p *Program, budget int) error {
 	for len(v.pending) > 0 {
 		bp := v.pending[len(v.pending)-1]
 		v.pending = v.pending[:len(v.pending)-1]
+		v.paths++
 		if err := v.explore(bp.pc, bp.st); err != nil {
 			return err
 		}
@@ -204,6 +207,7 @@ func (v *verifier) jumpTarget(pc int, off int16) (int, error) {
 	if v.lddwHi[t] {
 		return 0, fmt.Errorf("insn %d: jump into the middle of an LDDW pair", pc)
 	}
+	v.backEdge = v.backEdge || t <= pc
 	return t, nil
 }
 
@@ -212,7 +216,11 @@ func (v *verifier) jumpTarget(pc int, off int16) (int, error) {
 func (v *verifier) explore(pc int, st *vstate) error {
 	for {
 		if v.used >= v.budget {
-			return fmt.Errorf("analysis budget of %d instructions exceeded; program may be unbounded", v.budget)
+			why := "it has no loop, but too many paths"
+			if v.backEdge {
+				why = "program may be unbounded"
+			}
+			return fmt.Errorf("analysis budget of %d instructions exceeded after exploring %d paths; %s", v.budget, v.paths, why)
 		}
 		v.used++
 		if pc >= len(v.insns) {

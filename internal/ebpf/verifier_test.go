@@ -422,8 +422,29 @@ func TestVerifierUnboundedLoopRejected(t *testing.T) {
 		Exit(),
 	}
 	_, err := Load("loop", insns, LoadOptions{Budget: 10_000})
-	if err == nil || !strings.Contains(err.Error(), "budget") {
+	if err == nil || !strings.Contains(err.Error(), "budget") || !strings.Contains(err.Error(), "may be unbounded") {
 		t.Fatalf("unbounded loop not rejected by budget: %v", err)
+	}
+}
+
+// TestVerifierBudgetOnALoopFreeProgram: 18 sequential diamonds on an
+// unknown scalar, `if r0 > k { r6 += 1 }`, make 2^18 paths through 40
+// instructions and no loop. The verifier keeps no explored states, so it
+// runs out of budget here too; its message must count the paths it
+// explored and must not call a loop-free program unbounded.
+func TestVerifierBudgetOnALoopFreeProgram(t *testing.T) {
+	insns := []Instruction{Call(HelperPrandomU32), MovImm(R6, 0)}
+	for k := range int32(18) {
+		insns = append(insns, JmpImm(JmpLe, R0, k, 1), ALUImm(ALUAdd, R6, 1))
+	}
+	insns = append(insns, MovImm(R0, 0), Exit())
+	if len(insns) != 40 {
+		t.Fatalf("%d instructions, want 40", len(insns))
+	}
+	_, err := Load("diamonds", insns, LoadOptions{})
+	want := "analysis budget of 1000000 instructions exceeded after exploring 249996 paths; it has no loop, but too many paths"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }
 

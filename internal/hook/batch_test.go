@@ -14,7 +14,7 @@ func mkInputs(n int) []Input {
 	for i := range ins {
 		ins[i] = Input{
 			Packet: []byte{byte(i), byte(i >> 8)},
-			Hash:   uint32(i * 2654435761),
+			Hash:   uint32(i) * 2654435761,
 			Port:   9000,
 			Queue:  uint32(i % 4),
 			Req:    uint64(i),

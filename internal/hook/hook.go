@@ -26,7 +26,7 @@
 //
 // Like the rest of the simulated host, a Point is driven from the
 // single-threaded event loop and is not safe for concurrent use, reads of
-// its Stats included (syrupd's server reads them under its big lock).
+// its Stats included (syrupd reads them on the loop that runs the host).
 package hook
 
 import (

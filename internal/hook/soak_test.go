@@ -48,7 +48,7 @@ func TestReplaceSwapChurnSoak(t *testing.T) {
 		t.Helper()
 		ins := make([]Input, perChunk)
 		for i := range ins {
-			ins[i] = Input{Hash: uint32(next * 2654435761), Port: 9000, Req: uint64(next)}
+			ins[i] = Input{Hash: uint32(next) * 2654435761, Port: 9000, Req: uint64(next)}
 			next++
 		}
 		if batched {

@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzHandle feeds the control protocol arbitrary request lines through
-// serveLine, the socket's own decode-and-handle path, on a host with an
+// serveLine, the socket's own decode-and-post path, to a served host with an
 // app, two sockets, a sampler and traffic. Whatever the line, the reply
 // has exactly one of ok and a non-empty error and encodes as JSON, and
 // after a millisecond more of traffic the host still accounts for every
@@ -28,7 +28,9 @@ func FuzzHandle(f *testing.F) {
 		h.stack.NewUDPSocket(9000, 1, "w0")
 		h.stack.NewUDPSocket(9000, 1, "w1")
 
+		_, stop := serving(srv, nil)
 		resp := srv.serveLine(line)
+		stop()
 		if resp.OK == (resp.Error != "") {
 			t.Fatalf("%q: ok=%v error=%q, want exactly one of them", line, resp.OK, resp.Error)
 		}

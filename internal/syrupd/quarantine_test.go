@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"syrup/internal/faults"
 	"syrup/internal/ghost"
@@ -177,8 +178,8 @@ func TestRevokeUnpinsMapsAndStopsAgent(t *testing.T) {
 }
 
 // TestServerQuarantineOpsUnderLoad hammers deploy/unquarantine/snapshot
-// through the server from racing goroutines while the simulation advances
-// under the big lock — the -race companion to the deterministic tests.
+// through the server's mailbox from racing goroutines while Serve advances
+// the simulation — the -race companion to the deterministic tests.
 func TestServerQuarantineOpsUnderLoad(t *testing.T) {
 	h := newHost(t, 1, 0)
 	h.d.RegisterApp(1, 1000, 9000)
@@ -191,6 +192,12 @@ func TestServerQuarantineOpsUnderLoad(t *testing.T) {
 	h.Faults = plan.Compile(7, h.Eng.Now)
 	h.d.EnableQuarantine()
 	srv := NewServer(h.d)
+	step := 0
+	tick, stopServing := serving(srv, func() {
+		h.dev.Receive(pkt(uint64(step), uint16(1000+step%64), 9000, nil))
+		h.Eng.RunUntil(h.Eng.Now() + 100*sim.Microsecond)
+		step++
+	})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -209,20 +216,18 @@ func TestServerQuarantineOpsUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				srv.Handle(&req) // errors (quarantined, not-quarantined) are expected
+				srv.Do(&req) // errors (quarantined, not-quarantined) are expected
 			}
 		}(ops[g])
 	}
 
 	// One packet per 100 µs for three windows.
-	for step := 0; step < int(3*quarantineWindow/(100*sim.Microsecond)); step++ {
-		srv.Lock()
-		h.dev.Receive(pkt(uint64(step), uint16(1000+step%64), 9000, nil))
-		h.Eng.RunUntil(h.Eng.Now() + 100*sim.Microsecond)
-		srv.Unlock()
+	for range int(3 * quarantineWindow / (100 * sim.Microsecond)) {
+		tick <- time.Time{}
 	}
 	close(stop)
 	wg.Wait()
+	stopServing()
 
 	// The first window sees more injected faults than the threshold, so
 	// at least one quarantine must have fired regardless of op

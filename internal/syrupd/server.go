@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
+	"time"
 
 	"syrup/internal/adapt"
 	"syrup/internal/ebpf"
@@ -52,6 +52,9 @@ type Request struct {
 type Response struct {
 	OK    bool   `json:"ok"`
 	Error string `json:"error,omitempty"`
+	// AtNS is the host instant at which Serve applied the request, so a
+	// client's (at_ns, request) pairs replay its ops.
+	AtNS int64 `json:"at_ns,omitempty"`
 
 	// deploy
 	Instructions int `json:"instructions,omitempty"`
@@ -73,28 +76,57 @@ type Response struct {
 	Snapshot *HostSnapshot `json:"snapshot,omitempty"`
 }
 
-// Server serves the control protocol for one Daemon. All handling is
-// serialized through mu, which the embedding process also holds while
-// advancing the simulation (the engine is single-threaded). mu is the one
-// lock a host has: it is the only way another goroutine reaches what the
-// host owns — maps, programs, counters — none of which locks itself
-// (DESIGN.md "One owner per host").
+// Server serves the control protocol for one Daemon. Nothing a host owns
+// locks itself (DESIGN.md "One owner per host"): Serve runs a served host,
+// and any other goroutine, a socket connection's too, posts to it with Do.
 type Server struct {
-	mu sync.Mutex
-	d  *Daemon
-	ln net.Listener
+	d    *Daemon
+	ln   net.Listener
+	mail chan letter
+	done chan struct{} // closed by Close
+}
+
+// letter is one message to Serve: an op and where its reply goes, a tick
+// (neither) or the stop (a reply channel only).
+type letter struct {
+	req   *Request
+	reply chan Response
 }
 
 // NewServer wraps a daemon.
-func NewServer(d *Daemon) *Server { return &Server{d: d} }
+func NewServer(d *Daemon) *Server {
+	return &Server{d: d, mail: make(chan letter), done: make(chan struct{})}
+}
 
-// Lock acquires the server's big lock; the embedding simulation loop must
-// hold it while running engine events so protocol handling never races the
-// event loop.
-func (s *Server) Lock() { s.mu.Lock() }
-
-// Unlock releases the big lock.
-func (s *Server) Unlock() { s.mu.Unlock() }
+// Serve is the loop that runs the host until Close: it calls step on each
+// tick and applies each op posted to the mailbox, as it arrives, at the
+// host's current instant, which the reply carries in AtNS. Only Serve may
+// touch the host while it runs; once it returns, its caller owns it again.
+func (s *Server) Serve(tick <-chan time.Time, step func()) {
+	go func() { // ticks and the stop come as letters: the loop waits on one channel
+		for {
+			select {
+			case <-tick:
+				s.mail <- letter{}
+			case <-s.done:
+				s.mail <- letter{reply: make(chan Response)}
+				return
+			}
+		}
+	}()
+	for l := range s.mail {
+		switch {
+		case l.req != nil:
+			resp := s.Handle(l.req)
+			resp.AtNS = int64(s.d.host.Eng.Now())
+			l.reply <- resp
+		case l.reply == nil:
+			step()
+		default:
+			return
+		}
+	}
+}
 
 // ListenUnix starts accepting on a Unix socket path. It returns once the
 // listener is ready; connections are handled on background goroutines.
@@ -116,8 +148,10 @@ func (s *Server) ListenUnix(path string) error {
 	return nil
 }
 
-// Close stops the listener.
+// Close stops the listener and Serve's loop. A request the loop has not
+// taken by then gets an error reply instead of waiting. Call it once.
 func (s *Server) Close() error {
+	close(s.done)
 	if s.ln == nil {
 		return nil
 	}
@@ -145,21 +179,21 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// serveLine decodes one request line and handles it: the socket's one
-// path from bytes to a reply.
+// serveLine decodes one request line and posts it to the mailbox: the
+// socket's one path from bytes to a reply.
 func (s *Server) serveLine(line []byte) Response {
 	var req Request
 	if err := json.Unmarshal(line, &req); err != nil {
 		return Response{Error: "bad request: " + err.Error()}
 	}
-	return s.Handle(&req)
+	resp, _ := s.Do(&req)
+	return *resp
 }
 
-// Handle executes one request under the big lock. It is exported so tests
-// and in-process embeddings can skip the socket.
+// Handle executes one request on the calling goroutine, which must own the
+// host: Serve's loop, or code that runs the host itself and serves no
+// socket (a fleet scrape, a test).
 func (s *Server) Handle(req *Request) Response {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	switch req.Op {
 	case "register_app":
 		if _, err := s.d.RegisterApp(req.App, req.UID, req.Ports...); err != nil {
@@ -268,11 +302,17 @@ func (s *Server) Handle(req *Request) Response {
 
 func errResp(err error) Response { return Response{Error: err.Error()} }
 
-// Do is Handle in Client.Do's form, so one caller can speak to a host in
-// process or over its socket alike.
+// Do posts req to Serve's mailbox and waits for the reply, in Client.Do's
+// form, so one caller can speak to a served host in process or over its
+// socket alike. After Close it replies with an error instead of waiting.
 func (s *Server) Do(req *Request) (*Response, error) {
-	resp := s.Handle(req)
-	return &resp, resp.err()
+	resp, reply := &Response{Error: "syrupd: server closed"}, make(chan Response, 1)
+	select {
+	case s.mail <- letter{req, reply}:
+		*resp = <-reply
+	case <-s.done:
+	}
+	return resp, resp.err()
 }
 
 // err is a failed reply as an error.

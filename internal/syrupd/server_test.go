@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"syrup/internal/kernel"
 	"syrup/internal/metrics"
@@ -103,6 +104,21 @@ func snapshotOf(t testing.TB, srv *Server) *HostSnapshot {
 		t.Fatalf("snapshot: %+v", resp)
 	}
 	return resp.Snapshot
+}
+
+// serving runs srv's loop with step on every tick the test sends. stop
+// closes the server and waits for Serve to return, after which the test
+// owns the host again.
+func serving(srv *Server, step func()) (tick chan<- time.Time, stop func()) {
+	ticks, returned := make(chan time.Time), make(chan struct{})
+	go func() {
+		srv.Serve(ticks, step)
+		close(returned)
+	}()
+	return ticks, func() {
+		srv.Close()
+		<-returned
+	}
 }
 
 // counters indexes a snapshot's counter list by name.
@@ -416,8 +432,9 @@ func TestCountersDeterministic(t *testing.T) {
 // TestStatsDeltaConcurrent: snapshots racing the simulation must never
 // lose or double-count an increment — the deltas a client computes between
 // successive snapshots plus its final residue sum to exactly the runs the
-// host made. The counters are plain fields, so this is the big lock's job;
-// `make race` runs it under -race.
+// host made. The counters are plain fields, so this is the mailbox's job:
+// the snapshots are posted to the loop that advances the host; `make race`
+// runs it under -race.
 func TestStatsDeltaConcurrent(t *testing.T) {
 	const key = "ebpf_hook_runs_socket_select_9000"
 	h := newHost(t, 1, 0)
@@ -427,6 +444,15 @@ func TestStatsDeltaConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(h.d)
+	const steps, perStep = 200, 5
+	step := 0
+	tick, stopServing := serving(srv, func() {
+		for i := 0; i < perStep; i++ {
+			h.dev.Receive(pkt(uint64(step*perStep+i), 1, 9000, nil))
+		}
+		h.Eng.Run()
+		step++
+	})
 
 	// Snapshot loop racing the simulation; collected and seen are only
 	// touched here and read after the goroutine exits.
@@ -440,24 +466,20 @@ func TestStatsDeltaConcurrent(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				now := srv.Handle(&Request{Op: "snapshot"}).Snapshot.counters()[key]
+				resp, _ := srv.Do(&Request{Op: "snapshot"})
+				now := resp.Snapshot.counters()[key]
 				collected += now - seen
 				seen = now
 			}
 		}
 	}()
 
-	const steps, perStep = 200, 5
-	for step := 0; step < steps; step++ {
-		srv.Lock()
-		for i := 0; i < perStep; i++ {
-			h.dev.Receive(pkt(uint64(step*perStep+i), 1, 9000, nil))
-		}
-		h.Eng.Run()
-		srv.Unlock()
+	for range steps {
+		tick <- time.Time{}
 	}
 	close(stop)
 	<-done
+	stopServing()
 
 	hs := snapshotOf(t, srv)
 	if got := collected + hs.counters()[key] - seen; got != steps*perStep {
@@ -492,11 +514,11 @@ func TestServerMapOpsRefuseOtherShapes(t *testing.T) {
 }
 
 // TestServerMapOpsBesideTheEventLoop is the race test of the one door:
-// client goroutines update and read a pinned map through Server.Handle
-// while the host advances under Server.Lock, as cmd/syrupd's loop does,
-// and the deployed policy xadds the same map on every packet. Neither the
-// map nor the program locks anything, so only the big lock keeps this
-// clean under -race, and the final values and run counts are exact.
+// client goroutines update and read a pinned map through Server.Do while
+// Serve advances the host, as cmd/syrupd's loop does, and the deployed
+// policy xadds the same map on every packet. Neither the map nor the
+// program locks anything, so only the mailbox keeps this clean under
+// -race, and the final values and run counts are exact.
 func TestServerMapOpsBesideTheEventLoop(t *testing.T) {
 	const (
 		clients, updates = 4, 200
@@ -524,6 +546,18 @@ out:
 		t.Fatalf("deploy: %+v", resp)
 	}
 	const path = "/syrup/1/door"
+	step := 0
+	tick, stopServing := serving(srv, func() {
+		for i := range perStep {
+			h.dev.Receive(pkt(uint64(step*perStep+i), 1, 9000, nil))
+		}
+		h.Eng.Run()
+		step++
+	})
+	do := func(req *Request) Response {
+		resp, _ := srv.Do(req)
+		return *resp
+	}
 
 	var wg sync.WaitGroup
 	for c := range clients {
@@ -532,16 +566,16 @@ out:
 			defer wg.Done()
 			var seen uint64
 			for i := uint64(1); i <= updates; i++ {
-				if resp := srv.Handle(&Request{Op: "map_update", Path: path, UID: 1000, Key: uint32(1 + c), Value: i}); !resp.OK {
+				if resp := do(&Request{Op: "map_update", Path: path, UID: 1000, Key: uint32(1 + c), Value: i}); !resp.OK {
 					t.Errorf("client %d: map_update: %+v", c, resp)
 					return
 				}
-				if resp := srv.Handle(&Request{Op: "map_lookup", Path: path, UID: 1000, Key: uint32(1 + c)}); resp.Value != i {
+				if resp := do(&Request{Op: "map_lookup", Path: path, UID: 1000, Key: uint32(1 + c)}); resp.Value != i {
 					t.Errorf("client %d: read back %d after writing %d", c, resp.Value, i)
 					return
 				}
 				// The packet count only grows, and only between requests.
-				resp := srv.Handle(&Request{Op: "map_lookup", Path: path, UID: 1000, Key: 0})
+				resp := do(&Request{Op: "map_lookup", Path: path, UID: 1000, Key: 0})
 				if resp.Value < seen || resp.Value > steps*perStep {
 					t.Errorf("client %d: packet count %d after %d", c, resp.Value, seen)
 					return
@@ -550,15 +584,11 @@ out:
 			}
 		}()
 	}
-	for step := range steps {
-		srv.Lock()
-		for i := range perStep {
-			h.dev.Receive(pkt(uint64(step*perStep+i), 1, 9000, nil))
-		}
-		h.Eng.Run()
-		srv.Unlock()
+	for range steps {
+		tick <- time.Time{}
 	}
 	wg.Wait()
+	stopServing()
 
 	if resp := srv.Handle(&Request{Op: "map_lookup", Path: path, UID: 1000, Key: 0}); resp.Value != steps*perStep {
 		t.Fatalf("policy counted %d packets, want %d", resp.Value, steps*perStep)
@@ -582,7 +612,8 @@ func TestServerOverUnixSocket(t *testing.T) {
 	if err := srv.ListenUnix(path); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	_, stop := serving(srv, nil)
+	defer stop()
 
 	c, err := Dial(path)
 	if err != nil {
@@ -641,5 +672,52 @@ func TestServerRefusesAnOverlongLine(t *testing.T) {
 	}
 	if _, err := c.Do(&Request{Op: "list_policies"}); err == nil {
 		t.Fatal("the connection outlived an over-long line")
+	}
+}
+
+// TestClosedServerRepliesWithAnError: with no loop serving the host, an
+// in-process Do and a socket connection both wait in the mailbox. Close
+// must answer both with an error, not leave them hanging, and so must
+// every request after it.
+func TestClosedServerRepliesWithAnError(t *testing.T) {
+	h := newHost(t, 1, 0)
+	srv := NewServer(h.d)
+	path := filepath.Join(t.TempDir(), "syrupd.sock")
+	if err := srv.ListenUnix(path); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	errs := make(chan error, 3)
+	go func() {
+		_, err := srv.Do(&Request{Op: "list_policies"})
+		errs <- err
+	}()
+	go func() {
+		_, err := c.Do(&Request{Op: "list_policies"})
+		errs <- err
+	}()
+	// Give both time to block in the mailbox. One that has not yet meets
+	// the closed server instead, which must answer it the same way, as it
+	// does the third call, posted after Close.
+	time.Sleep(20 * time.Millisecond)
+	srv.Close()
+	go func() {
+		_, err := srv.Do(&Request{Op: "list_policies"})
+		errs <- err
+	}()
+	for range 3 {
+		select {
+		case err := <-errs:
+			if err == nil || !strings.Contains(err.Error(), "server closed") {
+				t.Fatalf("a request to a closed server: err = %v, want server closed", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a request to a closed server hangs")
+		}
 	}
 }

@@ -80,7 +80,9 @@ bench-dispatch:
 # steady-state schedule+fire, cancel-heavy, and ticker re-arm shapes. The
 # steady state must hold >=2x over the old container/heap core with
 # 0 allocs/op; the alloc floor is gated in `make check` by
-# TestZeroAllocSteadyState / TestZeroAllocTicker in internal/sim.
+# TestZeroAllocSteadyState / TestZeroAllocTicker in internal/sim, and the
+# firing order against the heap core, up to math.MaxInt64, by
+# TestDifferentialVsHeap / TestScheduleAtTheEndOfTime.
 bench-engine:
 	$(GO) test ./internal/sim/ -run '^$$' -bench BenchmarkEngine -benchmem
 

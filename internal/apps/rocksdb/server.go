@@ -16,7 +16,7 @@ import (
 type ServiceModel func(rng interface{ Float64() float64 }, reqType uint64) sim.Time
 
 // DefaultServiceModel is the paper's RocksDB profile: GETs uniform
-// 10–12 µs, SCANs ≈ 700 µs ±5 %, PUTs like GETs.
+// 10–12 µs, SCANs ≈ 700 µs ±5 %.
 func DefaultServiceModel(rng interface{ Float64() float64 }, reqType uint64) sim.Time {
 	switch reqType {
 	case policy.ReqSCAN:
@@ -84,7 +84,8 @@ type Server struct {
 	// LocalityHits counts requests served from a thread's warm flow set.
 	LocalityHits uint64
 	// Malformed counts requests dropped because their header does not
-	// decode.
+	// decode or asks for a PUT: the store is a preloaded key space that
+	// nothing writes.
 	Malformed uint64
 
 	warmFlows [][]uint64 // per-thread LRU of recently served flows
@@ -95,8 +96,7 @@ type Server struct {
 	scanBuf []KV
 }
 
-// Dropped is every request the server dropped: those whose header does not
-// decode.
+// Dropped is every request the server dropped: the malformed ones.
 func (s *Server) Dropped() uint64 { return s.Malformed }
 
 // NewServer creates the server's threads and sockets. Each worker thread
@@ -140,7 +140,7 @@ func (s *Server) Threads() []*kernel.Thread { return s.threads }
 // Sockets exposes the per-thread sockets.
 func (s *Server) Sockets() []*netstack.Socket { return s.sockets }
 
-// Store exposes the storage engine.
+// Store exposes the server's store.
 func (s *Server) Store() *Store { return s.store }
 
 // Start wakes all worker threads.
@@ -219,7 +219,7 @@ func (s *Server) workerLoop(th *kernel.Thread, slot int) {
 func (s *Server) serve(w *worker, pkt *nic.Packet, wasBlocked bool) {
 	th, slot := w.th, w.slot
 	reqType, _, keyHash, reqID, ok := policy.DecodeHeader(pkt.Payload)
-	if !ok {
+	if !ok || reqType == policy.ReqPUT {
 		s.Malformed++
 		pkt.Drop()
 		w.loop() // malformed request: ignore
@@ -269,9 +269,6 @@ func (w *worker) finishOp() {
 	case policy.ReqSCAN:
 		s.scanBuf = s.store.AppendScan(s.scanBuf[:0], key, 100)
 		s.ProcessedSCAN++
-	case policy.ReqPUT:
-		s.store.Put(key, "updated")
-		s.ProcessedGET++
 	default:
 		s.store.Get(key)
 		s.ProcessedGET++

@@ -64,15 +64,15 @@ func TestServerServesGets(t *testing.T) {
 
 // TestServerSharesKeysWithStore: the server renders its key space once; the
 // key it looks a request up by is the very string its store holds, and the
-// store's base level is the server's key table itself, not a copy of it.
+// store's keys are the server's key table itself, not a copy of it.
 func TestServerSharesKeysWithStore(t *testing.T) {
 	eng, m, _, stack := testHost(t, 1, 1)
 	srv := NewServer(eng, m, stack, Config{Port: 9000, App: 1, NumThreads: 1})
-	if len(srv.keyTable) != keySpace || srv.store.Len() != keySpace {
-		t.Fatalf("%d keys in the table, %d in the store, want %d", len(srv.keyTable), srv.store.Len(), keySpace)
+	if len(srv.keyTable) != keySpace || len(srv.store.keys) != keySpace {
+		t.Fatalf("%d keys in the table, %d in the store, want %d", len(srv.keyTable), len(srv.store.keys), keySpace)
 	}
-	if base := srv.store.base.keys; unsafe.SliceData(base) != unsafe.SliceData(srv.keyTable) || len(base) != len(srv.keyTable) {
-		t.Fatalf("the store's base holds %d keys in its own array, not the server's %d-key table", len(base), len(srv.keyTable))
+	if keys := srv.store.keys; unsafe.SliceData(keys) != unsafe.SliceData(srv.keyTable) {
+		t.Fatalf("the store holds its %d keys in its own array, not the server's %d-key table", len(keys), len(srv.keyTable))
 	}
 	for _, kv := range srv.store.Scan("", keySpace) {
 		i, err := strconv.Atoi(strings.TrimPrefix(kv.Key, "key-"))

@@ -1,119 +1,51 @@
 // Package rocksdb provides the RocksDB-like key-value server the paper's
-// §5.2/§5.3 experiments run: a real (if miniature) LSM storage engine —
-// mutable memtable, immutable sorted runs, a preloaded base level, merged
-// iterators for SCANs — plus the multi-threaded SO_REUSEPORT UDP server
-// model whose scheduling Syrup policies control.
+// §5.2/§5.3 experiments run: a store over a preloaded key space, answering
+// GETs by position and SCANs by one search and a slice walk, plus the
+// multi-threaded SO_REUSEPORT UDP server model whose scheduling Syrup
+// policies control.
 //
-// The storage engine does real work per request; the simulation charges
-// the paper's measured service times in virtual time (GET 10–12 µs, SCAN
-// ≈ 700 µs), since wall-clock cost of our Go engine is not the paper's
-// hardware.
+// The store does real work per request; the simulation charges the paper's
+// measured service times in virtual time (GET 10–12 µs, SCAN ≈ 700 µs),
+// since wall-clock cost of our Go store is not the paper's hardware.
 package rocksdb
 
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strconv"
 )
 
-// memtableFlushSize is the number of entries after which the memtable is
-// sealed into an immutable sorted run.
-const memtableFlushSize = 4096
-
-// maxRuns triggers a full compaction when exceeded.
-const maxRuns = 8
-
-// maxLevels bounds what a merge stacks: the memtable, up to maxRuns+1 runs
-// (a compaction merges the one over the limit) or maxRuns runs and the base.
-const maxLevels = maxRuns + 2
-
-// Store is a miniature LSM tree: one mutable memtable over a stack of
-// immutable sorted runs, newest first, over the preloaded base level. It
-// belongs to the server of one host and takes no lock (DESIGN.md "One
-// owner per host").
+// Store is the preloaded key space: Key(0) … Key(n-1) in order, each with
+// its value. The experiments send only GETs and SCANs, so nothing writes
+// it after Preload. It belongs to the server of one host and takes no lock
+// (DESIGN.md "One owner per host").
 type Store struct {
-	// mem is the memtable: a run under construction, kept sorted by
-	// binary-search insert, so reads, scans and flushes treat it like any
-	// other run. Array-backed on purpose: ascending loads append, a flush
-	// hands the arrays over, and no per-entry node is ever allocated.
-	mem  run
-	runs []run // runs[0] is newest
-	// base is what Preload loaded: Key(0) … Key(n-1) in order, the oldest
-	// level, below every run and never compacted. Its arrays are the
-	// rendered keys and values themselves, and Get finds a key in it by
-	// position (baseIndex), not by search.
-	base run
+	// keys and values are what Preload loaded: the rendered strings
+	// themselves, sorted by key. Get finds a key by position (baseIndex),
+	// not by search.
+	keys, values []string
 
 	// Stats.
-	Gets, Scans, Puts, Flushes, Compactions uint64
-}
-
-// run is a sorted, duplicate-free key/value array pair. Its first and last
-// keys are its fence: a key outside them is not in the run.
-type run struct {
-	keys   []string
-	values []string
+	Gets, Scans uint64
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store { return &Store{} }
 
-// find returns where key is, or would be inserted, and whether it is
-// there. Keys outside the fence — ascending loads, and most lookups in a
-// run that holds a few keys — cost two comparisons and no search.
-func (r *run) find(key string) (int, bool) {
-	n := len(r.keys)
-	if n == 0 || key > r.keys[n-1] {
-		return n, false
-	}
-	if key < r.keys[0] {
-		return 0, false
-	}
-	i := sort.SearchStrings(r.keys, key)
-	return i, r.keys[i] == key
-}
-
-// put overwrites key in place or inserts it in order.
-func (r *run) put(key, value string) {
-	if i, ok := r.find(key); ok {
-		r.values[i] = value
-	} else {
-		r.keys, r.values = slices.Insert(r.keys, i, key), slices.Insert(r.values, i, value)
-	}
-}
-
-// Put inserts or overwrites a key.
-func (s *Store) Put(key, value string) {
-	s.Puts++
-	s.mem.put(key, value)
-	if len(s.mem.keys) >= memtableFlushSize {
-		s.flush()
-	}
-}
-
-// Get returns the newest value for key: the memtable, then every run
-// newest first, each behind its fence, then the base by position.
+// Get returns the value for key: the position baseIndex reads off the key,
+// confirmed by one compare.
 func (s *Store) Get(key string) (string, bool) {
 	s.Gets++
-	if i, ok := s.mem.find(key); ok {
-		return s.mem.values[i], true
-	}
-	for j := range s.runs {
-		if i, ok := s.runs[j].find(key); ok {
-			return s.runs[j].values[i], true
-		}
-	}
-	if i := baseIndex(key); i < len(s.base.keys) && s.base.keys[i] == key {
-		return s.base.values[i], true
+	if i := baseIndex(key); i < len(s.keys) && s.keys[i] == key {
+		return s.values[i], true
 	}
 	return "", false
 }
 
 // baseIndex inverts Key over its 12-byte form "key-DDDDDDDD": the position
-// the key holds in a base of Key(0) … Key(n-1) if it is there at all. Any
-// other string gets a position no base reaches; the base holds no other
+// the key holds in a store of Key(0) … Key(n-1) if it is there at all. Any
+// other string gets a position no store reaches; the store holds no other
 // strings (Preload keeps n ≤ 1e8). Get still confirms the position with one
 // compare, so it is exact whatever keys preload was handed.
 func baseIndex(key string) int {
@@ -132,29 +64,23 @@ func baseIndex(key string) int {
 }
 
 // Scan returns up to limit key/value pairs with key >= start, in key
-// order, merging the memtable, all runs and the base (newest version
-// wins).
+// order.
 func (s *Store) Scan(start string, limit int) []KV { return s.AppendScan(nil, start, limit) }
 
 // AppendScan is Scan appending to dst: a caller that scans into a buffer
 // it keeps allocates nothing once the buffer has grown to limit.
 func (s *Store) AppendScan(dst []KV, start string, limit int) []KV {
 	s.Scans++
-	var buf [maxLevels]iterator
-	m := s.mergeFrom(buf[:0], start)
-	n := min(limit, m.remaining())
+	i := sort.SearchStrings(s.keys, start)
+	n := min(limit, len(s.keys)-i)
 	if n <= 0 {
 		return dst
 	}
 	if cap(dst)-len(dst) < n {
 		dst = append(make([]KV, 0, len(dst)+n), dst...)
 	}
-	for range n {
-		k, v, ok := m.next()
-		if !ok {
-			break
-		}
-		dst = append(dst, KV{Key: k, Value: v})
+	for j := i; j < i+n; j++ {
+		dst = append(dst, KV{Key: s.keys[j], Value: s.values[j]})
 	}
 	return dst
 }
@@ -164,124 +90,26 @@ type KV struct {
 	Key, Value string
 }
 
-// Len reports the number of live entries (shadowed versions count once).
-func (s *Store) Len() int {
-	var buf [maxLevels]iterator
-	m := s.mergeFrom(buf[:0], "")
-	n := 0
-	for _, _, ok := m.next(); ok; _, _, ok = m.next() {
-		n++
-	}
-	return n
-}
-
-// flush seals the memtable: its arrays become the newest run as is.
-func (s *Store) flush() {
-	if len(s.mem.keys) == 0 {
-		return
-	}
-	s.Flushes++
-	s.runs = append([]run{s.mem}, s.runs...)
-	s.mem = run{}
-	if len(s.runs) > maxRuns {
-		s.compact()
-	}
-}
-
-// compact merges all runs (the memtable was just sealed, so it is
-// empty) into one, dropping shadowed versions. The base stays as it is.
-func (s *Store) compact() {
-	s.Compactions++
-	var buf [maxLevels]iterator
-	m := seek(buf[:0], "", s.runs...)
-	n := m.remaining()
-	out := run{keys: make([]string, 0, n), values: make([]string, 0, n)}
-	for k, v, ok := m.next(); ok; k, v, ok = m.next() {
-		out.keys, out.values = append(out.keys, k), append(out.values, v)
-	}
-	s.runs = []run{out}
-}
-
-// iterator walks one run in key order.
-type iterator struct {
-	run
-	pos int
-}
-
-// merger is a newest-first stack of iterators read as one ordered stream.
-type merger []iterator
-
-// mergeFrom seeks the memtable, every run and the base to start, newest
-// first, onto buf.
-func (s *Store) mergeFrom(buf []iterator, start string) merger {
-	m := seek(buf, start, s.mem)
-	m = seek(m, start, s.runs...)
-	return seek(m, start, s.base)
-}
-
-// seek seeks each run to start (O(log n) each) and stacks the ones with
-// anything at or past it onto m, in the order given.
-func seek(m merger, start string, runs ...run) merger {
-	for _, r := range runs {
-		if pos := sort.SearchStrings(r.keys, start); pos < len(r.keys) {
-			m = append(m, iterator{run: r, pos: pos})
-		}
-	}
-	return m
-}
-
-// remaining bounds how many entries next can still yield.
-func (m merger) remaining() int {
-	n := 0
-	for i := range m {
-		n += len(m[i].keys) - m[i].pos
-	}
-	return n
-}
-
-// next yields the smallest current key; ties resolve to the newest
-// iterator (lowest index), and older versions of the key are stepped over.
-func (m merger) next() (key, value string, ok bool) {
-	best := -1
-	for i := range m {
-		if it := &m[i]; it.pos < len(it.keys) && (best < 0 || it.keys[it.pos] < key) {
-			best, key = i, it.keys[it.pos]
-		}
-	}
-	if best < 0 {
-		return "", "", false
-	}
-	value = m[best].values[m[best].pos]
-	for i := range m {
-		if it := &m[i]; it.pos < len(it.keys) && it.keys[it.pos] == key {
-			it.pos++
-		}
-	}
-	return key, value, true
-}
-
 // Preload bulk-loads the n sequential keys Key(i) → "value-<i>" into an
-// empty store as its base level, so GETs and SCANs have data to touch. The
-// keys are rendered into one string and the values into another, each
-// sliced per entry, and those slices are the base's arrays: a preload
-// allocates a few times, not per key, and counts no Put or flush. Preload
-// panics on a store that already holds data, whose older versions would
-// otherwise shadow the base loaded after them.
+// empty store, so GETs and SCANs have data to touch. The keys are rendered
+// into one string and the values into another, each sliced per entry, and
+// those slices are the store's arrays: a preload allocates a few times, not
+// per key. Preload panics on a store that already holds a key space.
 func (s *Store) Preload(n int) { s.preload(renderKeys(n)) }
 
 // preload is Preload over keys already rendered: the store keeps the very
 // slice it is given, so a server that looks keys up by renderKeys(n)
 // shares it with its store instead of holding a second copy.
 func (s *Store) preload(keys []string) {
-	if s.base.keys != nil || len(s.mem.keys) > 0 || len(s.runs) > 0 {
+	if s.keys != nil {
 		panic("rocksdb: Preload into a store that already holds data")
 	}
 	if len(keys) > 1e8 {
 		panic("rocksdb: Preload of more than 1e8 keys") // Key(1e8) leaves the 12-byte form
 	}
-	s.base = run{keys: keys, values: render(len(keys), 6+len(strconv.Itoa(len(keys))), func(b []byte, i int) []byte {
+	s.keys, s.values = keys, render(len(keys), 6+len(strconv.Itoa(len(keys))), func(b []byte, i int) []byte {
 		return strconv.AppendInt(append(b, "value-"...), int64(i), 10)
-	})}
+	})
 }
 
 // Key renders the canonical preloaded key for index i, "key-%08d".

@@ -5,8 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"syrup"
+	"syrup/internal/apps/rocksdb"
 	"syrup/internal/ebpf"
 	"syrup/internal/hook"
+	"syrup/internal/policy"
 	"syrup/internal/sim"
 	"syrup/internal/workload"
 )
@@ -89,5 +92,41 @@ func TestConservedCatchesAnUncountedPacket(t *testing.T) {
 	xdp.Set(nil)
 	if msg := failure(run.Result); !strings.Contains(msg, host.Name+":") || !strings.Contains(msg, "ebpf_hook_faults 1") {
 		t.Errorf("one policy fault on an unarmed host: conservation reports %q, want the host and ebpf_hook_faults 1", msg)
+	}
+}
+
+// TestServerDropsPuts: the RocksDB store is a preloaded key space nothing
+// writes, so a PUT sent to the server is counted Malformed and dropped with
+// Packet.Drop, and finish's loss identity holds: every request the client
+// lost is one the host or the app dropped. (The run does not go through
+// finish itself: its bound on unanswered requests counts host drops only,
+// and no experiment sends the server a PUT.)
+func TestServerDropsPuts(t *testing.T) {
+	host, app := syrup.MustHostApp(syrup.HostConfig{Seed: 3, NumCPUs: 2, NICQueues: 2}, rocksApp, rocksUID, rocksPort)
+	load := RunConfig{Windows: Windows{Warmup: 2 * sim.Millisecond, Measure: 10 * sim.Millisecond, Drain: 5 * sim.Millisecond}}.load(50_000)
+	load.Classes = []workload.Class{
+		{Name: "GET", Weight: 0.8, Type: policy.ReqGET},
+		{Name: "PUT", Weight: 0.2, Type: policy.ReqPUT},
+	}
+	w := WireRocksDB(host, app, load, rocksdb.Config{NumThreads: 2, PinToCores: true})
+	w.Srv.Start()
+	res := w.Gen.RunToCompletion()
+	if err := host.Daemon.Conserved(); err != nil {
+		t.Fatal(err)
+	}
+	get, put := res.PerClass["GET"], res.PerClass["PUT"]
+	if put.Offered == 0 || put.Completed != 0 || put.Unanswered != put.Offered {
+		t.Fatalf("PUTs offered %d, completed %d, unanswered %d: want every PUT unanswered", put.Offered, put.Completed, put.Unanswered)
+	}
+	if get.Completed == 0 || get.Unanswered != 0 {
+		t.Fatalf("GETs completed %d, unanswered %d: want every GET answered", get.Completed, get.Unanswered)
+	}
+	lost, dropped := w.Gen.Lost(), host.Daemon.Dropped()
+	if w.Srv.Malformed < put.Offered || lost != dropped+w.Srv.Dropped() {
+		t.Fatalf("server Malformed %d (%d PUTs measured), host dropped %d, client lost %d: want every PUT counted Malformed and lost = host + app drops",
+			w.Srv.Malformed, put.Offered, dropped, lost)
+	}
+	if w.Srv.ProcessedGET != w.Srv.Store().Gets {
+		t.Fatalf("ProcessedGET %d, store Gets %d: a PUT reached the store", w.Srv.ProcessedGET, w.Srv.Store().Gets)
 	}
 }

@@ -14,16 +14,17 @@ import (
 )
 
 // enclave is 36 GET-typed threads on 5 worker cores plus the agent core,
-// every thread running burst-long bursts under GetPriority. yield says how
-// a thread gives the core back: by Yield (it stays runnable, so the enclave
-// is permanently oversubscribed) or by Block (it waits for the next cycle).
+// every thread running burst-long bursts under GetPriority. rewake says
+// how a thread gives the core back: by a Block and a Wake at the same
+// instant (it is runnable again at once, so the enclave is permanently
+// oversubscribed) or by Block alone (it waits for the next cycle).
 type enclave struct {
 	eng   *sim.Engine
 	agent *ghost.Agent
 	ths   []*kernel.Thread
 }
 
-func newEnclave(burst sim.Time, yield bool) *enclave {
+func newEnclave(burst sim.Time, rewake bool) *enclave {
 	const threads, cpus = 36, 6
 	e := &enclave{eng: sim.New(1)}
 	m := kernel.New(e.eng, kernel.Config{NumCPUs: cpus})
@@ -38,10 +39,9 @@ func newEnclave(burst sim.Time, yield bool) *enclave {
 		var run, done func()
 		run = func() { th.Exec(burst, done) }
 		done = func() {
-			if yield {
-				th.Yield(run)
-			} else {
-				th.Block(run)
+			th.Block(run)
+			if rewake {
+				th.Wake()
 			}
 		}
 		th = m.NewThread("w", 1, 0, func(*kernel.Thread) { run() })

@@ -26,7 +26,7 @@ import (
 )
 
 // MsgType enumerates thread state-change messages (§4.1 lists created,
-// blocked, yielded, etc.).
+// blocked, yielded, etc.; no simulated thread yields).
 type MsgType int
 
 // Message types.
@@ -34,7 +34,6 @@ const (
 	MsgThreadCreated MsgType = iota
 	MsgThreadWakeup
 	MsgThreadBlocked
-	MsgThreadYield
 	MsgThreadPreempted
 	MsgThreadDead
 )
@@ -47,8 +46,6 @@ func (t MsgType) String() string {
 		return "THREAD_WAKEUP"
 	case MsgThreadBlocked:
 		return "THREAD_BLOCKED"
-	case MsgThreadYield:
-		return "THREAD_YIELD"
 	case MsgThreadPreempted:
 		return "THREAD_PREEMPTED"
 	case MsgThreadDead:
@@ -197,7 +194,7 @@ func NewAgent(h *hook.Host, m *kernel.Machine, app uint32, policy Policy, agentC
 			switch msg.Type {
 			case MsgThreadCreated:
 				// Created threads start blocked; nothing to do yet.
-			case MsgThreadWakeup, MsgThreadYield, MsgThreadPreempted:
+			case MsgThreadWakeup, MsgThreadPreempted:
 				a.setRunnable(msg.Thread, true)
 			case MsgThreadBlocked, MsgThreadDead:
 				a.setRunnable(msg.Thread, false)
@@ -282,11 +279,6 @@ func (a *Agent) Descheduled(t *kernel.Thread, cpu *kernel.CPU) {
 		typ = MsgThreadDead
 	}
 	a.enqueue(Message{Type: typ, Thread: t})
-}
-
-// Yielded implements kernel.SchedClass.
-func (a *Agent) Yielded(t *kernel.Thread, cpu *kernel.CPU) {
-	a.enqueue(Message{Type: MsgThreadYield, Thread: t})
 }
 
 func (a *Agent) enqueue(msg Message) {

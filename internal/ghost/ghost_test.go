@@ -286,7 +286,7 @@ func TestPolicyPanicsOnBadPlacement(t *testing.T) {
 }
 
 func TestMsgTypeStrings(t *testing.T) {
-	for _, mt := range []MsgType{MsgThreadCreated, MsgThreadWakeup, MsgThreadBlocked, MsgThreadYield, MsgThreadPreempted, MsgThreadDead} {
+	for _, mt := range []MsgType{MsgThreadCreated, MsgThreadWakeup, MsgThreadBlocked, MsgThreadPreempted, MsgThreadDead} {
 		if mt.String() == "?" {
 			t.Fatalf("missing string for %d", int(mt))
 		}

@@ -263,8 +263,8 @@ func (p *Point) UserRun() {
 }
 
 // Set is the one-call surface: nil detaches, a program attaches or
-// live-replaces, keeping the point's one Link. Storage's SetPolicy,
-// syrupd's direct deployments and tests use it.
+// live-replaces, keeping the point's one Link. syrupd's direct deployments
+// and tests use it.
 func (p *Point) Set(prog *ebpf.Program) {
 	if prog == nil {
 		if p.link != nil {

@@ -41,13 +41,6 @@ func (q *cfsQueue) Pop() any {
 	return t
 }
 
-func (q *cfsQueue) peek() *Thread {
-	if len(q.threads) == 0 {
-		return nil
-	}
-	return q.threads[0]
-}
-
 // CFS is the default scheduling class: per-core runqueues, vruntime
 // fairness, wakeup preemption bounded by wakeupGranularity, timeslice
 // preemption, and idle-pull balancing.
@@ -118,16 +111,6 @@ func (s *CFS) Ready(t *Thread) {
 
 // Descheduled implements SchedClass.
 func (s *CFS) Descheduled(t *Thread, cpu *CPU) {
-	s.dispatch(cpu)
-}
-
-// Yielded implements SchedClass.
-func (s *CFS) Yielded(t *Thread, cpu *CPU) {
-	// Push vruntime to the back of the queue so others run first.
-	if next := s.queues[cpu.id].peek(); next != nil && t.vruntime < next.vruntime {
-		t.vruntime = next.vruntime
-	}
-	heap.Push(&s.queues[cpu.id], t)
 	s.dispatch(cpu)
 }
 

@@ -178,13 +178,17 @@ func TestCFSNoPreemptionForFrequentRunner(t *testing.T) {
 	// wakeups must NOT preempt the running thread (the Fig. 8 CFS
 	// obliviousness effect).
 	eng, m := newMachine(t, 1)
-	// SCAN-like server thread: 700us bursts with a deschedule (yield)
-	// between requests, so it never overruns its fair share from the
+	// SCAN-like server thread: 700us bursts with a deschedule between
+	// requests (a Block and a Wake at the same instant: the next request
+	// is already queued), so it never overruns its fair share from the
 	// scheduler's point of view.
 	var hog *Thread
 	var hogLoop func()
 	hogLoop = func() {
-		hog.Exec(700*sim.Microsecond, func() { hog.Yield(hogLoop) })
+		hog.Exec(700*sim.Microsecond, func() {
+			hog.Block(hogLoop)
+			hog.Wake()
+		})
 	}
 	hog = m.NewThread("hog", 0, 0, func(*Thread) { hogLoop() })
 	hog.Wake()
@@ -276,34 +280,6 @@ func TestReservedCPUExcludedFromCFS(t *testing.T) {
 	}
 	if m.CPU(1).reservedBy != "agent" {
 		t.Fatal("reservation owner lost")
-	}
-}
-
-func TestYield(t *testing.T) {
-	eng, m := newMachine(t, 1)
-	order := []string{}
-	var a, b *Thread
-	a = m.NewThread("a", 0, 0, func(th *Thread) {
-		th.Exec(sim.Microsecond, func() {
-			order = append(order, "a1")
-			th.Yield(func() {
-				order = append(order, "a2")
-				th.Exit()
-			})
-		})
-	})
-	b = m.NewThread("b", 0, 0, func(th *Thread) {
-		th.Exec(sim.Microsecond, func() {
-			order = append(order, "b")
-			th.Exit()
-		})
-	})
-	a.Wake()
-	b.Wake()
-	eng.Run()
-	// a yields after a1, letting b run before a2.
-	if len(order) != 3 || order[0] != "a1" || order[1] != "b" || order[2] != "a2" {
-		t.Fatalf("order = %v", order)
 	}
 }
 

@@ -104,8 +104,6 @@ type SchedClass interface {
 	// Descheduled is called after a thread blocked or exited, with the CPU
 	// it vacated.
 	Descheduled(t *Thread, cpu *CPU)
-	// Yielded is called after a sched_yield; the thread is runnable.
-	Yielded(t *Thread, cpu *CPU)
 }
 
 // CPU is one logical core.

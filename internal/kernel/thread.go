@@ -130,8 +130,8 @@ var burstDoneCB sim.Callback = func(arg any, _ uint64) {
 		panic(fmt.Sprintf("kernel: thread %q burst completed with no continuation", t.Name))
 	}
 	done()
-	// The continuation must have either started a new burst, blocked,
-	// yielded, or exited. Anything else leaves the CPU wedged.
+	// The continuation must have either started a new burst, blocked, or
+	// exited. Anything else leaves the CPU wedged.
 	if t.state == ThreadRunning && t.burstEv == (sim.Timer{}) {
 		panic(fmt.Sprintf("kernel: thread %q continuation neither blocked nor ran", t.Name))
 	}
@@ -170,18 +170,6 @@ func (t *Thread) Exit() {
 	cpu := t.detach()
 	t.state = ThreadDead
 	t.class.Descheduled(t, cpu)
-}
-
-// Yield releases the CPU but stays runnable (sched_yield).
-func (t *Thread) Yield(resume func()) {
-	if t.state != ThreadRunning || t.cpu == nil {
-		panic(fmt.Sprintf("kernel: Yield on %s thread %q", t.state, t.Name))
-	}
-	t.cont = resume
-	cpu := t.detach()
-	t.state = ThreadRunnable
-	t.waitingSince = t.m.Eng.Now()
-	t.class.Yielded(t, cpu)
 }
 
 // Wake makes a blocked thread runnable. Waking a runnable/running thread is

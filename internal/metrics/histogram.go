@@ -22,11 +22,6 @@ type Histogram struct {
 	sum    float64
 	min    int64
 	max    int64
-	// resets counts Reset calls. Readers that keep a baseline across
-	// reads (HistogramWindow, the obs sampler) rebase when it moves: the
-	// count alone cannot tell a reset from quiet once enough new samples
-	// follow the reset.
-	resets uint64
 }
 
 const (
@@ -104,11 +99,6 @@ func (h *Histogram) Max() int64 {
 	}
 	return h.max
 }
-
-// Resets reports how many times Reset has been called. Together with
-// Count it identifies the histogram's contents: while neither moves, every
-// derived statistic is unchanged.
-func (h *Histogram) Resets() uint64 { return h.resets }
 
 // span returns the occupied bucket range [lo, hi] of a non-empty
 // histogram: min and max are exact, so every non-zero bucket lies between
@@ -202,18 +192,6 @@ func (h *Histogram) Merge(other *Histogram) {
 			h.max = other.max
 		}
 	}
-}
-
-// Reset clears the histogram for reuse across warmup/measure windows.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.count = 0
-	h.sum = 0
-	h.min = math.MaxInt64
-	h.max = 0
-	h.resets++
 }
 
 // String summarizes the distribution in microseconds.

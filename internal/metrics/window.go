@@ -22,16 +22,12 @@ type HistogramWindow struct {
 	// outside every span walked so far are zero in both prev and h.
 	prev      []uint64
 	prevCount uint64
-	// resets is h.resets as of the previous Advance: when it moves, the
-	// histogram was Reset under us and the baseline restarts from zero
-	// instead of underflowing the bucket diffs.
-	resets uint64
 }
 
 // NewHistogramWindow tracks h; the first Advance covers everything
 // recorded so far.
 func NewHistogramWindow(h *Histogram) *HistogramWindow {
-	return &HistogramWindow{h: h, prev: make([]uint64, bucketCount), resets: h.resets}
+	return &HistogramWindow{h: h, prev: make([]uint64, bucketCount)}
 }
 
 // Advance closes the current interval: it returns the stats of samples
@@ -42,10 +38,6 @@ func NewHistogramWindow(h *Histogram) *HistogramWindow {
 // bound.
 func (w *HistogramWindow) Advance() WindowStats {
 	h := w.h
-	if h.resets != w.resets {
-		clear(w.prev)
-		w.prevCount, w.resets = 0, h.resets
-	}
 	n := h.count - w.prevCount
 	if n == 0 {
 		return WindowStats{}

@@ -28,11 +28,11 @@ type rateReg struct {
 type histReg struct {
 	h                     *metrics.Histogram
 	count, p50, p99, p999 *Series
-	// The histogram's identity (Count, Resets) and percentiles (ns) as of
-	// the last tick that read them; a tick on which the identity has not
-	// moved re-records q without touching a bucket.
-	seenCount, seenResets uint64
-	q                     [3]int64
+	// The histogram's count and percentiles (ns) as of the last tick that
+	// read them: a histogram only grows, so a tick on which the count has
+	// not moved re-records q without touching a bucket.
+	seenCount uint64
+	q         [3]int64
 }
 
 type winReg struct {
@@ -140,8 +140,8 @@ func (sa *Sampler) Sample(at sim.Time) {
 	}
 	for i := range sa.hists {
 		h := &sa.hists[i]
-		if n, r := h.h.Count(), h.h.Resets(); n != h.seenCount || r != h.seenResets {
-			h.seenCount, h.seenResets = n, r
+		if n := h.h.Count(); n != h.seenCount {
+			h.seenCount = n
 			h.h.Percentiles([]float64{50, 99, 99.9}, h.q[:])
 		}
 		h.count.v[j] = float64(h.seenCount)

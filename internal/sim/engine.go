@@ -39,7 +39,7 @@ type Callback func(arg any, u uint64)
 // Event lifecycle states.
 const (
 	statePending  uint8 = iota
-	stateCanceled       // still occupying ready/overflow, swept when next visited
+	stateCanceled       // still occupying ready, swept when next visited
 	stateFree           // recycled into the pool; gen has been bumped
 )
 
@@ -48,7 +48,6 @@ const (
 	locNone uint8 = iota
 	locBucket
 	locReady
-	locOverflow
 )
 
 // Event is one pooled schedule. Every event belongs to the engine's free
@@ -103,7 +102,7 @@ type Engine struct {
 	rng      *rand.Rand
 	fired    uint64
 	canceled uint64
-	live     int // pending events across ready + wheel + overflow
+	live     int // pending events across ready + wheel
 
 	wheel wheel
 
@@ -227,20 +226,12 @@ func (e *Engine) cancelEvent(ev *Event) {
 		e.recycle(ev)
 		return
 	}
-	// locReady / locOverflow entries are swept (and recycled) when
-	// their slice position is next visited; compaction bounds how many
-	// dead entries can pile up meanwhile.
-	switch ev.loc {
-	case locReady:
-		e.deadReady++
-		if e.deadReady > 64 && 2*e.deadReady > len(e.ready)-e.head {
-			e.compactReady()
-		}
-	case locOverflow:
-		e.wheel.deadOverflow++
-		if e.wheel.deadOverflow > 64 && 2*e.wheel.deadOverflow > len(e.wheel.overflow) {
-			e.compactOverflow()
-		}
+	// A locReady entry is swept (and recycled) when its slice position is
+	// next visited; compaction bounds how many dead entries can pile up
+	// meanwhile.
+	e.deadReady++
+	if e.deadReady > 64 && 2*e.deadReady > len(e.ready)-e.head {
+		e.compactReady()
 	}
 }
 
@@ -260,29 +251,6 @@ func (e *Engine) compactReady() {
 	}
 	e.ready = kept
 	e.deadReady = 0
-}
-
-// compactOverflow drops canceled entries from the overflow list and
-// refreshes its conservative minimum.
-func (e *Engine) compactOverflow() {
-	w := &e.wheel
-	kept := w.overflow[:0]
-	w.overflowMin = 0
-	for _, ev := range w.overflow {
-		if ev.state != statePending {
-			e.recycle(ev)
-			continue
-		}
-		if b := bucketOf(ev.at); len(kept) == 0 || b < w.overflowMin {
-			w.overflowMin = b
-		}
-		kept = append(kept, ev)
-	}
-	for i := len(kept); i < len(w.overflow); i++ {
-		w.overflow[i] = nil
-	}
-	w.overflow = kept
-	w.deadOverflow = 0
 }
 
 // alloc takes an event from the pool, or grows it.

@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -108,7 +109,7 @@ type traceRule struct {
 
 // traceDelta draws a delay from ranges chosen to cover every wheel
 // regime: same-bucket ties (0..~1µs), nearby buckets, deep cascade
-// levels, and the overflow list beyond the wheel horizon.
+// levels, and the top level, which only delays of 2^58 ns or more reach.
 func traceDelta(rng *rand.Rand) Time {
 	switch rng.Intn(10) {
 	case 0:
@@ -120,13 +121,13 @@ func traceDelta(rng *rand.Rand) Time {
 	case 7, 8:
 		return Time(rng.Int63n(1 << 40)) // deep cascade levels
 	default:
-		return Time(rng.Int63n(1 << 62)) // beyond the horizon: overflow
+		return Time(rng.Int63n(1 << 62)) // mostly level 6
 	}
 }
 
-// traceClamp bounds child timestamps so chains of overflow-range deltas
-// cannot wrap int64; clamping produces exact ties, which both engines
-// must order identically anyway.
+// traceClamp bounds child timestamps so chains of top-level deltas cannot
+// wrap int64; clamping produces exact ties, which both engines must order
+// identically anyway.
 func traceClamp(now, d Time) Time {
 	const cap = Time(1) << 62
 	at := now + d
@@ -285,10 +286,10 @@ type edgeCase struct {
 }
 
 const (
-	bucketNs = Time(1) << granShift                // one level-0 bucket
-	stride1  = Time(1) << (granShift + bucketBits) // one level-1 bucket
-	stride2  = stride1 << bucketBits               // one level-2 bucket
-	horizon  = Time(1) << (granShift + bucketBits*numLevels)
+	bucketNs = Time(1) << granShift                  // one level-0 bucket
+	stride1  = Time(1) << (granShift + bucketBits)   // one level-1 bucket
+	stride2  = stride1 << bucketBits                 // one level-2 bucket
+	stride6  = Time(1) << (granShift + bucketBits*6) // one level-6 bucket: 2^58 ns
 )
 
 // occupied reports whether the wheel holds anything at level l, slot.
@@ -357,26 +358,25 @@ var edgeCases = []edgeCase{{
 		return ""
 	},
 }, {
-	// Events 1 and 2 sit past the wheel's horizon when they are scheduled
-	// and so go to the overflow list. Event 4, the last thing inside the
-	// horizon, brings the wheel within a revolution of them and schedules
-	// event 0 just before them; nothing has refilled yet when event 0
-	// fires and schedules event 3 at level 0 four slots ahead — a hit that
-	// does not wrap and ends the scan at level 0. overflowMin lies before
-	// it, so the refill must still come first.
-	name: "overflowMin inside the current level-0 revolution",
+	// The top level: events 1 and 2 tied at 2^62 ns, event 3 at 2^58 ns
+	// (level 6's first stride) and event 4 at math.MaxInt64, every one of
+	// them filed at level 6 from time zero; event 0 schedules event 5 one
+	// nanosecond before 2^58, into level 5's last slot. Each cascades down
+	// through every level below before it fires.
+	name: "level-6 events, the last Time among them, beside level 5's last slot",
 	events: []scriptEvent{
-		{at: horizon + bucketNs, spawn: []int{3}},
-		{at: horizon + 3*bucketNs},
-		{at: horizon + 3*bucketNs + 1},
-		{at: horizon + 5*bucketNs},
-		{at: horizon - 10*bucketNs, spawn: []int{0}},
+		{at: 5 * bucketNs, spawn: []int{5}},
+		{at: 1 << 62},
+		{at: 1 << 62},
+		{at: stride6},
+		{at: math.MaxInt64},
+		{at: stride6 - 1},
 	},
-	roots: []int{1, 2, 4},
-	want:  []int{4, 0, 1, 2, 3},
+	roots: []int{1, 3, 4, 2, 0},
+	want:  []int{0, 5, 3, 1, 2, 4},
 	inspect: func(e *Engine) string {
-		if len(e.wheel.overflow) == 0 || e.wheel.overflowMin > bucketOf(horizon+3*bucketNs) || !occupied(e, 0, 5) {
-			return "want events 1 and 2 still in overflow and event 3 at level 0 slot 5"
+		if !occupied(e, 6, 1) || !occupied(e, 6, 16) || !occupied(e, 6, 31) || !occupied(e, 5, 255) {
+			return "want events at level 6 slots 1, 16 and 31 and event 5 at level 5 slot 255"
 		}
 		return ""
 	},
@@ -492,5 +492,35 @@ func TestDifferentialFIFOBurst(t *testing.T) {
 		if gotW[i] != gotR[i] {
 			t.Fatalf("FIFO burst order diverges at %d: wheel %d ref %d", i, gotW[i], gotR[i])
 		}
+	}
+}
+
+// TestScheduleAtTheEndOfTime: events at math.MaxInt64, 2^62 and 2^58 ± 1 ns,
+// scheduled beside near ones and duplicated, fire in the heap reference's
+// order, and the clock ends on the last Time there is.
+func TestScheduleAtTheEndOfTime(t *testing.T) {
+	times := []Time{math.MaxInt64, 1 << 62, stride6 - 1, stride6, stride6 + 1, 0, 1, bucketNs, stride1,
+		math.MaxInt64, stride6, 1 << 62, 3, math.MaxInt64 - 1}
+	eng := New(1)
+	ref := &refEngine{}
+	var gotW, gotR []int
+	fire := func(_ any, u uint64) { gotW = append(gotW, int(u)) }
+	for i, at := range times {
+		eng.CallAt(at, fire, nil, uint64(i))
+		ref.at(at, func() { gotR = append(gotR, i) })
+	}
+	// A near event scheduled after the clock has moved, while the far ones
+	// wait at the top level.
+	eng.RunUntil(stride1)
+	ref.runUntil(stride1)
+	eng.CallAt(stride1+5, fire, nil, uint64(len(times)))
+	ref.at(stride1+5, func() { gotR = append(gotR, len(times)) })
+	eng.Run()
+	ref.run()
+	if fmt.Sprint(gotW) != fmt.Sprint(gotR) {
+		t.Fatalf("wheel fired %v, heap reference %v", gotW, gotR)
+	}
+	if len(gotW) != len(times)+1 || eng.Now() != math.MaxInt64 || eng.Pending() != 0 {
+		t.Fatalf("fired %d of %d, clock %d, %d pending; want all, math.MaxInt64, none", len(gotW), len(times)+1, eng.Now(), eng.Pending())
 	}
 }

@@ -3,13 +3,14 @@ package sim
 import "math/bits"
 
 // The engine's pending-event store is a Varghese–Lauck hierarchical timer
-// wheel: a near wheel of fixed-width buckets plus overflow levels whose
+// wheel: a near wheel of fixed-width buckets plus higher levels whose
 // buckets each cover one full revolution of the level below and cascade
-// into it on rollover. Scheduling is O(1); finding the next non-empty
-// bucket is a bitmap scan. Within a bucket events are kept unordered and
-// sorted by (at, seq) only when the bucket is spliced, which preserves the
-// engine's exact global FIFO tie-break while keeping the hot path free of
-// comparisons. See DESIGN.md "Event engine internals".
+// into it on rollover. Seven levels cover every Time there is. Scheduling
+// is O(1); finding the next non-empty bucket is a bitmap scan. Within a
+// bucket events are kept unordered and sorted by (at, seq) only when the
+// bucket is spliced, which preserves the engine's exact global FIFO
+// tie-break while keeping the hot path free of comparisons. See DESIGN.md
+// "Event engine internals".
 const (
 	// bucketBits is log2 of the per-level bucket count.
 	bucketBits  = 8
@@ -21,9 +22,11 @@ const (
 	// cost constants (0.3–1.6 µs) so hot events land at level 0.
 	granShift = 10
 
-	// numLevels gives a total horizon of 2^(10+8·6) ns ≈ 9 simulated
-	// years; anything farther sits in the overflow list.
-	numLevels = 6
+	// numLevels gives a total horizon of 2^(10+8·7) = 2^66 ns, past
+	// math.MaxInt64: a Time's level-0 bucket index has 53 bits, so at the
+	// top level it is a slot below 32, which every base reaches without
+	// wrapping.
+	numLevels = 7
 
 	occWords = bucketCount / 64
 )
@@ -37,15 +40,6 @@ type wheel struct {
 	base    int64
 	buckets [numLevels][bucketCount]*Event
 	occ     [numLevels][occWords]uint64
-
-	// overflow holds events beyond the top level's range. overflowMin
-	// is a conservative lower bound (in level-0 bucket units) on the
-	// earliest event in it, kept so advance() never jumps past it.
-	overflow    []*Event
-	overflowMin int64
-	// deadOverflow counts lazily-canceled events still in overflow;
-	// compactOverflow reclaims them if they pile up before a refill.
-	deadOverflow int
 }
 
 // bucketOf maps a timestamp to its absolute level-0 bucket index.
@@ -66,7 +60,7 @@ func (e *Engine) place(ev *Event) {
 // wheelInsert files ev (bucket index b > base) at the lowest level whose
 // current revolution covers it. Level l bucket width is 2^(granShift +
 // bucketBits·l); an event within 2^(bucketBits·(l+1)) level-0 buckets of
-// base fits at level l or below.
+// base fits at level l or below, and the top level covers every Time.
 func (e *Engine) wheelInsert(ev *Event, b int64) {
 	w := &e.wheel
 	for l := 0; l < numLevels; l++ {
@@ -84,11 +78,7 @@ func (e *Engine) wheelInsert(ev *Event, b int64) {
 			return
 		}
 	}
-	ev.loc = locOverflow
-	if len(w.overflow) == 0 || b < w.overflowMin {
-		w.overflowMin = b
-	}
-	w.overflow = append(w.overflow, ev)
+	panic("sim: event beyond the wheel's top level")
 }
 
 // wheelUnlink removes a queued event from its bucket chain (eager path
@@ -141,10 +131,10 @@ func (w *wheel) nextOcc(l, pos int) (slot int, ok bool) {
 
 // advance jumps the wheel to the next occupied bucket position and drains
 // it. It performs one step — splice/cascade the buckets at the earliest
-// occupied position, or refill from overflow — and reports whether it made
-// progress (false means no pending events remain anywhere in the wheel).
-// Callers loop: after a cascade or refill the ready queue may or may not
-// have gained events, so they re-check and call advance again.
+// occupied position — and reports whether it made progress (false means no
+// pending events remain anywhere in the wheel). Callers loop: after a
+// cascade the ready queue may or may not have gained events, so they
+// re-check and call advance again.
 //
 // Invariant maintained here and relied on by peek(): after advance
 // returns, no occupied bucket (at any level) has an absolute position
@@ -177,9 +167,6 @@ func (e *Engine) advance() bool {
 			top = l
 			break
 		}
-	}
-	if len(w.overflow) > 0 && (bestAbs < 0 || w.overflowMin <= bestAbs) {
-		return e.refillOverflow(bestAbs)
 	}
 	if bestAbs < 0 {
 		return false
@@ -227,49 +214,6 @@ func (e *Engine) advance() bool {
 			e.place(ev)
 			ev = next
 		}
-	}
-	return true
-}
-
-// refillOverflow re-files overflow events into the wheel (sweeping
-// canceled ones), jumping the base toward the earliest of them. Rare: only
-// schedules farther than the top level's range land here. bestAbs is the
-// earliest occupied wheel position (-1 if none); the base jump is clamped
-// strictly below it so a still-occupied bucket is never stranded behind
-// the base where the scan cannot find it. Always reports progress: events
-// left the overflow, moved into the wheel, or the overflow emptied.
-func (e *Engine) refillOverflow(bestAbs int64) bool {
-	w := &e.wheel
-	pending := w.overflow[:0]
-	minB := int64(-1)
-	for _, ev := range w.overflow {
-		if ev.state != statePending {
-			e.recycle(ev)
-			continue
-		}
-		if b := bucketOf(ev.at); minB < 0 || b < minB {
-			minB = b
-		}
-		pending = append(pending, ev)
-	}
-	w.deadOverflow = 0
-	if len(pending) == 0 {
-		w.overflow = w.overflow[:0]
-		w.overflowMin = 0
-		return true
-	}
-	target := minB
-	if bestAbs >= 0 && minB >= bestAbs {
-		target = bestAbs - 1
-	}
-	if target > w.base {
-		w.base = target
-	}
-	w.overflow = nil // place may re-append events still out of range
-	w.overflowMin = 0
-	for _, ev := range pending {
-		ev.loc = locNone
-		e.place(ev)
 	}
 	return true
 }

@@ -11,7 +11,6 @@
 package storage
 
 import (
-	"syrup/internal/ebpf"
 	"syrup/internal/hook"
 	"syrup/internal/metrics"
 	"syrup/internal/policy"
@@ -145,13 +144,9 @@ func NewDevice(h *hook.Host, cfg Config) *Device {
 	return d
 }
 
-// SetPolicy installs the submit-hook program (nil clears), attaching/
-// replacing/detaching through the hook point. The verdict is a queue
-// index, PASS (default LBA striping), or DROP (admission reject).
-func (d *Device) SetPolicy(p *ebpf.Program) { d.submit.Set(p) }
-
-// Submit exposes the device's submit hook point; syrupd attaches through
-// it.
+// SubmitHook exposes the device's submit hook point; syrupd attaches
+// through it. A program's verdict is a queue index, PASS (default LBA
+// striping), or DROP (admission reject).
 func (d *Device) SubmitHook() *hook.Point { return d.submit }
 
 // Submit runs the policy and, if admitted, enqueues the IO. It reports

@@ -76,7 +76,7 @@ func TestTokenPolicyGatesIOSubmissions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetPolicy(prog)
+	d.SubmitHook().Set(prog)
 	tokens := maps["tokens"]
 	tokens.UpdateUint64(7, 3) // tenant 7 may issue 3 IOs
 
@@ -141,7 +141,7 @@ pass:
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetPolicy(prog)
+	d.SubmitHook().Set(prog)
 	for i := 0; i < 6; i++ {
 		d.Submit(&Request{ID: uint64(i), Kind: Write, LBA: uint64(i)})
 	}
@@ -180,7 +180,7 @@ func TestReflexStyleQoS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d.SetPolicy(prog)
+			d.SubmitHook().Set(prog)
 			tokens = maps["tokens"]
 			// Tenant 0 (reads) effectively unthrottled; tenant 1 (writes)
 			// capped at 200 IOPS via periodic refills.

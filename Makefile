@@ -30,7 +30,8 @@ test:
 # tests (~15 s); the rest of that package takes ~9 min under -race and
 # drives only what the first line covers. The zero-alloc gates
 # (TestZeroAlloc*) run here and again under test: a device-owned free list
-# keeps every packet put back, race detector or not, and the workload
+# keeps every packet put back, race detector or not, the RocksDB store
+# answers Get and Scan from its key count (TestZeroAllocStore), and the workload
 # generator's request table settles an answered request
 # (TestZeroAllocSendComplete) and a dropped one (TestZeroAllocLossyRun)
 # without allocating.

@@ -66,7 +66,8 @@ const (
 	// ≈450 K RPS in Fig. 2).
 	recvOverhead = 1250 * sim.Nanosecond
 	sendOverhead = 1250 * sim.Nanosecond
-	// keySpace bounds the preloaded keys touched by real operations.
+	// keySpace is the server's preloaded key count: a request's key is
+	// Key(keyHash % keySpace).
 	keySpace = 10_000
 )
 
@@ -89,11 +90,6 @@ type Server struct {
 	Malformed uint64
 
 	warmFlows [][]uint64 // per-thread LRU of recently served flows
-	keyTable  []string   // precomputed canonical keys, indexed by keyHash % keySpace
-	// scanBuf is the one buffer every worker's SCAN fills and drops: the
-	// result is never read, and a buffer per server rather than per
-	// worker keeps a 36-thread server's heap flat.
-	scanBuf []KV
 }
 
 // Dropped is every request the server dropped: the malformed ones.
@@ -110,11 +106,7 @@ func NewServer(eng *sim.Engine, m *kernel.Machine, stack *netstack.Stack, cfg Co
 		cfg.Service = DefaultServiceModel
 	}
 	s := &Server{cfg: cfg, eng: eng, store: NewStore(), warmFlows: make([][]uint64, cfg.NumThreads)}
-	// Rendering "key-%08d" per request would dominate the serve path's
-	// allocations; the key space is small and fixed, so render it once, and
-	// preload the store with the very same strings.
-	s.keyTable = renderKeys(keySpace)
-	s.store.preload(s.keyTable)
+	s.store.Preload(keySpace)
 	for i := 0; i < cfg.NumThreads; i++ {
 		i := i
 		sock, idx := stack.NewUDPSocket(cfg.Port, cfg.App, fmt.Sprintf("rocksdb-w%d", i))
@@ -196,7 +188,7 @@ type worker struct {
 }
 
 // workerLoop is the per-thread serve loop: recv → mark type → burn the
-// service time → perform the real storage op → reply → repeat.
+// service time → perform the storage op → reply → repeat.
 func (s *Server) workerLoop(th *kernel.Thread, slot int) {
 	w := &worker{s: s, th: th, slot: slot, sock: s.sockets[slot]}
 	w.wake = func() { th.Wake() }
@@ -259,18 +251,18 @@ func (s *Server) serve(w *worker, pkt *nic.Packet, wasBlocked bool) {
 	th.Exec(total, w.opCont)
 }
 
-// finishOp performs the real storage operation for the parked request
+// finishOp performs the storage operation for the parked request
 // (virtual time already charged by serve) and completes it.
 func (w *worker) finishOp() {
 	s, slot, pkt := w.s, w.slot, w.pkt
 	w.pkt = nil
-	key := s.keyTable[int(w.keyHash)%keySpace]
+	key := int(w.keyHash % keySpace)
 	switch w.reqType {
 	case policy.ReqSCAN:
-		s.scanBuf = s.store.AppendScan(s.scanBuf[:0], key, 100)
+		s.store.scan(key, 100)
 		s.ProcessedSCAN++
 	default:
-		s.store.Get(key)
+		s.store.get(key)
 		s.ProcessedGET++
 	}
 	if s.cfg.ScanState != nil {

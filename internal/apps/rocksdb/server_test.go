@@ -1,10 +1,9 @@
 package rocksdb
 
 import (
-	"strconv"
-	"strings"
+	"math/rand/v2"
+	"runtime"
 	"testing"
-	"unsafe"
 
 	"syrup/internal/ebpf"
 	"syrup/internal/hook"
@@ -62,23 +61,56 @@ func TestServerServesGets(t *testing.T) {
 	}
 }
 
-// TestServerSharesKeysWithStore: the server renders its key space once; the
-// key it looks a request up by is the very string its store holds, and the
-// store's keys are the server's key table itself, not a copy of it.
-func TestServerSharesKeysWithStore(t *testing.T) {
-	eng, m, _, stack := testHost(t, 1, 1)
-	srv := NewServer(eng, m, stack, Config{Port: 9000, App: 1, NumThreads: 1})
-	if len(srv.keyTable) != keySpace || len(srv.store.keys) != keySpace {
-		t.Fatalf("%d keys in the table, %d in the store, want %d", len(srv.keyTable), len(srv.store.keys), keySpace)
+// TestServerHoldsNoKeySpace: a server's store is its key count, so building
+// a 6-thread server allocates its threads, sockets and flow sets and
+// nothing per key.
+func TestServerHoldsNoKeySpace(t *testing.T) {
+	eng, m, _, stack := testHost(t, 6, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	srv := NewServer(eng, m, stack, Config{Port: 9000, App: 1, NumThreads: 6})
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("NewServer at 6 threads allocated %d bytes, want < %d", got, 64<<10)
 	}
-	if keys := srv.store.keys; unsafe.SliceData(keys) != unsafe.SliceData(srv.keyTable) {
-		t.Fatalf("the store holds its %d keys in its own array, not the server's %d-key table", len(keys), len(srv.keyTable))
+	if lo, hi := srv.Store().Scan("", keySpace+1); lo != 0 || hi != keySpace {
+		t.Fatalf("the store covers [%d, %d), want [0, %d)", lo, hi, keySpace)
 	}
-	for _, kv := range srv.store.Scan("", keySpace) {
-		i, err := strconv.Atoi(strings.TrimPrefix(kv.Key, "key-"))
-		if err != nil || unsafe.StringData(kv.Key) != unsafe.StringData(srv.keyTable[i]) {
-			t.Fatalf("store key %q is not the server's key-table string", kv.Key)
+}
+
+// TestServerStoreCounters: over a seeded mix of GETs and SCANs whose keys
+// reach the end of the key space, the store counts every GET found, none
+// missed, one SCAN per SCAN served, and each SCAN's min(100, keySpace −
+// start) entries.
+func TestServerStoreCounters(t *testing.T) {
+	eng, m, dev, stack := testHost(t, 2, 1)
+	srv := NewServer(eng, m, stack, Config{Port: 9000, App: 1, NumThreads: 2})
+	srv.Start()
+	eng.Run()
+	rng := rand.New(rand.NewPCG(5, 45))
+	var scans, scanned uint64
+	for i := range 400 {
+		keyHash := rng.Uint32()
+		if i%4 == 0 {
+			keyHash = uint32(keySpace*rng.IntN(1000) + keySpace - 1 - rng.IntN(150)) // near the end
 		}
+		reqType := policy.ReqGET
+		if rng.IntN(5) == 0 {
+			reqType = policy.ReqSCAN
+			scans++
+			scanned += uint64(min(100, keySpace-int(keyHash%keySpace)))
+		}
+		dev.Receive(reqPacket(uint64(i), 9000, reqType, keyHash, uint16(1000+i%64)))
+		eng.RunUntil(eng.Now() + 50*sim.Microsecond)
+	}
+	eng.Run()
+	st := srv.Store()
+	if srv.ProcessedGET+srv.ProcessedSCAN != 400 || srv.ProcessedSCAN != scans {
+		t.Fatalf("served %d GETs and %d SCANs, want %d and %d", srv.ProcessedGET, srv.ProcessedSCAN, 400-scans, scans)
+	}
+	if st.Gets != srv.ProcessedGET || st.Misses != 0 || st.Scans != scans || st.Scanned != scanned {
+		t.Fatalf("store counts %d gets, %d misses, %d scans over %d entries; want %d, 0, %d over %d",
+			st.Gets, st.Misses, st.Scans, st.Scanned, srv.ProcessedGET, scans, scanned)
 	}
 }
 

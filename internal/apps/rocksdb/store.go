@@ -1,53 +1,57 @@
 // Package rocksdb provides the RocksDB-like key-value server the paper's
-// §5.2/§5.3 experiments run: a store over a preloaded key space, answering
-// GETs by position and SCANs by one search and a slice walk, plus the
+// §5.2/§5.3 experiments run: a store that is its key count, answering a
+// GET by position and a SCAN by one bound and a min, plus the
 // multi-threaded SO_REUSEPORT UDP server model whose scheduling Syrup
 // policies control.
 //
-// The store does real work per request; the simulation charges the paper's
-// measured service times in virtual time (GET 10–12 µs, SCAN ≈ 700 µs),
-// since wall-clock cost of our Go store is not the paper's hardware.
+// The simulation charges the paper's measured service times in virtual
+// time (GET 10–12 µs, SCAN ≈ 700 µs), since wall-clock cost of our Go store
+// is not the paper's hardware, and the server never reads what its store
+// returns. So the store renders and keeps no key or value: key i's value is
+// i, and the store counts the work it is asked for.
 package rocksdb
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 )
 
-// Store is the preloaded key space: Key(0) … Key(n-1) in order, each with
-// its value. The experiments send only GETs and SCANs, so nothing writes
-// it after Preload. It belongs to the server of one host and takes no lock
-// (DESIGN.md "One owner per host").
+// Store is the preloaded key space Key(0) … Key(n-1), key i holding the
+// value i: n and the store's counters, nothing per key. The experiments
+// send only GETs and SCANs, so nothing writes it after Preload. It belongs
+// to the server of one host and takes no lock (DESIGN.md "One owner per
+// host").
 type Store struct {
-	// keys and values are what Preload loaded: the rendered strings
-	// themselves, sorted by key. Get finds a key by position (baseIndex),
-	// not by search.
-	keys, values []string
+	n      int
+	loaded bool
 
-	// Stats.
-	Gets, Scans uint64
+	// Gets and Misses count the GETs that found their key and the ones
+	// that did not; Scans counts the SCANs and Scanned the entries they
+	// covered.
+	Gets, Misses, Scans, Scanned uint64
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store { return &Store{} }
 
-// Get returns the value for key: the position baseIndex reads off the key,
-// confirmed by one compare.
-func (s *Store) Get(key string) (string, bool) {
-	s.Gets++
-	if i := baseIndex(key); i < len(s.keys) && s.keys[i] == key {
-		return s.values[i], true
+// Get returns key's value, its position: the one baseIndex reads off it.
+func (s *Store) Get(key string) (int, bool) { return s.get(baseIndex(key)) }
+
+// get is Get by position.
+func (s *Store) get(i int) (int, bool) {
+	if i < s.n {
+		s.Gets++
+		return i, true
 	}
-	return "", false
+	s.Misses++
+	return 0, false
 }
 
 // baseIndex inverts Key over its 12-byte form "key-DDDDDDDD": the position
-// the key holds in a store of Key(0) … Key(n-1) if it is there at all. Any
-// other string gets a position no store reaches; the store holds no other
-// strings (Preload keeps n ≤ 1e8). Get still confirms the position with one
-// compare, so it is exact whatever keys preload was handed.
+// the key holds in a store of Key(0) … Key(n-1) if it is there at all. The
+// inverse is exact, since Key(i) is that form for every i < 1e8 and Preload
+// keeps n ≤ 1e8; any other string gets a position no store reaches.
 func baseIndex(key string) int {
 	if len(key) != 12 || key[:4] != "key-" {
 		return math.MaxInt
@@ -63,60 +67,42 @@ func baseIndex(key string) int {
 	return i
 }
 
-// Scan returns up to limit key/value pairs with key >= start, in key
-// order.
-func (s *Store) Scan(start string, limit int) []KV { return s.AppendScan(nil, start, limit) }
+// Scan covers up to limit keys from the first key >= start, in key order,
+// and returns the positions [lo, hi) it covered, which are their values.
+func (s *Store) Scan(start string, limit int) (lo, hi int) {
+	return s.scan(s.lowerBound(start), limit)
+}
 
-// AppendScan is Scan appending to dst: a caller that scans into a buffer
-// it keeps allocates nothing once the buffer has grown to limit.
-func (s *Store) AppendScan(dst []KV, start string, limit int) []KV {
+// scan is Scan from position lo ≤ n.
+func (s *Store) scan(lo, limit int) (int, int) {
+	hi := lo + max(0, min(limit, s.n-lo))
 	s.Scans++
-	i := sort.SearchStrings(s.keys, start)
-	n := min(limit, len(s.keys)-i)
-	if n <= 0 {
-		return dst
-	}
-	if cap(dst)-len(dst) < n {
-		dst = append(make([]KV, 0, len(dst)+n), dst...)
-	}
-	for j := i; j < i+n; j++ {
-		dst = append(dst, KV{Key: s.keys[j], Value: s.values[j]})
-	}
-	return dst
+	s.Scanned += uint64(hi - lo)
+	return lo, hi
 }
 
-// KV is one scan result entry.
-type KV struct {
-	Key, Value string
+// lowerBound is the position of the first key >= start: a binary search
+// that renders each probe into a buffer on the stack.
+func (s *Store) lowerBound(start string) int {
+	var buf [12]byte
+	return sort.Search(s.n, func(i int) bool { return string(appendKey(buf[:0], i)) >= start })
 }
 
-// Preload bulk-loads the n sequential keys Key(i) → "value-<i>" into an
-// empty store, so GETs and SCANs have data to touch. The keys are rendered
-// into one string and the values into another, each sliced per entry, and
-// those slices are the store's arrays: a preload allocates a few times, not
-// per key. Preload panics on a store that already holds a key space.
-func (s *Store) Preload(n int) { s.preload(renderKeys(n)) }
-
-// preload is Preload over keys already rendered: the store keeps the very
-// slice it is given, so a server that looks keys up by renderKeys(n)
-// shares it with its store instead of holding a second copy.
-func (s *Store) preload(keys []string) {
-	if s.keys != nil {
+// Preload loads the n sequential keys Key(0) … Key(n-1) into an empty
+// store: it records n. Preload panics on a store that already holds a key
+// space.
+func (s *Store) Preload(n int) {
+	if s.loaded {
 		panic("rocksdb: Preload into a store that already holds data")
 	}
-	if len(keys) > 1e8 {
+	if n > 1e8 {
 		panic("rocksdb: Preload of more than 1e8 keys") // Key(1e8) leaves the 12-byte form
 	}
-	s.keys, s.values = keys, render(len(keys), 6+len(strconv.Itoa(len(keys))), func(b []byte, i int) []byte {
-		return strconv.AppendInt(append(b, "value-"...), int64(i), 10)
-	})
+	s.n, s.loaded = n, true
 }
 
 // Key renders the canonical preloaded key for index i, "key-%08d".
 func Key(i int) string { return string(appendKey(make([]byte, 0, 12), i)) }
-
-// renderKeys renders Key(0) … Key(n-1) into one string, sliced per key.
-func renderKeys(n int) []string { return render(n, 12, appendKey) }
 
 // appendKey appends Key(i) to b; the common range skips fmt.
 func appendKey(b []byte, i int) []byte {
@@ -128,23 +114,4 @@ func appendKey(b []byte, i int) []byte {
 		b[j] = byte('0' + i%10)
 	}
 	return b
-}
-
-// render appends the renderings of 0 … n-1 (about width bytes each) to
-// one buffer, converts it to a string once and returns that string sliced
-// per index: n strings in four allocations.
-func render(n, width int, appendTo func([]byte, int) []byte) []string {
-	buf := make([]byte, 0, n*width)
-	ends := make([]int, n)
-	for i := range ends {
-		buf = appendTo(buf, i)
-		ends[i] = len(buf)
-	}
-	all := string(buf)
-	out := make([]string, n)
-	lo := 0
-	for i, hi := range ends {
-		out[i], lo = all[lo:hi], hi
-	}
-	return out
 }

@@ -17,75 +17,78 @@ func TestKeyFormat(t *testing.T) {
 			t.Errorf("Key(%d) = %q, want %q", i, got, want)
 		}
 	}
-	for i, k := range renderKeys(12_345) {
-		if k != Key(i) {
-			t.Fatalf("renderKeys[%d] = %q, want %q", i, k, Key(i))
-		}
-	}
 }
 
-// TestPreloadAndLen: Preload loads exactly the n keys Key(i) → "value-<i>",
-// in a handful of allocations, none per key.
+// TestPreloadAndLen: Preload loads exactly the n keys Key(i) → i, and
+// allocates nothing per key: a new store and its preload allocate once, for
+// the store.
 func TestPreloadAndLen(t *testing.T) {
 	s := NewStore()
 	s.Preload(500)
-	all := s.Scan("", pastLen)
-	if len(all) != 500 {
-		t.Fatalf("the store holds %d keys, want 500", len(all))
-	}
-	for i, kv := range all {
-		if want := (KV{Key(i), fmt.Sprintf("value-%d", i)}); kv != want {
-			t.Fatalf("entry %d = %v, want %v", i, kv, want)
-		}
+	if lo, hi := s.Scan("", pastLen); lo != 0 || hi != 500 {
+		t.Fatalf("a full scan covers [%d, %d), want [0, 500)", lo, hi)
 	}
 	for _, i := range []int{0, 7, 499} {
-		if v, ok := s.Get(Key(i)); !ok || v != fmt.Sprintf("value-%d", i) {
-			t.Fatalf("Get(%s) = %q, %v", Key(i), v, ok)
+		if v, ok := s.Get(Key(i)); !ok || v != i {
+			t.Fatalf("Get(%s) = %d, %v", Key(i), v, ok)
 		}
 	}
-	if allocs := testing.AllocsPerRun(3, func() { NewStore().Preload(10_000) }); allocs > 10 {
-		t.Fatalf("Preload(10000): %v allocs, want no more than 10", allocs)
+	if v, ok := s.Get(Key(500)); ok {
+		t.Fatalf("Get(%s) = %d, found past the key space", Key(500), v)
+	}
+	if allocs := testing.AllocsPerRun(3, func() { NewStore().Preload(10_000) }); allocs > 1 {
+		t.Fatalf("NewStore().Preload(10000): %v allocs, want no more than 1", allocs)
 	}
 }
 
-// oracle is the key space Preload(n) must build, written the plain way: a
-// map for Get, and its keys sorted for a Scan that walks them from the top.
+// oracle is the key space Preload(n) must hold, written the plain way: a
+// map from each key to its value for Get, and the keys sorted for a Scan
+// that walks them from the top and returns the positions it covered. It
+// counts what the store must count.
 type oracle struct {
-	m    map[string]string
+	m    map[string]int
 	keys []string
+
+	gets, misses, scans, scanned uint64
 }
 
 func newOracle(n int) *oracle {
-	o := &oracle{m: make(map[string]string, n)}
+	o := &oracle{m: make(map[string]int, n)}
 	for i := range n {
 		k := fmt.Sprintf("key-%08d", i)
-		o.m[k] = fmt.Sprintf("value-%d", i)
+		o.m[k] = i
 		o.keys = append(o.keys, k)
 	}
 	sort.Strings(o.keys)
 	return o
 }
 
-func (o *oracle) Get(key string) (string, bool) {
+func (o *oracle) Get(key string) (int, bool) {
 	v, ok := o.m[key]
+	if ok {
+		o.gets++
+	} else {
+		o.misses++
+	}
 	return v, ok
 }
 
-func (o *oracle) Scan(start string, limit int) []KV {
-	var out []KV
-	for _, k := range o.keys {
-		if len(out) >= limit {
-			break
-		}
-		if k >= start {
-			out = append(out, KV{Key: k, Value: o.m[k]})
+func (o *oracle) Scan(start string, limit int) (lo, hi int) {
+	for lo < len(o.keys) && o.keys[lo] < start {
+		lo++
+	}
+	for hi = lo; hi < len(o.keys) && hi-lo < limit; hi++ {
+		if o.m[o.keys[hi]] != hi {
+			panic("oracle: the key at a scan position does not hold that position as its value")
 		}
 	}
-	return out
+	o.scans++
+	o.scanned += uint64(hi - lo)
+	return lo, hi
 }
 
 // storePair drives a store preloaded with n keys and the oracle for n with
-// the same reads and compares every answer.
+// the same reads and compares every answer and, after it, every counter.
 type storePair struct {
 	t testing.TB
 	s *Store
@@ -103,29 +106,36 @@ func (p *storePair) get(k string) {
 	gv, gok := p.s.Get(k)
 	wv, wok := p.o.Get(k)
 	if gv != wv || gok != wok {
-		p.t.Fatalf("Get(%q) = %q,%v; oracle %q,%v", k, gv, gok, wv, wok)
+		p.t.Fatalf("Get(%q) = %d,%v; oracle %d,%v", k, gv, gok, wv, wok)
 	}
+	p.counters()
 }
 
 func (p *storePair) scan(start string, limit int) {
 	p.t.Helper()
-	got, want := p.s.Scan(start, limit), p.o.Scan(start, limit)
-	if len(got) != len(want) {
-		p.t.Fatalf("Scan(%q, %d) returned %d entries; oracle %d", start, limit, len(got), len(want))
+	glo, ghi := p.s.Scan(start, limit)
+	wlo, whi := p.o.Scan(start, limit)
+	if glo != wlo || ghi != whi {
+		p.t.Fatalf("Scan(%q, %d) = [%d, %d); oracle [%d, %d)", start, limit, glo, ghi, wlo, whi)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			p.t.Fatalf("Scan(%q, %d)[%d] = %v; oracle %v", start, limit, i, got[i], want[i])
-		}
+	p.counters()
+}
+
+func (p *storePair) counters() {
+	p.t.Helper()
+	s, o := p.s, p.o
+	if s.Gets != o.gets || s.Misses != o.misses || s.Scans != o.scans || s.Scanned != o.scanned {
+		p.t.Fatalf("store counts %d gets, %d misses, %d scans over %d entries; oracle %d, %d, %d over %d",
+			s.Gets, s.Misses, s.Scans, s.Scanned, o.gets, o.misses, o.scans, o.scanned)
 	}
 }
 
 // nearBase lists keys next to a key space of n that it does not hold: just
 // past its end, between its last key and the next, and strings that almost
-// invert to a position (too short, a letter for a digit, a sign, a ninth
-// digit).
+// invert to a position (too short, a letter or the bytes either side of the
+// digits for a digit, a sign, a ninth digit).
 func nearBase(n int) []string {
-	return []string{Key(n), Key(n-1) + "~", "key-0000001", "key-0000000a", Key(-1), Key(1e8)}
+	return []string{Key(n), Key(n-1) + "~", "key-0000001", "key-0000000a", "key-0000000:", "key-0000000/", Key(-1), Key(1e8)}
 }
 
 // pastLen is a scan limit above any store's key count here that still fits
@@ -134,7 +144,7 @@ const pastLen = 1 << 30
 
 // TestPropertyStoreMatchesMap: over preloads of random size, Get agrees
 // with a plain map on keys inside and past the key space, and a full scan
-// returns every key once, in order.
+// covers every key once.
 func TestPropertyStoreMatchesMap(t *testing.T) {
 	f := func(size uint16, probes []uint16) bool {
 		n := int(size) % 3000
@@ -148,16 +158,8 @@ func TestPropertyStoreMatchesMap(t *testing.T) {
 				return false
 			}
 		}
-		scan := s.Scan("", pastLen)
-		if len(scan) != len(oracle) {
-			return false
-		}
-		for i := 1; i < len(scan); i++ {
-			if scan[i-1].Key >= scan[i].Key {
-				return false
-			}
-		}
-		return true
+		lo, hi := s.Scan("", pastLen)
+		return lo == 0 && hi == len(oracle) && s.Scanned == uint64(len(oracle))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -251,7 +253,7 @@ func TestStoreDifferentialRandom(t *testing.T) {
 
 // FuzzStore decodes bytes into a Preload followed by Get and Scan
 // operations, drives the store and the oracle with them and compares every
-// read. The first two bytes are the preload size (mod 12 001); each
+// read and every counter. The first two bytes are the preload size (mod 12 001); each
 // operation is three bytes: kind (low 3 bits) and parameter (high 5), then
 // a 16-bit key argument. Keys are Key(a mod 12 500), reaching past any key
 // space, or, for the top 16 arguments, a key next to it or malformed. Kind
@@ -308,7 +310,10 @@ func TestPreloadOnlyIntoAnEmptyStore(t *testing.T) {
 	}
 }
 
-func TestZeroAllocStoreGet(t *testing.T) {
+// TestZeroAllocStore: Get on keys the store holds, keys past it and
+// malformed keys, and Scan from before, inside and past the keys, allocate
+// nothing.
+func TestZeroAllocStore(t *testing.T) {
 	s := NewStore()
 	s.Preload(10_000)
 	keys := append([]string{Key(9_999), Key(5_000), Key(1), Key(20_000)}, nearBase(10_000)...)
@@ -319,14 +324,13 @@ func TestZeroAllocStoreGet(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Store.Get allocates %.1f times per %d lookups", n, len(keys))
 	}
-	// A Scan allocates its result and nothing else; a warm AppendScan, not
-	// even that.
-	if n := testing.AllocsPerRun(200, func() { s.Scan(keys[2], 100) }); n != 1 {
-		t.Fatalf("Store.Scan allocates %.1f times, want 1 (the result)", n)
-	}
-	buf := s.AppendScan(nil, keys[2], 100)
-	if n := testing.AllocsPerRun(200, func() { buf = s.AppendScan(buf[:0], keys[2], 100) }); n != 0 || len(buf) != 100 {
-		t.Fatalf("warm Store.AppendScan allocates %.1f times for %d entries, want 0 for 100", n, len(buf))
+	starts := append([]string{"", "a", "zzz"}, keys...)
+	if n := testing.AllocsPerRun(200, func() {
+		for _, k := range starts {
+			s.Scan(k, 100)
+		}
+	}); n != 0 {
+		t.Fatalf("Store.Scan allocates %.1f times per %d scans", n, len(starts))
 	}
 }
 

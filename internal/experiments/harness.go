@@ -113,8 +113,9 @@ func finish(workers int, runs ...hostRun) []*workload.Result {
 // conserve panics, naming the host, the equation and its terms, unless the
 // finished run accounted for every request. The host half is
 // Daemon.Conserved; the client half is offered = completed + unanswered,
-// with unanswered no more than the host dropped (Daemon.Dropped) plus what
-// it still holds (Daemon.Held), and the loss identity: every request the
+// with unanswered no more than what the host dropped (Daemon.Dropped), what
+// the app dropped (a PUT sent to RocksDB, say) and what the host still
+// holds (Daemon.Held), and the loss identity: every request the
 // generator saw lost, warm-up included, is one the host or the app dropped,
 // exactly so on a host that served no probes. So a drop site that frees
 // its packet instead of calling Drop fails here. A host with no fault plan
@@ -133,8 +134,8 @@ func conserve(r hostRun, res *workload.Result) {
 	if err == nil && all.Offered != all.Completed+unanswered {
 		err = fmt.Errorf("requests not conserved: offered %d != completed %d + unanswered %d", all.Offered, all.Completed, unanswered)
 	}
-	if err == nil && unanswered > dropped+held {
-		err = fmt.Errorf("requests not conserved: unanswered %d > host dropped %d + held %d", unanswered, dropped, held)
+	if err == nil && unanswered > dropped+appDropped+held {
+		err = fmt.Errorf("requests not conserved: unanswered %d > host dropped %d + app dropped %d + held %d", unanswered, dropped, appDropped, held)
 	}
 	if err == nil && (lost > dropped+appDropped || !r.probed && lost != dropped+appDropped) {
 		err = fmt.Errorf("losses not conserved: client lost %d != host dropped %d + app dropped %d", lost, dropped, appDropped)

@@ -159,7 +159,7 @@ func (c *Cluster) DrawFlows(n int) []workload.Flow {
 	return workload.DrawFlows(n, func() workload.Flow {
 		state = splitmix64(state)
 		return workload.Flow{
-			IP:   0x0a000000 + uint32(state&0xffff),
+			Host: uint16(state),
 			Port: uint16(1024 + (state>>16)%60000),
 		}
 	})

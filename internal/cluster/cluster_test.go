@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"testing"
@@ -156,15 +157,44 @@ func TestSplitPartitionsPool(t *testing.T) {
 	}
 }
 
+// TestSplitRetainsFourBytesPerFlow: what Split's shares keep alive is one
+// array of 4-byte flows — 1.0 MiB for 2^18 of them, where 8-byte {IP, Port}
+// flows held 2.0 MiB. The draw's table and the steering scratch are
+// garbage once Split returns.
+func TestSplitRetainsFourBytesPerFlow(t *testing.T) {
+	c, err := New(Config{Hosts: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	parts := c.Split(workload.Config{Rate: 1, Flows: 1 << 18})
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(parts)
+	runtime.KeepAlive(c)
+	kept := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / (1 << 20)
+	t.Logf("Split of 2^18 flows retains %.3f MiB", kept)
+	if kept > 1.1 {
+		t.Fatalf("Split of 2^18 flows retains %.2f MiB, want <= 1.1", kept)
+	}
+}
+
 // drawClusterFlowsOracle is Cluster.DrawFlows as it was written before the
-// shared draw: a map keyed by the padded struct, probed once per candidate.
+// shared draw: the same draws, deduplicated by a map keyed by the padded
+// 8-byte {IP, Port} struct flows were stored as, probed once per candidate.
 func drawClusterFlowsOracle(seed uint64, n int) []workload.Flow {
+	type legacyFlow struct {
+		IP   uint32
+		Port uint16
+	}
 	state := splitmix64(seed ^ 0x666c6f7773)
-	seen := make(map[workload.Flow]bool, n)
+	seen := make(map[legacyFlow]bool, n)
 	flows := make([]workload.Flow, 0, n)
 	for len(flows) < n {
 		state = splitmix64(state)
-		f := workload.Flow{
+		f := legacyFlow{
 			IP:   0x0a000000 + uint32(state&0xffff),
 			Port: uint16(1024 + (state>>16)%60000),
 		}
@@ -172,7 +202,7 @@ func drawClusterFlowsOracle(seed uint64, n int) []workload.Flow {
 			continue
 		}
 		seen[f] = true
-		flows = append(flows, f)
+		flows = append(flows, workload.Flow{Host: uint16(f.IP), Port: f.Port})
 	}
 	return flows
 }

@@ -140,7 +140,7 @@ func TestScrapeCountersPerHost(t *testing.T) {
 			}
 			for i, f := range share[m.Index].FlowSet {
 				p := probePacket(m, uint64(i), testPort)
-				p.SrcIP, p.SrcPort = f.IP, f.Port
+				p.SrcIP, p.SrcPort = f.IP(), f.Port
 				m.Host.NIC.Receive(p)
 			}
 			m.Host.RunFor(5 * sim.Millisecond)

@@ -14,8 +14,9 @@ import (
 // nanoseconds) in log-linear buckets: values below 64 are exact, larger
 // values use 64 linear sub-buckets per power of two, bounding relative
 // bucketing error by 1/64 (<1.6%) across the whole int64 range — the same
-// trade-off HdrHistogram makes. The zero value is not usable; call
-// NewHistogram.
+// trade-off HdrHistogram makes. A new histogram holds the buckets up to
+// 2^30 ns (about a second) and grows once to the whole range on the first
+// sample past them. The zero value is not usable; call NewHistogram.
 type Histogram struct {
 	counts []uint64
 	count  uint64
@@ -30,11 +31,25 @@ const (
 	// subBuckets buckets after the exact low range, so 64 + 56*64 + 63 =
 	// 3711, bucketIndex(math.MaxInt64), is the largest index.
 	bucketCount = subBuckets + 57*subBuckets
+	// eagerBuckets, bucketIndex(1<<30)+1, is what NewHistogram allocates
+	// (12.5 KiB): the simulated latencies stay far below a second. It is
+	// a constant rather than grown from zero so that a run's histograms
+	// are allocated when they are built, not on their first samples.
+	eagerBuckets = subBuckets + 24*subBuckets + 1
 )
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	return &Histogram{counts: make([]uint64, bucketCount), min: math.MaxInt64}
+	return &Histogram{counts: make([]uint64, eagerBuckets), min: math.MaxInt64}
+}
+
+// grow extends c with zero buckets to length n; it returns c unchanged
+// when c is that long already.
+func grow(c []uint64, n int) []uint64 {
+	if len(c) >= n {
+		return c
+	}
+	return append(c, make([]uint64, n-len(c))...)
 }
 
 // bucketIndex maps a sample to its bucket.
@@ -62,7 +77,11 @@ func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.counts[bucketIndex(v)]++
+	i := bucketIndex(v)
+	if i >= len(h.counts) {
+		h.counts = grow(h.counts, bucketCount)
+	}
+	h.counts[i]++
 	h.count++
 	h.sum += float64(v)
 	if v < h.min {
@@ -179,6 +198,7 @@ func (h *Histogram) Percentile(p float64) int64 {
 
 // Merge adds all samples of other into h.
 func (h *Histogram) Merge(other *Histogram) {
+	h.counts = grow(h.counts, len(other.counts))
 	for i, c := range other.counts {
 		h.counts[i] += c
 	}

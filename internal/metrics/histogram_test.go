@@ -1,8 +1,11 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -128,6 +131,131 @@ func TestMerge(t *testing.T) {
 	}
 	if a.Min() != 0 || a.Max() != 1099 {
 		t.Fatalf("merged min/max = %d/%d", a.Min(), a.Max())
+	}
+}
+
+// fullHistogram is a histogram that holds every bucket of the int64 range
+// from the start, as NewHistogram allocated before it held only those up
+// to 2^30 ns: the reference a growing histogram is held to.
+func fullHistogram(vs ...int64) *Histogram {
+	h := &Histogram{counts: make([]uint64, bucketCount), min: math.MaxInt64}
+	for _, v := range vs {
+		h.Record(v)
+	}
+	return h
+}
+
+// newHistogram is NewHistogram with vs recorded.
+func newHistogram(vs ...int64) *Histogram {
+	h := NewHistogram()
+	for _, v := range vs {
+		h.Record(v)
+	}
+	return h
+}
+
+// sameReads fails unless got and want answer every read alike.
+func sameReads(t *testing.T, what string, got, want *Histogram) {
+	t.Helper()
+	if got.Count() != want.Count() || got.Min() != want.Min() || got.Max() != want.Max() || got.Mean() != want.Mean() {
+		t.Fatalf("%s: count/min/max/mean %d/%d/%d/%v, reference %d/%d/%d/%v", what,
+			got.Count(), got.Min(), got.Max(), got.Mean(), want.Count(), want.Min(), want.Max(), want.Mean())
+	}
+	if g, w := got.Summarize(), want.Summarize(); g != w {
+		t.Fatalf("%s: Summarize = %+v, reference %+v", what, g, w)
+	}
+	ps := []float64{0, 1, 25, 50, 75, 90, 99, 99.9, 100}
+	g, w := make([]int64, len(ps)), make([]int64, len(ps))
+	got.Percentiles(ps, g)
+	want.Percentiles(ps, w)
+	if !slices.Equal(g, w) {
+		t.Fatalf("%s: Percentiles = %v, reference %v", what, g, w)
+	}
+}
+
+// TestGrowthMatchesFullRange: a histogram that starts with the buckets up
+// to 2^30 ns and grows once past them reads exactly like one that held the
+// whole int64 range from the start — samples below, at and above 2^30 and
+// MaxInt64, every Merge direction, and a window advancing across the tick
+// on which the histogram grows.
+func TestGrowthMatchesFullRange(t *testing.T) {
+	if eagerBuckets != bucketIndex(1<<30)+1 || bucketIndex(1<<31) < eagerBuckets {
+		t.Fatalf("eagerBuckets = %d, want bucketIndex(2^30)+1 = %d", eagerBuckets, bucketIndex(1<<30)+1)
+	}
+	h, ref := NewHistogram(), fullHistogram()
+	win, refWin := NewHistogramWindow(h), NewHistogramWindow(ref)
+	ticks := []struct {
+		vs    []int64
+		grown bool
+	}{
+		{[]int64{20_000, 35_000, 1<<30 - 1}, false},
+		{[]int64{1 << 30, 40_000, 1<<30 + 1}, false}, // 2^30 lands in the last eager bucket
+		{nil, false},
+		{[]int64{1 << 31, 50_000, 1 << 30}, true}, // the growth tick
+		{[]int64{math.MaxInt64, 0, -3}, true},
+		{[]int64{60_000}, true},
+	}
+	for i, tick := range ticks {
+		for _, v := range tick.vs {
+			h.Record(v)
+			ref.Record(v)
+		}
+		want := eagerBuckets
+		if tick.grown {
+			want = bucketCount
+		}
+		if len(h.counts) != want {
+			t.Fatalf("tick %d: %d buckets, want %d", i, len(h.counts), want)
+		}
+		sameReads(t, fmt.Sprint("after tick ", i), h, ref)
+		if got, want := win.Advance(), refWin.Advance(); got != want {
+			t.Fatalf("tick %d: Advance = %+v, reference %+v", i, got, want)
+		}
+		if len(win.prev) != len(h.counts) {
+			t.Fatalf("tick %d: window baseline of %d buckets over a histogram of %d", i, len(win.prev), len(h.counts))
+		}
+	}
+
+	short := []int64{10_000, 12_000, 1 << 30, 7}
+	long := []int64{30_000, 1 << 40, math.MaxInt64}
+	for _, c := range []struct {
+		name     string
+		into, vs []int64
+	}{
+		{"short into long", long, short},
+		{"long into short", short, long},
+		{"empty into short", short, nil},
+		{"empty into long", long, nil},
+		{"short into empty", nil, short},
+		{"long into empty", nil, long},
+		{"empty into empty", nil, nil},
+	} {
+		got := newHistogram(c.into...)
+		got.Merge(newHistogram(c.vs...))
+		want := fullHistogram(c.into...)
+		want.Merge(fullHistogram(c.vs...))
+		sameReads(t, c.name, got, want)
+		// A merged histogram keeps recording past 2^30 like the reference.
+		got.Record(1 << 35)
+		want.Record(1 << 35)
+		sameReads(t, c.name+", then 2^35", got, want)
+	}
+}
+
+// TestNewHistogramAllocation pins what a histogram costs before its first
+// sample: the 1 601 buckets up to 2^30 ns (12.5 KiB, which the allocator
+// rounds to its 13.25 KiB size class) and the header — under 14 KiB, where
+// the whole range's 3 712 buckets took 29 KiB (32 KiB rounded).
+func TestNewHistogramAllocation(t *testing.T) {
+	keep := make([]*Histogram, 64)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = NewHistogram()
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(keep)) / 1024; per > 14 {
+		t.Fatalf("NewHistogram allocates %.2f KiB, want <= 14", per)
 	}
 }
 

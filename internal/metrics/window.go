@@ -18,8 +18,9 @@ type WindowStats struct {
 // without samples touches no bucket at all.
 type HistogramWindow struct {
 	h *Histogram
-	// prev holds the bucket counts as of the previous Advance. Buckets
-	// outside every span walked so far are zero in both prev and h.
+	// prev holds the bucket counts as of the previous Advance, and grows
+	// with h's. Buckets outside every span walked so far are zero in both
+	// prev and h.
 	prev      []uint64
 	prevCount uint64
 }
@@ -27,7 +28,7 @@ type HistogramWindow struct {
 // NewHistogramWindow tracks h; the first Advance covers everything
 // recorded so far.
 func NewHistogramWindow(h *Histogram) *HistogramWindow {
-	return &HistogramWindow{h: h, prev: make([]uint64, bucketCount)}
+	return &HistogramWindow{h: h, prev: make([]uint64, len(h.counts))}
 }
 
 // Advance closes the current interval: it returns the stats of samples
@@ -43,6 +44,7 @@ func (w *HistogramWindow) Advance() WindowStats {
 		return WindowStats{}
 	}
 	w.prevCount = h.count
+	w.prev = grow(w.prev, len(h.counts))
 	lo, hi := h.span()
 	var q [2]int64
 	resolve(h.counts, w.prev, lo, hi, n, []float64{50, 99}, q[:])

@@ -4,17 +4,26 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"syrup/internal/sim"
 )
 
+// legacyFlow is a flow's identity as it was stored before Flow held only
+// its address's low 16 bits: the whole 32-bit address and the port.
+type legacyFlow struct {
+	IP   uint32
+	Port uint16
+}
+
 // drawHostFlowsOracle is the host-local pool draw as it was written before
-// DrawFlows: a map keyed by the padded struct, probed once per candidate.
+// DrawFlows: the same draws, deduplicated by a map keyed by the padded
+// 8-byte struct, probed once per candidate.
 func drawHostFlowsOracle(rng *rand.Rand, n int) []Flow {
-	seen := make(map[Flow]bool, n)
+	seen := make(map[legacyFlow]bool, n)
 	var flows []Flow
 	for len(flows) < n {
-		f := Flow{
+		f := legacyFlow{
 			IP:   0x0a000000 + rng.Uint32N(1<<16),
 			Port: uint16(1024 + rng.IntN(60000)),
 		}
@@ -22,7 +31,7 @@ func drawHostFlowsOracle(rng *rand.Rand, n int) []Flow {
 			continue
 		}
 		seen[f] = true
-		flows = append(flows, f)
+		flows = append(flows, Flow{Host: uint16(f.IP), Port: f.Port})
 	}
 	return flows
 }
@@ -48,8 +57,33 @@ func TestHostPoolMatchesMapOracle(t *testing.T) {
 	}
 }
 
+// TestFlowIsItsIdentity: a flow is 4 bytes — its address's 16 low bits
+// and its port — and its address and steering hash are what the 8-byte
+// {IP, Port} form it replaced gave: these constants were computed from
+// that form, so Maglev steers every flow where it did.
+func TestFlowIsItsIdentity(t *testing.T) {
+	if got := unsafe.Sizeof(Flow{}); got != 4 {
+		t.Fatalf("a Flow is %d bytes, want 4", got)
+	}
+	for _, c := range []struct {
+		f        Flow
+		ip, hash uint32
+	}{
+		{Flow{Host: 0x0000, Port: 0}, 0x0a000000, 0x5ad33757},
+		{Flow{Host: 0x0000, Port: 1024}, 0x0a000000, 0xc2c94db3},
+		{Flow{Host: 0x0001, Port: 9}, 0x0a000001, 0x24ec9237},
+		{Flow{Host: 0xffff, Port: 61023}, 0x0a00ffff, 0x6720ceda},
+		{Flow{Host: 0x1234, Port: 48879}, 0x0a001234, 0x9e0ed9e6},
+		{Flow{Host: 0xabcd, Port: 65535}, 0x0a00abcd, 0x2ee25a99},
+	} {
+		if ip, h := c.f.IP(), c.f.Hash(); ip != c.ip || h != c.hash {
+			t.Fatalf("%+v: IP %#08x Hash %#08x, want %#08x %#08x", c.f, ip, h, c.ip, c.hash)
+		}
+	}
+}
+
 func TestDrawFlowsEdges(t *testing.T) {
-	stream := []Flow{{IP: 1, Port: 9}, {IP: 1, Port: 9}, {IP: 2}, {IP: 1, Port: 9}, {}, {IP: 2}}
+	stream := []Flow{{Host: 1, Port: 9}, {Host: 1, Port: 9}, {Host: 2}, {Host: 1, Port: 9}, {}, {Host: 2}}
 	calls := 0
 	next := func() Flow { calls++; return stream[calls-1] }
 	if got := DrawFlows(0, next); got != nil || calls != 0 {
@@ -57,7 +91,7 @@ func TestDrawFlowsEdges(t *testing.T) {
 	}
 	// Repeats are skipped, and the zero flow is a flow like any other: the
 	// table's empty slots must not hide it.
-	if got := DrawFlows(3, next); !slices.Equal(got, []Flow{{IP: 1, Port: 9}, {IP: 2}, {}}) || calls != 5 {
+	if got := DrawFlows(3, next); !slices.Equal(got, []Flow{{Host: 1, Port: 9}, {Host: 2}, {}}) || calls != 5 {
 		t.Fatalf("repeating stream: %v after %d draws, want 3 flows after 5", got, calls)
 	}
 }

@@ -29,11 +29,14 @@ type Class struct {
 
 // Flow is one client 5-tuple endpoint, addressable at cluster scope: the
 // L4 load balancer steers a flow to a host by Hash, so a flow's packets
-// always land on the same backend.
+// always land on the same backend. Every client address is 10.0.x.x, so a
+// flow is its address's 16 low bits and its port: 4 bytes.
 type Flow struct {
-	IP   uint32
-	Port uint16
+	Host, Port uint16
 }
+
+// IP is the flow's source address, 10.0.0.0 | Host.
+func (f Flow) IP() uint32 { return 0x0a000000 | uint32(f.Host) }
 
 // Hash is the flow's steering hash: FNV-1a over the six identifying bytes
 // (the same construction as the NIC's RSS hash, minus the fixed server
@@ -41,8 +44,9 @@ type Flow struct {
 // placement must use this exact function.
 func (f Flow) Hash() uint32 {
 	h := uint32(2166136261)
+	ip := f.IP()
 	for _, b := range [...]byte{
-		byte(f.IP >> 24), byte(f.IP >> 16), byte(f.IP >> 8), byte(f.IP),
+		byte(ip >> 24), byte(ip >> 16), byte(ip >> 8), byte(ip),
 		byte(f.Port >> 8), byte(f.Port),
 	} {
 		h ^= uint32(b)
@@ -55,7 +59,7 @@ func (f Flow) Hash() uint32 {
 // it yields them. It is the one pool draw: the cluster's (a splitmix
 // stream off the cluster seed) and a generator's host-local one (the host
 // PRNG) differ only in next. Duplicates are found in a flat open-addressed
-// table over the flow's 48 packed bits (uint64(IP)<<16 | Port), so a draw
+// table over the flow's 48 packed bits (uint64(IP())<<16 | Port), so a draw
 // is two allocations whatever n is, and about one table probe per
 // candidate.
 func DrawFlows(n int, next func() Flow) []Flow {
@@ -71,7 +75,7 @@ func DrawFlows(n int, next func() Flow) []Flow {
 	flows := make([]Flow, 0, n)
 	for len(flows) < n {
 		f := next()
-		key := uint64(f.IP)<<16 | uint64(f.Port) | 1<<63
+		key := uint64(f.IP())<<16 | uint64(f.Port) | 1<<63
 		i := key * 0x9e3779b97f4a7c15 >> (64 - logSize)
 		for table[i] != 0 && table[i] != key {
 			i = (i + 1) & mask
@@ -196,7 +200,7 @@ func (c *Config) fill() {
 // flight pins its page: a late completion still finds its sentAt, and
 // Result counts it as unanswered from the pages still held.
 const (
-	pageShift = 12
+	pageShift = 8
 	pageSlots = 1 << pageShift
 	pageMask  = pageSlots - 1
 
@@ -206,10 +210,10 @@ const (
 	sentShift    = 10
 	maxClasses   = 1 << (sentShift - classShift)
 
-	// prefillPages pages are allocated in New: a run whose requests are all
-	// settled holds the page being filled and the one before it while its
-	// stragglers finish, so with one to spare it allocates no page while it
-	// runs. The directory starts with room for one more.
+	// prefillPages pages are allocated in New: a run with at most a page of
+	// requests in flight holds the page being filled and the one before it
+	// while its stragglers finish, so with one to spare it allocates no
+	// page while it runs. The directory starts with room for one more.
 	prefillPages = 3
 )
 
@@ -295,7 +299,7 @@ func New(eng *sim.Engine, dev *nic.NIC, cfg Config) *Generator {
 	} else {
 		rng := eng.Rand()
 		g.flows = DrawFlows(cfg.Flows, func() Flow {
-			return Flow{IP: 0x0a000000 + rng.Uint32N(1<<16), Port: uint16(1024 + rng.IntN(60000))}
+			return Flow{Host: uint16(rng.Uint32N(1 << 16)), Port: uint16(1024 + rng.IntN(60000))}
 		})
 	}
 	g.arriveCB = func(any, uint64) {
@@ -467,7 +471,7 @@ func (g *Generator) send(measured bool) {
 	flow := g.flows[rng.IntN(len(g.flows))]
 	pkt := g.dev.NewPacket()
 	pkt.ID = reqID
-	pkt.SrcIP = flow.IP
+	pkt.SrcIP = flow.IP()
 	pkt.DstIP = 0x0a00ffff
 	pkt.SrcPort = flow.Port
 	pkt.DstPort = g.cfg.DstPort

@@ -229,6 +229,19 @@ func sendN(eng *sim.Engine, g *Generator, n int) {
 	eng.Run()
 }
 
+// sendPaced is sendN with sends spaced so that a page's worth of requests
+// takes one wire delay to issue: about one page is in flight at any
+// instant, whatever the page size. (sendN's 1 ns spacing keeps 5 000
+// requests, twenty 256-slot pages, in flight.)
+func sendPaced(eng *sim.Engine, g *Generator, n int) {
+	step := max(wire/pageSlots, 1)
+	for i := 0; i < n; i++ {
+		g.send(true)
+		eng.RunUntil(eng.Now() + step)
+	}
+	eng.Run()
+}
+
 // TestTableBoundedByInFlight: the request table is sized by what is in
 // flight. A million answered requests never hold more than four pages,
 // where a table of the run's history would end at 245.
@@ -315,21 +328,23 @@ func TestLateCompletionAcrossPages(t *testing.T) {
 // unanswered each page stays held, Result counts the drops exactly from
 // those pages, a second Result says the same, and a late completion moves
 // one request from dropped to completed. Request ids not issued yet are
-// ignored even where the current page has a slot for them.
+// ignored even where the current page has a slot for them. The run fills
+// two pages and a quarter of a third.
 func TestUnansweredPinPagesAndResultIsIdempotent(t *testing.T) {
 	cfg := Config{Rate: 1e6, DstPort: 9000, Classes: []Class{
 		{Name: "A", Weight: 0.5, Type: policy.ReqGET},
 		{Name: "B", Weight: 0.5, Type: policy.ReqGET},
 	}}
 	eng, g := directHost(cfg, func(id uint64) bool { return id%2 == 0 })
-	const n = 2*pageSlots + 1000
-	sendN(eng, g, n)
+	const tail = pageSlots / 4
+	const n = 2*pageSlots + tail
+	sendPaced(eng, g, n)
 	if heldPages(g) != 3 || len(g.dir) != 3 {
 		t.Fatalf("held %d of %d pages, want all 3 pinned", heldPages(g), len(g.dir))
 	}
 	g.Complete(n+5, eng.Now()) // the current page has the slot; the request does not exist yet
-	if open := g.dir[2].open; open != 500 {
-		t.Fatalf("current page has %d open requests, want 500", open)
+	if open := g.dir[2].open; open != tail/2 {
+		t.Fatalf("current page has %d open requests, want %d", open, tail/2)
 	}
 
 	check := func(completed, drops uint64) {
@@ -432,16 +447,17 @@ func pagesOwned(g *Generator) int {
 }
 
 // TestLostRequestsHoldNoPages: a dropped request is settled where it is
-// dropped. A million requests, every one dropped, run on the three pages New
-// prefills, through a directory that never outgrows its four entries, and
-// every measured request is unanswered.
+// dropped. A million requests, every one dropped and about a page of them
+// in flight at any instant, run on the three pages New prefills, through a
+// directory that never outgrows its four entries, and every measured
+// request is unanswered.
 func TestLostRequestsHoldNoPages(t *testing.T) {
 	eng, g := droppingHost(Config{Rate: 1e6, DstPort: 9000, Classes: []Class{
 		{Name: "A", Weight: 0.5, Type: policy.ReqGET},
 		{Name: "B", Weight: 0.5, Type: policy.ReqSCAN},
 	}})
 	const n = 1_000_000
-	sendN(eng, g, n)
+	sendPaced(eng, g, n)
 	if got := pagesOwned(g); got != prefillPages {
 		t.Fatalf("generator owns %d pages, want the %d prefilled", got, prefillPages)
 	}
@@ -477,11 +493,12 @@ func TestFreeIsNotALoss(t *testing.T) {
 // TestForeignDropIgnored: only a request in flight is settled by a drop. A
 // cluster probe's id, an id not issued yet, an id on a recycled page, one
 // below the directory's window, and a second drop of a lost request change
-// nothing; nor does a completion of a lost request.
+// nothing; nor does a completion of a lost request. About a page of
+// requests is in flight at any instant.
 func TestForeignDropIgnored(t *testing.T) {
 	const late = 3*pageSlots + 9
 	eng, g := directHost(Config{Rate: 1e6, DstPort: 9000}, func(id uint64) bool { return id != late })
-	sendN(eng, g, 5*pageSlots+1)
+	sendPaced(eng, g, 5*pageSlots+1)
 	// The window has moved past page 0; the lost request's page is held and
 	// the one before it is recycled inside the window.
 	recycled := uint64(late-pageSlots) >> pageShift

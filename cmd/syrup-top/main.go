@@ -77,9 +77,9 @@ func run(args []string, out io.Writer) error {
 	snapshot := fs.String("snapshot", "", "recorded FleetSnapshot JSON file to render instead of scraping")
 	record := fs.String("record", "", "write the scraped snapshot to this file (live mode)")
 	topK := fs.Int("k", 5, "hot-policy rows to show")
-	sparkW := fs.Int("spark", 24, "sparkline width in samples")
+	sparkW := fs.Int("spark", 24, fmt.Sprintf("sparkline width in samples (a host serves its newest %d)", obs.ViewTicks))
 	sloShort := fs.Int("slo-short-ms", 5, "short burn-rate window (virtual ms)")
-	sloLong := fs.Int("slo-long-ms", 25, "long burn-rate window (virtual ms)")
+	sloLong := fs.Int("slo-long-ms", 25, fmt.Sprintf("long burn-rate window (virtual ms; a host serves its newest %d samples: 25.6 ms at a 100 µs period, 256 ms at the default 1 ms)", obs.ViewTicks))
 	var slos sloFlags
 	fs.Var(&slos, "slo", "SLO objective name:series[/denom]:target:budget (repeatable)")
 	if err := fs.Parse(args); err != nil {

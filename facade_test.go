@@ -2,9 +2,11 @@ package syrup_test
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -460,5 +462,41 @@ func TestHostArmsEveryLayer(t *testing.T) {
 	}
 	if f := host.Stack.LookupGroup(9001).Hook().Stats().Faults; f == 0 {
 		t.Error("the group bound after arming took no injected fault")
+	}
+}
+
+// TestTelemetryRetainsTheOperatorView: a host built with
+// HostConfig.Telemetry keeps obs.ViewTicks ticks per series until a reader
+// declares a longer window — about 2.2 KiB per series, its 2 KiB of values
+// plus its share of the clock and its registration, not the 32 KiB a
+// 4 096-tick ring held. The heap is read after a GC around building the
+// host and registering 60 gauges beside its own 4, less the same host
+// without telemetry; the least of three reads is kept, so an allocation
+// that outlives one read cannot fail it.
+func TestTelemetryRetainsTheOperatorView(t *testing.T) {
+	const extra = 60
+	retained := func(tel *obs.Config) float64 {
+		var before, after runtime.MemStats
+		runtime.GC() // the second GC frees what the first left in pool victim caches
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		host := syrup.NewHost(syrup.HostConfig{Telemetry: tel})
+		if tel != nil {
+			for i := range extra {
+				host.Obs.Gauge(fmt.Sprintf("g%02d", i), func() float64 { return 1 })
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(host)
+		return float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	}
+	perSeries := math.Inf(1)
+	for range 3 {
+		perSeries = min(perSeries, (retained(&obs.Config{})-retained(nil))/(extra+4))
+	}
+	t.Logf("telemetry retains %.0f B per series", perSeries)
+	if perSeries > 2.25*1024 {
+		t.Fatalf("telemetry retains %.0f B per series, want <= 2.25 KiB", perSeries)
 	}
 }

@@ -25,9 +25,10 @@ type ruleState struct {
 	acted      bool // lastAction is meaningful
 }
 
-// Controller evaluates a rule table on a fixed sim-clock tick. It is
-// single-threaded: ticks run inside the engine, and control-plane reads
-// (Status/Rules/History) happen between events under the daemon's lock.
+// Controller evaluates a rule table on a fixed sim-clock tick. It takes
+// no lock: one loop owns a host (DESIGN.md "One owner per host"), so ticks
+// run inside its engine, and control-plane reads (Status/Rules/History)
+// run on that loop, between events.
 type Controller struct {
 	eng    *sim.Engine
 	store  *obs.Store
@@ -43,8 +44,9 @@ type Controller struct {
 	history   []Decision
 }
 
-// New validates cfg, binds it to the host's telemetry store and actuator
-// and arms the decision ticker. The ticker draws no randomness and, while
+// New validates cfg, binds it to the host's telemetry store and actuator,
+// declares the rules' longest window to the store (Store.Keep) and arms
+// the decision ticker. The ticker draws no randomness and, while
 // no rule acts, changes nothing observable — runs with an idle controller
 // stay bit-identical to runs without one (the quarantine-watchdog
 // argument, gated by TestAdaptDifferentialOff).
@@ -87,6 +89,24 @@ func New(eng *sim.Engine, store *obs.Store, act Actuator, cfg Config) (*Controll
 			r.Cooldown = period
 		}
 		c.rules = append(c.rules, &ruleState{spec: r})
+	}
+	// Declare the longest window to the store only once the whole table
+	// has validated: one Keep covers every shorter window, so each
+	// evaluation sees every sample its window spans, and a refused table
+	// grows nothing.
+	var longest sim.Time
+	var owner string
+	for _, rs := range c.rules {
+		r := rs.spec
+		if r.Detect.Long > longest {
+			longest, owner = r.Detect.Long, fmt.Sprintf("rule %q detect", r.Name)
+		}
+		if r.ClearDetect != nil && r.ClearDetect.Long > longest {
+			longest, owner = r.ClearDetect.Long, fmt.Sprintf("rule %q clear_detect", r.Name)
+		}
+	}
+	if err := store.Keep(longest); err != nil {
+		return nil, fmt.Errorf("adapt: %s: %w", owner, err)
 	}
 	c.ticker = eng.NewTicker(period, c.tick)
 	c.enabled = true

@@ -322,3 +322,62 @@ func TestZeroAllocTick(t *testing.T) {
 		t.Fatalf("hot and drops rules = %+v, %+v, want firing (under their debounce)", rs[1], rs[3])
 	}
 }
+
+// TestControllerReadsItsWholeWindow: New declares the rules' windows to
+// the store, so a long window that spans more ticks than a store holds
+// by default reads every one of them: at a 1 ms period a 1 000 ms window
+// holds 1 001 samples once warm, not obs.ViewTicks.
+func TestControllerReadsItsWholeWindow(t *testing.T) {
+	const long = 1000 * sim.Millisecond
+	eng := sim.New(1)
+	sa := obs.NewSampler(obs.Config{Period: sim.Millisecond})
+	sa.Gauge("p99", func() float64 { return 500 })
+	sa.Attach(eng)
+	detect := obs.SLO{Name: "s", Series: "p99", Target: 100, Budget: 0.5, Short: sim.Millisecond, Long: long}
+	c, err := New(eng, sa.Store(), &fakeAct{}, Config{Period: sim.Millisecond, Rules: []Rule{{
+		Name: "long", Detect: detect, OnFire: ActionSpec{App: 1, Hook: "h", Policy: "p"},
+		// Burning from the first tick, it fires on the tick its window
+		// first fills.
+		Sustain: 1001,
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(1500 * sim.Millisecond)
+	h := c.History()
+	if len(h) != 1 || h[0].AtNS != int64(1001*sim.Millisecond) || !strings.HasSuffix(h[0].Detail, " n=1001") {
+		t.Fatalf("history = %+v, want one fire at 1001 ms over 1001 samples", h)
+	}
+	if r := detect.EvaluateStore(sa.Store(), eng.Now()); r.Samples != 1001 {
+		t.Fatalf("warm window holds %d samples, want 1001", r.Samples)
+	}
+}
+
+// TestControllerRefusesAWindowPastTheCeiling: a window a store will not
+// keep (more than 2^16 ticks of the sampler's period) refuses the whole
+// table with an error naming the rule and objective that declared it,
+// however far past the ceiling it is.
+func TestControllerRefusesAWindowPastTheCeiling(t *testing.T) {
+	swap := ActionSpec{App: 1, Hook: "h", Policy: "p"}
+	ok := obs.SLO{Name: "ok", Series: "p99", Target: 100, Budget: 0.5, Short: sim.Millisecond, Long: 6 * sim.Millisecond}
+	for _, c := range []struct {
+		long sim.Time
+		want string
+	}{
+		{1 << 16 * 100 * sim.Microsecond, `rule "wide" detect`},
+		{1 << 62, `rule "wide" detect`},
+		{math.MaxInt64, `rule "wide" clear_detect`},
+	} {
+		wide := ok
+		wide.Long = c.long
+		rule := Rule{Name: "wide", Detect: wide, OnFire: swap}
+		if strings.HasSuffix(c.want, "clear_detect") {
+			rule.Detect, rule.ClearDetect = ok, &wide
+		}
+		sa := obs.NewSampler(obs.Config{Period: 100 * sim.Microsecond})
+		_, err := New(sim.New(1), sa.Store(), &fakeAct{}, Config{Rules: []Rule{{Name: "short", Detect: ok, OnFire: swap}, rule}})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("long window %d ns: err = %v, want one naming %s", c.long, err, c.want)
+		}
+	}
+}

@@ -1,5 +1,6 @@
-// Package obs is the telemetry plane: fixed-capacity time series sampled
-// on the sim clock and SLO objects with multi-window burn-rate evaluation.
+// Package obs is the telemetry plane: time series sampled on the sim clock,
+// each held for as long as its readers declared, and SLO objects with
+// multi-window burn-rate evaluation.
 //
 // The sampler rides the engine's passive sampling hook (sim.SetSampler)
 // rather than scheduled events, so enabling telemetry consumes no event
@@ -9,6 +10,7 @@
 package obs
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -16,11 +18,12 @@ import (
 	"syrup/internal/sim"
 )
 
-// Series is one metric's values over its store's clock: a fixed-capacity
-// ring of values, slot j holding the value at tick Store.clock[j]. It holds
-// every tick since it was registered, up to the ring's capacity — a sliding
-// window of the most recent samples, which is all SLO windows and syrup-top
-// sparklines need. Only the sampler writes it, once per tick.
+// Series is one metric's values over its store's clock: a ring of values,
+// slot j holding the value at tick Store.clock[j], as long as the store's
+// clock. It holds every tick since it was registered, up to that length —
+// a sliding window of the most recent samples, ViewTicks of them or the
+// longest window a reader declared with Store.Keep. Only the sampler
+// writes it, once per tick.
 type Series struct {
 	name string
 	st   *Store
@@ -68,27 +71,67 @@ func (s SeriesJSON) LastBefore(t int64) (float64, bool) {
 
 // Store holds the named series of one host over one clock: a ring of the
 // sampler's tick times that every series' value ring is aligned with, so
-// a tick's time is kept once however many series record it. It is not
-// safe for concurrent use: samples happen inside the (single-threaded)
-// engine, and snapshots are taken between runs or under the syrupd big
-// lock.
+// a tick's time is kept once however many series record it. It takes no
+// lock: one loop owns a host (DESIGN.md "One owner per host"), so samples
+// happen inside its engine, and reads — a snapshot, a controller's
+// evaluation — run on that loop, between events.
 type Store struct {
-	clock  []int64 // tick times, sim ns
-	head   int     // slot of the newest tick
-	ticks  int     // ticks recorded since the store was built
+	period sim.Time // the sampler's tick
+	clock  []int64  // tick times, sim ns
+	head   int      // slot of the newest tick
+	// ticks counts the ticks recorded since the store was built or last
+	// grew, plus those it held then: a series born at tick b holds
+	// min(ticks-b, len(clock)) points.
+	ticks  int
 	byName map[string]*Series
 	order  []*Series // registration order, for cheap iteration
 }
 
-// seriesCapacity is the ring size, in ticks, of every store a sampler
-// records into: 4.1 ms of history at a 1 µs period, 4.1 s at the default
-// 1 ms.
-const seriesCapacity = 4096
+// ViewTicks is how many ticks a store holds until a reader declares a
+// longer window: what the snapshot op serves of every series. It covers
+// syrup-top's default 24-sample sparkline, and its default 25 ms burn
+// window at any period of 100 µs or more.
+const ViewTicks = 256
 
-// newStore returns a store whose clock and series each hold capacity
-// ticks.
-func newStore(capacity int) *Store {
-	return &Store{clock: make([]int64, capacity), head: capacity - 1, byName: make(map[string]*Series)}
+// maxKeepTicks is the longest ring Keep grows a store to: 2^16 ticks,
+// 512 KiB per series. A window past it is refused, not allocated.
+const maxKeepTicks = 1 << 16
+
+// newStore returns a store on a sampler's period whose clock and series
+// each hold capacity ticks.
+func newStore(capacity int, period sim.Time) *Store {
+	return &Store{period: period, clock: make([]int64, capacity), head: capacity - 1, byName: make(map[string]*Series)}
+}
+
+// Keep declares a reader's window: from now on every series holds the
+// ticks a window of that length spans, ⌊window/period⌋ + 1, keeping the
+// points it holds. A store never shrinks, so a window no longer than what
+// it holds changes nothing. A window of more than 2^16 ticks is refused
+// with an error and grows nothing.
+func (st *Store) Keep(window sim.Time) error {
+	if window/st.period >= maxKeepTicks {
+		return fmt.Errorf("obs: window %d ns spans more than %d ticks of %d ns", window, maxKeepTicks, st.period)
+	}
+	if n := int(window/st.period) + 1; n > len(st.clock) {
+		st.grow(n)
+	}
+	return nil
+}
+
+// grow re-lays the store on rings of n ticks, n > len(st.clock): the held
+// ticks move to the first slots, oldest first, and every series keeps the
+// points it held, on the same ticks.
+func (st *Store) grow(n int) {
+	held := min(st.ticks, len(st.clock))
+	clock := make([]int64, n)
+	oldestFirst(st, clock[:held], st.clock)
+	for _, s := range st.order {
+		m := s.Len()
+		v := make([]float64, n)
+		oldestFirst(st, v[held-m:held], s.v)
+		s.v, s.born = v, held-m
+	}
+	st.clock, st.ticks, st.head = clock, held, (held+n-1)%n
 }
 
 // tick advances the clock to at and returns the slot every series

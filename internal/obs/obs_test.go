@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -26,7 +27,7 @@ func (s *Series) Last() (t int64, v float64, ok bool) {
 // ringSampler is a sampler over a store of the given capacity, for tests
 // that wrap the ring in a few ticks.
 func ringSampler(capacity int, period sim.Time) *Sampler {
-	return &Sampler{store: newStore(capacity), period: period}
+	return &Sampler{store: newStore(capacity, period), period: period}
 }
 
 // snapshotOf returns the named series of st's snapshot.
@@ -480,18 +481,36 @@ func (o *ringOracle) snapshot() SeriesJSON {
 	return out
 }
 
+// grow re-lays the oracle on a ring of n slots holding the same points,
+// as Store.Keep does; a ring no longer than it holds stays as it is.
+func (o *ringOracle) grow(n int) {
+	if n <= len(o.t) {
+		return
+	}
+	g := &ringOracle{name: o.name, t: make([]int64, n), v: make([]float64, n)}
+	for i := range o.n {
+		t, v := o.at(i)
+		g.Append(sim.Time(t), v)
+	}
+	*o = *g
+}
+
 // TestClockStoreMatchesPerSeriesRings: over seeded random runs, the one
 // clock store's snapshot and burn rates equal those of per-series (t, v)
 // rings fed the same points. Series register before the first tick, mid
 // run and after the ring wraps; ticks land off the period grid, as the
-// ledger's probe calls Sample(at). Every snapshot's T slices end on one
+// ledger's probe calls Sample(at). At a random tick a Keep grows the
+// store — before the ring wraps, after it, or, declaring a window the
+// store already holds, not at all — and the oracles grow to the new
+// capacity holding the same points. Every snapshot's T slices end on one
 // shared array.
 func TestClockStoreMatchesPerSeriesRings(t *testing.T) {
+	const period = 10
 	for seed := uint64(1); seed <= 300; seed++ {
 		r := rand.New(rand.NewPCG(seed, 0xc10c))
 		capacity := 1 + r.IntN(12)
-		ticks := 1 + r.IntN(4*capacity)
-		sa := ringSampler(capacity, 10)
+		ticks := 1 + r.IntN(8*capacity)
+		sa := ringSampler(capacity, period)
 		cur := map[string]float64{}
 		var oracles []*ringOracle
 		register := func() {
@@ -499,20 +518,7 @@ func TestClockStoreMatchesPerSeriesRings(t *testing.T) {
 			sa.Gauge(name, func() float64 { return cur[name] })
 			oracles = append(oracles, &ringOracle{name: name, t: make([]int64, capacity), v: make([]float64, capacity)})
 		}
-		register() // before the first tick
-		mid, wrapped := r.IntN(ticks), capacity+r.IntN(capacity)
-		at := sim.Time(r.Int64N(1000))
-		for k := 0; k < ticks; k++ {
-			if k == mid || k == wrapped || r.IntN(8) == 0 {
-				register()
-			}
-			at += 1 + sim.Time(r.Int64N(25))
-			for _, o := range oracles {
-				cur[o.name] = float64(r.IntN(200)) / 3
-				o.Append(at, cur[o.name])
-			}
-			sa.Sample(at)
-
+		check := func(k int, at sim.Time) {
 			want := make([]SeriesJSON, len(oracles))
 			for i, o := range oracles {
 				want[i] = o.snapshot()
@@ -543,6 +549,61 @@ func TestClockStoreMatchesPerSeriesRings(t *testing.T) {
 				}
 			}
 		}
+		register() // before the first tick
+		mid, wrapped := r.IntN(ticks), capacity+r.IntN(capacity)
+		// The Keep's tick and the ring it asks for: before the wrap, after
+		// it, or a window of fewer ticks than the store holds.
+		keepAt, keepTicks := r.IntN(capacity), capacity+1+r.IntN(2*capacity)
+		switch seed % 3 {
+		case 1:
+			keepAt = capacity + r.IntN(2*capacity)
+		case 2:
+			keepTicks = 1 + r.IntN(capacity)
+		}
+		at := sim.Time(r.Int64N(1000))
+		for k := 0; k < ticks; k++ {
+			if k == keepAt {
+				// ⌊window/period⌋ + 1 = keepTicks, wherever in its last
+				// period the window ends.
+				if err := sa.Store().Keep(sim.Time(keepTicks-1)*period + sim.Time(r.Int64N(period))); err != nil {
+					t.Fatalf("seed %d: Keep: %v", seed, err)
+				}
+				capacity = max(capacity, keepTicks)
+				for _, o := range oracles {
+					o.grow(capacity)
+				}
+				check(k, at)
+			}
+			if k == mid || k == wrapped || r.IntN(8) == 0 {
+				register()
+			}
+			at += 1 + sim.Time(r.Int64N(25))
+			for _, o := range oracles {
+				cur[o.name] = float64(r.IntN(200)) / 3
+				o.Append(at, cur[o.name])
+			}
+			sa.Sample(at)
+			check(k, at)
+		}
+	}
+}
+
+// TestKeepRefusesAWindowPastTheCeiling: a window of more than 2^16 ticks
+// is refused and grows nothing, whatever its length, and a window of
+// exactly 2^16 ticks is kept.
+func TestKeepRefusesAWindowPastTheCeiling(t *testing.T) {
+	const period = 100 * sim.Microsecond
+	st := ringSampler(ViewTicks, period).Store()
+	for _, w := range []sim.Time{maxKeepTicks * period, 1 << 62, math.MaxInt64} {
+		if err := st.Keep(w); err == nil {
+			t.Fatalf("Keep(%d) at a %d ns period: no error", w, period)
+		}
+		if len(st.clock) != ViewTicks {
+			t.Fatalf("a refused Keep(%d) grew the store to %d ticks", w, len(st.clock))
+		}
+	}
+	if err := st.Keep(maxKeepTicks*period - 1); err != nil || len(st.clock) != maxKeepTicks {
+		t.Fatalf("Keep of %d ticks: %v, store holds %d", maxKeepTicks, err, len(st.clock))
 	}
 }
 

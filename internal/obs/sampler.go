@@ -60,7 +60,7 @@ func NewSampler(cfg Config) *Sampler {
 		period = DefaultPeriod
 	}
 	return &Sampler{
-		store:  newStore(seriesCapacity),
+		store:  newStore(ViewTicks, period),
 		period: period,
 	}
 }

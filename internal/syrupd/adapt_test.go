@@ -156,3 +156,26 @@ func TestAdaptEnableRefusesRemovedKinds(t *testing.T) {
 		}
 	}
 }
+
+// TestAdaptEnableRefusesAHostileWindow: a rule table whose window spans
+// 2^62 ns — 4.6·10^13 ticks of a 100 µs sampler — is refused with an
+// error naming the rule, not allocated, and arms nothing. The same line
+// seeds FuzzHandle's corpus (op_adapt_enable_hostile_window).
+func TestAdaptEnableRefusesAHostileWindow(t *testing.T) {
+	const line = `{"op":"adapt_enable","adapt_config":{"period_ns":100000,"rules":[{"name":"r","detect":{"name":"p","series":"nic_inflight","target":0,"budget":0.5,"short_ns":200000,"long_ns":4611686018427387904},"on_fire":{"app":1,"hook":"socket_select","policy":"round_robin","defines":{"NUM_THREADS":2}},"sustain":1}]}}`
+	h := newHost(t, 1, 0)
+	h.Obs = obs.NewSampler(obs.Config{Period: 100 * sim.Microsecond})
+	srv := NewServer(h.d)
+	if resp := srv.Handle(&Request{Op: "register_app", App: 1, UID: 1000, Ports: []uint16{9000}}); !resp.OK {
+		t.Fatalf("register: %+v", resp)
+	}
+	_, stop := serving(srv, nil)
+	resp := srv.serveLine([]byte(line))
+	stop()
+	if resp.OK || !strings.Contains(resp.Error, `rule "r" detect`) || !strings.Contains(resp.Error, "ticks") {
+		t.Fatalf("adapt_enable with a 2^62 ns window = %+v, want a refusal naming the rule", resp)
+	}
+	if hs := snapshotOf(t, srv); hs.Adapt != nil {
+		t.Fatalf("a refused table armed a controller: %+v", hs.Adapt)
+	}
+}

@@ -85,21 +85,22 @@ func source(arg string) (name, src string) {
 	return arg, string(b)
 }
 
-// load runs the full deploy-time pipeline on one source.
-func load(name, src string, defines map[string]int64) (*ebpf.AsmFile, *ebpf.Program) {
+// load runs the full deploy-time pipeline on one source: assemble, verify,
+// and bind to fresh maps.
+func load(name, src string, defines map[string]int64) (*ebpf.AsmFile, *ebpf.Verified, *ebpf.Program) {
 	f, err := ebpf.Assemble(src, defines)
 	if err != nil {
 		fatal(fmt.Errorf("assemble: %w", err))
 	}
-	insns, _, table, err := f.Instantiate(nil)
+	v, err := ebpf.Verify(name, f)
 	if err != nil {
 		fatal(err)
 	}
-	prog, err := ebpf.Load(name, insns, ebpf.LoadOptions{MapTable: table})
+	prog, _, err := v.Bind(nil)
 	if err != nil {
 		fatal(err)
 	}
-	return f, prog
+	return f, v, prog
 }
 
 func main() {
@@ -144,9 +145,9 @@ func main() {
 }
 
 func runBuild(name, src string, defines map[string]int64, out string) {
-	f, prog := load(name, src, defines)
+	f, v, prog := load(name, src, defines)
 	fmt.Printf("%s: %d source lines, %d instructions, %d map(s) — verified\n",
-		name, f.SourceLines, prog.Len(), len(f.Maps))
+		name, v.SourceLines(), prog.Len(), len(f.Maps))
 	for _, spec := range f.Maps {
 		fmt.Printf("  map %-16s %-10s key=%d value=%d entries=%d\n",
 			spec.Name, spec.Type, spec.KeySize, spec.ValueSize, spec.MaxEntries)
@@ -156,8 +157,9 @@ func runBuild(name, src string, defines map[string]int64, out string) {
 		if err != nil {
 			fatal(err)
 		}
-		// Write the stream as assembled (pre-load): map references keep
-		// their pseudo-fd form so the bytes are loadable elsewhere.
+		// Write the stream as assembled (pre-load): map references are
+		// fds of the declared maps, numbered in declaration order, so the
+		// bytes are loadable elsewhere and the same on every build.
 		if err := os.WriteFile(out, ebpf.Encode(insns), 0o644); err != nil {
 			fatal(err)
 		}
@@ -166,7 +168,7 @@ func runBuild(name, src string, defines map[string]int64, out string) {
 }
 
 func runDisasm(name, src string, defines map[string]int64) {
-	_, prog := load(name, src, defines)
+	_, _, prog := load(name, src, defines)
 	fmt.Print(prog.TextSource())
 }
 
@@ -188,7 +190,7 @@ func runList() {
 // same header layout the scaffold documents), and prints the
 // hotness-annotated disassembly.
 func runProfile(w io.Writer, name, src string, defines map[string]int64, runs int) {
-	_, prog := load(name, src, defines)
+	_, _, prog := load(name, src, defines)
 	types := []uint64{policy.ReqGET, policy.ReqSCAN, policy.ReqPUT}
 	faults := 0
 	for i := 0; i < runs; i++ {

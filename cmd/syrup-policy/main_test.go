@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"encoding/binary"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -41,5 +45,44 @@ func TestRunProfileDeterministic(t *testing.T) {
 	runProfile(&b, "round_robin", src, nil, 200)
 	if a.String() != b.String() {
 		t.Fatalf("profile output not deterministic:\n--- a\n%s--- b\n%s", a.String(), b.String())
+	}
+}
+
+// threeMaps references three maps in the reverse of their declaration
+// order.
+const threeMaps = `.map a array 4 8 1
+.map b array 4 8 1
+.map c array 4 8 1
+  r1 = map(c)
+  r1 = map(b)
+  r1 = map(a)
+  r0 = 0
+  exit
+`
+
+// TestBuildIsReproducible: build -o writes the same bytes on every build,
+// with each map reference an fd numbered in declaration order.
+func TestBuildIsReproducible(t *testing.T) {
+	dir := t.TempDir()
+	var first []byte
+	for i := range 6 {
+		out := filepath.Join(dir, "p.bin")
+		runBuild("three", threeMaps, nil, out)
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = b
+		} else if !bytes.Equal(b, first) {
+			t.Fatalf("build %d wrote different bytes:\n%x\n%x", i, b, first)
+		}
+	}
+	var fds []uint32
+	for i := range 3 { // the three LDDW pairs lead
+		fds = append(fds, binary.LittleEndian.Uint32(first[16*i+4:]))
+	}
+	if fds[0] != fds[1]+1 || fds[1] != fds[2]+1 {
+		t.Fatalf("map fds c, b, a = %v, want descending by one", fds)
 	}
 }

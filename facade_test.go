@@ -45,7 +45,7 @@ func TestDeployPolicyFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dep.Program().Len() != 2 || dep.SourceLines != 2 {
+	if dep.Program().Len() != 2 || dep.Verified.SourceLines() != 2 {
 		t.Fatalf("deployment: %+v", dep)
 	}
 	if _, err := app.DeployPolicyFile("/does/not/exist.syr", syrup.HookSocketSelect, nil); err == nil {

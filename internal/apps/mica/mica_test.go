@@ -35,7 +35,11 @@ func newFixture(t *testing.T, threads int, mode Mode) *fixture {
 
 	// Wire the steering the experiment harness normally deploys through
 	// syrupd: the mica_hash policy at the relevant hook.
-	prog, _, err := policy.Load(policy.NameMicaHash, map[string]int64{"NUM_EXECUTORS": int64(threads)}, nil)
+	v, err := policy.Verify(policy.NameMicaHash, map[string]int64{"NUM_EXECUTORS": int64(threads)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, _, err := v.Bind(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,14 +50,14 @@ func newFixture(t *testing.T, threads int, mode Mode) *fixture {
 	case ModeSyrupHW:
 		dev.Offload().Set(prog)
 		// Kernel side: trivial redirect into the queue's only socket.
-		trivial, _, err := ebpf.AssembleAndLoad("to-xsk", "r0 = 0\nexit\n", nil, nil)
+		trivial, err := ebpf.Load("to-xsk", []ebpf.Instruction{ebpf.MovImm(ebpf.R0, 0), ebpf.Exit()}, ebpf.LoadOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		stack.XDP().Set(trivial)
 	case ModeSWRedirect:
 		// RSS decides the queue; queue's only socket gets the packet.
-		trivial, _, err := ebpf.AssembleAndLoad("to-xsk", "r0 = 0\nexit\n", nil, nil)
+		trivial, err := ebpf.Load("to-xsk", []ebpf.Instruction{ebpf.MovImm(ebpf.R0, 0), ebpf.Exit()}, ebpf.LoadOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -116,7 +116,10 @@ func TestServerStoreCounters(t *testing.T) {
 
 func TestServerMarksScanState(t *testing.T) {
 	eng, m, dev, stack := testHost(t, 1, 1)
-	scanState := ebpf.MustNewMap(ebpf.MapSpec{Name: "scan_state", Type: ebpf.MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 4})
+	scanState, err := ebpf.NewMap(ebpf.MapSpec{Name: "scan_state", Type: ebpf.MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv := NewServer(eng, m, stack, Config{
 		Port: 9000, App: 1, NumThreads: 1, ScanState: scanState,
 	})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"syrup"
+	"syrup/internal/ebpf"
 	"syrup/internal/par"
 	"syrup/internal/workload"
 )
@@ -40,7 +41,7 @@ type Cluster struct {
 	Members []*Member
 	// released remembers the last fleet-wide release per (app, hook) so an
 	// aborted canary stage can restore it.
-	released map[releaseKey]release
+	released map[releaseKey]*ebpf.Verified
 }
 
 // MemberSeed derives member i's host seed from the cluster seed: distinct,
@@ -76,7 +77,7 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, Table: table, released: make(map[releaseKey]release)}
+	c := &Cluster{cfg: cfg, Table: table, released: make(map[releaseKey]*ebpf.Verified)}
 	for i := 0; i < cfg.Hosts; i++ {
 		hcfg := cfg.Host
 		hcfg.Seed = MemberSeed(cfg.Seed, i)

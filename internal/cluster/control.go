@@ -7,18 +7,13 @@ import (
 	"syrup/internal/nic"
 	"syrup/internal/policy"
 	"syrup/internal/sim"
+	"syrup/internal/syrupd"
 )
 
 // releaseKey identifies a fleet release target.
 type releaseKey struct {
 	app  uint32
 	hook syrup.Hook
-}
-
-// release is a deployed built-in the control plane can restore.
-type release struct {
-	policy  string
-	defines map[string]int64
 }
 
 // RolloutConfig describes one staged fleet rollout.
@@ -167,10 +162,15 @@ func (c *Cluster) staged(s stagedRollout) (canaries []int, reason string, err er
 // canary stage that takes any fault aborts the rollout and restores the
 // canaries to the previous fleet release (or detaches them to the kernel
 // default when none exists). A successful rollout records the policy as
-// the new fleet release.
+// the new fleet release. The policy is verified once, and every member
+// binds that one verification.
 func (c *Cluster) Rollout(cfg RolloutConfig) (*RolloutReport, error) {
 	if err := cfg.fill(len(c.Members)); err != nil {
 		return nil, err
+	}
+	v, err := syrupd.Verify(cfg.App, cfg.Hook, policy.MustSource(cfg.Policy), cfg.Defines)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: rollout: %w", err)
 	}
 	rep := &RolloutReport{}
 	key := releaseKey{cfg.App, cfg.Hook}
@@ -182,7 +182,7 @@ func (c *Cluster) Rollout(cfg RolloutConfig) (*RolloutReport, error) {
 		canaries: cfg.Canaries, probe: cfg,
 		apply: func(idx int) error {
 			m := c.Members[idx]
-			if _, err := m.Host.Daemon.DeployBuiltin(cfg.App, cfg.Hook, cfg.Policy, cfg.Defines); err != nil {
+			if _, err := m.Host.Daemon.Deploy(cfg.App, cfg.Hook, v); err != nil {
 				return fmt.Errorf("cluster: %s: %w", m.Name, err)
 			}
 			before[idx] = c.hookFaults(idx, cfg.App, cfg.Hook)
@@ -201,7 +201,7 @@ func (c *Cluster) Rollout(cfg RolloutConfig) (*RolloutReport, error) {
 		revert: func(idx int) error {
 			m := c.Members[idx]
 			if havePrev {
-				if _, err := m.Host.Daemon.DeployBuiltin(cfg.App, cfg.Hook, prev.policy, prev.defines); err != nil {
+				if _, err := m.Host.Daemon.Deploy(cfg.App, cfg.Hook, prev); err != nil {
 					return fmt.Errorf("cluster: restore %s: %w", m.Name, err)
 				}
 			} else if err := m.Host.Daemon.DetachApp(cfg.App, cfg.Hook); err != nil {
@@ -219,7 +219,7 @@ func (c *Cluster) Rollout(cfg RolloutConfig) (*RolloutReport, error) {
 		return rep, nil
 	}
 	rep.Deployed = len(c.Members)
-	c.released[key] = release{policy: cfg.Policy, defines: cfg.Defines}
+	c.released[key] = v
 	return rep, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"syrup"
+	"syrup/internal/ebpf"
 	"syrup/internal/faults"
 	"syrup/internal/nic"
 	"syrup/internal/policy"
@@ -162,10 +163,11 @@ func TestRolloutAbortsOnCanaryFaults(t *testing.T) {
 // leave them on the kernel default.
 func TestRolloutAbortRestoresPreviousRelease(t *testing.T) {
 	c := newTestCluster(t, 8, nil)
-	v1 := policy.NameHash
-	if rep, err := c.Rollout(RolloutConfig{App: testApp, Hook: syrup.HookSocketSelect, Policy: v1, Defines: twoSockets}); err != nil || rep.Aborted {
+	key := releaseKey{testApp, syrup.HookSocketSelect}
+	if rep, err := c.Rollout(RolloutConfig{App: testApp, Hook: syrup.HookSocketSelect, Policy: policy.NameHash, Defines: twoSockets}); err != nil || rep.Aborted {
 		t.Fatalf("v1 rollout failed: %v %+v", err, rep)
 	}
+	v1 := c.released[key]
 	for _, m := range c.Members {
 		m.Host.Faults = (&faults.Plan{
 			Specs: []faults.Spec{{Site: faults.SiteSocketSelect, Every: 1}},
@@ -182,8 +184,43 @@ func TestRolloutAbortRestoresPreviousRelease(t *testing.T) {
 	if got := attachedCount(c); got != 8 {
 		t.Fatalf("policy attached on %d hosts after rollback, want 8", got)
 	}
-	if rel := c.released[releaseKey{testApp, syrup.HookSocketSelect}]; rel.policy != v1 {
-		t.Fatalf("fleet release changed by aborted rollout: %q", rel.policy)
+	if c.released[key] != v1 {
+		t.Fatal("fleet release changed by aborted rollout")
+	}
+	// The canaries were restored from the release's own verification.
+	for _, idx := range rep.Canaries {
+		if l := c.Members[idx].Host.Daemon.App(testApp).Link(syrup.HookSocketSelect); l.Verified != v1 {
+			t.Fatalf("canary %d restored from a new verification", idx)
+		}
+	}
+}
+
+// TestRolloutVerifiesOnce: a rollout verifies its policy once and every
+// member binds that one verification — each into its own program and its
+// own maps, so no host shares state with another.
+func TestRolloutVerifiesOnce(t *testing.T) {
+	c := newTestCluster(t, 8, nil)
+	if _, err := c.Rollout(RolloutConfig{
+		App: testApp, Hook: syrup.HookSocketSelect, Policy: policy.NameRoundRobin, Defines: twoSockets,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	verified := map[*ebpf.Verified]bool{}
+	progs := map[*ebpf.Program]bool{}
+	maps := map[*ebpf.Map]bool{}
+	for _, m := range c.Members {
+		l := m.Host.Daemon.App(testApp).Link(syrup.HookSocketSelect)
+		verified[l.Verified] = true
+		progs[l.Program()] = true
+		for _, mp := range l.Maps {
+			maps[mp] = true
+		}
+	}
+	if rel := c.released[releaseKey{testApp, syrup.HookSocketSelect}]; len(verified) != 1 || rel == nil || !verified[rel] {
+		t.Fatalf("%d verifications for one rollout, want the one released", len(verified))
+	}
+	if len(progs) != len(c.Members) || len(maps) != len(c.Members) {
+		t.Fatalf("%d programs and %d maps on %d hosts: Bind must give each host its own", len(progs), len(maps), len(c.Members))
 	}
 }
 

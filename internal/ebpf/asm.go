@@ -40,11 +40,11 @@ func Neg(dst uint8) Instruction {
 	return Instruction{Op: ClassALU64 | ALUNeg, Dst: dst}
 }
 
-// LoadMapIdx emits the LDDW pair referencing a map by fd (resolved at
-// Load time through the MapTable).
-func LoadMapFD(dst uint8, fd int32) []Instruction {
+// LoadMapFD emits the LDDW pair referencing a map: by its index in the
+// declared maps for Verify, or by fd in a MapTable for Load.
+func LoadMapFD(dst uint8, ref int32) []Instruction {
 	return []Instruction{
-		{Op: ClassLD | ModeIMM | SizeDW, Dst: dst, Src: PseudoMapFD, Imm: fd},
+		{Op: ClassLD | ModeIMM | SizeDW, Dst: dst, Src: PseudoMapFD, Imm: ref},
 		{},
 	}
 }

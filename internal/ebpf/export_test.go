@@ -5,6 +5,52 @@ import (
 	"fmt"
 )
 
+// MustLoad is Load that panics on error, for the hand-built programs of
+// this package's tests.
+func MustLoad(name string, insns []Instruction, opts LoadOptions) *Program {
+	p, err := Load(name, insns, opts)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// MustNewMap is NewMap that panics on error, for the maps of those
+// programs.
+func MustNewMap(spec MapSpec) *Map {
+	m, err := NewMap(spec)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// loadUnverified decodes insns without verifying them, after the
+// structural checks every program takes: how the runtime faults a
+// verified program cannot reach get exercised. No other package can build
+// such a program, so every program a hook runs was verified.
+func loadUnverified(name string, insns []Instruction) (*Program, error) {
+	v, err := verifyFile(name, &AsmFile{Insns: insns}, 0)
+	if err != nil {
+		return nil, err
+	}
+	p, _, err := v.Bind(nil)
+	return p, err
+}
+
+// loadSource takes .syr source down the one path: assemble, verify, bind.
+func loadSource(name, src string, defines map[string]int64, existing map[string]*Map) (*Program, map[string]*Map, error) {
+	f, err := Assemble(src, defines)
+	if err != nil {
+		return nil, nil, err
+	}
+	v, err := Verify(name, f)
+	if err != nil {
+		return nil, nil, err
+	}
+	return v.Bind(existing)
+}
+
 // RunInterp runs the reference: the same walker over the same code on
 // fresh zeroed state. Differential tests use it as the oracle for Run's
 // reused, unscrubbed state.
@@ -36,4 +82,29 @@ func (m *Map) Dump() map[string]string {
 		}
 	}
 	return out
+}
+
+// textRenderable reports whether programText can represent the stream
+// exactly: no jump may target the high half of an LDDW pair or the slot
+// one past the end, since neither has a line to label. Reachable code in
+// a verified program always renders; only unreachable garbage can fail
+// this.
+func textRenderable(insns []Instruction) bool {
+	for i, ins := range insns {
+		cls := ins.Class()
+		if cls != ClassJMP && cls != ClassJMP32 {
+			continue
+		}
+		if op := ins.Op & 0xf0; op == JmpExit || op == JmpCall {
+			continue
+		}
+		tgt := i + 1 + int(ins.Off)
+		if tgt < 0 || tgt >= len(insns) {
+			return false
+		}
+		if tgt > 0 && insns[tgt-1].IsLDDW() {
+			return false
+		}
+	}
+	return true
 }

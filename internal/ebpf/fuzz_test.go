@@ -149,7 +149,7 @@ func TestFuzzVerifierSoundness(t *testing.T) {
 					t.Fatalf("panic on fuzz program: %v\n%s", r, DisassembleProgram(insns))
 				}
 			}()
-			if _, err := Load("fuzz", insns, LoadOptions{MapTable: table, Budget: 50_000}); err != nil {
+			if _, err := Load("fuzz", insns, LoadOptions{MapTable: table, budget: 50_000}); err != nil {
 				return // rejected: fine
 			}
 			accepted++

@@ -120,15 +120,6 @@ func NewMap(spec MapSpec) (*Map, error) {
 	return nil, fmt.Errorf("ebpf: map %q: unknown type %d", spec.Name, spec.Type)
 }
 
-// MustNewMap is NewMap that panics on error; for tests and static tables.
-func MustNewMap(spec MapSpec) *Map {
-	m, err := NewMap(spec)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Spec returns the map's declaration.
 func (m *Map) Spec() MapSpec { return m.spec }
 
@@ -268,28 +259,26 @@ func (m *Map) prog(idx uint32) *Program {
 	return m.progs[idx]
 }
 
-// MapTable assigns file descriptors to maps, standing in for the
-// per-process fd table; syrupd owns one table per application.
-type MapTable struct {
-	next int32
-	byFD map[int32]*Map
-}
+// MapTable assigns file descriptors to maps, standing in for a process's
+// fd table: the fds Load resolves. They count up from firstFD.
+type MapTable struct{ maps []*Map }
 
-// NewMapTable returns an empty table. FDs start at 3, like a process whose
-// stdio is already open.
-func NewMapTable() *MapTable {
-	return &MapTable{next: 3, byFD: make(map[int32]*Map)}
-}
+// firstFD is a MapTable's first fd, as in a process whose stdio is open.
+const firstFD = 3
+
+// NewMapTable returns an empty table.
+func NewMapTable() *MapTable { return &MapTable{} }
 
 // Register assigns the next fd to m.
 func (t *MapTable) Register(m *Map) int32 {
-	fd := t.next
-	t.next++
-	t.byFD[fd] = m
-	return fd
+	t.maps = append(t.maps, m)
+	return int32(len(t.maps)-1) + firstFD
 }
 
-// Get resolves an fd, or nil.
+// Get resolves an fd in t, which may be nil, or returns nil.
 func (t *MapTable) Get(fd int32) *Map {
-	return t.byFD[fd]
+	if i := int(fd - firstFD); t != nil && i >= 0 && i < len(t.maps) {
+		return t.maps[i]
+	}
+	return nil
 }

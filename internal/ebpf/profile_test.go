@@ -105,7 +105,11 @@ func TestProfileHitsInterpVsJIT(t *testing.T) {
 			Exit(),
 		}
 		load := func() *Program {
-			return MustLoad("pfault", insns, LoadOptions{noVerify: true})
+			p, err := loadUnverified("pfault", insns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
 		}
 		pj, pi := load(), load()
 		for _, pkt := range [][]byte{make([]byte, 4), make([]byte, 16)} {

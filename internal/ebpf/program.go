@@ -1,6 +1,10 @@
 package ebpf
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // MaxInsns caps program length, mirroring the kernel's per-program limit
 // for unprivileged loads.
@@ -14,15 +18,15 @@ const DefaultVerifierBudget = 1_000_000
 // MaxTailCalls bounds tail-call chains at runtime, as in the kernel.
 const MaxTailCalls = 33
 
-// Program is a loaded, verified program. Its code is immutable after Load;
-// its accounting, fallback PRNG and Run's state are plain fields, because a
-// program belongs to the one host that loaded it (DESIGN.md "One owner per
-// host").
+// Program is a verified program bound to one host's maps. Its code is
+// immutable after Bind; its accounting, fallback PRNG and Run's state are
+// plain fields, because a program belongs to the one host that bound it
+// (DESIGN.md "One owner per host").
 type Program struct {
 	name  string
 	insns []Instruction
-	// maps holds the maps referenced by LDDW pseudo instructions; after
-	// loading, those instructions' Imm fields index this slice.
+	// maps holds the program's maps, each once; pseudo-map LDDW
+	// instructions' Imm fields index this slice.
 	maps []*Map
 
 	// code is the decoded form Run walks (walk.go): one op per instruction
@@ -51,78 +55,129 @@ type Program struct {
 	rs runState
 }
 
-// LoadOptions configures program loading.
+// LoadOptions configures Load.
 type LoadOptions struct {
-	// MapTable resolves LDDW pseudo-map-fd immediates. Required if the
-	// program references maps.
+	// MapTable resolves LDDW pseudo-map-fd immediates.
 	MapTable *MapTable
-	// Budget overrides DefaultVerifierBudget when > 0.
-	Budget int
-	// noVerify skips verification. Only this package's tests set it — no
-	// other package can, so every program a hook runs was verified: it is
-	// how the runtime-fault paths a verified program cannot reach get
-	// exercised.
-	noVerify bool
+	budget   int // overrides DefaultVerifierBudget; only this package's tests set it
 }
 
-// Load is the one pipeline every program takes: resolve map references,
-// verify, decode. Nothing rewrites the stream after the verifier admits
-// it, so the verified stream is the executed stream. Unverified test
-// programs skip straight to decoding.
-func Load(name string, insns []Instruction, opts LoadOptions) (*Program, error) {
+// Verified is a program the verifier admitted: a copy of its file, and no
+// map. Verification reads only map specs (type, key size, value size), so
+// a Verified belongs to no host: it is immutable, and any number of hosts
+// bind the same one.
+type Verified struct {
+	name     string
+	f        AsmFile
+	noVerify bool // verification was skipped (verifyFile)
+}
+
+// Verify checks f's program against f's map declarations, which its
+// pseudo-map LDDW immediates index (as Assemble emits them), and reads
+// nothing else: the pure half of loading.
+func Verify(name string, f *AsmFile) (*Verified, error) {
+	return verifyFile(name, f, DefaultVerifierBudget)
+}
+
+// verifyFile is Verify with the analysis budget given. A budget of 0 skips
+// the verifier but not the structural checks: how this package's tests
+// reach the runtime faults a verified program cannot (export_test.go).
+func verifyFile(name string, f *AsmFile, budget int) (*Verified, error) {
+	insns := f.Insns
 	if len(insns) == 0 {
 		return nil, fmt.Errorf("ebpf: %s: empty program", name)
 	}
 	if len(insns) > MaxInsns {
 		return nil, fmt.Errorf("ebpf: %s: %d instructions exceeds limit %d", name, len(insns), MaxInsns)
 	}
-	p := &Program{name: name, insns: make([]Instruction, len(insns))}
-	copy(p.insns, insns)
+	for i := 0; i < len(insns); i++ {
+		if !insns[i].IsLDDW() {
+			continue
+		}
+		if i+1 >= len(insns) || insns[i+1].Op != 0 {
+			return nil, fmt.Errorf("ebpf: %s: insn %d: truncated LDDW pair", name, i)
+		}
+		if ref := insns[i].Imm; insns[i].Src == PseudoMapFD && (ref < 0 || int(ref) >= len(f.Maps)) {
+			return nil, fmt.Errorf("ebpf: %s: insn %d: bad map reference %d", name, i, ref)
+		}
+		i++ // skip the high half
+	}
+	if budget > 0 {
+		if err := verify(insns, f.Maps, budget); err != nil {
+			return nil, fmt.Errorf("ebpf: %s: verifier: %w", name, err)
+		}
+	}
+	g := AsmFile{Maps: slices.Clone(f.Maps), Insns: slices.Clone(insns), SourceLines: f.SourceLines}
+	return &Verified{name: name, f: g, noVerify: budget <= 0}, nil
+}
 
-	// Resolve LDDW map fds to indices into p.maps.
-	for i := 0; i < len(p.insns); i++ {
-		ins := &p.insns[i]
+// SourceLines is the LoC of the source v was assembled from (Table 2's
+// LoC column).
+func (v *Verified) SourceLines() int { return v.f.SourceLines }
+
+// Bind instantiates v on one host: each declared map is existing's map of
+// that name (see bindMap) or a new one. It returns a fresh program,
+// decoded for its own maps, and those maps by name.
+func (v *Verified) Bind(existing map[string]*Map) (*Program, map[string]*Map, error) {
+	maps := make([]*Map, len(v.f.Maps))
+	byName := make(map[string]*Map, len(v.f.Maps))
+	for i, spec := range v.f.Maps {
+		m, err := bindMap(spec, existing)
+		if err != nil {
+			return nil, nil, err
+		}
+		maps[i], byName[spec.Name] = m, m
+	}
+	return v.bind(maps), byName, nil
+}
+
+// bindMap is existing's map named by spec, whose type, key size and value
+// size must match it, or a new map.
+func bindMap(spec MapSpec, existing map[string]*Map) (*Map, error) {
+	m, ok := existing[spec.Name]
+	if !ok {
+		return NewMap(spec)
+	}
+	if m.spec.Type != spec.Type || m.spec.KeySize != spec.KeySize || m.spec.ValueSize != spec.ValueSize {
+		return nil, fmt.Errorf("ebpf: map %q redeclared with incompatible spec", spec.Name)
+	}
+	return m, nil
+}
+
+// bind decodes a copy of v for maps, v's declared maps in order.
+func (v *Verified) bind(maps []*Map) *Program {
+	p := &Program{name: v.name, insns: slices.Clone(v.f.Insns), maps: maps, noVerify: v.noVerify}
+	p.code = decode(p)
+	return p
+}
+
+// Load verifies and binds a program whose pseudo-map LDDW immediates are
+// fds in opts.MapTable: each fd becomes the index of its map, which the
+// program holds once, and the program takes Verify's path.
+func Load(name string, insns []Instruction, opts LoadOptions) (*Program, error) {
+	f := &AsmFile{Insns: slices.Clone(insns)}
+	var maps []*Map
+	for i := 0; i < len(f.Insns); i++ {
+		ins := &f.Insns[i]
 		if !ins.IsLDDW() {
 			continue
 		}
-		if i+1 >= len(p.insns) || p.insns[i+1].Op != 0 {
-			return nil, fmt.Errorf("ebpf: %s: insn %d: truncated LDDW pair", name, i)
-		}
 		if ins.Src == PseudoMapFD {
-			if opts.MapTable == nil {
-				return nil, fmt.Errorf("ebpf: %s: insn %d: map reference without map table", name, i)
-			}
 			m := opts.MapTable.Get(ins.Imm)
 			if m == nil {
 				return nil, fmt.Errorf("ebpf: %s: insn %d: bad map fd %d", name, i, ins.Imm)
 			}
-			ins.Imm = int32(len(p.maps))
-			p.maps = append(p.maps, m)
+			if ins.Imm = int32(slices.Index(maps, m)); ins.Imm < 0 {
+				ins.Imm, maps, f.Maps = int32(len(maps)), append(maps, m), append(f.Maps, m.spec)
+			}
 		}
-		i++ // skip the high half
+		i++ // skip the high half, which verifyFile checks
 	}
-
-	p.noVerify = opts.noVerify
-	if !opts.noVerify {
-		budget := opts.Budget
-		if budget <= 0 {
-			budget = DefaultVerifierBudget
-		}
-		if err := verify(p, budget); err != nil {
-			return nil, fmt.Errorf("ebpf: %s: verifier: %w", name, err)
-		}
-	}
-	p.code = decode(p)
-	return p, nil
-}
-
-// MustLoad is Load that panics on error, for static trusted programs.
-func MustLoad(name string, insns []Instruction, opts LoadOptions) *Program {
-	p, err := Load(name, insns, opts)
+	v, err := verifyFile(name, f, cmp.Or(opts.budget, DefaultVerifierBudget))
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	return p
+	return v.bind(maps), nil
 }
 
 // Name returns the program's name.

@@ -3,6 +3,7 @@ package ebpf
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -30,12 +31,10 @@ import (
 // are predefined.
 
 // AsmFile is the output of Assemble: instructions plus the maps they
-// declare. LDDW pseudo instructions' Imm fields index MapRefs until
-// Instantiate resolves them to fds.
+// declare. LDDW pseudo instructions' Imm fields index Maps.
 type AsmFile struct {
-	Maps    []MapSpec
-	Insns   []Instruction
-	MapRefs []string // referenced map name per pseudo LDDW, indexed by Imm
+	Maps  []MapSpec
+	Insns []Instruction
 	// SourceLines counts non-empty, non-comment source lines — the LoC
 	// metric Table 2 reports.
 	SourceLines int
@@ -272,10 +271,7 @@ func Assemble(src string, defines map[string]int64) (*AsmFile, error) {
 			if !ok {
 				return nil, &asmError{line, fmt.Sprintf("undeclared map %q", m[2])}
 			}
-			_ = idx
-			pair := LoadMapFD(dst, int32(len(f.MapRefs)))
-			f.MapRefs = append(f.MapRefs, m[2])
-			f.Insns = append(f.Insns, pair[0], pair[1])
+			f.Insns = append(f.Insns, LoadMapFD(dst, int32(idx))...)
 		case reLddw.MatchString(s):
 			m := reLddw.FindStringSubmatch(s)
 			dst, err := regNum(line, m[1])
@@ -409,40 +405,28 @@ func Assemble(src string, defines map[string]int64) (*AsmFile, error) {
 
 // Instantiate creates the file's declared maps (reusing any supplied in
 // existing by name — this is how a userspace agent and a kernel policy share
-// a Map), registers everything in a fresh MapTable, and returns instructions
-// whose pseudo LDDW immediates are valid fds in that table.
+// a Map), registers them in a fresh MapTable in declaration order, and
+// returns instructions whose pseudo LDDW immediates are valid fds in that
+// table: the form Load takes.
 func (f *AsmFile) Instantiate(existing map[string]*Map) ([]Instruction, map[string]*Map, *MapTable, error) {
 	maps := make(map[string]*Map, len(f.Maps))
+	table := NewMapTable()
 	for _, spec := range f.Maps {
-		if m, ok := existing[spec.Name]; ok {
-			got := m.Spec()
-			if got.Type != spec.Type || got.KeySize != spec.KeySize || got.ValueSize != spec.ValueSize {
-				return nil, nil, nil, fmt.Errorf("ebpf: map %q redeclared with incompatible spec", spec.Name)
-			}
-			maps[spec.Name] = m
-			continue
-		}
-		m, err := NewMap(spec)
+		m, err := bindMap(spec, existing)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		maps[spec.Name] = m
+		table.Register(m)
 	}
-	table := NewMapTable()
-	fdByName := make(map[string]int32, len(maps))
-	for name, m := range maps {
-		fdByName[name] = table.Register(m)
-	}
-	insns := make([]Instruction, len(f.Insns))
-	copy(insns, f.Insns)
+	insns := slices.Clone(f.Insns)
 	for i := 0; i < len(insns); i++ {
-		if insns[i].IsLDDW() {
-			if insns[i].Src == PseudoMapFD {
-				ref := int(insns[i].Imm)
-				if ref < 0 || ref >= len(f.MapRefs) {
-					return nil, nil, nil, fmt.Errorf("ebpf: bad map reference %d", ref)
+		if ins := &insns[i]; ins.IsLDDW() {
+			if ins.Src == PseudoMapFD {
+				if ins.Imm < 0 || int(ins.Imm) >= len(f.Maps) {
+					return nil, nil, nil, fmt.Errorf("ebpf: bad map reference %d", ins.Imm)
 				}
-				insns[i].Imm = fdByName[f.MapRefs[ref]]
+				ins.Imm += firstFD
 			}
 			i++
 		}
@@ -455,40 +439,22 @@ func (f *AsmFile) Instantiate(existing map[string]*Map) ([]Instruction, map[stri
 // disassembler half of the round-trip contract (`syrup-policy disasm`).
 // Numeric jump offsets become generated labels so the output survives
 // editing and re-assembly.
-func (f *AsmFile) Text() string {
-	return programText(f.Insns, f.Maps, func(ref int32) string {
-		if int(ref) >= 0 && int(ref) < len(f.MapRefs) {
-			return f.MapRefs[ref]
-		}
-		return ""
-	})
-}
+func (f *AsmFile) Text() string { return programText(f.Insns, f.Maps) }
 
-// TextSource renders a loaded program's stream back to assemblable .syr
-// source. Pseudo-map immediates index
-// p.maps after Load, so references render as map(name) and declarations
-// are reconstructed from the live map specs.
+// TextSource renders a bound program's stream back to assemblable .syr
+// source: its maps' declarations, then the stream, whose map references
+// render as map(name).
 func (p *Program) TextSource() string {
-	var specs []MapSpec
-	seen := map[string]bool{}
-	for _, m := range p.maps {
-		s := m.Spec()
-		if !seen[s.Name] {
-			seen[s.Name] = true
-			specs = append(specs, s)
-		}
+	specs := make([]MapSpec, len(p.maps))
+	for i, m := range p.maps {
+		specs[i] = m.spec
 	}
-	return programText(p.insns, specs, func(ref int32) string {
-		if int(ref) >= 0 && int(ref) < len(p.maps) {
-			return p.maps[ref].Spec().Name
-		}
-		return ""
-	})
+	return programText(p.insns, specs)
 }
 
 // programText is the shared renderer: map declarations, then the
 // instruction stream with L<pc> labels at every jump target.
-func programText(insns []Instruction, maps []MapSpec, mapName func(int32) string) string {
+func programText(insns []Instruction, maps []MapSpec) string {
 	var sb strings.Builder
 	for _, s := range maps {
 		fmt.Fprintf(&sb, ".map %s %s %d %d %d\n", s.Name, s.Type, s.KeySize, s.ValueSize, s.MaxEntries)
@@ -505,7 +471,7 @@ func programText(insns []Instruction, maps []MapSpec, mapName func(int32) string
 		ins := insns[i]
 		if ins.IsLDDW() && i+1 < len(insns) {
 			if ins.Src == PseudoMapFD {
-				fmt.Fprintf(&sb, "  r%d = map(%s)\n", ins.Dst, mapName(ins.Imm))
+				fmt.Fprintf(&sb, "  r%d = map(%s)\n", ins.Dst, maps[ins.Imm].Name)
 			} else {
 				fmt.Fprintf(&sb, "  r%d = %d ll\n", ins.Dst, Imm64(ins, insns[i+1]))
 			}
@@ -529,52 +495,8 @@ func programText(insns []Instruction, maps []MapSpec, mapName func(int32) string
 	// A jump target one past the last instruction, or inside an LDDW pair,
 	// has no slot to label. Reachable code in a verified program cannot
 	// produce either, but dead code after an early exit escapes the
-	// verifier's analysis and can — textRenderable detects those streams.
+	// verifier's analysis and can (the round-trip tests skip those).
 	return sb.String()
-}
-
-// textRenderable reports whether programText can represent the stream
-// exactly: no jump may target the high half of an LDDW pair or the slot
-// one past the end, since neither has a line to label. Reachable code in
-// a verified program always renders; only unreachable garbage can fail
-// this.
-func textRenderable(insns []Instruction) bool {
-	for i, ins := range insns {
-		cls := ins.Class()
-		if cls != ClassJMP && cls != ClassJMP32 {
-			continue
-		}
-		if op := ins.Op & 0xf0; op == JmpExit || op == JmpCall {
-			continue
-		}
-		tgt := i + 1 + int(ins.Off)
-		if tgt < 0 || tgt >= len(insns) {
-			return false
-		}
-		if tgt > 0 && insns[tgt-1].IsLDDW() {
-			return false
-		}
-	}
-	return true
-}
-
-// AssembleAndLoad is the one-call path from .syr source to a verified
-// Program: assemble, instantiate maps, load. existing maps are shared by
-// name; the returned map set includes them.
-func AssembleAndLoad(name, src string, defines map[string]int64, existing map[string]*Map) (*Program, map[string]*Map, error) {
-	f, err := Assemble(src, defines)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", name, err)
-	}
-	insns, maps, table, err := f.Instantiate(existing)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", name, err)
-	}
-	p, err := Load(name, insns, LoadOptions{MapTable: table})
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, maps, nil
 }
 
 // jumpTargets marks every slot some jump can land on.

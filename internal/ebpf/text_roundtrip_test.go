@@ -26,11 +26,6 @@ func rtCheck(t *testing.T, f *AsmFile) {
 	if !reflect.DeepEqual(f.Maps, g.Maps) {
 		t.Fatalf("map declarations changed across round trip: %+v vs %+v", f.Maps, g.Maps)
 	}
-	if len(f.MapRefs) != 0 || len(g.MapRefs) != 0 {
-		if !reflect.DeepEqual(f.MapRefs, g.MapRefs) {
-			t.Fatalf("map references changed across round trip: %v vs %v", f.MapRefs, g.MapRefs)
-		}
-	}
 	// And the rendering itself must be a fixed point.
 	if again := g.Text(); again != src {
 		t.Fatalf("Text not a fixed point:\nfirst:\n%s\nsecond:\n%s", src, again)
@@ -151,7 +146,7 @@ func TestTextRoundTripFuzz(t *testing.T) {
 		}
 		insns = append(insns, MovImm(R0, 0), Exit())
 
-		p, err := Load("fuzz", insns, LoadOptions{MapTable: table, Budget: 50_000})
+		p, err := Load("fuzz", insns, LoadOptions{MapTable: table, budget: 50_000})
 		if err != nil {
 			continue
 		}
@@ -170,8 +165,8 @@ func TestTextRoundTripFuzz(t *testing.T) {
 			t.Fatalf("accepted program failed to re-assemble: %v\nsource:\n%s\nstream:\n%s",
 				err, src, p.Disassemble())
 		}
-		// Pseudo-map immediates are sequential in both forms (p.maps index
-		// vs. MapRefs index, both in order of appearance), so the loaded
+		// Pseudo-map immediates index the maps in both forms (p.maps and
+		// the re-assembled declarations, in the same order), so the loaded
 		// stream and the re-assembled one must be bit-identical.
 		if !reflect.DeepEqual(p.insns, g.Insns) {
 			t.Fatalf("round trip changed an accepted program\nsource:\n%s\nwant:\n%s\ngot:\n%s",

@@ -30,9 +30,9 @@ pass:
 
 func assembleLoad(t *testing.T, src string, defines map[string]int64) (*Program, map[string]*Map) {
 	t.Helper()
-	p, maps, err := AssembleAndLoad("test", src, defines, nil)
+	p, maps, err := loadSource("test", src, defines, nil)
 	if err != nil {
-		t.Fatalf("AssembleAndLoad: %v", err)
+		t.Fatalf("loadSource: %v", err)
 	}
 	return p, maps
 }
@@ -278,7 +278,7 @@ func TestAssembleErrors(t *testing.T) {
 func TestInstantiateSharesExistingMaps(t *testing.T) {
 	shared := MustNewMap(MapSpec{Name: "rr_state", Type: MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 1})
 	shared.UpdateUint64(0, 4) // start the round robin at 4
-	p, maps, err := AssembleAndLoad("rr", rrSource, nil, map[string]*Map{"rr_state": shared})
+	p, maps, err := loadSource("rr", rrSource, nil, map[string]*Map{"rr_state": shared})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestInstantiateSharesExistingMaps(t *testing.T) {
 
 func TestInstantiateRejectsIncompatibleRedeclaration(t *testing.T) {
 	other := MustNewMap(MapSpec{Name: "rr_state", Type: MapHash, KeySize: 4, ValueSize: 8, MaxEntries: 1})
-	_, _, err := AssembleAndLoad("rr", rrSource, nil, map[string]*Map{"rr_state": other})
+	_, _, err := loadSource("rr", rrSource, nil, map[string]*Map{"rr_state": other})
 	if err == nil || !strings.Contains(err.Error(), "incompatible") {
 		t.Fatalf("incompatible map reuse not rejected: %v", err)
 	}
@@ -305,7 +305,7 @@ r2 = *(u64 *)(r1 + 0)
 r0 = *(u64 *)(r2 + 0)
 exit
 `
-	_, _, err := AssembleAndLoad("unsafe", src, nil, nil)
+	_, _, err := loadSource("unsafe", src, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "bounds check") {
 		t.Fatalf("unsafe .syr accepted: %v", err)
 	}

@@ -151,8 +151,8 @@ type branchPoint struct {
 }
 
 type verifier struct {
-	prog    *Program
 	insns   []Instruction
+	maps    []MapSpec // what the pseudo-map LDDW immediates index
 	budget  int
 	used    int
 	nextID  int32
@@ -164,15 +164,13 @@ type verifier struct {
 	backEdge bool // a jump went to an earlier instruction: the only way to loop
 }
 
-// verify runs the abstract interpretation; nil means p is admitted.
-func verify(p *Program, budget int) error {
-	v := &verifier{prog: p, insns: p.insns, budget: budget}
-	v.lddwHi = make([]bool, len(p.insns))
-	for i := 0; i < len(p.insns); i++ {
-		if p.insns[i].IsLDDW() {
-			if i+1 >= len(p.insns) {
-				return fmt.Errorf("insn %d: truncated LDDW", i)
-			}
+// verify runs the abstract interpretation of insns, whose LDDW pairs
+// verifyFile found whole, over the map specs their pseudo-map immediates
+// index; nil means the program is admitted.
+func verify(insns []Instruction, maps []MapSpec, budget int) error {
+	v := &verifier{insns: insns, maps: maps, budget: budget, lddwHi: make([]bool, len(insns))}
+	for i := 0; i < len(insns); i++ {
+		if insns[i].IsLDDW() {
 			v.lddwHi[i+1] = true
 			i++
 		}
@@ -393,7 +391,7 @@ func (v *verifier) checkMemAccess(pc int, st *vstate, base vreg, off int64, size
 		}
 		return nil
 	case tMapValue:
-		vs := int64(v.prog.maps[base.mapIdx].spec.ValueSize)
+		vs := int64(v.maps[base.mapIdx].ValueSize)
 		a := base.off + off
 		if a < 0 || a+int64(size) > vs {
 			return fmt.Errorf("insn %d: map value access at offset %d size %d outside value size %d", pc, a, size, vs)
@@ -576,15 +574,15 @@ func (v *verifier) checkCall(pc int, ins Instruction, st *vstate) error {
 			if arg.typ != tMapHandle {
 				return fmt.Errorf("insn %d: helper %s arg%d: want map handle, got %v", pc, sig.name, i+1, arg.typ)
 			}
-			m := v.prog.maps[arg.mapIdx]
-			if kind == argProgArray && m.spec.Type != MapProgArray {
-				return fmt.Errorf("insn %d: tail_call requires a prog_array map, got %v", pc, m.spec.Type)
+			m := v.maps[arg.mapIdx]
+			if kind == argProgArray && m.Type != MapProgArray {
+				return fmt.Errorf("insn %d: tail_call requires a prog_array map, got %v", pc, m.Type)
 			}
-			if kind == argMapHandle && m.spec.Type == MapProgArray {
+			if kind == argMapHandle && m.Type == MapProgArray {
 				return fmt.Errorf("insn %d: helper %s cannot use prog_array map", pc, sig.name)
 			}
 			mapIdx = arg.mapIdx
-			keySize, valueSize = m.spec.KeySize, m.spec.ValueSize
+			keySize, valueSize = m.KeySize, m.ValueSize
 		case argStackKey:
 			if arg.typ != tStack {
 				return fmt.Errorf("insn %d: helper %s arg%d: key must point to the stack, got %v", pc, sig.name, i+1, arg.typ)

@@ -421,7 +421,7 @@ func TestVerifierUnboundedLoopRejected(t *testing.T) {
 		MovImm(R0, 0),
 		Exit(),
 	}
-	_, err := Load("loop", insns, LoadOptions{Budget: 10_000})
+	_, err := Load("loop", insns, LoadOptions{budget: 10_000})
 	if err == nil || !strings.Contains(err.Error(), "budget") || !strings.Contains(err.Error(), "may be unbounded") {
 		t.Fatalf("unbounded loop not rejected by budget: %v", err)
 	}

@@ -53,7 +53,7 @@ func buildDiffWorld(insns []Instruction) *diffWorld {
 	w.table.Register(w.hash)    // fd 4
 	w.table.Register(w.progArr) // fd 5
 	w.leaf = MustLoad("dleaf", []Instruction{MovImm(R0, 77), Exit()}, LoadOptions{})
-	w.prog, w.loadErr = Load("dprog", insns, LoadOptions{MapTable: w.table, Budget: 50_000})
+	w.prog, w.loadErr = Load("dprog", insns, LoadOptions{MapTable: w.table, budget: 50_000})
 	if err := w.progArr.UpdateProg(1, w.leaf); err != nil {
 		panic(err)
 	}
@@ -312,7 +312,10 @@ func TestJITErrorStringsMatchInterp(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := MustLoad("errs", tc.insns, LoadOptions{noVerify: true})
+			p, err := loadUnverified("errs", tc.insns)
+			if err != nil {
+				t.Fatal(err)
+			}
 			ctx := &Ctx{Packet: make([]byte, 4)}
 			_, stJ, errJ := p.Run(ctx, nil)
 			_, stI, errI := p.RunInterp(ctx, nil)
@@ -351,7 +354,7 @@ func TestDecodeIsTotal(t *testing.T) {
 			t.Fatalf("golden line %d is for %s", opb, tag)
 		}
 		ins := Instruction{Op: uint8(opb), Dst: R2, Src: R10, Off: -8, Imm: 1}
-		p, err := Load("total", []Instruction{ins}, LoadOptions{noVerify: true})
+		p, err := loadUnverified("total", []Instruction{ins})
 		if err != nil {
 			if got := "load: " + err.Error(); got != want {
 				t.Errorf("op %#04x: %s, want %s", opb, got, want)

@@ -73,14 +73,20 @@ func TestConservedCatchesAnUncountedPacket(t *testing.T) {
 	if host.Faults != nil {
 		t.Fatal("the host has a fault plan")
 	}
-	progs := ebpf.MustNewMap(ebpf.MapSpec{Name: "runaway_progs", Type: ebpf.MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 1})
+	progs, err := ebpf.NewMap(ebpf.MapSpec{Name: "runaway_progs", Type: ebpf.MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	table := ebpf.NewMapTable()
-	runaway := ebpf.MustLoad("runaway", append(ebpf.LoadMapFD(ebpf.R2, table.Register(progs)),
+	runaway, err := ebpf.Load("runaway", append(ebpf.LoadMapFD(ebpf.R2, table.Register(progs)),
 		ebpf.MovImm(ebpf.R3, 0),
 		ebpf.Call(ebpf.HelperTailCall),
 		ebpf.MovImm(ebpf.R0, 0),
 		ebpf.Exit(),
 	), ebpf.LoadOptions{MapTable: table})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := progs.UpdateProg(0, runaway); err != nil {
 		t.Fatal(err)
 	}

@@ -55,15 +55,11 @@ func Table2() ([]Table2Row, error) {
 	}
 	var rows []Table2Row
 	for _, c := range cases {
-		src, err := policy.Source(c.name)
+		v, err := policy.Verify(c.name, c.defines)
 		if err != nil {
 			return nil, err
 		}
-		f, err := ebpf.Assemble(src, c.defines)
-		if err != nil {
-			return nil, err
-		}
-		prog, maps, err := policy.Load(c.name, c.defines, nil)
+		prog, maps, err := v.Bind(nil)
 		if err != nil {
 			return nil, err
 		}
@@ -94,7 +90,7 @@ func Table2() ([]Table2Row, error) {
 		wall := float64(time.Since(start).Nanoseconds()) / iters
 		rows = append(rows, Table2Row{
 			Policy:        c.name,
-			LoC:           f.SourceLines,
+			LoC:           v.SourceLines(),
 			Instructions:  prog.Len(),
 			MeanExecInsns: prog.MeanInsnsPerRun(),
 			WallNanos:     wall,

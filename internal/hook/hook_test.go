@@ -20,7 +20,15 @@ func everyNth(h *Host, site faults.Site, n uint64) *faults.Injector {
 
 func mustProg(t *testing.T, name, src string) *ebpf.Program {
 	t.Helper()
-	p, _, err := ebpf.AssembleAndLoad(name, src, nil, nil)
+	f, err := ebpf.Assemble(src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := ebpf.Verify(name, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := v.Bind(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +406,10 @@ func TestFaultInjectorFailsOpen(t *testing.T) {
 // budget faults.
 func selfTailProg(t *testing.T, name string) *ebpf.Program {
 	t.Helper()
-	pa := ebpf.MustNewMap(ebpf.MapSpec{Name: name + "_pa", Type: ebpf.MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 1})
+	pa, err := ebpf.NewMap(ebpf.MapSpec{Name: name + "_pa", Type: ebpf.MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	tb := ebpf.NewMapTable()
 	fd := tb.Register(pa)
 	insns := []ebpf.Instruction{}

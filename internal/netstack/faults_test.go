@@ -8,7 +8,6 @@ package netstack
 import (
 	"testing"
 
-	"syrup/internal/ebpf"
 	"syrup/internal/faults"
 	"syrup/internal/hook"
 	"syrup/internal/nic"
@@ -94,10 +93,7 @@ func TestInjectedSocketSelectFallsOpen(t *testing.T) {
 	s0, _ := st.NewUDPSocket(9000, 1, "w0")
 	s1, _ := st.NewUDPSocket(9000, 1, "w1")
 	// Policy pins everything to executor 1.
-	steer, _, err := ebpf.AssembleAndLoad("pin1", "r0 = 1\nexit\n", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	steer := mustProg(t, "r0 = 1\nexit\n")
 	g := st.LookupGroup(9000)
 	g.Hook().Set(steer)
 

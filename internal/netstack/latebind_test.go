@@ -122,7 +122,21 @@ func TestEnableLateBindingValidation(t *testing.T) {
 
 func mustProg(t *testing.T, src string) *ebpf.Program {
 	t.Helper()
-	p, _, err := ebpf.AssembleAndLoad("t", src, nil, nil)
+	return mustProgWith(t, src, nil)
+}
+
+// mustProgWith assembles, verifies and binds src with defines.
+func mustProgWith(t *testing.T, src string, defines map[string]int64) *ebpf.Program {
+	t.Helper()
+	f, err := ebpf.Assemble(src, defines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := ebpf.Verify("t", f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := v.Bind(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,10 +165,7 @@ pass:
   r0 = PASS
   exit
 `
-	prog, _, err := ebpf.AssembleAndLoad("rr", rr, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustProg(t, rr)
 	st.LookupGroup(9000).Hook().Set(prog)
 	for i := 0; i < 9; i++ {
 		dev.Receive(mkPkt(uint64(i), 1, 9000, nil)) // single flow!
@@ -187,14 +184,14 @@ pass:
 func TestSocketSelectPolicyDropAndOOB(t *testing.T) {
 	eng, dev, st := wired(t, 1)
 	st.NewUDPSocket(9000, 1, "w")
-	drop, _, _ := ebpf.AssembleAndLoad("drop", "r0 = DROP\nexit\n", nil, nil)
+	drop := mustProg(t, "r0 = DROP\nexit\n")
 	st.LookupGroup(9000).Hook().Set(drop)
 	dev.Receive(mkPkt(1, 1, 9000, nil))
 	eng.Run()
 	if st.Stats.PolicyDrops != 1 {
 		t.Fatalf("policy drops = %d", st.Stats.PolicyDrops)
 	}
-	oob, _, _ := ebpf.AssembleAndLoad("oob", "r0 = 17\nexit\n", nil, nil)
+	oob := mustProg(t, "r0 = 17\nexit\n")
 	st.LookupGroup(9000).Hook().Set(oob)
 	dev.Receive(mkPkt(2, 1, 9000, nil))
 	eng.Run()
@@ -235,11 +232,7 @@ pass:
   r0 = PASS
   exit
 `
-	p, _, err := ebpf.AssembleAndLoad("xsk", src, map[string]int64{"NSOCKS": int64(n)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return mustProgWith(t, src, map[string]int64{"NSOCKS": int64(n)})
 }
 
 func TestXDPNativeRedirectToXSK(t *testing.T) {
@@ -289,7 +282,7 @@ func TestXDPGenericCostsMore(t *testing.T) {
 func TestXDPPassContinuesUpTheStack(t *testing.T) {
 	eng, dev, st := wired(t, 1)
 	sock, _ := st.NewUDPSocket(9000, 1, "w")
-	pass, _, _ := ebpf.AssembleAndLoad("pass", "r0 = PASS\nexit\n", nil, nil)
+	pass := mustProg(t, "r0 = PASS\nexit\n")
 	setXDP(st, XDPGeneric, pass)
 	dev.Receive(mkPkt(1, 1, 9000, nil))
 	eng.Run()
@@ -301,14 +294,14 @@ func TestXDPPassContinuesUpTheStack(t *testing.T) {
 func TestXDPDropAndBadExecutor(t *testing.T) {
 	eng, dev, st := wired(t, 1)
 	st.NewUDPSocket(9000, 1, "w")
-	drop, _, _ := ebpf.AssembleAndLoad("drop", "r0 = DROP\nexit\n", nil, nil)
+	drop := mustProg(t, "r0 = DROP\nexit\n")
 	setXDP(st, XDPNative, drop)
 	dev.Receive(mkPkt(1, 1, 9000, nil))
 	eng.Run()
 	if st.Stats.XSKDrops != 1 {
 		t.Fatalf("xsk drops = %d", st.Stats.XSKDrops)
 	}
-	oob, _, _ := ebpf.AssembleAndLoad("oob", "r0 = 9\nexit\n", nil, nil)
+	oob := mustProg(t, "r0 = 9\nexit\n")
 	setXDP(st, XDPNative, oob)
 	dev.Receive(mkPkt(2, 1, 9000, nil))
 	eng.Run()
@@ -323,7 +316,7 @@ func TestCPURedirectMovesProtocolProcessing(t *testing.T) {
 	sock, _ := st.NewUDPSocket(9000, 1, "w")
 	_ = sock
 	// Redirect everything to softirq core 1.
-	redir, _, _ := ebpf.AssembleAndLoad("redir", "r0 = 1\nexit\n", nil, nil)
+	redir := mustProg(t, "r0 = 1\nexit\n")
 	st.CPURedirect().Set(redir)
 	// Two packets on queue 0: ingress serializes on core 0, protocol on
 	// core 1.

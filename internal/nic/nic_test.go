@@ -99,7 +99,7 @@ func TestOffloadProgramSteersQueues(t *testing.T) {
 	var gotQueue []int
 	dev := New(eng, Config{Queues: 4}, func(q int, pkt *Packet) { gotQueue = append(gotQueue, q) })
 	// Steer by first payload byte (a MICA-style key-hash steering policy).
-	prog := ebpf.MustLoad("steer", []ebpf.Instruction{
+	prog := mustLoad(t, "steer", []ebpf.Instruction{
 		ebpf.Ldx(8, ebpf.R2, ebpf.R1, ebpf.CtxOffData),
 		ebpf.Ldx(8, ebpf.R3, ebpf.R1, ebpf.CtxOffDataEnd),
 		ebpf.MovReg(ebpf.R4, ebpf.R2),
@@ -133,7 +133,7 @@ func TestOffloadDropAndOutOfRange(t *testing.T) {
 	eng := sim.New(1)
 	delivered := 0
 	dev := New(eng, Config{Queues: 2}, func(q int, pkt *Packet) { delivered++ })
-	drop := ebpf.MustLoad("drop", []ebpf.Instruction{
+	drop := mustLoad(t, "drop", []ebpf.Instruction{
 		ebpf.MovImm(ebpf.R0, -2), // DROP
 		ebpf.Exit(),
 	}, ebpf.LoadOptions{})
@@ -143,7 +143,7 @@ func TestOffloadDropAndOutOfRange(t *testing.T) {
 	if delivered != 0 || dev.Stats.DroppedByXDP != 1 {
 		t.Fatalf("drop verdict ignored: delivered=%d drops=%d", delivered, dev.Stats.DroppedByXDP)
 	}
-	oob := ebpf.MustLoad("oob", []ebpf.Instruction{
+	oob := mustLoad(t, "oob", []ebpf.Instruction{
 		ebpf.MovImm(ebpf.R0, 99),
 		ebpf.Exit(),
 	}, ebpf.LoadOptions{})
@@ -161,7 +161,10 @@ func TestOffloadFaultFailsOpenAndCounts(t *testing.T) {
 	dev := New(eng, Config{Queues: 4}, func(q int, pkt *Packet) { delivered++ })
 	// A verified program that tail-calls itself past MaxTailCalls: the
 	// stand-in for a runtime fault on the NIC.
-	pa := ebpf.MustNewMap(ebpf.MapSpec{Name: "pa", Type: ebpf.MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 1})
+	pa, err := ebpf.NewMap(ebpf.MapSpec{Name: "pa", Type: ebpf.MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	tb := ebpf.NewMapTable()
 	insns := append(ebpf.LoadMapFD(ebpf.R2, tb.Register(pa)),
 		ebpf.MovImm(ebpf.R3, 0),
@@ -194,7 +197,10 @@ func TestOffloadFaultFailsOpenAndCounts(t *testing.T) {
 func TestOffloadedMapLatency(t *testing.T) {
 	eng := sim.New(1)
 	dev := New(eng, Config{Queues: 1}, func(int, *Packet) {})
-	m := ebpf.MustNewMap(ebpf.MapSpec{Name: "m", Type: ebpf.MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 1})
+	m, err := ebpf.NewMap(ebpf.MapSpec{Name: "m", Type: ebpf.MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	om := dev.OffloadMap(m)
 	var wroteAt, readAt sim.Time
 	om.UpdateUint64(0, 42, func(err error) {
@@ -234,11 +240,7 @@ func TestConsumedUnderflowPanics(t *testing.T) {
 // every packet pays the offload engine's latency before the host sees it.
 func steerAll(t *testing.T) *ebpf.Program {
 	t.Helper()
-	p, _, err := ebpf.AssembleAndLoad("steer0", "r0 = 0\nexit\n", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return mustLoad(t, "steer0", []ebpf.Instruction{ebpf.MovImm(ebpf.R0, 0), ebpf.Exit()}, ebpf.LoadOptions{})
 }
 
 // TestBurstDrainFullRing fills a ring to capacity in one instant behind an
@@ -516,4 +518,14 @@ func TestQueueOwnership(t *testing.T) {
 	}
 	a.Free()
 	b.Free()
+}
+
+// mustLoad verifies and binds a hand-built program.
+func mustLoad(t *testing.T, name string, insns []ebpf.Instruction, opts ebpf.LoadOptions) *ebpf.Program {
+	t.Helper()
+	p, err := ebpf.Load(name, insns, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

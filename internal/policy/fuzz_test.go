@@ -37,7 +37,7 @@ func FuzzAssemble(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Text() does not re-assemble: %v\nsource:\n%s\nrendered:\n%s", err, src, text)
 		}
-		if !reflect.DeepEqual(a.Insns, b.Insns) || !reflect.DeepEqual(a.Maps, b.Maps) || !reflect.DeepEqual(a.MapRefs, b.MapRefs) {
+		if !reflect.DeepEqual(a.Insns, b.Insns) || !reflect.DeepEqual(a.Maps, b.Maps) {
 			t.Fatalf("Text() round trip changed the file\nsource:\n%s\nrendered:\n%s\nwant:\n%s\ngot:\n%s",
 				src, text, ebpf.DisassembleProgram(a.Insns), ebpf.DisassembleProgram(b.Insns))
 		}
@@ -61,13 +61,14 @@ func FuzzAssemble(f *testing.F) {
 	})
 }
 
-// load instantiates f's maps fresh and verifies its program.
+// load verifies f's program and binds it to fresh maps.
 func load(f *ebpf.AsmFile) (*ebpf.Program, error) {
-	insns, _, table, err := f.Instantiate(nil)
+	v, err := ebpf.Verify("fuzz", f)
 	if err != nil {
 		return nil, err
 	}
-	return ebpf.Load("fuzz", insns, ebpf.LoadOptions{MapTable: table})
+	p, _, err := v.Bind(nil)
+	return p, err
 }
 
 // renderable reports whether every jump lands on a line the renderer can

@@ -119,14 +119,18 @@ func DecodeHeader(b []byte) (reqType uint64, userID, keyHash uint32, reqID uint6
 		true
 }
 
-// Load assembles, links, and verifies a built-in policy with deploy-time
-// defines (e.g., NUM_THREADS) and optional shared maps.
-func Load(name string, defines map[string]int64, shared map[string]*ebpf.Map) (*ebpf.Program, map[string]*ebpf.Map, error) {
+// Verify assembles and verifies a built-in policy with deploy-time
+// defines (e.g., NUM_THREADS); Bind then instantiates it.
+func Verify(name string, defines map[string]int64) (*ebpf.Verified, error) {
 	src, err := Source(name)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return ebpf.AssembleAndLoad(name, src, defines, shared)
+	f, err := ebpf.Assemble(src, defines)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	return ebpf.Verify(name, f)
 }
 
 // SITADefines builds the define set SITA needs for n threads.

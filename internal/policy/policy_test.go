@@ -25,7 +25,7 @@ func TestAllBuiltinsAssembleAndVerify(t *testing.T) {
 			if name == NameSITA {
 				defines = SITADefines(6)
 			}
-			p, _, err := Load(name, defines, nil)
+			p, _, err := loadBuiltin(name, defines)
 			if err != nil {
 				t.Fatalf("load: %v", err)
 			}
@@ -49,7 +49,7 @@ func TestAllBuiltinsAssembleAndVerify(t *testing.T) {
 func TestShippedStreamsPinned(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			p, _, err := Load(name, nil, nil)
+			p, _, err := loadBuiltin(name, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,6 +62,15 @@ func TestShippedStreamsPinned(t *testing.T) {
 			}
 		})
 	}
+}
+
+// loadBuiltin verifies a built-in policy and binds it to fresh maps.
+func loadBuiltin(name string, defines map[string]int64) (*ebpf.Program, map[string]*ebpf.Map, error) {
+	v, err := Verify(name, defines)
+	if err != nil {
+		return nil, nil, err
+	}
+	return v.Bind(nil)
 }
 
 func TestSourceUnknown(t *testing.T) {
@@ -82,7 +91,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 }
 
 func TestRoundRobinPolicy(t *testing.T) {
-	p, _, err := Load(NameRoundRobin, map[string]int64{"NUM_THREADS": 4}, nil)
+	p, _, err := loadBuiltin(NameRoundRobin, map[string]int64{"NUM_THREADS": 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +107,7 @@ func TestRoundRobinPolicy(t *testing.T) {
 }
 
 func TestHashPolicyDeterministicAndBounded(t *testing.T) {
-	p, _, err := Load(NameHash, map[string]int64{"NUM_EXECUTORS": 6}, nil)
+	p, _, err := loadBuiltin(NameHash, map[string]int64{"NUM_EXECUTORS": 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +131,7 @@ func TestHashPolicyDeterministicAndBounded(t *testing.T) {
 }
 
 func TestSITAPolicySplitsByType(t *testing.T) {
-	p, _, err := Load(NameSITA, SITADefines(6), nil)
+	p, _, err := loadBuiltin(NameSITA, SITADefines(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +155,7 @@ func TestSITAPolicySplitsByType(t *testing.T) {
 }
 
 func TestScanAvoidPolicy(t *testing.T) {
-	p, maps, err := Load(NameScanAvoid, map[string]int64{"NUM_THREADS": 4}, nil)
+	p, maps, err := loadBuiltin(NameScanAvoid, map[string]int64{"NUM_THREADS": 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +203,7 @@ func envSeq() uint32 {
 }
 
 func TestTokenPolicyConsumesAndDrops(t *testing.T) {
-	p, maps, err := Load(NameToken, nil, nil)
+	p, maps, err := loadBuiltin(NameToken, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +230,7 @@ func TestTokenPolicyConsumesAndDrops(t *testing.T) {
 }
 
 func TestMicaHashPolicy(t *testing.T) {
-	p, _, err := Load(NameMicaHash, map[string]int64{"NUM_EXECUTORS": 8}, nil)
+	p, _, err := loadBuiltin(NameMicaHash, map[string]int64{"NUM_EXECUTORS": 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +244,10 @@ func TestMicaHashPolicy(t *testing.T) {
 
 func TestTokenAgentReplenishesAndGifts(t *testing.T) {
 	eng := sim.New(1)
-	tokens := ebpf.MustNewMap(ebpf.MapSpec{Name: "tokens", Type: ebpf.MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 8})
+	tokens, err := ebpf.NewMap(ebpf.MapSpec{Name: "tokens", Type: ebpf.MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	agent := &TokenAgent{Tokens: tokens, LSUser: 0, BEUser: 1, PerEpoch: 100, Epoch: 100 * sim.Microsecond}
 	agent.Start(eng)
 	// Consume 60 LS tokens mid-epoch.
@@ -318,7 +330,7 @@ func TestPolicyInstructionCounts(t *testing.T) {
 		if name == NameSITA {
 			defines = SITADefines(6)
 		}
-		p, _, err := Load(name, defines, nil)
+		p, _, err := loadBuiltin(name, defines)
 		if err != nil {
 			t.Fatal(err)
 		}

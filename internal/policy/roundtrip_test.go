@@ -31,9 +31,6 @@ func TestPolicySourcesRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(f.Maps, g.Maps) {
 				t.Fatalf("%s: map declarations changed: %+v vs %+v", name, f.Maps, g.Maps)
 			}
-			if !reflect.DeepEqual(f.MapRefs, g.MapRefs) {
-				t.Fatalf("%s: map references changed: %v vs %v", name, f.MapRefs, g.MapRefs)
-			}
 		})
 	}
 }
@@ -47,7 +44,7 @@ func TestPolicyTextSourceRoundTrip(t *testing.T) {
 			if name == NameSITA {
 				defines = SITADefines(4)
 			}
-			p, _, err := Load(name, defines, nil)
+			p, _, err := loadBuiltin(name, defines)
 			if err != nil {
 				t.Fatalf("load %s: %v", name, err)
 			}
@@ -56,12 +53,8 @@ func TestPolicyTextSourceRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("re-assemble %s: %v\nrendered:\n%s", name, err, text)
 			}
-			insns, _, table, err := g.Instantiate(nil)
-			if err != nil {
-				t.Fatalf("instantiate %s: %v", name, err)
-			}
 			// The re-loaded program must verify and produce the same stream.
-			q, err := ebpf.Load(name, insns, ebpf.LoadOptions{MapTable: table})
+			q, err := load(g)
 			if err != nil {
 				t.Fatalf("re-load %s: %v\nrendered:\n%s", name, err, text)
 			}

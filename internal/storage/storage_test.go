@@ -72,7 +72,11 @@ func TestDeviceQueueDepthBound(t *testing.T) {
 func TestTokenPolicyGatesIOSubmissions(t *testing.T) {
 	eng := sim.New(1)
 	d := NewDevice(&hook.Host{Eng: eng}, Config{Queues: 2})
-	prog, maps, err := policy.Load(policy.NameToken, nil, nil)
+	v, err := policy.Verify(policy.NameToken, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, maps, err := v.Bind(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +141,15 @@ pass:
   r0 = PASS
   exit
 `
-	prog, _, err := ebpf.AssembleAndLoad("io-sita", src, nil, nil)
+	f, err := ebpf.Assemble(src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := ebpf.Verify("io-sita", f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, _, err := v.Bind(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +188,11 @@ func TestReflexStyleQoS(t *testing.T) {
 		})
 		var tokens *ebpf.Map
 		if withPolicy {
-			prog, maps, err := policy.Load(policy.NameToken, nil, nil)
+			v, err := policy.Verify(policy.NameToken, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, maps, err := v.Bind(nil)
 			if err != nil {
 				t.Fatal(err)
 			}

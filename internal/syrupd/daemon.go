@@ -77,10 +77,9 @@ type Daemon struct {
 	store   *storage.Device
 	pins    *ebpf.PinRegistry
 
-	apps         map[uint32]*App
-	portOwner    map[uint16]uint32
-	dispatch     map[Hook]*dispatcher
-	verifyBudget int
+	apps      map[uint32]*App
+	portOwner map[uint16]uint32
+	dispatch  map[Hook]*dispatcher
 
 	// Quarantine events on this host, published by Counters as
 	// syrupd_quarantines.
@@ -155,13 +154,36 @@ func (d *Daemon) appsByID() []*App {
 	return apps
 }
 
-// DeployPolicy is the paper's syr_deploy_policy: compile source (a .syr
-// policy file) with deploy-time defines, verify it, share maps by name with
-// the app's previous deployments, pin new maps, and install the program at
-// hook — wrapped behind the per-port isolation dispatcher for device-wide
-// hooks. It returns the app's deployment at hook: a redeploy live-replaces
-// the program and returns the same one.
+// Verify is the half of a deploy that reads no host: it compiles source
+// (a .syr policy file) with deploy-time defines and verifies it as app's
+// policy at hook. It runs on any goroutine, and one result deploys on any
+// number of hosts (Deploy).
+func Verify(appID uint32, hk Hook, source string, defines map[string]int64) (*ebpf.Verified, error) {
+	f, err := ebpf.Assemble(source, defines)
+	if err != nil {
+		return nil, fmt.Errorf("syrupd: app %d: %w", appID, err)
+	}
+	return ebpf.Verify(fmt.Sprintf("app%d-%s", appID, hk), f)
+}
+
+// DeployPolicy is the paper's syr_deploy_policy: Verify source, then
+// Deploy it. It returns the app's deployment at hook: a redeploy
+// live-replaces the program and returns the same one.
 func (d *Daemon) DeployPolicy(appID uint32, hk Hook, source string, defines map[string]int64) (*AppLink, error) {
+	v, err := Verify(appID, hk, source, defines)
+	return d.deploy(appID, hk, v, err)
+}
+
+// Deploy installs a policy Verify built for app and hook on this host: it
+// binds the program to the app's maps by name, installs it at hook (behind
+// the isolation dispatcher at device-wide hooks) and pins the new maps.
+func (d *Daemon) Deploy(appID uint32, hk Hook, v *ebpf.Verified) (*AppLink, error) {
+	return d.deploy(appID, hk, v, nil)
+}
+
+// deploy is Deploy for a policy whose verification failed with verr: a
+// deploy that also fails the host's own checks reports the host's error.
+func (d *Daemon) deploy(appID uint32, hk Hook, v *ebpf.Verified, verr error) (*AppLink, error) {
 	app, ok := d.apps[appID]
 	if !ok {
 		return nil, fmt.Errorf("syrupd: unknown app %d", appID)
@@ -172,22 +194,18 @@ func (d *Daemon) DeployPolicy(appID uint32, hk Hook, source string, defines map[
 	if app.quarantined[hk] != nil {
 		return nil, fmt.Errorf("syrupd: app %d is quarantined at %s; unquarantine first", appID, hk)
 	}
-
-	f, err := ebpf.Assemble(source, defines)
+	if verr != nil {
+		return nil, verr
+	}
+	prog, maps, err := v.Bind(app.maps)
 	if err != nil {
 		return nil, fmt.Errorf("syrupd: app %d: %w", appID, err)
 	}
-	insns, maps, table, err := f.Instantiate(app.maps)
-	if err != nil {
-		return nil, fmt.Errorf("syrupd: app %d: %w", appID, err)
-	}
-	name := fmt.Sprintf("app%d-%s", appID, hk)
-	prog, err := ebpf.Load(name, insns, ebpf.LoadOptions{MapTable: table, Budget: d.verifyBudget})
+	l, err := d.install(app, hk, prog)
 	if err != nil {
 		return nil, err
 	}
-
-	// Pin newly created maps so the app's userspace can reach them.
+	// Pin new maps for the app's userspace once the install has succeeded.
 	for mname, m := range maps {
 		if _, existed := app.maps[mname]; existed {
 			continue
@@ -198,12 +216,7 @@ func (d *Daemon) DeployPolicy(appID uint32, hk Hook, source string, defines map[
 			return nil, err
 		}
 	}
-
-	l, err := d.install(app, hk, prog)
-	if err != nil {
-		return nil, err
-	}
-	l.Maps, l.SourceLines = maps, f.SourceLines
+	l.Maps, l.Verified = maps, v
 	return l, nil
 }
 
@@ -219,7 +232,7 @@ func (d *Daemon) DeployBuiltin(appID uint32, hk Hook, name string, defines map[s
 // install puts prog in at hk as the app's deployment there: the first
 // install creates the deployment, a later one live-replaces its program.
 func (d *Daemon) install(app *App, hk Hook, prog *ebpf.Program) (*AppLink, error) {
-	l := app.link(hk)
+	l := app.Link(hk)
 	switch hk {
 	case HookSocketSelect, HookStorage:
 		pts, err := d.hookPoints(app, hk)
@@ -265,7 +278,7 @@ func (d *Daemon) hookPoints(app *App, hk Hook) ([]*hook.Point, error) {
 			return nil, fmt.Errorf("syrupd: host has no storage device attached")
 		}
 		for _, other := range d.apps {
-			if other != app && other.link(HookStorage) != nil {
+			if other != app && other.Link(HookStorage) != nil {
 				return nil, fmt.Errorf("syrupd: storage hook already owned by app %d", other.ID)
 			}
 		}

@@ -1,6 +1,7 @@
 package syrupd
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,7 +66,7 @@ func TestDeploySocketSelectPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SourceLines == 0 || res.Program() == nil {
+	if res.Verified.SourceLines() == 0 || res.Program() == nil {
 		t.Fatalf("deploy result incomplete: %+v", res)
 	}
 	for i := 0; i < 6; i++ {
@@ -319,6 +320,40 @@ func TestDeployErrors(t *testing.T) {
 	}
 	if _, err := h.d.DeployBuiltin(1, HookSocketSelect, "nope", nil); err == nil {
 		t.Fatal("unknown builtin accepted")
+	}
+}
+
+// TestFailedDeployLeavesNoMaps: a deploy that verifies but cannot install
+// (token at socket_select, with no socket bound) leaves the app as it
+// was: no map pinned, none recorded, no deployment. An existing map the
+// policy would have shared stays as it was too.
+func TestFailedDeployLeavesNoMaps(t *testing.T) {
+	h := newHost(t, 1, 0)
+	app, _ := h.d.RegisterApp(1, 1000, 9000)
+	if _, err := h.d.CreateMap(1, ebpf.MapSpec{Name: "mine", Type: ebpf.MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 1}); err != nil {
+		t.Fatal(err)
+	}
+	pins, maps := h.d.pins.List("/syrup/"), len(app.Maps())
+	_, err := h.d.DeployBuiltin(1, HookSocketSelect, policy.NameToken, nil)
+	if err == nil || !strings.Contains(err.Error(), "no bound reuseport groups") {
+		t.Fatalf("deploy with no bound socket: %v", err)
+	}
+	if got := h.d.pins.List("/syrup/"); !slices.Equal(got, pins) {
+		t.Fatalf("pins after a failed deploy = %v, want %v", got, pins)
+	}
+	if len(app.Maps()) != maps || app.Maps()["tokens"] != nil {
+		t.Fatalf("app maps after a failed deploy = %v", app.Maps())
+	}
+	if links := h.d.Links(); len(links) != 0 {
+		t.Fatalf("links after a failed deploy = %+v", links)
+	}
+	// Once a socket is bound, the same deploy succeeds and pins its map.
+	h.stack.NewUDPSocket(9000, 1, "w")
+	if _, err := h.d.DeployBuiltin(1, HookSocketSelect, policy.NameToken, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.d.pins.List("/syrup/"); !slices.Equal(got, []string{"/syrup/1/mine", "/syrup/1/tokens"}) {
+		t.Fatalf("pins after the deploy = %v", got)
 	}
 }
 

@@ -34,19 +34,10 @@ func (d *Daemon) dispatcher(hk Hook) (*dispatcher, error) {
 	if disp, ok := d.dispatch[hk]; ok {
 		return disp, nil
 	}
-	portMap := ebpf.MustNewMap(ebpf.MapSpec{
-		Name: fmt.Sprintf("syrupd-%s-ports", hk), Type: ebpf.MapHash,
-		KeySize: 4, ValueSize: 8, MaxEntries: dispatcherSlots,
-	})
-	progArray := ebpf.MustNewMap(ebpf.MapSpec{
-		Name: fmt.Sprintf("syrupd-%s-progs", hk), Type: ebpf.MapProgArray,
-		KeySize: 4, ValueSize: 4, MaxEntries: dispatcherSlots,
-	})
-	root, err := d.buildRootDispatcher(string(hk), portMap, progArray)
+	disp, err := newDispatcher(hk)
 	if err != nil {
 		return nil, err
 	}
-	disp := &dispatcher{hook: hk, root: root, portMap: portMap, progArray: progArray}
 	// Attach the root at the layer's hook point; the daemon owns the link.
 	// The two XDP hooks share the stack's one XDP point (they differ only
 	// in where the program runs), so deploying to both at once fails the
@@ -68,7 +59,7 @@ func (d *Daemon) dispatcher(hk Hook) (*dispatcher, error) {
 	default:
 		return nil, fmt.Errorf("syrupd: hook %q has no dispatcher", hk)
 	}
-	disp.rootLink, err = pt.Attach(root)
+	disp.rootLink, err = pt.Attach(disp.root)
 	if err != nil {
 		return nil, err
 	}
@@ -79,22 +70,21 @@ func (d *Daemon) dispatcher(hk Hook) (*dispatcher, error) {
 	return disp, nil
 }
 
-// buildRootDispatcher generates and verifies the root program. It is
-// ordinary verified bytecode — the daemon enjoys no special VM privileges.
-func (d *Daemon) buildRootDispatcher(name string, portMap, progArray *ebpf.Map) (*ebpf.Program, error) {
-	table := ebpf.NewMapTable()
-	portFD := table.Register(portMap)
-	progFD := table.Register(progArray)
-
-	var insns []ebpf.Instruction
-	// r6 = ctx (callee-saved across helper calls)
-	insns = append(insns, ebpf.MovReg(ebpf.R6, ebpf.R1))
-	// key = ctx->port
-	insns = append(insns, ebpf.Ldx(4, ebpf.R2, ebpf.R1, ebpf.CtxOffPort))
-	// The map handle is loaded before the key store so the store sits next
-	// to the address math and the two compile to one closure.
-	insns = append(insns, ebpf.LoadMapFD(ebpf.R1, portFD)...)
-	insns = append(insns,
+// newDispatcher generates, verifies and binds the root program, which
+// creates the two maps it declares. The root is ordinary verified
+// bytecode — the daemon enjoys no special VM privileges.
+func newDispatcher(hk Hook) (*dispatcher, error) {
+	specs := []ebpf.MapSpec{{
+		Name: fmt.Sprintf("syrupd-%s-ports", hk), Type: ebpf.MapHash,
+		KeySize: 4, ValueSize: 8, MaxEntries: dispatcherSlots,
+	}, {
+		Name: fmt.Sprintf("syrupd-%s-progs", hk), Type: ebpf.MapProgArray,
+		KeySize: 4, ValueSize: 4, MaxEntries: dispatcherSlots,
+	}}
+	insns := slices.Concat([]ebpf.Instruction{
+		ebpf.MovReg(ebpf.R6, ebpf.R1),                  // ctx, callee-saved across helper calls
+		ebpf.Ldx(4, ebpf.R2, ebpf.R1, ebpf.CtxOffPort), // key = ctx->port
+	}, ebpf.LoadMapFD(ebpf.R1, 0), []ebpf.Instruction{
 		ebpf.Stx(4, ebpf.R10, ebpf.R2, -4),
 		ebpf.MovReg(ebpf.R2, ebpf.R10),
 		ebpf.ALUImm(ebpf.ALUAdd, ebpf.R2, -4),
@@ -102,15 +92,21 @@ func (d *Daemon) buildRootDispatcher(name string, portMap, progArray *ebpf.Map) 
 		ebpf.JmpImm(ebpf.JmpEq, ebpf.R0, 0, 5), // miss -> pass (skip 5 insns)
 		ebpf.Ldx(8, ebpf.R3, ebpf.R0, 0),       // slot
 		ebpf.MovReg(ebpf.R1, ebpf.R6),          // ctx
-	)
-	insns = append(insns, ebpf.LoadMapFD(ebpf.R2, progFD)...)
-	insns = append(insns,
+	}, ebpf.LoadMapFD(ebpf.R2, 1), []ebpf.Instruction{
 		ebpf.Call(ebpf.HelperTailCall),
 		// Tail call only returns on failure (e.g., slot cleared): pass.
 		ebpf.MovImm(ebpf.R0, -1), // PASS
 		ebpf.Exit(),
-	)
-	return ebpf.Load("syrupd-dispatch-"+name, insns, ebpf.LoadOptions{MapTable: table})
+	})
+	v, err := ebpf.Verify(fmt.Sprintf("syrupd-dispatch-%s", hk), &ebpf.AsmFile{Maps: specs, Insns: insns})
+	if err != nil {
+		return nil, err
+	}
+	root, maps, err := v.Bind(nil)
+	if err != nil {
+		return nil, err
+	}
+	return &dispatcher{hook: hk, root: root, portMap: maps[specs[0].Name], progArray: maps[specs[1].Name]}, nil
 }
 
 // slot is a deployment at a device-wide hook: one PROG_ARRAY entry of the

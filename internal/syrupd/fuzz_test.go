@@ -15,7 +15,10 @@ import (
 // after a millisecond more of traffic the host still accounts for every
 // packet and every instruction its programs ran. The seed corpus
 // (testdata/fuzz/FuzzHandle) holds every request line of README.md, one
-// line per op, and malformed JSON; plain `go test` replays it.
+// line per op, malformed JSON, and a deploy failing at each stage of its
+// split path (assembly and verification on the caller's goroutine; an
+// unknown app and the thread hook on the loop, whose errors win over a
+// program that does not verify); plain `go test` replays it.
 func FuzzHandle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, line []byte) {
 		h := newHost(t, 1, 2)

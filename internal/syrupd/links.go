@@ -17,8 +17,9 @@ type AppLink struct {
 	// Maps are the installed policy's named maps, shared by name with the
 	// app's other deployments (new ones pinned under /syrup/<app>/).
 	Maps map[string]*ebpf.Map
-	// SourceLines is the installed policy's .syr LoC (Table 2's LoC column).
-	SourceLines int
+	// Verified is the installed policy as verified, before this host bound
+	// it; nil for a userspace thread policy.
+	Verified *ebpf.Verified
 
 	app *App
 	// att is where the deployment is installed, chosen once at install.
@@ -60,8 +61,8 @@ func (l *AppLink) Close() {
 	l.att.close()
 }
 
-// link is the app's live deployment at hk, or nil.
-func (app *App) link(hk Hook) *AppLink {
+// Link is the app's live deployment at hk, or nil.
+func (app *App) Link(hk Hook) *AppLink {
 	for _, l := range app.links {
 		if l.Hook == hk {
 			return l
@@ -171,7 +172,7 @@ func (d *Daemon) DetachApp(id uint32, hk Hook) error {
 	if !ok {
 		return fmt.Errorf("syrupd: unknown app %d", id)
 	}
-	if l := app.link(hk); l != nil {
+	if l := app.Link(hk); l != nil {
 		l.Close()
 	}
 	return nil

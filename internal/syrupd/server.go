@@ -86,11 +86,40 @@ type Server struct {
 	done chan struct{} // closed by Close
 }
 
-// letter is one message to Serve: an op and where its reply goes, a tick
-// (neither) or the stop (a reply channel only).
+// letter is one message to Serve: an op, its deploy plan and where its
+// reply goes, a tick (none of them) or the stop (a reply channel only).
 type letter struct {
 	req   *Request
+	plan  *plan
 	reply chan Response
+}
+
+// plan is the half of a deploy op that reads no host: the hook and the
+// policy verified. A bad request is answered before the host's checks, a
+// policy that does not verify after them, as in DeployPolicy.
+type plan struct {
+	hook      Hook
+	v         *ebpf.Verified
+	bad, verr error
+}
+
+// planDeploy makes a deploy request's plan, or nil for any other op.
+func planDeploy(req *Request) *plan {
+	if req.Op != "deploy" {
+		return nil
+	}
+	p, src := &plan{}, req.Source
+	p.hook, p.bad = ParseHook(req.Hook)
+	if p.bad == nil && src == "" && req.Policy != "" {
+		src, p.bad = policy.Source(req.Policy)
+	}
+	if p.bad == nil && src == "" {
+		p.bad = fmt.Errorf("syrupd: deploy needs policy or source")
+	}
+	if p.bad == nil {
+		p.v, p.verr = Verify(req.App, p.hook, src, req.Defines)
+	}
+	return p
 }
 
 // NewServer wraps a daemon.
@@ -117,7 +146,7 @@ func (s *Server) Serve(tick <-chan time.Time, step func()) {
 	for l := range s.mail {
 		switch {
 		case l.req != nil:
-			resp := s.Handle(l.req)
+			resp := s.handle(l.req, l.plan)
 			resp.AtNS = int64(s.d.host.Eng.Now())
 			l.reply <- resp
 		case l.reply == nil:
@@ -193,7 +222,10 @@ func (s *Server) serveLine(line []byte) Response {
 // Handle executes one request on the calling goroutine, which must own the
 // host: Serve's loop, or code that runs the host itself and serves no
 // socket (a fleet scrape, a test).
-func (s *Server) Handle(req *Request) Response {
+func (s *Server) Handle(req *Request) Response { return s.handle(req, planDeploy(req)) }
+
+// handle applies req, whose deploy plan (if it is a deploy) is made.
+func (s *Server) handle(req *Request, pl *plan) Response {
 	switch req.Op {
 	case "register_app":
 		if _, err := s.d.RegisterApp(req.App, req.UID, req.Ports...); err != nil {
@@ -201,26 +233,14 @@ func (s *Server) Handle(req *Request) Response {
 		}
 		return Response{OK: true}
 	case "deploy":
-		hook, err := ParseHook(req.Hook)
+		if pl.bad != nil {
+			return errResp(pl.bad)
+		}
+		l, err := s.d.deploy(req.App, pl.hook, pl.v, pl.verr)
 		if err != nil {
 			return errResp(err)
 		}
-		src := req.Source
-		if src == "" && req.Policy != "" {
-			s, err := policy.Source(req.Policy)
-			if err != nil {
-				return errResp(err)
-			}
-			src = s
-		}
-		if src == "" {
-			return errResp(fmt.Errorf("syrupd: deploy needs policy or source"))
-		}
-		l, err := s.d.DeployPolicy(req.App, hook, src, req.Defines)
-		if err != nil {
-			return errResp(err)
-		}
-		return Response{OK: true, Instructions: l.Program().Len(), SourceLines: l.SourceLines}
+		return Response{OK: true, Instructions: l.Program().Len(), SourceLines: l.Verified.SourceLines()}
 	case "revoke_app":
 		if err := s.d.RevokeApp(req.App); err != nil {
 			return errResp(err)
@@ -304,11 +324,14 @@ func errResp(err error) Response { return Response{Error: err.Error()} }
 
 // Do posts req to Serve's mailbox and waits for the reply, in Client.Do's
 // form, so one caller can speak to a served host in process or over its
-// socket alike. After Close it replies with an error instead of waiting.
+// socket alike. A deploy is verified here, on the caller's goroutine, so
+// the loop spends none of the host's time on it. After Close it replies
+// with an error instead of waiting.
 func (s *Server) Do(req *Request) (*Response, error) {
 	resp, reply := &Response{Error: "syrupd: server closed"}, make(chan Response, 1)
+	pl := planDeploy(req)
 	select {
-	case s.mail <- letter{req, reply}:
+	case s.mail <- letter{req, pl, reply}:
 		*resp = <-reply
 	case <-s.done:
 	}

@@ -603,6 +603,61 @@ out:
 	}
 }
 
+// diamonds is the 40-instruction program of the ebpf package's
+// TestVerifierBudgetOnALoopFreeProgram as .syr source: 18 diamonds on an
+// unknown scalar, 2^18 paths and no loop, which the verifier rejects only
+// once it has spent its whole budget.
+func diamonds() string {
+	var b strings.Builder
+	b.WriteString("call get_prandom_u32\nr6 = 0\n")
+	for k := range 18 {
+		fmt.Fprintf(&b, "if r0 <= %d goto d%d\nr6 += 1\nd%d:\n", k, k, k)
+	}
+	b.WriteString("r0 = 0\nexit\n")
+	return b.String()
+}
+
+// TestDeployVerifiesOffTheLoop: a deploy that arrives over the socket is
+// verified on its connection's goroutine, not on the loop that runs the
+// host. The 18-diamond program holds the verifier for its whole budget;
+// ticks posted meanwhile are applied first, so the loop applies the
+// rejection after them, at the instant they advanced the host to.
+func TestDeployVerifiesOffTheLoop(t *testing.T) {
+	h := newHost(t, 1, 0)
+	h.d.RegisterApp(1, 1000, 9000)
+	h.stack.NewUDPSocket(9000, 1, "w")
+	srv := NewServer(h.d)
+	path := filepath.Join(t.TempDir(), "syrupd.sock")
+	if err := srv.ListenUnix(path); err != nil {
+		t.Fatal(err)
+	}
+	tick, stop := serving(srv, func() { h.Eng.RunUntil(h.Eng.Now() + sim.Millisecond) })
+	defer stop()
+	c, err := Dial(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	reply := make(chan *Response, 1)
+	go func() {
+		resp, _ := c.Do(&Request{Op: "deploy", App: 1, Hook: "socket_select", Source: diamonds()})
+		reply <- resp
+	}()
+	time.Sleep(5 * time.Millisecond) // the deploy reaches the server first
+	const ticks = 3
+	for range ticks {
+		tick <- time.Time{}
+	}
+	resp := <-reply
+	if !strings.Contains(resp.Error, "too many paths") {
+		t.Fatalf("deploy reply = %+v, want the verifier's budget rejection", resp)
+	}
+	if want := int64(ticks * sim.Millisecond); resp.AtNS != want {
+		t.Fatalf("rejection applied at %d ns, want %d: the ticks waited for the verification", resp.AtNS, want)
+	}
+}
+
 func TestServerOverUnixSocket(t *testing.T) {
 	h := newHost(t, 1, 0)
 	h.d.RegisterApp(1, 1000, 9000)

@@ -5,14 +5,17 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"syrup/internal/ebpf"
 	"syrup/internal/policy"
 )
 
-// TestRunProfileAnnotates: disasm -profile executes the policy and the
-// annotated disassembly reflects the synthetic run count.
+// TestRunProfileAnnotates: disasm -profile executes the policy, the
+// annotated disassembly reflects the synthetic run count, and it
+// re-assembles to the policy's stream and maps.
 func TestRunProfileAnnotates(t *testing.T) {
 	src, err := policy.Source(policy.NameRoundRobin)
 	if err != nil {
@@ -29,6 +32,17 @@ func TestRunProfileAnnotates(t *testing.T) {
 	}
 	if strings.Contains(out, "runs faulted") {
 		t.Fatalf("synthetic packets faulted the policy:\n%s", out)
+	}
+	want, err := ebpf.Assemble(src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ebpf.Assemble(out, nil)
+	if err != nil {
+		t.Fatalf("annotated output does not assemble: %v\n%s", err, out)
+	}
+	if !reflect.DeepEqual(got.Insns, want.Insns) || !reflect.DeepEqual(got.Maps, want.Maps) {
+		t.Fatalf("annotated output assembles to another program:\n%s\nwant:\n%s", got.Text(), want.Text())
 	}
 }
 

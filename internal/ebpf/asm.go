@@ -40,6 +40,11 @@ func Neg(dst uint8) Instruction {
 	return Instruction{Op: ClassALU64 | ALUNeg, Dst: dst}
 }
 
+// Neg32 sets the low half of dst to its negation, zeroing the high half.
+func Neg32(dst uint8) Instruction {
+	return Instruction{Op: ClassALU | ALUNeg, Dst: dst}
+}
+
 // LoadMapFD emits the LDDW pair referencing a map: by its index in the
 // declared maps for Verify, or by fd in a MapTable for Load.
 func LoadMapFD(dst uint8, ref int32) []Instruction {
@@ -57,17 +62,15 @@ func LoadImm64(dst uint8, v uint64) []Instruction {
 	}
 }
 
+// sizeBits is the size field of an access of size bytes; any size but 1,
+// 2 and 4 is 8.
 func sizeBits(size int) uint8 {
-	switch size {
-	case 1:
-		return SizeB
-	case 2:
-		return SizeH
-	case 4:
-		return SizeW
-	default:
-		return SizeDW
+	for i, w := range widths {
+		if w.bytes == size {
+			return uint8(i) << 3
+		}
 	}
+	return SizeDW
 }
 
 // Ldx emits dst = *(size*)(src + off).
@@ -98,6 +101,16 @@ func JmpImm(op uint8, dst uint8, imm int32, off int16) Instruction {
 // JmpReg emits if dst <op> src goto +off.
 func JmpReg(op uint8, dst, src uint8, off int16) Instruction {
 	return Instruction{Op: ClassJMP | op | SrcX, Dst: dst, Src: src, Off: off}
+}
+
+// Jmp32Imm emits if wdst <op> imm goto +off, comparing low halves.
+func Jmp32Imm(op uint8, dst uint8, imm int32, off int16) Instruction {
+	return Instruction{Op: ClassJMP32 | op | SrcK, Dst: dst, Off: off, Imm: imm}
+}
+
+// Jmp32Reg emits if wdst <op> wsrc goto +off.
+func Jmp32Reg(op uint8, dst, src uint8, off int16) Instruction {
+	return Instruction{Op: ClassJMP32 | op | SrcX, Dst: dst, Src: src, Off: off}
 }
 
 // Ja emits an unconditional goto +off.

@@ -36,34 +36,18 @@ func BenchmarkVerifier(b *testing.B) {
 	}
 }
 
-// BenchmarkAssemble measures .syr text assembly throughput.
+// BenchmarkAssemble measures .syr text assembly throughput: the
+// round-robin policy, and a source that writes every line form.
 func BenchmarkAssemble(b *testing.B) {
-	src := `
-.const NUM_THREADS 6
-.map rr_state array 4 8 1
-  *(u32 *)(r10 - 4) = 0
-  r1 = map(rr_state)
-  r2 = r10
-  r2 += -4
-  call map_lookup_elem
-  if r0 == 0 goto pass
-  r6 = *(u64 *)(r0 + 0)
-  r7 = r6
-  r7 += 1
-  *(u64 *)(r0 + 0) = r7
-  r6 %= NUM_THREADS
-  r0 = r6
-  exit
-pass:
-  r0 = PASS
-  exit
-`
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Assemble(src, nil); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct{ name, src string }{{"round_robin", rrSource}, {"every_form", everyForm}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Assemble(bc.src, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -84,25 +84,18 @@ func (m *Map) Dump() map[string]string {
 	return out
 }
 
-// textRenderable reports whether programText can represent the stream
-// exactly: no jump may target the high half of an LDDW pair or the slot
-// one past the end, since neither has a line to label. Reachable code in
-// a verified program always renders; only unreachable garbage can fail
-// this.
+// textRenderable reports whether render can represent the stream exactly:
+// no jump may target the high half of an LDDW pair or a slot outside the
+// stream and the one past its end, since no line there can carry a label.
+// Reachable code in a verified program always renders; only unreachable
+// garbage can fail this.
 func textRenderable(insns []Instruction) bool {
 	for i, ins := range insns {
-		cls := ins.Class()
-		if cls != ClassJMP && cls != ClassJMP32 {
-			continue
-		}
-		if op := ins.Op & 0xf0; op == JmpExit || op == JmpCall {
+		if !isJump(ins) {
 			continue
 		}
 		tgt := i + 1 + int(ins.Off)
-		if tgt < 0 || tgt >= len(insns) {
-			return false
-		}
-		if tgt > 0 && insns[tgt-1].IsLDDW() {
+		if tgt < 0 || tgt > len(insns) || tgt > 0 && insns[tgt-1].IsLDDW() {
 			return false
 		}
 	}

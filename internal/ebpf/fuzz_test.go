@@ -146,7 +146,7 @@ func TestFuzzVerifierSoundness(t *testing.T) {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Fatalf("panic on fuzz program: %v\n%s", r, DisassembleProgram(insns))
+					t.Fatalf("panic on fuzz program: %v\n%s", r, (&AsmFile{Insns: insns}).Text())
 				}
 			}()
 			if _, err := Load("fuzz", insns, LoadOptions{MapTable: table, budget: 50_000}); err != nil {
@@ -164,11 +164,11 @@ func TestFuzzVerifierSoundness(t *testing.T) {
 				retR, _, errR := run.prog.RunRet64(ctxR, envR)
 				retI, _, errI := interp.prog.runRef(ctxI, envI)
 				if errR != nil || errI != nil {
-					t.Fatalf("verifier admitted a faulting program (Run: %v, RunInterp: %v):\n%s", errR, errI, run.prog.Disassemble())
+					t.Fatalf("verifier admitted a faulting program (Run: %v, RunInterp: %v):\n%s", errR, errI, run.prog.TextSource())
 				}
 				if retR != retI || !bytes.Equal(ctxR.Packet, ctxI.Packet) {
 					t.Fatalf("verifier admitted a program that reads stale state: Run (reused state) r0 %#x packet %x, RunInterp (fresh state) r0 %#x packet %x\n%s",
-						retR, ctxR.Packet, retI, ctxI.Packet, run.prog.Disassemble())
+						retR, ctxR.Packet, retI, ctxI.Packet, run.prog.TextSource())
 				}
 				ran++
 			}

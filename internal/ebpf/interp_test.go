@@ -2,6 +2,7 @@ package ebpf
 
 import (
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -370,8 +371,8 @@ func TestInterpStatsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := p.Disassemble(), DisassembleProgram(insns); got != want {
-		t.Fatalf("load rewrote the stream:\n%s\nwant:\n%s", got, want)
+	if !slices.Equal(p.insns, insns) {
+		t.Fatalf("load rewrote the stream:\n%s\nwant:\n%s", p.TextSource(), (&AsmFile{Insns: insns}).Text())
 	}
 	_, stats, err := p.Run(&Ctx{}, nil)
 	if err != nil {

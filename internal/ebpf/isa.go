@@ -11,10 +11,7 @@
 // Builder in asm.go), or constructed directly as []Instruction.
 package ebpf
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Register names. R0 is the return value, R1-R5 are arguments/scratch,
 // R6-R9 are callee-saved, R10 is the read-only frame pointer.
@@ -56,6 +53,14 @@ const (
 	SizeB  = 0x10 // 1 byte
 	SizeDW = 0x18 // 8 bytes
 )
+
+// widths is the one table of access widths, indexed by the size field
+// shifted down: the byte count the builders take and the type .syr spells
+// it with.
+var widths = [4]struct {
+	bytes int
+	name  string
+}{SizeW >> 3: {4, "u32"}, SizeH >> 3: {2, "u16"}, SizeB >> 3: {1, "u8"}, SizeDW >> 3: {8, "u64"}}
 
 // Mode field for load/store (bits 5-7).
 const (
@@ -219,7 +224,7 @@ const (
 	HelperGetSmpProcID = 8
 )
 
-// HelperName maps helper numbers to the names accepted by the assembler.
+// HelperName maps helper numbers to their .syr names.
 var HelperName = map[int32]string{
 	HelperMapLookup:    "map_lookup_elem",
 	HelperMapUpdate:    "map_update_elem",
@@ -229,15 +234,6 @@ var HelperName = map[int32]string{
 	HelperTailCall:     "tail_call",
 	HelperGetSmpProcID: "get_smp_processor_id",
 }
-
-// HelperByName is the inverse of HelperName.
-var HelperByName = func() map[string]int32 {
-	m := make(map[string]int32, len(HelperName))
-	for n, s := range HelperName {
-		m[s] = n
-	}
-	return m
-}()
 
 // Verdict sentinels returned by schedule programs. Any other return value is
 // an index into the hook's executor map.
@@ -266,18 +262,7 @@ func (ins Instruction) IsLDDW() bool {
 }
 
 // LoadSize returns the access width in bytes of a load/store instruction.
-func (ins Instruction) LoadSize() int {
-	switch ins.Op & 0x18 {
-	case SizeB:
-		return 1
-	case SizeH:
-		return 2
-	case SizeW:
-		return 4
-	default:
-		return 8
-	}
-}
+func (ins Instruction) LoadSize() int { return widths[ins.Op&0x18>>3].bytes }
 
 // Imm64 combines the two halves of an LDDW pair.
 func Imm64(lo, hi Instruction) uint64 {
@@ -293,120 +278,6 @@ func Encode(insns []Instruction) []byte {
 		b[1] = ins.Src<<4 | ins.Dst&0x0f
 		binary.LittleEndian.PutUint16(b[2:], uint16(ins.Off))
 		binary.LittleEndian.PutUint32(b[4:], uint32(ins.Imm))
-	}
-	return out
-}
-
-var aluOpName = map[uint8]string{
-	ALUAdd: "+=", ALUSub: "-=", ALUMul: "*=", ALUDiv: "/=", ALUOr: "|=",
-	ALUAnd: "&=", ALULsh: "<<=", ALURsh: ">>=", ALUMod: "%=", ALUXor: "^=",
-	ALUMov: "=", ALUArsh: "s>>=",
-}
-
-var jmpOpName = map[uint8]string{
-	JmpEq: "==", JmpNe: "!=", JmpGt: ">", JmpGe: ">=", JmpLt: "<",
-	JmpLe: "<=", JmpSGt: "s>", JmpSGe: "s>=", JmpSLt: "s<", JmpSLe: "s<=",
-	JmpSet: "&",
-}
-
-func sizeName(op uint8) string {
-	switch op & 0x18 {
-	case SizeB:
-		return "u8"
-	case SizeH:
-		return "u16"
-	case SizeW:
-		return "u32"
-	default:
-		return "u64"
-	}
-}
-
-// Disassemble renders one instruction in the assembler's text dialect.
-// For LDDW pairs pass the following instruction as next.
-func Disassemble(ins Instruction, next *Instruction) string {
-	reg := func(r uint8) string { return fmt.Sprintf("r%d", r) }
-	switch ins.Class() {
-	case ClassALU64, ClassALU:
-		prefix := "r"
-		if ins.Class() == ClassALU {
-			prefix = "w"
-		}
-		op := ins.Op & 0xf0
-		if op == ALUNeg {
-			return fmt.Sprintf("%s%d = -%s%d", prefix, ins.Dst, prefix, ins.Dst)
-		}
-		name, ok := aluOpName[op]
-		if !ok {
-			return fmt.Sprintf("<invalid alu %#x>", ins.Op)
-		}
-		if ins.Op&SrcX != 0 {
-			return fmt.Sprintf("%s%d %s %s%d", prefix, ins.Dst, name, prefix, ins.Src)
-		}
-		return fmt.Sprintf("%s%d %s %d", prefix, ins.Dst, name, ins.Imm)
-	case ClassLD:
-		if ins.IsLDDW() && next != nil {
-			if ins.Src == PseudoMapFD {
-				return fmt.Sprintf("r%d = map_fd(%d)", ins.Dst, ins.Imm)
-			}
-			return fmt.Sprintf("r%d = %d ll", ins.Dst, Imm64(ins, *next))
-		}
-		return fmt.Sprintf("<ld %#x>", ins.Op)
-	case ClassLDX:
-		return fmt.Sprintf("%s = *(%s *)(%s %+d)", reg(ins.Dst), sizeName(ins.Op), reg(ins.Src), ins.Off)
-	case ClassST:
-		return fmt.Sprintf("*(%s *)(%s %+d) = %d", sizeName(ins.Op), reg(ins.Dst), ins.Off, ins.Imm)
-	case ClassSTX:
-		if ins.Op&0xe0 == ModeATOMIC {
-			return fmt.Sprintf("lock *(%s *)(%s %+d) += %s", sizeName(ins.Op), reg(ins.Dst), ins.Off, reg(ins.Src))
-		}
-		return fmt.Sprintf("*(%s *)(%s %+d) = %s", sizeName(ins.Op), reg(ins.Dst), ins.Off, reg(ins.Src))
-	case ClassJMP, ClassJMP32:
-		op := ins.Op & 0xf0
-		if ins.Class() == ClassJMP {
-			switch op {
-			case JmpA:
-				return fmt.Sprintf("goto %+d", ins.Off)
-			case JmpCall:
-				if name, ok := HelperName[ins.Imm]; ok {
-					return "call " + name
-				}
-				return fmt.Sprintf("call %d", ins.Imm)
-			case JmpExit:
-				return "exit"
-			}
-		} else {
-			// ja/call/exit have no 32-bit form.
-			switch op {
-			case JmpA, JmpCall, JmpExit:
-				return fmt.Sprintf("<invalid jmp32 %#x>", ins.Op)
-			}
-			reg = func(r uint8) string { return fmt.Sprintf("w%d", r) }
-		}
-		name, ok := jmpOpName[op]
-		if !ok {
-			return fmt.Sprintf("<invalid jmp %#x>", ins.Op)
-		}
-		if ins.Op&SrcX != 0 {
-			return fmt.Sprintf("if %s %s %s goto %+d", reg(ins.Dst), name, reg(ins.Src), ins.Off)
-		}
-		return fmt.Sprintf("if %s %s %d goto %+d", reg(ins.Dst), name, ins.Imm, ins.Off)
-	}
-	return fmt.Sprintf("<op %#x>", ins.Op)
-}
-
-// DisassembleProgram renders a whole instruction stream.
-func DisassembleProgram(insns []Instruction) string {
-	var out string
-	for i := 0; i < len(insns); i++ {
-		var next *Instruction
-		if insns[i].IsLDDW() && i+1 < len(insns) {
-			next = &insns[i+1]
-		}
-		out += fmt.Sprintf("%4d: %s\n", i, Disassemble(insns[i], next))
-		if next != nil {
-			i++
-		}
 	}
 	return out
 }

@@ -24,29 +24,15 @@ const (
 // than failing the call. 64 MiB is 8× Table 3's 2^20-entry map.
 const maxStorageBytes = 64 << 20
 
+// mapTypeNames spells each map type in .syr: String prints it and the
+// assembler's .map line parses it.
+var mapTypeNames = [...]string{MapArray: "array", MapHash: "hash", MapProgArray: "prog_array"}
+
 func (t MapType) String() string {
-	switch t {
-	case MapArray:
-		return "array"
-	case MapHash:
-		return "hash"
-	case MapProgArray:
-		return "prog_array"
+	if t >= 0 && int(t) < len(mapTypeNames) {
+		return mapTypeNames[t]
 	}
 	return fmt.Sprintf("MapType(%d)", int(t))
-}
-
-// MapTypeByName parses assembler map-type names.
-func MapTypeByName(s string) (MapType, error) {
-	switch s {
-	case "array":
-		return MapArray, nil
-	case "hash":
-		return MapHash, nil
-	case "prog_array":
-		return MapProgArray, nil
-	}
-	return 0, fmt.Errorf("ebpf: unknown map type %q", s)
 }
 
 // MapSpec declares a map, mirroring the fields of bpf_map_create.

@@ -310,7 +310,7 @@ func TestDisassembleSmoke(t *testing.T) {
 		Neg(R4),
 		Exit(),
 	}
-	out := DisassembleProgram(insns)
+	out := (&AsmFile{Insns: insns}).Text()
 	for _, want := range []string{"r0 = 5", "%= 6", "*(u64 *)(r1 +0)", "lock", "goto", "call map_lookup_elem", "exit"} {
 		if !contains(out, want) {
 			t.Errorf("disassembly missing %q:\n%s", want, out)

@@ -95,7 +95,7 @@ func TestShippedPoliciesMatchReference(t *testing.T) {
 				vJ, stJ, errJ := prog.Run(ctxJ, envJ)
 				vR, stR, errR := ref.RunInterp(ctxR, envR)
 				if fmt.Sprint(errJ) != fmt.Sprint(errR) || vJ != vR {
-					t.Fatalf("packet %d (%d bytes): run (%d, %v), reference (%d, %v)\n%s", i, len(wire), vJ, errJ, vR, errR, prog.Disassemble())
+					t.Fatalf("packet %d (%d bytes): run (%d, %v), reference (%d, %v)\n%s", i, len(wire), vJ, errJ, vR, errR, prog.TextSource())
 				}
 				if stJ != stR {
 					t.Fatalf("packet %d: stats divergence: run %+v reference %+v", i, stJ, stR)

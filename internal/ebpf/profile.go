@@ -23,30 +23,20 @@ func (p *Program) Hits() []uint64 {
 	return hits
 }
 
-// AnnotatedDisasm renders the executed stream with per-instruction
-// hotness: hit count, percentage of the hottest slot, and a bar — the
-// syrup-policy disasm -profile output.
+// AnnotatedDisasm renders the program as TextSource does, under a summary
+// comment, with each instruction's hit count, its percentage of the
+// hottest slot's and a bar in a trailing comment: the syrup-policy disasm
+// -profile output, which re-assembles to the same stream.
 func (p *Program) AnnotatedDisasm() string {
 	hits := p.Hits()
 	most := slices.Max(hits)
-	var b strings.Builder
-	fmt.Fprintf(&b, "; %s: %d runs, %d insns executed, %.1f insns/run\n",
+	summary := fmt.Sprintf("; %s: %d runs, %d insns executed, %.1f insns/run\n",
 		p.name, p.runs, p.instret, p.MeanInsnsPerRun())
-	for i := 0; i < len(p.insns); i++ {
-		var next *Instruction
-		if p.insns[i].IsLDDW() && i+1 < len(p.insns) {
-			next = &p.insns[i+1]
-		}
+	return summary + p.text(func(pc int) string {
 		pct := 0.0
 		if most > 0 {
-			pct = 100 * float64(hits[i]) / float64(most)
+			pct = 100 * float64(hits[pc]) / float64(most)
 		}
-		bar := strings.Repeat("#", int(pct)/10)
-		fmt.Fprintf(&b, "%10d %5.1f%% %-10s %4d: %s\n",
-			hits[i], pct, bar, i, Disassemble(p.insns[i], next))
-		if next != nil {
-			i++
-		}
-	}
-	return b.String()
+		return strings.TrimRight(fmt.Sprintf("%10d %5.1f%% %s", hits[pc], pct, strings.Repeat("#", int(pct)/10)), " ")
+	})
 }

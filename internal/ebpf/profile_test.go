@@ -2,6 +2,7 @@ package ebpf
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -26,8 +27,8 @@ var profTestCtx = &Ctx{Hash: 5}
 // test mean what the source says.
 func pinStream(t *testing.T, p *Program, insns []Instruction) {
 	t.Helper()
-	if got, want := p.Disassemble(), DisassembleProgram(insns); got != want {
-		t.Fatalf("load rewrote the stream:\n%s\nwant:\n%s", got, want)
+	if !slices.Equal(p.insns, insns) {
+		t.Fatalf("load rewrote the stream:\n%s\nwant:\n%s", p.TextSource(), (&AsmFile{Insns: insns}).Text())
 	}
 }
 
@@ -80,7 +81,7 @@ func TestProfileHitsInterpVsJIT(t *testing.T) {
 		for _, pair := range [][2]*Program{{entryJ, entryI}, {leafJ, leafI}} {
 			hj, hi := pair[0].Hits(), pair[1].Hits()
 			if !reflect.DeepEqual(hj, hi) {
-				t.Fatalf("%s hits diverged:\n run: %v\n ref: %v\n%s", pair[0].Name(), hj, hi, pair[0].Disassemble())
+				t.Fatalf("%s hits diverged:\n run: %v\n ref: %v\n%s", pair[0].Name(), hj, hi, pair[0].TextSource())
 			}
 			var sum uint64
 			for _, h := range hj {
@@ -200,31 +201,44 @@ func profShapeWorld(t *testing.T) (entry, leaf *Program) {
 	}
 	for _, k := range []opKind{kLoad, kStore, kCall} {
 		if !seen[k] {
-			t.Fatalf("kind %d missing from the decoded stream:\n%s", k, entry.Disassemble())
+			t.Fatalf("kind %d missing from the decoded stream:\n%s", k, entry.TextSource())
 		}
 	}
 	return entry, leaf
 }
 
-// TestAnnotatedDisasm: the disasm -profile rendering carries hits,
-// percentages, and the disassembly text, one line per instruction (LDDW
-// pairs render once).
+// TestAnnotatedDisasm: the disasm -profile rendering is TextSource with
+// each instruction's hits and percentage in a trailing comment, one line
+// per instruction (LDDW pairs render once), and re-assembles to the
+// program's stream.
 func TestAnnotatedDisasm(t *testing.T) {
 	p := profRun(t, (*Program).Run)
 	out := p.AnnotatedDisasm()
-	if !strings.Contains(out, "10 runs") {
+	if !strings.HasPrefix(out, "; ptest: 10 runs") {
 		t.Fatalf("missing run summary:\n%s", out)
 	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 1+len(profTestInsns()) {
-		t.Fatalf("got %d lines, want %d:\n%s", len(lines), 1+len(profTestInsns()), out)
+	var annotated []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "  ") {
+			annotated = append(annotated, line)
+		}
 	}
-	if !strings.Contains(lines[1], "100.0%") || !strings.Contains(lines[1], "r0 = 1") {
-		t.Fatalf("hot line malformed: %q", lines[1])
+	if len(annotated) != len(profTestInsns()) {
+		t.Fatalf("got %d instruction lines, want %d:\n%s", len(annotated), len(profTestInsns()), out)
+	}
+	if !strings.Contains(annotated[0], "100.0%") || !strings.HasPrefix(annotated[0], "  r0 = 1 ") {
+		t.Fatalf("hot line malformed: %q", annotated[0])
 	}
 	// Slot 3 never ran.
-	if !strings.Contains(lines[4], "   0.0%") {
-		t.Fatalf("cold line malformed: %q", lines[4])
+	if !strings.Contains(annotated[3], "; ") || !strings.HasSuffix(annotated[3], "   0.0%") {
+		t.Fatalf("cold line malformed: %q", annotated[3])
+	}
+	f, err := Assemble(out, nil)
+	if err != nil {
+		t.Fatalf("annotated output does not assemble: %v\n%s", err, out)
+	}
+	if !slices.Equal(f.Insns, p.insns) {
+		t.Fatalf("annotated output assembles to another stream:\n%s\nwant:\n%s", f.Text(), p.TextSource())
 	}
 }
 

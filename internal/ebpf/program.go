@@ -208,6 +208,3 @@ func (p *Program) MeanInsnsPerRun() float64 {
 	}
 	return float64(p.instret) / float64(p.runs)
 }
-
-// Disassemble renders the loaded (map-resolved) instruction stream.
-func (p *Program) Disassemble() string { return DisassembleProgram(p.insns) }

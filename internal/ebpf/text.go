@@ -2,7 +2,6 @@ package ebpf
 
 import (
 	"fmt"
-	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -28,7 +27,8 @@ import (
 //	  exit
 //
 // Comments start with ';', '#' or '//'. The named constants PASS and DROP
-// are predefined.
+// are predefined. A register is r or w and decimal digits, nothing else;
+// any other operand word is a constant or a number.
 
 // AsmFile is the output of Assemble: instructions plus the maps they
 // declare. LDDW pseudo instructions' Imm fields index Maps.
@@ -47,45 +47,20 @@ type asmError struct {
 
 func (e *asmError) Error() string { return fmt.Sprintf("line %d: %s", e.line, e.msg) }
 
-var (
-	reLabel   = regexp.MustCompile(`^(\w+):$`)
-	reMapDecl = regexp.MustCompile(`^\.map\s+(\w+)\s+(\w+)\s+(\d+)\s+(\d+)\s+(\d+)$`)
-	reConst   = regexp.MustCompile(`^\.const\s+(\w+)\s+(\S+)$`)
-	reLoadMap = regexp.MustCompile(`^r(\d+)\s*=\s*map\((\w+)\)$`)
-	reLddw    = regexp.MustCompile(`^r(\d+)\s*=\s*(\S+)\s+ll$`)
-	reLoad    = regexp.MustCompile(`^r(\d+)\s*=\s*\*\(\s*(u8|u16|u32|u64)\s*\*\s*\)\s*\(\s*r(\d+)\s*([+-])\s*(\w+)\s*\)$`)
-	reStore   = regexp.MustCompile(`^\*\(\s*(u8|u16|u32|u64)\s*\*\s*\)\s*\(\s*r(\d+)\s*([+-])\s*(\w+)\s*\)\s*=\s*(\S+)$`)
-	reAtomic  = regexp.MustCompile(`^lock\s+\*\(\s*(u32|u64)\s*\*\s*\)\s*\(\s*r(\d+)\s*([+-])\s*(\w+)\s*\)\s*\+=\s*r(\d+)$`)
-	reCondJmp = regexp.MustCompile(`^if\s+([rw])(\d+)\s*(==|!=|s>=|s<=|s>|s<|>=|<=|>|<|&)\s*(\S+)\s+goto\s+(\w+)$`)
-	reGoto    = regexp.MustCompile(`^goto\s+(\w+)$`)
-	reCall    = regexp.MustCompile(`^call\s+(\S+)$`)
-	reNeg     = regexp.MustCompile(`^([rw])(\d+)\s*=\s*-\s*[rw](\d+)$`)
-	reALU     = regexp.MustCompile(`^([rw])(\d+)\s*(s>>=|<<=|>>=|\+=|-=|\*=|/=|%=|&=|\|=|\^=|=)\s*(\S+)$`)
-)
-
-var aluBySymbol = map[string]uint8{
-	"=": ALUMov, "+=": ALUAdd, "-=": ALUSub, "*=": ALUMul, "/=": ALUDiv,
-	"%=": ALUMod, "&=": ALUAnd, "|=": ALUOr, "^=": ALUXor,
-	"<<=": ALULsh, ">>=": ALURsh, "s>>=": ALUArsh,
+// aluSymbol and jmpSymbol spell the ALU and conditional-jump operations,
+// indexed by the operation's bits 4-7: the renderer indexes them and the
+// parser searches them. NEG, ja, call and exit have line forms of their
+// own.
+var aluSymbol = [16]string{
+	ALUAdd >> 4: "+=", ALUSub >> 4: "-=", ALUMul >> 4: "*=", ALUDiv >> 4: "/=",
+	ALUOr >> 4: "|=", ALUAnd >> 4: "&=", ALULsh >> 4: "<<=", ALURsh >> 4: ">>=",
+	ALUMod >> 4: "%=", ALUXor >> 4: "^=", ALUMov >> 4: "=", ALUArsh >> 4: "s>>=",
 }
 
-var jmpBySymbol = map[string]uint8{
-	"==": JmpEq, "!=": JmpNe, ">": JmpGt, ">=": JmpGe, "<": JmpLt,
-	"<=": JmpLe, "s>": JmpSGt, "s>=": JmpSGe, "s<": JmpSLt, "s<=": JmpSLe,
-	"&": JmpSet,
-}
-
-func sizeByName(s string) int {
-	switch s {
-	case "u8":
-		return 1
-	case "u16":
-		return 2
-	case "u32":
-		return 4
-	default:
-		return 8
-	}
+var jmpSymbol = [16]string{
+	JmpEq >> 4: "==", JmpNe >> 4: "!=", JmpGt >> 4: ">", JmpGe >> 4: ">=",
+	JmpLt >> 4: "<", JmpLe >> 4: "<=", JmpSGt >> 4: "s>", JmpSGe >> 4: "s>=",
+	JmpSLt >> 4: "s<", JmpSLe >> 4: "s<=", JmpSet >> 4: "&",
 }
 
 type fixup struct {
@@ -94,300 +69,48 @@ type fixup struct {
 	line  int
 }
 
+// assembler is one Assemble call. Its cursor over the current line is the
+// only lexer: each method that reads a token skips the blanks before it.
+type assembler struct {
+	f      AsmFile
+	consts map[string]int64 // PASS, DROP, the .const lines, then defines
+	mapIdx map[string]int
+	labels map[string]int
+	fixups []fixup
+	line   string // the current line, without its comment and outer blanks
+	pos, n int    // the cursor's offset in line, and line's number from 1
+	err    error  // the first error; no line after its line is read
+}
+
 // Assemble parses source into an AsmFile. defines supplies (or overrides)
 // named constants, which is how syrupd injects deploy-time parameters such
 // as NUM_THREADS.
 func Assemble(src string, defines map[string]int64) (*AsmFile, error) {
-	f := &AsmFile{}
-	consts := map[string]int64{
-		"PASS": int64(VerdictPass),
-		"DROP": int64(VerdictDrop),
+	a := &assembler{
+		consts: map[string]int64{"PASS": int64(VerdictPass), "DROP": int64(VerdictDrop)},
+		mapIdx: map[string]int{},
+		labels: map[string]int{},
 	}
-	// .const declarations are collected first so ordering in the file
-	// doesn't matter, but defines always win.
-	mapIdx := map[string]int{}
-	labels := map[string]int{}
-	var fixups []fixup
-
-	lines := strings.Split(src, "\n")
-	clean := make([]string, len(lines))
-	for i, raw := range lines {
-		s := raw
-		for _, c := range []string{";", "#", "//"} {
-			if idx := strings.Index(s, c); idx >= 0 {
-				s = s[:idx]
-			}
+	// Declarations first, so a name may be used above the line declaring it.
+	a.eachLine(src, func() {
+		a.f.SourceLines++
+		if a.line[0] == '.' {
+			a.directive()
 		}
-		clean[i] = strings.TrimSpace(s)
-	}
-
-	// Pass 0: consts and map declarations.
-	for i, s := range clean {
-		if s == "" {
-			continue
-		}
-		f.SourceLines++
-		if m := reConst.FindStringSubmatch(s); m != nil {
-			v, err := strconv.ParseInt(m[2], 0, 64)
-			if err != nil {
-				return nil, &asmError{i + 1, fmt.Sprintf("bad constant %q: %v", m[2], err)}
-			}
-			if _, overridden := defines[m[1]]; !overridden {
-				consts[m[1]] = v
-			}
-			continue
-		}
-		if m := reMapDecl.FindStringSubmatch(s); m != nil {
-			typ, err := MapTypeByName(m[2])
-			if err != nil {
-				return nil, &asmError{i + 1, err.Error()}
-			}
-			var sizes [3]uint32 // key, value, entries
-			for k, field := range m[3:] {
-				n, err := strconv.ParseUint(field, 10, 32)
-				if err != nil {
-					return nil, &asmError{i + 1, fmt.Sprintf("map %q: size %s does not fit in 32 bits", m[1], field)}
-				}
-				sizes[k] = uint32(n)
-			}
-			if _, dup := mapIdx[m[1]]; dup {
-				return nil, &asmError{i + 1, fmt.Sprintf("duplicate map %q", m[1])}
-			}
-			mapIdx[m[1]] = len(f.Maps)
-			f.Maps = append(f.Maps, MapSpec{Name: m[1], Type: typ, KeySize: sizes[0], ValueSize: sizes[1], MaxEntries: sizes[2]})
-			continue
-		}
-	}
+	})
 	for k, v := range defines {
-		consts[k] = v
+		a.consts[k] = v
 	}
-
-	imm := func(line int, tok string, bits int) (int64, error) {
-		if v, ok := consts[tok]; ok {
-			return v, nil
+	a.eachLine(src, func() {
+		if a.line[0] != '.' {
+			a.statement()
 		}
-		v, err := strconv.ParseInt(tok, 0, 64)
-		if err != nil {
-			// Also accept unsigned forms like 0xffffffff.
-			u, uerr := strconv.ParseUint(tok, 0, 64)
-			if uerr != nil {
-				return 0, &asmError{line, fmt.Sprintf("bad immediate %q", tok)}
-			}
-			v = int64(u)
-		}
-		if bits == 32 && (v > 0xffffffff || v < -(1<<31)) {
-			return 0, &asmError{line, fmt.Sprintf("immediate %q does not fit in 32 bits", tok)}
-		}
-		return v, nil
+	})
+	if a.err != nil {
+		return nil, a.err
 	}
-	regNum := func(line int, tok string) (uint8, error) {
-		n, err := strconv.Atoi(tok)
-		if err != nil || n < 0 || n >= NumRegs {
-			return 0, &asmError{line, fmt.Sprintf("bad register r%s", tok)}
-		}
-		return uint8(n), nil
-	}
-	offVal := func(line int, sign, tok string) (int16, error) {
-		v, err := imm(line, tok, 32)
-		if err != nil {
-			return 0, err
-		}
-		if sign == "-" {
-			v = -v
-		}
-		if v > 32767 || v < -32768 {
-			return 0, &asmError{line, fmt.Sprintf("offset %d out of range", v)}
-		}
-		return int16(v), nil
-	}
-
-	// Pass 1: instructions.
-	for i, s := range clean {
-		line := i + 1
-		if s == "" || strings.HasPrefix(s, ".") {
-			continue
-		}
-		if m := reLabel.FindStringSubmatch(s); m != nil {
-			if _, dup := labels[m[1]]; dup {
-				return nil, &asmError{line, fmt.Sprintf("duplicate label %q", m[1])}
-			}
-			labels[m[1]] = len(f.Insns)
-			continue
-		}
-		switch {
-		case s == "exit":
-			f.Insns = append(f.Insns, Exit())
-		case reCall.MatchString(s):
-			m := reCall.FindStringSubmatch(s)
-			var helper int32
-			if n, ok := HelperByName[m[1]]; ok {
-				helper = n
-			} else {
-				v, err := imm(line, m[1], 32)
-				if err != nil {
-					return nil, &asmError{line, fmt.Sprintf("unknown helper %q", m[1])}
-				}
-				helper = int32(v)
-			}
-			f.Insns = append(f.Insns, Call(helper))
-		case reGoto.MatchString(s):
-			m := reGoto.FindStringSubmatch(s)
-			fixups = append(fixups, fixup{len(f.Insns), m[1], line})
-			f.Insns = append(f.Insns, Ja(0))
-		case reCondJmp.MatchString(s):
-			m := reCondJmp.FindStringSubmatch(s)
-			dst, err := regNum(line, m[2])
-			if err != nil {
-				return nil, err
-			}
-			op := jmpBySymbol[m[3]]
-			class := uint8(ClassJMP)
-			if m[1] == "w" {
-				class = ClassJMP32
-			}
-			var ins Instruction
-			if strings.HasPrefix(m[4], "r") || strings.HasPrefix(m[4], "w") {
-				src, err := regNum(line, m[4][1:])
-				if err != nil {
-					return nil, err
-				}
-				ins = Instruction{Op: class | op | SrcX, Dst: dst, Src: src}
-			} else {
-				v, err := imm(line, m[4], 32)
-				if err != nil {
-					return nil, err
-				}
-				ins = Instruction{Op: class | op | SrcK, Dst: dst, Imm: int32(v)}
-			}
-			fixups = append(fixups, fixup{len(f.Insns), m[5], line})
-			f.Insns = append(f.Insns, ins)
-		case reLoadMap.MatchString(s):
-			m := reLoadMap.FindStringSubmatch(s)
-			dst, err := regNum(line, m[1])
-			if err != nil {
-				return nil, err
-			}
-			idx, ok := mapIdx[m[2]]
-			if !ok {
-				return nil, &asmError{line, fmt.Sprintf("undeclared map %q", m[2])}
-			}
-			f.Insns = append(f.Insns, LoadMapFD(dst, int32(idx))...)
-		case reLddw.MatchString(s):
-			m := reLddw.FindStringSubmatch(s)
-			dst, err := regNum(line, m[1])
-			if err != nil {
-				return nil, err
-			}
-			v, err := imm(line, m[2], 64)
-			if err != nil {
-				return nil, err
-			}
-			pair := LoadImm64(dst, uint64(v))
-			f.Insns = append(f.Insns, pair[0], pair[1])
-		case reLoad.MatchString(s):
-			m := reLoad.FindStringSubmatch(s)
-			dst, err := regNum(line, m[1])
-			if err != nil {
-				return nil, err
-			}
-			src, err := regNum(line, m[3])
-			if err != nil {
-				return nil, err
-			}
-			off, err := offVal(line, m[4], m[5])
-			if err != nil {
-				return nil, err
-			}
-			f.Insns = append(f.Insns, Ldx(sizeByName(m[2]), dst, src, off))
-		case reAtomic.MatchString(s):
-			m := reAtomic.FindStringSubmatch(s)
-			dst, err := regNum(line, m[2])
-			if err != nil {
-				return nil, err
-			}
-			off, err := offVal(line, m[3], m[4])
-			if err != nil {
-				return nil, err
-			}
-			src, err := regNum(line, m[5])
-			if err != nil {
-				return nil, err
-			}
-			f.Insns = append(f.Insns, XAdd(sizeByName(m[1]), dst, src, off))
-		case reStore.MatchString(s):
-			m := reStore.FindStringSubmatch(s)
-			dst, err := regNum(line, m[2])
-			if err != nil {
-				return nil, err
-			}
-			off, err := offVal(line, m[3], m[4])
-			if err != nil {
-				return nil, err
-			}
-			size := sizeByName(m[1])
-			if strings.HasPrefix(m[5], "r") {
-				src, err := regNum(line, m[5][1:])
-				if err != nil {
-					return nil, err
-				}
-				f.Insns = append(f.Insns, Stx(size, dst, src, off))
-			} else {
-				v, err := imm(line, m[5], 32)
-				if err != nil {
-					return nil, err
-				}
-				f.Insns = append(f.Insns, StImm(size, dst, off, int32(v)))
-			}
-		case reNeg.MatchString(s):
-			m := reNeg.FindStringSubmatch(s)
-			dst, err := regNum(line, m[2])
-			if err != nil {
-				return nil, err
-			}
-			src, err := regNum(line, m[3])
-			if err != nil {
-				return nil, err
-			}
-			if dst != src {
-				return nil, &asmError{line, "negation requires the same source and destination register"}
-			}
-			ins := Neg(dst)
-			if m[1] == "w" {
-				ins.Op = ClassALU | ALUNeg
-			}
-			f.Insns = append(f.Insns, ins)
-		case reALU.MatchString(s):
-			m := reALU.FindStringSubmatch(s)
-			dst, err := regNum(line, m[2])
-			if err != nil {
-				return nil, err
-			}
-			op := aluBySymbol[m[3]]
-			class := uint8(ClassALU64)
-			if m[1] == "w" {
-				class = ClassALU
-			}
-			if strings.HasPrefix(m[4], "r") || strings.HasPrefix(m[4], "w") {
-				src, err := regNum(line, m[4][1:])
-				if err != nil {
-					return nil, err
-				}
-				f.Insns = append(f.Insns, Instruction{Op: class | op | SrcX, Dst: dst, Src: src})
-			} else {
-				v, err := imm(line, m[4], 32)
-				if err != nil {
-					return nil, err
-				}
-				f.Insns = append(f.Insns, Instruction{Op: class | op | SrcK, Dst: dst, Imm: int32(v)})
-			}
-		default:
-			return nil, &asmError{line, fmt.Sprintf("cannot parse %q", s)}
-		}
-	}
-
-	// Resolve labels.
-	for _, fx := range fixups {
-		target, ok := labels[fx.label]
+	for _, fx := range a.fixups {
+		target, ok := a.labels[fx.label]
 		if !ok {
 			return nil, &asmError{fx.line, fmt.Sprintf("undefined label %q", fx.label)}
 		}
@@ -395,13 +118,374 @@ func Assemble(src string, defines map[string]int64) (*AsmFile, error) {
 		if off > 32767 || off < -32768 {
 			return nil, &asmError{fx.line, "jump offset out of range"}
 		}
-		f.Insns[fx.insn].Off = int16(off)
+		a.f.Insns[fx.insn].Off = int16(off)
 	}
-	if len(f.Insns) == 0 {
+	if len(a.f.Insns) == 0 {
 		return nil, fmt.Errorf("ebpf: empty program")
 	}
-	return f, nil
+	return &a.f, nil
 }
+
+// eachLine points the cursor at each non-empty line of src in turn and
+// calls do, until a line fails.
+func (a *assembler) eachLine(src string, do func()) {
+	for n := 1; src != "" && a.err == nil; n++ {
+		var line string
+		line, src, _ = strings.Cut(src, "\n")
+		for _, c := range []string{";", "#", "//"} {
+			line, _, _ = strings.Cut(line, c)
+		}
+		if line = strings.TrimSpace(line); line != "" {
+			a.line, a.pos, a.n = line, 0, n
+			do()
+		}
+	}
+}
+
+// directive reads a .const or a .map line. Like any other line that starts
+// with '.', one not in the declaration's form declares nothing.
+func (a *assembler) directive() {
+	if len(a.line) < 2 || !isWordByte(a.line[1]) {
+		return
+	}
+	a.pos = 1
+	switch a.word() {
+	case "const":
+		// The value is the rest of the line, after a blank and without one.
+		name, rest := a.word(), a.line[a.pos:]
+		text := strings.TrimLeft(rest, blanks)
+		if name == "" || text == "" || len(text) == len(rest) || strings.ContainsAny(text, blanks) {
+			return
+		}
+		v, err := strconv.ParseInt(text, 0, 64)
+		if err != nil {
+			a.failf("bad constant %q: %v", text, err)
+			return
+		}
+		a.consts[name] = v
+	case "map":
+		spec := MapSpec{Name: a.word()}
+		typ := a.word()
+		fields := [3]string{a.word(), a.word(), a.word()}
+		if spec.Name == "" || typ == "" || a.pos != len(a.line) || !isNumber(fields[0]) || !isNumber(fields[1]) || !isNumber(fields[2]) {
+			return
+		}
+		if spec.Type = MapType(slices.Index(mapTypeNames[:], typ)); spec.Type < 0 {
+			a.failf("ebpf: unknown map type %q", typ)
+			return
+		}
+		for k, size := range []*uint32{&spec.KeySize, &spec.ValueSize, &spec.MaxEntries} {
+			n, err := strconv.ParseUint(fields[k], 10, 32)
+			if err != nil {
+				a.failf("map %q: size %s does not fit in 32 bits", spec.Name, fields[k])
+				return
+			}
+			*size = uint32(n)
+		}
+		if _, dup := a.mapIdx[spec.Name]; dup {
+			a.failf("duplicate map %q", spec.Name)
+			return
+		}
+		a.mapIdx[spec.Name] = len(a.f.Maps)
+		a.f.Maps = append(a.f.Maps, spec)
+	}
+}
+
+// statement assembles a label or an instruction line.
+func (a *assembler) statement() {
+	switch w := a.word(); {
+	case w != "" && a.next(":"):
+		if _, dup := a.labels[w]; dup {
+			a.failf("duplicate label %q", w)
+		}
+		a.labels[w] = len(a.f.Insns)
+	case w == "exit":
+		a.emit(Exit())
+	case w == "call":
+		a.emit(Call(a.helper()))
+	case w == "goto":
+		a.jump(Ja(0))
+	case w == "if":
+		dst, w32 := a.reg("rw")
+		op := a.sym(&jmpSymbol)
+		src, isReg, imm := a.value("rw")
+		if a.word() != "goto" {
+			a.bad()
+		}
+		switch {
+		case w32 && isReg:
+			a.jump(Jmp32Reg(op, dst, src, 0))
+		case w32:
+			a.jump(Jmp32Imm(op, dst, imm, 0))
+		case isReg:
+			a.jump(JmpReg(op, dst, src, 0))
+		default:
+			a.jump(JmpImm(op, dst, imm, 0))
+		}
+	case w == "lock":
+		size, base, off := a.mem()
+		a.expect("+=")
+		if src, _ := a.reg("r"); size >= 4 {
+			a.emit(XAdd(size, base, src, off))
+		} else {
+			a.bad()
+		}
+	case w == "":
+		size, base, off := a.mem()
+		a.expect("=")
+		if src, isReg, imm := a.value("r"); isReg {
+			a.emit(Stx(size, base, src, off))
+		} else {
+			a.emit(StImm(size, base, off, imm))
+		}
+	default:
+		a.pos = 0
+		a.assign()
+	}
+	if a.pos != len(a.line) { // a line has no trailing blanks
+		a.bad()
+	}
+}
+
+// assign assembles the lines that start with a register: ALU operations
+// in either width, negation, loads, map references and 64-bit immediates.
+func (a *assembler) assign() {
+	dst, w32 := a.reg("rw")
+	op := a.sym(&aluSymbol)
+	mov64 := op == ALUMov && !w32
+	a.blank()
+	if mov64 && strings.HasPrefix(a.line[a.pos:], "map(") {
+		a.pos += len("map(")
+		name := a.word()
+		idx, ok := a.mapIdx[name]
+		if !ok {
+			a.failf("undeclared map %q", name)
+		}
+		a.expect(")")
+		a.emit(LoadMapFD(dst, int32(idx))...)
+		return
+	}
+	if mov64 && strings.HasPrefix(a.line[a.pos:], "*") {
+		size, base, off := a.mem()
+		a.emit(Ldx(size, dst, base, off))
+		return
+	}
+	start := a.pos
+	sign, word := a.operand()
+	switch {
+	case op == ALUMov && sign == '-' && isRegister(word, "rw"):
+		if a.regNum(word) != dst {
+			a.failf("negation requires the same source and destination register")
+		}
+		if w32 {
+			a.emit(Neg32(dst))
+		} else {
+			a.emit(Neg(dst))
+		}
+		return
+	case mov64 && a.word() == "ll":
+		a.emit(LoadImm64(dst, uint64(a.imm(sign, word, 64)))...)
+		return
+	}
+	a.pos = start
+	src, isReg, imm := a.value("rw")
+	switch {
+	case w32 && isReg:
+		a.emit(ALU32Reg(op, dst, src))
+	case w32:
+		a.emit(ALU32Imm(op, dst, imm))
+	case isReg:
+		a.emit(ALUReg(op, dst, src))
+	default:
+		a.emit(ALUImm(op, dst, imm))
+	}
+}
+
+// mem reads a memory operand, *(uN *)(rX ± off).
+func (a *assembler) mem() (size int, base uint8, off int16) {
+	a.expect("*", "(")
+	name := a.word()
+	for _, w := range widths {
+		if w.name == name {
+			size = w.bytes
+		}
+	}
+	a.expect("*", ")", "(")
+	base, _ = a.reg("r")
+	sign, word := a.operand()
+	a.expect(")")
+	if size == 0 || sign == 0 {
+		a.bad()
+	}
+	v := a.imm(sign, word, 32)
+	if v > 32767 || v < -32768 {
+		a.failf("offset %d out of range", v)
+	}
+	return size, base, int16(v)
+}
+
+// helper reads a helper's name or number.
+func (a *assembler) helper() int32 {
+	sign, word := a.operand()
+	for n, name := range HelperName {
+		if sign == 0 && name == word {
+			return n
+		}
+	}
+	return int32(a.imm(sign, word, 32))
+}
+
+// value reads an operand: a register spelled with one of letters, or an
+// immediate that fits in 32 bits.
+func (a *assembler) value(letters string) (reg uint8, isReg bool, imm int32) {
+	sign, word := a.operand()
+	if sign == 0 && isRegister(word, letters) {
+		return a.regNum(word), true, 0
+	}
+	return 0, false, int32(a.imm(sign, word, 32))
+}
+
+// imm resolves a signed word: a named constant, taken as declared, or a
+// number that fits in bits.
+func (a *assembler) imm(sign byte, word string, bits int) int64 {
+	v, named := a.consts[word]
+	if !named {
+		u, err := strconv.ParseUint(word, 0, 64)
+		if err != nil {
+			a.failf("bad immediate %q", word)
+		}
+		v = int64(u)
+	}
+	if sign == '-' {
+		v = -v
+	}
+	if !named && bits == 32 && (v > 0xffffffff || v < -(1<<31)) {
+		a.failf("immediate %d does not fit in 32 bits", v)
+	}
+	return v
+}
+
+// isRegister reports whether word spells a register: one of letters, then
+// decimal digits and nothing else.
+func isRegister(word, letters string) bool {
+	return word != "" && strings.IndexByte(letters, word[0]) >= 0 && strings.TrimLeft(word[1:], "0123456789") == ""
+}
+
+// regNum is the number of the register name spells.
+func (a *assembler) regNum(name string) uint8 {
+	n, err := strconv.Atoi(name[1:])
+	if err != nil || n >= NumRegs {
+		a.failf("bad register %s", name)
+	}
+	return uint8(n)
+}
+
+// reg reads a register, one of letters then decimal digits, and reports
+// whether it is a w register.
+func (a *assembler) reg(letters string) (n uint8, w32 bool) {
+	a.blank()
+	end := a.pos
+	for end < len(a.line) && (end == a.pos || '0' <= a.line[end] && a.line[end] <= '9') {
+		end++
+	}
+	name := a.line[a.pos:end]
+	if len(name) < 2 || !isRegister(name, letters) {
+		a.bad()
+		return 0, false
+	}
+	a.pos = end
+	return a.regNum(name), name[0] == 'w'
+}
+
+// sym reads the longest spelling in table and returns its operation.
+func (a *assembler) sym(table *[16]string) (op uint8) {
+	a.blank()
+	n := 0
+	for i, s := range table {
+		if len(s) > n && strings.HasPrefix(a.line[a.pos:], s) {
+			op, n = uint8(i)<<4, len(s)
+		}
+	}
+	if n == 0 {
+		a.bad()
+	}
+	a.pos += n
+	return op
+}
+
+// operand reads a word after an optional sign.
+func (a *assembler) operand() (sign byte, word string) {
+	if a.next("-") {
+		sign = '-'
+	} else if a.next("+") {
+		sign = '+'
+	}
+	if word = a.word(); word == "" {
+		a.bad()
+	}
+	return sign, word
+}
+
+// word reads a run of letters, digits and underscores.
+func (a *assembler) word() string {
+	a.blank()
+	start := a.pos
+	for a.pos < len(a.line) && isWordByte(a.line[a.pos]) {
+		a.pos++
+	}
+	return a.line[start:a.pos]
+}
+
+func (a *assembler) next(s string) (ok bool) {
+	a.blank()
+	if ok = strings.HasPrefix(a.line[a.pos:], s); ok {
+		a.pos += len(s)
+	}
+	return ok
+}
+
+func (a *assembler) expect(toks ...string) {
+	for _, t := range toks {
+		if !a.next(t) {
+			a.bad()
+		}
+	}
+}
+
+// blanks separate tokens. They are RE2's \s, so that the oracle of
+// FuzzAssembleMatchesOracle splits every line the same way.
+const blanks = " \t\n\f\r"
+
+func (a *assembler) blank() {
+	for a.pos < len(a.line) && strings.IndexByte(blanks, a.line[a.pos]) >= 0 {
+		a.pos++
+	}
+}
+
+func (a *assembler) emit(ins ...Instruction) { a.f.Insns = append(a.f.Insns, ins...) }
+
+// jump emits ins against the label that ends the line, resolved once every
+// label is known.
+func (a *assembler) jump(ins Instruction) {
+	a.fixups = append(a.fixups, fixup{len(a.f.Insns), a.word(), a.n})
+	a.emit(ins)
+}
+
+func (a *assembler) bad() { a.failf("cannot parse %q", a.line) }
+
+// failf records the line's error, unless an earlier one stands.
+func (a *assembler) failf(format string, args ...any) {
+	if a.err == nil {
+		a.err = &asmError{a.n, fmt.Sprintf(format, args...)}
+	}
+}
+
+func isWordByte(c byte) bool {
+	return c == '_' || '0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
+}
+
+// isNumber reports whether s is a non-empty run of decimal digits.
+func isNumber(s string) bool { return s != "" && strings.TrimLeft(s, "0123456789") == "" }
 
 // Instantiate creates the file's declared maps (reusing any supplied in
 // existing by name — this is how a userspace agent and a kernel policy share
@@ -437,24 +521,29 @@ func (f *AsmFile) Instantiate(existing map[string]*Map) ([]Instruction, map[stri
 // Text renders the assembled file back to .syr source that re-assembles
 // to the identical instruction stream and map declarations — the
 // disassembler half of the round-trip contract (`syrup-policy disasm`).
-// Numeric jump offsets become generated labels so the output survives
-// editing and re-assembly.
-func (f *AsmFile) Text() string { return programText(f.Insns, f.Maps) }
+// Jump offsets become generated labels so the output survives editing
+// and re-assembly.
+func (f *AsmFile) Text() string { return render(f.Insns, f.Maps, nil) }
 
 // TextSource renders a bound program's stream back to assemblable .syr
 // source: its maps' declarations, then the stream, whose map references
 // render as map(name).
-func (p *Program) TextSource() string {
+func (p *Program) TextSource() string { return p.text(nil) }
+
+// text is TextSource with note's comment on each instruction line.
+func (p *Program) text(note func(pc int) string) string {
 	specs := make([]MapSpec, len(p.maps))
 	for i, m := range p.maps {
 		specs[i] = m.spec
 	}
-	return programText(p.insns, specs)
+	return render(p.insns, specs, note)
 }
 
-// programText is the shared renderer: map declarations, then the
-// instruction stream with L<pc> labels at every jump target.
-func programText(insns []Instruction, maps []MapSpec) string {
+// render is the one stream loop: the map declarations, then a line per
+// instruction, with an L<pc> label before every slot a jump lands on, the
+// slot one past the last included. note, if set, ends the line of slot pc
+// with a comment.
+func render(insns []Instruction, maps []MapSpec, note func(pc int) string) string {
 	var sb strings.Builder
 	for _, s := range maps {
 		fmt.Fprintf(&sb, ".map %s %s %d %d %d\n", s.Name, s.Type, s.KeySize, s.ValueSize, s.MaxEntries)
@@ -462,58 +551,108 @@ func programText(insns []Instruction, maps []MapSpec) string {
 	if len(maps) > 0 {
 		sb.WriteString("\n")
 	}
-	targets := jumpTargets(insns)
-	label := func(pc int) string { return fmt.Sprintf("L%d", pc) }
-	for i := 0; i < len(insns); i++ {
-		if targets[i] {
-			fmt.Fprintf(&sb, "%s:\n", label(i))
+	labels := jumpLabels(insns)
+	for pc := 0; pc <= len(insns); pc++ {
+		if labels[pc] {
+			fmt.Fprintf(&sb, "L%d:\n", pc)
 		}
-		ins := insns[i]
-		if ins.IsLDDW() && i+1 < len(insns) {
-			if ins.Src == PseudoMapFD {
-				fmt.Fprintf(&sb, "  r%d = map(%s)\n", ins.Dst, maps[ins.Imm].Name)
-			} else {
-				fmt.Fprintf(&sb, "  r%d = %d ll\n", ins.Dst, Imm64(ins, insns[i+1]))
-			}
-			i++
-			continue
+		if pc == len(insns) {
+			break
 		}
-		cls := ins.Class()
-		if (cls == ClassJMP || cls == ClassJMP32) && ins.Op&0xf0 != JmpExit && ins.Op&0xf0 != JmpCall {
-			// Re-render the jump against its label instead of the numeric
-			// offset Disassemble prints.
-			text := Disassemble(ins, nil)
-			tgt := i + 1 + int(ins.Off)
-			if idx := strings.LastIndex(text, "goto "); idx >= 0 && tgt >= 0 && tgt < len(insns) {
-				text = text[:idx] + "goto " + label(tgt)
-			}
-			fmt.Fprintf(&sb, "  %s\n", text)
-			continue
+		text := insnText(insns, pc, maps, labels)
+		if note != nil {
+			text = fmt.Sprintf("%-32s ; %s", text, note(pc))
 		}
-		fmt.Fprintf(&sb, "  %s\n", Disassemble(ins, nil))
+		fmt.Fprintf(&sb, "  %s\n", text)
+		if lddwPair(insns, pc) {
+			pc++
+		}
 	}
-	// A jump target one past the last instruction, or inside an LDDW pair,
-	// has no slot to label. Reachable code in a verified program cannot
-	// produce either, but dead code after an early exit escapes the
-	// verifier's analysis and can (the round-trip tests skip those).
 	return sb.String()
 }
 
-// jumpTargets marks every slot some jump can land on.
-func jumpTargets(insns []Instruction) []bool {
-	t := make([]bool, len(insns)+1)
-	for i, ins := range insns {
-		cls := ins.Class()
-		if cls != ClassJMP && cls != ClassJMP32 {
-			continue
-		}
-		op := ins.Op & 0xf0
-		if op == JmpExit || op == JmpCall {
-			continue
-		}
-		if tgt := i + 1 + int(ins.Off); tgt >= 0 && tgt < len(t) {
-			t[tgt] = true
+// jumpLabels marks every slot, and the one past the last, that a jump
+// lands on. The high half of an LDDW pair starts no line to carry its
+// label, so a jump there does not re-assemble.
+func jumpLabels(insns []Instruction) []bool {
+	labels := make([]bool, len(insns)+1)
+	for pc, ins := range insns {
+		if t := pc + 1 + int(ins.Off); isJump(ins) && t >= 0 && t <= len(insns) {
+			labels[t] = true
 		}
 	}
-	return t
+	return labels
+}
+
+// isJump reports whether ins renders with a goto: ja, or a conditional
+// jump in either width.
+func isJump(ins Instruction) bool {
+	cond := jmpSymbol[ins.Op>>4] != ""
+	return ins.Class() == ClassJMP32 && cond || ins.Class() == ClassJMP && (cond || ins.Op&0xf0 == JmpA)
+}
+
+// lddwPair reports whether the slot at pc starts an LDDW pair.
+func lddwPair(insns []Instruction, pc int) bool { return insns[pc].IsLDDW() && pc+1 < len(insns) }
+
+// insnText is the one instruction renderer: the line of the instruction at
+// pc (of the pair, for an LDDW), which names a jump's target by its label
+// and a map by map(name). An instruction the dialect cannot spell renders
+// as <op 0x..> and a target past the labels as a signed offset, neither
+// of which assembles.
+func insnText(insns []Instruction, pc int, maps []MapSpec, labels []bool) string {
+	ins, cls := insns[pc], insns[pc].Class()
+	r, op, width := "r", ins.Op&0xf0, widths[ins.Op&0x18>>3].name
+	if cls == ClassALU || cls == ClassJMP32 {
+		r = "w"
+	}
+	switch cls {
+	case ClassALU64, ClassALU:
+		sym := aluSymbol[op>>4]
+		switch {
+		case op == ALUNeg:
+			return fmt.Sprintf("%s%d = -%s%d", r, ins.Dst, r, ins.Dst)
+		case sym != "" && ins.Op&SrcX != 0:
+			return fmt.Sprintf("%s%d %s %s%d", r, ins.Dst, sym, r, ins.Src)
+		case sym != "":
+			return fmt.Sprintf("%s%d %s %d", r, ins.Dst, sym, ins.Imm)
+		}
+	case ClassLD:
+		switch {
+		case !lddwPair(insns, pc):
+		case ins.Src != PseudoMapFD:
+			return fmt.Sprintf("r%d = %d ll", ins.Dst, Imm64(ins, insns[pc+1]))
+		case ins.Imm >= 0 && int(ins.Imm) < len(maps):
+			return fmt.Sprintf("r%d = map(%s)", ins.Dst, maps[ins.Imm].Name)
+		}
+	case ClassLDX:
+		return fmt.Sprintf("r%d = *(%s *)(r%d %+d)", ins.Dst, width, ins.Src, ins.Off)
+	case ClassST:
+		return fmt.Sprintf("*(%s *)(r%d %+d) = %d", width, ins.Dst, ins.Off, ins.Imm)
+	case ClassSTX:
+		if ins.Op&0xe0 == ModeATOMIC {
+			return fmt.Sprintf("lock *(%s *)(r%d %+d) += r%d", width, ins.Dst, ins.Off, ins.Src)
+		}
+		return fmt.Sprintf("*(%s *)(r%d %+d) = r%d", width, ins.Dst, ins.Off, ins.Src)
+	case ClassJMP, ClassJMP32:
+		target := fmt.Sprintf("%+d", ins.Off)
+		if t := pc + 1 + int(ins.Off); t >= 0 && t < len(labels) && labels[t] {
+			target = fmt.Sprintf("L%d", t)
+		}
+		sym := jmpSymbol[op>>4]
+		switch {
+		case cls == ClassJMP && op == JmpExit:
+			return "exit"
+		case cls == ClassJMP && op == JmpCall && HelperName[ins.Imm] != "":
+			return "call " + HelperName[ins.Imm]
+		case cls == ClassJMP && op == JmpCall:
+			return fmt.Sprintf("call %d", ins.Imm)
+		case cls == ClassJMP && op == JmpA:
+			return "goto " + target
+		case sym != "" && ins.Op&SrcX != 0:
+			return fmt.Sprintf("if %s%d %s %s%d goto %s", r, ins.Dst, sym, r, ins.Src, target)
+		case sym != "":
+			return fmt.Sprintf("if %s%d %s %d goto %s", r, ins.Dst, sym, ins.Imm, target)
+		}
+	}
+	return fmt.Sprintf("<op %#x>", ins.Op)
 }

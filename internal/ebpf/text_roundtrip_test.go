@@ -20,8 +20,7 @@ func rtCheck(t *testing.T, f *AsmFile) {
 		t.Fatalf("re-assemble failed: %v\nsource:\n%s", err, src)
 	}
 	if !reflect.DeepEqual(f.Insns, g.Insns) {
-		t.Fatalf("instruction stream changed across round trip\nsource:\n%s\nwant:\n%s\ngot:\n%s",
-			src, DisassembleProgram(f.Insns), DisassembleProgram(g.Insns))
+		t.Fatalf("instruction stream changed across round trip\nsource:\n%s\ngot:\n%s", src, g.Text())
 	}
 	if !reflect.DeepEqual(f.Maps, g.Maps) {
 		t.Fatalf("map declarations changed across round trip: %+v vs %+v", f.Maps, g.Maps)
@@ -33,18 +32,9 @@ func rtCheck(t *testing.T, f *AsmFile) {
 }
 
 // TestTextRoundTripForms covers every instruction form the assembler can
-// produce, including the 32-bit (w-register) ALU and jump variants.
+// produce, including the 32-bit (w-register) ALU and jump variants, and a
+// jump to the slot one past the last.
 func TestTextRoundTripForms(t *testing.T) {
-	jmp32Imm := func(op uint8, dst uint8, imm int32, off int16) Instruction {
-		return Instruction{Op: ClassJMP32 | op | SrcK, Dst: dst, Imm: imm, Off: off}
-	}
-	jmp32Reg := func(op uint8, dst, src uint8, off int16) Instruction {
-		return Instruction{Op: ClassJMP32 | op | SrcX, Dst: dst, Src: src, Off: off}
-	}
-	neg32 := func(dst uint8) Instruction {
-		return Instruction{Op: ClassALU | ALUNeg, Dst: dst}
-	}
-
 	var insns []Instruction
 	// Every ALU op, imm and reg, 64- and 32-bit.
 	for _, op := range []uint8{ALUAdd, ALUSub, ALUMul, ALUDiv, ALUOr, ALUAnd, ALULsh, ALURsh, ALUMod, ALUXor, ALUMov, ALUArsh} {
@@ -55,7 +45,7 @@ func TestTextRoundTripForms(t *testing.T) {
 			ALU32Reg(op, R5, R6),
 		)
 	}
-	insns = append(insns, Neg(R7), neg32(R8))
+	insns = append(insns, Neg(R7), Neg32(R8))
 	// Loads and stores at every width, register and immediate sources,
 	// positive and negative offsets.
 	for _, size := range []int{1, 2, 4, 8} {
@@ -78,13 +68,19 @@ func TestTextRoundTripForms(t *testing.T) {
 		insns = append(insns,
 			JmpImm(op, R1, -3, 2),
 			JmpReg(op, R2, R3, 1),
-			jmp32Imm(op, R4, 7, 2),
-			jmp32Reg(op, R5, R6, 1),
+			Jmp32Imm(op, R4, 7, 2),
+			Jmp32Reg(op, R5, R6, 1),
 		)
 	}
 	insns = append(insns, Ja(1), MovImm(R0, 0), MovImm(R0, 1), MovImm(R0, 2), Exit())
 
 	rtCheck(t, &AsmFile{Insns: insns})
+
+	f, err := Assemble("r0 = 0\nif r0 == 0 goto end\nexit\nend:\n", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtCheck(t, f)
 }
 
 // TestTextRoundTripBackwardJump pins label generation for loops.
@@ -151,9 +147,9 @@ func TestTextRoundTripFuzz(t *testing.T) {
 			continue
 		}
 		// Dead code after an early exit escapes verification and can
-		// contain jumps the text dialect cannot label (into an LDDW pair
-		// or out of bounds). Those streams are documented as
-		// non-renderable; everything else must round-trip.
+		// contain jumps no label can name (into an LDDW pair, or outside
+		// the stream and the slot past its end). Those streams are
+		// documented as non-renderable; everything else must round-trip.
 		if !textRenderable(p.insns) {
 			skipped++
 			continue
@@ -162,15 +158,13 @@ func TestTextRoundTripFuzz(t *testing.T) {
 		src := p.TextSource()
 		g, err := Assemble(src, nil)
 		if err != nil {
-			t.Fatalf("accepted program failed to re-assemble: %v\nsource:\n%s\nstream:\n%s",
-				err, src, p.Disassemble())
+			t.Fatalf("accepted program failed to re-assemble: %v\nsource:\n%s", err, src)
 		}
 		// Pseudo-map immediates index the maps in both forms (p.maps and
 		// the re-assembled declarations, in the same order), so the loaded
 		// stream and the re-assembled one must be bit-identical.
 		if !reflect.DeepEqual(p.insns, g.Insns) {
-			t.Fatalf("round trip changed an accepted program\nsource:\n%s\nwant:\n%s\ngot:\n%s",
-				src, p.Disassemble(), DisassembleProgram(g.Insns))
+			t.Fatalf("round trip changed an accepted program\nsource:\n%s\ngot:\n%s", src, g.Text())
 		}
 	}
 	if accepted == 0 {

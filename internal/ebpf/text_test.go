@@ -1,6 +1,7 @@
 package ebpf
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -24,6 +25,41 @@ const rrSource = `
   r0 = r6
   exit
 pass:
+  r0 = PASS
+  exit
+`
+
+// everyForm writes each line form of the dialect at least once: the
+// assembler benchmark's second source.
+const everyForm = `
+.const LIMIT 0x40
+.map counters array 4 8 4
+.map flows hash 8 8 64
+  r6 = *(u64 *)(r1 + 0)
+  r7 = *(u64 *)(r1 + 8)
+  w2 = w6
+  w2 += 16
+  r3 = r6
+  r3 s>>= 2
+  r3 = -r3
+  w3 = -w3
+  if r6 > r7 goto out
+  if w2 s< LIMIT goto out
+  if r3 != r2 goto out
+  if w3 & w2 goto out
+  r4 = 0x1234567890 ll
+  *(u32 *)(r10 - 4) = 0
+  *(u64 *)(r10 - 16) = r4
+  r1 = map(counters)
+  r2 = r10
+  r2 += -4
+  call map_lookup_elem
+  if r0 == 0 goto out
+  r5 = 1
+  lock *(u64 *)(r0 + 0) += r5
+  call 7
+  goto out
+out:
   r0 = PASS
   exit
 `
@@ -261,6 +297,13 @@ func TestAssembleErrors(t *testing.T) {
 		{"map-size-wraps", ".map w array 4 4294967304 4294967297\nr0 = 0\nexit", "does not fit in 32 bits"},
 		{"empty", "; nothing\n", "empty program"},
 		{"neg-mismatch", "r0 = 1\nr0 = -r1\nexit", "same source"},
+		{"trailing-operand", "r0 = 1 2\nexit", "cannot parse"},
+		{"trailing-exit", "r0 = 0\nexit now", "cannot parse"},
+		{"trailing-goto", "a:\nr0 = 0\ngoto a b\nexit", "cannot parse"},
+		{"trailing-map", ".map m array 4 8 1\nr1 = map(m) x\nr0 = 0\nexit", "cannot parse"},
+		{"trailing-call", "call map_lookup_elem x\nexit", "cannot parse"},
+		{"trailing-store", "r0 = 0\n*(u64 *)(r10 - 8) = r0 r1\nexit", "cannot parse"},
+		{"signed-register", "r0 = r+1\nexit", "bad register"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -272,6 +315,42 @@ func TestAssembleErrors(t *testing.T) {
 				t.Fatalf("error %q missing %q", err, tc.frag)
 			}
 		})
+	}
+}
+
+// TestAssembleConstantsNamedLikeRegisters: a register is r or w and
+// digits, so a constant may start with either letter, in every operand
+// slot, declared in the file or defined at deploy time.
+func TestAssembleConstantsNamedLikeRegisters(t *testing.T) {
+	src := `
+.const rate 5
+.const wmax 7
+  r0 = rate
+  r0 += wmax
+  w0 -= wmax
+  *(u64 *)(r10 - 8) = rate
+  if r0 == rate goto out
+  if w0 s> wmax goto out
+out:
+  exit
+`
+	want := []Instruction{
+		ALUImm(ALUMov, R0, 5), ALUImm(ALUAdd, R0, 7), ALU32Imm(ALUSub, R0, 7), StImm(8, R10, -8, 5),
+		JmpImm(JmpEq, R0, 5, 1), Jmp32Imm(JmpSGt, R0, 7, 0), Exit(),
+	}
+	f, err := Assemble(src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(f.Insns, want) {
+		t.Fatalf("got:\n%swant:\n%s", f.Text(), (&AsmFile{Insns: want}).Text())
+	}
+	f, err = Assemble("r0 = rate\nexit", map[string]int64{"rate": 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Instruction{ALUImm(ALUMov, R0, 9), Exit()}; !slices.Equal(f.Insns, want) {
+		t.Fatalf("defined constant: got:\n%s", f.Text())
 	}
 }
 

@@ -632,7 +632,7 @@ func TestVerifierFoldMatchesRuntime(t *testing.T) {
 		p := wantAccept(t, append(append([]Instruction{}, chain...), MovReg(R0, R3), Exit()), nil)
 		v, _, err := p.runRef(&Ctx{}, nil)
 		if err != nil {
-			t.Fatalf("constant chain faulted: %v\n%s", err, p.Disassemble())
+			t.Fatalf("constant chain faulted: %v\n%s", err, p.TextSource())
 		}
 		probe := append(append(chain, LoadImm64(R4, v)...),
 			JmpReg(JmpEq, R3, R4, 2),
@@ -643,7 +643,7 @@ func TestVerifierFoldMatchesRuntime(t *testing.T) {
 		)
 		if _, err := loadRaw(t, probe, nil); err != nil {
 			if bad++; bad <= 3 {
-				t.Errorf("verifier's constant differs from the run-time value %#x (%v):\n%s", v, err, DisassembleProgram(chain))
+				t.Errorf("verifier's constant differs from the run-time value %#x (%v):\n%s", v, err, (&AsmFile{Insns: chain}).Text())
 			}
 		}
 	}

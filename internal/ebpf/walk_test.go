@@ -105,7 +105,7 @@ func runDifferential(t *testing.T, insns []Instruction) bool {
 	if run.loadErr != nil {
 		return false
 	}
-	dis := run.prog.Disassemble()
+	dis := run.prog.TextSource()
 
 	envJ, envO := diffEnv(), diffEnv()
 	for pi, pkt := range diffPackets {

@@ -38,8 +38,7 @@ func FuzzAssemble(f *testing.F) {
 			t.Fatalf("Text() does not re-assemble: %v\nsource:\n%s\nrendered:\n%s", err, src, text)
 		}
 		if !reflect.DeepEqual(a.Insns, b.Insns) || !reflect.DeepEqual(a.Maps, b.Maps) {
-			t.Fatalf("Text() round trip changed the file\nsource:\n%s\nrendered:\n%s\nwant:\n%s\ngot:\n%s",
-				src, text, ebpf.DisassembleProgram(a.Insns), ebpf.DisassembleProgram(b.Insns))
+			t.Fatalf("Text() round trip changed the file\nsource:\n%s\nrendered:\n%s\ngot:\n%s", src, text, b.Text())
 		}
 
 		p, err := load(a)
@@ -55,8 +54,8 @@ func FuzzAssemble(f *testing.F) {
 		if err != nil {
 			t.Fatalf("TextSource() does not re-load: %v\nrendered:\n%s", err, text)
 		}
-		if p.Disassemble() != q.Disassemble() {
-			t.Fatalf("TextSource() round trip changed the stream\nwant:\n%s\ngot:\n%s", p.Disassemble(), q.Disassemble())
+		if again := q.TextSource(); again != text {
+			t.Fatalf("TextSource() round trip changed the stream\nwant:\n%s\ngot:\n%s", text, again)
 		}
 	})
 }
@@ -71,9 +70,8 @@ func load(f *ebpf.AsmFile) (*ebpf.Program, error) {
 	return p, err
 }
 
-// renderable reports whether every jump lands on a line the renderer can
-// label: inside the stream and not on the high half of an LDDW pair. Only
-// dead code escapes the verifier with a jump that does not.
+// renderable reports whether no jump lands on the high half of an LDDW
+// pair, the one slot the renderer cannot label.
 func renderable(insns []ebpf.Instruction) bool {
 	for i, ins := range insns {
 		cls := ins.Class()
@@ -83,8 +81,7 @@ func renderable(insns []ebpf.Instruction) bool {
 		if op := ins.Op & 0xf0; op == ebpf.JmpExit || op == ebpf.JmpCall {
 			continue
 		}
-		tgt := i + 1 + int(ins.Off)
-		if tgt < 0 || tgt >= len(insns) || tgt > 0 && insns[tgt-1].IsLDDW() {
+		if tgt := i + 1 + int(ins.Off); tgt > 0 && tgt <= len(insns) && insns[tgt-1].IsLDDW() {
 			return false
 		}
 	}

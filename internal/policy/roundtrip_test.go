@@ -25,8 +25,7 @@ func TestPolicySourcesRoundTrip(t *testing.T) {
 				t.Fatalf("re-assemble %s: %v\nrendered:\n%s", name, err, text)
 			}
 			if !reflect.DeepEqual(f.Insns, g.Insns) {
-				t.Fatalf("%s: instruction stream changed across round trip\nrendered:\n%s\nwant:\n%s\ngot:\n%s",
-					name, text, ebpf.DisassembleProgram(f.Insns), ebpf.DisassembleProgram(g.Insns))
+				t.Fatalf("%s: instruction stream changed across round trip\nrendered:\n%s\ngot:\n%s", name, text, g.Text())
 			}
 			if !reflect.DeepEqual(f.Maps, g.Maps) {
 				t.Fatalf("%s: map declarations changed: %+v vs %+v", name, f.Maps, g.Maps)
@@ -58,9 +57,8 @@ func TestPolicyTextSourceRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("re-load %s: %v\nrendered:\n%s", name, err, text)
 			}
-			if p.Disassemble() != q.Disassemble() {
-				t.Fatalf("%s: loaded stream changed across round trip\nwant:\n%s\ngot:\n%s",
-					name, p.Disassemble(), q.Disassemble())
+			if again := q.TextSource(); again != text {
+				t.Fatalf("%s: loaded stream changed across round trip\nwant:\n%s\ngot:\n%s", name, text, again)
 			}
 		})
 	}

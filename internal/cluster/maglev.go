@@ -26,9 +26,18 @@ const tableSize = 65537
 // and backends take turns claiming their next unclaimed preference, so
 // the table is (a) near-perfectly balanced and (b) minimally disrupted
 // when a backend is added or removed — properties the tests pin down.
+// A slot holds its backend's index in two bytes, so a table steers to at
+// most maxBackends backends.
 type Table struct {
-	entries []int32 // entries[slot] = backend index
+	entries []uint16 // entries[slot] = backend index, or unclaimed
 }
+
+// unclaimed marks a slot no backend has taken yet; it is the one uint16
+// value no backend index reaches.
+const (
+	unclaimed   = 0xFFFF
+	maxBackends = unclaimed
+)
 
 // splitmix64 is the seed/stream mixer used everywhere in this package:
 // fast, full-period, and good enough avalanche that consecutive inputs
@@ -71,13 +80,16 @@ func NewTable(backends []string, size int, seed uint64) (*Table, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("cluster: maglev table needs at least one backend")
 	}
+	if len(backends) > maxBackends {
+		return nil, fmt.Errorf("cluster: maglev table holds at most %d backends, not %d", maxBackends, len(backends))
+	}
 	if size < len(backends) {
 		return nil, fmt.Errorf("cluster: maglev table size %d < %d backends", size, len(backends))
 	}
 	if !isPrime(size) {
 		return nil, fmt.Errorf("cluster: maglev table size %d is not prime", size)
 	}
-	t := &Table{entries: make([]int32, size)}
+	t := &Table{entries: make([]uint16, size)}
 	n := len(backends)
 	offset := make([]int, n)
 	skip := make([]int, n)
@@ -88,7 +100,7 @@ func NewTable(backends []string, size int, seed uint64) (*Table, error) {
 		skip[i] = int(splitmix64(h)%uint64(size-1)) + 1
 	}
 	for i := range t.entries {
-		t.entries[i] = -1
+		t.entries[i] = unclaimed
 	}
 	// Round-robin filling: each backend claims its next unclaimed
 	// preferred slot until the table is full.
@@ -96,11 +108,11 @@ func NewTable(backends []string, size int, seed uint64) (*Table, error) {
 		for i := 0; i < n; i++ {
 			// In int64: next*skip passes 2^31 on a large table.
 			c := int((int64(offset[i]) + int64(next[i])*int64(skip[i])) % int64(size))
-			for t.entries[c] >= 0 {
+			for t.entries[c] != unclaimed {
 				next[i]++
 				c = int((int64(offset[i]) + int64(next[i])*int64(skip[i])) % int64(size))
 			}
-			t.entries[c] = int32(i)
+			t.entries[c] = uint16(i)
 			next[i]++
 			filled++
 			if filled == size {

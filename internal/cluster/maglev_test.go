@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -27,9 +29,9 @@ func entryCounts(t *Table, n int) []int {
 // Maglev's guarantee is that this is small: removing one backend mostly
 // just reassigns that backend's own entries.
 func disruption(a *Table, aNames []string, b *Table, bNames []string) float64 {
-	idx := make(map[string]int32, len(bNames))
+	idx := make(map[string]uint16, len(bNames))
 	for i, name := range bNames {
-		idx[name] = int32(i)
+		idx[name] = uint16(i)
 	}
 	surviving, moved := 0, 0
 	for slot, e := range a.entries {
@@ -144,6 +146,34 @@ func TestTableValidation(t *testing.T) {
 	}
 	if _, err := NewTable(names(8), 7, 1); err == nil {
 		t.Fatal("table smaller than backend count accepted")
+	}
+	// A slot holds a backend index in two bytes: one backend more than
+	// it can name is refused, whatever the size.
+	_, err := NewTable(names(maxBackends+1), 131071, 1)
+	if err == nil || !strings.Contains(err.Error(), "at most 65535 backends") {
+		t.Fatalf("65536 backends: err = %v, want the 65535 limit named", err)
+	}
+}
+
+// TestTableRetainsTwoBytesPerSlot: the fleet's 65 537-slot table keeps
+// 128 KiB of two-byte slots alive, where int32 slots kept 256 KiB; the
+// permutation scratch is garbage once NewTable returns.
+func TestTableRetainsTwoBytesPerSlot(t *testing.T) {
+	backends := names(4)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tb, err := NewTable(backends, tableSize, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(tb)
+	kept := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / (1 << 10)
+	t.Logf("a %d-slot table retains %.1f KiB", tableSize, kept)
+	if kept > 140 {
+		t.Fatalf("a %d-slot table retains %.1f KiB, want <= 140", tableSize, kept)
 	}
 }
 

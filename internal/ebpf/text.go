@@ -142,19 +142,21 @@ func (a *assembler) eachLine(src string, do func()) {
 	}
 }
 
-// directive reads a .const or a .map line. Like any other line that starts
-// with '.', one not in the declaration's form declares nothing.
+// directive reads a .const or a .map line. Any other line that starts
+// with '.', or one of those two not in the declaration's form, is an error.
 func (a *assembler) directive() {
-	if len(a.line) < 2 || !isWordByte(a.line[1]) {
-		return
-	}
 	a.pos = 1
-	switch a.word() {
+	var kind string
+	if len(a.line) > 1 && isWordByte(a.line[1]) {
+		kind = a.word()
+	}
+	switch kind {
 	case "const":
 		// The value is the rest of the line, after a blank and without one.
 		name, rest := a.word(), a.line[a.pos:]
 		text := strings.TrimLeft(rest, blanks)
 		if name == "" || text == "" || len(text) == len(rest) || strings.ContainsAny(text, blanks) {
+			a.failf("bad directive %q: want .const NAME VALUE", a.line)
 			return
 		}
 		v, err := strconv.ParseInt(text, 0, 64)
@@ -168,6 +170,7 @@ func (a *assembler) directive() {
 		typ := a.word()
 		fields := [3]string{a.word(), a.word(), a.word()}
 		if spec.Name == "" || typ == "" || a.pos != len(a.line) || !isNumber(fields[0]) || !isNumber(fields[1]) || !isNumber(fields[2]) {
+			a.failf("bad directive %q: want .map NAME TYPE KEY_SIZE VALUE_SIZE MAX_ENTRIES", a.line)
 			return
 		}
 		if spec.Type = MapType(slices.Index(mapTypeNames[:], typ)); spec.Type < 0 {
@@ -188,6 +191,8 @@ func (a *assembler) directive() {
 		}
 		a.mapIdx[spec.Name] = len(a.f.Maps)
 		a.f.Maps = append(a.f.Maps, spec)
+	default:
+		a.failf("unknown directive %q", a.line[:a.pos])
 	}
 }
 
@@ -345,8 +350,8 @@ func (a *assembler) value(letters string) (reg uint8, isReg bool, imm int32) {
 	return 0, false, int32(a.imm(sign, word, 32))
 }
 
-// imm resolves a signed word: a named constant, taken as declared, or a
-// number that fits in bits.
+// imm resolves a signed word, a named constant or a number, to a value
+// that fits in bits.
 func (a *assembler) imm(sign byte, word string, bits int) int64 {
 	v, named := a.consts[word]
 	if !named {
@@ -359,8 +364,12 @@ func (a *assembler) imm(sign byte, word string, bits int) int64 {
 	if sign == '-' {
 		v = -v
 	}
-	if !named && bits == 32 && (v > 0xffffffff || v < -(1<<31)) {
-		a.failf("immediate %d does not fit in 32 bits", v)
+	if bits == 32 && (v > 0xffffffff || v < -(1<<31)) {
+		if named {
+			a.failf("constant %s is %d, which does not fit in 32 bits", word, v)
+		} else {
+			a.failf("immediate %d does not fit in 32 bits", v)
+		}
 	}
 	return v
 }

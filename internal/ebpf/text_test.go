@@ -318,6 +318,57 @@ func TestAssembleErrors(t *testing.T) {
 	}
 }
 
+// TestAssembleRefusesTyposAndWideConstants: a line that starts with '.'
+// is a .const or a .map in its declared form, or an error naming its line;
+// and a named constant or a deploy-time define meets the range check of
+// the literal it stands for in every 32-bit slot. Each source here used to
+// assemble: the directive declared nothing, the constant lost its high
+// bits.
+func TestAssembleRefusesTyposAndWideConstants(t *testing.T) {
+	cases := []struct {
+		name, src string
+		defines   map[string]int64
+		want      string
+	}{
+		{"misspelt-const", "r0 = 0\n.cosnt N 6\nexit", nil, `line 2: unknown directive ".cosnt"`},
+		{"misspelt-map", ".mapm array 4 8 1\nr0 = 0\nexit", nil, `line 1: unknown directive ".mapm"`},
+		{"bare-dot", ". const N 6\nr0 = 0\nexit", nil, `line 1: unknown directive "."`},
+		{"const-extra-field", ".const N 6 7\nr0 = 0\nexit", nil, `line 1: bad directive ".const N 6 7"`},
+		{"const-no-value", ".const N\nr0 = 0\nexit", nil, `line 1: bad directive ".const N"`},
+		{"map-short", "r0 = 0\n.map m array 4 8\nexit", nil, `line 2: bad directive ".map m array 4 8"`},
+		{"wide-alu", ".const BIG 99999999999\nr0 = BIG\nexit", nil, "line 2: constant BIG is 99999999999"},
+		{"wide-alu32", ".const BIG 99999999999\nw0 += BIG\nexit", nil, "line 2: constant BIG is 99999999999"},
+		{"wide-jump", ".const BIG 99999999999\nif r0 > BIG goto out\nout:\nexit", nil, "line 2: constant BIG is 99999999999"},
+		{"wide-store", ".const BIG 99999999999\n*(u64 *)(r10 - 8) = BIG\nr0 = 0\nexit", nil, "line 2: constant BIG is 99999999999"},
+		{"wide-negated", ".const U32 0xffffffff\nr0 = -U32\nexit", nil, "line 2: constant U32 is -4294967295"},
+		{"wide-define", "r0 = 0\nr0 %= NUM_THREADS\nexit", map[string]int64{"NUM_THREADS": 99999999999}, "line 2: constant NUM_THREADS is 99999999999"},
+		{"wide-define-over-const", ".const NUM_THREADS 6\nr0 = NUM_THREADS\nexit", map[string]int64{"NUM_THREADS": -1<<31 - 1}, "line 2: constant NUM_THREADS is -2147483649"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Assemble(tc.src, tc.defines)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+		})
+	}
+	// The literals those constants stand for are refused the same way, and
+	// a 64-bit load keeps every bit of a wide constant.
+	for _, src := range []string{"r0 = 99999999999\nexit", "r0 = -0xffffffff\nexit"} {
+		if _, err := Assemble(src, nil); err == nil || !strings.Contains(err.Error(), "does not fit in 32 bits") {
+			t.Errorf("%q: err = %v, want the 32-bit range refused", src, err)
+		}
+	}
+	f, err := Assemble(".const BIG 99999999999\nr0 = BIG ll\nr0 = 0xffffffff\nexit", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(LoadImm64(R0, 99999999999), ALUImm(ALUMov, R0, -1), Exit())
+	if !slices.Equal(f.Insns, want) {
+		t.Fatalf("got %v, want %v", f.Insns, want)
+	}
+}
+
 // TestAssembleConstantsNamedLikeRegisters: a register is r or w and
 // digits, so a constant may start with either letter, in every operand
 // slot, declared in the file or defined at deploy time.

@@ -78,6 +78,8 @@ type MemberRun struct {
 	// another shard (mica only; nonzero only for rollout probe traffic —
 	// workload clients are shard-aware).
 	Foreign uint64
+	// host is the member's simulated host, kept for its counters.
+	host *syrup.Host
 }
 
 // ClusterRun is the outcome of one fleet scenario.
@@ -199,7 +201,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterRun, error) {
 	results := finish(cfg.Run.Workers, runs...)
 	run := &ClusterRun{Hosts: cfg.Hosts, App: cfg.App, Seed: cfg.Seed, Rollout: rep, Fleet: mergeFleet(results)}
 	for i, m := range cl.Members {
-		mr := MemberRun{Name: m.Name, Flows: parts[i].Flows, Rate: parts[i].Rate, Result: results[i]}
+		mr := MemberRun{Name: m.Name, Flows: parts[i].Flows, Rate: parts[i].Rate, Result: results[i], host: m.Host}
 		if micaSrvs[i] != nil {
 			mr.Foreign = micaSrvs[i].Foreign
 		}

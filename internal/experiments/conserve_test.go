@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"syrup"
+	"syrup/internal/apps/mica"
 	"syrup/internal/apps/rocksdb"
 	"syrup/internal/ebpf"
 	"syrup/internal/hook"
@@ -129,4 +130,59 @@ func TestServerDropsPuts(t *testing.T) {
 	if w.Srv.ProcessedGET != w.Srv.Store().Gets {
 		t.Fatalf("ProcessedGET %d, store Gets %d: a PUT reached the store", w.Srv.ProcessedGET, w.Srv.Store().Gets)
 	}
+}
+
+// TestRunsAllocateNoPacketWhileTimed: every host of the ledger's four
+// shapes ends its run on the one packet slab its NIC allocated at
+// construction, so no run grows its free list while it is timed. The
+// shapes are the golden get_rr slice; a scan+ghOSt point and a batch-64
+// mica point at the ledger's rates; the golden 4-host fleet; and the adapt
+// demo's controller host, which the ledger's fleet runs four of through
+// the same burst. The mica and controller hosts hold 61 and 73 packets at
+// their peak, so a 32-packet slab would not do. The golden fig8 slice is
+// not among them: half its requests are SCANs at 120 000 rps, deep past
+// the knee, and its NIC grows slabs as the backlog piles up.
+func TestRunsAllocateNoPacketWhileTimed(t *testing.T) {
+	scanGhost := fig8Slice(RunConfig{})
+	scanGhost.Load, scanGhost.Flows = 150_000, 50
+	scanGhost.Classes = []workload.Class{
+		{Name: "GET", Weight: 0.995, Type: policy.ReqGET},
+		{Name: "SCAN", Weight: 0.005, Type: policy.ReqSCAN},
+	}
+	adaptive, _ := runAdaptivePoint(DefaultAdaptive(), PolicyRoundRobin, true)
+	hosts := map[string]*syrup.Host{
+		"fig2/round_robin":    runRocksPoint(fig2Slice(PolicyRoundRobin, RunConfig{})).Host,
+		"scan+ghost":          runRocksPoint(scanGhost).Host,
+		"mica/batch64":        runBatchedMica(t),
+		"adapt/demo/adaptive": adaptive.Host,
+	}
+	fleet, err := RunCluster(fleetRocks(RunConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range fleet.Members {
+		hosts["fleet/rocksdb-4/"+m.Name] = m.host
+	}
+	for name, host := range hosts {
+		if got := counter(host, "nic_packet_slabs"); got != 1 {
+			t.Errorf("%s: nic_packet_slabs = %d, want 1", name, got)
+		}
+	}
+}
+
+// runBatchedMica runs the fig9 slice's mica_hash XDP host in the ledger's
+// mica_mix_xdp shape: a NIC that hands packets up 64 at a time, and a
+// GET/PUT half mix at 2 M rps.
+func runBatchedMica(t *testing.T) *syrup.Host {
+	pt := fig9Slice(mica.ModeSyrupSW, RunConfig{})
+	host, app := syrup.MustHostApp(syrup.HostConfig{Seed: pt.Seed, NumCPUs: micaN, NICQueues: micaN, Batch: 64}, micaApp, micaUID, micaPort)
+	load := pt.Run.load(2_000_000)
+	load.Classes = micaMix(0.5)
+	gen, srv := wireMICA(host, load, mica.Config{Mode: mica.ModeSyrupSW})
+	if _, err := app.DeployPolicy(policy.MustSource(policy.NameMicaHash), syrup.HookXDPSkb, map[string]int64{"NUM_EXECUTORS": micaN}); err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	finish(1, hostRun{host: host, gen: gen, app: srv})
+	return host
 }

@@ -72,7 +72,8 @@ type Packet struct {
 // slab at a time and New adds the first: the ledger's workloads keep under
 // 128 packets in flight per host, so theirs are in place before a run
 // starts, and a host deep in overload grows a few slabs while it runs.
-const packetSlab = 256
+// Each growth counts in nic_packet_slabs.
+const packetSlab = 128
 
 // NewPacket returns a zeroed Packet from the device's free list. Packets
 // obtained here should be released with Free at their terminal point;
@@ -91,6 +92,7 @@ func (n *NIC) NewPacket() *Packet {
 
 // growPackets adds one slab of packets to the free list.
 func (n *NIC) growPackets() {
+	n.slabs++
 	slab := make([]Packet, packetSlab)
 	for i := range slab {
 		p := &slab[i]
@@ -246,6 +248,9 @@ const (
 	hostMapRTT = 25 * sim.Microsecond
 	// defaultRingSize is Config.RingSize when it is left zero.
 	defaultRingSize = 1024
+	// rssEntries is the RSS indirection table's size: the hash picks
+	// entry hash mod rssEntries, and entry i steers to queue i mod Queues.
+	rssEntries = 128
 )
 
 // Config sets NIC geometry.
@@ -285,7 +290,8 @@ func (n *NIC) AppendCounters(dst []metrics.CounterValue) []metrics.CounterValue 
 	return append(dst,
 		metrics.CounterValue{Name: "nic_received", Value: n.Stats.Received},
 		metrics.CounterValue{Name: "nic_dropped_ring", Value: n.Stats.DroppedRing},
-		metrics.CounterValue{Name: "nic_dropped_by_xdp", Value: n.Stats.DroppedByXDP})
+		metrics.CounterValue{Name: "nic_dropped_by_xdp", Value: n.Stats.DroppedByXDP},
+		metrics.CounterValue{Name: "nic_packet_slabs", Value: n.slabs})
 }
 
 // NIC is the simulated device.
@@ -296,8 +302,6 @@ type NIC struct {
 	// arrival to ring handoff, including offload-engine latency) and the
 	// chaos injector (RX ring overflows).
 	host *hook.Host
-
-	rssTable []int // 128-entry indirection table
 
 	// offload is the XDP Offload hook point: it owns the installed
 	// program, the NIC-side Env, and the reusable scratch Ctx.
@@ -312,8 +316,10 @@ type NIC struct {
 	// (arg = *Packet, u = queue), so Receive schedules without allocating.
 	deliverCB sim.Callback
 
-	// free heads the packet free list (see NewPacket).
-	free *Packet
+	// free heads the packet free list (see NewPacket); slabs counts the
+	// slabs growPackets has added to it.
+	free  *Packet
+	slabs uint64
 	// lost is the loss sink (see OnLoss); nil reports nothing.
 	lost func(id uint64)
 
@@ -332,10 +338,6 @@ func NewOnHost(h *hook.Host, cfg Config, deliver DeliverFunc) *NIC {
 	cfg.fill()
 	n := &NIC{eng: h.Eng, cfg: cfg, host: h, deliver: deliver, inflight: make([]int, cfg.Queues)}
 	n.deliverCB = func(arg any, u uint64) { n.deliver(int(u), arg.(*Packet)) }
-	n.rssTable = make([]int, 128)
-	for i := range n.rssTable {
-		n.rssTable[i] = i % cfg.Queues
-	}
 	n.offload = hook.NewPoint(h, string(hook.XDPOffload), faults.SiteOffload)
 	n.growPackets()
 	return n
@@ -370,7 +372,7 @@ func (n *NIC) Receive(pkt *Packet) {
 	n.Stats.Received++
 	pkt.ArrivedAt = n.eng.Now()
 	hash := pkt.RSSHash()
-	queue := n.rssTable[hash%uint32(len(n.rssTable))]
+	queue := int(hash%rssEntries) % n.cfg.Queues
 	extra := sim.Time(0)
 
 	if n.offload.Attached() {

@@ -181,7 +181,7 @@ func TestOffloadFaultFailsOpenAndCounts(t *testing.T) {
 	}
 	dev.Offload().Set(faulty)
 	p := mkPkt(1, 100, nil)
-	rssQueue := dev.rssTable[p.RSSHash()%uint32(len(dev.rssTable))]
+	rssQueue := int(p.RSSHash()%rssEntries) % dev.NumQueues()
 	dev.Receive(p)
 	eng.Run()
 	// Fail open: the packet is delivered on the RSS-chosen queue...
@@ -318,6 +318,16 @@ func freePackets(dev *NIC) int {
 	return n
 }
 
+// packetSlabs reads the device's nic_packet_slabs counter.
+func packetSlabs(dev *NIC) uint64 {
+	for _, c := range dev.AppendCounters(nil) {
+		if c.Name == "nic_packet_slabs" {
+			return c.Value
+		}
+	}
+	return 0
+}
+
 // TestPacketPoolRecycle covers the device's packet free list: device
 // packets recycle through Free, literal packets ignore it, and a double
 // Free of a live device packet panics.
@@ -371,7 +381,8 @@ func TestPacketPoolRecycle(t *testing.T) {
 
 // TestPacketReturnsToIssuingNIC: whoever frees a packet — a stack, an app,
 // the other device's drop path — it goes back to the free list of the
-// device that issued it, and a device that runs dry grows by one slab.
+// device that issued it, and a device that runs dry grows by one slab,
+// which nic_packet_slabs counts.
 func TestPacketReturnsToIssuingNIC(t *testing.T) {
 	eng := sim.New(1)
 	a := New(eng, Config{}, func(int, *Packet) {})
@@ -379,6 +390,9 @@ func TestPacketReturnsToIssuingNIC(t *testing.T) {
 	b := New(eng, Config{RingSize: 1}, func(int, *Packet) {})
 	if freePackets(a) != packetSlab || freePackets(b) != packetSlab {
 		t.Fatalf("pre-fill: %d and %d packets, want %d each", freePackets(a), freePackets(b), packetSlab)
+	}
+	if packetSlabs(a) != 1 || packetSlabs(b) != 1 {
+		t.Fatalf("pre-fill: nic_packet_slabs %d and %d, want 1 each", packetSlabs(a), packetSlabs(b))
 	}
 	var fromA, fromB []*Packet
 	for i := 0; i < 10; i++ {
@@ -415,6 +429,9 @@ func TestPacketReturnsToIssuingNIC(t *testing.T) {
 	b.NewPacket()
 	if got := freePackets(b); got != packetSlab-1 {
 		t.Fatalf("after growing: %d free, want %d", got, packetSlab-1)
+	}
+	if packetSlabs(a) != 1 || packetSlabs(b) != 2 {
+		t.Fatalf("after growing: nic_packet_slabs %d and %d, want 1 and 2", packetSlabs(a), packetSlabs(b))
 	}
 }
 

@@ -321,6 +321,11 @@ func TestDeployErrors(t *testing.T) {
 	if _, err := h.d.DeployBuiltin(1, HookSocketSelect, "nope", nil); err == nil {
 		t.Fatal("unknown builtin accepted")
 	}
+	// A define meets the 32-bit range check of the literal it stands for.
+	_, err := h.d.DeployBuiltin(1, HookSocketSelect, "round_robin", map[string]int64{"NUM_THREADS": 99999999999})
+	if err == nil || !strings.Contains(err.Error(), "constant NUM_THREADS is 99999999999") {
+		t.Fatalf("out-of-range define: err = %v", err)
+	}
 }
 
 // TestFailedDeployLeavesNoMaps: a deploy that verifies but cannot install

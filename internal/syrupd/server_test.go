@@ -396,7 +396,7 @@ func TestCountersDeterministic(t *testing.T) {
 		"netstack_backlog_drops", "netstack_no_executor_drops", "netstack_no_group_drops",
 		"netstack_policy_drops", "netstack_processed", "netstack_socket_drops",
 		"netstack_udp_delivered", "netstack_xsk_delivered", "netstack_xsk_drops",
-		"nic_dropped_by_xdp", "nic_dropped_ring", "nic_received",
+		"nic_dropped_by_xdp", "nic_dropped_ring", "nic_packet_slabs", "nic_received",
 		"sim_events_canceled", "sim_events_fired", "sim_events_pending", "sim_events_scheduled",
 		"storage_completed", "storage_no_executor", "storage_rejected_full", "storage_submitted",
 		"syrupd_quarantines",

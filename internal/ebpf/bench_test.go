@@ -1,36 +1,74 @@
 package ebpf
 
 import (
+	"fmt"
+	"os"
 	"testing"
 )
 
-// BenchmarkVerifier measures end-to-end load (resolve + verify) cost for a
-// representative policy: what syrupd pays per deployment.
+// BenchmarkVerifier measures verification cost: what syrupd pays per
+// deployment. "counter" is end-to-end load (resolve + verify) of a
+// map-counter program; the policy rows verify each shipped policy at the
+// defines the ledger deploys it with; the diamond rows verify n sequential
+// undecidable branches (diamonds), whose 2^n paths the verifier walks one
+// by one.
 func BenchmarkVerifier(b *testing.B) {
-	m := MustNewMap(MapSpec{Name: "m", Type: MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 8})
-	tb := NewMapTable()
-	fd := tb.Register(m)
-	insns := []Instruction{StImm(4, R10, -4, 0)}
-	insns = append(insns, LoadMapFD(R1, fd)...)
-	insns = append(insns,
-		MovReg(R2, R10),
-		ALUImm(ALUAdd, R2, -4),
-		Call(HelperMapLookup),
-		JmpImm(JmpEq, R0, 0, 5),
-		Ldx(8, R6, R0, 0),
-		MovReg(R7, R6),
-		ALUImm(ALUAdd, R7, 1),
-		Stx(8, R0, R7, 0),
-		Ja(1),
-		MovImm(R6, 0),
-		MovReg(R0, R6),
-		ALUImm(ALUMod, R0, 6),
-		Exit(),
-	)
+	b.Run("counter", func(b *testing.B) {
+		m := MustNewMap(MapSpec{Name: "m", Type: MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 8})
+		tb := NewMapTable()
+		fd := tb.Register(m)
+		insns := []Instruction{StImm(4, R10, -4, 0)}
+		insns = append(insns, LoadMapFD(R1, fd)...)
+		insns = append(insns,
+			MovReg(R2, R10),
+			ALUImm(ALUAdd, R2, -4),
+			Call(HelperMapLookup),
+			JmpImm(JmpEq, R0, 0, 5),
+			Ldx(8, R6, R0, 0),
+			MovReg(R7, R6),
+			ALUImm(ALUAdd, R7, 1),
+			Stx(8, R0, R7, 0),
+			Ja(1),
+			MovImm(R6, 0),
+			MovReg(R0, R6),
+			ALUImm(ALUMod, R0, 6),
+			Exit(),
+		)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Load("bench", insns, LoadOptions{MapTable: tb}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	for _, bc := range []struct {
+		name    string
+		defines map[string]int64
+	}{
+		{"round_robin", map[string]int64{"NUM_THREADS": 6}},
+		{"shed", map[string]int64{"NUM_THREADS": 6, "SHED_USER": 2}},
+		{"mica_hash", map[string]int64{"NUM_EXECUTORS": 8}},
+		{"scan_avoid", map[string]int64{"NUM_THREADS": 36}},
+	} {
+		src, err := os.ReadFile("../policy/policies/" + bc.name + ".syr")
+		if err != nil {
+			b.Fatal(err)
+		}
+		f, err := Assemble(string(src), bc.defines)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name, func(b *testing.B) { benchVerify(b, f) })
+	}
+	for _, n := range []int{8, 16} {
+		b.Run(fmt.Sprintf("diamonds_%d", n), func(b *testing.B) { benchVerify(b, &AsmFile{Insns: diamonds(n)}) })
+	}
+}
+
+func benchVerify(b *testing.B, f *AsmFile) {
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Load("bench", insns, LoadOptions{MapTable: tb}); err != nil {
+		if _, err := Verify("bench", f); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -433,11 +433,7 @@ func TestVerifierUnboundedLoopRejected(t *testing.T) {
 // runs out of budget here too; its message must count the paths it
 // explored and must not call a loop-free program unbounded.
 func TestVerifierBudgetOnALoopFreeProgram(t *testing.T) {
-	insns := []Instruction{Call(HelperPrandomU32), MovImm(R6, 0)}
-	for k := range int32(18) {
-		insns = append(insns, JmpImm(JmpLe, R0, k, 1), ALUImm(ALUAdd, R6, 1))
-	}
-	insns = append(insns, MovImm(R0, 0), Exit())
+	insns := diamonds(18)
 	if len(insns) != 40 {
 		t.Fatalf("%d instructions, want 40", len(insns))
 	}
@@ -446,6 +442,16 @@ func TestVerifierBudgetOnALoopFreeProgram(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("err = %v, want %q", err, want)
 	}
+}
+
+// diamonds is n sequential diamonds on an unknown scalar, `if r0 > k {
+// r6 += 1 }` for k = 0..n-1: 2n+4 instructions and 2^n paths.
+func diamonds(n int) []Instruction {
+	insns := []Instruction{Call(HelperPrandomU32), MovImm(R6, 0)}
+	for k := range int32(n) {
+		insns = append(insns, JmpImm(JmpLe, R0, k, 1), ALUImm(ALUAdd, R6, 1))
+	}
+	return append(insns, MovImm(R0, 0), Exit())
 }
 
 func TestVerifierRejectsPointerArithmeticWithUnknownScalar(t *testing.T) {

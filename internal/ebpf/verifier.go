@@ -510,11 +510,10 @@ func (v *verifier) checkStore(pc int, ins Instruction, st *vstate) error {
 
 	if base.typ == tStack {
 		abs := base.off + int64(ins.Off)
-		// A scalar store over a spill slot demotes it to misc data.
-		if abs%8 == 0 && size == 8 {
-			st.dropSpill(int8(abs / 8))
-		} else {
-			st.dropSpill(int8((abs - abs%8) / 8))
+		// A scalar store demotes every spill slot it touches to misc data;
+		// a slot is the floor of its offset over 8 (fp-4 is in fp-8's).
+		for slot := abs >> 3; slot <= (abs+int64(size)-1)>>3; slot++ {
+			st.dropSpill(int8(slot))
 		}
 		st.stackMarkInit(abs, size)
 	}

@@ -202,17 +202,32 @@ func TestVerifierRejectsMisalignedPointerSpill(t *testing.T) {
 	}, nil, "8-byte aligned")
 }
 
+// TestVerifierScalarOverwriteDemotesSpill: a scalar store demotes every
+// spilled slot it touches to plain bytes, whatever its width and alignment,
+// so the fill that follows is a scalar and the ctx load through it fails.
+// The slot of a negative frame offset is its floor: fp-4 is in fp-8's slot.
 func TestVerifierScalarOverwriteDemotesSpill(t *testing.T) {
-	// Spill ctx, clobber the slot with a scalar, fill, then try ctx load:
-	// the filled value must be a scalar, so the ctx load must fail.
-	wantReject(t, []Instruction{
-		Stx(8, R10, R1, -8),
-		StImm(8, R10, -8, 0),
-		Ldx(8, R2, R10, -8),
-		Ldx(8, R3, R2, CtxOffData),
-		MovImm(R0, 0),
-		Exit(),
-	}, nil, "scalar")
+	for _, tc := range []struct {
+		name   string
+		spill  int16
+		store  Instruction
+		fillAt int16
+	}{
+		{"whole slot", -8, StImm(8, R10, -8, 0), -8},
+		{"upper half", -8, StImm(4, R10, -4, 0), -8},
+		{"unaligned 8 bytes into the lower slot", -16, StImm(8, R10, -12, 0), -16},
+		{"2 bytes across the slot's top", -16, StImm(2, R10, -9, 0), -16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wantReject(t, []Instruction{
+				Stx(8, R10, R1, tc.spill),
+				tc.store,
+				Ldx(8, R2, R10, tc.fillAt),
+				Ldx(4, R0, R2, CtxOffHash),
+				Exit(),
+			}, nil, "memory access via scalar")
+		})
+	}
 }
 
 func TestVerifierRejectsPointerLeakToMapValue(t *testing.T) {

@@ -112,6 +112,17 @@ func (s *vstate) stackIsInit(off int64, size int) bool {
 	return true
 }
 
+// spillRead refuses a read of size bytes at fp+abs that sees a spilled
+// pointer's bytes: only an aligned 8-byte load fills a spill back.
+func (s *vstate) spillRead(pc int, abs int64, size int) error {
+	for slot := abs >> 3; slot <= (abs+int64(size)-1)>>3; slot++ {
+		if sp, ok := s.spills[int8(slot)]; ok {
+			return fmt.Errorf("insn %d: leaking %v pointer spilled at fp%+d: only an aligned 8-byte load may read it", pc, sp.typ, slot*8)
+		}
+	}
+	return nil
+}
+
 func (s *vstate) dropSpill(slot int8) {
 	if s.spills != nil {
 		delete(s.spills, slot)
@@ -454,6 +465,9 @@ func (v *verifier) checkLoad(pc int, ins Instruction, st *vstate) error {
 				return nil
 			}
 		}
+		if err := st.spillRead(pc, abs, size); err != nil {
+			return err
+		}
 		st.regs[ins.Dst] = scalarUnknown()
 	default:
 		st.regs[ins.Dst] = scalarUnknown()
@@ -492,6 +506,16 @@ func (v *verifier) checkStore(pc int, ins Instruction, st *vstate) error {
 
 	if err := v.checkMemAccess(pc, st, base, int64(ins.Off), size, true); err != nil {
 		return err
+	}
+	if atomic && base.typ == tStack {
+		// An atomic add reads the bytes it adds to.
+		abs := base.off + int64(ins.Off)
+		if !st.stackIsInit(abs, size) {
+			return fmt.Errorf("insn %d: read of uninitialized stack at fp%+d", pc, abs)
+		}
+		if err := st.spillRead(pc, abs, size); err != nil {
+			return err
+		}
 	}
 
 	// Pointers may only be stored to the stack, 8-byte aligned (spill).
@@ -589,11 +613,19 @@ func (v *verifier) checkCall(pc int, ins Instruction, st *vstate) error {
 			if err := v.checkMemAccess(pc, st, arg, 0, int(keySize), false); err != nil {
 				return fmt.Errorf("helper %s key: %w", sig.name, err)
 			}
+			if err := st.spillRead(pc, arg.off, int(keySize)); err != nil {
+				return fmt.Errorf("helper %s key: %w", sig.name, err)
+			}
 		case argStackValue:
 			switch arg.typ {
 			case tStack, tMapValue, tPacket:
 				if err := v.checkMemAccess(pc, st, arg, 0, int(valueSize), false); err != nil {
 					return fmt.Errorf("helper %s value: %w", sig.name, err)
+				}
+				if arg.typ == tStack {
+					if err := st.spillRead(pc, arg.off, int(valueSize)); err != nil {
+						return fmt.Errorf("helper %s value: %w", sig.name, err)
+					}
 				}
 			default:
 				return fmt.Errorf("insn %d: helper %s arg%d: value must be readable memory, got %v", pc, sig.name, i+1, arg.typ)

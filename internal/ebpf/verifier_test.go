@@ -230,6 +230,71 @@ func TestVerifierScalarOverwriteDemotesSpill(t *testing.T) {
 	}
 }
 
+// TestVerifierReadsASpillOnlyByAFill: a spilled pointer's bytes are read
+// back only by an aligned 8-byte load of its whole slot, which fills the
+// pointer. Each other read of them is the pointer leak that exit and a
+// pointer store refuse, so it is refused too, naming the slot: with ctx
+// spilled at fp-8, a 4-byte load of its top half reads 0x30000, a helper
+// copies its bytes into map memory, and an atomic add turns it into a
+// scalar that a fill then returns.
+func TestVerifierReadsASpillOnlyByAFill(t *testing.T) {
+	tb, _, fd := u64MapTable(t, 1)
+	helper := func(key, value int32, call int32) []Instruction {
+		insns := []Instruction{Stx(8, R10, R1, -8), StImm(4, R10, -12, 0)}
+		insns = append(insns, LoadMapFD(R1, fd)...)
+		insns = append(insns,
+			MovReg(R2, R10),
+			ALUImm(ALUAdd, R2, key),
+			MovReg(R3, R10),
+			ALUImm(ALUAdd, R3, value),
+			MovImm(R4, 0),
+			Call(call),
+			MovImm(R0, 0),
+			Exit(),
+		)
+		return insns
+	}
+	for _, tc := range []struct {
+		name  string
+		insns []Instruction
+		want  string
+	}{
+		{"4-byte load", []Instruction{
+			Stx(8, R10, R1, -8),
+			Ldx(4, R0, R10, -4),
+			Exit(),
+		}, "insn 1: leaking ctx pointer spilled at fp-8"},
+		{"unaligned 8-byte load", []Instruction{
+			StImm(8, R10, -16, 0),
+			Stx(8, R10, R1, -8),
+			Ldx(8, R0, R10, -12),
+			Exit(),
+		}, "insn 2: leaking ctx pointer spilled at fp-8"},
+		{"map_update_elem value", helper(-12, -8, HelperMapUpdate), "helper map_update_elem value: insn 9: leaking ctx pointer spilled at fp-8"},
+		{"map_lookup_elem key", helper(-8, -12, HelperMapLookup), "helper map_lookup_elem key: insn 9: leaking ctx pointer spilled at fp-8"},
+		{"atomic add", []Instruction{
+			Stx(8, R10, R1, -8),
+			MovImm(R3, 1),
+			XAdd(8, R10, R3, -8),
+			Ldx(8, R0, R10, -8),
+			Exit(),
+		}, "insn 2: leaking ctx pointer spilled at fp-8"},
+	} {
+		t.Run(tc.name, func(t *testing.T) { wantReject(t, tc.insns, tb, tc.want) })
+	}
+}
+
+// An atomic add reads the bytes it adds to, so they must be initialized:
+// otherwise each run on reused state returns one more than the last.
+func TestVerifierAtomicAddReadsItsStackBytes(t *testing.T) {
+	wantReject(t, []Instruction{
+		MovImm(R3, 1),
+		XAdd(8, R10, R3, -8),
+		Ldx(8, R0, R10, -8),
+		Exit(),
+	}, nil, "insn 1: read of uninitialized stack at fp-8")
+}
+
 func TestVerifierRejectsPointerLeakToMapValue(t *testing.T) {
 	tb, _, fd := u64MapTable(t, 1)
 	insns := []Instruction{

@@ -2,6 +2,8 @@ package ebpf
 
 import (
 	"fmt"
+	"maps"
+	"math/bits"
 )
 
 // The verifier simulates program execution one instruction at a time over an
@@ -61,8 +63,8 @@ func (t regType) String() string {
 type vreg struct {
 	typ    regType
 	known  bool   // typ==tScalar and val is exact
+	off    int32  // pointer offset from region base (stack: <=0 from r10), within ±2^29
 	val    uint64 // exact scalar value when known
-	off    int64  // pointer offset from region base (stack: <=0 from r10)
 	mapIdx int32  // for tMapHandle / tMapValue(_OrNull)
 	id     int32  // identity for null-check propagation
 }
@@ -72,68 +74,56 @@ func scalarConst(v uint64) vreg {
 	return vreg{typ: tScalar, known: true, val: v}
 }
 
-// vstate is the abstract machine state at one program point.
+// vstate is the abstract machine state at one program point: a value, which
+// fork copies.
 type vstate struct {
 	regs [NumRegs]vreg
 	// pktRange: bytes [0, pktRange) of the packet proven accessible.
 	pktRange int64
 	// stackInit: bitmap over the 512 stack bytes (bit set = initialized).
 	stackInit [StackSize / 8]uint8
-	// spills: pointer values spilled to 8-byte-aligned stack slots,
-	// keyed by slot index (0..63).
+	// spills: pointers spilled to the stack, keyed by 8-byte slot: slot k
+	// holds bytes [fp+8k, fp+8k+8), k = -64..-1.
 	spills map[int8]vreg
 }
 
-func (s *vstate) clone() *vstate {
-	n := &vstate{regs: s.regs, pktRange: s.pktRange, stackInit: s.stackInit}
-	if len(s.spills) > 0 {
-		n.spills = make(map[int8]vreg, len(s.spills))
-		for k, v := range s.spills {
-			n.spills[k] = v
+// memOp is what an access does with the bytes it touches.
+type memOp uint8
+
+const (
+	memLoad   memOp = iota // a load: reads, and may fill a spilled pointer
+	memRead                // a helper's memory argument: reads
+	memStore               // a store: writes
+	memAtomic              // an atomic add: reads, then writes
+)
+
+// stack applies the stack rule to an access of size bytes at fp+abs that is
+// in bounds. The access touches the 8-byte slots floor(abs/8) through
+// floor((abs+size-1)/8). A read needs its bytes initialized, and only a
+// load of one whole, aligned slot may read a spilled pointer: it fills the
+// pointer back. A store initializes its bytes and demotes each spilled slot
+// it touches to plain bytes; checkStore then spills a pointer store anew.
+func (s *vstate) stack(pc int, abs int64, size int, op memOp) (vreg, error) {
+	for b := StackSize + abs; b < StackSize+abs+int64(size); b++ {
+		if op == memStore {
+			s.stackInit[b/8] |= 1 << (b % 8)
+		} else if s.stackInit[b/8]&(1<<(b%8)) == 0 {
+			return vreg{}, fmt.Errorf("insn %d: read of uninitialized stack at fp%+d", pc, abs)
 		}
 	}
-	return n
-}
-
-func (s *vstate) stackMarkInit(off int64, size int) {
-	for i := int64(0); i < int64(size); i++ {
-		b := StackSize + off + i // off is negative
-		s.stackInit[b/8] |= 1 << uint(b%8)
-	}
-}
-
-func (s *vstate) stackIsInit(off int64, size int) bool {
-	for i := int64(0); i < int64(size); i++ {
-		b := StackSize + off + i
-		if s.stackInit[b/8]&(1<<uint(b%8)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// spillRead refuses a read of size bytes at fp+abs that sees a spilled
-// pointer's bytes: only an aligned 8-byte load fills a spill back.
-func (s *vstate) spillRead(pc int, abs int64, size int) error {
 	for slot := abs >> 3; slot <= (abs+int64(size)-1)>>3; slot++ {
-		if sp, ok := s.spills[int8(slot)]; ok {
-			return fmt.Errorf("insn %d: leaking %v pointer spilled at fp%+d: only an aligned 8-byte load may read it", pc, sp.typ, slot*8)
+		sp, ok := s.spills[int8(slot)]
+		switch {
+		case !ok:
+		case op == memStore:
+			delete(s.spills, int8(slot))
+		case op == memLoad && size == 8 && abs == slot*8:
+			return sp, nil
+		default:
+			return vreg{}, fmt.Errorf("insn %d: leaking %v pointer spilled at fp%+d: only an aligned 8-byte load may read it", pc, sp.typ, slot*8)
 		}
 	}
-	return nil
-}
-
-func (s *vstate) dropSpill(slot int8) {
-	if s.spills != nil {
-		delete(s.spills, slot)
-	}
-}
-
-func (s *vstate) setSpill(slot int8, r vreg) {
-	if s.spills == nil {
-		s.spills = make(map[int8]vreg)
-	}
-	s.spills[slot] = r
+	return scalarUnknown(), nil
 }
 
 // markNullResolved rewrites every copy of the or-null value with identity
@@ -158,16 +148,20 @@ func (s *vstate) markNullResolved(id int32, isNull bool) {
 
 type branchPoint struct {
 	pc int
-	st *vstate
+	st vstate
 }
 
 type verifier struct {
-	insns   []Instruction
-	maps    []MapSpec // what the pseudo-map LDDW immediates index
-	budget  int
-	used    int
-	nextID  int32
-	pending []branchPoint
+	insns  []Instruction
+	maps   []MapSpec // what the pseudo-map LDDW immediates index
+	budget int
+	used   int
+	nextID int32
+	// pending is the stack of the taken sides of undecided branches still
+	// to explore, npending deep. Entry i is in chunk k = log2(i+1), of 2^k
+	// entries, so the stack grows without copying what it holds.
+	pending  [64][]branchPoint
+	npending int
 	// lddwHi marks instruction slots that are the high half of an LDDW
 	// pair; jumping into one is rejected.
 	lddwHi   []bool
@@ -187,20 +181,44 @@ func verify(insns []Instruction, maps []MapSpec, budget int) error {
 		}
 	}
 
-	init := &vstate{}
-	init.regs[R1] = vreg{typ: tCtx}
-	init.regs[R10] = vreg{typ: tStack, off: 0}
-	v.pending = append(v.pending, branchPoint{pc: 0, st: init})
-
-	for len(v.pending) > 0 {
-		bp := v.pending[len(v.pending)-1]
-		v.pending = v.pending[:len(v.pending)-1]
+	var st vstate
+	st.regs[R1] = vreg{typ: tCtx}
+	st.regs[R10] = vreg{typ: tStack, off: 0}
+	for pc := 0; ; {
 		v.paths++
-		if err := v.explore(bp.pc, bp.st); err != nil {
+		if err := v.explore(pc, &st); err != nil {
 			return err
 		}
+		if v.npending == 0 {
+			return nil
+		}
+		v.npending--
+		bp := v.pendingAt(v.npending)
+		pc, st = bp.pc, bp.st
 	}
-	return nil
+}
+
+// fork queues the taken side of an undecided branch to target as a copy of
+// st, cloning its spills only when it holds any, and returns it for the
+// caller to refine; st goes on as the fallthrough side.
+func (v *verifier) fork(target int, st *vstate) *vstate {
+	bp := v.pendingAt(v.npending)
+	v.npending++
+	bp.pc, bp.st = target, *st
+	bp.st.spills = nil
+	if len(st.spills) > 0 {
+		bp.st.spills = maps.Clone(st.spills)
+	}
+	return &bp.st
+}
+
+// pendingAt is pending's entry i, allocating its chunk on first use.
+func (v *verifier) pendingAt(i int) *branchPoint {
+	k := bits.Len(uint(i+1)) - 1
+	if v.pending[k] == nil {
+		v.pending[k] = make([]branchPoint, 1<<k)
+	}
+	return &v.pending[k][i+1-1<<k]
 }
 
 func (v *verifier) newID() int32 {
@@ -339,20 +357,21 @@ func (v *verifier) checkALU(pc int, ins Instruction, st *vstate) error {
 		if src.typ != tScalar || !src.known {
 			return fmt.Errorf("insn %d: pointer arithmetic with unknown scalar (only constant offsets are supported)", pc)
 		}
-		delta := int64(src.val)
+		off, delta := int64(dst.off), int64(src.val)
 		switch op {
 		case ALUAdd:
-			dst.off += delta
+			off += delta
 		case ALUSub:
-			dst.off -= delta
+			off -= delta
 		default:
 			return fmt.Errorf("insn %d: pointer ALU op %#x not allowed (only += / -=)", pc, op)
 		}
 		// Keep pointer offsets far away from the runtime tag bits.
 		const maxPtrOff = 1 << 29
-		if dst.off > maxPtrOff || dst.off < -maxPtrOff {
-			return fmt.Errorf("insn %d: pointer offset %d out of bounds", pc, dst.off)
+		if off > maxPtrOff || off < -maxPtrOff {
+			return fmt.Errorf("insn %d: pointer offset %d out of bounds", pc, off)
 		}
+		dst.off = int32(off)
 		st.regs[ins.Dst] = dst
 		return nil
 	}
@@ -382,54 +401,50 @@ func (v *verifier) checkALU(pc int, ins Instruction, st *vstate) error {
 	return nil
 }
 
-// checkMemAccess validates a load/store of size bytes at base+off and
-// returns the region kind for the caller's use.
-func (v *verifier) checkMemAccess(pc int, st *vstate, base vreg, off int64, size int, write bool) error {
+// checkMemAccess validates an access of size bytes at base+off and returns
+// what a load of them reads.
+func (v *verifier) checkMemAccess(pc int, st *vstate, base vreg, off int64, size int, op memOp) (vreg, error) {
+	a := int64(base.off) + off
 	switch base.typ {
 	case tStack:
-		abs := base.off + off
-		if abs < -StackSize || abs+int64(size) > 0 {
-			return fmt.Errorf("insn %d: stack access at fp%+d size %d out of bounds", pc, abs, size)
+		if a < -StackSize || a+int64(size) > 0 {
+			return vreg{}, fmt.Errorf("insn %d: stack access at fp%+d size %d out of bounds", pc, a, size)
 		}
-		if !write && !st.stackIsInit(abs, size) {
-			return fmt.Errorf("insn %d: read of uninitialized stack at fp%+d", pc, abs)
-		}
-		return nil
+		return st.stack(pc, a, size, op)
 	case tPacket:
-		a := base.off + off
 		if a < 0 || a+int64(size) > st.pktRange {
-			return fmt.Errorf("insn %d: packet access at offset %d size %d outside verified range [0,%d) — add a bounds check against pkt_end", pc, a, size, st.pktRange)
+			return vreg{}, fmt.Errorf("insn %d: packet access at offset %d size %d outside verified range [0,%d) — add a bounds check against pkt_end", pc, a, size, st.pktRange)
 		}
-		return nil
+		return scalarUnknown(), nil
 	case tMapValue:
 		vs := int64(v.maps[base.mapIdx].ValueSize)
-		a := base.off + off
 		if a < 0 || a+int64(size) > vs {
-			return fmt.Errorf("insn %d: map value access at offset %d size %d outside value size %d", pc, a, size, vs)
+			return vreg{}, fmt.Errorf("insn %d: map value access at offset %d size %d outside value size %d", pc, a, size, vs)
 		}
-		return nil
+		return scalarUnknown(), nil
 	case tMapValueOrNull:
-		return fmt.Errorf("insn %d: map value access before null check", pc)
+		return vreg{}, fmt.Errorf("insn %d: map value access before null check", pc)
 	case tCtx:
-		if write {
-			return fmt.Errorf("insn %d: context is read-only", pc)
+		if op >= memStore {
+			return vreg{}, fmt.Errorf("insn %d: context is read-only", pc)
 		}
-		a := base.off + off
 		switch {
-		case a == CtxOffData && size == 8, a == CtxOffDataEnd && size == 8:
-			return nil
+		case a == CtxOffData && size == 8:
+			return vreg{typ: tPacket, off: 0}, nil
+		case a == CtxOffDataEnd && size == 8:
+			return vreg{typ: tPacketEnd}, nil
 		case (a == CtxOffHash || a == CtxOffPort || a == CtxOffQueue) && size == 4:
-			return nil
+			return scalarUnknown(), nil
 		}
-		return fmt.Errorf("insn %d: invalid context access at offset %d size %d", pc, a, size)
+		return vreg{}, fmt.Errorf("insn %d: invalid context access at offset %d size %d", pc, a, size)
 	case tPacketEnd:
-		return fmt.Errorf("insn %d: dereference of pkt_end pointer", pc)
+		return vreg{}, fmt.Errorf("insn %d: dereference of pkt_end pointer", pc)
 	case tMapHandle:
-		return fmt.Errorf("insn %d: dereference of map handle", pc)
+		return vreg{}, fmt.Errorf("insn %d: dereference of map handle", pc)
 	case tScalar:
-		return fmt.Errorf("insn %d: memory access via scalar (R has no pointer type)", pc)
+		return vreg{}, fmt.Errorf("insn %d: memory access via scalar (R has no pointer type)", pc)
 	}
-	return fmt.Errorf("insn %d: memory access via %v", pc, base.typ)
+	return vreg{}, fmt.Errorf("insn %d: memory access via %v", pc, base.typ)
 }
 
 func (v *verifier) checkLoad(pc int, ins Instruction, st *vstate) error {
@@ -443,42 +458,19 @@ func (v *verifier) checkLoad(pc int, ins Instruction, st *vstate) error {
 	if err != nil {
 		return err
 	}
-	size := ins.LoadSize()
-	if err := v.checkMemAccess(pc, st, base, int64(ins.Off), size, false); err != nil {
+	r, err := v.checkMemAccess(pc, st, base, int64(ins.Off), ins.LoadSize(), memLoad)
+	if err != nil {
 		return err
 	}
-	switch base.typ {
-	case tCtx:
-		switch base.off + int64(ins.Off) {
-		case CtxOffData:
-			st.regs[ins.Dst] = vreg{typ: tPacket, off: 0}
-		case CtxOffDataEnd:
-			st.regs[ins.Dst] = vreg{typ: tPacketEnd}
-		default:
-			st.regs[ins.Dst] = scalarUnknown()
-		}
-	case tStack:
-		abs := base.off + int64(ins.Off)
-		if size == 8 && abs%8 == 0 {
-			if sp, ok := st.spills[int8(abs/8)]; ok {
-				st.regs[ins.Dst] = sp
-				return nil
-			}
-		}
-		if err := st.spillRead(pc, abs, size); err != nil {
-			return err
-		}
-		st.regs[ins.Dst] = scalarUnknown()
-	default:
-		st.regs[ins.Dst] = scalarUnknown()
-	}
+	st.regs[ins.Dst] = r
 	return nil
 }
 
 func (v *verifier) checkStore(pc int, ins Instruction, st *vstate) error {
-	mode := ins.Op & 0xe0
-	atomic := ins.Class() == ClassSTX && mode == ModeATOMIC
-	if mode != ModeMEM && !atomic {
+	op := memStore
+	if mode := ins.Op & 0xe0; ins.Class() == ClassSTX && mode == ModeATOMIC {
+		op = memAtomic
+	} else if mode != ModeMEM {
 		return fmt.Errorf("insn %d: unsupported store mode %#x", pc, ins.Op)
 	}
 	base, err := v.readReg(pc, st, ins.Dst)
@@ -486,36 +478,22 @@ func (v *verifier) checkStore(pc int, ins Instruction, st *vstate) error {
 		return err
 	}
 	size := ins.LoadSize()
-	if atomic && size < 4 {
+	if op == memAtomic && size < 4 {
 		return fmt.Errorf("insn %d: atomic add requires 32- or 64-bit width", pc)
 	}
 
-	var src vreg
+	src := scalarConst(uint64(int64(ins.Imm)))
 	if ins.Class() == ClassSTX {
-		s, err := v.readReg(pc, st, ins.Src)
-		if err != nil {
+		if src, err = v.readReg(pc, st, ins.Src); err != nil {
 			return err
 		}
-		src = s
-		if atomic && src.typ != tScalar {
+		if op == memAtomic && src.typ != tScalar {
 			return fmt.Errorf("insn %d: atomic add of %v pointer", pc, src.typ)
 		}
-	} else {
-		src = scalarConst(uint64(int64(ins.Imm)))
 	}
 
-	if err := v.checkMemAccess(pc, st, base, int64(ins.Off), size, true); err != nil {
+	if _, err := v.checkMemAccess(pc, st, base, int64(ins.Off), size, op); err != nil {
 		return err
-	}
-	if atomic && base.typ == tStack {
-		// An atomic add reads the bytes it adds to.
-		abs := base.off + int64(ins.Off)
-		if !st.stackIsInit(abs, size) {
-			return fmt.Errorf("insn %d: read of uninitialized stack at fp%+d", pc, abs)
-		}
-		if err := st.spillRead(pc, abs, size); err != nil {
-			return err
-		}
 	}
 
 	// Pointers may only be stored to the stack, 8-byte aligned (spill).
@@ -523,23 +501,14 @@ func (v *verifier) checkStore(pc int, ins Instruction, st *vstate) error {
 		if base.typ != tStack {
 			return fmt.Errorf("insn %d: leaking %v pointer into %v memory", pc, src.typ, base.typ)
 		}
-		abs := base.off + int64(ins.Off)
+		abs := int64(base.off) + int64(ins.Off)
 		if size != 8 || abs%8 != 0 {
 			return fmt.Errorf("insn %d: pointer spill must be 8-byte aligned and 8 bytes wide", pc)
 		}
-		st.setSpill(int8(abs/8), src)
-		st.stackMarkInit(abs, 8)
-		return nil
-	}
-
-	if base.typ == tStack {
-		abs := base.off + int64(ins.Off)
-		// A scalar store demotes every spill slot it touches to misc data;
-		// a slot is the floor of its offset over 8 (fp-4 is in fp-8's).
-		for slot := abs >> 3; slot <= (abs+int64(size)-1)>>3; slot++ {
-			st.dropSpill(int8(slot))
+		if st.spills == nil {
+			st.spills = make(map[int8]vreg)
 		}
-		st.stackMarkInit(abs, size)
+		st.spills[int8(abs>>3)] = src
 	}
 	return nil
 }
@@ -610,22 +579,14 @@ func (v *verifier) checkCall(pc int, ins Instruction, st *vstate) error {
 			if arg.typ != tStack {
 				return fmt.Errorf("insn %d: helper %s arg%d: key must point to the stack, got %v", pc, sig.name, i+1, arg.typ)
 			}
-			if err := v.checkMemAccess(pc, st, arg, 0, int(keySize), false); err != nil {
-				return fmt.Errorf("helper %s key: %w", sig.name, err)
-			}
-			if err := st.spillRead(pc, arg.off, int(keySize)); err != nil {
+			if _, err := v.checkMemAccess(pc, st, arg, 0, int(keySize), memRead); err != nil {
 				return fmt.Errorf("helper %s key: %w", sig.name, err)
 			}
 		case argStackValue:
 			switch arg.typ {
 			case tStack, tMapValue, tPacket:
-				if err := v.checkMemAccess(pc, st, arg, 0, int(valueSize), false); err != nil {
+				if _, err := v.checkMemAccess(pc, st, arg, 0, int(valueSize), memRead); err != nil {
 					return fmt.Errorf("helper %s value: %w", sig.name, err)
-				}
-				if arg.typ == tStack {
-					if err := st.spillRead(pc, arg.off, int(valueSize)); err != nil {
-						return fmt.Errorf("helper %s value: %w", sig.name, err)
-					}
 				}
 			default:
 				return fmt.Errorf("insn %d: helper %s arg%d: value must be readable memory, got %v", pc, sig.name, i+1, arg.typ)
@@ -710,10 +671,8 @@ func (v *verifier) checkJump(pc int, ins Instruction, st *vstate) (int, bool, er
 	// map value.
 	if dst.typ == tMapValueOrNull && src.typ == tScalar && src.known && src.val == 0 &&
 		(op == JmpEq || op == JmpNe) {
-		taken := st.clone()
-		taken.markNullResolved(dst.id, op == JmpEq) // == 0 taken → null
-		st.markNullResolved(dst.id, op != JmpEq)    // fallthrough of != 0 → null
-		v.pending = append(v.pending, branchPoint{pc: target, st: taken})
+		v.fork(target, st).markNullResolved(dst.id, op == JmpEq) // == 0 taken → null
+		st.markNullResolved(dst.id, op != JmpEq)                 // fallthrough of != 0 → null
 		return pc + 1, false, nil
 	}
 
@@ -730,47 +689,32 @@ func (v *verifier) checkJump(pc int, ins Instruction, st *vstate) (int, bool, er
 		return pc + 1, false, nil
 	}
 
-	// Packet bounds refinement: comparisons between a packet pointer and
-	// pkt_end prove the range [0, ptr.off) accessible on the side where
-	// ptr <= pkt_end. Both sides are always walked, even when a dominating
+	// Packet bounds refinement: `pkt_end OP pkt` is first mirrored to
+	// `pkt OP' pkt_end`. A comparison of pkt+off with pkt_end proves
+	// [0, off) accessible on the side where pkt+off <= pkt_end; other ops
+	// prove nothing. Both sides are always walked, even when a dominating
 	// check already covered these bytes.
-	if dst.typ == tPacket && src.typ == tPacketEnd {
-		taken := st.clone()
-		switch op {
-		case JmpGt: // taken: pkt+off > end (bad side); fall: pkt+off <= end
-			if dst.off > st.pktRange {
-				st.pktRange = dst.off
-			}
-		case JmpGe: // fall: pkt+off < end → off bytes safe (conservative: off)
-			if dst.off > st.pktRange {
-				st.pktRange = dst.off
-			}
-		case JmpLe: // taken: pkt+off <= end
-			if dst.off > taken.pktRange {
-				taken.pktRange = dst.off
-			}
-		case JmpLt: // taken: pkt+off < end
-			if dst.off > taken.pktRange {
-				taken.pktRange = dst.off
-			}
-		}
-		v.pending = append(v.pending, branchPoint{pc: target, st: taken})
-		return pc + 1, false, nil
-	}
-	// Symmetric form: pkt_end vs packet pointer.
 	if dst.typ == tPacketEnd && src.typ == tPacket {
-		taken := st.clone()
+		dst, src = src, dst
 		switch op {
-		case JmpGe, JmpGt: // taken: end >(=) pkt+off → off bytes safe
-			if src.off > taken.pktRange {
-				taken.pktRange = src.off
-			}
-		case JmpLt, JmpLe: // fall: end >(=) pkt+off
-			if src.off > st.pktRange {
-				st.pktRange = src.off
-			}
+		case JmpGt:
+			op = JmpLt
+		case JmpLt:
+			op = JmpGt
+		case JmpGe:
+			op = JmpLe
+		case JmpLe:
+			op = JmpGe
 		}
-		v.pending = append(v.pending, branchPoint{pc: target, st: taken})
+	}
+	if dst.typ == tPacket && src.typ == tPacketEnd {
+		taken := v.fork(target, st)
+		switch op {
+		case JmpGt, JmpGe: // fallthrough: pkt+off <= pkt_end
+			st.pktRange = max(st.pktRange, int64(dst.off))
+		case JmpLt, JmpLe: // taken: pkt+off <= pkt_end
+			taken.pktRange = max(taken.pktRange, int64(dst.off))
+		}
 		return pc + 1, false, nil
 	}
 
@@ -786,8 +730,7 @@ func (v *verifier) checkJump(pc int, ins Instruction, st *vstate) (int, bool, er
 			return 0, false, fmt.Errorf("insn %d: comparison between %v and %v", pc, dst.typ, src.typ)
 		}
 		// Same-type pointer comparison (e.g., pkt vs pkt): explore both.
-		taken := st.clone()
-		v.pending = append(v.pending, branchPoint{pc: target, st: taken})
+		v.fork(target, st)
 		return pc + 1, false, nil
 	}
 
@@ -803,7 +746,7 @@ func (v *verifier) checkJump(pc int, ins Instruction, st *vstate) (int, bool, er
 		return pc + 1, false, nil
 	}
 
-	taken := st.clone()
+	taken := v.fork(target, st)
 	// Equality refinement: on `if rX == K` taken, rX is the constant.
 	if op == JmpEq && src.known && !is32 {
 		taken.regs[ins.Dst] = scalarConst(src.val)
@@ -811,6 +754,5 @@ func (v *verifier) checkJump(pc int, ins Instruction, st *vstate) (int, bool, er
 	if op == JmpNe && src.known && !is32 {
 		st.regs[ins.Dst] = scalarConst(src.val) // fallthrough of != means equal
 	}
-	v.pending = append(v.pending, branchPoint{pc: target, st: taken})
 	return pc + 1, false, nil
 }

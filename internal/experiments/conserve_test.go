@@ -133,15 +133,13 @@ func TestServerDropsPuts(t *testing.T) {
 }
 
 // TestRunsAllocateNoPacketWhileTimed: every host of the ledger's four
-// shapes ends its run on the one packet slab its NIC allocated at
-// construction, so no run grows its free list while it is timed. The
-// shapes are the golden get_rr slice; a scan+ghOSt point and a batch-64
-// mica point at the ledger's rates; the golden 4-host fleet; and the adapt
-// demo's controller host, which the ledger's fleet runs four of through
-// the same burst. The mica and controller hosts hold 61 and 73 packets at
-// their peak, so a 32-packet slab would not do. The golden fig8 slice is
-// not among them: half its requests are SCANs at 120 000 rps, deep past
-// the knee, and its NIC grows slabs as the backlog piles up.
+// shapes, and of the golden fig8 slice, ends its run on the one packet
+// slab its NIC allocated at construction, so no run grows its free list
+// while it is timed. The shapes are the golden get_rr slice; a scan+ghOSt
+// point and a batch-64 mica point at the ledger's rates; the golden 4-host
+// fleet; and the adapt demo's controller host, which the ledger's fleet
+// runs four of through the same burst. The mica and controller hosts hold
+// 61 and 73 packets at their peak, so a 32-packet slab would not do.
 func TestRunsAllocateNoPacketWhileTimed(t *testing.T) {
 	scanGhost := fig8Slice(RunConfig{})
 	scanGhost.Load, scanGhost.Flows = 150_000, 50
@@ -151,10 +149,11 @@ func TestRunsAllocateNoPacketWhileTimed(t *testing.T) {
 	}
 	adaptive, _ := runAdaptivePoint(DefaultAdaptive(), PolicyRoundRobin, true)
 	hosts := map[string]*syrup.Host{
-		"fig2/round_robin":    runRocksPoint(fig2Slice(PolicyRoundRobin, RunConfig{})).Host,
-		"scan+ghost":          runRocksPoint(scanGhost).Host,
-		"mica/batch64":        runBatchedMica(t),
-		"adapt/demo/adaptive": adaptive.Host,
+		"fig2/round_robin":            runRocksPoint(fig2Slice(PolicyRoundRobin, RunConfig{})).Host,
+		"scan+ghost":                  runRocksPoint(scanGhost).Host,
+		"fig8/scan_avoid+threadsched": runRocksPoint(fig8Slice(RunConfig{})).Host,
+		"mica/batch64":                runBatchedMica(t),
+		"adapt/demo/adaptive":         adaptive.Host,
 	}
 	fleet, err := RunCluster(fleetRocks(RunConfig{}))
 	if err != nil {

@@ -93,7 +93,7 @@ func fig6Slice(pol SocketPolicy, rc RunConfig) rocksPoint {
 func fig8Slice(rc RunConfig) rocksPoint {
 	rc.Windows = diffWindows
 	return rocksPoint{
-		Seed: 47, Load: 120_000, NumCPUs: 6, NumThreads: 36,
+		Seed: 47, Load: 12_000, NumCPUs: 6, NumThreads: 36,
 		PinToCores: false, Classes: fig8Mix,
 		Policy: PolicyScanAvoid, ThreadSched: true, Run: rc,
 	}

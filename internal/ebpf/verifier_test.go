@@ -525,9 +525,8 @@ func TestVerifierBudgetOnALoopFreeProgram(t *testing.T) {
 }
 
 // TestVerifierForksWithoutAllocating: a state is a value, so an undecided
-// branch costs the verifier a copy, not an allocation. Sixteen diamonds,
-// 2^16 paths, verify in at most 16 allocations; when each fork put its
-// state on the heap they took 65 544.
+// branch costs the verifier a copy, not an allocation, and sixteen
+// diamonds, 2^16 paths, verify in at most 16 allocations.
 func TestVerifierForksWithoutAllocating(t *testing.T) {
 	f := &AsmFile{Insns: diamonds(16)}
 	n := testing.AllocsPerRun(2, func() {

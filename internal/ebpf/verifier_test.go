@@ -239,7 +239,7 @@ func TestVerifierScalarOverwriteDemotesSpill(t *testing.T) {
 // scalar that a fill then returns.
 func TestVerifierReadsASpillOnlyByAFill(t *testing.T) {
 	tb, _, fd := u64MapTable(t, 1)
-	helper := func(key, value int32, call int32) []Instruction {
+	helper := func(key, value, call int32) []Instruction {
 		insns := []Instruction{Stx(8, R10, R1, -8), StImm(4, R10, -12, 0)}
 		insns = append(insns, LoadMapFD(R1, fd)...)
 		insns = append(insns,

@@ -101,8 +101,9 @@ const (
 // in bounds. The access touches the 8-byte slots floor(abs/8) through
 // floor((abs+size-1)/8). A read needs its bytes initialized, and only a
 // load of one whole, aligned slot may read a spilled pointer: it fills the
-// pointer back. A store initializes its bytes and demotes each spilled slot
-// it touches to plain bytes; checkStore then spills a pointer store anew.
+// pointer back. A store initializes its bytes; only a store of one whole,
+// aligned slot may overwrite a spilled pointer, and it demotes the slot to
+// plain bytes (checkStore then spills a pointer store anew).
 func (s *vstate) stack(pc int, abs int64, size int, op memOp) (vreg, error) {
 	for b := StackSize + abs; b < StackSize+abs+int64(size); b++ {
 		if op == memStore {
@@ -115,6 +116,8 @@ func (s *vstate) stack(pc int, abs int64, size int, op memOp) (vreg, error) {
 		sp, ok := s.spills[int8(slot)]
 		switch {
 		case !ok:
+		case op == memStore && (size != 8 || abs != slot*8):
+			return vreg{}, fmt.Errorf("insn %d: attempt to corrupt %v pointer spilled at fp%+d: only an aligned 8-byte store may overwrite it", pc, sp.typ, slot*8)
 		case op == memStore:
 			delete(s.spills, int8(slot))
 		case op == memLoad && size == 8 && abs == slot*8:

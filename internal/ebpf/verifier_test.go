@@ -202,31 +202,59 @@ func TestVerifierRejectsMisalignedPointerSpill(t *testing.T) {
 	}, nil, "8-byte aligned")
 }
 
-// TestVerifierScalarOverwriteDemotesSpill: a scalar store demotes every
-// spilled slot it touches to plain bytes, whatever its width and alignment,
-// so the fill that follows is a scalar and the ctx load through it fails.
-// The slot of a negative frame offset is its floor: fp-4 is in fp-8's slot.
+// TestVerifierScalarOverwriteDemotesSpill: a whole, aligned 8-byte scalar
+// store demotes the spilled slot it overwrites to plain bytes, so the fill
+// that follows is a scalar and the ctx load through it fails.
 func TestVerifierScalarOverwriteDemotesSpill(t *testing.T) {
+	wantReject(t, []Instruction{
+		Stx(8, R10, R1, -8),
+		StImm(8, R10, -8, 0),
+		Ldx(8, R2, R10, -8),
+		Ldx(4, R0, R2, CtxOffHash),
+		Exit(),
+	}, nil, "insn 3: memory access via scalar")
+}
+
+// TestVerifierRefusesAPartialOverwriteOfASpill: any other store that
+// touches a spilled slot is refused at the store, as the kernel refuses an
+// attempt to corrupt a spilled pointer: it would leave the pointer's other
+// bytes readable. The slot of a negative frame offset is its floor: fp-4
+// is in fp-8's slot.
+func TestVerifierRefusesAPartialOverwriteOfASpill(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		spill  int16
-		store  Instruction
-		fillAt int16
+		name  string
+		insns []Instruction
+		want  string
 	}{
-		{"whole slot", -8, StImm(8, R10, -8, 0), -8},
-		{"upper half", -8, StImm(4, R10, -4, 0), -8},
-		{"unaligned 8 bytes into the lower slot", -16, StImm(8, R10, -12, 0), -16},
-		{"2 bytes across the slot's top", -16, StImm(2, R10, -9, 0), -16},
+		{"upper half", []Instruction{
+			Stx(8, R10, R1, -8),
+			StImm(4, R10, -4, 0),
+			Ldx(8, R2, R10, -8),
+			Ldx(4, R0, R2, CtxOffHash),
+			Exit(),
+		}, "insn 1: attempt to corrupt ctx pointer spilled at fp-8"},
+		{"unaligned 8 bytes into the lower slot", []Instruction{
+			Stx(8, R10, R1, -16),
+			StImm(8, R10, -12, 0),
+			Ldx(8, R2, R10, -16),
+			Ldx(4, R0, R2, CtxOffHash),
+			Exit(),
+		}, "insn 1: attempt to corrupt ctx pointer spilled at fp-16"},
+		{"2 bytes across the slot's top", []Instruction{
+			Stx(8, R10, R1, -16),
+			StImm(2, R10, -9, 0),
+			Ldx(8, R2, R10, -16),
+			Ldx(4, R0, R2, CtxOffHash),
+			Exit(),
+		}, "insn 1: attempt to corrupt ctx pointer spilled at fp-16"},
+		{"lower half, then the upper half read", []Instruction{
+			Stx(8, R10, R1, -8),
+			StImm(4, R10, -8, 0),
+			Ldx(4, R0, R10, -4),
+			Exit(),
+		}, "insn 1: attempt to corrupt ctx pointer spilled at fp-8"},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			wantReject(t, []Instruction{
-				Stx(8, R10, R1, tc.spill),
-				tc.store,
-				Ldx(8, R2, R10, tc.fillAt),
-				Ldx(4, R0, R2, CtxOffHash),
-				Exit(),
-			}, nil, "memory access via scalar")
-		})
+		t.Run(tc.name, func(t *testing.T) { wantReject(t, tc.insns, nil, tc.want) })
 	}
 }
 

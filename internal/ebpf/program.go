@@ -62,14 +62,16 @@ type LoadOptions struct {
 	budget   int // overrides DefaultVerifierBudget; only this package's tests set it
 }
 
-// Verified is a program the verifier admitted: a copy of its file, and no
-// map. Verification reads only map specs (type, key size, value size), so
-// a Verified belongs to no host: it is immutable, and any number of hosts
-// bind the same one.
+// Verified is a program the verifier admitted: a copy of its file's
+// instructions and map specs, and no map. Verification reads only map
+// specs (type, key size, value size), so a Verified belongs to no host: it
+// is immutable, and any number of hosts bind the same one.
 type Verified struct {
-	name     string
-	f        AsmFile
-	noVerify bool // verification was skipped (verifyFile)
+	name        string
+	maps        []MapSpec
+	insns       []Instruction
+	sourceLines int
+	noVerify    bool // verification was skipped (verifyFile)
 }
 
 // Verify checks f's program against f's map declarations, which its
@@ -95,33 +97,35 @@ func verifyFile(name string, f *AsmFile, budget int) (*Verified, error) {
 			continue
 		}
 		if i+1 >= len(insns) || insns[i+1].Op != 0 {
-			return nil, fmt.Errorf("ebpf: %s: insn %d: truncated LDDW pair", name, i)
+			return nil, fmt.Errorf("ebpf: %s: %w", name, reject(i, "truncated LDDW pair"))
 		}
 		if ref := insns[i].Imm; insns[i].Src == PseudoMapFD && (ref < 0 || int(ref) >= len(f.Maps)) {
-			return nil, fmt.Errorf("ebpf: %s: insn %d: bad map reference %d", name, i, ref)
+			return nil, fmt.Errorf("ebpf: %s: %w", name, reject(i, "bad map reference %d", ref))
 		}
 		i++ // skip the high half
 	}
 	if budget > 0 {
 		if err := verify(insns, f.Maps, budget); err != nil {
+			if e := err.(*posError); e.slot < len(f.lines) {
+				e.line = f.lines[e.slot]
+			}
 			return nil, fmt.Errorf("ebpf: %s: verifier: %w", name, err)
 		}
 	}
-	g := AsmFile{Maps: slices.Clone(f.Maps), Insns: slices.Clone(insns), SourceLines: f.SourceLines}
-	return &Verified{name: name, f: g, noVerify: budget <= 0}, nil
+	return &Verified{name, slices.Clone(f.Maps), slices.Clone(insns), f.SourceLines, budget <= 0}, nil
 }
 
 // SourceLines is the LoC of the source v was assembled from (Table 2's
 // LoC column).
-func (v *Verified) SourceLines() int { return v.f.SourceLines }
+func (v *Verified) SourceLines() int { return v.sourceLines }
 
 // Bind instantiates v on one host: each declared map is existing's map of
 // that name (see bindMap) or a new one. It returns a fresh program,
 // decoded for its own maps, and those maps by name.
 func (v *Verified) Bind(existing map[string]*Map) (*Program, map[string]*Map, error) {
-	maps := make([]*Map, len(v.f.Maps))
-	byName := make(map[string]*Map, len(v.f.Maps))
-	for i, spec := range v.f.Maps {
+	maps := make([]*Map, len(v.maps))
+	byName := make(map[string]*Map, len(v.maps))
+	for i, spec := range v.maps {
 		m, err := bindMap(spec, existing)
 		if err != nil {
 			return nil, nil, err
@@ -146,7 +150,7 @@ func bindMap(spec MapSpec, existing map[string]*Map) (*Map, error) {
 
 // bind decodes a copy of v for maps, v's declared maps in order.
 func (v *Verified) bind(maps []*Map) *Program {
-	p := &Program{name: v.name, insns: slices.Clone(v.f.Insns), maps: maps, noVerify: v.noVerify}
+	p := &Program{name: v.name, insns: slices.Clone(v.insns), maps: maps, noVerify: v.noVerify}
 	p.code = decode(p)
 	return p
 }
@@ -165,7 +169,7 @@ func Load(name string, insns []Instruction, opts LoadOptions) (*Program, error) 
 		if ins.Src == PseudoMapFD {
 			m := opts.MapTable.Get(ins.Imm)
 			if m == nil {
-				return nil, fmt.Errorf("ebpf: %s: insn %d: bad map fd %d", name, i, ins.Imm)
+				return nil, fmt.Errorf("ebpf: %s: %w", name, reject(i, "bad map fd %d", ins.Imm))
 			}
 			if ins.Imm = int32(slices.Index(maps, m)); ins.Imm < 0 {
 				ins.Imm, maps, f.Maps = int32(len(maps)), append(maps, m), append(f.Maps, m.spec)

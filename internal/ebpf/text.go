@@ -38,14 +38,34 @@ type AsmFile struct {
 	// SourceLines counts non-empty, non-comment source lines — the LoC
 	// metric Table 2 reports.
 	SourceLines int
+	lines       []int // each instruction slot's source line, which a rejection names
 }
 
-type asmError struct {
-	line int
-	msg  string
+// posError is a rejection: source line (0 if unknown), slot (-1 if unknown).
+type posError struct {
+	line, slot int
+	reason     string
 }
 
-func (e *asmError) Error() string { return fmt.Sprintf("line %d: %s", e.line, e.msg) }
+// reject is the one constructor of a rejection: at slot, on no line yet.
+// It stays out of line, so the checks that end in it stay small.
+//
+//go:noinline
+func reject(slot int, format string, args ...any) *posError {
+	return &posError{slot: slot, reason: fmt.Sprintf(format, args...)}
+}
+
+// Error is "line L: insn N: reason", without the parts that are unknown.
+func (e *posError) Error() string {
+	s := e.reason
+	if e.slot >= 0 {
+		s = fmt.Sprintf("insn %d: %s", e.slot, s)
+	}
+	if e.line > 0 {
+		s = fmt.Sprintf("line %d: %s", e.line, s)
+	}
+	return s
+}
 
 // aluSymbol and jmpSymbol spell the ALU and conditional-jump operations,
 // indexed by the operation's bits 4-7: the renderer indexes them and the
@@ -101,24 +121,24 @@ func Assemble(src string, defines map[string]int64) (*AsmFile, error) {
 	for k, v := range defines {
 		a.consts[k] = v
 	}
+	a.f.Insns, a.f.lines = make([]Instruction, 0, a.f.SourceLines), make([]int, 0, a.f.SourceLines)
 	a.eachLine(src, func() {
 		if a.line[0] != '.' {
 			a.statement()
 		}
 	})
-	if a.err != nil {
-		return nil, a.err
-	}
 	for _, fx := range a.fixups {
 		target, ok := a.labels[fx.label]
-		if !ok {
-			return nil, &asmError{fx.line, fmt.Sprintf("undefined label %q", fx.label)}
-		}
 		off := target - fx.insn - 1
-		if off > 32767 || off < -32768 {
-			return nil, &asmError{fx.line, "jump offset out of range"}
+		if a.n = fx.line; !ok {
+			a.failf("undefined label %q", fx.label)
+		} else if off > 32767 || off < -32768 {
+			a.failf("jump offset out of range")
 		}
 		a.f.Insns[fx.insn].Off = int16(off)
+	}
+	if a.err != nil {
+		return nil, a.err
 	}
 	if len(a.f.Insns) == 0 {
 		return nil, fmt.Errorf("ebpf: empty program")
@@ -471,7 +491,10 @@ func (a *assembler) blank() {
 	}
 }
 
-func (a *assembler) emit(ins ...Instruction) { a.f.Insns = append(a.f.Insns, ins...) }
+func (a *assembler) emit(ins ...Instruction) {
+	a.f.Insns = append(a.f.Insns, ins...)
+	a.f.lines = append(a.f.lines, a.n, a.n)[:len(a.f.Insns)] // ins is one slot or an LDDW pair
+}
 
 // jump emits ins against the label that ends the line, resolved once every
 // label is known.
@@ -485,7 +508,8 @@ func (a *assembler) bad() { a.failf("cannot parse %q", a.line) }
 // failf records the line's error, unless an earlier one stands.
 func (a *assembler) failf(format string, args ...any) {
 	if a.err == nil {
-		a.err = &asmError{a.n, fmt.Sprintf(format, args...)}
+		e := reject(-1, format, args...)
+		e.line, a.err = a.n, e
 	}
 }
 
@@ -517,7 +541,7 @@ func (f *AsmFile) Instantiate(existing map[string]*Map) ([]Instruction, map[stri
 		if ins := &insns[i]; ins.IsLDDW() {
 			if ins.Src == PseudoMapFD {
 				if ins.Imm < 0 || int(ins.Imm) >= len(f.Maps) {
-					return nil, nil, nil, fmt.Errorf("ebpf: bad map reference %d", ins.Imm)
+					return nil, nil, nil, fmt.Errorf("ebpf: %w", reject(i, "bad map reference %d", ins.Imm))
 				}
 				ins.Imm += firstFD
 			}

@@ -436,7 +436,42 @@ r0 = *(u64 *)(r2 + 0)
 exit
 `
 	_, _, err := loadSource("unsafe", src, nil, nil)
-	if err == nil || !strings.Contains(err.Error(), "bounds check") {
-		t.Fatalf("unsafe .syr accepted: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "line 3: insn 1: packet access") || !strings.Contains(err.Error(), "bounds check") {
+		t.Fatalf("unsafe .syr accepted or refused without its line: %v", err)
+	}
+}
+
+// TestRejectionNamesItsSourceLine: a verifier rejection names the source
+// line that holds the faulting slot, past comments, blank lines, labels,
+// declarations and two-slot LDDW lines.
+func TestRejectionNamesItsSourceLine(t *testing.T) {
+	for _, tc := range []struct {
+		name, src, want string
+	}{
+		{"comments and blank lines",
+			"; unchecked packet read\n\n# twice\nr2 = *(u64 *)(r1 + 0) // pkt_start\n\nr0 = *(u64 *)(r2 + 0)\nexit\n",
+			"line 6: insn 1: packet access"},
+		{"a label line",
+			"r0 = 0\nif r0 == 0 goto out\nout:\nr0 = r7\nexit\n",
+			"line 4: insn 2: R7 !read_ok"},
+		{"declarations",
+			".const N 4\n.map m array 4 8 1\nr0 = N\nr0 = r9\nexit\n",
+			"line 4: insn 1: R9 !read_ok"},
+		{"after an LDDW pair",
+			"r1 = 12345678901 ll\nr0 = r1\nr0 = r8\nexit\n",
+			"line 3: insn 3: R8 !read_ok"},
+		{"after a map reference",
+			".map m array 4 8 1\nr1 = map(m)\nr0 = *(u64 *)(r1 + 0)\nexit\n",
+			"line 3: insn 2: dereference of map handle"},
+		{"off the end of an LDDW pair",
+			"r0 = 1 ll\n",
+			"line 1: insn 1: fell off the end"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := loadSource("lines", tc.src, nil, nil)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want %q", err, tc.want)
+			}
+		})
 	}
 }

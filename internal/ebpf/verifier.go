@@ -1,7 +1,6 @@
 package ebpf
 
 import (
-	"fmt"
 	"maps"
 	"math/bits"
 )
@@ -101,15 +100,14 @@ const (
 // in bounds. The access touches the 8-byte slots floor(abs/8) through
 // floor((abs+size-1)/8). A read needs its bytes initialized, and only a
 // load of one whole, aligned slot may read a spilled pointer: it fills the
-// pointer back. A store initializes its bytes; only a store of one whole,
-// aligned slot may overwrite a spilled pointer, and it demotes the slot to
-// plain bytes (checkStore then spills a pointer store anew).
+// pointer back. A store initializes its bytes, and only a store of a whole,
+// aligned slot may overwrite a spill: it demotes the slot to plain bytes.
 func (s *vstate) stack(pc int, abs int64, size int, op memOp) (vreg, error) {
 	for b := StackSize + abs; b < StackSize+abs+int64(size); b++ {
 		if op == memStore {
 			s.stackInit[b/8] |= 1 << (b % 8)
 		} else if s.stackInit[b/8]&(1<<(b%8)) == 0 {
-			return vreg{}, fmt.Errorf("insn %d: read of uninitialized stack at fp%+d", pc, abs)
+			return vreg{}, reject(pc, "read of uninitialized stack at fp%+d", abs)
 		}
 	}
 	for slot := abs >> 3; slot <= (abs+int64(size)-1)>>3; slot++ {
@@ -117,13 +115,13 @@ func (s *vstate) stack(pc int, abs int64, size int, op memOp) (vreg, error) {
 		switch {
 		case !ok:
 		case op == memStore && (size != 8 || abs != slot*8):
-			return vreg{}, fmt.Errorf("insn %d: attempt to corrupt %v pointer spilled at fp%+d: only an aligned 8-byte store may overwrite it", pc, sp.typ, slot*8)
+			return vreg{}, reject(pc, "attempt to corrupt %v pointer spilled at fp%+d: only an aligned 8-byte store may overwrite it", sp.typ, slot*8)
 		case op == memStore:
 			delete(s.spills, int8(slot))
 		case op == memLoad && size == 8 && abs == slot*8:
 			return sp, nil
 		default:
-			return vreg{}, fmt.Errorf("insn %d: leaking %v pointer spilled at fp%+d: only an aligned 8-byte load may read it", pc, sp.typ, slot*8)
+			return vreg{}, reject(pc, "leaking %v pointer spilled at fp%+d: only an aligned 8-byte load may read it", sp.typ, slot*8)
 		}
 	}
 	return scalarUnknown(), nil
@@ -232,10 +230,10 @@ func (v *verifier) newID() int32 {
 func (v *verifier) jumpTarget(pc int, off int16) (int, error) {
 	t := pc + 1 + int(off)
 	if t < 0 || t >= len(v.insns) {
-		return 0, fmt.Errorf("insn %d: jump target %d out of range", pc, t)
+		return 0, reject(pc, "jump target %d out of range", t)
 	}
 	if v.lddwHi[t] {
-		return 0, fmt.Errorf("insn %d: jump into the middle of an LDDW pair", pc)
+		return 0, reject(pc, "jump into the middle of an LDDW pair")
 	}
 	v.backEdge = v.backEdge || t <= pc
 	return t, nil
@@ -245,17 +243,17 @@ func (v *verifier) jumpTarget(pc int, off int16) (int, error) {
 // (which pushes one side and continues down the other).
 func (v *verifier) explore(pc int, st *vstate) error {
 	for {
+		if pc >= len(v.insns) {
+			return reject(len(v.insns)-1, "fell off the end of the program (missing exit)")
+		}
 		if v.used >= v.budget {
 			why := "it has no loop, but too many paths"
 			if v.backEdge {
 				why = "program may be unbounded"
 			}
-			return fmt.Errorf("analysis budget of %d instructions exceeded after exploring %d paths; %s", v.budget, v.paths, why)
+			return reject(pc, "analysis budget of %d instructions exceeded after exploring %d paths; %s", v.budget, v.paths, why)
 		}
 		v.used++
-		if pc >= len(v.insns) {
-			return fmt.Errorf("fell off the end of the program (missing exit)")
-		}
 		ins := v.insns[pc]
 		switch ins.Class() {
 		case ClassALU64, ClassALU:
@@ -265,17 +263,17 @@ func (v *verifier) explore(pc int, st *vstate) error {
 			pc++
 		case ClassLD:
 			if !ins.IsLDDW() {
-				return fmt.Errorf("insn %d: unsupported LD mode %#x (legacy ABS/IND not supported)", pc, ins.Op)
+				return reject(pc, "unsupported LD mode %#x (legacy ABS/IND not supported)", ins.Op)
 			}
 			if ins.Dst >= R10 {
-				return fmt.Errorf("insn %d: cannot write R%d", pc, ins.Dst)
+				return reject(pc, "cannot write R%d", ins.Dst)
 			}
 			if ins.Src == PseudoMapFD {
 				st.regs[ins.Dst] = vreg{typ: tMapHandle, mapIdx: ins.Imm}
 			} else if ins.Src == 0 {
 				st.regs[ins.Dst] = scalarConst(Imm64(ins, v.insns[pc+1]))
 			} else {
-				return fmt.Errorf("insn %d: unsupported LDDW source %d", pc, ins.Src)
+				return reject(pc, "unsupported LDDW source %d", ins.Src)
 			}
 			pc += 2
 		case ClassLDX:
@@ -298,24 +296,24 @@ func (v *verifier) explore(pc int, st *vstate) error {
 			}
 			pc = next
 		default:
-			return fmt.Errorf("insn %d: unknown class %#x", pc, ins.Op)
+			return reject(pc, "unknown class %#x", ins.Op)
 		}
 	}
 }
 
 func (v *verifier) readReg(pc int, st *vstate, r uint8) (vreg, error) {
 	if r >= NumRegs {
-		return vreg{}, fmt.Errorf("insn %d: bad register R%d", pc, r)
+		return vreg{}, reject(pc, "bad register R%d", r)
 	}
 	if st.regs[r].typ == tInvalid {
-		return vreg{}, fmt.Errorf("insn %d: R%d !read_ok (uninitialized)", pc, r)
+		return vreg{}, reject(pc, "R%d !read_ok (uninitialized)", r)
 	}
 	return st.regs[r], nil
 }
 
 func (v *verifier) writable(pc int, r uint8) error {
 	if r >= R10 {
-		return fmt.Errorf("insn %d: cannot write R%d (frame pointer is read-only)", pc, r)
+		return reject(pc, "cannot write R%d (frame pointer is read-only)", r)
 	}
 	return nil
 }
@@ -350,15 +348,15 @@ func (v *verifier) checkALU(pc int, ins Instruction, st *vstate) error {
 	// packet/stack/map-value pointer held in dst.
 	if dst.typ != tScalar {
 		if !is64 {
-			return fmt.Errorf("insn %d: 32-bit ALU on %v pointer", pc, dst.typ)
+			return reject(pc, "32-bit ALU on %v pointer", dst.typ)
 		}
 		switch dst.typ {
 		case tPacket, tStack, tMapValue:
 		default:
-			return fmt.Errorf("insn %d: arithmetic on %v is not allowed", pc, dst.typ)
+			return reject(pc, "arithmetic on %v is not allowed", dst.typ)
 		}
 		if src.typ != tScalar || !src.known {
-			return fmt.Errorf("insn %d: pointer arithmetic with unknown scalar (only constant offsets are supported)", pc)
+			return reject(pc, "pointer arithmetic with unknown scalar (only constant offsets are supported)")
 		}
 		off, delta := int64(dst.off), int64(src.val)
 		switch op {
@@ -367,12 +365,12 @@ func (v *verifier) checkALU(pc int, ins Instruction, st *vstate) error {
 		case ALUSub:
 			off -= delta
 		default:
-			return fmt.Errorf("insn %d: pointer ALU op %#x not allowed (only += / -=)", pc, op)
+			return reject(pc, "pointer ALU op %#x not allowed (only += / -=)", op)
 		}
 		// Keep pointer offsets far away from the runtime tag bits.
 		const maxPtrOff = 1 << 29
 		if off > maxPtrOff || off < -maxPtrOff {
-			return fmt.Errorf("insn %d: pointer offset %d out of bounds", pc, off)
+			return reject(pc, "pointer offset %d out of bounds", off)
 		}
 		dst.off = int32(off)
 		st.regs[ins.Dst] = dst
@@ -382,19 +380,19 @@ func (v *verifier) checkALU(pc int, ins Instruction, st *vstate) error {
 		// A pointer operand would leak its address into a scalar; a 32-bit
 		// MOV would mangle it on the way.
 		if op == ALUMov {
-			return fmt.Errorf("insn %d: 32-bit MOV of %v pointer", pc, src.typ)
+			return reject(pc, "32-bit MOV of %v pointer", src.typ)
 		}
-		return fmt.Errorf("insn %d: %v pointer as ALU source operand", pc, src.typ)
+		return reject(pc, "%v pointer as ALU source operand", src.typ)
 	}
 
 	// Scalar arithmetic. A constant result is, by construction, the value
 	// the machine computes: the fold is the run-time table itself.
 	if (op == ALUDiv || op == ALUMod) && src.known && src.val == 0 {
-		return fmt.Errorf("insn %d: division by zero constant", pc)
+		return reject(pc, "division by zero constant")
 	}
 	r, ok := alu(op, is64, dst.val, src.val)
 	if !ok {
-		return fmt.Errorf("insn %d: unknown ALU op %#x", pc, op)
+		return reject(pc, "unknown ALU op %#x", op)
 	}
 	if dst.known && src.known {
 		st.regs[ins.Dst] = scalarConst(r)
@@ -411,25 +409,25 @@ func (v *verifier) checkMemAccess(pc int, st *vstate, base vreg, off int64, size
 	switch base.typ {
 	case tStack:
 		if a < -StackSize || a+int64(size) > 0 {
-			return vreg{}, fmt.Errorf("insn %d: stack access at fp%+d size %d out of bounds", pc, a, size)
+			return vreg{}, reject(pc, "stack access at fp%+d size %d out of bounds", a, size)
 		}
 		return st.stack(pc, a, size, op)
 	case tPacket:
 		if a < 0 || a+int64(size) > st.pktRange {
-			return vreg{}, fmt.Errorf("insn %d: packet access at offset %d size %d outside verified range [0,%d) — add a bounds check against pkt_end", pc, a, size, st.pktRange)
+			return vreg{}, reject(pc, "packet access at offset %d size %d outside verified range [0,%d) — add a bounds check against pkt_end", a, size, st.pktRange)
 		}
 		return scalarUnknown(), nil
 	case tMapValue:
 		vs := int64(v.maps[base.mapIdx].ValueSize)
 		if a < 0 || a+int64(size) > vs {
-			return vreg{}, fmt.Errorf("insn %d: map value access at offset %d size %d outside value size %d", pc, a, size, vs)
+			return vreg{}, reject(pc, "map value access at offset %d size %d outside value size %d", a, size, vs)
 		}
 		return scalarUnknown(), nil
 	case tMapValueOrNull:
-		return vreg{}, fmt.Errorf("insn %d: map value access before null check", pc)
+		return vreg{}, reject(pc, "map value access before null check")
 	case tCtx:
 		if op >= memStore {
-			return vreg{}, fmt.Errorf("insn %d: context is read-only", pc)
+			return vreg{}, reject(pc, "context is read-only")
 		}
 		switch {
 		case a == CtxOffData && size == 8:
@@ -439,20 +437,20 @@ func (v *verifier) checkMemAccess(pc int, st *vstate, base vreg, off int64, size
 		case (a == CtxOffHash || a == CtxOffPort || a == CtxOffQueue) && size == 4:
 			return scalarUnknown(), nil
 		}
-		return vreg{}, fmt.Errorf("insn %d: invalid context access at offset %d size %d", pc, a, size)
+		return vreg{}, reject(pc, "invalid context access at offset %d size %d", a, size)
 	case tPacketEnd:
-		return vreg{}, fmt.Errorf("insn %d: dereference of pkt_end pointer", pc)
+		return vreg{}, reject(pc, "dereference of pkt_end pointer")
 	case tMapHandle:
-		return vreg{}, fmt.Errorf("insn %d: dereference of map handle", pc)
+		return vreg{}, reject(pc, "dereference of map handle")
 	case tScalar:
-		return vreg{}, fmt.Errorf("insn %d: memory access via scalar (R has no pointer type)", pc)
+		return vreg{}, reject(pc, "memory access via scalar (R has no pointer type)")
 	}
-	return vreg{}, fmt.Errorf("insn %d: memory access via %v", pc, base.typ)
+	return vreg{}, reject(pc, "memory access via %v", base.typ)
 }
 
 func (v *verifier) checkLoad(pc int, ins Instruction, st *vstate) error {
 	if (ins.Op & 0xe0) != ModeMEM {
-		return fmt.Errorf("insn %d: unsupported LDX mode %#x", pc, ins.Op)
+		return reject(pc, "unsupported LDX mode %#x", ins.Op)
 	}
 	if err := v.writable(pc, ins.Dst); err != nil {
 		return err
@@ -474,7 +472,7 @@ func (v *verifier) checkStore(pc int, ins Instruction, st *vstate) error {
 	if mode := ins.Op & 0xe0; ins.Class() == ClassSTX && mode == ModeATOMIC {
 		op = memAtomic
 	} else if mode != ModeMEM {
-		return fmt.Errorf("insn %d: unsupported store mode %#x", pc, ins.Op)
+		return reject(pc, "unsupported store mode %#x", ins.Op)
 	}
 	base, err := v.readReg(pc, st, ins.Dst)
 	if err != nil {
@@ -482,7 +480,7 @@ func (v *verifier) checkStore(pc int, ins Instruction, st *vstate) error {
 	}
 	size := ins.LoadSize()
 	if op == memAtomic && size < 4 {
-		return fmt.Errorf("insn %d: atomic add requires 32- or 64-bit width", pc)
+		return reject(pc, "atomic add requires 32- or 64-bit width")
 	}
 
 	src := scalarConst(uint64(int64(ins.Imm)))
@@ -491,7 +489,7 @@ func (v *verifier) checkStore(pc int, ins Instruction, st *vstate) error {
 			return err
 		}
 		if op == memAtomic && src.typ != tScalar {
-			return fmt.Errorf("insn %d: atomic add of %v pointer", pc, src.typ)
+			return reject(pc, "atomic add of %v pointer", src.typ)
 		}
 	}
 
@@ -502,11 +500,11 @@ func (v *verifier) checkStore(pc int, ins Instruction, st *vstate) error {
 	// Pointers may only be stored to the stack, 8-byte aligned (spill).
 	if src.typ != tScalar {
 		if base.typ != tStack {
-			return fmt.Errorf("insn %d: leaking %v pointer into %v memory", pc, src.typ, base.typ)
+			return reject(pc, "leaking %v pointer into %v memory", src.typ, base.typ)
 		}
 		abs := int64(base.off) + int64(ins.Off)
 		if size != 8 || abs%8 != 0 {
-			return fmt.Errorf("insn %d: pointer spill must be 8-byte aligned and 8 bytes wide", pc)
+			return reject(pc, "pointer spill must be 8-byte aligned and 8 bytes wide")
 		}
 		if st.spills == nil {
 			st.spills = make(map[int8]vreg)
@@ -550,7 +548,7 @@ var helperSigs = map[int32]helperSig{
 func (v *verifier) checkCall(pc int, ins Instruction, st *vstate) error {
 	sig, ok := helperSigs[ins.Imm]
 	if !ok {
-		return fmt.Errorf("insn %d: unknown helper %d", pc, ins.Imm)
+		return reject(pc, "unknown helper %d", ins.Imm)
 	}
 	var keySize, valueSize uint32
 	var mapIdx int32 = -1
@@ -558,45 +556,45 @@ func (v *verifier) checkCall(pc int, ins Instruction, st *vstate) error {
 		r := uint8(R1 + i)
 		arg, err := v.readReg(pc, st, r)
 		if err != nil {
-			return fmt.Errorf("helper %s: %w", sig.name, err)
+			return reject(pc, "helper %s: %s", sig.name, err.(*posError).reason)
 		}
 		switch kind {
 		case argCtx:
 			if arg.typ != tCtx {
-				return fmt.Errorf("insn %d: helper %s arg%d: want ctx, got %v", pc, sig.name, i+1, arg.typ)
+				return reject(pc, "helper %s arg%d: want ctx, got %v", sig.name, i+1, arg.typ)
 			}
 		case argMapHandle, argProgArray:
 			if arg.typ != tMapHandle {
-				return fmt.Errorf("insn %d: helper %s arg%d: want map handle, got %v", pc, sig.name, i+1, arg.typ)
+				return reject(pc, "helper %s arg%d: want map handle, got %v", sig.name, i+1, arg.typ)
 			}
 			m := v.maps[arg.mapIdx]
 			if kind == argProgArray && m.Type != MapProgArray {
-				return fmt.Errorf("insn %d: tail_call requires a prog_array map, got %v", pc, m.Type)
+				return reject(pc, "tail_call requires a prog_array map, got %v", m.Type)
 			}
 			if kind == argMapHandle && m.Type == MapProgArray {
-				return fmt.Errorf("insn %d: helper %s cannot use prog_array map", pc, sig.name)
+				return reject(pc, "helper %s cannot use prog_array map", sig.name)
 			}
 			mapIdx = arg.mapIdx
 			keySize, valueSize = m.KeySize, m.ValueSize
 		case argStackKey:
 			if arg.typ != tStack {
-				return fmt.Errorf("insn %d: helper %s arg%d: key must point to the stack, got %v", pc, sig.name, i+1, arg.typ)
+				return reject(pc, "helper %s arg%d: key must point to the stack, got %v", sig.name, i+1, arg.typ)
 			}
 			if _, err := v.checkMemAccess(pc, st, arg, 0, int(keySize), memRead); err != nil {
-				return fmt.Errorf("helper %s key: %w", sig.name, err)
+				return reject(pc, "helper %s key: %s", sig.name, err.(*posError).reason)
 			}
 		case argStackValue:
 			switch arg.typ {
 			case tStack, tMapValue, tPacket:
 				if _, err := v.checkMemAccess(pc, st, arg, 0, int(valueSize), memRead); err != nil {
-					return fmt.Errorf("helper %s value: %w", sig.name, err)
+					return reject(pc, "helper %s value: %s", sig.name, err.(*posError).reason)
 				}
 			default:
-				return fmt.Errorf("insn %d: helper %s arg%d: value must be readable memory, got %v", pc, sig.name, i+1, arg.typ)
+				return reject(pc, "helper %s arg%d: value must be readable memory, got %v", sig.name, i+1, arg.typ)
 			}
 		case argScalar:
 			if arg.typ != tScalar {
-				return fmt.Errorf("insn %d: helper %s arg%d: want scalar, got %v", pc, sig.name, i+1, arg.typ)
+				return reject(pc, "helper %s arg%d: want scalar, got %v", sig.name, i+1, arg.typ)
 			}
 		}
 	}
@@ -621,19 +619,19 @@ func (v *verifier) checkJump(pc int, ins Instruction, st *vstate) (int, bool, er
 	switch op {
 	case JmpExit:
 		if is32 {
-			return 0, false, fmt.Errorf("insn %d: exit in jmp32 class", pc)
+			return 0, false, reject(pc, "exit in jmp32 class")
 		}
 		r0 := st.regs[R0]
 		if r0.typ == tInvalid {
-			return 0, false, fmt.Errorf("insn %d: exit with uninitialized R0", pc)
+			return 0, false, reject(pc, "exit with uninitialized R0")
 		}
 		if r0.typ != tScalar {
-			return 0, false, fmt.Errorf("insn %d: exit with %v pointer in R0 (would leak a kernel address)", pc, r0.typ)
+			return 0, false, reject(pc, "exit with %v pointer in R0 (would leak a kernel address)", r0.typ)
 		}
 		return 0, true, nil
 	case JmpCall:
 		if is32 {
-			return 0, false, fmt.Errorf("insn %d: call in jmp32 class", pc)
+			return 0, false, reject(pc, "call in jmp32 class")
 		}
 		if err := v.checkCall(pc, ins, st); err != nil {
 			return 0, false, err
@@ -641,7 +639,7 @@ func (v *verifier) checkJump(pc int, ins Instruction, st *vstate) (int, bool, er
 		return pc + 1, false, nil
 	case JmpA:
 		if is32 {
-			return 0, false, fmt.Errorf("insn %d: ja in jmp32 class", pc)
+			return 0, false, reject(pc, "ja in jmp32 class")
 		}
 		t, err := v.jumpTarget(pc, ins.Off)
 		if err != nil {
@@ -727,10 +725,10 @@ func (v *verifier) checkJump(pc int, ins Instruction, st *vstate) (int, bool, er
 	srcPtr := src.typ != tScalar
 	if dstPtr || srcPtr {
 		if dst.typ == tMapValueOrNull || src.typ == tMapValueOrNull {
-			return 0, false, fmt.Errorf("insn %d: or-null map value may only be compared against 0", pc)
+			return 0, false, reject(pc, "or-null map value may only be compared against 0")
 		}
 		if !(dstPtr && srcPtr && dst.typ == src.typ) {
-			return 0, false, fmt.Errorf("insn %d: comparison between %v and %v", pc, dst.typ, src.typ)
+			return 0, false, reject(pc, "comparison between %v and %v", dst.typ, src.typ)
 		}
 		// Same-type pointer comparison (e.g., pkt vs pkt): explore both.
 		v.fork(target, st)

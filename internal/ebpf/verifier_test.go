@@ -1,7 +1,10 @@
 package ebpf
 
 import (
+	"errors"
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -12,6 +15,11 @@ func loadRaw(t *testing.T, insns []Instruction, table *MapTable) (*Program, erro
 	return Load("test", insns, LoadOptions{MapTable: table})
 }
 
+// wantReject wants Load to refuse insns with an error that contains
+// fragment and names a slot of the program. Where the program has a
+// source form (its Text() re-assembles to the same stream), that source is
+// refused at the same slot for the same reason, naming the line that holds
+// the slot.
 func wantReject(t *testing.T, insns []Instruction, table *MapTable, fragment string) {
 	t.Helper()
 	_, err := loadRaw(t, insns, table)
@@ -21,6 +29,51 @@ func wantReject(t *testing.T, insns []Instruction, table *MapTable, fragment str
 	if !strings.Contains(err.Error(), fragment) {
 		t.Fatalf("error %q does not contain %q", err, fragment)
 	}
+	var pe *posError
+	if !errors.As(err, &pe) || pe.slot < 0 || pe.slot >= len(insns) {
+		t.Fatalf("error %q names no slot of the program's %d", err, len(insns))
+	}
+	f := fdFile(insns, table)
+	if f == nil || !textRenderable(f.Insns) {
+		return
+	}
+	src := render(f.Insns, f.Maps, func(pc int) string { return fmt.Sprintf("slot %d", pc) })
+	if g, aerr := Assemble(src, nil); aerr == nil && slices.Equal(g.Insns, f.Insns) {
+		_, err := Verify("test", g)
+		var se *posError
+		if !errors.As(err, &se) || se.slot != pe.slot || se.reason != pe.reason {
+			t.Fatalf("source form refused with %v, want %q at insn %d", err, pe.reason, pe.slot)
+		}
+		slot := pe.slot
+		if slot > 0 && f.Insns[slot-1].IsLDDW() {
+			slot-- // the high half of a pair is on its low half's line
+		}
+		lines := strings.Split(src, "\n")
+		if se.line < 1 || se.line > len(lines) || !strings.HasSuffix(lines[se.line-1], fmt.Sprintf("; slot %d", slot)) {
+			t.Fatalf("error %q does not name the line of slot %d:\n%s", err, slot, src)
+		}
+	}
+}
+
+// fdFile is the file Load verifies for insns: each map fd in table becomes
+// the index of its map, declared once. It is nil if an fd names no map.
+func fdFile(insns []Instruction, table *MapTable) *AsmFile {
+	f := &AsmFile{Insns: slices.Clone(insns)}
+	var maps []*Map
+	for i := range f.Insns {
+		ins := &f.Insns[i]
+		if !ins.IsLDDW() || ins.Src != PseudoMapFD {
+			continue
+		}
+		m := table.Get(ins.Imm)
+		if m == nil {
+			return nil
+		}
+		if ins.Imm = int32(slices.Index(maps, m)); ins.Imm < 0 {
+			ins.Imm, maps, f.Maps = int32(len(maps)), append(maps, m), append(f.Maps, m.spec)
+		}
+	}
+	return f
 }
 
 func wantAccept(t *testing.T, insns []Instruction, table *MapTable) *Program {
@@ -51,6 +104,22 @@ func TestVerifierRejectsEmptyAndOversized(t *testing.T) {
 	big[len(big)-1] = Exit()
 	if _, err := Load("big", big, LoadOptions{}); err == nil {
 		t.Fatal("oversized program accepted")
+	}
+}
+
+// TestStructuralRejectionsNameTheirSlot: the checks before the verifier,
+// and Instantiate's, name the slot they refuse, as the verifier does.
+func TestStructuralRejectionsNameTheirSlot(t *testing.T) {
+	lddw := LoadImm64(R1, 5)
+	wantReject(t, []Instruction{MovImm(R0, 0), Exit(), lddw[0]}, nil, "ebpf: test: insn 2: truncated LDDW pair")
+	wantReject(t, append([]Instruction{MovImm(R0, 0)}, LoadMapFD(R1, 99)...), nil, "ebpf: test: insn 1: bad map fd 99")
+	f := &AsmFile{Insns: append(LoadMapFD(R1, 0), MovImm(R0, 0), Exit())}
+	var pe *posError
+	if _, err := Verify("test", f); !errors.As(err, &pe) || err.Error() != "ebpf: test: insn 0: bad map reference 0" {
+		t.Fatalf("error %v, want a bad map reference at insn 0", err)
+	}
+	if _, _, _, err := f.Instantiate(nil); !errors.As(err, &pe) || err.Error() != "ebpf: insn 0: bad map reference 0" {
+		t.Fatalf("Instantiate: error %v, want a bad map reference at insn 0", err)
 	}
 }
 
@@ -206,13 +275,15 @@ func TestVerifierRejectsMisalignedPointerSpill(t *testing.T) {
 // store demotes the spilled slot it overwrites to plain bytes, so the fill
 // that follows is a scalar and the ctx load through it fails.
 func TestVerifierScalarOverwriteDemotesSpill(t *testing.T) {
-	wantReject(t, []Instruction{
-		Stx(8, R10, R1, -8),
-		StImm(8, R10, -8, 0),
-		Ldx(8, R2, R10, -8),
-		Ldx(4, R0, R2, CtxOffHash),
-		Exit(),
-	}, nil, "insn 3: memory access via scalar")
+	t.Run("whole slot", func(t *testing.T) {
+		wantReject(t, []Instruction{
+			Stx(8, R10, R1, -8),
+			StImm(8, R10, -8, 0),
+			Ldx(8, R2, R10, -8),
+			Ldx(4, R0, R2, CtxOffHash),
+			Exit(),
+		}, nil, "insn 3: memory access via scalar")
+	})
 }
 
 // TestVerifierRefusesAPartialOverwriteOfASpill: any other store that
@@ -298,8 +369,8 @@ func TestVerifierReadsASpillOnlyByAFill(t *testing.T) {
 			Ldx(8, R0, R10, -12),
 			Exit(),
 		}, "insn 2: leaking ctx pointer spilled at fp-8"},
-		{"map_update_elem value", helper(-12, -8, HelperMapUpdate), "helper map_update_elem value: insn 9: leaking ctx pointer spilled at fp-8"},
-		{"map_lookup_elem key", helper(-8, -12, HelperMapLookup), "helper map_lookup_elem key: insn 9: leaking ctx pointer spilled at fp-8"},
+		{"map_update_elem value", helper(-12, -8, HelperMapUpdate), "insn 9: helper map_update_elem value: leaking ctx pointer spilled at fp-8"},
+		{"map_lookup_elem key", helper(-8, -12, HelperMapLookup), "insn 9: helper map_lookup_elem key: leaking ctx pointer spilled at fp-8"},
 		{"atomic add", []Instruction{
 			Stx(8, R10, R1, -8),
 			MovImm(R3, 1),

@@ -1,8 +1,12 @@
 package policy
 
 import (
+	"fmt"
 	"io/fs"
 	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"syrup/internal/ebpf"
@@ -13,8 +17,10 @@ import (
 // file it accepts and whose jumps all land on a line re-assembles from
 // Text() to the identical instructions, map declarations and map
 // references; one that also instantiates and verifies re-assembles from
-// the loaded program's TextSource() to the same loaded stream. Plain
-// `go test` replays the seeds; `make fuzz` runs it on.
+// the loaded program's TextSource() to the same loaded stream. One the
+// verifier refuses is refused on an instruction line of the source, and
+// its Text() at the same slot for the same reason. Plain `go test`
+// replays the seeds, an unsafe one among them; `make fuzz` runs it on.
 func FuzzAssemble(f *testing.F) {
 	files, err := fs.Glob(sources, "policies/*")
 	if err != nil || len(files) == 0 {
@@ -27,6 +33,7 @@ func FuzzAssemble(f *testing.F) {
 		}
 		f.Add(string(src))
 	}
+	f.Add("; reads the packet unchecked\n.const OFF 0\nr2 = *(u64 *)(r1 + OFF)\n\nread:\n  r0 = *(u64 *)(r2 + 0) // no bounds check\n  exit\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		a, err := ebpf.Assemble(src, nil)
 		if err != nil || !renderable(a.Insns) {
@@ -41,7 +48,25 @@ func FuzzAssemble(f *testing.F) {
 			t.Fatalf("Text() round trip changed the file\nsource:\n%s\nrendered:\n%s\ngot:\n%s", src, text, b.Text())
 		}
 
-		p, err := load(a)
+		v, err := ebpf.Verify("fuzz", a)
+		if err != nil {
+			m := rejection.FindStringSubmatch(err.Error())
+			if m == nil && len(a.Insns) > ebpf.MaxInsns {
+				return // refused before the verifier ran
+			}
+			if m == nil {
+				t.Fatalf("%v: the refusal names no line and slot\nsource:\n%s", err, src)
+			}
+			if n, _ := strconv.Atoi(m[1]); !instructionLine(src, n) {
+				t.Fatalf("%v: line %d holds no instruction\nsource:\n%s", err, n, src)
+			}
+			_, rerr := ebpf.Verify("fuzz", b)
+			if r := rejection.FindStringSubmatch(fmt.Sprint(rerr)); r == nil || r[2] != m[2] || r[3] != m[3] {
+				t.Fatalf("source refused with %v, Text() with %v\nsource:\n%s\nrendered:\n%s", err, rerr, src, text)
+			}
+			return
+		}
+		p, _, err := v.Bind(nil)
 		if err != nil {
 			return
 		}
@@ -68,6 +93,24 @@ func load(f *ebpf.AsmFile) (*ebpf.Program, error) {
 	}
 	p, _, err := v.Bind(nil)
 	return p, err
+}
+
+// rejection is a verifier refusal: its source line, slot and reason.
+var rejection = regexp.MustCompile(`^ebpf: fuzz: verifier: line (\d+): insn (\d+): (.*)$`)
+
+// instructionLine reports whether line n of src holds an instruction: not
+// blank or a comment, a declaration or a label.
+func instructionLine(src string, n int) bool {
+	lines := strings.Split(src, "\n")
+	if n < 1 || n > len(lines) {
+		return false
+	}
+	s := lines[n-1]
+	for _, c := range []string{";", "#", "//"} {
+		s, _, _ = strings.Cut(s, c)
+	}
+	s = strings.TrimSpace(s)
+	return s != "" && s[0] != '.' && !strings.HasSuffix(s, ":")
 }
 
 // renderable reports whether no jump lands on the high half of an LDDW

@@ -321,8 +321,13 @@ func TestDeployErrors(t *testing.T) {
 	if _, err := h.d.DeployBuiltin(1, HookSocketSelect, "nope", nil); err == nil {
 		t.Fatal("unknown builtin accepted")
 	}
+	// A verifier rejection names the source line of the slot it refuses.
+	_, err := h.d.DeployPolicy(1, HookSocketSelect, "r2 = *(u64 *)(r1 + 0)\nr0 = *(u64 *)(r2 + 0)\nexit\n", nil)
+	if err == nil || !strings.Contains(err.Error(), "verifier: line 2: insn 1: packet access") {
+		t.Fatalf("unchecked packet read: err = %v", err)
+	}
 	// A define meets the 32-bit range check of the literal it stands for.
-	_, err := h.d.DeployBuiltin(1, HookSocketSelect, "round_robin", map[string]int64{"NUM_THREADS": 99999999999})
+	_, err = h.d.DeployBuiltin(1, HookSocketSelect, "round_robin", map[string]int64{"NUM_THREADS": 99999999999})
 	if err == nil || !strings.Contains(err.Error(), "constant NUM_THREADS is 99999999999") {
 		t.Fatalf("out-of-range define: err = %v", err)
 	}

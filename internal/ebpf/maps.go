@@ -63,47 +63,47 @@ type Map struct {
 	progs []*Program
 }
 
+// check is the one set of rules a spec obeys: Verify applies it to each
+// declared map, on its .map line, and NewMap to each map it creates.
+func (s MapSpec) check() *posError {
+	slot := uint64(s.ValueSize) // the storage an entry takes up front
+	if s.Type == MapProgArray {
+		slot = 8
+	}
+	switch {
+	case s.MaxEntries == 0:
+		return reject(-1, "map %q: max_entries must be > 0", s.Name)
+	case s.KeySize == 0 || s.KeySize > 64:
+		return reject(-1, "map %q: key size %d out of range (1..64)", s.Name, s.KeySize)
+	case s.Type < MapArray || s.Type > MapProgArray:
+		return reject(-1, "map %q: unknown type %d", s.Name, s.Type)
+	case s.Type == MapArray && s.KeySize != 4:
+		return reject(-1, "array map %q requires 4-byte keys", s.Name)
+	case s.Type == MapProgArray && (s.KeySize != 4 || s.ValueSize != 4):
+		return reject(-1, "prog_array %q requires 4-byte keys and values", s.Name)
+	case s.ValueSize == 0 || s.ValueSize > 1<<16:
+		return reject(-1, "map %q: value size %d out of range", s.Name, s.ValueSize)
+	case s.Type != MapHash && uint64(s.MaxEntries)*slot > maxStorageBytes:
+		return reject(-1, "map %q: %d entries of %d bytes exceed the %d-byte storage limit", s.Name, s.MaxEntries, slot, maxStorageBytes)
+	}
+	return nil
+}
+
 // NewMap validates the spec and allocates storage.
 func NewMap(spec MapSpec) (*Map, error) {
-	if spec.MaxEntries == 0 {
-		return nil, fmt.Errorf("ebpf: map %q: max_entries must be > 0", spec.Name)
+	if err := spec.check(); err != nil {
+		return nil, fmt.Errorf("ebpf: %w", err)
 	}
-	if spec.KeySize == 0 || spec.KeySize > 64 {
-		return nil, fmt.Errorf("ebpf: map %q: key size %d out of range (1..64)", spec.Name, spec.KeySize)
-	}
-	tooBig := func(slot uint64) error {
-		if n := uint64(spec.MaxEntries) * slot; n > maxStorageBytes {
-			return fmt.Errorf("ebpf: map %q: %d entries of %d bytes exceed the %d-byte storage limit", spec.Name, spec.MaxEntries, slot, maxStorageBytes)
-		}
-		return nil
-	}
+	m := &Map{spec: spec}
 	switch spec.Type {
 	case MapArray:
-		if spec.KeySize != 4 {
-			return nil, fmt.Errorf("ebpf: array map %q requires 4-byte keys", spec.Name)
-		}
-		if spec.ValueSize == 0 || spec.ValueSize > 1<<16 {
-			return nil, fmt.Errorf("ebpf: map %q: value size %d out of range", spec.Name, spec.ValueSize)
-		}
-		if err := tooBig(uint64(spec.ValueSize)); err != nil {
-			return nil, err
-		}
-		return &Map{spec: spec, arrayData: make([]byte, int(spec.MaxEntries)*int(spec.ValueSize))}, nil
+		m.arrayData = make([]byte, int(spec.MaxEntries)*int(spec.ValueSize))
 	case MapHash:
-		if spec.ValueSize == 0 || spec.ValueSize > 1<<16 {
-			return nil, fmt.Errorf("ebpf: map %q: value size %d out of range", spec.Name, spec.ValueSize)
-		}
-		return &Map{spec: spec, hashData: make(map[string][]byte)}, nil
+		m.hashData = make(map[string][]byte)
 	case MapProgArray:
-		if spec.KeySize != 4 || spec.ValueSize != 4 {
-			return nil, fmt.Errorf("ebpf: prog_array %q requires 4-byte keys and values", spec.Name)
-		}
-		if err := tooBig(8); err != nil {
-			return nil, err
-		}
-		return &Map{spec: spec, progs: make([]*Program, spec.MaxEntries)}, nil
+		m.progs = make([]*Program, spec.MaxEntries)
 	}
-	return nil, fmt.Errorf("ebpf: map %q: unknown type %d", spec.Name, spec.Type)
+	return m, nil
 }
 
 // Spec returns the map's declaration.

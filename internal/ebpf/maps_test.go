@@ -30,6 +30,26 @@ func TestMapSpecValidation(t *testing.T) {
 	}
 }
 
+// TestVerifyChecksEveryMapSpec: a declaration that NewMap would refuse is
+// refused by Verify, on its .map line, so a file Verify admits binds on
+// any host that holds no map of the same name.
+func TestVerifyChecksEveryMapSpec(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{".map weights array 4 8 0\nr0 = 0\nexit\n", `line 1: map "weights": max_entries must be > 0`},
+		{".map w array 8 8 4\nr0 = 0\nexit\n", `line 1: array map "w" requires 4-byte keys`},
+		{".map w array 4 65536 1000000\nr0 = 0\nexit\n", `line 1: map "w": 1000000 entries of 65536 bytes exceed the 67108864-byte storage limit`},
+		{"; two maps\n.map ok hash 8 8 4\n\n.map pa prog_array 4 8 4\nr0 = 0\nexit\n", `line 4: prog_array "pa" requires 4-byte keys and values`},
+	} {
+		f, err := Assemble(tc.src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Verify("spec", f); err == nil || err.Error() != "ebpf: spec: "+tc.want {
+			t.Errorf("%q: Verify: %v, want %s", tc.src, err, tc.want)
+		}
+	}
+}
+
 func TestArrayMapBasics(t *testing.T) {
 	m := MustNewMap(MapSpec{Name: "a", Type: MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 4})
 	// Array slots exist from the start, zero-filled.

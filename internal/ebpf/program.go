@@ -74,9 +74,9 @@ type Verified struct {
 	noVerify    bool // verification was skipped (verifyFile)
 }
 
-// Verify checks f's program against f's map declarations, which its
-// pseudo-map LDDW immediates index (as Assemble emits them), and reads
-// nothing else: the pure half of loading.
+// Verify checks f's map declarations, then f's program against them (its
+// pseudo-map LDDW immediates index them, as Assemble emits them), and
+// reads nothing else: the pure half of loading.
 func Verify(name string, f *AsmFile) (*Verified, error) {
 	return verifyFile(name, f, DefaultVerifierBudget)
 }
@@ -91,6 +91,14 @@ func verifyFile(name string, f *AsmFile, budget int) (*Verified, error) {
 	}
 	if len(insns) > MaxInsns {
 		return nil, fmt.Errorf("ebpf: %s: %d instructions exceeds limit %d", name, len(insns), MaxInsns)
+	}
+	for i, spec := range f.Maps {
+		if e := spec.check(); e != nil {
+			if i < len(f.mapLines) {
+				e.line = f.mapLines[i]
+			}
+			return nil, fmt.Errorf("ebpf: %s: %w", name, e)
+		}
 	}
 	for i := 0; i < len(insns); i++ {
 		if !insns[i].IsLDDW() {
@@ -121,7 +129,8 @@ func (v *Verified) SourceLines() int { return v.sourceLines }
 
 // Bind instantiates v on one host: each declared map is existing's map of
 // that name (see bindMap) or a new one. It returns a fresh program,
-// decoded for its own maps, and those maps by name.
+// decoded for its own maps, and those maps by name. Verify checked every
+// spec, so only an existing map can refuse.
 func (v *Verified) Bind(existing map[string]*Map) (*Program, map[string]*Map, error) {
 	maps := make([]*Map, len(v.maps))
 	byName := make(map[string]*Map, len(v.maps))

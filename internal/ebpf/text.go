@@ -39,6 +39,7 @@ type AsmFile struct {
 	// metric Table 2 reports.
 	SourceLines int
 	lines       []int // each instruction slot's source line, which a rejection names
+	mapLines    []int // each declared map's .map line, likewise
 }
 
 // posError is a rejection: source line (0 if unknown), slot (-1 if unknown).
@@ -210,7 +211,7 @@ func (a *assembler) directive() {
 			return
 		}
 		a.mapIdx[spec.Name] = len(a.f.Maps)
-		a.f.Maps = append(a.f.Maps, spec)
+		a.f.Maps, a.f.mapLines = append(a.f.Maps, spec), append(a.f.mapLines, a.n)
 	default:
 		a.failf("unknown directive %q", a.line[:a.pos])
 	}

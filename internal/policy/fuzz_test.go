@@ -19,8 +19,11 @@ import (
 // references; one that also instantiates and verifies re-assembles from
 // the loaded program's TextSource() to the same loaded stream. One the
 // verifier refuses is refused on an instruction line of the source, and
-// its Text() at the same slot for the same reason. Plain `go test`
-// replays the seeds, an unsafe one among them; `make fuzz` runs it on.
+// its Text() at the same slot for the same reason; one whose map
+// declaration breaks a spec rule is refused on that .map line, with no
+// slot, and its Text() for the same reason. A file Verify accepts binds
+// on an empty host. Plain `go test` replays the seeds, an unsafe one
+// among them; `make fuzz` runs it on.
 func FuzzAssemble(f *testing.F) {
 	files, err := fs.Glob(sources, "policies/*")
 	if err != nil || len(files) == 0 {
@@ -57,18 +60,22 @@ func FuzzAssemble(f *testing.F) {
 			if m == nil {
 				t.Fatalf("%v: the refusal names no line and slot\nsource:\n%s", err, src)
 			}
-			if n, _ := strconv.Atoi(m[1]); !instructionLine(src, n) {
-				t.Fatalf("%v: line %d holds no instruction\nsource:\n%s", err, n, src)
+			n, _ := strconv.Atoi(m[2])
+			switch line := sourceLine(src, n); {
+			case m[1] != "" && m[3] != "" && line != "" && line[0] != '.' && !strings.HasSuffix(line, ":"):
+			case m[1] == "" && m[3] == "" && strings.HasPrefix(line, ".map"):
+			default:
+				t.Fatalf("%v: line %d is %q\nsource:\n%s", err, n, line, src)
 			}
 			_, rerr := ebpf.Verify("fuzz", b)
-			if r := rejection.FindStringSubmatch(fmt.Sprint(rerr)); r == nil || r[2] != m[2] || r[3] != m[3] {
+			if r := rejection.FindStringSubmatch(fmt.Sprint(rerr)); r == nil || r[1] != m[1] || r[3] != m[3] || r[5] != m[5] {
 				t.Fatalf("source refused with %v, Text() with %v\nsource:\n%s\nrendered:\n%s", err, rerr, src, text)
 			}
 			return
 		}
 		p, _, err := v.Bind(nil)
 		if err != nil {
-			return
+			t.Fatalf("Verify accepts what Bind(nil) refuses: %v\nsource:\n%s", err, src)
 		}
 		text = p.TextSource()
 		c, err := ebpf.Assemble(text, nil)
@@ -95,22 +102,22 @@ func load(f *ebpf.AsmFile) (*ebpf.Program, error) {
 	return p, err
 }
 
-// rejection is a verifier refusal: its source line, slot and reason.
-var rejection = regexp.MustCompile(`^ebpf: fuzz: verifier: line (\d+): insn (\d+): (.*)$`)
+// rejection is a refusal of Verify: the verifier's names its source line
+// and slot, a map declaration's its .map line alone; then the reason.
+var rejection = regexp.MustCompile(`^ebpf: fuzz: (verifier: )?line (\d+): (insn (\d+): )?(.*)$`)
 
-// instructionLine reports whether line n of src holds an instruction: not
-// blank or a comment, a declaration or a label.
-func instructionLine(src string, n int) bool {
+// sourceLine is line n of src without its comment and outer blanks, or ""
+// if src has no line n.
+func sourceLine(src string, n int) string {
 	lines := strings.Split(src, "\n")
 	if n < 1 || n > len(lines) {
-		return false
+		return ""
 	}
 	s := lines[n-1]
 	for _, c := range []string{";", "#", "//"} {
 		s, _, _ = strings.Cut(s, c)
 	}
-	s = strings.TrimSpace(s)
-	return s != "" && s[0] != '.' && !strings.HasSuffix(s, ":")
+	return strings.TrimSpace(s)
 }
 
 // renderable reports whether no jump lands on the high half of an LDDW

@@ -491,17 +491,43 @@ func TestVerifierRejectsBadCtxAccess(t *testing.T) {
 	}, nil, "read-only")
 }
 
+// TestVerifierRejectsHelperArgMismatch: each argument a helper takes is
+// checked against its kind: a map handle, the ctx, a scalar.
 func TestVerifierRejectsHelperArgMismatch(t *testing.T) {
-	// map_lookup with a scalar in r1
-	wantReject(t, []Instruction{
-		MovImm(R1, 5),
-		MovReg(R2, R10),
-		ALUImm(ALUAdd, R2, -4),
-		StImm(4, R10, -4, 0),
-		Call(HelperMapLookup),
-		MovImm(R0, 0),
-		Exit(),
-	}, nil, "want map handle")
+	tb, _, arr := u64MapTable(t, 1)
+	progs := tb.Register(MustNewMap(MapSpec{Name: "pa", Type: MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 4}))
+	tailCall := func(r1, r3 Instruction) []Instruction {
+		return slices.Concat([]Instruction{r1}, LoadMapFD(R2, progs), []Instruction{r3, Call(HelperTailCall), MovImm(R0, 0), Exit()})
+	}
+	for _, tc := range []struct {
+		name  string
+		insns []Instruction
+		want  string
+	}{
+		{"map_lookup_elem with a scalar r1", []Instruction{
+			MovImm(R1, 5),
+			MovReg(R2, R10),
+			ALUImm(ALUAdd, R2, -4),
+			StImm(4, R10, -4, 0),
+			Call(HelperMapLookup),
+			MovImm(R0, 0),
+			Exit(),
+		}, "want map handle"},
+		{"tail_call with r1 = r10", tailCall(MovReg(R1, R10), MovImm(R3, 0)), "insn 4: helper tail_call arg1: want ctx, got fp"},
+		{"tail_call with r3 = r1", tailCall(MovImm(R0, 0), MovReg(R3, R1)), "insn 4: helper tail_call arg3: want scalar, got ctx"},
+		{"map_update_elem with r4 = r10", slices.Concat([]Instruction{StImm(8, R10, -8, 0)}, LoadMapFD(R1, arr), []Instruction{
+			MovReg(R2, R10),
+			ALUImm(ALUAdd, R2, -8),
+			MovReg(R3, R10),
+			ALUImm(ALUAdd, R3, -8),
+			MovReg(R4, R10),
+			Call(HelperMapUpdate),
+			MovImm(R0, 0),
+			Exit(),
+		}), "insn 8: helper map_update_elem arg4: want scalar, got fp"},
+	} {
+		t.Run(tc.name, func(t *testing.T) { wantReject(t, tc.insns, tb, tc.want) })
+	}
 }
 
 func TestVerifierRejectsUninitializedKeyBytes(t *testing.T) {

@@ -370,6 +370,64 @@ func TestDecodeIsTotal(t *testing.T) {
 	}
 }
 
+// TestHelpersAreTotal: every helper number 0–255, called bare (r1 the ctx,
+// r2–r5 unset) and armed (r1 an array map, r2 and r3 initialized stack,
+// r4 and r5 zero), renders, verifies and runs unverified exactly as
+// testdata/helpers_total.txt records. A number no helper has renders as a
+// number, is refused by the verifier and faults at run time; Run and the
+// reference fault alike.
+func TestHelpersAreTotal(t *testing.T) {
+	golden, err := os.ReadFile("testdata/helpers_total.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
+	if len(want) != 256 {
+		t.Fatalf("golden has %d lines, want 256", len(want))
+	}
+	for n := range int32(256) {
+		if got := helperTotal(t, n); got != want[n] {
+			t.Errorf("got  %s\nwant %s", got, want[n])
+		}
+	}
+}
+
+// helperTotal is helper n's golden line: its rendering, then for each
+// program its verdict and its unverified run.
+func helperTotal(t *testing.T, n int32) string {
+	armed := append([]Instruction{StImm(8, R10, -8, 0), StImm(8, R10, -16, 2)}, LoadMapFD(R1, 0)...)
+	armed = append(armed, MovReg(R2, R10), ALUImm(ALUAdd, R2, -8), MovReg(R3, R10), ALUImm(ALUAdd, R3, -16), MovImm(R4, 0), MovImm(R5, 0))
+	line := fmt.Sprintf("%#04x %s", n, strings.TrimSpace((&AsmFile{Insns: []Instruction{Call(n)}}).Text()))
+	for _, pre := range [][]Instruction{nil, armed} {
+		f := &AsmFile{
+			Insns: append(slices.Clone(pre), Call(n), Exit()),
+			Maps:  []MapSpec{{Name: "m", Type: MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 1}},
+		}
+		_, verr := Verify("helper", f)
+		v, err := verifyFile("helper", f, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var runs []string
+		for _, run := range []func(*Program) (uint64, ExecStats, error){
+			func(p *Program) (uint64, ExecStats, error) { return p.RunRet64(&Ctx{Packet: make([]byte, 4)}, nil) },
+			func(p *Program) (uint64, ExecStats, error) { return p.runRef(&Ctx{Packet: make([]byte, 4)}, nil) },
+		} {
+			p, _, err := v.Bind(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ret, st, err := run(p)
+			runs = append(runs, fmt.Sprintf("r0=%#x insns=%d helpers=%d tail=%d err=%v", ret, st.Insns, st.Helpers, st.TailCalls, err))
+		}
+		if runs[0] != runs[1] {
+			t.Errorf("helper %d: Run %s, reference %s", n, runs[0], runs[1])
+		}
+		line += fmt.Sprintf(" | verify: %v | run: %s", verr, runs[0])
+	}
+	return line
+}
+
 // operandlessJunkSrc is a program the verifier admits — it checks neither
 // the X bit nor the src field of exit, call and ja — whose every operandless
 // jump names a register past R10 (Decode yields src up to 15).

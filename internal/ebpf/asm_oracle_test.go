@@ -172,11 +172,13 @@ func TestNarrowed(t *testing.T) {
 	}
 }
 
-// HelperByName is the inverse of HelperName.
+// HelperByName maps each helper's name to its number.
 var HelperByName = func() map[string]int32 {
-	m := make(map[string]int32, len(HelperName))
-	for n, s := range HelperName {
-		m[s] = n
+	m := make(map[string]int32, len(helpers))
+	for n, h := range helpers {
+		if h.name != "" {
+			m[h.name] = int32(n)
+		}
 	}
 	return m
 }()

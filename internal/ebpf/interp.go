@@ -81,6 +81,9 @@ type runState struct {
 	env     *Env
 	ctx     *Ctx
 	stats   ExecStats
+	// m, key and val are the helper arguments call resolved, in place.
+	m        *Map
+	key, val []byte
 	// noEnv stands in for a nil Env; it is never written.
 	noEnv Env
 }
@@ -161,10 +164,9 @@ func storeSized(b []byte, size int, v uint64) {
 	}
 }
 
-// load, store and lookup are the one body each of a memory read, a memory
-// write (plain and XADD) and bpf_map_lookup_elem. Every access the walker
-// makes lands here and is checked against the live region: nothing the
-// verifier proved is taken on trust.
+// load and store are the one body of a memory read and of a write (plain
+// and XADD): every access the walker makes is checked here against the
+// live region, and nothing the verifier proved is taken on trust.
 
 func (rs *runState) load(base uint64, off int64, size int) (uint64, error) {
 	if ptrRegion(base) == regionCtx {
@@ -202,35 +204,6 @@ func (rs *runState) store(base uint64, off int64, size int, v uint64, xadd bool)
 	return nil
 }
 
-// clobber sets a helper's return value and scrubs the caller-saved
-// argument registers.
-func (rs *runState) clobber(ret uint64) {
-	rs.regs[R0] = ret
-	for r := R1; r <= R5; r++ {
-		rs.regs[r] = 0
-	}
-}
-
-// lookup is bpf_map_lookup_elem once the map and the key bytes are
-// resolved: a hit registers the value as a new dynamic region and returns
-// a pointer to it in R0; a miss, real or injected, returns NULL.
-func (rs *runState) lookup(m *Map, key []byte) error {
-	var ref []byte
-	if !rs.env.Faults.Fire(faults.SiteHelperLookup) {
-		ref = m.lookupRef(key)
-	}
-	if ref == nil {
-		rs.clobber(0)
-		return nil
-	}
-	if len(rs.regions) >= (1<<16)-regionDynBase {
-		return fmt.Errorf("too many map value regions")
-	}
-	rs.regions = append(rs.regions, ref)
-	rs.clobber(ptrVal(regionDynBase+uint64(len(rs.regions)-1), 0))
-	return nil
-}
-
 // mapArg resolves helper argument register r to the map its handle names.
 func (rs *runState) mapArg(p *Program, r int) (*Map, error) {
 	v := rs.regs[r]
@@ -244,103 +217,108 @@ func (rs *runState) mapArg(p *Program, r int) (*Map, error) {
 	return p.maps[idx], nil
 }
 
-// mapKey resolves a map helper's first two arguments: R1 the map handle, R2
-// a pointer to the map's key-size bytes.
-func (rs *runState) mapKey(p *Program) (*Map, []byte, error) {
-	m, err := rs.mapArg(p, R1)
-	if err != nil {
-		return nil, nil, err
-	}
-	key, err := rs.mem(rs.regs[R2], int(m.spec.KeySize))
-	return m, key, err
-}
-
-// call executes helper id on behalf of p. A non-nil returned program means
-// a successful tail call into that program. Helper accounting lives
-// inside.
+// call executes helper id on behalf of p. It resolves the arguments by the
+// kinds the verifier checked them against: a map handle through mapArg,
+// a key and a value through mem at the map's key and value sizes. Then it
+// runs the body, which reads them from rs. A non-nil returned program
+// means a successful tail call into that program.
 func (rs *runState) call(p *Program, id int32) (*Program, error) {
 	rs.stats.Helpers++
-	regs := &rs.regs
-	switch id {
-	case HelperMapLookup:
-		m, key, err := rs.mapKey(p)
-		if err != nil {
-			return nil, err
-		}
-		return nil, rs.lookup(m, key)
-	case HelperMapUpdate:
-		m, key, err := rs.mapKey(p)
-		if err != nil {
-			return nil, err
-		}
-		val, err := rs.mem(regs[R3], int(m.spec.ValueSize))
-		if err != nil {
-			return nil, err
-		}
-		if rs.env.Faults.Fire(faults.SiteHelperUpdate) {
-			// Injected map-full: R0 = -1, exactly a real update failure.
-			rs.clobber(uint64(0xffffffffffffffff))
-			return nil, nil
-		}
-		if err := m.Update(key, val); err != nil {
-			rs.clobber(uint64(0xffffffffffffffff)) // -1
-			return nil, nil
-		}
-		rs.clobber(0)
-		return nil, nil
-	case HelperMapDelete:
-		m, key, err := rs.mapKey(p)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.Delete(key); err != nil {
-			rs.clobber(uint64(0xffffffffffffffff))
-			return nil, nil
-		}
-		rs.clobber(0)
-		return nil, nil
-	case HelperKtimeGetNS:
-		var t uint64
-		if rs.env.Ktime != nil {
-			t = rs.env.Ktime()
-		}
-		rs.clobber(t)
-		return nil, nil
-	case HelperPrandomU32:
-		var r uint32
-		if rs.env.Prandom != nil {
-			r = rs.env.Prandom()
-		} else {
-			r = p.fallbackPrandom()
-		}
-		rs.clobber(uint64(r))
-		return nil, nil
-	case HelperGetSmpProcID:
-		rs.clobber(uint64(rs.env.CPUID))
-		return nil, nil
-	case HelperTailCall:
-		m, err := rs.mapArg(p, R2)
-		if err != nil {
-			return nil, err
-		}
-		idx := uint32(regs[R3])
-		target := m.prog(idx)
-		if target == nil {
-			// Missing entry: helper fails, execution continues.
-			rs.clobber(uint64(0xffffffffffffffff))
-			return nil, nil
-		}
-		if rs.stats.TailCalls >= MaxTailCalls || rs.env.Faults.Fire(faults.SiteTailCall) {
-			// Budget exhausted (or injected exhaustion): a runtime fault,
-			// not a fall-through — a chain this deep is a runaway, and the
-			// hook must count exactly one fault and fall open. The kernel
-			// likewise aborts the program rather than resuming the caller.
-			return nil, errTailCallBudget
-		}
-		rs.stats.TailCalls++
-		// r1 keeps pointing at the ctx for the next program.
-		regs[R1] = ptrVal(regionCtx, 0)
-		return target, nil
+	h, perr := helperAt(id)
+	if perr != nil {
+		return nil, perr
 	}
-	return nil, fmt.Errorf("unknown helper %d", id)
+	var err error
+	if r := h.reg[argMapHandle] | h.reg[argProgArray]; r != 0 {
+		rs.m, err = rs.mapArg(p, int(r))
+	}
+	if r := h.reg[argStackKey]; r != 0 && err == nil {
+		rs.key, err = rs.mem(rs.regs[r], int(rs.m.spec.KeySize))
+	}
+	if r := h.reg[argStackValue]; r != 0 && err == nil {
+		rs.val, err = rs.mem(rs.regs[r], int(rs.m.spec.ValueSize))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return h.body(rs, p)
+}
+
+// ret ends a helper body that returns to its caller: R0 is v, and the
+// caller-saved argument registers are scrubbed.
+func (rs *runState) ret(v uint64) (*Program, error) {
+	rs.regs[R0] = v
+	for r := R1; r <= R5; r++ {
+		rs.regs[r] = 0
+	}
+	return nil, nil
+}
+
+// status is ret of 0 on success and -1 on failure.
+func (rs *runState) status(failed bool) (*Program, error) {
+	if failed {
+		return rs.ret(^uint64(0))
+	}
+	return rs.ret(0)
+}
+
+// The helper bodies, one per row of helpers, run on what call resolved.
+
+// mapLookup registers a hit's value as a new dynamic region and returns a
+// pointer to it; a miss, real or injected, returns NULL.
+func (rs *runState) mapLookup(*Program) (*Program, error) {
+	var ref []byte
+	if !rs.env.Faults.Fire(faults.SiteHelperLookup) {
+		ref = rs.m.lookupRef(rs.key)
+	}
+	if ref == nil {
+		return rs.ret(0)
+	}
+	if len(rs.regions) >= (1<<16)-regionDynBase {
+		return nil, fmt.Errorf("too many map value regions")
+	}
+	rs.regions = append(rs.regions, ref)
+	return rs.ret(ptrVal(regionDynBase+uint64(len(rs.regions)-1), 0))
+}
+
+// mapUpdate fails (-1) on an injected map-full exactly as on a real one.
+func (rs *runState) mapUpdate(*Program) (*Program, error) {
+	return rs.status(rs.env.Faults.Fire(faults.SiteHelperUpdate) || rs.m.Update(rs.key, rs.val) != nil)
+}
+
+func (rs *runState) mapDelete(*Program) (*Program, error) { return rs.status(!rs.m.Delete(rs.key)) }
+
+func (rs *runState) ktimeGetNS(*Program) (*Program, error) {
+	if rs.env.Ktime == nil {
+		return rs.ret(0)
+	}
+	return rs.ret(rs.env.Ktime())
+}
+
+func (rs *runState) prandomU32(p *Program) (*Program, error) {
+	if rs.env.Prandom != nil {
+		return rs.ret(uint64(rs.env.Prandom()))
+	}
+	return rs.ret(uint64(p.fallbackPrandom()))
+}
+
+func (rs *runState) smpProcessorID(*Program) (*Program, error) { return rs.ret(uint64(rs.env.CPUID)) }
+
+// tailCall returns the program at index R3 of the prog_array, with R1
+// still the ctx; a missing entry fails the call and execution goes on.
+func (rs *runState) tailCall(*Program) (*Program, error) {
+	target := rs.m.prog(uint32(rs.regs[R3]))
+	if target == nil {
+		return rs.status(true)
+	}
+	if rs.stats.TailCalls >= MaxTailCalls || rs.env.Faults.Fire(faults.SiteTailCall) {
+		// Budget exhausted (or injected exhaustion): a runtime fault,
+		// not a fall-through — a chain this deep is a runaway, and the
+		// hook must count exactly one fault and fall open. The kernel
+		// likewise aborts the program rather than resuming the caller.
+		return nil, errTailCallBudget
+	}
+	rs.stats.TailCalls++
+	rs.regs[R1] = ptrVal(regionCtx, 0)
+	return target, nil
 }

@@ -224,16 +224,63 @@ const (
 	HelperGetSmpProcID = 8
 )
 
-// HelperName maps helper numbers to their .syr names.
-var HelperName = map[int32]string{
-	HelperMapLookup:    "map_lookup_elem",
-	HelperMapUpdate:    "map_update_elem",
-	HelperMapDelete:    "map_delete_elem",
-	HelperKtimeGetNS:   "ktime_get_ns",
-	HelperPrandomU32:   "get_prandom_u32",
-	HelperTailCall:     "tail_call",
-	HelperGetSmpProcID: "get_smp_processor_id",
+// argKind is what a helper takes in one argument register.
+type argKind uint8
+
+const (
+	argCtx        argKind = iota // the ctx
+	argMapHandle                 // a handle of a map that is not a prog_array
+	argProgArray                 // a prog_array's handle
+	argStackKey                  // a stack pointer to the map's key_size initialized bytes
+	argStackValue                // a pointer to the map's value_size readable bytes
+	argScalar                    // any initialized scalar
+)
+
+// helper is one helper's row, after the kernel's struct bpf_func_proto:
+// its .syr name, its argument kinds from R1 on, whether R0 comes back as a
+// map value or NULL, and its body, run once rs.call resolved those kinds.
+type helper struct {
+	name        string
+	args        []argKind
+	retMapValue bool
+	body        func(*runState, *Program) (*Program, error)
+	reg         [argScalar + 1]uint8 // each kind's register (0: none), so rs.call need not walk args
 }
+
+// helpers is the one table of helpers, indexed by helper number: read by
+// the verifier (checkCall), the executor (rs.call) and the text form.
+var helpers = [...]helper{
+	HelperMapLookup:    row("map_lookup_elem", true, (*runState).mapLookup, argMapHandle, argStackKey),
+	HelperMapUpdate:    row("map_update_elem", false, (*runState).mapUpdate, argMapHandle, argStackKey, argStackValue, argScalar),
+	HelperMapDelete:    row("map_delete_elem", false, (*runState).mapDelete, argMapHandle, argStackKey),
+	HelperKtimeGetNS:   row("ktime_get_ns", false, (*runState).ktimeGetNS),
+	HelperPrandomU32:   row("get_prandom_u32", false, (*runState).prandomU32),
+	HelperGetSmpProcID: row("get_smp_processor_id", false, (*runState).smpProcessorID),
+	HelperTailCall:     row("tail_call", false, (*runState).tailCall, argCtx, argProgArray, argScalar),
+}
+
+// row is a helper's row, each kind's register indexed from its args.
+func row(name string, retMapValue bool, body func(*runState, *Program) (*Program, error), args ...argKind) helper {
+	h := helper{name: name, args: args, retMapValue: retMapValue, body: body}
+	for i, kind := range args {
+		h.reg[kind] = uint8(R1 + i)
+	}
+	return h
+}
+
+// helperAt is helper id's row, or the one refusal of a number no helper
+// has, which the verifier places at its slot and the executor faults with.
+func helperAt(id int32) (*helper, *posError) {
+	if uint32(id) < uint32(len(helpers)) && helpers[id].name != "" {
+		return &helpers[id], nil
+	}
+	return nil, unknownHelper(id)
+}
+
+// unknownHelper is kept out of line, so that helperAt inlines into rs.call.
+//
+//go:noinline
+func unknownHelper(id int32) *posError { return reject(-1, "unknown helper %d", id) }
 
 // Verdict sentinels returned by schedule programs. Any other return value is
 // an index into the hook's executor map.

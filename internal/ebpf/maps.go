@@ -168,22 +168,13 @@ func (m *Map) Update(key, value []byte) error {
 	return nil
 }
 
-// Delete removes a hash entry; array entries cannot be deleted (kernel
-// semantics), and the call reports an error for them.
-func (m *Map) Delete(key []byte) error {
-	if err := m.checkKey(key); err != nil {
-		return err
-	}
-	switch m.spec.Type {
-	case MapHash:
-		if _, ok := m.hashData[string(key)]; !ok {
-			return fmt.Errorf("ebpf: map %q: key not found", m.spec.Name)
-		}
-		delete(m.hashData, string(key))
-		return nil
-	default:
-		return fmt.Errorf("ebpf: map %q: delete unsupported for %v", m.spec.Name, m.spec.Type)
-	}
+// Delete removes key's hash entry and reports whether there was one. An
+// array entry cannot be deleted (kernel semantics): that is false too, as
+// map_delete_elem's -1.
+func (m *Map) Delete(key []byte) bool {
+	_, ok := m.hashData[string(key)]
+	delete(m.hashData, string(key))
+	return ok
 }
 
 // LookupUint64 is the convenience accessor the paper's API defaults to

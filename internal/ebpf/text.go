@@ -353,9 +353,9 @@ func (a *assembler) mem() (size int, base uint8, off int16) {
 // helper reads a helper's name or number.
 func (a *assembler) helper() int32 {
 	sign, word := a.operand()
-	for n, name := range HelperName {
-		if sign == 0 && name == word {
-			return n
+	for n, h := range helpers {
+		if sign == 0 && word != "" && h.name == word {
+			return int32(n)
 		}
 	}
 	return int32(a.imm(sign, word, 32))
@@ -676,9 +676,10 @@ func insnText(insns []Instruction, pc int, maps []MapSpec, labels []bool) string
 		switch {
 		case cls == ClassJMP && op == JmpExit:
 			return "exit"
-		case cls == ClassJMP && op == JmpCall && HelperName[ins.Imm] != "":
-			return "call " + HelperName[ins.Imm]
 		case cls == ClassJMP && op == JmpCall:
+			if h, err := helperAt(ins.Imm); err == nil {
+				return "call " + h.name
+			}
 			return fmt.Sprintf("call %d", ins.Imm)
 		case cls == ClassJMP && op == JmpA:
 			return "goto " + target

@@ -16,7 +16,7 @@ import (
 //   - map value pointers only after a null check;
 //   - all memory accesses within their region (stack, packet, map value,
 //     context), with in-range constant offsets;
-//   - helper calls type-checked against per-helper signatures;
+//   - helper calls type-checked against each helper's row in helpers;
 //   - a bounded analysis budget: programs whose exploration exceeds it are
 //     rejected, which is what restricts users to bounded loops.
 
@@ -514,87 +514,57 @@ func (v *verifier) checkStore(pc int, ins Instruction, st *vstate) error {
 	return nil
 }
 
-// helperSig describes one helper's argument expectations.
-type helperSig struct {
-	name string
-	// arg kinds for r1..r5; unused args must not be inspected.
-	args []argKind
-	// returns a map value pointer that may be null
-	retMapValue bool
-}
-
-type argKind int
-
-const (
-	argNone argKind = iota
-	argCtx
-	argMapHandle  // any data map
-	argProgArray  // prog_array map handle
-	argStackKey   // pointer to stack holding key_size initialized bytes
-	argStackValue // pointer to readable mem holding value_size bytes
-	argScalar     // any initialized scalar
-)
-
-var helperSigs = map[int32]helperSig{
-	HelperMapLookup:    {name: "map_lookup_elem", args: []argKind{argMapHandle, argStackKey}, retMapValue: true},
-	HelperMapUpdate:    {name: "map_update_elem", args: []argKind{argMapHandle, argStackKey, argStackValue, argScalar}},
-	HelperMapDelete:    {name: "map_delete_elem", args: []argKind{argMapHandle, argStackKey}},
-	HelperKtimeGetNS:   {name: "ktime_get_ns"},
-	HelperPrandomU32:   {name: "get_prandom_u32"},
-	HelperGetSmpProcID: {name: "get_smp_processor_id"},
-	HelperTailCall:     {name: "tail_call", args: []argKind{argCtx, argProgArray, argScalar}},
-}
-
+// checkCall checks each argument register of a call against its helper's row.
 func (v *verifier) checkCall(pc int, ins Instruction, st *vstate) error {
-	sig, ok := helperSigs[ins.Imm]
-	if !ok {
-		return reject(pc, "unknown helper %d", ins.Imm)
+	h, err := helperAt(ins.Imm)
+	if err != nil {
+		err.slot = pc
+		return err
 	}
-	var keySize, valueSize uint32
-	var mapIdx int32 = -1
-	for i, kind := range sig.args {
+	var m MapSpec // the map the call's handle names
+	mapIdx := int32(-1)
+	for i, kind := range h.args {
 		r := uint8(R1 + i)
 		arg, err := v.readReg(pc, st, r)
 		if err != nil {
-			return reject(pc, "helper %s: %s", sig.name, err.(*posError).reason)
+			return reject(pc, "helper %s: %s", h.name, err.(*posError).reason)
 		}
 		switch kind {
 		case argCtx:
 			if arg.typ != tCtx {
-				return reject(pc, "helper %s arg%d: want ctx, got %v", sig.name, i+1, arg.typ)
+				return reject(pc, "helper %s arg%d: want ctx, got %v", h.name, i+1, arg.typ)
 			}
 		case argMapHandle, argProgArray:
 			if arg.typ != tMapHandle {
-				return reject(pc, "helper %s arg%d: want map handle, got %v", sig.name, i+1, arg.typ)
+				return reject(pc, "helper %s arg%d: want map handle, got %v", h.name, i+1, arg.typ)
 			}
-			m := v.maps[arg.mapIdx]
+			m = v.maps[arg.mapIdx]
 			if kind == argProgArray && m.Type != MapProgArray {
-				return reject(pc, "tail_call requires a prog_array map, got %v", m.Type)
+				return reject(pc, "%s requires a prog_array map, got %v", h.name, m.Type)
 			}
 			if kind == argMapHandle && m.Type == MapProgArray {
-				return reject(pc, "helper %s cannot use prog_array map", sig.name)
+				return reject(pc, "helper %s cannot use prog_array map", h.name)
 			}
 			mapIdx = arg.mapIdx
-			keySize, valueSize = m.KeySize, m.ValueSize
 		case argStackKey:
 			if arg.typ != tStack {
-				return reject(pc, "helper %s arg%d: key must point to the stack, got %v", sig.name, i+1, arg.typ)
+				return reject(pc, "helper %s arg%d: key must point to the stack, got %v", h.name, i+1, arg.typ)
 			}
-			if _, err := v.checkMemAccess(pc, st, arg, 0, int(keySize), memRead); err != nil {
-				return reject(pc, "helper %s key: %s", sig.name, err.(*posError).reason)
+			if _, err := v.checkMemAccess(pc, st, arg, 0, int(m.KeySize), memRead); err != nil {
+				return reject(pc, "helper %s key: %s", h.name, err.(*posError).reason)
 			}
 		case argStackValue:
 			switch arg.typ {
 			case tStack, tMapValue, tPacket:
-				if _, err := v.checkMemAccess(pc, st, arg, 0, int(valueSize), memRead); err != nil {
-					return reject(pc, "helper %s value: %s", sig.name, err.(*posError).reason)
+				if _, err := v.checkMemAccess(pc, st, arg, 0, int(m.ValueSize), memRead); err != nil {
+					return reject(pc, "helper %s value: %s", h.name, err.(*posError).reason)
 				}
 			default:
-				return reject(pc, "helper %s arg%d: value must be readable memory, got %v", sig.name, i+1, arg.typ)
+				return reject(pc, "helper %s arg%d: value must be readable memory, got %v", h.name, i+1, arg.typ)
 			}
 		case argScalar:
 			if arg.typ != tScalar {
-				return reject(pc, "helper %s arg%d: want scalar, got %v", sig.name, i+1, arg.typ)
+				return reject(pc, "helper %s arg%d: want scalar, got %v", h.name, i+1, arg.typ)
 			}
 		}
 	}
@@ -602,7 +572,7 @@ func (v *verifier) checkCall(pc int, ins Instruction, st *vstate) error {
 	for r := R1; r <= R5; r++ {
 		st.regs[r] = vreg{}
 	}
-	if sig.retMapValue {
+	if h.retMapValue {
 		st.regs[R0] = vreg{typ: tMapValueOrNull, mapIdx: mapIdx, id: v.newID()}
 	} else {
 		st.regs[R0] = scalarUnknown()

@@ -459,8 +459,8 @@ func TestOperandlessJumpsIgnoreSrc(t *testing.T) {
 }
 
 // TestCompiledRunZeroAllocs is the reuse contract: steady-state Run —
-// short filter, map-heavy policy, tail-call chain — performs zero heap
-// allocations per run.
+// short filter, map-heavy policy, tail-call chain, every other helper —
+// performs zero heap allocations per run.
 func TestCompiledRunZeroAllocs(t *testing.T) {
 	arr := MustNewMap(MapSpec{Name: "za", Type: MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 8})
 	progArr := MustNewMap(MapSpec{Name: "zp", Type: MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 4})
@@ -497,6 +497,17 @@ func TestCompiledRunZeroAllocs(t *testing.T) {
 	if err := progArr.UpdateProg(1, leaf); err != nil {
 		t.Fatal(err)
 	}
+	// Every other helper body: an update in place, a delete that misses
+	// (-1, no error to format), the clock, the PRNG and the CPU id.
+	hashFD := table.Register(MustNewMap(MapSpec{Name: "zh", Type: MapHash, KeySize: 4, ValueSize: 8, MaxEntries: 4}))
+	others := MustLoad("za_helpers", slices.Concat(
+		[]Instruction{StImm(8, R10, -8, 1)},
+		LoadMapFD(R1, arrFD),
+		[]Instruction{MovReg(R2, R10), ALUImm(ALUAdd, R2, -8), MovReg(R3, R2), MovImm(R4, 0), Call(HelperMapUpdate)},
+		LoadMapFD(R1, hashFD),
+		[]Instruction{MovReg(R2, R10), ALUImm(ALUAdd, R2, -8), Call(HelperMapDelete),
+			Call(HelperKtimeGetNS), Call(HelperPrandomU32), Call(HelperGetSmpProcID), Exit()},
+	), LoadOptions{MapTable: table})
 
 	env := diffEnv()
 	ctx := &Ctx{Packet: make([]byte, 64), Hash: 0xabcd}
@@ -507,6 +518,7 @@ func TestCompiledRunZeroAllocs(t *testing.T) {
 		{"short_filter", short},
 		{"map_policy", mapHeavy},
 		{"tailcall_chain", chain},
+		{"every_other_helper", others},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Warm the map-value region slice.

@@ -180,7 +180,7 @@ func (s *slot) close() {
 	for _, port := range s.ports {
 		var key [4]byte
 		binary.LittleEndian.PutUint32(key[:], uint32(port))
-		_ = s.disp.portMap.Delete(key[:]) // absent entries are fine
+		s.disp.portMap.Delete(key[:]) // absent entries are fine
 	}
 	s.disp.held[s.index] = false
 }

@@ -283,7 +283,7 @@ func (rs *runState) mapLookup(*Program) (*Program, error) {
 
 // mapUpdate fails (-1) on an injected map-full exactly as on a real one.
 func (rs *runState) mapUpdate(*Program) (*Program, error) {
-	return rs.status(rs.env.Faults.Fire(faults.SiteHelperUpdate) || rs.m.Update(rs.key, rs.val) != nil)
+	return rs.status(rs.env.Faults.Fire(faults.SiteHelperUpdate) || !rs.m.store(rs.key, rs.val))
 }
 
 func (rs *runState) mapDelete(*Program) (*Program, error) { return rs.status(!rs.m.Delete(rs.key)) }

@@ -145,27 +145,28 @@ func (m *Map) Update(key, value []byte) error {
 	if uint32(len(value)) != m.spec.ValueSize {
 		return fmt.Errorf("ebpf: map %q: value size %d, want %d", m.spec.Name, len(value), m.spec.ValueSize)
 	}
-	switch m.spec.Type {
-	case MapArray:
-		idx := binary.LittleEndian.Uint32(key)
-		if idx >= m.spec.MaxEntries {
-			return fmt.Errorf("ebpf: array map %q: index %d out of range", m.spec.Name, idx)
-		}
-		vs := int(m.spec.ValueSize)
-		copy(m.arrayData[int(idx)*vs:], value)
-	case MapHash:
-		if v, ok := m.hashData[string(key)]; ok {
-			copy(v, value)
-		} else {
-			if uint32(len(m.hashData)) >= m.spec.MaxEntries {
-				return fmt.Errorf("ebpf: hash map %q full (%d entries)", m.spec.Name, m.spec.MaxEntries)
-			}
-			v := make([]byte, m.spec.ValueSize)
-			copy(v, value)
-			m.hashData[string(key)] = v
-		}
+	if m.store(key, value) {
+		return nil
 	}
-	return nil
+	if m.spec.Type == MapArray {
+		return fmt.Errorf("ebpf: array map %q: index %d out of range", m.spec.Name, binary.LittleEndian.Uint32(key))
+	}
+	return fmt.Errorf("ebpf: hash map %q full (%d entries)", m.spec.Name, m.spec.MaxEntries)
+}
+
+// store is Update past its checks of key and value. It reports an array
+// index out of range or a full hash as false and formats nothing, so a
+// failing map_update_elem allocates nothing.
+func (m *Map) store(key, value []byte) bool {
+	if v := m.lookupRef(key); v != nil {
+		copy(v, value)
+		return true
+	}
+	if m.spec.Type != MapHash || uint32(len(m.hashData)) >= m.spec.MaxEntries {
+		return false
+	}
+	m.hashData[string(key)] = append(make([]byte, 0, m.spec.ValueSize), value...)
+	return true
 }
 
 // Delete removes key's hash entry and reports whether there was one. An

@@ -459,8 +459,8 @@ func TestOperandlessJumpsIgnoreSrc(t *testing.T) {
 }
 
 // TestCompiledRunZeroAllocs is the reuse contract: steady-state Run —
-// short filter, map-heavy policy, tail-call chain, every other helper —
-// performs zero heap allocations per run.
+// short filter, map-heavy policy, tail-call chain, every other helper,
+// failing map updates — performs zero heap allocations per run.
 func TestCompiledRunZeroAllocs(t *testing.T) {
 	arr := MustNewMap(MapSpec{Name: "za", Type: MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 8})
 	progArr := MustNewMap(MapSpec{Name: "zp", Type: MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 4})
@@ -508,9 +508,23 @@ func TestCompiledRunZeroAllocs(t *testing.T) {
 		[]Instruction{MovReg(R2, R10), ALUImm(ALUAdd, R2, -8), Call(HelperMapDelete),
 			Call(HelperKtimeGetNS), Call(HelperPrandomU32), Call(HelperGetSmpProcID), Exit()},
 	), LoadOptions{MapTable: table})
+	// Two map_update_elem calls that fail, -1 each with no error to
+	// format: index 9 of the 8-entry array, and a new key into a full hash.
+	full := MustNewMap(MapSpec{Name: "zf", Type: MapHash, KeySize: 4, ValueSize: 8, MaxEntries: 1})
+	if err := full.Update(make([]byte, 4), make([]byte, 8)); err != nil {
+		t.Fatal(err)
+	}
+	update := []Instruction{MovReg(R2, R10), ALUImm(ALUAdd, R2, -8), MovReg(R3, R2), MovImm(R4, 0), Call(HelperMapUpdate)}
+	failing := MustLoad("za_failing_update", slices.Concat(
+		[]Instruction{StImm(8, R10, -8, 9)}, LoadMapFD(R1, arrFD), update, []Instruction{MovReg(R6, R0)},
+		LoadMapFD(R1, table.Register(full)), update, []Instruction{ALUReg(ALUAdd, R0, R6), Exit()},
+	), LoadOptions{MapTable: table})
 
 	env := diffEnv()
 	ctx := &Ctx{Packet: make([]byte, 64), Hash: 0xabcd}
+	if ret, _, err := failing.Run(ctx, env); err != nil || ret != 0xfffffffe {
+		t.Fatalf("failing updates returned %#x, %v; want -1 twice", ret, err)
+	}
 	for _, tc := range []struct {
 		name string
 		p    *Program
@@ -519,6 +533,7 @@ func TestCompiledRunZeroAllocs(t *testing.T) {
 		{"map_policy", mapHeavy},
 		{"tailcall_chain", chain},
 		{"every_other_helper", others},
+		{"failing_update", failing},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Warm the map-value region slice.

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check check-benchmark check-386 bench bench-cluster bench-dispatch bench-engine bench-obs fuzz clean
+.PHONY: build test vet race check check-benchmark check-386 mutants bench bench-cluster bench-dispatch bench-engine bench-obs fuzz clean
 
 build:
 	$(GO) build ./...
@@ -55,10 +55,17 @@ check-386:
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./...
 
+# Do the gates bite? Every committed mutant, a patch under a package's
+# testdata/mutants/ that names its gate, is overlaid on a copy of the
+# files it touches and must fail that gate; the comment-only fixture must
+# survive it, which shows the runner can fail. See mutants.sh (~20 s).
+mutants:
+	GO=$(GO) sh mutants.sh
+
 # check is the PR gate. Every differential, determinism, chaos and
 # zero-alloc test is a plain test of its package, so race and test run
 # them all; DESIGN.md names each one with its go test command.
-check: build vet race test check-benchmark check-386
+check: build vet race test check-benchmark check-386 mutants
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -482,8 +482,8 @@ func (a *assembler) expect(toks ...string) {
 	}
 }
 
-// blanks separate tokens. They are RE2's \s, so that the oracle of
-// FuzzAssembleMatchesOracle splits every line the same way.
+// blanks separate tokens: space, tab, newline, form feed and carriage
+// return, the set RE2 spells \s. A vertical tab is not one.
 const blanks = " \t\n\f\r"
 
 func (a *assembler) blank() {

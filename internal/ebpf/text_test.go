@@ -162,19 +162,44 @@ exit
 	}
 }
 
+// TestAssembleCondJumps: every conditional jump's symbol, in both widths,
+// against an immediate and a register, assembles to the builders'
+// encoding. The symbols are spelled here, not read from jmpSymbol, which
+// the renderer reads too, so a round trip cannot see two of them swapped.
 func TestAssembleCondJumps(t *testing.T) {
-	src := `
-r0 = 10
-if r0 s> 5 goto big
-r0 = 0
-exit
-big:
-r0 = 1
-exit
-`
-	p, _ := assembleLoad(t, src, nil)
-	if got := run(t, p, &Ctx{}, nil); got != 1 {
-		t.Fatalf("signed jump = %d", got)
+	for _, tc := range []struct {
+		sym string
+		op  uint8
+	}{
+		{"==", JmpEq}, {"!=", JmpNe}, {">", JmpGt}, {">=", JmpGe}, {"<", JmpLt}, {"<=", JmpLe},
+		{"s>", JmpSGt}, {"s>=", JmpSGe}, {"s<", JmpSLt}, {"s<=", JmpSLe}, {"&", JmpSet},
+	} {
+		src := strings.ReplaceAll("if r1 OP -3 goto out\nif r1 OP r2 goto out\nif w1 OP 7 goto out\nif w1 OP w2 goto out\nout:\nexit", "OP", tc.sym)
+		want := []Instruction{JmpImm(tc.op, R1, -3, 3), JmpReg(tc.op, R1, R2, 2), Jmp32Imm(tc.op, R1, 7, 1), Jmp32Reg(tc.op, R1, R2, 0), Exit()}
+		if f, err := Assemble(src, nil); err != nil || !slices.Equal(f.Insns, want) {
+			t.Errorf("%q: err %v, got %v, want %v", tc.sym, err, f, want)
+		}
+	}
+}
+
+// TestAssembleWidths: each width's name assembles to its size field in a
+// load, a register store and an immediate store, and renders back by that
+// name. The round trips cannot see two names swapped, because the parser
+// and the renderer read the same widths table; the builders take bytes.
+func TestAssembleWidths(t *testing.T) {
+	for _, w := range []struct {
+		name string
+		size int
+	}{{"u8", 1}, {"u16", 2}, {"u32", 4}, {"u64", 8}} {
+		src := strings.ReplaceAll("r0 = *(uN *)(r10 -8)\n*(uN *)(r10 -8) = r0\n*(uN *)(r10 -8) = 1\nexit", "uN", w.name)
+		want := []Instruction{Ldx(w.size, R0, R10, -8), Stx(w.size, R10, R0, -8), StImm(w.size, R10, -8, 1), Exit()}
+		f, err := Assemble(src, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		if text := f.Text(); !slices.Equal(f.Insns, want) || text != "  "+strings.ReplaceAll(src, "\n", "\n  ")+"\n" {
+			t.Errorf("%s: got %v, want %v, rendered:\n%s", w.name, f.Insns, want, text)
+		}
 	}
 }
 
@@ -304,6 +329,7 @@ func TestAssembleErrors(t *testing.T) {
 		{"trailing-call", "call map_lookup_elem x\nexit", "cannot parse"},
 		{"trailing-store", "r0 = 0\n*(u64 *)(r10 - 8) = r0 r1\nexit", "cannot parse"},
 		{"signed-register", "r0 = r+1\nexit", "bad register"},
+		{"signed-register-operand", "r0 += -r1\nexit", "bad immediate"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

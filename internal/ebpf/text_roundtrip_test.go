@@ -1,8 +1,16 @@
 package ebpf
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -171,4 +179,80 @@ func TestTextRoundTripFuzz(t *testing.T) {
 		t.Fatal("fuzzer never produced an accepted program")
 	}
 	t.Logf("round-trip fuzz: %d accepted programs round-tripped, %d non-renderable skipped", accepted, skipped)
+}
+
+// FuzzAssembleMatchesOracle holds Assemble to the two references it is
+// read against: the source and the text it renders. Of a file it accepts,
+// each slot names a statement line of the source (not a blank, a comment,
+// a label or a directive), one slot or LDDW pair per statement line in
+// order; each map names its .map line; SourceLines counts the non-blank
+// lines; and Text() passes rtCheck. The seeds are every shipped policy
+// and every string literal of text_test.go, which holds the TestAssemble*
+// sources; plain `go test` replays them, `make fuzz` runs on. A round
+// trip cannot see two names of one table swapped, since the parser and
+// the renderer read the same table: testdata/mutants shows which rows of
+// text_test.go catch that.
+func FuzzAssembleMatchesOracle(f *testing.F) {
+	policies, err := filepath.Glob("../policy/policies/*.syr")
+	if err != nil || len(policies) == 0 {
+		f.Fatalf("policy files: %v %v", policies, err)
+	}
+	for _, name := range policies {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	file, err := parser.ParseFile(token.NewFileSet(), "text_test.go", nil, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ast.Inspect(file, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			s, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(s)
+		}
+		return true
+	})
+	f.Fuzz(func(t *testing.T, src string) {
+		a, err := Assemble(src, nil)
+		if err != nil {
+			return
+		}
+		var stmts, maps []int // the source's statement and .map lines
+		nonBlank := 0
+		for i, line := range strings.Split(src, "\n") {
+			for _, c := range []string{";", "#", "//"} {
+				line, _, _ = strings.Cut(line, c)
+			}
+			switch line = strings.TrimSpace(line); {
+			case line == "":
+				continue
+			case strings.HasPrefix(line, ".map"):
+				maps = append(maps, i+1)
+			case line[0] != '.' && !strings.HasSuffix(line, ":"):
+				stmts = append(stmts, i+1)
+			}
+			nonBlank++
+		}
+		var slots []int // each statement's line, once per slot or LDDW pair
+		for pc := 0; pc < len(a.Insns); pc++ {
+			if a.Insns[pc].IsLDDW() && pc+1 < len(a.Insns) {
+				if a.lines[pc+1] != a.lines[pc] {
+					t.Fatalf("LDDW at slot %d spans lines %d and %d\nsource:\n%s", pc, a.lines[pc], a.lines[pc+1], src)
+				}
+				pc++
+			}
+			slots = append(slots, a.lines[pc])
+		}
+		if !slices.Equal(slots, stmts) || !slices.Equal(a.mapLines, maps) || a.SourceLines != nonBlank {
+			t.Fatalf("slot lines %v, want %v; map lines %v, want %v; SourceLines %d, want %d\nsource:\n%s",
+				slots, stmts, a.mapLines, maps, a.SourceLines, nonBlank, src)
+		}
+		rtCheck(t, a)
+	})
 }

@@ -14,11 +14,13 @@ import (
 // nanoseconds) in log-linear buckets: values below 64 are exact, larger
 // values use 64 linear sub-buckets per power of two, bounding relative
 // bucketing error by 1/64 (<1.6%) across the whole int64 range — the same
-// trade-off HdrHistogram makes. A new histogram holds the buckets up to
-// 2^30 ns (about a second) and grows once to the whole range on the first
-// sample past them. The zero value is not usable; call NewHistogram.
+// trade-off HdrHistogram makes. counts holds a window of whole octaves,
+// the buckets [base, base+len(counts)): a new histogram holds [2^13,
+// 2^22) ns, and a sample outside the window widens it once to the
+// sample's octave. The zero value is not usable; call NewHistogram.
 type Histogram struct {
 	counts []uint64
+	base   int
 	count  uint64
 	sum    float64
 	min    int64
@@ -27,29 +29,44 @@ type Histogram struct {
 
 const (
 	subBuckets = 64
-	// Octaves 6..62 (57 of them; no int64 reaches 2^63) each contribute
-	// subBuckets buckets after the exact low range, so 64 + 56*64 + 63 =
-	// 3711, bucketIndex(math.MaxInt64), is the largest index.
+	// The exact low range and octaves 6..62 (57 of them; no int64 reaches
+	// 2^63) each hold subBuckets buckets, so 58*64 - 1 = 3711,
+	// bucketIndex(math.MaxInt64), is the largest index. Octave k starts at
+	// bucket (k-5)*subBuckets.
 	bucketCount = subBuckets + 57*subBuckets
-	// eagerBuckets, bucketIndex(1<<30)+1, is what NewHistogram allocates
-	// (12.5 KiB): the simulated latencies stay far below a second. It is
-	// a constant rather than grown from zero so that a run's histograms
-	// are allocated when they are built, not on their first samples.
-	eagerBuckets = subBuckets + 24*subBuckets + 1
+	// eagerBase and eagerEnd bound the nine octaves [2^13, 2^22) ns that
+	// NewHistogram allocates (576 buckets, 4.5 KiB): every simulated
+	// request pays at least 10 µs of wire, and no benchmark workload
+	// records a latency of 2 ms. They are allocated when the histogram is
+	// built, not on its first sample, so that a run's histograms are
+	// allocated before it is timed.
+	eagerBase = (13 - 5) * subBuckets
+	eagerEnd  = (22 - 5) * subBuckets
 )
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	return &Histogram{counts: make([]uint64, eagerBuckets), min: math.MaxInt64}
+	return &Histogram{counts: make([]uint64, eagerEnd-eagerBase), base: eagerBase, min: math.MaxInt64}
 }
 
-// grow extends c with zero buckets to length n; it returns c unchanged
-// when c is that long already.
-func grow(c []uint64, n int) []uint64 {
-	if len(c) >= n {
-		return c
+// widen returns the buckets c, which start at bucket from, laid out anew
+// in n zeroed buckets that start at bucket to <= from.
+func widen(c []uint64, from, to, n int) []uint64 {
+	w := make([]uint64, n)
+	copy(w[from-to:], c)
+	return w
+}
+
+// cover widens the window by whole octaves, if it must, until it holds
+// buckets lo..hi.
+func (h *Histogram) cover(lo, hi int) {
+	if lo >= h.base && hi < h.base+len(h.counts) {
+		return
 	}
-	return append(c, make([]uint64, n-len(c))...)
+	base := min(h.base, lo&^(subBuckets-1))
+	end := max(h.base+len(h.counts), hi|(subBuckets-1)+1)
+	h.counts = widen(h.counts, h.base, base, end-base)
+	h.base = base
 }
 
 // bucketIndex maps a sample to its bucket.
@@ -78,10 +95,12 @@ func (h *Histogram) Record(v int64) {
 		v = 0
 	}
 	i := bucketIndex(v)
-	if i >= len(h.counts) {
-		h.counts = grow(h.counts, bucketCount)
+	if j := i - h.base; uint(j) < uint(len(h.counts)) {
+		h.counts[j]++
+	} else {
+		h.cover(i, i)
+		h.counts[i-h.base]++
 	}
-	h.counts[i]++
 	h.count++
 	h.sum += float64(v)
 	if v < h.min {
@@ -122,8 +141,11 @@ func (h *Histogram) Max() int64 {
 // span returns the occupied bucket range [lo, hi] of a non-empty
 // histogram: min and max are exact, so every non-zero bucket lies between
 // theirs. It is derived at read time — Record pays nothing for it — and
-// lets readers walk the few hundred buckets in use instead of all of them.
+// lets readers walk the few hundred buckets in use instead of the window.
 func (h *Histogram) span() (lo, hi int) { return bucketIndex(h.min), bucketIndex(h.max) }
+
+// spanCounts returns the counts of the buckets lo..hi of the span.
+func (h *Histogram) spanCounts(lo, hi int) []uint64 { return h.counts[lo-h.base : hi+1-h.base] }
 
 // rankOf returns the 1-based rank of quantile p (percent) among n samples.
 func rankOf(p float64, n uint64) uint64 {
@@ -138,15 +160,15 @@ func rankOf(p float64, n uint64) uint64 {
 }
 
 // resolve is the one rank-resolving bucket walk behind Percentile,
-// Percentiles, Summarize and HistogramWindow.Advance. It walks buckets
-// lo..hi once, stopping at the last quantile, and stores in out[k] the
-// lower bound of the bucket holding the sample of rank rankOf(ps[k], n);
-// ps must be ascending. A non-nil prev is a baseline: the walk then reads
-// the interval counts[i]-prev[i] instead of counts[i].
-func resolve(counts, prev []uint64, lo, hi int, n uint64, ps []float64, out []int64) {
-	counts = counts[lo : hi+1]
+// Percentiles, Summarize and HistogramWindow.Advance. It walks counts,
+// the buckets of a span from bucket lo, once, stopping at the last
+// quantile, and stores in out[k] the lower bound of the bucket holding the
+// sample of rank rankOf(ps[k], n); ps must be ascending. A non-nil prev is
+// the baseline of the same buckets: the walk then reads the interval
+// counts[i]-prev[i] instead of counts[i].
+func resolve(counts, prev []uint64, lo int, n uint64, ps []float64, out []int64) {
 	if prev != nil {
-		prev = prev[lo:][:len(counts)]
+		prev = prev[:len(counts)]
 	}
 	var seen uint64
 	i := 0
@@ -181,7 +203,7 @@ func (h *Histogram) Percentiles(ps []float64, out []int64) {
 		out[m] = h.max
 	}
 	lo, hi := h.span()
-	resolve(h.counts, nil, lo, hi, h.count, ps[:m], out)
+	resolve(h.spanCounts(lo, hi), nil, lo, h.count, ps[:m], out)
 	// Only the first occupied bucket can start below min, and none in the
 	// span starts above max.
 	for k := 0; k < m && out[k] < h.min; k++ {
@@ -196,22 +218,22 @@ func (h *Histogram) Percentile(p float64) int64 {
 	return out[0]
 }
 
-// Merge adds all samples of other into h.
+// Merge adds all samples of other into h. It reads only other's occupied
+// span, so h widens only to what other holds, not to other's window.
 func (h *Histogram) Merge(other *Histogram) {
-	h.counts = grow(h.counts, len(other.counts))
-	for i, c := range other.counts {
-		h.counts[i] += c
+	if other.count == 0 {
+		return
+	}
+	lo, hi := other.span()
+	h.cover(lo, hi)
+	dst := h.spanCounts(lo, hi)
+	for i, c := range other.spanCounts(lo, hi) {
+		dst[i] += c
 	}
 	h.count += other.count
 	h.sum += other.sum
-	if other.count > 0 {
-		if other.min < h.min {
-			h.min = other.min
-		}
-		if other.max > h.max {
-			h.max = other.max
-		}
-	}
+	h.min = min(h.min, other.min)
+	h.max = max(h.max, other.max)
 }
 
 // String summarizes the distribution in microseconds.

@@ -134,9 +134,9 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-// fullHistogram is a histogram that holds every bucket of the int64 range
-// from the start, as NewHistogram allocated before it held only those up
-// to 2^30 ns: the reference a growing histogram is held to.
+// fullHistogram is a histogram whose window holds every bucket of the
+// int64 range from the start: the reference a widening histogram is held
+// to.
 func fullHistogram(vs ...int64) *Histogram {
 	h := &Histogram{counts: make([]uint64, bucketCount), min: math.MaxInt64}
 	for _, v := range vs {
@@ -173,79 +173,110 @@ func sameReads(t *testing.T, what string, got, want *Histogram) {
 	}
 }
 
-// TestGrowthMatchesFullRange: a histogram that starts with the buckets up
-// to 2^30 ns and grows once past them reads exactly like one that held the
-// whole int64 range from the start — samples below, at and above 2^30 and
-// MaxInt64, every Merge direction, and a window advancing across the tick
-// on which the histogram grows.
+// octave returns the first bucket of the octave holding v: the bucket a
+// window widened to v starts at, or ends before.
+func octave(v int64) int { return bucketIndex(v) &^ (subBuckets - 1) }
+
+// TestGrowthMatchesFullRange: a histogram that starts with the octaves
+// [2^13, 2^22) ns and widens by whole octaves to samples below and above
+// them reads exactly like one that held the whole int64 range from the
+// start — samples at both edges, below, above, 0 and MaxInt64, every Merge
+// direction (spans inside, across and wholly outside the window), and
+// windows advancing across a downward and an upward growth tick.
 func TestGrowthMatchesFullRange(t *testing.T) {
-	if eagerBuckets != bucketIndex(1<<30)+1 || bucketIndex(1<<31) < eagerBuckets {
-		t.Fatalf("eagerBuckets = %d, want bucketIndex(2^30)+1 = %d", eagerBuckets, bucketIndex(1<<30)+1)
+	if eagerBase != octave(1<<13) || eagerEnd != octave(1<<22) || eagerEnd-eagerBase != 576 {
+		t.Fatalf("eager window [%d, %d), want [%d, %d): the 576 buckets of [2^13, 2^22)",
+			eagerBase, eagerEnd, octave(1<<13), octave(1<<22))
 	}
 	h, ref := NewHistogram(), fullHistogram()
-	win, refWin := NewHistogramWindow(h), NewHistogramWindow(ref)
+	// every advances on every tick; odd on every other, so one of its
+	// intervals spans both growth ticks; late starts after the first.
+	every, refEvery := NewHistogramWindow(h), NewHistogramWindow(ref)
+	odd, refOdd := NewHistogramWindow(h), NewHistogramWindow(ref)
+	var late, refLate *HistogramWindow
 	ticks := []struct {
-		vs    []int64
-		grown bool
+		vs        []int64
+		base, end int
 	}{
-		{[]int64{20_000, 35_000, 1<<30 - 1}, false},
-		{[]int64{1 << 30, 40_000, 1<<30 + 1}, false}, // 2^30 lands in the last eager bucket
-		{nil, false},
-		{[]int64{1 << 31, 50_000, 1 << 30}, true}, // the growth tick
-		{[]int64{math.MaxInt64, 0, -3}, true},
-		{[]int64{60_000}, true},
+		{[]int64{20_000, 1 << 13, 35_000, 1<<22 - 1}, eagerBase, eagerEnd}, // both edges
+		{nil, eagerBase, eagerEnd},
+		{[]int64{1<<13 - 1, 40_000}, octave(1 << 12), eagerEnd},      // downward, one octave
+		{[]int64{5_000, 1 << 12}, octave(1 << 12), eagerEnd},         // inside the new octave
+		{[]int64{1 << 22, 50_000}, octave(1 << 12), octave(1 << 23)}, // upward, one octave
+		{[]int64{300, 1 << 30}, octave(300), octave(1 << 31)},        // several octaves each way
+		{[]int64{math.MaxInt64, 0, -3}, 0, bucketCount},
+		{[]int64{60_000}, 0, bucketCount},
 	}
 	for i, tick := range ticks {
 		for _, v := range tick.vs {
 			h.Record(v)
 			ref.Record(v)
 		}
-		want := eagerBuckets
-		if tick.grown {
-			want = bucketCount
-		}
-		if len(h.counts) != want {
-			t.Fatalf("tick %d: %d buckets, want %d", i, len(h.counts), want)
+		if h.base != tick.base || h.base+len(h.counts) != tick.end {
+			t.Fatalf("tick %d: window [%d, %d), want [%d, %d)", i, h.base, h.base+len(h.counts), tick.base, tick.end)
 		}
 		sameReads(t, fmt.Sprint("after tick ", i), h, ref)
-		if got, want := win.Advance(), refWin.Advance(); got != want {
-			t.Fatalf("tick %d: Advance = %+v, reference %+v", i, got, want)
+		wins := []*HistogramWindow{every}
+		refs := []*HistogramWindow{refEvery}
+		if i%2 == 1 {
+			wins, refs = append(wins, odd), append(refs, refOdd)
 		}
-		if len(win.prev) != len(h.counts) {
-			t.Fatalf("tick %d: window baseline of %d buckets over a histogram of %d", i, len(win.prev), len(h.counts))
+		if late != nil {
+			wins, refs = append(wins, late), append(refs, refLate)
+		}
+		for k, w := range wins {
+			if got, want := w.Advance(), refs[k].Advance(); got != want {
+				t.Fatalf("tick %d window %d: Advance = %+v, reference %+v", i, k, got, want)
+			}
+			if w.base != h.base || len(w.prev) != len(h.counts) {
+				t.Fatalf("tick %d window %d: baseline [%d, %d) over a histogram of [%d, %d)", i, k,
+					w.base, w.base+len(w.prev), h.base, h.base+len(h.counts))
+			}
+		}
+		if late == nil {
+			late, refLate = NewHistogramWindow(h), NewHistogramWindow(ref)
 		}
 	}
 
-	short := []int64{10_000, 12_000, 1 << 30, 7}
-	long := []int64{30_000, 1 << 40, math.MaxInt64}
-	for _, c := range []struct {
-		name     string
-		into, vs []int64
+	sets := []struct {
+		name string
+		vs   []int64
 	}{
-		{"short into long", long, short},
-		{"long into short", short, long},
-		{"empty into short", short, nil},
-		{"empty into long", long, nil},
-		{"short into empty", nil, short},
-		{"long into empty", nil, long},
-		{"empty into empty", nil, nil},
-	} {
-		got := newHistogram(c.into...)
-		got.Merge(newHistogram(c.vs...))
-		want := fullHistogram(c.into...)
-		want.Merge(fullHistogram(c.vs...))
-		sameReads(t, c.name, got, want)
-		// A merged histogram keeps recording past 2^30 like the reference.
-		got.Record(1 << 35)
-		want.Record(1 << 35)
-		sameReads(t, c.name+", then 2^35", got, want)
+		{"empty", nil},
+		{"eager", []int64{10_000, 12_000, 1 << 13, 1<<22 - 1}},
+		{"across low", []int64{7, 300, 30_000}},
+		{"across high", []int64{30_000, 1 << 40, math.MaxInt64}},
+		{"below", []int64{0, 7, 300, 5_000}}, // a span wholly below the eager window
+		{"above", []int64{1 << 23, 1 << 30}}, // and wholly above it
+	}
+	for _, into := range sets {
+		for _, from := range sets {
+			what := from.name + " into " + into.name
+			got, other := newHistogram(into.vs...), newHistogram(from.vs...)
+			got.Merge(other)
+			want := fullHistogram(into.vs...)
+			want.Merge(fullHistogram(from.vs...))
+			sameReads(t, what, got, want)
+			if other.count > 0 {
+				if lo, hi := other.span(); lo < got.base || hi >= got.base+len(got.counts) {
+					t.Fatalf("%s: window [%d, %d) misses the merged span [%d, %d]", what, got.base, got.base+len(got.counts), lo, hi)
+				}
+			}
+			// A merged histogram keeps recording outside its window like
+			// the reference.
+			got.Record(1 << 35)
+			want.Record(1 << 35)
+			got.Record(3)
+			want.Record(3)
+			sameReads(t, what+", then 2^35 and 3", got, want)
+		}
 	}
 }
 
 // TestNewHistogramAllocation pins what a histogram costs before its first
-// sample: the 1 601 buckets up to 2^30 ns (12.5 KiB, which the allocator
-// rounds to its 13.25 KiB size class) and the header — under 14 KiB, where
-// the whole range's 3 712 buckets took 29 KiB (32 KiB rounded).
+// sample: the 576 buckets of [2^13, 2^22) ns (4.5 KiB, which the allocator
+// rounds to its 4.75 KiB size class) and the header — under 5 KiB, where
+// the 1 601 buckets up to 2^30 ns took 13.25 KiB after rounding.
 func TestNewHistogramAllocation(t *testing.T) {
 	keep := make([]*Histogram, 64)
 	var before, after runtime.MemStats
@@ -254,8 +285,8 @@ func TestNewHistogramAllocation(t *testing.T) {
 		keep[i] = NewHistogram()
 	}
 	runtime.ReadMemStats(&after)
-	if per := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(keep)) / 1024; per > 14 {
-		t.Fatalf("NewHistogram allocates %.2f KiB, want <= 14", per)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(keep)) / 1024; per > 5 {
+		t.Fatalf("NewHistogram allocates %.2f KiB, want <= 5", per)
 	}
 }
 

@@ -18,17 +18,18 @@ type WindowStats struct {
 // without samples touches no bucket at all.
 type HistogramWindow struct {
 	h *Histogram
-	// prev holds the bucket counts as of the previous Advance, and grows
-	// with h's. Buckets outside every span walked so far are zero in both
-	// prev and h.
+	// prev holds the counts of buckets [base, base+len(prev)) as of the
+	// previous Advance: h's window, re-laid when h widens it. Buckets
+	// outside every span walked so far are zero in both prev and h.
 	prev      []uint64
+	base      int
 	prevCount uint64
 }
 
 // NewHistogramWindow tracks h; the first Advance covers everything
 // recorded so far.
 func NewHistogramWindow(h *Histogram) *HistogramWindow {
-	return &HistogramWindow{h: h, prev: make([]uint64, len(h.counts))}
+	return &HistogramWindow{h: h, prev: make([]uint64, len(h.counts)), base: h.base}
 }
 
 // Advance closes the current interval: it returns the stats of samples
@@ -44,10 +45,15 @@ func (w *HistogramWindow) Advance() WindowStats {
 		return WindowStats{}
 	}
 	w.prevCount = h.count
-	w.prev = grow(w.prev, len(h.counts))
+	if len(w.prev) != len(h.counts) { // h widened: it never narrows
+		w.prev = widen(w.prev, w.base, h.base, len(h.counts))
+		w.base = h.base
+	}
 	lo, hi := h.span()
+	counts := h.spanCounts(lo, hi)
+	prev := w.prev[lo-w.base:]
 	var q [2]int64
-	resolve(h.counts, w.prev, lo, hi, n, []float64{50, 99}, q[:])
-	copy(w.prev[lo:hi+1], h.counts[lo:hi+1])
+	resolve(counts, prev, lo, n, []float64{50, 99}, q[:])
+	copy(prev, counts)
 	return WindowStats{Count: n, P50: q[0], P99: q[1]}
 }

@@ -10,7 +10,9 @@ import (
 // before reads became span-bounded and single-pass: one walk over all
 // buckets per percentile, and a window that diffs every bucket into a
 // scratch array before walking it once per percentile. They are the
-// reference the differential test holds the production code to.
+// reference the differential test holds the production code to. They read
+// a histogram's counts and a window's baseline through base, as the
+// production code does, but walk every bucket of the window.
 
 func naivePercentile(h *Histogram, p float64) int64 {
 	if h.count == 0 {
@@ -30,7 +32,7 @@ func naivePercentile(h *Histogram, p float64) int64 {
 	for i, c := range h.counts {
 		seen += c
 		if seen >= rank {
-			v := bucketLow(i)
+			v := bucketLow(h.base + i)
 			if v > h.max {
 				v = h.max
 			}
@@ -55,6 +57,8 @@ func naiveSummarize(h *Histogram) Summary {
 	}
 }
 
+// naiveWindow keeps its baseline and interval over the whole int64 range,
+// indexed by bucket.
 type naiveWindow struct {
 	h    *Histogram
 	prev []uint64
@@ -68,10 +72,11 @@ func newNaiveWindow(h *Histogram) *naiveWindow {
 func (w *naiveWindow) Advance() WindowStats {
 	var n uint64
 	for i, c := range w.h.counts {
-		d := c - w.prev[i]
-		w.diff[i] = d
+		b := w.h.base + i
+		d := c - w.prev[b]
+		w.diff[b] = d
 		n += d
-		w.prev[i] = c
+		w.prev[b] = c
 	}
 	if n == 0 {
 		return WindowStats{}
@@ -170,34 +175,52 @@ func TestDifferentialSpanReads(t *testing.T) {
 			if got, want := wins[i].Advance(), refs[i].Advance(); got != want {
 				t.Fatalf("seed %d final window %d: Advance = %+v, reference %+v", seed, i, got, want)
 			}
-			for b := range wins[i].prev {
-				if wins[i].prev[b] != refs[i].prev[b] {
-					t.Fatalf("seed %d window %d: baseline bucket %d = %d, reference %d", seed, i, b, wins[i].prev[b], refs[i].prev[b])
+			w := wins[i]
+			for b, c := range w.prev {
+				if want := refs[i].prev[w.base+b]; c != want {
+					t.Fatalf("seed %d window %d: baseline bucket %d = %d, reference %d", seed, i, w.base+b, c, want)
 				}
 			}
 		}
 	}
 }
 
-// TestZeroAllocHistogramReads gates the per-tick read path: a window
-// advance and a multi-quantile read must stay off the allocator.
+// TestZeroAllocHistogramReads gates the per-tick path and what keeps a
+// run's histograms out of the timed run: recording any value in the eager
+// octaves [2^13, 2^22) ns, merging two such histograms, a window advance
+// and multi-quantile reads allocate nothing and leave every window as
+// NewHistogram made it. Each run records both edges, so a narrower eager
+// window would widen, and fail the window check, even if it did so on
+// AllocsPerRun's warm-up call.
 func TestZeroAllocHistogramReads(t *testing.T) {
-	h := NewHistogram()
+	h, b := NewHistogram(), NewHistogram()
 	w := NewHistogramWindow(h)
 	var out [3]int64
-	v := int64(10_000)
+	r := rand.New(rand.NewPCG(5, 6))
 	allocs := testing.AllocsPerRun(200, func() {
-		for i := 0; i < 16; i++ {
-			v = v*5%160_000 + 10_000
-			h.Record(v)
+		for _, x := range []*Histogram{h, b} {
+			x.Record(1 << 13)
+			x.Record(1<<22 - 1)
+			for i := 0; i < 16; i++ {
+				x.Record(1<<13 + r.Int64N(1<<22-1<<13))
+			}
 		}
+		h.Merge(b)
 		w.Advance()
 		h.Percentiles([]float64{50, 99, 99.9}, out[:])
 		h.Percentile(99)
 		h.Summarize()
 	})
 	if allocs != 0 {
-		t.Fatalf("histogram reads allocate %.1f/run, want 0", allocs)
+		t.Fatalf("histogram record, merge and reads allocate %.1f/run, want 0", allocs)
+	}
+	for _, x := range []*Histogram{h, b} {
+		if x.base != eagerBase || len(x.counts) != eagerEnd-eagerBase {
+			t.Fatalf("window widened to [%d, %d), want [%d, %d)", x.base, x.base+len(x.counts), eagerBase, eagerEnd)
+		}
+	}
+	if w.base != eagerBase || len(w.prev) != eagerEnd-eagerBase {
+		t.Fatalf("baseline re-laid to [%d, %d), want [%d, %d)", w.base, w.base+len(w.prev), eagerBase, eagerEnd)
 	}
 }
 

@@ -8,8 +8,11 @@
 //
 // The recorder is built for a zero-allocation steady state: Span holds
 // only scalars and string headers (hook/policy names are static), the
-// ring is preallocated at construction, and per-stage histograms use
-// metrics.Histogram's fixed bucket array. Record on a nil recorder is a
+// ring is preallocated at construction, and a per-stage histogram
+// allocates only when a span falls outside its bucket window. A new
+// metrics.Histogram holds [8 µs, 4 ms) and most stages' spans are
+// shorter, so each stage's histogram widens once or twice, on its first
+// short spans, and then records in place. Record on a nil recorder is a
 // branch and a return, so instrumented layers carry no cost when tracing
 // is off; the gates in trace_test.go and
 // internal/sim enforce both properties under `make check`.

@@ -6,11 +6,14 @@ package experiments
 // in the verifier, scheduler, or cost model shows up here.
 
 import (
+	"bytes"
 	"fmt"
+	"regexp"
 	"runtime"
+	"runtime/pprof"
+	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"syrup/internal/apps/mica"
 	"syrup/internal/ebpf"
@@ -353,37 +356,46 @@ func TestSweepPreservesOrderAndParallelizes(t *testing.T) {
 }
 
 // TestWorkersReachTheSweep: a Workers value on a figure config sets the
-// width of that figure's sweep. The pool runs inline at width 1 and on one
-// goroutine per slot above it, so the peak goroutine count while Fig7 runs
-// is the width — a config whose Workers never reached the pool would pass
-// every digest gate (results are width-independent) and fail here. Not
-// parallel: it counts the process's goroutines.
+// width of that figure's sweep. A config whose Workers never reached the
+// pool would pass every digest gate (results are width-independent) and
+// fail here. Each Fig7 series sweeps four points. At Workers: 1 the pool
+// runs them inline and never waits for its workers; at Workers: 4 it
+// admits all four at once and never waits for a free slot, as it would at
+// any narrower width. The block profile records every wait of the pool, so
+// the verdict does not hang on when a sampler gets to run. Not parallel:
+// it sets the block profile rate.
 func TestWorkersReachTheSweep(t *testing.T) {
-	peak := func(workers int) int {
-		base := runtime.NumGoroutine()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			Fig7(Fig7Config{
-				LSLoads: loadsBetween(50_000, 350_000, 4), TotalLoad: 400_000, TokenRate: 350_000,
-				Run: RunConfig{Windows: tinyWindows, Workers: workers},
-			})
-		}()
-		most := 0
-		for {
-			select {
-			case <-done:
-				return most
-			case <-time.After(50 * time.Microsecond):
-				most = max(most, runtime.NumGoroutine()-base-1)
+	runtime.SetBlockProfileRate(1)
+	defer runtime.SetBlockProfileRate(0)
+	var prof bytes.Buffer
+	// waits counts the waits so far in call, made by par.Do itself.
+	waits := func(call string) int {
+		prof.Reset()
+		pprof.Lookup("block").WriteTo(&prof, 1)
+		in := regexp.MustCompile(`\t` + regexp.QuoteMeta(call) + `\+.*\n#\t\S+\tsyrup/internal/par\.Do\+`)
+		n := 0
+		for _, rec := range strings.Split(prof.String(), "\n\n") {
+			if in.MatchString(rec) {
+				head, _, _ := strings.Cut(rec, " @ ")
+				c, _ := strconv.Atoi(head[strings.LastIndex(head, " ")+1:]) // "cycles count"
+				n += c
 			}
 		}
+		return n
 	}
-	if got := peak(1); got != 0 {
-		t.Fatalf("Workers: 1 ran the sweep on %d extra goroutines, want it inline", got)
+	during := func(workers int, call string) int {
+		before := waits(call)
+		Fig7(Fig7Config{
+			LSLoads: loadsBetween(50_000, 350_000, 4), TotalLoad: 400_000, TokenRate: 350_000,
+			Run: RunConfig{Windows: tinyWindows, Workers: workers},
+		})
+		return waits(call) - before
 	}
-	if got := peak(4); got < 4 {
-		t.Fatalf("Workers: 4 reached a pool of width %d", got)
+	if n := during(1, "sync.(*WaitGroup).Wait"); n != 0 {
+		t.Fatalf("Workers: 1 waited %d times for pool workers, want the sweep inline", n)
+	}
+	if n := during(4, "runtime.chansend1"); n != 0 {
+		t.Fatalf("Workers: 4 waited %d times for a free slot among four points: a pool narrower than 4", n)
 	}
 }
 

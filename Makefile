@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check check-benchmark check-386 mutants bench bench-cluster bench-dispatch bench-engine bench-obs fuzz clean
+.PHONY: build test vet race check check-benchmark check-386 mutants kill-matrix bench bench-cluster bench-dispatch bench-engine bench-obs fuzz clean
 
 build:
 	$(GO) build ./...
@@ -57,10 +57,21 @@ check-386:
 
 # Do the gates bite? Every committed mutant, a patch under a package's
 # testdata/mutants/ that names its gate, is overlaid on a copy of the
-# files it touches and must fail that gate; the comment-only fixture must
-# survive it, which shows the runner can fail. See mutants.sh (~20 s).
+# files it touches and must fail that gate, run alone for at most 60 s;
+# the comment-only fixture must survive it, which shows the runner can
+# fail. Then the committed kill matrix must have one row per mutant with
+# its gate among its killers, and the check must fail on the planted
+# matrix. See mutants.sh (~1 min on 2 vCPUs).
 mutants:
 	GO=$(GO) sh mutants.sh
+
+# Rewrite testdata/kill_matrix.txt: each mutant against the whole suite
+# (go test -overlay -json ./...), one line per mutant naming its gate and
+# every top-level test it fails (~5 min on 2 vCPUs, ~14 from a cold
+# build cache). Not part of check: `make mutants` only checks the
+# committed matrix against the mutants.
+kill-matrix:
+	GO=$(GO) sh mutants.sh matrix
 
 # check is the PR gate. Every differential, determinism, chaos and
 # zero-alloc test is a plain test of its package, so race and test run

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -52,11 +53,15 @@ func disruption(a *Table, aNames []string, b *Table, bNames []string) float64 {
 
 // TestTableDeterministicPerSeed pins the property every other cluster
 // guarantee builds on: same backends + size + seed -> bit-identical
-// table; a different seed -> a different steering function.
+// table, its first slots spelled out (a fill in another backend order
+// moves them); a different seed -> a different steering function.
 func TestTableDeterministicPerSeed(t *testing.T) {
 	a, err := NewTable(names(8), 251, 42)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := fmt.Sprint(a.entries[:12]); got != "[0 3 5 2 5 7 1 4 0 4 3 2]" {
+		t.Fatalf("seed 42 table starts %s", got)
 	}
 	b, err := NewTable(names(8), 251, 42)
 	if err != nil {

@@ -17,12 +17,7 @@ func BenchmarkVerifier(b *testing.B) {
 		m := MustNewMap(MapSpec{Name: "m", Type: MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 8})
 		tb := NewMapTable()
 		fd := tb.Register(m)
-		insns := []Instruction{StImm(4, R10, -4, 0)}
-		insns = append(insns, LoadMapFD(R1, fd)...)
-		insns = append(insns,
-			MovReg(R2, R10),
-			ALUImm(ALUAdd, R2, -4),
-			Call(HelperMapLookup),
+		insns := lookupThen(fd, 0,
 			JmpImm(JmpEq, R0, 0, 5),
 			Ldx(8, R6, R0, 0),
 			MovReg(R7, R6),
@@ -110,12 +105,7 @@ func dispatchPrograms(b *testing.B) map[string]*Program {
 	arr := MustNewMap(MapSpec{Name: "bd_state", Type: MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 8})
 	table := NewMapTable()
 	arrFD := table.Register(arr)
-	mapInsns := []Instruction{StImm(4, R10, -4, 0)}
-	mapInsns = append(mapInsns, LoadMapFD(R1, arrFD)...)
-	mapInsns = append(mapInsns,
-		MovReg(R2, R10),
-		ALUImm(ALUAdd, R2, -4),
-		Call(HelperMapLookup),
+	mapInsns := lookupThen(arrFD, 0,
 		JmpImm(JmpEq, R0, 0, 5),
 		Ldx(8, R6, R0, 0),
 		ALUImm(ALUAdd, R6, 1),

@@ -110,12 +110,7 @@ func TestInjectedLookupMissDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Return the value at key 2, or 99 on a miss.
-	insns := []Instruction{StImm(4, R10, -4, 2)}
-	insns = append(insns, LoadMapFD(R1, fd)...)
-	insns = append(insns,
-		MovReg(R2, R10),
-		ALUImm(ALUAdd, R2, -4),
-		Call(HelperMapLookup),
+	insns := lookupThen(fd, 2,
 		JmpImm(JmpEq, R0, 0, 2),
 		Ldx(8, R0, R0, 0),
 		Ja(1),

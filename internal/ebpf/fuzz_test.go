@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 )
 
@@ -101,12 +102,7 @@ func randInsn(rng *rand.Rand, table *MapTable, fd int32) []Instruction {
 				ALUReg(ALUAdd, R2, k),
 				StImm(size, R2, 0, imm()))
 		}
-		seq := append([]Instruction{StImm(4, R10, -4, int32(rng.IntN(8)))}, LoadMapFD(R1, fd)...)
-		seq = append(seq,
-			MovReg(R2, R10),
-			ALUImm(ALUAdd, R2, -4),
-			Call(HelperMapLookup),
-			JmpImm(JmpEq, R0, 0, int16(len(konst)+2)))
+		seq := lookupThen(fd, int32(rng.IntN(8)), JmpImm(JmpEq, R0, 0, int16(len(konst)+2)))
 		return append(append(seq, konst...),
 			ALUReg(ALUAdd, R0, k),
 			StImm(size, R0, 0, imm()))
@@ -149,10 +145,20 @@ func TestFuzzVerifierSoundness(t *testing.T) {
 					t.Fatalf("panic on fuzz program: %v\n%s", r, (&AsmFile{Insns: insns}).Text())
 				}
 			}()
-			if _, err := Load("fuzz", insns, LoadOptions{MapTable: table, budget: 50_000}); err != nil {
+			p, err := Load("fuzz", insns, LoadOptions{MapTable: table, budget: 50_000})
+			if err != nil {
 				return // rejected: fine
 			}
 			accepted++
+			// An accepted stream re-assembles from its text bit-identically:
+			// the verifier keeps jumps in bounds and LDDW pairs whole, which
+			// is what the renderer needs. Only dead code after an early exit
+			// can hold a jump no label names (textRenderable).
+			if src := p.TextSource(); textRenderable(p.insns) {
+				if g, err := Assemble(src, nil); err != nil || !reflect.DeepEqual(p.insns, g.Insns) {
+					t.Fatalf("accepted program does not round-trip through its text (%v):\n%s", err, src)
+				}
+			}
 			// Two identically seeded worlds, so map effects cannot make the
 			// two legs' results differ.
 			run, interp := buildDiffWorld(insns), buildDiffWorld(insns)
@@ -194,12 +200,7 @@ func FuzzRunMatchesReference(f *testing.F) {
 	}))
 	// Map-heavy counter policy against the differential world's array map
 	// (fd 3).
-	mapPolicy := []Instruction{StImm(4, R10, -4, 0)}
-	mapPolicy = append(mapPolicy, LoadMapFD(R1, 3)...)
-	mapPolicy = append(mapPolicy,
-		MovReg(R2, R10),
-		ALUImm(ALUAdd, R2, -4),
-		Call(HelperMapLookup),
+	mapPolicy := lookupThen(3, 0,
 		JmpImm(JmpEq, R0, 0, 4),
 		Ldx(8, R6, R0, 0),
 		ALUImm(ALUAdd, R6, 1),

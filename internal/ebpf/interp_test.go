@@ -79,18 +79,6 @@ func TestInterpDivModByZeroRuntime(t *testing.T) {
 	}
 }
 
-func TestInterp32BitTruncation(t *testing.T) {
-	p := wantAccept(t, []Instruction{
-		MovImm(R0, -1),          // 0xffffffffffffffff
-		ALU32Imm(ALUAdd, R0, 1), // 32-bit add → 0
-		Exit(),
-	}, nil)
-	got, _, err := p.RunRet64(&Ctx{}, nil)
-	if err != nil || got != 0 {
-		t.Fatalf("alu32 result = %#x err=%v", got, err)
-	}
-}
-
 func TestInterpArshSignExtension(t *testing.T) {
 	p := wantAccept(t, []Instruction{
 		MovImm(R0, -8),
@@ -103,6 +91,9 @@ func TestInterpArshSignExtension(t *testing.T) {
 	}
 }
 
+// TestInterpPacketReads: a checked packet pointer reads the packet's
+// bytes, a packet too short for the check takes the other path, and a
+// store through the pointer writes the packet.
 func TestInterpPacketReads(t *testing.T) {
 	// Read a u16 at offset 2 (port field of a UDP header, say).
 	p := wantAccept(t, []Instruction{
@@ -128,10 +119,9 @@ func TestInterpPacketReads(t *testing.T) {
 	if got := run(t, p, &Ctx{}, nil); got != VerdictPass {
 		t.Fatalf("empty packet = %#x, want PASS", got)
 	}
-}
 
-func TestInterpPacketWrite(t *testing.T) {
-	p := wantAccept(t, []Instruction{
+	// A store through the checked pointer writes the packet.
+	p = wantAccept(t, []Instruction{
 		Ldx(8, R2, R1, CtxOffData),
 		Ldx(8, R3, R1, CtxOffDataEnd),
 		MovReg(R4, R2),
@@ -142,7 +132,7 @@ func TestInterpPacketWrite(t *testing.T) {
 		MovImm(R0, 0),
 		Exit(),
 	}, nil)
-	pkt := []byte{0}
+	pkt = []byte{0}
 	run(t, p, &Ctx{Packet: pkt}, nil)
 	if pkt[0] != 0x5a {
 		t.Fatalf("packet write not visible: %#x", pkt[0])
@@ -170,12 +160,7 @@ func TestInterpMapLookupUpdateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Program: return value at key 2, incrementing it by 1 via direct write.
-	insns := []Instruction{StImm(4, R10, -4, 2)}
-	insns = append(insns, LoadMapFD(R1, fd)...)
-	insns = append(insns,
-		MovReg(R2, R10),
-		ALUImm(ALUAdd, R2, -4),
-		Call(HelperMapLookup),
+	insns := lookupThen(fd, 2,
 		JmpImm(JmpEq, R0, 0, 5),
 		Ldx(8, R6, R0, 0),
 		MovReg(R7, R6),
@@ -201,12 +186,7 @@ func TestInterpMapLookupUpdateRoundTrip(t *testing.T) {
 
 func TestInterpXAdd(t *testing.T) {
 	tb, m, fd := u64MapTable(t, 1)
-	insns := []Instruction{StImm(4, R10, -4, 0)}
-	insns = append(insns, LoadMapFD(R1, fd)...)
-	insns = append(insns,
-		MovReg(R2, R10),
-		ALUImm(ALUAdd, R2, -4),
-		Call(HelperMapLookup),
+	insns := lookupThen(fd, 0,
 		JmpImm(JmpEq, R0, 0, 3),
 		MovImm(R2, -1), // add -1: token consume
 		XAdd(8, R0, R2, 0),

@@ -145,13 +145,8 @@ func profShapeInsns() []Instruction {
 		JmpReg(JmpGt, R2, R7, 20), // -> tail
 		Ldx(8, R8, R6, 8),
 		JmpImm(JmpEq, R8, 99, 18), // -> tail
-		StImm(4, R10, -4, 0),
 	}
-	insns = append(insns, LoadMapFD(R1, 3)...)
-	insns = append(insns,
-		MovReg(R2, R10),
-		ALUImm(ALUAdd, R2, -4),
-		Call(HelperMapLookup),
+	insns = append(insns, lookupThen(3, 0,
 		JmpImm(JmpEq, R0, 0, 11), // -> tail
 		Ldx(8, R3, R0, 0),
 		ALUImm(ALUAdd, R3, 1),
@@ -164,7 +159,7 @@ func profShapeInsns() []Instruction {
 		ALUReg(ALUAdd, R0, R4),
 		ALUReg(ALUAdd, R0, R5),
 		Exit(),
-	)
+	)...)
 	// tail: hand the packet to prog-array slot 0 (r1 must be the ctx).
 	insns = append(insns, MovReg(R1, R9))
 	insns = append(insns, LoadMapFD(R2, 4)...)

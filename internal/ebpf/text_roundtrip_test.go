@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -40,8 +39,8 @@ func rtCheck(t *testing.T, f *AsmFile) {
 }
 
 // TestTextRoundTripForms covers every instruction form the assembler can
-// produce, including the 32-bit (w-register) ALU and jump variants, and a
-// jump to the slot one past the last.
+// produce, including the 32-bit (w-register) ALU and jump variants, a
+// jump to the slot one past the last, and a loop's backward jump.
 func TestTextRoundTripForms(t *testing.T) {
 	var insns []Instruction
 	// Every ALU op, imm and reg, 64- and 32-bit.
@@ -89,18 +88,15 @@ func TestTextRoundTripForms(t *testing.T) {
 		t.Fatal(err)
 	}
 	rtCheck(t, f)
-}
 
-// TestTextRoundTripBackwardJump pins label generation for loops.
-func TestTextRoundTripBackwardJump(t *testing.T) {
-	insns := []Instruction{
+	// A backward jump: the label is generated above its jump.
+	rtCheck(t, &AsmFile{Insns: []Instruction{
 		MovImm(R1, 4),
 		ALUImm(ALUSub, R1, 1),
 		JmpImm(JmpGt, R1, 0, -2),
 		MovImm(R0, 0),
 		Exit(),
-	}
-	rtCheck(t, &AsmFile{Insns: insns})
+	}})
 }
 
 // TestTextRoundTripMaps covers map declarations and pseudo references,
@@ -128,57 +124,6 @@ miss:
 		t.Fatal(err)
 	}
 	rtCheck(t, f)
-}
-
-// TestTextRoundTripFuzz: every verifier-accepted random stream must
-// round-trip through TextSource — the verifier guarantees jumps stay in
-// bounds and never split an LDDW pair, which is exactly what the renderer
-// needs. This reuses the soundness fuzzer's generator.
-func TestTextRoundTripFuzz(t *testing.T) {
-	rng := rand.New(rand.NewPCG(0x70ff, 0x1e55))
-	m := MustNewMap(MapSpec{Name: "fz", Type: MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 8})
-	table := NewMapTable()
-	fd := table.Register(m)
-
-	const trials = 4000
-	accepted, skipped := 0, 0
-	for trial := 0; trial < trials; trial++ {
-		n := 2 + rng.IntN(24)
-		var insns []Instruction
-		for len(insns) < n {
-			insns = append(insns, randInsn(rng, table, fd)...)
-		}
-		insns = append(insns, MovImm(R0, 0), Exit())
-
-		p, err := Load("fuzz", insns, LoadOptions{MapTable: table, budget: 50_000})
-		if err != nil {
-			continue
-		}
-		// Dead code after an early exit escapes verification and can
-		// contain jumps no label can name (into an LDDW pair, or outside
-		// the stream and the slot past its end). Those streams are
-		// documented as non-renderable; everything else must round-trip.
-		if !textRenderable(p.insns) {
-			skipped++
-			continue
-		}
-		accepted++
-		src := p.TextSource()
-		g, err := Assemble(src, nil)
-		if err != nil {
-			t.Fatalf("accepted program failed to re-assemble: %v\nsource:\n%s", err, src)
-		}
-		// Pseudo-map immediates index the maps in both forms (p.maps and
-		// the re-assembled declarations, in the same order), so the loaded
-		// stream and the re-assembled one must be bit-identical.
-		if !reflect.DeepEqual(p.insns, g.Insns) {
-			t.Fatalf("round trip changed an accepted program\nsource:\n%s\ngot:\n%s", src, g.Text())
-		}
-	}
-	if accepted == 0 {
-		t.Fatal("fuzzer never produced an accepted program")
-	}
-	t.Logf("round-trip fuzz: %d accepted programs round-tripped, %d non-renderable skipped", accepted, skipped)
 }
 
 // FuzzAssembleMatchesOracle holds Assemble to the two references it is

@@ -149,13 +149,13 @@ exit
 	}
 }
 
+// TestAssemble32BitOps: `w0 += 1` is the builders' 32-bit add, and on
+// all ones it carries out of the low half and zero-extends to 0.
 func TestAssemble32BitOps(t *testing.T) {
-	src := `
-r0 = -1
-w0 += 1
-exit
-`
-	p, _ := assembleLoad(t, src, nil)
+	p, _ := assembleLoad(t, "r0 = -1\nw0 += 1\nexit\n", nil)
+	if want := []Instruction{MovImm(R0, -1), ALU32Imm(ALUAdd, R0, 1), Exit()}; !slices.Equal(p.insns, want) {
+		t.Fatalf("assembled %v, want %v", p.insns, want)
+	}
 	got, _, err := p.RunRet64(&Ctx{}, nil)
 	if err != nil || got != 0 {
 		t.Fatalf("w0 += 1 on -1 = %#x err=%v", got, err)
@@ -164,8 +164,9 @@ exit
 
 // TestAssembleCondJumps: every conditional jump's symbol, in both widths,
 // against an immediate and a register, assembles to the builders'
-// encoding. The symbols are spelled here, not read from jmpSymbol, which
-// the renderer reads too, so a round trip cannot see two of them swapped.
+// encoding, and a 32-bit one runs on the low halves. The symbols are
+// spelled here, not read from jmpSymbol, which the renderer reads too, so
+// a round trip cannot see two of them swapped.
 func TestAssembleCondJumps(t *testing.T) {
 	for _, tc := range []struct {
 		sym string
@@ -179,6 +180,11 @@ func TestAssembleCondJumps(t *testing.T) {
 		if f, err := Assemble(src, nil); err != nil || !slices.Equal(f.Insns, want) {
 			t.Errorf("%q: err %v, got %v, want %v", tc.sym, err, f, want)
 		}
+	}
+	// A 32-bit jump compares the low halves only: all ones is 0xffffffff.
+	p, _ := assembleLoad(t, "r0 = -1\nif w0 == 0xffffffff goto yes\nr0 = 0\nexit\nyes:\nr0 = 7\nexit\n", nil)
+	if got := run(t, p, &Ctx{}, nil); got != 7 {
+		t.Fatalf("jmp32 = %d", got)
 	}
 }
 
@@ -200,22 +206,6 @@ func TestAssembleWidths(t *testing.T) {
 		if text := f.Text(); !slices.Equal(f.Insns, want) || text != "  "+strings.ReplaceAll(src, "\n", "\n  ")+"\n" {
 			t.Errorf("%s: got %v, want %v, rendered:\n%s", w.name, f.Insns, want, text)
 		}
-	}
-}
-
-func TestAssembleJmp32(t *testing.T) {
-	src := `
-r0 = -1      ; 64-bit all ones
-if w0 == 0xffffffff goto yes
-r0 = 0
-exit
-yes:
-r0 = 7
-exit
-`
-	p, _ := assembleLoad(t, src, nil)
-	if got := run(t, p, &Ctx{}, nil); got != 7 {
-		t.Fatalf("jmp32 = %d", got)
 	}
 }
 

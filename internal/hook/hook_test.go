@@ -125,6 +125,9 @@ func TestReplaceSwapsLive(t *testing.T) {
 	}
 }
 
+// TestFaultCountsAndFailsOpen: a faulting policy falls open to Pass, so
+// the layer default runs, is counted on its point and link, and emits one
+// span tagged with the error to the host's tracer.
 func TestFaultCountsAndFailsOpen(t *testing.T) {
 	// A second point faulting in the same process must not show up in
 	// this one's accounting.
@@ -132,14 +135,21 @@ func TestFaultCountsAndFailsOpen(t *testing.T) {
 	noise.Set(faultyProg(t))
 	noise.Run(Input{Packet: []byte{1}})
 
-	pt := NewPoint(newHost(), "t:fault", "")
+	h := newHost()
+	rec := trace.New(16)
+	h.Tracer = rec
+	pt := NewPoint(h, "t:fault", "")
 	l, err := pt.Attach(faultyProg(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := pt.Run(Input{Packet: []byte{1}})
+	v := pt.Run(Input{Packet: []byte{1}, Req: 42, Queue: 1})
 	if v.Action != Pass || !v.Faulted {
 		t.Fatalf("fault verdict = %+v", v)
+	}
+	if spans := rec.Spans(); len(spans) != 1 || !spans[0].Err || spans[0].Verdict != trace.VerdictFault ||
+		spans[0].Req != 42 || spans[0].Stage != trace.StageHook || spans[0].Policy != "faulty" {
+		t.Fatalf("fault spans = %+v, want one error span", spans)
 	}
 	if st := pt.Stats(); st.Faults != 1 || st.Runs != 1 || st.Passes != 0 {
 		t.Fatalf("point stats = %+v", st)
@@ -279,36 +289,6 @@ func TestTracedRunEmitsVerdictSpans(t *testing.T) {
 	h.Tracer = nil
 	if v := pt.Run(Input{Req: 8}); v.Action != Steer || rec.Total() != 1 {
 		t.Fatalf("untraced Run: verdict=%+v spans=%d", v, rec.Total())
-	}
-}
-
-// TestFaultEmitsErrorSpanAndFallsOpen pins the fault path's trace
-// contract: a faulting policy must emit a span tagged with the error
-// AND still fall open to Pass so the layer default runs.
-func TestFaultEmitsErrorSpanAndFallsOpen(t *testing.T) {
-	h := newHost()
-	pt := NewPoint(h, "t_fault_traced", "")
-	rec := trace.New(16)
-	h.Tracer = rec
-	if _, err := pt.Attach(faultyProg(t)); err != nil {
-		t.Fatal(err)
-	}
-
-	v := pt.Run(Input{Req: 42, Queue: 1})
-	if v.Action != Pass || !v.Faulted {
-		t.Fatalf("fault did not fall open: %+v", v)
-	}
-	spans := rec.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("recorded %d spans, want 1", len(spans))
-	}
-	s := spans[0]
-	if !s.Err || s.Verdict != trace.VerdictFault || s.Req != 42 ||
-		s.Stage != trace.StageHook || s.Policy != "faulty" {
-		t.Fatalf("fault span = %+v", s)
-	}
-	if st := pt.Stats(); st.Faults != 1 {
-		t.Fatalf("fault not counted: %+v", st)
 	}
 }
 

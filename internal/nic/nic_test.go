@@ -72,13 +72,18 @@ func TestRingOverflowDrops(t *testing.T) {
 	delivered := 0
 	var dev *NIC
 	dev = New(eng, Config{Queues: 1, RingSize: 8}, func(q int, pkt *Packet) { delivered++ })
-	// The host never consumes: after 8 packets the ring is full.
+	lost := 0
+	dev.OnLoss(func(uint64) { lost++ })
+	// The host never consumes: after 8 packets the ring is full. The
+	// packets come from the NIC's pool, so a drop is reported as a loss.
 	for i := 0; i < 20; i++ {
-		dev.Receive(mkPkt(uint64(i), 100, nil))
+		p := dev.NewPacket()
+		p.ID, p.SrcPort, p.DstPort = uint64(i), 100, 9000
+		dev.Receive(p)
 	}
 	eng.Run()
-	if dev.Stats.DroppedRing != 12 {
-		t.Fatalf("ring drops = %d, want 12", dev.Stats.DroppedRing)
+	if dev.Stats.DroppedRing != 12 || lost != 12 {
+		t.Fatalf("ring drops = %d, losses reported = %d, want 12", dev.Stats.DroppedRing, lost)
 	}
 	if delivered != 8 {
 		t.Fatalf("delivered = %d, want 8", delivered)

@@ -390,12 +390,13 @@ func approx(got, want float64) bool {
 }
 
 func TestSLOBurnRate(t *testing.T) {
-	// 10 samples, 1 per 10 ns; last 3 are bad (>100). Budget 0.2.
+	// 10 samples, 1 per 10 ns; last 3 are bad (>100), the rest sit at the
+	// target, which is within it. Budget 0.2.
 	var snap []SeriesJSON
 	s := SeriesJSON{Name: "p99"}
 	for i := 1; i <= 10; i++ {
 		s.T = append(s.T, int64(i*10))
-		v := 50.0
+		v := 100.0
 		if i >= 8 {
 			v = 200
 		}

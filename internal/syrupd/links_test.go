@@ -372,6 +372,10 @@ func TestDispatcherSlotsAreReused(t *testing.T) {
 	if _, err := h.d.DeployPolicy(2, HookXDPSkb, countXDP, nil); err != nil {
 		t.Fatal(err)
 	}
+	slotOf := func(app uint32) uint32 { return h.d.App(app).Link(HookXDPSkb).att.(*slot).index }
+	if got := slotOf(2); got != 0 {
+		t.Fatalf("first tenant took slot %d, want the lowest, 0", got)
+	}
 	seen := h.d.App(2).Maps()["xdp_seen"]
 	for i := 0; i < 100; i++ {
 		if _, err := h.d.DeployPolicy(1, HookXDPSkb, "r0 = PASS\nexit\n", nil); err != nil {
@@ -388,5 +392,8 @@ func TestDispatcherSlotsAreReused(t *testing.T) {
 	}
 	if _, err := h.d.DeployPolicy(3, HookXDPSkb, "r0 = PASS\nexit\n", nil); err != nil {
 		t.Fatalf("third tenant after 100 cycles: %v", err)
+	}
+	if got := slotOf(3); got != 1 {
+		t.Fatalf("third tenant took slot %d, want 1, the lowest free", got)
 	}
 }

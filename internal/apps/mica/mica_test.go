@@ -91,18 +91,23 @@ func TestKeyHashDeterministic(t *testing.T) {
 }
 
 func TestModeSyrupSWRoutesToHomePartition(t *testing.T) {
+	// 203 keys, so the partitions' loads differ and a key served from any
+	// partition but its home moves a count.
+	const n = 203
 	f := newFixture(t, 4, ModeSyrupSW)
-	f.inject(200)
-	if f.done != 200 {
-		t.Fatalf("completed %d/200", f.done)
+	f.inject(n)
+	if f.done != n {
+		t.Fatalf("completed %d/%d", f.done, n)
 	}
 	// EREW: every key must have been served by its home partition.
-	var total uint64
-	for i := 0; i < 4; i++ {
-		total += f.srv.Partition(i).Gets
+	var want [4]uint64
+	for i := range uint64(n) {
+		want[KeyHash(i)%4]++
 	}
-	if total != 200 {
-		t.Fatalf("partition gets = %d", total)
+	for i, w := range want {
+		if got := f.srv.Partition(i).Gets; got != w {
+			t.Fatalf("partition %d served %d gets, want %d (%v)", i, got, w, want)
+		}
 	}
 	// SW mode still incurs cross-queue movement but never the ring.
 	if f.srv.Forwarded != 0 {

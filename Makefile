@@ -67,8 +67,8 @@ mutants:
 
 # Rewrite testdata/kill_matrix.txt: each mutant against the whole suite
 # (go test -overlay -json ./...), one line per mutant naming its gate and
-# every top-level test it fails (~5 min on 2 vCPUs, ~14 from a cold
-# build cache). Not part of check: `make mutants` only checks the
+# every top-level test it fails (~10 min on 2 vCPUs with a warm build
+# cache). Not part of check: `make mutants` only checks the
 # committed matrix against the mutants.
 kill-matrix:
 	GO=$(GO) sh mutants.sh matrix

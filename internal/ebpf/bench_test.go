@@ -116,22 +116,10 @@ func dispatchPrograms(b *testing.B) map[string]*Program {
 	)
 	mapHeavy := load("bd_map", mapInsns, table)
 
-	progArr := MustNewMap(MapSpec{Name: "bd_chain", Type: MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 4})
-	ptable := NewMapTable()
-	progFD := ptable.Register(progArr)
+	ptable, progArr, progFD := progArrayTable("bd_chain", 4)
 	leaf := load("bd_leaf", []Instruction{MovImm(R0, 42), Exit()}, nil)
-	mid := load("bd_mid", append(LoadMapFD(R2, progFD),
-		MovImm(R3, 2),
-		Call(HelperTailCall),
-		MovImm(R0, 1),
-		Exit(),
-	), ptable)
-	root := load("bd_root", append(LoadMapFD(R2, progFD),
-		MovImm(R3, 1),
-		Call(HelperTailCall),
-		MovImm(R0, 0),
-		Exit(),
-	), ptable)
+	mid := load("bd_mid", tailCallOr(progFD, 2, 1), ptable)
+	root := load("bd_root", tailCallOr(progFD, 1, 0), ptable)
 	if err := progArr.UpdateProg(1, mid); err != nil {
 		b.Fatal(err)
 	}

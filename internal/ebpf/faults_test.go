@@ -22,18 +22,8 @@ func always(site faults.Site) *faults.Injector {
 // selfTailProg builds a verified program that tail-calls itself forever.
 func selfTailProg(t *testing.T) *Program {
 	t.Helper()
-	pa := MustNewMap(MapSpec{Name: "pa", Type: MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 1})
-	tb := NewMapTable()
-	fd := tb.Register(pa)
-	insns := []Instruction{}
-	insns = append(insns, LoadMapFD(R2, fd)...)
-	insns = append(insns,
-		MovImm(R3, 0),
-		Call(HelperTailCall),
-		MovImm(R0, -1),
-		Exit(),
-	)
-	p := wantAccept(t, insns, tb)
+	tb, pa, fd := progArrayTable("pa", 1)
+	p := wantAccept(t, tailCallOr(fd, 0, -1), tb)
 	if err := pa.UpdateProg(0, p); err != nil {
 		t.Fatal(err)
 	}
@@ -73,21 +63,11 @@ func TestTailCallBudgetDifferential(t *testing.T) {
 func TestTailCallFaultChargedToCallee(t *testing.T) {
 	target := selfTailProg(t)
 
-	pa := MustNewMap(MapSpec{Name: "root_pa", Type: MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 1})
-	tb := NewMapTable()
-	fd := tb.Register(pa)
+	tb, pa, fd := progArrayTable("root_pa", 1)
 	if err := pa.UpdateProg(0, target); err != nil {
 		t.Fatal(err)
 	}
-	insns := []Instruction{}
-	insns = append(insns, LoadMapFD(R2, fd)...)
-	insns = append(insns,
-		MovImm(R3, 0),
-		Call(HelperTailCall),
-		MovImm(R0, -1),
-		Exit(),
-	)
-	root := wantAccept(t, insns, tb)
+	root := wantAccept(t, tailCallOr(fd, 0, -1), tb)
 
 	base := target.Stats().Faults
 	if _, _, err := root.Run(&Ctx{}, nil); err == nil {
@@ -184,22 +164,12 @@ func TestInjectedUpdateFailDifferential(t *testing.T) {
 }
 
 func TestInjectedTailCallFaultDifferential(t *testing.T) {
-	pa := MustNewMap(MapSpec{Name: "pa", Type: MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 1})
-	tb := NewMapTable()
-	fd := tb.Register(pa)
+	tb, pa, fd := progArrayTable("pa", 1)
 	target := wantAccept(t, []Instruction{MovImm(R0, 77), Exit()}, nil)
 	if err := pa.UpdateProg(0, target); err != nil {
 		t.Fatal(err)
 	}
-	insns := []Instruction{}
-	insns = append(insns, LoadMapFD(R2, fd)...)
-	insns = append(insns,
-		MovImm(R3, 0),
-		Call(HelperTailCall),
-		MovImm(R0, -1),
-		Exit(),
-	)
-	root := wantAccept(t, insns, tb)
+	root := wantAccept(t, tailCallOr(fd, 0, -1), tb)
 
 	env := &Env{Faults: always(faults.SiteTailCall)}
 	_, _, errC := root.Run(&Ctx{}, env)

@@ -210,14 +210,7 @@ func FuzzRunMatchesReference(f *testing.F) {
 	)
 	f.Add(Encode(mapPolicy))
 	// Tail call through the differential world's prog array (fd 5, slot 1).
-	chain := LoadMapFD(R2, 5)
-	chain = append(chain,
-		MovImm(R3, 1),
-		Call(HelperTailCall),
-		MovImm(R0, 0),
-		Exit(),
-	)
-	f.Add(Encode(chain))
+	f.Add(Encode(tailCallOr(5, 1, 0)))
 	// A rejected program: load errors must match too.
 	f.Add(Encode([]Instruction{Ldx(8, R0, R9, 0), Exit()}))
 	// Admitted, with src fields no check covers naming registers past R10.

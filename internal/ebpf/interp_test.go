@@ -263,25 +263,14 @@ func TestInterpSmpProcessorID(t *testing.T) {
 }
 
 func TestInterpTailCall(t *testing.T) {
-	pa := MustNewMap(MapSpec{Name: "pa", Type: MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 4})
-	tb := NewMapTable()
-	fd := tb.Register(pa)
+	tb, pa, fd := progArrayTable("pa", 4)
 
 	target := wantAccept(t, []Instruction{MovImm(R0, 77), Exit()}, nil)
 	if err := pa.UpdateProg(1, target); err != nil {
 		t.Fatal(err)
 	}
 
-	insns := []Instruction{}
-	insns = append(insns, LoadMapFD(R2, fd)...)
-	insns = append(insns,
-		MovImm(R3, 1),
-		Call(HelperTailCall),
-		// Only reached if the tail call fails.
-		MovImm(R0, -1),
-		Exit(),
-	)
-	root := wantAccept(t, insns, tb)
+	root := wantAccept(t, tailCallOr(fd, 1, -1), tb)
 	ret, stats, err := root.Run(&Ctx{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -294,36 +283,18 @@ func TestInterpTailCall(t *testing.T) {
 	}
 
 	// Missing slot → fall through.
-	insns2 := []Instruction{}
-	insns2 = append(insns2, LoadMapFD(R2, fd)...)
-	insns2 = append(insns2,
-		MovImm(R3, 3), // empty slot
-		Call(HelperTailCall),
-		MovImm(R0, -1),
-		Exit(),
-	)
-	root2 := wantAccept(t, insns2, tb)
+	root2 := wantAccept(t, tailCallOr(fd, 3, -1), tb)
 	if got := run(t, root2, &Ctx{}, nil); got != VerdictPass {
 		t.Fatalf("missing tail call slot returned %#x", got)
 	}
 }
 
 func TestInterpTailCallLimit(t *testing.T) {
-	pa := MustNewMap(MapSpec{Name: "pa", Type: MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 1})
-	tb := NewMapTable()
-	fd := tb.Register(pa)
+	tb, pa, fd := progArrayTable("pa", 1)
 	// Self tail-calling program; exhausting the budget is a runtime
 	// fault (a runaway chain), not a silent fall-through — the hook
 	// layer counts it and fails open.
-	insns := []Instruction{}
-	insns = append(insns, LoadMapFD(R2, fd)...)
-	insns = append(insns,
-		MovImm(R3, 0),
-		Call(HelperTailCall),
-		MovImm(R0, -1),
-		Exit(),
-	)
-	p := wantAccept(t, insns, tb)
+	p := wantAccept(t, tailCallOr(fd, 0, -1), tb)
 	if err := pa.UpdateProg(0, p); err != nil {
 		t.Fatal(err)
 	}

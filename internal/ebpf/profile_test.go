@@ -162,14 +162,7 @@ func profShapeInsns() []Instruction {
 	)...)
 	// tail: hand the packet to prog-array slot 0 (r1 must be the ctx).
 	insns = append(insns, MovReg(R1, R9))
-	insns = append(insns, LoadMapFD(R2, 4)...)
-	insns = append(insns,
-		MovImm(R3, 0),
-		Call(HelperTailCall),
-		MovImm(R0, 0),
-		Exit(),
-	)
-	return insns
+	return append(insns, tailCallOr(4, 0, 0)...)
 }
 
 // profShapeWorld loads the every-region program and its tail-call leaf
@@ -240,20 +233,12 @@ func TestAnnotatedDisasm(t *testing.T) {
 // TestProfileTailCallAttribution: hits land on the program that executed
 // the instruction.
 func TestProfileTailCallAttribution(t *testing.T) {
-	progArr := MustNewMap(MapSpec{Name: "pfprogs", Type: MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 4})
-	table := NewMapTable()
-	table.Register(progArr) // fd 3
+	table, progArr, fd := progArrayTable("pfprogs", 4)
 	leaf := MustLoad("pfleaf", []Instruction{MovImm(R0, 42), Exit()}, LoadOptions{})
 	if err := progArr.UpdateProg(0, leaf); err != nil {
 		t.Fatal(err)
 	}
-	entryInsns := append(LoadMapFD(R2, 3), // r1 stays ctx
-		MovImm(R3, 0),
-		Call(HelperTailCall),
-		MovImm(R0, 7), // only on failed tail call
-		Exit(),
-	)
-	entry, err := Load("pfentry", entryInsns, LoadOptions{MapTable: table})
+	entry, err := Load("pfentry", tailCallOr(fd, 0, 7), LoadOptions{MapTable: table})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,6 +100,19 @@ func lookupThen(fd, key int32, tail ...Instruction) []Instruction {
 	return append(append(insns, MovReg(R2, R10), ALUImm(ALUAdd, R2, -4), Call(HelperMapLookup)), tail...)
 }
 
+// tailCallOr tail-calls slot of the prog_array fd and, only if the call
+// returns (an empty slot), exits with ret. r1 stays the ctx.
+func tailCallOr(fd, slot, ret int32) []Instruction {
+	return append(LoadMapFD(R2, fd), MovImm(R3, slot), Call(HelperTailCall), MovImm(R0, ret), Exit())
+}
+
+// progArrayTable is a table whose one map is the prog_array name.
+func progArrayTable(name string, entries uint32) (*MapTable, *Map, int32) {
+	m := MustNewMap(MapSpec{Name: name, Type: MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: entries})
+	tb := NewMapTable()
+	return tb, m, tb.Register(m)
+}
+
 func TestVerifierRejectsEmptyAndOversized(t *testing.T) {
 	if _, err := Load("e", nil, LoadOptions{}); err == nil {
 		t.Fatal("empty program accepted")
@@ -704,21 +717,11 @@ func TestVerifierRejects32BitPointerMov(t *testing.T) {
 
 func TestVerifierTailCallRequiresProgArray(t *testing.T) {
 	tb, _, fd := u64MapTable(t, 1) // array, not prog_array
-	insns := []Instruction{}
-	insns = append(insns, LoadMapFD(R2, fd)...)
-	insns = append(insns,
-		MovImm(R3, 0),
-		Call(HelperTailCall),
-		MovImm(R0, 0),
-		Exit(),
-	)
-	wantReject(t, insns, tb, "prog_array")
+	wantReject(t, tailCallOr(fd, 0, 0), tb, "prog_array")
 }
 
 func TestVerifierDataHelperRejectsProgArray(t *testing.T) {
-	pa := MustNewMap(MapSpec{Name: "pa", Type: MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 4})
-	tb := NewMapTable()
-	fd := tb.Register(pa)
+	tb, _, fd := progArrayTable("pa", 4)
 	insns := lookupThen(fd, 0,
 		MovImm(R0, 0),
 		Exit(),
@@ -727,18 +730,8 @@ func TestVerifierDataHelperRejectsProgArray(t *testing.T) {
 }
 
 func TestVerifierTailCallAccepted(t *testing.T) {
-	pa := MustNewMap(MapSpec{Name: "pa", Type: MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 4})
-	tb := NewMapTable()
-	fd := tb.Register(pa)
-	insns := []Instruction{}
-	insns = append(insns, LoadMapFD(R2, fd)...)
-	insns = append(insns,
-		MovImm(R3, 0),
-		Call(HelperTailCall),
-		MovImm(R0, 0),
-		Exit(),
-	)
-	wantAccept(t, insns, tb)
+	tb, _, fd := progArrayTable("pa", 4)
+	wantAccept(t, tailCallOr(fd, 0, 0), tb)
 }
 
 func TestVerifierOrNullComparedToNonZeroRejected(t *testing.T) {

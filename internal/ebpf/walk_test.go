@@ -217,23 +217,11 @@ func TestDifferentialCompiledVsInterp(t *testing.T) {
 // TestJITTailCallChain checks the walker's program switch on a tail call,
 // including stats accounting across the chain.
 func TestJITTailCallChain(t *testing.T) {
-	progArr := MustNewMap(MapSpec{Name: "chain", Type: MapProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 4})
-	table := NewMapTable()
-	fd := table.Register(progArr)
+	table, progArr, fd := progArrayTable("chain", 4)
 
 	leaf := MustLoad("leaf", []Instruction{MovImm(R0, 42), Exit()}, LoadOptions{})
-	mid := MustLoad("mid", append(LoadMapFD(R2, fd),
-		MovImm(R3, 2),
-		Call(HelperTailCall),
-		MovImm(R0, 1),
-		Exit(),
-	), LoadOptions{MapTable: table})
-	root := MustLoad("root", append(LoadMapFD(R2, fd),
-		MovImm(R3, 1),
-		Call(HelperTailCall),
-		MovImm(R0, 0),
-		Exit(),
-	), LoadOptions{MapTable: table})
+	mid := MustLoad("mid", tailCallOr(fd, 2, 1), LoadOptions{MapTable: table})
+	root := MustLoad("root", tailCallOr(fd, 1, 0), LoadOptions{MapTable: table})
 	if err := progArr.UpdateProg(1, mid); err != nil {
 		t.Fatal(err)
 	}
@@ -488,12 +476,7 @@ func TestCompiledRunZeroAllocs(t *testing.T) {
 		)...), LoadOptions{MapTable: table})
 
 	leaf := MustLoad("za_leaf", []Instruction{MovImm(R0, 9), Exit()}, LoadOptions{})
-	chain := MustLoad("za_chain", append(LoadMapFD(R2, progFD),
-		MovImm(R3, 1),
-		Call(HelperTailCall),
-		MovImm(R0, 0),
-		Exit(),
-	), LoadOptions{MapTable: table})
+	chain := MustLoad("za_chain", tailCallOr(progFD, 1, 0), LoadOptions{MapTable: table})
 	if err := progArr.UpdateProg(1, leaf); err != nil {
 		t.Fatal(err)
 	}

@@ -281,6 +281,14 @@ func TestReservedCPUExcludedFromCFS(t *testing.T) {
 	if m.CPU(1).reservedBy != "agent" {
 		t.Fatal("reservation owner lost")
 	}
+	// A second thread, woken while a holds cpu 0, queues behind it and not
+	// on the idle reserved core.
+	b := spinner(m, "b", 0, sim.Millisecond)
+	b.Wake()
+	eng.RunUntil(20 * sim.Millisecond)
+	if b.LastCPU() != 0 {
+		t.Fatalf("second thread last ran on cpu %d, want 0", b.LastCPU())
+	}
 }
 
 func TestPreemptDuringContextSwitchWindow(t *testing.T) {

@@ -359,11 +359,12 @@ func TestSweepPreservesOrderAndParallelizes(t *testing.T) {
 // width of that figure's sweep. A config whose Workers never reached the
 // pool would pass every digest gate (results are width-independent) and
 // fail here. Each Fig7 series sweeps four points. At Workers: 1 the pool
-// runs them inline and never waits for its workers; at Workers: 4 it
-// admits all four at once and never waits for a free slot, as it would at
-// any narrower width. The block profile records every wait of the pool, so
-// the verdict does not hang on when a sampler gets to run. Not parallel:
-// it sets the block profile rate.
+// runs them inline and never waits for its workers. At Workers: 4 it waits
+// for its workers, so the points ran on goroutines, and it admits all four
+// at once and never waits for a free slot, as it would at any width from 2
+// to 3: together, a pool at least 4 wide. The block profile records every
+// wait of the pool, so the verdict does not hang on when a sampler gets to
+// run. Not parallel: it sets the block profile rate.
 func TestWorkersReachTheSweep(t *testing.T) {
 	runtime.SetBlockProfileRate(1)
 	defer runtime.SetBlockProfileRate(0)
@@ -383,19 +384,25 @@ func TestWorkersReachTheSweep(t *testing.T) {
 		}
 		return n
 	}
-	during := func(workers int, call string) int {
-		before := waits(call)
+	// during returns the waits for the workers and for a free slot that a
+	// Fig7 run at this width made.
+	during := func(workers int) (join, slot int) {
+		join0, slot0 := waits("sync.(*WaitGroup).Wait"), waits("runtime.chansend1")
 		Fig7(Fig7Config{
 			LSLoads: loadsBetween(50_000, 350_000, 4), TotalLoad: 400_000, TokenRate: 350_000,
 			Run: RunConfig{Windows: tinyWindows, Workers: workers},
 		})
-		return waits(call) - before
+		return waits("sync.(*WaitGroup).Wait") - join0, waits("runtime.chansend1") - slot0
 	}
-	if n := during(1, "sync.(*WaitGroup).Wait"); n != 0 {
-		t.Fatalf("Workers: 1 waited %d times for pool workers, want the sweep inline", n)
+	if join, _ := during(1); join != 0 {
+		t.Fatalf("Workers: 1 waited %d times for pool workers, want the sweep inline", join)
 	}
-	if n := during(4, "runtime.chansend1"); n != 0 {
-		t.Fatalf("Workers: 4 waited %d times for a free slot among four points: a pool narrower than 4", n)
+	join, slot := during(4)
+	if join == 0 {
+		t.Fatal("Workers: 4 never waited for pool workers: the sweep ran inline")
+	}
+	if slot != 0 {
+		t.Fatalf("Workers: 4 waited %d times for a free slot among four points: a pool narrower than 4", slot)
 	}
 }
 

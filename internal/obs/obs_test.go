@@ -390,28 +390,32 @@ func approx(got, want float64) bool {
 }
 
 func TestSLOBurnRate(t *testing.T) {
-	// 10 samples, 1 per 10 ns; last 3 are bad (>100), the rest sit at the
-	// target, which is within it. Budget 0.2.
+	// 10 samples, 1 per 10 ns; last 3 are bad (>100), the rest sit below
+	// the target. One more, at 75, sits at the target, which is within it.
+	// Budget 0.2.
 	var snap []SeriesJSON
 	s := SeriesJSON{Name: "p99"}
 	for i := 1; i <= 10; i++ {
 		s.T = append(s.T, int64(i*10))
-		v := 100.0
+		v := 50.0
 		if i >= 8 {
 			v = 200
 		}
 		s.V = append(s.V, v)
+		if i == 7 {
+			s.T, s.V = append(s.T, 75), append(s.V, 100)
+		}
 	}
 	snap = append(snap, s)
 	o := SLO{Name: "ls_p99", Series: "p99", Target: 100, Budget: 0.2, Short: 30, Long: 100}
 	r := o.Evaluate(snap, 100)
-	// Short window [70,100]: samples 70..100 → i=7..10 → 3 bad of 4 → 0.75/0.2 = 3.75.
-	if r.ShortBurn != 3.75 {
-		t.Fatalf("short burn = %v, want 3.75", r.ShortBurn)
+	// Short window [70,100]: samples 70, 75, 80, 90, 100 → 3 bad of 5 → 0.6/0.2 = 3.
+	if !approx(r.ShortBurn, 3) {
+		t.Fatalf("short burn = %v, want 3", r.ShortBurn)
 	}
-	// Long window: 3 bad of 10 → 0.3/0.2 = 1.5.
-	if !approx(r.LongBurn, 1.5) || !r.Burning {
-		t.Fatalf("long burn = %v burning=%v, want 1.5 true", r.LongBurn, r.Burning)
+	// Long window: 3 bad of 11 → (3/11)/0.2.
+	if !approx(r.LongBurn, 3.0/11/0.2) || !r.Burning {
+		t.Fatalf("long burn = %v burning=%v, want %v true", r.LongBurn, r.Burning, 3.0/11/0.2)
 	}
 	// A tighter budget is already burning; a generous one is not.
 	o.Budget = 0.5

@@ -19,7 +19,9 @@
 # The gate run builds the package's test binary with `go test -c -overlay`
 # and runs the gate alone, anchored element by element (^TestX$/^row$),
 # from the package's directory as `go test` would, for at most 60 s: a
-# mutant that hangs its gate counts as killed once that time is up. It
+# mutant that hangs its gate counts as killed once that time is up, and
+# its verdict says "killed by timeout" so that a gate that only ran slow
+# can be told from one that failed. It
 # fails if a mutant no longer applies or builds, names a gate its package
 # does not have, or survives its gate, and if a fixture does not survive.
 #
@@ -145,6 +147,8 @@ for m in $mutants; do
 		verdict="names no test of $pkg: '$gate'"
 	elif (cd "$pkg" && "$work/gate.test" -test.run "$(anchor "$gate")" -test.timeout 60s >"$work/log" 2>&1); then
 		verdict="survives $gate"
+	elif grep -q '^panic: test timed out' "$work/log"; then
+		verdict="killed by timeout: $gate ran past 60 s"
 	else
 		verdict="killed by $gate"
 	fi
@@ -172,7 +176,8 @@ else
 fi
 planted=$(check <testdata/kill_matrix_fixture.txt)
 missed=0
-for defect in "names no committed mutant" "is not among its killers" "has no row"; do
+for defect in "names no committed mutant" "has two rows" "but its patch names" \
+	"a fixture, but killed by" "is not among its killers" "has no row"; do
 	if ! echo "$planted" | grep -q "$defect"; then
 		echo "FAIL testdata/kill_matrix_fixture.txt: the check missed its planted row that $defect"
 		missed=$((missed + 1))

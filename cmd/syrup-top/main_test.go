@@ -14,7 +14,6 @@ import (
 	"syrup/internal/cluster"
 	"syrup/internal/obs"
 	"syrup/internal/policy"
-	"syrup/internal/sim"
 	"syrup/internal/syrupd"
 )
 
@@ -281,10 +280,9 @@ func TestLiveScrapeMatchesRecording(t *testing.T) {
 		host.Obs.Rate("rps", func() float64 { return float64(host.Stack.Stats.Processed) })
 	}
 	// Deploy everywhere through the control plane; the probe bake drives
-	// traffic through each host so series and links are non-trivial.
+	// traffic through the canary so series and links are non-trivial.
 	rep, err := c.Rollout(cluster.RolloutConfig{
 		App: 1, Hook: syrup.HookSocketSelect, Policy: policy.NameRoundRobin, Defines: map[string]int64{"NUM_THREADS": 2},
-		Canaries: 4, Bake: 5 * sim.Millisecond,
 	})
 	if err != nil || rep.Aborted {
 		t.Fatalf("rollout failed: %v %+v", err, rep)

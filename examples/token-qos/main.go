@@ -67,7 +67,6 @@ func run(lsLoad, beLoad float64) (lsP99, lsDrop, beTput, beDrop float64) {
 		LSUser:   0,
 		BEUser:   1,
 		PerEpoch: 35, // 350K/s in 100us epochs
-		Epoch:    100 * syrup.Microsecond,
 	}
 	agent.Start(host.Eng)
 

@@ -28,9 +28,7 @@ import (
 // type also covers its methods and fields. A row that matches nothing
 // unreached fails the test, so the list only shrinks.
 var exportAllow = []allowRow{
-	{"ebpf.R[4-9]", "the register file: no program built in Go names these registers"},
 	{"ebpf.AsmFile.Text", "round-trip oracle: the ebpf and policy tests re-assemble its output to the same stream"},
-	{"ghost.Agent.Stopped", "revocation's observable: syrupd's revoke test asserts the agent quiesces and resumes"},
 	{"kernel.Thread.Exit", "simulated servers loop forever; the finite threads of the scheduler tests exit"},
 	{"policy.FIFO", "the baseline ghOSt policy of the facade, decision-trace and policy tests"},
 }
@@ -69,7 +67,7 @@ func TestExportsAreReached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAllowed(t, exportAllow, 5, unreachedExports(tree),
+	checkAllowed(t, exportAllow, 3, unreachedExports(tree),
 		"is exported but no non-test file reaches it: delete it, unexport it, or give it an exportAllow row")
 }
 
@@ -78,9 +76,10 @@ func TestExportsAreReached(t *testing.T) {
 // some non-test file reads is also written by some non-test file, or it has
 // a fieldAllow row. A write is a composite-literal element, keyed or not;
 // an assignment, op-assignment or ++/-- through a selector chain that
-// passes through the field (n.Stats.Drops++ writes Stats and Drops); &x.F;
-// or a pointer-receiver method called on the addressable field
-// (t.Gets.Add(1)). A zero-value default arm — if x.F == 0 { x.F = … } (or
+// passes through the field (n.Stats.Drops++ writes Stats and Drops); or a
+// pointer-receiver method called on the addressable field (t.Gets.Add(1)).
+// Taking &x.F is not a write: a helper that fills a default through the
+// pointer only fills in what no caller set. A zero-value default arm — if x.F == 0 { x.F = … } (or
 // == ""), with no else — is not a write of x.F: it only fills in the value
 // no caller set. A field no run sets is a constant: make it one, or delete
 // the code behind its other values.
@@ -90,7 +89,7 @@ func TestFieldsAreWritten(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := unwrittenFields(tree), []string{"a.T.Defaulted", "a.T.Planted"}; !slices.Equal(got, want) {
+		if got, want := unwrittenFields(tree), []string{"a.T.Defaulted", "a.T.Planted", "a.T.Ptr"}; !slices.Equal(got, want) {
 			t.Fatalf("unwritten = %q, want %q", got, want)
 		}
 	})
@@ -181,11 +180,12 @@ func Used() { fmt.Println(New()) }
 	"benchmark/main.go":    {Data: []byte("package main\n\nimport \"fix/internal/a\"\n\nfunc main() { a.Used() }\n")},
 }
 
-// fieldsFixture plants one field that is read and only a test writes, and
-// one whose only writer is its zero-value default arm. The others are
-// written only through a selector chain, a pointer-method call, an unkeyed
-// literal, &x.F, from the second module or by an if arm that is not a
-// zero-value default, and read everywhere; none may be reported.
+// fieldsFixture plants one field that is read and only a test writes, one
+// whose only writer is its zero-value default arm, and one whose address
+// only is taken (&x.F). The others are written only through a selector
+// chain, a pointer-method call, an unkeyed literal, from the second module
+// or by an if arm that is not a zero-value default, and read everywhere;
+// none may be reported.
 var fieldsFixture = fstest.MapFS{
 	"go.mod": {Data: []byte("module fix\n")},
 	"internal/a/a.go": {Data: []byte(`package a
@@ -664,10 +664,6 @@ func unwrittenFields(tree *srcTree) []string {
 					if n.Tok == token.ASSIGN {
 						writeThrough(n.Key)
 						writeThrough(n.Value)
-					}
-				case *ast.UnaryExpr:
-					if n.Op == token.AND {
-						writeThrough(n.X)
 					}
 				case *ast.CallExpr:
 					// A pointer method on an addressable value takes its

@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"syrup/internal/adapt"
-	"syrup/internal/sim"
 )
 
 // RuleRolloutConfig describes a staged fleet rollout of an adaptive rule
@@ -17,11 +16,6 @@ import (
 type RuleRolloutConfig struct {
 	// Rules is the controller table to arm.
 	Rules adapt.Config
-	// Canaries is the stage-1 host count (default ceil(Hosts/8), min 1).
-	Canaries int
-	// Bake is the virtual time each canary runs the controller before
-	// health evaluation (default 2ms).
-	Bake sim.Time
 	// App/Probes, when set, drive synthetic probe traffic through the
 	// canaries during the bake exactly as policy rollouts do — rules need
 	// traffic to see anything.
@@ -57,12 +51,10 @@ func (r *RuleRolloutReport) String() string {
 // actuations, and only then enable fleet-wide. An aborted rollout
 // disarms the canaries, so a bad table never outlives its bake.
 func (c *Cluster) RolloutRules(cfg RuleRolloutConfig) (*RuleRolloutReport, error) {
-	stageDefaults(len(c.Members), &cfg.Canaries, &cfg.Bake)
 	rep := &RuleRolloutReport{}
 	canaries, reason, err := c.staged(stagedRollout{
-		canaries: cfg.Canaries,
 		// The probe path reuses the policy rollout's bake machinery.
-		probe: RolloutConfig{App: cfg.App, Bake: cfg.Bake, Probes: cfg.Probes},
+		app: cfg.App, probes: cfg.Probes,
 		apply: func(idx int) error {
 			if _, err := c.Members[idx].Host.Daemon.EnableAdapt(cfg.Rules); err != nil {
 				return fmt.Errorf("cluster: %s: %w", c.Members[idx].Name, err)

@@ -29,16 +29,6 @@ type RolloutConfig struct {
 	Policy string
 	// Defines are deploy-time constants.
 	Defines map[string]int64
-	// Canaries is the stage-1 host count (default ceil(Hosts/8), min 1).
-	Canaries int
-	// Bake is the virtual time each canary runs before health evaluation
-	// (default 2ms).
-	Bake sim.Time
-	// Probes is the number of synthetic probe requests injected into each
-	// canary during the bake, spread across the window (default 32): a
-	// policy must execute to fault, so the bake sends traffic through it.
-	// Any hook fault the canaries take during the bake aborts the rollout.
-	Probes int
 }
 
 // RolloutReport is the control plane's record of one rollout.
@@ -68,32 +58,26 @@ func (r *RolloutReport) String() string {
 		r.Canaries, r.CanaryFaults, r.Deployed)
 }
 
-func (cfg *RolloutConfig) fill(hosts int) error {
+func (cfg *RolloutConfig) check() error {
 	if _, err := policy.Source(cfg.Policy); err != nil {
 		return fmt.Errorf("cluster: rollout: %w", err)
 	}
 	if cfg.Hook == syrup.HookThreadSched {
 		return fmt.Errorf("cluster: thread policies are userspace code and do not roll out as .syr artifacts")
 	}
-	if cfg.Probes == 0 {
-		cfg.Probes = 32
-	}
-	stageDefaults(hosts, &cfg.Canaries, &cfg.Bake)
 	return nil
 }
 
-// stageDefaults fills the staging knobs policy and rule rollouts share.
-func stageDefaults(hosts int, canaries *int, bake *sim.Time) {
-	if *canaries <= 0 {
-		*canaries = (hosts + 7) / 8
-	}
-	if *canaries > hosts {
-		*canaries = hosts
-	}
-	if *bake == 0 {
-		*bake = 2 * sim.Millisecond
-	}
-}
+const (
+	// bake is the virtual time each canary runs before health evaluation.
+	bake = 2 * sim.Millisecond
+	// policyProbes is the number of synthetic probe requests a policy
+	// rollout injects into each canary during the bake, spread across the
+	// window: a policy must execute to fault, so the bake sends traffic
+	// through it. Any hook fault the canaries take during the bake aborts
+	// the rollout.
+	policyProbes = 32
+)
 
 // CanaryOrder derives the rollout order: a seeded Fisher-Yates
 // permutation of member indices, so canary choice is deterministic per
@@ -116,8 +100,9 @@ func (c *Cluster) CanaryOrder() []int {
 // rolled out lives in the three callbacks; the staging around them is the
 // same for a policy and for a rule table.
 type stagedRollout struct {
-	canaries int           // stage-1 host count
-	probe    RolloutConfig // App, Bake and Probes drive each bake
+	// app and probes drive each bake's probe traffic.
+	app    uint32
+	probes int
 	// apply installs the artifact on one member.
 	apply func(idx int) error
 	// health inspects the canaries after a bake and returns why the
@@ -127,24 +112,24 @@ type stagedRollout struct {
 	revert func(idx int) error
 }
 
-// staged applies to the canary subset (the head of CanaryOrder), bakes
-// every canary, asks health, and only then applies to the rest of the
-// fleet, in canary order for determinism; a failed canary stage reverts
-// the canaries instead. It returns the canaries and why the stage failed,
-// or "".
+// staged applies to the canary subset (the head of CanaryOrder, one host
+// in eight rounded up), bakes every canary, asks health, and only then
+// applies to the rest of the fleet, in canary order for determinism; a
+// failed canary stage reverts the canaries instead. It returns the
+// canaries and why the stage failed, or "".
 func (c *Cluster) staged(s stagedRollout) (canaries []int, reason string, err error) {
-	order := c.CanaryOrder()
-	canaries = append([]int(nil), order[:s.canaries]...)
+	order, n := c.CanaryOrder(), (len(c.Members)+7)/8
+	canaries = append([]int(nil), order[:n]...)
 	for _, idx := range canaries {
 		if err := s.apply(idx); err != nil {
 			return canaries, "", err
 		}
 	}
 	for _, idx := range canaries {
-		c.bake(c.Members[idx], s.probe)
+		c.bake(c.Members[idx], s.app, s.probes)
 	}
 	reason = s.health(canaries)
-	rest, step := order[s.canaries:], s.apply
+	rest, step := order[n:], s.apply
 	if reason != "" {
 		rest, step = canaries, s.revert
 	}
@@ -165,7 +150,7 @@ func (c *Cluster) staged(s stagedRollout) (canaries []int, reason string, err er
 // the new fleet release. The policy is verified once, and every member
 // binds that one verification.
 func (c *Cluster) Rollout(cfg RolloutConfig) (*RolloutReport, error) {
-	if err := cfg.fill(len(c.Members)); err != nil {
+	if err := cfg.check(); err != nil {
 		return nil, err
 	}
 	v, err := syrupd.Verify(cfg.App, cfg.Hook, policy.MustSource(cfg.Policy), cfg.Defines)
@@ -179,7 +164,7 @@ func (c *Cluster) Rollout(cfg RolloutConfig) (*RolloutReport, error) {
 	// faults are the new policy's own.
 	before := make(map[int]uint64)
 	canaries, reason, err := c.staged(stagedRollout{
-		canaries: cfg.Canaries, probe: cfg,
+		app: cfg.App, probes: policyProbes,
 		apply: func(idx int) error {
 			m := c.Members[idx]
 			if _, err := m.Host.Daemon.Deploy(cfg.App, cfg.Hook, v); err != nil {
@@ -236,24 +221,24 @@ func (c *Cluster) hookFaults(idx int, app uint32, hk syrup.Hook) uint64 {
 }
 
 // bake advances one canary by the bake window while feeding it probe
-// requests: Probes GET packets spread across the window, addressed to the
+// requests: probes GET packets spread across the window, addressed to the
 // app's first claimed port from a dedicated probe flow. Probe request ids
 // live far above any workload id (2^62+) so completion callbacks ignore
 // them, and each member's probes ride its own engine — baking never
 // couples hosts.
-func (c *Cluster) bake(m *Member, cfg RolloutConfig) {
-	app := m.Host.Daemon.App(cfg.App)
-	if app == nil || len(app.Ports) == 0 || cfg.Probes <= 0 {
-		m.Host.RunFor(cfg.Bake)
+func (c *Cluster) bake(m *Member, appID uint32, probes int) {
+	app := m.Host.Daemon.App(appID)
+	if app == nil || len(app.Ports) == 0 || probes <= 0 {
+		m.Host.RunFor(bake)
 		return
 	}
 	port := app.Ports[0]
-	gap := cfg.Bake / sim.Time(cfg.Probes+1)
+	gap := bake / sim.Time(probes+1)
 	if gap < 1 {
 		gap = 1
 	}
 	rx := func(pkt any, _ uint64) { m.Host.NIC.Receive(pkt.(*nic.Packet)) }
-	for i := 0; i < cfg.Probes; i++ {
+	for i := 0; i < probes; i++ {
 		pkt := m.Host.NIC.NewPacket()
 		pkt.ID = probeIDBase + uint64(i)
 		pkt.SrcIP = 0x0afe0000 + uint32(m.Index)
@@ -264,7 +249,7 @@ func (c *Cluster) bake(m *Member, cfg RolloutConfig) {
 		pkt.SentAt = m.Host.Now() + sim.Time(i+1)*gap
 		m.Host.Eng.CallAt(pkt.SentAt, rx, pkt, 0)
 	}
-	m.Host.RunFor(cfg.Bake)
+	m.Host.RunFor(bake)
 }
 
 // probeIDBase keeps probe request ids out of every workload generator's

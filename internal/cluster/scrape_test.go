@@ -93,14 +93,22 @@ func TestScrapeRequiresTelemetry(t *testing.T) {
 
 // TestScrapeIncludesLinks: with no option beyond telemetry, the scrape
 // carries each host's deployments with their run counts, instructions
-// executed and per-slot hits for syrup-top's hot-policy table.
+// executed and per-slot hits for syrup-top's hot-policy table. The canary
+// runs the policy on its bake's probes; the test sends the other host its
+// traffic over the same window.
 func TestScrapeIncludesLinks(t *testing.T) {
 	c := newObsCluster(t, 2)
 	rep, err := c.Rollout(RolloutConfig{
-		App: testApp, Hook: syrup.HookSocketSelect, Policy: policy.NameRoundRobin, Defines: twoSockets, Canaries: 2,
+		App: testApp, Hook: syrup.HookSocketSelect, Policy: policy.NameRoundRobin, Defines: twoSockets,
 	})
 	if err != nil || rep.Aborted {
 		t.Fatalf("rollout failed: %v %+v", err, rep)
+	}
+	for _, m := range c.Members {
+		if !slices.Contains(rep.Canaries, m.Index) {
+			m.Host.NIC.Receive(probePacket(m, 1, testPort))
+			m.Host.RunFor(bake)
+		}
 	}
 	snap, err := c.Scrape()
 	if err != nil {

@@ -5,6 +5,14 @@ import (
 	"fmt"
 )
 
+// The registers only tests name.
+const (
+	R4 = 4
+	R7 = 7
+	R8 = 8
+	R9 = 9
+)
+
 // MustLoad is Load that panics on error, for the hand-built programs of
 // this package's tests.
 func MustLoad(name string, insns []Instruction, opts LoadOptions) *Program {

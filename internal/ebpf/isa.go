@@ -14,18 +14,19 @@ package ebpf
 import "encoding/binary"
 
 // Register names. R0 is the return value, R1-R5 are arguments/scratch,
-// R6-R9 are callee-saved, R10 is the read-only frame pointer.
+// R6-R9 are callee-saved, R10 is the read-only frame pointer. Only tests
+// name R4 and R7-R9; export_test.go declares them.
 const (
 	R0 = iota
 	R1
 	R2
 	R3
-	R4
+	_ // R4
 	R5
 	R6
-	R7
-	R8
-	R9
+	_ // R7
+	_ // R8
+	_ // R9
 	R10
 	NumRegs
 )

@@ -16,7 +16,7 @@ func TestShapeAblationLateBinding(t *testing.T) {
 	}
 	point := func(pol SocketPolicy, late bool) float64 {
 		r := runRocksPoint(rocksPoint{
-			Seed: 61, Load: 200_000, NumCPUs: 6, NumThreads: 6, PinToCores: true,
+			Seed: 61, Load: 200_000, NumThreads: 6, PinToCores: true,
 			Flows: 50, Classes: fig6Mix, Policy: pol, LateBinding: late,
 			Run: RunConfig{Windows: FastWindows},
 		}).Result
@@ -37,10 +37,10 @@ func TestShapeAblationRFS(t *testing.T) {
 	}
 	point := func(pol SocketPolicy) (mean float64, locality float64) {
 		pt := rocksPoint{
-			Seed: 71, Load: 100_000, NumCPUs: 6, NumThreads: 6, PinToCores: true,
-			Flows:   12,
+			Seed: 71, Load: 100_000, NumThreads: 6, PinToCores: true,
+			Flows:   rfsFlows,
 			Classes: []workload.Class{{Name: "GET", Weight: 1, Type: policy.ReqGET}},
-			Policy:  pol, FlowLocalityBonus: 0.30,
+			Policy:  pol, FlowLocalityBonus: rfsBonus,
 			Run: RunConfig{Windows: FastWindows},
 		}
 		run := runRocksPoint(pt)

@@ -44,29 +44,29 @@ func AblationLateBinding(cfg AblationLateBindingConfig) *Result {
 			"late binding dominates size-oblivious early binding (round robin) but size-aware SITA still wins the extreme tail; it also needs scheduler-side queueing the Linux hooks lack — the paper's motivation for §6.3",
 		},
 	}
-	type variant struct {
+	variants := []struct {
 		name string
 		pol  SocketPolicy
 		late bool
-	}
-	for _, v := range []variant{
+	}{
 		{"Round Robin (early)", PolicyRoundRobin, false},
 		{"SITA (early)", PolicySITA, false},
 		{"Late Binding", PolicyVanilla, true},
-	} {
-		v := v
-		rows := sweep(cfg.Run, cfg.Loads, func(load float64) Row {
-			r := runRocksPoint(rocksPoint{
-				Seed: 61, Load: load, NumCPUs: 6, NumThreads: 6, PinToCores: true,
-				Flows: 50, Classes: fig6Mix, Policy: v.pol, LateBinding: v.late,
-				Run: cfg.Run,
-			}).Result
-			return Row{X: load, Cols: map[string]float64{
-				"p99_us":   float64(r.All.Latency.Percentile(99)) / 1000,
-				"drop_pct": 100 * r.All.DropFraction(),
-			}}
-		})
-		res.Series = append(res.Series, Series{Name: v.name, Rows: rows})
+	}
+	grid := sweepGrid(cfg.Run, len(variants), cfg.Loads, func(vi int, load float64) Row {
+		v := variants[vi]
+		r := runRocksPoint(rocksPoint{
+			Seed: 61, Load: load, NumThreads: 6, PinToCores: true,
+			Flows: 50, Classes: fig6Mix, Policy: v.pol, LateBinding: v.late,
+			Run: cfg.Run,
+		}).Result
+		return Row{X: load, Cols: map[string]float64{
+			"p99_us":   float64(r.All.Latency.Percentile(99)) / 1000,
+			"drop_pct": 100 * r.All.DropFraction(),
+		}}
+	})
+	for vi, v := range variants {
+		res.Series = append(res.Series, Series{Name: v.name, Rows: grid[vi]})
 	}
 	return res
 }
@@ -74,18 +74,20 @@ func AblationLateBinding(cfg AblationLateBindingConfig) *Result {
 // AblationRFSConfig parameterizes the locality comparison.
 type AblationRFSConfig struct {
 	Loads []float64
-	Bonus float64 // service-time discount on a flow-local request
-	Flows int
 	Run   RunConfig
 }
 
-// DefaultAblationRFS uses a locality-sensitive setup: few, hot flows and a
-// 30% warm-flow discount.
+// The RFS ablation's locality-sensitive setup: few, hot flows and a 30%
+// warm-flow discount.
+const (
+	rfsBonus = 0.30 // service-time discount on a flow-local request
+	rfsFlows = 12
+)
+
+// DefaultAblationRFS sweeps 100–600 K RPS.
 func DefaultAblationRFS() AblationRFSConfig {
 	return AblationRFSConfig{
 		Loads: loadsBetween(100_000, 600_000, 6),
-		Bonus: 0.30,
-		Flows: 12,
 		Run:   RunConfig{Windows: DefaultWindows},
 	}
 }
@@ -104,35 +106,34 @@ func AblationRFS(cfg AblationRFSConfig) *Result {
 			"the trade-off is two-sided, exactly as §2.1 argues: round robin wins tails once hash imbalance bites at high load, while locality-sensitive workloads prefer hashing — no one-size-fits-all policy",
 		},
 	}
-	for _, v := range []struct {
+	variants := []struct {
 		name string
 		pol  SocketPolicy
 	}{
 		{"Hash + RFS", PolicyVanilla},
 		{"Round Robin", PolicyRoundRobin},
-	} {
-		v := v
-		rows := sweep(cfg.Run, cfg.Loads, func(load float64) Row {
-			pt := rocksPoint{
-				Seed: 71, Load: load, NumCPUs: 6, NumThreads: 6, PinToCores: true,
-				Flows: cfg.Flows,
-				Classes: []workload.Class{
-					{Name: "GET", Weight: 1, Type: policy.ReqGET},
-				},
-				Policy:            v.pol,
-				FlowLocalityBonus: cfg.Bonus,
-				Run:               cfg.Run,
-			}
-			run := runRocksPoint(pt)
-			r := run.Result
-			return Row{X: load, Cols: map[string]float64{
-				"mean_us":      r.All.Latency.Mean() / 1000,
-				"p99_us":       float64(r.All.Latency.Percentile(99)) / 1000,
-				"drop_pct":     100 * r.All.DropFraction(),
-				"locality_pct": run.localityPct(),
-			}}
+	}
+	grid := sweepGrid(cfg.Run, len(variants), cfg.Loads, func(vi int, load float64) Row {
+		run := runRocksPoint(rocksPoint{
+			Seed: 71, Load: load, NumThreads: 6, PinToCores: true,
+			Flows: rfsFlows,
+			Classes: []workload.Class{
+				{Name: "GET", Weight: 1, Type: policy.ReqGET},
+			},
+			Policy:            variants[vi].pol,
+			FlowLocalityBonus: rfsBonus,
+			Run:               cfg.Run,
 		})
-		res.Series = append(res.Series, Series{Name: v.name, Rows: rows})
+		r := run.Result
+		return Row{X: load, Cols: map[string]float64{
+			"mean_us":      r.All.Latency.Mean() / 1000,
+			"p99_us":       float64(r.All.Latency.Percentile(99)) / 1000,
+			"drop_pct":     100 * r.All.DropFraction(),
+			"locality_pct": run.localityPct(),
+		}}
+	})
+	for vi, v := range variants {
+		res.Series = append(res.Series, Series{Name: v.name, Rows: grid[vi]})
 	}
 	return res
 }

@@ -179,13 +179,11 @@ func adaptivePoint(cfg AdaptiveConfig, pol SocketPolicy, adaptive bool) rocksPoi
 		Seed:       cfg.Seed,
 		Load:       cfg.CalmRate,
 		RateFn:     cfg.rateFn(),
-		NumCPUs:    6,
 		NumThreads: 6,
 		PinToCores: true,
 		Classes:    adaptiveClasses(),
 		Policy:     pol,
 		Service:    fig7Service,
-		TokenRate:  350_000,
 		LSUser:     adaptLSUser,
 		BEUser:     adaptBEUser,
 		Deadline:   cfg.Deadline,

@@ -81,7 +81,7 @@ func scanPoint(seed uint64, load, scanPct float64, pol SocketPolicy, run RunConf
 		panic(err) // the CLIs reject the flag before building a config
 	}
 	return rocksPoint{
-		Seed: seed, Load: load, NumCPUs: 6, NumThreads: 6, PinToCores: true,
+		Seed: seed, Load: load, NumThreads: 6, PinToCores: true,
 		Flows: 50, Classes: classes, Policy: pol, Run: run,
 	}
 }

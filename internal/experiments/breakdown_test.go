@@ -55,7 +55,6 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 	pt := rocksPoint{
 		Seed:       7,
 		Load:       200_000,
-		NumCPUs:    6,
 		NumThreads: 6,
 		PinToCores: true,
 		Flows:      50,

@@ -91,7 +91,7 @@ func counter(host *syrup.Host, name string) uint64 {
 // reads counters.
 func TestChaosWiringDoesNotPerturbWhenIdle(t *testing.T) {
 	pt := rocksPoint{
-		Seed: 7, Load: 200_000, NumCPUs: 6, NumThreads: 6, PinToCores: true,
+		Seed: 7, Load: 200_000, NumThreads: 6, PinToCores: true,
 		Flows:   50,
 		Classes: []workload.Class{{Name: "GET", Weight: 100, Type: policy.ReqGET}},
 		Policy:  PolicyRoundRobin,

@@ -107,7 +107,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterRun, error) {
 
 	base := cfg.Run.load(cfg.TotalLoad)
 	base.Flows = cfg.Flows
-	hostCfg := syrup.HostConfig{NumCPUs: 6, NICQueues: 6, Telemetry: cfg.Run.telemetry()}
+	hostCfg := syrup.HostConfig{NumCPUs: rocksN, NICQueues: rocksN, Telemetry: cfg.Run.telemetry()}
 	var rollout cluster.RolloutConfig
 	switch cfg.App {
 	case "rocksdb":
@@ -189,8 +189,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterRun, error) {
 				Tokens:   m.Host.Daemon.App(rocksApp).Maps()["tokens"],
 				LSUser:   0,
 				BEUser:   1,
-				PerEpoch: uint64(tokenFrac * parts[i].Rate * float64(tokenEpoch) / 1e9),
-				Epoch:    tokenEpoch,
+				PerEpoch: uint64(tokenFrac * parts[i].Rate * float64(policy.TokenEpoch) / 1e9),
 			}
 			agent.Start(m.Host.Eng)
 		}

@@ -174,7 +174,7 @@ func TestRunsAllocateNoPacketWhileTimed(t *testing.T) {
 // GET/PUT half mix at 2 M rps.
 func runBatchedMica(t *testing.T) *syrup.Host {
 	pt := fig9Slice(mica.ModeSyrupSW, RunConfig{})
-	host, app := syrup.MustHostApp(syrup.HostConfig{Seed: pt.Seed, NumCPUs: micaN, NICQueues: micaN, Batch: 64}, micaApp, micaUID, micaPort)
+	host, app := syrup.MustHostApp(syrup.HostConfig{Seed: micaSeed, NumCPUs: micaN, NICQueues: micaN, Batch: 64}, micaApp, micaUID, micaPort)
 	load := pt.Run.load(2_000_000)
 	load.Classes = micaMix(0.5)
 	gen, srv := wireMICA(host, load, mica.Config{Mode: mica.ModeSyrupSW})

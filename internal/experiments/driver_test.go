@@ -59,7 +59,7 @@ func TestFig7Driver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("driver test")
 	}
-	r := Fig7(Fig7Config{LSLoads: []float64{200_000}, TotalLoad: 400_000, TokenRate: 350_000, Run: RunConfig{Windows: tinyWindows}})
+	r := Fig7(Fig7Config{LSLoads: []float64{200_000}, Run: RunConfig{Windows: tinyWindows}})
 	checkResult(t, r, 2, "be_tput_rps", "ls_p99_us", "ls_drop_pct", "be_drop_pct")
 }
 
@@ -90,7 +90,7 @@ func TestAblationDrivers(t *testing.T) {
 	}
 	r := AblationLateBinding(AblationLateBindingConfig{Loads: []float64{100_000}, Run: RunConfig{Windows: tinyWindows}})
 	checkResult(t, r, 3, "p99_us", "drop_pct")
-	r2 := AblationRFS(AblationRFSConfig{Loads: []float64{100_000}, Bonus: 0.3, Flows: 12, Run: RunConfig{Windows: tinyWindows}})
+	r2 := AblationRFS(AblationRFSConfig{Loads: []float64{100_000}, Run: RunConfig{Windows: tinyWindows}})
 	checkResult(t, r2, 2, "mean_us", "p99_us", "locality_pct")
 }
 
@@ -115,16 +115,13 @@ func TestDefaultConfigsAreSane(t *testing.T) {
 	if len(DefaultFig6().Loads) < 5 {
 		t.Fatal("fig6 defaults degenerate")
 	}
-	if DefaultFig7().TokenRate != 350_000 || DefaultFig7().TotalLoad != 400_000 {
-		t.Fatal("fig7 defaults diverge from the paper")
-	}
 	if len(DefaultFig8().Loads) < 5 {
 		t.Fatal("fig8 defaults degenerate")
 	}
 	if DefaultFig9a().GetFrac != 0.5 || DefaultFig9b().GetFrac != 0.95 {
 		t.Fatal("fig9 mixes diverge from the paper")
 	}
-	if DefaultAblationRFS().Bonus <= 0 || DefaultAblationLateBinding().Loads == nil {
+	if DefaultAblationLateBinding().Loads == nil {
 		t.Fatal("ablation defaults degenerate")
 	}
 }

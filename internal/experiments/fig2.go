@@ -51,7 +51,6 @@ func Fig2(cfg Fig2Config) *Result {
 			return rocksPoint{
 				Seed:       uint64(1000*seed + 7),
 				Load:       load,
-				NumCPUs:    6,
 				NumThreads: 6,
 				PinToCores: true,
 				Flows:      50,

@@ -57,7 +57,6 @@ func Fig6(cfg Fig6Config) *Result {
 			return rocksPoint{
 				Seed:       uint64(2000*seed + 11),
 				Load:       load,
-				NumCPUs:    6,
 				NumThreads: 6,
 				PinToCores: true,
 				Flows:      50,

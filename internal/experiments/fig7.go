@@ -9,22 +9,21 @@ import (
 
 // Fig7Config parameterizes §5.2.2: two tenants — latency-sensitive (LS)
 // and best-effort (BE) — both issuing GETs, total offered load fixed at
-// 400 K RPS (slightly above saturation), tokens granted to LS at 350 K/s
-// in 100 µs epochs with leftovers gifted to BE.
+// fig7Load (slightly above saturation), tokens granted to LS at tokenRate
+// in policy.TokenEpoch epochs with leftovers gifted to BE.
 type Fig7Config struct {
-	LSLoads   []float64
-	TotalLoad float64
-	TokenRate float64
-	Run       RunConfig
+	LSLoads []float64
+	Run     RunConfig
 }
+
+// fig7Load is Fig. 7's total offered load: 400 K RPS.
+const fig7Load = 400_000
 
 // DefaultFig7 mirrors the paper's axes: LS load 50–350 K.
 func DefaultFig7() Fig7Config {
 	return Fig7Config{
-		LSLoads:   loadsBetween(50_000, 350_000, 7),
-		TotalLoad: 400_000,
-		TokenRate: 350_000,
-		Run:       RunConfig{Windows: DefaultWindows},
+		LSLoads: loadsBetween(50_000, 350_000, 7),
+		Run:     RunConfig{Windows: DefaultWindows},
 	}
 }
 
@@ -49,43 +48,40 @@ func Fig7(cfg Fig7Config) *Result {
 			"token policy: consume per LS request, DROP at zero balance, leftovers gifted to BE each 100us epoch",
 		},
 	}
-	for _, s := range []struct {
+	series := []struct {
 		name string
 		pol  SocketPolicy
 	}{
 		{"Round Robin", PolicyRoundRobin},
 		{"Token-based", PolicyToken},
-	} {
-		s := s
-		rows := sweep(cfg.Run, cfg.LSLoads, func(lsLoad float64) Row {
-			beLoad := cfg.TotalLoad - lsLoad
-			r := runRocksPoint(rocksPoint{
-				Seed:       31,
-				Load:       cfg.TotalLoad,
-				NumCPUs:    6,
-				NumThreads: 6,
-				PinToCores: true,
-				Classes: []workload.Class{
-					{Name: "LS", Weight: lsLoad / cfg.TotalLoad, Type: policy.ReqGET, UserID: 0},
-					{Name: "BE", Weight: beLoad / cfg.TotalLoad, Type: policy.ReqGET, UserID: 1},
-				},
-				Policy:    s.pol,
-				Service:   fig7Service,
-				TokenRate: cfg.TokenRate,
-				LSUser:    0,
-				BEUser:    1,
-				Run:       cfg.Run,
-			}).Result
-			ls := r.PerClass["LS"]
-			be := r.PerClass["BE"]
-			return Row{X: lsLoad, Cols: map[string]float64{
-				"be_tput_rps": be.ThroughputRPS(),
-				"ls_p99_us":   float64(ls.Latency.Percentile(99)) / 1000,
-				"ls_drop_pct": 100 * ls.DropFraction(),
-				"be_drop_pct": 100 * be.DropFraction(),
-			}}
-		})
-		res.Series = append(res.Series, Series{Name: s.name, Rows: rows})
+	}
+	grid := sweepGrid(cfg.Run, len(series), cfg.LSLoads, func(si int, lsLoad float64) Row {
+		r := runRocksPoint(rocksPoint{
+			Seed:       31,
+			Load:       fig7Load,
+			NumThreads: 6,
+			PinToCores: true,
+			Classes: []workload.Class{
+				{Name: "LS", Weight: lsLoad / fig7Load, Type: policy.ReqGET, UserID: 0},
+				{Name: "BE", Weight: (fig7Load - lsLoad) / fig7Load, Type: policy.ReqGET, UserID: 1},
+			},
+			Policy:  series[si].pol,
+			Service: fig7Service,
+			LSUser:  0,
+			BEUser:  1,
+			Run:     cfg.Run,
+		}).Result
+		ls := r.PerClass["LS"]
+		be := r.PerClass["BE"]
+		return Row{X: lsLoad, Cols: map[string]float64{
+			"be_tput_rps": be.ThroughputRPS(),
+			"ls_p99_us":   float64(ls.Latency.Percentile(99)) / 1000,
+			"ls_drop_pct": 100 * ls.DropFraction(),
+			"be_drop_pct": 100 * be.DropFraction(),
+		}}
+	})
+	for si, s := range series {
+		res.Series = append(res.Series, Series{Name: s.name, Rows: grid[si]})
 	}
 	return res
 }

@@ -57,7 +57,6 @@ func Fig8(cfg Fig8Config) *Result {
 		r := runRocksPoint(rocksPoint{
 			Seed:        47,
 			Load:        load,
-			NumCPUs:     6,
 			NumThreads:  36,
 			PinToCores:  false, // CFS/ghOSt place threads
 			Classes:     fig8Mix,

@@ -33,10 +33,11 @@ const (
 	micaApp  = 2
 	micaUID  = 1001
 	micaN    = 8
+	// micaSeed seeds every Fig. 9 point.
+	micaSeed = 53
 )
 
 type micaPoint struct {
-	Seed    uint64
 	Load    float64
 	Mode    mica.Mode
 	GetFrac float64
@@ -69,7 +70,7 @@ func wireMICA(host *syrup.Host, load workload.Config, srv mica.Config) (*workloa
 // the NIC hook (HW) — the paper's portability claim in action.
 func runMicaPoint(pt micaPoint) (*workload.Result, *syrup.Host) {
 	host, app := syrup.MustHostApp(syrup.HostConfig{
-		Seed:      pt.Seed,
+		Seed:      micaSeed,
 		NumCPUs:   micaN,
 		NICQueues: micaN,
 		Telemetry: pt.Run.telemetry(),
@@ -125,8 +126,7 @@ func Fig9(cfg Fig9Config) *Result {
 	// does not serialize behind the others.
 	grid := sweepGrid(cfg.Run, len(modes), cfg.Loads, func(si int, load float64) Row {
 		r, _ := runMicaPoint(micaPoint{
-			Seed: 53, Load: load, Mode: modes[si], GetFrac: cfg.GetFrac,
-			Run: cfg.Run,
+			Load: load, Mode: modes[si], GetFrac: cfg.GetFrac, Run: cfg.Run,
 		})
 		return Row{X: load, Cols: map[string]float64{
 			"p999_us":  float64(r.All.Latency.Percentile(99.9)) / 1000,

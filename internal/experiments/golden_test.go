@@ -74,7 +74,7 @@ func micaDigest(pt micaPoint) string {
 func fig2Slice(pol SocketPolicy, rc RunConfig) rocksPoint {
 	rc.Windows = diffWindows
 	return rocksPoint{
-		Seed: 1007, Load: 300_000, NumCPUs: 6, NumThreads: 6,
+		Seed: 1007, Load: 300_000, NumThreads: 6,
 		PinToCores: true, Flows: 50,
 		Classes: []workload.Class{{Name: "GET", Weight: 1, Type: policy.ReqGET}},
 		Policy:  pol, Run: rc,
@@ -84,7 +84,7 @@ func fig2Slice(pol SocketPolicy, rc RunConfig) rocksPoint {
 func fig6Slice(pol SocketPolicy, rc RunConfig) rocksPoint {
 	rc.Windows = diffWindows
 	return rocksPoint{
-		Seed: 2011, Load: 200_000, NumCPUs: 6, NumThreads: 6,
+		Seed: 2011, Load: 200_000, NumThreads: 6,
 		PinToCores: true, Flows: 50,
 		Classes: fig6Mix, Policy: pol, Run: rc,
 	}
@@ -93,7 +93,7 @@ func fig6Slice(pol SocketPolicy, rc RunConfig) rocksPoint {
 func fig8Slice(rc RunConfig) rocksPoint {
 	rc.Windows = diffWindows
 	return rocksPoint{
-		Seed: 47, Load: 12_000, NumCPUs: 6, NumThreads: 36,
+		Seed: 47, Load: 12_000, NumThreads: 36,
 		PinToCores: false, Classes: fig8Mix,
 		Policy: PolicyScanAvoid, ThreadSched: true, Run: rc,
 	}
@@ -101,7 +101,7 @@ func fig8Slice(rc RunConfig) rocksPoint {
 
 func fig9Slice(mode mica.Mode, rc RunConfig) micaPoint {
 	rc.Windows = diffWindows
-	return micaPoint{Seed: 53, Load: 800_000, Mode: mode, GetFrac: 0.5, Run: rc}
+	return micaPoint{Load: 800_000, Mode: mode, GetFrac: 0.5, Run: rc}
 }
 
 // swapPoint is TestShapeHotSwapMidMeasure's point: round_robin replaced by

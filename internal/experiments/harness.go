@@ -224,22 +224,19 @@ const (
 type rocksPoint struct {
 	Seed       uint64
 	Load       float64
-	NumCPUs    int
 	NumThreads int
 	PinToCores bool
 	Flows      int
 	Classes    []workload.Class
 	Policy     SocketPolicy
 	// ThreadSched enables the ghOSt GET-priority thread policy; it
-	// reserves one core for the agent, leaving NumCPUs-1 workers.
+	// reserves one core for the agent, leaving rocksN-1 workers.
 	ThreadSched bool
 	// Service overrides the default RocksDB service model.
 	Service rocksdb.ServiceModel
-	// TokenRate is the LS refill rate of the token policy's userspace
-	// agent, granted every tokenEpoch.
-	TokenRate float64
-	LSUser    uint32
-	BEUser    uint32
+	// LSUser and BEUser are the token policy's two tenants.
+	LSUser uint32
+	BEUser uint32
 	// SwapTo, when set, hot-swaps the socket policy mid-measure: halfway
 	// through the measurement window the named built-in policy replaces
 	// the running one through syrupd (Link.Replace under live traffic,
@@ -272,8 +269,11 @@ const (
 	rocksPort = 9000
 	rocksApp  = 1
 	rocksUID  = 1000
-	// tokenEpoch is how often the token agent refills (Fig. 7's epoch).
-	tokenEpoch = 100 * sim.Microsecond
+	// rocksN is a RocksDB host's core count, one NIC RX queue per core.
+	rocksN = 6
+	// tokenRate is the LS refill rate of the token policy's userspace
+	// agent in tokens per second (Fig. 7's 350 K/s).
+	tokenRate = 350_000
 )
 
 // RocksWorld is the RocksDB application wired onto one host: the load
@@ -323,14 +323,16 @@ type rocksRun struct {
 func runRocksPoint(pt rocksPoint) *rocksRun {
 	win := pt.Run.windows()
 	host, app := syrup.MustHostApp(syrup.HostConfig{
-		Seed:       pt.Seed,
-		NumCPUs:    pt.NumCPUs,
-		NICQueues:  pt.NumCPUs, // one RX queue per core, IRQs on buddies (§5.1.1)
-		Trace:      pt.Run.Tracer,
-		Faults:     pt.Faults,
-		Quarantine: pt.Faults != nil,
-		Telemetry:  pt.Run.telemetry(),
+		Seed:      pt.Seed,
+		NumCPUs:   rocksN,
+		NICQueues: rocksN, // one RX queue per core, IRQs on buddies (§5.1.1)
+		Trace:     pt.Run.Tracer,
+		Faults:    pt.Faults,
+		Telemetry: pt.Run.telemetry(),
 	}, rocksApp, rocksUID, rocksPort)
+	if pt.Faults != nil {
+		host.Daemon.EnableQuarantine()
+	}
 
 	load := pt.Run.load(pt.Load)
 	load.RateFn, load.Deadline, load.Classes, load.Flows = pt.RateFn, pt.Deadline, pt.Classes, pt.Flows
@@ -361,8 +363,7 @@ func runRocksPoint(pt rocksPoint) *rocksRun {
 			Tokens:   dep.Maps["tokens"],
 			LSUser:   pt.LSUser,
 			BEUser:   pt.BEUser,
-			PerEpoch: uint64(pt.TokenRate * float64(tokenEpoch) / 1e9),
-			Epoch:    tokenEpoch,
+			PerEpoch: uint64(tokenRate * float64(policy.TokenEpoch) / 1e9),
 		}
 		agent.Start(host.Eng)
 	default:
@@ -392,11 +393,11 @@ func runRocksPoint(pt rocksPoint) *rocksRun {
 				return v
 			},
 		}
-		workers := make([]int, pt.NumCPUs-1)
+		workers := make([]int, rocksN-1)
 		for i := range workers {
 			workers[i] = i
 		}
-		agent, err := app.DeployThreadPolicy(pol, pt.NumCPUs-1, workers, ghost.Config{})
+		agent, err := app.DeployThreadPolicy(pol, rocksN-1, workers, ghost.Config{})
 		if err != nil {
 			panic(err)
 		}

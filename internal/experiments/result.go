@@ -105,15 +105,6 @@ func StatsDigest(r *workload.Result) string {
 	return b.String()
 }
 
-// sweep evaluates fn at every load on the run's worker pool (each point
-// owns a private simulation), preserving order.
-func sweep(rc RunConfig, loads []float64, fn func(load float64) Row) []Row {
-	rows := make([]Row, len(loads))
-	par.Do(len(loads), rc.Workers, func(i int) { rows[i] = fn(loads[i]) })
-	sort.Slice(rows, func(i, j int) bool { return rows[i].X < rows[j].X })
-	return rows
-}
-
 // sweepSeeded fans out every (load, seed) pair — not just loads — so
 // multi-seed figures use all cores even with few load points. Each pair is
 // one RocksDB point; a load's row is the mean and spread of its seeds' p99
@@ -137,7 +128,8 @@ func sweepSeeded(rc RunConfig, loads []float64, seeds int, point func(load float
 	return rows
 }
 
-// sweepGrid fans out every (series, load) pair of a multi-series figure in
+// sweepGrid evaluates fn at every (series, load) pair of a figure on the
+// run's worker pool (each point owns a private simulation), all pairs in
 // one pool, so one slow series does not serialize behind another. Rows per
 // series come back in input load order.
 func sweepGrid(rc RunConfig, nSeries int, loads []float64, fn func(si int, load float64) Row) [][]Row {

@@ -11,6 +11,7 @@ import (
 	"regexp"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -30,7 +31,7 @@ func rocksP99(t *testing.T, pt rocksPoint) (p99us float64, dropFrac float64) {
 
 func fig2Point(pol SocketPolicy, load float64, seed uint64) rocksPoint {
 	return rocksPoint{
-		Seed: seed, Load: load, NumCPUs: 6, NumThreads: 6, PinToCores: true,
+		Seed: seed, Load: load, NumThreads: 6, PinToCores: true,
 		Flows:   50,
 		Classes: []workload.Class{{Name: "GET", Weight: 1, Type: policy.ReqGET}},
 		Policy:  pol,
@@ -89,7 +90,7 @@ func TestShapeFig2LowLoadHealthy(t *testing.T) {
 
 func fig6Point(pol SocketPolicy, load float64) rocksPoint {
 	return rocksPoint{
-		Seed: 11, Load: load, NumCPUs: 6, NumThreads: 6, PinToCores: true,
+		Seed: 11, Load: load, NumThreads: 6, PinToCores: true,
 		Flows: 50, Classes: fig6Mix, Policy: pol,
 	}
 }
@@ -132,13 +133,13 @@ func TestShapeFig7TokenQoS(t *testing.T) {
 	}
 	run := func(pol SocketPolicy) *workload.Result {
 		return runRocksPoint(rocksPoint{
-			Seed: 31, Load: 400_000, NumCPUs: 6, NumThreads: 6, PinToCores: true,
+			Seed: 31, Load: fig7Load, NumThreads: 6, PinToCores: true,
 			Classes: []workload.Class{
-				{Name: "LS", Weight: 150_000.0 / 400_000, Type: policy.ReqGET, UserID: 0},
-				{Name: "BE", Weight: 250_000.0 / 400_000, Type: policy.ReqGET, UserID: 1},
+				{Name: "LS", Weight: 150_000.0 / fig7Load, Type: policy.ReqGET, UserID: 0},
+				{Name: "BE", Weight: 250_000.0 / fig7Load, Type: policy.ReqGET, UserID: 1},
 			},
 			Policy: pol, Service: fig7Service,
-			TokenRate: 350_000, LSUser: 0, BEUser: 1,
+			LSUser: 0, BEUser: 1,
 			Run: RunConfig{Windows: FastWindows},
 		}).Result
 	}
@@ -162,7 +163,7 @@ func TestShapeFig7TokenQoS(t *testing.T) {
 
 func fig8Point(pol SocketPolicy, threadSched bool, load float64) rocksPoint {
 	return rocksPoint{
-		Seed: 47, Load: load, NumCPUs: 6, NumThreads: 36,
+		Seed: 47, Load: load, NumThreads: 36,
 		Classes: fig8Mix, Policy: pol, ThreadSched: threadSched,
 	}
 }
@@ -206,7 +207,7 @@ func TestShapeFig8CrossLayer(t *testing.T) {
 
 func micaP999(t *testing.T, mode mica.Mode, load float64) float64 {
 	t.Helper()
-	r, _ := runMicaPoint(micaPoint{Seed: 53, Load: load, Mode: mode, GetFrac: 0.5, Run: RunConfig{Windows: FastWindows}})
+	r, _ := runMicaPoint(micaPoint{Load: load, Mode: mode, GetFrac: 0.5, Run: RunConfig{Windows: FastWindows}})
 	return float64(r.All.Latency.Percentile(99.9)) / 1000
 }
 
@@ -346,11 +347,17 @@ func containsStr(s, sub string) bool {
 func TestSweepPreservesOrderAndParallelizes(t *testing.T) {
 	loads := []float64{3, 1, 2}
 	for _, workers := range []int{1, 4} {
-		rows := sweep(RunConfig{Workers: workers}, loads, func(load float64) Row {
-			return Row{X: load, Cols: map[string]float64{"v": load * 10}}
+		grid := sweepGrid(RunConfig{Workers: workers}, 2, loads, func(si int, load float64) Row {
+			return Row{X: load + 10*float64(si)}
 		})
-		if rows[0].X != 1 || rows[1].X != 2 || rows[2].X != 3 {
-			t.Fatalf("workers=%d: rows unsorted: %+v", workers, rows)
+		var xs []float64
+		for _, rows := range grid {
+			for _, row := range rows {
+				xs = append(xs, row.X)
+			}
+		}
+		if want := []float64{3, 1, 2, 13, 11, 12}; !slices.Equal(xs, want) {
+			t.Fatalf("workers=%d: grid X = %v, want %v (series in order, loads in input order)", workers, xs, want)
 		}
 	}
 }
@@ -358,11 +365,12 @@ func TestSweepPreservesOrderAndParallelizes(t *testing.T) {
 // TestWorkersReachTheSweep: a Workers value on a figure config sets the
 // width of that figure's sweep. A config whose Workers never reached the
 // pool would pass every digest gate (results are width-independent) and
-// fail here. Each Fig7 series sweeps four points. At Workers: 1 the pool
-// runs them inline and never waits for its workers. At Workers: 4 it waits
-// for its workers, so the points ran on goroutines, and it admits all four
-// at once and never waits for a free slot, as it would at any width from 2
-// to 3: together, a pool at least 4 wide. The block profile records every
+// fail here. Fig7's grid holds four points: two LS loads for each of its
+// two series. At Workers: 1 the pool runs them inline and never waits for
+// its workers. At Workers: 4 it waits for its workers, so the points ran
+// on goroutines, and it admits all four at once and never waits for a free
+// slot, as it would at any width from 2 to 3: together, a pool at least 4
+// wide. The block profile records every
 // wait of the pool, so the verdict does not hang on when a sampler gets to
 // run. Not parallel: it sets the block profile rate.
 func TestWorkersReachTheSweep(t *testing.T) {
@@ -389,8 +397,8 @@ func TestWorkersReachTheSweep(t *testing.T) {
 	during := func(workers int) (join, slot int) {
 		join0, slot0 := waits("sync.(*WaitGroup).Wait"), waits("runtime.chansend1")
 		Fig7(Fig7Config{
-			LSLoads: loadsBetween(50_000, 350_000, 4), TotalLoad: 400_000, TokenRate: 350_000,
-			Run: RunConfig{Windows: tinyWindows, Workers: workers},
+			LSLoads: loadsBetween(50_000, 350_000, 2),
+			Run:     RunConfig{Windows: tinyWindows, Workers: workers},
 		})
 		return waits("sync.(*WaitGroup).Wait") - join0, waits("runtime.chansend1") - slot0
 	}

@@ -85,8 +85,8 @@ func TestStopResumeQuiesces(t *testing.T) {
 	if done {
 		t.Fatal("stopped agent dispatched a thread")
 	}
-	if !a.Stopped() {
-		t.Fatal("Stopped() = false after Stop")
+	if !a.stopped {
+		t.Fatal("stopped = false after Stop")
 	}
 	a.Resume()
 	eng.Run()

@@ -252,9 +252,6 @@ func (a *Agent) Resume() {
 	}
 }
 
-// Stopped reports whether the agent is quiesced.
-func (a *Agent) Stopped() bool { return a.stopped }
-
 // Register moves a blocked thread into this agent's scheduling class.
 // ghOSt's isolation guarantee: the kernel refuses threads of other
 // applications (§4.3).

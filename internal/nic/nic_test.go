@@ -107,9 +107,9 @@ func TestOffloadProgramSteersQueues(t *testing.T) {
 	prog := mustLoad(t, "steer", []ebpf.Instruction{
 		ebpf.Ldx(8, ebpf.R2, ebpf.R1, ebpf.CtxOffData),
 		ebpf.Ldx(8, ebpf.R3, ebpf.R1, ebpf.CtxOffDataEnd),
-		ebpf.MovReg(ebpf.R4, ebpf.R2),
-		ebpf.ALUImm(ebpf.ALUAdd, ebpf.R4, 9),
-		ebpf.JmpReg(ebpf.JmpGt, ebpf.R4, ebpf.R3, 3),
+		ebpf.MovReg(ebpf.R5, ebpf.R2),
+		ebpf.ALUImm(ebpf.ALUAdd, ebpf.R5, 9),
+		ebpf.JmpReg(ebpf.JmpGt, ebpf.R5, ebpf.R3, 3),
 		ebpf.Ldx(1, ebpf.R0, ebpf.R2, 8),
 		ebpf.ALUImm(ebpf.ALUMod, ebpf.R0, 4),
 		ebpf.Exit(),

@@ -138,6 +138,9 @@ func SITADefines(n int) map[string]int64 {
 	return map[string]int64{"NUM_THREADS": int64(n), "NT_MINUS_1": int64(n - 1)}
 }
 
+// TokenEpoch is how often a TokenAgent refills (§5.2.2's 100 µs epochs).
+const TokenEpoch = 100 * sim.Microsecond
+
 // TokenAgent is the userspace half of the token policy (§3.4 / §5.2.2): an
 // epoch timer that replenishes the latency-sensitive user's tokens and
 // gifts any leftovers to the best-effort user.
@@ -145,19 +148,15 @@ type TokenAgent struct {
 	Tokens      *ebpf.Map
 	LSUser      uint32
 	BEUser      uint32
-	PerEpoch    uint64 // tokens granted to the LS user each epoch
-	Epoch       sim.Time
+	PerEpoch    uint64 // tokens granted to the LS user each TokenEpoch
 	GiftedTotal uint64
 }
 
 // Start begins the replenish loop on eng.
 func (a *TokenAgent) Start(eng *sim.Engine) {
-	if a.Epoch <= 0 {
-		panic("policy: token epoch must be positive")
-	}
 	// Initial grant so the first epoch isn't dry.
 	a.Tokens.UpdateUint64(a.LSUser, a.PerEpoch)
-	eng.NewTicker(a.Epoch, func() {
+	eng.NewTicker(TokenEpoch, func() {
 		leftover, _ := a.Tokens.LookupUint64(a.LSUser)
 		if leftover > 0 {
 			// Gift unconsumed tokens to the best-effort user.

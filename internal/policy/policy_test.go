@@ -248,7 +248,7 @@ func TestTokenAgentReplenishesAndGifts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agent := &TokenAgent{Tokens: tokens, LSUser: 0, BEUser: 1, PerEpoch: 100, Epoch: 100 * sim.Microsecond}
+	agent := &TokenAgent{Tokens: tokens, LSUser: 0, BEUser: 1, PerEpoch: 100}
 	agent.Start(eng)
 	// Consume 60 LS tokens mid-epoch.
 	eng.CallAt(50*sim.Microsecond, func(any, uint64) {

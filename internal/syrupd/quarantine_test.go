@@ -126,8 +126,9 @@ func TestRevokedPolicyNeverRuns(t *testing.T) {
 }
 
 // TestRevokeUnpinsMapsAndStopsAgent checks RevokeApp detaches fully:
-// pinned maps disappear from the namespace and the ghOSt agent quiesces,
-// while a redeploy re-creates both.
+// pinned maps disappear from the namespace and the ghOSt agent quiesces
+// (a thread's message queues, its Messages count stays put), while a
+// redeploy re-creates both (the queued message is processed).
 func TestRevokeUnpinsMapsAndStopsAgent(t *testing.T) {
 	h := newHost(t, 1, 3)
 	h.d.RegisterApp(1, 1000, 9000)
@@ -154,8 +155,13 @@ func TestRevokeUnpinsMapsAndStopsAgent(t *testing.T) {
 	if len(h.d.pins.List("/syrup/1/")) != 0 {
 		t.Fatal("pin directory not emptied by revoke")
 	}
-	if !agent.Stopped() {
-		t.Fatal("ghOSt agent still running after revoke")
+	th := h.m.NewThread("w", 1, h.m.AffinityAll(), func(th *kernel.Thread) { th.Exit() })
+	if err := agent.Register(th); err != nil {
+		t.Fatal(err)
+	}
+	h.Eng.Run()
+	if agent.Messages != 0 {
+		t.Fatalf("ghOSt agent processed %d messages after revoke", agent.Messages)
 	}
 
 	// Redeploy: maps re-create and re-pin, the same enclave resumes.
@@ -172,8 +178,9 @@ func TestRevokeUnpinsMapsAndStopsAgent(t *testing.T) {
 	if agent2 != agent {
 		t.Fatal("redeploy created a second agent for the same enclave")
 	}
-	if agent.Stopped() {
-		t.Fatal("agent did not resume on redeploy")
+	h.Eng.Run()
+	if agent.Messages != 1 {
+		t.Fatalf("agent processed %d messages after redeploy, want the one queued: it did not resume", agent.Messages)
 	}
 }
 

@@ -102,8 +102,6 @@ type HostConfig struct {
 	// and schedules no events, so hosts built without a plan stay
 	// bit-identical.
 	Faults *faults.Plan
-	// Quarantine arms syrupd's fault watchdog.
-	Quarantine bool
 	// Telemetry, when set, builds the host's time-series sampler
 	// (internal/obs) and attaches it to the engine's passive sampling
 	// hook: datapath gauges (softirq backlog, NIC inflight, runnable ghOSt
@@ -221,9 +219,6 @@ func TryNewHost(cfg HostConfig) (*Host, error) {
 		NIC:     dev,
 		Stack:   stack,
 		Daemon:  syrupd.New(hh, dev, stack, machine),
-	}
-	if cfg.Quarantine {
-		h.Daemon.EnableQuarantine()
 	}
 	if cfg.Telemetry != nil {
 		sa := obs.NewSampler(*cfg.Telemetry)
